@@ -154,8 +154,9 @@ SERVE OPTIONS:
                       in-shard index) and labelling metrics with the
                       shard index
   --drill <spec>      (submit) per-job fault drill forwarded to the
-                      daemon, e.g. delay@0:1500 (accel chunk 0 sleeps
-                      1500 ms) — test hook, hits stay exact
+                      daemon, e.g. delay@0:1500 (the region's first
+                      chunk, on either pool, sleeps 1500 ms) — test
+                      hook, hits stay exact
   --tenant <name>     (submit) tenant the job is accounted against
                       (default 'anon')
   --status <job>      (submit) report one job instead of submitting

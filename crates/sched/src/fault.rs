@@ -40,11 +40,18 @@ pub enum FaultKind {
     KillPool,
 }
 
+/// Wildcard for [`FaultSpec::device`]: chunks are counted across both
+/// pools and the fault fires on whichever worker starts the `chunk`-th
+/// one — a drill that must fire no matter which pool wins the race for
+/// the queue.
+pub const DEVICE_ANY: usize = 2;
+
 /// One scheduled fault: `kind` fires when `device`'s pool starts its
 /// `chunk`-th chunk (0-based).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSpec {
-    /// Device pool the fault targets (0 = CPU, 1 = accelerator).
+    /// Device pool the fault targets (0 = CPU, 1 = accelerator,
+    /// [`DEVICE_ANY`] = whichever pool starts the chunk).
     pub device: usize,
     /// 0-based index of the triggering chunk in the device's grab order.
     pub chunk: u64,
@@ -100,7 +107,8 @@ impl FaultPlan {
 pub struct FaultInjector {
     specs: Vec<FaultSpec>,
     fired: Vec<AtomicBool>,
-    chunk_counter: [AtomicU64; 2],
+    /// Chunks started per device; slot [`DEVICE_ANY`] counts both.
+    chunk_counter: [AtomicU64; 3],
     pool_dead: [AtomicBool; 2],
     /// Hard process abort once this many chunks (across both devices)
     /// have been *committed*: the crash-resume harness's "pull the plug"
@@ -121,7 +129,7 @@ impl FaultInjector {
         FaultInjector {
             specs: plan.specs,
             fired,
-            chunk_counter: [AtomicU64::new(0), AtomicU64::new(0)],
+            chunk_counter: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
             pool_dead: [AtomicBool::new(false), AtomicBool::new(false)],
             kill_after_chunks: 0,
             committed: AtomicU64::new(0),
@@ -155,9 +163,11 @@ impl FaultInjector {
             return None;
         }
         let n = self.chunk_counter[device].fetch_add(1, Ordering::Relaxed);
+        let n_any = self.chunk_counter[DEVICE_ANY].fetch_add(1, Ordering::Relaxed);
         for (spec, fired) in self.specs.iter().zip(&self.fired) {
-            if spec.device == device
-                && spec.chunk == n
+            let due = (spec.device == device && spec.chunk == n)
+                || (spec.device == DEVICE_ANY && spec.chunk == n_any);
+            if due
                 && fired
                     .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
                     .is_ok()
@@ -428,6 +438,27 @@ mod tests {
         assert_eq!(inj.on_chunk_start(1), Some(FaultKind::Kill)); // chunk 2
         assert_eq!(inj.on_chunk_start(1), None, "fires at most once");
         assert_eq!(inj.fired_count(), 1);
+        assert!(inj.all_fired());
+    }
+
+    #[test]
+    fn any_device_fault_fires_on_whichever_pool_starts_the_chunk() {
+        let delay = FaultKind::Delay(Duration::from_millis(5));
+        let spec = FaultSpec {
+            device: DEVICE_ANY,
+            chunk: 1,
+            kind: delay,
+        };
+        // The count runs across both pools: CPU starts chunk 0, so the
+        // accelerator's first chunk is the region's second.
+        let inj = FaultInjector::new(FaultPlan::single(spec));
+        assert_eq!(inj.on_chunk_start(0), None);
+        assert_eq!(inj.on_chunk_start(1), Some(delay));
+        assert_eq!(inj.on_chunk_start(0), None, "fires at most once");
+        // A CPU pool that wins every chunk trips it just the same.
+        let inj = FaultInjector::new(FaultPlan::single(spec));
+        assert_eq!(inj.on_chunk_start(0), None);
+        assert_eq!(inj.on_chunk_start(0), Some(delay));
         assert!(inj.all_fired());
     }
 

@@ -59,7 +59,7 @@ pub use executor::{
 };
 pub use fault::{
     FaultInjector, FaultKind, FaultPlan, FaultSpec, NetFaultInjector, NetFaultKind, NetFaultPlan,
-    NetFaultSpec,
+    NetFaultSpec, DEVICE_ANY,
 };
 pub use metrics::{imbalance, DeviceMetrics, Imbalance, MetricsSink, RecoveryEvent, WorkerSample};
 pub use policy::{

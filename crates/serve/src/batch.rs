@@ -2,10 +2,15 @@
 //! threads and the one thread that runs shared dual-pool regions.
 //!
 //! Connection handlers park accepted submits here; the collector thread
-//! waits for the first arrival, then sleeps one gather window so
-//! concurrent submits coalesce, then takes up to `max_concurrent`
+//! waits on the queue's condvar for the first arrival, which opens the
+//! gather window — a condvar wait against a deadline fixed at that
+//! arrival: later arrivals wake the collector but never move it, and
+//! shutdown ends it within [`SHUTDOWN_POLL`] instead of after a full
+//! sleep. At the deadline the collector takes up to `max_concurrent`
 //! queries and runs them through a single `search_many_resumable`
-//! region over the resident database. Each pending job carries its own
+//! region. The window is waited out even when `max_concurrent` jobs
+//! are already parked; closing a full window early was measured and
+//! deferred (DESIGN §5g). Each pending job carries its own
 //! reply channel — the demux path back to exactly one connection — and
 //! its own scoped drain, so cancelling one query removes only that
 //! query's tasks from the shared region.
@@ -19,8 +24,14 @@
 use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use sw_sched::{DrainSignal, FaultSpec};
+
+/// How often the daemon's waiting threads re-read the shutdown signal:
+/// it may be flipped through a parent signal (process SIGINT) that
+/// knows nothing of a condvar or a listener. No request waits on this
+/// — `enqueue` notifies the collector, `accept` returns on connect.
+pub(crate) const SHUTDOWN_POLL: Duration = Duration::from_millis(20);
 
 /// One accepted submit, parked until a region picks it up.
 pub(crate) struct PendingJob {
@@ -104,12 +115,14 @@ impl Batcher {
     }
 
     /// Collector side: block until at least one job is queued (or
-    /// shutdown fires), let the gather window elapse so concurrent
-    /// submits join the same region, then take up to `max` jobs in
-    /// arrival order. Returns `None` once shutdown has fired and the
-    /// queue is empty — the collector's exit condition. On shutdown
-    /// with jobs still queued, returns them (closing the queue first)
-    /// so the caller can cancel-reply each one.
+    /// shutdown fires), hold the gather window open until its deadline
+    /// so concurrent submits join the same region, then take up to
+    /// `max` jobs in arrival order. Returns `None` once shutdown has
+    /// fired and the queue is empty — the collector's exit condition.
+    /// Shutdown with jobs still queued, before or inside the window,
+    /// closes the queue and returns them all for cancel replies:
+    /// launching a region would race the drain, and an open queue would
+    /// let a late submit park where no collector will ever look.
     pub fn collect(
         &self,
         max: usize,
@@ -117,37 +130,26 @@ impl Batcher {
         shutdown: &DrainSignal,
     ) -> Option<Vec<PendingJob>> {
         let mut g = self.inner.lock().unwrap();
+        // Fixed when the first job is seen, not moved by later wakeups.
+        let mut deadline: Option<Instant> = None;
         loop {
             if shutdown.is_requested() {
                 g.closed = true;
                 let rest: Vec<PendingJob> = g.queue.drain(..).collect();
                 return if rest.is_empty() { None } else { Some(rest) };
             }
+            let mut wait = SHUTDOWN_POLL;
             if !g.queue.is_empty() {
-                break;
+                let now = Instant::now();
+                let deadline = *deadline.get_or_insert(now + window);
+                if now >= deadline {
+                    let n = g.queue.len().min(max.max(1));
+                    return Some(g.queue.drain(..n).collect());
+                }
+                wait = wait.min(deadline - now);
             }
-            // Timed wait: shutdown may arrive through a parent signal
-            // that knows nothing of our condvar.
-            let (guard, _) = self
-                .wake
-                .wait_timeout(g, Duration::from_millis(20))
-                .unwrap();
-            g = guard;
+            g = self.wake.wait_timeout(g, wait).unwrap().0;
         }
-        drop(g);
-        std::thread::sleep(window);
-        let mut g = self.inner.lock().unwrap();
-        // Shutdown may have fired during the gather window. Launching a
-        // region now would race the drain, and leaving the queue open
-        // lets a late submit park where no collector will ever look —
-        // so close first and hand everything back for cancel replies.
-        if shutdown.is_requested() {
-            g.closed = true;
-            let rest: Vec<PendingJob> = g.queue.drain(..).collect();
-            return if rest.is_empty() { None } else { Some(rest) };
-        }
-        let n = g.queue.len().min(max.max(1));
-        Some(g.queue.drain(..n).collect())
     }
 }
 
@@ -180,8 +182,11 @@ mod tests {
             vec![1, 2, 3, 4],
             "arrival order, capped at max_concurrent"
         );
-        let second = b.collect(4, Duration::ZERO, &OFF).unwrap();
+        // The window is a deadline that is waited out, not a poll.
+        let (window, t0) = (Duration::from_millis(60), Instant::now());
+        let second = b.collect(4, window, &OFF).unwrap();
         assert_eq!(second.len(), 1, "overflow lands in the next region");
+        assert!(t0.elapsed() >= window, "{:?}", t0.elapsed());
     }
 
     #[test]

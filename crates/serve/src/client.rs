@@ -4,9 +4,8 @@
 //! this code, so the wire format has one reader and one writer.
 
 use crate::json;
-use crate::transport::{Endpoint, RetryPolicy, Stream};
+use crate::transport::{Endpoint, NetTransport, RetryPolicy, ShardTransport};
 use std::io::{self, BufRead, BufReader, Write};
-use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::time::Duration;
 
@@ -61,16 +60,7 @@ pub fn health_request() -> String {
 /// daemon closes the connection. For `submit` this blocks until the job
 /// finishes (the daemon streams the result on the same connection).
 pub fn request(socket: &Path, line: &str) -> io::Result<Vec<String>> {
-    let mut stream = UnixStream::connect(socket)?;
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()?;
-    stream.shutdown(std::net::Shutdown::Write)?;
-    let mut lines = Vec::new();
-    for l in BufReader::new(stream).lines() {
-        lines.push(l?);
-    }
-    Ok(lines)
+    request_endpoint(&Endpoint::Unix(socket.to_path_buf()), line)
 }
 
 /// [`request`] over any [`Endpoint`] (unix socket or `tcp://host:port`)
@@ -90,18 +80,8 @@ pub fn request_endpoint_retry(
     line: &str,
     policy: &RetryPolicy,
 ) -> io::Result<(Vec<String>, u32)> {
-    let connect_timeout = Duration::from_millis(1_000);
-    let mut used = 0u32;
-    let mut stream: Stream = loop {
-        match endpoint.connect(connect_timeout) {
-            Ok(s) => break s,
-            Err(e) if used >= policy.retries => return Err(e),
-            Err(_) => {
-                std::thread::sleep(policy.backoff(used));
-                used += 1;
-            }
-        }
-    };
+    let (mut stream, used) =
+        NetTransport.connect_retry(endpoint, Duration::from_millis(1_000), policy)?;
     stream.write_all(line.as_bytes())?;
     stream.write_all(b"\n")?;
     stream.flush()?;

@@ -53,7 +53,7 @@ use crate::client::{
 };
 use crate::journal::{fnv1a, CommittedShard, CoordJournal};
 use crate::json;
-use crate::transport::{Endpoint, NetTransport, RetryPolicy, ShardTransport};
+use crate::transport::{Endpoint, NetTransport, RetryPolicy, ShardTransport, Stream};
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -546,9 +546,6 @@ fn run_shard_attempt(
         _ => {}
     }
 
-    transport
-        .wait_ready(endpoint, cfg.connect_wait_ms)
-        .map_err(AttemptError::Retry)?;
     let retry = RetryPolicy {
         retries: cfg.connect_retries,
         backoff_ms: cfg.connect_backoff_ms,
@@ -556,6 +553,8 @@ fn run_shard_attempt(
     };
 
     // Identity check: never submit to a worker serving the wrong shard.
+    // Dialling the probe under `connect_wait_ms` is also the wait for a
+    // (re)spawned worker's socket: its answer shows the worker is up.
     let deadline = Instant::now() + Duration::from_millis(cfg.lease_timeout_ms);
     let wire = Wire {
         transport,
@@ -564,8 +563,11 @@ fn run_shard_attempt(
         heartbeat_ms: cfg.heartbeat_ms,
         net_retries,
     };
+    let probe = transport
+        .connect_wait(endpoint, cfg.connect_wait_ms)
+        .map_err(AttemptError::Retry)?;
     let health = wire
-        .request(&health_request(), deadline, None, None)
+        .exchange(probe, &health_request(), deadline, None, None)
         .map_err(|e| AttemptError::Retry(format!("health probe failed: {e}")))?;
     let health = health
         .first()
@@ -627,13 +629,8 @@ struct Wire<'a> {
 }
 
 impl Wire<'_> {
-    /// Send one request line and collect the reply stream under the
-    /// lease `deadline`. While the stream is silent longer than the
-    /// heartbeat interval, a side-channel health probe checks the
-    /// worker is still alive; [`HEARTBEAT_MISSES`] consecutive failed
-    /// probes end the lease early instead of waiting out the full
-    /// deadline. `drop_after` / `drip` are the injected-fault shaping
-    /// hooks (cut the stream after N lines; delay every line).
+    /// Connect under the retry policy (retries spent feed
+    /// `net_retries`), then [`Wire::exchange`] on that connection.
     fn request(
         &self,
         line: &str,
@@ -641,11 +638,28 @@ impl Wire<'_> {
         drop_after: Option<u64>,
         drip: Option<Duration>,
     ) -> io::Result<Vec<String>> {
-        let connect_timeout = Duration::from_millis(250);
-        let (mut stream, used) =
+        let (stream, used) =
             self.transport
-                .connect_retry(self.endpoint, connect_timeout, self.retry)?;
+                .connect_retry(self.endpoint, Duration::from_millis(250), self.retry)?;
         self.net_retries.fetch_add(used as u64, Ordering::Relaxed);
+        self.exchange(stream, line, deadline, drop_after, drip)
+    }
+
+    /// Send one request line on `stream` and collect the reply under the
+    /// lease `deadline`. While the stream is silent longer than the
+    /// heartbeat interval, a side-channel health probe checks the
+    /// worker is still alive; [`HEARTBEAT_MISSES`] consecutive failed
+    /// probes end the lease early instead of waiting out the full
+    /// deadline. `drop_after` / `drip` are the injected-fault shaping
+    /// hooks (cut the stream after N lines; delay every line).
+    fn exchange(
+        &self,
+        mut stream: Stream,
+        line: &str,
+        deadline: Instant,
+        drop_after: Option<u64>,
+        drip: Option<Duration>,
+    ) -> io::Result<Vec<String>> {
         stream.set_read_timeout(Some(Duration::from_millis(100)))?;
         stream.write_all(line.as_bytes())?;
         stream.write_all(b"\n")?;

@@ -1,19 +1,17 @@
 //! The daemon's job registry: every submitted search, its lifecycle
-//! state, and the admission gate that caps concurrent runs.
+//! state, and the per-tenant quota checked at the door.
 //!
 //! One `Mutex` guards the whole table — job turnover is measured in
 //! searches per second, not millions of ops, so contention is not a
 //! concern and a single lock keeps the state machine easy to audit.
-//! The condvar wakes queued jobs when a running one finishes (or a
-//! queued one is cancelled); waits use a timeout so a drain requested
-//! through a *parent* signal (daemon shutdown, process SIGINT) is
-//! noticed too, since parents don't know about our condvar.
+//! Nothing blocks here: the batching collector is the concurrency gate
+//! (one region at a time, `max_concurrent` queries per region) and
+//! moves jobs `Queued` → `Running` itself.
 
 use crate::json;
 use crate::obs::{LogLevel, Obs, Phases};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
 use sw_sched::DrainSignal;
 
 /// Lifecycle of one submitted search.
@@ -189,11 +187,9 @@ impl StatsSnapshot {
     }
 }
 
-/// Thread-safe job table + admission gate. See the module docs for the
-/// locking story.
+/// Thread-safe job table. See the module docs for the locking story.
 pub struct Registry {
     inner: Mutex<Inner>,
-    admit: Condvar,
     obs: Arc<Obs>,
 }
 
@@ -219,7 +215,6 @@ impl Registry {
                 next_id: 1,
                 ..Inner::default()
             }),
-            admit: Condvar::new(),
             obs,
         }
     }
@@ -349,42 +344,12 @@ impl Registry {
         }
     }
 
-    /// Block until job `id` gets one of `max_concurrent` run slots.
-    /// Returns `false` (marking the job cancelled) if its drain — or a
-    /// parent drain, hence the timed wait — fires first.
-    pub fn admit(&self, id: u64, max_concurrent: usize) -> bool {
-        let mut g = self.inner.lock().unwrap();
-        loop {
-            let drained = g.jobs.get(&id).is_none_or(|e| e.drain.is_requested());
-            if drained {
-                if let Some(e) = g.jobs.get_mut(&id) {
-                    e.record.state = JobState::Cancelled;
-                }
-                return false;
-            }
-            if g.running < max_concurrent {
-                g.running += 1;
-                if let Some(e) = g.jobs.get_mut(&id) {
-                    e.record.state = JobState::Running;
-                    e.record.phases.started_us = Some(self.obs.now_us());
-                }
-                return true;
-            }
-            let (guard, _) = self
-                .admit
-                .wait_timeout(g, Duration::from_millis(100))
-                .unwrap();
-            g = guard;
-        }
-    }
-
     /// Move job `id` to `Running` and charge a run slot — unless its
     /// drain already fired, in which case the job is marked `Cancelled`
     /// and no slot is taken. The batching collector calls this for every
-    /// member of a shared region just before the region starts; unlike
-    /// [`Registry::admit`] it never blocks, because the collector itself
-    /// is the concurrency gate (one region at a time, `max_concurrent`
-    /// queries per region).
+    /// member of a shared region just before the region starts; it never
+    /// blocks, because the collector itself is the concurrency gate (one
+    /// region at a time, `max_concurrent` queries per region).
     pub fn mark_running(&self, id: u64) -> bool {
         let mut g = self.inner.lock().unwrap();
         let Some(e) = g.jobs.get_mut(&id) else {
@@ -457,7 +422,6 @@ impl Registry {
             }
         }
         drop(g);
-        self.admit.notify_all();
         finished.map(|rec| {
             let slow = self.obs.record_finish(&rec.phases, rec.resumes);
             let level = match (state, slow) {
@@ -497,8 +461,6 @@ impl Registry {
         let e = g.jobs.get(&id).ok_or(format!("no such job {id}"))?;
         let state = e.record.state;
         e.drain.request();
-        drop(g);
-        self.admit.notify_all();
         Ok(state)
     }
 
@@ -568,23 +530,9 @@ mod tests {
         // Another tenant is unaffected.
         r.submit("other", 10, 2, drain()).unwrap();
         // Finishing one frees the quota.
-        assert!(r.admit(a, 4));
+        assert!(r.mark_running(a));
         r.finish(a, JobState::Done, 3, 0, None);
         r.submit("acme", 10, 2, drain()).unwrap();
-    }
-
-    #[test]
-    fn admission_caps_concurrency_and_cancel_unblocks_queued() {
-        let r = Registry::new();
-        let (a, _) = r.submit("t", 1, 8, drain()).unwrap();
-        let (b, db) = r.submit("t", 1, 8, drain()).unwrap();
-        assert!(r.admit(a, 1), "first job takes the slot");
-        // The second job would block; cancel it from another thread.
-        db.request();
-        assert!(!r.admit(b, 1), "cancelled while queued");
-        assert_eq!(r.status(b).unwrap().state, JobState::Cancelled);
-        r.finish(a, JobState::Done, 1, 0, None);
-        assert_eq!(r.stats().done, 1);
     }
 
     #[test]

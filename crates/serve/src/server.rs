@@ -1,5 +1,5 @@
-//! The daemon itself: a unix-socket accept loop multiplexing searches
-//! over one resident [`HeteroEngine`] + [`PreparedDb`].
+//! The daemon itself: an accept loop (unix socket or TCP) multiplexing
+//! searches over one resident [`HeteroEngine`] + [`PreparedDb`].
 //!
 //! Every connection carries exactly one request line. Control ops
 //! (`status`/`cancel`/`stats`/`shutdown`) answer with one line and
@@ -19,26 +19,35 @@
 //! removes that query's tasks from the region without touching
 //! batch-mates), its own trace epoch and query id via
 //! [`TraceConfig::for_query`], and its own fingerprint-keyed checkpoint
-//! file inside `checkpoint_dir`. The accept loop is non-blocking and
-//! polls the shutdown signal, so both a `shutdown` request and a
-//! process SIGINT (routed through the signal's parent) stop the daemon
-//! the same way: stop accepting, drain the in-flight region
-//! (checkpointing incomplete queries), cancel-reply queued jobs, dump
-//! the registry, remove the socket.
+//! file inside `checkpoint_dir`.
+//!
+//! No request waits on a poll tick: the accept loop blocks in `accept`
+//! and dispatches a connection the moment it arrives (the one timed
+//! wait left on a submit's path is the gather window it asked to be
+//! coalesced in — see `batch.rs`). Shutdown is a bare
+//! atomic that a `shutdown` request, a process SIGINT (routed through
+//! the signal's parent) or an embedder flips with no wire traffic, so
+//! a watcher thread polls it — off the request path — and wakes the
+//! listener by dialling its bound address. All three stop the daemon
+//! the same way: readiness flips off, probes keep answering while the
+//! in-flight region drains (checkpointing incomplete queries) and
+//! queued jobs are cancel-replied; then the loop stops accepting, the
+//! registry is dumped and the socket removed.
 
-use crate::batch::{Batcher, JobReply, PendingJob};
+use crate::batch::{Batcher, JobReply, PendingJob, SHUTDOWN_POLL};
 use crate::json;
 use crate::obs::{LogLevel, Obs, ObsConfig, ShardRole};
 use crate::registry::{JobState, Registry, StatsSnapshot};
 use crate::transport::{Endpoint, Listener, Stream};
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 use sw_core::{
     BatchQuery, DurableOptions, HeteroEngine, HeteroSearchConfig, PreparedDb, TraceConfig,
 };
-use sw_sched::{DrainSignal, FaultInjector, FaultKind, FaultPlan, FaultSpec, DEVICE_ACCEL};
+use sw_sched::{DrainSignal, FaultInjector, FaultKind, FaultPlan, FaultSpec, DEVICE_ANY};
 use sw_seq::Alphabet;
 
 /// Boxed error for daemon startup/teardown failures (per-connection
@@ -177,7 +186,8 @@ pub fn serve(
     // `Listener::bind` removes a stale unix socket from a crashed
     // daemon but refuses to evict a live one (someone answers on it).
     let listener = Listener::bind(&config.listen)?;
-    listener.set_nonblocking(true)?;
+    let wake = listener.wake_endpoint()?;
+    let accepting = AtomicBool::new(true);
     let obs = Arc::new(Obs::new(ObsConfig {
         log_level: config.log_level,
         log_file: config.log_file.clone(),
@@ -221,33 +231,35 @@ pub fn serve(
                 config.snapshot_digest.is_some()
             ),
         );
+        let waker = s.spawn(|| shutdown_waker(ctx, &wake, &accepting));
         // Keep accepting while draining so health/metrics probes can
         // watch the drain itself; stop once nothing is in flight.
         loop {
-            if shutdown.is_requested() {
-                if !obs.is_draining() {
-                    obs.set_draining(true);
-                    obs.log(LogLevel::Warn, "daemon_draining", "");
-                }
-                if !registry.has_inflight() {
-                    break;
-                }
+            let accepted = listener.accept();
+            // Flip before dispatch: whoever connects after a `shutdown`
+            // reply was written must already read `draining`.
+            let draining = shutdown.is_requested();
+            if draining && !obs.is_draining() {
+                obs.set_draining(true);
+                obs.log(LogLevel::Warn, "daemon_draining", "");
             }
-            match listener.accept() {
+            match accepted {
                 Ok(stream) => {
-                    let _ = stream.set_nonblocking(false);
                     s.spawn(move || {
                         // Connection errors (peer hung up mid-stream)
                         // affect that connection only.
                         let _ = handle_connection(ctx, stream);
                     });
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(20)),
+                // Out of descriptors, say: don't spin on the error.
+                Err(_) => std::thread::sleep(SHUTDOWN_POLL),
+            }
+            if draining && !registry.has_inflight() {
+                break;
             }
         }
+        accepting.store(false, Ordering::SeqCst);
+        waker.thread().unpark();
         // Scope exit joins every connection thread: in-flight jobs see
         // the shutdown through their scoped drains and checkpoint out.
     });
@@ -268,6 +280,23 @@ pub fn serve(
         let _ = std::fs::remove_file(path);
     }
     Ok(stats)
+}
+
+/// The shutdown watcher. Nothing tells a blocked `accept` that a SIGINT
+/// or an embedder's `request()` flipped the signal, so this thread
+/// polls it and dials `wake` — a connect-and-close, which the handler
+/// ignores — to make the accept loop run its drain check: once when
+/// shutdown is first seen, then whenever nothing is in flight and the
+/// loop is still accepting (a failed dial is retried next poll).
+/// `serve` clears `accepting` and unparks it once the loop has stopped.
+fn shutdown_waker(ctx: Ctx<'_>, wake: &Endpoint, accepting: &AtomicBool) {
+    let mut announced = false;
+    while accepting.load(Ordering::SeqCst) {
+        if ctx.shutdown.is_requested() && (!announced || !ctx.registry.has_inflight()) {
+            announced |= wake.connect(Duration::from_millis(250)).is_ok();
+        }
+        std::thread::park_timeout(SHUTDOWN_POLL);
+    }
 }
 
 /// Periodically dump the daemon-lifetime scrape to `metrics_file`
@@ -315,6 +344,9 @@ fn handle_connection(ctx: Ctx<'_>, stream: Stream) -> io::Result<()> {
         // A timeout mid-line leaves the partial read in `line`; looping
         // with the same buffer stitches the rest on.
         match reader.read_line(&mut line) {
+            // Connect-and-close (the shutdown waker, a liveness dial, a
+            // port scan) is not a request: no reply, no counter.
+            Ok(0) if line.is_empty() => return Ok(()),
             Ok(_) => break,
             Err(e)
                 if matches!(
@@ -740,14 +772,17 @@ fn parse_query(fasta: &str, alphabet: &Alphabet) -> Result<sw_seq::EncodedSeq, S
 }
 
 /// The daemon accepts only the benign drill: `delay@CHUNK:MS` stalls
-/// one accelerator chunk (deterministic timing for tests). Kill/wedge
-/// drills stay CLI-only — a shared daemon is no place for them.
+/// the region's CHUNK-th chunk, whichever pool starts it — a job that
+/// must be held in flight (deterministic timing for tests) cannot
+/// depend on the accelerator pool winning a chunk before the CPU pool
+/// drains a small queue. Kill/wedge drills stay CLI-only — a shared
+/// daemon is no place for them.
 fn parse_delay_drill(s: &str) -> Result<FaultSpec, String> {
     let bad = || format!("bad drill '{s}': the daemon accepts delay@CHUNK:MS only");
     let rest = s.strip_prefix("delay@").ok_or_else(bad)?;
     let (chunk, ms) = rest.split_once(':').ok_or_else(bad)?;
     Ok(FaultSpec {
-        device: DEVICE_ACCEL,
+        device: DEVICE_ANY,
         chunk: chunk.parse().map_err(|_| bad())?,
         kind: FaultKind::Delay(Duration::from_millis(ms.parse().map_err(|_| bad())?)),
     })
@@ -814,7 +849,7 @@ mod tests {
     #[test]
     fn drill_parser_accepts_delay_only() {
         let spec = parse_delay_drill("delay@3:250").unwrap();
-        assert_eq!(spec.device, DEVICE_ACCEL);
+        assert_eq!(spec.device, DEVICE_ANY);
         assert_eq!(spec.chunk, 3);
         assert_eq!(spec.kind, FaultKind::Delay(Duration::from_millis(250)));
         assert!(parse_delay_drill("kill@3").is_err());

@@ -12,15 +12,15 @@
 //! connects, read timeouts, half-close, `try_clone`.
 //!
 //! [`ShardTransport`] is the coordinator-facing trait: connect with a
-//! deadline, reconnect with jittered exponential backoff, and answer
-//! periodic health heartbeats. [`NetTransport`] is the production
-//! implementation; tests substitute fault-wrapped transports through
-//! the same trait.
+//! deadline, wait for a booting worker's first connection, and
+//! reconnect with jittered exponential backoff. [`NetTransport`] is the
+//! production implementation; tests substitute wrapped transports
+//! through the same trait.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -115,14 +115,6 @@ impl Stream {
         }
     }
 
-    /// Switch blocking mode.
-    pub fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
-        match self {
-            Stream::Unix(s) => s.set_nonblocking(nb),
-            Stream::Tcp(s) => s.set_nonblocking(nb),
-        }
-    }
-
     /// Half-close the write side (signals end-of-request to the peer).
     pub fn shutdown_write(&self) -> io::Result<()> {
         match self {
@@ -194,15 +186,32 @@ impl Listener {
         }
     }
 
-    /// Switch the accept loop to non-blocking polling.
-    pub fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
+    /// Where a thread of this process dials to wake a blocked
+    /// [`Listener::accept`]: the address actually bound (a `:0` bind
+    /// has its kernel-chosen port here), with loopback standing in for
+    /// a wildcard host, which cannot be dialled.
+    pub fn wake_endpoint(&self) -> io::Result<Endpoint> {
         match self {
-            Listener::Unix(l) => l.set_nonblocking(nb),
-            Listener::Tcp(l) => l.set_nonblocking(nb),
+            Listener::Unix(l) => l
+                .local_addr()?
+                .as_pathname()
+                .map(|p| Endpoint::Unix(p.to_path_buf()))
+                .ok_or_else(|| io::Error::other("unix listener has no path")),
+            Listener::Tcp(l) => {
+                let mut addr = l.local_addr()?;
+                if addr.ip().is_unspecified() {
+                    addr.set_ip(if addr.is_ipv4() {
+                        Ipv4Addr::LOCALHOST.into()
+                    } else {
+                        Ipv6Addr::LOCALHOST.into()
+                    });
+                }
+                Ok(Endpoint::Tcp(addr.to_string()))
+            }
         }
     }
 
-    /// Accept one connection.
+    /// Accept one connection (blocking).
     pub fn accept(&self) -> io::Result<Stream> {
         match self {
             Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
@@ -250,38 +259,19 @@ impl RetryPolicy {
     }
 }
 
-/// Connect to `endpoint` under `policy`, sleeping the jittered backoff
-/// between attempts. Returns the stream and how many *re*tries were
-/// spent (0 = first attempt succeeded) so callers can feed the
-/// `sw_serve_net_retries_total` counter.
-pub fn connect_with_retry(
-    endpoint: &Endpoint,
-    connect_timeout: Duration,
-    policy: &RetryPolicy,
-) -> io::Result<(Stream, u32)> {
-    let mut used = 0u32;
-    loop {
-        match endpoint.connect(connect_timeout) {
-            Ok(s) => return Ok((s, used)),
-            Err(e) if used >= policy.retries => return Err(e),
-            Err(_) => {
-                std::thread::sleep(policy.backoff(used));
-                used += 1;
-            }
-        }
-    }
-}
-
 /// The coordinator's view of a shard worker's wire: connect with a
-/// deadline, reconnect with backoff, heartbeat. One implementation per
-/// transport *behavior* (the production [`NetTransport`], fault
+/// deadline, wait out a boot, reconnect with backoff. One implementation
+/// per transport *behavior* (the production [`NetTransport`], fault
 /// deciders in drills), not per socket family — family dispatch lives
 /// in [`Endpoint`].
 pub trait ShardTransport: Sync {
     /// One deadline-bounded connect attempt to `endpoint`.
     fn connect(&self, endpoint: &Endpoint, timeout: Duration) -> io::Result<Stream>;
 
-    /// Connect with the reconnect policy; returns retries spent.
+    /// Connect under `policy`, sleeping the jittered backoff between
+    /// attempts. Returns the stream and how many *re*tries were spent
+    /// (0 = first attempt succeeded) so callers can feed the
+    /// `sw_serve_net_retries_total` counter.
     fn connect_retry(
         &self,
         endpoint: &Endpoint,
@@ -301,15 +291,16 @@ pub trait ShardTransport: Sync {
         }
     }
 
-    /// Wait until `endpoint` accepts connections, polling under
-    /// `wait_ms`. The coordinator calls this after (re)spawning a
-    /// worker — the spawn returns once the launch is underway, the
-    /// transport waits for the socket.
-    fn wait_ready(&self, endpoint: &Endpoint, wait_ms: u64) -> Result<(), String> {
+    /// Connect to a worker that may still be booting (a spawn returns
+    /// once the launch is underway): poll under `wait_ms` until
+    /// `endpoint` accepts and hand back that first connection. The
+    /// coordinator sends its identity probe on it, so the readiness
+    /// check costs no connection of its own.
+    fn connect_wait(&self, endpoint: &Endpoint, wait_ms: u64) -> Result<Stream, String> {
         let deadline = Instant::now() + Duration::from_millis(wait_ms);
         loop {
             match self.connect(endpoint, Duration::from_millis(250)) {
-                Ok(_) => return Ok(()),
+                Ok(stream) => return Ok(stream),
                 Err(e) if Instant::now() >= deadline => {
                     return Err(format!(
                         "worker {endpoint} not answering after {wait_ms} ms: {e}"
@@ -405,7 +396,7 @@ mod tests {
     }
 
     #[test]
-    fn connect_with_retry_survives_late_bind() {
+    fn connect_retry_survives_late_bind() {
         let dir = std::env::temp_dir().join(format!("sw-transport-retry-{}", std::process::id()));
         let _ = std::fs::create_dir_all(&dir);
         let path = dir.join("late.sock");
@@ -424,8 +415,9 @@ mod tests {
             backoff_ms: 30,
             seed: 4,
         };
-        let (_s, used) =
-            connect_with_retry(&ep, Duration::from_millis(200), &policy).expect("late bind");
+        let (_s, used) = NetTransport
+            .connect_retry(&ep, Duration::from_millis(200), &policy)
+            .expect("late bind");
         assert!(used >= 1, "the first attempt raced a not-yet-bound socket");
         binder.join().unwrap();
         let _ = std::fs::remove_file(&path);
@@ -440,7 +432,9 @@ mod tests {
             seed: 0,
         };
         let t0 = Instant::now();
-        assert!(connect_with_retry(&ep, Duration::from_millis(50), &policy).is_err());
+        assert!(NetTransport
+            .connect_retry(&ep, Duration::from_millis(50), &policy)
+            .is_err());
         assert!(t0.elapsed() < Duration::from_secs(5));
     }
 }

@@ -11,7 +11,13 @@
 //! fires only after both in-flight acks are read, and the cancel fires
 //! only after `status` reports the job running. The only timing
 //! assumption left is that a cancel issued milliseconds into a search
-//! lands before its queue empties, which the delay drill guarantees.
+//! lands before its queue empties, which the delay drill guarantees:
+//! it stalls the region's first chunk whichever pool starts it, so the
+//! job is in flight for at least the delay.
+//!
+//! Every test body holds a [`StopOnDrop`] inside its thread scope, so a
+//! failed assertion stops the daemon and fails the test instead of
+//! hanging in the scope's join.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -21,7 +27,7 @@ use sw_core::{HeteroEngine, HeteroSearchConfig, PreparedDb, SearchConfig, Search
 use sw_sched::DrainSignal;
 use sw_seq::gen::{generate_database, generate_query, DbSpec};
 use sw_seq::{Alphabet, EncodedSeq};
-use sw_serve::{client, json, ServeConfig};
+use sw_serve::{client, json, Endpoint, ServeConfig};
 
 /// The daemon's shutdown signal for this test binary. Jobs are scoped
 /// under it, so requesting it (the `shutdown` op does) drains them all.
@@ -32,6 +38,19 @@ static BATCH_SHUTDOWN: DrainSignal = DrainSignal::new();
 static SILENT_SHUTDOWN: DrainSignal = DrainSignal::new();
 static EVICT_SHUTDOWN: DrainSignal = DrainSignal::new();
 static DRAIN_HEALTH_SHUTDOWN: DrainSignal = DrainSignal::new();
+static EMPTY_CONN_SHUTDOWN: DrainSignal = DrainSignal::new();
+
+/// Requests the daemon's shutdown signal when dropped. `serve` runs on
+/// a scoped thread, and a scope joins its threads even while a panic
+/// unwinds through it: without this, a failed assertion would wait
+/// forever on a daemon nobody told to stop.
+struct StopOnDrop(&'static DrainSignal);
+
+impl Drop for StopOnDrop {
+    fn drop(&mut self) {
+        self.0.request();
+    }
+}
 
 fn fasta_of(seq: &EncodedSeq, a: &Alphabet) -> String {
     format!(
@@ -177,6 +196,7 @@ fn daemon_end_to_end() {
             let (engine, prepared, a, base, config) = (&engine, &prepared, &a, &base, &config);
             s.spawn(move || sw_serve::serve(engine, prepared, a, base, config, &SHUTDOWN))
         };
+        let _stop = StopOnDrop(&SHUTDOWN);
         let socket = config.unix_socket().expect("unix listener");
         wait_for_socket(socket);
 
@@ -396,6 +416,7 @@ fn batched_queries_match_solo_runs() {
             let (engine, prepared, a, base, config) = (&engine, &prepared, &a, &base, &config);
             s.spawn(move || sw_serve::serve(engine, prepared, a, base, config, &BATCH_SHUTDOWN))
         };
+        let _stop = StopOnDrop(&BATCH_SHUTDOWN);
         let socket = config.unix_socket().expect("unix listener");
         wait_for_socket(socket);
 
@@ -483,6 +504,7 @@ fn health_flips_during_drain() {
                 sw_serve::serve(engine, prepared, a, base, config, &DRAIN_HEALTH_SHUTDOWN)
             })
         };
+        let _stop = StopOnDrop(&DRAIN_HEALTH_SHUTDOWN);
         let socket = config.unix_socket().expect("unix listener");
         wait_for_socket(socket);
 
@@ -506,7 +528,15 @@ fn health_flips_during_drain() {
 
         let o = finish_submit(r, id);
         assert_eq!(o.state, "cancelled", "shutdown drains the in-flight job");
+        // That stream was the last in-flight work: the blocked accept
+        // loop is woken to notice, not left waiting for a connection.
+        let t0 = Instant::now();
         server.join().unwrap().expect("serve");
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "serve() returned {:?} after the last in-flight stream ended",
+            t0.elapsed()
+        );
     });
     assert!(
         !config.unix_socket().expect("unix listener").exists(),
@@ -550,6 +580,7 @@ fn stalled_half_line_client_is_evicted() {
             let (engine, prepared, a, base, config) = (&engine, &prepared, &a, &base, &config);
             s.spawn(move || sw_serve::serve(engine, prepared, a, base, config, &EVICT_SHUTDOWN))
         };
+        let _stop = StopOnDrop(&EVICT_SHUTDOWN);
         let socket = config.unix_socket().expect("unix listener");
         wait_for_socket(socket);
         // Half a request line, never finished.
@@ -611,6 +642,7 @@ fn silent_connection_does_not_block_shutdown() {
             let (engine, prepared, a, base, config) = (&engine, &prepared, &a, &base, &config);
             s.spawn(move || sw_serve::serve(engine, prepared, a, base, config, &SILENT_SHUTDOWN))
         };
+        let _stop = StopOnDrop(&SILENT_SHUTDOWN);
         let socket = config.unix_socket().expect("unix listener");
         wait_for_socket(socket);
         // Open a connection and say nothing; keep it open across the
@@ -629,5 +661,130 @@ fn silent_connection_does_not_block_shutdown() {
         );
         drop(silent);
     });
+    std::fs::remove_dir_all(&tmp).ok();
+}
+
+/// A connect-and-close is not a request (the daemon's own shutdown
+/// waker, `Listener::bind`'s liveness dial and every readiness poll do
+/// exactly that): it gets no reply. A non-empty line with an op the
+/// daemon does not know still gets the typed error.
+#[test]
+fn empty_connection_gets_no_reply_unknown_op_a_typed_error() {
+    let a = Alphabet::protein();
+    let prepared = PreparedDb::prepare(generate_database(&DbSpec::tiny(71)), 4, &a);
+    let engine = HeteroEngine::new(SearchEngine::paper_default());
+    let base = HeteroSearchConfig::best(1, 1);
+    let tmp = std::env::temp_dir().join(format!("sw-serve-emptyconn-{}", std::process::id()));
+    std::fs::remove_dir_all(&tmp).ok();
+    std::fs::create_dir_all(&tmp).unwrap();
+    let config = ServeConfig::new(tmp.join("daemon.sock"));
+
+    std::thread::scope(|s| {
+        let server = {
+            let (engine, prepared, a, base, config) = (&engine, &prepared, &a, &base, &config);
+            s.spawn(move || {
+                sw_serve::serve(engine, prepared, a, base, config, &EMPTY_CONN_SHUTDOWN)
+            })
+        };
+        let _stop = StopOnDrop(&EMPTY_CONN_SHUTDOWN);
+        let socket = config.unix_socket().expect("unix listener");
+        wait_for_socket(socket);
+
+        let empty = UnixStream::connect(socket).expect("connect");
+        empty.shutdown(std::net::Shutdown::Write).unwrap();
+        let reply: Vec<String> = BufReader::new(empty).lines().map(|l| l.unwrap()).collect();
+        assert!(
+            reply.is_empty(),
+            "EOF before any byte is not a request: {reply:?}"
+        );
+
+        let unknown = client::request(socket, "{\"op\":\"frobnicate\"}").unwrap();
+        assert_eq!(
+            json::field_bool(&unknown[0], "ok"),
+            Some(false),
+            "{unknown:?}"
+        );
+        assert_eq!(
+            json::field_str(&unknown[0], "error").as_deref(),
+            Some("unknown op"),
+            "{unknown:?}"
+        );
+
+        client::request(socket, &client::shutdown_request()).unwrap();
+        server.join().unwrap().expect("serve");
+    });
+    std::fs::remove_dir_all(&tmp).ok();
+}
+
+/// `accept` blocks, and the shutdown signal is a bare atomic that a
+/// SIGINT handler or an embedder flips with no wire traffic: an idle
+/// daemon must still stop within a second of `request()`, whichever
+/// address family it listens on. The waker has to dial the address the
+/// listener actually bound — the kernel-chosen port of a `:0` bind,
+/// loopback for a wildcard host.
+#[test]
+fn bare_signal_stops_an_idle_daemon_on_every_listener_family() {
+    let a = Alphabet::protein();
+    let prepared = PreparedDb::prepare(generate_database(&DbSpec::tiny(73)), 4, &a);
+    let engine = HeteroEngine::new(SearchEngine::paper_default());
+    let base = HeteroSearchConfig::best(1, 1);
+    let tmp = std::env::temp_dir().join(format!("sw-serve-idlestop-{}", std::process::id()));
+    std::fs::remove_dir_all(&tmp).ok();
+    std::fs::create_dir_all(&tmp).unwrap();
+    // A port that was free a moment ago, for the bind the test must be
+    // able to dial; `:0` itself is covered by the second case.
+    let free_port = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("free port")
+        .port();
+    let unix = Endpoint::Unix(tmp.join("daemon.sock"));
+    let cases = [
+        (unix.clone(), Some(unix)),
+        (Endpoint::Tcp("127.0.0.1:0".into()), None),
+        (
+            Endpoint::Tcp(format!("0.0.0.0:{free_port}")),
+            Some(Endpoint::Tcp(format!("127.0.0.1:{free_port}"))),
+        ),
+    ];
+    for (i, (listen, dial)) in cases.into_iter().enumerate() {
+        let signal: &'static DrainSignal = Box::leak(Box::new(DrainSignal::new()));
+        let mut config = ServeConfig::at(listen.clone());
+        config.log_level = sw_serve::LogLevel::Info;
+        config.log_file = Some(tmp.join(format!("ops-{i}.log")));
+        let stopped_in = std::thread::scope(|s| {
+            let server = {
+                let (engine, prepared, a, base, config) = (&engine, &prepared, &a, &base, &config);
+                s.spawn(move || sw_serve::serve(engine, prepared, a, base, config, signal))
+            };
+            let _stop = StopOnDrop(signal);
+            // Serving is an observed event, not a sleep: a health reply
+            // where the address can be dialled, the ops log's
+            // `daemon_ready` line where the kernel picked the port.
+            let t0 = Instant::now();
+            loop {
+                let up = match &dial {
+                    Some(ep) => client::request_endpoint(ep, &client::health_request()).is_ok(),
+                    None => std::fs::read_to_string(config.log_file.as_ref().unwrap())
+                        .is_ok_and(|log| log.contains("daemon_ready")),
+                };
+                if up {
+                    break;
+                }
+                assert!(
+                    t0.elapsed() < Duration::from_secs(10),
+                    "{listen}: never served"
+                );
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            let t0 = Instant::now();
+            signal.request();
+            server.join().unwrap().expect("serve");
+            t0.elapsed()
+        });
+        assert!(
+            stopped_in < Duration::from_secs(1),
+            "{listen}: idle daemon took {stopped_in:?} to notice a bare shutdown request"
+        );
+    }
     std::fs::remove_dir_all(&tmp).ok();
 }

@@ -5,13 +5,16 @@
 //! SWCKPT1 checkpoint without perturbing a single output byte.
 //!
 //! Workers here are in-process `serve` daemons (one scoped thread per
-//! shard, each with its own leaked `'static` drain signal); the CI
-//! shard-smoke job runs the same drill against real processes with a
-//! real SIGKILL.
+//! shard, each with its own leaked `'static` drain signal minted by a
+//! [`Signals`] guard that stops them all if the test body unwinds); the
+//! CI shard-smoke job runs the same drill against real processes with
+//! a real SIGKILL.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use sw_core::{HeteroEngine, HeteroSearchConfig, PreparedDb, SearchConfig, SearchEngine};
 use sw_sched::{DrainSignal, NetFaultInjector, NetFaultPlan};
@@ -20,7 +23,7 @@ use sw_seq::{Alphabet, EncodedSeq};
 use sw_serve::journal::fnv1a;
 use sw_serve::{
     client, coord, json, CommittedShard, CoordConfig, CoordDrill, CoordJournal, Endpoint,
-    NetTransport, ServeConfig, ShardRole, ShardSpec,
+    NetTransport, ServeConfig, ShardRole, ShardSpec, ShardTransport, Stream,
 };
 
 const LANES: usize = 4;
@@ -28,9 +31,41 @@ const TOP: usize = 12;
 
 /// Each in-process daemon needs its own `'static` signal (a
 /// `DrainSignal` never resets), and respawns need fresh ones at
-/// runtime — so they are minted, not declared.
-fn leak_signal() -> &'static DrainSignal {
-    Box::leak(Box::new(DrainSignal::new()))
+/// runtime — so they are minted, not declared. Every test body owns one
+/// `Signals` inside its thread scope: dropping it requests every signal
+/// it minted, so a failed assertion unwinds into stopped workers and a
+/// failed test, not into the scope's join of daemons nobody told to
+/// stop.
+#[derive(Default)]
+struct Signals(Mutex<Vec<&'static DrainSignal>>);
+
+impl Signals {
+    fn mint(&self) -> &'static DrainSignal {
+        let signal: &'static DrainSignal = Box::leak(Box::new(DrainSignal::new()));
+        self.0.lock().unwrap().push(signal);
+        signal
+    }
+}
+
+impl Drop for Signals {
+    fn drop(&mut self) {
+        for signal in self.0.get_mut().unwrap_or_else(|e| e.into_inner()).iter() {
+            signal.request();
+        }
+    }
+}
+
+/// The production transport with every established connection counted:
+/// each one is a connection some worker had to accept.
+#[derive(Default)]
+struct CountingTransport(AtomicUsize);
+
+impl ShardTransport for CountingTransport {
+    fn connect(&self, endpoint: &Endpoint, timeout: Duration) -> std::io::Result<Stream> {
+        let stream = NetTransport.connect(endpoint, timeout)?;
+        self.0.fetch_add(1, Ordering::SeqCst);
+        Ok(stream)
+    }
 }
 
 /// 24 equal-length sequences with 8 byte-identical duplicates parked at
@@ -223,20 +258,37 @@ fn sharded_merge_is_byte_identical_at_1_2_4_shards() {
             .map(|(i, s)| ShardSpec::unix(i as u64, seed_socket(s), s.config.snapshot_digest))
             .collect();
         let outcome = std::thread::scope(|s| {
+            let signals = Signals::default();
             for seed in &seeds {
                 let (engine, a, base) = (&engine, &a, &base);
-                let sig = leak_signal();
+                let sig = signals.mint();
                 s.spawn(move || serve_seed(seed, engine, a, base, sig));
             }
             for seed in &seeds {
                 wait_for_socket(&seed_socket(seed));
             }
-            let cfg = CoordConfig::new(TOP);
+            let mut cfg = CoordConfig::new(TOP);
+            // No side-channel heartbeat dials: every connection counted
+            // below belongs to the exchange itself.
+            cfg.heartbeat_ms = 0;
             let no_respawn = |spec: &ShardSpec, _attempt: u32| -> Result<(), String> {
                 Err(format!("unexpected respawn of shard {}", spec.index))
             };
-            let outcome = coord::search_sharded(&specs, &fasta, &cfg, &no_respawn)
-                .unwrap_or_else(|e| panic!("n={n}: {e}"));
+            let transport = CountingTransport::default();
+            let outcome = coord::search_sharded_durable(
+                &specs,
+                &fasta,
+                &cfg,
+                &no_respawn,
+                &transport,
+                &CoordDrill::default(),
+            )
+            .unwrap_or_else(|e| panic!("n={n}: {e}"));
+            assert_eq!(
+                transport.0.load(Ordering::SeqCst),
+                2 * n,
+                "n={n}: one identity probe + one submit per shard, no readiness dial"
+            );
             for spec in &specs {
                 coord::shutdown_worker(spec.endpoint_for(0)).expect("shutdown");
             }
@@ -295,6 +347,7 @@ fn dead_worker_is_requeued_respawned_and_resumes_from_checkpoint() {
     let sockets: Vec<PathBuf> = seeds.iter().map(seed_socket).collect();
 
     let outcome = std::thread::scope(|s| {
+        let signals = Signals::default();
         // Phase A: worker 0 lives briefly — long enough to accept the
         // query, get cancelled mid-delay-drill, and checkpoint — then
         // shuts down. This is the in-process stand-in for "SIGKILLed
@@ -303,7 +356,7 @@ fn dead_worker_is_requeued_respawned_and_resumes_from_checkpoint() {
         {
             let (engine, a, base) = (&engine, &a, &base);
             let seed0 = &seeds[0];
-            let sig = leak_signal();
+            let sig = signals.mint();
             let t = s.spawn(move || serve_seed(seed0, engine, a, base, sig));
             wait_for_socket(&sockets[0]);
             let mut conn = UnixStream::connect(&sockets[0]).unwrap();
@@ -340,7 +393,7 @@ fn dead_worker_is_requeued_respawned_and_resumes_from_checkpoint() {
         // worker must resume from phase A's checkpoint.
         {
             let (engine, a, base) = (&engine, &a, &base);
-            let sig1 = leak_signal();
+            let sig1 = signals.mint();
             let seed1 = &seeds[1];
             s.spawn(move || serve_seed(seed1, engine, a, base, sig1));
             wait_for_socket(&sockets[1]);
@@ -351,7 +404,7 @@ fn dead_worker_is_requeued_respawned_and_resumes_from_checkpoint() {
             assert_eq!(spec.index, 0, "only the dead shard may respawn");
             let (engine, a, base) = (&engine, &a, &base);
             let seed0 = &seeds[0];
-            let sig = leak_signal();
+            let sig = signals.mint();
             s.spawn(move || serve_seed(seed0, engine, a, base, sig));
             Ok(())
         };
@@ -434,9 +487,10 @@ fn replica_failover_preserves_merged_bytes() {
     ];
 
     let outcome = std::thread::scope(|s| {
+        let signals = Signals::default();
         for seed in [&replica0, &worker1] {
             let (engine, a, base) = (&engine, &a, &base);
-            let sig = leak_signal();
+            let sig = signals.mint();
             s.spawn(move || serve_seed(seed, engine, a, base, sig));
             wait_for_socket(&seed_socket(seed));
         }
@@ -502,9 +556,10 @@ fn resumed_coordinator_skips_committed_shards_and_merges_identically() {
     // Phase A: run shard 0's worker alone, submit directly, and record
     // its hits the way the pre-crash coordinator would have.
     let shard0_hits = std::thread::scope(|s| {
+        let signals = Signals::default();
         let (engine_r, a_r, base_r) = (&engine, &a, &base);
         let seed0 = &seeds[0];
-        let sig = leak_signal();
+        let sig = signals.mint();
         s.spawn(move || serve_seed(seed0, engine_r, a_r, base_r, sig));
         let socket = seed_socket(&seeds[0]);
         wait_for_socket(&socket);
@@ -529,9 +584,10 @@ fn resumed_coordinator_skips_committed_shards_and_merges_identically() {
     // Phase B: only shard 1's worker exists. Shard 0's socket is a
     // corpse — any attempt to contact it would fail the search.
     let outcome = std::thread::scope(|s| {
+        let signals = Signals::default();
         let (engine_r, a_r, base_r) = (&engine, &a, &base);
         let seed1 = &seeds[1];
-        let sig = leak_signal();
+        let sig = signals.mint();
         s.spawn(move || serve_seed(seed1, engine_r, a_r, base_r, sig));
         wait_for_socket(&seed_socket(&seeds[1]));
         let specs: Vec<ShardSpec> = seeds
@@ -619,13 +675,13 @@ fn seeded_net_faults_with_replicas_never_change_merged_bytes() {
         })
         .collect();
 
-    // Collect inside the scope, assert outside: a panic while the
-    // daemon threads are alive would skip their shutdown and deadlock
-    // the scope's implicit join.
+    // Collect inside the scope, assert outside: every seed's outcome
+    // is reported, and the workers get their polite shutdown first.
     let runs = std::thread::scope(|s| {
+        let signals = Signals::default();
         for seed in &seeds {
             let (engine, a, base) = (&engine, &a, &base);
-            let sig = leak_signal();
+            let sig = signals.mint();
             s.spawn(move || serve_seed(seed, engine, a, base, sig));
             wait_for_socket(&seed_socket(seed));
         }

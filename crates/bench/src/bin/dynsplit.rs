@@ -17,8 +17,8 @@
 
 use sw_bench::{table, Table, Workload};
 use sw_core::{
-    simulate_hetero, simulate_hetero_dynamic, HeteroEngine, HeteroSearchConfig, SearchConfig,
-    SearchEngine, SimConfig,
+    simulate_hetero, simulate_hetero_dynamic, DurableOptions, HeteroEngine, HeteroSearchConfig,
+    SearchConfig, SearchEngine, SimConfig,
 };
 use sw_device::CostModel;
 use sw_kernels::KernelVariant;
@@ -155,8 +155,17 @@ fn main() {
         kind: FaultKind::KillPool,
     }));
     let killed = hetero
-        .search_dynamic_supervised(&query.residues, &prepared, &plan, &cfg, &injector)
-        .expect("degraded run still completes on the surviving pool");
+        .search_dynamic_resumable(
+            &query.residues,
+            &prepared,
+            &plan,
+            &cfg,
+            &injector,
+            &DurableOptions::default(),
+        )
+        .expect("degraded run still completes on the surviving pool")
+        .outcome
+        .expect("no drain signal: the run completes");
 
     let mut f = Table::new(
         "Fault drill — accel pool killed at its first chunk (kill-pool@0)",
@@ -213,156 +222,5 @@ fn main() {
         tl.tracks.len(),
         tl.total_dropped(),
         tl.rebalances().len()
-    );
-
-    // Tracing-overhead guard: the journal must be free when off and
-    // cheap when on. Median of three timed runs per config; the CSV is
-    // the baseline future PRs compare against.
-    let timed = |c: &HeteroSearchConfig| -> Vec<f64> {
-        let mut g: Vec<f64> = (0..3)
-            .map(|_| {
-                hetero
-                    .search_dynamic(&query.residues, &prepared, &plan, c)
-                    .results
-                    .gcups()
-                    .value()
-            })
-            .collect();
-        g.sort_by(|a, b| a.total_cmp(b));
-        g
-    };
-    let off = timed(&cfg);
-    let full = timed(&traced_cfg);
-    let overhead_pct = 100.0 * (1.0 - full[1] / off[1]);
-    let mut o = Table::new(
-        "Tracing overhead — dual-pool GCUPS, median of 3 (host threads)",
-        &["config", "run_min", "run_med", "run_max", "overhead_pct"],
-    );
-    for (label, runs, oh) in [
-        ("trace-off", &off, 0.0),
-        ("trace-full", &full, overhead_pct),
-    ] {
-        o.row(vec![
-            label.to_string(),
-            format!("{:.3}", runs[0]),
-            format!("{:.3}", runs[1]),
-            format!("{:.3}", runs[2]),
-            format!("{oh:.2}"),
-        ]);
-    }
-    o.emit("trace-overhead");
-    println!(
-        "full tracing costs {overhead_pct:.2}% of median throughput \
-         (off {:.3} vs full {:.3} GCUPS).",
-        off[1], full[1]
-    );
-    // Generous bound — this guards against a pathological regression
-    // (e.g. journalling on the disabled path), not scheduler noise.
-    assert!(
-        full[1] > 0.7 * off[1],
-        "full tracing costs more than 30% of throughput: off {:.3}, full {:.3}",
-        off[1],
-        full[1]
-    );
-
-    // Checkpoint-overhead guard. Durable runs write periodic CRC32
-    // checkpoints (atomic write-then-rename); the cost that matters is
-    // writes-per-run × cost-per-write against the run's wall-clock, so
-    // measure both directly — a throughput A/B of two multithreaded runs
-    // would drown a 2% budget in scheduler noise. Checkpointing earns
-    // its keep on long searches, so the guard times a paper-scale
-    // 2000-residue query (write count and write size are set by the
-    // batch count, which is unchanged — only the denominator grows to
-    // match the workloads durability is for).
-    use sw_core::{Checkpoint, DurableOptions, RecoveryTotals, SearchFingerprint};
-    let long_query = sw_seq::gen::generate_query(2_000, 7);
-    let long_plan = hetero.plan_split(&prepared, long_query.residues.len(), 0.5);
-    let ckpt_path = std::env::temp_dir().join("dynsplit-ckpt.swckpt");
-    let dopts = DurableOptions {
-        checkpoint_path: Some(&ckpt_path),
-        checkpoint_dir: None,
-        interval_chunks: 8,
-        drain: None,
-        resume: false,
-    };
-    let durable = hetero
-        .search_dynamic_resumable(
-            &long_query.residues,
-            &prepared,
-            &long_plan,
-            &cfg,
-            &FaultInjector::none(),
-            &dopts,
-        )
-        .expect("durable run completes");
-    let res = durable.outcome.as_ref().expect("not drained");
-    let elapsed = res.results.elapsed.as_secs_f64();
-
-    // Worst-case checkpoint: every batch committed, every sequence a
-    // scored hit — the size the *last* periodic write of a run carries.
-    let full_ckpt = Checkpoint {
-        fingerprint: SearchFingerprint::compute(&prepared, &long_query.residues),
-        seq: 0,
-        resumes: 0,
-        accel_share: 0.5,
-        recovery: [RecoveryTotals::default(); 2],
-        done: (0..prepared.batches.len())
-            .map(|i| sw_core::BatchResult {
-                batch: i,
-                device: i % 2,
-                hits: prepared.batches[i]
-                    .ids()
-                    .iter()
-                    .map(|&id| sw_core::Hit { id, score: 100 })
-                    .collect(),
-                cells: Default::default(),
-                rescued: 0,
-            })
-            .collect(),
-    };
-    let mut write_s: Vec<f64> = (0..9)
-        .map(|_| {
-            let t0 = std::time::Instant::now();
-            let bytes = full_ckpt
-                .write_atomic(&ckpt_path)
-                .expect("bench checkpoint write");
-            let dt = t0.elapsed().as_secs_f64();
-            assert!(bytes > 0);
-            dt
-        })
-        .collect();
-    write_s.sort_by(|a, b| a.total_cmp(b));
-    let _ = std::fs::remove_file(&ckpt_path);
-    let per_write = write_s[write_s.len() / 2];
-    let writes = durable.checkpoints_written.max(1) as f64;
-    let ckpt_overhead_pct = 100.0 * (writes * per_write) / elapsed;
-    let mut c = Table::new(
-        "Checkpoint overhead — periodic durable writes vs run wall-clock",
-        &[
-            "interval_chunks",
-            "writes_per_run",
-            "write_med_ms",
-            "run_s",
-            "overhead_pct",
-        ],
-    );
-    c.row(vec![
-        dopts.interval_chunks.to_string(),
-        format!("{writes:.0}"),
-        format!("{:.3}", per_write * 1e3),
-        format!("{elapsed:.3}"),
-        format!("{ckpt_overhead_pct:.3}"),
-    ]);
-    c.emit("checkpoint-overhead");
-    println!(
-        "durable run wrote {writes:.0} checkpoint(s); a worst-case write costs \
-         {:.3} ms — {ckpt_overhead_pct:.3}% of the run.",
-        per_write * 1e3
-    );
-    assert!(
-        ckpt_overhead_pct < 2.0,
-        "checkpointing costs {ckpt_overhead_pct:.3}% of the run (budget 2%): \
-         {writes:.0} writes × {:.3} ms over {elapsed:.3} s",
-        per_write * 1e3
     );
 }

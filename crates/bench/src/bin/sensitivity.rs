@@ -1,6 +1,6 @@
 //! Sensitivity experiment — quantifying the paper's motivation.
 //!
-//! §I: *"BLAST … increase[s] speed at the cost of reduced sensitivity"*
+//! §I: *"BLAST … increase\[s\] speed at the cost of reduced sensitivity"*
 //! and exact SW *"guarantees the optimal alignment, which is essential in
 //! some applications."* This binary measures that trade-off: a family of
 //! homologs is planted into a decoy database at increasing mutation

@@ -1266,9 +1266,12 @@ fn cmd_hetero<W: Write>(
                 }
             }
         } else {
+            let none = DurableOptions::default();
             hetero
-                .search_dynamic_supervised(&q.residues, &prepared, &plan, &dyn_cfg, &injector)
+                .search_dynamic_resumable(&q.residues, &prepared, &plan, &dyn_cfg, &injector, &none)
                 .map_err(|e| format!("dynamic search failed beyond recovery: {e}"))?
+                .outcome
+                .expect("no drain signal: the search runs to completion")
         };
         report_dynamic_outcome(
             &outcome,

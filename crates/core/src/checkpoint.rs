@@ -195,6 +195,15 @@ impl RecoveryTotals {
             failures: self.failures + m.failures,
         }
     }
+
+    /// Fold another checkpoint's totals into these (a region that resumes
+    /// several queries starts from the sum of their baselines).
+    pub(crate) fn add(&mut self, other: &RecoveryTotals) {
+        self.retries += other.retries;
+        self.requeues += other.requeues;
+        self.lost_leases += other.lost_leases;
+        self.failures += other.failures;
+    }
 }
 
 /// One completed lane batch: everything the search needs to *not*

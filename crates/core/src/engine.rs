@@ -7,14 +7,20 @@
 //! 11: scores = sort(G)                (SearchResults)
 //! ```
 //!
-//! The parallel loop runs under `sw-sched`'s executor with the configured
-//! policy (dynamic by default, per the paper's observation), one task per
-//! lane batch. Saturated lanes are recomputed exactly before reporting.
+//! There is **one** flat-pool region body, the private
+//! `SearchEngine::search_batches`: the paper's `for t ≤ |Q| · |vD|` over
+//! a slice of lane batches, run under `sw-sched`'s executor with the
+//! configured policy (dynamic by default, per the paper's observation),
+//! one task per `(query, lane batch)` pair. Saturated lanes are
+//! recomputed exactly before reporting. [`SearchEngine::search_many`]
+//! hands it every batch, [`SearchEngine::search`] is that with one query,
+//! and the static split (`HeteroEngine::search`) hands it each device's
+//! sub-slice.
 
 use crate::config::SearchConfig;
 use crate::prepare::PreparedDb;
 use crate::results::{Hit, SearchResults};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use sw_kernels::arch::{sw_isa_adaptive_qp, sw_isa_adaptive_sp, sw_isa_qp, sw_isa_sp};
 use sw_kernels::guided::{sw_guided_qp, sw_guided_sp, GuidedWorkspace};
 use sw_kernels::intertask::KernelOutput;
@@ -23,6 +29,18 @@ use sw_kernels::scalar::{sw_score_scalar, sw_score_scalar_qp};
 use sw_kernels::{CellCount, ProfileMode, SwParams, Vectorization};
 use sw_sched::{try_run_parallel, ExecutorConfig};
 use sw_swdb::{LaneBatch, QueryProfile, SequenceProfile};
+
+/// One query's share of a pooled region's wall clock. The region has ONE
+/// wall clock; charging it to every query would inflate aggregate GCUPS
+/// by ~|Q|×, so each query is attributed its padded-cell share (floor
+/// division, so the shares can never sum past the wall clock; all of it
+/// for a lone query, none when there was no work).
+pub(crate) fn padded_share(elapsed: Duration, padded: u128, total_padded: u128) -> Duration {
+    (elapsed.as_nanos() * padded)
+        .checked_div(total_padded)
+        .map(|ns| Duration::from_nanos(ns as u64))
+        .unwrap_or_default()
+}
 
 /// The Smith-Waterman database search engine.
 #[derive(Debug, Clone)]
@@ -44,44 +62,16 @@ impl SearchEngine {
         }
     }
 
-    /// Search `query` against a prepared database (Algorithm 1).
+    /// Search `query` against a prepared database (Algorithm 1) — the
+    /// one-query case of [`Self::search_many`].
     ///
     /// Scores are exact for every database sequence; hits come back
     /// sorted descending.
     pub fn search(&self, query: &[u8], db: &PreparedDb, config: &SearchConfig) -> SearchResults {
         assert!(!query.is_empty(), "query must not be empty");
-        let qp = QueryProfile::build(query, &self.params.matrix, &db.alphabet);
-        let block_rows = config.effective_block_rows(db.lanes);
-        let start = Instant::now();
-
-        let per_batch = try_run_parallel(
-            db.batches.len(),
-            ExecutorConfig {
-                workers: config.threads,
-                policy: config.policy,
-            },
-            |bi| {
-                let batch = &db.batches[bi];
-                self.run_batch(query, &qp, db, batch, config, block_rows)
-            },
-        )
-        .unwrap_or_else(|e| {
-            panic!(
-                "database search failed on {} lane batch(es): {e}",
-                e.failures.len().max(e.missing.len())
-            )
-        });
-
-        let elapsed = start.elapsed();
-        let mut hits = Vec::with_capacity(db.n_seqs());
-        let mut cells = CellCount::default();
-        let mut rescued = 0u64;
-        for (batch_hits, batch_cells, batch_rescued) in per_batch {
-            hits.extend(batch_hits);
-            cells.add(batch_cells);
-            rescued += batch_rescued;
-        }
-        SearchResults::new(hits, elapsed, cells, rescued)
+        self.search_many(&[query], db, config)
+            .pop()
+            .expect("one result per query")
     }
 
     /// Search several queries in **one** parallel region — the literal
@@ -99,24 +89,28 @@ impl SearchEngine {
         db: &PreparedDb,
         config: &SearchConfig,
     ) -> Vec<SearchResults> {
+        self.search_batches(queries, db, &db.batches, config)
+    }
+
+    /// The flat-pool region body: every query against the lane batches of
+    /// `batches` (the whole database, or one device's share of it — a
+    /// slice of `db.batches`, never a copy).
+    ///
+    /// # Panics
+    /// Panics when a query is empty, or with the first failing
+    /// `(query, batch)` pair when a kernel task panicked.
+    pub(crate) fn search_batches(
+        &self,
+        queries: &[&[u8]],
+        db: &PreparedDb,
+        batches: &[LaneBatch],
+        config: &SearchConfig,
+    ) -> Vec<SearchResults> {
         assert!(
             queries.iter().all(|q| !q.is_empty()),
             "queries must not be empty"
         );
-        let n_batches = db.batches.len();
-        if n_batches == 0 {
-            return queries
-                .iter()
-                .map(|_| {
-                    SearchResults::new(
-                        Vec::new(),
-                        std::time::Duration::ZERO,
-                        CellCount::default(),
-                        0,
-                    )
-                })
-                .collect();
-        }
+        let n_batches = batches.len();
         let qps: Vec<QueryProfile> = queries
             .iter()
             .map(|q| QueryProfile::build(q, &self.params.matrix, &db.alphabet))
@@ -124,7 +118,7 @@ impl SearchEngine {
         let block_rows = config.effective_block_rows(db.lanes);
         let start = Instant::now();
 
-        let per_task = try_run_parallel(
+        let mut per_task = try_run_parallel(
             queries.len() * n_batches,
             ExecutorConfig {
                 workers: config.threads,
@@ -132,8 +126,7 @@ impl SearchEngine {
             },
             |t| {
                 let (qi, bi) = (t / n_batches, t % n_batches);
-                let batch = &db.batches[bi];
-                self.run_batch(queries[qi], &qps[qi], db, batch, config, block_rows)
+                self.run_batch(queries[qi], &qps[qi], db, &batches[bi], config, block_rows)
             },
         )
         .unwrap_or_else(|e| {
@@ -143,83 +136,34 @@ impl SearchEngine {
                 .first()
                 .map(|f| format!("query {} batch {}", f.task / n_batches, f.task % n_batches))
                 .unwrap_or_else(|| "unexecuted tasks".into());
-            panic!("multi-query search failed ({ctx}): {e}")
-        });
+            panic!("database search failed ({ctx}): {e}")
+        })
+        .into_iter();
         let elapsed = start.elapsed();
 
-        let mut merged: Vec<(Vec<Hit>, CellCount, u64)> = Vec::with_capacity(queries.len());
-        for (qi, chunk) in per_task.chunks(n_batches.max(1)).enumerate() {
-            if qi >= queries.len() {
-                break;
-            }
-            let mut hits = Vec::with_capacity(db.n_seqs());
-            let mut cells = CellCount::default();
-            let mut rescued = 0u64;
-            for (batch_hits, batch_cells, batch_rescued) in chunk {
-                hits.extend(batch_hits.iter().copied());
-                cells.add(*batch_cells);
-                rescued += batch_rescued;
-            }
-            merged.push((hits, cells, rescued));
-        }
-        // The pooled region has ONE wall clock; charging it to every query
-        // would inflate aggregate GCUPS by ~|Q|×. Attribute each query its
-        // padded-cell share of the pooled time (floor division, so the
-        // shares can never sum past the wall clock).
+        let n_hits: usize = batches.iter().map(LaneBatch::real_lanes).sum();
+        let merged: Vec<(Vec<Hit>, CellCount, u64)> = queries
+            .iter()
+            .map(|_| {
+                let mut hits = Vec::with_capacity(n_hits);
+                let mut cells = CellCount::default();
+                let mut rescued = 0u64;
+                for (batch_hits, batch_cells, batch_rescued) in per_task.by_ref().take(n_batches) {
+                    hits.extend(batch_hits);
+                    cells.add(batch_cells);
+                    rescued += batch_rescued;
+                }
+                (hits, cells, rescued)
+            })
+            .collect();
         let total_padded: u128 = merged.iter().map(|(_, c, _)| c.padded as u128).sum();
         merged
             .into_iter()
             .map(|(hits, cells, rescued)| {
-                let elapsed_q = (elapsed.as_nanos() * cells.padded as u128)
-                    .checked_div(total_padded)
-                    .map(|ns| std::time::Duration::from_nanos(ns as u64))
-                    .unwrap_or(elapsed);
+                let elapsed_q = padded_share(elapsed, cells.padded as u128, total_padded);
                 SearchResults::new(hits, elapsed_q, cells, rescued)
             })
             .collect()
-    }
-
-    /// Search a database volume by volume under a residue budget
-    /// (bounded-memory mode; see `sw_swdb::volumes`). Results are
-    /// identical to a whole-database search — ids are re-based to the
-    /// original database.
-    pub fn search_volumes(
-        &self,
-        query: &[u8],
-        db: &sw_swdb::SequenceDatabase,
-        plan: &sw_swdb::VolumePlan,
-        lanes: usize,
-        alphabet: &sw_seq::Alphabet,
-        config: &SearchConfig,
-    ) -> SearchResults {
-        let mut merged: Option<SearchResults> = None;
-        for v in 0..plan.len() {
-            let seqs = plan.extract(db, v);
-            if seqs.is_empty() {
-                continue;
-            }
-            let prepared = PreparedDb::prepare(seqs, lanes, alphabet);
-            let mut res = self.search(query, &prepared, config);
-            // Re-base volume-local ids to the original database.
-            for hit in &mut res.hits {
-                *hit = Hit {
-                    id: plan.rebase(v, hit.id.0),
-                    score: hit.score,
-                };
-            }
-            merged = Some(match merged.take() {
-                None => res,
-                Some(acc) => acc.merge(res),
-            });
-        }
-        merged.unwrap_or_else(|| {
-            SearchResults::new(
-                Vec::new(),
-                std::time::Duration::ZERO,
-                CellCount::default(),
-                0,
-            )
-        })
     }
 
     /// Execute one lane batch under the configured variant.
@@ -515,29 +459,6 @@ mod tests {
         );
         // Longer queries (more padded cells) are charged a larger share.
         assert!(pooled[3].elapsed >= pooled[0].elapsed);
-    }
-
-    #[test]
-    fn volume_search_equals_whole_database() {
-        let a = Alphabet::protein();
-        let seqs = generate_database(&sw_seq::gen::DbSpec::tiny(23));
-        let flat = sw_swdb::SequenceDatabase::from_sequences(seqs.clone());
-        let whole = PreparedDb::prepare(seqs, 8, &a);
-        let engine = SearchEngine::paper_default();
-        let query = generate_query(80, 6).residues;
-        let reference = engine.search(&query, &whole, &SearchConfig::best(2));
-        // Tight cap → many volumes.
-        for cap in [500u64, 2_000, 1_000_000] {
-            let plan = sw_swdb::VolumePlan::new(&flat, cap);
-            let res = engine.search_volumes(&query, &flat, &plan, 8, &a, &SearchConfig::best(2));
-            assert_eq!(
-                res.hits,
-                reference.hits,
-                "cap {cap} ({} volumes)",
-                plan.len()
-            );
-            assert_eq!(res.cells.real, reference.cells.real);
-        }
     }
 
     #[test]

@@ -14,12 +14,26 @@
 //! tested end-to-end); the *timing* of the heterogeneous run is produced
 //! by [`crate::simulate::simulate_hetero`], which replays the same split
 //! through the device models and the offload-runtime simulator.
+//!
+//! # One dual-pool region and its adapters
+//!
+//! [`HeteroEngine::search_many_resumable`] is **the** dual-pool region —
+//! this crate's only caller of `run_dual_pool_durable`; its rustdoc holds
+//! the per-query semantics and the checkpoint-location and recovery-totals
+//! rules, which apply to every caller alike.
+//! [`HeteroEngine::search_dynamic_resumable`] is that region with one
+//! query, repackaged as a [`DurableSearchOutcome`];
+//! [`HeteroEngine::search_dynamic`] is that with no fault injector and
+//! default [`DurableOptions`], panicking on error. The static split
+//! ([`HeteroEngine::search`]) is no dual-pool run at all: it is the
+//! flat-pool body of [`crate::engine`] over each device's sub-slice of the
+//! batches, merged.
 
 use crate::checkpoint::{
     BatchResult, Checkpoint, CheckpointError, RecoveryTotals, SearchFingerprint,
 };
 use crate::config::{HeteroSearchConfig, SearchConfig};
-use crate::engine::SearchEngine;
+use crate::engine::{padded_share, SearchEngine};
 use crate::prepare::PreparedDb;
 use crate::results::{Hit, SearchResults};
 use serde::{Deserialize, Serialize};
@@ -29,9 +43,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use sw_kernels::CellCount;
 use sw_sched::{
-    run_dual_pool_durable, run_dual_pool_traced, CheckpointView, DeviceMetrics, DrainSignal,
-    DualPoolConfig, DurableControl, ExecError, FaultInjector, MetricsSink, DEVICE_ACCEL,
-    DEVICE_CPU,
+    run_dual_pool_durable, CheckpointView, DeviceMetrics, DrainSignal, DualPoolConfig,
+    DurableControl, ExecError, FaultInjector, MetricsSink, DEVICE_ACCEL, DEVICE_CPU,
 };
 use sw_swdb::chunk::{range_cells, split_by_cells};
 use sw_swdb::{BatchRange, QueryProfile};
@@ -108,32 +121,19 @@ impl HeteroEngine {
         cpu_res.merge(accel_res)
     }
 
-    /// Search only the batches of `range` (one device's share).
-    pub fn search_range(
+    /// Search only the batches of `range` (one device's share): the
+    /// flat-pool body over a sub-slice of the database's batches.
+    fn search_range(
         &self,
         query: &[u8],
         db: &PreparedDb,
         range: BatchRange,
         config: &SearchConfig,
     ) -> SearchResults {
-        // A PreparedDb view restricted to the range: reuse the same sorted
-        // store, slice the batches.
-        let view = PreparedDb {
-            alphabet: db.alphabet.clone(),
-            sorted: db.sorted.clone(),
-            batches: db.batches[range.start..range.end].to_vec(),
-            lanes: db.lanes,
-            stats: db.stats.clone(),
-        };
-        if view.batches.is_empty() {
-            return SearchResults::new(
-                Vec::new(),
-                std::time::Duration::ZERO,
-                sw_kernels::CellCount::default(),
-                0,
-            );
-        }
-        self.engine.search(query, &view, config)
+        self.engine
+            .search_batches(&[query], db, &db.batches[range.start..range.end], config)
+            .pop()
+            .expect("one result per query")
     }
 
     /// Run the **dynamic** heterogeneous search: instead of executing the
@@ -146,10 +146,13 @@ impl HeteroEngine {
     /// Hits are identical to [`Self::search`] with the same plan — the
     /// scheduler moves work between devices, never changes scores.
     ///
+    /// This is [`Self::search_dynamic_resumable`] with no fault injector
+    /// and default [`DurableOptions`] (nothing persisted, no drain).
+    ///
     /// # Panics
     /// Panics if the run fails terminally (a batch panics more often than
     /// `config.recovery.max_chunk_retries` on every pool). Use
-    /// [`Self::search_dynamic_supervised`] to handle that as an error.
+    /// [`Self::search_dynamic_resumable`] to handle that as an error.
     pub fn search_dynamic(
         &self,
         query: &[u8],
@@ -157,127 +160,19 @@ impl HeteroEngine {
         plan: &SplitPlan,
         config: &HeteroSearchConfig,
     ) -> DynamicSearchOutcome {
-        self.search_dynamic_supervised(query, db, plan, config, &FaultInjector::none())
+        let opts = DurableOptions::default();
+        self.search_dynamic_resumable(query, db, plan, config, &FaultInjector::none(), &opts)
             .unwrap_or_else(|e| panic!("dynamic heterogeneous search failed: {e}"))
+            .outcome
+            .expect("a search with no drain signal runs to completion")
     }
 
-    /// [`Self::search_dynamic`] with an explicit fault injector and a
-    /// fallible signature — the full fault-tolerant path. Device workers
-    /// that die or wedge release their chunk lease back to the queue; the
-    /// surviving pool re-executes it, so a run that loses the whole
-    /// accelerator pool still returns the exact hit list (flagged
-    /// `degraded`). An `Err` only occurs when a batch fails persistently
-    /// on every pool (`config.recovery` budgets exhausted).
-    ///
-    /// Degenerate inputs are safe: an empty database returns empty
-    /// results without spawning workers, and a config with zero workers
-    /// in both pools is clamped to one CPU worker.
-    pub fn search_dynamic_supervised(
-        &self,
-        query: &[u8],
-        db: &PreparedDb,
-        plan: &SplitPlan,
-        config: &HeteroSearchConfig,
-        injector: &FaultInjector,
-    ) -> Result<DynamicSearchOutcome, ExecError> {
-        assert!(!query.is_empty(), "query must not be empty");
-        if db.batches.is_empty() {
-            return Ok(DynamicSearchOutcome {
-                results: SearchResults::new(
-                    Vec::new(),
-                    std::time::Duration::ZERO,
-                    CellCount::default(),
-                    0,
-                ),
-                cpu: DeviceMetrics::default(),
-                accel: DeviceMetrics::default(),
-                boundary: 0,
-                accel_cell_fraction: 0.0,
-                degraded: [false, false],
-                timeline: None,
-            });
-        }
-        let qp = QueryProfile::build(query, &self.engine.params.matrix, &db.alphabet);
-        let block_rows = [
-            config.cpu.effective_block_rows(db.lanes),
-            config.accel.effective_block_rows(db.lanes),
-        ];
-        let device_config = [&config.cpu, &config.accel];
-        let m = query.len();
-        // An all-zero worker config would deadlock the queue; degrade it
-        // to a single CPU worker instead.
-        let mut cpu_workers = config.cpu.threads;
-        let accel_workers = config.accel.threads;
-        if cpu_workers + accel_workers == 0 {
-            cpu_workers = 1;
-        }
-        let sink = MetricsSink::new();
-        let tracer = config.trace.tracer();
-        let start = Instant::now();
-
-        let outcome = run_dual_pool_traced(
-            db.batches.len(),
-            DualPoolConfig {
-                cpu_workers,
-                accel_workers,
-                initial_accel_fraction: plan.accel_cell_fraction,
-                min_chunk: config.min_chunk,
-                accel_timeout_ms: config.recovery.accel_timeout_ms,
-                failure_budget: config.recovery.failure_budget,
-                retry_backoff_ms: config.recovery.retry_backoff_ms,
-                max_chunk_retries: config.recovery.max_chunk_retries,
-            },
-            injector,
-            |bi| db.batches[bi].padded_cells(m),
-            |device, bi| {
-                let cfg = device_config[device];
-                let out =
-                    self.engine
-                        .run_batch(query, &qp, db, &db.batches[bi], cfg, block_rows[device]);
-                (device, out)
-            },
-            &sink,
-            &tracer,
-        )?;
-        let elapsed = start.elapsed();
-        let timeline = tracer.is_enabled().then(|| tracer.timeline());
-
-        let mut hits: Vec<Hit> = Vec::with_capacity(db.n_seqs());
-        let mut cells = CellCount::default();
-        let mut rescued = 0u64;
-        let mut boundary = 0usize;
-        for (device, (batch_hits, batch_cells, batch_rescued)) in outcome.results {
-            if device == DEVICE_CPU {
-                boundary += 1;
-            }
-            hits.extend(batch_hits);
-            cells.add(batch_cells);
-            rescued += batch_rescued;
-        }
-        let cpu = sink.device(DEVICE_CPU);
-        let accel = sink.device(DEVICE_ACCEL);
-        let total_cells = cpu.cells + accel.cells;
-        let degraded = outcome.degraded;
-        Ok(DynamicSearchOutcome {
-            results: SearchResults::new(hits, elapsed, cells, rescued)
-                .with_degraded(degraded[DEVICE_CPU] || degraded[DEVICE_ACCEL]),
-            accel_cell_fraction: if total_cells == 0 {
-                0.0
-            } else {
-                accel.cells as f64 / total_cells as f64
-            },
-            cpu,
-            accel,
-            boundary,
-            degraded,
-            timeline,
-        })
-    }
-
-    /// [`Self::search_dynamic_supervised`] made **durable**: progress is
-    /// checkpointed to disk at a configurable chunk interval, a prior
-    /// checkpoint can be resumed (skipping its completed batches), and a
-    /// [`DrainSignal`] stops the run gracefully with a final checkpoint.
+    /// One query through the dual-pool region: the `N = 1` case of
+    /// [`Self::search_many_resumable`] (no per-query cancel or tracer; see
+    /// there for fault tolerance, checkpointing and degenerate inputs).
+    /// The one [`BatchQueryOutcome`] and the region's facts come back as
+    /// a [`DurableSearchOutcome`]: `drained` ⇔ the query ended without
+    /// results, `boundary` = the batches its CPU pool ran.
     ///
     /// Resume correctness: batch results are pure functions of the batch
     /// index, and [`SearchResults::new`] sorts deterministically, so a
@@ -300,270 +195,37 @@ impl HeteroEngine {
         injector: &FaultInjector,
         opts: &DurableOptions<'_>,
     ) -> Result<DurableSearchOutcome, DurableSearchError> {
-        assert!(!query.is_empty(), "query must not be empty");
-        type BatchOut = (usize, (Vec<Hit>, CellCount, u64));
-        let fingerprint = SearchFingerprint::compute(db, query);
-        // Resolve the checkpoint file: an explicit path wins; a directory
-        // derives the name from the fingerprint so concurrent searches
-        // sharing the directory never clobber each other's tmp+rename.
-        let derived: Option<PathBuf> = match (opts.checkpoint_path, opts.checkpoint_dir) {
-            (Some(_), _) | (None, None) => None,
-            (None, Some(dir)) => {
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| DurableSearchError::Checkpoint(CheckpointError::Io(e)))?;
-                Some(dir.join(fingerprint.file_name()))
-            }
-        };
-        let ckpt_path: Option<&Path> = opts.checkpoint_path.or(derived.as_deref());
-        if db.batches.is_empty() {
-            if let Some(path) = ckpt_path {
-                Checkpoint::remove(path).ok();
-            }
-            return Ok(DurableSearchOutcome {
-                outcome: Some(DynamicSearchOutcome {
-                    results: SearchResults::new(
-                        Vec::new(),
-                        std::time::Duration::ZERO,
-                        CellCount::default(),
-                        0,
-                    ),
-                    cpu: DeviceMetrics::default(),
-                    accel: DeviceMetrics::default(),
-                    boundary: 0,
-                    accel_cell_fraction: 0.0,
-                    degraded: [false, false],
-                    timeline: None,
-                }),
-                drained: false,
-                tasks_done: 0,
-                n_batches: 0,
-                resumed_tasks: 0,
-                resumes: 0,
-                checkpoints_written: 0,
-                checkpoint_write_failures: 0,
-                recovery: [RecoveryTotals::default(); 2],
-            });
-        }
-
-        // Load and verify a prior checkpoint, if resuming.
-        let mut prefill: Vec<(usize, BatchOut)> = Vec::new();
-        let mut baseline = [RecoveryTotals::default(); 2];
-        let mut resumes = 0u64;
-        let mut next_seq = 0u64;
-        let mut initial_share = plan.accel_cell_fraction;
-        if opts.resume {
-            if let Some(path) = ckpt_path {
-                if let Some(ckpt) = Checkpoint::load_if_exists(path)? {
-                    ckpt.verify(&fingerprint)?;
-                    resumes = ckpt.resumes + 1;
-                    next_seq = ckpt.seq + 1;
-                    baseline = ckpt.recovery;
-                    // Resume from the learned device balance, not the
-                    // static seed.
-                    initial_share = ckpt.accel_share;
-                    prefill = ckpt
-                        .done
-                        .into_iter()
-                        .map(|b| (b.batch, (b.device, (b.hits, b.cells, b.rescued))))
-                        .collect();
-                }
-            }
-        }
-        let resumed_tasks = prefill.len() as u64;
-
-        let qp = QueryProfile::build(query, &self.engine.params.matrix, &db.alphabet);
-        let block_rows = [
-            config.cpu.effective_block_rows(db.lanes),
-            config.accel.effective_block_rows(db.lanes),
-        ];
-        let device_config = [&config.cpu, &config.accel];
-        let m = query.len();
-        let mut cpu_workers = config.cpu.threads;
-        let accel_workers = config.accel.threads;
-        if cpu_workers + accel_workers == 0 {
-            cpu_workers = 1;
-        }
-        let sink = MetricsSink::new();
-        let tracer = config.trace.tracer();
-
-        let seq = AtomicU64::new(next_seq);
-        let writes = AtomicU64::new(0);
-        let write_failures = AtomicU64::new(0);
-        let make_checkpoint = |slots: &[Option<BatchOut>],
-                               accel_share: f64,
-                               recovery: [RecoveryTotals; 2]|
-         -> Checkpoint {
-            Checkpoint {
-                fingerprint,
-                seq: seq.fetch_add(1, Ordering::Relaxed),
-                resumes,
-                accel_share,
-                recovery,
-                done: slots
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, s)| {
-                        s.as_ref()
-                            .map(|(device, (hits, cells, rescued))| BatchResult {
-                                batch: i,
-                                device: *device,
-                                hits: hits.clone(),
-                                cells: *cells,
-                                rescued: *rescued,
-                            })
-                    })
-                    .collect(),
-            }
-        };
-        // Mid-run recovery totals: requeues / lost leases / failures are
-        // recorded as they happen; per-worker retry counts only land at
-        // worker exit, so a *periodic* checkpoint may undercount retries
-        // (the final drain checkpoint, written after the pools exit, is
-        // exact). Monotonicity is preserved either way.
-        let cumulative_recovery = || {
-            [
-                baseline[DEVICE_CPU].plus(&sink.device(DEVICE_CPU)),
-                baseline[DEVICE_ACCEL].plus(&sink.device(DEVICE_ACCEL)),
-            ]
-        };
-        let on_checkpoint = |view: CheckpointView<'_, BatchOut>| -> u64 {
-            let Some(path) = ckpt_path else {
-                return 0;
-            };
-            let ckpt = make_checkpoint(view.slots, view.accel_share, cumulative_recovery());
-            match ckpt.write_atomic(path) {
-                Ok(bytes) => {
-                    writes.fetch_add(1, Ordering::Relaxed);
-                    bytes
-                }
-                Err(_) => {
-                    // A failed periodic checkpoint must not kill the
-                    // search; the failure is counted and surfaced on the
-                    // outcome.
-                    write_failures.fetch_add(1, Ordering::Relaxed);
-                    0
-                }
-            }
-        };
-
-        let start = Instant::now();
-        let out = run_dual_pool_durable(
-            db.batches.len(),
-            DualPoolConfig {
-                cpu_workers,
-                accel_workers,
-                initial_accel_fraction: initial_share,
-                min_chunk: config.min_chunk,
-                accel_timeout_ms: config.recovery.accel_timeout_ms,
-                failure_budget: config.recovery.failure_budget,
-                retry_backoff_ms: config.recovery.retry_backoff_ms,
-                max_chunk_retries: config.recovery.max_chunk_retries,
-            },
-            injector,
-            DurableControl {
-                prefill,
-                drain: opts.drain,
-                checkpoint_every_chunks: if ckpt_path.is_some() {
-                    opts.interval_chunks
-                } else {
-                    0
-                },
-                on_checkpoint: Some(&on_checkpoint),
-                task_cancelled: None,
-            },
-            |bi| db.batches[bi].padded_cells(m),
-            |device, bi| {
-                let cfg = device_config[device];
-                let out =
-                    self.engine
-                        .run_batch(query, &qp, db, &db.batches[bi], cfg, block_rows[device]);
-                (device, out)
-            },
-            &sink,
-            &tracer,
-        );
-        let elapsed = start.elapsed();
-        let timeline = tracer.is_enabled().then(|| tracer.timeline());
-        let recovery = cumulative_recovery();
-        let tasks_done = out.tasks_done() as u64;
-        let n_batches = db.batches.len() as u64;
-
-        if out.drained {
-            // The final checkpoint is written *after* the pools exited,
-            // so it captures exact totals and every committed chunk. Its
-            // failure is a hard error: a drained run without its
-            // checkpoint cannot be resumed.
-            if let Some(path) = ckpt_path {
-                let cpu_m = sink.device(DEVICE_CPU);
-                let accel_m = sink.device(DEVICE_ACCEL);
-                let total = cpu_m.cells + accel_m.cells;
-                let share = if total == 0 {
-                    initial_share
-                } else {
-                    accel_m.cells as f64 / total as f64
-                };
-                make_checkpoint(&out.slots, share, recovery).write_atomic(path)?;
-                writes.fetch_add(1, Ordering::Relaxed);
-            }
-            return Ok(DurableSearchOutcome {
-                outcome: None,
-                drained: true,
-                tasks_done,
-                n_batches,
-                resumed_tasks,
-                resumes,
-                checkpoints_written: writes.load(Ordering::Relaxed),
-                checkpoint_write_failures: write_failures.load(Ordering::Relaxed),
-                recovery,
-            });
-        }
-
-        let degraded = out.degraded;
-        let results_vec = out.try_into_results().map_err(DurableSearchError::Exec)?;
-        let mut hits: Vec<Hit> = Vec::with_capacity(db.n_seqs());
-        let mut cells = CellCount::default();
-        let mut rescued = 0u64;
-        let mut boundary = 0usize;
-        for (device, (batch_hits, batch_cells, batch_rescued)) in results_vec {
-            if device == DEVICE_CPU {
-                boundary += 1;
-            }
-            hits.extend(batch_hits);
-            cells.add(batch_cells);
-            rescued += batch_rescued;
-        }
-        let cpu = sink.device(DEVICE_CPU);
-        let accel = sink.device(DEVICE_ACCEL);
-        let total_cells = cpu.cells + accel.cells;
-        if let Some(path) = ckpt_path {
-            // Best-effort cleanup: a stale checkpoint left behind is
-            // re-verified (and its batches skipped) on the next resume,
-            // never silently wrong.
-            Checkpoint::remove(path).ok();
-        }
+        let solo = [BatchQuery {
+            residues: query,
+            id: 0,
+            cancel: None,
+            tracer: None,
+        }];
+        let mut region = self.search_many_resumable(&solo, db, plan, config, injector, opts)?;
+        let q = region.queries.pop().expect("one outcome per query");
+        let total_cells = region.cpu.cells + region.accel.cells;
         Ok(DurableSearchOutcome {
-            outcome: Some(DynamicSearchOutcome {
-                results: SearchResults::new(hits, elapsed, cells, rescued)
-                    .with_degraded(degraded[DEVICE_CPU] || degraded[DEVICE_ACCEL]),
+            outcome: q.results.map(|results| DynamicSearchOutcome {
+                results,
                 accel_cell_fraction: if total_cells == 0 {
                     0.0
                 } else {
-                    accel.cells as f64 / total_cells as f64
+                    region.accel.cells as f64 / total_cells as f64
                 },
-                cpu,
-                accel,
-                boundary,
-                degraded,
-                timeline,
+                cpu: region.cpu,
+                accel: region.accel,
+                boundary: q.cpu_batches,
+                degraded: region.degraded,
+                timeline: region.timeline,
             }),
-            drained: false,
-            tasks_done,
-            n_batches,
-            resumed_tasks,
-            resumes,
-            checkpoints_written: writes.load(Ordering::Relaxed),
-            checkpoint_write_failures: write_failures.load(Ordering::Relaxed),
-            recovery,
+            drained: q.cancelled,
+            tasks_done: q.tasks_done,
+            n_batches: db.batches.len() as u64,
+            resumed_tasks: q.resumed_tasks,
+            resumes: q.resumes,
+            checkpoints_written: region.checkpoints_written,
+            checkpoint_write_failures: region.checkpoint_write_failures,
+            recovery: region.recovery,
         })
     }
 }
@@ -596,8 +258,8 @@ pub struct BatchQueryOutcome {
     /// cancelled (or the region drained) before all its batches committed.
     pub results: Option<SearchResults>,
     /// True when the query ended without completing (its own cancel or a
-    /// region drain). A cancel that loses the race — every task already
-    /// committed — reports a completed result instead.
+    /// region drain). A cancel or drain that loses the race — every task
+    /// already committed — reports a completed result instead.
     pub cancelled: bool,
     /// How many times this query has been resumed (0 = fresh).
     pub resumes: u64,
@@ -605,6 +267,10 @@ pub struct BatchQueryOutcome {
     pub resumed_tasks: u64,
     /// Batches of this query with a committed result.
     pub tasks_done: u64,
+    /// How many of those the CPU pool computed (in this segment or, for
+    /// resumed batches, the one that committed them). With a length-sorted
+    /// database this is where the two pools met.
+    pub cpu_batches: usize,
 }
 
 /// What one shared multi-query region produced.
@@ -620,12 +286,32 @@ pub struct BatchSearchOutcome {
     pub checkpoints_written: u64,
     /// Periodic checkpoint writes that failed (counted, never fatal).
     pub checkpoint_write_failures: u64,
+    /// Aggregated CPU-pool metrics of this region (tasks, chunks, busy,
+    /// queue-wait, cells, running GCUPS via [`DeviceMetrics::gcups`]).
+    pub cpu: DeviceMetrics,
+    /// Aggregated accelerator-pool metrics of this region.
+    pub accel: DeviceMetrics,
+    /// Drained event timeline of the region — `Some` only when
+    /// [`HeteroSearchConfig::trace`](crate::config::TraceConfig) enabled
+    /// tracing; export with `sw_trace::export`.
+    pub timeline: Option<Timeline>,
+    /// Cumulative recovery totals per device (`[cpu, accel]`): the
+    /// baselines of every checkpoint this region resumed from, plus the
+    /// recovery events of the region itself — monotone under resume.
+    ///
+    /// The same rule fills each query's checkpoint: *its* loaded baseline
+    /// plus this region's events (a requeue or a lost lease belongs to
+    /// the region, not to one member, so every member that ran in it
+    /// carries it forward). For a one-query region the two are the same
+    /// numbers.
+    pub recovery: [RecoveryTotals; 2],
 }
 
 impl HeteroEngine {
-    /// [`SearchEngine::search_many`]'s pooled product space, run through
-    /// **one** durable dual-pool region — the cross-query batching core
-    /// of the daemon. Task `t` maps to `(query t / |batches|, batch
+    /// **The** dual-pool region: [`SearchEngine::search_many`]'s pooled
+    /// product space run through one durable `sw-sched` dual-pool run —
+    /// the body behind every dynamic search (CLI, daemon, shard workers,
+    /// benchmarks). Task `t` maps to `(query t / |batches|, batch
     /// t % |batches|)`; both device pools pull from the one shared queue,
     /// so short queries fill lanes the long queries' tail would leave
     /// idle.
@@ -636,17 +322,30 @@ impl HeteroEngine {
     /// * **cancel** — a [`BatchQuery::cancel`] removes that query's
     ///   remaining tasks without perturbing batch-mates; the region-level
     ///   `opts.drain` still stops everything (daemon shutdown).
-    /// * **checkpoints** — per-query fingerprint-keyed files in
-    ///   `opts.checkpoint_dir` (an explicit `checkpoint_path` is ignored:
-    ///   it cannot name more than one query), written periodically while
-    ///   a query is incomplete, finalised exactly on cancel/drain, and
-    ///   removed on completion; resume prefills that query's committed
-    ///   batches.
+    /// * **checkpoints** — one file per query: `opts.checkpoint_path`
+    ///   when the region has exactly one query (ignored otherwise — it
+    ///   cannot name more than one), else a fingerprint-keyed file in
+    ///   `opts.checkpoint_dir`. Written periodically while a query is
+    ///   incomplete, finalised exactly on cancel/drain, and removed on
+    ///   completion; resume prefills that query's committed batches. With
+    ///   no location nothing is persisted and no fingerprint is computed
+    ///   (the database digest walks every resident residue).
+    /// * **recovery totals** — see [`BatchSearchOutcome::recovery`].
     /// * **trace** — each task additionally lands on its owner's
     ///   [`BatchQuery::tracer`] as a one-task span, so per-query exports
-    ///   stay separable; `config.trace` still traces the region itself.
+    ///   stay separable; `config.trace` traces the region itself and
+    ///   comes back as [`BatchSearchOutcome::timeline`].
     ///
-    /// Errors are region-wide: a terminal task failure or an unreadable /
+    /// Device workers that die or wedge release their chunk lease back to
+    /// the queue and the surviving pool re-executes it, so a region that
+    /// loses its whole accelerator pool still returns exact hit lists
+    /// (flagged `degraded`). Degenerate inputs are safe: no queries or an
+    /// empty database is a region of zero tasks (every query completes
+    /// with empty results), and a config with zero workers in both pools
+    /// is clamped to one CPU worker.
+    ///
+    /// Errors are region-wide: a batch that fails persistently on every
+    /// pool (`config.recovery` budgets exhausted) or an unreadable /
     /// unwritable checkpoint fails the whole call.
     pub fn search_many_resumable(
         &self,
@@ -663,57 +362,32 @@ impl HeteroEngine {
         );
         type BatchOut = (usize, (Vec<Hit>, CellCount, u64));
         let n_batches = db.batches.len();
-        let empty_results = || {
-            SearchResults::new(
-                Vec::new(),
-                std::time::Duration::ZERO,
-                CellCount::default(),
-                0,
-            )
-        };
-        if n_batches == 0 || queries.is_empty() {
-            return Ok(BatchSearchOutcome {
-                queries: queries
-                    .iter()
-                    .map(|q| BatchQueryOutcome {
-                        id: q.id,
-                        results: Some(empty_results()),
-                        cancelled: false,
-                        resumes: 0,
-                        resumed_tasks: 0,
-                        tasks_done: 0,
-                    })
-                    .collect(),
-                drained: false,
-                degraded: [false, false],
-                checkpoints_written: 0,
-                checkpoint_write_failures: 0,
-            });
-        }
 
-        // Per-query checkpoint identity. Only the fingerprint-keyed
-        // directory form works here — one explicit path cannot name N
-        // queries. With checkpointing off, no fingerprints: the db
-        // digest walks every resident residue, pure overhead a batch of
-        // short queries would pay N times for nothing.
-        let (fingerprints, ckpt_paths): (Vec<SearchFingerprint>, Vec<Option<PathBuf>>) =
-            match opts.checkpoint_dir {
-                None => (Vec::new(), vec![None; queries.len()]),
-                Some(dir) => {
-                    std::fs::create_dir_all(dir)
-                        .map_err(|e| DurableSearchError::Checkpoint(CheckpointError::Io(e)))?;
-                    let db_digest = sw_swdb::snapshot::content_digest(db.sorted.db());
-                    let fps: Vec<SearchFingerprint> = queries
-                        .iter()
-                        .map(|q| SearchFingerprint::with_db_digest(db_digest, db, q.residues))
-                        .collect();
-                    let paths = fps
-                        .iter()
-                        .map(|fp| Some(dir.join(fp.file_name())))
-                        .collect();
-                    (fps, paths)
-                }
-            };
+        // Per-query checkpoint identity: the explicit path for a lone
+        // query, else fingerprint-named files in the directory.
+        let explicit = opts.checkpoint_path.filter(|_| queries.len() == 1);
+        let checkpointing = explicit.is_some() || opts.checkpoint_dir.is_some();
+        let fingerprints: Vec<SearchFingerprint> = if checkpointing {
+            let db_digest = sw_swdb::snapshot::content_digest(db.sorted.db());
+            queries
+                .iter()
+                .map(|q| SearchFingerprint::with_db_digest(db_digest, db, q.residues))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let ckpt_paths: Vec<Option<PathBuf>> = match (explicit, opts.checkpoint_dir) {
+            (Some(path), _) => vec![Some(path.to_path_buf())],
+            (None, Some(dir)) => {
+                std::fs::create_dir_all(dir)
+                    .map_err(|e| DurableSearchError::Checkpoint(CheckpointError::Io(e)))?;
+                fingerprints
+                    .iter()
+                    .map(|fp| Some(dir.join(fp.file_name())))
+                    .collect()
+            }
+            (None, None) => vec![None; queries.len()],
+        };
 
         // Load and verify each query's prior checkpoint, if resuming.
         let mut prefill: Vec<(usize, BatchOut)> = Vec::new();
@@ -721,6 +395,7 @@ impl HeteroEngine {
         let mut resumed_v = vec![0u64; queries.len()];
         let mut seqs: Vec<AtomicU64> = Vec::with_capacity(queries.len());
         let mut baselines = vec![[RecoveryTotals::default(); 2]; queries.len()];
+        let mut loaded = [RecoveryTotals::default(); 2];
         let mut initial_share = plan.accel_cell_fraction;
         for (qi, q) in queries.iter().enumerate() {
             let mut next_seq = 0u64;
@@ -731,6 +406,9 @@ impl HeteroEngine {
                         resumes_v[qi] = ckpt.resumes + 1;
                         next_seq = ckpt.seq + 1;
                         baselines[qi] = ckpt.recovery;
+                        for (total, base) in loaded.iter_mut().zip(&ckpt.recovery) {
+                            total.add(base);
+                        }
                         // Any segment's learned balance beats the static
                         // seed for the whole shared region.
                         initial_share = ckpt.accel_share;
@@ -763,6 +441,8 @@ impl HeteroEngine {
             config.accel.effective_block_rows(db.lanes),
         ];
         let device_config = [&config.cpu, &config.accel];
+        // An all-zero worker config would deadlock the queue; degrade it
+        // to a single CPU worker instead.
         let mut cpu_workers = config.cpu.threads;
         let accel_workers = config.accel.threads;
         if cpu_workers + accel_workers == 0 {
@@ -773,35 +453,50 @@ impl HeteroEngine {
 
         let writes = AtomicU64::new(0);
         let write_failures = AtomicU64::new(0);
-        // Build one query's checkpoint from its slice of the product
-        // space. Recovery totals stay at the query's loaded baseline —
-        // region-level recovery events cannot be attributed to one query.
-        let make_q_checkpoint = |qi: usize, slots_q: &[Option<BatchOut>], share: f64| Checkpoint {
-            fingerprint: fingerprints[qi],
-            seq: seqs[qi].fetch_add(1, Ordering::Relaxed),
-            resumes: resumes_v[qi],
-            accel_share: share,
-            recovery: baselines[qi],
-            done: slots_q
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| {
-                    s.as_ref()
-                        .map(|(device, (hits, cells, rescued))| BatchResult {
-                            batch: i,
-                            device: *device,
-                            hits: hits.clone(),
-                            cells: *cells,
-                            rescued: *rescued,
-                        })
-                })
-                .collect(),
+        // The one recovery-totals rule: a baseline plus this region's
+        // events. Mid-run, requeues / lost leases / failures are recorded
+        // as they happen but per-worker retry counts only land at worker
+        // exit, so a *periodic* checkpoint may undercount retries (the
+        // final checkpoint, written after the pools exit, is exact).
+        // Monotonicity is preserved either way.
+        let region_events = || [sink.device(DEVICE_CPU), sink.device(DEVICE_ACCEL)];
+        let cumulative = |baseline: &[RecoveryTotals; 2], events: &[DeviceMetrics; 2]| {
+            [DEVICE_CPU, DEVICE_ACCEL].map(|d| baseline[d].plus(&events[d]))
         };
+        // Build one query's checkpoint from its slice of the product
+        // space.
+        let make_q_checkpoint =
+            |qi: usize, slots_q: &[Option<BatchOut>], share: f64, events: &[DeviceMetrics; 2]| {
+                Checkpoint {
+                    fingerprint: fingerprints[qi],
+                    seq: seqs[qi].fetch_add(1, Ordering::Relaxed),
+                    resumes: resumes_v[qi],
+                    accel_share: share,
+                    recovery: cumulative(&baselines[qi], events),
+                    done: slots_q
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(i, s)| {
+                            s.as_ref()
+                                .map(|(device, (hits, cells, rescued))| BatchResult {
+                                    batch: i,
+                                    device: *device,
+                                    hits: hits.clone(),
+                                    cells: *cells,
+                                    rescued: *rescued,
+                                })
+                        })
+                        .collect(),
+                }
+            };
         // A periodic tick checkpoints every query that is still
         // incomplete; complete queries keep their last file until the
-        // region ends (it is removed with their results).
+        // region ends (it is removed with their results). A failed
+        // periodic write must not kill the search: it is counted and
+        // surfaced on the outcome.
         let on_checkpoint = |view: CheckpointView<'_, BatchOut>| -> u64 {
             let mut total = 0u64;
+            let events = region_events();
             for (qi, ckpt_path) in ckpt_paths.iter().enumerate() {
                 let Some(path) = ckpt_path else {
                     continue;
@@ -810,7 +505,7 @@ impl HeteroEngine {
                 if slots_q.iter().all(|s| s.is_some()) {
                     continue;
                 }
-                match make_q_checkpoint(qi, slots_q, view.accel_share).write_atomic(path) {
+                match make_q_checkpoint(qi, slots_q, view.accel_share, &events).write_atomic(path) {
                     Ok(bytes) => {
                         writes.fetch_add(1, Ordering::Relaxed);
                         total += bytes;
@@ -840,7 +535,7 @@ impl HeteroEngine {
             DurableControl {
                 prefill,
                 drain: opts.drain,
-                checkpoint_every_chunks: if opts.checkpoint_dir.is_some() {
+                checkpoint_every_chunks: if checkpointing {
                     opts.interval_chunks
                 } else {
                     0
@@ -881,8 +576,8 @@ impl HeteroEngine {
         let degraded = out.degraded;
 
         // Region-learned share for final checkpoints.
-        let cpu_m = sink.device(DEVICE_CPU);
-        let accel_m = sink.device(DEVICE_ACCEL);
+        let events = region_events();
+        let [cpu_m, accel_m] = events;
         let total_exec_cells = cpu_m.cells + accel_m.cells;
         let final_share = if total_exec_cells == 0 {
             initial_share
@@ -890,9 +585,8 @@ impl HeteroEngine {
             accel_m.cells as f64 / total_exec_cells as f64
         };
 
-        // Pooled wall clock, attributed by padded-cell share (floor
-        // division: shares never sum past the wall clock) — same rule as
-        // `SearchEngine::search_many`.
+        // Pooled wall clock, attributed by padded-cell share — the rule
+        // of `SearchEngine::search_many` ([`padded_share`]).
         let per_q_padded: Vec<u128> = queries
             .iter()
             .map(|q| {
@@ -909,10 +603,25 @@ impl HeteroEngine {
         for (qi, q) in queries.iter().enumerate() {
             let slots_q = &out.slots[qi * n_batches..(qi + 1) * n_batches];
             let tasks_done = slots_q.iter().filter(|s| s.is_some()).count() as u64;
-            let complete = tasks_done == n_batches as u64;
-            if complete {
+            let mut outcome = BatchQueryOutcome {
+                id: q.id,
+                results: None,
+                cancelled: false,
+                resumes: resumes_v[qi],
+                resumed_tasks: resumed_v[qi],
+                tasks_done,
+                cpu_batches: slots_q
+                    .iter()
+                    .flatten()
+                    .filter(|(device, _)| *device == DEVICE_CPU)
+                    .count(),
+            };
+            if tasks_done == n_batches as u64 {
                 // A cancel that raced completion still yields the exact
-                // result; the checkpoint (if any) is spent.
+                // result; the checkpoint (if any) is spent. Cleanup is
+                // best-effort: a stale file left behind is re-verified
+                // (and its batches skipped) on the next resume, never
+                // silently wrong.
                 if let Some(path) = &ckpt_paths[qi] {
                     Checkpoint::remove(path).ok();
                 }
@@ -925,58 +634,31 @@ impl HeteroEngine {
                     cells.add(*batch_cells);
                     rescued += batch_rescued;
                 }
-                let elapsed_q = (elapsed.as_nanos() * per_q_padded[qi])
-                    .checked_div(total_padded)
-                    .map(|ns| std::time::Duration::from_nanos(ns as u64))
-                    .unwrap_or(elapsed);
-                outcomes.push(BatchQueryOutcome {
-                    id: q.id,
-                    results: Some(
-                        SearchResults::new(hits, elapsed_q, cells, rescued)
-                            .with_degraded(degraded[DEVICE_CPU] || degraded[DEVICE_ACCEL]),
-                    ),
-                    cancelled: false,
-                    resumes: resumes_v[qi],
-                    resumed_tasks: resumed_v[qi],
-                    tasks_done,
-                });
-                continue;
-            }
-            let cancelled = q.cancel.is_some_and(|c| c.is_requested()) || out.drained;
-            if cancelled {
+                let elapsed_q = padded_share(elapsed, per_q_padded[qi], total_padded);
+                outcome.results = Some(
+                    SearchResults::new(hits, elapsed_q, cells, rescued)
+                        .with_degraded(degraded[DEVICE_CPU] || degraded[DEVICE_ACCEL]),
+                );
+            } else if q.cancel.is_some_and(|c| c.is_requested()) || out.drained {
                 // Final exact checkpoint: written after the pools exited,
                 // its failure is a hard error — a cancelled query without
                 // its checkpoint cannot be resumed.
                 if let Some(path) = &ckpt_paths[qi] {
-                    make_q_checkpoint(qi, slots_q, final_share).write_atomic(path)?;
+                    make_q_checkpoint(qi, slots_q, final_share, &events).write_atomic(path)?;
                     writes.fetch_add(1, Ordering::Relaxed);
                 }
-                outcomes.push(BatchQueryOutcome {
-                    id: q.id,
-                    results: None,
-                    cancelled: true,
-                    resumes: resumes_v[qi],
-                    resumed_tasks: resumed_v[qi],
-                    tasks_done,
-                });
-                continue;
-            }
-            // Incomplete with neither a cancel nor a drain: terminal
-            // execution failure.
-            for (bi, s) in slots_q.iter().enumerate() {
-                if s.is_none() {
-                    let t = qi * n_batches + bi;
-                    incomplete_uncancelled.push((t, t + 1));
+                outcome.cancelled = true;
+            } else {
+                // Incomplete with neither a cancel nor a drain: terminal
+                // execution failure.
+                for (bi, s) in slots_q.iter().enumerate() {
+                    if s.is_none() {
+                        let t = qi * n_batches + bi;
+                        incomplete_uncancelled.push((t, t + 1));
+                    }
                 }
             }
-            outcomes.push(BatchQueryOutcome {
-                id: q.id,
-                results: None,
-                cancelled: false,
-                resumes: resumes_v[qi],
-                resumed_tasks: resumed_v[qi],
-                tasks_done,
-            });
+            outcomes.push(outcome);
         }
         if !incomplete_uncancelled.is_empty() {
             return Err(DurableSearchError::Exec(ExecError {
@@ -990,20 +672,28 @@ impl HeteroEngine {
             degraded,
             checkpoints_written: writes.load(Ordering::Relaxed),
             checkpoint_write_failures: write_failures.load(Ordering::Relaxed),
+            recovery: cumulative(&loaded, &events),
+            cpu: cpu_m,
+            accel: accel_m,
+            timeline: tracer.is_enabled().then(|| tracer.timeline()),
         })
     }
 }
 
-/// Durability knobs for [`HeteroEngine::search_dynamic_resumable`].
+/// Durability knobs of the dual-pool region
+/// ([`HeteroEngine::search_many_resumable`] and its one-query adapter
+/// [`HeteroEngine::search_dynamic_resumable`]). The default persists
+/// nothing and never drains.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DurableOptions<'a> {
-    /// Where the checkpoint lives. `None` with no `checkpoint_dir`
-    /// disables checkpointing (the run is then durable in name only —
-    /// drain still stops it gracefully, but nothing is persisted). An
-    /// explicit path takes precedence over `checkpoint_dir`, but note it
-    /// is shared mutable state: two concurrent searches given the same
-    /// path will clobber each other — concurrent callers must use
-    /// `checkpoint_dir`.
+    /// Where the checkpoint lives — honoured exactly when the region has
+    /// one query (one file cannot name more than one; a multi-query
+    /// region ignores it). `None` with no `checkpoint_dir` disables
+    /// checkpointing (the run is then durable in name only — drain still
+    /// stops it gracefully, but nothing is persisted). An explicit path
+    /// takes precedence over `checkpoint_dir`, but note it is shared
+    /// mutable state: two concurrent searches given the same path will
+    /// clobber each other — concurrent callers must use `checkpoint_dir`.
     pub checkpoint_path: Option<&'a Path>,
     /// Directory to keep the checkpoint in, under a file name derived
     /// from the [`SearchFingerprint`]
@@ -1017,8 +707,7 @@ pub struct DurableOptions<'a> {
     pub interval_chunks: u64,
     /// Cooperative stop signal (SIGINT/SIGTERM in the CLI).
     pub drain: Option<&'a DrainSignal>,
-    /// Load `checkpoint_path` if it exists and skip its completed
-    /// batches.
+    /// Load the checkpoint if it exists and skip its completed batches.
     pub resume: bool,
 }
 
@@ -1056,19 +745,17 @@ impl From<CheckpointError> for DurableSearchError {
     }
 }
 
-impl From<ExecError> for DurableSearchError {
-    fn from(e: ExecError) -> Self {
-        DurableSearchError::Exec(e)
-    }
-}
-
-/// What a [`HeteroEngine::search_dynamic_resumable`] run produced.
+/// What a [`HeteroEngine::search_dynamic_resumable`] run produced: the
+/// one [`BatchQueryOutcome`] of an `N = 1` region plus the region-level
+/// facts of its [`BatchSearchOutcome`].
 #[derive(Debug)]
 pub struct DurableSearchOutcome {
     /// The completed search — `None` when the run was drained before
     /// finishing (resume with the written checkpoint to continue).
     pub outcome: Option<DynamicSearchOutcome>,
-    /// True when the run stopped on its [`DrainSignal`].
+    /// True when the run stopped on its [`DrainSignal`] before every
+    /// batch had committed (a drain that loses the race against the last
+    /// commit is a completed run).
     pub drained: bool,
     /// Batches with a committed result (including resumed ones).
     pub tasks_done: u64,
@@ -1083,7 +770,8 @@ pub struct DurableSearchOutcome {
     /// Periodic checkpoint writes that failed (counted, never fatal).
     pub checkpoint_write_failures: u64,
     /// Cumulative recovery totals per device (`[cpu, accel]`) across all
-    /// run segments — monotone under resume.
+    /// run segments — monotone under resume
+    /// ([`BatchSearchOutcome::recovery`]).
     pub recovery: [RecoveryTotals; 2],
 }
 
@@ -1351,8 +1039,10 @@ mod tests {
         }));
         let cfg = HeteroSearchConfig::best(2, 1);
         let out = hetero
-            .search_dynamic_supervised(&q, &db, &plan, &cfg, &inj)
-            .expect("run must recover, not fail");
+            .search_dynamic_resumable(&q, &db, &plan, &cfg, &inj, &DurableOptions::default())
+            .expect("run must recover, not fail")
+            .outcome
+            .expect("no drain signal: the run completes");
 
         assert_eq!(
             out.results.hits, cpu_only.results.hits,
@@ -1421,17 +1111,88 @@ mod tests {
 
     #[test]
     fn batched_queries_equal_solo_runs() {
-        // The cross-query batching core: mixed-length queries through ONE
-        // shared region, each hit list byte-identical to its solo search,
-        // and the pooled wall clock partitioned across queries.
+        // The equivalence matrix: the same seeded database and queries
+        // through EVERY entry point — the two region bodies and each
+        // adapter over them. Every hit list must equal the scalar-oracle
+        // list (not merely each other), and the N = 1 adapters must map
+        // the region's facts onto the solo outcome faithfully.
         let (db, _) = setup();
         let engine = SearchEngine::paper_default();
-        let hetero = HeteroEngine::new(engine);
+        let hetero = HeteroEngine::new(engine.clone());
         let queries: Vec<Vec<u8>> = [60u32, 150, 400]
             .iter()
             .map(|&l| generate_query(l, l as u64).residues)
             .collect();
+        let oracle = |q: &[u8]| -> Vec<Hit> {
+            let hits = db.sorted.db().iter().map(|(id, s)| Hit {
+                id,
+                score: sw_kernels::scalar::sw_score_scalar(q, s.residues, &engine.params),
+            });
+            SearchResults::new(hits.collect(), Default::default(), Default::default(), 0).hits
+        };
+        let flat = SearchConfig::best(2);
         let cfg = HeteroSearchConfig::best(2, 1);
+        let none = FaultInjector::none();
+        let n_batches = db.batches.len() as u64;
+        let tmp = std::env::temp_dir().join(format!("sw-matrix-{}", std::process::id()));
+        std::fs::remove_dir_all(&tmp).ok();
+
+        let refs: Vec<&[u8]> = queries.iter().map(Vec::as_slice).collect();
+        let pooled = engine.search_many(&refs, &db, &flat);
+        for (q, pooled_res) in queries.iter().zip(&pooled) {
+            let want = oracle(q);
+            let plan = hetero.plan_split(&db, q.len(), 0.5);
+            assert_eq!(engine.search(q, &db, &flat).hits, want, "search");
+            assert_eq!(pooled_res.hits, want, "search_many");
+            let stat = hetero.search(q, &db, &plan, &flat, &flat);
+            assert_eq!(stat.hits, want, "static split");
+            let dynamic = hetero.search_dynamic(q, &db, &plan, &cfg);
+            assert_eq!(dynamic.results.hits, want, "search_dynamic");
+            assert_eq!(dynamic.results.cells, stat.cells);
+
+            for dir in [None, Some(tmp.as_path())] {
+                let opts = DurableOptions {
+                    checkpoint_dir: dir,
+                    interval_chunks: 1,
+                    ..DurableOptions::default()
+                };
+                let out = hetero
+                    .search_dynamic_resumable(q, &db, &plan, &cfg, &none, &opts)
+                    .expect("durable run");
+                assert!(!out.drained);
+                assert_eq!((out.tasks_done, out.n_batches), (n_batches, n_batches));
+                let solo = out.outcome.expect("completed");
+                assert_eq!(solo.results.hits, want, "search_dynamic_resumable {dir:?}");
+                assert_eq!(solo.cpu.tasks + solo.accel.tasks, n_batches);
+                assert_eq!(
+                    solo.boundary as u64, solo.cpu.tasks,
+                    "boundary = CPU batches"
+                );
+                match dir {
+                    // Nothing to persist to: no write, no file, no dir.
+                    None => assert!(out.checkpoints_written == 0 && !tmp.exists()),
+                    // Completion spends the checkpoint.
+                    Some(d) => assert_eq!(std::fs::read_dir(d).unwrap().count(), 0),
+                }
+            }
+            std::fs::remove_dir_all(&tmp).ok();
+
+            let lone = [BatchQuery {
+                residues: q,
+                id: 7,
+                cancel: None,
+                tracer: None,
+            }];
+            let one = hetero
+                .search_many_resumable(&lone, &db, &plan, &cfg, &none, &DurableOptions::default())
+                .expect("N = 1 region");
+            assert_eq!(one.queries[0].results.as_ref().unwrap().hits, want, "N = 1");
+            assert_eq!(one.cpu.tasks + one.accel.tasks, n_batches);
+            assert_eq!(one.queries[0].cpu_batches as u64, one.cpu.tasks);
+        }
+
+        // N = 3: mixed-length queries through ONE shared region, and the
+        // pooled wall clock partitioned across them.
         let plan = hetero.plan_split(&db, queries[0].len(), 0.5);
         let batch: Vec<BatchQuery<'_>> = queries
             .iter()
@@ -1445,25 +1206,18 @@ mod tests {
             .collect();
         let start = Instant::now();
         let out = hetero
-            .search_many_resumable(
-                &batch,
-                &db,
-                &plan,
-                &cfg,
-                &FaultInjector::none(),
-                &DurableOptions::default(),
-            )
+            .search_many_resumable(&batch, &db, &plan, &cfg, &none, &DurableOptions::default())
             .expect("batched run");
         let wall = start.elapsed();
         assert!(!out.drained);
         assert_eq!(out.queries.len(), 3);
+        assert_eq!(out.cpu.tasks + out.accel.tasks, 3 * n_batches);
         let mut elapsed_sum = std::time::Duration::ZERO;
-        for (q, qo) in queries.iter().zip(&out.queries) {
-            let solo = hetero.engine.search(q, &db, &SearchConfig::best(1));
+        for ((q, qo), pooled_res) in queries.iter().zip(&out.queries).zip(&pooled) {
             let res = qo.results.as_ref().expect("completed");
             assert!(!qo.cancelled);
-            assert_eq!(res.hits, solo.hits, "query {} vs solo", qo.id);
-            assert_eq!(res.cells, solo.cells);
+            assert_eq!(res.hits, oracle(q), "query {} vs oracle", qo.id);
+            assert_eq!(res.cells, pooled_res.cells);
             elapsed_sum += res.elapsed;
         }
         assert!(

@@ -87,7 +87,7 @@ pub fn xeon_costs() -> KernelCosts {
 /// lanes; hardware gather keeps the intrinsic-QP penalty small
 /// (74/58 ≈ 1.29× vs the Xeon's 41/31 ≈ 1.32× on half the lanes); guided
 /// vectorization lands at ~40 % of intrinsic, matching the paper's
-/// "hand-vectorization [has] more impact … than in Intel Xeon".
+/// "hand-vectorization \[has\] more impact … than in Intel Xeon".
 /// `spill_penalty_cpv` is large because an L2 miss goes straight to GDDR5
 /// (no L3) — the Fig. 7 asymmetry.
 pub fn phi_costs() -> KernelCosts {

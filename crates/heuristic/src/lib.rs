@@ -1,7 +1,7 @@
 //! # sw-heuristic — BLAST-like seed-and-extend search
 //!
 //! The paper's introduction motivates exact Smith-Waterman by contrasting
-//! it with heuristics: *"BLAST … increase[s] speed at the cost of reduced
+//! it with heuristics: *"BLAST … increase\[s\] speed at the cost of reduced
 //! sensitivity. This algorithm keeps the position of each k-length
 //! subsequence (k-mer) of a query sequence in a hash table … and scans
 //! the reference database sequences looking for k-mer identical matches,

@@ -10,7 +10,7 @@
 //! | `simd-QP` / `simd-SP` | [`guided`] | compiler-guided vectorization (`#pragma omp simd`) |
 //! | `intrinsic-QP` / `intrinsic-SP` | [`intertask`] | hand-tuned vector code over [`lanes`] |
 //! | blocking on/off | [`blocked`] | the cache-blocking optimisation of Fig. 7 |
-//! | Farrar striped | [`striped`] | the intra-task comparator the paper cites as [13] |
+//! | Farrar striped | [`striped`] | the intra-task comparator the paper cites as \[13\] |
 //!
 //! All variants are *inter-task* (SWIPE-style, one database sequence per
 //! vector lane) except [`striped`], and all must produce identical scores —

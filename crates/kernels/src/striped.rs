@@ -1,7 +1,7 @@
-//! Farrar's striped intra-task kernel — the paper's reference [13].
+//! Farrar's striped intra-task kernel — the paper's reference \[13\].
 //!
 //! The paper contrasts its inter-task scheme with *"fine-grained
-//! vectorization schemes [13] that are able to exploit the simd
+//! vectorization schemes \[13\] that are able to exploit the simd
 //! parallelism available within a single sequence alignment"* and argues
 //! inter-task usually wins for short sequences. This module implements
 //! that comparator so the claim can actually be measured (see the

@@ -236,7 +236,7 @@ pub struct DualPoolSimResult {
     /// Tasks inside those requeued chunks.
     pub requeued_tasks: usize,
     /// Per-device degraded flag (a pool died and was retired) — mirrors
-    /// the executor's `DualPoolOutcome::degraded`.
+    /// the executor's `DurableOutcome::degraded`.
     pub degraded: [bool; 2],
     /// Tasks left unexecuted because no live worker remained to drain the
     /// requeue list (only possible when the surviving pool is empty).

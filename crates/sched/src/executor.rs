@@ -10,17 +10,20 @@
 //!   order. A panicking task no longer poisons the result slots: the
 //!   panic is captured per task and surfaced as a structured
 //!   [`ExecError`] naming the failed task indices.
-//! * [`run_dual_pool`] / [`run_dual_pool_supervised`] — the heterogeneous
-//!   executor: two device worker pools (CPU share and accelerator share)
-//!   pull lane batches from the two ends of one shared work queue, with
-//!   an adaptive feedback estimator re-balancing the remaining queue from
-//!   observed per-device throughput. Every claimed chunk is covered by a
-//!   *lease*; a chunk whose holder dies (panic, injected kill) is
+//! * [`run_dual_pool_durable`] — the heterogeneous executor, the one
+//!   dual-pool body: two device worker pools (CPU share and accelerator
+//!   share) pull lane batches from the two ends of one shared work queue,
+//!   with an adaptive feedback estimator re-balancing the remaining queue
+//!   from observed per-device throughput. Every claimed chunk is covered
+//!   by a *lease*; a chunk whose holder dies (panic, injected kill) is
 //!   requeued and re-executed by a surviving worker, a chunk whose holder
 //!   wedges is reclaimed after `accel_timeout_ms`, and a pool that
 //!   exhausts its failure budget is retired so the run *degrades* to the
 //!   other pool instead of hanging or crashing. Per-worker metrics and
-//!   recovery events are recorded through a [`MetricsSink`].
+//!   recovery events are recorded through a [`MetricsSink`]; resume
+//!   prefill, drain, checkpoints and per-task cancel hang off
+//!   [`DurableControl`]. [`run_dual_pool`] is the one convenience over
+//!   it: no faults, no hooks, no trace, panic on failure.
 //!
 //! Built on std scoped threads + atomics rather than a work-stealing pool
 //! so the *policy* is exactly the one being studied — a generic pool
@@ -239,12 +242,6 @@ impl<T> Slots<T> {
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner)
     }
-
-    /// Results in task order, or the `[start, end)` ranges that were
-    /// never filled.
-    fn try_into_results(self) -> Result<Vec<T>, Vec<(usize, usize)>> {
-        slots_into_results(self.into_slots())
-    }
 }
 
 /// Split a slot table into results in task order, or the `[start, end)`
@@ -366,7 +363,7 @@ where
     let failures = failures
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner);
-    match slots.try_into_results() {
+    match slots_into_results(slots.into_slots()) {
         Ok(results) if failures.is_empty() => Ok(results),
         Ok(_) => Err(ExecError {
             failures,
@@ -392,24 +389,6 @@ where
 {
     try_run_parallel(n_tasks, config, task)
         .unwrap_or_else(|e| panic!("parallel execution failed: {e}"))
-}
-
-/// Run `task(i)` for every `i in 0..n_tasks` on a self-scheduling thread
-/// pool (atomic-counter work pulling), returning results in task order.
-///
-/// This is the policy-agnostic data-parallel path for callers that do not
-/// need a *specific* OpenMP schedule — free workers pull single tasks,
-/// which behaves like dynamic scheduling with the finest grain. (It
-/// replaces an earlier rayon-based path; the dependency budget is now
-/// zero external crates.) The policy-faithful executor above remains the
-/// one used for the paper's scheduling experiments.
-pub fn run_work_stealing<T, F>(n_tasks: usize, workers: usize, task: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    assert!(workers >= 1, "need at least one worker");
-    run_parallel(n_tasks, ExecutorConfig::dynamic(workers), task)
 }
 
 /// Configuration of the dual-pool heterogeneous executor.
@@ -483,16 +462,6 @@ struct DeviceProgress {
     busy_nanos: AtomicU64,
 }
 
-/// Result of a supervised dual-pool run.
-#[derive(Debug)]
-pub struct DualPoolOutcome<T> {
-    /// Task results in task order.
-    pub results: Vec<T>,
-    /// Whether each device pool (`[cpu, accel]`) was retired before the
-    /// queue drained — the run *degraded* to the surviving pool.
-    pub degraded: [bool; 2],
-}
-
 /// Consistent view of a run's progress handed to the checkpoint
 /// callback. The slot table is observed under its lock, so every chunk
 /// is either fully present or fully absent — a checkpoint can never see
@@ -511,10 +480,9 @@ pub struct CheckpointView<'v, T> {
 /// Durability hooks for [`run_dual_pool_durable`]: resume prefill, a
 /// drain signal, and a periodic checkpoint callback.
 ///
-/// The default value ([`DurableControl::none`]) disables all three, which
-/// makes the durable executor behave exactly like
-/// [`run_dual_pool_traced`] (the traced entry point is now a thin wrapper
-/// over it).
+/// [`DurableControl::none`] disables all of them: the run then either
+/// completes every task or fails terminally, and
+/// [`DurableOutcome::try_into_results`] tells which.
 pub struct DurableControl<'a, T> {
     /// Task results a checkpoint already holds: `(task index, result)`.
     /// Prefilled indices are skipped by the workers (no execution, no
@@ -557,16 +525,10 @@ impl<T> DurableControl<'_, T> {
     }
 }
 
-impl<T> Default for DurableControl<'_, T> {
-    fn default() -> Self {
-        DurableControl::none()
-    }
-}
-
-/// Result of a durable dual-pool run. Unlike [`DualPoolOutcome`] this is
-/// returned even when tasks are left unexecuted — a drained run is a
-/// *successful partial* run, and the caller decides whether holes are an
-/// error (they are, when not drained).
+/// Result of a dual-pool run. It is returned even when tasks are left
+/// unexecuted — a drained run is a *successful partial* run, and the
+/// caller decides whether holes are an error (they are, when neither
+/// drained nor cancelled).
 #[derive(Debug)]
 pub struct DurableOutcome<T> {
     /// Result slots in task order; `None` = never executed (drained away,
@@ -587,9 +549,8 @@ impl<T> DurableOutcome<T> {
     }
 
     /// Results in task order, or the structured [`ExecError`] naming the
-    /// failed and unexecuted tasks. For a *completed* run this is the
-    /// conversion to [`DualPoolOutcome`] semantics; a drained run with
-    /// holes returns `Err`, so only call it when `!drained`.
+    /// failed and unexecuted tasks. A drained run with holes returns
+    /// `Err`, so only call it when `!drained`.
     pub fn try_into_results(self) -> Result<Vec<T>, ExecError> {
         match slots_into_results(self.slots) {
             Ok(results) => Ok(results),
@@ -943,9 +904,10 @@ impl<'a> Supervisor<'a> {
 ///   [`CheckpointView`] (slot lock held, so checkpoints are whole-chunk
 ///   atomic) and emits `checkpoint_written`.
 ///
-/// Unlike [`run_dual_pool_traced`] this returns the raw slot table:
-/// unexecuted tasks are `None`, and deciding whether holes are an error
-/// is the caller's job (a drained run legitimately has them).
+/// The outcome is the raw slot table: unexecuted tasks are `None`, and
+/// deciding whether holes are an error is the caller's job (a drained run
+/// legitimately has them; [`DurableOutcome::try_into_results`] is the
+/// strict reading).
 ///
 /// # Panics
 /// Panics when both pools are empty, when `initial_accel_fraction` is
@@ -1250,83 +1212,11 @@ where
     }
 }
 
-/// [`run_dual_pool_durable`] with the durability hooks disabled: a
-/// complete run or a structured [`ExecError`]. This is the entry point
-/// for non-resumable searches.
-///
-/// # Panics
-/// Panics when both pools are empty or when `initial_accel_fraction` is
-/// NaN or outside `[0, 1]`.
-pub fn run_dual_pool_traced<T, F, C>(
-    n_tasks: usize,
-    config: DualPoolConfig,
-    injector: &FaultInjector,
-    cost: C,
-    task: F,
-    sink: &MetricsSink,
-    tracer: &Tracer,
-) -> Result<DualPoolOutcome<T>, ExecError>
-where
-    T: Send,
-    F: Fn(usize, usize) -> T + Sync,
-    C: Fn(usize) -> u64 + Sync,
-{
-    let out = run_dual_pool_durable(
-        n_tasks,
-        config,
-        injector,
-        DurableControl::none(),
-        cost,
-        task,
-        sink,
-        tracer,
-    );
-    match slots_into_results(out.slots) {
-        Ok(results) => Ok(DualPoolOutcome {
-            results,
-            degraded: out.degraded,
-        }),
-        Err(missing) => Err(ExecError {
-            failures: out.failures,
-            missing,
-        }),
-    }
-}
-
-/// [`run_dual_pool_traced`] without tracing — the pre-observability
-/// entry point, kept for callers that don't collect a timeline.
-///
-/// # Panics
-/// Panics when both pools are empty or when `initial_accel_fraction` is
-/// NaN or outside `[0, 1]`.
-pub fn run_dual_pool_supervised<T, F, C>(
-    n_tasks: usize,
-    config: DualPoolConfig,
-    injector: &FaultInjector,
-    cost: C,
-    task: F,
-    sink: &MetricsSink,
-) -> Result<DualPoolOutcome<T>, ExecError>
-where
-    T: Send,
-    F: Fn(usize, usize) -> T + Sync,
-    C: Fn(usize) -> u64 + Sync,
-{
-    run_dual_pool_traced(
-        n_tasks,
-        config,
-        injector,
-        cost,
-        task,
-        sink,
-        &Tracer::disabled(),
-    )
-}
-
 /// Run `task(device, i)` for every `i in 0..n_tasks` on two device worker
 /// pools, returning results in task order.
 ///
-/// Infallible, fault-free wrapper over [`run_dual_pool_supervised`].
+/// The infallible convenience over [`run_dual_pool_durable`]: no fault
+/// injector, no durability hooks, no trace.
 ///
 /// # Panics
 /// Panics when both pools are empty, when `initial_accel_fraction` is NaN
@@ -1344,10 +1234,18 @@ where
     F: Fn(usize, usize) -> T + Sync,
     C: Fn(usize) -> u64 + Sync,
 {
-    match run_dual_pool_supervised(n_tasks, config, &FaultInjector::none(), cost, task, sink) {
-        Ok(outcome) => outcome.results,
-        Err(e) => panic!("dual-pool execution failed: {e}"),
-    }
+    run_dual_pool_durable(
+        n_tasks,
+        config,
+        &FaultInjector::none(),
+        DurableControl::none(),
+        cost,
+        task,
+        sink,
+        &Tracer::disabled(),
+    )
+    .try_into_results()
+    .unwrap_or_else(|e| panic!("dual-pool execution failed: {e}"))
 }
 
 #[cfg(test)]
@@ -1438,20 +1336,6 @@ mod tests {
         let cfg = ExecutorConfig::dynamic(16);
         let out = run_parallel(3, cfg, |i| i);
         assert_eq!(out, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn work_stealing_path_matches_policy_executor() {
-        let via_pool = run_work_stealing(200, 3, |i| i * 3);
-        let via_policy = run_parallel(200, ExecutorConfig::dynamic(3), |i| i * 3);
-        assert_eq!(via_pool, via_policy);
-    }
-
-    #[test]
-    fn work_stealing_empty_and_single() {
-        let empty: Vec<usize> = run_work_stealing(0, 2, |i| i);
-        assert!(empty.is_empty());
-        assert_eq!(run_work_stealing(4, 1, |i| i + 1), vec![1, 2, 3, 4]);
     }
 
     #[test]
@@ -1669,6 +1553,44 @@ mod tests {
         run_dual_pool(10, DualPoolConfig::new(0, 0), |_| 1, |_d, i| i, &sink);
     }
 
+    /// A run that completed every task: what the fault drills assert on.
+    #[derive(Debug)]
+    struct Completed<T> {
+        results: Vec<T>,
+        degraded: [bool; 2],
+    }
+
+    /// The body with every durability hook off — a complete run or the
+    /// structured [`ExecError`].
+    fn run_hookless<T, F, C>(
+        n_tasks: usize,
+        config: DualPoolConfig,
+        injector: &FaultInjector,
+        cost: C,
+        task: F,
+        sink: &MetricsSink,
+        tracer: &Tracer,
+    ) -> Result<Completed<T>, ExecError>
+    where
+        T: Send,
+        F: Fn(usize, usize) -> T + Sync,
+        C: Fn(usize) -> u64 + Sync,
+    {
+        let out = run_dual_pool_durable(
+            n_tasks,
+            config,
+            injector,
+            DurableControl::none(),
+            cost,
+            task,
+            sink,
+            tracer,
+        );
+        let degraded = out.degraded;
+        out.try_into_results()
+            .map(|results| Completed { results, degraded })
+    }
+
     fn injected(kind: FaultKind, chunk: u64) -> FaultInjector {
         FaultInjector::new(FaultPlan::single(FaultSpec {
             device: DEVICE_ACCEL,
@@ -1693,7 +1615,7 @@ mod tests {
     fn dual_pool_injected_kill_recovers() {
         let sink = MetricsSink::new();
         let inj = injected(FaultKind::Kill, 0);
-        let out = run_dual_pool_supervised(
+        let out = run_hookless(
             200,
             DualPoolConfig::new(2, 2),
             &inj,
@@ -1703,6 +1625,7 @@ mod tests {
                 i * 3
             },
             &sink,
+            &Tracer::disabled(),
         )
         .expect("kill of one worker must be recovered");
         assert_eq!(out.results, (0..200).map(|i| i * 3).collect::<Vec<_>>());
@@ -1721,7 +1644,7 @@ mod tests {
         // A single accel worker so the pool's first chunk is the trigger:
         // no second accel worker can race a chunk to completion before
         // the pool-dead flag is set.
-        let out = run_dual_pool_supervised(
+        let out = run_hookless(
             300,
             DualPoolConfig::new(2, 1),
             &inj,
@@ -1731,6 +1654,7 @@ mod tests {
                 i + 7
             },
             &sink,
+            &Tracer::disabled(),
         )
         .expect("CPU pool must absorb the dead accelerator's share");
         assert_eq!(out.results, (0..300).map(|i| i + 7).collect::<Vec<_>>());
@@ -1750,7 +1674,7 @@ mod tests {
             accel_timeout_ms: Some(40),
             ..DualPoolConfig::new(2, 1)
         };
-        let out = run_dual_pool_supervised(
+        let out = run_hookless(
             120,
             cfg,
             &inj,
@@ -1760,6 +1684,7 @@ mod tests {
                 i
             },
             &sink,
+            &Tracer::disabled(),
         )
         .expect("wedged chunk must be reclaimed and re-executed");
         assert!(out.results.iter().enumerate().all(|(i, &v)| v == i));
@@ -1773,7 +1698,7 @@ mod tests {
     fn dual_pool_wedge_without_timeout_degenerates_to_kill() {
         let sink = MetricsSink::new();
         let inj = injected(FaultKind::Wedge, 0);
-        let out = run_dual_pool_supervised(
+        let out = run_hookless(
             80,
             DualPoolConfig::new(2, 1),
             &inj,
@@ -1783,6 +1708,7 @@ mod tests {
                 i
             },
             &sink,
+            &Tracer::disabled(),
         )
         .expect("wedge without a timeout must behave like a kill");
         assert!(out.results.iter().enumerate().all(|(i, &v)| v == i));
@@ -1795,7 +1721,7 @@ mod tests {
     fn dual_pool_delay_fault_only_slows() {
         let sink = MetricsSink::new();
         let inj = injected(FaultKind::Delay(Duration::from_millis(5)), 0);
-        let out = run_dual_pool_supervised(
+        let out = run_hookless(
             60,
             DualPoolConfig::new(2, 1),
             &inj,
@@ -1805,6 +1731,7 @@ mod tests {
                 i
             },
             &sink,
+            &Tracer::disabled(),
         )
         .expect("a delay is not a failure");
         assert!(out.results.iter().enumerate().all(|(i, &v)| v == i));
@@ -1825,7 +1752,7 @@ mod tests {
             retry_backoff_ms: 0,
             ..DualPoolConfig::new(1, 0)
         };
-        let err = run_dual_pool_supervised(
+        let err = run_hookless(
             40,
             cfg,
             &FaultInjector::none(),
@@ -1837,6 +1764,7 @@ mod tests {
                 i
             },
             &sink,
+            &Tracer::disabled(),
         )
         .unwrap_err();
         assert_eq!(err.missing, vec![(13, 14)], "only task 13 is missing");
@@ -1853,7 +1781,7 @@ mod tests {
         let sink = MetricsSink::new();
         let inj = injected(FaultKind::Kill, 0);
         let tracer = Tracer::full();
-        let out = run_dual_pool_traced(
+        let out = run_hookless(
             200,
             DualPoolConfig::new(2, 2),
             &inj,
@@ -1916,7 +1844,7 @@ mod tests {
     fn untraced_run_produces_no_timeline() {
         let sink = MetricsSink::new();
         let tracer = Tracer::disabled();
-        let out = run_dual_pool_traced(
+        let out = run_hookless(
             64,
             DualPoolConfig::new(2, 1),
             &FaultInjector::none(),
@@ -2129,34 +2057,6 @@ mod tests {
     }
 
     #[test]
-    fn durable_without_hooks_matches_traced() {
-        let sink_a = MetricsSink::new();
-        let out_a = run_dual_pool_durable(
-            150,
-            DualPoolConfig::new(2, 2),
-            &FaultInjector::none(),
-            DurableControl::none(),
-            |_| 1,
-            |_d, i| i * 3,
-            &sink_a,
-            &Tracer::disabled(),
-        );
-        assert!(!out_a.drained);
-        let a: Vec<usize> = out_a.slots.into_iter().map(Option::unwrap).collect();
-        let sink_b = MetricsSink::new();
-        let out_b = run_dual_pool_supervised(
-            150,
-            DualPoolConfig::new(2, 2),
-            &FaultInjector::none(),
-            |_| 1,
-            |_d, i| i * 3,
-            &sink_b,
-        )
-        .expect("clean run");
-        assert_eq!(a, out_b.results);
-    }
-
-    #[test]
     fn durable_drain_with_faults_keeps_committed_slots_sound() {
         // Recovery and drain compose: a kill fault fires, its chunk is
         // requeued, and a drain lands while the run is in flight. All
@@ -2205,8 +2105,16 @@ mod tests {
                 accel_timeout_ms: Some(200),
                 ..DualPoolConfig::new(2, 2)
             };
-            let out = run_dual_pool_supervised(150, cfg, &inj, |_| 1, |_d, i| i * 5, &sink)
-                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            let out = run_hookless(
+                150,
+                cfg,
+                &inj,
+                |_| 1,
+                |_d, i| i * 5,
+                &sink,
+                &Tracer::disabled(),
+            )
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             assert_eq!(
                 out.results,
                 (0..150).map(|i| i * 5).collect::<Vec<_>>(),

@@ -5,7 +5,7 @@
 //! as fallible and size work so it can be re-issued. This module is the
 //! *test harness* for that failure model: a [`FaultPlan`] describes which
 //! device fails at which chunk and how, and a [`FaultInjector`] arms the
-//! plan inside a real `run_dual_pool_supervised` region. Plans are plain
+//! plan inside a real `run_dual_pool_durable` region. Plans are plain
 //! data (seeded generation via the in-tree `rand` shim), so every
 //! recovery path is reproducible from a single `u64`.
 //!

@@ -19,13 +19,13 @@
 //!   stamped at the simulated clock.
 //! * [`executor`] — a real multi-threaded executor (std scoped threads +
 //!   atomics) implementing the same policies for actually running kernels
-//!   on the host, and [`executor::run_dual_pool`] /
-//!   [`executor::run_dual_pool_supervised`], the instrumented two-device
-//!   scheduler with lease-based recovery (requeue, retry with backoff,
-//!   per-device failure budget, graceful degradation to one pool).
-//!   [`executor::run_dual_pool_durable`] adds the durability hooks —
-//!   resume prefill, periodic checkpoint callbacks, graceful drain —
-//!   that back crash-safe searches.
+//!   on the host, and [`executor::run_dual_pool_durable`], the
+//!   instrumented two-device scheduler with lease-based recovery
+//!   (requeue, retry with backoff, per-device failure budget, graceful
+//!   degradation to one pool) and the durability hooks — resume prefill,
+//!   periodic checkpoint callbacks, graceful drain, per-task cancel —
+//!   that back crash-safe searches. [`executor::run_dual_pool`] is its
+//!   hook-free, infallible convenience.
 //! * [`drain`] — the cooperative stop signal ([`DrainSignal`]) flipped
 //!   by the CLI's SIGINT/SIGTERM handler and honoured by the executor's
 //!   worker pools.
@@ -53,9 +53,8 @@ pub use desim::{
 };
 pub use drain::DrainSignal;
 pub use executor::{
-    run_dual_pool, run_dual_pool_durable, run_dual_pool_supervised, run_dual_pool_traced,
-    run_parallel, try_run_parallel, CheckpointView, DualPoolConfig, DualPoolOutcome,
-    DurableControl, DurableOutcome, ExecError, ExecutorConfig, TaskError,
+    run_dual_pool, run_dual_pool_durable, run_parallel, try_run_parallel, CheckpointView,
+    DualPoolConfig, DurableControl, DurableOutcome, ExecError, ExecutorConfig, TaskError,
 };
 pub use fault::{
     FaultInjector, FaultKind, FaultPlan, FaultSpec, NetFaultInjector, NetFaultKind, NetFaultPlan,

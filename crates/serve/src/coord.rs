@@ -124,7 +124,7 @@ pub struct CoordConfig {
     /// Base backoff for connect retries.
     pub connect_backoff_ms: u64,
     /// When a submit stream has been silent this long, probe the worker
-    /// with a side-channel health heartbeat; [`HEARTBEAT_MISSES`]
+    /// with a side-channel health heartbeat; `HEARTBEAT_MISSES`
     /// consecutive failed probes requeue the shard. 0 disables.
     pub heartbeat_ms: u64,
     /// Seed for connect-retry jitter (same seed → same schedule).

@@ -14,8 +14,8 @@
 //! a per-tenant in-flight quota; everything submitted lands in the
 //! [`Registry`], which is dumped as JSONL on shutdown.
 //!
-//! Layering: [`client`] and [`server`] share the [`json`] wire helpers;
-//! [`server`] demuxes region outcomes through the `batch` collector's
+//! Layering: [`client`] and `server` share the [`json`] wire helpers;
+//! `server` demuxes region outcomes through the `batch` collector's
 //! reply channels; the CLI's `serve`/`submit` commands and the
 //! integration tests are both thin wrappers over these modules.
 

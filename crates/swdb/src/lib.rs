@@ -38,7 +38,6 @@ pub mod profile;
 pub mod shard;
 pub mod snapshot;
 pub mod stats;
-pub mod volumes;
 
 pub use batch::{LaneBatch, LaneBatcher};
 pub use chunk::{split_batches, split_by_cells, BatchRange};
@@ -47,4 +46,3 @@ pub use preprocess::SortedDb;
 pub use profile::{QueryProfile, QueryProfileI8, SequenceProfile, SequenceProfileI8};
 pub use shard::{PlacementEntry, PlacementPlan, ShardManifest, ShardMeta};
 pub use stats::DbStats;
-pub use volumes::VolumePlan;

@@ -1,7 +1,7 @@
 //! Database sharding for multi-process search — the scale-out format.
 //!
 //! A shard file (`SWSHRD1`, extension `.swshard`) wraps one complete
-//! [`snapshot`](crate::snapshot) (SWDBSNP2) in a small header that
+//! [`snapshot`] (SWDBSNP2) in a small header that
 //! records *where in the parent database* the shard's sequences live:
 //! the shard index, the shard count, the global base offset, and the
 //! content digest of the length-sorted parent. Sequence `i` of shard

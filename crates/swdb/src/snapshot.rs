@@ -21,7 +21,7 @@
 //! ```
 //!
 //! Version-1 snapshots (`SWDBSNP1`: same section layout, no digest/CRC
-//! block) are still read for compatibility; [`write`] always emits v2.
+//! block) are still read for compatibility; [`write()`] always emits v2.
 
 use crate::db::SequenceDatabase;
 use crate::integrity::{crc32, Fnv64};
@@ -170,7 +170,7 @@ fn check_crc(section: &str, expect: u32, bytes: &[u8]) -> Result<(), SeqError> {
     Ok(())
 }
 
-/// Deserialize a snapshot produced by [`write`] (v2) or by an older v1
+/// Deserialize a snapshot produced by [`write()`] (v2) or by an older v1
 /// writer. Truncation, inconsistent offsets and CRC mismatches all yield
 /// descriptive errors, never panics.
 pub fn read(mut buf: &[u8]) -> Result<SequenceDatabase, SeqError> {

@@ -80,7 +80,7 @@ fn chrome_pid(query: u64, device: usize) -> u64 {
 /// Export the timeline in Chrome trace-event format (JSON object with a
 /// `traceEvents` array), loadable in Perfetto or `chrome://tracing`.
 ///
-/// Each (query, device pool) pair becomes a process (see [`chrome_pid`];
+/// Each (query, device pool) pair becomes a process (see `chrome_pid`;
 /// solo runs keep `pid = device + 1`) so its worker lanes group
 /// together; each worker is a named thread track. Span kinds map to
 /// `B`/`E` pairs, instants to `I`, and the split estimator's rebalances

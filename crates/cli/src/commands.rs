@@ -348,7 +348,7 @@ fn cmd_search<W: Write>(
         return Err("database holds no sequences".into());
     }
     let params = params_from(opts)?;
-    let prepared = PreparedDb::prepare(db_seqs, opts.lanes, &alphabet);
+    let prepared = PreparedDb::try_prepare(db_seqs, opts.lanes, &alphabet)?;
     let engine = SearchEngine::new(params.clone());
     let isa = isa_from(opts)?;
     let config = SearchConfig {
@@ -1153,7 +1153,7 @@ fn cmd_hetero<W: Write>(
         return Err("database holds no sequences".into());
     }
     let params = params_from(opts)?;
-    let prepared = PreparedDb::prepare(db_seqs, opts.lanes, &alphabet);
+    let prepared = PreparedDb::try_prepare(db_seqs, opts.lanes, &alphabet)?;
     let engine = SearchEngine::new(params);
     let hetero = HeteroEngine::new(engine);
     let plan = hetero.plan_split(&prepared, q.len(), frac);
@@ -1478,7 +1478,7 @@ fn cmd_serve<W: Write>(
         return Err("database holds no sequences".into());
     }
     let params = params_from(opts)?;
-    let prepared = PreparedDb::prepare(db_seqs, opts.lanes, &alphabet);
+    let prepared = PreparedDb::try_prepare(db_seqs, opts.lanes, &alphabet)?;
     let isa = isa_from(opts)?;
     let cfg = SearchConfig {
         variant: opts.variant,

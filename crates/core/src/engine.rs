@@ -16,19 +16,28 @@
 //! hands it every batch, [`SearchEngine::search`] is that with one query,
 //! and the static split (`HeteroEngine::search`) hands it each device's
 //! sub-slice.
+//!
+//! Per search the engine builds one [`QueryProfile`] per query and one
+//! [`ScoreTable`]; per batch task, on the default `intrinsic-SP` path, it
+//! builds nothing — `sw_isa_fused_sp` derives the sequence profile's
+//! values column by column inside the kernel. The paper's "these
+//! profiles cannot be constructed in the pre-processing stage" (§IV)
+//! per-batch `SequenceProfile::build` survives in the guided and
+//! adaptive-precision arms and as the comparator the fused kernel is
+//! tested against.
 
 use crate::config::SearchConfig;
 use crate::prepare::PreparedDb;
 use crate::results::{Hit, SearchResults};
 use std::time::{Duration, Instant};
-use sw_kernels::arch::{sw_isa_adaptive_qp, sw_isa_adaptive_sp, sw_isa_qp, sw_isa_sp};
+use sw_kernels::arch::{sw_isa_adaptive_qp, sw_isa_adaptive_sp, sw_isa_fused_sp, sw_isa_qp};
 use sw_kernels::guided::{sw_guided_qp, sw_guided_sp, GuidedWorkspace};
 use sw_kernels::intertask::KernelOutput;
 use sw_kernels::overflow::rescue_overflows;
 use sw_kernels::scalar::{sw_score_scalar, sw_score_scalar_qp};
 use sw_kernels::{CellCount, ProfileMode, SwParams, Vectorization};
 use sw_sched::{try_run_parallel, ExecutorConfig};
-use sw_swdb::{LaneBatch, QueryProfile, SequenceProfile};
+use sw_swdb::{LaneBatch, QueryProfile, ScoreTable, SequenceProfile};
 
 /// One query's share of a pooled region's wall clock. The region has ONE
 /// wall clock; charging it to every query would inflate aggregate GCUPS
@@ -115,7 +124,7 @@ impl SearchEngine {
             .iter()
             .map(|q| QueryProfile::build(q, &self.params.matrix, &db.alphabet))
             .collect();
-        let block_rows = config.effective_block_rows(db.lanes);
+        let table = ScoreTable::build(&self.params.matrix, &db.alphabet);
         let start = Instant::now();
 
         let mut per_task = try_run_parallel(
@@ -126,7 +135,7 @@ impl SearchEngine {
             },
             |t| {
                 let (qi, bi) = (t / n_batches, t % n_batches);
-                self.run_batch(queries[qi], &qps[qi], db, &batches[bi], config, block_rows)
+                self.run_batch(queries[qi], &qps[qi], &table, db, &batches[bi], config)
             },
         )
         .unwrap_or_else(|e| {
@@ -171,10 +180,10 @@ impl SearchEngine {
         &self,
         query: &[u8],
         qp: &QueryProfile,
+        table: &ScoreTable<'_>,
         db: &PreparedDb,
         batch: &LaneBatch,
         config: &SearchConfig,
-        block_rows: usize,
     ) -> (Vec<Hit>, CellCount, u64) {
         let gap = &self.params.gap;
         let m = query.len();
@@ -196,7 +205,7 @@ impl SearchEngine {
                 }
             }
             Vectorization::Intrinsic => {
-                self.run_batch_intrinsic(query, qp, db, batch, config, block_rows)
+                self.run_batch_intrinsic(query, qp, table, db, batch, config)
             }
         };
 
@@ -248,15 +257,17 @@ impl SearchEngine {
     /// The `intrinsic` path: explicit-lane kernels, monomorphised per
     /// supported lane width and dispatched to the configured ISA
     /// (`sw_kernels::arch`) — real SSE2/AVX2 intrinsics at their native
-    /// widths, the portable kernels everywhere else.
+    /// widths, the portable kernels everywhere else. The default
+    /// (non-adaptive `Sequence`) arm builds no profile: the fused kernel
+    /// works from the per-search `table`.
     fn run_batch_intrinsic(
         &self,
         query: &[u8],
         qp: &QueryProfile,
+        table: &ScoreTable<'_>,
         db: &PreparedDb,
         batch: &LaneBatch,
         config: &SearchConfig,
-        block_rows: usize,
     ) -> KernelOutput {
         macro_rules! dispatch {
             ($lanes:literal) => {{
@@ -280,12 +291,14 @@ impl SearchEngine {
                     };
                     return out;
                 }
-                let block = config.variant.blocking.then_some(block_rows);
+                let block = config
+                    .variant
+                    .blocking
+                    .then(|| config.effective_block_rows($lanes));
                 match config.variant.profile {
                     ProfileMode::Query => sw_isa_qp::<$lanes>(isa, qp, batch, gap, block),
                     ProfileMode::Sequence => {
-                        let sp = SequenceProfile::build(batch, &self.params.matrix, &db.alphabet);
-                        sw_isa_sp::<$lanes>(isa, query, &sp, batch, gap, block)
+                        sw_isa_fused_sp::<$lanes>(isa, query, table, batch, gap, block)
                     }
                 }
             }};
@@ -317,12 +330,15 @@ mod tests {
     }
 
     fn reference_scores(query: &[u8], db: &PreparedDb) -> Vec<(u32, i64)> {
-        let p = SwParams::paper_default();
+        reference_scores_under(query, db, &SwParams::paper_default())
+    }
+
+    fn reference_scores_under(query: &[u8], db: &PreparedDb, p: &SwParams) -> Vec<(u32, i64)> {
         let mut v: Vec<(u32, i64)> = db
             .sorted
             .db()
             .iter()
-            .map(|(id, s)| (id.0, sw_score_scalar(query, s.residues, &p)))
+            .map(|(id, s)| (id.0, sw_score_scalar(query, s.residues, p)))
             .collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         v
@@ -549,6 +565,31 @@ mod tests {
                 &adaptive.with_isa(KernelIsa::Portable),
             );
             assert_eq!(detected.hits, portable.hits, "lanes {lanes} adaptive");
+        }
+    }
+
+    #[test]
+    fn wide_matrix_falls_back_to_the_materialised_profile() {
+        // ±200 does not fit the fused kernel's i8 score table, so the
+        // default path must build the sequence profile per batch — same
+        // hits as the scalar oracle, at SSE2's and AVX2's native widths.
+        let a = Alphabet::protein();
+        let params = SwParams::new(
+            sw_seq::SubstMatrix::match_mismatch(&a, 200, -200),
+            SwParams::paper_default().gap,
+        );
+        assert!(ScoreTable::build(&params.matrix, &a).rows().is_none());
+        let engine = SearchEngine::new(params.clone());
+        let query = generate_query(90, 23).residues;
+        for lanes in [8usize, 16] {
+            let db = small_db(lanes);
+            let res = engine.search(&query, &db, &SearchConfig::best(2));
+            let got: Vec<(u32, i64)> = res.hits.iter().map(|h| (h.id.0, h.score)).collect();
+            assert_eq!(
+                got,
+                reference_scores_under(&query, &db, &params),
+                "lanes {lanes}"
+            );
         }
     }
 

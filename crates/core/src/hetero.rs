@@ -47,7 +47,7 @@ use sw_sched::{
     DurableControl, ExecError, FaultInjector, MetricsSink, DEVICE_ACCEL, DEVICE_CPU,
 };
 use sw_swdb::chunk::{range_cells, split_by_cells};
-use sw_swdb::{BatchRange, QueryProfile};
+use sw_swdb::{BatchRange, QueryProfile, ScoreTable};
 use sw_trace::Timeline;
 
 /// How the database was split between the two devices.
@@ -436,10 +436,7 @@ impl HeteroEngine {
             .iter()
             .map(|q| QueryProfile::build(q.residues, &self.engine.params.matrix, &db.alphabet))
             .collect();
-        let block_rows = [
-            config.cpu.effective_block_rows(db.lanes),
-            config.accel.effective_block_rows(db.lanes),
-        ];
+        let table = ScoreTable::build(&self.engine.params.matrix, &db.alphabet);
         let device_config = [&config.cpu, &config.accel];
         // An all-zero worker config would deadlock the queue; degrade it
         // to a single CPU worker instead.
@@ -556,14 +553,9 @@ impl HeteroEngine {
                 // so one query's concurrent tasks never share a track.
                 let span = q.tracer.map(|tr| tr.task_span(device, bi, bi));
                 let cfg = device_config[device];
-                let out = self.engine.run_batch(
-                    q.residues,
-                    &qps[qi],
-                    db,
-                    &db.batches[bi],
-                    cfg,
-                    block_rows[device],
-                );
+                let out =
+                    self.engine
+                        .run_batch(q.residues, &qps[qi], &table, db, &db.batches[bi], cfg);
                 if let Some(span) = span {
                     span.finish(t as u64, out.1.padded);
                 }
@@ -1115,7 +1107,10 @@ mod tests {
         // through EVERY entry point — the two region bodies and each
         // adapter over them. Every hit list must equal the scalar-oracle
         // list (not merely each other), and the N = 1 adapters must map
-        // the region's facts onto the solo outcome faithfully.
+        // the region's facts onto the solo outcome faithfully. Both
+        // configs are the default intrinsic-SP variant, so every row here
+        // runs the fused kernel (`sw_isa_fused_sp`) — it needs no row of
+        // its own; its fallback is `engine`'s `wide_matrix_*` test.
         let (db, _) = setup();
         let engine = SearchEngine::paper_default();
         let hetero = HeteroEngine::new(engine.clone());

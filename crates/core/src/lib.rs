@@ -49,7 +49,7 @@ pub use hetero::{
     BatchQuery, BatchQueryOutcome, BatchSearchOutcome, DurableOptions, DurableSearchError,
     DurableSearchOutcome, DynamicSearchOutcome, HeteroEngine, SplitPlan,
 };
-pub use prepare::PreparedDb;
+pub use prepare::{PreparedDb, ResidueOutOfRange};
 pub use report::SearchSummary;
 pub use results::{merge_top_k, Hit, SearchResults};
 pub use simulate::{

@@ -1,5 +1,6 @@
 //! Database preparation — pipeline step (2) packaged for the engines.
 
+use std::fmt;
 use sw_device::TaskShape;
 use sw_seq::{Alphabet, EncodedSeq};
 use sw_swdb::{DbStats, LaneBatch, LaneBatcher, SequenceDatabase, SortedDb};
@@ -19,20 +20,84 @@ pub struct PreparedDb {
     pub stats: DbStats,
 }
 
+/// A database sequence holds a residue code the alphabet does not define
+/// — a snapshot or shard written under another alphabet, or a corrupted
+/// one its format carries no checksum for.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ResidueOutOfRange {
+    /// Index of the sequence in the input order.
+    pub seq: usize,
+    /// Its header.
+    pub header: String,
+    /// Offset of the residue within the sequence.
+    pub offset: usize,
+    /// The offending code.
+    pub code: u8,
+    /// Number of codes the alphabet defines.
+    pub alphabet_len: usize,
+}
+
+impl fmt::Display for ResidueOutOfRange {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "database sequence {} ('{}') holds residue code {} at offset {}, \
+             outside the {}-code alphabet",
+            self.seq, self.header, self.code, self.offset, self.alphabet_len
+        )
+    }
+}
+
+impl std::error::Error for ResidueOutOfRange {}
+
 impl PreparedDb {
     /// Prepare owned sequences for `lanes`-wide kernels.
+    ///
+    /// # Panics
+    /// Panics with the [`ResidueOutOfRange`] message when a sequence holds
+    /// a code outside `alphabet`; front-ends that load databases from
+    /// files call [`Self::try_prepare`] instead.
     pub fn prepare(seqs: Vec<EncodedSeq>, lanes: usize, alphabet: &Alphabet) -> Self {
+        Self::try_prepare(seqs, lanes, alphabet).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::prepare`] with the residue-range check as an error. This
+    /// is the one place every database passes through (FASTA, both
+    /// snapshot versions, shard containers), and the alphabet is known
+    /// here: past it every kernel may treat a batch residue as an index
+    /// into a `|Σ| + 1`-code table.
+    pub fn try_prepare(
+        seqs: Vec<EncodedSeq>,
+        lanes: usize,
+        alphabet: &Alphabet,
+    ) -> Result<Self, ResidueOutOfRange> {
+        let n = alphabet.len();
+        for (seq, s) in seqs.iter().enumerate() {
+            // The max-reduction vectorises (6× an early-exit search on a
+            // clean database); the offset is only looked up on failure.
+            if s.residues.iter().fold(0u8, |m, &r| m.max(r)) as usize >= n {
+                let offset = s.residues.iter().position(|&r| r as usize >= n);
+                let offset = offset.expect("the maximum is one of the residues");
+                return Err(ResidueOutOfRange {
+                    seq,
+                    header: s.header.to_string(),
+                    offset,
+                    code: s.residues[offset],
+                    alphabet_len: n,
+                });
+            }
+        }
         let db = SequenceDatabase::from_sequences(seqs);
         let stats = DbStats::compute(&db);
         let sorted = SortedDb::new(db);
         let batches = LaneBatcher::new(lanes, alphabet).batch(&sorted);
-        PreparedDb {
+        Ok(PreparedDb {
             alphabet: alphabet.clone(),
             sorted,
             batches,
             lanes,
             stats,
-        }
+        })
     }
 
     /// Number of database sequences.
@@ -101,6 +166,58 @@ mod tests {
         let total_lanes: usize = db.batches.iter().map(|b| b.real_lanes()).sum();
         assert_eq!(total_lanes, n);
         assert_eq!(db.batches.len(), n.div_ceil(8));
+    }
+
+    #[test]
+    fn out_of_range_residue_in_a_v1_snapshot_is_refused_at_prepare() {
+        // SWDBSNP1 carries no CRC, so a residue byte the alphabet does not
+        // define reads back structurally sound. It must stop here — a
+        // materialised profile would index out of its matrix row, a
+        // shuffle would score it as some other residue.
+        let a = Alphabet::protein();
+        let mut v1 = Vec::new();
+        v1.extend_from_slice(b"SWDBSNP1");
+        v1.extend_from_slice(&2u64.to_le_bytes()); // n_seqs
+        v1.extend_from_slice(&5u64.to_le_bytes()); // n_res
+        for off in [0u64, 3, 5] {
+            v1.extend_from_slice(&off.to_le_bytes());
+        }
+        v1.extend_from_slice(&[0, 1, 2, 3, 200]); // seq 1 = [3, 200]
+        for h in ["first", "second"] {
+            v1.extend_from_slice(&(h.len() as u32).to_le_bytes());
+            v1.extend_from_slice(h.as_bytes());
+        }
+        let db = sw_swdb::snapshot::read(&v1).expect("structurally valid v1");
+        let seqs: Vec<EncodedSeq> = db
+            .iter()
+            .map(|(id, v)| EncodedSeq {
+                header: db.header(id).into(),
+                residues: v.residues.to_vec(),
+            })
+            .collect();
+        let err = PreparedDb::try_prepare(seqs.clone(), 8, &a).unwrap_err();
+        assert_eq!(
+            err,
+            ResidueOutOfRange {
+                seq: 1,
+                header: "second".into(),
+                offset: 1,
+                code: 200,
+                alphabet_len: 24,
+            }
+        );
+        let msg = err.to_string();
+        assert!(
+            msg.contains("sequence 1") && msg.contains("offset 1"),
+            "{msg}"
+        );
+        // The pad code itself (24) is not a residue either.
+        let mut pad = seqs.clone();
+        pad[1].residues[1] = 24;
+        assert!(PreparedDb::try_prepare(pad, 8, &a).is_err());
+        // The infallible constructor refuses with the same message.
+        let panic = std::panic::catch_unwind(|| PreparedDb::prepare(seqs, 8, &a)).unwrap_err();
+        assert_eq!(panic.downcast_ref::<String>(), Some(&msg));
     }
 
     #[test]

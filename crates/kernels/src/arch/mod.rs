@@ -21,6 +21,11 @@
 //!   32 × i8, SSE2 at 8 × i16 / 16 × i8. An AVX2 selection at SSE width
 //!   runs the 128-bit kernels (AVX2 implies SSE2); anything else falls
 //!   back to the portable kernels.
+//! * The default search path runs [`sw_isa_fused_sp`]: the sequence
+//!   profile's values without the per-batch table. It engages under the
+//!   same width rule, and additionally only for a score table with
+//!   shuffle rows (scores fit `i8`, ≤ 31 residue codes); otherwise it
+//!   materialises the profile and calls [`sw_isa_sp`].
 //! * Results are **identical** across every path — scores *and*
 //!   overflow/saturation flags — enforced by the differential suite in
 //!   `tests/isa_differential.rs`.
@@ -39,7 +44,9 @@ use crate::narrow::{
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use sw_seq::GapPenalty;
-use sw_swdb::{LaneBatch, QueryProfile, QueryProfileI8, SequenceProfile, SequenceProfileI8};
+use sw_swdb::{
+    LaneBatch, QueryProfile, QueryProfileI8, ScoreTable, SequenceProfile, SequenceProfileI8,
+};
 
 #[cfg(target_arch = "x86_64")]
 mod x86;
@@ -191,6 +198,51 @@ pub fn sw_isa_sp<const L: usize>(
         None => sw_lanes_sp::<L>(query, sp, batch, gap, &mut Workspace::new()),
         Some(b) => sw_blocked_sp::<L>(query, sp, batch, gap, b, &mut BlockedWorkspace::new()),
     }
+}
+
+/// i16 inter-task kernel, fused SP flavour, dispatched on `isa`: the
+/// result of [`sw_isa_sp`] over `SequenceProfile::build(batch, ..)`
+/// without building that profile. The intrinsic kernels derive each
+/// column's SP rows in registers from `table`; where they do not engage —
+/// `Portable`, a lane width that is not the ISA's native one, a non-x86
+/// target, or a `table` without shuffle rows (scores beyond `i8`, more
+/// than 31 residue codes) — the profile is materialised and handed to
+/// [`sw_isa_sp`]. Scores and overflow flags are identical either way.
+pub fn sw_isa_fused_sp<const L: usize>(
+    isa: KernelIsa,
+    query: &[u8],
+    table: &ScoreTable<'_>,
+    batch: &LaneBatch,
+    gap: &GapPenalty,
+    block_rows: Option<usize>,
+) -> KernelOutput {
+    // Release builds rely on `PreparedDb::prepare` having checked this: a
+    // shuffle scores a stray code as some other residue (memory-safe, but
+    // wrong) where the materialised build would panic.
+    debug_assert!(
+        batch
+            .interleaved()
+            .iter()
+            .all(|&r| r as usize <= table.alphabet().len()),
+        "batch residue code outside the alphabet and its pad code"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if let Some(rows) = table.rows() {
+        let block = eff_block(block_rows, query.len());
+        match isa {
+            KernelIsa::Avx2 if L == x86::avx2::LANES_I16 && isa.is_available() => {
+                // SAFETY: AVX2 presence verified by `is_available` above.
+                return unsafe { x86::avx2::sw_fused_i16(query, rows, batch, gap, block) };
+            }
+            KernelIsa::Avx2 | KernelIsa::Sse2 if L == x86::sse2::LANES_I16 => {
+                // SAFETY: SSE2 is part of the x86_64 baseline ABI.
+                return unsafe { x86::sse2::sw_fused_i16(query, rows, batch, gap, block) };
+            }
+            _ => {}
+        }
+    }
+    let sp = SequenceProfile::build(batch, table.matrix(), table.alphabet());
+    sw_isa_sp::<L>(isa, query, &sp, batch, gap, block_rows)
 }
 
 /// i8 narrow kernel, QP flavour, dispatched on `isa`.

@@ -3,13 +3,20 @@
 //!
 //! Each ISA module defines two thin vector newtypes (`V16`, `V8`) whose
 //! methods are `#[target_feature]`-annotated wrappers over the raw
-//! `std::arch` intrinsics, plus the four kernels the dispatcher in
-//! [`super`] calls: `sw_qp_i16` / `sw_sp_i16` (row-blocked; one block
-//! spanning the query = unblocked) and `sw_qp_i8` / `sw_sp_i8` (the
-//! narrow tier, unblocked like `crate::narrow`). The DP recurrence is a
-//! line-for-line translation of the portable kernels — same saturating
-//! ops, same `NEG_INF` sentinels, same `vmax == MAX` overflow flagging —
-//! so scores and flags are bit-identical across tiers.
+//! `std::arch` intrinsics, plus the five kernels the dispatcher in
+//! [`super`] calls: `sw_qp_i16` / `sw_sp_i16` / `sw_fused_i16`
+//! (row-blocked; one block spanning the query = unblocked) and `sw_qp_i8`
+//! / `sw_sp_i8` (the narrow tier, unblocked like `crate::narrow`). The DP
+//! recurrence is a line-for-line translation of the portable kernels —
+//! same saturating ops, same `NEG_INF` sentinels, same `vmax == MAX`
+//! overflow flagging — so scores and flags are bit-identical across tiers.
+//!
+//! The three i16 kernels are one sweep (`dp_i16!`) with three sources of
+//! the substitution vector: a gather from the query profile, an aligned
+//! load from a materialised sequence profile, or — the fused flavour — a
+//! stack array of ≤ 32 score vectors that a per-column prologue
+//! (`column_scores`) derives from the batch column and the per-search
+//! [`sw_swdb::ScoreTable`], so no `|Σ|·N_pad·L` table is ever stored.
 //!
 //! # Safety
 //!
@@ -24,14 +31,24 @@
 //!   are rows of [`sw_swdb::SequenceProfile`] / [`SequenceProfileI8`],
 //!   whose storage is 64-byte aligned with rows a multiple of the vector
 //!   size apart (the alignment contract documented on
-//!   `SequenceProfile::row`), re-checked here with `debug_assert!`.
+//!   `SequenceProfile::row`), re-checked here with `debug_assert!`. The
+//!   contract covers the materialised kernels only: the fused kernel
+//!   reads batch columns and table rows with unaligned loads.
+//! * The fused kernel indexes its 32-entry score array with `code & 31`
+//!   after asserting every query code `< |Σ|`; a shuffle cannot read
+//!   outside its 16-byte source register whatever the index byte holds.
+//!   A batch residue outside the alphabet would therefore be scored as
+//!   some other residue, never read out of bounds — `PreparedDb::prepare`
+//!   rejects such databases before any kernel runs.
 
 #![allow(unsafe_code)]
 
 use crate::intertask::{KernelOutput, NEG_INF_I16};
 use crate::narrow::{NarrowOutput, NEG_INF_I8};
 use sw_seq::GapPenalty;
-use sw_swdb::{LaneBatch, QueryProfile, QueryProfileI8, SequenceProfile, SequenceProfileI8};
+use sw_swdb::{
+    LaneBatch, QueryProfile, QueryProfileI8, SequenceProfile, SequenceProfileI8, SCORE_TABLE_COLS,
+};
 
 macro_rules! isa_kernels {
     (
@@ -51,6 +68,7 @@ macro_rules! isa_kernels {
         load: $load:path,
         loadu: $loadu:path,
         storeu: $storeu:path,
+        column_scores: $column_scores:path,
     ) => {
         /// i16 lanes per vector.
         pub(crate) const LANES_I16: usize = $l16;
@@ -228,11 +246,17 @@ macro_rules! isa_kernels {
             NarrowOutput { scores, saturated }
         }
 
-        /// Row-blocked i16 DP sweep over an arbitrary substitution-vector
-        /// closure-free source, shared by the QP and SP kernels below via
-        /// duplication of the two-line inner difference.
+        /// Row-blocked i16 DP sweep, shared by the three i16 kernels
+        /// below. A flavour supplies `$rows(i0, i1)` — an iterator of one
+        /// key per query row of the block (the row index for QP, the
+        /// residue code for SP) — `$column(j)`, run once per database
+        /// column of each block, and `$subst(key, j)`, the substitution
+        /// vector of one cell. The H/F columns, the block-boundary rows
+        /// and the keys are walked in lock step, so the sweep itself
+        /// indexes nothing.
         macro_rules! dp_i16 {
-            ($m:expr, $n:expr, $batch:expr, $gap:expr, $block_rows:expr, $subst:expr) => {{
+            ($m:expr, $n:expr, $batch:expr, $gap:expr, $block_rows:expr,
+             rows: $rows:expr, column: $column:expr, subst: $subst:expr) => {{
                 let m: usize = $m;
                 let n: usize = $n;
                 assert!($block_rows > 0, "block_rows must be positive");
@@ -254,27 +278,28 @@ macro_rules! isa_kernels {
                     f_col.clear();
                     f_col.resize(rows, neg_inf);
                     let mut diag_carry = zero; // H[i0-1][j-1], j = -1 → 0
-                    for j in 0..n {
-                        let old_bh = bh[j]; // H[i0-1][j]
-                        let old_be = be[j]; // E[i0-1][j]
+                    for (j, (bh_j, be_j)) in bh.iter_mut().zip(be.iter_mut()).enumerate() {
+                        $column(j);
+                        let old_bh = *bh_j; // H[i0-1][j]
                         let mut h_diag = diag_carry;
                         let mut h_up = old_bh;
-                        let mut e_run = old_be;
-                        for k in 0..rows {
-                            let v: V16 = $subst(i0 + k, j);
-                            let h_prev = h_col[k];
-                            let f = h_prev.subs(first).max(f_col[k].subs(extend));
+                        let mut e_run = *be_j; // E[i0-1][j]
+                        let cells = h_col.iter_mut().zip(f_col.iter_mut());
+                        for ((hc, fc), key) in cells.zip($rows(i0, i1)) {
+                            let v: V16 = $subst(key, j);
+                            let h_prev = *hc;
+                            let f = h_prev.subs(first).max(fc.subs(extend));
                             let e = h_up.subs(first).max(e_run.subs(extend));
                             let h = h_diag.adds(v).max(e).max(f).max(zero);
                             h_diag = h_prev;
-                            h_col[k] = h;
-                            f_col[k] = f;
+                            *hc = h;
+                            *fc = f;
                             e_run = e;
                             h_up = h;
                             vmax = vmax.max(h);
                         }
-                        bh[j] = h_up; //  H[i1-1][j] for the next block
-                        be[j] = e_run; // E[i1-1][j]
+                        *bh_j = h_up; //  H[i1-1][j] for the next block
+                        *be_j = e_run; // E[i1-1][j]
                         diag_carry = old_bh;
                     }
                     i0 = i1;
@@ -302,7 +327,9 @@ macro_rules! isa_kernels {
                 batch,
                 gap,
                 block_rows,
-                |i, j| V16::gather(qp.row(i), batch.row(j))
+                rows: |i0, i1| i0..i1,
+                column: |_j| (),
+                subst: |i, j| V16::gather(qp.row(i), batch.row(j))
             )
         }
 
@@ -336,14 +363,58 @@ macro_rules! isa_kernels {
                 batch,
                 gap,
                 block_rows,
-                |i, j| V16::load(sp.row(query[i], j))
+                rows: |i0, i1| query[i0..i1].iter(),
+                column: |_j| (),
+                subst: |&q, j| V16::load(sp.row(q, j))
+            )
+        }
+
+        /// i16 kernel, fused sequence-profile flavour: the SP rows of one
+        /// database column are shuffled out of `table` into a stack array
+        /// when the sweep reaches the column, only for the residue codes
+        /// the query contains, and the inner loop picks its vector from
+        /// that array — bit-identical to [`sw_sp_i16`] over
+        /// `SequenceProfile::build` of the same batch, without the table.
+        ///
+        /// # Panics
+        /// Panics on a lane-width mismatch or a query code `≥ table.len()`.
+        #[target_feature(enable = $feat)]
+        pub(crate) fn sw_fused_i16(
+            query: &[u8],
+            table: &[[i8; SCORE_TABLE_COLS]],
+            batch: &LaneBatch,
+            gap: &GapPenalty,
+            block_rows: usize,
+        ) -> KernelOutput {
+            assert_eq!(
+                batch.lanes(),
+                LANES_I16,
+                "batch lane width must match kernel width"
+            );
+            assert!(table.len() < SCORE_TABLE_COLS, "table has a pad column");
+            assert!(
+                query.iter().all(|&q| (q as usize) < table.len()),
+                "query residue code outside the score table"
+            );
+            let present = query.iter().fold(0u32, |set, &q| set | 1 << q);
+            let mut col = [V16::zero(); SCORE_TABLE_COLS];
+            dp_i16!(
+                query.len(),
+                batch.padded_len(),
+                batch,
+                gap,
+                block_rows,
+                rows: |i0, i1| query[i0..i1].iter(),
+                column: |j| $column_scores(&mut col, table, present, batch.row(j)),
+                subst: |&q, _j| col[q as usize % SCORE_TABLE_COLS]
             )
         }
 
         /// Unblocked i8 DP sweep (the narrow tier mirrors
-        /// `crate::narrow`, which never blocks).
+        /// `crate::narrow`, which never blocks); `$rows` and `$subst` as
+        /// for `dp_i16!`.
         macro_rules! dp_i8 {
-            ($m:expr, $n:expr, $batch:expr, $gap:expr, $subst:expr) => {{
+            ($m:expr, $n:expr, $batch:expr, $gap:expr, rows: $rows:expr, subst: $subst:expr) => {{
                 let m: usize = $m;
                 let n: usize = $n;
                 let first = V8::splat($gap.first().clamp(0, 127) as i8);
@@ -357,8 +428,9 @@ macro_rules! isa_kernels {
                     let mut h_diag = zero;
                     let mut h_up = zero;
                     let mut e_run = neg_inf;
-                    for (i, (hc, fc)) in h_col.iter_mut().zip(f_col.iter_mut()).enumerate() {
-                        let v: V8 = $subst(i, j);
+                    let cells = h_col.iter_mut().zip(f_col.iter_mut());
+                    for ((hc, fc), key) in cells.zip($rows) {
+                        let v: V8 = $subst(key, j);
                         let h_prev = *hc;
                         let f = h_prev.subs(first).max(fc.subs(extend));
                         let e = h_up.subs(first).max(e_run.subs(extend));
@@ -387,9 +459,14 @@ macro_rules! isa_kernels {
                 LANES_I8,
                 "batch lane width must match kernel width"
             );
-            dp_i8!(qp8.query_len(), batch.padded_len(), batch, gap, |i, j| {
-                V8::gather(qp8.row(i), batch.row(j))
-            })
+            dp_i8!(
+                qp8.query_len(),
+                batch.padded_len(),
+                batch,
+                gap,
+                rows: 0..qp8.query_len(),
+                subst: |i, j| V8::gather(qp8.row(i), batch.row(j))
+            )
         }
 
         /// i8 narrow kernel, sequence-profile flavour.
@@ -415,9 +492,14 @@ macro_rules! isa_kernels {
                 batch.padded_len(),
                 "profile/batch shape mismatch"
             );
-            dp_i8!(query.len(), batch.padded_len(), batch, gap, |i, j| {
-                V8::load(sp8.row(query[i], j))
-            })
+            dp_i8!(
+                query.len(),
+                batch.padded_len(),
+                batch,
+                gap,
+                rows: query.iter(),
+                subst: |&q, j| V8::load(sp8.row(q, j))
+            )
         }
     };
 }
@@ -434,6 +516,33 @@ pub(crate) mod sse2 {
     fn max_epi8_sse2(a: __m128i, b: __m128i) -> __m128i {
         let gt = _mm_cmpgt_epi8(a, b);
         _mm_or_si128(_mm_and_si128(gt, a), _mm_andnot_si128(gt, b))
+    }
+
+    /// Fused-kernel column prologue: `col[e]` = SP row `(e, j)` for every
+    /// residue code `e` in `present`, given the batch column `residues`.
+    /// `pshufb` is SSSE3 and this is the baseline-ABI tier, so the lanes
+    /// are filled by scalar lookups into the table row.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn column_scores(
+        col: &mut [V16; SCORE_TABLE_COLS],
+        table: &[[i8; SCORE_TABLE_COLS]],
+        present: u32,
+        residues: &[u8],
+    ) {
+        let residues = &residues[..LANES_I16];
+        let mut codes = present;
+        while codes != 0 {
+            let e = codes.trailing_zeros() as usize;
+            codes &= codes - 1;
+            let row = &table[e];
+            let mut buf = [0i16; LANES_I16];
+            for (o, &r) in buf.iter_mut().zip(residues) {
+                *o = row[r as usize % SCORE_TABLE_COLS] as i16;
+            }
+            // SAFETY: `buf` is exactly one vector of valid memory.
+            col[e] = V16(unsafe { _mm_loadu_si128(buf.as_ptr().cast()) });
+        }
     }
 
     isa_kernels! {
@@ -453,6 +562,7 @@ pub(crate) mod sse2 {
         load: _mm_load_si128,
         loadu: _mm_loadu_si128,
         storeu: _mm_storeu_si128,
+        column_scores: column_scores,
     }
 }
 
@@ -460,6 +570,45 @@ pub(crate) mod sse2 {
 pub(crate) mod avx2 {
     use super::*;
     use std::arch::x86_64::*;
+
+    /// Fused-kernel column prologue: `col[e]` = SP row `(e, j)` for every
+    /// residue code `e` in `present`, given the batch column `residues`.
+    ///
+    /// A table row is 32 scores but `pshufb` indexes 16, so the index is
+    /// split once per column: `paddusb 0x70` keeps codes 0–15 as they are
+    /// in the low nibble and pushes 16–31 past 0x7F (bit 7 set → the
+    /// shuffle yields 0); `psubb 16` does the opposite, wrapping 0–15 to
+    /// 0xF0.. (→ 0) and mapping 16–31 to 0–15. Per residue code: shuffle
+    /// each half of its row by its index, `por` the two, sign-extend the
+    /// 16 bytes to 16 × i16.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn column_scores(
+        col: &mut [V16; SCORE_TABLE_COLS],
+        table: &[[i8; SCORE_TABLE_COLS]],
+        present: u32,
+        residues: &[u8],
+    ) {
+        // SAFETY: the slice index guarantees LANES_I16 = 16 readable bytes.
+        let codes_v = unsafe { _mm_loadu_si128(residues[..LANES_I16].as_ptr().cast()) };
+        let lo_ix = _mm_adds_epu8(codes_v, _mm_set1_epi8(0x70));
+        let hi_ix = _mm_sub_epi8(codes_v, _mm_set1_epi8(16));
+        let mut codes = present;
+        while codes != 0 {
+            let e = codes.trailing_zeros() as usize;
+            codes &= codes - 1;
+            let row = &table[e];
+            // SAFETY: each half of the 32-byte row is 16 readable bytes.
+            let (lo, hi) = unsafe {
+                (
+                    _mm_loadu_si128(row[..16].as_ptr().cast()),
+                    _mm_loadu_si128(row[16..].as_ptr().cast()),
+                )
+            };
+            let scores = _mm_or_si128(_mm_shuffle_epi8(lo, lo_ix), _mm_shuffle_epi8(hi, hi_ix));
+            col[e] = V16(_mm256_cvtepi8_epi16(scores));
+        }
+    }
 
     isa_kernels! {
         feature: "avx2",
@@ -478,5 +627,6 @@ pub(crate) mod avx2 {
         load: _mm256_load_si256,
         loadu: _mm256_loadu_si256,
         storeu: _mm256_storeu_si256,
+        column_scores: column_scores,
     }
 }

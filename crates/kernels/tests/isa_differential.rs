@@ -8,6 +8,11 @@
 //! are additionally pinned to the scalar reference on non-overflowed
 //! lanes, so agreement here is agreement with ground truth.
 //!
+//! The fused SP kernel (`sw_isa_fused_sp`, the default search path) is
+//! one more flavour of every such comparison: it must equal `sw_isa_sp`
+//! over the materialised profile of the same batch — where its intrinsic
+//! bodies engage (8/16 lanes on SSE2/AVX2) and where it falls back.
+//!
 //! The inputs deliberately include mixed-length batches (padding lanes in
 //! play), batches with fewer sequences than lanes, and sequences tuned to
 //! land *exactly* on `i8::MAX` / `i16::MAX` — the boundary where a capped
@@ -17,7 +22,9 @@ use sw_kernels::arch::{self, KernelIsa};
 use sw_kernels::{sw_score_scalar, SwParams};
 use sw_seq::{Alphabet, SeqId};
 use sw_swdb::batch::pad_code;
-use sw_swdb::{LaneBatch, QueryProfile, QueryProfileI8, SequenceProfile, SequenceProfileI8};
+use sw_swdb::{
+    LaneBatch, QueryProfile, QueryProfileI8, ScoreTable, SequenceProfile, SequenceProfileI8,
+};
 
 /// Deterministic LCG so failures reproduce exactly.
 struct Rng(u64);
@@ -37,6 +44,14 @@ impl Rng {
             .map(|_| LETTERS[(self.next() as usize) % LETTERS.len()])
             .collect();
         a.encode_strict(&raw).unwrap()
+    }
+
+    /// Codes drawn from the whole alphabet — `B Z X *` (codes 20–23)
+    /// included, so codes 16–23 exercise the high shuffle half.
+    fn seq_all_codes(&mut self, a: &Alphabet, len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|_| (self.next() as usize % a.len()) as u8)
+            .collect()
     }
 }
 
@@ -70,6 +85,7 @@ fn check_width<const L: usize>(
     let sp = SequenceProfile::build(&batch, &p.matrix, a);
     let qp8 = QueryProfileI8::from_wide(&qp);
     let sp8 = SequenceProfileI8::from_wide(&sp);
+    let table = ScoreTable::build(&p.matrix, a);
 
     let base = arch::sw_isa_qp::<L>(KernelIsa::Portable, &qp, &batch, &p.gap, None);
     for (lane, s) in subjects.iter().enumerate() {
@@ -85,11 +101,13 @@ fn check_width<const L: usize>(
     let base_ad = arch::sw_isa_adaptive_qp::<L>(KernelIsa::Portable, &qp, &qp8, &batch, &p.gap);
 
     for isa in isas() {
-        for block in [None, Some(1), Some(7)] {
+        for block in [None, Some(1), Some(7), Some(query.len() + 3)] {
             let o = arch::sw_isa_qp::<L>(isa, &qp, &batch, &p.gap, block);
             assert_eq!(o, base, "{label}: qp i16 {isa} block {block:?}");
             let o = arch::sw_isa_sp::<L>(isa, query, &sp, &batch, &p.gap, block);
             assert_eq!(o, base, "{label}: sp i16 {isa} block {block:?}");
+            let o = arch::sw_isa_fused_sp::<L>(isa, query, &table, &batch, &p.gap, block);
+            assert_eq!(o, base, "{label}: fused sp i16 {isa} block {block:?}");
         }
         let o = arch::sw_isa_narrow_qp::<L>(isa, &qp8, &batch, &p.gap);
         assert_eq!(o, base8, "{label}: qp i8 {isa}");
@@ -144,6 +162,100 @@ fn fuzz_mixed_length_batches_all_widths() {
     }
 }
 
+/// Ragged batches over the *whole* alphabet: a partial last batch (fewer
+/// sequences than lanes → pad lanes), length-1 sequences beside long
+/// ones (pad tails), queries and subjects using all 24 codes. The fused
+/// kernel's two shuffle halves, its pad column and its present-code set
+/// are all live; `check_width` compares it with `sw_isa_sp`, the other
+/// flavours and the scalar reference at every lane width.
+#[test]
+fn fused_kernel_over_the_whole_alphabet_and_ragged_batches() {
+    let a = Alphabet::protein();
+    let p = SwParams::paper_default();
+    let mut rng = Rng(0xf00d_cafe);
+    let all: Vec<u8> = (0..a.len() as u8).collect();
+    for round in 0..3 {
+        // Round 0: the query holds every code once; later rounds draw a
+        // subset, so some codes are absent from the present-code set.
+        let query = if round == 0 {
+            all.clone()
+        } else {
+            rng.seq_all_codes(&a, 5 + round * 9)
+        };
+        let mut subjects: Vec<Vec<u8>> = vec![all.clone(), vec![23], vec![16]];
+        for _ in 0..(2 + round * 5) {
+            let len = 1 + (rng.next() as usize) % 50;
+            subjects.push(rng.seq_all_codes(&a, len));
+        }
+        let n = subjects.len();
+        check_width::<4>(&a, &p, &query, &subjects[..4], &format!("all r{round} L4"));
+        check_width::<8>(
+            &a,
+            &p,
+            &query,
+            &subjects[..n.min(8)],
+            &format!("all r{round} L8"),
+        );
+        check_width::<16>(
+            &a,
+            &p,
+            &query,
+            &subjects[..n.min(16)],
+            &format!("all r{round} L16"),
+        );
+        check_width::<32>(&a, &p, &query, &subjects, &format!("all r{round} L32"));
+    }
+}
+
+/// A matrix whose scores do not fit `i8` has no shuffle rows: the fused
+/// dispatcher must materialise the profile and agree with `sw_isa_sp`
+/// and the scalar reference under every ISA (scores here overflow i16
+/// for the long pair, so the flags are compared too).
+#[test]
+fn fused_dispatcher_falls_back_when_scores_do_not_fit_i8() {
+    let a = Alphabet::protein();
+    let p = SwParams::new(
+        sw_seq::SubstMatrix::match_mismatch(&a, 200, -200),
+        SwParams::paper_default().gap,
+    );
+    let table = ScoreTable::build(&p.matrix, &a);
+    assert!(table.rows().is_none());
+    let mut rng = Rng(0xbead);
+    let query = rng.seq_all_codes(&a, 170);
+    let mut subjects: Vec<Vec<u8>> = (0..5).map(|i| rng.seq_all_codes(&a, 3 + 7 * i)).collect();
+    subjects.push(query.clone()); // 170 · 200 > i16::MAX
+    let check = |isa: KernelIsa, lanes: usize, o: sw_kernels::intertask::KernelOutput| {
+        assert!(o.overflowed[5], "{isa} L{lanes}: the long pair saturates");
+        for (lane, s) in subjects.iter().enumerate() {
+            if !o.overflowed[lane] {
+                assert_eq!(
+                    o.scores[lane],
+                    sw_score_scalar(&query, s, &p),
+                    "{isa} L{lanes}"
+                );
+            }
+        }
+    };
+    for isa in isas() {
+        let b8 = make_batch(8, &a, &subjects);
+        let sp = SequenceProfile::build(&b8, &p.matrix, &a);
+        let o = arch::sw_isa_fused_sp::<8>(isa, &query, &table, &b8, &p.gap, Some(7));
+        assert_eq!(
+            o,
+            arch::sw_isa_sp::<8>(isa, &query, &sp, &b8, &p.gap, Some(7))
+        );
+        check(isa, 8, o);
+        let b16 = make_batch(16, &a, &subjects);
+        let sp = SequenceProfile::build(&b16, &p.matrix, &a);
+        let o = arch::sw_isa_fused_sp::<16>(isa, &query, &table, &b16, &p.gap, None);
+        assert_eq!(
+            o,
+            arch::sw_isa_sp::<16>(isa, &query, &sp, &b16, &p.gap, None)
+        );
+        check(isa, 16, o);
+    }
+}
+
 /// Eleven Ws and one G self-align to 11·11 + 6 = 127 = `i8::MAX` exactly:
 /// every ISA must both report 127 *and* raise the saturation flag.
 #[test]
@@ -185,6 +297,7 @@ fn i16_max_boundary_flags_identical_across_isas() {
     seq.extend(std::iter::repeat_n(g, 7));
     let subjects = vec![seq.clone()];
     let qp = QueryProfile::build(&seq, &p.matrix, &a);
+    let table = ScoreTable::build(&p.matrix, &a);
 
     let b8 = make_batch(8, &a, &subjects);
     let base = arch::sw_isa_qp::<8>(KernelIsa::Portable, &qp, &b8, &p.gap, None);
@@ -197,12 +310,16 @@ fn i16_max_boundary_flags_identical_across_isas() {
         }
         let o = arch::sw_isa_qp::<8>(isa, &qp, &b8, &p.gap, None);
         assert_eq!(o, base, "{isa} at L=8");
+        let o = arch::sw_isa_fused_sp::<8>(isa, &seq, &table, &b8, &p.gap, None);
+        assert_eq!(o, base, "{isa} fused at L=8");
         if isa == KernelIsa::Avx2 {
             let b16 = make_batch(16, &a, &subjects);
             let o = arch::sw_isa_qp::<16>(isa, &qp, &b16, &p.gap, None);
             let pb = arch::sw_isa_qp::<16>(KernelIsa::Portable, &qp, &b16, &p.gap, None);
             assert_eq!(o, pb, "avx2 at its native L=16");
             assert!(o.overflowed[0]);
+            let o = arch::sw_isa_fused_sp::<16>(isa, &seq, &table, &b16, &p.gap, None);
+            assert_eq!(o, pb, "avx2 fused at its native L=16");
         }
     }
 }

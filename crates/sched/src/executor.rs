@@ -2012,7 +2012,11 @@ mod tests {
         let max_seen = AtomicU64::new(0);
         let on_ckpt = |view: CheckpointView<'_, usize>| {
             calls.fetch_add(1, Ordering::Relaxed);
-            max_seen.fetch_max(view.tasks_done, Ordering::Relaxed);
+            // Invocations are serialised by the gate and read the task
+            // count under it, so successive views never go backwards.
+            let before = max_seen.fetch_max(view.tasks_done, Ordering::Relaxed);
+            assert!(before <= view.tasks_done, "views are non-decreasing");
+            assert!(view.tasks_done <= 200);
             // The view is whole-chunk consistent: every present slot
             // holds its deterministic value.
             for (i, slot) in view.slots.iter().enumerate() {
@@ -2042,12 +2046,10 @@ mod tests {
         );
         assert_eq!(out.tasks_done(), 200);
         let n = calls.load(Ordering::Relaxed);
+        // The gate is a try_lock: a tick that collides with a checkpoint
+        // in flight is dropped, so the LAST chunk's tick may be the one
+        // dropped and no view is promised to see all 200 tasks.
         assert!(n >= 1, "interval 1 must checkpoint at least once");
-        assert_eq!(
-            max_seen.load(Ordering::Relaxed),
-            200,
-            "final view sees all tasks"
-        );
         let tl = tracer.timeline();
         assert_eq!(
             tl.count("checkpoint_written") as u64,

@@ -16,7 +16,8 @@
 //!    SIMD kernels (the SWIPE scheme the paper builds on).
 //! 4. [`profile`] — the paper's two substitution-score layouts: the *query
 //!    profile* (QP, built once per query) and the *sequence profile* (SP,
-//!    built per batch).
+//!    built per batch) — plus the per-search *score table* the fused
+//!    kernel shuffles instead of materialising the SP.
 //! 5. [`chunk`] — contiguous batch ranges for scheduling and for the
 //!    CPU/accelerator split of Algorithm 2.
 //! 6. [`stats`] — the database statistics the paper reports in §V-B.
@@ -43,6 +44,8 @@ pub use batch::{LaneBatch, LaneBatcher};
 pub use chunk::{split_batches, split_by_cells, BatchRange};
 pub use db::SequenceDatabase;
 pub use preprocess::SortedDb;
-pub use profile::{QueryProfile, QueryProfileI8, SequenceProfile, SequenceProfileI8};
+pub use profile::{
+    QueryProfile, QueryProfileI8, ScoreTable, SequenceProfile, SequenceProfileI8, SCORE_TABLE_COLS,
+};
 pub use shard::{PlacementEntry, PlacementPlan, ShardManifest, ShardMeta};
 pub use stats::DbStats;

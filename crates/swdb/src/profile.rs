@@ -1,5 +1,6 @@
 //! Query and sequence profiles — the paper's two substitution-score
-//! layouts (§IV).
+//! layouts (§IV) — and the score table the fused kernel shuffles instead
+//! of materialising the second one.
 //!
 //! **Query profile (QP)**: a `|Q| × |Σ'|` table built once per query in the
 //! pre-processing stage. Row `i` holds the scores of query residue `q_i`
@@ -15,7 +16,18 @@
 //! lane's residue at database position `j`; the kernel then loads row
 //! `(q_i, j)` as one contiguous vector. The build cost is `|Σ|·N·L` — it
 //! amortises over `M·N·L` DP cells, which is why SP gets *better* as the
-//! query grows (Fig. 6).
+//! query grows (Fig. 6). This is the paper's SP as published; the default
+//! search path no longer builds it — it is the comparator the fused
+//! kernel is tested and benchmarked against, and the fallback where the
+//! fused kernel does not engage.
+//!
+//! **Score table** ([`ScoreTable`]): `|Σ|` rows × 32 `i8` columns, built
+//! once per *search* — it depends on neither the query nor the batch. Row
+//! `e` is the substitution row of residue `e` laid out so that a byte
+//! shuffle indexed by a lane batch's residue codes yields SP row `(e, j)`
+//! in registers (SWIPE's and SWAPHI's InterSP scheme): the kernel derives
+//! the SP values one database column at a time and never stores the
+//! `|Σ|·N_pad·L` table.
 //!
 //! `Σ'` is the alphabet plus the pad sentinel; pad entries score
 //! [`PAD_SCORE`] so padded lanes stay at `H = 0`.
@@ -198,6 +210,88 @@ impl SequenceProfile {
     /// Approximate memory footprint in bytes.
     pub fn bytes(&self) -> usize {
         self.scores.len() * 2
+    }
+}
+
+/// Columns of one [`ScoreTable`] row: two 16-byte shuffle halves.
+pub const SCORE_TABLE_COLS: usize = 32;
+
+/// Per-search substitution-score table for the fused SP kernel, plus what
+/// the materialised fallback needs (the matrix and alphabet it was built
+/// from).
+///
+/// ```
+/// use sw_swdb::{batch::PAD_SCORE, ScoreTable};
+/// use sw_seq::{Alphabet, SubstMatrix};
+///
+/// let a = Alphabet::protein();
+/// let m = SubstMatrix::blosum62();
+/// let table = ScoreTable::build(&m, &a);
+/// let rows = table.rows().expect("BLOSUM62 fits i8, 24 codes fit 32 columns");
+/// let w = a.encode_byte(b'W').unwrap() as usize;
+/// assert_eq!(rows[w][w], 11);
+/// assert_eq!(rows[w][a.len()] as i32, PAD_SCORE); // the pad column
+/// ```
+#[derive(Debug, Clone)]
+pub struct ScoreTable<'a> {
+    matrix: &'a SubstMatrix,
+    alphabet: &'a Alphabet,
+    /// `rows[e][c]` = V(e, c) for residue codes `c < |Σ|`, [`PAD_SCORE`]
+    /// for the pad code and every column past it. `None` when a score
+    /// does not fit `i8` or the alphabet plus pad exceeds the columns.
+    rows: Option<Vec<[i8; SCORE_TABLE_COLS]>>,
+}
+
+impl<'a> ScoreTable<'a> {
+    /// Build for `matrix` over `alphabet`. Whether the shuffle rows exist
+    /// is decided from these two inputs alone.
+    ///
+    /// # Panics
+    /// Panics if the matrix dimension differs from the alphabet size.
+    pub fn build(matrix: &'a SubstMatrix, alphabet: &'a Alphabet) -> Self {
+        assert_eq!(
+            matrix.len(),
+            alphabet.len(),
+            "matrix/alphabet size mismatch"
+        );
+        let rows = (profile_codes(alphabet) <= SCORE_TABLE_COLS)
+            .then(|| (0..alphabet.len() as u8).map(|e| Self::shuffle_row(matrix.row(e))))
+            .and_then(Iterator::collect);
+        ScoreTable {
+            matrix,
+            alphabet,
+            rows,
+        }
+    }
+
+    /// One substitution row narrowed to `i8` and padded with [`PAD_SCORE`];
+    /// `None` when a score does not fit.
+    fn shuffle_row(scores: &[i32]) -> Option<[i8; SCORE_TABLE_COLS]> {
+        let mut row = [PAD_SCORE as i8; SCORE_TABLE_COLS];
+        for (o, &v) in row.iter_mut().zip(scores) {
+            *o = i8::try_from(v).ok()?;
+        }
+        Some(row)
+    }
+
+    /// The shuffle rows, one per residue code — `None` when the matrix
+    /// does not fit `i8` or the alphabet has more than 31 codes (the
+    /// kernels then materialise a [`SequenceProfile`]).
+    #[inline]
+    pub fn rows(&self) -> Option<&[[i8; SCORE_TABLE_COLS]]> {
+        self.rows.as_deref()
+    }
+
+    /// The matrix the table was built from.
+    #[inline]
+    pub fn matrix(&self) -> &'a SubstMatrix {
+        self.matrix
+    }
+
+    /// The alphabet the table was built over.
+    #[inline]
+    pub fn alphabet(&self) -> &'a Alphabet {
+        self.alphabet
     }
 }
 
@@ -425,6 +519,46 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn score_table_rows_equal_sequence_profile_entries() {
+        // The fused kernel's contract: shuffling row `e` by a batch
+        // column's residue codes gives SP row `(e, j)`, pad lanes included.
+        let (a, m) = setup();
+        let s0 = a.encode_strict(b"ARNDCQEGHILKMFPSTWYVBZX*").unwrap();
+        let s1 = a.encode_strict(b"W").unwrap();
+        let batch = LaneBatch::pack(4, &[(SeqId(0), &s0[..]), (SeqId(1), &s1[..])], pad_code(&a));
+        let sp = SequenceProfile::build(&batch, &m, &a);
+        let table = ScoreTable::build(&m, &a);
+        let rows = table.rows().expect("BLOSUM62 over 24 codes engages");
+        assert_eq!(rows.len(), a.len());
+        for e in 0..a.len() as u8 {
+            for j in 0..batch.padded_len() {
+                for (lane, &r) in batch.row(j).iter().enumerate() {
+                    assert_eq!(
+                        rows[e as usize][r as usize] as i16,
+                        sp.row(e, j)[lane],
+                        "e={e} j={j} lane={lane}"
+                    );
+                }
+            }
+            assert!(rows[e as usize][a.len()..]
+                .iter()
+                .all(|&v| v as i32 == PAD_SCORE));
+        }
+    }
+
+    #[test]
+    fn score_table_disengages_on_wide_scores_or_alphabets() {
+        let a = Alphabet::protein();
+        let wide = SubstMatrix::match_mismatch(&a, 200, -200);
+        let table = ScoreTable::build(&wide, &a);
+        assert!(table.rows().is_none(), "200 does not fit i8");
+        assert_eq!(table.matrix().score(0, 0), 200);
+        assert_eq!(table.alphabet().len(), a.len());
+        let edge = SubstMatrix::match_mismatch(&a, 127, -128);
+        assert!(ScoreTable::build(&edge, &a).rows().is_some());
     }
 
     #[test]

@@ -6,19 +6,22 @@
 //! figures. They also demonstrate the orderings the paper relies on:
 //! profile layouts matter, explicit-lane code beats scalar by a wide
 //! margin, and blocking is free for short queries.
+//!
+//! The intrinsic rows go through the `sw_isa_*` dispatchers the engine
+//! calls, once on the ISA this host detects and once forced to
+//! `portable`, each labelled with the ISA it ran on. `intrinsic-SP` is
+//! the engine's default path, the fused sequence profile.
 
 use sw_bench::micro;
+use sw_kernels::arch::{sw_isa_adaptive_sp, sw_isa_fused_sp, sw_isa_qp, KernelIsa};
 use sw_kernels::banded::sw_banded;
-use sw_kernels::blocked::{sw_blocked_sp, BlockedWorkspace};
 use sw_kernels::guided::{sw_guided_qp, sw_guided_sp, GuidedWorkspace};
-use sw_kernels::intertask::{sw_lanes_qp, sw_lanes_sp, Workspace};
-use sw_kernels::narrow::{sw_adaptive_sp, NarrowWorkspace};
 use sw_kernels::scalar::{sw_score_scalar, SwParams};
 use sw_kernels::striped::{sw_striped, StripedProfile};
 use sw_seq::gen::SwissProtGen;
 use sw_seq::{Alphabet, SeqId};
 use sw_swdb::batch::pad_code;
-use sw_swdb::{LaneBatch, QueryProfile, SequenceProfile, SequenceProfileI8};
+use sw_swdb::{LaneBatch, QueryProfile, ScoreTable, SequenceProfile, SequenceProfileI8};
 
 const LANES: usize = 16;
 const QUERY_LEN: u32 = 400;
@@ -83,34 +86,28 @@ fn main() {
         sw_guided_sp(&f.query, &f.sp, &f.batch, &f.params.gap, &mut gws)
     });
 
-    let mut iws = Workspace::<LANES>::new();
-    micro::run("intrinsic-QP", f.cells, || {
-        sw_lanes_qp::<LANES>(&f.qp, &f.batch, &f.params.gap, &mut iws)
-    });
-    let mut iws = Workspace::<LANES>::new();
-    micro::run("intrinsic-SP", f.cells, || {
-        sw_lanes_sp::<LANES>(&f.query, &f.sp, &f.batch, &f.params.gap, &mut iws)
-    });
-
-    let mut bws = BlockedWorkspace::<LANES>::new();
-    micro::run("blocked-SP", f.cells, || {
-        sw_blocked_sp::<LANES>(&f.query, &f.sp, &f.batch, &f.params.gap, 2048, &mut bws)
-    });
-
+    let a = Alphabet::protein();
+    let table = ScoreTable::build(&f.params.matrix, &a);
     let sp8 = SequenceProfileI8::from_wide(&f.sp);
-    let mut ws8 = NarrowWorkspace::<LANES>::new();
-    let mut ws16 = Workspace::<LANES>::new();
-    micro::run("adaptive i8->i16", f.cells, || {
-        sw_adaptive_sp::<LANES>(
-            &f.query,
-            &f.sp,
-            &sp8,
-            &f.batch,
-            &f.params.gap,
-            &mut ws8,
-            &mut ws16,
-        )
-    });
+    let gap = &f.params.gap;
+    let mut isas = vec![KernelIsa::detect(), KernelIsa::Portable];
+    isas.dedup();
+    for isa in isas {
+        micro::run(&format!("intrinsic-QP [{isa}]"), f.cells, || {
+            sw_isa_qp::<LANES>(isa, &f.qp, &f.batch, gap, None)
+        });
+        micro::run(&format!("intrinsic-SP [{isa}]"), f.cells, || {
+            sw_isa_fused_sp::<LANES>(isa, &f.query, &table, &f.batch, gap, None)
+        });
+        // 128-row blocks tile the 400-residue query; a block ≥ the query
+        // would be the unblocked row again.
+        micro::run(&format!("blocked-SP [{isa}]"), f.cells, || {
+            sw_isa_fused_sp::<LANES>(isa, &f.query, &table, &f.batch, gap, Some(128))
+        });
+        micro::run(&format!("adaptive i8->i16 [{isa}]"), f.cells, || {
+            sw_isa_adaptive_sp::<LANES>(isa, &f.query, &f.sp, &sp8, &f.batch, gap)
+        });
+    }
 
     micro::run("banded r=32 (per pair)", f.cells, || {
         let mut total = 0i64;

@@ -8,36 +8,67 @@
 //! justification for adopting SWIPE's scheme over Farrar's. Both kernels
 //! exist in this repository, so the claim is directly measurable: this
 //! binary sweeps database sequence length and times both on identical
-//! workloads (single thread; both kernels use the same `I16s` vector
-//! substrate, so the comparison isolates the *scheme*).
+//! workloads, single thread. The inter-task side is the kernel the
+//! engine dispatches to (`sw_isa_fused_sp`), once on the detected ISA and
+//! once forced to `portable`; the intra-task side is the striped kernel
+//! over the portable `I16s` vectors, so `portable` vs `intra` isolates the
+//! *scheme* and the detected-ISA column shows what the engine really runs.
 
 use std::time::Instant;
 use sw_bench::Table;
-use sw_kernels::intertask::{sw_lanes_sp, Workspace};
+use sw_kernels::arch::sw_isa_fused_sp;
 use sw_kernels::striped::{sw_striped, StripedProfile};
-use sw_kernels::SwParams;
+use sw_kernels::{KernelIsa, SwParams};
 use sw_seq::gen::SwissProtGen;
 use sw_seq::{Alphabet, SeqId};
 use sw_swdb::batch::pad_code;
-use sw_swdb::{LaneBatch, SequenceProfile};
+use sw_swdb::{LaneBatch, ScoreTable};
 
 const LANES: usize = 16;
 /// Total database residues per configuration (constant work).
 const DB_RESIDUES: usize = 400_000;
 
+/// Seconds and score checksum of the inter-task scheme on `isa`: pack
+/// lane batches, run the fused SP kernel over each.
+fn inter_task(
+    isa: KernelIsa,
+    query: &[u8],
+    seqs: &[Vec<u8>],
+    a: &Alphabet,
+    params: &SwParams,
+) -> (f64, i64) {
+    let table = ScoreTable::build(&params.matrix, a);
+    let t0 = Instant::now();
+    let mut checksum = 0i64;
+    for group in seqs.chunks(LANES) {
+        let refs: Vec<(SeqId, &[u8])> = group
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (SeqId(i as u32), s.as_slice()))
+            .collect();
+        let batch = LaneBatch::pack(LANES, &refs, pad_code(a));
+        let out = sw_isa_fused_sp::<LANES>(isa, query, &table, &batch, &params.gap, None);
+        checksum += out.scores.iter().sum::<i64>();
+    }
+    (t0.elapsed().as_secs_f64(), checksum)
+}
+
 fn main() {
     let a = Alphabet::protein();
     let params = SwParams::paper_default();
     let mut g = SwissProtGen::new(355.4, 5);
+    let detected = KernelIsa::detect();
 
     let mut t = Table::new(
         "Inter-task (SWIPE-style) vs intra-task (Farrar striped), single thread, this host",
         &[
             "query_len",
             "seq_len",
-            "inter_Mcells/s",
+            &format!("inter_{detected}_Mcells/s"),
+            "inter_portable_Mcells/s",
             "intra_Mcells/s",
-            "inter/intra",
+            &format!("{detected}/intra"),
+            "portable/intra",
         ],
     );
 
@@ -57,54 +88,39 @@ fn main() {
             .collect();
         let cells = (query.len() * len * n_seqs) as f64;
 
-        // --- inter-task: lane batches + SP kernel ---------------------
-        let t0 = Instant::now();
-        let mut ws = Workspace::<LANES>::new();
-        let mut checksum = 0i64;
-        for group in seqs.chunks(LANES) {
-            let refs: Vec<(SeqId, &[u8])> = group
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (SeqId(i as u32), s.as_slice()))
-                .collect();
-            let batch = LaneBatch::pack(LANES, &refs, pad_code(&a));
-            let sp = SequenceProfile::build(&batch, &params.matrix, &a);
-            let out = sw_lanes_sp::<LANES>(&query, &sp, &batch, &params.gap, &mut ws);
-            checksum += out.scores.iter().sum::<i64>();
-        }
-        let inter_s = t0.elapsed().as_secs_f64();
+        let (native_s, native_sum) = inter_task(detected, &query, &seqs, &a, &params);
+        let (portable_s, portable_sum) =
+            inter_task(KernelIsa::Portable, &query, &seqs, &a, &params);
 
         // --- intra-task: striped kernel, one pair at a time ------------
         let t0 = Instant::now();
         let profile = StripedProfile::<LANES>::build(&query, &params);
-        let mut checksum2 = 0i64;
+        let mut intra_sum = 0i64;
         for s in &seqs {
-            checksum2 += sw_striped(&profile, s, &params).score;
+            intra_sum += sw_striped(&profile, s, &params).score;
         }
         let intra_s = t0.elapsed().as_secs_f64();
 
-        assert_eq!(checksum, checksum2, "both schemes must score identically");
-        let inter_rate = cells / inter_s / 1e6;
-        let intra_rate = cells / intra_s / 1e6;
+        assert_eq!(native_sum, intra_sum, "both schemes must score identically");
+        assert_eq!(portable_sum, intra_sum, "both ISAs must score identically");
+        let rate = |secs: f64| cells / secs / 1e6;
         t.row(vec![
             qlen.to_string(),
             len.to_string(),
-            format!("{inter_rate:.0}"),
-            format!("{intra_rate:.0}"),
-            format!("{:.2}x", inter_rate / intra_rate),
+            format!("{:.0}", rate(native_s)),
+            format!("{:.0}", rate(portable_s)),
+            format!("{:.0}", rate(intra_s)),
+            format!("{:.2}x", intra_s / native_s),
+            format!("{:.2}x", intra_s / portable_s),
         ]);
     }
     t.emit("ablation");
     println!(
-        "Reproduction note: on this host the striped intra-task kernel is\n\
-         consistently FASTER than the inter-task kernel — the opposite of\n\
-         the paper's §IV expectation. The mechanism: the inter-task DP\n\
-         carries 4·M·L bytes of column state (L1-hostile as M grows),\n\
-         while striping carries ~6·M bytes regardless of L, and modern\n\
-         LLVM autovectorizes the lazy-F loop that was expensive on\n\
-         SSE2-era hardware. The paper's preference held for its era's\n\
-         implementations (SWIPE vs Farrar's original); the trade-off is\n\
-         implementation- and ISA-dependent, which this table documents\n\
-         honestly. Scores from both schemes are asserted identical."
+        "Reproduction note: `portable/intra` compares the two schemes over\n\
+         the same element-loop vectors; the {detected} column is the kernel\n\
+         the engine runs. The paper's §IV expectation — inter-task ahead,\n\
+         most on short sequences — is what this host measures when both\n\
+         ratios are above 1. Scores from both schemes and both ISAs are\n\
+         asserted identical."
     );
 }

@@ -62,7 +62,7 @@ impl SearchConfig {
     /// Effective block rows for a given lane count.
     pub fn effective_block_rows(&self, lanes: usize) -> usize {
         self.block_rows
-            .unwrap_or_else(|| sw_kernels::blocked::block_rows_for_cache(256 * 1024, lanes))
+            .unwrap_or_else(|| sw_kernels::intertask::block_rows_for_cache(256 * 1024, lanes))
     }
 }
 

@@ -275,7 +275,7 @@ impl SearchEngine {
                 let isa = config.isa;
                 if config.adaptive_precision {
                     // Dual-precision cascade (unblocked kernels; exactness
-                    // is identical, see sw_kernels::narrow).
+                    // is identical, see sw_kernels::intertask).
                     use sw_swdb::{QueryProfileI8, SequenceProfileI8};
                     let (out, _stats) = match config.variant.profile {
                         ProfileMode::Query => {

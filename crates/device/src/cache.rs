@@ -11,7 +11,7 @@
 //! share of the working set that cannot be cache-resident, and each
 //! spilled vector iteration pays the device's `spill_penalty_cpv` extra
 //! cycles. Blocked kernels size their tile so the working set always
-//! fits (see `sw_kernels::blocked::block_rows_for_cache`), eliminating
+//! fits (see `sw_kernels::intertask::block_rows_for_cache`), eliminating
 //! the term.
 
 use crate::model::DeviceSpec;

@@ -1,12 +1,14 @@
-//! Real `std::arch` intrinsic kernels with runtime ISA dispatch.
+//! The inter-task vector kernels: one sweep body, four vector types,
+//! runtime ISA dispatch.
 //!
-//! The portable [`crate::lanes`] kernels *hope* LLVM autovectorizes their
-//! element loops; this module is the genuine intrinsic tier the paper's
-//! fastest variants are built from (§IV-C): hand-written SSE2 (8 × i16 /
-//! 16 × i8) and AVX2 (16 × i16 / 32 × i8) inter-task kernels behind
-//! [`is_x86_feature_detected!`] runtime dispatch, with the portable
-//! kernels as the guaranteed fallback on every other target, lane width,
-//! or forced-portable run.
+//! The paper's fastest variants (§IV-C) are one recurrence re-targeted at
+//! different vector registers. Here that is literal: `sweep` holds the
+//! only H/E/F loop nest, and it is instantiated over hand-written SSE2
+//! (8 × i16 / 16 × i8) and AVX2 (16 × i16 / 32 × i8) `std::arch` vectors
+//! (`x86`) and over the portable [`crate::lanes`] vectors at any lane
+//! width. The `sw_isa_*` functions below pick the instantiation behind
+//! [`is_x86_feature_detected!`]; every one offers the same five kernels —
+//! QP, SP and fused SP at i16, QP and SP at i8.
 //!
 //! Dispatch rules (see also `DESIGN.md`):
 //!
@@ -19,28 +21,27 @@
 //!   `SearchConfig`.
 //! * An ISA engages only at its native lane width — AVX2 at 16 × i16 /
 //!   32 × i8, SSE2 at 8 × i16 / 16 × i8. An AVX2 selection at SSE width
-//!   runs the 128-bit kernels (AVX2 implies SSE2); anything else falls
-//!   back to the portable kernels.
+//!   runs the 128-bit kernels (AVX2 implies SSE2); anything else — another
+//!   lane width, a non-x86 target, a forced [`KernelIsa::Portable`] —
+//!   runs the portable instantiation.
 //! * The default search path runs [`sw_isa_fused_sp`]: the sequence
-//!   profile's values without the per-batch table. It engages under the
-//!   same width rule, and additionally only for a score table with
-//!   shuffle rows (scores fit `i8`, ≤ 31 residue codes); otherwise it
-//!   materialises the profile and calls [`sw_isa_sp`].
+//!   profile's values without the per-batch table, on every ISA (AVX2
+//!   builds a column's score vectors with `pshufb`, SSE2 and portable by
+//!   scalar fill). Only a score table without shuffle rows (scores beyond
+//!   `i8`, more than 31 residue codes) makes it materialise the profile
+//!   and call [`sw_isa_sp`].
 //! * Results are **identical** across every path — scores *and*
 //!   overflow/saturation flags — enforced by the differential suite in
-//!   `tests/isa_differential.rs`.
+//!   `tests/isa_differential.rs`, which pins each of them to the scalar
+//!   oracle.
 //!
 //! Safety: the intrinsic bodies live in `#[target_feature]` functions and
-//! are reached only through the `unsafe` calls in this module, each
-//! guarded by the matching runtime/ABI feature check on the same line.
+//! are reached only through the `unsafe` calls in `dispatch!`, each
+//! guarded by the matching runtime/ABI feature check on the same arm.
 
 #![allow(unsafe_code)]
 
-use crate::blocked::{sw_blocked_qp, sw_blocked_sp, BlockedWorkspace};
-use crate::intertask::{sw_lanes_qp, sw_lanes_sp, KernelOutput, Workspace};
-use crate::narrow::{
-    cascade, sw_narrow_qp, sw_narrow_sp, CascadeStats, NarrowOutput, NarrowWorkspace,
-};
+use crate::intertask::{cascade, CascadeStats, KernelOutput, NarrowOutput};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use sw_seq::GapPenalty;
@@ -48,6 +49,8 @@ use sw_swdb::{
     LaneBatch, QueryProfile, QueryProfileI8, ScoreTable, SequenceProfile, SequenceProfileI8,
 };
 
+#[macro_use]
+mod sweep;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
@@ -132,8 +135,29 @@ impl fmt::Display for KernelIsa {
     }
 }
 
-/// Effective row-block size: `None` means unblocked, which the intrinsic
-/// kernels express as one block spanning the whole query.
+/// The one dispatch ladder: run `$kernel` from the instantiation `$isa`
+/// selects at lane width `$L` — an x86 module when `$L` is its native
+/// `$width` (`LANES_I16` or `LANES_I8`), the portable one otherwise.
+macro_rules! dispatch {
+    ($isa:ident, $L:ident, $width:ident, $kernel:ident($($arg:expr),*)) => {
+        match $isa {
+            #[cfg(target_arch = "x86_64")]
+            KernelIsa::Avx2 if $L == x86::avx2::$width && $isa.is_available() => {
+                // SAFETY: AVX2 presence verified by `is_available` above.
+                unsafe { x86::avx2::$kernel($($arg),*) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            KernelIsa::Avx2 | KernelIsa::Sse2 if $L == x86::sse2::$width => {
+                // SAFETY: SSE2 is part of the x86_64 baseline ABI.
+                unsafe { x86::sse2::$kernel($($arg),*) }
+            }
+            _ => sweep::portable::$kernel::<$L>($($arg),*),
+        }
+    };
+}
+
+/// Effective row-block size: `None` means unblocked, which the sweep
+/// expresses as one block spanning the whole query.
 fn eff_block(block_rows: Option<usize>, m: usize) -> usize {
     block_rows.unwrap_or(usize::MAX).min(m.max(1))
 }
@@ -142,6 +166,9 @@ fn eff_block(block_rows: Option<usize>, m: usize) -> usize {
 ///
 /// `block_rows: None` runs unblocked, `Some(b)` row-blocked — scores and
 /// overflow flags are identical either way and identical across ISAs.
+///
+/// # Panics
+/// Panics if `batch.lanes() != L` or `block_rows == Some(0)`.
 pub fn sw_isa_qp<const L: usize>(
     isa: KernelIsa,
     qp: &QueryProfile,
@@ -149,28 +176,14 @@ pub fn sw_isa_qp<const L: usize>(
     gap: &GapPenalty,
     block_rows: Option<usize>,
 ) -> KernelOutput {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let block = eff_block(block_rows, qp.query_len());
-        match isa {
-            KernelIsa::Avx2 if L == x86::avx2::LANES_I16 && isa.is_available() => {
-                // SAFETY: AVX2 presence verified by `is_available` above.
-                return unsafe { x86::avx2::sw_qp_i16(qp, batch, gap, block) };
-            }
-            KernelIsa::Avx2 | KernelIsa::Sse2 if L == x86::sse2::LANES_I16 => {
-                // SAFETY: SSE2 is part of the x86_64 baseline ABI.
-                return unsafe { x86::sse2::sw_qp_i16(qp, batch, gap, block) };
-            }
-            _ => {}
-        }
-    }
-    match block_rows {
-        None => sw_lanes_qp::<L>(qp, batch, gap, &mut Workspace::new()),
-        Some(b) => sw_blocked_qp::<L>(qp, batch, gap, b, &mut BlockedWorkspace::new()),
-    }
+    let block = eff_block(block_rows, qp.query_len());
+    dispatch!(isa, L, LANES_I16, sw_qp_i16(qp, batch, gap, block))
 }
 
 /// i16 inter-task kernel, SP flavour, dispatched on `isa`.
+///
+/// # Panics
+/// As [`sw_isa_qp`], and if `sp` was built for a different batch shape.
 pub fn sw_isa_sp<const L: usize>(
     isa: KernelIsa,
     query: &[u8],
@@ -179,35 +192,17 @@ pub fn sw_isa_sp<const L: usize>(
     gap: &GapPenalty,
     block_rows: Option<usize>,
 ) -> KernelOutput {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let block = eff_block(block_rows, query.len());
-        match isa {
-            KernelIsa::Avx2 if L == x86::avx2::LANES_I16 && isa.is_available() => {
-                // SAFETY: AVX2 presence verified by `is_available` above.
-                return unsafe { x86::avx2::sw_sp_i16(query, sp, batch, gap, block) };
-            }
-            KernelIsa::Avx2 | KernelIsa::Sse2 if L == x86::sse2::LANES_I16 => {
-                // SAFETY: SSE2 is part of the x86_64 baseline ABI.
-                return unsafe { x86::sse2::sw_sp_i16(query, sp, batch, gap, block) };
-            }
-            _ => {}
-        }
-    }
-    match block_rows {
-        None => sw_lanes_sp::<L>(query, sp, batch, gap, &mut Workspace::new()),
-        Some(b) => sw_blocked_sp::<L>(query, sp, batch, gap, b, &mut BlockedWorkspace::new()),
-    }
+    let block = eff_block(block_rows, query.len());
+    dispatch!(isa, L, LANES_I16, sw_sp_i16(query, sp, batch, gap, block))
 }
 
 /// i16 inter-task kernel, fused SP flavour, dispatched on `isa`: the
 /// result of [`sw_isa_sp`] over `SequenceProfile::build(batch, ..)`
-/// without building that profile. The intrinsic kernels derive each
-/// column's SP rows in registers from `table`; where they do not engage —
-/// `Portable`, a lane width that is not the ISA's native one, a non-x86
-/// target, or a `table` without shuffle rows (scores beyond `i8`, more
-/// than 31 residue codes) — the profile is materialised and handed to
-/// [`sw_isa_sp`]. Scores and overflow flags are identical either way.
+/// without building that profile — each column's SP rows are derived from
+/// `table` when the sweep reaches the column. Only a `table` without
+/// shuffle rows (scores beyond `i8`, more than 31 residue codes) has the
+/// profile materialised and handed to [`sw_isa_sp`]. Scores and overflow
+/// flags are identical either way.
 pub fn sw_isa_fused_sp<const L: usize>(
     isa: KernelIsa,
     query: &[u8],
@@ -216,9 +211,9 @@ pub fn sw_isa_fused_sp<const L: usize>(
     gap: &GapPenalty,
     block_rows: Option<usize>,
 ) -> KernelOutput {
-    // Release builds rely on `PreparedDb::prepare` having checked this: a
-    // shuffle scores a stray code as some other residue (memory-safe, but
-    // wrong) where the materialised build would panic.
+    // Release builds rely on `PreparedDb::prepare` having checked this: the
+    // fused kernel scores a stray code as some other residue (memory-safe,
+    // but wrong) where the materialised build would panic.
     debug_assert!(
         batch
             .interleaved()
@@ -226,47 +221,30 @@ pub fn sw_isa_fused_sp<const L: usize>(
             .all(|&r| r as usize <= table.alphabet().len()),
         "batch residue code outside the alphabet and its pad code"
     );
-    #[cfg(target_arch = "x86_64")]
-    if let Some(rows) = table.rows() {
-        let block = eff_block(block_rows, query.len());
-        match isa {
-            KernelIsa::Avx2 if L == x86::avx2::LANES_I16 && isa.is_available() => {
-                // SAFETY: AVX2 presence verified by `is_available` above.
-                return unsafe { x86::avx2::sw_fused_i16(query, rows, batch, gap, block) };
-            }
-            KernelIsa::Avx2 | KernelIsa::Sse2 if L == x86::sse2::LANES_I16 => {
-                // SAFETY: SSE2 is part of the x86_64 baseline ABI.
-                return unsafe { x86::sse2::sw_fused_i16(query, rows, batch, gap, block) };
-            }
-            _ => {}
-        }
-    }
-    let sp = SequenceProfile::build(batch, table.matrix(), table.alphabet());
-    sw_isa_sp::<L>(isa, query, &sp, batch, gap, block_rows)
+    let Some(rows) = table.rows() else {
+        let sp = SequenceProfile::build(batch, table.matrix(), table.alphabet());
+        return sw_isa_sp::<L>(isa, query, &sp, batch, gap, block_rows);
+    };
+    let block = eff_block(block_rows, query.len());
+    dispatch!(
+        isa,
+        L,
+        LANES_I16,
+        sw_fused_i16(query, rows, batch, gap, block)
+    )
 }
 
-/// i8 narrow kernel, QP flavour, dispatched on `isa`.
+/// i8 narrow kernel, QP flavour, dispatched on `isa` — the first tier of
+/// SWIPE's dual-precision cascade: the i16 sweep at half the element
+/// width, run as one block.
 pub fn sw_isa_narrow_qp<const L: usize>(
     isa: KernelIsa,
     qp8: &QueryProfileI8,
     batch: &LaneBatch,
     gap: &GapPenalty,
 ) -> NarrowOutput {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match isa {
-            KernelIsa::Avx2 if L == x86::avx2::LANES_I8 && isa.is_available() => {
-                // SAFETY: AVX2 presence verified by `is_available` above.
-                return unsafe { x86::avx2::sw_qp_i8(qp8, batch, gap) };
-            }
-            KernelIsa::Avx2 | KernelIsa::Sse2 if L == x86::sse2::LANES_I8 => {
-                // SAFETY: SSE2 is part of the x86_64 baseline ABI.
-                return unsafe { x86::sse2::sw_qp_i8(qp8, batch, gap) };
-            }
-            _ => {}
-        }
-    }
-    sw_narrow_qp::<L>(qp8, batch, gap, &mut NarrowWorkspace::new())
+    let block = eff_block(None, qp8.query_len());
+    dispatch!(isa, L, LANES_I8, sw_qp_i8(qp8, batch, gap, block))
 }
 
 /// i8 narrow kernel, SP flavour, dispatched on `isa`.
@@ -277,25 +255,13 @@ pub fn sw_isa_narrow_sp<const L: usize>(
     batch: &LaneBatch,
     gap: &GapPenalty,
 ) -> NarrowOutput {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match isa {
-            KernelIsa::Avx2 if L == x86::avx2::LANES_I8 && isa.is_available() => {
-                // SAFETY: AVX2 presence verified by `is_available` above.
-                return unsafe { x86::avx2::sw_sp_i8(query, sp8, batch, gap) };
-            }
-            KernelIsa::Avx2 | KernelIsa::Sse2 if L == x86::sse2::LANES_I8 => {
-                // SAFETY: SSE2 is part of the x86_64 baseline ABI.
-                return unsafe { x86::sse2::sw_sp_i8(query, sp8, batch, gap) };
-            }
-            _ => {}
-        }
-    }
-    sw_narrow_sp::<L>(query, sp8, batch, gap, &mut NarrowWorkspace::new())
+    let block = eff_block(None, query.len());
+    dispatch!(isa, L, LANES_I8, sw_sp_i8(query, sp8, batch, gap, block))
 }
 
-/// ISA-dispatched dual-precision cascade, QP flavour (the i8 → i16 tiers
-/// of `crate::narrow`, each running on `isa`).
+/// ISA-dispatched dual-precision cascade, QP flavour: i8 pass for the
+/// whole batch, i16 re-pass only if any lane saturated (see
+/// [`crate::intertask`]).
 pub fn sw_isa_adaptive_qp<const L: usize>(
     isa: KernelIsa,
     qp: &QueryProfile,

@@ -6,10 +6,11 @@
 //! compiler. The Rust analogue is the idiomatic flat-slice loop written so
 //! LLVM *may* autovectorize it: per-lane inner loops over `&[i16]` slices,
 //! no explicit vector values, no hand-scheduled gathers. Semantically the
-//! result is identical to [`crate::intertask`] — the equivalence tests
-//! enforce that — but the code *shape* is the compiler-guided one, and the
-//! performance model charges it the compiler-vectorization efficiency the
-//! paper measured (≈½ of intrinsic on the Xeon, ≈0.4× on the Phi).
+//! result is identical to the intrinsic sweep in [`crate::arch`] — the
+//! equivalence tests enforce that — but the code *shape* is the
+//! compiler-guided one, and the performance model charges it the
+//! compiler-vectorization efficiency the paper measured (≈½ of intrinsic
+//! on the Xeon, ≈0.4× on the Phi).
 
 use crate::intertask::{KernelOutput, NEG_INF_I16};
 use sw_seq::GapPenalty;
@@ -181,7 +182,7 @@ pub fn sw_guided_sp(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::intertask::{sw_lanes_qp, sw_lanes_sp, Workspace};
+    use crate::arch::{sw_isa_qp, sw_isa_sp, KernelIsa};
     use crate::scalar::{sw_score_scalar, SwParams};
     use sw_seq::{Alphabet, SeqId};
     use sw_swdb::batch::pad_code;
@@ -221,9 +222,9 @@ mod tests {
         let g_sp = sw_guided_sp(&query, &sp, &batch, &p.gap, &mut gws);
         assert_eq!(g_qp, g_sp);
 
-        let mut iws = Workspace::<4>::new();
-        let i_qp = sw_lanes_qp::<4>(&qp, &batch, &p.gap, &mut iws);
-        let i_sp = sw_lanes_sp::<4>(&query, &sp, &batch, &p.gap, &mut iws);
+        let isa = KernelIsa::detect();
+        let i_qp = sw_isa_qp::<4>(isa, &qp, &batch, &p.gap, None);
+        let i_sp = sw_isa_sp::<4>(isa, &query, &sp, &batch, &p.gap, None);
         assert_eq!(g_qp, i_qp);
         assert_eq!(g_sp, i_sp);
 

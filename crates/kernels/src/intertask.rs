@@ -1,27 +1,37 @@
-//! Inter-task vector kernels — the paper's `intrinsic-QP` and
-//! `intrinsic-SP` variants.
+//! Inter-task kernel data — what the paper's `intrinsic-QP` /
+//! `intrinsic-SP` variants return, and the constants they share.
 //!
 //! One lane batch = `L` database sequences aligned against the query
 //! simultaneously, one per vector lane (the SWIPE scheme [Rognes 2011] the
-//! paper adopts in §IV). The subject dimension `j` is the outer loop and
-//! the query dimension `i` the inner one; per-column state lives in two
-//! `M`-long vector arrays (`H` and `F` of the previous column) while the
-//! within-column gap state (`E`, Eq. 3) and the diagonal travel in
-//! registers. There is **no wavefront dependence across lanes** — that is
-//! the whole point of inter-task parallelism.
+//! paper adopts in §IV). The sweep itself lives in [`crate::arch`]: one
+//! body, instantiated per vector type. This module is the home of its
+//! outputs ([`KernelOutput`], [`NarrowOutput`]), the i8 → i16 cascade
+//! that combines them, the "minus infinity" sentinels and the
+//! cache-blocking tuning rule of Fig. 7.
 //!
-//! Arithmetic is saturating `i16`; a lane whose running maximum reaches
-//! `i16::MAX` is flagged and later recomputed exactly (see
-//! [`crate::overflow`]).
-
-use crate::lanes::I16s;
-use sw_seq::GapPenalty;
-use sw_swdb::{LaneBatch, QueryProfile, SequenceProfile};
+//! Arithmetic is saturating; a lane whose running maximum reaches the
+//! element type's `MAX` is flagged and later recomputed at the next
+//! precision — an i8 lane in i16 (here), an i16 lane in i64 (see
+//! [`crate::overflow`]). The cascade is exact because saturation is
+//! *detected*, never silent.
 
 /// "Minus infinity" for the i16 gap recurrences: negative enough that no
 /// path recovers, far enough from `i16::MIN` that saturating subtraction
 /// never wraps semantics.
 pub const NEG_INF_I16: i16 = i16::MIN / 2;
+
+/// i8 "minus infinity" — low enough that no path recovers, far enough
+/// from `i8::MIN` to keep saturating subtraction semantics clean.
+pub const NEG_INF_I8: i8 = i8::MIN / 2;
+
+/// Per-lane scores of a column maximum, and which lanes sit at the
+/// element type's `max` — exact there or capped, only a recompute tells.
+fn scores_and_flags<T: Copy + PartialEq + Into<i64>>(vmax: &[T], max: T) -> (Vec<i64>, Vec<bool>) {
+    (
+        vmax.iter().map(|&v| v.into()).collect(),
+        vmax.iter().map(|&v| v == max).collect(),
+    )
+}
 
 /// Result of running a kernel over one lane batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,13 +43,10 @@ pub struct KernelOutput {
 }
 
 impl KernelOutput {
-    fn from_vmax<const L: usize>(vmax: I16s<L>, real_lanes: usize) -> Self {
-        let mut scores = Vec::with_capacity(real_lanes);
-        let mut overflowed = Vec::with_capacity(real_lanes);
-        for lane in 0..real_lanes {
-            scores.push(vmax[lane] as i64);
-            overflowed.push(vmax[lane] == i16::MAX);
-        }
+    /// Scores and flags of the first `real_lanes` lanes of a column
+    /// maximum.
+    pub(crate) fn from_vmax(vmax: &[i16], real_lanes: usize) -> Self {
+        let (scores, overflowed) = scores_and_flags(&vmax[..real_lanes], i16::MAX);
         KernelOutput { scores, overflowed }
     }
 
@@ -49,294 +56,115 @@ impl KernelOutput {
     }
 }
 
-/// Reusable per-thread scratch space so the hot loop never allocates
-/// (per the perf-book guidance: allocation in the inner loop is the first
-/// thing to remove).
-#[derive(Debug, Default)]
-pub struct Workspace<const L: usize> {
-    h_col: Vec<I16s<L>>,
-    f_col: Vec<I16s<L>>,
+/// Output of a narrow (i8) pass: per-lane scores plus saturation flags.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NarrowOutput {
+    /// Best score per real lane (exact only where `!saturated`).
+    pub scores: Vec<i64>,
+    /// Lanes that touched `i8::MAX` and need the wide kernel.
+    pub saturated: Vec<bool>,
 }
 
-impl<const L: usize> Workspace<L> {
-    /// Fresh empty workspace.
-    pub fn new() -> Self {
-        Workspace {
-            h_col: Vec::new(),
-            f_col: Vec::new(),
-        }
+impl NarrowOutput {
+    /// As [`KernelOutput::from_vmax`], for the i8 sweep.
+    pub(crate) fn from_vmax(vmax: &[i8], real_lanes: usize) -> Self {
+        let (scores, saturated) = scores_and_flags(&vmax[..real_lanes], i8::MAX);
+        NarrowOutput { scores, saturated }
     }
 
-    fn reset(&mut self, m: usize) {
-        self.h_col.clear();
-        self.h_col.resize(m, I16s::zero());
-        self.f_col.clear();
-        self.f_col.resize(m, I16s::splat(NEG_INF_I16));
+    /// True if any real lane saturated.
+    pub fn any_saturated(&self) -> bool {
+        self.saturated.iter().any(|&s| s)
     }
 }
 
-/// Inter-task kernel, **query-profile** flavour (`intrinsic-QP`).
-///
-/// Per column `j` the substitution vector for query row `i` is a *gather*
-/// from QP row `i` indexed by the `L` residues of the batch at position
-/// `j` — the access pattern whose hardware cost differs between Xeon
-/// (no vector gather) and Phi (has gather), per the paper's §V-C analysis.
-///
-/// # Panics
-/// Panics if `batch.lanes() != L`.
-pub fn sw_lanes_qp<const L: usize>(
-    qp: &QueryProfile,
-    batch: &LaneBatch,
-    gap: &GapPenalty,
-    ws: &mut Workspace<L>,
-) -> KernelOutput {
-    assert_eq!(batch.lanes(), L, "batch lane width must match kernel width");
-    let m = qp.query_len();
-    let n = batch.padded_len();
-    let first = I16s::<L>::splat(gap.first() as i16);
-    let extend = I16s::<L>::splat(gap.extend as i16);
-    ws.reset(m);
-    let h_col = &mut ws.h_col;
-    let f_col = &mut ws.f_col;
-    let mut vmax = I16s::<L>::zero();
-
-    for j in 0..n {
-        let residues = batch.row(j);
-        let mut h_diag = I16s::<L>::zero(); // H[0][j-1] boundary = 0
-        let mut h_up = I16s::<L>::zero(); //   H[0][j]   boundary = 0
-        let mut e_run = I16s::<L>::splat(NEG_INF_I16); // E[0][j]
-        for i in 0..m {
-            let v = I16s::<L>::gather(qp.row(i), residues);
-            let h_prev = h_col[i]; // H[i][j-1]
-            let f = h_prev.sat_sub(first).max(f_col[i].sat_sub(extend)); // F[i][j]
-            let e = h_up.sat_sub(first).max(e_run.sat_sub(extend)); //      E[i][j]
-            let h = h_diag.sat_add(v).max(e).max(f).max_zero();
-            h_diag = h_prev;
-            h_col[i] = h;
-            f_col[i] = f;
-            e_run = e;
-            h_up = h;
-            vmax = vmax.max(h);
-        }
-    }
-    KernelOutput::from_vmax(vmax, batch.real_lanes())
+/// Statistics of one adaptive run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CascadeStats {
+    /// Lanes settled by the i8 pass.
+    pub settled_i8: u64,
+    /// Lanes that needed the i16 pass.
+    pub widened_i16: u64,
 }
 
-/// Inter-task kernel, **sequence-profile** flavour (`intrinsic-SP`).
-///
-/// The substitution vector is one contiguous load from the per-batch
-/// sequence profile — the layout the paper finds fastest on both devices.
-///
-/// # Panics
-/// Panics if `batch.lanes() != L` or the profile was built for a
-/// different batch shape.
-pub fn sw_lanes_sp<const L: usize>(
-    query: &[u8],
-    sp: &SequenceProfile,
-    batch: &LaneBatch,
-    gap: &GapPenalty,
-    ws: &mut Workspace<L>,
-) -> KernelOutput {
-    assert_eq!(batch.lanes(), L, "batch lane width must match kernel width");
-    assert_eq!(sp.lanes(), L, "profile lane width must match kernel width");
-    assert_eq!(
-        sp.padded_len(),
-        batch.padded_len(),
-        "profile/batch shape mismatch"
-    );
-    let m = query.len();
-    let n = batch.padded_len();
-    let first = I16s::<L>::splat(gap.first() as i16);
-    let extend = I16s::<L>::splat(gap.extend as i16);
-    ws.reset(m);
-    let h_col = &mut ws.h_col;
-    let f_col = &mut ws.f_col;
-    let mut vmax = I16s::<L>::zero();
-
-    for j in 0..n {
-        let mut h_diag = I16s::<L>::zero();
-        let mut h_up = I16s::<L>::zero();
-        let mut e_run = I16s::<L>::splat(NEG_INF_I16);
-        for (i, &q) in query.iter().enumerate().take(m) {
-            let v = I16s::<L>::load(sp.row(q, j));
-            let h_prev = h_col[i];
-            let f = h_prev.sat_sub(first).max(f_col[i].sat_sub(extend));
-            let e = h_up.sat_sub(first).max(e_run.sat_sub(extend));
-            let h = h_diag.sat_add(v).max(e).max(f).max_zero();
-            h_diag = h_prev;
-            h_col[i] = h;
-            f_col[i] = f;
-            e_run = e;
-            h_up = h;
-            vmax = vmax.max(h);
+/// Dual-precision cascade (SWIPE): keep the i8 pass's scores, and run
+/// `wide` (the i16 kernel over the same batch) only if some lane
+/// saturated. Lanes that also saturate i16 are flagged in the returned
+/// [`KernelOutput`] for the caller's i64 rescue.
+pub(crate) fn cascade(
+    narrow: NarrowOutput,
+    wide: impl FnOnce() -> KernelOutput,
+) -> (KernelOutput, CascadeStats) {
+    let real = narrow.scores.len() as u64;
+    if !narrow.any_saturated() {
+        let out = KernelOutput {
+            overflowed: vec![false; narrow.scores.len()],
+            scores: narrow.scores,
+        };
+        return (
+            out,
+            CascadeStats {
+                settled_i8: real,
+                widened_i16: 0,
+            },
+        );
+    }
+    // At least one lane needs i16; rerun the batch wide (lanes are
+    // computed together anyway) and keep the wide scores for saturated
+    // lanes only — the narrow scores are already exact elsewhere and the
+    // two must agree, which debug builds assert.
+    let wide_out = wide();
+    let mut scores = narrow.scores;
+    let mut overflowed = vec![false; scores.len()];
+    let mut widened = 0u64;
+    for lane in 0..scores.len() {
+        if narrow.saturated[lane] {
+            scores[lane] = wide_out.scores[lane];
+            overflowed[lane] = wide_out.overflowed[lane];
+            widened += 1;
+        } else {
+            debug_assert_eq!(
+                scores[lane], wide_out.scores[lane],
+                "unsaturated narrow score must already be exact"
+            );
         }
     }
-    KernelOutput::from_vmax(vmax, batch.real_lanes())
+    (
+        KernelOutput { scores, overflowed },
+        CascadeStats {
+            settled_i8: real - widened,
+            widened_i16: widened,
+        },
+    )
+}
+
+/// Pick a row-block size so the per-block working set (`≈4·rows·L` bytes
+/// plus boundary rows) stays within `cache_bytes` — the tuning rule the
+/// engine uses per device.
+///
+/// The unblocked sweep keeps two `M`-long vector columns (`H` and `F`)
+/// live across the whole subject sweep: `4·M·L` bytes. For the paper's
+/// longest query (5478 residues) that is ~350 KB at `L = 16` and ~700 KB
+/// at `L = 32` — past the Xeon's 256 KB L2 and the Phi's 512 KB L2, which
+/// is why blocking helps the Phi more (Fig. 7).
+pub fn block_rows_for_cache(cache_bytes: usize, lanes: usize) -> usize {
+    // H + F columns: 2 arrays × 2 bytes × lanes per row; keep half the
+    // cache for profiles and boundary rows.
+    let per_row = 4 * lanes;
+    ((cache_bytes / 2) / per_row).max(64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scalar::{sw_score_scalar, SwParams};
-    use sw_seq::{Alphabet, SeqId};
-    use sw_swdb::batch::pad_code;
-
-    fn setup() -> (Alphabet, SwParams) {
-        (Alphabet::protein(), SwParams::paper_default())
-    }
-
-    fn enc(a: &Alphabet, s: &[u8]) -> Vec<u8> {
-        a.encode_strict(s).unwrap()
-    }
-
-    fn make_batch<const L: usize>(a: &Alphabet, seqs: &[Vec<u8>]) -> LaneBatch {
-        let refs: Vec<(SeqId, &[u8])> = seqs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (SeqId(i as u32), s.as_slice()))
-            .collect();
-        LaneBatch::pack(L, &refs, pad_code(a))
-    }
-
-    /// Both vector kernels must equal the scalar reference on every lane.
-    fn check_against_scalar<const L: usize>(query_text: &[u8], subject_texts: &[&[u8]]) {
-        let (a, p) = setup();
-        let query = enc(&a, query_text);
-        let subjects: Vec<Vec<u8>> = subject_texts.iter().map(|s| enc(&a, s)).collect();
-        let batch = make_batch::<L>(&a, &subjects);
-        let qp = QueryProfile::build(&query, &p.matrix, &a);
-        let sp = SequenceProfile::build(&batch, &p.matrix, &a);
-        let mut ws = Workspace::<L>::new();
-
-        let out_qp = sw_lanes_qp::<L>(&qp, &batch, &p.gap, &mut ws);
-        let out_sp = sw_lanes_sp::<L>(&query, &sp, &batch, &p.gap, &mut ws);
-        assert_eq!(out_qp, out_sp, "QP and SP kernels must agree");
-
-        for (lane, subject) in subjects.iter().enumerate() {
-            let expect = sw_score_scalar(&query, subject, &p);
-            assert_eq!(
-                out_qp.scores[lane], expect,
-                "lane {lane}: query {:?} vs {:?}",
-                query_text, subject_texts[lane]
-            );
-            assert!(!out_qp.overflowed[lane]);
-        }
-    }
 
     #[test]
-    fn single_lane_matches_scalar() {
-        check_against_scalar::<4>(b"MKVLITRAW", &[b"MKVLITRAW"]);
-    }
-
-    #[test]
-    fn full_batch_matches_scalar() {
-        check_against_scalar::<4>(
-            b"MKVLITRAWQ",
-            &[b"MKVLITRAWQ", b"QWARTILVKM", b"AAAA", b"MKVITRWQ"],
-        );
-    }
-
-    #[test]
-    fn partial_batch_with_padding() {
-        check_against_scalar::<8>(b"ARNDCQEGHILK", &[b"ARND", b"CQEGHILK", b"WWWWWWWWWWWW"]);
-    }
-
-    #[test]
-    fn mixed_lengths_pad_correctness() {
-        // Lanes of very different lengths: padding must never leak score.
-        check_against_scalar::<4>(
-            b"MKVLITRAWQESTNHYFPG",
-            &[b"M", b"MKVLITRAWQESTNHYFPG", b"PP", b"MKVLITRAW"],
-        );
-    }
-
-    #[test]
-    fn zero_score_lanes() {
-        // Lanes with no positive match at all must report exactly 0.
-        check_against_scalar::<4>(b"WWWW", &[b"PPPP", b"GGGG", b"WWWW", b"PGPG"]);
-    }
-
-    #[test]
-    fn works_at_paper_lane_widths() {
-        let subjects: Vec<&[u8]> = vec![b"MKVLIT"; 16];
-        check_against_scalar::<16>(b"MKVLITRAW", &subjects);
-        let subjects: Vec<&[u8]> = vec![b"MKRLIW"; 32];
-        check_against_scalar::<32>(b"MKVLITRAW", &subjects);
-    }
-
-    #[test]
-    fn random_fuzz_against_scalar() {
-        // Deterministic pseudo-random fuzz across shapes and lane widths.
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let (a, p) = setup();
-        let mut rng = SmallRng::seed_from_u64(0xC0FFEE);
-        for round in 0..25 {
-            let m = rng.gen_range(1..60);
-            let query: Vec<u8> = (0..m).map(|_| rng.gen_range(0..20u8)).collect();
-            let n_seqs = rng.gen_range(1..=8usize);
-            let subjects: Vec<Vec<u8>> = (0..n_seqs)
-                .map(|_| {
-                    let n = rng.gen_range(1..80);
-                    (0..n).map(|_| rng.gen_range(0..20u8)).collect()
-                })
-                .collect();
-            let batch = make_batch::<8>(&a, &subjects);
-            let qp = QueryProfile::build(&query, &p.matrix, &a);
-            let sp = SequenceProfile::build(&batch, &p.matrix, &a);
-            let mut ws = Workspace::<8>::new();
-            let out_qp = sw_lanes_qp::<8>(&qp, &batch, &p.gap, &mut ws);
-            let out_sp = sw_lanes_sp::<8>(&query, &sp, &batch, &p.gap, &mut ws);
-            assert_eq!(out_qp, out_sp);
-            for (lane, s) in subjects.iter().enumerate() {
-                assert_eq!(
-                    out_qp.scores[lane],
-                    sw_score_scalar(&query, s, &p),
-                    "round {round} lane {lane}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn saturation_is_flagged() {
-        // A long perfect self-match overflows i16: 11 (W-W) × 3100 ≈ 34 100.
-        let (a, p) = setup();
-        let long = vec![a.encode_byte(b'W').unwrap(); 3100];
-        let batch = make_batch::<4>(&a, std::slice::from_ref(&long));
-        let qp = QueryProfile::build(&long, &p.matrix, &a);
-        let mut ws = Workspace::<4>::new();
-        let out = sw_lanes_qp::<4>(&qp, &batch, &p.gap, &mut ws);
-        assert!(out.any_overflow(), "a 34k score must saturate i16");
-        assert_eq!(out.scores[0], i16::MAX as i64);
-    }
-
-    #[test]
-    fn workspace_reuse_is_clean() {
-        // Running a big batch then a small one must not leak state.
-        let (a, p) = setup();
-        let mut ws = Workspace::<4>::new();
-        let big = enc(&a, b"MKVLITRAWQESTNHYFPGMKVLITRAWQESTNHYFPG");
-        let batch_big = make_batch::<4>(&a, std::slice::from_ref(&big));
-        let qp_big = QueryProfile::build(&big, &p.matrix, &a);
-        sw_lanes_qp::<4>(&qp_big, &batch_big, &p.gap, &mut ws);
-
-        let q = enc(&a, b"MKV");
-        let s = enc(&a, b"MKV");
-        let batch = make_batch::<4>(&a, std::slice::from_ref(&s));
-        let qp = QueryProfile::build(&q, &p.matrix, &a);
-        let out = sw_lanes_qp::<4>(&qp, &batch, &p.gap, &mut ws);
-        assert_eq!(out.scores[0], sw_score_scalar(&q, &s, &p));
-    }
-
-    #[test]
-    #[should_panic(expected = "lane width")]
-    fn lane_width_mismatch_panics() {
-        let (a, p) = setup();
-        let q = enc(&a, b"MKV");
-        let batch = make_batch::<8>(&a, std::slice::from_ref(&q));
-        let qp = QueryProfile::build(&q, &p.matrix, &a);
-        let mut ws = Workspace::<4>::new();
-        let _ = sw_lanes_qp::<4>(&qp, &batch, &p.gap, &mut ws);
+    fn block_rows_for_cache_sizing() {
+        // Phi-like 512 KB L2 at 32 lanes: 256 KB / 128 B = 2048 rows.
+        assert_eq!(block_rows_for_cache(512 * 1024, 32), 2048);
+        // Xeon-like 256 KB L2 at 16 lanes: 128 KB / 64 B = 2048 rows.
+        assert_eq!(block_rows_for_cache(256 * 1024, 16), 2048);
+        // Degenerate small cache still yields a workable floor.
+        assert_eq!(block_rows_for_cache(1024, 64), 64);
     }
 }

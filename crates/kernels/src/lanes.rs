@@ -1,103 +1,136 @@
-//! Portable fixed-width `i16` vectors — the workspace's SIMD substrate.
+//! Portable fixed-width vectors — the fourth vector type of the
+//! inter-task sweep, and the substrate of the striped comparator.
 //!
 //! The paper's "intrinsic" kernels are written with AVX (16 × i16) and
 //! MIC (32 × i16) intrinsics. Stable Rust has no `std::simd`, so this
-//! module provides [`I16s`], a `#[repr(align)]`-free const-generic vector
-//! whose operations are plain element loops. With `-O` LLVM reliably
-//! autovectorizes these into the target's native SIMD (verified in the
-//! criterion benches); the *code structure* — explicit vector values,
-//! saturating lane ops, no per-lane branching — is exactly the structure
-//! of the intrinsic kernels in the paper, which is what distinguishes the
-//! `intrinsic` variants from the `guided` ones in this reproduction.
+//! module provides [`I16s`] and [`I8s`], const-generic vectors whose
+//! operations are plain element loops that LLVM autovectorizes for the
+//! build's target. They carry the same method names as the SSE2/AVX2
+//! newtypes in `crate::arch`, so the one sweep body there instantiates
+//! over them unchanged: that instantiation is [`crate::KernelIsa::Portable`]
+//! — what runs on non-x86 targets, at lane widths no x86 register matches
+//! (4, 32 × i16), and when a run forces it. How fast the element loops
+//! end up is measured, not assumed: see the `portable` rows of
+//! `results/isa.csv`.
 //!
 //! All arithmetic is **saturating**: the inter-task kernels rely on scores
-//! clamping at `i16::MAX` so overflow can be detected afterwards (see
-//! [`crate::overflow`]) instead of wrapping silently.
+//! clamping at the element maximum so overflow can be detected afterwards
+//! (see [`crate::overflow`]) instead of wrapping silently.
 
-use std::ops::{Index, IndexMut};
+/// Defines a vector of `L` lanes of `$elem` with the operations the
+/// inter-task sweep needs.
+macro_rules! lane_vector {
+    ($(#[$doc:meta])* $name:ident, $elem:ty) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub struct $name<const L: usize>(pub [$elem; L]);
 
-/// A vector of `L` lanes of `i16`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct I16s<const L: usize>(pub [i16; L]);
+        impl<const L: usize> $name<L> {
+            /// All lanes zero.
+            #[inline(always)]
+            pub fn zero() -> Self {
+                Self([0; L])
+            }
 
+            /// All lanes set to `v`.
+            #[inline(always)]
+            pub fn splat(v: $elem) -> Self {
+                Self([v; L])
+            }
+
+            /// Load `L` lanes from a slice (the contiguous SP profile load).
+            ///
+            /// # Panics
+            /// Panics if `s` holds fewer than `L` elements.
+            #[inline(always)]
+            pub fn load(s: &[$elem]) -> Self {
+                let mut out = [0; L];
+                out.copy_from_slice(&s[..L]);
+                Self(out)
+            }
+
+            /// Gather `L` lanes from `table` at `indices` (the QP profile
+            /// access — one `vgather` on MIC, an unavoidable shuffle
+            /// sequence on AVX; the perf model charges the corresponding
+            /// penalty).
+            ///
+            /// # Panics
+            /// Panics if `indices` holds fewer than `L` elements — a short
+            /// index slice would otherwise leave trailing lanes scoring
+            /// `table[0]`.
+            #[inline(always)]
+            pub fn gather(table: &[$elem], indices: &[u8]) -> Self {
+                let mut out = [0; L];
+                for (o, &ix) in out.iter_mut().zip(&indices[..L]) {
+                    *o = table[ix as usize];
+                }
+                Self(out)
+            }
+
+            /// Lane-wise saturating add.
+            #[inline(always)]
+            pub fn sat_add(self, rhs: Self) -> Self {
+                let mut out = [0; L];
+                for ((o, a), b) in out.iter_mut().zip(self.0).zip(rhs.0) {
+                    *o = a.saturating_add(b);
+                }
+                Self(out)
+            }
+
+            /// Lane-wise saturating subtract.
+            #[inline(always)]
+            pub fn sat_sub(self, rhs: Self) -> Self {
+                let mut out = [0; L];
+                for ((o, a), b) in out.iter_mut().zip(self.0).zip(rhs.0) {
+                    *o = a.saturating_sub(b);
+                }
+                Self(out)
+            }
+
+            /// Lane-wise maximum.
+            #[inline(always)]
+            pub fn max(self, rhs: Self) -> Self {
+                let mut out = [0; L];
+                for ((o, a), b) in out.iter_mut().zip(self.0).zip(rhs.0) {
+                    *o = a.max(b);
+                }
+                Self(out)
+            }
+
+            #[inline(always)]
+            pub(crate) fn to_array(self) -> [$elem; L] {
+                self.0
+            }
+        }
+    };
+}
+
+lane_vector! {
+    /// A vector of `L` lanes of `i16`.
+    I16s, i16
+}
+
+lane_vector! {
+    /// A vector of `L` lanes of `i8` — the narrow tier of the SWIPE-style
+    /// dual-precision cascade (see `crate::overflow`). On real hardware an
+    /// i8 kernel processes twice the lanes of the i16 one; here the width
+    /// is whatever the batch was packed for, and the perf model accounts
+    /// the doubling separately.
+    I8s, i8
+}
+
+/// What only the striped kernel needs — cross-lane moves and reductions —
+/// and the constructor of the fused sweep's column prologue.
 impl<const L: usize> I16s<L> {
-    /// All lanes zero.
     #[inline(always)]
-    pub fn zero() -> Self {
-        I16s([0; L])
-    }
-
-    /// All lanes set to `v`.
-    #[inline(always)]
-    pub fn splat(v: i16) -> Self {
-        I16s([v; L])
-    }
-
-    /// Load `L` lanes from a slice (the contiguous SP profile load).
-    ///
-    /// # Panics
-    /// Panics if `s` holds fewer than `L` elements.
-    #[inline(always)]
-    pub fn load(s: &[i16]) -> Self {
-        let mut out = [0i16; L];
-        out.copy_from_slice(&s[..L]);
-        I16s(out)
-    }
-
-    /// Gather `L` lanes from `table` at `indices` (the QP profile access —
-    /// one `vgather` on MIC, an unavoidable shuffle sequence on AVX; the
-    /// perf model charges the corresponding penalty).
-    ///
-    /// # Panics
-    /// Panics if `indices` holds fewer than `L` elements — a short index
-    /// slice would otherwise leave trailing lanes scoring `table[0]`.
-    #[inline(always)]
-    pub fn gather(table: &[i16], indices: &[u8]) -> Self {
-        let mut out = [0i16; L];
-        for (o, &ix) in out.iter_mut().zip(&indices[..L]) {
-            *o = table[ix as usize];
-        }
-        I16s(out)
-    }
-
-    /// Lane-wise saturating add.
-    #[inline(always)]
-    pub fn sat_add(self, rhs: Self) -> Self {
-        let mut out = [0i16; L];
-        for ((o, a), b) in out.iter_mut().zip(self.0).zip(rhs.0) {
-            *o = a.saturating_add(b);
-        }
-        I16s(out)
-    }
-
-    /// Lane-wise saturating subtract.
-    #[inline(always)]
-    pub fn sat_sub(self, rhs: Self) -> Self {
-        let mut out = [0i16; L];
-        for ((o, a), b) in out.iter_mut().zip(self.0).zip(rhs.0) {
-            *o = a.saturating_sub(b);
-        }
-        I16s(out)
-    }
-
-    /// Lane-wise maximum.
-    #[inline(always)]
-    pub fn max(self, rhs: Self) -> Self {
-        let mut out = [0i16; L];
-        for ((o, a), b) in out.iter_mut().zip(self.0).zip(rhs.0) {
-            *o = a.max(b);
-        }
-        I16s(out)
+    pub(crate) fn from_array(a: [i16; L]) -> Self {
+        I16s(a)
     }
 
     /// Lane-wise maximum against zero (the `max(0, …)` of Eq. 2).
     #[inline(always)]
     pub fn max_zero(self) -> Self {
-        let mut out = [0i16; L];
-        for (o, a) in out.iter_mut().zip(self.0) {
-            *o = a.max(0);
-        }
-        I16s(out)
+        self.max(Self::zero())
     }
 
     /// Horizontal maximum across lanes.
@@ -126,139 +159,6 @@ impl<const L: usize> I16s<L> {
     pub fn any_gt(self, rhs: Self) -> bool {
         self.0.iter().zip(rhs.0.iter()).any(|(a, b)| a > b)
     }
-
-    /// True if any lane equals `v` (saturation detection).
-    #[inline(always)]
-    pub fn any_eq(self, v: i16) -> bool {
-        self.0.contains(&v)
-    }
-
-    /// Store lanes into a slice.
-    ///
-    /// # Panics
-    /// Panics if `out` holds fewer than `L` elements.
-    #[inline(always)]
-    pub fn store(self, out: &mut [i16]) {
-        out[..L].copy_from_slice(&self.0);
-    }
-
-    /// Lane count `L`.
-    #[inline(always)]
-    pub const fn lanes() -> usize {
-        L
-    }
-}
-
-impl<const L: usize> Index<usize> for I16s<L> {
-    type Output = i16;
-    #[inline(always)]
-    fn index(&self, i: usize) -> &i16 {
-        &self.0[i]
-    }
-}
-
-impl<const L: usize> IndexMut<usize> for I16s<L> {
-    #[inline(always)]
-    fn index_mut(&mut self, i: usize) -> &mut i16 {
-        &mut self.0[i]
-    }
-}
-
-/// A vector of `L` lanes of `i8` — the narrow tier of the SWIPE-style
-/// dual-precision cascade (see `crate::overflow`). On real hardware an
-/// i8 kernel processes twice the lanes of the i16 one; here the width is
-/// whatever the batch was packed for, and the perf model accounts the
-/// doubling separately.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct I8s<const L: usize>(pub [i8; L]);
-
-impl<const L: usize> I8s<L> {
-    /// All lanes zero.
-    #[inline(always)]
-    pub fn zero() -> Self {
-        I8s([0; L])
-    }
-
-    /// All lanes set to `v`.
-    #[inline(always)]
-    pub fn splat(v: i8) -> Self {
-        I8s([v; L])
-    }
-
-    /// Load `L` lanes from a slice.
-    ///
-    /// # Panics
-    /// Panics if `s` holds fewer than `L` elements.
-    #[inline(always)]
-    pub fn load(s: &[i8]) -> Self {
-        let mut out = [0i8; L];
-        out.copy_from_slice(&s[..L]);
-        I8s(out)
-    }
-
-    /// Gather `L` lanes from `table` at `indices`.
-    ///
-    /// # Panics
-    /// Panics if `indices` holds fewer than `L` elements (same contract as
-    /// [`I8s::load`]).
-    #[inline(always)]
-    pub fn gather(table: &[i8], indices: &[u8]) -> Self {
-        let mut out = [0i8; L];
-        for (o, &ix) in out.iter_mut().zip(&indices[..L]) {
-            *o = table[ix as usize];
-        }
-        I8s(out)
-    }
-
-    /// Lane-wise saturating add.
-    #[inline(always)]
-    pub fn sat_add(self, rhs: Self) -> Self {
-        let mut out = [0i8; L];
-        for ((o, a), b) in out.iter_mut().zip(self.0).zip(rhs.0) {
-            *o = a.saturating_add(b);
-        }
-        I8s(out)
-    }
-
-    /// Lane-wise saturating subtract.
-    #[inline(always)]
-    pub fn sat_sub(self, rhs: Self) -> Self {
-        let mut out = [0i8; L];
-        for ((o, a), b) in out.iter_mut().zip(self.0).zip(rhs.0) {
-            *o = a.saturating_sub(b);
-        }
-        I8s(out)
-    }
-
-    /// Lane-wise maximum.
-    #[inline(always)]
-    pub fn max(self, rhs: Self) -> Self {
-        let mut out = [0i8; L];
-        for ((o, a), b) in out.iter_mut().zip(self.0).zip(rhs.0) {
-            *o = a.max(b);
-        }
-        I8s(out)
-    }
-
-    /// Lane-wise maximum against zero.
-    #[inline(always)]
-    pub fn max_zero(self) -> Self {
-        let mut out = [0i8; L];
-        for (o, a) in out.iter_mut().zip(self.0) {
-            *o = a.max(0);
-        }
-        I8s(out)
-    }
-}
-
-/// Lane widths evaluated by the paper.
-pub mod widths {
-    /// 256-bit AVX at 16-bit elements (the Xeon E5-2670).
-    pub const AVX_I16: usize = 16;
-    /// 512-bit MIC at 16-bit elements (the Xeon Phi).
-    pub const MIC_I16: usize = 32;
-    /// 128-bit SSE at 16-bit elements (SWIPE's original target).
-    pub const SSE_I16: usize = 8;
 }
 
 #[cfg(test)]
@@ -273,12 +173,11 @@ mod tests {
     }
 
     #[test]
-    fn load_store_roundtrip() {
+    fn load_and_array_roundtrip() {
         let data: Vec<i16> = (0..16).collect();
         let v = I16s::<16>::load(&data);
-        let mut out = [0i16; 16];
-        v.store(&mut out);
-        assert_eq!(&out[..], &data[..]);
+        assert_eq!(&v.to_array()[..], &data[..]);
+        assert_eq!(I16s::from_array(v.to_array()), v);
     }
 
     #[test]
@@ -330,26 +229,10 @@ mod tests {
     }
 
     #[test]
-    fn any_eq_detects_saturation() {
-        let mut v = I16s::<4>::splat(5);
-        assert!(!v.any_eq(i16::MAX));
-        v[2] = i16::MAX;
-        assert!(v.any_eq(i16::MAX));
-    }
-
-    #[test]
-    fn index_access() {
-        let mut v = I16s::<4>::zero();
-        v[1] = 42;
-        assert_eq!(v[1], 42);
-    }
-
-    #[test]
     fn i8_lane_ops() {
         let a = I8s::<4>([1, -5, 120, 0]);
         let b = I8s::<4>([0, 2, 20, 0]);
         assert_eq!(a.max(b).0, [1, 2, 120, 0]);
-        assert_eq!(a.max_zero().0, [1, 0, 120, 0]);
         assert_eq!(a.sat_add(b).0, [1, -3, i8::MAX, 0]);
         assert_eq!(
             I8s::<4>::splat(i8::MIN).sat_sub(I8s::splat(10)).0,
@@ -360,13 +243,5 @@ mod tests {
         let data = [5i8, 6, 7, 8];
         assert_eq!(I8s::<4>::load(&data).0, data);
         assert_eq!(I8s::<2>::zero().0, [0, 0]);
-    }
-
-    #[test]
-    fn works_at_all_paper_widths() {
-        // Compile-time exercise of the three lane widths used in the repo.
-        assert_eq!(I16s::<{ widths::SSE_I16 }>::lanes(), 8);
-        assert_eq!(I16s::<{ widths::AVX_I16 }>::lanes(), 16);
-        assert_eq!(I16s::<{ widths::MIC_I16 }>::lanes(), 32);
     }
 }

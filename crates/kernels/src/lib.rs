@@ -8,8 +8,8 @@
 //! |---|---|---|
 //! | `no-vec` | [`scalar`] | one pair at a time, no SIMD |
 //! | `simd-QP` / `simd-SP` | [`guided`] | compiler-guided vectorization (`#pragma omp simd`) |
-//! | `intrinsic-QP` / `intrinsic-SP` | [`intertask`] | hand-tuned vector code over [`lanes`] |
-//! | blocking on/off | [`blocked`] | the cache-blocking optimisation of Fig. 7 |
+//! | `intrinsic-QP` / `intrinsic-SP` | [`arch`] | hand-tuned vector code: one sweep over SSE2, AVX2 and portable [`lanes`] vectors |
+//! | blocking on/off | [`arch`] (`block_rows`) | the cache-blocking optimisation of Fig. 7 — the same sweep, tiled |
 //! | Farrar striped | [`striped`] | the intra-task comparator the paper cites as \[13\] |
 //!
 //! All variants are *inter-task* (SWIPE-style, one database sequence per
@@ -19,24 +19,22 @@
 //!
 //! Scores are computed in saturating `i16` (the paper's vector element
 //! width) with automatic detection of saturation and an exact `i64`
-//! scalar rescue ([`overflow`]), so reported scores are always exact.
+//! scalar rescue ([`overflow`]), so reported scores are always exact;
+//! [`intertask`] holds what the sweep returns and the SWIPE-style
+//! i8→i16 cascade over it.
 //!
-//! Beyond the paper's variants: [`narrow`] (SWIPE-style i8→i16→i64
-//! adaptive precision), [`banded`] (diagonal-band refinement), and
-//! [`modes`] (global / semi-global alignment).
+//! Beyond the paper's variants: [`banded`] (diagonal-band refinement) and
+//! [`traceback`] (alignment recovery for reported hits).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)] // `allow`ed only in `arch`, with SAFETY comments
 
 pub mod arch;
 pub mod banded;
-pub mod blocked;
 pub mod cups;
 pub mod guided;
 pub mod intertask;
 pub mod lanes;
-pub mod modes;
-pub mod narrow;
 pub mod overflow;
 pub mod scalar;
 pub mod striped;

@@ -77,7 +77,7 @@ pub fn fits_i16(query_len: usize, subject_len: usize, max_subst: i32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::intertask::{sw_lanes_qp, Workspace};
+    use crate::arch::{sw_isa_qp, KernelIsa};
     use sw_seq::{Alphabet, SeqId};
     use sw_swdb::batch::pad_code;
     use sw_swdb::QueryProfile;
@@ -95,8 +95,7 @@ mod tests {
             pad_code(&a),
         );
         let qp = QueryProfile::build(&long, &p.matrix, &a);
-        let mut ws = Workspace::<4>::new();
-        let mut out = sw_lanes_qp::<4>(&qp, &batch, &p.gap, &mut ws);
+        let mut out = sw_isa_qp::<4>(KernelIsa::detect(), &qp, &batch, &p.gap, None);
         assert!(out.overflowed[0]);
         assert!(!out.overflowed[1]);
 
@@ -116,8 +115,7 @@ mod tests {
         let q = a.encode_strict(b"MKVLITRAW").unwrap();
         let batch = LaneBatch::pack(2, &[(SeqId(0), &q[..])], pad_code(&a));
         let qp = QueryProfile::build(&q, &p.matrix, &a);
-        let mut ws = Workspace::<2>::new();
-        let mut out = sw_lanes_qp::<2>(&qp, &batch, &p.gap, &mut ws);
+        let mut out = sw_isa_qp::<2>(KernelIsa::detect(), &qp, &batch, &p.gap, None);
         let before = out.clone();
         let lane_seqs: Vec<&[u8]> = vec![&q];
         let stats = rescue_overflows(&mut out, &q, &batch, &lane_seqs, &p);
@@ -132,8 +130,7 @@ mod tests {
         let long = vec![a.encode_byte(b'W').unwrap(); 3100];
         let batch = LaneBatch::pack(4, &[(SeqId(0), &long[..])], pad_code(&a));
         let qp = QueryProfile::build(&long, &p.matrix, &a);
-        let mut ws = Workspace::<4>::new();
-        let mut out = sw_lanes_qp::<4>(&qp, &batch, &p.gap, &mut ws);
+        let mut out = sw_isa_qp::<4>(KernelIsa::detect(), &qp, &batch, &p.gap, None);
         assert!(out.overflowed[0]);
 
         let tracer = sw_trace::Tracer::full();

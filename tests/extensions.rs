@@ -281,22 +281,6 @@ fn translated_dna_search_finds_coding_frame() {
     );
 }
 
-/// Alignment-mode relationships hold through the public API.
-#[test]
-fn alignment_mode_relationships() {
-    use swhetero::kernels::modes::{nw_score_global, sw_score_semi_global};
-    use swhetero::kernels::scalar::sw_score_scalar;
-    let a = Alphabet::protein();
-    let p = SwParams::paper_default();
-    let q = a.encode_strict(b"MKVLITRAWQ").unwrap();
-    let s = a.encode_strict(b"GGGMKVLITRAWQGGG").unwrap();
-    let local = sw_score_scalar(&q, &s, &p);
-    let semi = sw_score_semi_global(&q, &s, &p);
-    let global = nw_score_global(&q, &s, &p);
-    assert_eq!(local, semi, "embedded query: local == semi-global");
-    assert!(global < semi, "global pays for the flanks");
-}
-
 /// The KNL projection presets behave like devices (sanity of the future
 /// study's inputs).
 #[test]

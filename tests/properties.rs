@@ -11,9 +11,8 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use swhetero::kernels::blocked::{sw_blocked_qp, BlockedWorkspace};
+use swhetero::kernels::arch::{sw_isa_qp, sw_isa_sp, KernelIsa};
 use swhetero::kernels::guided::{sw_guided_qp, sw_guided_sp, GuidedWorkspace};
-use swhetero::kernels::intertask::{sw_lanes_qp, sw_lanes_sp, Workspace};
 use swhetero::kernels::scalar::sw_score_scalar;
 use swhetero::kernels::striped::sw_striped_pair;
 use swhetero::kernels::traceback::sw_align;
@@ -51,14 +50,13 @@ fn all_kernels_agree_with_scalar() {
         let qp = QueryProfile::build(&query, &params.matrix, &a);
         let sp = SequenceProfile::build(&batch, &params.matrix, &a);
 
-        let mut iws = Workspace::<8>::new();
+        let isa = KernelIsa::detect();
         let mut gws = GuidedWorkspace::new();
-        let mut bws = BlockedWorkspace::<8>::new();
-        let o1 = sw_lanes_qp::<8>(&qp, &batch, &params.gap, &mut iws);
-        let o2 = sw_lanes_sp::<8>(&query, &sp, &batch, &params.gap, &mut iws);
+        let o1 = sw_isa_qp::<8>(isa, &qp, &batch, &params.gap, None);
+        let o2 = sw_isa_sp::<8>(isa, &query, &sp, &batch, &params.gap, None);
         let o3 = sw_guided_qp(&qp, &batch, &params.gap, &mut gws);
         let o4 = sw_guided_sp(&query, &sp, &batch, &params.gap, &mut gws);
-        let o5 = sw_blocked_qp::<8>(&qp, &batch, &params.gap, 7, &mut bws);
+        let o5 = sw_isa_qp::<8>(isa, &qp, &batch, &params.gap, Some(7));
 
         for (lane, s) in subjects.iter().enumerate() {
             let expect = sw_score_scalar(&query, s, &params);

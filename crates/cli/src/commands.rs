@@ -2,7 +2,8 @@
 
 use crate::args::{Command, SearchOpts, USAGE};
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Write};
+use std::path::Path;
 use sw_core::{
     simulate_hetero, simulate_search, PreparedDb, SearchConfig, SearchEngine, SimConfig,
 };
@@ -15,18 +16,24 @@ use sw_seq::{Alphabet, EncodedSeq, FastaWriter, GapPenalty, SubstMatrix};
 /// Boxed error for command execution.
 pub type CmdError = Box<dyn std::error::Error>;
 
+/// Read and verify a `.swdb` snapshot: the database and its content
+/// digest (the identity every checkpoint fingerprint chains back to).
+fn load_snapshot(path: &str) -> Result<(sw_swdb::SequenceDatabase, u64), CmdError> {
+    let db = sw_swdb::snapshot::read(&std::fs::read(path)?)?;
+    let digest = sw_swdb::snapshot::content_digest(&db);
+    Ok((db, digest))
+}
+
+/// Write a CLI artifact through `replace_file`: it appears at `path`
+/// whole or not at all, so a killed command never leaves a truncated
+/// snapshot, shard or manifest behind under its final name.
+fn write_artifact(path: impl AsRef<Path>, bytes: impl AsRef<[u8]>) -> std::io::Result<()> {
+    sw_swdb::integrity::replace_file(path.as_ref(), bytes.as_ref(), false)
+}
+
 fn load_sequences(path: &str, alphabet: &Alphabet) -> Result<Vec<EncodedSeq>, CmdError> {
     if path.ends_with(".swdb") {
-        let mut bytes = Vec::new();
-        File::open(path)?.read_to_end(&mut bytes)?;
-        let db = sw_swdb::snapshot::read(&bytes)?;
-        Ok(db
-            .iter()
-            .map(|(id, v)| EncodedSeq {
-                header: db.header(id).into(),
-                residues: v.residues.to_vec(),
-            })
-            .collect())
+        Ok(load_snapshot(path)?.0.to_sequences())
     } else {
         Ok(sw_seq::fasta::read_encoded(
             BufReader::new(File::open(path)?),
@@ -451,7 +458,7 @@ fn cmd_makedb<W: Write>(
     let seqs = load_sequences_quarantined(input, &alphabet, quarantine, out)?;
     let db = sw_swdb::SequenceDatabase::from_sequences(seqs);
     let bytes = sw_swdb::snapshot::write(&db);
-    File::create(output)?.write_all(&bytes)?;
+    write_artifact(output, &bytes)?;
     writeln!(
         out,
         "wrote {} sequences ({} residues) to {output} ({} bytes)",
@@ -485,7 +492,7 @@ fn cmd_shard_prepare<W: Write>(
     let parent_digest = sw_swdb::snapshot::content_digest(&sorted);
     let dir = std::path::Path::new(out_dir);
     std::fs::create_dir_all(dir)?;
-    File::create(dir.join("parent.swdb"))?.write_all(&sw_swdb::snapshot::write(&sorted))?;
+    write_artifact(dir.join("parent.swdb"), sw_swdb::snapshot::write(&sorted))?;
     let ranges = shard::plan_shards(&sorted, n_shards);
     let count = ranges.len() as u64;
     let mut entries = Vec::new();
@@ -498,7 +505,7 @@ fn cmd_shard_prepare<W: Write>(
             parent_digest,
         };
         let file = shard::shard_file_name(i as u64);
-        File::create(dir.join(&file))?.write_all(&shard::write_shard(&meta, &piece))?;
+        write_artifact(dir.join(&file), shard::write_shard(&meta, &piece))?;
         let digest = sw_swdb::snapshot::content_digest(&piece);
         writeln!(
             out,
@@ -518,7 +525,7 @@ fn cmd_shard_prepare<W: Write>(
         parent_digest,
         shards: entries,
     };
-    std::fs::write(dir.join("shards.manifest"), manifest.render())?;
+    write_artifact(dir.join("shards.manifest"), manifest.render())?;
     // Replication asked for (or an explicit endpoint pool): emit the
     // placement plan the coordinator walks on failover. Endpoints may
     // mix tcp:// and unix socket names; they are validated here so a
@@ -531,7 +538,7 @@ fn cmd_shard_prepare<W: Write>(
             sw_serve::Endpoint::parse(ep).map_err(|e| format!("--endpoints: {e}"))?;
         }
         let plan = sw_swdb::PlacementPlan::assign(parent_digest, count, replicas as u64, &pool);
-        std::fs::write(dir.join("placement.plan"), plan.render())?;
+        write_artifact(dir.join("placement.plan"), plan.render())?;
         writeln!(
             out,
             "# wrote placement.plan: {replicas} replica(s) per shard over {}",
@@ -770,7 +777,7 @@ fn cmd_search_shards<W: Write>(
     );
     let outcome = result.map_err(|e| format!("sharded search: {e}"))?;
     if let Some(path) = &fabric.metrics_out {
-        std::fs::write(
+        write_artifact(
             path,
             sw_serve::coord_prometheus(
                 specs.len() as u64,
@@ -786,14 +793,7 @@ fn cmd_search_shards<W: Write>(
         // unsharded `submit --json` run over the sorted parent prints
         // for the same query — the CI merge check diffs exactly this.
         for h in &outcome.hits {
-            writeln!(
-                out,
-                "{{\"rank\":{},\"score\":{},\"id\":{},\"header\":\"{}\"}}",
-                h.rank,
-                h.score,
-                h.id,
-                sw_serve::json::escape(&h.header)
-            )?;
+            writeln!(out, "{}", h.to_json())?;
         }
         return Ok(());
     }
@@ -852,7 +852,7 @@ fn cmd_gendb<W: Write>(
     let generated = generate_database(&spec);
     if output.ends_with(".swdb") {
         let db = sw_swdb::SequenceDatabase::from_sequences(generated);
-        File::create(output)?.write_all(&sw_swdb::snapshot::write(&db))?;
+        write_artifact(output, sw_swdb::snapshot::write(&db))?;
     } else {
         let alphabet = Alphabet::protein();
         let mut w = FastaWriter::new(BufWriter::new(File::create(output)?));
@@ -1082,7 +1082,7 @@ fn report_dynamic_outcome<W: Write>(
             } else {
                 sw_trace::export::chrome_trace(tl)
             };
-            std::fs::write(path, rendered)?;
+            write_artifact(path, rendered)?;
             writeln!(
                 out,
                 "# trace: {} events ({} dropped) written to {path}",
@@ -1091,13 +1091,13 @@ fn report_dynamic_outcome<W: Write>(
             )?;
         }
         if let Some(path) = &trace.metrics_out {
-            let prom = sw_trace::export::prometheus_with_isa(
+            let prom = sw_trace::export::prometheus(
                 tl,
                 &outcome.device_counters(),
                 gcups_window_us,
                 isa.name(),
             );
-            std::fs::write(path, prom)?;
+            write_artifact(path, prom)?;
             writeln!(out, "# metrics: prometheus snapshot written to {path}")?;
         }
     }
@@ -1437,36 +1437,17 @@ fn cmd_serve<W: Write>(
         // shard's own snapshot digest (checkpoint fingerprints stay
         // per-shard), the role carries the global offset so every hit
         // id the daemon reports is already global.
-        let mut bytes = Vec::new();
-        File::open(db_path)?.read_to_end(&mut bytes)?;
-        let (meta, db) = sw_swdb::shard::read_shard(&bytes)?;
+        let (meta, db) = sw_swdb::shard::read_shard(&std::fs::read(db_path)?)?;
         let digest = sw_swdb::snapshot::content_digest(&db);
-        let seqs = db
-            .iter()
-            .map(|(id, v)| EncodedSeq {
-                header: db.header(id).into(),
-                residues: v.residues.to_vec(),
-            })
-            .collect();
         let role = sw_serve::ShardRole {
             index: meta.index,
             count: meta.count,
             base: meta.base,
         };
-        (seqs, Some(digest), Some(role))
+        (db.to_sequences(), Some(digest), Some(role))
     } else if db_path.ends_with(".swdb") {
-        let mut bytes = Vec::new();
-        File::open(db_path)?.read_to_end(&mut bytes)?;
-        let db = sw_swdb::snapshot::read(&bytes)?;
-        let digest = sw_swdb::snapshot::content_digest(&db);
-        let seqs = db
-            .iter()
-            .map(|(id, v)| EncodedSeq {
-                header: db.header(id).into(),
-                residues: v.residues.to_vec(),
-            })
-            .collect();
-        (seqs, Some(digest), None)
+        let (db, digest) = load_snapshot(db_path)?;
+        (db.to_sequences(), Some(digest), None)
     } else {
         (
             load_sequences_quarantined(db_path, &alphabet, opts.quarantine, out)?,
@@ -1774,6 +1755,39 @@ mod tests {
         let (code, text) = run_str(&format!("stats --db {snap}"));
         assert_eq!(code, 0);
         assert!(text.contains("sequences:      30"), "{text}");
+
+        // Every artifact goes through `replace_file`: after shard-prepare
+        // the directory holds exactly the finished files, no `*.tmp`.
+        let dir = tmp("gen2-shards");
+        let _ = std::fs::remove_dir_all(&dir);
+        let (code, text) = run_str(&format!(
+            "shard-prepare --db {snap} --out {dir} --shards 2 --replicas 2"
+        ));
+        assert_eq!(code, 0, "{text}");
+        let mut files: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort();
+        assert_eq!(
+            files,
+            [
+                "parent.swdb",
+                "placement.plan",
+                "shard-0.swshard",
+                "shard-1.swshard",
+                "shards.manifest"
+            ]
+        );
+        assert!(!Path::new(&format!("{snap}.tmp")).exists());
+        let manifest = std::fs::read_to_string(Path::new(&dir).join("shards.manifest")).unwrap();
+        assert_eq!(
+            sw_swdb::ShardManifest::parse(&manifest)
+                .unwrap()
+                .shards
+                .len(),
+            2
+        );
     }
 
     #[test]
@@ -2080,7 +2094,7 @@ mod tests {
         );
 
         let ptext = std::fs::read_to_string(&prom_path).unwrap();
-        sw_trace::validate::validate_prometheus(&ptext).unwrap();
+        sw_trace::validate::validate_prometheus_strict(&ptext).unwrap();
         // Sum a counter over both device labels.
         let prom_total = |name: &str| -> u64 {
             let prefix = format!("{name}{{");

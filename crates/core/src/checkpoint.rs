@@ -43,13 +43,14 @@
 //!     hit      × n_hits: id u32, score i64
 //! ```
 //!
-//! Writes are atomic-by-rename: the file is written to `<path>.tmp` and
-//! renamed over `<path>`, so a crash mid-write leaves the previous
-//! checkpoint intact (rename is atomic on POSIX filesystems). There is
-//! deliberately no fsync: the threat model is *process* death — the OS
-//! survives and flushes the page cache. The CRC rejects the torn file a
-//! real power cut could leave behind, and the search then reruns from
-//! scratch, which is slow but never wrong.
+//! Writes go through [`sw_swdb::integrity::replace_file`] (tmp + rename,
+//! DESIGN "Formats and their one home"), so a crash mid-write leaves the
+//! previous checkpoint intact. There is deliberately no fsync: the threat
+//! model is *process* death — the OS survives and flushes the page cache.
+//! The CRC rejects the torn file a real power cut could leave behind:
+//! loading it is a typed [`CheckpointError::Corrupt`] naming the file —
+//! never a silent rerun from scratch — so the operator decides whether
+//! that progress is deleted.
 
 use crate::results::Hit;
 use std::fmt;
@@ -59,7 +60,9 @@ use std::path::Path;
 use sw_kernels::CellCount;
 use sw_sched::DeviceMetrics;
 use sw_seq::SeqId;
-use sw_swdb::integrity::{crc32, Fnv64};
+use sw_swdb::integrity::{
+    frame, put_i64, put_u32, put_u64, replace_file, unframe, ByteReader, Fnv64, FormatError,
+};
 
 /// File magic, version 1.
 const MAGIC: &[u8; 8] = b"SWCKPT1\0";
@@ -119,6 +122,31 @@ impl std::error::Error for CheckpointError {
 impl From<io::Error> for CheckpointError {
     fn from(e: io::Error) -> Self {
         CheckpointError::Io(e)
+    }
+}
+
+impl From<FormatError> for CheckpointError {
+    fn from(e: FormatError) -> Self {
+        CheckpointError::Corrupt {
+            detail: e.to_string(),
+        }
+    }
+}
+
+impl CheckpointError {
+    /// Name the file in an `Io`/`Corrupt` error: in a shared checkpoint
+    /// directory of fingerprint-named files, the message is how the
+    /// operator learns which one to inspect or delete.
+    fn at(self, path: &Path) -> Self {
+        match self {
+            CheckpointError::Io(e) => {
+                CheckpointError::Io(io::Error::new(e.kind(), format!("{}: {e}", path.display())))
+            }
+            CheckpointError::Corrupt { detail } => CheckpointError::Corrupt {
+                detail: format!("{}: {detail}", path.display()),
+            },
+            mismatch => mismatch,
+        }
     }
 }
 
@@ -240,51 +268,6 @@ pub struct Checkpoint {
     pub done: Vec<BatchResult>,
 }
 
-/// Little-endian payload reader with descriptive truncation errors.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], CheckpointError> {
-        if self.buf.len() - self.pos < n {
-            return Err(CheckpointError::Corrupt {
-                detail: format!(
-                    "truncated payload: needed {n} byte(s) for {what}, \
-                     {} left",
-                    self.buf.len() - self.pos
-                ),
-            });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(
-            self.take(8, what)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(
-            self.take(4, what)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn i64(&mut self, what: &str) -> Result<i64, CheckpointError> {
-        Ok(i64::from_le_bytes(
-            self.take(8, what)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, CheckpointError> {
-        Ok(self.take(1, what)?[0])
-    }
-}
-
 impl Checkpoint {
     /// Serialise to the `SWCKPT1` byte format.
     pub fn encode(&self) -> Vec<u8> {
@@ -299,60 +282,34 @@ impl Checkpoint {
             self.resumes,
             self.accel_share.to_bits(),
         ] {
-            p.extend_from_slice(&v.to_le_bytes());
+            put_u64(&mut p, v);
         }
         for r in &self.recovery {
             for v in [r.retries, r.requeues, r.lost_leases, r.failures] {
-                p.extend_from_slice(&v.to_le_bytes());
+                put_u64(&mut p, v);
             }
         }
-        p.extend_from_slice(&(self.done.len() as u64).to_le_bytes());
+        put_u64(&mut p, self.done.len() as u64);
         for b in &self.done {
-            p.extend_from_slice(&(b.batch as u64).to_le_bytes());
+            put_u64(&mut p, b.batch as u64);
             p.push(b.device as u8);
-            p.extend_from_slice(&b.cells.real.to_le_bytes());
-            p.extend_from_slice(&b.cells.padded.to_le_bytes());
-            p.extend_from_slice(&b.rescued.to_le_bytes());
-            p.extend_from_slice(&(b.hits.len() as u32).to_le_bytes());
+            put_u64(&mut p, b.cells.real);
+            put_u64(&mut p, b.cells.padded);
+            put_u64(&mut p, b.rescued);
+            put_u32(&mut p, b.hits.len() as u32);
             for h in &b.hits {
-                p.extend_from_slice(&h.id.0.to_le_bytes());
-                p.extend_from_slice(&h.score.to_le_bytes());
+                put_u32(&mut p, h.id.0);
+                put_i64(&mut p, h.score);
             }
         }
-        let mut out = Vec::with_capacity(MAGIC.len() + 4 + p.len());
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&crc32(&p).to_le_bytes());
-        out.extend_from_slice(&p);
-        out
+        frame(MAGIC, &p)
     }
 
     /// Parse the `SWCKPT1` byte format, rejecting bad magic, CRC
     /// mismatches, truncation, and trailing bytes.
     pub fn decode(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
-        if bytes.len() < MAGIC.len() + 4 {
-            return Err(CheckpointError::Corrupt {
-                detail: format!("file too short ({} bytes) for a header", bytes.len()),
-            });
-        }
-        if &bytes[..MAGIC.len()] != MAGIC {
-            return Err(CheckpointError::Corrupt {
-                detail: "bad magic (not a SWCKPT1 checkpoint)".to_string(),
-            });
-        }
-        let stored = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        let payload = &bytes[12..];
-        let computed = crc32(payload);
-        if stored != computed {
-            return Err(CheckpointError::Corrupt {
-                detail: format!(
-                    "CRC32 mismatch (stored {stored:#010x}, computed {computed:#010x})"
-                ),
-            });
-        }
-        let mut r = Reader {
-            buf: payload,
-            pos: 0,
-        };
+        let corrupt = |detail: String| CheckpointError::Corrupt { detail };
+        let mut r = ByteReader::new(unframe(MAGIC, bytes)?);
         let fingerprint = SearchFingerprint {
             db_digest: r.u64("db digest")?,
             query_digest: r.u64("query digest")?,
@@ -363,9 +320,7 @@ impl Checkpoint {
         let resumes = r.u64("resume count")?;
         let accel_share = f64::from_bits(r.u64("accel share")?);
         if !(accel_share.is_finite() && (0.0..=1.0).contains(&accel_share)) {
-            return Err(CheckpointError::Corrupt {
-                detail: format!("accel share {accel_share} outside [0, 1]"),
-            });
+            return Err(corrupt(format!("accel share {accel_share} outside [0, 1]")));
         }
         let mut recovery = [RecoveryTotals::default(); 2];
         for rec in &mut recovery {
@@ -376,35 +331,33 @@ impl Checkpoint {
         }
         let n_done = r.u64("done-batch count")?;
         if n_done > fingerprint.n_batches {
-            return Err(CheckpointError::Corrupt {
-                detail: format!(
-                    "{n_done} done batches exceed the search's {} batches",
-                    fingerprint.n_batches
-                ),
-            });
+            return Err(corrupt(format!(
+                "{n_done} done batches exceed the search's {} batches",
+                fingerprint.n_batches
+            )));
         }
-        let mut done = Vec::with_capacity(n_done as usize);
+        // Capacity from what the payload can hold, not from the stored
+        // count: a record is at least 37 bytes, a hit 12.
+        let mut done = Vec::with_capacity((n_done as usize).min(r.rest().len() / 37));
         for _ in 0..n_done {
             let batch = r.u64("batch index")?;
             if batch >= fingerprint.n_batches {
-                return Err(CheckpointError::Corrupt {
-                    detail: format!(
-                        "batch index {batch} out of range (search has {} batches)",
-                        fingerprint.n_batches
-                    ),
-                });
+                return Err(corrupt(format!(
+                    "batch index {batch} out of range (search has {} batches)",
+                    fingerprint.n_batches
+                )));
             }
             let device = r.u8("device")?;
             if device > 1 {
-                return Err(CheckpointError::Corrupt {
-                    detail: format!("device {device} is neither cpu (0) nor accel (1)"),
-                });
+                return Err(corrupt(format!(
+                    "device {device} is neither cpu (0) nor accel (1)"
+                )));
             }
             let real = r.u64("real cells")?;
             let padded = r.u64("padded cells")?;
             let rescued = r.u64("rescued lanes")?;
             let n_hits = r.u32("hit count")?;
-            let mut hits = Vec::with_capacity(n_hits as usize);
+            let mut hits = Vec::with_capacity((n_hits as usize).min(r.rest().len() / 12));
             for _ in 0..n_hits {
                 let id = r.u32("hit id")?;
                 let score = r.i64("hit score")?;
@@ -421,14 +374,7 @@ impl Checkpoint {
                 rescued,
             });
         }
-        if r.pos != payload.len() {
-            return Err(CheckpointError::Corrupt {
-                detail: format!(
-                    "{} trailing byte(s) after the last batch record",
-                    payload.len() - r.pos
-                ),
-            });
-        }
+        r.finish()?;
         Ok(Checkpoint {
             fingerprint,
             seq,
@@ -464,31 +410,28 @@ impl Checkpoint {
         Ok(())
     }
 
-    /// Write atomically: serialise to `<path>.tmp`, then rename over
-    /// `path`. A crash mid-write leaves the previous checkpoint intact.
-    /// Returns the number of bytes written.
+    /// Write atomically (tmp + rename, no fsync — see the module doc): a
+    /// crash mid-write leaves the previous checkpoint intact. Returns the
+    /// number of bytes written.
     pub fn write_atomic(&self, path: &Path) -> Result<u64, CheckpointError> {
         let bytes = self.encode();
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        fs::write(&tmp, &bytes)?;
-        fs::rename(&tmp, path)?;
+        replace_file(path, &bytes, false)?;
         Ok(bytes.len() as u64)
     }
 
-    /// Load and parse a checkpoint file.
+    /// Load and parse a checkpoint file. `Io` and `Corrupt` errors name
+    /// `path`.
     pub fn load(path: &Path) -> Result<Checkpoint, CheckpointError> {
-        Checkpoint::decode(&fs::read(path)?)
+        let bytes = fs::read(path).map_err(|e| CheckpointError::Io(e).at(path))?;
+        Checkpoint::decode(&bytes).map_err(|e| e.at(path))
     }
 
     /// Load a checkpoint if the file exists (`Ok(None)` when it does
     /// not) — the resume path's "fresh start or continue?" probe.
     pub fn load_if_exists(path: &Path) -> Result<Option<Checkpoint>, CheckpointError> {
-        match fs::read(path) {
-            Ok(bytes) => Checkpoint::decode(&bytes).map(Some),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e.into()),
+        match Checkpoint::load(path) {
+            Err(CheckpointError::Io(e)) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+            loaded => loaded.map(Some),
         }
     }
 
@@ -566,6 +509,47 @@ mod tests {
         }
     }
 
+    /// `sample().encode()` as the parent commit's encoder (private
+    /// `Reader`, hand framing) emitted it.
+    const GOLDEN: &[u8] =
+        b"SWCKPT1\0\xed\xa6\xa1!\x88wfUD3\"\x11\0\xff\xee\xdd\xcc\xbb\xaa\x99\x08\0\0\0\0\0\0\0(\0\
+        \0\0\0\0\0\0\x03\0\0\0\0\0\0\0\x01\0\0\0\0\0\0\0\0\0\0\0\0\0\xd8?\x01\0\0\0\0\0\0\0\x02\
+        \0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\x02\0\0\0\0\0\0\0\x04\0\0\0\0\0\0\0\x05\0\0\0\0\0\0\0\x01\
+        \0\0\0\0\0\0\0\x06\0\0\0\0\0\0\0\x02\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\xe8\x03\0\0\0\0\0\0\
+        \xb0\x04\0\0\0\0\0\0\x01\0\0\0\0\0\0\0\x02\0\0\0\x07\0\0\x007\0\0\0\0\0\0\0\x02\0\0\0\xfd\
+        \xff\xff\xff\xff\xff\xff\xff'\0\0\0\0\0\0\0\x01\x0a\0\0\0\0\0\0\0\x10\0\0\0\0\0\0\0\0\0\
+        \0\0\0\0\0\0\0\0\0\0";
+
+    #[test]
+    fn golden_bytes_decode_and_reencode() {
+        assert_eq!(Checkpoint::decode(GOLDEN).expect("decode"), sample());
+        assert_eq!(sample().encode(), GOLDEN);
+    }
+
+    #[test]
+    fn absurd_counts_are_truncation_errors_not_allocations() {
+        // CRC-valid frames whose stored counts promise far more records
+        // than the payload holds: the decoder must refuse them without
+        // reserving memory for the promise.
+        let mut c = sample();
+        c.done.clear();
+        let payload = c.encode()[12..].to_vec();
+        let n = payload.len();
+        // n_batches (4th word) and n_done (last word) both u64::MAX.
+        let mut huge_done = payload.clone();
+        huge_done[24..32].copy_from_slice(&u64::MAX.to_le_bytes());
+        huge_done[n - 8..].copy_from_slice(&u64::MAX.to_le_bytes());
+        let err = Checkpoint::decode(&frame(MAGIC, &huge_done)).expect_err("accepted");
+        assert!(err.to_string().contains("truncated"), "{err}");
+        // One record whose hit count is u32::MAX.
+        let mut huge_hits = payload;
+        huge_hits[n - 8..].copy_from_slice(&1u64.to_le_bytes());
+        huge_hits.extend_from_slice(&[0; 33]); // batch 0, cpu, three cell words
+        huge_hits.extend_from_slice(&u32::MAX.to_le_bytes());
+        let err = Checkpoint::decode(&frame(MAGIC, &huge_hits)).expect_err("accepted");
+        assert!(err.to_string().contains("truncated"), "{err}");
+    }
+
     #[test]
     fn encode_decode_round_trip() {
         let c = sample();
@@ -619,14 +603,9 @@ mod tests {
         // Trailing bytes change the CRC, so they surface as a CRC error;
         // a *recomputed-CRC-matching* trailer is caught by the position
         // check. Exercise the latter by re-CRCing the padded payload.
-        let c = sample();
-        let mut payload = c.encode()[12..].to_vec();
+        let mut payload = sample().encode()[12..].to_vec();
         payload.push(0xAB);
-        let mut file = Vec::new();
-        file.extend_from_slice(b"SWCKPT1\0");
-        file.extend_from_slice(&sw_swdb::integrity::crc32(&payload).to_le_bytes());
-        file.extend_from_slice(&payload);
-        let err = Checkpoint::decode(&file).expect_err("trailing byte accepted");
+        let err = Checkpoint::decode(&frame(MAGIC, &payload)).expect_err("trailing byte accepted");
         let msg = err.to_string();
         assert!(msg.contains("trailing"), "unexpected error: {msg}");
     }
@@ -676,6 +655,15 @@ mod tests {
             Checkpoint::load_if_exists(&path).expect("probe").as_ref(),
             Some(&c)
         );
+        // A corrupt file and a missing one both name the path.
+        fs::write(&path, b"SWCKPT1\0garbage").unwrap();
+        for err in [
+            Checkpoint::load(&path).unwrap_err(),
+            Checkpoint::load_if_exists(&path).unwrap_err(),
+            Checkpoint::load(&dir.join("absent.ckpt")).unwrap_err(),
+        ] {
+            assert!(err.to_string().contains(dir.to_str().unwrap()), "{err}");
+        }
         Checkpoint::remove(&path).expect("remove");
         Checkpoint::remove(&path).expect("second remove is a no-op");
         assert_eq!(Checkpoint::load_if_exists(&path).expect("probe"), None);

@@ -188,13 +188,7 @@ mod tests {
             v1.extend_from_slice(h.as_bytes());
         }
         let db = sw_swdb::snapshot::read(&v1).expect("structurally valid v1");
-        let seqs: Vec<EncodedSeq> = db
-            .iter()
-            .map(|(id, v)| EncodedSeq {
-                header: db.header(id).into(),
-                residues: v.residues.to_vec(),
-            })
-            .collect();
+        let seqs = db.to_sequences();
         let err = PreparedDb::try_prepare(seqs.clone(), 8, &a).unwrap_err();
         assert_eq!(
             err,

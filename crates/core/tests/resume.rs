@@ -445,6 +445,12 @@ fn corrupt_checkpoint_is_rejected_not_trusted() {
     match err {
         DurableSearchError::Checkpoint(CheckpointError::Corrupt { detail }) => {
             assert!(detail.contains("CRC32"), "unexpected detail: {detail}");
+            // The operator must learn *which* file to inspect or delete.
+            assert!(
+                detail.contains(path.to_str().expect("utf-8 path")),
+                "error does not name {}: {detail}",
+                path.display()
+            );
         }
         other => panic!("expected a corruption error, got: {other}"),
     }

@@ -55,10 +55,10 @@ pub(crate) struct PendingJob {
 /// the reply streams cannot wedge the job state.
 pub(crate) enum JobReply {
     Done {
-        /// `(score, global db index, header)` per hit. The index is
-        /// global: shard workers add their shard base so a coordinator
-        /// can merge per-shard streams with the unsharded tie-break.
-        hits: Vec<(i64, u64, String)>,
+        /// The ranked hits as they go on the wire. Ids are global:
+        /// shard workers add their shard base so a coordinator can
+        /// merge per-shard streams with the unsharded tie-break.
+        hits: Vec<crate::client::HitLine>,
         resumes: u64,
         batch: usize,
     },

@@ -1,11 +1,13 @@
 //! Client side of the serve protocol: request builders, a one-shot
 //! request runner, and the submit-stream parser. Used by the `swsearch
-//! submit` front-end and the integration tests — both speak exactly
-//! this code, so the wire format has one reader and one writer.
+//! submit` front-end, the coordinator and the integration tests. The
+//! hit line has its one writer ([`HitLine::to_json`], which the daemon
+//! streams and `search --shards --json` re-renders) and its one parser
+//! here; line framing is `transport`'s.
 
 use crate::json;
-use crate::transport::{Endpoint, NetTransport, RetryPolicy, ShardTransport};
-use std::io::{self, BufRead, BufReader, Write};
+use crate::transport::{Endpoint, LineReader, NetTransport, RetryPolicy, ShardTransport};
+use std::io;
 use std::path::Path;
 use std::time::Duration;
 
@@ -82,13 +84,11 @@ pub fn request_endpoint_retry(
 ) -> io::Result<(Vec<String>, u32)> {
     let (mut stream, used) =
         NetTransport.connect_retry(endpoint, Duration::from_millis(1_000), policy)?;
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()?;
-    stream.shutdown_write()?;
+    stream.send_line(line)?;
+    let mut reader = LineReader::new(stream);
     let mut lines = Vec::new();
-    for l in BufReader::new(stream).lines() {
-        lines.push(l?);
+    while let Some(l) = reader.read_line()? {
+        lines.push(l);
     }
     Ok((lines, used))
 }
@@ -106,6 +106,30 @@ pub struct HitLine {
     pub id: u64,
     /// Database header.
     pub header: String,
+}
+
+impl HitLine {
+    /// The wire form — the one place a hit line is rendered.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"rank\":{},\"score\":{},\"id\":{},\"header\":\"{}\"}}",
+            self.rank,
+            self.score,
+            self.id,
+            json::escape(&self.header)
+        )
+    }
+
+    /// Parse the wire form back (`id` defaults to 0: pre-shard daemons
+    /// did not send it).
+    fn from_json(line: &str) -> Option<HitLine> {
+        Some(HitLine {
+            rank: json::field_u64(line, "rank")?,
+            score: json::field_u64(line, "score")? as i64,
+            id: json::field_u64(line, "id").unwrap_or(0),
+            header: json::field_str(line, "header")?,
+        })
+    }
 }
 
 /// Parsed outcome of a submit stream.
@@ -142,16 +166,14 @@ pub fn parse_submit_response(lines: &[String]) -> Result<SubmitOutcome, String> 
         .ok_or(format!("job {job}: no final state line"))?;
     let state =
         json::field_str(state_line, "state").ok_or(format!("job {job}: malformed state"))?;
-    let mut hits = Vec::new();
-    for l in &lines[2..lines.len() - 1] {
-        hits.push(HitLine {
-            rank: json::field_u64(l, "rank").ok_or(format!("job {job}: malformed hit line"))?,
-            score: json::field_u64(l, "score").ok_or(format!("job {job}: malformed hit line"))?
-                as i64,
-            id: json::field_u64(l, "id").unwrap_or(0),
-            header: json::field_str(l, "header").ok_or(format!("job {job}: malformed hit line"))?,
-        });
-    }
+    // (`get`: a stream whose state line is also its end marker has no
+    // hit range at all.)
+    let hits = lines
+        .get(2..lines.len() - 1)
+        .unwrap_or(&[])
+        .iter()
+        .map(|l| HitLine::from_json(l).ok_or(format!("job {job}: malformed hit line")))
+        .collect::<Result<Vec<_>, _>>()?;
     Ok(SubmitOutcome {
         job,
         state,
@@ -187,10 +209,27 @@ mod tests {
         assert_eq!(o.hits[0].score, 99);
         assert_eq!(o.hits[0].id, 17);
         assert_eq!(o.hits[1].header, "sp|B|two");
+        // The writer renders exactly the line the parser read.
+        assert_eq!(o.hits[0].to_json(), lines[2]);
+        let hostile = HitLine {
+            rank: 1,
+            score: 7,
+            id: 2,
+            header: "sp|\"q\"\\\n".into(),
+        };
+        assert_eq!(HitLine::from_json(&hostile.to_json()), Some(hostile));
 
         // Rejection surfaces the daemon's message.
         let rej = vec!["{\"ok\":false,\"error\":\"tenant 'x' quota exceeded\"}".to_string()];
         assert!(parse_submit_response(&rej).unwrap_err().contains("quota"));
+
+        // A two-line stream (state line doubling as end marker) has no
+        // hit range; it must parse, not panic.
+        let two = vec![
+            lines[0].clone(),
+            "{\"job\":3,\"state\":\"cancelled\",\"end\":true}".to_string(),
+        ];
+        assert!(parse_submit_response(&two).unwrap().hits.is_empty());
 
         // A missing end marker is a truncated stream.
         let trunc = lines[..2].to_vec();

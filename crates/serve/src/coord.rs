@@ -35,7 +35,7 @@
 //!
 //! With a journal path configured ([`CoordDrill`]), every accepted
 //! per-shard result and every requeue is recorded in an SWCRDJ1 file
-//! (CRC-guarded, atomic rename — see [`crate::journal`]). A coordinator
+//! (CRC-guarded, tmp + fsync + rename — see [`crate::journal`]). A coordinator
 //! that is SIGKILLed mid-search restarts with `resume`, skips committed
 //! shards entirely, re-runs only the rest, and merges to bytes
 //! identical to an uninterrupted run.
@@ -51,15 +51,18 @@
 use crate::client::{
     self, health_request, parse_submit_response, shutdown_request, submit_request, HitLine,
 };
-use crate::journal::{fnv1a, CommittedShard, CoordJournal};
+use crate::journal::{CommittedShard, CoordJournal};
 use crate::json;
-use crate::transport::{Endpoint, NetTransport, RetryPolicy, ShardTransport, Stream};
-use std::io::{self, BufRead, BufReader, Write};
+use crate::transport::{
+    is_timeout, Endpoint, LineReader, NetTransport, RetryPolicy, ShardTransport, Stream,
+};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 use sw_sched::{NetFaultInjector, NetFaultKind, RequeueQueue};
+use sw_swdb::integrity::{fnv1a64, tmp_path};
 
 /// Consecutive missed heartbeats before a silent stream is declared
 /// black-holed and its shard lease is requeued.
@@ -312,7 +315,7 @@ pub fn search_sharded_durable(
 ) -> Result<CoordOutcome, CoordError> {
     assert!(!shards.is_empty(), "no shards to search");
     let n = shards.len();
-    let query_digest = fnv1a(query_fasta.as_bytes());
+    let query_digest = fnv1a64(query_fasta.as_bytes());
 
     // Load-or-create the journal. A resumed journal must describe this
     // exact search; a mismatch is an operator error, never silent.
@@ -454,7 +457,7 @@ pub fn search_sharded_durable(
     // Clean finish: the journal has served its purpose.
     if let Some(path) = journal_path {
         let _ = std::fs::remove_file(path);
-        let _ = std::fs::remove_file(path.with_extension("tmp"));
+        let _ = std::fs::remove_file(tmp_path(path));
     }
     let mut reports = Vec::with_capacity(n);
     let mut per_shard = Vec::with_capacity(n);
@@ -661,13 +664,9 @@ impl Wire<'_> {
         drip: Option<Duration>,
     ) -> io::Result<Vec<String>> {
         stream.set_read_timeout(Some(Duration::from_millis(100)))?;
-        stream.write_all(line.as_bytes())?;
-        stream.write_all(b"\n")?;
-        stream.flush()?;
-        stream.shutdown_write()?;
-        let mut reader = BufReader::new(stream);
+        stream.send_line(line)?;
+        let mut reader = LineReader::new(stream);
         let mut lines = Vec::new();
-        let mut buf = String::new();
         let mut last_activity = Instant::now();
         let mut misses = 0u32;
         loop {
@@ -679,23 +678,19 @@ impl Wire<'_> {
                     ));
                 }
             }
-            buf.clear();
-            match reader.read_line(&mut buf) {
-                Ok(0) => return Ok(lines),
-                Ok(_) => {
+            // A read timeout mid-line keeps the partial line in the
+            // reader; the next turn continues it.
+            match reader.read_line() {
+                Ok(None) => return Ok(lines),
+                Ok(Some(reply)) => {
                     if let Some(d) = drip {
                         std::thread::sleep(d);
                     }
-                    lines.push(buf.trim_end().to_string());
+                    lines.push(reply);
                     last_activity = Instant::now();
                     misses = 0;
                 }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
+                Err(e) if is_timeout(&e) => {
                     if Instant::now() >= deadline {
                         return Err(io::Error::new(
                             io::ErrorKind::TimedOut,
@@ -731,19 +726,13 @@ impl Wire<'_> {
         let timeout = Duration::from_millis(250);
         let mut stream = self.transport.connect(self.endpoint, timeout)?;
         stream.set_read_timeout(Some(timeout))?;
-        stream.write_all(health_request().as_bytes())?;
-        stream.write_all(b"\n")?;
-        stream.flush()?;
-        stream.shutdown_write()?;
-        let mut reader = BufReader::new(stream);
-        let mut buf = String::new();
-        match reader.read_line(&mut buf) {
-            Ok(n) if n > 0 => Ok(()),
-            Ok(_) => Err(io::Error::new(
+        stream.send_line(&health_request())?;
+        match LineReader::new(stream).read_line()? {
+            Some(_) => Ok(()),
+            None => Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "empty heartbeat reply",
             )),
-            Err(e) => Err(e),
         }
     }
 }

@@ -4,9 +4,10 @@
 //! itself is SIGKILLed mid-search, every completed shard's work would be
 //! lost and a rerun would start from zero. The journal fixes that: after
 //! each shard's top-K is accepted, the coordinator rewrites a small
-//! CRC-guarded binary file (atomic tmp + rename, the same durability
-//! idiom as SWCKPT1 checkpoints) recording per-shard attempt counts and
-//! the committed hit lists plus their digests. A restart with
+//! CRC-guarded binary file (the framed container and tmp + rename write
+//! of `sw_swdb::integrity`, fsync'd — DESIGN "Formats and their one
+//! home") recording per-shard attempt counts and the committed hit lists
+//! plus their digests. A restart with
 //! `--resume-coord` loads the journal, validates it against the query,
 //! the parent snapshot and K, seeds the scheduler with the surviving
 //! attempt counts, skips committed shards entirely, and — because the
@@ -39,34 +40,26 @@ use std::io;
 use std::path::Path;
 
 use crate::client::HitLine;
-use sw_swdb::integrity::crc32;
+use sw_swdb::integrity::{
+    frame, put_i64, put_u32, put_u64, replace_file, unframe, ByteReader, Fnv64,
+};
 
 /// Magic prefix of a coordinator journal file.
 pub const JOURNAL_MAGIC: &[u8; 8] = b"SWCRDJ1\0";
 
-/// FNV-1a digest used for the query and per-shard hit lists. Matches
-/// the snapshot digest primitive: cheap, stable, order-sensitive.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-/// Digest of a committed per-shard hit list (order-sensitive over rank,
-/// score, id and header of every hit).
+/// Digest of a committed per-shard hit list (FNV-1a 64, order-sensitive
+/// over rank, score, id and header of every hit).
 pub fn hits_digest(hits: &[HitLine]) -> u64 {
-    let mut buf = Vec::new();
+    let mut d = Fnv64::new();
     for h in hits {
-        buf.extend_from_slice(&h.rank.to_le_bytes());
-        buf.extend_from_slice(&h.score.to_le_bytes());
-        buf.extend_from_slice(&h.id.to_le_bytes());
-        buf.extend_from_slice(&(h.header.len() as u64).to_le_bytes());
-        buf.extend_from_slice(h.header.as_bytes());
+        d = d
+            .update_u64(h.rank)
+            .update_u64(h.score as u64)
+            .update_u64(h.id)
+            .update_u64(h.header.len() as u64)
+            .update(h.header.as_bytes());
     }
-    fnv1a(&buf)
+    d.finish()
 }
 
 /// A committed shard result held by the journal.
@@ -129,93 +122,88 @@ impl CoordJournal {
 
     /// Serialize to the SWCRDJ1 byte layout.
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&self.query_digest.to_le_bytes());
-        payload.extend_from_slice(&self.parent_digest.to_le_bytes());
-        payload.extend_from_slice(&self.top.to_le_bytes());
-        payload.extend_from_slice(&(self.shards.len() as u64).to_le_bytes());
+        let mut p = Vec::new();
+        put_u64(&mut p, self.query_digest);
+        put_u64(&mut p, self.parent_digest);
+        put_u64(&mut p, self.top);
+        put_u64(&mut p, self.shards.len() as u64);
         for slot in &self.shards {
-            payload.extend_from_slice(&slot.index.to_le_bytes());
-            payload.extend_from_slice(&slot.attempts.to_le_bytes());
+            put_u64(&mut p, slot.index);
+            put_u32(&mut p, slot.attempts);
             match &slot.committed {
-                None => payload.push(0),
+                None => p.push(0),
                 Some(c) => {
-                    payload.push(1);
-                    payload.extend_from_slice(&c.resumes.to_le_bytes());
-                    payload.extend_from_slice(&hits_digest(&c.hits).to_le_bytes());
-                    payload.extend_from_slice(&(c.hits.len() as u64).to_le_bytes());
+                    p.push(1);
+                    put_u64(&mut p, c.resumes);
+                    put_u64(&mut p, hits_digest(&c.hits));
+                    put_u64(&mut p, c.hits.len() as u64);
                     for h in &c.hits {
-                        payload.extend_from_slice(&h.score.to_le_bytes());
-                        payload.extend_from_slice(&h.id.to_le_bytes());
-                        payload.extend_from_slice(&(h.header.len() as u64).to_le_bytes());
-                        payload.extend_from_slice(h.header.as_bytes());
+                        put_i64(&mut p, h.score);
+                        put_u64(&mut p, h.id);
+                        put_u64(&mut p, h.header.len() as u64);
+                        p.extend_from_slice(h.header.as_bytes());
                     }
                 }
             }
         }
-        let mut out = Vec::with_capacity(12 + payload.len());
-        out.extend_from_slice(JOURNAL_MAGIC);
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        frame(JOURNAL_MAGIC, &p)
     }
 
     /// Decode and CRC-check an SWCRDJ1 byte image.
     pub fn decode(bytes: &[u8]) -> Result<Self, String> {
-        let mut c = Cursor { bytes, at: 0 };
-        if c.take(8)? != JOURNAL_MAGIC.as_slice() {
-            return Err("coord journal: bad magic (not SWCRDJ1)".into());
-        }
-        let crc = u32::from_le_bytes(c.take(4)?.try_into().unwrap());
-        let payload = &bytes[c.at..];
-        if crc32(payload) != crc {
-            return Err("coord journal: CRC mismatch (truncated or corrupt)".into());
-        }
-        let query_digest = c.u64()?;
-        let parent_digest = c.u64()?;
-        let top = c.u64()?;
-        let n_shards = c.u64()?;
+        Self::decode_framed(bytes).map_err(|e| format!("coord journal: {e}"))
+    }
+
+    fn decode_framed(bytes: &[u8]) -> Result<Self, String> {
+        let mut r = ByteReader::new(unframe(JOURNAL_MAGIC, bytes)?);
+        let query_digest = r.u64("query digest")?;
+        let parent_digest = r.u64("parent digest")?;
+        let top = r.u64("top-K")?;
+        let n_shards = r.u64("shard count")?;
         if n_shards > 1 << 20 {
-            return Err("coord journal: implausible shard count".into());
+            return Err("implausible shard count".into());
         }
-        let mut shards = Vec::with_capacity(n_shards as usize);
+        // Capacities come from what the payload can hold (a slot is at
+        // least 13 bytes, a hit 24), never from a stored count alone.
+        let mut shards = Vec::with_capacity((n_shards as usize).min(r.rest().len() / 13));
         for want in 0..n_shards {
-            let index = c.u64()?;
+            let index = r.u64("shard index")?;
             if index != want {
                 return Err(format!(
-                    "coord journal: shard slot out of order (want {want}, got {index})"
+                    "shard slot out of order (want {want}, got {index})"
                 ));
             }
-            let attempts = u32::from_le_bytes(c.take(4)?.try_into().unwrap());
-            let committed = match c.take(1)?[0] {
+            let attempts = r.u32("attempt count")?;
+            let committed = match r.u8("committed flag")? {
                 0 => None,
                 1 => {
-                    let resumes = c.u64()?;
-                    let digest = c.u64()?;
-                    let n_hits = c.u64()?;
+                    let resumes = r.u64("resume count")?;
+                    let digest = r.u64("hits digest")?;
+                    let n_hits = r.u64("hit count")?;
                     if n_hits > 1 << 24 {
-                        return Err("coord journal: implausible hit count".into());
+                        return Err("implausible hit count".into());
                     }
-                    let mut hits = Vec::with_capacity(n_hits as usize);
+                    let mut hits = Vec::with_capacity((n_hits as usize).min(r.rest().len() / 24));
                     for rank in 0..n_hits {
-                        let score = i64::from_le_bytes(c.take(8)?.try_into().unwrap());
-                        let id = c.u64()?;
-                        let len = c.u64()? as usize;
-                        let header = String::from_utf8(c.take(len)?.to_vec())
-                            .map_err(|_| "coord journal: non-utf8 header".to_string())?;
+                        let score = r.i64("hit score")?;
+                        let id = r.u64("hit id")?;
+                        let len = r.u64("header length")?;
+                        let len = usize::try_from(len).unwrap_or(usize::MAX);
+                        let header = std::str::from_utf8(r.bytes(len, "header")?)
+                            .map_err(|_| "non-utf8 header".to_string())?;
                         hits.push(HitLine {
                             rank: rank + 1,
                             score,
                             id,
-                            header,
+                            header: header.to_string(),
                         });
                     }
                     if hits_digest(&hits) != digest {
-                        return Err(format!("coord journal: shard {index} hit digest mismatch"));
+                        return Err(format!("shard {index} hit digest mismatch"));
                     }
                     Some(CommittedShard { resumes, hits })
                 }
-                b => return Err(format!("coord journal: bad committed flag {b}")),
+                b => return Err(format!("bad committed flag {b}")),
             };
             shards.push(ShardSlot {
                 index,
@@ -223,9 +211,7 @@ impl CoordJournal {
                 committed,
             });
         }
-        if c.at != bytes.len() {
-            return Err("coord journal: trailing bytes".into());
-        }
+        r.finish()?;
         Ok(CoordJournal {
             query_digest,
             parent_digest,
@@ -234,16 +220,11 @@ impl CoordJournal {
         })
     }
 
-    /// Atomically persist the journal (`tmp` + rename, fsync'd), so a
-    /// crash mid-write leaves either the old image or the new one —
-    /// never a torn file.
+    /// Atomically persist the journal (tmp + fsync + rename), so a crash
+    /// mid-write — the machine's, not only the process's — leaves either
+    /// the old image or the new one, never a torn file.
     pub fn save(&self, path: &Path) -> io::Result<()> {
-        let tmp = path.with_extension("tmp");
-        fs::write(&tmp, self.encode())?;
-        let f = fs::File::open(&tmp)?;
-        f.sync_all()?;
-        drop(f);
-        fs::rename(&tmp, path)
+        replace_file(path, &self.encode(), true)
     }
 
     /// Load and decode a journal file.
@@ -284,32 +265,13 @@ impl CoordJournal {
     }
 }
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.at + n > self.bytes.len() {
-            return Err("coord journal: truncated".into());
-        }
-        let s = &self.bytes[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sw_swdb::integrity::{fnv1a64, tmp_path};
 
     fn sample() -> CoordJournal {
-        let mut j = CoordJournal::new(fnv1a(b">q\nACDE\n"), 0xfeed, 5, 3);
+        let mut j = CoordJournal::new(fnv1a64(b">q\nACDE\n"), 0xfeed, 5, 3);
         j.shards[1].attempts = 2;
         j.shards[1].committed = Some(CommittedShard {
             resumes: 1,
@@ -330,6 +292,71 @@ mod tests {
         });
         j.shards[2].attempts = 1;
         j
+    }
+
+    /// `sample().encode()` as the parent commit's encoder (private
+    /// `Cursor`, own `fnv1a`, hand framing) emitted it.
+    const GOLDEN: &[u8] =
+        b"SWCRDJ1\0\xaa\x03\xbe\x8d\xa5\x14c%\xfa\x84\xbf\xc6\xed\xfe\0\0\0\0\0\0\x05\0\0\0\0\0\0\
+        \0\x03\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\x01\0\0\0\0\0\0\0\x02\0\0\0\x01\x01\0\0\0\
+        \0\0\0\0\xfe\xccna\xa4\xdd\xf4\x07\x02\0\0\0\0\0\0\0*\0\0\0\0\0\0\0\x07\0\0\0\0\0\0\0\
+        \x08\0\0\0\0\0\0\0seq7 tie(\0\0\0\0\0\0\0\x03\0\0\0\0\0\0\0\x04\0\0\0\0\0\0\0seq3\x02\0\
+        \0\0\0\0\0\0\x01\0\0\0\0";
+
+    #[test]
+    fn golden_bytes_decode_and_reencode() {
+        assert_eq!(CoordJournal::decode(GOLDEN).expect("decode"), sample());
+        assert_eq!(sample().encode(), GOLDEN);
+    }
+
+    #[test]
+    fn every_bit_flip_and_every_truncation_is_an_error() {
+        let good = sample().encode();
+        let mut copy = good.clone();
+        for i in 0..copy.len() {
+            for bit in 0..8 {
+                copy[i] ^= 1 << bit;
+                assert!(
+                    CoordJournal::decode(&copy).is_err(),
+                    "flip at byte {i} bit {bit} accepted"
+                );
+                copy[i] ^= 1 << bit;
+            }
+        }
+        for cut in 0..good.len() {
+            assert!(
+                CoordJournal::decode(&good[..cut]).is_err(),
+                "truncation to {cut} bytes accepted"
+            );
+        }
+    }
+
+    #[test]
+    fn crc_valid_hostile_payloads_are_errors_not_panics() {
+        // Past the CRC the decoder still trusts nothing: a header length
+        // or hit count that promises more than the payload holds is a
+        // truncation error (the parent's `at + n` overflowed here).
+        let good = sample().encode();
+        let payload = &good[12..];
+        // The first hit's header-length word: 32 bytes of preamble, slot 0
+        // (13), slot 1's index/attempts/flag (13), resumes/digest/n_hits
+        // (24), score + id (16).
+        let at = 32 + 13 + 13 + 24 + 16;
+        assert_eq!(payload[at..at + 8], 8u64.to_le_bytes(), "\"seq7 tie\"");
+        for hostile in [u64::MAX, u64::MAX - 7, 1 << 40] {
+            let mut p = payload.to_vec();
+            p[at..at + 8].copy_from_slice(&hostile.to_le_bytes());
+            let err = CoordJournal::decode(&frame(JOURNAL_MAGIC, &p)).unwrap_err();
+            assert!(err.contains("truncated"), "{err}");
+        }
+        let mut p = payload.to_vec();
+        p[at - 24..at - 16].copy_from_slice(&(1u64 << 24).to_le_bytes()); // n_hits
+        let err = CoordJournal::decode(&frame(JOURNAL_MAGIC, &p)).unwrap_err();
+        assert!(err.contains("truncated"), "{err}");
+        let mut trailing = payload.to_vec();
+        trailing.push(0);
+        let err = CoordJournal::decode(&frame(JOURNAL_MAGIC, &trailing)).unwrap_err();
+        assert!(err.contains("trailing"), "{err}");
     }
 
     #[test]
@@ -371,10 +398,7 @@ mod tests {
         let path = dir.join("coord.journal");
         let j = sample();
         j.save(&path).expect("save");
-        assert!(
-            !path.with_extension("tmp").exists(),
-            "tmp file must be renamed away"
-        );
+        assert!(!tmp_path(&path).exists(), "tmp file must be renamed away");
         let back = CoordJournal::load(&path).expect("load");
         assert_eq!(back, j);
         fs::remove_dir_all(&dir).ok();

@@ -14,11 +14,16 @@
 //! a per-tenant in-flight quota; everything submitted lands in the
 //! [`Registry`], which is dumped as JSONL on shutdown.
 //!
-//! Layering: [`client`] and `server` share the [`json`] wire helpers;
-//! `server` demuxes region outcomes through the `batch` collector's
-//! reply channels; the CLI's `serve`/`submit` commands and the
-//! integration tests are both thin wrappers over these modules.
-
+//! Layering: the wire is newline-delimited flat JSON, and each piece of
+//! it has one implementation — [`json`] (the workspace's one flat-JSON
+//! codec, re-exported from `sw-trace`) builds and parses fields,
+//! [`transport`] frames lines ([`Stream::send_line`] out,
+//! `transport::LineReader` in, on the client, the coordinator and the
+//! daemon alike), and [`client`] owns the request builders and the hit
+//! line. `server` demuxes region outcomes through the `batch`
+//! collector's reply channels; the CLI's `serve`/`submit` commands and
+//! the integration tests are both thin wrappers over these modules.
+//!
 //! Observability: every lifecycle transition is stamped on the job's
 //! [`obs::Phases`] record and folded into the daemon-lifetime
 //! aggregator in [`obs`] — phase-latency histograms, SLO counters and
@@ -30,7 +35,6 @@ mod batch;
 pub mod client;
 pub mod coord;
 pub mod journal;
-pub mod json;
 pub mod obs;
 pub mod registry;
 mod server;
@@ -41,4 +45,5 @@ pub use journal::{CommittedShard, CoordJournal, ShardSlot};
 pub use obs::{coord_prometheus, LogLevel, Obs, ObsConfig, Phases, ShardRole};
 pub use registry::{JobRecord, JobState, Registry, StatsSnapshot, TenantTotals};
 pub use server::{serve, ServeConfig, ServeError};
+pub use sw_trace::json;
 pub use transport::{Endpoint, Listener, NetTransport, RetryPolicy, ShardTransport, Stream};

@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use sw_trace::export::Histogram;
+use sw_trace::export::{Histogram, PromWriter};
 
 use crate::registry::StatsSnapshot;
 
@@ -442,128 +442,97 @@ impl Obs {
     }
 
     /// Render the daemon-lifetime Prometheus snapshot for
-    /// `{"op":"metrics"}` and `--metrics-file`. Validator-clean by
-    /// construction (`sw_trace::validate::validate_prometheus_strict`).
+    /// `{"op":"metrics"}` and `--metrics-file`: tables over the one
+    /// [`PromWriter`], so the scrape is clean under
+    /// `sw_trace::validate::validate_prometheus_strict` by construction.
     pub fn prometheus(&self, stats: &StatsSnapshot, queue_cap: usize) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(8192);
         let agg = self.agg.lock().expect("obs agg").clone();
-
         // Shard workers label every series so an aggregating scrape
         // (or the coordinator's debugging eye) can tell workers apart;
         // an unsharded daemon emits the label-free families unchanged.
-        let shard_label: Option<String> =
-            self.config.shard.map(|s| format!("shard=\"{}\"", s.index));
-        // Label body prefix for families that already carry labels.
-        let shard_prefix: String = shard_label
-            .as_ref()
-            .map(|l| format!("{l},"))
-            .unwrap_or_default();
+        let shard = self.config.shard.map(|s| s.index.to_string());
+        let mut w = PromWriter::new(shard.as_deref().map(|index| ("shard", index)));
 
-        let counter = |out: &mut String, name: &str, help: &str, v: u64| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            match &shard_label {
-                Some(l) => {
-                    let _ = writeln!(out, "{name}{{{l}}} {v}");
-                }
-                None => {
-                    let _ = writeln!(out, "{name} {v}");
-                }
-            }
-        };
-        counter(
-            &mut out,
-            "sw_serve_submitted_total",
-            "submit requests admitted to the registry",
-            stats.total as u64,
-        );
-        counter(
-            &mut out,
-            "sw_serve_done_total",
-            "jobs finished successfully since daemon start",
-            stats.done_total,
-        );
-        counter(
-            &mut out,
-            "sw_serve_failed_total",
-            "jobs that finished in failure since daemon start",
-            stats.failed_total,
-        );
-        counter(
-            &mut out,
-            "sw_serve_cancelled_total",
-            "jobs cancelled since daemon start",
-            stats.cancelled_total,
-        );
-        counter(
-            &mut out,
-            "sw_serve_rejected_total",
-            "submits bounced at the door (tenant over quota)",
-            stats.rejected,
-        );
-        counter(
-            &mut out,
-            "sw_serve_resumes_total",
-            "checkpoint resumes performed by finished jobs",
-            agg.resumes,
-        );
-        counter(
-            &mut out,
-            "sw_serve_degraded_runs_total",
-            "finished runs that lost a device pool",
-            agg.degraded_runs,
-        );
-        counter(
-            &mut out,
-            "sw_serve_checkpoint_writes_total",
-            "checkpoint files written by regions",
-            agg.checkpoint_writes,
-        );
-        counter(
-            &mut out,
-            "sw_serve_broken_pipe_total",
-            "reply streams that died mid-write",
-            agg.broken_pipes,
-        );
-        counter(
-            &mut out,
-            "sw_serve_slow_queries_total",
-            "jobs whose total latency crossed --slow-query-ms",
-            agg.slow_queries,
-        );
-        counter(
-            &mut out,
-            "sw_serve_connection_evictions_total",
-            "connections evicted for stalling before a full request line",
-            agg.connection_evictions,
-        );
-        counter(
-            &mut out,
-            "sw_serve_regions_total",
-            "dual-pool regions executed",
-            agg.regions,
-        );
-        counter(
-            &mut out,
-            "sw_serve_region_queries_total",
-            "jobs executed through regions (coalesced or solo)",
-            agg.region_queries,
-        );
-        counter(
-            &mut out,
-            "sw_serve_cells_total",
-            "DP cells computed across all regions",
-            agg.cells_total,
-        );
+        for (name, help, v) in [
+            (
+                "sw_serve_submitted_total",
+                "submit requests admitted to the registry",
+                stats.total as u64,
+            ),
+            (
+                "sw_serve_done_total",
+                "jobs finished successfully since daemon start",
+                stats.done_total,
+            ),
+            (
+                "sw_serve_failed_total",
+                "jobs that finished in failure since daemon start",
+                stats.failed_total,
+            ),
+            (
+                "sw_serve_cancelled_total",
+                "jobs cancelled since daemon start",
+                stats.cancelled_total,
+            ),
+            (
+                "sw_serve_rejected_total",
+                "submits bounced at the door (tenant over quota)",
+                stats.rejected,
+            ),
+            (
+                "sw_serve_resumes_total",
+                "checkpoint resumes performed by finished jobs",
+                agg.resumes,
+            ),
+            (
+                "sw_serve_degraded_runs_total",
+                "finished runs that lost a device pool",
+                agg.degraded_runs,
+            ),
+            (
+                "sw_serve_checkpoint_writes_total",
+                "checkpoint files written by regions",
+                agg.checkpoint_writes,
+            ),
+            (
+                "sw_serve_broken_pipe_total",
+                "reply streams that died mid-write",
+                agg.broken_pipes,
+            ),
+            (
+                "sw_serve_slow_queries_total",
+                "jobs whose total latency crossed --slow-query-ms",
+                agg.slow_queries,
+            ),
+            (
+                "sw_serve_connection_evictions_total",
+                "connections evicted for stalling before a full request line",
+                agg.connection_evictions,
+            ),
+            (
+                "sw_serve_regions_total",
+                "dual-pool regions executed",
+                agg.regions,
+            ),
+            (
+                "sw_serve_region_queries_total",
+                "jobs executed through regions (coalesced or solo)",
+                agg.region_queries,
+            ),
+            (
+                "sw_serve_cells_total",
+                "DP cells computed across all regions",
+                agg.cells_total,
+            ),
+        ] {
+            w.counter(name, help).sample(&[], v);
+        }
 
-        let _ = writeln!(
-            out,
-            "# HELP sw_serve_tenant_jobs_total per-tenant lifecycle outcomes"
+        let mut per_tenant = w.counter(
+            "sw_serve_tenant_jobs_total",
+            "per-tenant lifecycle outcomes",
         );
-        let _ = writeln!(out, "# TYPE sw_serve_tenant_jobs_total counter");
         for (tenant, t) in &stats.tenants {
-            let esc = prom_escape(tenant);
             for (outcome, v) in [
                 ("submitted", t.submitted),
                 ("done", t.done),
@@ -571,127 +540,97 @@ impl Obs {
                 ("cancelled", t.cancelled),
                 ("rejected", t.rejected),
             ] {
-                let _ = writeln!(
-                    out,
-                    "sw_serve_tenant_jobs_total{{{shard_prefix}tenant=\"{esc}\",outcome=\"{outcome}\"}} {v}"
-                );
+                per_tenant.sample(&[("tenant", tenant), ("outcome", outcome)], v);
             }
         }
 
-        let gauge = |out: &mut String, name: &str, help: &str, v: String| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            match &shard_label {
-                Some(l) => {
-                    let _ = writeln!(out, "{name}{{{l}}} {v}");
-                }
-                None => {
-                    let _ = writeln!(out, "{name} {v}");
-                }
-            }
-        };
+        let draining = self.draining.load(Ordering::SeqCst);
         let ready = self.ready.load(Ordering::SeqCst)
             && self.collector_alive.load(Ordering::SeqCst)
-            && !self.draining.load(Ordering::SeqCst);
-        gauge(
-            &mut out,
-            "sw_serve_ready",
-            "1 when the daemon would pass a readiness probe",
-            u64::from(ready).to_string(),
-        );
-        gauge(
-            &mut out,
-            "sw_serve_draining",
-            "1 while shutdown drains in-flight jobs",
-            u64::from(self.draining.load(Ordering::SeqCst)).to_string(),
-        );
-        gauge(
-            &mut out,
-            "sw_serve_queued",
-            "jobs waiting for the collector",
-            stats.queued.to_string(),
-        );
-        gauge(
-            &mut out,
-            "sw_serve_running",
-            "jobs currently executing in a region",
-            stats.running.to_string(),
-        );
-        gauge(
-            &mut out,
-            "sw_serve_queue_cap",
-            "max queries per coalesced region (--max-concurrent)",
-            queue_cap.to_string(),
-        );
-        gauge(
-            &mut out,
-            "sw_serve_uptime_seconds",
-            "seconds since the daemon epoch",
-            format!("{:.3}", self.now_us() as f64 / 1e6),
-        );
+            && !draining;
+        for (name, help, v) in [
+            (
+                "sw_serve_ready",
+                "1 when the daemon would pass a readiness probe",
+                u64::from(ready).to_string(),
+            ),
+            (
+                "sw_serve_draining",
+                "1 while shutdown drains in-flight jobs",
+                u64::from(draining).to_string(),
+            ),
+            (
+                "sw_serve_queued",
+                "jobs waiting for the collector",
+                stats.queued.to_string(),
+            ),
+            (
+                "sw_serve_running",
+                "jobs currently executing in a region",
+                stats.running.to_string(),
+            ),
+            (
+                "sw_serve_queue_cap",
+                "max queries per coalesced region (--max-concurrent)",
+                queue_cap.to_string(),
+            ),
+            (
+                "sw_serve_uptime_seconds",
+                "seconds since the daemon epoch",
+                format!("{:.3}", self.now_us() as f64 / 1e6),
+            ),
+        ] {
+            w.gauge(name, help).sample(&[], v);
+        }
 
-        let hist = |out: &mut String, name: &str, help: &str, h: &Histogram| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} histogram");
-            h.write_prom(out, name, shard_label.as_deref().unwrap_or(""));
-        };
-        hist(
-            &mut out,
-            "sw_serve_admit_us",
-            "submit accepted to ack streamed",
-            &agg.admit,
-        );
-        hist(
-            &mut out,
-            "sw_serve_gather_us",
-            "ack to gather-window exit (batch coalescing wait)",
-            &agg.gather,
-        );
-        hist(
-            &mut out,
-            "sw_serve_run_us",
-            "region start to terminal state",
-            &agg.run,
-        );
-        hist(
-            &mut out,
-            "sw_serve_first_hit_us",
-            "submit accepted to first hit streamed",
-            &agg.first_hit,
-        );
-        hist(
-            &mut out,
-            "sw_serve_total_us",
-            "submit accepted to terminal state",
-            &agg.total,
-        );
-        hist(
-            &mut out,
-            "sw_serve_region_size",
-            "queries coalesced per region",
-            &agg.region_size,
-        );
+        for (name, help, h) in [
+            (
+                "sw_serve_admit_us",
+                "submit accepted to ack streamed",
+                &agg.admit,
+            ),
+            (
+                "sw_serve_gather_us",
+                "ack to gather-window exit (batch coalescing wait)",
+                &agg.gather,
+            ),
+            (
+                "sw_serve_run_us",
+                "region start to terminal state",
+                &agg.run,
+            ),
+            (
+                "sw_serve_first_hit_us",
+                "submit accepted to first hit streamed",
+                &agg.first_hit,
+            ),
+            (
+                "sw_serve_total_us",
+                "submit accepted to terminal state",
+                &agg.total,
+            ),
+            (
+                "sw_serve_region_size",
+                "queries coalesced per region",
+                &agg.region_size,
+            ),
+        ] {
+            w.histogram(name, help).series(&[], h);
+        }
 
-        let _ = writeln!(
-            out,
-            "# HELP sw_serve_gcups_window aggregate GCUPS over fixed windows ({GCUPS_WINDOW_US} us wide)"
-        );
-        let _ = writeln!(out, "# TYPE sw_serve_gcups_window gauge");
+        let help = format!("aggregate GCUPS over fixed windows ({GCUPS_WINDOW_US} us wide)");
+        let mut windows = w.gauge("sw_serve_gcups_window", &help);
         let window_secs = GCUPS_WINDOW_US as f64 / 1e6;
         for (idx, cells) in &agg.windows {
-            let _ = writeln!(
-                out,
-                "sw_serve_gcups_window{{{shard_prefix}start_us=\"{}\"}} {:.6}",
-                idx * GCUPS_WINDOW_US,
-                *cells as f64 / window_secs / 1e9
+            windows.sample(
+                &[("start_us", &(idx * GCUPS_WINDOW_US).to_string())],
+                format_args!("{:.6}", *cells as f64 / window_secs / 1e9),
             );
         }
-        out
+        w.finish()
     }
 }
 
-/// Escape a label value for the Prometheus exposition format (`\\`,
-/// `\"`, `\n` — the only escapes the format defines).
 /// Render the *coordinator's* own Prometheus snapshot after a sharded
 /// search: transport and failover counters no single worker can see
 /// (`search --shards --metrics-out` writes this file; the CI net-smoke
@@ -704,57 +643,34 @@ pub fn coord_prometheus(
     net_retries: u64,
     journal_skipped: u64,
 ) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(1024);
-    let counter = |out: &mut String, name: &str, help: &str, v: u64| {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} counter");
-        let _ = writeln!(out, "{name} {v}");
-    };
-    counter(
-        &mut out,
-        "sw_serve_shard_requeues_total",
-        "Shard executions requeued after a failed attempt",
-        requeues,
-    );
-    counter(
-        &mut out,
-        "sw_serve_shard_failovers_total",
-        "Requeues that moved a shard to a replica endpoint",
-        failovers,
-    );
-    counter(
-        &mut out,
-        "sw_serve_net_retries_total",
-        "Connect retries absorbed by the transport backoff",
-        net_retries,
-    );
-    counter(
-        &mut out,
-        "sw_serve_coord_journal_skipped_total",
-        "Shards skipped on --resume-coord because the journal had committed them",
-        journal_skipped,
-    );
-    let _ = writeln!(
-        out,
-        "# HELP sw_serve_coord_shards Shards coordinated by this search"
-    );
-    let _ = writeln!(out, "# TYPE sw_serve_coord_shards gauge");
-    let _ = writeln!(out, "sw_serve_coord_shards {shards}");
-    out
-}
-
-fn prom_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
-        }
+    let mut w = PromWriter::new(None);
+    for (name, help, v) in [
+        (
+            "sw_serve_shard_requeues_total",
+            "Shard executions requeued after a failed attempt",
+            requeues,
+        ),
+        (
+            "sw_serve_shard_failovers_total",
+            "Requeues that moved a shard to a replica endpoint",
+            failovers,
+        ),
+        (
+            "sw_serve_net_retries_total",
+            "Connect retries absorbed by the transport backoff",
+            net_retries,
+        ),
+        (
+            "sw_serve_coord_journal_skipped_total",
+            "Shards skipped on --resume-coord because the journal had committed them",
+            journal_skipped,
+        ),
+    ] {
+        w.counter(name, help).sample(&[], v);
     }
-    out
+    w.gauge("sw_serve_coord_shards", "Shards coordinated by this search")
+        .sample(&[], shards);
+    w.finish()
 }
 
 #[cfg(test)]

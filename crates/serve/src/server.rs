@@ -35,11 +35,12 @@
 //! registry is dumped and the socket removed.
 
 use crate::batch::{Batcher, JobReply, PendingJob, SHUTDOWN_POLL};
+use crate::client::HitLine;
 use crate::json;
 use crate::obs::{LogLevel, Obs, ObsConfig, ShardRole};
 use crate::registry::{JobState, Registry, StatsSnapshot};
-use crate::transport::{Endpoint, Listener, Stream};
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use crate::transport::{is_timeout, Endpoint, LineReader, Listener, Stream};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -49,6 +50,7 @@ use sw_core::{
 };
 use sw_sched::{DrainSignal, FaultInjector, FaultKind, FaultPlan, FaultSpec, DEVICE_ANY};
 use sw_seq::Alphabet;
+use sw_swdb::integrity::replace_file;
 
 /// Boxed error for daemon startup/teardown failures (per-connection
 /// errors never propagate here).
@@ -274,7 +276,7 @@ pub fn serve(
         ),
     );
     if let Some(path) = &config.registry_out {
-        std::fs::write(path, registry.dump_jsonl())?;
+        replace_file(path, registry.dump_jsonl().as_bytes(), false)?;
     }
     if let Some(path) = config.unix_socket() {
         let _ = std::fs::remove_file(path);
@@ -300,7 +302,7 @@ fn shutdown_waker(ctx: Ctx<'_>, wake: &Endpoint, accepting: &AtomicBool) {
 }
 
 /// Periodically dump the daemon-lifetime scrape to `metrics_file`
-/// (atomic tmp+rename so a scraper never reads a torn file), plus one
+/// (`replace_file`, so a scraper never reads a torn file), plus one
 /// final dump after the collector exits so the artifact reflects the
 /// completed session.
 fn metrics_file_loop(ctx: Ctx<'_>) {
@@ -315,10 +317,7 @@ fn metrics_file_loop(ctx: Ctx<'_>) {
         if done || last.elapsed() >= interval {
             let stats = ctx.registry.stats();
             let text = ctx.obs.prometheus(&stats, ctx.config.max_concurrent);
-            let tmp = path.with_extension("prom.tmp");
-            if std::fs::write(&tmp, text).is_ok() {
-                let _ = std::fs::rename(&tmp, path);
-            }
+            let _ = replace_file(path, text.as_bytes(), false);
             last = std::time::Instant::now();
         }
         if done {
@@ -332,28 +331,23 @@ fn handle_connection(ctx: Ctx<'_>, stream: Stream) -> io::Result<()> {
     // waits on this thread, so the request read polls the shutdown
     // signal on a short timeout instead of blocking forever.
     stream.set_read_timeout(Some(Duration::from_millis(100)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut line = String::new();
+    let mut reader = LineReader::new(stream.try_clone()?);
+    let mut w = BufWriter::new(stream);
     // Overall request deadline: a client that sends half a line and
     // stalls would otherwise pin this thread and its fd until daemon
     // shutdown. Crossing it evicts the connection (an SLO counter, not
     // an error — the daemon is healthy, the client is not).
     let deadline =
         std::time::Instant::now() + Duration::from_millis(ctx.config.request_timeout_ms.max(1));
-    loop {
-        // A timeout mid-line leaves the partial read in `line`; looping
-        // with the same buffer stitches the rest on.
-        match reader.read_line(&mut line) {
+    let line = loop {
+        // A timeout mid-line leaves the partial read in the reader; the
+        // next turn stitches the rest on.
+        match reader.read_line() {
             // Connect-and-close (the shutdown waker, a liveness dial, a
             // port scan) is not a request: no reply, no counter.
-            Ok(0) if line.is_empty() => return Ok(()),
-            Ok(_) => break,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
+            Ok(None) => return Ok(()),
+            Ok(Some(line)) => break line,
+            Err(e) if is_timeout(&e) => {
                 if ctx.shutdown.is_requested() {
                     return Ok(()); // daemon draining: drop the idle connection
                 }
@@ -365,21 +359,26 @@ fn handle_connection(ctx: Ctx<'_>, stream: Stream) -> io::Result<()> {
                         &format!(
                             ",\"deadline_ms\":{},\"partial_bytes\":{}",
                             ctx.config.request_timeout_ms,
-                            line.len()
+                            reader.partial_len()
                         ),
                     );
                     return Ok(());
                 }
             }
+            // Over the line bound, or not UTF-8: tell the client why
+            // before closing — the daemon itself is fine.
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                fail(&mut w, &format!("request {e}"))?;
+                return w.flush();
+            }
             Err(e) => return Err(e),
         }
-    }
-    stream.set_read_timeout(None)?;
-    let line = line.trim_end().to_string();
-    let mut w = BufWriter::new(stream);
-    match json::field_str(&line, "op").as_deref() {
+    };
+    w.get_ref().set_read_timeout(None)?;
+    let line = line.trim_end();
+    match json::field_str(line, "op").as_deref() {
         Some("submit") => {
-            if let Err(e) = op_submit(ctx, &line, &mut w) {
+            if let Err(e) = op_submit(ctx, line, &mut w) {
                 // The reply stream died mid-write: count it — job state
                 // was already finalised by the collector/ack path.
                 ctx.obs.on_broken_pipe();
@@ -409,12 +408,12 @@ fn handle_connection(ctx: Ctx<'_>, stream: Stream) -> io::Result<()> {
             )?;
         }
         Some("status") => {
-            match json::field_u64(&line, "job").and_then(|id| ctx.registry.status(id)) {
+            match json::field_u64(line, "job").and_then(|id| ctx.registry.status(id)) {
                 Some(rec) => writeln!(w, "{}", rec.to_json())?,
                 None => fail(&mut w, "no such job")?,
             }
         }
-        Some("cancel") => match json::field_u64(&line, "job") {
+        Some("cancel") => match json::field_u64(line, "job") {
             Some(id) => match ctx.registry.cancel(id) {
                 Ok(state) => writeln!(
                     w,
@@ -531,13 +530,8 @@ fn op_submit<W: Write>(ctx: Ctx<'_>, line: &str, w: &mut W) -> io::Result<()> {
             if !hits.is_empty() {
                 ctx.registry.record_first_hit(id);
             }
-            for (rank, (score, db_id, header)) in hits.iter().enumerate() {
-                writeln!(
-                    w,
-                    "{{\"rank\":{},\"score\":{score},\"id\":{db_id},\"header\":\"{}\"}}",
-                    rank + 1,
-                    json::escape(header)
-                )?;
+            for hit in &hits {
+                writeln!(w, "{}", hit.to_json())?;
             }
         }
         JobReply::Cancelled { resumes, batch } => {
@@ -695,15 +689,15 @@ fn run_batch_jobs(ctx: Ctx<'_>, jobs: Vec<PendingJob>) {
                         // the coordinator's merge tie-break matches the
                         // unsharded run.
                         let base = ctx.config.shard.map_or(0, |s| s.base);
-                        let hits: Vec<(i64, u64, String)> = results
+                        let hits: Vec<HitLine> = results
                             .top(j.top)
                             .iter()
-                            .map(|h| {
-                                (
-                                    h.score,
-                                    base + h.id.0 as u64,
-                                    ctx.prepared.sorted.db().header(h.id).to_string(),
-                                )
+                            .zip(1..)
+                            .map(|(h, rank)| HitLine {
+                                rank,
+                                score: h.score,
+                                id: base + h.id.0 as u64,
+                                header: ctx.prepared.sorted.db().header(h.id).to_string(),
                             })
                             .collect();
                         let finished =

@@ -9,7 +9,10 @@
 //! manifests and placement plans can mix both freely. [`Stream`] and
 //! [`Listener`] are enum wrappers (no dyn dispatch on the request hot
 //! path) that carry the few capabilities the daemon needs: deadline
-//! connects, read timeouts, half-close, `try_clone`.
+//! connects, read timeouts, `try_clone`. The line framing of the wire
+//! lives here once: [`Stream::send_line`] writes a request and
+//! half-closes, [`LineReader`] reads lines on every side of every
+//! connection — timeout-safe and bounded at [`MAX_LINE_BYTES`].
 //!
 //! [`ShardTransport`] is the coordinator-facing trait: connect with a
 //! deadline, wait for a booting worker's first connection, and
@@ -19,7 +22,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -123,6 +126,15 @@ impl Stream {
         }
     }
 
+    /// Send the connection's one request: `line`, a newline, flush, then
+    /// half-close so the peer sees end-of-request.
+    pub fn send_line(&mut self, line: &str) -> io::Result<()> {
+        self.write_all(line.as_bytes())?;
+        self.write_all(b"\n")?;
+        self.flush()?;
+        self.shutdown_write()
+    }
+
     /// Clone the underlying descriptor (reader/writer split).
     pub fn try_clone(&self) -> io::Result<Stream> {
         match self {
@@ -153,6 +165,80 @@ impl Write for Stream {
             Stream::Unix(s) => s.flush(),
             Stream::Tcp(s) => s.flush(),
         }
+    }
+}
+
+/// Longest line either end of the wire accepts, terminator excluded. The
+/// largest legitimate line is a `submit` carrying one FASTA record —
+/// Swiss-Prot's longest is 35 213 residues — so 4 MiB is two orders of
+/// magnitude of headroom while still bounding what a peer that never
+/// sends a newline can make this process buffer.
+pub const MAX_LINE_BYTES: usize = 4 << 20;
+
+/// True for the error a read returns when the stream's read timeout
+/// fires (`WouldBlock` on unix sockets, `TimedOut` on some TCP stacks).
+pub(crate) fn is_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
+/// The one line reader of the wire protocol: newline-delimited UTF-8
+/// lines off a [`Stream`], bounded at [`MAX_LINE_BYTES`].
+///
+/// Safe under a read timeout: when [`LineReader::read_line`] fails with
+/// `WouldBlock`/`TimedOut`, the bytes of the unfinished line stay
+/// buffered and the next call continues the same line — a line that
+/// straddles a silent gap arrives whole.
+#[derive(Debug)]
+pub struct LineReader {
+    inner: BufReader<Stream>,
+    partial: Vec<u8>,
+}
+
+impl LineReader {
+    /// Read lines from `stream`.
+    pub fn new(stream: Stream) -> Self {
+        LineReader {
+            inner: BufReader::new(stream),
+            partial: Vec::new(),
+        }
+    }
+
+    /// Bytes of the current, still unterminated line buffered so far.
+    pub(crate) fn partial_len(&self) -> usize {
+        self.partial.len()
+    }
+
+    /// The next line without its `\n` / `\r\n`; `Ok(None)` at end of
+    /// stream. A final line the peer closed without terminating is
+    /// yielded like any other. A line over [`MAX_LINE_BYTES`] or not
+    /// valid UTF-8 is an `InvalidData` error (the connection is then
+    /// out of sync and should be closed).
+    pub fn read_line(&mut self) -> io::Result<Option<String>> {
+        // `read_until` appends as it reads: when it fails on a read
+        // timeout, the bytes so far are already in `partial`.
+        let room = (MAX_LINE_BYTES + 1 - self.partial.len()) as u64;
+        (&mut self.inner)
+            .take(room)
+            .read_until(b'\n', &mut self.partial)?;
+        if self.partial.is_empty() {
+            return Ok(None);
+        }
+        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+        let mut line = std::mem::take(&mut self.partial);
+        if line.last() == Some(&b'\n') {
+            line.pop();
+            if line.last() == Some(&b'\r') {
+                line.pop();
+            }
+        } else if line.len() > MAX_LINE_BYTES {
+            return Err(invalid(format!("line exceeds {MAX_LINE_BYTES} bytes")));
+        }
+        String::from_utf8(line)
+            .map(Some)
+            .map_err(|_| invalid("line is not valid UTF-8".into()))
     }
 }
 
@@ -373,6 +459,106 @@ mod tests {
         s.read_to_end(&mut reply).unwrap();
         assert_eq!(reply, b"pong");
         t.join().unwrap();
+    }
+
+    /// A connected (reader side, peer side) pair over loopback TCP.
+    fn tcp_pair() -> (Stream, Stream) {
+        let listener = Listener::bind(&Endpoint::parse("tcp://127.0.0.1:0").unwrap()).unwrap();
+        let ep = listener.wake_endpoint().unwrap();
+        let peer = ep.connect(Duration::from_secs(5)).unwrap();
+        (listener.accept().unwrap(), peer)
+    }
+
+    #[test]
+    fn line_split_across_a_read_timeout_arrives_intact() {
+        // Regression: the coordinator's reply loop cleared its buffer at
+        // the top of every turn, so a line straddling a read timeout lost
+        // its head (`re":42,"id":7,…`) and was retried as "malformed hit
+        // line". The peer's second write is gated on the reader having
+        // *observed* the timeout — no sleep-and-hope.
+        let (reader_side, mut peer) = tcp_pair();
+        reader_side
+            .set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        let hit = "{\"rank\":1,\"score\":42,\"id\":7,\"header\":\"sp|P1|caf\u{e9}\"}";
+        // Split inside the two-byte `é`: a `String`-buffered reader would
+        // drop the whole partial as invalid UTF-8 when the timeout hits.
+        let (head, tail) = hit.as_bytes().split_at(hit.len() - 3);
+        let (timed_out_tx, timed_out_rx) = std::sync::mpsc::channel::<()>();
+        let writer = std::thread::spawn(move || {
+            peer.write_all(head).unwrap();
+            timed_out_rx.recv().unwrap();
+            peer.write_all(tail).unwrap();
+            peer.write_all(b"\r\n{\"end\":true}").unwrap(); // last line unterminated
+        });
+        let mut reader = LineReader::new(reader_side);
+        let mut timeouts = 0;
+        let first = loop {
+            match reader.read_line() {
+                Ok(line) => break line,
+                Err(e) if is_timeout(&e) => {
+                    assert_eq!(reader.partial_len(), head.len(), "partial kept");
+                    if timeouts == 0 {
+                        timed_out_tx.send(()).unwrap();
+                    }
+                    timeouts += 1;
+                }
+                Err(e) => panic!("{e}"),
+            }
+        };
+        assert!(timeouts >= 1, "the gap was observed as a read timeout");
+        assert_eq!(first.as_deref(), Some(hit));
+        writer.join().unwrap();
+        let mut rest = Vec::new();
+        loop {
+            match reader.read_line() {
+                Ok(Some(line)) => rest.push(line),
+                Ok(None) => break,
+                Err(e) if is_timeout(&e) => {}
+                Err(e) => panic!("{e}"),
+            }
+        }
+        assert_eq!(rest, ["{\"end\":true}"], "EOF-terminated last line");
+        assert_eq!(reader.read_line().unwrap(), None, "EOF is sticky");
+    }
+
+    #[test]
+    fn line_reader_bounds_the_line_and_rejects_non_utf8() {
+        let (reader_side, mut peer) = tcp_pair();
+        let writer = std::thread::spawn(move || {
+            // Exactly at the bound passes; one byte over does not. The
+            // write may fail once the reader hangs up — that is the point.
+            let mut ok = vec![b'a'; MAX_LINE_BYTES];
+            ok.push(b'\n');
+            peer.write_all(&ok).unwrap();
+            peer.write_all(b"\xff\xfe\n").unwrap();
+            let _ = peer.write_all(&vec![b'b'; MAX_LINE_BYTES + 1]);
+        });
+        let mut reader = LineReader::new(reader_side);
+        assert_eq!(reader.read_line().unwrap().unwrap().len(), MAX_LINE_BYTES);
+        let err = reader.read_line().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("UTF-8"), "{err}");
+        let err = reader.read_line().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("exceeds"), "{err}");
+        drop(reader);
+        writer.join().unwrap();
+    }
+
+    #[test]
+    fn send_line_terminates_flushes_and_half_closes() {
+        let (mut server_side, mut client_side) = tcp_pair();
+        client_side.send_line("{\"op\":\"health\"}").unwrap();
+        // Half-closed: the server reads the line and then EOF, while the
+        // reply direction stays open.
+        let mut request = String::new();
+        server_side.read_to_string(&mut request).unwrap();
+        assert_eq!(request, "{\"op\":\"health\"}\n");
+        server_side.write_all(b"pong\n").unwrap();
+        drop(server_side);
+        let mut reader = LineReader::new(client_side);
+        assert_eq!(reader.read_line().unwrap().as_deref(), Some("pong"));
     }
 
     #[test]

@@ -667,7 +667,9 @@ fn silent_connection_does_not_block_shutdown() {
 /// A connect-and-close is not a request (the daemon's own shutdown
 /// waker, `Listener::bind`'s liveness dial and every readiness poll do
 /// exactly that): it gets no reply. A non-empty line with an op the
-/// daemon does not know still gets the typed error.
+/// daemon does not know still gets the typed error — and so does a
+/// client that streams past the wire's line bound without ever sending
+/// a newline, which the daemon hangs up on and stays ready.
 #[test]
 fn empty_connection_gets_no_reply_unknown_op_a_typed_error() {
     let a = Alphabet::protein();
@@ -708,6 +710,32 @@ fn empty_connection_gets_no_reply_unknown_op_a_typed_error() {
             json::field_str(&unknown[0], "error").as_deref(),
             Some("unknown op"),
             "{unknown:?}"
+        );
+
+        // One byte over the bound, no newline: answered (not buffered
+        // until the request deadline) the moment the bound is crossed.
+        let mut flood = UnixStream::connect(socket).expect("connect");
+        flood
+            .write_all(&vec![b'A'; sw_serve::transport::MAX_LINE_BYTES + 1])
+            .unwrap();
+        let t0 = Instant::now();
+        let reply: Vec<String> = BufReader::new(flood).lines().map(|l| l.unwrap()).collect();
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "waited for a deadline"
+        );
+        assert_eq!(reply.len(), 1, "{reply:?}");
+        assert_eq!(json::field_bool(&reply[0], "ok"), Some(false), "{reply:?}");
+        let error = json::field_str(&reply[0], "error").unwrap_or_default();
+        assert!(
+            error.starts_with("request line exceeds ") && error.ends_with(" bytes"),
+            "{reply:?}"
+        );
+        let health = client::request(socket, &client::health_request()).unwrap();
+        assert_eq!(
+            json::field_bool(&health[0], "ready"),
+            Some(true),
+            "{health:?}"
         );
 
         client::request(socket, &client::shutdown_request()).unwrap();

@@ -20,11 +20,11 @@ use sw_core::{HeteroEngine, HeteroSearchConfig, PreparedDb, SearchConfig, Search
 use sw_sched::{DrainSignal, NetFaultInjector, NetFaultPlan};
 use sw_seq::gen::generate_query;
 use sw_seq::{Alphabet, EncodedSeq};
-use sw_serve::journal::fnv1a;
 use sw_serve::{
     client, coord, json, CommittedShard, CoordConfig, CoordDrill, CoordJournal, Endpoint,
     NetTransport, ServeConfig, ShardRole, ShardSpec, ShardTransport, Stream,
 };
+use sw_swdb::integrity::fnv1a64;
 
 const LANES: usize = 4;
 const TOP: usize = 12;
@@ -111,18 +111,10 @@ fn shard_digest(seqs: &[EncodedSeq]) -> u64 {
 }
 
 /// The exact wire rendering both the daemon and the coordinator's
-/// `--json` mode emit — the unit of byte-identity in this file.
-fn wire(rank: usize, score: i64, id: u64, header: &str) -> String {
-    format!(
-        "{{\"rank\":{rank},\"score\":{score},\"id\":{id},\"header\":\"{}\"}}",
-        json::escape(header)
-    )
-}
-
+/// `--json` mode emit ([`client::HitLine::to_json`]) — the unit of
+/// byte-identity in this file.
 fn wire_hits(hits: &[client::HitLine]) -> Vec<String> {
-    hits.iter()
-        .map(|h| wire(h.rank as usize, h.score, h.id, &h.header))
-        .collect()
+    hits.iter().map(client::HitLine::to_json).collect()
 }
 
 /// Unsharded reference: one engine, whole database, `SearchResults`
@@ -138,18 +130,18 @@ fn reference_hits(seqs: &[EncodedSeq], query: &EncodedSeq, a: &Alphabet) -> Vec<
         &SearchConfig::best(1),
         &SearchConfig::best(1),
     );
-    res.top(TOP)
+    let hits: Vec<client::HitLine> = res
+        .top(TOP)
         .iter()
-        .enumerate()
-        .map(|(i, h)| {
-            wire(
-                i + 1,
-                h.score,
-                h.id.0 as u64,
-                prepared.sorted.db().header(h.id),
-            )
+        .zip(1..)
+        .map(|(h, rank)| client::HitLine {
+            rank,
+            score: h.score,
+            id: h.id.0 as u64,
+            header: prepared.sorted.db().header(h.id).to_string(),
         })
-        .collect()
+        .collect();
+    wire_hits(&hits)
 }
 
 fn wait_for_socket(socket: &Path) {
@@ -573,7 +565,7 @@ fn resumed_coordinator_skips_committed_shards_and_merges_identically() {
 
     // The journal a SIGKILLed coordinator would have left behind.
     let journal_path = tmp.join("coord.journal");
-    let mut journal = CoordJournal::new(fnv1a(fasta.as_bytes()), 0, TOP as u64, 2);
+    let mut journal = CoordJournal::new(fnv1a64(fasta.as_bytes()), 0, TOP as u64, 2);
     journal.shards[0].attempts = 1;
     journal.shards[0].committed = Some(CommittedShard {
         resumes: 0,

@@ -114,6 +114,18 @@ impl SequenceDatabase {
         (0..self.len() as u32).map(move |i| (SeqId(i), self.seq(SeqId(i))))
     }
 
+    /// The sequences as owned [`EncodedSeq`]s in id order — the inverse of
+    /// [`SequenceDatabase::from_sequences`], for callers that reload a
+    /// snapshot and hand its content to `PreparedDb`.
+    pub fn to_sequences(&self) -> Vec<EncodedSeq> {
+        self.iter()
+            .map(|(id, v)| EncodedSeq {
+                header: self.headers[id.0 as usize].clone(),
+                residues: v.residues.to_vec(),
+            })
+            .collect()
+    }
+
     /// The raw concatenated residue buffer (snapshot writer).
     pub fn raw_residues(&self) -> &[u8] {
         &self.residues
@@ -182,6 +194,12 @@ mod tests {
         assert!(db.is_empty());
         assert_eq!(db.total_residues(), 0);
         assert_eq!(db.iter().count(), 0);
+    }
+
+    #[test]
+    fn to_sequences_inverts_from_sequences() {
+        let db = sample_db();
+        assert_eq!(SequenceDatabase::from_sequences(db.to_sequences()), db);
     }
 
     #[test]

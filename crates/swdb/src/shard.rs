@@ -20,7 +20,7 @@
 //! unsharded run over the emitted sorted parent snapshot.
 
 use crate::db::SequenceDatabase;
-use crate::integrity::crc32;
+use crate::integrity::{check_crc, crc32, put_u32, put_u64, ByteReader};
 use crate::preprocess::SortedDb;
 use crate::snapshot;
 use std::sync::Arc;
@@ -50,63 +50,43 @@ pub struct ShardMeta {
     pub parent_digest: u64,
 }
 
-fn corrupt(detail: String) -> SeqError {
-    SeqError::Corrupt {
-        section: "shard".into(),
-        detail,
-    }
-}
-
 /// Serialize a shard: SWSHRD1 header (+CRC) followed by a complete,
 /// self-validating SWDBSNP2 snapshot of the shard's sequences.
 pub fn write_shard(meta: &ShardMeta, db: &SequenceDatabase) -> Vec<u8> {
-    let mut head = Vec::with_capacity(40);
-    head.extend_from_slice(SHARD_MAGIC);
-    head.extend_from_slice(&meta.index.to_le_bytes());
-    head.extend_from_slice(&meta.count.to_le_bytes());
-    head.extend_from_slice(&meta.base.to_le_bytes());
-    head.extend_from_slice(&meta.parent_digest.to_le_bytes());
-    let mut out = Vec::new();
-    out.extend_from_slice(&head);
-    out.extend_from_slice(&crc32(&head).to_le_bytes());
+    let mut out = SHARD_MAGIC.to_vec();
+    for word in [meta.index, meta.count, meta.base, meta.parent_digest] {
+        put_u64(&mut out, word);
+    }
+    let header_crc = crc32(&out);
+    put_u32(&mut out, header_crc);
     out.extend_from_slice(&snapshot::write(db));
     out
 }
 
-/// Parse a shard file: header CRC, magic, meta sanity, then the wrapped
+/// Parse a shard file: magic, header CRC, meta sanity, then the wrapped
 /// snapshot's own integrity checks.
 pub fn read_shard(buf: &[u8]) -> Result<(ShardMeta, SequenceDatabase), SeqError> {
-    if buf.len() < 44 {
-        return Err(corrupt(format!(
-            "file too short for a shard header: {} bytes",
-            buf.len()
-        )));
-    }
-    let (head, rest) = buf.split_at(40);
-    if &head[..8] != SHARD_MAGIC {
-        return Err(corrupt("bad magic (not a SWSHRD1 shard file)".into()));
-    }
-    let stored_crc = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes"));
-    let got_crc = crc32(head);
-    if stored_crc != got_crc {
-        return Err(corrupt(format!(
-            "header CRC mismatch: stored {stored_crc:08x}, computed {got_crc:08x}"
-        )));
-    }
-    let word = |i: usize| u64::from_le_bytes(head[8 + i * 8..16 + i * 8].try_into().expect("8"));
+    let mut r = ByteReader::new(buf);
+    r.magic(&[SHARD_MAGIC])?;
     let meta = ShardMeta {
-        index: word(0),
-        count: word(1),
-        base: word(2),
-        parent_digest: word(3),
+        index: r.u64("shard index")?,
+        count: r.u64("shard count")?,
+        base: r.u64("shard base")?,
+        parent_digest: r.u64("shard parent digest")?,
     };
+    // The CRC covers magic + the four words; nothing in `meta` is
+    // trusted before it checks out.
+    check_crc("shard header", r.u32("shard header CRC32")?, &buf[..40])?;
     if meta.count == 0 || meta.index >= meta.count {
-        return Err(corrupt(format!(
-            "implausible shard placement: index {} of {}",
-            meta.index, meta.count
-        )));
+        return Err(SeqError::Corrupt {
+            section: "shard".into(),
+            detail: format!(
+                "implausible shard placement: index {} of {}",
+                meta.index, meta.count
+            ),
+        });
     }
-    let db = snapshot::read(&rest[4..])?;
+    let db = snapshot::read(r.rest())?;
     Ok((meta, db))
 }
 
@@ -478,6 +458,66 @@ mod tests {
             seed,
         };
         SequenceDatabase::from_sequences(generate_database(&spec))
+    }
+
+    fn sample() -> (ShardMeta, SequenceDatabase) {
+        let a = sw_seq::Alphabet::protein();
+        let meta = ShardMeta {
+            index: 1,
+            count: 3,
+            base: 7,
+            parent_digest: 0x0123_4567_89ab_cdef,
+        };
+        let db = SequenceDatabase::from_sequences(vec![
+            sw_seq::EncodedSeq::from_text("syn|S0000001|SYNTH", b"WW", &a).unwrap(),
+            sw_seq::EncodedSeq::from_text("sp|P02232|HBM", b"MKVLITRA", &a).unwrap(),
+        ]);
+        (meta, db)
+    }
+
+    /// `write_shard` of `sample()` as the parent commit's encoder (hand
+    /// `to_le_bytes` framing) emitted it.
+    const GOLDEN: &[u8] =
+        b"SWSHRD1\0\x01\0\0\0\0\0\0\0\x03\0\0\0\0\0\0\0\x07\0\0\0\0\0\0\0\xef\xcd\xab\x89gE#\x01[Y\
+        \x07!SWDBSNP2\x02\0\0\0\0\0\0\0\x0a\0\0\0\0\0\0\0\xd1\x947\xe74\xfeH\xfb\x8b\xf3\xa1\xb5\
+        \x08 2r\xb6\xdb.)\0\0\0\0\0\0\0\0\x02\0\0\0\0\0\0\0\x0a\0\0\0\0\0\0\0\x11\x11\x0c\x0b\
+        \x13\x0a\x09\x10\x01\0\x12\0\0\0syn|S0000001|SYNTH\x0d\0\0\0sp|P02232|HBM";
+
+    #[test]
+    fn golden_bytes_decode_and_reencode() {
+        let (meta, db) = sample();
+        assert_eq!(read_shard(GOLDEN).unwrap(), (meta, db.clone()));
+        assert_eq!(write_shard(&meta, &db), GOLDEN);
+    }
+
+    #[test]
+    fn every_bit_flip_and_every_truncation_is_an_error() {
+        // The index/count/base words are covered by nothing but the
+        // header CRC, so a flip there must fail *there* — not slip
+        // through to a plausible-looking placement.
+        let (meta, db) = sample();
+        let good = write_shard(&meta, &db);
+        let mut copy = good.clone();
+        for i in 0..copy.len() {
+            for bit in 0..8 {
+                copy[i] ^= 1 << bit;
+                let err = read_shard(&copy).expect_err("flip accepted");
+                if (8..32).contains(&i) {
+                    assert!(
+                        matches!(&err, SeqError::Corrupt { section, .. } if section == "shard header"),
+                        "flip at byte {i} bit {bit}: {err}"
+                    );
+                }
+                copy[i] ^= 1 << bit;
+            }
+        }
+        for cut in 0..good.len() {
+            assert!(read_shard(&good[..cut]).is_err(), "prefix of {cut} bytes");
+        }
+        let mut trailing = good;
+        trailing.push(0);
+        let err = read_shard(&trailing).unwrap_err();
+        assert!(err.to_string().contains("trailing"), "{err}");
     }
 
     #[test]

@@ -24,60 +24,9 @@
 //! block) are still read for compatibility; [`write()`] always emits v2.
 
 use crate::db::SequenceDatabase;
-use crate::integrity::{crc32, Fnv64};
+use crate::integrity::{check_crc, crc32, le_u64s, put_u32, put_u64, ByteReader, Fnv64};
 use std::sync::Arc;
 use sw_seq::SeqError;
-
-/// Little-endian append helpers (the `bytes::BufMut` subset this format
-/// needs, hand-rolled to keep the dependency budget at zero).
-trait BufMut {
-    fn put_slice(&mut self, src: &[u8]);
-    fn put_u32_le(&mut self, v: u32);
-    fn put_u64_le(&mut self, v: u64);
-}
-
-impl BufMut for Vec<u8> {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.extend_from_slice(src);
-    }
-    fn put_u32_le(&mut self, v: u32) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-    fn put_u64_le(&mut self, v: u64) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// Little-endian consume helpers over an advancing byte slice (the
-/// `bytes::Buf` subset the reader needs). Callers check `remaining()`
-/// before every get, so the internal panics are unreachable.
-trait Buf {
-    fn remaining(&self) -> usize;
-    fn copy_to_slice(&mut self, dst: &mut [u8]);
-    fn get_u32_le(&mut self) -> u32;
-    fn get_u64_le(&mut self) -> u64;
-}
-
-impl Buf for &[u8] {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-    fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        let (head, rest) = self.split_at(dst.len());
-        dst.copy_from_slice(head);
-        *self = rest;
-    }
-    fn get_u32_le(&mut self) -> u32 {
-        let mut b = [0u8; 4];
-        self.copy_to_slice(&mut b);
-        u32::from_le_bytes(b)
-    }
-    fn get_u64_le(&mut self) -> u64 {
-        let mut b = [0u8; 8];
-        self.copy_to_slice(&mut b);
-        u64::from_le_bytes(b)
-    }
-}
 
 /// Current snapshot magic / version tag.
 pub const MAGIC: &[u8; 8] = b"SWDBSNP2";
@@ -111,44 +60,28 @@ pub fn write(db: &SequenceDatabase) -> Vec<u8> {
 
     let mut offsets_sec = Vec::with_capacity(offsets.len() * 8);
     for &o in offsets {
-        offsets_sec.put_u64_le(o);
+        put_u64(&mut offsets_sec, o);
     }
     let header_bytes: usize = headers.iter().map(|h| 4 + h.len()).sum();
     let mut headers_sec = Vec::with_capacity(header_bytes);
     for h in headers {
-        headers_sec.put_u32_le(h.len() as u32);
-        headers_sec.put_slice(h.as_bytes());
+        put_u32(&mut headers_sec, h.len() as u32);
+        headers_sec.extend_from_slice(h.as_bytes());
     }
 
     let mut out =
         Vec::with_capacity(8 + 24 + 12 + offsets_sec.len() + residues.len() + headers_sec.len());
-    out.put_slice(MAGIC);
-    out.put_u64_le(headers.len() as u64);
-    out.put_u64_le(residues.len() as u64);
-    out.put_u64_le(content_digest(db));
-    out.put_u32_le(crc32(&offsets_sec));
-    out.put_u32_le(crc32(residues));
-    out.put_u32_le(crc32(&headers_sec));
-    out.put_slice(&offsets_sec);
-    out.put_slice(residues);
-    out.put_slice(&headers_sec);
+    out.extend_from_slice(MAGIC);
+    put_u64(&mut out, headers.len() as u64);
+    put_u64(&mut out, residues.len() as u64);
+    put_u64(&mut out, content_digest(db));
+    put_u32(&mut out, crc32(&offsets_sec));
+    put_u32(&mut out, crc32(residues));
+    put_u32(&mut out, crc32(&headers_sec));
+    out.extend_from_slice(&offsets_sec);
+    out.extend_from_slice(residues);
+    out.extend_from_slice(&headers_sec);
     out
-}
-
-fn need(buf: &[u8], n: usize, what: &str) -> Result<(), SeqError> {
-    if buf.remaining() < n {
-        return Err(SeqError::Io(format!(
-            "snapshot truncated while reading {what}"
-        )));
-    }
-    Ok(())
-}
-
-fn corrupt(section: &str, detail: String) -> SeqError {
-    SeqError::Corrupt {
-        section: section.to_string(),
-        detail,
-    }
 }
 
 /// Digest and section checksums read from a v2 snapshot preamble.
@@ -159,43 +92,20 @@ struct Integrity {
     crc_headers: u32,
 }
 
-fn check_crc(section: &str, expect: u32, bytes: &[u8]) -> Result<(), SeqError> {
-    let got = crc32(bytes);
-    if got != expect {
-        return Err(corrupt(
-            &format!("snapshot {section} section"),
-            format!("CRC32 mismatch (stored {expect:#010x}, computed {got:#010x})"),
-        ));
-    }
-    Ok(())
-}
-
 /// Deserialize a snapshot produced by [`write()`] (v2) or by an older v1
 /// writer. Truncation, inconsistent offsets and CRC mismatches all yield
 /// descriptive errors, never panics.
-pub fn read(mut buf: &[u8]) -> Result<SequenceDatabase, SeqError> {
-    need(buf, 8, "magic")?;
-    let mut magic = [0u8; 8];
-    buf.copy_to_slice(&mut magic);
-    let v2 = match &magic {
-        m if m == MAGIC => true,
-        m if m == MAGIC_V1 => false,
-        _ => {
-            return Err(SeqError::Io(
-                "bad snapshot magic (not a SWDB snapshot?)".into(),
-            ))
-        }
-    };
-    need(buf, 16, "counts")?;
-    let n_seqs = buf.get_u64_le() as usize;
-    let n_res = buf.get_u64_le() as usize;
+pub fn read(buf: &[u8]) -> Result<SequenceDatabase, SeqError> {
+    let mut r = ByteReader::new(buf);
+    let v2 = r.magic(&[MAGIC, MAGIC_V1])? == 0;
+    let n_seqs = r.u64("snapshot sequence count")? as usize;
+    let n_res = r.u64("snapshot residue count")? as usize;
     let integrity = if v2 {
-        need(buf, 8 + 12, "integrity block")?;
         Some(Integrity {
-            digest: buf.get_u64_le(),
-            crc_offsets: buf.get_u32_le(),
-            crc_residues: buf.get_u32_le(),
-            crc_headers: buf.get_u32_le(),
+            digest: r.u64("snapshot content digest")?,
+            crc_offsets: r.u32("snapshot offsets CRC32")?,
+            crc_residues: r.u32("snapshot residues CRC32")?,
+            crc_headers: r.u32("snapshot headers CRC32")?,
         })
     } else {
         None
@@ -208,41 +118,30 @@ pub fn read(mut buf: &[u8]) -> Result<SequenceDatabase, SeqError> {
         .checked_add(1)
         .and_then(|n| n.checked_mul(8))
         .ok_or_else(|| SeqError::Io("snapshot sequence count is implausibly large".into()))?;
-    need(buf, offsets_bytes, "offsets")?;
+    // Offsets and residues are checked and copied a section at a time —
+    // the bulk of a snapshot never goes through per-field reads.
+    let offsets_sec = r.bytes(offsets_bytes, "snapshot offsets section")?;
     if let Some(i) = &integrity {
-        check_crc("offsets", i.crc_offsets, &buf[..offsets_bytes])?;
+        check_crc("snapshot offsets section", i.crc_offsets, offsets_sec)?;
     }
-    let mut offsets = Vec::with_capacity(n_seqs + 1);
-    for _ in 0..=n_seqs {
-        offsets.push(buf.get_u64_le());
-    }
-    need(buf, n_res, "residues")?;
+    let offsets = le_u64s(offsets_sec);
+    let residues_sec = r.bytes(n_res, "snapshot residues section")?;
     if let Some(i) = &integrity {
-        check_crc("residues", i.crc_residues, &buf[..n_res])?;
+        check_crc("snapshot residues section", i.crc_residues, residues_sec)?;
     }
-    let mut residues = vec![0u8; n_res];
-    buf.copy_to_slice(&mut residues);
+    let residues = residues_sec.to_vec();
 
-    let headers_sec = buf;
+    let headers_sec = r.rest();
     let mut headers: Vec<Arc<str>> = Vec::with_capacity(n_seqs);
     for i in 0..n_seqs {
-        need(buf, 4, "header length")?;
-        let len = buf.get_u32_le() as usize;
-        need(buf, len, "header bytes")?;
-        let mut raw = vec![0u8; len];
-        buf.copy_to_slice(&mut raw);
-        let s = String::from_utf8(raw)
+        let len = r.u32("snapshot header length")? as usize;
+        let s = std::str::from_utf8(r.bytes(len, "snapshot header bytes")?)
             .map_err(|_| SeqError::Io(format!("header {i} is not valid UTF-8")))?;
         headers.push(s.into());
     }
-    if buf.remaining() != 0 {
-        return Err(SeqError::Io(format!(
-            "{} trailing bytes after snapshot",
-            buf.remaining()
-        )));
-    }
+    r.finish()?;
     if let Some(i) = &integrity {
-        check_crc("headers", i.crc_headers, headers_sec)?;
+        check_crc("snapshot headers section", i.crc_headers, headers_sec)?;
     }
     // from_raw_parts validates offset consistency; convert its panics into
     // a proper error by pre-checking here.
@@ -258,13 +157,13 @@ pub fn read(mut buf: &[u8]) -> Result<SequenceDatabase, SeqError> {
     if let Some(i) = &integrity {
         let got = content_digest(&db);
         if got != i.digest {
-            return Err(corrupt(
-                "snapshot content",
-                format!(
+            return Err(SeqError::Corrupt {
+                section: "snapshot content".into(),
+                detail: format!(
                     "digest mismatch (stored {:#018x}, computed {got:#018x})",
                     i.digest
                 ),
-            ));
+            });
         }
     }
     Ok(db)
@@ -285,19 +184,31 @@ mod tests {
 
     /// A v1 snapshot of `db`, byte-for-byte what the old writer emitted.
     fn write_v1(db: &SequenceDatabase) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.put_slice(MAGIC_V1);
-        out.put_u64_le(db.raw_headers().len() as u64);
-        out.put_u64_le(db.raw_residues().len() as u64);
+        let mut out = MAGIC_V1.to_vec();
+        put_u64(&mut out, db.raw_headers().len() as u64);
+        put_u64(&mut out, db.raw_residues().len() as u64);
         for &o in db.raw_offsets() {
-            out.put_u64_le(o);
+            put_u64(&mut out, o);
         }
-        out.put_slice(db.raw_residues());
+        out.extend_from_slice(db.raw_residues());
         for h in db.raw_headers() {
-            out.put_u32_le(h.len() as u32);
-            out.put_slice(h.as_bytes());
+            put_u32(&mut out, h.len() as u32);
+            out.extend_from_slice(h.as_bytes());
         }
         out
+    }
+
+    /// `write(&sample())` as the parent commit's encoder (private
+    /// `Buf`/`BufMut` traits) emitted it.
+    const GOLDEN: &[u8] =
+        b"SWDBSNP2\x02\0\0\0\0\0\0\0\x0a\0\0\0\0\0\0\0\xab\xf7&a\x13i\xe3M\xa7I\x12An\xdd\x9d\xebT\
+        (M\x1f\0\0\0\0\0\0\0\0\x08\0\0\0\0\0\0\0\x0a\0\0\0\0\0\0\0\x0c\x0b\x13\x0a\x09\x10\x01\0\
+        \x11\x11\x0d\0\0\0sp|P02232|HBM\x12\0\0\0syn|S0000001|SYNTH";
+
+    #[test]
+    fn golden_bytes_decode_and_reencode() {
+        assert_eq!(read(GOLDEN).unwrap(), sample());
+        assert_eq!(write(&sample()), GOLDEN);
     }
 
     #[test]

@@ -170,9 +170,7 @@ pub fn chrome_trace(tl: &Timeline) -> String {
 /// per-search chunk-latency/queue-wait families here, and the
 /// daemon-lifetime request-phase families in `sw-serve`'s obs plane.
 /// Bucket upper bounds are borrowed `'static` tables (one shared table
-/// serves every instance); [`Histogram::write_prom`] renders the
-/// cumulative `_bucket`/`_sum`/`_count` triplet with the `+Inf`
-/// terminal bucket the exposition format requires.
+/// serves every instance); [`HistogramFamily::series`] renders it.
 #[derive(Debug, Clone)]
 pub struct Histogram {
     bounds: &'static [u64],
@@ -210,86 +208,145 @@ impl Histogram {
         self.sum += v;
         self.n += 1;
     }
+}
 
-    /// Fold another histogram in (same bucket table — merging across
-    /// epochs/workers only makes sense over identical bounds).
-    ///
-    /// # Panics
-    /// Panics when the bucket tables differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.bounds, other.bounds,
-            "histogram merge needs identical bucket bounds"
+/// The one Prometheus text-exposition writer: the per-search snapshot
+/// ([`prometheus`]), the daemon-lifetime scrape and the coordinator
+/// scrape (`sw-serve`'s obs plane) are tables over it. The structural
+/// rules of [`crate::validate::validate_prometheus_strict`] hold by
+/// construction — a sample can only be written through the family that
+/// declared it (`# HELP` then `# TYPE`, once), label values are escaped
+/// here and nowhere else, and a histogram series is always the
+/// cumulative `_bucket…+Inf` / `_sum` / `_count` triplet.
+#[derive(Debug)]
+pub struct PromWriter {
+    out: String,
+    /// Pre-rendered `name="value"` carried first on every sample, or
+    /// empty.
+    base: String,
+}
+
+/// A declared counter or gauge family; see [`PromWriter::counter`].
+#[derive(Debug)]
+pub struct Family<'w> {
+    w: &'w mut PromWriter,
+    name: &'w str,
+}
+
+/// A declared histogram family; see [`PromWriter::histogram`].
+#[derive(Debug)]
+pub struct HistogramFamily<'w>(Family<'w>);
+
+impl PromWriter {
+    /// A writer whose every sample carries the `base` label first (a
+    /// shard worker's `("shard", "3")`), or none.
+    pub fn new(base: Option<(&str, &str)>) -> Self {
+        let mut w = PromWriter {
+            out: String::with_capacity(4096),
+            base: String::new(),
+        };
+        if let Some((name, value)) = base {
+            push_label(&mut w.base, name, value);
+        }
+        w
+    }
+
+    fn family<'w>(&'w mut self, name: &'w str, kind: &str, help: &str) -> Family<'w> {
+        let _ = writeln!(self.out, "# HELP {name} {help}\n# TYPE {name} {kind}");
+        Family { w: self, name }
+    }
+
+    /// Declare a counter family (`name` must end in `_total`).
+    pub fn counter<'w>(&'w mut self, name: &'w str, help: &str) -> Family<'w> {
+        debug_assert!(
+            name.ends_with("_total"),
+            "counter {name} must end in _total"
         );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
+        self.family(name, "counter", help)
+    }
+
+    /// Declare a gauge family.
+    pub fn gauge<'w>(&'w mut self, name: &'w str, help: &str) -> Family<'w> {
+        self.family(name, "gauge", help)
+    }
+
+    /// Declare a histogram family.
+    pub fn histogram<'w>(&'w mut self, name: &'w str, help: &str) -> HistogramFamily<'w> {
+        HistogramFamily(self.family(name, "histogram", help))
+    }
+
+    /// The finished exposition text.
+    pub fn finish(self) -> String {
+        self.out
+    }
+}
+
+/// Append `name="value"` with the exposition format's label-value
+/// escapes (`\\`, `\"`, `\n` — the only ones it defines).
+fn push_label(out: &mut String, name: &str, value: &str) {
+    out.push_str(name);
+    out.push_str("=\"");
+    for c in value.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            _ => out.push(c),
         }
-        self.sum += other.sum;
-        self.n += other.n;
+    }
+    out.push('"');
+}
+
+impl Family<'_> {
+    /// One sample line: `name+suffix{base,labels…,le} value` (braces
+    /// only when there is a label).
+    fn line(
+        &mut self,
+        suffix: &str,
+        labels: &[(&str, &str)],
+        le: Option<&str>,
+        value: impl std::fmt::Display,
+    ) {
+        let out = &mut self.w.out;
+        out.push_str(self.name);
+        out.push_str(suffix);
+        let mut sep = '{';
+        if !self.w.base.is_empty() {
+            out.push(sep);
+            out.push_str(&self.w.base);
+            sep = ',';
+        }
+        for (name, value) in labels.iter().copied().chain(le.map(|le| ("le", le))) {
+            out.push(sep);
+            push_label(out, name, value);
+            sep = ',';
+        }
+        if sep == ',' {
+            out.push('}');
+        }
+        let _ = writeln!(out, " {value}");
     }
 
-    /// Observations recorded.
-    pub fn count(&self) -> u64 {
-        self.n
+    /// Write one sample of this family.
+    pub fn sample(&mut self, labels: &[(&str, &str)], value: impl std::fmt::Display) {
+        self.line("", labels, None, value);
     }
+}
 
-    /// Sum of all observations.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Append the Prometheus exposition triplet: cumulative `_bucket`
-    /// series ending in `+Inf`, then `_sum` and `_count`. `labels` is a
-    /// pre-rendered label body (`device="cpu"` — no braces) shared by
-    /// every sample, or `""` for a label-free family.
-    pub fn write_prom(&self, out: &mut String, metric: &str, labels: &str) {
-        let sep = if labels.is_empty() { "" } else { "," };
+impl HistogramFamily<'_> {
+    /// Write one series of this family: cumulative `_bucket` samples
+    /// (`le` last among the labels) ending in `+Inf`, then `_sum` and
+    /// `_count`.
+    pub fn series(&mut self, labels: &[(&str, &str)], h: &Histogram) {
         let mut cum = 0u64;
-        for (i, &b) in self.bounds.iter().enumerate() {
-            cum += self.counts[i];
-            let _ = writeln!(out, "{metric}_bucket{{{labels}{sep}le=\"{b}\"}} {cum}");
+        let bounds = h.bounds.iter().map(u64::to_string);
+        for (le, count) in bounds.chain(["+Inf".to_string()]).zip(&h.counts) {
+            cum += count;
+            self.0.line("_bucket", labels, Some(&le), cum);
         }
-        cum += self.counts[self.bounds.len()];
-        let _ = writeln!(out, "{metric}_bucket{{{labels}{sep}le=\"+Inf\"}} {cum}");
-        if labels.is_empty() {
-            let _ = writeln!(out, "{metric}_sum {}", self.sum);
-            let _ = writeln!(out, "{metric}_count {}", self.n);
-        } else {
-            let _ = writeln!(out, "{metric}_sum{{{labels}}} {}", self.sum);
-            let _ = writeln!(out, "{metric}_count{{{labels}}} {}", self.n);
-        }
+        self.0.line("_sum", labels, None, h.sum);
+        self.0.line("_count", labels, None, h.n);
     }
-
-    fn write(&self, out: &mut String, metric: &str, device: usize) {
-        self.write_prom(out, metric, &format!("device=\"{}\"", device_label(device)));
-    }
-}
-
-fn counter_line(out: &mut String, metric: &str, help: &str, rows: &[(usize, u64)]) {
-    let _ = writeln!(out, "# HELP {metric} {help}");
-    let _ = writeln!(out, "# TYPE {metric} counter");
-    for &(device, v) in rows {
-        let _ = writeln!(out, "{metric}{{device=\"{}\"}} {v}", device_label(device));
-    }
-}
-
-/// [`prometheus`] plus a `sw_kernel_isa_info{isa="..."} 1` gauge naming
-/// the instruction set the run's intrinsic kernels executed on, so a
-/// scrape can tell an AVX2 run from a forced-portable one.
-pub fn prometheus_with_isa(
-    tl: &Timeline,
-    counters: &[DeviceCounters],
-    gcups_window_us: u64,
-    isa: &str,
-) -> String {
-    let mut out = prometheus(tl, counters, gcups_window_us);
-    let _ = writeln!(
-        out,
-        "# HELP sw_kernel_isa_info instruction set of the run's intrinsic kernels"
-    );
-    let _ = writeln!(out, "# TYPE sw_kernel_isa_info gauge");
-    let _ = writeln!(out, "sw_kernel_isa_info{{isa=\"{isa}\"}} 1");
-    out
 }
 
 /// Export a Prometheus text-exposition snapshot.
@@ -300,73 +357,71 @@ pub fn prometheus_with_isa(
 /// metrics exactly. Histograms (chunk latency, queue wait) and the
 /// windowed per-device GCUPS time-series are derived from the timeline;
 /// `gcups_window_us` sets the window width (0 picks
-/// [`DEFAULT_GCUPS_WINDOW_US`]).
-pub fn prometheus(tl: &Timeline, counters: &[DeviceCounters], gcups_window_us: u64) -> String {
+/// [`DEFAULT_GCUPS_WINDOW_US`]). The closing `sw_kernel_isa_info{isa=…}`
+/// gauge names the instruction set the run's intrinsic kernels executed
+/// on, so a scrape can tell an AVX2 run from a forced-portable one.
+pub fn prometheus(
+    tl: &Timeline,
+    counters: &[DeviceCounters],
+    gcups_window_us: u64,
+    isa: &str,
+) -> String {
     let window = if gcups_window_us == 0 {
         DEFAULT_GCUPS_WINDOW_US
     } else {
         gcups_window_us
     };
-    let mut out = String::with_capacity(4096);
-    let _ = writeln!(out, "# HELP sw_trace_info trace schema version marker");
-    let _ = writeln!(out, "# TYPE sw_trace_info gauge");
-    let _ = writeln!(out, "sw_trace_info{{schema=\"{SCHEMA}\"}} 1");
+    let mut w = PromWriter::new(None);
+    w.gauge("sw_trace_info", "trace schema version marker")
+        .sample(&[("schema", SCHEMA)], 1);
 
-    let row = |f: fn(&DeviceCounters) -> u64| -> Vec<(usize, u64)> {
-        counters.iter().map(|c| (c.device, f(c))).collect()
-    };
-    counter_line(
-        &mut out,
-        "sw_cells_total",
-        "DP cells computed",
-        &row(|c| c.cells),
+    device_samples(
+        w.counter("sw_cells_total", "DP cells computed"),
+        counters,
+        |c| c.cells,
     );
-    counter_line(
-        &mut out,
-        "sw_chunks_total",
-        "chunks completed",
-        &row(|c| c.chunks),
+    device_samples(
+        w.counter("sw_chunks_total", "chunks completed"),
+        counters,
+        |c| c.chunks,
     );
-    counter_line(
-        &mut out,
-        "sw_tasks_total",
-        "tasks completed",
-        &row(|c| c.tasks),
+    device_samples(
+        w.counter("sw_tasks_total", "tasks completed"),
+        counters,
+        |c| c.tasks,
     );
-    counter_line(
-        &mut out,
-        "sw_retries_total",
-        "chunks that succeeded on a retry",
-        &row(|c| c.retries),
+    device_samples(
+        w.counter("sw_retries_total", "chunks that succeeded on a retry"),
+        counters,
+        |c| c.retries,
     );
-    counter_line(
-        &mut out,
-        "sw_requeues_total",
-        "ranges pushed back onto the requeue",
-        &row(|c| c.requeues),
+    device_samples(
+        w.counter("sw_requeues_total", "ranges pushed back onto the requeue"),
+        counters,
+        |c| c.requeues,
     );
-    counter_line(
-        &mut out,
-        "sw_lost_leases_total",
-        "leases reclaimed after expiry",
-        &row(|c| c.lost_leases),
+    device_samples(
+        w.counter("sw_lost_leases_total", "leases reclaimed after expiry"),
+        counters,
+        |c| c.lost_leases,
     );
-    counter_line(
-        &mut out,
-        "sw_failures_total",
-        "failures charged against the pool",
-        &row(|c| c.failures),
+    device_samples(
+        w.counter("sw_failures_total", "failures charged against the pool"),
+        counters,
+        |c| c.failures,
     );
-    counter_line(
-        &mut out,
-        "sw_overflow_recomputes_total",
-        "saturated lanes recomputed at wider precision",
-        &row(|c| c.overflow_recomputes),
+    device_samples(
+        w.counter(
+            "sw_overflow_recomputes_total",
+            "saturated lanes recomputed at wider precision",
+        ),
+        counters,
+        |c| c.overflow_recomputes,
     );
 
     // Durability counters, derived from the timeline (checkpointing is a
     // run-level activity, not a per-device one).
-    for (metric, name, help) in [
+    for (name, event, help) in [
         (
             "sw_checkpoints_written_total",
             "checkpoint_written",
@@ -383,85 +438,41 @@ pub fn prometheus(tl: &Timeline, counters: &[DeviceCounters], gcups_window_us: u
             "graceful drains requested (signal or threshold)",
         ),
     ] {
-        let _ = writeln!(out, "# HELP {metric} {help}");
-        let _ = writeln!(out, "# TYPE {metric} counter");
-        let _ = writeln!(out, "{metric} {}", tl.count(name));
+        w.counter(name, help).sample(&[], tl.count(event));
     }
 
-    let _ = writeln!(out, "# HELP sw_busy_seconds summed worker busy time");
-    let _ = writeln!(out, "# TYPE sw_busy_seconds gauge");
-    for c in counters {
-        let _ = writeln!(
-            out,
-            "sw_busy_seconds{{device=\"{}\"}} {:.6}",
-            device_label(c.device),
-            c.busy_secs
-        );
-    }
-    let _ = writeln!(
-        out,
-        "# HELP sw_queue_wait_seconds summed worker queue-wait time"
-    );
-    let _ = writeln!(out, "# TYPE sw_queue_wait_seconds gauge");
-    for c in counters {
-        let _ = writeln!(
-            out,
-            "sw_queue_wait_seconds{{device=\"{}\"}} {:.6}",
-            device_label(c.device),
-            c.queue_wait_secs
-        );
-    }
-    let _ = writeln!(out, "# HELP sw_degraded pool retired after failure budget");
-    let _ = writeln!(out, "# TYPE sw_degraded gauge");
-    for c in counters {
-        let _ = writeln!(
-            out,
-            "sw_degraded{{device=\"{}\"}} {}",
-            device_label(c.device),
-            u64::from(c.degraded)
-        );
-    }
-
-    // Realised split fraction: each device's share of total cells.
+    // Per-device gauges; the realised split fraction is each device's
+    // share of total cells, whole-run GCUPS is cells / busy / 1e9.
     let total_cells: u64 = counters.iter().map(|c| c.cells).sum();
-    let _ = writeln!(
-        out,
-        "# HELP sw_split_fraction realised fraction of DP cells"
+    let ratio = |num: f64, den: f64| if den > 0.0 { num / den } else { 0.0 };
+    device_samples(
+        w.gauge("sw_busy_seconds", "summed worker busy time"),
+        counters,
+        |c| format!("{:.6}", c.busy_secs),
     );
-    let _ = writeln!(out, "# TYPE sw_split_fraction gauge");
-    for c in counters {
-        let frac = if total_cells == 0 {
-            0.0
-        } else {
-            c.cells as f64 / total_cells as f64
-        };
-        let _ = writeln!(
-            out,
-            "sw_split_fraction{{device=\"{}\"}} {:.6}",
-            device_label(c.device),
-            frac
-        );
-    }
-
-    // Whole-run GCUPS per device (cells / busy / 1e9).
-    let _ = writeln!(
-        out,
-        "# HELP sw_gcups whole-run billions of DP cell updates per second"
+    device_samples(
+        w.gauge("sw_queue_wait_seconds", "summed worker queue-wait time"),
+        counters,
+        |c| format!("{:.6}", c.queue_wait_secs),
     );
-    let _ = writeln!(out, "# TYPE sw_gcups gauge");
-    for c in counters {
-        let g = if c.busy_secs > 0.0 {
-            c.cells as f64 / c.busy_secs / 1e9
-        } else {
-            0.0
-        };
-        let _ = writeln!(
-            out,
-            "sw_gcups{{device=\"{}\"}} {:.6}",
-            device_label(c.device),
-            g
-        );
-    }
+    device_samples(
+        w.gauge("sw_degraded", "pool retired after failure budget"),
+        counters,
+        |c| u64::from(c.degraded),
+    );
+    device_samples(
+        w.gauge("sw_split_fraction", "realised fraction of DP cells"),
+        counters,
+        |c| format!("{:.6}", ratio(c.cells as f64, total_cells as f64)),
+    );
+    device_samples(
+        w.gauge(
+            "sw_gcups",
+            "whole-run billions of DP cell updates per second",
+        ),
+        counters,
+        |c| format!("{:.6}", ratio(c.cells as f64, c.busy_secs) / 1e9),
+    );
 
     // Histograms from the timeline.
     let mut chunk_hist: Vec<(usize, Histogram)> = Vec::new();
@@ -476,15 +487,18 @@ pub fn prometheus(tl: &Timeline, counters: &[DeviceCounters], gcups_window_us: u
             }
         }
     }
-    let _ = writeln!(out, "# HELP sw_chunk_latency_us chunk execution latency");
-    let _ = writeln!(out, "# TYPE sw_chunk_latency_us histogram");
-    for (device, h) in &chunk_hist {
-        h.write(&mut out, "sw_chunk_latency_us", *device);
-    }
-    let _ = writeln!(out, "# HELP sw_queue_wait_us worker queue-wait latency");
-    let _ = writeln!(out, "# TYPE sw_queue_wait_us histogram");
-    for (device, h) in &wait_hist {
-        h.write(&mut out, "sw_queue_wait_us", *device);
+    for (name, help, hists) in [
+        (
+            "sw_chunk_latency_us",
+            "chunk execution latency",
+            &chunk_hist,
+        ),
+        ("sw_queue_wait_us", "worker queue-wait latency", &wait_hist),
+    ] {
+        let mut family = w.histogram(name, help);
+        for (device, h) in hists {
+            family.series(&[("device", &device_label(*device))], h);
+        }
     }
 
     // GCUPS time-series: cells of chunks *finishing* inside each window,
@@ -505,22 +519,36 @@ pub fn prometheus(tl: &Timeline, counters: &[DeviceCounters], gcups_window_us: u
         }
     }
     windows.sort_by_key(|&(d, w, _)| (d, w));
-    let _ = writeln!(
-        out,
-        "# HELP sw_gcups_window GCUPS over fixed windows ({window} us wide)"
-    );
-    let _ = writeln!(out, "# TYPE sw_gcups_window gauge");
+    let help = format!("GCUPS over fixed windows ({window} us wide)");
+    let mut family = w.gauge("sw_gcups_window", &help);
     let window_secs = window as f64 / 1e6;
     for (device, idx, cells) in windows {
-        let _ = writeln!(
-            out,
-            "sw_gcups_window{{device=\"{}\",start_us=\"{}\"}} {:.6}",
-            device_label(device),
-            idx * window,
-            cells as f64 / window_secs / 1e9
+        family.sample(
+            &[
+                ("device", &device_label(device)),
+                ("start_us", &(idx * window).to_string()),
+            ],
+            format_args!("{:.6}", cells as f64 / window_secs / 1e9),
         );
     }
-    out
+
+    w.gauge(
+        "sw_kernel_isa_info",
+        "instruction set of the run's intrinsic kernels",
+    )
+    .sample(&[("isa", isa)], 1);
+    w.finish()
+}
+
+/// One `device="…"` sample per pool under `family`.
+fn device_samples<V: std::fmt::Display>(
+    mut family: Family<'_>,
+    counters: &[DeviceCounters],
+    value: impl Fn(&DeviceCounters) -> V,
+) {
+    for c in counters {
+        family.sample(&[("device", &device_label(c.device))], value(c));
+    }
 }
 
 fn hist_for(v: &mut Vec<(usize, Histogram)>, device: usize) -> &mut Histogram {
@@ -651,7 +679,7 @@ mod tests {
                 ..DeviceCounters::default()
             },
         ];
-        let text = prometheus(&tl, &counters, 1_000);
+        let text = prometheus(&tl, &counters, 1_000, "avx2");
         assert!(text.contains("sw_cells_total{device=\"cpu\"} 4000"));
         assert!(text.contains("sw_lost_leases_total{device=\"accel\"} 1"));
         assert!(text.contains("sw_requeues_total{device=\"accel\"} 1"));
@@ -667,22 +695,68 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_empty_run_is_well_formed() {
+    fn prometheus_empty_run_is_well_formed_and_names_the_isa() {
         let tl = Timeline { tracks: vec![] };
-        let text = prometheus(&tl, &[], 0);
+        let text = prometheus(&tl, &[], 0, "avx2");
         assert!(text.contains("sw_trace_info"));
-        assert!(crate::validate::validate_prometheus(&text).is_ok());
+        assert!(
+            text.ends_with("sw_kernel_isa_info{isa=\"avx2\"} 1\n"),
+            "{text}"
+        );
+        crate::validate::validate_prometheus_strict(&text).expect("strict-clean");
     }
 
     #[test]
-    fn prometheus_isa_gauge() {
-        let tl = Timeline { tracks: vec![] };
-        let text = prometheus_with_isa(&tl, &[], 0, "avx2");
+    fn writer_escapes_hostile_labels_and_carries_the_base_label() {
+        let hostile = "a\"b\\c\nd";
+        let mut h = Histogram::new(&[10, 100]);
+        h.record(7);
+        h.record(5_000);
+        let mut w = PromWriter::new(Some(("shard", hostile)));
+        w.counter("jobs_total", "jobs").sample(&[], 3);
+        w.gauge("depth", "queue depth").sample(
+            &[("tenant", hostile), ("kind", "x")],
+            format_args!("{:.1}", 2.5),
+        );
+        w.histogram("lat_us", "latency")
+            .series(&[("tenant", hostile)], &h);
+        let text = w.finish();
+        crate::validate::validate_prometheus_strict(&text).expect("strict-clean");
+
+        let esc = "a\\\"b\\\\c\\nd";
+        assert!(!text.contains(hostile), "raw value must never appear");
         assert!(
-            text.contains("sw_kernel_isa_info{isa=\"avx2\"} 1"),
+            text.contains(&format!("jobs_total{{shard=\"{esc}\"}} 3\n")),
             "{text}"
         );
-        assert!(crate::validate::validate_prometheus(&text).is_ok());
+        assert!(
+            text.contains(&format!(
+                "depth{{shard=\"{esc}\",tenant=\"{esc}\",kind=\"x\"}} 2.5\n"
+            )),
+            "{text}"
+        );
+        // Base label first, own labels next, `le` last; cumulative counts.
+        let series = format!("shard=\"{esc}\",tenant=\"{esc}\"");
+        for line in [
+            format!("lat_us_bucket{{{series},le=\"10\"}} 1\n"),
+            format!("lat_us_bucket{{{series},le=\"100\"}} 1\n"),
+            format!("lat_us_bucket{{{series},le=\"+Inf\"}} 2\n"),
+            format!("lat_us_sum{{{series}}} 5007\n"),
+            format!("lat_us_count{{{series}}} 2\n"),
+        ] {
+            assert!(text.contains(&line), "missing {line:?} in {text}");
+        }
+        // Every sample line carries the base label.
+        for line in text.lines().filter(|l| !l.starts_with('#')) {
+            assert!(line.contains("{shard="), "unlabelled sample: {line}");
+        }
+        // No base label, no own labels: no braces at all.
+        let mut w = PromWriter::new(None);
+        w.counter("jobs_total", "jobs").sample(&[], 3);
+        assert_eq!(
+            w.finish(),
+            "# HELP jobs_total jobs\n# TYPE jobs_total counter\njobs_total 3\n"
+        );
     }
 
     #[test]
@@ -778,8 +852,10 @@ mod tests {
     fn histogram_overflow_bucket() {
         let mut h = Histogram::default();
         h.record(2_000_000); // beyond the last bound → +Inf bucket only
-        let mut s = String::new();
-        h.write(&mut s, "m", 0);
+        let mut w = PromWriter::new(None);
+        w.histogram("m", "overflow")
+            .series(&[("device", "cpu")], &h);
+        let s = w.finish();
         assert!(s.contains("m_bucket{device=\"cpu\",le=\"1000000\"} 0"));
         assert!(s.contains("m_bucket{device=\"cpu\",le=\"+Inf\"} 1"));
         assert!(s.contains("m_sum{device=\"cpu\"} 2000000"));

@@ -1,12 +1,13 @@
-//! Minimal flat-JSON encode/decode for the serve wire protocol.
+//! Minimal flat-JSON encode/decode — the one copy in the workspace,
+//! used by the serve wire protocol (re-exported as `sw_serve::json`),
+//! the ops log and the JSONL trace validator.
 //!
-//! The protocol is one flat object per line with string, unsigned
-//! integer and boolean values only — no nesting, no arrays. That makes
-//! a full JSON parser unnecessary: requests and responses are built
-//! with [`escape`] and read back with the `field_*` extractors. The
-//! build environment has no serde (the workspace serde is a no-op
-//! shim), so this is the serialization layer, not a shortcut around
-//! one.
+//! Every line these formats carry is one flat object with string,
+//! unsigned integer and boolean values only — no nesting, no arrays.
+//! That makes a full JSON parser unnecessary: lines are built with
+//! [`escape`] and read back with the `field_*` extractors. The build
+//! environment has no serde (the workspace serde is a no-op shim), so
+//! this is the serialization layer, not a shortcut around one.
 
 /// Escape a string for embedding in a JSON string literal. Handles the
 /// two mandatory escapes plus the whitespace controls FASTA payloads

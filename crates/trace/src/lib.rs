@@ -29,6 +29,7 @@
 #![forbid(unsafe_code)]
 
 pub mod export;
+pub mod json;
 pub mod validate;
 
 use std::cell::RefCell;

@@ -7,6 +7,7 @@
 //! strings with braces), so brace/quote balance plus required-key
 //! extraction is both sufficient and dependency-free.
 
+use crate::json::{field_str, field_u64};
 use std::collections::HashMap;
 
 /// Summary of a successfully validated JSONL trace.
@@ -42,25 +43,6 @@ fn shape_ok(line: &str) -> bool {
         prev = c;
     }
     depth == 0 && quotes.is_multiple_of(2)
-}
-
-/// Extract an unsigned integer field `"key":123` from a flat JSON line.
-pub fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = line.find(&needle)? + needle.len();
-    let digits: String = line[at..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
-/// Extract a string field `"key":"value"` from a flat JSON line.
-pub fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":\"");
-    let at = line.find(&needle)? + needle.len();
-    let end = line[at..].find('"')?;
-    Some(&line[at..at + end])
 }
 
 /// Validate a JSONL trace export: header line with the right schema,
@@ -107,8 +89,8 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlReport, String> {
         }
         last_t = t;
         let stack = open.entry((query, device, worker)).or_default();
-        match ph {
-            "B" => stack.push(ev.to_string()),
+        match ph.as_str() {
+            "B" => stack.push(ev),
             "E" => match stack.pop() {
                 Some(b) if b == ev => spans += 1,
                 Some(b) => {
@@ -135,47 +117,6 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlReport, String> {
         spans,
         queries: queries.len(),
     })
-}
-
-/// Validate a Prometheus text-exposition snapshot: every non-comment
-/// line must be `name{labels} value` (or `name value`) with a parseable
-/// float value. Returns the sample count.
-pub fn validate_prometheus(text: &str) -> Result<usize, String> {
-    let mut samples = 0usize;
-    for (i, line) in text.lines().enumerate() {
-        let n = i + 1;
-        let line = line.trim_end();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (name_part, value) = line
-            .rsplit_once(' ')
-            .ok_or(format!("line {n}: no value separator"))?;
-        let metric = match name_part.split_once('{') {
-            Some((m, rest)) => {
-                if !rest.ends_with('}') {
-                    return Err(format!("line {n}: unclosed label set"));
-                }
-                m
-            }
-            None => name_part,
-        };
-        if metric.is_empty()
-            || !metric
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
-        {
-            return Err(format!("line {n}: bad metric name {metric:?}"));
-        }
-        if value != "+Inf" && value != "-Inf" && value != "NaN" && value.parse::<f64>().is_err() {
-            return Err(format!("line {n}: unparseable value {value:?}"));
-        }
-        samples += 1;
-    }
-    if samples == 0 {
-        return Err("no samples".to_string());
-    }
-    Ok(samples)
 }
 
 /// Summary of a successfully validated Prometheus snapshot.
@@ -262,8 +203,9 @@ fn parse_sample_value(n: usize, s: &str) -> Result<f64, String> {
 /// Strict Prometheus text-exposition validator — what the exporter
 /// tests and CI run against both the per-search snapshot
 /// ([`crate::export::prometheus`]) and the daemon-lifetime snapshot
-/// (`sw-serve`'s obs plane). Beyond the line-shape check of
-/// [`validate_prometheus`], it enforces:
+/// (`sw-serve`'s obs plane). Every non-comment line must be
+/// `name{labels} value` (or `name value`) with a parseable value; beyond
+/// that line shape it enforces:
 ///
 /// - every family is declared with `# HELP` *then* `# TYPE`, and every
 ///   `# HELP` has a matching `# TYPE`;
@@ -573,23 +515,6 @@ mod tests {
         assert!(validate_jsonl(&text).unwrap_err().contains("schema"));
     }
 
-    #[test]
-    fn prometheus_roundtrip_validates() {
-        let tr = Tracer::full();
-        drop(tr.worker(0, 0));
-        let text = export::prometheus(
-            &tr.timeline(),
-            &[crate::DeviceCounters {
-                device: 0,
-                cells: 10,
-                ..Default::default()
-            }],
-            0,
-        );
-        let n = validate_prometheus(&text).expect("valid");
-        assert!(n > 5);
-    }
-
     fn traced_prometheus() -> String {
         let tr = Tracer::full();
         let mut j = tr.worker(0, 0);
@@ -621,7 +546,7 @@ mod tests {
             },
         );
         drop(j);
-        export::prometheus_with_isa(
+        export::prometheus(
             &tr.timeline(),
             &[crate::DeviceCounters {
                 device: 0,
@@ -641,8 +566,6 @@ mod tests {
         let rep = validate_prometheus_strict(&text).expect("valid");
         assert!(rep.families >= 15, "families = {}", rep.families);
         assert!(rep.samples >= 30, "samples = {}", rep.samples);
-        // The weak validator must also still accept it (back-compat).
-        validate_prometheus(&text).expect("weak validator agrees");
     }
 
     #[test]
@@ -727,17 +650,17 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_rejects_garbage() {
-        assert!(validate_prometheus("sw_cells_total{device=\"cpu\"} notanumber\n").is_err());
-        assert!(validate_prometheus("").is_err());
-        assert!(validate_prometheus("bad metric name} 1\n").is_err());
-    }
-
-    #[test]
-    fn field_helpers() {
-        let line = "{\"t_us\":42,\"ev\":\"chunk\"}";
-        assert_eq!(field_u64(line, "t_us"), Some(42));
-        assert_eq!(field_str(line, "ev"), Some("chunk"));
-        assert_eq!(field_u64(line, "missing"), None);
+    fn strict_validator_rejects_garbage_lines() {
+        let decl = "# HELP sw_cells_total cells\n# TYPE sw_cells_total counter\n";
+        let bad_value = format!("{decl}sw_cells_total{{device=\"cpu\"}} notanumber\n");
+        assert!(validate_prometheus_strict(&bad_value)
+            .unwrap_err()
+            .contains("unparseable value"));
+        assert!(validate_prometheus_strict("")
+            .unwrap_err()
+            .contains("no samples"));
+        assert!(validate_prometheus_strict("bad metric name} 1\n")
+            .unwrap_err()
+            .contains("bad metric name"));
     }
 }

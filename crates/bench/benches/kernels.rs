@@ -100,7 +100,9 @@ fn main() {
             sw_isa_fused_sp::<LANES>(isa, &f.query, &table, &f.batch, gap, None)
         });
         // 128-row blocks tile the 400-residue query; a block ≥ the query
-        // would be the unblocked row again.
+        // would be the unblocked row again. (Under AVX2 the byte pass
+        // ignores blocking and this workload never leaves it, so the row
+        // repeats the one above; the portable row really tiles.)
         micro::run(&format!("blocked-SP [{isa}]"), f.cells, || {
             sw_isa_fused_sp::<LANES>(isa, &f.query, &table, &f.batch, gap, Some(128))
         });

@@ -13,13 +13,23 @@
 //! once forced to `portable`; the intra-task side is the striped kernel
 //! over the portable `I16s` vectors, so `portable` vs `intra` isolates the
 //! *scheme* and the detected-ISA column shows what the engine really runs.
+//!
+//! A second table prices the precision cascade inside that kernel. On
+//! AVX2 the default path sweeps a batch in bytes and re-sweeps it in i16
+//! when a lane reaches the byte ceiling, so a promoted batch costs about
+//! one and a half i16 sweeps. The generator's i.i.d. background never
+//! promotes (nor do the pinned benchmark's inputs); the table therefore
+//! runs the same search over that background with ≈ 1 % and ≈ 10 %
+//! planted homologs of the queries (`sw_seq::gen::plant_homologs`) and
+//! reports throughput beside the share of batches and lanes promoted.
 
 use std::time::Instant;
 use sw_bench::Table;
-use sw_kernels::arch::sw_isa_fused_sp;
+use sw_core::{PreparedDb, SearchConfig, SearchEngine};
+use sw_kernels::arch::{sw_isa_fused_sp, sw_isa_fused_sp_stats};
 use sw_kernels::striped::{sw_striped, StripedProfile};
 use sw_kernels::{KernelIsa, SwParams};
-use sw_seq::gen::SwissProtGen;
+use sw_seq::gen::{generate_database, generate_query, plant_homologs, DbSpec, SwissProtGen};
 use sw_seq::{Alphabet, SeqId};
 use sw_swdb::batch::pad_code;
 use sw_swdb::{LaneBatch, ScoreTable};
@@ -51,6 +61,121 @@ fn inter_task(
         checksum += out.scores.iter().sum::<i64>();
     }
     (t0.elapsed().as_secs_f64(), checksum)
+}
+
+/// The price of the rescue: the default search (one thread, detected ISA)
+/// over an i.i.d. background and over the same background with planted
+/// homologs of the queries.
+fn rescue_price(a: &Alphabet) {
+    const BACKGROUND: u32 = 4000;
+    let engine = SearchEngine::paper_default();
+    let config = SearchConfig::best(1);
+    let table = ScoreTable::build(&engine.params.matrix, a);
+    let queries = [144u32, 375, 1000].map(|len| generate_query(len, len as u64));
+    let spec = DbSpec {
+        n_seqs: BACKGROUND,
+        mean_len: 355.4,
+        max_len: 3000,
+        seed: 21,
+    };
+
+    let mut t = Table::new(
+        &format!(
+            "Price of the precision cascade: default search on {}, one thread, queries 144/375/1000",
+            config.isa
+        ),
+        &[
+            "input",
+            "sequences",
+            "GCUPS",
+            "vs_iid",
+            "promoted_batches",
+            "promoted_cells",
+            "promoted_lanes",
+            "rescued_lanes",
+        ],
+    );
+    let inputs: Vec<(&str, PreparedDb)> =
+        [("iid", 0), ("planted_1pct", 40), ("planted_10pct", 400)]
+            .into_iter()
+            .map(|(label, planted)| {
+                let mut seqs = generate_database(&spec);
+                plant_homologs(&mut seqs, &queries, planted, 21);
+                (label, PreparedDb::prepare(seqs, LANES, a))
+            })
+            .collect();
+
+    // Throughput: what a search delivers. The inputs take turns within
+    // each round, so a slow spell of a shared host falls on all of them;
+    // the median round of each is reported.
+    const ROUNDS: usize = 9;
+    let mut runs: Vec<Vec<(f64, u64)>> = vec![Vec::new(); inputs.len()];
+    for _ in 0..ROUNDS {
+        for ((_, db), runs) in inputs.iter().zip(&mut runs) {
+            let t0 = Instant::now();
+            let mut rescued = 0;
+            for q in &queries {
+                rescued += engine.search(&q.residues, db, &config).lanes_rescued;
+            }
+            runs.push((t0.elapsed().as_secs_f64(), rescued));
+        }
+    }
+
+    let mut iid_gcups = 0.0;
+    for ((label, db), mut runs) in inputs.iter().zip(runs) {
+        runs.sort_by(|x, y| x.0.total_cmp(&y.0));
+        let (secs, rescued) = runs[ROUNDS / 2];
+        let real_cells: u64 = queries.iter().map(|q| db.total_cells(q.len())).sum();
+        let gcups = real_cells as f64 / secs / 1e9;
+        if *label == "iid" {
+            iid_gcups = gcups;
+        }
+
+        // Promotions: the same (query, batch) tasks, counted untimed.
+        let (mut batches, mut cells, mut lanes) = ((0u64, 0u64), (0u64, 0u64), (0u64, 0u64));
+        let block = Some(config.effective_block_rows(LANES));
+        for q in &queries {
+            for batch in &db.batches {
+                let (_, stats) = sw_isa_fused_sp_stats::<LANES>(
+                    config.isa,
+                    &q.residues,
+                    &table,
+                    batch,
+                    &engine.params.gap,
+                    block,
+                );
+                let promoted = u64::from(stats.widened_i16 > 0);
+                let padded = batch.padded_cells(q.len());
+                batches = (batches.0 + promoted, batches.1 + 1);
+                cells = (cells.0 + promoted * padded, cells.1 + padded);
+                lanes = (
+                    lanes.0 + stats.widened_i16,
+                    lanes.1 + batch.real_lanes() as u64,
+                );
+            }
+        }
+        let share = |(hit, all): (u64, u64)| format!("{:.4}", hit as f64 / all as f64);
+        t.row(vec![
+            label.to_string(),
+            db.n_seqs().to_string(),
+            format!("{gcups:.2}"),
+            format!("{:.2}x", gcups / iid_gcups),
+            share(batches),
+            share(cells),
+            share(lanes),
+            rescued.to_string(),
+        ]);
+    }
+    t.emit("ablation_rescue");
+    println!(
+        "Reading: a promoted batch is swept twice (bytes, then i16 at about\n\
+         twice the cost), so `promoted_cells` — the share of DP cells that sit\n\
+         in promoted batches; homologs of a long query are long, so it runs\n\
+         ahead of the batch count — is what the slowdown follows, and the\n\
+         cascade stays ahead of an i16-only first pass until about half the\n\
+         cells promote. The pinned benchmark's four workloads draw i.i.d.\n\
+         residues and sit at the first row: promotion fraction 0.\n"
+    );
 }
 
 fn main() {
@@ -121,6 +246,7 @@ fn main() {
          the engine runs. The paper's §IV expectation — inter-task ahead,\n\
          most on short sequences — is what this host measures when both\n\
          ratios are above 1. Scores from both schemes and both ISAs are\n\
-         asserted identical."
+         asserted identical.\n"
     );
+    rescue_price(&a);
 }

@@ -56,7 +56,6 @@ SEARCH OPTIONS:
                       supports; results are identical on every choice)
   --top <k>           hits to print (default 10)
   --align             render the alignment of each reported hit
-  --adaptive          dual-precision scoring (i8 first, widen saturated lanes)
   --tabular           BLAST outfmt-6 style tabular output (12 columns)
   --dna               nucleotide mode (ACGTN; default scoring +5/-4, N=-2)
   --match <s>         DNA match score (with --dna; default 5)
@@ -505,8 +504,6 @@ pub struct SearchOpts {
     pub top: usize,
     /// Render alignments of reported hits.
     pub align: bool,
-    /// SWIPE-style dual-precision scoring (i8 first, widen on demand).
-    pub adaptive: bool,
     /// Forced kernel ISA (`--kernel-isa`); `None` = auto-detect the best
     /// the host supports. Availability is checked at execution time.
     pub kernel_isa: Option<KernelIsa>,
@@ -536,7 +533,6 @@ impl Default for SearchOpts {
             variant: KernelVariant::best(),
             top: 10,
             align: false,
-            adaptive: false,
             kernel_isa: None,
             tabular: false,
             dna: false,
@@ -685,7 +681,6 @@ fn parse_search_opts(a: &mut Args<'_>) -> Result<SearchOpts, ParseError> {
         variant,
         top: a.parse_num("--top", d.top)?,
         align: a.has_flag("--align"),
-        adaptive: a.has_flag("--adaptive"),
         kernel_isa,
         tabular: a.has_flag("--tabular"),
         dna: a.has_flag("--dna"),

@@ -363,7 +363,6 @@ fn cmd_search<W: Write>(
         threads: opts.threads.max(1),
         policy: sw_sched::Policy::dynamic(),
         block_rows: None,
-        adaptive_precision: opts.adaptive,
         isa,
     };
     writeln!(
@@ -1170,7 +1169,6 @@ fn cmd_hetero<W: Write>(
         threads: opts.threads.max(1),
         policy: sw_sched::Policy::dynamic(),
         block_rows: None,
-        adaptive_precision: opts.adaptive,
         isa,
     };
     let res = if dynamic {
@@ -1392,7 +1390,6 @@ fn cmd_bench<W: Write>(
             threads: threads.max(1),
             policy: sw_sched::Policy::dynamic(),
             block_rows: None,
-            adaptive_precision: false,
             isa: startup_kernel_isa(),
         };
         let res = engine.search(&query.residues, &prepared, &cfg);
@@ -1466,7 +1463,6 @@ fn cmd_serve<W: Write>(
         threads: opts.threads.max(1),
         policy: sw_sched::Policy::dynamic(),
         block_rows: None,
-        adaptive_precision: opts.adaptive,
         isa,
     };
     let base = HeteroSearchConfig {

@@ -17,11 +17,6 @@ pub struct SearchConfig {
     /// Rows per cache block for blocked kernels (`None` = derive from a
     /// 256 KB L2 budget, the conservative host default).
     pub block_rows: Option<usize>,
-    /// SWIPE-style dual precision: score in saturating `i8` first and
-    /// widen only saturated lanes (intrinsic variants only). Results are
-    /// identical either way; this is a throughput knob. Off by default —
-    /// the paper's kernels are 16-bit.
-    pub adaptive_precision: bool,
     /// Instruction set the intrinsic kernels run on. [`KernelIsa::detect`]
     /// (the `best` default) picks the fastest ISA the host supports from
     /// hardware probes alone; forcing [`KernelIsa::Portable`] reproduces
@@ -42,7 +37,6 @@ impl SearchConfig {
             threads,
             policy: Policy::dynamic(),
             block_rows: None,
-            adaptive_precision: false,
             isa: KernelIsa::detect(),
         }
     }

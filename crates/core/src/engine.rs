@@ -20,17 +20,20 @@
 //! Per search the engine builds one [`QueryProfile`] per query and one
 //! [`ScoreTable`]; per batch task, on the default `intrinsic-SP` path, it
 //! builds nothing — `sw_isa_fused_sp` derives the sequence profile's
-//! values column by column inside the kernel. The paper's "these
-//! profiles cannot be constructed in the pre-processing stage" (§IV)
-//! per-batch `SequenceProfile::build` survives in the guided and
-//! adaptive-precision arms and as the comparator the fused kernel is
-//! tested against.
+//! values column by column inside the kernel, and is itself the precision
+//! chain's first two tiers: on AVX2 at 16 lanes a batch is swept in
+//! unsigned bytes and re-swept in i16 only if a lane reached the byte
+//! ceiling (elsewhere i16 is the first pass); lanes that saturate i16 too
+//! are the ones `run_batch` hands to the scalar rescue. The paper's
+//! "these profiles cannot be constructed in the pre-processing stage"
+//! (§IV) per-batch `SequenceProfile::build` survives in the guided arm
+//! and as the comparator the fused kernel is tested against.
 
 use crate::config::SearchConfig;
 use crate::prepare::PreparedDb;
 use crate::results::{Hit, SearchResults};
 use std::time::{Duration, Instant};
-use sw_kernels::arch::{sw_isa_adaptive_qp, sw_isa_adaptive_sp, sw_isa_fused_sp, sw_isa_qp};
+use sw_kernels::arch::{sw_isa_fused_sp, sw_isa_qp};
 use sw_kernels::guided::{sw_guided_qp, sw_guided_sp, GuidedWorkspace};
 use sw_kernels::intertask::KernelOutput;
 use sw_kernels::overflow::rescue_overflows;
@@ -204,9 +207,7 @@ impl SearchEngine {
                     }
                 }
             }
-            Vectorization::Intrinsic => {
-                self.run_batch_intrinsic(query, qp, table, db, batch, config)
-            }
+            Vectorization::Intrinsic => self.run_batch_intrinsic(query, qp, table, batch, config),
         };
 
         // Exact rescue of saturated lanes.
@@ -257,15 +258,14 @@ impl SearchEngine {
     /// The `intrinsic` path: explicit-lane kernels, monomorphised per
     /// supported lane width and dispatched to the configured ISA
     /// (`sw_kernels::arch`) — real SSE2/AVX2 intrinsics at their native
-    /// widths, the portable kernels everywhere else. The default
-    /// (non-adaptive `Sequence`) arm builds no profile: the fused kernel
-    /// works from the per-search `table`.
+    /// widths, the portable kernels everywhere else. The `Sequence` arm
+    /// builds no profile: the fused kernel works from the per-search
+    /// `table`.
     fn run_batch_intrinsic(
         &self,
         query: &[u8],
         qp: &QueryProfile,
         table: &ScoreTable<'_>,
-        db: &PreparedDb,
         batch: &LaneBatch,
         config: &SearchConfig,
     ) -> KernelOutput {
@@ -273,24 +273,6 @@ impl SearchEngine {
             ($lanes:literal) => {{
                 let gap = &self.params.gap;
                 let isa = config.isa;
-                if config.adaptive_precision {
-                    // Dual-precision cascade (unblocked kernels; exactness
-                    // is identical, see sw_kernels::intertask).
-                    use sw_swdb::{QueryProfileI8, SequenceProfileI8};
-                    let (out, _stats) = match config.variant.profile {
-                        ProfileMode::Query => {
-                            let qp8 = QueryProfileI8::from_wide(qp);
-                            sw_isa_adaptive_qp::<$lanes>(isa, qp, &qp8, batch, gap)
-                        }
-                        ProfileMode::Sequence => {
-                            let sp =
-                                SequenceProfile::build(batch, &self.params.matrix, &db.alphabet);
-                            let sp8 = SequenceProfileI8::from_wide(&sp);
-                            sw_isa_adaptive_sp::<$lanes>(isa, query, &sp, &sp8, batch, gap)
-                        }
-                    };
-                    return out;
-                }
                 let block = config
                     .variant
                     .blocking
@@ -488,26 +470,36 @@ mod tests {
         assert!(out.iter().all(|r| r.hits.is_empty()));
     }
 
+    /// A database whose scores against `query` (a run of 3 200 W) span all
+    /// three precisions at `lanes = 16`: background sequences settle in
+    /// the byte pass, a 60-W run (660) needs i16, the query itself
+    /// (35 200) the scalar rescue.
+    fn precision_mix() -> (PreparedDb, Vec<u8>) {
+        let a = Alphabet::protein();
+        let w = a.encode_byte(b'W').unwrap();
+        let mut seqs = generate_database(&DbSpec::tiny(42));
+        for (header, len) in [("mid", 60), ("giant", 3200)] {
+            seqs.push(sw_seq::EncodedSeq {
+                header: header.into(),
+                residues: vec![w; len],
+            });
+        }
+        (PreparedDb::prepare(seqs, 16, &a), vec![w; 3200])
+    }
+
     #[test]
     fn adaptive_precision_identical_results() {
-        let db = small_db(8);
-        let query = generate_query(150, 13);
+        // The default path is the precision cascade; it must equal the
+        // scalar oracle where its tiers hand over (u8 → i16 → i64).
+        let (db, query) = precision_mix();
         let engine = SearchEngine::paper_default();
-        for profile in [ProfileMode::Query, ProfileMode::Sequence] {
-            let variant = KernelVariant {
-                vec: Vectorization::Intrinsic,
-                profile,
-                blocking: false,
-            };
-            let plain = SearchConfig::best(2).with_variant(variant);
-            let adaptive = SearchConfig {
-                adaptive_precision: true,
-                ..plain
-            };
-            let r1 = engine.search(&query.residues, &db, &plain);
-            let r2 = engine.search(&query.residues, &db, &adaptive);
-            assert_eq!(r1.hits, r2.hits, "profile {profile:?}");
-        }
+        let res = engine.search(&query, &db, &SearchConfig::best(2));
+        let got: Vec<(u32, i64)> = res.hits.iter().map(|h| (h.id.0, h.score)).collect();
+        assert_eq!(got, reference_scores(&query, &db));
+        assert_eq!(got[0].1, 3200 * 11);
+        assert_eq!(got[1].1, 60 * 11);
+        assert!(got[2].1 < 251, "the background settles in bytes");
+        assert_eq!(res.lanes_rescued, 1);
     }
 
     #[test]
@@ -519,13 +511,9 @@ mod tests {
             header: "giant".into(),
             residues: vec![w; 3200],
         };
-        let db = PreparedDb::prepare(vec![giant.clone()], 4, &a);
+        let db = PreparedDb::prepare(vec![giant.clone()], 16, &a);
         let engine = SearchEngine::paper_default();
-        let cfg = SearchConfig {
-            adaptive_precision: true,
-            ..SearchConfig::best(1)
-        };
-        let res = engine.search(&giant.residues, &db, &cfg);
+        let res = engine.search(&giant.residues, &db, &SearchConfig::best(1));
         assert_eq!(res.hits[0].score, 3200 * 11);
         assert_eq!(res.lanes_rescued, 1);
     }
@@ -535,7 +523,8 @@ mod tests {
         // The CLI contract: `--kernel-isa portable` reproduces the
         // detected-ISA hit list byte for byte. Exercise both SSE2-native
         // (8 × i16) and AVX2-native (16 × i16) lane widths, blocked and
-        // unblocked, plus the adaptive cascade.
+        // unblocked, plus a database with scores on both sides of the byte
+        // ceiling (portable starts at i16, AVX2 in bytes).
         use sw_kernels::KernelIsa;
         let engine = SearchEngine::paper_default();
         let query = generate_query(100, 17);
@@ -554,18 +543,15 @@ mod tests {
                     "lanes {lanes} variant {variant}"
                 );
             }
-            let adaptive = SearchConfig {
-                adaptive_precision: true,
-                ..SearchConfig::best(2)
-            };
-            let detected = engine.search(&query.residues, &db, &adaptive);
-            let portable = engine.search(
-                &query.residues,
-                &db,
-                &adaptive.with_isa(KernelIsa::Portable),
-            );
-            assert_eq!(detected.hits, portable.hits, "lanes {lanes} adaptive");
         }
+        // A short W query keeps the portable sweep cheap: the two W runs
+        // still leave the byte range, nothing leaves i16.
+        let (db, query) = precision_mix();
+        let cfg = SearchConfig::best(2);
+        let detected = engine.search(&query[..80], &db, &cfg);
+        let portable = engine.search(&query[..80], &db, &cfg.with_isa(KernelIsa::Portable));
+        assert_eq!(detected.hits, portable.hits, "precision mix");
+        assert_eq!(detected.hits[0].score, 80 * 11);
     }
 
     #[test]

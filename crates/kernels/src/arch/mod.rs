@@ -8,7 +8,8 @@
 //! (`x86`) and over the portable [`crate::lanes`] vectors at any lane
 //! width. The `sw_isa_*` functions below pick the instantiation behind
 //! [`is_x86_feature_detected!`]; every one offers the same five kernels —
-//! QP, SP and fused SP at i16, QP and SP at i8.
+//! QP, SP and fused SP at i16, QP and SP at i8 — and AVX2 a sixth, the
+//! fused path's byte pass.
 //!
 //! Dispatch rules (see also `DESIGN.md`):
 //!
@@ -30,14 +31,24 @@
 //!   scalar fill). Only a score table without shuffle rows (scores beyond
 //!   `i8`, more than 31 residue codes) makes it materialise the profile
 //!   and call [`sw_isa_sp`].
+//! * [`sw_isa_fused_sp`] is also the first two tiers of the precision
+//!   chain, u8 → i16 (→ i64, the caller's [`crate::overflow`] rescue). On
+//!   AVX2 at `L = 16`, over a table with shuffle rows, a batch is first
+//!   swept in 32 biased-unsigned byte lanes — the same 16 sequences in
+//!   both register halves, two runs of query rows one column apart — and
+//!   the i16 sweep re-runs it only if a lane reached `255 − bias`. SSE2,
+//!   portable, every other lane width and the materialised fallback start
+//!   at i16. Nothing selects this but the ISA, the lane width and the
+//!   saturation observed.
 //! * Results are **identical** across every path — scores *and*
 //!   overflow/saturation flags — enforced by the differential suite in
 //!   `tests/isa_differential.rs`, which pins each of them to the scalar
 //!   oracle.
 //!
 //! Safety: the intrinsic bodies live in `#[target_feature]` functions and
-//! are reached only through the `unsafe` calls in `dispatch!`, each
-//! guarded by the matching runtime/ABI feature check on the same arm.
+//! are reached only through the `unsafe` calls in `dispatch!` and the
+//! byte-pass branch of [`sw_isa_fused_sp_stats`], each guarded by the
+//! matching runtime/ABI feature check on the same arm.
 
 #![allow(unsafe_code)]
 
@@ -196,13 +207,17 @@ pub fn sw_isa_sp<const L: usize>(
     dispatch!(isa, L, LANES_I16, sw_sp_i16(query, sp, batch, gap, block))
 }
 
-/// i16 inter-task kernel, fused SP flavour, dispatched on `isa`: the
-/// result of [`sw_isa_sp`] over `SequenceProfile::build(batch, ..)`
-/// without building that profile — each column's SP rows are derived from
-/// `table` when the sweep reaches the column. Only a `table` without
-/// shuffle rows (scores beyond `i8`, more than 31 residue codes) has the
-/// profile materialised and handed to [`sw_isa_sp`]. Scores and overflow
-/// flags are identical either way.
+/// Inter-task kernel, fused SP flavour, dispatched on `isa`: the result of
+/// [`sw_isa_sp`] over `SequenceProfile::build(batch, ..)` without building
+/// that profile — each column's SP rows are derived from `table` when the
+/// sweep reaches the column.
+///
+/// AVX2 at `L = 16` runs a byte pass first (32 biased-unsigned 8-bit lanes
+/// over the same 16 sequences, `block_rows` unused) and the i16 sweep only
+/// for a batch with a lane at the byte ceiling; every other ISA and width
+/// starts at i16. Only a `table` without shuffle rows (scores beyond `i8`,
+/// more than 31 residue codes) has the profile materialised and handed to
+/// [`sw_isa_sp`]. Scores and overflow flags are identical on every route.
 pub fn sw_isa_fused_sp<const L: usize>(
     isa: KernelIsa,
     query: &[u8],
@@ -211,6 +226,19 @@ pub fn sw_isa_fused_sp<const L: usize>(
     gap: &GapPenalty,
     block_rows: Option<usize>,
 ) -> KernelOutput {
+    sw_isa_fused_sp_stats::<L>(isa, query, table, batch, gap, block_rows).0
+}
+
+/// [`sw_isa_fused_sp`], and how many lanes its byte pass settled and how
+/// many went on to i16 (both 0 where no byte pass ran).
+pub fn sw_isa_fused_sp_stats<const L: usize>(
+    isa: KernelIsa,
+    query: &[u8],
+    table: &ScoreTable<'_>,
+    batch: &LaneBatch,
+    gap: &GapPenalty,
+    block_rows: Option<usize>,
+) -> (KernelOutput, CascadeStats) {
     // Release builds rely on `PreparedDb::prepare` having checked this: the
     // fused kernel scores a stray code as some other residue (memory-safe,
     // but wrong) where the materialised build would panic.
@@ -221,17 +249,30 @@ pub fn sw_isa_fused_sp<const L: usize>(
             .all(|&r| r as usize <= table.alphabet().len()),
         "batch residue code outside the alphabet and its pad code"
     );
-    let Some(rows) = table.rows() else {
-        let sp = SequenceProfile::build(batch, table.matrix(), table.alphabet());
-        return sw_isa_sp::<L>(isa, query, &sp, batch, gap, block_rows);
+    let wide = || {
+        let Some(rows) = table.rows() else {
+            let sp = SequenceProfile::build(batch, table.matrix(), table.alphabet());
+            return sw_isa_sp::<L>(isa, query, &sp, batch, gap, block_rows);
+        };
+        let block = eff_block(block_rows, query.len());
+        dispatch!(
+            isa,
+            L,
+            LANES_I16,
+            sw_fused_i16(query, rows, batch, gap, block)
+        )
     };
-    let block = eff_block(block_rows, query.len());
-    dispatch!(
-        isa,
-        L,
-        LANES_I16,
-        sw_fused_i16(query, rows, batch, gap, block)
-    )
+    // The byte pass, where there is one: AVX2 at 16 sequences per batch,
+    // over a table with shuffle rows.
+    #[cfg(target_arch = "x86_64")]
+    if isa == KernelIsa::Avx2 && L == x86::avx2::LANES_I16 && isa.is_available() {
+        if let Some((rows, bias)) = table.biased_rows() {
+            // SAFETY: AVX2 presence verified by `is_available` above.
+            let narrow = unsafe { x86::avx2::sw_fused_u8(query, rows, bias, batch, gap) };
+            return cascade(narrow, wide);
+        }
+    }
+    (wide(), CascadeStats::default())
 }
 
 /// i8 narrow kernel, QP flavour, dispatched on `isa` — the first tier of

@@ -9,25 +9,47 @@
 //! between them (Fig. 7; one block spanning the query = unblocked). It is
 //! written against a vector *type* — anything with `zero`, `splat`,
 //! `sat_add`, `sat_sub` and `max` — so the same text is the 16-bit and the
-//! 8-bit kernel, on SSE2, AVX2 and the portable [`crate::lanes`] vectors.
+//! 8-bit kernel, signed or biased-unsigned, on SSE2, AVX2 and the portable
+//! [`crate::lanes`] vectors.
 //!
 //! `kernels!` instantiates the five kernels the dispatcher in [`super`]
 //! offers for one pair of vector types: query-profile, sequence-profile
 //! and fused sequence-profile at i16; query- and sequence-profile at i8.
 //! They differ only in where a cell's substitution vector comes from.
 //! [`portable`] is the instantiation over `lanes::{I16s<L>, I8s<L>}`;
-//! `super::x86` holds the SSE2 and AVX2 ones.
+//! `super::x86` holds the SSE2 and AVX2 ones, and the one kernel that
+//! uses the sweep's `skewed` form (AVX2's byte pass).
 
-/// Row-blocked DP sweep over vector type `$V`; evaluates to the lane-wise
-/// maximum of `H`. A flavour supplies `$rows(i0, i1)` — an iterator of one
-/// key per query row of the block (the row index for QP, the residue code
-/// for SP) — `$column(j)`, run once per database column of each block,
-/// and `$subst(key, j)`, the substitution vector of one cell. The H/F
-/// columns, the block-boundary rows and the keys are walked in lock step,
-/// so the sweep itself indexes nothing.
+/// DP sweep over vector type `$V`; evaluates to the lane-wise maximum of
+/// `H`. A flavour supplies `$rows` — one key per query row (the row index
+/// for QP, the residue code for SP) — `$column(j)`, run once per database
+/// column, and `$subst(key, j)`, the substitution vector of one cell. The
+/// H/F columns, the boundary rows and the keys are walked in lock step, so
+/// the sweep itself indexes nothing.
+///
+/// `score:` names the arithmetic. `signed` is the textbook recurrence over
+/// a signed element: `H = max(0, H_diag + v, E, F)`, gap states starting at
+/// `$neg_inf`. `biased(b)` is SWIPE's unsigned form: `$subst` yields
+/// `v + b ≥ 0`, `H = max(H_diag + (v + b) − b, E, F)` with both steps
+/// saturating — the subtraction *is* the `max(0, ·)`, and `E`/`F` floor at
+/// 0 (`$neg_inf`), which `H ≥ 0` makes equivalent to −∞.
+///
+/// Where the row above a run of rows comes from is the other choice:
+///
+/// * `block_rows: b` tiles the query into blocks of `b` rows swept one
+///   after the other, an `N`-long `H`/`E` boundary row carried from each
+///   to the next (`$rows(i0, i1)` yields the keys of one block).
+/// * `skewed` sweeps two runs of `m` rows *at once*, in the two halves of
+///   one vector, the upper run one column behind the lower: at step `j`
+///   the low half is at database column `j` and the high half at `j − 1`,
+///   so the row above the upper run is what the lower run finished one
+///   step earlier — `shift_halves` moves it across and leaves zero, the
+///   row above the lower run, behind. `n` counts steps (one more than
+///   columns), `$rows` yields a key pair per row, and the caller folds
+///   the two halves of the result.
 macro_rules! sweep {
     ($V:ty, elem: $elem:ty, neg_inf: $neg_inf:expr, gap: $gap:expr, m: $m:expr, n: $n:expr,
-     block_rows: $block_rows:expr,
+     block_rows: $block_rows:expr, score: $score:ident $(($bias:expr))?,
      rows: $rows:expr, column: $column:expr, subst: $subst:expr) => {{
         let m: usize = $m;
         let n: usize = $n;
@@ -56,31 +78,80 @@ macro_rules! sweep {
             for (j, (bh_j, be_j)) in bh.iter_mut().zip(be.iter_mut()).enumerate() {
                 $column(j);
                 let old_bh = *bh_j; // H[i0-1][j]
-                let mut h_diag = diag_carry;
-                let mut h_up = old_bh;
-                let mut e_run = *be_j; // E[i0-1][j]
-                let cells = h_col.iter_mut().zip(f_col.iter_mut());
-                for ((hc, fc), key) in cells.zip($rows(i0, i1)) {
-                    let v: $V = $subst(key, j);
-                    let h_prev = *hc;
-                    let f = h_prev.sat_sub(first).max(fc.sat_sub(extend));
-                    let e = h_up.sat_sub(first).max(e_run.sat_sub(extend));
-                    let h = h_diag.sat_add(v).max(e).max(f).max(zero);
-                    h_diag = h_prev;
-                    *hc = h;
-                    *fc = f;
-                    e_run = e;
-                    h_up = h;
-                    vmax = vmax.max(h);
-                }
-                *bh_j = h_up; //  H[i1-1][j] for the next block
-                *be_j = e_run; // E[i1-1][j]
+                // H[i1-1][j] and E[i1-1][j] for the next block.
+                (*bh_j, *be_j) = sweep!(
+                    @cells $V, score: $score $(($bias))?, first, extend, zero, vmax,
+                    h_col, f_col, $rows(i0, i1), $subst, j,
+                    h_diag: diag_carry, h_up: old_bh, e_up: *be_j
+                );
                 diag_carry = old_bh;
             }
             i0 = i1;
         }
         vmax
     }};
+
+    ($V:ty, elem: $elem:ty, neg_inf: $neg_inf:expr, gap: $gap:expr, m: $m:expr, n: $n:expr,
+     skewed, score: $score:ident $(($bias:expr))?,
+     rows: $rows:expr, column: $column:expr, subst: $subst:expr) => {{
+        let m: usize = $m;
+        let n: usize = $n;
+        let first = <$V>::splat($gap.first().clamp(0, <$elem>::MAX as i32) as $elem);
+        let extend = <$V>::splat($gap.extend.clamp(0, <$elem>::MAX as i32) as $elem);
+        let zero = <$V>::zero();
+        let neg_inf = <$V>::splat($neg_inf);
+        let mut h_col = vec![zero; m];
+        let mut f_col = vec![neg_inf; m];
+        let mut vmax = zero;
+        // The last row's H and E of the previous step, and the row above
+        // the upper run as that step saw it (the diagonal of this one).
+        let (mut h_last, mut e_last, mut diag_carry) = (zero, neg_inf, zero);
+        for j in 0..n {
+            $column(j);
+            let h_top = h_last.shift_halves();
+            (h_last, e_last) = sweep!(
+                @cells $V, score: $score $(($bias))?, first, extend, zero, vmax,
+                h_col, f_col, $rows, $subst, j,
+                h_diag: diag_carry, h_up: h_top, e_up: e_last.shift_halves()
+            );
+            diag_carry = h_top;
+        }
+        vmax
+    }};
+
+    // One run of rows at one column — the only H/E/F text in the crate.
+    // Takes the three values that enter from the row above; evaluates to
+    // the last row's `(H, E)`.
+    (@cells $V:ty, score: $score:ident $(($bias:expr))?,
+     $first:ident, $extend:ident, $zero:ident, $vmax:ident,
+     $h_col:ident, $f_col:ident, $keys:expr, $subst:expr, $j:ident,
+     h_diag: $h_diag:expr, h_up: $h_up:expr, e_up: $e_up:expr) => {{
+        let mut h_diag = $h_diag;
+        let mut h_up = $h_up;
+        let mut e_run = $e_up;
+        let cells = $h_col.iter_mut().zip($f_col.iter_mut());
+        for ((hc, fc), key) in cells.zip($keys) {
+            let v: $V = $subst(key, $j);
+            let h_prev = *hc;
+            let f = h_prev.sat_sub($first).max(fc.sat_sub($extend));
+            let e = h_up.sat_sub($first).max(e_run.sat_sub($extend));
+            let h = sweep!(@h $score $(($bias))?, h_diag, v, e, f, $zero);
+            h_diag = h_prev;
+            *hc = h;
+            *fc = f;
+            e_run = e;
+            h_up = h;
+            $vmax = $vmax.max(h);
+        }
+        (h_up, e_run)
+    }};
+
+    (@h signed, $h_diag:ident, $v:ident, $e:ident, $f:ident, $zero:ident) => {
+        $h_diag.sat_add($v).max($e).max($f).max($zero)
+    };
+    (@h biased($bias:expr), $h_diag:ident, $v:ident, $e:ident, $f:ident, $zero:ident) => {
+        $h_diag.sat_add($v).sat_sub($bias).max($e).max($f)
+    };
 }
 
 /// The query-profile and sequence-profile kernels over vector type `$V`
@@ -107,6 +178,7 @@ macro_rules! profile_kernels {
             let vmax = sweep!(
                 $V, elem: $elem, neg_inf: $neg_inf, gap: gap,
                 m: qp.query_len(), n: batch.padded_len(), block_rows: block_rows,
+                score: signed,
                 rows: |i0, i1| i0..i1,
                 column: |_j| (),
                 subst: |i, j| <$V>::gather(qp.row(i), batch.row(j))
@@ -135,6 +207,7 @@ macro_rules! profile_kernels {
             let vmax = sweep!(
                 $V, elem: $elem, neg_inf: $neg_inf, gap: gap,
                 m: query.len(), n: batch.padded_len(), block_rows: block_rows,
+                score: signed,
                 rows: |i0, i1| query[i0..i1].iter(),
                 column: |_j| (),
                 subst: |&q, j| <$V>::load(sp.row(q, j))
@@ -202,6 +275,7 @@ macro_rules! kernels {
             let vmax = sweep!(
                 $V16, elem: i16, neg_inf: $crate::intertask::NEG_INF_I16, gap: gap,
                 m: query.len(), n: batch.padded_len(), block_rows: block_rows,
+                score: signed,
                 rows: |i0, i1| query[i0..i1].iter(),
                 column: |j| $column_scores(&mut col, table, present, batch.row(j)),
                 subst: |&q, _j| col[q as usize % SCORE_TABLE_COLS]

@@ -8,7 +8,9 @@
 //! five kernels the dispatcher in [`super`] calls from the one sweep body,
 //! exactly as it does for the portable vectors — same saturating ops, same
 //! `NEG_INF` sentinels, same `vmax == MAX` overflow flagging — so scores
-//! and flags are bit-identical across all of them.
+//! and flags are bit-identical across all of them. AVX2 adds a third
+//! vector, `V8u` (32 unsigned bytes), and over it the fused path's byte
+//! pass, `sw_fused_u8`: the same sweep in its `skewed`, `biased` form.
 //!
 //! # Safety
 //!
@@ -27,13 +29,15 @@
 //!   materialised kernels only: the fused kernel reads batch columns and
 //!   table rows with unaligned loads.
 //! * A shuffle cannot read outside its 16-byte source register whatever
-//!   the index byte holds, so the AVX2 column prologue is memory-safe for
-//!   any batch residue code (see `sw_fused_i16` for what such a code
+//!   the index byte holds, so the AVX2 column prologues are memory-safe
+//!   for any batch residue code (see `sw_fused_i16` for what such a code
 //!   scores as).
 
 #![allow(unsafe_code)]
 
-/// A vector newtype `$name` = `$lanes` × `$elem` in one `$vec` register.
+/// A vector newtype `$name` = `$lanes` × `$elem` in one `$vec` register:
+/// the arithmetic of the sweep and, for the types that read profiles (those
+/// given `load:`/`loadu:`), the three ways a row reaches a register.
 macro_rules! vector {
     (
         $name:ident: [$elem:ty; $lanes:expr] in $vec:ty,
@@ -43,8 +47,8 @@ macro_rules! vector {
         adds: $adds:path,
         subs: $subs:path,
         max: $max:path,
-        load: $load:path,
-        loadu: $loadu:path,
+        $(load: $load:path,
+        loadu: $loadu:path,)?
         storeu: $storeu:path,
     ) => {
         #[derive(Clone, Copy)]
@@ -63,6 +67,7 @@ macro_rules! vector {
                 Self($set1(v))
             }
 
+            $(
             /// Aligned load of one SP profile row.
             #[inline]
             #[target_feature(enable = $feat)]
@@ -99,6 +104,7 @@ macro_rules! vector {
                 }
                 Self::from_array(buf)
             }
+            )?
 
             #[inline]
             #[target_feature(enable = $feat)]
@@ -189,6 +195,7 @@ pub(crate) mod sse2 {
 /// 256-bit AVX2 kernels: 16 × i16, 32 × i8 — the paper's AVX lane widths.
 pub(crate) mod avx2 {
     use std::arch::x86_64::*;
+    use std::cell::Cell;
     use sw_swdb::SCORE_TABLE_COLS;
 
     /// i16 lanes per vector.
@@ -265,5 +272,154 @@ pub(crate) mod avx2 {
         attrs: [#[target_feature(enable = "avx2")]], generics: [],
         v16: V16, lanes_i16: LANES_I16, v8: V8, lanes_i8: LANES_I8,
         column_scores: column_scores
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn set1_epu8(v: u8) -> __m256i {
+        _mm256_set1_epi8(v as i8)
+    }
+
+    // The byte pass's vector: the same 16 sequences in both 128-bit halves.
+    vector! {
+        V8u: [u8; LANES_I8] in __m256i,
+        feature: "avx2",
+        setzero: _mm256_setzero_si256,
+        set1: set1_epu8,
+        adds: _mm256_adds_epu8,
+        subs: _mm256_subs_epu8,
+        max: _mm256_max_epu8,
+        storeu: _mm256_storeu_si256,
+    }
+
+    impl V8u {
+        /// `[0 ‖ low half of self]`: what the lower run of a skewed sweep
+        /// finished becomes the row above the upper run.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn shift_halves(self) -> Self {
+            Self(_mm256_permute2x128_si256::<0x08>(self.0, self.0))
+        }
+
+        /// `[low half of self ‖ high half of o]`.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn blend_halves(self, o: Self) -> Self {
+            Self(_mm256_blend_epi32::<0xF0>(self.0, o.0))
+        }
+    }
+
+    /// A code that is no residue (a table has fewer than 32 rows). As a
+    /// *key* it is the query row appended to an odd query: its `col` entry
+    /// is never filled, so it scores a biased 0 against everything. As a
+    /// *residue* it is the column before the first and after the last:
+    /// like the pad column it holds a biased 0 in every table row.
+    const NO_RESIDUE: u8 = (SCORE_TABLE_COLS - 1) as u8;
+
+    /// Byte-pass column prologue: [`column_scores`] at 256 bits and without
+    /// the widening — `col[e]` = `[SP row (e, j) ‖ SP row (e, j − 1)]` of
+    /// the biased table, from the residues of both columns.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn column_scores_u8(
+        col: &[Cell<V8u>],
+        table: &[[u8; SCORE_TABLE_COLS]],
+        present: u32,
+        residues: &[u8],
+        residues_before: &[u8],
+    ) {
+        // SAFETY: each slice index guarantees LANES_I16 = 16 readable bytes.
+        let codes_v = unsafe {
+            _mm256_set_m128i(
+                _mm_loadu_si128(residues_before[..LANES_I16].as_ptr().cast()),
+                _mm_loadu_si128(residues[..LANES_I16].as_ptr().cast()),
+            )
+        };
+        let lo_ix = _mm256_adds_epu8(codes_v, _mm256_set1_epi8(0x70));
+        let hi_ix = _mm256_sub_epi8(codes_v, _mm256_set1_epi8(16));
+        let mut codes = present;
+        while codes != 0 {
+            let e = codes.trailing_zeros() as usize;
+            codes &= codes - 1;
+            let row = &table[e];
+            // SAFETY: each half of the 32-byte row is 16 readable bytes.
+            let (lo, hi) = unsafe {
+                (
+                    _mm256_broadcastsi128_si256(_mm_loadu_si128(row[..16].as_ptr().cast())),
+                    _mm256_broadcastsi128_si256(_mm_loadu_si128(row[16..].as_ptr().cast())),
+                )
+            };
+            col[e].set(V8u(_mm256_or_si256(
+                _mm256_shuffle_epi8(lo, lo_ix),
+                _mm256_shuffle_epi8(hi, hi_ix),
+            )));
+        }
+    }
+
+    /// The byte first pass of the fused kernel: 32 biased-unsigned 8-bit
+    /// lanes over one **16**-sequence batch. Both halves of a register
+    /// hold the same 16 sequences; the low half sweeps query rows `0..h`
+    /// (`h = ⌈m/2⌉`) at database column `j`, the high half rows `h..m` at
+    /// column `j − 1` (the `skewed` sweep). A lane's score is the larger of
+    /// its two halves, and it is flagged saturated from `255 − bias` on:
+    /// every clipped addition lands exactly there, so a lane below it was
+    /// computed exactly. One block always — the H/F state is 64 bytes per
+    /// row *pair*, half the i16 sweep's.
+    ///
+    /// `table`/`bias` are [`sw_swdb::ScoreTable::biased_rows`]. A padded
+    /// cell scores `−bias`, not −128: its `H` can be positive but never
+    /// above a value a real cell of the same lane already holds, so the
+    /// lane maximum is unaffected. The same goes for the odd query's extra
+    /// row and the columns off either end (see [`NO_RESIDUE`]).
+    ///
+    /// # Panics
+    /// Panics on a lane-width mismatch or a query code `≥ table.len()`.
+    #[target_feature(enable = "avx2")]
+    pub(crate) fn sw_fused_u8(
+        query: &[u8],
+        table: &[[u8; SCORE_TABLE_COLS]],
+        bias: u8,
+        batch: &sw_swdb::LaneBatch,
+        gap: &sw_seq::GapPenalty,
+    ) -> crate::intertask::NarrowOutput {
+        assert_eq!(
+            batch.lanes(),
+            LANES_I16,
+            "batch lane width must match kernel width"
+        );
+        assert!(table.len() < SCORE_TABLE_COLS, "table has a pad column");
+        assert!(
+            query.iter().all(|&q| (q as usize) < table.len()),
+            "query residue code outside the score table"
+        );
+        let present = query.iter().fold(0u32, |set, &q| set | 1 << q);
+        let mut col = [V8u::zero(); SCORE_TABLE_COLS];
+        let col = Cell::from_mut(&mut col[..]).as_slice_of_cells();
+        // A query row's key is the *address* of its score vector, looked up
+        // here once per row instead of once per cell; the prologue then
+        // rewrites the vectors in place, hence the cells.
+        let h = query.len().div_ceil(2);
+        let key = |&q: &u8| &col[q as usize];
+        let lower: Vec<&Cell<V8u>> = query[..h].iter().map(key).collect();
+        let mut upper: Vec<&Cell<V8u>> = query[h..].iter().map(key).collect();
+        upper.resize(h, key(&NO_RESIDUE));
+        let n = batch.padded_len();
+        let off_end = [NO_RESIDUE; LANES_I16];
+        let residues = |j: usize| if j < n { batch.row(j) } else { &off_end[..] };
+        let bias_v = V8u::splat(bias);
+        let vmax = sweep!(
+            V8u, elem: u8, neg_inf: 0, gap: gap, m: h, n: n + 1,
+            skewed, score: biased(bias_v),
+            rows: lower.iter().zip(&upper),
+            column: |j: usize| column_scores_u8(
+                col, table, present, residues(j), residues(j.wrapping_sub(1))
+            ),
+            subst: |(lo, hi): (&&Cell<V8u>, &&Cell<V8u>), _j| lo.get().blend_halves(hi.get())
+        );
+        crate::intertask::NarrowOutput::from_skewed_vmax(
+            &vmax.to_array(),
+            u8::MAX - bias,
+            batch.real_lanes(),
+        )
     }
 }

@@ -5,14 +5,15 @@
 //! simultaneously, one per vector lane (the SWIPE scheme [Rognes 2011] the
 //! paper adopts in §IV). The sweep itself lives in [`crate::arch`]: one
 //! body, instantiated per vector type. This module is the home of its
-//! outputs ([`KernelOutput`], [`NarrowOutput`]), the i8 → i16 cascade
+//! outputs ([`KernelOutput`], [`NarrowOutput`]), the 8-bit → i16 cascade
 //! that combines them, the "minus infinity" sentinels and the
 //! cache-blocking tuning rule of Fig. 7.
 //!
 //! Arithmetic is saturating; a lane whose running maximum reaches the
-//! element type's `MAX` is flagged and later recomputed at the next
-//! precision — an i8 lane in i16 (here), an i16 lane in i64 (see
-//! [`crate::overflow`]). The cascade is exact because saturation is
+//! ceiling of its element type (`MAX`, or `255 − bias` in the fused
+//! kernel's biased-unsigned byte pass) is flagged and later recomputed at
+//! the next precision — an 8-bit lane in i16 (here), an i16 lane in i64
+//! (see [`crate::overflow`]). The cascade is exact because saturation is
 //! *detected*, never silent.
 
 /// "Minus infinity" for the i16 gap recurrences: negative enough that no
@@ -56,12 +57,12 @@ impl KernelOutput {
     }
 }
 
-/// Output of a narrow (i8) pass: per-lane scores plus saturation flags.
+/// Output of a narrow (8-bit) pass: per-lane scores plus saturation flags.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NarrowOutput {
     /// Best score per real lane (exact only where `!saturated`).
     pub scores: Vec<i64>,
-    /// Lanes that touched `i8::MAX` and need the wide kernel.
+    /// Lanes that touched the pass's ceiling and need the wide kernel.
     pub saturated: Vec<bool>,
 }
 
@@ -72,22 +73,36 @@ impl NarrowOutput {
         NarrowOutput { scores, saturated }
     }
 
+    /// Scores and flags from the column maximum of a skewed byte sweep:
+    /// lane `l`'s score is the larger of elements `l` and `half + l` (the
+    /// two runs of query rows), and it is saturated from `ceiling` on.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    pub(crate) fn from_skewed_vmax(vmax: &[u8], ceiling: u8, real_lanes: usize) -> Self {
+        let (lower, upper) = vmax.split_at(vmax.len() / 2);
+        let best = lower.iter().zip(upper).map(|(&a, &b)| a.max(b));
+        let (scores, saturated) = best
+            .take(real_lanes)
+            .map(|s| (s as i64, s >= ceiling))
+            .unzip();
+        NarrowOutput { scores, saturated }
+    }
+
     /// True if any real lane saturated.
     pub fn any_saturated(&self) -> bool {
         self.saturated.iter().any(|&s| s)
     }
 }
 
-/// Statistics of one adaptive run.
+/// Statistics of one cascade run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CascadeStats {
-    /// Lanes settled by the i8 pass.
+    /// Lanes settled by the 8-bit pass.
     pub settled_i8: u64,
     /// Lanes that needed the i16 pass.
     pub widened_i16: u64,
 }
 
-/// Dual-precision cascade (SWIPE): keep the i8 pass's scores, and run
+/// Dual-precision cascade (SWIPE): keep the 8-bit pass's scores, and run
 /// `wide` (the i16 kernel over the same batch) only if some lane
 /// saturated. Lanes that also saturate i16 are flagged in the returned
 /// [`KernelOutput`] for the caller's i64 rescue.
@@ -129,6 +144,13 @@ pub(crate) fn cascade(
             );
         }
     }
+    // As `rescue_overflows` reports 16 → 64: into whichever worker journal
+    // the executor installed on this thread (no-op outside a traced run).
+    sw_trace::emit_current(sw_trace::EventKind::OverflowRecompute {
+        from_bits: 8,
+        to_bits: 16,
+        lanes: widened,
+    });
     (
         KernelOutput { scores, overflowed },
         CascadeStats {
@@ -157,6 +179,41 @@ pub fn block_rows_for_cache(cache_bytes: usize, lanes: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn promotion_reports_into_ambient_journal() {
+        let settled = NarrowOutput {
+            scores: vec![3, 250],
+            saturated: vec![false, false],
+        };
+        let promoted = NarrowOutput {
+            scores: vec![3, 251, 251],
+            saturated: vec![false, true, true],
+        };
+        let wide = || KernelOutput {
+            scores: vec![3, 251, 900],
+            overflowed: vec![false; 3],
+        };
+        let tracer = sw_trace::Tracer::full();
+        sw_trace::install(tracer.worker(0, 0));
+        let (_, quiet) = cascade(settled, || unreachable!("no lane saturated"));
+        let (out, stats) = cascade(promoted, wide);
+        drop(sw_trace::uninstall());
+        assert_eq!((quiet.settled_i8, quiet.widened_i16), (2, 0));
+        assert_eq!((stats.settled_i8, stats.widened_i16), (1, 2));
+        assert_eq!(out.scores, [3, 251, 900]);
+        let tl = tracer.timeline();
+        assert_eq!(tl.count("overflow_recompute"), 1, "only the promoted batch");
+        let (_, _, ev) = tl.events_sorted()[0];
+        assert!(matches!(
+            ev.kind,
+            sw_trace::EventKind::OverflowRecompute {
+                from_bits: 8,
+                to_bits: 16,
+                lanes: 2
+            }
+        ));
+    }
 
     #[test]
     fn block_rows_for_cache_sizing() {

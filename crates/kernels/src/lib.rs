@@ -18,10 +18,12 @@
 //! `tests/` directory are the central correctness property.
 //!
 //! Scores are computed in saturating `i16` (the paper's vector element
-//! width) with automatic detection of saturation and an exact `i64`
-//! scalar rescue ([`overflow`]), so reported scores are always exact;
-//! [`intertask`] holds what the sweep returns and the SWIPE-style
-//! i8→i16 cascade over it.
+//! width) — after a biased-unsigned byte pass where AVX2 offers 32 byte
+//! lanes for the same 16 sequences — with automatic detection of
+//! saturation at each width and an exact `i64` scalar rescue
+//! ([`overflow`]), so reported scores are always exact; [`intertask`]
+//! holds what the sweep returns and the SWIPE-style 8-bit → i16 cascade
+//! over it.
 //!
 //! Beyond the paper's variants: [`banded`] (diagonal-band refinement) and
 //! [`traceback`] (alignment recovery for reported hits).

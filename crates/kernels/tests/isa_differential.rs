@@ -3,24 +3,26 @@
 //! Every instantiation of the sweep the dispatcher can select — portable,
 //! SSE2, AVX2 — must produce **identical** results for identical inputs:
 //! the scores *and* the overflow/saturation flags, for every flavour (QP,
-//! SP, fused SP), both element widths (i16/i8), every supported lane
-//! width, blocked and unblocked, and for the adaptive i8→i16 cascade.
-//! They all share one body, so agreement among them proves little; each
-//! output is instead compared with what the scalar reference
-//! (`sw_score_scalar`) says it must be — the exact score where it fits
-//! the element type, the type's `MAX` and a raised flag where it does not.
+//! SP, fused SP), every element width (i16, i8 and the fused kernel's
+//! biased-u8 first pass), every supported lane width, blocked and
+//! unblocked, and for the narrow → i16 cascades. They all share one body,
+//! so agreement among them proves little; each output is instead compared
+//! with what the scalar reference (`sw_score_scalar`) says it must be —
+//! the exact score where it fits the element type, the type's `MAX` and a
+//! raised flag where it does not.
 //!
 //! The inputs deliberately include single-lane and partial batches
 //! (padding lanes in play), mixed lengths, lanes that score zero, a gap
-//! that spans a row-block boundary, scores forced past both element
-//! widths, and sequences tuned to land *exactly* on `i8::MAX` /
-//! `i16::MAX` — the boundary where a capped score is indistinguishable
-//! from an exact one and only the flag tells.
+//! that spans a row-block boundary, scores forced past every element
+//! width, and sequences tuned to land *exactly* on `i8::MAX`, `i16::MAX`
+//! and the byte pass's `255 − bias` — the boundaries where a capped score
+//! is indistinguishable from an exact one and only the flag tells.
 
 use sw_kernels::arch::{self, KernelIsa};
 use sw_kernels::intertask::{CascadeStats, KernelOutput, NarrowOutput};
 use sw_kernels::{sw_score_scalar, SwParams};
-use sw_seq::{Alphabet, SeqId};
+use sw_seq::gen::SwissProtGen;
+use sw_seq::{Alphabet, GapPenalty, SeqId, SubstMatrix};
 use sw_swdb::batch::pad_code;
 use sw_swdb::{
     LaneBatch, QueryProfile, QueryProfileI8, ScoreTable, SequenceProfile, SequenceProfileI8,
@@ -94,6 +96,57 @@ fn expect_i8(wide: &KernelOutput) -> NarrowOutput {
     }
 }
 
+/// What the fused kernel must report beside `want`: under AVX2 at 16 lanes
+/// (and a matrix the score table holds) its byte pass settles every lane
+/// below `255 − bias` and promotes the rest; no other route has one.
+fn expect_fused_stats<const L: usize>(
+    isa: KernelIsa,
+    p: &SwParams,
+    want: &KernelOutput,
+) -> CascadeStats {
+    let (min, max) = (p.matrix.min_score(), p.matrix.max_score());
+    let fits_i8 = i8::try_from(min).is_ok() && i8::try_from(max).is_ok();
+    if !(isa == KernelIsa::Avx2 && L == 16 && fits_i8) {
+        return CascadeStats::default();
+    }
+    let ceiling = 255 - (-min).max(0) as i64;
+    let widened = want.scores.iter().filter(|&&s| s >= ceiling).count() as u64;
+    CascadeStats {
+        settled_i8: want.scores.len() as u64 - widened,
+        widened_i16: widened,
+    }
+}
+
+/// The fused kernel under each of `isas` × `blocks`: output pinned to the
+/// scalar reference, byte-pass statistics to [`expect_fused_stats`].
+/// Returns the statistics of the last ISA.
+fn check_fused<const L: usize>(
+    isas: &[KernelIsa],
+    blocks: &[Option<usize>],
+    a: &Alphabet,
+    p: &SwParams,
+    query: &[u8],
+    subjects: &[Vec<u8>],
+    label: &str,
+) -> CascadeStats {
+    let batch = make_batch(L, a, subjects);
+    let table = ScoreTable::build(&p.matrix, a);
+    let want = expect_i16(p, query, subjects);
+    let mut stats = CascadeStats::default();
+    for &isa in isas {
+        stats = expect_fused_stats::<L>(isa, p, &want);
+        for &block in blocks {
+            let o = arch::sw_isa_fused_sp_stats::<L>(isa, query, &table, &batch, &p.gap, block);
+            assert_eq!(
+                o,
+                (want.clone(), stats),
+                "{label}: fused sp {isa} block {block:?}"
+            );
+        }
+    }
+    stats
+}
+
 /// Run every kernel flavour at lane width `L` under every available ISA,
 /// blocked and unblocked, and pin each output — scores, flags and cascade
 /// statistics — to the scalar reference.
@@ -107,19 +160,18 @@ fn check_width<const L: usize>(
     let batch = make_batch(L, a, subjects);
     let qp = QueryProfile::build(query, &p.matrix, a);
     let sp = SequenceProfile::build(&batch, &p.matrix, a);
-    let table = ScoreTable::build(&p.matrix, a);
     let want = expect_i16(p, query, subjects);
     let m = query.len();
+    let blocks = [None, Some(1), Some(7), Some(m), Some(m + 3)];
     for isa in isas() {
-        for block in [None, Some(1), Some(7), Some(m), Some(m + 3)] {
+        for block in blocks {
             let o = arch::sw_isa_qp::<L>(isa, &qp, &batch, &p.gap, block);
             assert_eq!(o, want, "{label}: qp i16 {isa} block {block:?}");
             let o = arch::sw_isa_sp::<L>(isa, query, &sp, &batch, &p.gap, block);
             assert_eq!(o, want, "{label}: sp i16 {isa} block {block:?}");
-            let o = arch::sw_isa_fused_sp::<L>(isa, query, &table, &batch, &p.gap, block);
-            assert_eq!(o, want, "{label}: fused sp i16 {isa} block {block:?}");
         }
     }
+    check_fused::<L>(&isas(), &blocks, a, p, query, subjects, label);
     check_cascade::<L>(a, p, query, subjects, label);
 }
 
@@ -455,6 +507,252 @@ fn i16_max_boundary_flags_identical_across_isas() {
             o.scores[0],
             i16::MAX as i64,
             "{isa}: rescue agrees with scalar"
+        );
+    }
+}
+
+/// A sequence whose self-alignment scores exactly `target` under `p`
+/// (coin change over the residues' self-scores, checked by the oracle).
+fn self_scoring(p: &SwParams, target: i64) -> Vec<u8> {
+    let self_score = |r: u8| p.matrix.score(r, r) as usize;
+    // last[t]: a residue ending some sequence whose diagonal sums to t.
+    let mut last: Vec<Option<u8>> = vec![None; target as usize + 1];
+    for t in 1..last.len() {
+        last[t] = (0..20u8).find(|&r| {
+            let s = self_score(r);
+            s == t || (s < t && last[t - s].is_some())
+        });
+    }
+    let mut seq = Vec::new();
+    let mut t = target as usize;
+    while t > 0 {
+        let r = last[t].expect("every target past a few points is reachable");
+        seq.push(r);
+        t -= self_score(r);
+    }
+    assert_eq!(sw_score_scalar(&seq, &seq, p), target, "construction");
+    seq
+}
+
+/// The byte pass's own boundary. Under BLOSUM62 the bias is 4 and the
+/// ceiling 251: a lane at 250 is settled in bytes, a lane at 251 — exact or
+/// clipped, the byte cannot tell — is promoted, and either way the score
+/// comes back exact. Then every value 240…262 under +1/−4 (same bias), two
+/// batches' worth, so each value sits beside settled and promoted lanes.
+#[test]
+fn byte_ceiling_settles_below_and_promotes_from_it() {
+    let a = Alphabet::protein();
+    let p = SwParams::paper_default();
+    let short = a.encode_strict(b"MKVLITRAW").unwrap();
+    for target in 249..=253 {
+        let seq = self_scoring(&p, target);
+        let subjects = vec![seq.clone(), short.clone()];
+        check_width::<16>(&a, &p, &seq, &subjects, &format!("blosum62 {target}"));
+        if KernelIsa::Avx2.is_available() {
+            let avx2 = [KernelIsa::Avx2];
+            let stats = check_fused::<16>(&avx2, &[None], &a, &p, &seq, &subjects, "");
+            let promoted = u64::from(target >= 251);
+            assert_eq!(
+                (stats.settled_i8, stats.widened_i16),
+                (2 - promoted, promoted),
+                "{target}: 250 settles, 251 promotes"
+            );
+        }
+    }
+
+    let p = SwParams::new(SubstMatrix::match_mismatch(&a, 1, -4), p.gap);
+    let w = a.encode_byte(b'W').unwrap();
+    let query = vec![w; 262];
+    let subjects: Vec<Vec<u8>> = (240..=262).map(|len| vec![w; len]).collect();
+    let want = expect_i16(&p, &query, &subjects);
+    assert_eq!(
+        want.scores,
+        (240..=262).collect::<Vec<i64>>(),
+        "construction"
+    );
+    // The fused kernel alone: 262 rows through every flavour is slow.
+    let (low, high) = (&subjects[..16], &subjects[7..]);
+    check_fused::<16>(&isas(), &[None], &a, &p, &query, low, "+1/-4 240..255");
+    check_fused::<16>(
+        &isas(),
+        &[Some(100)],
+        &a,
+        &p,
+        &query,
+        high,
+        "+1/-4 247..262",
+    );
+}
+
+/// The two ends of the bias range. A non-negative matrix has bias 0 and
+/// the full byte range (ceiling 255) — and padded cells that score 0, so
+/// `H` crosses a pad tail undiminished. `match_mismatch(127, −128)` has
+/// bias 128, ceiling 127: a single match already leaves the byte range.
+#[test]
+fn byte_pass_bias_extremes() {
+    let a = Alphabet::protein();
+    let gap = SwParams::paper_default().gap;
+    let w = a.encode_byte(b'W').unwrap();
+    let g = a.encode_byte(b'G').unwrap();
+
+    let p = SwParams::new(SubstMatrix::match_mismatch(&a, 3, 0), gap);
+    let subjects: Vec<Vec<u8>> = [1, 30, 84, 85, 86, 90].map(|len| vec![w; len]).into();
+    let want = expect_i16(&p, &[w; 90], &subjects);
+    assert_eq!(want.scores, [3, 90, 252, 255, 258, 270], "construction");
+    check_width::<16>(&a, &p, &[w; 90], &subjects, "bias 0");
+
+    let p = SwParams::new(SubstMatrix::match_mismatch(&a, 127, -128), gap);
+    let subjects = vec![vec![g; 5], vec![g, w, g], vec![w; 3]];
+    let want = expect_i16(&p, &[w; 4], &subjects);
+    assert_eq!(want.scores, [0, 127, 381], "construction");
+    check_width::<16>(&a, &p, &[w; 4], &subjects, "bias 128");
+}
+
+/// The byte pass's shape parameters, crossed: query lengths 1 and 2 (one
+/// row pair), odd (a dummy upper row) and even; every count of real lanes
+/// 1…16 with ragged pad tails; all 24 codes; gap models 0/0 (a gap is
+/// free), the paper's 10/2, and 300/300 (beyond a byte: clamped to 255,
+/// which in bytes means "never gap" — as 300 does in the wider types).
+#[test]
+fn byte_pass_query_parities_lane_counts_and_gap_models() {
+    let a = Alphabet::protein();
+    let mut rng = Rng(0xb17e_5eed);
+    let mut real = 0;
+    for m in [1usize, 2, 3, 8, 17, 24] {
+        for (open, extend) in [(0, 0), (10, 2), (300, 300)] {
+            let p = SwParams::new(SubstMatrix::blosum62(), GapPenalty::new(open, extend));
+            real = real % 16 + 1;
+            let query = rng.seq_all_codes(&a, m);
+            let subjects: Vec<Vec<u8>> = (0..real)
+                .map(|_| {
+                    let len = 1 + (rng.next() as usize) % 40;
+                    rng.seq_all_codes(&a, len)
+                })
+                .collect();
+            let label = format!("m {m} gap {open}/{extend} lanes {real}");
+            check_width::<16>(&a, &p, &query, &subjects, &label);
+        }
+    }
+    // 18 rounds walked the lane count 1…16 and two more.
+    assert_eq!(real, 2);
+}
+
+/// The pad rule of the byte pass: a padded cell scores `−bias`, not −128,
+/// so `H` *can* be positive inside a pad tail — but never above what the
+/// lane's real cells reached. Short lanes here end in a run of W against a
+/// query whose own W run goes on: the highest `H` of the lane sits on its
+/// last real column, right where the tail begins, with query rows still
+/// to come. Under BLOSUM62 it decays into the tail; under a non-negative
+/// matrix or free gaps it is carried along undiminished. Every lane must
+/// still score what the scalar reference says for the sequence alone.
+#[test]
+fn padded_cells_never_exceed_their_lane() {
+    let a = Alphabet::protein();
+    let mut rng = Rng(0x9ad_7a11);
+    let w = a.encode_byte(b'W').unwrap();
+    let mut query = rng.seq(&a, 9);
+    query.extend(vec![w; 12]);
+    query.extend(rng.seq(&a, 14));
+    let subjects: Vec<Vec<u8>> = [(0usize, 3usize), (4, 5), (11, 8), (2, 12), (60, 0), (75, 0)]
+        .iter()
+        .map(|&(head, run)| {
+            let mut s = rng.seq(&a, head);
+            s.extend(vec![w; run]);
+            s
+        })
+        .collect();
+    let blosum = SubstMatrix::blosum62;
+    for (matrix, gap) in [
+        (blosum(), GapPenalty::paper_default()),
+        (blosum(), GapPenalty::new(0, 0)),
+        (
+            SubstMatrix::match_mismatch(&a, 2, 0),
+            GapPenalty::paper_default(),
+        ),
+    ] {
+        let label = format!("pad tails {} gap {}/{}", matrix.name, gap.open, gap.extend);
+        let p = SwParams::new(matrix, gap);
+        let want = expect_i16(&p, &query, &subjects);
+        assert!(want.scores[2] >= 8 * p.matrix.score(w, w) as i64, "{label}");
+        check_width::<16>(&a, &p, &query, &subjects, &label);
+    }
+}
+
+/// One lane through all three precisions: 3 200 W against themselves
+/// score 35 200 — past the byte ceiling, past `i16::MAX`. The byte pass
+/// must promote the lane, the i16 sweep flag it, the scalar rescue make it
+/// exact; the 20-W neighbour is re-swept with the batch and keeps the score
+/// the byte pass settled.
+#[test]
+fn self_hit_walks_every_precision_tier() {
+    let a = Alphabet::protein();
+    let p = SwParams::paper_default();
+    let w = a.encode_byte(b'W').unwrap();
+    let giant = vec![w; 3200];
+    let subjects = vec![giant.clone(), vec![w; 20]];
+    let isa = KernelIsa::detect();
+    let batch = make_batch(16, &a, &subjects);
+    let table = ScoreTable::build(&p.matrix, &a);
+    let (mut out, stats) =
+        arch::sw_isa_fused_sp_stats::<16>(isa, &giant, &table, &batch, &p.gap, Some(2048));
+    assert_eq!(out, expect_i16(&p, &giant, &subjects));
+    assert_eq!(out.overflowed, [true, false]);
+    if isa == KernelIsa::Avx2 {
+        assert_eq!((stats.settled_i8, stats.widened_i16), (1, 1));
+    }
+    let lane_seqs: Vec<&[u8]> = subjects.iter().map(|s| s.as_slice()).collect();
+    let rescue = sw_kernels::overflow::rescue_overflows(&mut out, &giant, &batch, &lane_seqs, &p);
+    assert_eq!(rescue.lanes_rescued, 1);
+    assert_eq!(out.scores, [3200 * 11, 20 * 11]);
+}
+
+/// 600 seeded batches of planted homologs — each lane a mutated copy of
+/// the query (identity 40–100 %, indels 0–10 %) between random flanks, or
+/// plain background — so scores spread over both sides of the byte
+/// ceiling: AVX2 (bytes first), portable (i16 first) and the scalar
+/// reference must agree on every lane, and the run must have seen batches
+/// the byte pass settled outright as well as batches it promoted.
+#[test]
+fn fuzz_planted_homolog_batches() {
+    let a = Alphabet::protein();
+    let p = SwParams::paper_default();
+    let mut rng = Rng(0x600_ba7c);
+    let mut g = SwissProtGen::new(355.4, 0x600);
+    let (mut settled, mut promoted) = (0, 0);
+    // Portable first: the statistics that come back are AVX2's, if it runs.
+    let both: Vec<KernelIsa> = [KernelIsa::Portable, KernelIsa::Avx2]
+        .into_iter()
+        .filter(|isa| isa.is_available())
+        .collect();
+    for round in 0..600 {
+        let m = 20 + (rng.next() % 70) as u32;
+        let query = g.sequence("q", m).residues;
+        let lanes = 1 + (rng.next() as usize) % 16;
+        let subjects: Vec<Vec<u8>> = (0..lanes)
+            .map(|_| {
+                if rng.next().is_multiple_of(4) {
+                    return g.sequence("bg", 1 + (rng.next() % 90) as u32).residues;
+                }
+                let identity = 0.4 + 0.1 * (rng.next() % 7) as f64;
+                let indel = 0.05 * (rng.next() % 3) as f64;
+                let mut s = g.sequence("head", (rng.next() % 12) as u32).residues;
+                s.extend(g.mutated_copy("h", &query, identity, indel).residues);
+                s.extend(g.sequence("tail", (rng.next() % 12) as u32).residues);
+                s
+            })
+            .collect();
+        let label = format!("planted r{round}");
+        let stats = check_fused::<16>(&both, &[None], &a, &p, &query, &subjects, &label);
+        if KernelIsa::Avx2.is_available() {
+            settled += u32::from(stats.widened_i16 == 0);
+            promoted += u32::from(stats.widened_i16 > 0);
+        }
+    }
+    if KernelIsa::Avx2.is_available() {
+        assert_eq!(settled + promoted, 600);
+        assert!(
+            settled >= 100 && promoted >= 100,
+            "{settled} settled, {promoted} promoted"
         );
     }
 }

@@ -156,6 +156,60 @@ impl SwissProtGen {
             residues,
         }
     }
+
+    /// A homolog of `parent`: walking the parent, each position is first
+    /// hit by an indel with probability `indel` (half deletions, half
+    /// insertions of a background residue before it), and a surviving
+    /// residue is kept with probability `identity`, otherwise redrawn from
+    /// the background (so the realised identity is slightly above
+    /// `identity`: a redraw can repeat the residue).
+    pub fn mutated_copy(
+        &mut self,
+        header: &str,
+        parent: &[u8],
+        identity: f64,
+        indel: f64,
+    ) -> EncodedSeq {
+        let mut residues = Vec::with_capacity(parent.len() + parent.len() / 8);
+        for &r in parent {
+            if self.rng.gen::<f64>() < indel {
+                if self.rng.gen::<f64>() < 0.5 {
+                    continue;
+                }
+                residues.push(self.sample_residue());
+            }
+            let keep = self.rng.gen::<f64>() < identity;
+            residues.push(if keep { r } else { self.sample_residue() });
+        }
+        EncodedSeq {
+            header: header.into(),
+            residues,
+        }
+    }
+}
+
+/// Append `count` homologs of `queries` (taken in turn) to `db` — the tail
+/// of true positives the i.i.d. background lacks: against it no score
+/// leaves the byte range, against a close homolog every precision tier
+/// runs. The copies are graded: the `k`-th keeps identity 100 % → 40 % in
+/// tenths (`k mod 7`) and starts over, its indel rate going 0 → 5 % → 10 %
+/// with each pass through those seven steps (see
+/// [`SwissProtGen::mutated_copy`]). Deterministic in `seed`; `db`'s
+/// existing sequences are untouched.
+///
+/// # Panics
+/// Panics if `count > 0` and `queries` is empty.
+pub fn plant_homologs(db: &mut Vec<EncodedSeq>, queries: &[EncodedSeq], count: usize, seed: u64) {
+    let mut g = SwissProtGen::new(
+        swissprot::swissprot_mean_len(),
+        seed ^ 0x484f_4d4f_4c4f_4721,
+    );
+    for k in 0..count {
+        let parent = &queries[k % queries.len()];
+        let (identity, indel) = (1.0 - 0.1 * (k % 7) as f64, 0.05 * ((k / 7) % 3) as f64);
+        let header = format!("syn|H{:07}|HOMOLOG of {}", k + 1, parent.header);
+        db.push(g.mutated_copy(&header, &parent.residues, identity, indel));
+    }
 }
 
 /// Generate a full synthetic database per `spec`.
@@ -308,6 +362,39 @@ mod tests {
         assert!(decodes_cleanly(&db));
         // Only the 20 standard residues are generated (no B/Z/X/*).
         assert!(db.iter().all(|s| s.residues.iter().all(|&r| r < 20)));
+    }
+
+    #[test]
+    fn planted_homologs_are_seeded_graded_copies() {
+        let queries = [generate_query(300, 1), generate_query(120, 2)];
+        let background = generate_database(&DbSpec::tiny(5));
+        let mut db = background.clone();
+        plant_homologs(&mut db, &queries, 21, 9);
+        assert_eq!(
+            db[..background.len()],
+            background[..],
+            "a tail, not an edit"
+        );
+        assert_eq!(db.len(), background.len() + 21);
+        let mut again = background.clone();
+        plant_homologs(&mut again, &queries, 21, 9);
+        assert_eq!(db, again, "deterministic in the seed");
+        assert!(decodes_cleanly(&db));
+
+        let tail = &db[background.len()..];
+        // Copy 0 is the parent itself; copy 6 (40 %, no indels) keeps the
+        // length and roughly that share of positions.
+        assert_eq!(tail[0].residues, queries[0].residues);
+        let (far, parent) = (&tail[6].residues, &queries[0].residues);
+        assert_eq!(far.len(), parent.len());
+        let same = far.iter().zip(parent).filter(|(a, b)| a == b).count();
+        let share = same as f64 / parent.len() as f64;
+        assert!((0.3..0.6).contains(&share), "identity {share}");
+        // From copy 7 on indels are in play: some length changes.
+        assert!(tail[7..]
+            .iter()
+            .enumerate()
+            .any(|(k, h)| h.len() != queries[(k + 7) % 2].len()));
     }
 
     #[test]

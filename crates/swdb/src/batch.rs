@@ -9,9 +9,14 @@
 //! position `j` are one contiguous, aligned vector load.
 //!
 //! Shorter sequences within a batch are padded with [`pad_code`], a
-//! sentinel residue whose substitution score ([`PAD_SCORE`]) is so negative
-//! that `H` stays clamped at zero throughout the padded region — padded
-//! lanes can therefore never influence a reported score.
+//! sentinel residue that scores no better than any real one, so a padded
+//! cell's `H` never exceeds what the real cells of its lane already
+//! reached — padding can therefore never influence a reported score. The
+//! signed kernels get there the blunt way: the pad scores [`PAD_SCORE`],
+//! so negative that `H` stays clamped at zero throughout the padded
+//! region. The unsigned byte pass cannot represent that; its pad scores
+//! the matrix minimum or below (`ScoreTable::biased_rows`), `H` may stay
+//! positive for a while inside a pad tail, and the bound still holds.
 
 use crate::preprocess::SortedDb;
 use serde::{Deserialize, Serialize};
@@ -21,10 +26,14 @@ use sw_seq::{Alphabet, SeqId};
 /// last real residue code).
 pub const PAD_CODE_OFFSET: u8 = 0;
 
-/// Substitution score assigned to the pad residue against everything.
+/// Substitution score assigned to the pad residue against everything, in
+/// every signed profile and table.
 ///
-/// Any value `≤ -(max substitution score)` works because `H ≥ 0` clamps the
-/// recurrence; -128 also fits an `i8` for narrow-score kernels.
+/// Any value `≤ -(max substitution score)` keeps `H` at zero in the padded
+/// region because `H ≥ 0` clamps the recurrence; -128 also fits an `i8` for
+/// narrow-score kernels. What correctness needs is weaker, and is all the
+/// unsigned byte pass offers (its pad scores `−bias`): a padded cell never
+/// exceeds the maximum of its lane's real cells.
 pub const PAD_SCORE: i32 = -128;
 
 /// Pad residue code for a given alphabet (one past the last real code).

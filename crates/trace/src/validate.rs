@@ -434,6 +434,42 @@ mod tests {
     }
 
     #[test]
+    fn precision_promotions_validate_inside_a_chunk_span() {
+        // Both hand-overs of the precision chain are instants a kernel
+        // emits mid-chunk: bytes → i16 (the fused kernel's promotion) and
+        // i16 → i64 (the scalar rescue).
+        let tr = Tracer::full();
+        let mut j = tr.worker(0, 0);
+        let (lease, lo, hi) = (0, 0, 1);
+        j.emit_at(1, EventKind::ChunkStart { lease, lo, hi });
+        for (t, from_bits, to_bits) in [(2, 8, 16), (3, 16, 64)] {
+            j.emit_at(
+                t,
+                EventKind::OverflowRecompute {
+                    from_bits,
+                    to_bits,
+                    lanes: 1,
+                },
+            );
+        }
+        let cells = 64;
+        j.emit_at(
+            4,
+            EventKind::ChunkFinish {
+                lease,
+                lo,
+                hi,
+                cells,
+            },
+        );
+        drop(j);
+        let text = export::jsonl(&tr.timeline());
+        assert!(text.contains("\"from_bits\":8,\"to_bits\":16,\"lanes\":1"));
+        let rep = validate_jsonl(&text).expect("valid");
+        assert_eq!((rep.events, rep.spans), (4, 1));
+    }
+
+    #[test]
     fn merged_two_query_export_validates_with_colliding_workers() {
         // Same (device, worker) on both queries: span balance must key on
         // the query tag or the interleaved spans would cross-close.

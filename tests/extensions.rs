@@ -42,8 +42,10 @@ fn dna_search_end_to_end() {
     assert_eq!(res.hits[0].score, 12 * 5);
 }
 
-/// Dual precision through the public engine equals plain precision on a
-/// workload with a mix of small, medium and saturating scores.
+/// The default path's precision chain through the public engine — bytes
+/// first, i16 for a batch with a lane at the byte ceiling, the scalar
+/// rescue past i16 — equals the scalar oracle on a workload with a mix of
+/// small, medium and saturating scores.
 #[test]
 fn adaptive_precision_engine_equivalence() {
     let a = Alphabet::protein();
@@ -57,35 +59,17 @@ fn adaptive_precision_engine_equivalence() {
         header: "giant".into(),
         residues: vec![w; 3100],
     });
-    let db = PreparedDb::prepare(seqs, 8, &a);
-    let query = EncodedSeq {
-        header: "q".into(),
-        residues: vec![w; 3100],
-    };
+    let db = PreparedDb::prepare(seqs, 16, &a);
+    let query = vec![w; 3100];
     let engine = SearchEngine::paper_default();
-    let plain = engine.search(
-        &query.residues,
-        &db,
-        &SearchConfig::best(2).with_variant(KernelVariant {
-            vec: Vectorization::Intrinsic,
-            profile: ProfileMode::Sequence,
-            blocking: false,
-        }),
-    );
-    let adaptive = engine.search(
-        &query.residues,
-        &db,
-        &SearchConfig {
-            adaptive_precision: true,
-            ..SearchConfig::best(2).with_variant(KernelVariant {
-                vec: Vectorization::Intrinsic,
-                profile: ProfileMode::Sequence,
-                blocking: false,
-            })
-        },
-    );
-    assert_eq!(plain.hits, adaptive.hits);
-    assert_eq!(adaptive.hits[0].score, 3100 * 11);
+    let res = engine.search(&query, &db, &SearchConfig::best(2));
+    for hit in &res.hits {
+        let expect = sw_score_scalar(&query, db.sorted.db().seq(hit.id).residues, &engine.params);
+        assert_eq!(hit.score, expect, "sequence {}", hit.id.0);
+    }
+    assert_eq!(res.hits[0].score, 3100 * 11);
+    assert_eq!(res.hits[1].score, 60 * 11);
+    assert_eq!(res.lanes_rescued, 1);
 }
 
 /// Banded SW with the band centred by a heuristic HSP reproduces the

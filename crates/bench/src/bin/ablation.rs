@@ -24,10 +24,10 @@
 //! reports throughput beside the share of batches and lanes promoted.
 
 use std::time::Instant;
+use sw_bench::striped::{sw_striped, StripedProfile};
 use sw_bench::Table;
 use sw_core::{PreparedDb, SearchConfig, SearchEngine};
 use sw_kernels::arch::{sw_isa_fused_sp, sw_isa_fused_sp_stats};
-use sw_kernels::striped::{sw_striped, StripedProfile};
 use sw_kernels::{KernelIsa, SwParams};
 use sw_seq::gen::{generate_database, generate_query, plant_homologs, DbSpec, SwissProtGen};
 use sw_seq::{Alphabet, SeqId};

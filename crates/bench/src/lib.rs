@@ -3,13 +3,14 @@
 //! Each `fig*` binary regenerates one figure of the paper's evaluation
 //! (§V) as a markdown table on stdout plus a CSV in `results/`. This
 //! module holds the common workload construction, the paper's published
-//! reference numbers, and table rendering.
+//! reference numbers, table rendering, and [`striped`] — the intra-task
+//! comparator only the `ablation` binary runs.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod micro;
 pub mod paper;
+pub mod striped;
 pub mod table;
 pub mod workload;
 

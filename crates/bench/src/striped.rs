@@ -4,8 +4,9 @@
 //! vectorization schemes \[13\] that are able to exploit the simd
 //! parallelism available within a single sequence alignment"* and argues
 //! inter-task usually wins for short sequences. This module implements
-//! that comparator so the claim can actually be measured (see the
-//! `ablation` bench): M. Farrar, *"Striped Smith-Waterman speeds database
+//! that comparator so the claim can actually be measured — it lives here,
+//! beside the `ablation` binary that times it, because no search path
+//! runs it: M. Farrar, *"Striped Smith-Waterman speeds database
 //! searches six times over other SIMD implementations"*, Bioinformatics
 //! 23(2), 2007.
 //!
@@ -16,9 +17,32 @@
 //! the lazy loop, which makes it exact for all inputs (verified against
 //! the scalar reference by fuzzing).
 
-use crate::intertask::NEG_INF_I16;
-use crate::lanes::I16s;
-use crate::scalar::SwParams;
+use sw_kernels::intertask::NEG_INF_I16;
+use sw_kernels::lanes::I16s;
+use sw_kernels::SwParams;
+
+/// Horizontal maximum across lanes.
+#[inline(always)]
+fn hmax<const L: usize>(v: I16s<L>) -> i16 {
+    v.0.into_iter().fold(i16::MIN, i16::max)
+}
+
+/// Shift lanes up by one, inserting `x` at lane 0 (the cross-lane carry:
+/// `out[0] = x`, `out[l] = v[l-1]`).
+#[inline(always)]
+fn shift_in<const L: usize>(v: I16s<L>, x: i16) -> I16s<L> {
+    let mut out = [0i16; L];
+    out[0] = x;
+    out[1..L].copy_from_slice(&v.0[..L - 1]);
+    I16s(out)
+}
+
+/// True if any lane of `a` is strictly greater than the same lane of `b`
+/// (the lazy-F continuation test).
+#[inline(always)]
+fn any_gt<const L: usize>(a: I16s<L>, b: I16s<L>) -> bool {
+    a.0.iter().zip(b.0.iter()).any(|(a, b)| a > b)
+}
 
 /// Striped query profile: `codes × seg` vectors.
 #[derive(Debug, Clone)]
@@ -113,10 +137,10 @@ pub fn sw_striped<const L: usize>(
         let mut f = I16s::<L>::splat(NEG_INF_I16);
         // Diagonal for stripe 0: previous column's last stripe, shifted one
         // lane up (lane 0's predecessor is the i = -1 boundary, H = 0).
-        let mut h = h_store[seg - 1].shift_in(0);
+        let mut h = shift_in(h_store[seg - 1], 0);
         std::mem::swap(&mut h_load, &mut h_store);
         for k in 0..seg {
-            h = h.sat_add(prof[k]).max(e[k]).max(f).max_zero();
+            h = h.sat_add(prof[k]).max(e[k]).max(f).max(I16s::zero());
             vmax = vmax.max(h);
             h_store[k] = h;
             let h_open = h.sat_sub(first);
@@ -127,8 +151,8 @@ pub fn sw_striped<const L: usize>(
         // Lazy-F: propagate the vertical-gap state across the lane
         // boundary until it can no longer improve anything.
         let mut k = 0usize;
-        f = f.shift_in(NEG_INF_I16);
-        while f.any_gt(h_store[k].sat_sub(first)) {
+        f = shift_in(f, NEG_INF_I16);
+        while any_gt(f, h_store[k].sat_sub(first)) {
             let improved = h_store[k].max(f);
             h_store[k] = improved;
             vmax = vmax.max(improved);
@@ -140,11 +164,11 @@ pub fn sw_striped<const L: usize>(
             k += 1;
             if k == seg {
                 k = 0;
-                f = f.shift_in(NEG_INF_I16);
+                f = shift_in(f, NEG_INF_I16);
             }
         }
     }
-    let best = vmax.hmax();
+    let best = hmax(vmax);
     StripedScore {
         score: best as i64,
         overflowed: best == i16::MAX,
@@ -170,11 +194,52 @@ pub fn sw_striped_pair<const L: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scalar::sw_score_scalar;
+    use sw_kernels::sw_score_scalar;
     use sw_seq::Alphabet;
 
     fn enc(s: &[u8]) -> Vec<u8> {
         Alphabet::protein().encode_strict(s).unwrap()
+    }
+
+    #[test]
+    fn cross_lane_helpers() {
+        let v = I16s::<8>([-3, 7, 2, -9, 7, 0, 1, 5]);
+        assert_eq!(hmax(v), 7);
+        assert_eq!(hmax(I16s::<4>::splat(i16::MIN)), i16::MIN);
+        assert_eq!(shift_in(I16s::<4>([1, 2, 3, 4]), 9).0, [9, 1, 2, 3]);
+        assert!(any_gt(I16s::<4>([0, 0, 1, 0]), I16s::zero()));
+        assert!(!any_gt(I16s::<4>([0, -1, 0, 0]), I16s::zero()));
+    }
+
+    /// The seeded pairs of the root suite's `all_kernels_agree_with_scalar`
+    /// (`tests/properties.rs`): same seed, same draws, same gap range.
+    #[test]
+    fn agrees_with_scalar_on_the_property_suite_pairs() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        fn residues(rng: &mut SmallRng, max_len: usize) -> Vec<u8> {
+            let len = rng.gen_range(1..max_len);
+            (0..len).map(|_| rng.gen_range(0u8..20)).collect()
+        }
+        let mut rng = SmallRng::seed_from_u64(0xA11E);
+        for case in 0..48 {
+            let query = residues(&mut rng, 48);
+            let n_subjects = rng.gen_range(1usize..8);
+            let subjects: Vec<Vec<u8>> = (0..n_subjects).map(|_| residues(&mut rng, 64)).collect();
+            let open = rng.gen_range(0i32..12);
+            let extend = rng.gen_range(1i32..4);
+            let params = SwParams::new(
+                sw_seq::SubstMatrix::blosum62(),
+                sw_seq::GapPenalty::new(open, extend),
+            );
+            for (lane, s) in subjects.iter().enumerate() {
+                assert_eq!(
+                    sw_striped_pair::<8>(&query, s, &params).score,
+                    sw_score_scalar(&query, s, &params),
+                    "case {case} lane {lane} striped"
+                );
+            }
+        }
     }
 
     #[test]

@@ -608,51 +608,88 @@ pub fn parse_variant(s: &str, blocking: bool) -> Result<KernelVariant, ParseErro
     })
 }
 
-/// Cursor over argv tokens with typed take-helpers.
+/// The argv of one subcommand: each helper scans for the flag it is asked
+/// about and marks the tokens it read, so [`Args::finish`] can refuse
+/// whatever no helper ever asked for — a misspelt option, an option of
+/// another subcommand, a stray positional.
 struct Args<'a> {
+    /// `tokens[0]` is the subcommand.
     tokens: &'a [String],
-    pos: usize,
+    used: Vec<bool>,
 }
 
 impl<'a> Args<'a> {
+    fn new(tokens: &'a [String]) -> Self {
+        let mut used = vec![false; tokens.len()];
+        used[0] = true;
+        Args { tokens, used }
+    }
+
+    /// Index of the first `flag` token after the subcommand, marked read.
+    fn find(&mut self, flag: &str) -> Option<usize> {
+        let i = 1 + self.tokens[1..].iter().position(|t| t == flag)?;
+        self.used[i] = true;
+        Some(i)
+    }
+
+    /// `flag <value>` anywhere after the subcommand, if the flag is there;
+    /// a flag without its value is an error, not an absent flag. The value
+    /// is taken as it stands, so a negative number (`--mismatch -4`) is a
+    /// value.
+    fn opt_value(&mut self, flag: &str) -> Result<Option<String>, ParseError> {
+        let Some(i) = self.find(flag) else {
+            return Ok(None);
+        };
+        let v = self
+            .tokens
+            .get(i + 1)
+            .ok_or_else(|| err(format!("{flag} needs a value")))?;
+        self.used[i + 1] = true;
+        Ok(Some(v.clone()))
+    }
+
     fn value_of(&mut self, flag: &str) -> Result<String, ParseError> {
-        // Scan for `flag <value>` anywhere after the subcommand.
-        let mut i = self.pos;
-        while i < self.tokens.len() {
-            if self.tokens[i] == flag {
-                return self
-                    .tokens
-                    .get(i + 1)
-                    .cloned()
-                    .ok_or_else(|| err(format!("{flag} needs a value")));
-            }
-            i += 1;
-        }
-        Err(err(format!("missing required {flag}")))
+        self.opt_value(flag)?
+            .ok_or_else(|| err(format!("missing required {flag}")))
     }
 
-    fn opt_value(&mut self, flag: &str) -> Option<String> {
-        self.value_of(flag).ok()
+    fn has_flag(&mut self, flag: &str) -> bool {
+        self.find(flag).is_some()
     }
 
-    fn has_flag(&self, flag: &str) -> bool {
-        self.tokens[self.pos..].iter().any(|t| t == flag)
+    fn opt_num<T: std::str::FromStr>(&mut self, flag: &str) -> Result<Option<T>, ParseError> {
+        self.opt_value(flag)?
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| err(format!("bad value for {flag}: '{v}'")))
+            })
+            .transpose()
     }
 
     fn parse_num<T: std::str::FromStr>(&mut self, flag: &str, default: T) -> Result<T, ParseError> {
-        match self.opt_value(flag) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| err(format!("bad value for {flag}: '{v}'"))),
-        }
+        Ok(self.opt_num(flag)?.unwrap_or(default))
+    }
+
+    /// Refuse the first token no helper read.
+    fn finish(&self) -> Result<(), ParseError> {
+        let Some(i) = self.used.iter().position(|u| !u) else {
+            return Ok(());
+        };
+        let (tok, sub) = (&self.tokens[i], &self.tokens[0]);
+        Err(err(if self.tokens[..i].contains(tok) {
+            format!("'{tok}' given more than once for '{sub}'")
+        } else if tok.starts_with("--") {
+            format!("unknown option '{tok}' for '{sub}'")
+        } else {
+            format!("unexpected argument '{tok}' for '{sub}'")
+        }))
     }
 }
 
 fn parse_search_opts(a: &mut Args<'_>) -> Result<SearchOpts, ParseError> {
     let d = SearchOpts::default();
     let blocking = !a.has_flag("--no-blocking");
-    let variant = match a.opt_value("--variant") {
+    let variant = match a.opt_value("--variant")? {
         Some(v) => parse_variant(&v, blocking)?,
         None => KernelVariant {
             blocking,
@@ -663,7 +700,7 @@ fn parse_search_opts(a: &mut Args<'_>) -> Result<SearchOpts, ParseError> {
     if !matches!(lanes, 4 | 8 | 16 | 32) {
         return Err(err(format!("--lanes must be 4, 8, 16 or 32 (got {lanes})")));
     }
-    let kernel_isa = match a.opt_value("--kernel-isa") {
+    let kernel_isa = match a.opt_value("--kernel-isa")? {
         None => None,
         Some(v) if v.eq_ignore_ascii_case("auto") => None,
         Some(v) => Some(KernelIsa::from_name(&v).ok_or_else(|| {
@@ -673,7 +710,7 @@ fn parse_search_opts(a: &mut Args<'_>) -> Result<SearchOpts, ParseError> {
         })?),
     };
     Ok(SearchOpts {
-        matrix: a.opt_value("--matrix").unwrap_or(d.matrix),
+        matrix: a.opt_value("--matrix")?.unwrap_or(d.matrix),
         open: a.parse_num("--open", d.open)?,
         extend: a.parse_num("--extend", d.extend)?,
         threads: a.parse_num("--threads", d.threads)?,
@@ -696,42 +733,33 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
     let Some(sub) = argv.first() else {
         return Ok(Command::Help);
     };
-    let mut a = Args {
-        tokens: argv,
-        pos: 1,
-    };
-    match sub.as_str() {
-        "-h" | "--help" | "help" => Ok(Command::Help),
+    let mut a = Args::new(argv);
+    let cmd = match sub.as_str() {
+        "-h" | "--help" | "help" => return Ok(Command::Help),
         "search" => {
             if a.has_flag("--shards") {
                 let top: usize = a.parse_num("--top", 10usize)?;
-                let net_fault = a.opt_value("--net-fault");
+                let net_fault = a.opt_value("--net-fault")?;
                 if let Some(spec) = &net_fault {
                     // Validate up front: a typo must not boot a fleet.
                     sw_sched::NetFaultPlan::parse(spec).map_err(err)?;
                 }
-                let net_fault_seed = a
-                    .opt_value("--net-fault-seed")
-                    .map(|v| {
-                        v.parse::<u64>()
-                            .map_err(|_| err(format!("bad value for --net-fault-seed: '{v}'")))
-                    })
-                    .transpose()?;
+                let net_fault_seed = a.opt_num::<u64>("--net-fault-seed")?;
                 if net_fault.is_some() && net_fault_seed.is_some() {
                     return Err(err("pass --net-fault or --net-fault-seed, not both"));
                 }
                 Ok(Command::SearchShards {
                     query: a.value_of("--query")?,
                     manifest: a.value_of("--shards")?,
-                    shard_dir: a.opt_value("--shard-dir"),
+                    shard_dir: a.opt_value("--shard-dir")?,
                     top,
-                    drill: a.opt_value("--drill"),
+                    drill: a.opt_value("--drill")?,
                     net_fault,
                     net_fault_seed,
-                    placement: a.opt_value("--placement"),
-                    coord_journal: a.opt_value("--coord-journal"),
+                    placement: a.opt_value("--placement")?,
+                    coord_journal: a.opt_value("--coord-journal")?,
                     resume_coord: a.has_flag("--resume-coord"),
-                    metrics_out: a.opt_value("--metrics-out"),
+                    metrics_out: a.opt_value("--metrics-out")?,
                     json: a.has_flag("--json"),
                     opts: parse_search_opts(&mut a)?,
                 })
@@ -757,7 +785,7 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 out: a.value_of("--out")?,
                 shards,
                 replicas,
-                endpoints: a.opt_value("--endpoints"),
+                endpoints: a.opt_value("--endpoints")?,
             })
         }
         "makedb" => Ok(Command::MakeDb {
@@ -797,9 +825,13 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                     "--device must be xeon, phi or hetero (got '{device}')"
                 )));
             }
-            let variant = match a.opt_value("--variant") {
-                Some(v) => parse_variant(&v, !a.has_flag("--no-blocking"))?,
-                None => KernelVariant::best(),
+            let blocking = !a.has_flag("--no-blocking");
+            let variant = match a.opt_value("--variant")? {
+                Some(v) => parse_variant(&v, blocking)?,
+                None => KernelVariant {
+                    blocking,
+                    ..KernelVariant::best()
+                },
             };
             let frac: f64 = a.parse_num("--frac", 0.55f64)?;
             if !(0.0..=1.0).contains(&frac) {
@@ -830,20 +862,14 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 return Err(err("--min-chunk must be at least 1"));
             }
             let inject_fault = a
-                .opt_value("--inject-fault")
+                .opt_value("--inject-fault")?
                 .map(|s| parse_fault_spec(&s))
                 .transpose()?;
-            let accel_timeout_ms = a
-                .opt_value("--accel-timeout-ms")
-                .map(|v| {
-                    v.parse::<u64>()
-                        .map_err(|_| err(format!("bad value for --accel-timeout-ms: '{v}'")))
-                })
-                .transpose()?;
+            let accel_timeout_ms = a.opt_num::<u64>("--accel-timeout-ms")?;
             let failure_budget: u32 = a.parse_num("--failure-budget", 3u32)?;
-            let trace_out = a.opt_value("--trace-out");
-            let metrics_out = a.opt_value("--metrics-out");
-            let trace_level = match a.opt_value("--trace-level") {
+            let trace_out = a.opt_value("--trace-out")?;
+            let metrics_out = a.opt_value("--metrics-out")?;
+            let trace_level = match a.opt_value("--trace-level")? {
                 Some(v) => sw_trace::TraceLevel::parse(&v).ok_or_else(|| {
                     err(format!(
                         "--trace-level must be off, lite or full (got '{v}')"
@@ -852,8 +878,8 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 None if trace_out.is_some() || metrics_out.is_some() => sw_trace::TraceLevel::Full,
                 None => sw_trace::TraceLevel::Off,
             };
-            let checkpoint = a.opt_value("--checkpoint");
-            let checkpoint_dir = a.opt_value("--checkpoint-dir");
+            let checkpoint = a.opt_value("--checkpoint")?;
+            let checkpoint_dir = a.opt_value("--checkpoint-dir")?;
             if checkpoint.is_some() && checkpoint_dir.is_some() {
                 return Err(err(
                     "--checkpoint and --checkpoint-dir are mutually exclusive",
@@ -870,7 +896,7 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 ));
             }
             let kill_after_chunks = a
-                .opt_value("--kill-after-chunks")
+                .opt_value("--kill-after-chunks")?
                 .map(|v| {
                     v.parse::<u64>()
                         .ok()
@@ -909,19 +935,13 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
             if tenant_quota == 0 {
                 return Err(err("--tenant-quota must be at least 1"));
             }
-            let log_level = match a.opt_value("--log-level") {
+            let log_level = match a.opt_value("--log-level")? {
                 None => sw_serve::LogLevel::Info,
                 Some(v) => sw_serve::LogLevel::parse(&v)
                     .ok_or_else(|| err(format!("bad value for --log-level: '{v}'")))?,
             };
-            let slow_query_ms = a
-                .opt_value("--slow-query-ms")
-                .map(|v| {
-                    v.parse::<u64>()
-                        .map_err(|_| err(format!("bad value for --slow-query-ms: '{v}'")))
-                })
-                .transpose()?;
-            let socket = match (a.opt_value("--socket"), a.opt_value("--listen")) {
+            let slow_query_ms = a.opt_num::<u64>("--slow-query-ms")?;
+            let socket = match (a.opt_value("--socket")?, a.opt_value("--listen")?) {
                 (Some(_), Some(_)) => {
                     return Err(err("pass --socket or --listen, not both"));
                 }
@@ -938,13 +958,13 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 tenant_quota,
                 batch_window_ms: a.parse_num("--batch-window-ms", 3u64)?,
                 accel_threads: a.parse_num("--accel-threads", opts.threads)?,
-                checkpoint_dir: a.opt_value("--checkpoint-dir"),
-                trace_dir: a.opt_value("--trace-dir"),
-                registry_out: a.opt_value("--registry-out"),
+                checkpoint_dir: a.opt_value("--checkpoint-dir")?,
+                trace_dir: a.opt_value("--trace-dir")?,
+                registry_out: a.opt_value("--registry-out")?,
                 log_level,
-                log_file: a.opt_value("--log-file"),
+                log_file: a.opt_value("--log-file")?,
                 slow_query_ms,
-                metrics_file: a.opt_value("--metrics-file"),
+                metrics_file: a.opt_value("--metrics-file")?,
                 metrics_interval_ms: a.parse_num("--metrics-interval-ms", 1000u64)?,
                 request_timeout_ms: a.parse_num("--request-timeout-ms", 10_000u64)?,
                 shard_worker: a.has_flag("--shard-worker"),
@@ -953,21 +973,9 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
         }
         "submit" => {
             let socket = a.value_of("--socket")?;
-            let query = a.opt_value("--query");
-            let status = a
-                .opt_value("--status")
-                .map(|v| {
-                    v.parse::<u64>()
-                        .map_err(|_| err(format!("bad value for --status: '{v}'")))
-                })
-                .transpose()?;
-            let cancel = a
-                .opt_value("--cancel")
-                .map(|v| {
-                    v.parse::<u64>()
-                        .map_err(|_| err(format!("bad value for --cancel: '{v}'")))
-                })
-                .transpose()?;
+            let query = a.opt_value("--query")?;
+            let status = a.opt_num::<u64>("--status")?;
+            let cancel = a.opt_num::<u64>("--cancel")?;
             let stats = a.has_flag("--stats");
             let shutdown = a.has_flag("--shutdown");
             let metrics = a.has_flag("--metrics");
@@ -988,14 +996,14 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
             Ok(Command::Submit {
                 socket,
                 query,
-                tenant: a.opt_value("--tenant").unwrap_or_else(|| "anon".into()),
+                tenant: a.opt_value("--tenant")?.unwrap_or_else(|| "anon".into()),
                 status,
                 cancel,
                 stats,
                 shutdown,
                 metrics,
                 health,
-                drill: a.opt_value("--drill"),
+                drill: a.opt_value("--drill")?,
                 top: a.parse_num("--top", 10usize)?,
                 json: a.has_flag("--json"),
                 connect_retries: a.parse_num("--connect-retries", 0u32)?,
@@ -1003,8 +1011,8 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
             })
         }
         "trace-check" => {
-            let trace = a.opt_value("--trace");
-            let metrics = a.opt_value("--metrics");
+            let trace = a.opt_value("--trace")?;
+            let metrics = a.opt_value("--metrics")?;
             if trace.is_none() && metrics.is_none() {
                 return Err(err(
                     "trace-check needs --trace <jsonl> and/or --metrics <prom>",
@@ -1030,7 +1038,9 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
             opts: parse_search_opts(&mut a)?,
         }),
         other => Err(err(format!("unknown command '{other}'"))),
-    }
+    }?;
+    a.finish()?;
+    Ok(cmd)
 }
 
 #[cfg(test)]
@@ -1198,6 +1208,72 @@ mod tests {
     fn unknown_command() {
         let e = parse(&argv("frobnicate")).unwrap_err();
         assert!(e.0.contains("frobnicate"));
+    }
+
+    /// A valid line of each subcommand, then the same line with one token
+    /// nothing reads: a misspelt option, an option of another subcommand,
+    /// a stray positional. Each must be refused naming that token.
+    #[test]
+    fn unread_tokens_are_refused_by_name() {
+        for (sub, line) in [
+            ("search", "search --query q.fa --db d.fa"),
+            ("hetero", "hetero --query q.fa --db d.fa --dynamic"),
+            ("serve", "serve --db d.swdb --socket s.sock"),
+            ("submit", "submit --socket s.sock --query q.fa"),
+            ("stats", "stats --db d.fa"),
+        ] {
+            parse(&argv(line)).unwrap_or_else(|e| panic!("'{line}' must parse: {e}"));
+            for (extra, token) in [
+                ("--thread 4", "--thread"),
+                ("--topp 3", "--topp"),
+                ("--bogus", "--bogus"),
+                ("--frobnicate-ms 5", "--frobnicate-ms"),
+                ("junk", "junk"),
+            ] {
+                let e = parse(&argv(&format!("{line} {extra}"))).unwrap_err();
+                assert!(
+                    e.0.contains(&format!("'{token}'")) && e.0.contains(&format!("'{sub}'")),
+                    "{line} {extra}: {e}"
+                );
+            }
+        }
+        // Options that exist, but not for this subcommand.
+        for (line, token) in [
+            (
+                "search --query q --db d --resume --checkpoint x",
+                "--resume",
+            ),
+            ("search --query q --db d --json", "--json"),
+            ("hetero --query q --db d --socket s.sock", "--socket"),
+            ("serve --db d --socket s --query q.fa", "--query"),
+            ("submit --socket s --health --db d.fa", "--db"),
+            ("stats --db d.fa --threads 2", "--threads"),
+        ] {
+            let e = parse(&argv(line)).unwrap_err();
+            assert!(e.0.contains(&format!("option '{token}'")), "{line}: {e}");
+        }
+        // A second occurrence is never read either, and says so.
+        let e = parse(&argv("search --query q --db d --top 3 --top 5")).unwrap_err();
+        assert!(e.0.contains("'--top' given more than once"), "{e}");
+        // An option at the end of the line without its value is not a
+        // silent default.
+        let e = parse(&argv("search --query q --db d --top")).unwrap_err();
+        assert!(e.0.contains("--top needs a value"), "{e}");
+    }
+
+    #[test]
+    fn negative_values_are_values_and_conditional_flags_always_read() {
+        match parse(&argv("search --query q --db d --dna --mismatch -4")).unwrap() {
+            Command::Search { opts, .. } => assert_eq!(opts.mismatch, -4),
+            other => panic!("{other:?}"),
+        }
+        match parse(&argv("simulate --device phi --no-blocking")).unwrap() {
+            Command::Simulate { variant, .. } => {
+                assert!(!variant.blocking);
+                assert_eq!(variant.vec, KernelVariant::best().vec);
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

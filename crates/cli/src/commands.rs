@@ -124,6 +124,19 @@ fn isa_from(opts: &SearchOpts) -> Result<sw_kernels::KernelIsa, CmdError> {
     }
 }
 
+/// The one shape every CLI search runs under: the library's best-host
+/// defaults (dynamic scheduling) over at least one thread, with the
+/// variant and ISA the command line resolved to.
+fn search_config(
+    variant: sw_kernels::KernelVariant,
+    threads: usize,
+    isa: sw_kernels::KernelIsa,
+) -> SearchConfig {
+    SearchConfig::best(threads.max(1))
+        .with_variant(variant)
+        .with_isa(isa)
+}
+
 /// Execute one parsed command, writing output to `out`.
 pub fn execute<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
     match cmd {
@@ -358,13 +371,7 @@ fn cmd_search<W: Write>(
     let prepared = PreparedDb::try_prepare(db_seqs, opts.lanes, &alphabet)?;
     let engine = SearchEngine::new(params.clone());
     let isa = isa_from(opts)?;
-    let config = SearchConfig {
-        variant: opts.variant,
-        threads: opts.threads.max(1),
-        policy: sw_sched::Policy::dynamic(),
-        block_rows: None,
-        isa,
-    };
+    let config = search_config(opts.variant, opts.threads, isa);
     writeln!(
         out,
         "# swsearch: {} quer{} vs {} sequences ({} residues), {} [{}] isa {}",
@@ -1026,7 +1033,6 @@ fn report_dynamic_outcome<W: Write>(
     n_batches: usize,
     plan_accel_fraction: f64,
     trace: &HeteroTraceOpts,
-    gcups_window_us: u64,
     isa: sw_kernels::KernelIsa,
     out: &mut W,
 ) -> Result<(), CmdError> {
@@ -1093,7 +1099,7 @@ fn report_dynamic_outcome<W: Write>(
             let prom = sw_trace::export::prometheus(
                 tl,
                 &outcome.device_counters(),
-                gcups_window_us,
+                sw_trace::export::DEFAULT_GCUPS_WINDOW_US,
                 isa.name(),
             );
             write_artifact(path, prom)?;
@@ -1164,13 +1170,7 @@ fn cmd_hetero<W: Write>(
         plan.accel.len(),
         plan.accel_cell_fraction * 100.0
     )?;
-    let cfg = SearchConfig {
-        variant: opts.variant,
-        threads: opts.threads.max(1),
-        policy: sw_sched::Policy::dynamic(),
-        block_rows: None,
-        isa,
-    };
+    let cfg = search_config(opts.variant, opts.threads, isa);
     let res = if dynamic {
         let dyn_cfg = HeteroSearchConfig {
             cpu: cfg,
@@ -1182,7 +1182,6 @@ fn cmd_hetero<W: Write>(
             recovery: RecoveryConfig {
                 accel_timeout_ms: drill.accel_timeout_ms,
                 failure_budget: drill.failure_budget,
-                ..RecoveryConfig::default()
             },
             trace: TraceConfig {
                 level: trace.level,
@@ -1276,7 +1275,6 @@ fn cmd_hetero<W: Write>(
             prepared.batches.len(),
             plan.accel_cell_fraction,
             &trace,
-            dyn_cfg.trace.effective_gcups_window_us(),
             isa,
             out,
         )?;
@@ -1381,17 +1379,15 @@ fn cmd_bench<W: Write>(
             ProfileMode::Sequence,
         ),
     ] {
-        let cfg = SearchConfig {
-            variant: sw_kernels::KernelVariant {
+        let cfg = search_config(
+            sw_kernels::KernelVariant {
                 vec,
                 profile,
                 blocking: true,
             },
-            threads: threads.max(1),
-            policy: sw_sched::Policy::dynamic(),
-            block_rows: None,
-            isa: startup_kernel_isa(),
-        };
+            threads,
+            startup_kernel_isa(),
+        );
         let res = engine.search(&query.residues, &prepared, &cfg);
         writeln!(out, "{label:<14} {}", res.gcups())?;
         let _ = KernelVariant::best();
@@ -1458,13 +1454,7 @@ fn cmd_serve<W: Write>(
     let params = params_from(opts)?;
     let prepared = PreparedDb::try_prepare(db_seqs, opts.lanes, &alphabet)?;
     let isa = isa_from(opts)?;
-    let cfg = SearchConfig {
-        variant: opts.variant,
-        threads: opts.threads.max(1),
-        policy: sw_sched::Policy::dynamic(),
-        block_rows: None,
-        isa,
-    };
+    let cfg = search_config(opts.variant, opts.threads, isa);
     let base = HeteroSearchConfig {
         cpu: cfg,
         accel: SearchConfig {

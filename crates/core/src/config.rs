@@ -14,9 +14,6 @@ pub struct SearchConfig {
     pub threads: usize,
     /// Loop scheduling policy (the paper's best is dynamic).
     pub policy: Policy,
-    /// Rows per cache block for blocked kernels (`None` = derive from a
-    /// 256 KB L2 budget, the conservative host default).
-    pub block_rows: Option<usize>,
     /// Instruction set the intrinsic kernels run on. [`KernelIsa::detect`]
     /// (the `best` default) picks the fastest ISA the host supports from
     /// hardware probes alone; forcing [`KernelIsa::Portable`] reproduces
@@ -36,7 +33,6 @@ impl SearchConfig {
             variant: KernelVariant::best(),
             threads,
             policy: Policy::dynamic(),
-            block_rows: None,
             isa: KernelIsa::detect(),
         }
     }
@@ -53,10 +49,10 @@ impl SearchConfig {
         self
     }
 
-    /// Effective block rows for a given lane count.
+    /// Rows per cache block of the blocked kernels at a given lane count,
+    /// derived from a 256 KB L2 budget (the conservative host default).
     pub fn effective_block_rows(&self, lanes: usize) -> usize {
-        self.block_rows
-            .unwrap_or_else(|| sw_kernels::intertask::block_rows_for_cache(256 * 1024, lanes))
+        sw_kernels::intertask::block_rows_for_cache(256 * 1024, lanes)
     }
 }
 
@@ -67,9 +63,9 @@ impl Default for SearchConfig {
 }
 
 /// Fault-tolerance knobs of the dual-pool scheduler: how long to wait on
-/// a silent accelerator, how many failures to tolerate before retiring a
-/// pool, and how retries back off. Mirrors the recovery fields of
-/// `sw_sched::DualPoolConfig`.
+/// a silent accelerator and how many failures to tolerate before retiring
+/// a pool. Retry backoff and the per-chunk retry cap are
+/// `sw_sched::DualPoolConfig::new`'s.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RecoveryConfig {
     /// Reclaim an accelerator chunk lease after this many milliseconds of
@@ -79,12 +75,6 @@ pub struct RecoveryConfig {
     /// Failures a device pool may accumulate before it is retired and the
     /// surviving pool absorbs the rest of the queue.
     pub failure_budget: u32,
-    /// Base delay before re-running a requeued chunk; doubles with each
-    /// attempt.
-    pub retry_backoff_ms: u64,
-    /// Attempts per chunk before its failing task is reported as a
-    /// permanent error instead of requeued.
-    pub max_chunk_retries: u32,
 }
 
 impl Default for RecoveryConfig {
@@ -93,8 +83,6 @@ impl Default for RecoveryConfig {
         RecoveryConfig {
             accel_timeout_ms: d.accel_timeout_ms,
             failure_budget: d.failure_budget,
-            retry_backoff_ms: d.retry_backoff_ms,
-            max_chunk_retries: d.max_chunk_retries,
         }
     }
 }
@@ -112,14 +100,6 @@ pub struct TraceConfig {
     /// journal entirely; `Lite` records instants and counters only;
     /// `Full` adds the chunk-execution and queue-wait spans.
     pub level: TraceLevel,
-    /// Per-worker ring capacity in events; `0` uses
-    /// `sw_trace::DEFAULT_RING_CAPACITY`. When a worker out-emits its
-    /// ring the oldest events are dropped and counted, never blocking
-    /// the worker.
-    pub ring_capacity: usize,
-    /// Bucket width of the exported per-device GCUPS time series in
-    /// microseconds; `0` uses `sw_trace::export::DEFAULT_GCUPS_WINDOW_US`.
-    pub gcups_window_us: u64,
     /// Query id stamped on every event this search emits, so timelines
     /// of concurrent searches stay separable after export. `0` (the
     /// default) is the solo-run id; daemons assign a distinct id per
@@ -128,7 +108,7 @@ pub struct TraceConfig {
 }
 
 impl TraceConfig {
-    /// Full-detail tracing with default capacity and window.
+    /// Full-detail tracing.
     pub fn full() -> Self {
         TraceConfig {
             level: TraceLevel::Full,
@@ -145,23 +125,11 @@ impl TraceConfig {
 
     /// Build the tracer this configuration describes (disabled for
     /// [`TraceLevel::Off`]). Each call makes a fresh tracer with its own
-    /// epoch, so concurrent searches never share clock state.
+    /// epoch, so concurrent searches never share clock state. Each worker
+    /// gets a ring of `sw_trace::DEFAULT_RING_CAPACITY` events; a worker
+    /// that out-emits it drops (and counts) the oldest, never blocking.
     pub fn tracer(&self) -> Tracer {
-        let capacity = if self.ring_capacity == 0 {
-            sw_trace::DEFAULT_RING_CAPACITY
-        } else {
-            self.ring_capacity
-        };
-        Tracer::for_query(self.level, capacity, self.query_id)
-    }
-
-    /// The GCUPS window to export with, resolving `0` to the default.
-    pub fn effective_gcups_window_us(&self) -> u64 {
-        if self.gcups_window_us == 0 {
-            sw_trace::export::DEFAULT_GCUPS_WINDOW_US
-        } else {
-            self.gcups_window_us
-        }
+        Tracer::for_query(self.level, sw_trace::DEFAULT_RING_CAPACITY, self.query_id)
     }
 }
 
@@ -239,10 +207,6 @@ mod tests {
         let t = TraceConfig::default();
         assert_eq!(t.level, TraceLevel::Off);
         assert!(!t.tracer().is_enabled(), "off builds a disabled tracer");
-        assert_eq!(
-            t.effective_gcups_window_us(),
-            sw_trace::export::DEFAULT_GCUPS_WINDOW_US
-        );
         assert!(TraceConfig::full().tracer().is_enabled());
         assert_eq!(
             HeteroSearchConfig::best(1, 1).trace,
@@ -253,12 +217,7 @@ mod tests {
 
     #[test]
     fn block_rows_default_derivation() {
-        let c = SearchConfig::best(1);
-        assert_eq!(c.effective_block_rows(16), 2048);
-        let explicit = SearchConfig {
-            block_rows: Some(128),
-            ..c
-        };
-        assert_eq!(explicit.effective_block_rows(16), 128);
+        // Half the 256 KB budget over 64 B per row (H + F, 16 × i16).
+        assert_eq!(SearchConfig::best(1).effective_block_rows(16), 2048);
     }
 }

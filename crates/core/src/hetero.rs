@@ -151,7 +151,7 @@ impl HeteroEngine {
     ///
     /// # Panics
     /// Panics if the run fails terminally (a batch panics more often than
-    /// `config.recovery.max_chunk_retries` on every pool). Use
+    /// `DualPoolConfig::new`'s `max_chunk_retries` on every pool). Use
     /// [`Self::search_dynamic_resumable`] to handle that as an error.
     pub fn search_dynamic(
         &self,
@@ -519,14 +519,11 @@ impl HeteroEngine {
         let out = run_dual_pool_durable(
             queries.len() * n_batches,
             DualPoolConfig {
-                cpu_workers,
-                accel_workers,
                 initial_accel_fraction: initial_share,
                 min_chunk: config.min_chunk,
                 accel_timeout_ms: config.recovery.accel_timeout_ms,
                 failure_budget: config.recovery.failure_budget,
-                retry_backoff_ms: config.recovery.retry_backoff_ms,
-                max_chunk_retries: config.recovery.max_chunk_retries,
+                ..DualPoolConfig::new(cpu_workers, accel_workers)
             },
             injector,
             DurableControl {

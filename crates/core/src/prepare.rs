@@ -105,20 +105,6 @@ impl PreparedDb {
         self.sorted.len()
     }
 
-    /// Per-batch task shapes for a query of `query_len` — the simulator's
-    /// input.
-    pub fn task_shapes(&self, query_len: usize) -> Vec<TaskShape> {
-        self.batches
-            .iter()
-            .map(|b| TaskShape {
-                query_len,
-                padded_len: b.padded_len(),
-                lanes: b.lanes(),
-                real_cells: b.real_cells(query_len),
-            })
-            .collect()
-    }
-
     /// Total real DP cells for a query of `query_len`.
     pub fn total_cells(&self, query_len: usize) -> u64 {
         query_len as u64 * self.stats.total_residues
@@ -151,6 +137,22 @@ pub fn shapes_from_lengths(lens: &[u32], lanes: usize, query_len: usize) -> Vec<
 mod tests {
     use super::*;
     use sw_seq::gen::{generate_database, DbSpec};
+
+    impl PreparedDb {
+        /// Per-batch task shapes for a query of `query_len` — the simulator's
+        /// input.
+        fn task_shapes(&self, query_len: usize) -> Vec<TaskShape> {
+            self.batches
+                .iter()
+                .map(|b| TaskShape {
+                    query_len,
+                    padded_len: b.padded_len(),
+                    lanes: b.lanes(),
+                    real_cells: b.real_cells(query_len),
+                })
+                .collect()
+        }
+    }
 
     fn tiny_db() -> Vec<EncodedSeq> {
         generate_database(&DbSpec::tiny(3))

@@ -367,28 +367,28 @@ pub fn simulate_hetero_dynamic(
     }
 }
 
-/// Sweep the accelerator fraction over a grid (Fig. 8's x-axis) and
-/// return `(fraction, report)` pairs.
-pub fn sweep_split(
-    cpu: (&CostModel, &SimConfig),
-    accel: (&CostModel, &SimConfig),
-    lens: &[u32],
-    query_len: usize,
-    steps: usize,
-) -> Vec<(f64, HeteroReport)> {
-    assert!(steps >= 2, "need at least the two endpoints");
-    (0..steps)
-        .map(|i| {
-            let f = i as f64 / (steps - 1) as f64;
-            (f, simulate_hetero(cpu, accel, lens, query_len, f))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sw_seq::gen::{generate_lengths, DbSpec};
+
+    /// Sweep the accelerator fraction over a grid (Fig. 8's x-axis) and
+    /// return `(fraction, report)` pairs.
+    fn sweep_split(
+        cpu: (&CostModel, &SimConfig),
+        accel: (&CostModel, &SimConfig),
+        lens: &[u32],
+        query_len: usize,
+        steps: usize,
+    ) -> Vec<(f64, HeteroReport)> {
+        assert!(steps >= 2, "need at least the two endpoints");
+        (0..steps)
+            .map(|i| {
+                let f = i as f64 / (steps - 1) as f64;
+                (f, simulate_hetero(cpu, accel, lens, query_len, f))
+            })
+            .collect()
+    }
 
     fn lens() -> Vec<u32> {
         // Full Swiss-Prot scale (541 561 sequences): the lengths-only path

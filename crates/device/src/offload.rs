@@ -123,19 +123,6 @@ impl OffloadSim {
         }
     }
 
-    /// Attach a trace journal: offload signals, waits and timeouts are
-    /// emitted into it at the simulated clock (see `sw-trace`). The
-    /// journal flushes its events when the simulator is dropped or the
-    /// journal is [detached](OffloadSim::detach_journal).
-    pub fn attach_journal(&mut self, journal: WorkerJournal) {
-        self.journal = journal;
-    }
-
-    /// Detach the attached journal (a disabled journal remains).
-    pub fn detach_journal(&mut self) -> WorkerJournal {
-        std::mem::take(&mut self.journal)
-    }
-
     /// Asynchronously offload a kernel: input transfer, device compute
     /// (`kernel_s` of device time), output transfer. The host pays only
     /// the launch overhead and continues — this is
@@ -181,45 +168,6 @@ impl OffloadSim {
         Signal {
             completion_s: t3,
             failed: false,
-        }
-    }
-
-    /// An offload whose kernel dies after `fail_after_s` seconds of
-    /// device time: the input transfer happens, the kernel runs partially,
-    /// then a [`EventKind::DeviceFault`] is recorded — no output transfer,
-    /// no results. Waiting on the returned signal reports
-    /// [`WaitOutcome::Failed`] and the host must recompute the share.
-    pub fn offload_async_failing(
-        &mut self,
-        in_bytes: u64,
-        fail_after_s: f64,
-        label: &str,
-    ) -> Signal {
-        assert!(fail_after_s >= 0.0, "fault time must be non-negative");
-        self.host_clock += self.link.launch_s;
-        let t0 = self.host_clock.max(self.device_clock);
-        let t1 = t0 + self.link.transfer_time(in_bytes);
-        self.timeline.push(Event {
-            start_s: t0,
-            end_s: t1,
-            kind: EventKind::TransferIn { bytes: in_bytes },
-        });
-        let t2 = t1 + fail_after_s;
-        self.timeline.push(Event {
-            start_s: t1,
-            end_s: t2,
-            kind: EventKind::DeviceFault {
-                label: label.into(),
-            },
-        });
-        self.device_clock = t2;
-        self.journal.emit_at(
-            sim_us(self.host_clock),
-            sw_trace::EventKind::OffloadSignal { bytes: in_bytes },
-        );
-        Signal {
-            completion_s: t2,
-            failed: true,
         }
     }
 
@@ -399,6 +347,63 @@ impl OffloadSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The journal attach point and the failing offload exist for these
+    /// tests only: no search path attaches a journal or injects a device
+    /// fault into the simulated link.
+    impl OffloadSim {
+        /// Attach a trace journal: offload signals, waits and timeouts are
+        /// emitted into it at the simulated clock (see `sw-trace`). The
+        /// journal flushes its events when the simulator is dropped or the
+        /// journal is detached.
+        fn attach_journal(&mut self, journal: WorkerJournal) {
+            self.journal = journal;
+        }
+
+        /// Detach the attached journal (a disabled journal remains).
+        fn detach_journal(&mut self) -> WorkerJournal {
+            std::mem::take(&mut self.journal)
+        }
+
+        /// An offload whose kernel dies after `fail_after_s` seconds of
+        /// device time: the input transfer happens, the kernel runs partially,
+        /// then a [`EventKind::DeviceFault`] is recorded — no output transfer,
+        /// no results. Waiting on the returned signal reports
+        /// [`WaitOutcome::Failed`] and the host must recompute the share.
+        fn offload_async_failing(
+            &mut self,
+            in_bytes: u64,
+            fail_after_s: f64,
+            label: &str,
+        ) -> Signal {
+            assert!(fail_after_s >= 0.0, "fault time must be non-negative");
+            self.host_clock += self.link.launch_s;
+            let t0 = self.host_clock.max(self.device_clock);
+            let t1 = t0 + self.link.transfer_time(in_bytes);
+            self.timeline.push(Event {
+                start_s: t0,
+                end_s: t1,
+                kind: EventKind::TransferIn { bytes: in_bytes },
+            });
+            let t2 = t1 + fail_after_s;
+            self.timeline.push(Event {
+                start_s: t1,
+                end_s: t2,
+                kind: EventKind::DeviceFault {
+                    label: label.into(),
+                },
+            });
+            self.device_clock = t2;
+            self.journal.emit_at(
+                sim_us(self.host_clock),
+                sw_trace::EventKind::OffloadSignal { bytes: in_bytes },
+            );
+            Signal {
+                completion_s: t2,
+                failed: true,
+            }
+        }
+    }
 
     fn link() -> PcieLink {
         PcieLink {

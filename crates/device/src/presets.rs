@@ -181,25 +181,6 @@ pub fn knl_costs() -> KernelCosts {
     }
 }
 
-/// A smaller modern laptop-class CPU, for users running the library on
-/// their own machines (not part of the paper's evaluation).
-pub fn laptop_4c() -> DeviceSpec {
-    DeviceSpec {
-        name: "laptop 4c".into(),
-        cores: 4,
-        smt: 2,
-        freq_ghz: 3.0,
-        vector_bits: 256,
-        has_gather: true,
-        l2_bytes: 1024 * 1024,
-        llc_bytes: 8 * 1024 * 1024,
-        smt_issue_eff: [1.0, 1.3, 1.3, 1.3],
-        contention_per_core: 0.01,
-        tdp_watts: 28.0,
-        pcie: None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -24,17 +24,6 @@ impl Gcups {
         Gcups(cells as f64 / secs / 1e9)
     }
 
-    /// From a cell count and elapsed seconds (simulated time). Mirrors
-    /// [`Gcups::from_cells`]: a non-positive elapsed time reports zero
-    /// throughput instead of panicking, so a zero-length simulated device
-    /// share in `desim` can't abort a run.
-    pub fn from_cells_secs(cells: u64, secs: f64) -> Self {
-        if secs <= 0.0 {
-            return Gcups(0.0);
-        }
-        Gcups(cells as f64 / secs / 1e9)
-    }
-
     /// Raw value.
     #[inline]
     pub fn value(&self) -> f64 {
@@ -83,7 +72,7 @@ mod tests {
 
     #[test]
     fn gcups_from_cells() {
-        let g = Gcups::from_cells_secs(30_400_000_000, 1.0);
+        let g = Gcups::from_cells(30_400_000_000, Duration::from_secs(1));
         assert!((g.value() - 30.4).abs() < 1e-9);
         assert_eq!(g.to_string(), "30.4 GCUPS");
     }
@@ -92,13 +81,6 @@ mod tests {
     fn gcups_from_duration() {
         let g = Gcups::from_cells(2_000_000_000, Duration::from_millis(500));
         assert!((g.value() - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_simulated_time_reports_zero_throughput() {
-        // Must match `from_cells(…, Duration::ZERO)` — zero, not a panic.
-        assert_eq!(Gcups::from_cells_secs(1, 0.0).value(), 0.0);
-        assert_eq!(Gcups::from_cells_secs(1, -1.0).value(), 0.0);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Portable fixed-width vectors — the fourth vector type of the
-//! inter-task sweep, and the substrate of the striped comparator.
+//! inter-task sweep.
 //!
 //! The paper's "intrinsic" kernels are written with AVX (16 × i16) and
 //! MIC (32 × i16) intrinsics. Stable Rust has no `std::simd`, so this
@@ -119,45 +119,11 @@ lane_vector! {
     I8s, i8
 }
 
-/// What only the striped kernel needs — cross-lane moves and reductions —
-/// and the constructor of the fused sweep's column prologue.
+/// The constructor of the fused sweep's column prologue.
 impl<const L: usize> I16s<L> {
     #[inline(always)]
     pub(crate) fn from_array(a: [i16; L]) -> Self {
         I16s(a)
-    }
-
-    /// Lane-wise maximum against zero (the `max(0, …)` of Eq. 2).
-    #[inline(always)]
-    pub fn max_zero(self) -> Self {
-        self.max(Self::zero())
-    }
-
-    /// Horizontal maximum across lanes.
-    #[inline(always)]
-    pub fn hmax(self) -> i16 {
-        let mut m = i16::MIN;
-        for a in self.0 {
-            m = m.max(a);
-        }
-        m
-    }
-
-    /// Shift lanes up by one, inserting `v` at lane 0 (the cross-lane
-    /// carry of the striped kernel: `out[0] = v`, `out[l] = self[l-1]`).
-    #[inline(always)]
-    pub fn shift_in(self, v: i16) -> Self {
-        let mut out = [0i16; L];
-        out[0] = v;
-        out[1..L].copy_from_slice(&self.0[..L - 1]);
-        I16s(out)
-    }
-
-    /// True if any lane is strictly greater than the corresponding lane of
-    /// `rhs` (the lazy-F continuation test of the striped kernel).
-    #[inline(always)]
-    pub fn any_gt(self, rhs: Self) -> bool {
-        self.0.iter().zip(rhs.0.iter()).any(|(a, b)| a > b)
     }
 }
 
@@ -214,18 +180,10 @@ mod tests {
     }
 
     #[test]
-    fn max_and_max_zero() {
+    fn max_is_lanewise() {
         let a = I16s::<4>([1, -5, 3, 0]);
         let b = I16s::<4>([0, 2, -7, 0]);
         assert_eq!(a.max(b).0, [1, 2, 3, 0]);
-        assert_eq!(a.max_zero().0, [1, 0, 3, 0]);
-    }
-
-    #[test]
-    fn hmax_finds_maximum() {
-        let v = I16s::<8>([-3, 7, 2, -9, 7, 0, 1, 5]);
-        assert_eq!(v.hmax(), 7);
-        assert_eq!(I16s::<4>::splat(i16::MIN).hmax(), i16::MIN);
     }
 
     #[test]

@@ -10,12 +10,13 @@
 //! | `simd-QP` / `simd-SP` | [`guided`] | compiler-guided vectorization (`#pragma omp simd`) |
 //! | `intrinsic-QP` / `intrinsic-SP` | [`arch`] | hand-tuned vector code: one sweep over SSE2, AVX2 and portable [`lanes`] vectors |
 //! | blocking on/off | [`arch`] (`block_rows`) | the cache-blocking optimisation of Fig. 7 — the same sweep, tiled |
-//! | Farrar striped | [`striped`] | the intra-task comparator the paper cites as \[13\] |
 //!
 //! All variants are *inter-task* (SWIPE-style, one database sequence per
-//! vector lane) except [`striped`], and all must produce identical scores —
-//! the cross-variant equivalence tests in this crate and in the workspace
-//! `tests/` directory are the central correctness property.
+//! vector lane) and all must produce identical scores — the cross-variant
+//! equivalence tests in this crate and in the workspace `tests/` directory
+//! are the central correctness property. (The intra-task comparator the
+//! paper cites as \[13\], Farrar's striped kernel, lives beside the one
+//! experiment that times it: `sw_bench::striped`.)
 //!
 //! Scores are computed in saturating `i16` (the paper's vector element
 //! width) — after a biased-unsigned byte pass where AVX2 offers 32 byte
@@ -25,21 +26,19 @@
 //! holds what the sweep returns and the SWIPE-style 8-bit → i16 cascade
 //! over it.
 //!
-//! Beyond the paper's variants: [`banded`] (diagonal-band refinement) and
-//! [`traceback`] (alignment recovery for reported hits).
+//! Beyond the paper's variants: [`traceback`] (alignment recovery for
+//! reported hits).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)] // `allow`ed only in `arch`, with SAFETY comments
 
 pub mod arch;
-pub mod banded;
 pub mod cups;
 pub mod guided;
 pub mod intertask;
 pub mod lanes;
 pub mod overflow;
 pub mod scalar;
-pub mod striped;
 pub mod traceback;
 pub mod variant;
 

@@ -60,20 +60,6 @@ pub fn rescue_overflows(
     stats
 }
 
-/// Upper bound on the exact score of a (query, subject) pair: perfect
-/// diagonal with the matrix's maximum score. Used to predict — before
-/// running — whether a pair *could* overflow `i16`, letting engines route
-/// enormous pairs straight to the exact kernel.
-pub fn score_upper_bound(query_len: usize, subject_len: usize, max_subst: i32) -> i64 {
-    query_len.min(subject_len) as i64 * max_subst as i64
-}
-
-/// True when a pair can be safely scored in i16 without any chance of
-/// saturation.
-pub fn fits_i16(query_len: usize, subject_len: usize, max_subst: i32) -> bool {
-    score_upper_bound(query_len, subject_len, max_subst) < i16::MAX as i64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,25 +136,5 @@ mod tests {
                 lanes: 1
             }
         ));
-    }
-
-    #[test]
-    fn upper_bound_and_fits() {
-        assert_eq!(score_upper_bound(100, 50, 11), 550);
-        assert!(fits_i16(100, 100, 11));
-        assert!(!fits_i16(3100, 3100, 11));
-        // Boundary: 2978 × 11 = 32 758 < 32 767 fits; 2979 × 11 = 32 769 does not.
-        assert!(fits_i16(2978, 2978, 11));
-        assert!(!fits_i16(2979, 2979, 11));
-    }
-
-    #[test]
-    fn fits_i16_exact_off_by_one() {
-        // With a unit matrix the bound lands exactly on i16::MAX: a bound
-        // *equal* to the saturation value must not fit, because a lane at
-        // i16::MAX is indistinguishable from a capped one.
-        assert_eq!(score_upper_bound(32_767, 40_000, 1), i16::MAX as i64);
-        assert!(!fits_i16(32_767, 40_000, 1));
-        assert!(fits_i16(32_766, 40_000, 1));
     }
 }

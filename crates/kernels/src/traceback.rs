@@ -137,15 +137,6 @@ impl AlignStats {
             100.0 * self.identities as f64 / self.columns as f64
         }
     }
-
-    /// Percent positives over alignment columns.
-    pub fn pct_positives(&self) -> f64 {
-        if self.columns == 0 {
-            0.0
-        } else {
-            100.0 * self.positives as f64 / self.columns as f64
-        }
-    }
 }
 
 impl Alignment {

@@ -132,62 +132,6 @@ pub fn simulate(costs: &[f64], workers: usize, policy: Policy) -> SimResult {
     }
 }
 
-/// Simulate a parallel loop over `costs` where worker `w` runs at
-/// `speeds[w]` × base speed — the heterogeneous-worker generalisation
-/// needed to model a *dynamic* CPU+accelerator distribution (the paper's
-/// §VI: "analyze other workload distribution strategies").
-///
-/// Task `i` on worker `w` takes `costs[i] / speeds[w]` seconds. Only
-/// dynamic/guided policies make sense here (a static pre-partition
-/// ignores speeds); static is rejected.
-///
-/// # Panics
-/// Panics on empty/non-positive speeds, non-finite costs, or
-/// [`Policy::Static`].
-pub fn simulate_heterogeneous(costs: &[f64], speeds: &[f64], policy: Policy) -> SimResult {
-    assert!(!speeds.is_empty(), "need at least one worker");
-    assert!(
-        speeds.iter().all(|s| s.is_finite() && *s > 0.0),
-        "speeds must be positive"
-    );
-    assert!(
-        !matches!(policy, Policy::Static),
-        "static scheduling cannot account for worker speeds; use dynamic or guided"
-    );
-    assert!(
-        costs.iter().all(|c| c.is_finite() && *c >= 0.0),
-        "task costs must be finite and non-negative"
-    );
-    let workers = speeds.len();
-    let mut dispenser = ChunkDispenser::new(policy, costs.len(), workers);
-    let mut heap: BinaryHeap<Reverse<(Time, usize)>> =
-        (0..workers).map(|w| Reverse((Time(0.0), w))).collect();
-    let mut busy = vec![0.0f64; workers];
-    let mut chunks = 0usize;
-    while let Some(Reverse((Time(t), w))) = heap.pop() {
-        match dispenser.grab() {
-            Some((s, e)) => {
-                let work: f64 = costs[s..e].iter().sum::<f64>() / speeds[w];
-                busy[w] += work;
-                chunks += 1;
-                heap.push(Reverse((Time(t + work), w)));
-            }
-            None => {
-                let mut makespan = t;
-                while let Some(Reverse((Time(t2), _))) = heap.pop() {
-                    makespan = makespan.max(t2);
-                }
-                return SimResult {
-                    makespan,
-                    busy,
-                    chunks,
-                };
-            }
-        }
-    }
-    unreachable!("heap always holds a worker")
-}
-
 /// Configuration of a simulated dual-pool run — mirrors the real
 /// executor's `DualPoolConfig` plus the per-device speeds the simulator
 /// needs in place of wall clocks.
@@ -664,56 +608,6 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn nan_cost_rejected() {
         simulate(&[1.0, f64::NAN], 2, Policy::dynamic());
-    }
-
-    #[test]
-    fn heterogeneous_uniform_speeds_match_homogeneous() {
-        let costs: Vec<f64> = (1..=50).map(|i| i as f64 * 0.3).collect();
-        let hom = simulate(&costs, 4, Policy::dynamic());
-        let het = simulate_heterogeneous(&costs, &[1.0; 4], Policy::dynamic());
-        assert!((hom.makespan - het.makespan).abs() < EPS);
-        assert_eq!(hom.chunks, het.chunks);
-    }
-
-    #[test]
-    fn faster_worker_takes_more_work() {
-        let costs = vec![1.0; 100];
-        // One 3x worker + one 1x worker: the fast one should finish ~75
-        // of the 100 tasks.
-        let r = simulate_heterogeneous(&costs, &[3.0, 1.0], Policy::dynamic());
-        // Busy time is roughly equal (both work until the pool drains).
-        assert!((r.busy[0] - r.busy[1]).abs() < 2.0, "busy {:?}", r.busy);
-        // Makespan ≈ total / (3 + 1) = 25.
-        assert!((r.makespan - 25.0).abs() < 1.5, "makespan {}", r.makespan);
-    }
-
-    #[test]
-    fn dynamic_hetero_beats_any_static_split_under_skew() {
-        // Tasks of mixed size, two device "speeds": dynamic pulling gets
-        // within a task of the ideal; a bad static split cannot.
-        let costs: Vec<f64> = (0..200).map(|i| ((i * 13) % 29 + 1) as f64).collect();
-        let total: f64 = costs.iter().sum();
-        let speeds = [2.0, 1.0];
-        let r = simulate_heterogeneous(&costs, &speeds, Policy::dynamic());
-        let ideal = total / 3.0;
-        assert!(
-            r.makespan < ideal + 30.0,
-            "{} vs ideal {}",
-            r.makespan,
-            ideal
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "static scheduling cannot")]
-    fn heterogeneous_rejects_static() {
-        simulate_heterogeneous(&[1.0], &[1.0], Policy::Static);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn heterogeneous_rejects_zero_speed() {
-        simulate_heterogeneous(&[1.0], &[0.0], Policy::dynamic());
     }
 
     fn dual_cfg() -> DualPoolSimConfig {

@@ -202,14 +202,6 @@ impl FaultInjector {
         !self.specs.is_empty() && self.pool_dead[device].load(Ordering::Acquire)
     }
 
-    /// Number of faults from the plan that have fired so far.
-    pub fn fired_count(&self) -> usize {
-        self.fired
-            .iter()
-            .filter(|f| f.load(Ordering::Relaxed))
-            .count()
-    }
-
     /// True once every fault in the plan has fired (vacuously true for an
     /// empty plan). Tests and drills gate on this to make fault timing
     /// deterministic relative to other workers' progress.
@@ -388,14 +380,6 @@ impl NetFaultInjector {
         None
     }
 
-    /// Number of faults that have fired so far.
-    pub fn fired_count(&self) -> usize {
-        self.fired
-            .iter()
-            .filter(|f| f.load(Ordering::Relaxed))
-            .count()
-    }
-
     /// The specs that have fired so far, in plan order. Drills use this
     /// to predict the exact retry cost of a run (a spec scheduled for an
     /// attempt that never happens stays unfired).
@@ -437,7 +421,6 @@ mod tests {
         assert!(!inj.all_fired());
         assert_eq!(inj.on_chunk_start(1), Some(FaultKind::Kill)); // chunk 2
         assert_eq!(inj.on_chunk_start(1), None, "fires at most once");
-        assert_eq!(inj.fired_count(), 1);
         assert!(inj.all_fired());
     }
 
@@ -568,7 +551,7 @@ mod tests {
         assert_eq!(inj.on_shard_attempt(1, 0), Some(NetFaultKind::Refuse));
         assert_eq!(inj.on_shard_attempt(1, 0), None, "fires at most once");
         assert_eq!(inj.on_shard_attempt(1, 1), Some(NetFaultKind::Drop(0)));
-        assert_eq!(inj.fired_count(), 2);
+        assert_eq!(inj.fired_specs().len(), 2);
         assert!(NetFaultInjector::none().is_empty());
     }
 }

@@ -149,15 +149,6 @@ impl DeviceMetrics {
         }
     }
 
-    /// Mean busy seconds per worker (0 for an empty pool).
-    pub fn mean_busy_secs(&self) -> f64 {
-        if self.workers == 0 {
-            0.0
-        } else {
-            self.busy.as_secs_f64() / self.workers as f64
-        }
-    }
-
     /// Bridge to the trace exporters' counter struct. The Prometheus
     /// snapshot is built from the *same* aggregate the CLI prints, so
     /// exported counters match printed ones exactly.
@@ -224,11 +215,6 @@ impl MetricsSink {
         v
     }
 
-    /// All recovery events in record order.
-    pub fn recovery_events(&self) -> Vec<(usize, RecoveryEvent)> {
-        unpoison(self.events.lock()).clone()
-    }
-
     /// Aggregate the samples and recovery events of one device.
     pub fn device(&self, device: usize) -> DeviceMetrics {
         let mut out = DeviceMetrics {
@@ -280,17 +266,6 @@ impl MetricsSink {
         ids.sort_unstable();
         ids.dedup();
         ids.into_iter().map(|d| self.device(d)).collect()
-    }
-
-    /// Per-worker busy seconds of one device (for [`imbalance`]).
-    pub fn busy_seconds(&self, device: usize) -> Vec<f64> {
-        let mut v: Vec<(usize, f64)> = unpoison(self.samples.lock())
-            .iter()
-            .filter(|s| s.device == device)
-            .map(|s| (s.worker, s.busy.as_secs_f64()))
-            .collect();
-        v.sort_by_key(|&(w, _)| w);
-        v.into_iter().map(|(_, b)| b).collect()
     }
 }
 
@@ -380,7 +355,6 @@ mod tests {
         assert_eq!(accel.tasks, 4);
         assert!((accel.gcups() - 0.5).abs() < 1e-9);
         assert_eq!(sink.devices().len(), 2);
-        assert_eq!(sink.busy_seconds(0), vec![2.0, 2.0]);
     }
 
     #[test]
@@ -390,7 +364,6 @@ mod tests {
         let m = sink.device(0);
         assert_eq!(m.gcups(), 0.0);
         assert_eq!(m.tasks, 0);
-        assert_eq!(m.mean_busy_secs(), 0.0);
     }
 
     #[test]
@@ -413,7 +386,6 @@ mod tests {
         assert!(!cpu.degraded);
         // devices() lists a device known only through events.
         assert_eq!(sink.devices().len(), 2);
-        assert_eq!(sink.recovery_events().len(), 5);
     }
 
     #[test]

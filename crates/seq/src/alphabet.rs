@@ -31,9 +31,6 @@ pub const PROTEIN_SYMBOLS: &[u8; 24] = b"ARNDCQEGHILKMFPSTWYVBZX*";
 /// The canonical DNA symbol order.
 pub const DNA_SYMBOLS: &[u8; 5] = b"ACGTN";
 
-/// Number of *standard* (unambiguous) amino acids.
-pub const N_STANDARD_AA: usize = 20;
-
 /// A residue alphabet: a symbol set plus its dense encoding.
 ///
 /// `Alphabet` is a small value type (two lookup tables); clone freely.

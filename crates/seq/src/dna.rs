@@ -51,11 +51,6 @@ pub fn dna_matrix(matches: i32, mismatch: i32, n_score: i32) -> SubstMatrix {
     )
 }
 
-/// The classic BLASTN scoring: +5/−4, N = −2.
-pub fn blastn_default() -> SubstMatrix {
-    dna_matrix(5, -4, -2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,7 +82,7 @@ mod tests {
 
     #[test]
     fn dna_matrix_values() {
-        let m = blastn_default();
+        let m = dna_matrix(5, -4, -2);
         let a = Alphabet::dna();
         let (ac, gc, nc) = (
             a.encode_byte(b'A').unwrap(),
@@ -114,7 +109,7 @@ mod tests {
             s.extend_from_slice(&enc(b"TTTT"));
             s
         };
-        let params_matrix = blastn_default();
+        let params_matrix = dna_matrix(5, -4, -2);
         let gap = GapPenalty::new(10, 2);
         let sw = |q: &[u8], s: &[u8]| -> i64 {
             // Local scalar SW (duplicated minimal logic not needed — use a

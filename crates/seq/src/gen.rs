@@ -17,7 +17,6 @@
 //! Generation is deterministic given the seed. DESIGN.md §2 documents this
 //! substitution.
 
-use crate::alphabet::Alphabet;
 use crate::sequence::EncodedSeq;
 use crate::swissprot::{self, QuerySpec, AA_BACKGROUND_FREQ, QUERY_SET};
 use rand::rngs::SmallRng;
@@ -273,17 +272,17 @@ pub fn generate_query(len: u32, seed: u64) -> EncodedSeq {
     g.sequence(&format!("syn|QUERY{len}|SYNTH"), len)
 }
 
-/// Validate that generated residues decode under the protein alphabet
-/// (debug helper used by tests and examples).
-pub fn decodes_cleanly(seqs: &[EncodedSeq]) -> bool {
-    let a = Alphabet::protein();
-    seqs.iter()
-        .all(|s| s.residues.iter().all(|&r| (r as usize) < a.len()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alphabet::Alphabet;
+
+    /// Every generated residue decodes under the protein alphabet.
+    fn decodes_cleanly(seqs: &[EncodedSeq]) -> bool {
+        let a = Alphabet::protein();
+        seqs.iter()
+            .all(|s| s.residues.iter().all(|&r| (r as usize) < a.len()))
+    }
 
     #[test]
     fn deterministic_for_same_seed() {

@@ -36,7 +36,6 @@ pub mod gen;
 pub mod matrices;
 pub mod sequence;
 pub mod swissprot;
-pub mod translate;
 
 pub use alphabet::{Alphabet, AlphabetKind};
 pub use error::{FastaIssue, SeqError};

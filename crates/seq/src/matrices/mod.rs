@@ -132,19 +132,6 @@ impl SubstMatrix {
         &self.scores[s..s + self.len]
     }
 
-    /// The flat table narrowed to `i16` — the element type of the vector
-    /// kernels.
-    ///
-    /// # Panics
-    /// Panics if any score is outside `i16` range (never for the bundled
-    /// matrices, whose scores are single digits).
-    pub fn flat_i16(&self) -> Vec<i16> {
-        self.scores
-            .iter()
-            .map(|&s| i16::try_from(s).expect("substitution score fits in i16"))
-            .collect()
-    }
-
     /// Maximum score in the table (used for overflow-bound analysis).
     pub fn max_score(&self) -> i32 {
         *self.scores.iter().max().expect("non-empty")
@@ -249,15 +236,6 @@ mod tests {
             for b in 0..24u8 {
                 assert_eq!(row[b as usize], m.score(a, b));
             }
-        }
-    }
-
-    #[test]
-    fn flat_i16_preserves_values() {
-        let m = SubstMatrix::blosum62();
-        let t = m.flat_i16();
-        for (i, &v) in m.flat().iter().enumerate() {
-            assert_eq!(t[i] as i32, v);
         }
     }
 

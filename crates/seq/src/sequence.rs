@@ -64,11 +64,6 @@ impl EncodedSeq {
             residues: &self.residues,
         }
     }
-
-    /// Decode back to ASCII for display.
-    pub fn to_text(&self, alphabet: &Alphabet) -> String {
-        String::from_utf8(alphabet.decode(&self.residues)).expect("alphabet symbols are ASCII")
-    }
 }
 
 /// A borrowed slice of encoded residues — what kernels actually consume.
@@ -101,6 +96,13 @@ impl<'a> SeqView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl EncodedSeq {
+        /// Decode back to ASCII for display.
+        fn to_text(&self, alphabet: &Alphabet) -> String {
+            String::from_utf8(alphabet.decode(&self.residues)).expect("alphabet symbols are ASCII")
+        }
+    }
 
     #[test]
     fn from_text_encodes() {

@@ -68,6 +68,22 @@ use sw_swdb::integrity::{fnv1a64, tmp_path};
 /// black-holed and its shard lease is requeued.
 const HEARTBEAT_MISSES: u32 = 3;
 
+/// Tenant name stamped on every per-shard submit.
+const TENANT: &str = "coord";
+
+/// Lease deadline for one shard submit: a worker that accepts the query
+/// but never finishes streaming within this window is treated as wedged
+/// and its shard is requeued.
+const LEASE_TIMEOUT_MS: u64 = 120_000;
+
+/// Extra connect attempts per exchange (jittered exponential backoff from
+/// [`CONNECT_BACKOFF_MS`]) — absorbs a worker mid-restart without
+/// spending a shard attempt.
+const CONNECT_RETRIES: u32 = 2;
+
+/// Base backoff for connect retries.
+const CONNECT_BACKOFF_MS: u64 = 25;
+
 /// One shard worker the coordinator talks to.
 #[derive(Debug, Clone)]
 pub struct ShardSpec {
@@ -104,8 +120,6 @@ impl ShardSpec {
 pub struct CoordConfig {
     /// Hits to request from each shard and to keep after the merge.
     pub top: usize,
-    /// Tenant name stamped on every per-shard submit.
-    pub tenant: String,
     /// Optional fault drill forwarded to every shard worker.
     pub drill: Option<String>,
     /// Max executions of one shard before the search fails.
@@ -114,18 +128,8 @@ pub struct CoordConfig {
     pub failure_budget: u32,
     /// How long to wait for a (re)spawned worker's socket to answer.
     pub connect_wait_ms: u64,
-    /// Lease deadline for one shard submit: a worker that accepts the
-    /// query but never finishes streaming within this window is treated
-    /// as wedged and its shard is requeued.
-    pub lease_timeout_ms: u64,
     /// Backoff before a retry attempt (scaled by the attempt count).
     pub backoff_ms: u64,
-    /// Extra connect attempts per exchange (jittered exponential
-    /// backoff) — absorbs a worker mid-restart without spending a
-    /// shard attempt.
-    pub connect_retries: u32,
-    /// Base backoff for connect retries.
-    pub connect_backoff_ms: u64,
     /// When a submit stream has been silent this long, probe the worker
     /// with a side-channel health heartbeat; `HEARTBEAT_MISSES`
     /// consecutive failed probes requeue the shard. 0 disables.
@@ -138,19 +142,15 @@ pub struct CoordConfig {
 }
 
 impl CoordConfig {
-    /// Defaults for `top` hits under tenant `coord`.
+    /// Defaults for `top` hits.
     pub fn new(top: usize) -> Self {
         CoordConfig {
             top,
-            tenant: "coord".into(),
             drill: None,
             max_attempts: 3,
             failure_budget: 4,
             connect_wait_ms: 5_000,
-            lease_timeout_ms: 120_000,
             backoff_ms: 50,
-            connect_retries: 2,
-            connect_backoff_ms: 25,
             heartbeat_ms: 500,
             seed: 0,
             parent_digest: 0,
@@ -539,7 +539,7 @@ fn run_shard_attempt(
                 .heartbeat_ms
                 .max(1)
                 .saturating_mul(HEARTBEAT_MISSES as u64)
-                .min(cfg.lease_timeout_ms);
+                .min(LEASE_TIMEOUT_MS);
             std::thread::sleep(Duration::from_millis(grace));
             return Err(AttemptError::Retry(format!(
                 "injected fault: {endpoint} black-holed, \
@@ -550,15 +550,15 @@ fn run_shard_attempt(
     }
 
     let retry = RetryPolicy {
-        retries: cfg.connect_retries,
-        backoff_ms: cfg.connect_backoff_ms,
+        retries: CONNECT_RETRIES,
+        backoff_ms: CONNECT_BACKOFF_MS,
         seed: cfg.seed ^ spec.index ^ ((attempts as u64) << 32),
     };
 
     // Identity check: never submit to a worker serving the wrong shard.
     // Dialling the probe under `connect_wait_ms` is also the wait for a
     // (re)spawned worker's socket: its answer shows the worker is up.
-    let deadline = Instant::now() + Duration::from_millis(cfg.lease_timeout_ms);
+    let deadline = Instant::now() + Duration::from_millis(LEASE_TIMEOUT_MS);
     let wire = Wire {
         transport,
         endpoint,
@@ -600,7 +600,7 @@ fn run_shard_attempt(
         Some(NetFaultKind::SlowDrip(d)) => (None, Some(d)),
         _ => (None, None),
     };
-    let req = submit_request(&cfg.tenant, query_fasta, cfg.top, cfg.drill.as_deref());
+    let req = submit_request(TENANT, query_fasta, cfg.top, cfg.drill.as_deref());
     let lines = wire
         .request(&req, deadline, drop_after, drip)
         .map_err(|e| AttemptError::Retry(format!("submit failed: {e}")))?;

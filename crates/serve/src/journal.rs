@@ -115,11 +115,6 @@ impl CoordJournal {
         }
     }
 
-    /// Number of shards with a committed result.
-    pub fn committed_count(&self) -> usize {
-        self.shards.iter().filter(|s| s.committed.is_some()).count()
-    }
-
     /// Serialize to the SWCRDJ1 byte layout.
     pub fn encode(&self) -> Vec<u8> {
         let mut p = Vec::new();
@@ -366,7 +361,6 @@ mod tests {
         let back = CoordJournal::decode(&bytes).expect("decode");
         assert_eq!(back, j);
         assert_eq!(back.encode(), bytes, "re-encode is byte-stable");
-        assert_eq!(back.committed_count(), 1);
     }
 
     #[test]

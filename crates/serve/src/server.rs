@@ -56,6 +56,10 @@ use sw_swdb::integrity::replace_file;
 /// errors never propagate here).
 pub type ServeError = Box<dyn std::error::Error + Send + Sync>;
 
+/// Accelerator-share seed for each region's split plan (the dynamic
+/// scheduler rebalances from there).
+const ACCEL_FRAC: f64 = 0.55;
+
 /// Daemon knobs. [`ServeConfig::new`] gives the defaults the CLI
 /// advertises.
 #[derive(Debug, Clone)]
@@ -69,9 +73,6 @@ pub struct ServeConfig {
     /// Max queued+running jobs per tenant; a submit over the quota is
     /// rejected at the door.
     pub tenant_quota: usize,
-    /// Accelerator-share seed for each job's split plan (the dynamic
-    /// scheduler rebalances from there).
-    pub accel_frac: f64,
     /// Periodic checkpoint interval in committed chunks.
     pub interval_chunks: u64,
     /// Fingerprint-named per-job checkpoints live here; `None` disables
@@ -129,7 +130,6 @@ impl ServeConfig {
             listen,
             max_concurrent: 2,
             tenant_quota: 4,
-            accel_frac: 0.55,
             interval_chunks: 4,
             checkpoint_dir: None,
             trace_dir: None,
@@ -622,9 +622,7 @@ fn run_batch_jobs(ctx: Ctx<'_>, jobs: Vec<PendingJob>) {
     // The plan seeds from the longest member: lane batching means every
     // query shares the same device split, rebalanced dynamically.
     let plan_len = live.iter().map(|j| j.residues.len()).max().unwrap_or(1);
-    let plan = ctx
-        .engine
-        .plan_split(ctx.prepared, plan_len, ctx.config.accel_frac);
+    let plan = ctx.engine.plan_split(ctx.prepared, plan_len, ACCEL_FRAC);
     let cfg = *ctx.base;
     // One injector per region: the first parked drill arms it (the
     // daemon only accepts the benign delay drill).

@@ -63,12 +63,6 @@ impl Endpoint {
         Ok(Endpoint::Unix(PathBuf::from(s)))
     }
 
-    /// True for TCP endpoints (useful for capability gating — stale
-    /// socket-file cleanup only makes sense for unix endpoints).
-    pub fn is_tcp(&self) -> bool {
-        matches!(self, Endpoint::Tcp(_))
-    }
-
     /// One blocking connect attempt bounded by `timeout`. Unix connects
     /// are effectively instant (the kernel accepts or refuses); TCP
     /// resolves the address and uses `connect_timeout` so an
@@ -423,7 +417,7 @@ mod tests {
         ];
         for (s, tcp) in cases {
             let ep = Endpoint::parse(s).expect(s);
-            assert_eq!(ep.is_tcp(), tcp, "{s}");
+            assert_eq!(matches!(ep, Endpoint::Tcp(_)), tcp, "{s}");
             let rendered = ep.to_string();
             // `unix://` prefix normalises to the bare path; all other
             // forms render back verbatim.

@@ -65,14 +65,6 @@ impl SortedDb {
         self.db.seq_len(self.order[rank])
     }
 
-    /// Iterate `(rank, SeqId, SeqView)` in sorted order.
-    pub fn iter_sorted(&self) -> impl Iterator<Item = (usize, SeqId, SeqView<'_>)> + '_ {
-        self.order
-            .iter()
-            .enumerate()
-            .map(move |(rank, &id)| (rank, id, self.db.seq(id)))
-    }
-
     /// The full sorted permutation (`rank -> original id`).
     pub fn order(&self) -> &[SeqId] {
         &self.order
@@ -124,19 +116,9 @@ mod tests {
     }
 
     #[test]
-    fn iter_sorted_yields_views() {
-        let sorted = SortedDb::new(db_with_lens(&[3, 1]));
-        let collected: Vec<(usize, u32, usize)> = sorted
-            .iter_sorted()
-            .map(|(r, id, v)| (r, id.0, v.len()))
-            .collect();
-        assert_eq!(collected, vec![(0, 1, 1), (1, 0, 3)]);
-    }
-
-    #[test]
     fn empty_db() {
         let sorted = SortedDb::new(db_with_lens(&[]));
         assert!(sorted.is_empty());
-        assert_eq!(sorted.iter_sorted().count(), 0);
+        assert!(sorted.order().is_empty());
     }
 }

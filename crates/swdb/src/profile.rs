@@ -204,12 +204,6 @@ impl SequenceProfile {
         &self.scores.as_slice()[s..s + self.lanes]
     }
 
-    /// Number of table builds ops (for the analytic cost model):
-    /// `|Σ|·N_pad·L`.
-    pub fn build_ops(&self) -> u64 {
-        self.codes as u64 * self.padded_len as u64 * self.lanes as u64
-    }
-
     /// Approximate memory footprint in bytes.
     pub fn bytes(&self) -> usize {
         self.scores.len() * 2
@@ -518,15 +512,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn build_ops_formula() {
-        let (a, m) = setup();
-        let s0 = a.encode_strict(b"ARND").unwrap();
-        let batch = LaneBatch::pack(8, &[(SeqId(0), &s0[..])], pad_code(&a));
-        let sp = SequenceProfile::build(&batch, &m, &a);
-        assert_eq!(sp.build_ops(), 24 * 4 * 8);
     }
 
     #[test]

@@ -62,14 +62,6 @@ impl DbStats {
             log2_histogram: hist,
         }
     }
-
-    /// Render a markdown table row: `| name | seqs | residues | max | mean |`.
-    pub fn markdown_row(&self, name: &str) -> String {
-        format!(
-            "| {name} | {} | {} | {} | {:.1} |",
-            self.n_seqs, self.total_residues, self.max_len, self.mean_len
-        )
-    }
 }
 
 impl fmt::Display for DbStats {
@@ -131,12 +123,6 @@ mod tests {
         let text = s.to_string();
         assert!(text.contains("sequences:      2"));
         assert!(text.contains("5 / 5"));
-    }
-
-    #[test]
-    fn markdown_row_format() {
-        let s = DbStats::compute(&db(&[3]));
-        assert_eq!(s.markdown_row("tiny"), "| tiny | 1 | 3 | 3 | 3.0 |");
     }
 
     #[test]

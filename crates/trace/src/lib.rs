@@ -843,14 +843,6 @@ impl Timeline {
         }))
     }
 
-    /// The distinct query ids present, ascending.
-    pub fn query_ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.tracks.iter().map(|t| t.query).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
-
     /// A timeline containing only the tracks of `query` — how one
     /// request's trace is pulled back out of a merged daemon export.
     pub fn for_query(&self, query: u64) -> Timeline {
@@ -949,6 +941,16 @@ impl Timeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Timeline {
+        /// The distinct query ids present, ascending.
+        fn query_ids(&self) -> Vec<u64> {
+            let mut ids: Vec<u64> = self.tracks.iter().map(|t| t.query).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            ids
+        }
+    }
 
     #[test]
     fn merge_with_offsets_rebases_epochs_onto_one_clock() {

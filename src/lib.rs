@@ -11,8 +11,10 @@
 //! * [`seq`] — alphabets, FASTA, substitution matrices, synthetic
 //!   Swiss-Prot generator.
 //! * [`swdb`] — database preprocessing: sorting, lane batching, profiles.
-//! * [`kernels`] — the alignment kernels (scalar reference, guided,
-//!   explicit-lane, blocked, striped) and adaptive precision.
+//! * [`kernels`] — the alignment kernels: the scalar reference, the
+//!   compiler-guided loops and the one explicit-SIMD inter-task sweep
+//!   (SSE2, AVX2, portable; optionally cache-blocked; bytes first where
+//!   AVX2 has the lanes), with an exact rescue of saturated lanes.
 //! * [`device`] — simulated device models of the paper's testbed, the
 //!   calibrated cost model, the offload runtime and the energy model.
 //! * [`sched`] — static/dynamic/guided scheduling, simulated and real.
@@ -43,7 +45,6 @@
 
 pub use sw_core as core;
 pub use sw_device as device;
-pub use sw_heuristic as heuristic;
 pub use sw_kernels as kernels;
 pub use sw_sched as sched;
 pub use sw_seq as seq;

@@ -1,13 +1,10 @@
-//! Integration tests of the extension features: DNA search, dual
-//! precision, banded refinement, the heuristic comparator, alignment
-//! statistics and the pooled multi-query engine.
+//! Integration tests of the extension features: DNA search, the
+//! precision cascade, alignment statistics and the pooled multi-query
+//! engine.
 
 use swhetero::core::stats::KarlinParams;
-use swhetero::heuristic::{HeuristicEngine, HeuristicOpts};
-use swhetero::kernels::banded::sw_banded;
 use swhetero::kernels::scalar::sw_score_scalar;
 use swhetero::prelude::*;
-use swhetero::swdb::SequenceDatabase;
 
 /// The engine is alphabet-generic: DNA search with a match/mismatch
 /// matrix end to end.
@@ -72,73 +69,6 @@ fn adaptive_precision_engine_equivalence() {
     assert_eq!(res.lanes_rescued, 1);
 }
 
-/// Banded SW with the band centred by a heuristic HSP reproduces the
-/// exact score of a gapless homolog at a fraction of the work.
-#[test]
-fn banded_heuristic_pipeline() {
-    let a = Alphabet::protein();
-    let query = a
-        .encode_strict(b"MKVLITRAWQESTNHYFPGDMKVLITRAWQESTNHYFPGD")
-        .unwrap();
-    // Subject: query embedded at offset 10 in junk.
-    let mut subject = a.encode_strict(&[b'P'; 10]).unwrap();
-    subject.extend_from_slice(&query);
-    subject.extend(a.encode_strict(&[b'G'; 10]).unwrap());
-
-    let params = SwParams::paper_default();
-    let exact = sw_score_scalar(&query, &subject, &params);
-    // Band centred on the true diagonal (+10) with a tiny radius.
-    assert_eq!(sw_banded(&query, &subject, &params, 10, 2), exact);
-
-    // Through the heuristic engine with banded refinement.
-    let db = SequenceDatabase::from_sequences(vec![EncodedSeq {
-        header: "s".into(),
-        residues: subject.clone(),
-    }]);
-    let engine = HeuristicEngine {
-        params: params.clone(),
-        opts: HeuristicOpts {
-            band_radius: Some(8),
-            ..Default::default()
-        },
-    };
-    let res = engine.search(&query, &db);
-    assert_eq!(res.hits[0].score, exact);
-    assert!(res.refine_cells < (query.len() * subject.len()) as u64 / 2);
-}
-
-/// Heuristic hits are always a subset of the exact engine's ranking with
-/// identical scores for surfaced candidates.
-#[test]
-fn heuristic_scores_match_exact_engine() {
-    let a = Alphabet::protein();
-    let seqs = generate_database(&DbSpec {
-        n_seqs: 80,
-        mean_len: 120.0,
-        max_len: 400,
-        seed: 3,
-    });
-    let query = generate_query(200, 17).residues;
-    let exact_engine = SearchEngine::paper_default();
-    let db = PreparedDb::prepare(seqs.clone(), 8, &a);
-    let exact = exact_engine.search(&query, &db, &SearchConfig::best(2));
-    let by_id: std::collections::HashMap<u32, i64> =
-        exact.hits.iter().map(|h| (h.id.0, h.score)).collect();
-
-    let flat = SequenceDatabase::from_sequences(seqs);
-    let heuristic = HeuristicEngine {
-        params: SwParams::paper_default(),
-        opts: HeuristicOpts {
-            min_hsp_score: 15,
-            ..Default::default()
-        },
-    };
-    let h = heuristic.search(&query, &flat);
-    for hit in &h.hits {
-        assert_eq!(hit.score, by_id[&hit.id.0], "refined scores must be exact");
-    }
-}
-
 /// E-values integrate consistently with engine scores: the top hit of a
 /// planted-homolog search is overwhelmingly significant, random decoys
 /// are not.
@@ -195,74 +125,6 @@ fn pooled_query_set_matches_individual() {
         let single = engine.search(&q.residues, &db, &SearchConfig::best(1));
         assert_eq!(pooled_res.hits, single.hits, "query {}", q.header);
     }
-}
-
-/// BLASTX-style workflow: a DNA query translated in six frames and
-/// searched against a protein database; the frame carrying the real
-/// coding sequence wins.
-#[test]
-fn translated_dna_search_finds_coding_frame() {
-    use swhetero::seq::translate::six_frames;
-    let protein = Alphabet::protein();
-    let dna = Alphabet::dna();
-
-    // A protein target and synthetic decoys.
-    let target = protein.encode_strict(b"MKWLNEHRAGDFERQSTVYK").unwrap();
-    let mut seqs = vec![EncodedSeq {
-        header: "target".into(),
-        residues: target.clone(),
-    }];
-    seqs.extend(generate_database(&DbSpec {
-        n_seqs: 50,
-        mean_len: 60.0,
-        max_len: 200,
-        seed: 2,
-    }));
-    let db = PreparedDb::prepare(seqs, 8, &protein);
-
-    // A DNA query encoding the target on the minus strand: take a real
-    // coding sequence for the target and reverse-complement it.
-    // Build the coding DNA by picking one codon per residue via brute
-    // force over the codon table.
-    let mut coding = Vec::new();
-    'outer: for &aa in &target {
-        for b1 in 0..4u8 {
-            for b2 in 0..4u8 {
-                for b3 in 0..4u8 {
-                    let t = swhetero::seq::translate::translate_codon(b1, b2, b3);
-                    if protein.encode_byte(t) == Some(aa) {
-                        coding.extend_from_slice(&[b1, b2, b3]);
-                        continue 'outer;
-                    }
-                }
-            }
-        }
-        panic!("no codon for residue {aa}");
-    }
-    let dna_query = swhetero::seq::dna::reverse_complement(&coding);
-    let _ = dna;
-
-    // Search each frame; the -1 frame must contain the full-score hit.
-    let engine = SearchEngine::paper_default();
-    let self_score: i64 = target
-        .iter()
-        .map(|&r| engine.params.matrix.score(r, r) as i64)
-        .sum();
-    let mut best_frame = ("", 0i64);
-    for (label, frame_protein) in six_frames(&dna_query, &protein) {
-        if frame_protein.is_empty() {
-            continue;
-        }
-        let res = engine.search(&frame_protein, &db, &SearchConfig::best(1));
-        if res.hits[0].score > best_frame.1 {
-            best_frame = (label, res.hits[0].score);
-        }
-    }
-    assert_eq!(best_frame.0, "-1", "the coding frame is the minus strand");
-    assert_eq!(
-        best_frame.1, self_score,
-        "frame search recovers the exact protein hit"
-    );
 }
 
 /// The KNL projection presets behave like devices (sanity of the future

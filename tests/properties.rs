@@ -14,7 +14,6 @@ use rand::{Rng, SeedableRng};
 use swhetero::kernels::arch::{sw_isa_qp, sw_isa_sp, KernelIsa};
 use swhetero::kernels::guided::{sw_guided_qp, sw_guided_sp, GuidedWorkspace};
 use swhetero::kernels::scalar::sw_score_scalar;
-use swhetero::kernels::striped::sw_striped_pair;
 use swhetero::kernels::traceback::sw_align;
 use swhetero::prelude::*;
 use swhetero::swdb::batch::pad_code;
@@ -73,12 +72,6 @@ fn all_kernels_agree_with_scalar() {
             assert_eq!(
                 o5.scores[lane], expect,
                 "case {case} lane {lane} blocked-QP"
-            );
-            // Striped (intra-task) agrees too.
-            assert_eq!(
-                sw_striped_pair::<8>(&query, s, &params).score,
-                expect,
-                "case {case} lane {lane} striped"
             );
         }
     }

@@ -1217,6 +1217,7 @@ fn cmd_hetero<W: Write>(
                 interval_chunks: durable.interval_chunks,
                 drain: Some(&crate::signals::DRAIN),
                 resume: durable.resume,
+                on_query_done: None,
             };
             let d = hetero
                 .search_dynamic_resumable(

@@ -168,17 +168,12 @@ pub struct SearchFingerprint {
 }
 
 impl SearchFingerprint {
-    /// Fingerprint a prepared database + encoded query.
+    /// Fingerprint a prepared database + encoded query. The database
+    /// half is [`PreparedDb::content_digest`](crate::prepare::PreparedDb::content_digest),
+    /// walked once per prepared database, not once per search.
     pub fn compute(db: &crate::prepare::PreparedDb, query: &[u8]) -> Self {
-        Self::with_db_digest(sw_swdb::snapshot::content_digest(db.sorted.db()), db, query)
-    }
-
-    /// [`Self::compute`] with the database digest precomputed. The db
-    /// digest walks every resident residue — batch callers fingerprint
-    /// N queries over one database and must not pay that walk N times.
-    pub fn with_db_digest(db_digest: u64, db: &crate::prepare::PreparedDb, query: &[u8]) -> Self {
         SearchFingerprint {
-            db_digest,
+            db_digest: db.content_digest(),
             query_digest: Fnv64::new().update(query).finish(),
             lanes: db.lanes as u64,
             n_batches: db.batches.len() as u64,

@@ -39,11 +39,11 @@ use crate::results::{Hit, SearchResults};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 use sw_kernels::CellCount;
 use sw_sched::{
-    run_dual_pool_durable, CheckpointView, DeviceMetrics, DrainSignal, DualPoolConfig,
+    run_dual_pool_durable, CheckpointView, CommitView, DeviceMetrics, DrainSignal, DualPoolConfig,
     DurableControl, ExecError, FaultInjector, MetricsSink, DEVICE_ACCEL, DEVICE_CPU,
 };
 use sw_swdb::chunk::{range_cells, split_by_cells};
@@ -328,8 +328,13 @@ impl HeteroEngine {
     ///   `opts.checkpoint_dir`. Written periodically while a query is
     ///   incomplete, finalised exactly on cancel/drain, and removed on
     ///   completion; resume prefills that query's committed batches. With
-    ///   no location nothing is persisted and no fingerprint is computed
-    ///   (the database digest walks every resident residue).
+    ///   no location nothing is persisted and no fingerprint is computed.
+    /// * **early hand-over** — with [`DurableOptions::on_query_done`] set,
+    ///   a query's finished outcome is handed to the caller at *its* last
+    ///   commit, not at region end: the CPU pool takes the first query's
+    ///   tasks from the front of the queue and the accelerator pool the
+    ///   last one's from the back, so members of a shared region finish
+    ///   at different times. The returned outcome is the same either way.
     /// * **recovery totals** — see [`BatchSearchOutcome::recovery`].
     /// * **trace** — each task additionally lands on its owner's
     ///   [`BatchQuery::tracer`] as a one-task span, so per-query exports
@@ -368,10 +373,9 @@ impl HeteroEngine {
         let explicit = opts.checkpoint_path.filter(|_| queries.len() == 1);
         let checkpointing = explicit.is_some() || opts.checkpoint_dir.is_some();
         let fingerprints: Vec<SearchFingerprint> = if checkpointing {
-            let db_digest = sw_swdb::snapshot::content_digest(db.sorted.db());
             queries
                 .iter()
-                .map(|q| SearchFingerprint::with_db_digest(db_digest, db, q.residues))
+                .map(|q| SearchFingerprint::compute(db, q.residues))
                 .collect()
         } else {
             Vec::new()
@@ -515,7 +519,94 @@ impl HeteroEngine {
             total
         };
 
+        // Pooled wall clock, attributed by padded-cell share — the rule
+        // of `SearchEngine::search_many` ([`padded_share`]).
+        let per_q_padded: Vec<u128> = queries
+            .iter()
+            .map(|q| {
+                db.batches
+                    .iter()
+                    .map(|b| b.padded_cells(q.residues.len()) as u128)
+                    .sum()
+            })
+            .collect();
+        let total_padded: u128 = per_q_padded.iter().sum();
+        // One query's outcome from its slice of the slot table, `elapsed`
+        // into the region: the one results assembly, used for the reply
+        // that leaves at the query's last commit and at region end alike.
+        let outcome_of =
+            |qi: usize, slots_q: &[Option<BatchOut>], elapsed: Duration, degraded: bool| {
+                let tasks_done = slots_q.iter().filter(|s| s.is_some()).count();
+                let results = (tasks_done == n_batches).then(|| {
+                    let mut hits: Vec<Hit> = Vec::with_capacity(db.n_seqs());
+                    let mut cells = CellCount::default();
+                    let mut rescued = 0u64;
+                    for s in slots_q.iter().flatten() {
+                        let (_device, (batch_hits, batch_cells, batch_rescued)) = s;
+                        hits.extend(batch_hits.iter().copied());
+                        cells.add(*batch_cells);
+                        rescued += batch_rescued;
+                    }
+                    let elapsed_q = padded_share(elapsed, per_q_padded[qi], total_padded);
+                    SearchResults::new(hits, elapsed_q, cells, rescued).with_degraded(degraded)
+                });
+                BatchQueryOutcome {
+                    id: queries[qi].id,
+                    results,
+                    cancelled: false,
+                    resumes: resumes_v[qi],
+                    resumed_tasks: resumed_v[qi],
+                    tasks_done: tasks_done as u64,
+                    cpu_batches: slots_q
+                        .iter()
+                        .flatten()
+                        .filter(|(device, _)| *device == DEVICE_CPU)
+                        .count(),
+                }
+            };
+
         let start = Instant::now();
+        // A completed query is finished exactly once — a lease reclaimed
+        // from a slow holder commits its chunk twice, and region end
+        // sweeps up whatever no commit reported: its checkpoint (if any)
+        // is spent, then the caller hears of it. A cancel that raced
+        // completion still yields the exact result. Cleanup is
+        // best-effort: a stale file left behind is re-verified (and its
+        // batches skipped) on the next resume, never silently wrong.
+        let finished: Vec<AtomicBool> = queries.iter().map(|_| AtomicBool::new(false)).collect();
+        let finish = |qi: usize, outcome: &BatchQueryOutcome| {
+            if finished[qi].swap(true, Ordering::AcqRel) {
+                return;
+            }
+            if let Some(path) = &ckpt_paths[qi] {
+                Checkpoint::remove(path).ok();
+            }
+            if let Some(done) = opts.on_query_done {
+                done(qi, outcome);
+            }
+        };
+        // After each commit: did it fill the last slot of a query it
+        // touches? The slots are copied out under the slot lock; sorting
+        // and the callback run outside it.
+        let on_commit = |view: CommitView<'_, BatchOut>| {
+            let (s, e) = view.range;
+            for qi in s / n_batches..=(e - 1) / n_batches {
+                if finished[qi].load(Ordering::Acquire) {
+                    continue;
+                }
+                let complete = view.with_slots(|slots| {
+                    let slots_q = &slots[qi * n_batches..(qi + 1) * n_batches];
+                    slots_q
+                        .iter()
+                        .all(Option::is_some)
+                        .then(|| slots_q.to_vec())
+                });
+                if let Some(slots_q) = complete {
+                    let degraded = region_events().iter().any(|d| d.degraded);
+                    finish(qi, &outcome_of(qi, &slots_q, start.elapsed(), degraded));
+                }
+            }
+        };
         let out = run_dual_pool_durable(
             queries.len() * n_batches,
             DualPoolConfig {
@@ -540,6 +631,9 @@ impl HeteroEngine {
                         .cancel
                         .is_some_and(|c| c.is_requested())
                 }),
+                on_commit: opts
+                    .on_query_done
+                    .map(|_| &on_commit as &(dyn Fn(CommitView<'_, BatchOut>) + Sync)),
             },
             |t| db.batches[t % n_batches].padded_cells(queries[t / n_batches].residues.len()),
             |device, t| {
@@ -574,60 +668,18 @@ impl HeteroEngine {
             accel_m.cells as f64 / total_exec_cells as f64
         };
 
-        // Pooled wall clock, attributed by padded-cell share — the rule
-        // of `SearchEngine::search_many` ([`padded_share`]).
-        let per_q_padded: Vec<u128> = queries
-            .iter()
-            .map(|q| {
-                db.batches
-                    .iter()
-                    .map(|b| b.padded_cells(q.residues.len()) as u128)
-                    .sum()
-            })
-            .collect();
-        let total_padded: u128 = per_q_padded.iter().sum();
-
         let mut outcomes = Vec::with_capacity(queries.len());
         let mut incomplete_uncancelled = Vec::new();
         for (qi, q) in queries.iter().enumerate() {
             let slots_q = &out.slots[qi * n_batches..(qi + 1) * n_batches];
-            let tasks_done = slots_q.iter().filter(|s| s.is_some()).count() as u64;
-            let mut outcome = BatchQueryOutcome {
-                id: q.id,
-                results: None,
-                cancelled: false,
-                resumes: resumes_v[qi],
-                resumed_tasks: resumed_v[qi],
-                tasks_done,
-                cpu_batches: slots_q
-                    .iter()
-                    .flatten()
-                    .filter(|(device, _)| *device == DEVICE_CPU)
-                    .count(),
-            };
-            if tasks_done == n_batches as u64 {
-                // A cancel that raced completion still yields the exact
-                // result; the checkpoint (if any) is spent. Cleanup is
-                // best-effort: a stale file left behind is re-verified
-                // (and its batches skipped) on the next resume, never
-                // silently wrong.
-                if let Some(path) = &ckpt_paths[qi] {
-                    Checkpoint::remove(path).ok();
-                }
-                let mut hits: Vec<Hit> = Vec::with_capacity(db.n_seqs());
-                let mut cells = CellCount::default();
-                let mut rescued = 0u64;
-                for s in slots_q.iter().flatten() {
-                    let (_device, (batch_hits, batch_cells, batch_rescued)) = s;
-                    hits.extend(batch_hits.iter().copied());
-                    cells.add(*batch_cells);
-                    rescued += batch_rescued;
-                }
-                let elapsed_q = padded_share(elapsed, per_q_padded[qi], total_padded);
-                outcome.results = Some(
-                    SearchResults::new(hits, elapsed_q, cells, rescued)
-                        .with_degraded(degraded[DEVICE_CPU] || degraded[DEVICE_ACCEL]),
-                );
+            let mut outcome = outcome_of(
+                qi,
+                slots_q,
+                elapsed,
+                degraded[DEVICE_CPU] || degraded[DEVICE_ACCEL],
+            );
+            if outcome.results.is_some() {
+                finish(qi, &outcome);
             } else if q.cancel.is_some_and(|c| c.is_requested()) || out.drained {
                 // Final exact checkpoint: written after the pools exited,
                 // its failure is a hard error — a cancelled query without
@@ -673,7 +725,7 @@ impl HeteroEngine {
 /// ([`HeteroEngine::search_many_resumable`] and its one-query adapter
 /// [`HeteroEngine::search_dynamic_resumable`]). The default persists
 /// nothing and never drains.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Clone, Copy, Default)]
 pub struct DurableOptions<'a> {
     /// Where the checkpoint lives — honoured exactly when the region has
     /// one query (one file cannot name more than one; a multi-query
@@ -698,6 +750,19 @@ pub struct DurableOptions<'a> {
     pub drain: Option<&'a DrainSignal>,
     /// Load the checkpoint if it exists and skip its completed batches.
     pub resume: bool,
+    /// Called with a query's index and its finished [`BatchQueryOutcome`]
+    /// (`results` is `Some`) the moment its last batch commits — on the
+    /// worker that committed it, while batch-mates still run — so a
+    /// reply need not wait for the region. Exactly once per completed
+    /// query (one whose batches were all prefilled from its checkpoint
+    /// included; a region over an empty database reports at its end),
+    /// never for a cancelled or drained one. The outcome equals the one
+    /// [`BatchSearchOutcome::queries`] later carries except for
+    /// `results.elapsed` (the region's wall so far, by padded-cell
+    /// share) and `results.degraded` (pools lost so far). `None` changes
+    /// nothing.
+    #[allow(clippy::type_complexity)]
+    pub on_query_done: Option<&'a (dyn Fn(usize, &BatchQueryOutcome) + Sync)>,
 }
 
 /// Why a durable search failed.
@@ -826,6 +891,22 @@ mod tests {
         let db = PreparedDb::prepare(generate_database(&DbSpec::tiny(13)), 8, &a);
         let q = generate_query(100, 21).residues;
         (db, q)
+    }
+
+    /// Every `on_query_done` call of a region: `(query index, id, results)`.
+    #[derive(Default)]
+    struct Deliveries(std::sync::Mutex<Vec<(usize, u64, SearchResults)>>);
+
+    impl Deliveries {
+        fn record(&self, qi: usize, done: &BatchQueryOutcome) {
+            let results = done.results.clone().expect("only completed queries");
+            assert!(!done.cancelled);
+            self.0.lock().unwrap().push((qi, done.id, results));
+        }
+
+        fn take(&self) -> Vec<(usize, u64, SearchResults)> {
+            std::mem::take(&mut *self.0.lock().unwrap())
+        }
     }
 
     #[test]
@@ -1027,11 +1108,24 @@ mod tests {
             kind: FaultKind::KillPool,
         }));
         let cfg = HeteroSearchConfig::best(2, 1);
+        let seen = Deliveries::default();
+        let on_done = |qi: usize, done: &BatchQueryOutcome| seen.record(qi, done);
+        let opts = DurableOptions {
+            on_query_done: Some(&on_done),
+            ..DurableOptions::default()
+        };
         let out = hetero
-            .search_dynamic_resumable(&q, &db, &plan, &cfg, &inj, &DurableOptions::default())
+            .search_dynamic_resumable(&q, &db, &plan, &cfg, &inj, &opts)
             .expect("run must recover, not fail")
             .outcome
             .expect("no drain signal: the run completes");
+        let seen = seen.take();
+        assert_eq!(seen.len(), 1, "the requeued chunk delivers nothing twice");
+        assert_eq!(seen[0].2.hits, cpu_only.results.hits);
+        assert!(
+            seen[0].2.degraded,
+            "the pool was lost before the last commit"
+        );
 
         assert_eq!(
             out.results.hits, cpu_only.results.hits,
@@ -1196,13 +1290,32 @@ mod tests {
                 tracer: None,
             })
             .collect();
+        let seen = Deliveries::default();
+        let on_done = |qi: usize, done: &BatchQueryOutcome| seen.record(qi, done);
+        let opts = DurableOptions {
+            on_query_done: Some(&on_done),
+            ..DurableOptions::default()
+        };
         let start = Instant::now();
         let out = hetero
-            .search_many_resumable(&batch, &db, &plan, &cfg, &none, &DurableOptions::default())
+            .search_many_resumable(&batch, &db, &plan, &cfg, &none, &opts)
             .expect("batched run");
         let wall = start.elapsed();
         assert!(!out.drained);
         assert_eq!(out.queries.len(), 3);
+        // Every query was handed over exactly once, with the bytes its
+        // outcome carries.
+        let mut seen = seen.take();
+        seen.sort_by_key(|d| d.0);
+        assert_eq!(seen.len(), 3);
+        for (i, ((qi, id, early), qo)) in seen.iter().zip(&out.queries).enumerate() {
+            let at_end = qo.results.as_ref().expect("completed");
+            assert_eq!((*qi, *id), (i, qo.id), "one delivery per query");
+            assert_eq!(early.hits, at_end.hits, "query {qi}");
+            assert_eq!(early.cells, at_end.cells);
+            assert_eq!(early.lanes_rescued, at_end.lanes_rescued);
+            assert!(early.elapsed <= at_end.elapsed);
+        }
         assert_eq!(out.cpu.tasks + out.accel.tasks, 3 * n_batches);
         let mut elapsed_sum = std::time::Duration::ZERO;
         for ((q, qo), pooled_res) in queries.iter().zip(&out.queries).zip(&pooled) {
@@ -1216,6 +1329,144 @@ mod tests {
             elapsed_sum <= wall,
             "per-query elapsed must partition the region wall clock"
         );
+    }
+
+    #[test]
+    fn query_done_fires_at_the_last_commit_exactly_once() {
+        use sw_sched::{FaultKind, FaultPlan, FaultSpec};
+        let (db, _) = setup();
+        let hetero = HeteroEngine::new(SearchEngine::paper_default());
+        let qa = generate_query(120, 51).residues;
+        let qb = generate_query(90, 52).residues;
+        let solo = |q: &[u8]| hetero.engine.search(q, &db, &SearchConfig::best(1)).hits;
+        let n_batches = db.batches.len();
+        let none = FaultInjector::none();
+
+        // One CPU worker and an all-CPU seed: the first chunk is exactly
+        // query A's batches, so A is handed over at that commit — before
+        // any task of B has run on the (one) thread.
+        let trace = |id| sw_trace::Tracer::for_query(sw_trace::TraceLevel::Full, 1024, id);
+        let (tr_a, tr_b) = (trace(1), trace(2));
+        let b_events_at_a = std::sync::Mutex::new(None);
+        let seen = Deliveries::default();
+        let on_done = |qi: usize, done: &BatchQueryOutcome| {
+            if qi == 0 {
+                *b_events_at_a.lock().unwrap() = Some(tr_b.timeline().total_events());
+            }
+            seen.record(qi, done);
+        };
+        let pair = |cancel_b| {
+            [
+                BatchQuery {
+                    residues: &qa,
+                    id: 1,
+                    cancel: None,
+                    tracer: Some(&tr_a),
+                },
+                BatchQuery {
+                    residues: &qb,
+                    id: 2,
+                    cancel: cancel_b,
+                    tracer: Some(&tr_b),
+                },
+            ]
+        };
+        let plan = hetero.plan_split(&db, qa.len(), 0.0);
+        let one_cpu = HeteroSearchConfig::best(1, 0);
+        let opts = DurableOptions {
+            on_query_done: Some(&on_done),
+            ..DurableOptions::default()
+        };
+        hetero
+            .search_many_resumable(&pair(None), &db, &plan, &one_cpu, &none, &opts)
+            .expect("clean run");
+        let order: Vec<usize> = seen.take().iter().map(|d| d.0).collect();
+        assert_eq!(order, vec![0, 1]);
+        assert_eq!(*b_events_at_a.lock().unwrap(), Some(0), "B had not started");
+
+        // A cancelled query is never handed over; its batch-mate is.
+        let cancel_b = DrainSignal::new();
+        cancel_b.request();
+        let out = hetero
+            .search_many_resumable(&pair(Some(&cancel_b)), &db, &plan, &one_cpu, &none, &opts)
+            .expect("cancelled batch-mate");
+        assert!(out.queries[1].cancelled);
+        let seen_now = seen.take();
+        assert_eq!(seen_now.len(), 1);
+        assert_eq!((seen_now[0].0, &seen_now[0].2.hits), (0, &solo(&qa)));
+
+        // A query whose every batch is in its checkpoint (the process died
+        // between the last commit and the cleanup) is handed over from the
+        // prefill, with no task run.
+        let tmp = std::env::temp_dir().join(format!("sw-query-done-{}", std::process::id()));
+        std::fs::remove_dir_all(&tmp).ok();
+        std::fs::create_dir_all(&tmp).unwrap();
+        let fingerprint = SearchFingerprint::compute(&db, &qa);
+        let qp = QueryProfile::build(&qa, &hetero.engine.params.matrix, &db.alphabet);
+        let table = ScoreTable::build(&hetero.engine.params.matrix, &db.alphabet);
+        let done = (0..n_batches).map(|batch| {
+            let (hits, cells, rescued) =
+                hetero
+                    .engine
+                    .run_batch(&qa, &qp, &table, &db, &db.batches[batch], &one_cpu.cpu);
+            BatchResult {
+                batch,
+                device: DEVICE_CPU,
+                hits,
+                cells,
+                rescued,
+            }
+        });
+        Checkpoint {
+            fingerprint,
+            seq: 0,
+            resumes: 0,
+            accel_share: 0.0,
+            recovery: Default::default(),
+            done: done.collect(),
+        }
+        .write_atomic(&tmp.join(fingerprint.file_name()))
+        .unwrap();
+        let resume = DurableOptions {
+            checkpoint_dir: Some(&tmp),
+            resume: true,
+            ..opts
+        };
+        let out = hetero
+            .search_many_resumable(&pair(None)[..1], &db, &plan, &one_cpu, &none, &resume)
+            .expect("fully resumed run");
+        assert_eq!(out.queries[0].resumed_tasks, n_batches as u64);
+        assert_eq!(out.cpu.tasks, 0, "nothing was recomputed");
+        let seen_now = seen.take();
+        assert_eq!(seen_now.len(), 1);
+        assert_eq!(seen_now[0].2.hits, solo(&qa));
+        std::fs::remove_dir_all(&tmp).ok();
+
+        // A slow holder whose lease is reclaimed commits its chunk a
+        // second time after the waiting pool re-ran it: two commits of the
+        // last batches, one delivery. Kill and wedge lose the chunk
+        // instead; all three end with the solo hit list.
+        for kind in [
+            FaultKind::Delay(std::time::Duration::from_millis(60)),
+            FaultKind::Wedge,
+            FaultKind::Kill,
+        ] {
+            let inj = FaultInjector::new(FaultPlan::single(FaultSpec {
+                device: DEVICE_ACCEL,
+                chunk: 0,
+                kind,
+            }));
+            let mut cfg = HeteroSearchConfig::best(1, 1);
+            cfg.recovery.accel_timeout_ms = Some(20);
+            let plan = hetero.plan_split(&db, qa.len(), 0.5);
+            let out = hetero
+                .search_many_resumable(&pair(None)[..1], &db, &plan, &cfg, &inj, &opts)
+                .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+            let seen_now = seen.take();
+            assert_eq!(seen_now.len(), 1, "{kind:?}");
+            assert_eq!(seen_now[0].2.hits, solo(&qa), "{kind:?}");
+            assert_eq!(out.queries[0].results.as_ref().unwrap().hits, solo(&qa));
+        }
     }
 
     #[test]

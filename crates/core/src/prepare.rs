@@ -1,6 +1,7 @@
 //! Database preparation — pipeline step (2) packaged for the engines.
 
 use std::fmt;
+use std::sync::OnceLock;
 use sw_device::TaskShape;
 use sw_seq::{Alphabet, EncodedSeq};
 use sw_swdb::{DbStats, LaneBatch, LaneBatcher, SequenceDatabase, SortedDb};
@@ -18,6 +19,8 @@ pub struct PreparedDb {
     pub lanes: usize,
     /// Database statistics (the §V-B table).
     pub stats: DbStats,
+    /// [`Self::content_digest`], computed on first use.
+    digest: OnceLock<u64>,
 }
 
 /// A database sequence holds a residue code the alphabet does not define
@@ -97,7 +100,20 @@ impl PreparedDb {
             batches,
             lanes,
             stats,
+            digest: OnceLock::new(),
         })
+    }
+
+    /// Content digest of the sorted database
+    /// ([`sw_swdb::snapshot::content_digest`]): a byte-serial hash over
+    /// every resident residue, offset and header, so it is computed once
+    /// and kept — every checkpointing region fingerprints its queries
+    /// against it. Sound because a `PreparedDb` is only built by
+    /// [`Self::try_prepare`] and nothing mutates `sorted` afterwards.
+    pub fn content_digest(&self) -> u64 {
+        *self
+            .digest
+            .get_or_init(|| sw_swdb::snapshot::content_digest(self.sorted.db()))
     }
 
     /// Number of database sequences.
@@ -156,6 +172,17 @@ mod tests {
 
     fn tiny_db() -> Vec<EncodedSeq> {
         generate_database(&DbSpec::tiny(3))
+    }
+
+    #[test]
+    fn content_digest_is_the_snapshot_digest_computed_once() {
+        let a = Alphabet::protein();
+        let p = PreparedDb::prepare(generate_database(&DbSpec::tiny(3)), 8, &a);
+        assert!(p.digest.get().is_none(), "nothing is hashed until asked");
+        let want = sw_swdb::snapshot::content_digest(p.sorted.db());
+        assert_eq!(p.content_digest(), want);
+        assert_eq!(p.digest.get(), Some(&want));
+        assert_eq!(p.clone().content_digest(), want);
     }
 
     #[test]

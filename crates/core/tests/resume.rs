@@ -66,6 +66,7 @@ fn clean_durable_run_matches_static_and_dynamic() {
                 interval_chunks: 2,
                 drain: None,
                 resume: false,
+                on_query_done: None,
             },
         )
         .expect("clean durable run");
@@ -121,6 +122,7 @@ fn drain_resume_equivalence_matrix() {
                     interval_chunks: 1,
                     drain: Some(&drain),
                     resume: false,
+                    on_query_done: None,
                 },
             )
             .expect("drained segment");
@@ -152,6 +154,7 @@ fn drain_resume_equivalence_matrix() {
                     interval_chunks: 1,
                     drain: None,
                     resume: true,
+                    on_query_done: None,
                 },
             )
             .expect("resumed segment");
@@ -214,6 +217,7 @@ fn drain_during_drained_resume_still_converges() {
                 interval_chunks: 1,
                 drain: Some(&drain1),
                 resume: false,
+                on_query_done: None,
             },
         )
         .expect("segment 1");
@@ -236,6 +240,7 @@ fn drain_during_drained_resume_still_converges() {
                 interval_chunks: 1,
                 drain: Some(&drain2),
                 resume: true,
+                on_query_done: None,
             },
         )
         .expect("segment 2");
@@ -256,6 +261,7 @@ fn drain_during_drained_resume_still_converges() {
                 interval_chunks: 1,
                 drain: None,
                 resume: true,
+                on_query_done: None,
             },
         )
         .expect("segment 3");
@@ -307,6 +313,7 @@ fn faulty_segment_keeps_counters_monotone_after_resume() {
                 interval_chunks: 1,
                 drain: Some(&drain),
                 resume: false,
+                on_query_done: None,
             },
         )
         .expect("faulty drained segment");
@@ -329,6 +336,7 @@ fn faulty_segment_keeps_counters_monotone_after_resume() {
                 interval_chunks: 1,
                 drain: None,
                 resume: true,
+                on_query_done: None,
             },
         )
         .expect("clean resumed segment");
@@ -364,6 +372,7 @@ fn resume_against_wrong_query_is_typed_mismatch() {
                 interval_chunks: 1,
                 drain: Some(&drain),
                 resume: false,
+                on_query_done: None,
             },
         )
         .expect("drained segment");
@@ -384,6 +393,7 @@ fn resume_against_wrong_query_is_typed_mismatch() {
                 interval_chunks: 1,
                 drain: None,
                 resume: true,
+                on_query_done: None,
             },
         )
         .expect_err("a different query must be rejected");
@@ -417,6 +427,7 @@ fn corrupt_checkpoint_is_rejected_not_trusted() {
                 interval_chunks: 1,
                 drain: Some(&drain),
                 resume: false,
+                on_query_done: None,
             },
         )
         .expect("drained segment");
@@ -439,6 +450,7 @@ fn corrupt_checkpoint_is_rejected_not_trusted() {
                 interval_chunks: 1,
                 drain: None,
                 resume: true,
+                on_query_done: None,
             },
         )
         .expect_err("bit-flipped checkpoint must be rejected");
@@ -488,6 +500,7 @@ fn shared_checkpoint_dir_keeps_concurrent_searches_apart() {
             interval_chunks: 1,
             drain: Some(&DrainSignal::after_tasks((n / 2).max(1))),
             resume: false,
+            on_query_done: None,
         };
         let first = hetero
             .search_dynamic_resumable(q, &db, &plan, &cfg, &FaultInjector::none(), &dopts)
@@ -519,6 +532,7 @@ fn shared_checkpoint_dir_keeps_concurrent_searches_apart() {
             interval_chunks: 1,
             drain: None,
             resume: true,
+            on_query_done: None,
         };
         let out = hetero
             .search_dynamic_resumable(q, &db, plan, &cfg, &FaultInjector::none(), &dopts)

@@ -30,6 +30,12 @@
 //! would silently replace the schedule under test. Workers buffer each
 //! chunk's results locally and commit them under a single lock
 //! acquisition, so the slot mutex is taken once per chunk, not per task.
+//! In both executors the calling thread is the first worker: `N` workers
+//! cost `N − 1` spawns and the caller computes instead of blocking in
+//! the join. No worker polls: one whose end of the queue has drained
+//! while another still holds a lease sleeps on the supervisor's condvar
+//! until a lease event (commit, failure, reclaim, retirement) or the
+//! earliest lease expiry, so a region ends at its last commit.
 //!
 //! Because task results are pure functions of the task index, re-executing
 //! a requeued chunk (or double-executing one whose slow holder finished
@@ -47,15 +53,19 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use sw_trace::{EventKind, Tracer, WorkerJournal};
 
-/// How long an idle worker sleeps while waiting for requeued work or
-/// outstanding leases to resolve.
-const LINGER_POLL: Duration = Duration::from_micros(200);
 /// How often a wedged worker checks whether its lease was reclaimed.
 const WEDGE_POLL: Duration = Duration::from_millis(1);
+
+#[cfg(test)]
+thread_local! {
+    /// [`Supervisor::acquire`] entries made by this thread — what the
+    /// "an idle worker waits, it does not poll" tests count.
+    static ACQUIRE_CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
 
 /// Executor configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -331,32 +341,26 @@ where
         run_range_captured((0, n_tasks), &task, &slots, &failures);
     } else {
         let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let task = &task;
-            let slots = &slots;
-            let failures = &failures;
-            let next = &next;
-            let parts = if matches!(config.policy, Policy::Static) {
-                static_partition(n_tasks, config.workers)
-            } else {
-                Vec::new()
-            };
-            for w in 0..config.workers {
-                let my_range = parts.get(w).copied();
-                scope.spawn(move || match config.policy {
-                    Policy::Static => {
-                        let range = my_range.expect("partition has one range per worker");
-                        run_range_captured(range, task, slots, failures);
-                    }
-                    _ => {
-                        while let Some(range) =
-                            grab_chunk(next, n_tasks, config.workers, config.policy)
-                        {
-                            run_range_captured(range, task, slots, failures);
-                        }
-                    }
-                });
+        let parts = if matches!(config.policy, Policy::Static) {
+            static_partition(n_tasks, config.workers)
+        } else {
+            Vec::new()
+        };
+        let worker = |w: usize| match config.policy {
+            Policy::Static => run_range_captured(parts[w], &task, &slots, &failures),
+            _ => {
+                while let Some(range) = grab_chunk(&next, n_tasks, config.workers, config.policy) {
+                    run_range_captured(range, &task, &slots, &failures);
+                }
             }
+        };
+        // The caller is worker 0 (see `run_dual_pool_durable`).
+        std::thread::scope(|scope| {
+            let worker = &worker;
+            for w in 1..config.workers {
+                scope.spawn(move || worker(w));
+            }
+            worker(0);
         });
     }
 
@@ -477,8 +481,26 @@ pub struct CheckpointView<'v, T> {
     pub accel_share: f64,
 }
 
+/// What a [`DurableControl::on_commit`] hook is handed: the task range
+/// whose results were just committed, and the slot table on demand.
+pub struct CommitView<'v, T> {
+    /// `[start, end)` of the committed chunk (`0..n_tasks` for the resume
+    /// prefill). Tasks in it that were skipped or cancelled stay `None`.
+    pub range: (usize, usize),
+    slots: &'v Slots<T>,
+}
+
+impl<T> CommitView<'_, T> {
+    /// Run `f` over the slot table, under its lock: whole chunks are
+    /// present or absent, as in a [`CheckpointView`].
+    pub fn with_slots<R>(&self, f: impl FnOnce(&[Option<T>]) -> R) -> R {
+        self.slots.with_slots(f)
+    }
+}
+
 /// Durability hooks for [`run_dual_pool_durable`]: resume prefill, a
-/// drain signal, and a periodic checkpoint callback.
+/// drain signal, a periodic checkpoint callback, a per-task cancel probe
+/// and a commit hook.
 ///
 /// [`DurableControl::none`] disables all of them: the run then either
 /// completes every task or fails terminally, and
@@ -510,6 +532,14 @@ pub struct DurableControl<'a, T> {
     /// probe removes *one query's* tasks.
     #[allow(clippy::type_complexity)]
     pub task_cancelled: Option<&'a (dyn Fn(usize) -> bool + Sync)>,
+    /// Commit hook: called on the committing worker after every chunk
+    /// commit, and once after the resume prefill, outside the slot lock.
+    /// It is how a caller learns that a *part* of the task space (one
+    /// query of a shared region) is complete while the rest still runs. A
+    /// lease reclaimed from a slow holder commits twice with identical
+    /// values, so the hook may see the same range twice.
+    #[allow(clippy::type_complexity)]
+    pub on_commit: Option<&'a (dyn Fn(CommitView<'_, T>) + Sync)>,
 }
 
 impl<T> DurableControl<'_, T> {
@@ -521,6 +551,7 @@ impl<T> DurableControl<'_, T> {
             checkpoint_every_chunks: 0,
             on_checkpoint: None,
             task_cancelled: None,
+            on_commit: None,
         }
     }
 }
@@ -595,8 +626,6 @@ enum Acquire {
     Done,
     /// The worker's pool was retired; the worker must exit.
     Retired,
-    /// Nothing to do right now but leases are outstanding — poll again.
-    Linger,
 }
 
 struct Work {
@@ -613,6 +642,10 @@ struct Supervisor<'a> {
     estimator: SplitEstimator,
     progress: [DeviceProgress; 2],
     state: Mutex<RecoveryState>,
+    /// Signalled whenever the lease table, the requeue list or a pool's
+    /// retired flag changes — what a worker idling in
+    /// [`Supervisor::acquire`] waits on.
+    changed: Condvar,
     sink: &'a MetricsSink,
 }
 
@@ -631,6 +664,7 @@ impl<'a> Supervisor<'a> {
                 retired: [false, false],
                 errors: Vec::new(),
             }),
+            changed: Condvar::new(),
             sink,
         }
     }
@@ -689,6 +723,7 @@ impl<'a> Supervisor<'a> {
             st.retired[device] = true;
             self.sink.record_recovery(device, RecoveryEvent::Degraded);
             jr.emit(EventKind::PoolRetired { device });
+            self.changed.notify_all();
         }
     }
 
@@ -700,8 +735,14 @@ impl<'a> Supervisor<'a> {
     /// Acquire the next unit of work for a worker of `device`:
     /// requeued ranges first, then a fresh adaptive chunk from the
     /// device's end of the queue; once the queue drains, reclaim expired
-    /// leases, report completion, or ask the worker to linger.
+    /// leases or report completion. While other workers still hold
+    /// leases the caller blocks here on [`Supervisor::changed`] — woken by
+    /// the commit, failure, reclaim or retirement that can give it work
+    /// or end the region, and otherwise at the earliest lease expiry, so
+    /// a wedged holder is reclaimed on time with nothing polling.
     fn acquire(&self, device: usize, pool_workers: usize, jr: &mut WorkerJournal) -> Acquire {
+        #[cfg(test)]
+        ACQUIRE_CALLS.with(|c| c.set(c.get() + 1));
         let mut st = self.lock();
         loop {
             if st.retired[device] {
@@ -757,11 +798,15 @@ impl<'a> Supervisor<'a> {
             // Queue drained: reclaim a lease whose holder exceeded its
             // timeout, finish, or wait for in-flight work to resolve.
             let now = Instant::now();
-            let expired = st.leases.iter().position(|l| {
-                self.config
-                    .lease_timeout(l.device)
-                    .is_some_and(|t| now.duration_since(l.started) > t)
-            });
+            // Per lease with a timeout: how long until it expires.
+            let time_left = |l: &Lease| {
+                let timeout = self.config.lease_timeout(l.device)?;
+                Some(timeout.saturating_sub(now.duration_since(l.started)))
+            };
+            let expired = st
+                .leases
+                .iter()
+                .position(|l| time_left(l).is_some_and(|left| left.is_zero()));
             if let Some(pos) = expired {
                 let lease = st.leases.swap_remove(pos);
                 st.requeue.push(lease.range, lease.attempts + 1);
@@ -778,12 +823,23 @@ impl<'a> Supervisor<'a> {
                     attempts: lease.attempts + 1,
                 });
                 self.charge_failure(&mut st, lease.device, jr);
+                self.changed.notify_all();
                 continue; // the requeued range is available now
             }
             if st.leases.is_empty() && st.requeue.is_empty() {
                 return Acquire::Done;
             }
-            return Acquire::Linger;
+            let next_expiry = st.leases.iter().filter_map(time_left).min();
+            st = match next_expiry {
+                Some(left) => {
+                    let woken = self.changed.wait_timeout(st, left);
+                    woken.unwrap_or_else(PoisonError::into_inner).0
+                }
+                None => self
+                    .changed
+                    .wait(st)
+                    .unwrap_or_else(PoisonError::into_inner),
+            };
         }
     }
 
@@ -795,6 +851,7 @@ impl<'a> Supervisor<'a> {
         let mut st = self.lock();
         if let Some(pos) = st.leases.iter().position(|l| l.id == id) {
             st.leases.swap_remove(pos);
+            self.changed.notify_all();
         }
     }
 
@@ -818,6 +875,9 @@ impl<'a> Supervisor<'a> {
             return;
         };
         let lease = st.leases.swap_remove(pos);
+        // Whatever follows — a requeue, a retired pool, or just one
+        // lease fewer — is something an idle worker must look at.
+        self.changed.notify_all();
         jr.emit(EventKind::LeaseLost {
             lease: id,
             victim: device,
@@ -904,6 +964,18 @@ impl<'a> Supervisor<'a> {
 ///   [`CheckpointView`] (slot lock held, so checkpoints are whole-chunk
 ///   atomic) and emits `checkpoint_written`.
 ///
+/// * **commit hook** — `on_commit` runs on the committing worker after
+///   every chunk commit (and once after the prefill) with a
+///   [`CommitView`], so a caller can act on a completed *part* of the
+///   task space while the rest of the region still runs.
+///
+/// Threads: the caller runs the first worker (CPU worker 0, or
+/// accelerator worker 0 when the CPU pool is empty) and every other
+/// worker is a scoped thread, so `task`, `cost` and the hooks may run on
+/// the calling thread. A worker with nothing to claim while other
+/// leases are outstanding blocks inside the supervisor until one
+/// resolves or expires; it never sleeps on a tick.
+///
 /// The outcome is the raw slot table: unexecuted tasks are `None`, and
 /// deciding whether holes are an error is the caller's job (a drained run
 /// legitimately has them; [`DurableOutcome::try_into_results`] is the
@@ -950,6 +1022,12 @@ where
             skip[i] = true;
         }
         slots.commit_sparse(durable.prefill);
+        if let Some(hook) = durable.on_commit {
+            hook(CommitView {
+                range: (0, n_tasks),
+                slots: &slots,
+            });
+        }
         // The resume event lands on a supervisor track (worker id past
         // the real pools) so it never interleaves a worker's spans.
         let mut journal = tracer.worker(DEVICE_CPU, config.total_workers());
@@ -962,242 +1040,236 @@ where
     let every = durable.checkpoint_every_chunks;
     let on_checkpoint = durable.on_checkpoint;
     let task_cancelled = durable.task_cancelled;
+    let on_commit = durable.on_commit;
     let tasks_done = AtomicU64::new(prefilled);
     let chunks_done = AtomicU64::new(0);
     // Next checkpoint sequence number; doubles as the "one checkpoint at
     // a time" gate (try_lock).
     let ckpt_seq: Mutex<u64> = Mutex::new(0);
 
-    std::thread::scope(|scope| {
-        let task = &task;
-        let cost = &cost;
-        let slots = &slots;
-        let sup = &sup;
-        let skip = &skip;
-        let tasks_done = &tasks_done;
-        let chunks_done = &chunks_done;
-        let ckpt_seq = &ckpt_seq;
-        let pools = [
-            (DEVICE_CPU, config.cpu_workers),
-            (DEVICE_ACCEL, config.accel_workers),
-        ];
-        for (device, workers) in pools {
-            for w in 0..workers {
-                scope.spawn(move || {
-                    let mut sample = WorkerSample::new(device, w);
-                    let mut journal = tracer.worker(device, w);
-                    'work: loop {
-                        if let Some(d) = drain {
-                            if d.is_requested() {
-                                if d.announce_once() {
-                                    journal.emit(EventKind::DrainStarted);
-                                }
-                                break 'work; // in-flight chunks already committed
-                            }
-                        }
-                        if injector.pool_dead(device) {
-                            sup.retire(device, &mut journal);
-                        }
-                        let wait_start = Instant::now();
-                        let wait_stamp = journal.stamp();
-                        let work = loop {
-                            match sup.acquire(device, workers, &mut journal) {
-                                Acquire::Work(wk) => break wk,
-                                Acquire::Done | Acquire::Retired => break 'work,
-                                Acquire::Linger => {
-                                    if drain.is_some_and(|d| d.is_requested()) {
-                                        // Back to the loop top, which
-                                        // announces and exits.
-                                        continue 'work;
-                                    }
-                                    std::thread::sleep(LINGER_POLL)
-                                }
-                            }
-                        };
-                        sample.queue_wait += wait_start.elapsed();
-                        let wait_us = journal.since_us(wait_stamp);
-                        journal.span_from(
-                            wait_stamp,
-                            EventKind::QueueWaitBegin,
-                            EventKind::QueueWaitEnd { us: wait_us },
-                        );
-                        let (s, e) = work.range;
-                        journal.emit(EventKind::ChunkClaim {
-                            lease: work.lease,
-                            lo: s,
-                            hi: e,
-                            attempts: work.attempts,
-                        });
+    // The one worker loop, run by every worker of both pools.
+    let worker = |device: usize, w: usize| {
+        let workers = [config.cpu_workers, config.accel_workers][device];
+        let mut sample = WorkerSample::new(device, w);
+        let mut journal = tracer.worker(device, w);
+        'work: loop {
+            if let Some(d) = drain {
+                if d.is_requested() {
+                    if d.announce_once() {
+                        journal.emit(EventKind::DrainStarted);
+                    }
+                    break 'work; // in-flight chunks already committed
+                }
+            }
+            if injector.pool_dead(device) {
+                sup.retire(device, &mut journal);
+            }
+            let wait_start = Instant::now();
+            let wait_stamp = journal.stamp();
+            let work = match sup.acquire(device, workers, &mut journal) {
+                Acquire::Work(wk) => wk,
+                Acquire::Done | Acquire::Retired => break 'work,
+            };
+            sample.queue_wait += wait_start.elapsed();
+            let wait_us = journal.since_us(wait_stamp);
+            journal.span_from(
+                wait_stamp,
+                EventKind::QueueWaitBegin,
+                EventKind::QueueWaitEnd { us: wait_us },
+            );
+            let (s, e) = work.range;
+            journal.emit(EventKind::ChunkClaim {
+                lease: work.lease,
+                lo: s,
+                hi: e,
+                attempts: work.attempts,
+            });
 
-                        let mut fault = injector.on_chunk_start(device);
-                        if matches!(fault, Some(FaultKind::Wedge))
-                            && config.lease_timeout(device).is_none()
-                        {
-                            // No timeout means no reclamation: a wedge
-                            // would hang the run, so it degrades to kill.
-                            fault = Some(FaultKind::Kill);
-                        }
-                        if matches!(fault, Some(FaultKind::KillPool)) {
-                            sup.retire(device, &mut journal);
-                        }
-                        match fault {
-                            Some(FaultKind::Delay(d)) => std::thread::sleep(d),
-                            Some(FaultKind::Wedge) => {
-                                // Hold the lease without progress until it
-                                // is reclaimed, then die (the reclaimer
-                                // charges the failure).
-                                while sup.holds(work.lease) {
-                                    std::thread::sleep(WEDGE_POLL);
-                                }
-                                break 'work;
-                            }
-                            _ => {}
-                        }
-                        let kill = matches!(fault, Some(FaultKind::Kill | FaultKind::KillPool));
+            let mut fault = injector.on_chunk_start(device);
+            if matches!(fault, Some(FaultKind::Wedge)) && config.lease_timeout(device).is_none() {
+                // No timeout means no reclamation: a wedge
+                // would hang the run, so it degrades to kill.
+                fault = Some(FaultKind::Kill);
+            }
+            if matches!(fault, Some(FaultKind::KillPool)) {
+                sup.retire(device, &mut journal);
+            }
+            match fault {
+                Some(FaultKind::Delay(d)) => std::thread::sleep(d),
+                Some(FaultKind::Wedge) => {
+                    // Hold the lease without progress until it
+                    // is reclaimed, then die (the reclaimer
+                    // charges the failure).
+                    while sup.holds(work.lease) {
+                        std::thread::sleep(WEDGE_POLL);
+                    }
+                    break 'work;
+                }
+                _ => {}
+            }
+            let kill = matches!(fault, Some(FaultKind::Kill | FaultKind::KillPool));
 
-                        if work.attempts > 0 && config.retry_backoff_ms > 0 {
-                            let factor = 1u64 << (work.attempts - 1).min(6);
-                            let backoff_ms = config.retry_backoff_ms.saturating_mul(factor);
-                            journal.emit(EventKind::RetryBackoff {
-                                attempts: work.attempts,
-                                backoff_ms,
-                            });
-                            std::thread::sleep(Duration::from_millis(backoff_ms));
-                        }
+            if work.attempts > 0 && config.retry_backoff_ms > 0 {
+                let factor = 1u64 << (work.attempts - 1).min(6);
+                let backoff_ms = config.retry_backoff_ms.saturating_mul(factor);
+                journal.emit(EventKind::RetryBackoff {
+                    attempts: work.attempts,
+                    backoff_ms,
+                });
+                std::thread::sleep(Duration::from_millis(backoff_ms));
+            }
 
-                        let exec_start = Instant::now();
-                        let chunk_stamp = journal.stamp();
-                        // Hand the journal to the thread-local slot so the
-                        // task's lower layers (kernel overflow rescue) can
-                        // emit into the same track; recovered below even if
-                        // the task panics. The scoped guard keeps whatever
-                        // journal a caller higher on this thread had
-                        // installed and puts it back afterwards — without
-                        // it, an engine nested inside another search (a
-                        // daemon worker) would silently flush the outer
-                        // search's journal mid-run.
-                        let traced = journal.enabled();
-                        let ambient =
-                            traced.then(|| sw_trace::install_scoped(std::mem::take(&mut journal)));
-                        let mut buf: Vec<(usize, T)> = Vec::with_capacity(e - s);
-                        let mut chunk_cells = 0u64;
-                        let mut failed: Option<(usize, String)> = None;
-                        for (i, &already_done) in skip.iter().enumerate().take(e).skip(s) {
-                            if already_done {
-                                continue; // a checkpoint already holds this task
-                            }
-                            if task_cancelled.is_some_and(|c| c(i)) {
-                                continue; // cancelled out of the shared region
-                            }
-                            let run = catch_unwind(AssertUnwindSafe(|| {
-                                if kill {
-                                    panic!("injected fault: worker killed");
-                                }
-                                if injector.pool_dead(device) {
-                                    panic!("injected fault: device pool killed");
-                                }
-                                task(device, i)
-                            }));
-                            match run {
-                                Ok(v) => {
-                                    buf.push((i, v));
-                                    chunk_cells += cost(i);
-                                }
-                                Err(p) => {
-                                    failed = Some((i, panic_message(p)));
-                                    break;
-                                }
-                            }
-                        }
-                        if let Some(scope) = ambient {
-                            journal = scope.take();
-                        }
-                        journal.span_from(
-                            chunk_stamp,
-                            EventKind::ChunkStart {
-                                lease: work.lease,
-                                lo: s,
-                                hi: e,
-                            },
-                            EventKind::ChunkFinish {
-                                lease: work.lease,
-                                lo: s,
-                                hi: e,
-                                cells: chunk_cells,
-                            },
-                        );
-                        let busy = exec_start.elapsed();
-                        sample.busy += busy;
-                        sample.tasks += buf.len() as u64;
-                        sample.cells += chunk_cells;
-                        sup.progress[device]
-                            .cells
-                            .fetch_add(chunk_cells, Ordering::Relaxed);
-                        sup.progress[device]
-                            .busy_nanos
-                            .fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
-                        let n_committed = buf.len() as u64;
-                        if !buf.is_empty() {
-                            let commit_start = Instant::now();
-                            slots.commit_sparse(buf);
-                            sample.queue_wait += commit_start.elapsed();
-                        }
-                        match failed {
-                            None => {
-                                sample.chunks += 1;
-                                if work.retried {
-                                    sample.retries += 1;
-                                }
-                                sup.complete(work.lease);
-                                let total_tasks = tasks_done
-                                    .fetch_add(n_committed, Ordering::AcqRel)
-                                    + n_committed;
-                                if let Some(d) = drain {
-                                    d.note_tasks_done(total_tasks);
-                                }
-                                let total_chunks = chunks_done.fetch_add(1, Ordering::AcqRel) + 1;
-                                if every > 0 && total_chunks.is_multiple_of(every) {
-                                    if let Some(write) = on_checkpoint {
-                                        // try_lock: a tick that collides
-                                        // with an in-flight checkpoint is
-                                        // dropped, not queued.
-                                        if let Ok(mut seq) = ckpt_seq.try_lock() {
-                                            let share = sup.current_accel_share();
-                                            let now = tasks_done.load(Ordering::Acquire);
-                                            let bytes = slots.with_slots(|view| {
-                                                write(CheckpointView {
-                                                    slots: view,
-                                                    tasks_done: now,
-                                                    accel_share: share,
-                                                })
-                                            });
-                                            journal.emit(EventKind::CheckpointWritten {
-                                                seq: *seq,
-                                                tasks_done: now,
-                                                bytes,
-                                            });
-                                            *seq += 1;
-                                        }
-                                    }
-                                }
-                                // Crash-harness switch: abort the process
-                                // only after this chunk (and any due
-                                // checkpoint) is durable.
-                                injector.on_chunk_committed();
-                            }
-                            Some((at, message)) => {
-                                sup.release_failed(work.lease, device, at, message, &mut journal);
-                                if kill {
-                                    break 'work; // injected kill: worker is dead
-                                }
+            let exec_start = Instant::now();
+            let chunk_stamp = journal.stamp();
+            // Hand the journal to the thread-local slot so the
+            // task's lower layers (kernel overflow rescue) can
+            // emit into the same track; recovered below even if
+            // the task panics. The scoped guard keeps whatever
+            // journal a caller higher on this thread had
+            // installed and puts it back afterwards — without
+            // it, an engine nested inside another search (a
+            // daemon worker) would silently flush the outer
+            // search's journal mid-run.
+            let traced = journal.enabled();
+            let ambient = traced.then(|| sw_trace::install_scoped(std::mem::take(&mut journal)));
+            let mut buf: Vec<(usize, T)> = Vec::with_capacity(e - s);
+            let mut chunk_cells = 0u64;
+            let mut failed: Option<(usize, String)> = None;
+            for (i, &already_done) in skip.iter().enumerate().take(e).skip(s) {
+                if already_done {
+                    continue; // a checkpoint already holds this task
+                }
+                if task_cancelled.is_some_and(|c| c(i)) {
+                    continue; // cancelled out of the shared region
+                }
+                let run = catch_unwind(AssertUnwindSafe(|| {
+                    if kill {
+                        panic!("injected fault: worker killed");
+                    }
+                    if injector.pool_dead(device) {
+                        panic!("injected fault: device pool killed");
+                    }
+                    task(device, i)
+                }));
+                match run {
+                    Ok(v) => {
+                        buf.push((i, v));
+                        chunk_cells += cost(i);
+                    }
+                    Err(p) => {
+                        failed = Some((i, panic_message(p)));
+                        break;
+                    }
+                }
+            }
+            if let Some(scope) = ambient {
+                journal = scope.take();
+            }
+            journal.span_from(
+                chunk_stamp,
+                EventKind::ChunkStart {
+                    lease: work.lease,
+                    lo: s,
+                    hi: e,
+                },
+                EventKind::ChunkFinish {
+                    lease: work.lease,
+                    lo: s,
+                    hi: e,
+                    cells: chunk_cells,
+                },
+            );
+            let busy = exec_start.elapsed();
+            sample.busy += busy;
+            sample.tasks += buf.len() as u64;
+            sample.cells += chunk_cells;
+            sup.progress[device]
+                .cells
+                .fetch_add(chunk_cells, Ordering::Relaxed);
+            sup.progress[device]
+                .busy_nanos
+                .fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
+            let n_committed = buf.len() as u64;
+            if !buf.is_empty() {
+                let commit_start = Instant::now();
+                slots.commit_sparse(buf);
+                sample.queue_wait += commit_start.elapsed();
+                if let Some(hook) = on_commit {
+                    hook(CommitView {
+                        range: work.range,
+                        slots: &slots,
+                    });
+                }
+            }
+            match failed {
+                None => {
+                    sample.chunks += 1;
+                    if work.retried {
+                        sample.retries += 1;
+                    }
+                    sup.complete(work.lease);
+                    let total_tasks =
+                        tasks_done.fetch_add(n_committed, Ordering::AcqRel) + n_committed;
+                    if let Some(d) = drain {
+                        d.note_tasks_done(total_tasks);
+                    }
+                    let total_chunks = chunks_done.fetch_add(1, Ordering::AcqRel) + 1;
+                    if every > 0 && total_chunks.is_multiple_of(every) {
+                        if let Some(write) = on_checkpoint {
+                            // try_lock: a tick that collides
+                            // with an in-flight checkpoint is
+                            // dropped, not queued.
+                            if let Ok(mut seq) = ckpt_seq.try_lock() {
+                                let share = sup.current_accel_share();
+                                let now = tasks_done.load(Ordering::Acquire);
+                                let bytes = slots.with_slots(|view| {
+                                    write(CheckpointView {
+                                        slots: view,
+                                        tasks_done: now,
+                                        accel_share: share,
+                                    })
+                                });
+                                journal.emit(EventKind::CheckpointWritten {
+                                    seq: *seq,
+                                    tasks_done: now,
+                                    bytes,
+                                });
+                                *seq += 1;
                             }
                         }
                     }
-                    sink.record(sample);
-                    journal.flush();
-                });
+                    // Crash-harness switch: abort the process
+                    // only after this chunk (and any due
+                    // checkpoint) is durable.
+                    injector.on_chunk_committed();
+                }
+                Some((at, message)) => {
+                    sup.release_failed(work.lease, device, at, message, &mut journal);
+                    if kill {
+                        break 'work; // injected kill: worker is dead
+                    }
+                }
             }
         }
+        sink.record(sample);
+        journal.flush();
+    };
+    // The calling thread is the first worker: an N-worker region spawns
+    // N − 1 threads, and a caller that would only block in the join (the
+    // daemon's collector) computes instead.
+    let mut ids = [
+        (DEVICE_CPU, config.cpu_workers),
+        (DEVICE_ACCEL, config.accel_workers),
+    ]
+    .into_iter()
+    .flat_map(|(device, n)| (0..n).map(move |w| (device, w)));
+    let (device0, w0) = ids.next().expect("at least one worker");
+    std::thread::scope(|scope| {
+        let worker = &worker;
+        for (device, w) in ids {
+            scope.spawn(move || worker(device, w));
+        }
+        worker(device0, w0);
     });
 
     let state = sup
@@ -2092,6 +2164,161 @@ mod tests {
                 assert_eq!(*v, i + 11);
             }
         }
+    }
+
+    /// Acquire entries made by the calling thread while `f` runs.
+    fn acquires_during<R>(f: impl FnOnce() -> R) -> (R, usize) {
+        let before = ACQUIRE_CALLS.with(|c| c.get());
+        let out = f();
+        (out, ACQUIRE_CALLS.with(|c| c.get()) - before)
+    }
+
+    #[test]
+    fn idle_worker_waits_on_the_lease_table_not_a_tick() {
+        // 1 + 1 workers, 8 tasks: the CPU worker (this thread) holds its
+        // first task until the accelerator worker has claimed its chunk,
+        // whose first task then sleeps 50 ms. The CPU worker drains the
+        // rest in five chunks and idles for the remainder. It enters
+        // `acquire` once per chunk plus once for the wait — a 200 µs poll
+        // entered it ~250 times.
+        let accel_started = std::sync::atomic::AtomicBool::new(false);
+        let sink = MetricsSink::new();
+        let (out, acquires) = acquires_during(|| {
+            run_dual_pool(
+                8,
+                DualPoolConfig::new(1, 1),
+                |_| 1,
+                |device, i| {
+                    if device == DEVICE_CPU {
+                        while !accel_started.load(Ordering::SeqCst) {
+                            std::thread::yield_now();
+                        }
+                    } else if !accel_started.swap(true, Ordering::SeqCst) {
+                        std::thread::sleep(Duration::from_millis(50));
+                    }
+                    i
+                },
+                &sink,
+            )
+        });
+        assert_eq!(out, (0..8).collect::<Vec<_>>());
+        assert!(sink.device(DEVICE_ACCEL).tasks >= 1, "accel held a lease");
+        let cpu_chunks = sink.device(DEVICE_CPU).chunks as usize;
+        assert_eq!(
+            acquires,
+            cpu_chunks + 1,
+            "one acquire per chunk and one that waits for the region's end"
+        );
+    }
+
+    #[test]
+    fn wedged_lease_is_reclaimed_at_its_expiry_by_a_waiting_worker() {
+        // The accelerator worker wedges on its first chunk; the CPU worker
+        // (this thread) drains the queue and then has nothing to wake it
+        // but the lease's own expiry — which must still fire on time.
+        let sink = MetricsSink::new();
+        let inj = injected(FaultKind::Wedge, 0);
+        let cfg = DualPoolConfig {
+            accel_timeout_ms: Some(30),
+            ..DualPoolConfig::new(1, 1)
+        };
+        let t0 = Instant::now();
+        let (out, acquires) = acquires_during(|| {
+            run_hookless(
+                8,
+                cfg,
+                &inj,
+                |_| 1,
+                |d, i| {
+                    gate_cpu_on(&inj, d);
+                    i
+                },
+                &sink,
+                &Tracer::disabled(),
+            )
+        });
+        let out = out.expect("wedged chunk must be reclaimed and re-executed");
+        assert_eq!(out.results, (0..8).collect::<Vec<_>>());
+        assert!(t0.elapsed() >= Duration::from_millis(30));
+        assert_eq!(sink.device(DEVICE_ACCEL).lost_leases, 1);
+        assert_eq!(sink.device(DEVICE_CPU).tasks, 8, "CPU re-ran the chunk");
+        let cpu_chunks = sink.device(DEVICE_CPU).chunks as usize;
+        assert_eq!(
+            acquires,
+            cpu_chunks + 1,
+            "the wait that ends in the reclaim is one acquire, not a poll loop"
+        );
+    }
+
+    #[test]
+    fn caller_is_the_first_worker() {
+        let me = std::thread::current().id();
+        for cfg in [DualPoolConfig::new(1, 0), DualPoolConfig::new(0, 1)] {
+            let sink = MetricsSink::new();
+            let ran_on = run_dual_pool(20, cfg, |_| 1, |_d, _i| std::thread::current().id(), &sink);
+            assert!(
+                ran_on.iter().all(|&t| t == me),
+                "{cfg:?}: no thread spawned"
+            );
+        }
+        // Flat executor: the spawned worker holds its first task until the
+        // caller has run one, so the caller provably takes part.
+        let caller_ran = std::sync::atomic::AtomicBool::new(false);
+        let give_up = Instant::now() + Duration::from_secs(5);
+        let ran_on = run_parallel(16, ExecutorConfig::dynamic(2), |_i| {
+            let id = std::thread::current().id();
+            if id == me {
+                caller_ran.store(true, Ordering::SeqCst);
+            }
+            while !caller_ran.load(Ordering::SeqCst) && Instant::now() < give_up {
+                std::thread::yield_now();
+            }
+            id
+        });
+        assert!(ran_on.contains(&me), "the caller is worker 0");
+    }
+
+    #[test]
+    fn commit_hook_sees_the_prefill_and_every_chunk() {
+        let sink = MetricsSink::new();
+        let seen: Mutex<Vec<(usize, usize)>> = Mutex::new(Vec::new());
+        let hook = |view: CommitView<'_, usize>| {
+            let (s, e) = view.range;
+            // Prefilled tasks 0 and 1 are present from the first call on;
+            // a chunk's own tasks are present when its hook runs.
+            view.with_slots(|slots| {
+                assert!(slots[0].is_some() && slots[1].is_some());
+                if (s, e) != (0, 40) {
+                    assert!(slots[s..e].iter().all(|v| v.is_some()), "{s}..{e}");
+                }
+            });
+            seen.lock().unwrap().push((s, e));
+        };
+        let out = run_dual_pool_durable(
+            40,
+            DualPoolConfig::new(1, 1),
+            &FaultInjector::none(),
+            DurableControl {
+                prefill: vec![(0, 0usize), (1, 1)],
+                on_commit: Some(&hook),
+                ..DurableControl::none()
+            },
+            |_| 1,
+            |_d, i| i,
+            &sink,
+            &Tracer::disabled(),
+        );
+        assert_eq!(out.tasks_done(), 40);
+        let seen = seen.into_inner().unwrap();
+        assert_eq!(seen[0], (0, 40), "the prefill commit comes first");
+        let mut chunks = seen[1..].to_vec();
+        chunks.sort_unstable();
+        assert_eq!(chunks.first().map(|c| c.0), Some(0));
+        assert_eq!(chunks.last().map(|c| c.1), Some(40));
+        assert!(
+            chunks.windows(2).all(|w| w[0].1 == w[1].0),
+            "chunk ranges tile the task space: {chunks:?}"
+        );
     }
 
     #[test]

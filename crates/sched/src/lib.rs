@@ -54,7 +54,8 @@ pub use desim::{
 pub use drain::DrainSignal;
 pub use executor::{
     run_dual_pool, run_dual_pool_durable, run_parallel, try_run_parallel, CheckpointView,
-    DualPoolConfig, DurableControl, DurableOutcome, ExecError, ExecutorConfig, TaskError,
+    CommitView, DualPoolConfig, DurableControl, DurableOutcome, ExecError, ExecutorConfig,
+    TaskError,
 };
 pub use fault::{
     FaultInjector, FaultKind, FaultPlan, FaultSpec, NetFaultInjector, NetFaultKind, NetFaultPlan,

@@ -6,14 +6,13 @@
 //! gather window — a condvar wait against a deadline fixed at that
 //! arrival: later arrivals wake the collector but never move it, and
 //! shutdown ends it within [`SHUTDOWN_POLL`] instead of after a full
-//! sleep. At the deadline the collector takes up to `max_concurrent`
-//! queries and runs them through a single `search_many_resumable`
-//! region. The window is waited out even when `max_concurrent` jobs
-//! are already parked; closing a full window early was measured and
-//! deferred (DESIGN §5g). Each pending job carries its own
-//! reply channel — the demux path back to exactly one connection — and
-//! its own scoped drain, so cancelling one query removes only that
-//! query's tasks from the shared region.
+//! sleep. The window closes the moment `max_concurrent` jobs are parked
+//! (a full region cannot gain a member by waiting) and otherwise at its
+//! deadline; the collector then takes up to `max_concurrent` queries and
+//! runs them through a single `search_many_resumable` region. Each
+//! pending job carries its own reply channel — the demux path back to
+//! exactly one connection — and its own scoped drain, so cancelling one
+//! query removes only that query's tasks from the shared region.
 //!
 //! Shutdown closes the queue: `collect` hands back whatever is still
 //! queued (the collector replies `cancelled` to each, since their
@@ -71,6 +70,27 @@ pub(crate) enum JobReply {
     },
 }
 
+/// Why a gather window closed — the label of `sw_serve_windows_total`:
+/// mostly `full` means the window is buying coalescing, mostly `deadline`
+/// with regions of one means it is only buying latency.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum WindowClosed {
+    /// `max_concurrent` jobs were parked.
+    Full,
+    /// The window's deadline passed.
+    Deadline,
+}
+
+impl WindowClosed {
+    /// The label value, in scrapes and on the ops log.
+    pub fn label(self) -> &'static str {
+        match self {
+            WindowClosed::Full => "full",
+            WindowClosed::Deadline => "deadline",
+        }
+    }
+}
+
 struct State {
     queue: VecDeque<PendingJob>,
     closed: bool,
@@ -115,20 +135,23 @@ impl Batcher {
     }
 
     /// Collector side: block until at least one job is queued (or
-    /// shutdown fires), hold the gather window open until its deadline
-    /// so concurrent submits join the same region, then take up to
-    /// `max` jobs in arrival order. Returns `None` once shutdown has
-    /// fired and the queue is empty — the collector's exit condition.
-    /// Shutdown with jobs still queued, before or inside the window,
-    /// closes the queue and returns them all for cancel replies:
-    /// launching a region would race the drain, and an open queue would
-    /// let a late submit park where no collector will ever look.
+    /// shutdown fires), hold the gather window open until `max` jobs are
+    /// parked or its deadline passes so concurrent submits join the same
+    /// region, then take up to `max` jobs in arrival order, with why the
+    /// window closed. Returns `None` once shutdown has fired and the queue
+    /// is empty — the collector's exit condition. Shutdown with jobs
+    /// still queued, before or inside the window, closes the queue and
+    /// returns them all (no window closed: the reason is `None`) for
+    /// cancel replies: launching a region would race the drain, and an
+    /// open queue would let a late submit park where no collector will
+    /// ever look.
     pub fn collect(
         &self,
         max: usize,
         window: Duration,
         shutdown: &DrainSignal,
-    ) -> Option<Vec<PendingJob>> {
+    ) -> Option<(Vec<PendingJob>, Option<WindowClosed>)> {
+        let max = max.max(1);
         let mut g = self.inner.lock().unwrap();
         // Fixed when the first job is seen, not moved by later wakeups.
         let mut deadline: Option<Instant> = None;
@@ -136,15 +159,22 @@ impl Batcher {
             if shutdown.is_requested() {
                 g.closed = true;
                 let rest: Vec<PendingJob> = g.queue.drain(..).collect();
-                return if rest.is_empty() { None } else { Some(rest) };
+                return (!rest.is_empty()).then_some((rest, None));
             }
             let mut wait = SHUTDOWN_POLL;
             if !g.queue.is_empty() {
                 let now = Instant::now();
                 let deadline = *deadline.get_or_insert(now + window);
-                if now >= deadline {
-                    let n = g.queue.len().min(max.max(1));
-                    return Some(g.queue.drain(..n).collect());
+                let closed = if g.queue.len() >= max {
+                    Some(WindowClosed::Full)
+                } else if now >= deadline {
+                    Some(WindowClosed::Deadline)
+                } else {
+                    None
+                };
+                if closed.is_some() {
+                    let n = g.queue.len().min(max);
+                    return Some((g.queue.drain(..n).collect(), closed));
                 }
                 wait = wait.min(deadline - now);
             }
@@ -176,17 +206,45 @@ mod tests {
         for id in 1..=5 {
             assert!(b.enqueue(job(id, tx.clone())));
         }
-        let first = b.collect(4, Duration::ZERO, &OFF).unwrap();
+        let (first, closed) = b.collect(4, Duration::ZERO, &OFF).unwrap();
         assert_eq!(
             first.iter().map(|j| j.id).collect::<Vec<_>>(),
             vec![1, 2, 3, 4],
             "arrival order, capped at max_concurrent"
         );
-        // The window is a deadline that is waited out, not a poll.
+        assert_eq!(closed, Some(WindowClosed::Full));
+        // A window that is not full is a deadline that is waited out, not
+        // a poll.
         let (window, t0) = (Duration::from_millis(60), Instant::now());
-        let second = b.collect(4, window, &OFF).unwrap();
+        let (second, closed) = b.collect(4, window, &OFF).unwrap();
         assert_eq!(second.len(), 1, "overflow lands in the next region");
         assert!(t0.elapsed() >= window, "{:?}", t0.elapsed());
+        assert_eq!(closed, Some(WindowClosed::Deadline));
+    }
+
+    #[test]
+    fn full_window_closes_at_once_and_a_lone_job_waits() {
+        static LONE: DrainSignal = DrainSignal::new();
+        let b = Batcher::new();
+        let (tx, _rx) = mpsc::channel();
+        let window = Duration::from_secs(60);
+        // Two parked jobs fill a region of two: nothing to wait for.
+        assert!(b.enqueue(job(1, tx.clone())) && b.enqueue(job(2, tx.clone())));
+        let t0 = Instant::now();
+        let (pair, closed) = b.collect(2, window, &LONE).unwrap();
+        assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+        assert_eq!((pair.len(), closed), (2, Some(WindowClosed::Full)));
+        // One job does not: it stays parked for its window, and shutdown
+        // hands it back with no window closed.
+        assert!(b.enqueue(job(3, tx)));
+        std::thread::scope(|s| {
+            let t = s.spawn(|| b.collect(2, window, &LONE));
+            std::thread::sleep(Duration::from_millis(50));
+            assert!(!t.is_finished(), "a lone job is not a full window");
+            LONE.request();
+            let (rest, closed) = t.join().unwrap().expect("parked job hands back");
+            assert_eq!((rest.len(), closed), (1, None));
+        });
     }
 
     #[test]
@@ -203,8 +261,8 @@ mod tests {
             let t = s.spawn(|| b.collect(4, Duration::from_millis(200), &MID));
             std::thread::sleep(Duration::from_millis(50));
             MID.request();
-            let drained = t.join().unwrap().expect("parked job hands back");
-            assert_eq!(drained.len(), 1);
+            let (drained, closed) = t.join().unwrap().expect("parked job hands back");
+            assert_eq!((drained.len(), closed), (1, None));
         });
         assert!(
             !b.enqueue(job(2, tx)),
@@ -220,7 +278,7 @@ mod tests {
         let (tx, _rx) = mpsc::channel();
         assert!(b.enqueue(job(1, tx.clone())));
         DOWN.request();
-        let last = b.collect(4, Duration::ZERO, &DOWN).unwrap();
+        let (last, _) = b.collect(4, Duration::ZERO, &DOWN).unwrap();
         assert_eq!(last.len(), 1, "queued jobs hand back for cancel replies");
         assert!(b.collect(4, Duration::ZERO, &DOWN).is_none(), "then closed");
         assert!(!b.enqueue(job(2, tx)), "no parking after close");

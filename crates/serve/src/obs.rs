@@ -32,6 +32,7 @@ use std::time::Instant;
 
 use sw_trace::export::{Histogram, PromWriter};
 
+use crate::batch::WindowClosed;
 use crate::registry::StatsSnapshot;
 
 /// Phase-latency bucket bounds (µs). Wider than the kernel-level
@@ -173,6 +174,8 @@ struct Agg {
     connection_evictions: u64,
     regions: u64,
     region_queries: u64,
+    /// Gather windows closed, indexed by [`WindowClosed`].
+    gather_closed: [u64; 2],
     cells_total: u64,
     /// `(window index, cells finishing in window)`, ascending, capped
     /// at [`GCUPS_WINDOWS_KEPT`].
@@ -196,6 +199,7 @@ impl Default for Agg {
             connection_evictions: 0,
             regions: 0,
             region_queries: 0,
+            gather_closed: [0; 2],
             cells_total: 0,
             windows: Vec::new(),
         }
@@ -312,6 +316,11 @@ impl Obs {
                 Sink::File(f) => writeln!(f, "{line}"),
             };
         }
+    }
+
+    /// Record why a gather window closed.
+    pub(crate) fn on_window_closed(&self, closed: WindowClosed) {
+        self.agg.lock().expect("obs agg").gather_closed[closed as usize] += 1;
     }
 
     /// Record one coalesced region of `queries` jobs.
@@ -542,6 +551,14 @@ impl Obs {
             ] {
                 per_tenant.sample(&[("tenant", tenant), ("outcome", outcome)], v);
             }
+        }
+
+        let mut closed = w.counter(
+            "sw_serve_windows_total",
+            "gather windows closed, by what closed them (full = --max-concurrent jobs parked)",
+        );
+        for why in [WindowClosed::Full, WindowClosed::Deadline] {
+            closed.sample(&[("closed", why.label())], agg.gather_closed[why as usize]);
         }
 
         let draining = self.draining.load(Ordering::SeqCst);

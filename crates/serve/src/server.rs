@@ -22,19 +22,23 @@
 //! file inside `checkpoint_dir`.
 //!
 //! No request waits on a poll tick: the accept loop blocks in `accept`
-//! and dispatches a connection the moment it arrives (the one timed
-//! wait left on a submit's path is the gather window it asked to be
-//! coalesced in — see `batch.rs`). Shutdown is a bare
-//! atomic that a `shutdown` request, a process SIGINT (routed through
-//! the signal's parent) or an embedder flips with no wire traffic, so
-//! a watcher thread polls it — off the request path — and wakes the
-//! listener by dialling its bound address. All three stop the daemon
-//! the same way: readiness flips off, probes keep answering while the
-//! in-flight region drains (checkpointing incomplete queries) and
-//! queued jobs are cancel-replied; then the loop stops accepting, the
-//! registry is dumped and the socket removed.
+//! and dispatches a connection the moment it arrives, the request line
+//! is read under one timeout (the eviction deadline), a gather window
+//! that is full closes at once (the one timed wait left on a submit's
+//! path is a window that is *not* full — see `batch.rs`), the collector
+//! thread is the region's first worker, and a query's reply leaves when
+//! its own last batch commits, not when its batch-mates finish.
+//! Shutdown is a bare atomic that a `shutdown` request, a process SIGINT
+//! (routed through the signal's parent) or an embedder flips with no
+//! wire traffic, so a watcher thread polls it — off the request path —
+//! and wakes the listener by dialling its bound address and the
+//! connections still reading a request by hanging up on them. All three
+//! stop the daemon the same way: readiness flips off, probes keep
+//! answering while the in-flight region drains (checkpointing incomplete
+//! queries) and queued jobs are cancel-replied; then the loop stops
+//! accepting, the registry is dumped and the socket removed.
 
-use crate::batch::{Batcher, JobReply, PendingJob, SHUTDOWN_POLL};
+use crate::batch::{Batcher, JobReply, PendingJob, WindowClosed, SHUTDOWN_POLL};
 use crate::client::HitLine;
 use crate::json;
 use crate::obs::{LogLevel, Obs, ObsConfig, ShardRole};
@@ -43,10 +47,11 @@ use crate::transport::{is_timeout, Endpoint, LineReader, Listener, Stream};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 use sw_core::{
-    BatchQuery, DurableOptions, HeteroEngine, HeteroSearchConfig, PreparedDb, TraceConfig,
+    BatchQuery, BatchQueryOutcome, DurableOptions, HeteroEngine, HeteroSearchConfig, PreparedDb,
+    TraceConfig,
 };
 use sw_sched::{DrainSignal, FaultInjector, FaultKind, FaultPlan, FaultSpec, DEVICE_ANY};
 use sw_seq::Alphabet;
@@ -106,9 +111,9 @@ pub struct ServeConfig {
     /// Content digest of the resident snapshot when it was verified at
     /// load; surfaces through the health probe.
     pub snapshot_digest: Option<u64>,
-    /// A connection that has not completed its request line within this
-    /// deadline is evicted (counted in the SLO counters) — a half-line
-    /// stalled client must not pin a thread and fd until shutdown.
+    /// A connection whose request line stalls for this long is evicted
+    /// (counted in the SLO counters) — a half-line stalled client must
+    /// not pin a thread and fd until shutdown.
     pub request_timeout_ms: u64,
     /// Set when this daemon serves one shard of a sharded database:
     /// hit ids on the wire become global (`base +` in-shard id) and the
@@ -170,7 +175,61 @@ struct Ctx<'a> {
     registry: &'a Registry,
     batcher: &'a Batcher,
     obs: &'a Obs,
+    readers: &'a RequestReaders,
     shutdown: &'static DrainSignal,
+}
+
+/// How long a connection accepted while the daemon drains may take to
+/// send its request line: a probe writes it right after connecting, and a
+/// silent connection must not hold `serve`'s scoped join.
+const DRAIN_READ_GRACE: Duration = Duration::from_millis(100);
+
+/// The connections still reading their request line, so a drain can wake
+/// them: nothing else tells a thread blocked in `read` that the shutdown
+/// signal flipped. [`RequestReaders::hang_up`] runs once, when the
+/// shutdown watcher first sees the signal; a connection accepted after
+/// the signal is not listed (it reads under [`DRAIN_READ_GRACE`]
+/// instead), so probes that watch the drain are never hung up on.
+#[derive(Default)]
+struct RequestReaders {
+    inner: Mutex<ReadersState>,
+}
+
+#[derive(Default)]
+struct ReadersState {
+    next_id: u64,
+    hung_up: bool,
+    reading: Vec<(u64, Stream)>,
+}
+
+impl RequestReaders {
+    /// List `stream` as reading its request; `None` once the drain has
+    /// begun.
+    fn enter(&self, stream: &Stream, shutdown: &DrainSignal) -> io::Result<Option<u64>> {
+        let mut g = self.inner.lock().expect("request readers");
+        if g.hung_up || shutdown.is_requested() {
+            return Ok(None);
+        }
+        let id = g.next_id;
+        g.next_id += 1;
+        g.reading.push((id, stream.try_clone()?));
+        Ok(Some(id))
+    }
+
+    /// The request line of connection `id` has been read (or given up on).
+    fn leave(&self, id: u64) {
+        let mut g = self.inner.lock().expect("request readers");
+        g.reading.retain(|(other, _)| *other != id);
+    }
+
+    /// Close every listed connection and list no more.
+    fn hang_up(&self) {
+        let mut g = self.inner.lock().expect("request readers");
+        g.hung_up = true;
+        for (_, stream) in g.reading.drain(..) {
+            let _ = stream.shutdown_both();
+        }
+    }
 }
 
 /// Run the daemon until `shutdown` (or a parent of it) is requested.
@@ -199,6 +258,7 @@ pub fn serve(
     }));
     let registry = Registry::with_obs(Arc::clone(&obs));
     let batcher = Batcher::new();
+    let readers = RequestReaders::default();
     let ctx = Ctx {
         engine,
         prepared,
@@ -208,6 +268,7 @@ pub fn serve(
         registry: &registry,
         batcher: &batcher,
         obs: obs.as_ref(),
+        readers: &readers,
         shutdown,
     };
     std::thread::scope(|s| {
@@ -284,18 +345,26 @@ pub fn serve(
     Ok(stats)
 }
 
-/// The shutdown watcher. Nothing tells a blocked `accept` that a SIGINT
-/// or an embedder's `request()` flipped the signal, so this thread
-/// polls it and dials `wake` — a connect-and-close, which the handler
-/// ignores — to make the accept loop run its drain check: once when
-/// shutdown is first seen, then whenever nothing is in flight and the
-/// loop is still accepting (a failed dial is retried next poll).
-/// `serve` clears `accepting` and unparks it once the loop has stopped.
+/// The shutdown watcher. Nothing tells a blocked `accept` or a blocked
+/// request read that a SIGINT or an embedder's `request()` flipped the
+/// signal, so this thread polls it. On first sight it hangs up on every
+/// connection still reading its request line; and it dials `wake` — a
+/// connect-and-close, which the handler ignores — to make the accept
+/// loop run its drain check: once when shutdown is first seen, then
+/// whenever nothing is in flight and the loop is still accepting (a
+/// failed dial is retried next poll). `serve` clears `accepting` and
+/// unparks it once the loop has stopped.
 fn shutdown_waker(ctx: Ctx<'_>, wake: &Endpoint, accepting: &AtomicBool) {
-    let mut announced = false;
+    let (mut seen, mut announced) = (false, false);
     while accepting.load(Ordering::SeqCst) {
-        if ctx.shutdown.is_requested() && (!announced || !ctx.registry.has_inflight()) {
-            announced |= wake.connect(Duration::from_millis(250)).is_ok();
+        if ctx.shutdown.is_requested() {
+            if !seen {
+                ctx.readers.hang_up();
+                seen = true;
+            }
+            if !announced || !ctx.registry.has_inflight() {
+                announced |= wake.connect(Duration::from_millis(250)).is_ok();
+            }
         }
         std::thread::park_timeout(SHUTDOWN_POLL);
     }
@@ -327,54 +396,55 @@ fn metrics_file_loop(ctx: Ctx<'_>) {
 }
 
 fn handle_connection(ctx: Ctx<'_>, stream: Stream) -> io::Result<()> {
-    // A silent client must not wedge shutdown: `serve`'s scoped join
-    // waits on this thread, so the request read polls the shutdown
-    // signal on a short timeout instead of blocking forever.
-    stream.set_read_timeout(Some(Duration::from_millis(100)))?;
+    // The request line is read under one timeout, set once: the request
+    // deadline — a client that sends half a line and stalls would
+    // otherwise pin this thread and its fd until daemon shutdown, so
+    // crossing it evicts the connection (an SLO counter, not an error —
+    // the daemon is healthy, the client is not). A silent client must not
+    // wedge shutdown either (`serve`'s scoped join waits on this
+    // thread): the drain hangs up on listed readers, and a connection
+    // accepted during the drain gets only a short grace.
+    let listed = ctx.readers.enter(&stream, ctx.shutdown)?;
+    let limit = match listed {
+        Some(_) => Duration::from_millis(ctx.config.request_timeout_ms.max(1)),
+        None => DRAIN_READ_GRACE,
+    };
+    stream.set_read_timeout(Some(limit))?;
     let mut reader = LineReader::new(stream.try_clone()?);
     let mut w = BufWriter::new(stream);
-    // Overall request deadline: a client that sends half a line and
-    // stalls would otherwise pin this thread and its fd until daemon
-    // shutdown. Crossing it evicts the connection (an SLO counter, not
-    // an error — the daemon is healthy, the client is not).
-    let deadline =
-        std::time::Instant::now() + Duration::from_millis(ctx.config.request_timeout_ms.max(1));
-    let line = loop {
-        // A timeout mid-line leaves the partial read in the reader; the
-        // next turn stitches the rest on.
-        match reader.read_line() {
-            // Connect-and-close (the shutdown waker, a liveness dial, a
-            // port scan) is not a request: no reply, no counter.
-            Ok(None) => return Ok(()),
-            Ok(Some(line)) => break line,
-            Err(e) if is_timeout(&e) => {
-                if ctx.shutdown.is_requested() {
-                    return Ok(()); // daemon draining: drop the idle connection
-                }
-                if std::time::Instant::now() >= deadline {
-                    ctx.obs.on_connection_evicted();
-                    ctx.obs.log(
-                        LogLevel::Warn,
-                        "connection_evicted",
-                        &format!(
-                            ",\"deadline_ms\":{},\"partial_bytes\":{}",
-                            ctx.config.request_timeout_ms,
-                            reader.partial_len()
-                        ),
-                    );
-                    return Ok(());
-                }
-            }
-            // Over the line bound, or not UTF-8: tell the client why
-            // before closing — the daemon itself is fine.
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                fail(&mut w, &format!("request {e}"))?;
-                return w.flush();
-            }
-            Err(e) => return Err(e),
+    let read = reader.read_line();
+    if let Some(id) = listed {
+        ctx.readers.leave(id);
+    }
+    let line = match read {
+        // Connect-and-close (the shutdown waker, a liveness dial, a port
+        // scan, a reader the drain hung up on) is not a request: no
+        // reply, no counter.
+        Ok(None) => return Ok(()),
+        Ok(Some(line)) => line,
+        // Daemon draining: drop the idle connection.
+        Err(e) if is_timeout(&e) && ctx.shutdown.is_requested() => return Ok(()),
+        Err(e) if is_timeout(&e) => {
+            ctx.obs.on_connection_evicted();
+            ctx.obs.log(
+                LogLevel::Warn,
+                "connection_evicted",
+                &format!(
+                    ",\"deadline_ms\":{},\"partial_bytes\":{}",
+                    ctx.config.request_timeout_ms,
+                    reader.partial_len()
+                ),
+            );
+            return Ok(());
         }
+        // Over the line bound, or not UTF-8: tell the client why before
+        // closing — the daemon itself is fine.
+        Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+            fail(&mut w, &format!("request {e}"))?;
+            return w.flush();
+        }
+        Err(e) => return Err(e),
     };
-    w.get_ref().set_read_timeout(None)?;
     let line = line.trim_end();
     match json::field_str(line, "op").as_deref() {
         Some("submit") => {
@@ -556,19 +626,24 @@ fn op_submit<W: Write>(ctx: Ctx<'_>, line: &str, w: &mut W) -> io::Result<()> {
 /// shared dual-pool region, until shutdown drains the queue.
 fn collector_loop(ctx: Ctx<'_>) {
     let window = Duration::from_millis(ctx.config.batch_window_ms);
-    while let Some(jobs) = ctx
-        .batcher
-        .collect(ctx.config.max_concurrent, window, ctx.shutdown)
+    while let Some((jobs, closed)) =
+        ctx.batcher
+            .collect(ctx.config.max_concurrent, window, ctx.shutdown)
     {
-        run_batch_jobs(ctx, jobs);
+        if let Some(closed) = closed {
+            ctx.obs.on_window_closed(closed);
+        }
+        run_batch_jobs(ctx, jobs, closed);
     }
 }
 
 /// Run one shared region and demux per-query outcomes back to their
 /// connections. Registry transitions happen here (mark_running before
 /// the region, finish before each reply) so connection threads never
-/// own job state after the ack.
-fn run_batch_jobs(ctx: Ctx<'_>, jobs: Vec<PendingJob>) {
+/// own job state after the ack. This thread is the region's first
+/// worker, and a finished query's reply leaves from whichever worker
+/// committed its last batch — it does not wait for its batch-mates.
+fn run_batch_jobs(ctx: Ctx<'_>, jobs: Vec<PendingJob>, closed: Option<WindowClosed>) {
     // Every collected job left the gather window together — stamp the
     // phase (and the region size) before the cancel filter so even a
     // cancelled-while-parked job's record shows how long it waited.
@@ -598,13 +673,16 @@ fn run_batch_jobs(ctx: Ctx<'_>, jobs: Vec<PendingJob>) {
     ctx.obs.log(
         LogLevel::Debug,
         "region_started",
-        &format!(",\"batch\":{batch}"),
+        &format!(
+            ",\"batch\":{batch},\"closed\":\"{}\"",
+            closed.map_or("shutdown", WindowClosed::label)
+        ),
     );
     // Per-query tracers: fresh epoch at region start, job id as the
     // query tag — exports stay separable even though the region is
     // shared. The region's own trace stays off; the per-query spans
     // carry the story.
-    let tracers: Vec<sw_core::TraceConfig> = live
+    let tracers: Vec<sw_trace::Tracer> = live
         .iter()
         .map(|j| {
             TraceConfig {
@@ -616,9 +694,9 @@ fn run_batch_jobs(ctx: Ctx<'_>, jobs: Vec<PendingJob>) {
                 ..TraceConfig::default()
             }
             .for_query(j.id)
+            .tracer()
         })
         .collect();
-    let tracers: Vec<sw_trace::Tracer> = tracers.iter().map(|t| t.tracer()).collect();
     // The plan seeds from the longest member: lane batching means every
     // query shares the same device split, rebalanced dynamically.
     let plan_len = live.iter().map(|j| j.residues.len()).max().unwrap_or(1);
@@ -640,21 +718,78 @@ fn run_batch_jobs(ctx: Ctx<'_>, jobs: Vec<PendingJob>) {
             tracer: Some(tr),
         })
         .collect();
+    // Which jobs the region has already answered (from `reply_done`).
+    let answered: Vec<AtomicBool> = live.iter().map(|_| AtomicBool::new(false)).collect();
+    let reply_done = |qi: usize, q: &BatchQueryOutcome| {
+        let j = &live[qi];
+        let results = q.results.as_ref().expect("a finished query has results");
+        let timeline = tracers[qi].timeline();
+        if let Some(dir) = &ctx.config.trace_dir {
+            // Trace export is best-effort: a full disk must not fail a
+            // finished search.
+            let _ = std::fs::create_dir_all(dir);
+            let _ = std::fs::write(
+                dir.join(format!("job-{}.jsonl", j.id)),
+                sw_trace::export::jsonl(&timeline),
+            );
+        }
+        // Cells = query residues × db residues, the same product the
+        // GCUPS bench reports.
+        let cells = j.residues.len() as u64 * ctx.prepared.stats.total_residues;
+        ctx.obs.on_cells(cells, ctx.obs.now_us());
+        if results.degraded {
+            ctx.obs.on_degraded();
+        }
+        // Report ids globally: a shard worker's local id plus its base
+        // IS the parent database index, so the coordinator's merge
+        // tie-break matches the unsharded run.
+        let base = ctx.config.shard.map_or(0, |s| s.base);
+        let hits: Vec<HitLine> = results
+            .top(j.top)
+            .iter()
+            .zip(1..)
+            .map(|(h, rank)| HitLine {
+                rank,
+                score: h.score,
+                id: base + h.id.0 as u64,
+                header: ctx.prepared.sorted.db().header(h.id).to_string(),
+            })
+            .collect();
+        let finished = ctx
+            .registry
+            .finish(j.id, JobState::Done, hits.len(), q.resumes, None);
+        if let Some((rec, true)) = finished {
+            slow_query_dump(ctx, &rec, timeline);
+        }
+        answered[qi].store(true, Ordering::SeqCst);
+        let _ = j.reply.send(JobReply::Done {
+            hits,
+            resumes: q.resumes,
+            batch,
+        });
+    };
     let dopts = DurableOptions {
         checkpoint_path: None,
         checkpoint_dir: ctx.config.checkpoint_dir.as_deref(),
         interval_chunks: ctx.config.interval_chunks,
         drain: Some(ctx.shutdown),
         resume: true,
+        on_query_done: Some(&reply_done),
     };
     let out =
         ctx.engine
             .search_many_resumable(&queries, ctx.prepared, &plan, &cfg, &injector, &dopts);
+    // Every finished query was answered from inside the region; what is
+    // left was cancelled or drained out of it, or — when the region
+    // itself failed — failed with it.
+    let unanswered = live
+        .iter()
+        .enumerate()
+        .filter(|(qi, _)| !answered[*qi].load(Ordering::SeqCst));
     match out {
         Err(e) => {
-            // Region errors are region-wide: every member fails.
             let msg = e.to_string();
-            for j in live {
+            for (_, j) in unanswered {
                 ctx.registry
                     .finish(j.id, JobState::Failed, 0, 0, Some(msg.clone()));
                 let _ = j.reply.send(JobReply::Failed { error: msg.clone() });
@@ -662,63 +797,11 @@ fn run_batch_jobs(ctx: Ctx<'_>, jobs: Vec<PendingJob>) {
         }
         Ok(out) => {
             ctx.obs.on_checkpoint_writes(out.checkpoints_written);
-            for ((j, q), tracer) in live.into_iter().zip(out.queries).zip(tracers) {
-                match q.results {
-                    Some(results) => {
-                        let timeline = tracer.timeline();
-                        if let Some(dir) = &ctx.config.trace_dir {
-                            // Trace export is best-effort: a full disk
-                            // must not fail a finished search.
-                            let _ = std::fs::create_dir_all(dir);
-                            let _ = std::fs::write(
-                                dir.join(format!("job-{}.jsonl", j.id)),
-                                sw_trace::export::jsonl(&timeline),
-                            );
-                        }
-                        // Cells = query residues × db residues, the same
-                        // product the GCUPS bench reports.
-                        let cells = j.residues.len() as u64 * ctx.prepared.stats.total_residues;
-                        ctx.obs.on_cells(cells, ctx.obs.now_us());
-                        if results.degraded {
-                            ctx.obs.on_degraded();
-                        }
-                        // Report ids globally: a shard worker's local id
-                        // plus its base IS the parent database index, so
-                        // the coordinator's merge tie-break matches the
-                        // unsharded run.
-                        let base = ctx.config.shard.map_or(0, |s| s.base);
-                        let hits: Vec<HitLine> = results
-                            .top(j.top)
-                            .iter()
-                            .zip(1..)
-                            .map(|(h, rank)| HitLine {
-                                rank,
-                                score: h.score,
-                                id: base + h.id.0 as u64,
-                                header: ctx.prepared.sorted.db().header(h.id).to_string(),
-                            })
-                            .collect();
-                        let finished =
-                            ctx.registry
-                                .finish(j.id, JobState::Done, hits.len(), q.resumes, None);
-                        if let Some((rec, true)) = finished {
-                            slow_query_dump(ctx, &rec, timeline);
-                        }
-                        let _ = j.reply.send(JobReply::Done {
-                            hits,
-                            resumes: q.resumes,
-                            batch,
-                        });
-                    }
-                    None => {
-                        ctx.registry
-                            .finish(j.id, JobState::Cancelled, 0, q.resumes, None);
-                        let _ = j.reply.send(JobReply::Cancelled {
-                            resumes: q.resumes,
-                            batch,
-                        });
-                    }
-                }
+            for (qi, j) in unanswered {
+                let resumes = out.queries[qi].resumes;
+                ctx.registry
+                    .finish(j.id, JobState::Cancelled, 0, resumes, None);
+                let _ = j.reply.send(JobReply::Cancelled { resumes, batch });
             }
             ctx.obs.log(
                 LogLevel::Debug,
@@ -814,6 +897,7 @@ mod tests {
         config.tenant_quota = 1;
         let registry = Registry::new();
         let batcher = Batcher::new();
+        let readers = RequestReaders::default();
         let ctx = Ctx {
             engine: &engine,
             prepared: &prepared,
@@ -823,6 +907,7 @@ mod tests {
             registry: &registry,
             batcher: &batcher,
             obs: registry.obs().as_ref(),
+            readers: &readers,
             shutdown: &ACK_SHUTDOWN,
         };
         let req = crate::client::submit_request("acme", ">q\nMKVLAT\n", 5, None);

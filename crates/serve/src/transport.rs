@@ -120,6 +120,15 @@ impl Stream {
         }
     }
 
+    /// Close both directions: a thread blocked reading this connection
+    /// (through any clone of the descriptor) returns at once.
+    pub(crate) fn shutdown_both(&self) -> io::Result<()> {
+        match self {
+            Stream::Unix(s) => s.shutdown(std::net::Shutdown::Both),
+            Stream::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
+        }
+    }
+
     /// Send the connection's one request: `line`, a newline, flush, then
     /// half-close so the peer sees end-of-request.
     pub fn send_line(&mut self, line: &str) -> io::Result<()> {

@@ -39,6 +39,7 @@ static SILENT_SHUTDOWN: DrainSignal = DrainSignal::new();
 static EVICT_SHUTDOWN: DrainSignal = DrainSignal::new();
 static DRAIN_HEALTH_SHUTDOWN: DrainSignal = DrainSignal::new();
 static EMPTY_CONN_SHUTDOWN: DrainSignal = DrainSignal::new();
+static WINDOW_SHUTDOWN: DrainSignal = DrainSignal::new();
 
 /// Requests the daemon's shutdown signal when dropped. `serve` runs on
 /// a scoped thread, and a scope joins its threads even while a panic
@@ -467,6 +468,89 @@ fn batched_queries_match_solo_runs() {
         assert_eq!(json::field_u64(&st[0], "jobs"), Some(7), "{st:?}");
         assert_eq!(json::field_u64(&st[0], "done"), Some(6), "{st:?}");
         assert_eq!(json::field_u64(&st[0], "cancelled"), Some(1), "{st:?}");
+
+        client::request(socket, &client::shutdown_request()).unwrap();
+        server.join().unwrap().expect("serve");
+    });
+    std::fs::remove_dir_all(&tmp).ok();
+}
+
+/// A gather window that is full closes at once — a region of
+/// `max_concurrent` cannot gain a member by waiting — while a window that
+/// is not full is waited out to its deadline; the scrape says which
+/// happened.
+#[test]
+fn full_window_closes_at_once_a_lone_submit_waits_it_out() {
+    let a = Alphabet::protein();
+    // Small enough that the searches themselves take milliseconds even
+    // in the dev profile: the times below are the window's.
+    let spec = DbSpec {
+        n_seqs: 12,
+        mean_len: 80.0,
+        max_len: 200,
+        seed: 81,
+    };
+    let prepared = PreparedDb::prepare(generate_database(&spec), 4, &a);
+    let engine = HeteroEngine::new(SearchEngine::paper_default());
+    let base = HeteroSearchConfig::best(1, 1);
+    let tmp = std::env::temp_dir().join(format!("sw-serve-window-{}", std::process::id()));
+    std::fs::remove_dir_all(&tmp).ok();
+    std::fs::create_dir_all(&tmp).unwrap();
+    let mut config = ServeConfig::new(tmp.join("daemon.sock"));
+    config.max_concurrent = 2;
+    config.batch_window_ms = 2_000;
+    let window = Duration::from_millis(config.batch_window_ms);
+    let (q1, q2) = (generate_query(80, 82), generate_query(150, 83));
+
+    std::thread::scope(|s| {
+        let server = {
+            let (engine, prepared, a, base, config) = (&engine, &prepared, &a, &base, &config);
+            s.spawn(move || sw_serve::serve(engine, prepared, a, base, config, &WINDOW_SHUTDOWN))
+        };
+        let _stop = StopOnDrop(&WINDOW_SHUTDOWN);
+        let socket = config.unix_socket().expect("unix listener");
+        wait_for_socket(socket);
+
+        let t0 = Instant::now();
+        let (r1, id1) = start_submit(socket, "pair", &fasta_of(&q1, &a), None);
+        let (r2, id2) = start_submit(socket, "pair", &fasta_of(&q2, &a), None);
+        let (o1, o2) = (finish_submit(r1, id1), finish_submit(r2, id2));
+        let took = t0.elapsed();
+        assert!(took < window / 2, "a full window was waited out: {took:?}");
+        assert_eq!((o1.state.as_str(), o1.batch), ("done", 2));
+        assert_eq!((o2.state.as_str(), o2.batch), ("done", 2));
+        assert_eq!(
+            served_hits(&o1),
+            solo_hits(&engine, &prepared, &q1.residues, 10)
+        );
+        assert_eq!(
+            served_hits(&o2),
+            solo_hits(&engine, &prepared, &q2.residues, 10)
+        );
+
+        let t0 = Instant::now();
+        let (r3, id3) = start_submit(socket, "lone", &fasta_of(&q1, &a), None);
+        let o3 = finish_submit(r3, id3);
+        let took = t0.elapsed();
+        assert!(
+            took >= window,
+            "a lone submit left its window early: {took:?}"
+        );
+        assert_eq!((o3.state.as_str(), o3.batch), ("done", 1));
+
+        let scrape = client::request(socket, &client::metrics_request())
+            .unwrap()
+            .join("\n");
+        sw_trace::validate::validate_prometheus_strict(&scrape)
+            .unwrap_or_else(|e| panic!("{e}\n{scrape}"));
+        assert_eq!(
+            metric(&scrape, "sw_serve_windows_total{closed=\"full\"}"),
+            1
+        );
+        assert_eq!(
+            metric(&scrape, "sw_serve_windows_total{closed=\"deadline\"}"),
+            1
+        );
 
         client::request(socket, &client::shutdown_request()).unwrap();
         server.join().unwrap().expect("serve");

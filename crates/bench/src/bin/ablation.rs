@@ -16,8 +16,8 @@
 //!
 //! A second table prices the precision cascade inside that kernel. On
 //! AVX2 the default path sweeps a batch in bytes and re-sweeps it in i16
-//! when a lane reaches the byte ceiling, so a promoted batch costs about
-//! one and a half i16 sweeps. The generator's i.i.d. background never
+//! when a lane reaches the byte ceiling, so a promoted batch costs both
+//! sweeps. The generator's i.i.d. background never
 //! promotes (nor do the pinned benchmark's inputs); the table therefore
 //! runs the same search over that background with ≈ 1 % and ≈ 10 %
 //! planted homologs of the queries (`sw_seq::gen::plant_homologs`) and
@@ -168,12 +168,12 @@ fn rescue_price(a: &Alphabet) {
     }
     t.emit("ablation_rescue");
     println!(
-        "Reading: a promoted batch is swept twice (bytes, then i16 at about\n\
-         twice the cost), so `promoted_cells` — the share of DP cells that sit\n\
+        "Reading: a promoted batch is swept twice (bytes, then i16 at two to\n\
+         three times the cost), so `promoted_cells` — the share of DP cells that sit\n\
          in promoted batches; homologs of a long query are long, so it runs\n\
          ahead of the batch count — is what the slowdown follows, and the\n\
-         cascade stays ahead of an i16-only first pass until about half the\n\
-         cells promote. The pinned benchmark's four workloads draw i.i.d.\n\
+         cascade stays ahead of an i16-only first pass until more than half\n\
+         the cells promote. The pinned benchmark's four workloads draw i.i.d.\n\
          residues and sit at the first row: promotion fraction 0.\n"
     );
 }

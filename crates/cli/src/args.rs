@@ -126,7 +126,8 @@ SERVE OPTIONS:
   --tenant-quota <n>  max queued+running jobs per tenant; a submit over
                       the quota is rejected immediately (default 4)
   --batch-window-ms <ms> gather window: concurrent submits arriving
-                      within it share one region (default 3)
+                      within it share one region (default 3; refused with
+                      --shard-worker, which gathers with no window)
   --checkpoint-dir <dir> (serve) per-job fingerprint-named checkpoints:
                       cancelled jobs stay resumable
   --trace-dir <dir>   (serve) write each job's query-tagged JSONL trace
@@ -951,12 +952,22 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                     return Err(err("serve needs --socket <path> or --listen <endpoint>"));
                 }
             };
+            // A shard worker gathers with no window (its one client sends
+            // one request per query); an option it would not read is
+            // refused, not ignored.
+            let shard_worker = a.has_flag("--shard-worker");
+            let batch_window_ms = a.opt_num::<u64>("--batch-window-ms")?;
+            if shard_worker && batch_window_ms.is_some() {
+                return Err(err(
+                    "--batch-window-ms does not apply to --shard-worker (a shard worker gathers with no window)",
+                ));
+            }
             Ok(Command::Serve {
                 db: a.value_of("--db")?,
                 socket,
                 max_concurrent,
                 tenant_quota,
-                batch_window_ms: a.parse_num("--batch-window-ms", 3u64)?,
+                batch_window_ms: batch_window_ms.unwrap_or(3),
                 accel_threads: a.parse_num("--accel-threads", opts.threads)?,
                 checkpoint_dir: a.opt_value("--checkpoint-dir")?,
                 trace_dir: a.opt_value("--trace-dir")?,
@@ -967,7 +978,7 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 metrics_file: a.opt_value("--metrics-file")?,
                 metrics_interval_ms: a.parse_num("--metrics-interval-ms", 1000u64)?,
                 request_timeout_ms: a.parse_num("--request-timeout-ms", 10_000u64)?,
-                shard_worker: a.has_flag("--shard-worker"),
+                shard_worker,
                 opts,
             })
         }
@@ -1608,6 +1619,19 @@ mod tests {
                 assert_eq!(request_timeout_ms, 10_000);
             }
             other => panic!("{other:?}"),
+        }
+        // A shard worker gathers with no window: the option is refused by
+        // name, in either order, not ignored.
+        for line in [
+            "serve --db s.swshard --socket s.sock --shard-worker --batch-window-ms 5",
+            "serve --batch-window-ms 0 --db s.swshard --shard-worker --socket s.sock",
+        ] {
+            let e = parse(&argv(line)).unwrap_err();
+            assert!(
+                e.0.contains("--batch-window-ms") && e.0.contains("--shard-worker"),
+                "{line}: {}",
+                e.0
+            );
         }
     }
 

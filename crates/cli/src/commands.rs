@@ -1502,7 +1502,9 @@ fn cmd_serve<W: Write>(
     writeln!(
         out,
         "# listening on {socket} (batches of {}, tenant quota {}, window {} ms)",
-        config.max_concurrent, config.tenant_quota, config.batch_window_ms
+        config.max_concurrent,
+        config.tenant_quota,
+        config.gather_window().as_millis()
     )?;
     let stats = sw_serve::serve(
         &engine,

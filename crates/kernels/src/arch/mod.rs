@@ -33,13 +33,15 @@
 //!   and call [`sw_isa_sp`].
 //! * [`sw_isa_fused_sp`] is also the first two tiers of the precision
 //!   chain, u8 → i16 (→ i64, the caller's [`crate::overflow`] rescue). On
-//!   AVX2 at `L = 16`, over a table with shuffle rows, a batch is first
-//!   swept in 32 biased-unsigned byte lanes — the same 16 sequences in
-//!   both register halves, two runs of query rows one column apart — and
-//!   the i16 sweep re-runs it only if a lane reached `255 − bias`. SSE2,
-//!   portable, every other lane width and the materialised fallback start
-//!   at i16. Nothing selects this but the ISA, the lane width and the
-//!   saturation observed.
+//!   AVX2 at `L = 16`, over a table with shuffle rows and under gap
+//!   penalties a byte holds (first gap ≤ 127), a batch is first swept in 32
+//!   floor-offset byte lanes (`H − 128` in an `i8`: scores 0 … 255) — the
+//!   same 16 sequences in both register halves, two runs of query rows two
+//!   columns apart, two columns per trip through the rows — and the i16
+//!   sweep re-runs it only if a lane reached 255. SSE2, portable, every
+//!   other lane width, larger penalties and the materialised fallback
+//!   start at i16. Nothing selects this but the ISA, the lane width, the
+//!   scoring scheme and the saturation observed.
 //! * Results are **identical** across every path — scores *and*
 //!   overflow/saturation flags — enforced by the differential suite in
 //!   `tests/isa_differential.rs`, which pins each of them to the scalar
@@ -212,11 +214,12 @@ pub fn sw_isa_sp<const L: usize>(
 /// that profile — each column's SP rows are derived from `table` when the
 /// sweep reaches the column.
 ///
-/// AVX2 at `L = 16` runs a byte pass first (32 biased-unsigned 8-bit lanes
+/// AVX2 at `L = 16` runs a byte pass first (32 floor-offset 8-bit lanes
 /// over the same 16 sequences, `block_rows` unused) and the i16 sweep only
-/// for a batch with a lane at the byte ceiling; every other ISA and width
-/// starts at i16. Only a `table` without shuffle rows (scores beyond `i8`,
-/// more than 31 residue codes) has the profile materialised and handed to
+/// for a batch with a lane at the byte ceiling, 255; every other ISA and
+/// width — and a first-gap penalty above 127, which no byte holds — starts
+/// at i16. Only a `table` without shuffle rows (scores beyond `i8`, more
+/// than 31 residue codes) has the profile materialised and handed to
 /// [`sw_isa_sp`]. Scores and overflow flags are identical on every route.
 pub fn sw_isa_fused_sp<const L: usize>(
     isa: KernelIsa,
@@ -263,12 +266,12 @@ pub fn sw_isa_fused_sp_stats<const L: usize>(
         )
     };
     // The byte pass, where there is one: AVX2 at 16 sequences per batch,
-    // over a table with shuffle rows.
+    // over a table with shuffle rows, under gap penalties a byte holds.
     #[cfg(target_arch = "x86_64")]
     if isa == KernelIsa::Avx2 && L == x86::avx2::LANES_I16 && isa.is_available() {
-        if let Some((rows, bias)) = table.biased_rows() {
+        if let Some(rows) = table.rows().filter(|_| x86::avx2::gap_fits_byte(gap)) {
             // SAFETY: AVX2 presence verified by `is_available` above.
-            let narrow = unsafe { x86::avx2::sw_fused_u8(query, rows, bias, batch, gap) };
+            let narrow = unsafe { x86::avx2::sw_fused_u8(query, rows, batch, gap) };
             return cascade(narrow, wide);
         }
     }

@@ -3,14 +3,24 @@
 //! `sweep!` is the only vector H/E/F recurrence in the crate (SWIPE's
 //! scheme, paper §IV): the subject dimension `j` is the outer loop, the
 //! query dimension `i` the inner one, per-column state lives in two vector
-//! columns (`H` and `F` of the previous column) while the within-column
-//! gap state (`E`) and the diagonal travel in registers, and the query is
-//! tiled into row blocks with an `N`-long `H`/`E` boundary row carried
-//! between them (Fig. 7; one block spanning the query = unblocked). It is
-//! written against a vector *type* — anything with `zero`, `splat`,
+//! columns (`H` of the previous column and `F` of this one) while the
+//! within-column gap state (`E`) and the diagonal travel in registers, and
+//! the query is tiled into row blocks with an `N`-long `H`/`E` boundary row
+//! carried between them (Fig. 7; one block spanning the query = unblocked).
+//! It is written against a vector *type* — anything with `zero`, `splat`,
 //! `sat_add`, `sat_sub` and `max` — so the same text is the 16-bit and the
-//! 8-bit kernel, signed or biased-unsigned, on SSE2, AVX2 and the portable
+//! 8-bit kernel, signed or floor-offset, on SSE2, AVX2 and the portable
 //! [`crate::lanes`] vectors.
+//!
+//! The cell is SWIPE's ordering: `H` first, from the `E` and `F` the row
+//! above and the column before already prepared for it, then `H − first`
+//! *once*, shared by the `E` handed to the row below and the `F` stored for
+//! the next column. A cell is ten vector operations at i16 and nine in
+//! floor-offset bytes. `E` is written to enter `H` last, which makes the
+//! chain from one row to the next three operations (`max`, `sat_sub`,
+//! `max`); LLVM may reassociate the maxima (it folds `E` with `F` first on
+//! AVX2: four), which costs nothing while the loop is bound by how many
+//! vector operations issue per cycle, not by that chain.
 //!
 //! `kernels!` instantiates the five kernels the dispatcher in [`super`]
 //! offers for one pair of vector types: query-profile, sequence-profile
@@ -22,47 +32,59 @@
 
 /// DP sweep over vector type `$V`; evaluates to the lane-wise maximum of
 /// `H`. A flavour supplies `$rows` — one key per query row (the row index
-/// for QP, the residue code for SP) — `$column(j)`, run once per database
-/// column, and `$subst(key, j)`, the substitution vector of one cell. The
-/// H/F columns, the boundary rows and the keys are walked in lock step, so
-/// the sweep itself indexes nothing.
+/// for QP, the residue code for SP) — `$column(j)`, run once per trip
+/// through the rows, and `$subst(key, j)`, the substitution vector of one
+/// cell. The H/F columns, the boundary rows and the keys are walked in lock
+/// step, so the sweep itself indexes nothing.
 ///
 /// `score:` names the arithmetic. `signed` is the textbook recurrence over
 /// a signed element: `H = max(0, H_diag + v, E, F)`, gap states starting at
-/// `$neg_inf`. `biased(b)` is SWIPE's unsigned form: `$subst` yields
-/// `v + b ≥ 0`, `H = max(H_diag + (v + b) − b, E, F)` with both steps
-/// saturating — the subtraction *is* the `max(0, ·)`, and `E`/`F` floor at
-/// 0 (`$neg_inf`), which `H ≥ 0` makes equivalent to −∞.
+/// `$neg_inf`. `floored` stores `H − 2^(bits−1)`: the element minimum *is*
+/// score 0, so the saturating `H_diag + v` cannot fall below it — the add
+/// is the `max(0, ·)` — an element holds scores 0 … `2^bits − 1`, and
+/// `E`/`F` start at the floor (`$neg_inf` = the element minimum), which
+/// `H ≥ 0` makes equivalent to −∞. A penalty must fit the element there
+/// (the caller's check): clamping one to the element maximum is exact only
+/// in the `signed` form.
 ///
 /// Where the row above a run of rows comes from is the other choice:
 ///
 /// * `block_rows: b` tiles the query into blocks of `b` rows swept one
-///   after the other, an `N`-long `H`/`E` boundary row carried from each
-///   to the next (`$rows(i0, i1)` yields the keys of one block).
+///   after the other, an `N`-long boundary row carried from each to the
+///   next: the last row's `H` (the diagonal of the block below) and the `E`
+///   it hands down (`$rows(i0, i1)` yields the keys of one block).
 /// * `skewed` sweeps two runs of `m` rows *at once*, in the two halves of
-///   one vector, the upper run one column behind the lower: at step `j`
-///   the low half is at database column `j` and the high half at `j − 1`,
-///   so the row above the upper run is what the lower run finished one
-///   step earlier — `shift_halves` moves it across and leaves zero, the
-///   row above the lower run, behind. `n` counts steps (one more than
-///   columns), `$rows` yields a key pair per row, and the caller folds
-///   the two halves of the result.
+///   one vector, and two database columns per trip through the rows: each
+///   row's `H`/`F` is loaded once, advanced by cell A (step `j`) and cell B
+///   (step `j + 1` — its `F` is the one A just made, its diagonal the `H`
+///   A computed one row up) and stored once. The upper run sits **two**
+///   columns behind the lower — the skew equals the trip width, so the row
+///   above the upper run at this trip's two steps is exactly what the lower
+///   run's last row finished in the previous trip: `shift_halves` moves
+///   that `(H, E)` pair across and leaves the floor, the row above the
+///   lower run, behind.
+///
+///   ```text
+///   step (trip t = j/2)      j      j+1
+///   low half   rows 0..m     col j    col j+1      row above: the floor
+///   high half  rows m..2m    col j−2  col j−1      row above: low half's
+///                                                  last row, trip t−1
+///   ```
+///
+///   `n` counts steps (columns + 2, rounded up to even), `$rows` yields a
+///   key pair per row, `$subst` the vectors of both steps, and the caller
+///   folds the two halves of the result.
 macro_rules! sweep {
     ($V:ty, elem: $elem:ty, neg_inf: $neg_inf:expr, gap: $gap:expr, m: $m:expr, n: $n:expr,
-     block_rows: $block_rows:expr, score: $score:ident $(($bias:expr))?,
+     block_rows: $block_rows:expr, score: $score:ident,
      rows: $rows:expr, column: $column:expr, subst: $subst:expr) => {{
         let m: usize = $m;
         let n: usize = $n;
         let block_rows: usize = $block_rows;
         assert!(block_rows > 0, "block_rows must be positive");
-        // A penalty at the element maximum already means "never gap" for
-        // every lane that is not flagged as saturated, so clamping is exact.
-        let first = <$V>::splat($gap.first().clamp(0, <$elem>::MAX as i32) as $elem);
-        let extend = <$V>::splat($gap.extend.clamp(0, <$elem>::MAX as i32) as $elem);
-        let zero = <$V>::zero();
-        let neg_inf = <$V>::splat($neg_inf);
-        let mut bh = vec![zero; n]; //   H boundary row between blocks
-        let mut be = vec![neg_inf; n]; // E boundary row between blocks
+        sweep!(@state $V, $elem, $neg_inf, $gap, $score, first, extend, zero, neg_inf);
+        let mut bh = vec![zero; n]; //    H[i0-1][j]: the last row of the block above
+        let mut be = vec![neg_inf; n]; // E[i0][j]: what that row hands down
         // One block of H/F column state, reset per block. Allocated once,
         // up front: a call inside the loop nest makes the register
         // allocator keep `vmax` and the gap vectors on the stack.
@@ -77,14 +99,20 @@ macro_rules! sweep {
             let mut diag_carry = zero; // H[i0-1][j-1], j = -1 → 0
             for (j, (bh_j, be_j)) in bh.iter_mut().zip(be.iter_mut()).enumerate() {
                 $column(j);
-                let old_bh = *bh_j; // H[i0-1][j]
-                // H[i1-1][j] and E[i1-1][j] for the next block.
-                (*bh_j, *be_j) = sweep!(
-                    @cells $V, score: $score $(($bias))?, first, extend, zero, vmax,
-                    h_col, f_col, $rows(i0, i1), $subst, j,
-                    h_diag: diag_carry, h_up: old_bh, e_up: *be_j
-                );
-                diag_carry = old_bh;
+                let (mut h, mut e) = (*bh_j, *be_j);
+                let mut h_diag = diag_carry;
+                diag_carry = h;
+                let cells = h_col.iter_mut().zip(f_col.iter_mut());
+                for ((hc, fc), key) in cells.zip($rows(i0, i1)) {
+                    let v: $V = $subst(key, j);
+                    let h_left = *hc;
+                    h = sweep!(@cell $score, first, extend, zero, vmax,
+                               h_diag: h_diag, v: v, e: e, f: *fc);
+                    *hc = h;
+                    h_diag = h_left;
+                }
+                // H[i1-1][j] and E[i1][j] for the next block.
+                (*bh_j, *be_j) = (h, e);
             }
             i0 = i1;
         }
@@ -92,65 +120,80 @@ macro_rules! sweep {
     }};
 
     ($V:ty, elem: $elem:ty, neg_inf: $neg_inf:expr, gap: $gap:expr, m: $m:expr, n: $n:expr,
-     skewed, score: $score:ident $(($bias:expr))?,
+     skewed, score: $score:ident,
      rows: $rows:expr, column: $column:expr, subst: $subst:expr) => {{
         let m: usize = $m;
         let n: usize = $n;
-        let first = <$V>::splat($gap.first().clamp(0, <$elem>::MAX as i32) as $elem);
-        let extend = <$V>::splat($gap.extend.clamp(0, <$elem>::MAX as i32) as $elem);
-        let zero = <$V>::zero();
-        let neg_inf = <$V>::splat($neg_inf);
+        assert!(n % 2 == 0, "a trip is two steps");
+        sweep!(@state $V, $elem, $neg_inf, $gap, $score, first, extend, zero, neg_inf);
         let mut h_col = vec![zero; m];
         let mut f_col = vec![neg_inf; m];
         let mut vmax = zero;
-        // The last row's H and E of the previous step, and the row above
-        // the upper run as that step saw it (the diagonal of this one).
-        let (mut h_last, mut e_last, mut diag_carry) = (zero, neg_inf, zero);
-        for j in 0..n {
+        // What the last row left at the previous trip's two steps — its H
+        // and the E it hands down — and the row above the upper run one
+        // step before that trip's second (the diagonal of this trip's
+        // first).
+        let (mut h_last, mut e_last, mut diag_carry) = ([zero; 2], [neg_inf; 2], zero);
+        for j in (0..n).step_by(2) {
             $column(j);
-            let h_top = h_last.shift_halves();
-            (h_last, e_last) = sweep!(
-                @cells $V, score: $score $(($bias))?, first, extend, zero, vmax,
-                h_col, f_col, $rows, $subst, j,
-                h_diag: diag_carry, h_up: h_top, e_up: e_last.shift_halves()
-            );
-            diag_carry = h_top;
+            let h_top = [h_last[0].shift_halves(zero), h_last[1].shift_halves(zero)];
+            let mut e = [e_last[0].shift_halves(neg_inf), e_last[1].shift_halves(neg_inf)];
+            let mut h_diag = [diag_carry, h_top[0]];
+            diag_carry = h_top[1];
+            let cells = h_col.iter_mut().zip(f_col.iter_mut());
+            for ((hc, fc), key) in cells.zip($rows) {
+                let [va, vb]: [$V; 2] = $subst(key, j);
+                let h_left = *hc;
+                let mut f = *fc;
+                let ha = sweep!(@cell $score, first, extend, zero, vmax,
+                                h_diag: h_diag[0], v: va, e: e[0], f: f);
+                let hb = sweep!(@cell $score, first, extend, zero, vmax,
+                                h_diag: h_diag[1], v: vb, e: e[1], f: f);
+                (*hc, *fc) = (hb, f);
+                h_diag = [h_left, ha];
+                h_last = [ha, hb];
+            }
+            e_last = e;
         }
         vmax
     }};
 
-    // One run of rows at one column — the only H/E/F text in the crate.
-    // Takes the three values that enter from the row above; evaluates to
-    // the last row's `(H, E)`.
-    (@cells $V:ty, score: $score:ident $(($bias:expr))?,
-     $first:ident, $extend:ident, $zero:ident, $vmax:ident,
-     $h_col:ident, $f_col:ident, $keys:expr, $subst:expr, $j:ident,
-     h_diag: $h_diag:expr, h_up: $h_up:expr, e_up: $e_up:expr) => {{
-        let mut h_diag = $h_diag;
-        let mut h_up = $h_up;
-        let mut e_run = $e_up;
-        let cells = $h_col.iter_mut().zip($f_col.iter_mut());
-        for ((hc, fc), key) in cells.zip($keys) {
-            let v: $V = $subst(key, $j);
-            let h_prev = *hc;
-            let f = h_prev.sat_sub($first).max(fc.sat_sub($extend));
-            let e = h_up.sat_sub($first).max(e_run.sat_sub($extend));
-            let h = sweep!(@h $score $(($bias))?, h_diag, v, e, f, $zero);
-            h_diag = h_prev;
-            *hc = h;
-            *fc = f;
-            e_run = e;
-            h_up = h;
-            $vmax = $vmax.max(h);
-        }
-        (h_up, e_run)
-    }};
-
-    (@h signed, $h_diag:ident, $v:ident, $e:ident, $f:ident, $zero:ident) => {
-        $h_diag.sat_add($v).max($e).max($f).max($zero)
+    // The constants of one sweep: the gap vectors, score 0 (`$zero`) and
+    // the gap states' starting value.
+    (@state $V:ty, $elem:ty, $neg_inf:expr, $gap:expr, $score:ident,
+     $first:ident, $extend:ident, $zero:ident, $ninf:ident) => {
+        // `signed`: a penalty at the element maximum already means "never
+        // gap" for every lane that is not flagged as saturated, so clamping
+        // is exact. `floored`: the caller keeps penalties within the element.
+        let $first = <$V>::splat($gap.first().clamp(0, <$elem>::MAX as i32) as $elem);
+        let $extend = <$V>::splat($gap.extend.clamp(0, <$elem>::MAX as i32) as $elem);
+        let $zero = sweep!(@zero $score, $V, $elem);
+        let $ninf = <$V>::splat($neg_inf);
     };
-    (@h biased($bias:expr), $h_diag:ident, $v:ident, $e:ident, $f:ident, $zero:ident) => {
-        $h_diag.sat_add($v).sat_sub($bias).max($e).max($f)
+    (@zero signed, $V:ty, $elem:ty) => {
+        <$V>::zero()
+    };
+    (@zero floored, $V:ty, $elem:ty) => {
+        <$V>::splat(<$elem>::MIN)
+    };
+
+    // One cell — the only H/E/F text in the crate. `$e` and `$f` are places:
+    // in, this cell's E and F; out, the E of the cell below and the F of the
+    // cell to the right. Evaluates to the cell's H.
+    (@cell $score:ident, $first:ident, $extend:ident, $zero:ident, $vmax:ident,
+     h_diag: $h_diag:expr, v: $v:expr, e: $e:expr, f: $f:expr) => {{
+        let h = sweep!(@floor $score, $h_diag.sat_add($v), $zero).max($f).max($e);
+        $vmax = $vmax.max(h);
+        let hq = h.sat_sub($first);
+        $e = hq.max($e.sat_sub($extend));
+        $f = hq.max($f.sat_sub($extend));
+        h
+    }};
+    (@floor signed, $sum:expr, $zero:ident) => {
+        $sum.max($zero)
+    };
+    (@floor floored, $sum:expr, $zero:ident) => {
+        $sum
     };
 }
 

@@ -8,9 +8,9 @@
 //! five kernels the dispatcher in [`super`] calls from the one sweep body,
 //! exactly as it does for the portable vectors — same saturating ops, same
 //! `NEG_INF` sentinels, same `vmax == MAX` overflow flagging — so scores
-//! and flags are bit-identical across all of them. AVX2 adds a third
-//! vector, `V8u` (32 unsigned bytes), and over it the fused path's byte
-//! pass, `sw_fused_u8`: the same sweep in its `skewed`, `biased` form.
+//! and flags are bit-identical across all of them. AVX2 adds, over its
+//! `V8` and two half-register moves, the fused path's byte pass,
+//! `sw_fused_u8`: the same sweep in its `skewed`, `floored` form.
 //!
 //! # Safety
 //!
@@ -274,31 +274,16 @@ pub(crate) mod avx2 {
         column_scores: column_scores
     }
 
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn set1_epu8(v: u8) -> __m256i {
-        _mm256_set1_epi8(v as i8)
-    }
-
-    // The byte pass's vector: the same 16 sequences in both 128-bit halves.
-    vector! {
-        V8u: [u8; LANES_I8] in __m256i,
-        feature: "avx2",
-        setzero: _mm256_setzero_si256,
-        set1: set1_epu8,
-        adds: _mm256_adds_epu8,
-        subs: _mm256_subs_epu8,
-        max: _mm256_max_epu8,
-        storeu: _mm256_storeu_si256,
-    }
-
-    impl V8u {
-        /// `[0 ‖ low half of self]`: what the lower run of a skewed sweep
-        /// finished becomes the row above the upper run.
+    // The byte pass's view of `V8`: the same 16 sequences in both 128-bit
+    // halves.
+    impl V8 {
+        /// `[low half of fill ‖ low half of self]`: what the lower run of a
+        /// skewed sweep finished becomes the row above the upper run, and
+        /// `fill` the row above the lower one.
         #[inline]
         #[target_feature(enable = "avx2")]
-        fn shift_halves(self) -> Self {
-            Self(_mm256_permute2x128_si256::<0x08>(self.0, self.0))
+        fn shift_halves(self, fill: Self) -> Self {
+            Self(_mm256_permute2x128_si256::<0x02>(self.0, fill.0))
         }
 
         /// `[low half of self ‖ high half of o]`.
@@ -311,32 +296,45 @@ pub(crate) mod avx2 {
 
     /// A code that is no residue (a table has fewer than 32 rows). As a
     /// *key* it is the query row appended to an odd query: its `col` entry
-    /// is never filled, so it scores a biased 0 against everything. As a
-    /// *residue* it is the column before the first and after the last:
-    /// like the pad column it holds a biased 0 in every table row.
+    /// is never filled and stays at the floor. As a *residue* it is the
+    /// columns before the first and after the last: like the pad column it
+    /// holds [`sw_swdb::batch::PAD_SCORE`] in every table row. Either way
+    /// the cell scores −128 against everything.
     const NO_RESIDUE: u8 = (SCORE_TABLE_COLS - 1) as u8;
 
-    /// Byte-pass column prologue: [`column_scores`] at 256 bits and without
-    /// the widening — `col[e]` = `[SP row (e, j) ‖ SP row (e, j − 1)]` of
-    /// the biased table, from the residues of both columns.
+    /// The score vectors of one residue code for the two steps of a trip.
+    type TripScores = Cell<[V8; 2]>;
+
+    /// Byte-pass column prologue: [`column_scores`] at 256 bits, without
+    /// the widening and for both steps of a trip — `col[e]` =
+    /// `[row(e, j) ‖ row(e, j − 2)]`, `[row(e, j + 1) ‖ row(e, j − 1)]` of
+    /// SP rows, given the residues of columns `j − 2 ..= j + 1` in that
+    /// order.
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn column_scores_u8(
-        col: &[Cell<V8u>],
-        table: &[[u8; SCORE_TABLE_COLS]],
+    fn column_scores_i8(
+        col: &[TripScores],
+        table: &[[i8; SCORE_TABLE_COLS]],
         present: u32,
-        residues: &[u8],
-        residues_before: &[u8],
+        residues: [&[u8]; 4],
     ) {
-        // SAFETY: each slice index guarantees LANES_I16 = 16 readable bytes.
-        let codes_v = unsafe {
-            _mm256_set_m128i(
-                _mm_loadu_si128(residues_before[..LANES_I16].as_ptr().cast()),
-                _mm_loadu_si128(residues[..LANES_I16].as_ptr().cast()),
+        let indices = |now: &[u8], before: &[u8]| {
+            // SAFETY: each slice index guarantees LANES_I16 = 16 readable bytes.
+            let codes_v = unsafe {
+                _mm256_set_m128i(
+                    _mm_loadu_si128(before[..LANES_I16].as_ptr().cast()),
+                    _mm_loadu_si128(now[..LANES_I16].as_ptr().cast()),
+                )
+            };
+            (
+                _mm256_adds_epu8(codes_v, _mm256_set1_epi8(0x70)),
+                _mm256_sub_epi8(codes_v, _mm256_set1_epi8(16)),
             )
         };
-        let lo_ix = _mm256_adds_epu8(codes_v, _mm256_set1_epi8(0x70));
-        let hi_ix = _mm256_sub_epi8(codes_v, _mm256_set1_epi8(16));
+        let [(lo_a, hi_a), (lo_b, hi_b)] = [
+            indices(residues[2], residues[0]),
+            indices(residues[3], residues[1]),
+        ];
         let mut codes = present;
         while codes != 0 {
             let e = codes.trailing_zeros() as usize;
@@ -349,36 +347,49 @@ pub(crate) mod avx2 {
                     _mm256_broadcastsi128_si256(_mm_loadu_si128(row[16..].as_ptr().cast())),
                 )
             };
-            col[e].set(V8u(_mm256_or_si256(
-                _mm256_shuffle_epi8(lo, lo_ix),
-                _mm256_shuffle_epi8(hi, hi_ix),
-            )));
+            let scores = |lo_ix, hi_ix| {
+                V8(_mm256_or_si256(
+                    _mm256_shuffle_epi8(lo, lo_ix),
+                    _mm256_shuffle_epi8(hi, hi_ix),
+                ))
+            };
+            col[e].set([scores(lo_a, hi_a), scores(lo_b, hi_b)]);
         }
     }
 
-    /// The byte first pass of the fused kernel: 32 biased-unsigned 8-bit
-    /// lanes over one **16**-sequence batch. Both halves of a register
-    /// hold the same 16 sequences; the low half sweeps query rows `0..h`
-    /// (`h = ⌈m/2⌉`) at database column `j`, the high half rows `h..m` at
-    /// column `j − 1` (the `skewed` sweep). A lane's score is the larger of
-    /// its two halves, and it is flagged saturated from `255 − bias` on:
-    /// every clipped addition lands exactly there, so a lane below it was
+    /// Whether [`sw_fused_u8`] can run under `gap`: floor-offset bytes
+    /// cannot clamp a penalty they cannot hold (a lane at 254 less a clamped
+    /// 127 is still positive), so both penalties must fit an `i8`.
+    pub(crate) fn gap_fits_byte(gap: &sw_seq::GapPenalty) -> bool {
+        gap.first().max(gap.extend) <= i8::MAX as i32
+    }
+
+    /// The byte first pass of the fused kernel: 32 floor-offset 8-bit lanes
+    /// (an `i8` holding `H − 128`, so scores 0 … 255) over one
+    /// **16**-sequence batch. Both halves of a register hold the same 16
+    /// sequences; the low half sweeps query rows `0..h` (`h = ⌈m/2⌉`), the
+    /// high half rows `h..m` two database columns behind, two columns per
+    /// trip through the rows (the `skewed` sweep). A lane's score is the
+    /// larger of its two halves, and it is flagged saturated at 255: every
+    /// clipped addition lands exactly there, so a lane below it was
     /// computed exactly. One block always — the H/F state is 64 bytes per
-    /// row *pair*, half the i16 sweep's.
+    /// row *pair*, half the i16 sweep's, and is read and written once per
+    /// two columns.
     ///
-    /// `table`/`bias` are [`sw_swdb::ScoreTable::biased_rows`]. A padded
-    /// cell scores `−bias`, not −128: its `H` can be positive but never
-    /// above a value a real cell of the same lane already holds, so the
-    /// lane maximum is unaffected. The same goes for the odd query's extra
-    /// row and the columns off either end (see [`NO_RESIDUE`]).
+    /// `table` is [`sw_swdb::ScoreTable::rows`], the rows the i16 tier
+    /// shuffles: a padded cell scores −128 as in the wider types, so its
+    /// `H` never exceeds a value a real cell of the same lane already
+    /// holds. The same goes for the odd query's extra row and the columns
+    /// off either end (see [`NO_RESIDUE`]).
     ///
     /// # Panics
-    /// Panics on a lane-width mismatch or a query code `≥ table.len()`.
+    /// Panics on a lane-width mismatch, a query code `≥ table.len()` or a
+    /// gap model [`gap_fits_byte`] refuses (the dispatcher starts such a
+    /// search at i16).
     #[target_feature(enable = "avx2")]
     pub(crate) fn sw_fused_u8(
         query: &[u8],
-        table: &[[u8; SCORE_TABLE_COLS]],
-        bias: u8,
+        table: &[[i8; SCORE_TABLE_COLS]],
         batch: &sw_swdb::LaneBatch,
         gap: &sw_seq::GapPenalty,
     ) -> crate::intertask::NarrowOutput {
@@ -392,34 +403,35 @@ pub(crate) mod avx2 {
             query.iter().all(|&q| (q as usize) < table.len()),
             "query residue code outside the score table"
         );
+        assert!(gap_fits_byte(gap), "gap penalty beyond a byte");
         let present = query.iter().fold(0u32, |set, &q| set | 1 << q);
-        let mut col = [V8u::zero(); SCORE_TABLE_COLS];
+        let mut col = [[V8::splat(i8::MIN); 2]; SCORE_TABLE_COLS];
         let col = Cell::from_mut(&mut col[..]).as_slice_of_cells();
-        // A query row's key is the *address* of its score vector, looked up
+        // A query row's key is the *address* of its score vectors, looked up
         // here once per row instead of once per cell; the prologue then
         // rewrites the vectors in place, hence the cells.
         let h = query.len().div_ceil(2);
         let key = |&q: &u8| &col[q as usize];
-        let lower: Vec<&Cell<V8u>> = query[..h].iter().map(key).collect();
-        let mut upper: Vec<&Cell<V8u>> = query[h..].iter().map(key).collect();
+        let lower: Vec<&TripScores> = query[..h].iter().map(key).collect();
+        let mut upper: Vec<&TripScores> = query[h..].iter().map(key).collect();
         upper.resize(h, key(&NO_RESIDUE));
         let n = batch.padded_len();
         let off_end = [NO_RESIDUE; LANES_I16];
+        // Steps −2 and −1 wrap far past `n`: off the end either way.
         let residues = |j: usize| if j < n { batch.row(j) } else { &off_end[..] };
-        let bias_v = V8u::splat(bias);
         let vmax = sweep!(
-            V8u, elem: u8, neg_inf: 0, gap: gap, m: h, n: n + 1,
-            skewed, score: biased(bias_v),
+            V8, elem: i8, neg_inf: i8::MIN, gap: gap, m: h, n: (n + 2).next_multiple_of(2),
+            skewed, score: floored,
             rows: lower.iter().zip(&upper),
-            column: |j: usize| column_scores_u8(
-                col, table, present, residues(j), residues(j.wrapping_sub(1))
+            column: |j: usize| column_scores_i8(
+                col, table, present,
+                [residues(j.wrapping_sub(2)), residues(j.wrapping_sub(1)), residues(j), residues(j + 1)]
             ),
-            subst: |(lo, hi): (&&Cell<V8u>, &&Cell<V8u>), _j| lo.get().blend_halves(hi.get())
+            subst: |(lo, hi): (&&TripScores, &&TripScores), _j| {
+                let (lo, hi) = (lo.get(), hi.get());
+                [lo[0].blend_halves(hi[0]), lo[1].blend_halves(hi[1])]
+            }
         );
-        crate::intertask::NarrowOutput::from_skewed_vmax(
-            &vmax.to_array(),
-            u8::MAX - bias,
-            batch.real_lanes(),
-        )
+        crate::intertask::NarrowOutput::from_skewed_vmax(&vmax.to_array(), batch.real_lanes())
     }
 }

@@ -10,8 +10,8 @@
 //! cache-blocking tuning rule of Fig. 7.
 //!
 //! Arithmetic is saturating; a lane whose running maximum reaches the
-//! ceiling of its element type (`MAX`, or `255 − bias` in the fused
-//! kernel's biased-unsigned byte pass) is flagged and later recomputed at
+//! ceiling of its element type (`MAX`; score 255 in the fused kernel's
+//! floor-offset byte pass) is flagged and later recomputed at
 //! the next precision — an 8-bit lane in i16 (here), an i16 lane in i64
 //! (see [`crate::overflow`]). The cascade is exact because saturation is
 //! *detected*, never silent.
@@ -73,16 +73,17 @@ impl NarrowOutput {
         NarrowOutput { scores, saturated }
     }
 
-    /// Scores and flags from the column maximum of a skewed byte sweep:
-    /// lane `l`'s score is the larger of elements `l` and `half + l` (the
-    /// two runs of query rows), and it is saturated from `ceiling` on.
+    /// Scores and flags from the column maximum of a skewed floor-offset
+    /// byte sweep: lane `l`'s score is the larger of elements `l` and
+    /// `half + l` (the two runs of query rows) above the floor `i8::MIN`,
+    /// and it is saturated at `i8::MAX` — score 255.
     #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-    pub(crate) fn from_skewed_vmax(vmax: &[u8], ceiling: u8, real_lanes: usize) -> Self {
+    pub(crate) fn from_skewed_vmax(vmax: &[i8], real_lanes: usize) -> Self {
         let (lower, upper) = vmax.split_at(vmax.len() / 2);
         let best = lower.iter().zip(upper).map(|(&a, &b)| a.max(b));
         let (scores, saturated) = best
             .take(real_lanes)
-            .map(|s| (s as i64, s >= ceiling))
+            .map(|s| (s as i64 - i8::MIN as i64, s == i8::MAX))
             .unzip();
         NarrowOutput { scores, saturated }
     }

@@ -19,7 +19,7 @@
 //! experiment that times it: `sw_bench::striped`.)
 //!
 //! Scores are computed in saturating `i16` (the paper's vector element
-//! width) — after a biased-unsigned byte pass where AVX2 offers 32 byte
+//! width) — after a floor-offset byte pass where AVX2 offers 32 byte
 //! lanes for the same 16 sequences — with automatic detection of
 //! saturation at each width and an exact `i64` scalar rescue
 //! ([`overflow`]), so reported scores are always exact; [`intertask`]

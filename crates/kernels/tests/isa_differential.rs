@@ -4,7 +4,7 @@
 //! SSE2, AVX2 — must produce **identical** results for identical inputs:
 //! the scores *and* the overflow/saturation flags, for every flavour (QP,
 //! SP, fused SP), every element width (i16, i8 and the fused kernel's
-//! biased-u8 first pass), every supported lane width, blocked and
+//! floor-offset byte first pass), every supported lane width, blocked and
 //! unblocked, and for the narrow → i16 cascades. They all share one body,
 //! so agreement among them proves little; each output is instead compared
 //! with what the scalar reference (`sw_score_scalar`) says it must be —
@@ -15,8 +15,8 @@
 //! (padding lanes in play), mixed lengths, lanes that score zero, a gap
 //! that spans a row-block boundary, scores forced past every element
 //! width, and sequences tuned to land *exactly* on `i8::MAX`, `i16::MAX`
-//! and the byte pass's `255 − bias` — the boundaries where a capped score
-//! is indistinguishable from an exact one and only the flag tells.
+//! and the byte pass's 255 — the boundaries where a capped score is
+//! indistinguishable from an exact one and only the flag tells.
 
 use sw_kernels::arch::{self, KernelIsa};
 use sw_kernels::intertask::{CascadeStats, KernelOutput, NarrowOutput};
@@ -97,8 +97,9 @@ fn expect_i8(wide: &KernelOutput) -> NarrowOutput {
 }
 
 /// What the fused kernel must report beside `want`: under AVX2 at 16 lanes
-/// (and a matrix the score table holds) its byte pass settles every lane
-/// below `255 − bias` and promotes the rest; no other route has one.
+/// (a matrix the score table holds, a first-gap penalty a byte holds) its
+/// byte pass settles every lane below 255 and promotes the rest; no other
+/// route has one.
 fn expect_fused_stats<const L: usize>(
     isa: KernelIsa,
     p: &SwParams,
@@ -106,11 +107,11 @@ fn expect_fused_stats<const L: usize>(
 ) -> CascadeStats {
     let (min, max) = (p.matrix.min_score(), p.matrix.max_score());
     let fits_i8 = i8::try_from(min).is_ok() && i8::try_from(max).is_ok();
-    if !(isa == KernelIsa::Avx2 && L == 16 && fits_i8) {
+    let gap_fits = p.gap.first() <= i8::MAX as i32;
+    if !(isa == KernelIsa::Avx2 && L == 16 && fits_i8 && gap_fits) {
         return CascadeStats::default();
     }
-    let ceiling = 255 - (-min).max(0) as i64;
-    let widened = want.scores.iter().filter(|&&s| s >= ceiling).count() as u64;
+    let widened = want.scores.iter().filter(|&&s| s >= 255).count() as u64;
     CascadeStats {
         settled_i8: want.scores.len() as u64 - widened,
         widened_i16: widened,
@@ -534,62 +535,77 @@ fn self_scoring(p: &SwParams, target: i64) -> Vec<u8> {
     seq
 }
 
-/// The byte pass's own boundary. Under BLOSUM62 the bias is 4 and the
-/// ceiling 251: a lane at 250 is settled in bytes, a lane at 251 — exact or
-/// clipped, the byte cannot tell — is promoted, and either way the score
-/// comes back exact. Then every value 240…262 under +1/−4 (same bias), two
+/// The statistics of the AVX2 fused kernel over `subjects` (pinned, like its
+/// output, by [`check_fused`]); `None` on a host without AVX2.
+fn avx2_stats(
+    a: &Alphabet,
+    p: &SwParams,
+    query: &[u8],
+    subjects: &[Vec<u8>],
+    label: &str,
+) -> Option<(u64, u64)> {
+    KernelIsa::Avx2.is_available().then(|| {
+        let stats = check_fused::<16>(&[KernelIsa::Avx2], &[None], a, p, query, subjects, label);
+        (stats.settled_i8, stats.widened_i16)
+    })
+}
+
+/// The byte pass's own boundary, the same for every matrix: a lane at 254
+/// is settled in bytes, a lane at 255 — exact or clipped, the byte cannot
+/// tell — is promoted, and either way the score comes back exact. BLOSUM62
+/// self-hits at 253…257; then every value 244…266 under +1/−4 and under
+/// the non-negative +1/0 (whose mismatches cost nothing to cross), two
 /// batches' worth, so each value sits beside settled and promoted lanes.
 #[test]
-fn byte_ceiling_settles_below_and_promotes_from_it() {
+fn byte_ceiling_settles_254_and_promotes_255() {
     let a = Alphabet::protein();
     let p = SwParams::paper_default();
     let short = a.encode_strict(b"MKVLITRAW").unwrap();
-    for target in 249..=253 {
+    for target in 253..=257 {
         let seq = self_scoring(&p, target);
         let subjects = vec![seq.clone(), short.clone()];
-        check_width::<16>(&a, &p, &seq, &subjects, &format!("blosum62 {target}"));
-        if KernelIsa::Avx2.is_available() {
-            let avx2 = [KernelIsa::Avx2];
-            let stats = check_fused::<16>(&avx2, &[None], &a, &p, &seq, &subjects, "");
-            let promoted = u64::from(target >= 251);
-            assert_eq!(
-                (stats.settled_i8, stats.widened_i16),
-                (2 - promoted, promoted),
-                "{target}: 250 settles, 251 promotes"
-            );
+        let label = format!("blosum62 {target}");
+        check_width::<16>(&a, &p, &seq, &subjects, &label);
+        if let Some(stats) = avx2_stats(&a, &p, &seq, &subjects, &label) {
+            let promoted = u64::from(target >= 255);
+            assert_eq!(stats, (2 - promoted, promoted), "{label}");
         }
     }
 
-    let p = SwParams::new(SubstMatrix::match_mismatch(&a, 1, -4), p.gap);
     let w = a.encode_byte(b'W').unwrap();
-    let query = vec![w; 262];
-    let subjects: Vec<Vec<u8>> = (240..=262).map(|len| vec![w; len]).collect();
-    let want = expect_i16(&p, &query, &subjects);
-    assert_eq!(
-        want.scores,
-        (240..=262).collect::<Vec<i64>>(),
-        "construction"
-    );
-    // The fused kernel alone: 262 rows through every flavour is slow.
-    let (low, high) = (&subjects[..16], &subjects[7..]);
-    check_fused::<16>(&isas(), &[None], &a, &p, &query, low, "+1/-4 240..255");
-    check_fused::<16>(
-        &isas(),
-        &[Some(100)],
-        &a,
-        &p,
-        &query,
-        high,
-        "+1/-4 247..262",
-    );
+    let query = vec![w; 266];
+    let subjects: Vec<Vec<u8>> = (244..=266).map(|len| vec![w; len]).collect();
+    for mismatch in [-4, 0] {
+        let p = SwParams::new(SubstMatrix::match_mismatch(&a, 1, mismatch), p.gap);
+        let want = expect_i16(&p, &query, &subjects);
+        assert_eq!(
+            want.scores,
+            (244..=266).collect::<Vec<i64>>(),
+            "construction"
+        );
+        // The fused kernel alone: 266 rows through every flavour is slow.
+        let (low, high) = (&subjects[..16], &subjects[7..]);
+        let label = format!("+1/{mismatch} 244..259");
+        check_fused::<16>(&isas(), &[None], &a, &p, &query, low, &label);
+        if let Some(stats) = avx2_stats(&a, &p, &query, low, &label) {
+            assert_eq!(stats, (11, 5), "{label}: 244…254 settle, 255…259 promote");
+        }
+        let label = format!("+1/{mismatch} 251..266");
+        check_fused::<16>(&isas(), &[Some(100)], &a, &p, &query, high, &label);
+        if let Some(stats) = avx2_stats(&a, &p, &query, high, &label) {
+            assert_eq!(stats, (4, 12), "{label}: 251…254 settle, 255…266 promote");
+        }
+    }
 }
 
-/// The two ends of the bias range. A non-negative matrix has bias 0 and
-/// the full byte range (ceiling 255) — and padded cells that score 0, so
-/// `H` crosses a pad tail undiminished. `match_mismatch(127, −128)` has
-/// bias 128, ceiling 127: a single match already leaves the byte range.
+/// The two ends of the score range a byte must add. A non-negative matrix
+/// (+3/0): padded cells score −128 like everywhere else, real mismatches 0,
+/// so `H` crosses a mismatch run undiminished. `match_mismatch(127, −128)`
+/// fills the `i8`: one match is 127 from the floor, two are 254 and settle,
+/// and three bridged by a gap of 126 land on 255 exactly — promoted, with
+/// the largest additions and (almost) the largest penalty a byte can hold.
 #[test]
-fn byte_pass_bias_extremes() {
+fn byte_ceiling_is_255_for_non_negative_and_full_range_matrices() {
     let a = Alphabet::protein();
     let gap = SwParams::paper_default().gap;
     let w = a.encode_byte(b'W').unwrap();
@@ -599,52 +615,110 @@ fn byte_pass_bias_extremes() {
     let subjects: Vec<Vec<u8>> = [1, 30, 84, 85, 86, 90].map(|len| vec![w; len]).into();
     let want = expect_i16(&p, &[w; 90], &subjects);
     assert_eq!(want.scores, [3, 90, 252, 255, 258, 270], "construction");
-    check_width::<16>(&a, &p, &[w; 90], &subjects, "bias 0");
+    check_width::<16>(&a, &p, &[w; 90], &subjects, "+3/0");
+    if let Some(stats) = avx2_stats(&a, &p, &[w; 90], &subjects, "+3/0") {
+        assert_eq!(stats, (3, 3), "252 settles, 255 promotes");
+    }
 
-    let p = SwParams::new(SubstMatrix::match_mismatch(&a, 127, -128), gap);
-    let subjects = vec![vec![g; 5], vec![g, w, g], vec![w; 3]];
-    let want = expect_i16(&p, &[w; 4], &subjects);
-    assert_eq!(want.scores, [0, 127, 381], "construction");
-    check_width::<16>(&a, &p, &[w; 4], &subjects, "bias 128");
+    let p = SwParams::new(
+        SubstMatrix::match_mismatch(&a, 127, -128),
+        GapPenalty::new(124, 2),
+    );
+    let subjects = vec![
+        vec![g; 5],
+        vec![g, w, g],
+        vec![w; 2],
+        vec![w, g, w, w],
+        vec![w; 3],
+    ];
+    let want = expect_i16(&p, &[w; 3], &subjects);
+    assert_eq!(want.scores, [0, 127, 254, 255, 381], "construction");
+    check_width::<16>(&a, &p, &[w; 3], &subjects, "+127/-128");
+    if let Some(stats) = avx2_stats(&a, &p, &[w; 3], &subjects, "+127/-128") {
+        assert_eq!(stats, (3, 2), "254 settles, 255 promotes");
+    }
 }
 
-/// The byte pass's shape parameters, crossed: query lengths 1 and 2 (one
-/// row pair), odd (a dummy upper row) and even; every count of real lanes
-/// 1…16 with ragged pad tails; all 24 codes; gap models 0/0 (a gap is
-/// free), the paper's 10/2, and 300/300 (beyond a byte: clamped to 255,
-/// which in bytes means "never gap" — as 300 does in the wider types).
+/// The byte pass's shape parameters, crossed: query lengths 1 to 5 (one to
+/// three row pairs, odd ones with a dummy upper row), 17 and 24; an even
+/// and an odd `padded_len` (the step count `padded_len + 2` is rounded up
+/// to whole two-column trips, so the odd one ends on an off-the-end
+/// column); every count of real lanes 1…16 with ragged pad tails; all 24
+/// codes; gap models 0/0 (a gap is free) and the paper's 10/2 in turn.
 #[test]
-fn byte_pass_query_parities_lane_counts_and_gap_models() {
+fn byte_pass_query_lengths_step_parities_and_lane_counts() {
     let a = Alphabet::protein();
     let mut rng = Rng(0xb17e_5eed);
-    let mut real = 0;
-    for m in [1usize, 2, 3, 8, 17, 24] {
-        for (open, extend) in [(0, 0), (10, 2), (300, 300)] {
-            let p = SwParams::new(SubstMatrix::blosum62(), GapPenalty::new(open, extend));
-            real = real % 16 + 1;
-            let query = rng.seq_all_codes(&a, m);
-            let subjects: Vec<Vec<u8>> = (0..real)
-                .map(|_| {
-                    let len = 1 + (rng.next() as usize) % 40;
-                    rng.seq_all_codes(&a, len)
-                })
-                .collect();
-            let label = format!("m {m} gap {open}/{extend} lanes {real}");
-            check_width::<16>(&a, &p, &query, &subjects, &label);
+    let mut round = 0;
+    for m in [1usize, 2, 3, 4, 5, 17, 24] {
+        for longest in [40usize, 41] {
+            for real in 1..=16 {
+                let (open, extend) = [(0, 0), (10, 2)][round % 2];
+                round += 1;
+                let p = SwParams::new(SubstMatrix::blosum62(), GapPenalty::new(open, extend));
+                let query = rng.seq_all_codes(&a, m);
+                let subjects: Vec<Vec<u8>> = (0..real)
+                    .map(|lane| {
+                        let len = 1 + (rng.next() as usize) % longest;
+                        rng.seq_all_codes(&a, if lane == 0 { longest } else { len })
+                    })
+                    .collect();
+                let label = format!("m {m} n {longest} gap {open}/{extend} lanes {real}");
+                let blocks = [None, Some(3)];
+                check_fused::<16>(&isas(), &blocks, &a, &p, &query, &subjects, &label);
+            }
         }
     }
-    // 18 rounds walked the lane count 1…16 and two more.
-    assert_eq!(real, 2);
 }
 
-/// The pad rule of the byte pass: a padded cell scores `−bias`, not −128,
-/// so `H` *can* be positive inside a pad tail — but never above what the
-/// lane's real cells reached. Short lanes here end in a run of W against a
-/// query whose own W run goes on: the highest `H` of the lane sits on its
-/// last real column, right where the tail begins, with query rows still
-/// to come. Under BLOSUM62 it decays into the tail; under a non-negative
-/// matrix or free gaps it is carried along undiminished. Every lane must
-/// still score what the scalar reference says for the sequence alone.
+/// Floor-offset bytes cannot clamp a penalty they cannot hold (a lane at
+/// 254 less a clamped 127 is still positive), so the gap model decides the
+/// first tier: a first-gap penalty of 127 runs the byte pass, 128 — and
+/// 300/300, which the wider types clamp to "never gap" — start at i16 with
+/// no byte statistics, and every one of them returns the oracle's scores,
+/// across every flavour. The query's two motifs sit 3 junk rows apart, so a
+/// cheap gap bridges them and the dear ones must not.
+#[test]
+fn gap_first_127_runs_the_byte_pass_and_128_starts_at_i16() {
+    let a = Alphabet::protein();
+    let mut rng = Rng(0x9a9_5eed);
+    let query = a.encode_strict(b"MKVLITRAWGGGMKVLITRAW").unwrap();
+    let mut subjects = vec![a.encode_strict(b"MKVLITRAWMKVLITRAW").unwrap()];
+    subjects.extend((0..6).map(|i| rng.seq_all_codes(&a, 5 + 9 * i)));
+    let lanes = subjects.len() as u64;
+    let mut scores = Vec::new();
+    for (open, extend, bytes) in [
+        (1, 1, true),
+        (125, 2, true),
+        (126, 2, false),
+        (0, 128, false),
+        (300, 300, false),
+    ] {
+        let p = SwParams::new(SubstMatrix::blosum62(), GapPenalty::new(open, extend));
+        let label = format!("gap {open}/{extend}");
+        check_width::<16>(&a, &p, &query, &subjects, &label);
+        scores.push(expect_i16(&p, &query, &subjects).scores);
+        if let Some(stats) = avx2_stats(&a, &p, &query, &subjects, &label) {
+            let want = if bytes { (lanes, 0) } else { (0, 0) };
+            assert_eq!(stats, want, "{label}");
+        }
+    }
+    assert!(scores[0][0] > scores[1][0], "construction: 1/1 bridges");
+    assert!(
+        scores[1..].iter().all(|s| *s == scores[1]),
+        "construction: from 127 on no gap pays"
+    );
+}
+
+/// The pad rule, which the byte pass shares with the wider types: a padded
+/// cell scores −128, so `H` *can* be positive inside a pad tail — carried
+/// in by a gap, or along the diagonal from above 128 — but never above what
+/// the lane's real cells reached. Short lanes here end in a run of W
+/// against a query whose own W run goes on: the highest `H` of the lane
+/// sits on its last real column, right where the tail begins, with query
+/// rows still to come. Under BLOSUM62 it decays into the tail; under free
+/// gaps it is carried along undiminished. Every lane must still score what
+/// the scalar reference says for the sequence alone.
 #[test]
 fn padded_cells_never_exceed_their_lane() {
     let a = Alphabet::protein();

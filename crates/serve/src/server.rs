@@ -92,7 +92,8 @@ pub struct ServeConfig {
     pub default_top: usize,
     /// Gather window: after the first submit arrives, the collector
     /// waits this long so concurrent submits coalesce into the same
-    /// shared region before it takes a batch.
+    /// shared region before it takes a batch. Unused by a shard worker
+    /// (see [`ServeConfig::gather_window`]).
     pub batch_window_ms: u64,
     /// Ops-log threshold (structured JSON lines, one per lifecycle
     /// transition).
@@ -149,6 +150,16 @@ impl ServeConfig {
             snapshot_digest: None,
             request_timeout_ms: 10_000,
             shard: None,
+        }
+    }
+
+    /// The gather window the collector holds open: `batch_window_ms`, and
+    /// none at all for a shard worker — its one client is a coordinator
+    /// that sends one request per query, so nobody would join.
+    pub fn gather_window(&self) -> Duration {
+        match self.shard {
+            Some(_) => Duration::ZERO,
+            None => Duration::from_millis(self.batch_window_ms),
         }
     }
 
@@ -625,7 +636,7 @@ fn op_submit<W: Write>(ctx: Ctx<'_>, line: &str, w: &mut W) -> io::Result<()> {
 /// repeatedly collects a batch of parked submits and runs them as one
 /// shared dual-pool region, until shutdown drains the queue.
 fn collector_loop(ctx: Ctx<'_>) {
-    let window = Duration::from_millis(ctx.config.batch_window_ms);
+    let window = ctx.config.gather_window();
     while let Some((jobs, closed)) =
         ctx.batcher
             .collect(ctx.config.max_concurrent, window, ctx.shutdown)

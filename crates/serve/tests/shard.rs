@@ -209,6 +209,10 @@ fn seed_socket(seed: &WorkerSeed) -> PathBuf {
         .to_path_buf()
 }
 
+/// The workers are configured with a 2 s gather window, which a shard
+/// worker must not hold open: its one client is the coordinator, which
+/// sends one request per query, so nobody would join. Each lone sharded
+/// search has to come back well inside one second.
 #[test]
 fn sharded_merge_is_byte_identical_at_1_2_4_shards() {
     let a = Alphabet::protein();
@@ -233,7 +237,7 @@ fn sharded_merge_is_byte_identical_at_1_2_4_shards() {
             .iter()
             .enumerate()
             .map(|(i, r)| {
-                worker_seed(
+                let mut seed = worker_seed(
                     &seqs,
                     *r,
                     i as u64,
@@ -241,7 +245,9 @@ fn sharded_merge_is_byte_identical_at_1_2_4_shards() {
                     &a,
                     tmp.join(format!("n{n}-shard-{i}.sock")),
                     &tmp.join("ckpt"),
-                )
+                );
+                seed.config.batch_window_ms = 2_000;
+                seed
             })
             .collect();
         let specs: Vec<ShardSpec> = seeds
@@ -267,6 +273,7 @@ fn sharded_merge_is_byte_identical_at_1_2_4_shards() {
                 Err(format!("unexpected respawn of shard {}", spec.index))
             };
             let transport = CountingTransport::default();
+            let t0 = Instant::now();
             let outcome = coord::search_sharded_durable(
                 &specs,
                 &fasta,
@@ -276,6 +283,11 @@ fn sharded_merge_is_byte_identical_at_1_2_4_shards() {
                 &CoordDrill::default(),
             )
             .unwrap_or_else(|e| panic!("n={n}: {e}"));
+            let took = t0.elapsed();
+            assert!(
+                took < Duration::from_secs(1),
+                "n={n}: a shard worker held its 2 s window open: {took:?}"
+            );
             assert_eq!(
                 transport.0.load(Ordering::SeqCst),
                 2 * n,

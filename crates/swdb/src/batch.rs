@@ -11,12 +11,11 @@
 //! Shorter sequences within a batch are padded with [`pad_code`], a
 //! sentinel residue that scores no better than any real one, so a padded
 //! cell's `H` never exceeds what the real cells of its lane already
-//! reached — padding can therefore never influence a reported score. The
-//! signed kernels get there the blunt way: the pad scores [`PAD_SCORE`],
-//! so negative that `H` stays clamped at zero throughout the padded
-//! region. The unsigned byte pass cannot represent that; its pad scores
-//! the matrix minimum or below (`ScoreTable::biased_rows`), `H` may stay
-//! positive for a while inside a pad tail, and the bound still holds.
+//! reached — padding can therefore never influence a reported score.
+//! Every kernel gets there the blunt way, the byte pass included: the pad
+//! scores [`PAD_SCORE`], so a padded cell holds 128 less than its diagonal
+//! neighbour or what a gap carries in less the penalty — in practice zero
+//! throughout the padded region.
 
 use crate::preprocess::SortedDb;
 use serde::{Deserialize, Serialize};
@@ -31,9 +30,9 @@ pub const PAD_CODE_OFFSET: u8 = 0;
 ///
 /// Any value `≤ -(max substitution score)` keeps `H` at zero in the padded
 /// region because `H ≥ 0` clamps the recurrence; -128 also fits an `i8` for
-/// narrow-score kernels. What correctness needs is weaker, and is all the
-/// unsigned byte pass offers (its pad scores `−bias`): a padded cell never
-/// exceeds the maximum of its lane's real cells.
+/// narrow-score kernels and the byte pass. What correctness needs is
+/// weaker, and any negative pad score gives it: a padded cell never exceeds
+/// the maximum of its lane's real cells.
 pub const PAD_SCORE: i32 = -128;
 
 /// Pad residue code for a given alphabet (one past the last real code).

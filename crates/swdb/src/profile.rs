@@ -27,13 +27,13 @@
 //! shuffle indexed by a lane batch's residue codes yields SP row `(e, j)`
 //! in registers (SWIPE's and SWAPHI's InterSP scheme): the kernel derives
 //! the SP values one database column at a time and never stores the
-//! `|Σ|·N_pad·L` table. The rows exist twice, signed for the i16 sweep and
-//! biased-unsigned for the byte pass that runs before it.
+//! `|Σ|·N_pad·L` table. One set of signed rows serves both tiers: the i16
+//! sweep sign-extends what it shuffles, the floor-offset byte pass that
+//! runs before it adds the bytes as they are.
 //!
 //! `Σ'` is the alphabet plus the pad sentinel; pad entries score
-//! [`PAD_SCORE`] so padded lanes stay at `H = 0` — except in the score
-//! table's biased rows, whose pad column holds the lowest score a byte can
-//! (see [`ScoreTable::biased_rows`]).
+//! [`PAD_SCORE`] so a padded cell's diagonal term is never above zero, at
+//! every element width.
 
 use crate::aligned::AlignedBuf;
 use crate::batch::{pad_code, profile_codes, LaneBatch, PAD_SCORE};
@@ -233,22 +233,10 @@ pub const SCORE_TABLE_COLS: usize = 32;
 pub struct ScoreTable<'a> {
     matrix: &'a SubstMatrix,
     alphabet: &'a Alphabet,
-    /// `None` when a score does not fit `i8` or the alphabet plus pad
-    /// exceeds the columns.
-    rows: Option<ShuffleRows>,
-}
-
-/// The two shuffle layouts of one matrix, derived together.
-#[derive(Debug, Clone)]
-struct ShuffleRows {
-    /// `signed[e][c]` = V(e, c) for residue codes `c < |Σ|`, [`PAD_SCORE`]
-    /// for the pad code and every column past it.
-    signed: Vec<[i8; SCORE_TABLE_COLS]>,
-    /// `biased[e][c]` = V(e, c) + `bias` for `c < |Σ|`, 0 — a true score of
-    /// `−bias` — for the pad code and every column past it.
-    biased: Vec<[u8; SCORE_TABLE_COLS]>,
-    /// `max(0, −min score)`: what makes every score non-negative.
-    bias: u8,
+    /// `rows[e][c]` = V(e, c) for residue codes `c < |Σ|`, [`PAD_SCORE`]
+    /// for the pad code and every column past it. `None` when a score does
+    /// not fit `i8` or the alphabet plus pad exceeds the columns.
+    rows: Option<Vec<[i8; SCORE_TABLE_COLS]>>,
 }
 
 impl<'a> ScoreTable<'a> {
@@ -265,24 +253,7 @@ impl<'a> ScoreTable<'a> {
         );
         let rows = (profile_codes(alphabet) <= SCORE_TABLE_COLS)
             .then(|| (0..alphabet.len() as u8).map(|e| Self::shuffle_row(matrix.row(e))))
-            .and_then(Iterator::collect)
-            .map(|signed: Vec<[i8; SCORE_TABLE_COLS]>| {
-                // Every score fits i8, so the bias is at most 128 and a
-                // biased score at most 127 + 128.
-                let bias = (-matrix.min_score()).max(0) as u8;
-                let lift = |v: i8| (v as i32 + bias as i32) as u8;
-                let biased = signed
-                    .iter()
-                    .map(|row| {
-                        std::array::from_fn(|c| if c < alphabet.len() { lift(row[c]) } else { 0 })
-                    })
-                    .collect();
-                ShuffleRows {
-                    signed,
-                    biased,
-                    bias,
-                }
-            });
+            .and_then(Iterator::collect);
         ScoreTable {
             matrix,
             alphabet,
@@ -305,18 +276,7 @@ impl<'a> ScoreTable<'a> {
     /// kernels then materialise a [`SequenceProfile`]).
     #[inline]
     pub fn rows(&self) -> Option<&[[i8; SCORE_TABLE_COLS]]> {
-        self.rows.as_ref().map(|r| &r.signed[..])
-    }
-
-    /// The same rows for an unsigned 8-bit pass, and their bias
-    /// `max(0, −min score)`: every real score is stored plus the bias (so
-    /// none is negative), the pad column and every column past it hold 0.
-    /// A padded cell therefore scores `−bias ≤ 0` — not [`PAD_SCORE`]: its
-    /// `H` may be positive, but never above what the lane's real cells
-    /// already reached. `Some` exactly when [`Self::rows`] is.
-    #[inline]
-    pub fn biased_rows(&self) -> Option<(&[[u8; SCORE_TABLE_COLS]], u8)> {
-        self.rows.as_ref().map(|r| (&r.biased[..], r.bias))
+        self.rows.as_deref()
     }
 
     /// The matrix the table was built from.
@@ -575,16 +535,6 @@ mod tests {
                 .iter()
                 .all(|&v| v as i32 == PAD_SCORE));
         }
-        // The biased rows: the same scores lifted by −min, pad and beyond 0.
-        let (biased, bias) = table.biased_rows().expect("exists with the signed rows");
-        assert_eq!(bias as i32, -m.min_score());
-        assert_eq!(bias, 4);
-        for (signed, unsigned) in rows.iter().zip(biased) {
-            for c in 0..a.len() {
-                assert_eq!(unsigned[c] as i32, signed[c] as i32 + bias as i32);
-            }
-            assert!(unsigned[a.len()..].iter().all(|&v| v == 0));
-        }
     }
 
     #[test]
@@ -595,18 +545,11 @@ mod tests {
         assert!(table.rows().is_none(), "200 does not fit i8");
         assert_eq!(table.matrix().score(0, 0), 200);
         assert_eq!(table.alphabet().len(), a.len());
-        assert!(table.biased_rows().is_none(), "both layouts or neither");
-        // The widest matrix that fits uses the whole byte; a matrix without
-        // a negative score needs no bias at all.
+        // The widest matrix that fits uses the whole byte.
         let edge = SubstMatrix::match_mismatch(&a, 127, -128);
         let table = ScoreTable::build(&edge, &a);
-        assert!(table.rows().is_some());
-        let (biased, bias) = table.biased_rows().unwrap();
-        assert_eq!((bias, biased[3][3], biased[3][4]), (128, 255, 0));
-        let flat = SubstMatrix::match_mismatch(&a, 3, 0);
-        let table = ScoreTable::build(&flat, &a);
-        let (biased, bias) = table.biased_rows().unwrap();
-        assert_eq!((bias, biased[3][3], biased[3][4]), (0, 3, 0));
+        let rows = table.rows().expect("127 and −128 fit i8");
+        assert_eq!((rows[3][3], rows[3][4]), (127, -128));
     }
 
     #[test]

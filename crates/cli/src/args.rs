@@ -1,51 +1,63 @@
 //! Hand-rolled argument parsing for `swsearch` (no external CLI crates —
-//! the dependency budget is documented in DESIGN.md).
+//! the dependency budget is documented in DESIGN.md). Each subcommand
+//! parses into one struct holding exactly the options its command reads,
+//! so a flag the command would ignore is never read, and [`parse`]
+//! refuses every token it did not read.
 
 use std::fmt;
 use std::time::Duration;
+use sw_core::SearchConfig;
+use sw_kernels::scalar::SwParams;
 use sw_kernels::{KernelIsa, KernelVariant, ProfileMode, Vectorization};
 use sw_sched::{FaultKind, FaultSpec, DEVICE_ACCEL};
+use sw_seq::{Alphabet, GapPenalty, SubstMatrix};
+use sw_trace::TraceLevel;
 
 /// Usage text shown on parse errors and `--help`.
 pub const USAGE: &str = "\
 swsearch — Smith-Waterman protein database search (Rucci et al., CLUSTER 2014 reproduction)
 
 USAGE:
-  swsearch search   --query <fasta> --db <fasta|swdb> [options]
-  swsearch search   --query <fasta> --shards <manifest> [--top <k>] [options]
-  swsearch makedb   --in <fasta> --out <swdb>
+  swsearch search   --query <fasta> --db <fasta|swdb> [scoring and search options]
+  swsearch search   --query <fasta> --shards <manifest> [--top <k>] [--threads <n>]
+                    [--json] [shard options]
+  swsearch makedb   --in <fasta> --out <swdb> [--quarantine]
   swsearch shard-prepare --db <fasta|swdb> --out <dir> --shards <n>
                     [--replicas <r>] [--endpoints <ep,ep,...>]
   swsearch gendb    --seqs <n> --out <fasta|swdb> [--seed <u64>] [--mean-len <f>]
   swsearch stats    --db <fasta|swdb>
   swsearch selftest [--lanes <4|8|16|32>] [--scale <n>]
   swsearch simulate --device <xeon|phi|hetero> [--threads <n>] [--query-len <m>]
-                    [--frac <0..1>] [--variant <v>] [--db-scale <0..1>]
-  swsearch align    --query <fasta> --subject <fasta> [--matrix <name>] [--open <q>] [--extend <r>]
+                    [--frac <0..1>] [--variant <v>] [--no-blocking] [--db-scale <0..1>]
+  swsearch align    --query <fasta> --subject <fasta> [scoring options]
   swsearch bench    [--seqs <n>] [--query-len <m>] [--threads <t>] [--lanes <l>]
   swsearch hetero   --query <fasta> --db <fasta|swdb> [--frac <0..1>]
-                    [--dynamic] [--accel-threads <n>] [--min-chunk <n>]
-                    [--checkpoint <path> | --checkpoint-dir <dir>] [--resume] [options]
+                    [scoring and search options]
+                    [--dynamic [hetero options] [durability options]]
   swsearch serve    --db <swdb|fasta> (--socket <path> | --listen <endpoint>)
-                    [--threads <n>]
                     [--accel-threads <n>] [--max-concurrent <n>]
                     [--tenant-quota <n>] [--batch-window-ms <ms>]
                     [--checkpoint-dir <dir>]
-                    [--trace-dir <dir>] [--registry-out <path>] [--lanes <n>]
+                    [--trace-dir <dir>] [--registry-out <path>]
                     [--log-level <l>] [--log-file <path>]
                     [--slow-query-ms <ms>] [--metrics-file <path>]
                     [--metrics-interval-ms <ms>] [--request-timeout-ms <ms>]
-                    [--shard-worker]
+                    [--shard-worker] [scoring and search options]
   swsearch submit   --socket <endpoint> (--query <fasta> | --status <job> |
                     --cancel <job> | --stats | --metrics | --health |
                     --shutdown) [--tenant <name>] [--top <k>] [--json]
                     [--connect-retries <n>] [--connect-backoff-ms <ms>]
   swsearch trace-check [--trace <jsonl>] [--metrics <prom>]
 
-SEARCH OPTIONS:
+SCORING OPTIONS (search, hetero, serve, align):
   --matrix <name>     BLOSUM45/50/62/80 or PAM250 (default BLOSUM62)
   --open <q>          gap open penalty (default 10)
   --extend <r>        gap extension penalty (default 2)
+  --dna               nucleotide mode (ACGTN; default scoring +5/-4, N=-2)
+  --match <s>         DNA match score (with --dna; default 5)
+  --mismatch <s>      DNA mismatch score (with --dna; default -4)
+
+SEARCH OPTIONS (search, hetero, serve):
   --threads <n>       worker threads (default 1)
   --lanes <n>         vector lanes: 4, 8, 16 or 32 (default 16)
   --variant <v>       no-vec-qp | no-vec-sp | simd-qp | simd-sp |
@@ -55,37 +67,34 @@ SEARCH OPTIONS:
                       the intrinsic kernels (default auto: best the host
                       supports; results are identical on every choice)
   --top <k>           hits to print (default 10)
-  --align             render the alignment of each reported hit
-  --tabular           BLAST outfmt-6 style tabular output (12 columns)
-  --dna               nucleotide mode (ACGTN; default scoring +5/-4, N=-2)
-  --match <s>         DNA match score (with --dna; default 5)
-  --mismatch <s>      DNA mismatch score (with --dna; default -4)
-  --both-strands      with --dna: also search the reverse complement
   --quarantine        skip malformed FASTA records instead of aborting;
                       a per-issue summary is printed (also on makedb)
+  --align             (search) render the alignment of each reported hit
+  --tabular           (search) BLAST outfmt-6 style tabular output (12 columns)
+  --both-strands      (search, with --dna) also search the reverse complement
 
-HETERO OPTIONS:
+HETERO OPTIONS (with --dynamic):
   --dynamic           dual-pool dynamic scheduler: both device pools pull
                       from one shared queue; --frac only seeds the
                       feedback estimator. Prints per-device metrics.
   --accel-threads <n> accelerator-pool workers (default: same as --threads)
   --min-chunk <n>     smallest batch chunk a pool grabs (default 1)
-  --inject-fault <s>  (dynamic) fault-injection drill against the accel
+  --inject-fault <s>  fault-injection drill against the accel
                       pool: kill@N | delay@N:MS | wedge@N | kill-pool@N
                       (N = 0-based chunk index). Hits stay exact; the run
                       recovers on the surviving pool.
   --accel-timeout-ms <n>  reclaim a silent accel chunk lease after n ms
                       (default: never; required for wedge recovery)
   --failure-budget <n> failures before a pool is retired (default 3)
-  --trace-out <path>  (dynamic) write the run's event timeline: a .jsonl
+  --trace-out <path>  write the run's event timeline: a .jsonl
                       path gets one event per line; any other extension
                       gets Chrome trace-event JSON (open in Perfetto)
-  --metrics-out <path> (dynamic) write a Prometheus text snapshot of the
+  --metrics-out <path> write a Prometheus text snapshot of the
                       run's counters, histograms and GCUPS time series
   --trace-level <l>   off | lite | full (default: full when --trace-out
                       or --metrics-out is given, else off)
 
-DURABILITY OPTIONS (dynamic mode):
+DURABILITY OPTIONS (with --dynamic):
   --checkpoint <path> persist search progress to this file: versioned,
                       CRC32-checksummed, written atomically. SIGINT or
                       SIGTERM drains the run gracefully (workers finish
@@ -99,19 +108,19 @@ DURABILITY OPTIONS (dynamic mode):
                       searches can share the directory without clobbering
                       each other. Mutually exclusive with --checkpoint.
   --checkpoint-interval-chunks <n>
-                      write a checkpoint every n committed chunks
-                      (default 8; the graceful-drain checkpoint is
-                      written regardless)
-  --resume            load the checkpoint if it exists and skip its
-                      completed batches. The checkpoint is verified
-                      against the database content digest, query digest,
-                      lane count and batch count first; a mismatch is a
-                      hard error. The final hit list is byte-identical
+                      (with a checkpoint) write a checkpoint every n
+                      committed chunks (default 8; the graceful-drain
+                      checkpoint is written regardless)
+  --resume            (with a checkpoint) load the checkpoint if it exists
+                      and skip its completed batches. The checkpoint is
+                      verified against the database content digest, query
+                      digest, lane count and batch count first; a mismatch
+                      is a hard error. The final hit list is byte-identical
                       to an uninterrupted run.
   --kill-after-chunks <n>
-                      crash drill: abort the whole process (as SIGKILL
-                      would) after n chunks have been committed — used
-                      by the crash-resume test harness
+                      (with a checkpoint) crash drill: abort the whole
+                      process (as SIGKILL would) after n chunks have been
+                      committed — used by the crash-resume test harness
 
 SERVE OPTIONS:
   --socket <path>     Unix socket the daemon listens on (serve) or the
@@ -186,6 +195,9 @@ SHARD OPTIONS:
                       to the unsharded run over the sorted parent. A
                       dead or wedged worker's shard is requeued to a
                       respawned process and resumes from its checkpoint.
+  --threads <n>       (search --shards) worker threads of each shard
+                      worker it spawns — the one option forwarded; the
+                      workers score and search with their defaults
   --replicas <r>      (shard-prepare) also write placement.plan mapping
                       every shard to r endpoints (round-robin over
                       --endpoints, or per-replica socket names)
@@ -217,6 +229,8 @@ SHARD OPTIONS:
   --metrics-out <path> (search --shards) write a Prometheus text snapshot
                       of the coordinator's counters (requeues, failovers,
                       net retries, journal skips) after the merge
+  --json              (search --shards) print the merged hits as raw wire
+                      JSON lines instead of the report
 
 TRACE-CHECK OPTIONS:
   --trace <path>      validate a JSONL event log: schema header, per-track
@@ -224,325 +238,566 @@ TRACE-CHECK OPTIONS:
   --metrics <path>    validate a Prometheus text snapshot
 ";
 
-/// A parsed command.
-#[derive(Debug, Clone, PartialEq)]
+/// A parsed command: each variant carries the options its command reads.
+#[derive(Debug)]
 pub enum Command {
     /// Database search (Algorithm 1).
-    Search {
-        /// Query FASTA path.
-        query: String,
-        /// Database path (FASTA or `.swdb` snapshot).
-        db: String,
-        /// Scoring/search knobs.
-        opts: SearchOpts,
-    },
+    Search(Search),
     /// Sharded search: spawn/reuse one worker daemon per shard, fan the
     /// query out, merge byte-identically to the unsharded run.
-    SearchShards {
-        /// Query FASTA path.
-        query: String,
-        /// `shards.manifest` written by `shard-prepare`.
-        manifest: String,
-        /// Sockets, worker logs and checkpoints live here (defaults to
-        /// the manifest's directory).
-        shard_dir: Option<String>,
-        /// Hits to keep after the merge.
-        top: usize,
-        /// Fault drill forwarded to every shard worker.
-        drill: Option<String>,
-        /// Coordinator-side network fault drill (`refuse@S`, …).
-        net_fault: Option<String>,
-        /// Seeded random network fault plan.
-        net_fault_seed: Option<u64>,
-        /// Placement plan path (shard → replica endpoints).
-        placement: Option<String>,
-        /// Coordinator journal path override.
-        coord_journal: Option<String>,
-        /// Resume from the journal, skipping committed shards.
-        resume_coord: bool,
-        /// Write the coordinator's Prometheus counters here.
-        metrics_out: Option<String>,
-        /// Print raw wire JSON hit lines instead of the report.
-        json: bool,
-        /// Worker knobs (threads, lanes …) for spawned shard daemons.
-        opts: SearchOpts,
-    },
+    SearchShards(ShardedSearch),
     /// Split a database into digest-identified snapshot shards.
-    ShardPrepare {
-        /// Input database (FASTA or `.swdb` snapshot).
-        db: String,
-        /// Output directory for shards, sorted parent and manifest.
-        out: String,
-        /// Number of shards.
-        shards: usize,
-        /// Replicas per shard; > 1 (or an endpoint pool) also writes a
-        /// `placement.plan`.
-        replicas: usize,
-        /// Comma-separated endpoint pool for the placement plan.
-        endpoints: Option<String>,
-    },
+    ShardPrepare(ShardPrepare),
     /// Preprocess a FASTA database into a binary snapshot.
-    MakeDb {
-        /// Input FASTA.
-        input: String,
-        /// Output snapshot path.
-        output: String,
-        /// Skip malformed records instead of aborting.
-        quarantine: bool,
-    },
+    MakeDb(MakeDb),
     /// Generate a synthetic Swiss-Prot-like database.
-    GenDb {
-        /// Sequence count.
-        seqs: u32,
-        /// Output path (`.swdb` → snapshot, else FASTA).
-        output: String,
-        /// RNG seed.
-        seed: u64,
-        /// Mean sequence length.
-        mean_len: f64,
-    },
+    GenDb(GenDb),
     /// Print database statistics.
     Stats {
         /// Database path.
         db: String,
     },
     /// Cross-variant correctness self-test.
-    SelfTest {
-        /// Lane width.
-        lanes: usize,
-        /// Workload scale factor.
-        scale: u32,
-    },
+    SelfTest(SelfTest),
     /// Simulated performance of the paper's devices.
-    Simulate {
-        /// `xeon`, `phi` or `hetero`.
-        device: String,
-        /// Threads (0 = device maximum).
-        threads: u32,
-        /// Query length.
-        query_len: usize,
-        /// Fraction of work offloaded (hetero only).
-        frac: f64,
-        /// Kernel variant.
-        variant: KernelVariant,
-        /// Database scale relative to Swiss-Prot (1.0 = 541 561 seqs).
-        db_scale: f64,
-    },
+    Simulate(Simulate),
     /// Pairwise alignment with traceback.
-    Align {
-        /// Query FASTA path.
-        query: String,
-        /// Subject FASTA path.
-        subject: String,
-        /// Scoring knobs.
-        opts: SearchOpts,
-    },
+    Align(Align),
     /// Heterogeneous search (Algorithm 2): static split, or the dynamic
     /// dual-pool scheduler with `--dynamic`.
-    Hetero {
-        /// Query FASTA path.
-        query: String,
-        /// Database path.
-        db: String,
-        /// Fraction of DP cells sent to the accelerator share (seed of
-        /// the feedback estimator under `--dynamic`).
-        frac: f64,
-        /// Use the dynamic dual-pool scheduler instead of the fixed
-        /// prefix/suffix split.
-        dynamic: bool,
-        /// Accelerator-pool worker threads (dynamic mode).
-        accel_threads: usize,
-        /// Smallest batch chunk either pool grabs (dynamic mode).
-        min_chunk: usize,
-        /// Fault to inject into the accelerator pool (dynamic mode):
-        /// exercises the lease/requeue recovery path end to end.
-        inject_fault: Option<FaultSpec>,
-        /// Reclaim a silent accelerator chunk lease after this many
-        /// milliseconds (dynamic mode; `None` = never).
-        accel_timeout_ms: Option<u64>,
-        /// Failures a pool tolerates before it is retired (dynamic mode).
-        failure_budget: u32,
-        /// Write the event timeline here (dynamic mode): `.jsonl` → JSONL
-        /// event log, anything else → Chrome trace-event JSON.
-        trace_out: Option<String>,
-        /// Write a Prometheus text snapshot of the run's metrics here
-        /// (dynamic mode).
-        metrics_out: Option<String>,
-        /// Journal detail level. Defaults to `Full` when `--trace-out` or
-        /// `--metrics-out` is given, `Off` otherwise.
-        trace_level: sw_trace::TraceLevel,
-        /// Persist search progress to this checkpoint file (dynamic
-        /// mode); SIGINT/SIGTERM then drain gracefully instead of
-        /// killing the run.
-        checkpoint: Option<String>,
-        /// Keep the checkpoint in this directory under a
-        /// fingerprint-derived name (concurrency-safe alternative to
-        /// `--checkpoint`).
-        checkpoint_dir: Option<String>,
-        /// Chunks between periodic checkpoint writes.
-        checkpoint_interval: u64,
-        /// Load the checkpoint (if present) and skip its batches.
-        resume: bool,
-        /// Crash drill: abort the process after this many committed
-        /// chunks (simulates SIGKILL for the crash-resume harness).
-        kill_after_chunks: Option<u64>,
-        /// Scoring/search knobs.
-        opts: SearchOpts,
-    },
-    /// Long-lived search daemon: load and verify the database once,
-    /// serve line-delimited JSON queries over a Unix socket.
-    Serve {
-        /// Database path (`.swdb` snapshot or FASTA).
-        db: String,
-        /// Endpoint to listen on: a bare Unix socket path (`--socket`)
-        /// or a `tcp://host:port` / `unix://path` URL (`--listen`).
-        socket: String,
-        /// Queries batched into one shared dual-pool region; submits
-        /// past the cap wait for the next region.
-        max_concurrent: usize,
-        /// Max queued+running jobs per tenant; a submit over the quota
-        /// is rejected immediately.
-        tenant_quota: usize,
-        /// Gather window in ms: concurrent submits arriving within it
-        /// coalesce into the same shared region.
-        batch_window_ms: u64,
-        /// Accelerator-pool worker threads per search.
-        accel_threads: usize,
-        /// Fingerprint-named per-job checkpoints live here (cancelled
-        /// jobs stay resumable).
-        checkpoint_dir: Option<String>,
-        /// Per-job query-tagged JSONL trace exports live here.
-        trace_dir: Option<String>,
-        /// Dump the job registry as JSONL here on shutdown.
-        registry_out: Option<String>,
-        /// Ops-log threshold.
-        log_level: sw_serve::LogLevel,
-        /// Ops-log destination (stderr when `None`).
-        log_file: Option<String>,
-        /// Slow-query threshold in ms (`None` disables).
-        slow_query_ms: Option<u64>,
-        /// Periodic Prometheus scrape dump path.
-        metrics_file: Option<String>,
-        /// Dump cadence for `metrics_file` in ms.
-        metrics_interval_ms: u64,
-        /// Per-connection request deadline in ms.
-        request_timeout_ms: u64,
-        /// Treat `db` as a `.swshard` file and serve that shard.
-        shard_worker: bool,
-        /// Scoring/search knobs shared by every job.
-        opts: SearchOpts,
-    },
+    Hetero(Hetero),
+    /// Long-lived search daemon.
+    Serve(Serve),
     /// Client for a running `serve` daemon.
-    Submit {
-        /// Unix socket path of the daemon.
-        socket: String,
-        /// Query FASTA to submit (`None` for the control operations).
-        query: Option<String>,
-        /// Tenant the job is accounted against.
-        tenant: String,
-        /// Report this job id instead of submitting.
-        status: Option<u64>,
-        /// Drain this job id gracefully.
-        cancel: Option<u64>,
-        /// Print a registry summary.
-        stats: bool,
-        /// Fetch the daemon-lifetime Prometheus snapshot.
-        metrics: bool,
-        /// Readiness/liveness probe.
-        health: bool,
-        /// Drain in-flight jobs and stop the daemon.
-        shutdown: bool,
-        /// Fault drill forwarded with the job (e.g. `delay@0:1500`).
-        drill: Option<String>,
-        /// Hits to return.
-        top: usize,
-        /// Print raw wire JSON lines instead of human-formatted text.
-        json: bool,
-        /// Extra connect attempts under jittered exponential backoff.
-        connect_retries: u32,
-        /// Base backoff for connect retries in ms.
-        connect_backoff_ms: u64,
-    },
+    Submit(Submit),
     /// Validate exported trace artifacts (CI gate for `--trace-out` /
     /// `--metrics-out` files).
-    TraceCheck {
-        /// JSONL event log to validate.
-        trace: Option<String>,
-        /// Prometheus text snapshot to validate.
-        metrics: Option<String>,
-    },
+    TraceCheck(TraceCheck),
     /// Host throughput micro-benchmark.
-    Bench {
-        /// Database sequences to generate.
-        seqs: u32,
-        /// Query length.
-        query_len: u32,
-        /// Worker threads.
-        threads: usize,
-        /// Vector lanes.
-        lanes: usize,
-    },
+    Bench(Bench),
     /// Print usage.
     Help,
 }
 
-/// Search options shared by `search` and `align`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SearchOpts {
-    /// Substitution matrix name.
+/// The scoring flags: what a search or an alignment finds.
+#[derive(Debug, PartialEq)]
+pub struct Scoring {
+    /// Substitution matrix name (protein mode).
     pub matrix: String,
     /// Gap open penalty.
     pub open: i32,
     /// Gap extension penalty.
     pub extend: i32,
-    /// Worker threads.
-    pub threads: usize,
-    /// Vector lanes.
-    pub lanes: usize,
-    /// Kernel variant.
-    pub variant: KernelVariant,
-    /// Hits to print.
-    pub top: usize,
-    /// Render alignments of reported hits.
-    pub align: bool,
-    /// Forced kernel ISA (`--kernel-isa`); `None` = auto-detect the best
-    /// the host supports. Availability is checked at execution time.
-    pub kernel_isa: Option<KernelIsa>,
-    /// Output format: plain report or BLAST-style 12-column tabular.
-    pub tabular: bool,
     /// Nucleotide mode: DNA alphabet + match/mismatch scoring.
     pub dna: bool,
     /// DNA match score (nucleotide mode only).
     pub match_score: i32,
     /// DNA mismatch score (nucleotide mode only).
     pub mismatch: i32,
-    /// Also search the reverse-complement strand (nucleotide mode only).
-    pub both_strands: bool,
+}
+
+impl Scoring {
+    fn parse(a: &mut Args<'_>) -> Result<Self, ParseError> {
+        Ok(Scoring {
+            matrix: a
+                .opt_value("--matrix")?
+                .unwrap_or_else(|| "BLOSUM62".into()),
+            open: a.parse_num("--open", 10)?,
+            extend: a.parse_num("--extend", 2)?,
+            dna: a.has_flag("--dna"),
+            match_score: a.parse_num("--match", 5)?,
+            mismatch: a.parse_num("--mismatch", -4)?,
+        })
+    }
+
+    /// The scoring scheme: `dna_matrix(match, mismatch, -2)` in
+    /// nucleotide mode, else the named matrix; affine gaps either way.
+    pub fn params(&self) -> Result<SwParams, String> {
+        let matrix = if self.dna {
+            sw_seq::dna::dna_matrix(self.match_score, self.mismatch, -2)
+        } else {
+            SubstMatrix::by_name(&self.matrix)
+                .ok_or_else(|| format!("unknown matrix '{}'", self.matrix))?
+        };
+        Ok(SwParams::new(
+            matrix,
+            GapPenalty::new(self.open, self.extend),
+        ))
+    }
+
+    /// The residue alphabet sequences are read in and rendered with.
+    pub fn alphabet(&self) -> Alphabet {
+        if self.dna {
+            Alphabet::dna()
+        } else {
+            Alphabet::protein()
+        }
+    }
+}
+
+/// The engine flags: how a search runs, never what it finds.
+#[derive(Debug, PartialEq)]
+pub struct Engine {
+    /// Worker threads.
+    pub threads: usize,
+    /// Vector lanes.
+    pub lanes: usize,
+    /// Kernel variant.
+    pub variant: KernelVariant,
+    /// Forced kernel ISA (`--kernel-isa`); `None` = the startup
+    /// resolution. Availability is checked by [`Engine::isa`].
+    pub kernel_isa: Option<KernelIsa>,
+}
+
+impl Engine {
+    fn parse(a: &mut Args<'_>) -> Result<Self, ParseError> {
+        let kernel_isa = match a.opt_value("--kernel-isa")? {
+            None => None,
+            Some(v) if v.eq_ignore_ascii_case("auto") => None,
+            Some(v) => Some(KernelIsa::from_name(&v).ok_or_else(|| {
+                err(format!(
+                    "--kernel-isa must be auto, portable, sse2 or avx2 (got '{v}')"
+                ))
+            })?),
+        };
+        Ok(Engine {
+            threads: a.parse_num("--threads", 1)?,
+            lanes: Engine::lanes(a, 16)?,
+            variant: Engine::variant(a)?,
+            kernel_isa,
+        })
+    }
+
+    /// `--lanes`: one of the widths the kernels are built for.
+    fn lanes(a: &mut Args<'_>, default: usize) -> Result<usize, ParseError> {
+        let lanes = a.parse_num("--lanes", default)?;
+        if !matches!(lanes, 4 | 8 | 16 | 32) {
+            return Err(err(format!("--lanes must be 4, 8, 16 or 32 (got {lanes})")));
+        }
+        Ok(lanes)
+    }
+
+    /// `--variant` and `--no-blocking`.
+    fn variant(a: &mut Args<'_>) -> Result<KernelVariant, ParseError> {
+        let blocking = !a.has_flag("--no-blocking");
+        match a.opt_value("--variant")? {
+            Some(v) => parse_variant(&v, blocking),
+            None => Ok(KernelVariant {
+                blocking,
+                ..KernelVariant::best()
+            }),
+        }
+    }
+
+    /// Resolve `--kernel-isa` against the host: auto uses
+    /// [`startup_kernel_isa`], a forced ISA must actually be supported
+    /// here.
+    pub fn isa(&self) -> Result<KernelIsa, String> {
+        match self.kernel_isa {
+            None => Ok(startup_kernel_isa()),
+            Some(isa) if isa.is_available() => Ok(isa),
+            Some(isa) => Err(format!(
+                "--kernel-isa {isa}: this host does not support {isa} \
+                 (detected: {})",
+                KernelIsa::detect()
+            )),
+        }
+    }
+
+    /// The one shape every CLI search runs under: the library's best-host
+    /// defaults (dynamic scheduling) over at least one thread, with this
+    /// variant and the resolved `isa`.
+    pub fn search_config(&self, isa: KernelIsa) -> SearchConfig {
+        SearchConfig::best(self.threads.max(1))
+            .with_variant(self.variant)
+            .with_isa(isa)
+    }
+}
+
+/// The kernel ISA the process starts with: `SW_KERNEL_ISA` read exactly
+/// once, here, at first use — the library layers never touch the
+/// environment, so a daemon's concurrent requests all see one frozen
+/// value (plus whatever explicit `--kernel-isa` a request carries). An
+/// unknown or unsupported override falls back to hardware detection
+/// rather than erroring: the variable is a preference, `--kernel-isa`
+/// is the contract.
+pub fn startup_kernel_isa() -> KernelIsa {
+    static STARTUP_ISA: std::sync::OnceLock<KernelIsa> = std::sync::OnceLock::new();
+    *STARTUP_ISA.get_or_init(|| match std::env::var("SW_KERNEL_ISA") {
+        Ok(name) => match KernelIsa::from_name(&name) {
+            Some(isa) if isa.is_available() => isa,
+            _ => {
+                eprintln!(
+                    "# WARNING: SW_KERNEL_ISA={name} is unknown or unsupported here; \
+                     using detected ISA"
+                );
+                KernelIsa::detect()
+            }
+        },
+        Err(_) => KernelIsa::detect(),
+    })
+}
+
+/// `search`: one database, every query in the query file.
+#[derive(Debug, PartialEq)]
+pub struct Search {
+    /// Query FASTA path.
+    pub query: String,
+    /// Database path (FASTA or `.swdb` snapshot).
+    pub db: String,
     /// Skip malformed FASTA records (with a printed per-issue summary)
     /// instead of aborting on the first one.
     pub quarantine: bool,
+    /// Scoring flags.
+    pub scoring: Scoring,
+    /// Engine flags.
+    pub engine: Engine,
+    /// Hits to print per query.
+    pub top: usize,
+    /// Render alignments of reported hits.
+    pub align: bool,
+    /// Output format: plain report or BLAST-style 12-column tabular.
+    pub tabular: bool,
+    /// Also search the reverse-complement strand (nucleotide mode only).
+    pub both_strands: bool,
 }
 
-impl Default for SearchOpts {
-    fn default() -> Self {
-        SearchOpts {
-            matrix: "BLOSUM62".to_string(),
-            open: 10,
-            extend: 2,
-            threads: 1,
-            lanes: 16,
-            variant: KernelVariant::best(),
-            top: 10,
-            align: false,
-            kernel_isa: None,
-            tabular: false,
-            dna: false,
-            match_score: 5,
-            mismatch: -4,
-            both_strands: false,
-            quarantine: false,
+/// `search --shards`: the coordinator. Scoring comes from the workers;
+/// only their thread count is forwarded.
+#[derive(Debug, PartialEq)]
+pub struct ShardedSearch {
+    /// Query FASTA path.
+    pub query: String,
+    /// `shards.manifest` written by `shard-prepare`.
+    pub manifest: String,
+    /// Sockets, worker logs and checkpoints live here (defaults to
+    /// the manifest's directory).
+    pub shard_dir: Option<String>,
+    /// Hits to keep after the merge.
+    pub top: usize,
+    /// Worker threads of each spawned shard daemon.
+    pub threads: usize,
+    /// Fault drill forwarded to every shard worker.
+    pub drill: Option<String>,
+    /// Coordinator-side network fault drill (`refuse@S`, …).
+    pub net_fault: Option<String>,
+    /// Seeded random network fault plan.
+    pub net_fault_seed: Option<u64>,
+    /// Placement plan path (shard → replica endpoints).
+    pub placement: Option<String>,
+    /// Coordinator journal path override.
+    pub coord_journal: Option<String>,
+    /// Resume from the journal, skipping committed shards.
+    pub resume_coord: bool,
+    /// Write the coordinator's Prometheus counters here.
+    pub metrics_out: Option<String>,
+    /// Print raw wire JSON hit lines instead of the report.
+    pub json: bool,
+}
+
+/// `shard-prepare`.
+#[derive(Debug, PartialEq)]
+pub struct ShardPrepare {
+    /// Input database (FASTA or `.swdb` snapshot).
+    pub db: String,
+    /// Output directory for shards, sorted parent and manifest.
+    pub out: String,
+    /// Number of shards.
+    pub shards: usize,
+    /// Replicas per shard; > 1 (or an endpoint pool) also writes a
+    /// `placement.plan`.
+    pub replicas: usize,
+    /// Comma-separated endpoint pool for the placement plan.
+    pub endpoints: Option<String>,
+}
+
+/// `makedb`.
+#[derive(Debug, PartialEq)]
+pub struct MakeDb {
+    /// Input FASTA.
+    pub input: String,
+    /// Output snapshot path.
+    pub output: String,
+    /// Skip malformed records instead of aborting.
+    pub quarantine: bool,
+}
+
+/// `gendb`.
+#[derive(Debug, PartialEq)]
+pub struct GenDb {
+    /// Sequence count.
+    pub seqs: u32,
+    /// Output path (`.swdb` → snapshot, else FASTA).
+    pub output: String,
+    /// RNG seed.
+    pub seed: u64,
+    /// Mean sequence length.
+    pub mean_len: f64,
+}
+
+/// `selftest`.
+#[derive(Debug, PartialEq)]
+pub struct SelfTest {
+    /// Lane width.
+    pub lanes: usize,
+    /// Workload scale factor.
+    pub scale: u32,
+}
+
+/// `simulate`.
+#[derive(Debug, PartialEq)]
+pub struct Simulate {
+    /// `xeon`, `phi` or `hetero`.
+    pub device: String,
+    /// Threads (0 = device maximum).
+    pub threads: u32,
+    /// Query length.
+    pub query_len: usize,
+    /// Fraction of work offloaded (hetero only).
+    pub frac: f64,
+    /// Kernel variant.
+    pub variant: KernelVariant,
+    /// Database scale relative to Swiss-Prot (1.0 = 541 561 seqs).
+    pub db_scale: f64,
+}
+
+/// `align`: one query against one subject, with traceback.
+#[derive(Debug, PartialEq)]
+pub struct Align {
+    /// Query FASTA path (its first record).
+    pub query: String,
+    /// Subject FASTA path (its first record).
+    pub subject: String,
+    /// Scoring flags.
+    pub scoring: Scoring,
+}
+
+/// `hetero`: the paper's static split, or the dual-pool scheduler.
+#[derive(Debug, PartialEq)]
+pub struct Hetero {
+    /// Query FASTA path (its first record is searched).
+    pub query: String,
+    /// Database path.
+    pub db: String,
+    /// Skip malformed FASTA records instead of aborting.
+    pub quarantine: bool,
+    /// Scoring flags.
+    pub scoring: Scoring,
+    /// Engine flags (the CPU pool's, and the accelerator pool's but for
+    /// its thread count).
+    pub engine: Engine,
+    /// Hits to print.
+    pub top: usize,
+    /// Fraction of DP cells sent to the accelerator share (seed of
+    /// the feedback estimator under `--dynamic`).
+    pub frac: f64,
+    /// `--dynamic` and the flags only the dual-pool scheduler reads;
+    /// `None` runs the fixed prefix/suffix split.
+    pub dynamic: Option<Dynamic>,
+}
+
+/// `hetero --dynamic`.
+#[derive(Debug, PartialEq)]
+pub struct Dynamic {
+    /// Accelerator-pool worker threads.
+    pub accel_threads: usize,
+    /// Smallest batch chunk either pool grabs.
+    pub min_chunk: usize,
+    /// Fault to inject into the accelerator pool: exercises the
+    /// lease/requeue recovery path end to end.
+    pub inject_fault: Option<FaultSpec>,
+    /// Reclaim a silent accelerator chunk lease after this many
+    /// milliseconds (`None` = never).
+    pub accel_timeout_ms: Option<u64>,
+    /// Failures a pool tolerates before it is retired.
+    pub failure_budget: u32,
+    /// Write the event timeline here: `.jsonl` → JSONL event log,
+    /// anything else → Chrome trace-event JSON.
+    pub trace_out: Option<String>,
+    /// Write a Prometheus text snapshot of the run's metrics here.
+    pub metrics_out: Option<String>,
+    /// Journal detail level: `Full` by default when an output is asked
+    /// for, `Off` otherwise.
+    pub trace_level: TraceLevel,
+    /// Checkpointing; `None` runs without.
+    pub durable: Option<Durable>,
+}
+
+/// `hetero --dynamic` with `--checkpoint` or `--checkpoint-dir`:
+/// SIGINT/SIGTERM then drain gracefully instead of killing the run.
+#[derive(Debug, PartialEq)]
+pub struct Durable {
+    /// The checkpoint file, or with `in_dir` the directory it gets a
+    /// fingerprint-derived name in.
+    pub checkpoint: String,
+    /// `checkpoint` came from `--checkpoint-dir`.
+    pub in_dir: bool,
+    /// Chunks between periodic checkpoint writes.
+    pub interval_chunks: u64,
+    /// Load the checkpoint (if present) and skip its batches.
+    pub resume: bool,
+    /// Crash drill: abort the process after this many committed
+    /// chunks (simulates SIGKILL for the crash-resume harness).
+    pub kill_after_chunks: Option<u64>,
+}
+
+impl Dynamic {
+    fn parse(a: &mut Args<'_>, threads: usize) -> Result<Self, ParseError> {
+        let min_chunk: usize = a.parse_num("--min-chunk", 1)?;
+        if min_chunk == 0 {
+            return Err(err("--min-chunk must be at least 1"));
         }
+        let trace_out = a.opt_value("--trace-out")?;
+        let metrics_out = a.opt_value("--metrics-out")?;
+        let exporting = trace_out.is_some() || metrics_out.is_some();
+        let trace_level = match a.opt_value("--trace-level")? {
+            Some(v) => TraceLevel::parse(&v).ok_or_else(|| {
+                err(format!(
+                    "--trace-level must be off, lite or full (got '{v}')"
+                ))
+            })?,
+            None if exporting => TraceLevel::Full,
+            None => TraceLevel::Off,
+        };
+        if exporting && trace_level == TraceLevel::Off {
+            return Err(err(
+                "--trace-out/--metrics-out need --trace-level lite or full",
+            ));
+        }
+        Ok(Dynamic {
+            accel_threads: a.parse_num("--accel-threads", threads)?,
+            min_chunk,
+            inject_fault: a
+                .opt_value("--inject-fault")?
+                .map(|s| parse_fault_spec(&s))
+                .transpose()?,
+            accel_timeout_ms: a.opt_num("--accel-timeout-ms")?,
+            failure_budget: a.parse_num("--failure-budget", 3)?,
+            trace_out,
+            metrics_out,
+            trace_level,
+            durable: a.part("--checkpoint or --checkpoint-dir", Durable::parse)?,
+        })
     }
+}
+
+impl Durable {
+    /// `None` without a checkpoint location.
+    fn parse(a: &mut Args<'_>) -> Result<Option<Self>, ParseError> {
+        let (checkpoint, in_dir) = match (
+            a.opt_value("--checkpoint")?,
+            a.opt_value("--checkpoint-dir")?,
+        ) {
+            (Some(_), Some(_)) => {
+                return Err(err(
+                    "--checkpoint and --checkpoint-dir are mutually exclusive",
+                ))
+            }
+            (Some(file), None) => (Some(file), false),
+            (None, dir) => (dir, true),
+        };
+        let interval_chunks: u64 = a.parse_num("--checkpoint-interval-chunks", 8)?;
+        if interval_chunks == 0 {
+            return Err(err("--checkpoint-interval-chunks must be at least 1"));
+        }
+        let resume = a.has_flag("--resume");
+        let kill_after_chunks = a
+            .opt_value("--kill-after-chunks")?
+            .map(|v| {
+                v.parse::<u64>()
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .ok_or_else(|| err(format!("bad value for --kill-after-chunks: '{v}'")))
+            })
+            .transpose()?;
+        Ok(checkpoint.map(|checkpoint| Durable {
+            checkpoint,
+            in_dir,
+            interval_chunks,
+            resume,
+            kill_after_chunks,
+        }))
+    }
+}
+
+/// `serve`: load and verify the database once, then serve
+/// line-delimited JSON requests.
+#[derive(Debug)]
+pub struct Serve {
+    /// Database path (`.swdb` snapshot or FASTA; a `.swshard` with
+    /// `shard_worker`).
+    pub db: String,
+    /// Skip malformed FASTA records instead of aborting.
+    pub quarantine: bool,
+    /// Scoring flags shared by every job.
+    pub scoring: Scoring,
+    /// Engine flags shared by every job.
+    pub engine: Engine,
+    /// Accelerator-pool worker threads per search.
+    pub accel_threads: usize,
+    /// Treat `db` as a `.swshard` file and serve that shard.
+    pub shard_worker: bool,
+    /// The endpoint as given (`--socket` or `--listen`).
+    pub socket: String,
+    /// The daemon's knobs as parsed; the snapshot digest and shard role
+    /// are filled in when the database is read.
+    pub config: sw_serve::ServeConfig,
+}
+
+/// `submit`: one client operation (exactly one of
+/// query/status/cancel/stats/shutdown/metrics/health).
+#[derive(Debug, PartialEq)]
+pub struct Submit {
+    /// Endpoint of the daemon.
+    pub socket: String,
+    /// Query FASTA to submit (`None` for the control operations).
+    pub query: Option<String>,
+    /// Tenant the job is accounted against.
+    pub tenant: String,
+    /// Report this job id instead of submitting.
+    pub status: Option<u64>,
+    /// Drain this job id gracefully.
+    pub cancel: Option<u64>,
+    /// Print a registry summary.
+    pub stats: bool,
+    /// Fetch the daemon-lifetime Prometheus snapshot.
+    pub metrics: bool,
+    /// Readiness/liveness probe.
+    pub health: bool,
+    /// Drain in-flight jobs and stop the daemon.
+    pub shutdown: bool,
+    /// Fault drill forwarded with the job (e.g. `delay@0:1500`).
+    pub drill: Option<String>,
+    /// Hits to return.
+    pub top: usize,
+    /// Print raw wire JSON lines instead of human-formatted text.
+    pub json: bool,
+    /// Extra connect attempts under jittered exponential backoff.
+    pub connect_retries: u32,
+    /// Base backoff for connect retries in ms.
+    pub connect_backoff_ms: u64,
+}
+
+/// `trace-check`.
+#[derive(Debug, PartialEq)]
+pub struct TraceCheck {
+    /// JSONL event log to validate.
+    pub trace: Option<String>,
+    /// Prometheus text snapshot to validate.
+    pub metrics: Option<String>,
+}
+
+/// `bench`.
+#[derive(Debug, PartialEq)]
+pub struct Bench {
+    /// Database sequences to generate.
+    pub seqs: u32,
+    /// Query length.
+    pub query_len: u32,
+    /// Worker threads.
+    pub threads: usize,
+    /// Vector lanes.
+    pub lanes: usize,
 }
 
 /// Parse failure.
@@ -617,13 +872,19 @@ struct Args<'a> {
     /// `tokens[0]` is the subcommand.
     tokens: &'a [String],
     used: Vec<bool>,
+    /// The command as refusals name it: the subcommand, or a mode of it.
+    name: &'a str,
 }
 
 impl<'a> Args<'a> {
     fn new(tokens: &'a [String]) -> Self {
         let mut used = vec![false; tokens.len()];
         used[0] = true;
-        Args { tokens, used }
+        Args {
+            tokens,
+            used,
+            name: &tokens[0],
+        }
     }
 
     /// Index of the first `flag` token after the subcommand, marked read.
@@ -671,12 +932,29 @@ impl<'a> Args<'a> {
         Ok(self.opt_num(flag)?.unwrap_or(default))
     }
 
+    /// An optional part of the line: `parse` reads its flags and returns
+    /// `None` when what switches the part on (`gate`) is absent — and
+    /// then the first flag it read is refused, since nothing would act
+    /// on it.
+    fn part<T>(
+        &mut self,
+        gate: &str,
+        parse: impl FnOnce(&mut Self) -> Result<Option<T>, ParseError>,
+    ) -> Result<Option<T>, ParseError> {
+        let was = self.used.clone();
+        let part = parse(self)?;
+        match (0..was.len()).find(|&i| self.used[i] && !was[i]) {
+            Some(i) if part.is_none() => Err(err(format!("{} requires {gate}", self.tokens[i]))),
+            _ => Ok(part),
+        }
+    }
+
     /// Refuse the first token no helper read.
     fn finish(&self) -> Result<(), ParseError> {
         let Some(i) = self.used.iter().position(|u| !u) else {
             return Ok(());
         };
-        let (tok, sub) = (&self.tokens[i], &self.tokens[0]);
+        let (tok, sub) = (&self.tokens[i], self.name);
         Err(err(if self.tokens[..i].contains(tok) {
             format!("'{tok}' given more than once for '{sub}'")
         } else if tok.starts_with("--") {
@@ -687,48 +965,6 @@ impl<'a> Args<'a> {
     }
 }
 
-fn parse_search_opts(a: &mut Args<'_>) -> Result<SearchOpts, ParseError> {
-    let d = SearchOpts::default();
-    let blocking = !a.has_flag("--no-blocking");
-    let variant = match a.opt_value("--variant")? {
-        Some(v) => parse_variant(&v, blocking)?,
-        None => KernelVariant {
-            blocking,
-            ..d.variant
-        },
-    };
-    let lanes: usize = a.parse_num("--lanes", d.lanes)?;
-    if !matches!(lanes, 4 | 8 | 16 | 32) {
-        return Err(err(format!("--lanes must be 4, 8, 16 or 32 (got {lanes})")));
-    }
-    let kernel_isa = match a.opt_value("--kernel-isa")? {
-        None => None,
-        Some(v) if v.eq_ignore_ascii_case("auto") => None,
-        Some(v) => Some(KernelIsa::from_name(&v).ok_or_else(|| {
-            err(format!(
-                "--kernel-isa must be auto, portable, sse2 or avx2 (got '{v}')"
-            ))
-        })?),
-    };
-    Ok(SearchOpts {
-        matrix: a.opt_value("--matrix")?.unwrap_or(d.matrix),
-        open: a.parse_num("--open", d.open)?,
-        extend: a.parse_num("--extend", d.extend)?,
-        threads: a.parse_num("--threads", d.threads)?,
-        lanes,
-        variant,
-        top: a.parse_num("--top", d.top)?,
-        align: a.has_flag("--align"),
-        kernel_isa,
-        tabular: a.has_flag("--tabular"),
-        dna: a.has_flag("--dna"),
-        match_score: a.parse_num("--match", d.match_score)?,
-        mismatch: a.parse_num("--mismatch", d.mismatch)?,
-        both_strands: a.has_flag("--both-strands"),
-        quarantine: a.has_flag("--quarantine"),
-    })
-}
-
 /// Parse argv (without the program name).
 pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
     let Some(sub) = argv.first() else {
@@ -737,51 +973,61 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
     let mut a = Args::new(argv);
     let cmd = match sub.as_str() {
         "-h" | "--help" | "help" => return Ok(Command::Help),
-        "search" => {
-            if a.has_flag("--shards") {
-                let top: usize = a.parse_num("--top", 10usize)?;
-                let net_fault = a.opt_value("--net-fault")?;
-                if let Some(spec) = &net_fault {
-                    // Validate up front: a typo must not boot a fleet.
-                    sw_sched::NetFaultPlan::parse(spec).map_err(err)?;
-                }
-                let net_fault_seed = a.opt_num::<u64>("--net-fault-seed")?;
-                if net_fault.is_some() && net_fault_seed.is_some() {
-                    return Err(err("pass --net-fault or --net-fault-seed, not both"));
-                }
-                Ok(Command::SearchShards {
-                    query: a.value_of("--query")?,
-                    manifest: a.value_of("--shards")?,
-                    shard_dir: a.opt_value("--shard-dir")?,
-                    top,
-                    drill: a.opt_value("--drill")?,
-                    net_fault,
-                    net_fault_seed,
-                    placement: a.opt_value("--placement")?,
-                    coord_journal: a.opt_value("--coord-journal")?,
-                    resume_coord: a.has_flag("--resume-coord"),
-                    metrics_out: a.opt_value("--metrics-out")?,
-                    json: a.has_flag("--json"),
-                    opts: parse_search_opts(&mut a)?,
-                })
-            } else {
-                Ok(Command::Search {
-                    query: a.value_of("--query")?,
-                    db: a.value_of("--db")?,
-                    opts: parse_search_opts(&mut a)?,
-                })
+        "search" if a.has_flag("--shards") => {
+            a.name = "search --shards";
+            let net_fault = a.opt_value("--net-fault")?;
+            if let Some(spec) = &net_fault {
+                // Validate up front: a typo must not boot a fleet.
+                sw_sched::NetFaultPlan::parse(spec).map_err(err)?;
             }
+            let net_fault_seed = a.opt_num::<u64>("--net-fault-seed")?;
+            if net_fault.is_some() && net_fault_seed.is_some() {
+                return Err(err("pass --net-fault or --net-fault-seed, not both"));
+            }
+            Command::SearchShards(ShardedSearch {
+                query: a.value_of("--query")?,
+                manifest: a.value_of("--shards")?,
+                shard_dir: a.opt_value("--shard-dir")?,
+                top: a.parse_num("--top", 10)?,
+                threads: a.parse_num("--threads", 1)?,
+                drill: a.opt_value("--drill")?,
+                net_fault,
+                net_fault_seed,
+                placement: a.opt_value("--placement")?,
+                coord_journal: a.opt_value("--coord-journal")?,
+                resume_coord: a.has_flag("--resume-coord"),
+                metrics_out: a.opt_value("--metrics-out")?,
+                json: a.has_flag("--json"),
+            })
+        }
+        "search" => {
+            let scoring = Scoring::parse(&mut a)?;
+            let both_strands = a.has_flag("--both-strands");
+            if both_strands && !scoring.dna {
+                return Err(err("--both-strands requires --dna"));
+            }
+            Command::Search(Search {
+                query: a.value_of("--query")?,
+                db: a.value_of("--db")?,
+                quarantine: a.has_flag("--quarantine"),
+                scoring,
+                engine: Engine::parse(&mut a)?,
+                top: a.parse_num("--top", 10)?,
+                align: a.has_flag("--align"),
+                tabular: a.has_flag("--tabular"),
+                both_strands,
+            })
         }
         "shard-prepare" => {
-            let shards: usize = a.parse_num("--shards", 0usize)?;
+            let shards: usize = a.parse_num("--shards", 0)?;
             if shards == 0 {
                 return Err(err("--shards is required and must be positive"));
             }
-            let replicas: usize = a.parse_num("--replicas", 1usize)?;
+            let replicas: usize = a.parse_num("--replicas", 1)?;
             if replicas == 0 {
                 return Err(err("--replicas must be at least 1"));
             }
-            Ok(Command::ShardPrepare {
+            Command::ShardPrepare(ShardPrepare {
                 db: a.value_of("--db")?,
                 out: a.value_of("--out")?,
                 shards,
@@ -789,36 +1035,30 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 endpoints: a.opt_value("--endpoints")?,
             })
         }
-        "makedb" => Ok(Command::MakeDb {
+        "makedb" => Command::MakeDb(MakeDb {
             input: a.value_of("--in")?,
             output: a.value_of("--out")?,
             quarantine: a.has_flag("--quarantine"),
         }),
-        "gendb" => Ok(Command::GenDb {
-            seqs: a.parse_num("--seqs", 0u32).and_then(|n| {
-                if n == 0 {
-                    Err(err("--seqs is required and must be positive"))
-                } else {
-                    Ok(n)
-                }
-            })?,
-            output: a.value_of("--out")?,
-            seed: a.parse_num("--seed", 42u64)?,
-            mean_len: a.parse_num("--mean-len", 355.4f64)?,
-        }),
-        "stats" => Ok(Command::Stats {
-            db: a.value_of("--db")?,
-        }),
-        "selftest" => {
-            let lanes: usize = a.parse_num("--lanes", 8usize)?;
-            if !matches!(lanes, 4 | 8 | 16 | 32) {
-                return Err(err("--lanes must be 4, 8, 16 or 32"));
+        "gendb" => {
+            let seqs: u32 = a.parse_num("--seqs", 0)?;
+            if seqs == 0 {
+                return Err(err("--seqs is required and must be positive"));
             }
-            Ok(Command::SelfTest {
-                lanes,
-                scale: a.parse_num("--scale", 1u32)?,
+            Command::GenDb(GenDb {
+                seqs,
+                output: a.value_of("--out")?,
+                seed: a.parse_num("--seed", 42)?,
+                mean_len: a.parse_num("--mean-len", 355.4)?,
             })
         }
+        "stats" => Command::Stats {
+            db: a.value_of("--db")?,
+        },
+        "selftest" => Command::SelfTest(SelfTest {
+            lanes: Engine::lanes(&mut a, 8)?,
+            scale: a.parse_num("--scale", 1)?,
+        }),
         "simulate" => {
             let device = a.value_of("--device")?;
             if !matches!(device.as_str(), "xeon" | "phi" | "hetero") {
@@ -826,160 +1066,101 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                     "--device must be xeon, phi or hetero (got '{device}')"
                 )));
             }
-            let blocking = !a.has_flag("--no-blocking");
-            let variant = match a.opt_value("--variant")? {
-                Some(v) => parse_variant(&v, blocking)?,
-                None => KernelVariant {
-                    blocking,
-                    ..KernelVariant::best()
-                },
-            };
-            let frac: f64 = a.parse_num("--frac", 0.55f64)?;
+            let frac: f64 = a.parse_num("--frac", 0.55)?;
             if !(0.0..=1.0).contains(&frac) {
                 return Err(err("--frac must be in [0, 1]"));
             }
-            let db_scale: f64 = a.parse_num("--db-scale", 1.0f64)?;
+            let db_scale: f64 = a.parse_num("--db-scale", 1.0)?;
             if !(db_scale > 0.0 && db_scale <= 1.0) {
                 return Err(err("--db-scale must be in (0, 1]"));
             }
-            Ok(Command::Simulate {
+            Command::Simulate(Simulate {
                 device,
-                threads: a.parse_num("--threads", 0u32)?,
-                query_len: a.parse_num("--query-len", 2000usize)?,
+                threads: a.parse_num("--threads", 0)?,
+                query_len: a.parse_num("--query-len", 2000)?,
                 frac,
-                variant,
+                variant: Engine::variant(&mut a)?,
                 db_scale,
             })
         }
         "hetero" => {
-            let frac: f64 = a.parse_num("--frac", 0.55f64)?;
+            let frac: f64 = a.parse_num("--frac", 0.55)?;
             if !(0.0..=1.0).contains(&frac) {
                 return Err(err("--frac must be in [0, 1]"));
             }
-            let opts = parse_search_opts(&mut a)?;
-            let accel_threads: usize = a.parse_num("--accel-threads", opts.threads)?;
-            let min_chunk: usize = a.parse_num("--min-chunk", 1usize)?;
-            if min_chunk == 0 {
-                return Err(err("--min-chunk must be at least 1"));
-            }
-            let inject_fault = a
-                .opt_value("--inject-fault")?
-                .map(|s| parse_fault_spec(&s))
-                .transpose()?;
-            let accel_timeout_ms = a.opt_num::<u64>("--accel-timeout-ms")?;
-            let failure_budget: u32 = a.parse_num("--failure-budget", 3u32)?;
-            let trace_out = a.opt_value("--trace-out")?;
-            let metrics_out = a.opt_value("--metrics-out")?;
-            let trace_level = match a.opt_value("--trace-level")? {
-                Some(v) => sw_trace::TraceLevel::parse(&v).ok_or_else(|| {
-                    err(format!(
-                        "--trace-level must be off, lite or full (got '{v}')"
-                    ))
-                })?,
-                None if trace_out.is_some() || metrics_out.is_some() => sw_trace::TraceLevel::Full,
-                None => sw_trace::TraceLevel::Off,
-            };
-            let checkpoint = a.opt_value("--checkpoint")?;
-            let checkpoint_dir = a.opt_value("--checkpoint-dir")?;
-            if checkpoint.is_some() && checkpoint_dir.is_some() {
-                return Err(err(
-                    "--checkpoint and --checkpoint-dir are mutually exclusive",
-                ));
-            }
-            let checkpoint_interval: u64 = a.parse_num("--checkpoint-interval-chunks", 8u64)?;
-            if checkpoint_interval == 0 {
-                return Err(err("--checkpoint-interval-chunks must be at least 1"));
-            }
-            let resume = a.has_flag("--resume");
-            if resume && checkpoint.is_none() && checkpoint_dir.is_none() {
-                return Err(err(
-                    "--resume needs --checkpoint <path> or --checkpoint-dir <dir> to resume from",
-                ));
-            }
-            let kill_after_chunks = a
-                .opt_value("--kill-after-chunks")?
-                .map(|v| {
-                    v.parse::<u64>()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| err(format!("bad value for --kill-after-chunks: '{v}'")))
-                })
-                .transpose()?;
-            Ok(Command::Hetero {
+            let engine = Engine::parse(&mut a)?;
+            let dynamic = a.part("--dynamic", |a| {
+                let on = a.has_flag("--dynamic");
+                Ok(on.then_some(Dynamic::parse(a, engine.threads)?))
+            })?;
+            Command::Hetero(Hetero {
                 query: a.value_of("--query")?,
                 db: a.value_of("--db")?,
+                quarantine: a.has_flag("--quarantine"),
+                scoring: Scoring::parse(&mut a)?,
+                engine,
+                top: a.parse_num("--top", 10)?,
                 frac,
-                dynamic: a.has_flag("--dynamic"),
-                accel_threads,
-                min_chunk,
-                inject_fault,
-                accel_timeout_ms,
-                failure_budget,
-                trace_out,
-                metrics_out,
-                trace_level,
-                checkpoint,
-                checkpoint_dir,
-                checkpoint_interval,
-                resume,
-                kill_after_chunks,
-                opts,
+                dynamic,
             })
         }
         "serve" => {
-            let opts = parse_search_opts(&mut a)?;
-            let max_concurrent: usize = a.parse_num("--max-concurrent", 2usize)?;
-            if max_concurrent == 0 {
-                return Err(err("--max-concurrent must be at least 1"));
-            }
-            let tenant_quota: usize = a.parse_num("--tenant-quota", 4usize)?;
-            if tenant_quota == 0 {
-                return Err(err("--tenant-quota must be at least 1"));
-            }
-            let log_level = match a.opt_value("--log-level")? {
-                None => sw_serve::LogLevel::Info,
-                Some(v) => sw_serve::LogLevel::parse(&v)
-                    .ok_or_else(|| err(format!("bad value for --log-level: '{v}'")))?,
-            };
-            let slow_query_ms = a.opt_num::<u64>("--slow-query-ms")?;
             let socket = match (a.opt_value("--socket")?, a.opt_value("--listen")?) {
-                (Some(_), Some(_)) => {
-                    return Err(err("pass --socket or --listen, not both"));
-                }
-                (Some(s), None) => s,
-                (None, Some(l)) => l,
+                (Some(_), Some(_)) => return Err(err("pass --socket or --listen, not both")),
+                (Some(s), None) | (None, Some(s)) => s,
                 (None, None) => {
-                    return Err(err("serve needs --socket <path> or --listen <endpoint>"));
+                    return Err(err("serve needs --socket <path> or --listen <endpoint>"))
                 }
             };
+            let listen =
+                sw_serve::Endpoint::parse(&socket).map_err(|e| err(format!("--listen: {e}")))?;
+            let mut config = sw_serve::ServeConfig::at(listen);
             // A shard worker gathers with no window (its one client sends
             // one request per query); an option it would not read is
             // refused, not ignored.
             let shard_worker = a.has_flag("--shard-worker");
-            let batch_window_ms = a.opt_num::<u64>("--batch-window-ms")?;
-            if shard_worker && batch_window_ms.is_some() {
-                return Err(err(
-                    "--batch-window-ms does not apply to --shard-worker (a shard worker gathers with no window)",
-                ));
+            if let Some(ms) = a.opt_num("--batch-window-ms")? {
+                if shard_worker {
+                    return Err(err(
+                        "--batch-window-ms does not apply to --shard-worker (a shard worker gathers with no window)",
+                    ));
+                }
+                config.batch_window_ms = ms;
             }
-            Ok(Command::Serve {
+            config.max_concurrent = a.parse_num("--max-concurrent", config.max_concurrent)?;
+            if config.max_concurrent == 0 {
+                return Err(err("--max-concurrent must be at least 1"));
+            }
+            config.tenant_quota = a.parse_num("--tenant-quota", config.tenant_quota)?;
+            if config.tenant_quota == 0 {
+                return Err(err("--tenant-quota must be at least 1"));
+            }
+            config.log_level = match a.opt_value("--log-level")? {
+                None => sw_serve::LogLevel::Info,
+                Some(v) => sw_serve::LogLevel::parse(&v)
+                    .ok_or_else(|| err(format!("bad value for --log-level: '{v}'")))?,
+            };
+            config.default_top = a.parse_num("--top", config.default_top)?;
+            config.checkpoint_dir = a.opt_value("--checkpoint-dir")?.map(Into::into);
+            config.trace_dir = a.opt_value("--trace-dir")?.map(Into::into);
+            config.registry_out = a.opt_value("--registry-out")?.map(Into::into);
+            config.log_file = a.opt_value("--log-file")?.map(Into::into);
+            config.slow_query_ms = a.opt_num("--slow-query-ms")?;
+            config.metrics_file = a.opt_value("--metrics-file")?.map(Into::into);
+            config.metrics_interval_ms =
+                a.parse_num("--metrics-interval-ms", config.metrics_interval_ms)?;
+            config.request_timeout_ms =
+                a.parse_num("--request-timeout-ms", config.request_timeout_ms)?;
+            let engine = Engine::parse(&mut a)?;
+            Command::Serve(Serve {
                 db: a.value_of("--db")?,
-                socket,
-                max_concurrent,
-                tenant_quota,
-                batch_window_ms: batch_window_ms.unwrap_or(3),
-                accel_threads: a.parse_num("--accel-threads", opts.threads)?,
-                checkpoint_dir: a.opt_value("--checkpoint-dir")?,
-                trace_dir: a.opt_value("--trace-dir")?,
-                registry_out: a.opt_value("--registry-out")?,
-                log_level,
-                log_file: a.opt_value("--log-file")?,
-                slow_query_ms,
-                metrics_file: a.opt_value("--metrics-file")?,
-                metrics_interval_ms: a.parse_num("--metrics-interval-ms", 1000u64)?,
-                request_timeout_ms: a.parse_num("--request-timeout-ms", 10_000u64)?,
+                quarantine: a.has_flag("--quarantine"),
+                scoring: Scoring::parse(&mut a)?,
+                accel_threads: a.parse_num("--accel-threads", engine.threads)?,
+                engine,
                 shard_worker,
-                opts,
+                socket,
+                config,
             })
         }
         "submit" => {
@@ -1004,7 +1185,7 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                      --shutdown, --metrics, --health",
                 ));
             }
-            Ok(Command::Submit {
+            Command::Submit(Submit {
                 socket,
                 query,
                 tenant: a.opt_value("--tenant")?.unwrap_or_else(|| "anon".into()),
@@ -1015,10 +1196,10 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 metrics,
                 health,
                 drill: a.opt_value("--drill")?,
-                top: a.parse_num("--top", 10usize)?,
+                top: a.parse_num("--top", 10)?,
                 json: a.has_flag("--json"),
-                connect_retries: a.parse_num("--connect-retries", 0u32)?,
-                connect_backoff_ms: a.parse_num("--connect-backoff-ms", 25u64)?,
+                connect_retries: a.parse_num("--connect-retries", 0)?,
+                connect_backoff_ms: a.parse_num("--connect-backoff-ms", 25)?,
             })
         }
         "trace-check" => {
@@ -1029,27 +1210,21 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                     "trace-check needs --trace <jsonl> and/or --metrics <prom>",
                 ));
             }
-            Ok(Command::TraceCheck { trace, metrics })
+            Command::TraceCheck(TraceCheck { trace, metrics })
         }
-        "bench" => {
-            let lanes: usize = a.parse_num("--lanes", 16usize)?;
-            if !matches!(lanes, 4 | 8 | 16 | 32) {
-                return Err(err("--lanes must be 4, 8, 16 or 32"));
-            }
-            Ok(Command::Bench {
-                seqs: a.parse_num("--seqs", 2000u32)?,
-                query_len: a.parse_num("--query-len", 400u32)?,
-                threads: a.parse_num("--threads", 1usize)?,
-                lanes,
-            })
-        }
-        "align" => Ok(Command::Align {
+        "bench" => Command::Bench(Bench {
+            seqs: a.parse_num("--seqs", 2000)?,
+            query_len: a.parse_num("--query-len", 400)?,
+            threads: a.parse_num("--threads", 1)?,
+            lanes: Engine::lanes(&mut a, 16)?,
+        }),
+        "align" => Command::Align(Align {
             query: a.value_of("--query")?,
             subject: a.value_of("--subject")?,
-            opts: parse_search_opts(&mut a)?,
+            scoring: Scoring::parse(&mut a)?,
         }),
-        other => Err(err(format!("unknown command '{other}'"))),
-    }?;
+        other => return Err(err(format!("unknown command '{other}'"))),
+    };
     a.finish()?;
     Ok(cmd)
 }
@@ -1062,47 +1237,90 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
+    fn parse_search(s: &str) -> Search {
+        match parse(&argv(s)).unwrap() {
+            Command::Search(s) => s,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    fn parse_hetero(s: &str) -> Hetero {
+        match parse(&argv(s)).unwrap() {
+            Command::Hetero(h) => h,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    fn parse_dynamic(s: &str) -> Dynamic {
+        parse_hetero(s).dynamic.expect("--dynamic given")
+    }
+
+    fn parse_serve(s: &str) -> Serve {
+        match parse(&argv(s)).unwrap() {
+            Command::Serve(s) => s,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    fn parse_submit(s: &str) -> Submit {
+        match parse(&argv(s)).unwrap() {
+            Command::Submit(s) => s,
+            other => panic!("{other:?}"),
+        }
+    }
+
     #[test]
     fn empty_is_help() {
-        assert_eq!(parse(&[]).unwrap(), Command::Help);
-        assert_eq!(parse(&argv("--help")).unwrap(), Command::Help);
+        assert!(matches!(parse(&[]).unwrap(), Command::Help));
+        assert!(matches!(parse(&argv("--help")).unwrap(), Command::Help));
     }
 
     #[test]
     fn search_defaults() {
-        let c = parse(&argv("search --query q.fa --db d.fa")).unwrap();
-        match c {
-            Command::Search { query, db, opts } => {
-                assert_eq!(query, "q.fa");
-                assert_eq!(db, "d.fa");
-                assert_eq!(opts, SearchOpts::default());
+        assert_eq!(
+            parse_search("search --query q.fa --db d.fa"),
+            Search {
+                query: "q.fa".into(),
+                db: "d.fa".into(),
+                quarantine: false,
+                scoring: Scoring {
+                    matrix: "BLOSUM62".into(),
+                    open: 10,
+                    extend: 2,
+                    dna: false,
+                    match_score: 5,
+                    mismatch: -4,
+                },
+                engine: Engine {
+                    threads: 1,
+                    lanes: 16,
+                    variant: KernelVariant::best(),
+                    kernel_isa: None,
+                },
+                top: 10,
+                align: false,
+                tabular: false,
+                both_strands: false,
             }
-            other => panic!("{other:?}"),
-        }
+        );
     }
 
     #[test]
     fn search_full_options() {
-        let c = parse(&argv(
+        let s = parse_search(
             "search --query q.fa --db d.fa --matrix BLOSUM50 --open 12 --extend 1 \
              --threads 4 --lanes 32 --variant simd-qp --no-blocking --top 5 --align",
-        ))
-        .unwrap();
-        match c {
-            Command::Search { opts, .. } => {
-                assert_eq!(opts.matrix, "BLOSUM50");
-                assert_eq!(opts.open, 12);
-                assert_eq!(opts.extend, 1);
-                assert_eq!(opts.threads, 4);
-                assert_eq!(opts.lanes, 32);
-                assert_eq!(opts.variant.vec, Vectorization::Guided);
-                assert_eq!(opts.variant.profile, ProfileMode::Query);
-                assert!(!opts.variant.blocking);
-                assert_eq!(opts.top, 5);
-                assert!(opts.align);
-            }
-            other => panic!("{other:?}"),
-        }
+        );
+        assert_eq!(s.scoring.matrix, "BLOSUM50");
+        assert_eq!(s.scoring.open, 12);
+        assert_eq!(s.scoring.extend, 1);
+        assert_eq!(s.engine.threads, 4);
+        assert_eq!(s.engine.lanes, 32);
+        assert_eq!(s.engine.variant.vec, Vectorization::Guided);
+        assert_eq!(s.engine.variant.profile, ProfileMode::Query);
+        assert!(!s.engine.variant.blocking);
+        assert_eq!(s.top, 5);
+        assert!(s.align);
     }
 
     #[test]
@@ -1123,21 +1341,13 @@ mod tests {
 
     #[test]
     fn simulate_defaults() {
-        let c = parse(&argv("simulate --device phi")).unwrap();
-        match c {
-            Command::Simulate {
-                device,
-                threads,
-                query_len,
-                frac,
-                db_scale,
-                ..
-            } => {
-                assert_eq!(device, "phi");
-                assert_eq!(threads, 0);
-                assert_eq!(query_len, 2000);
-                assert!((frac - 0.55).abs() < 1e-12);
-                assert!((db_scale - 1.0).abs() < 1e-12);
+        match parse(&argv("simulate --device phi")).unwrap() {
+            Command::Simulate(s) => {
+                assert_eq!(s.device, "phi");
+                assert_eq!(s.threads, 0);
+                assert_eq!(s.query_len, 2000);
+                assert!((s.frac - 0.55).abs() < 1e-12);
+                assert!((s.db_scale - 1.0).abs() < 1e-12);
             }
             other => panic!("{other:?}"),
         }
@@ -1153,16 +1363,18 @@ mod tests {
     #[test]
     fn gendb_requires_seqs() {
         assert!(parse(&argv("gendb --out x.fa")).is_err());
-        let c = parse(&argv("gendb --seqs 100 --out x.fa --seed 7")).unwrap();
-        assert_eq!(
-            c,
-            Command::GenDb {
-                seqs: 100,
-                output: "x.fa".into(),
-                seed: 7,
-                mean_len: 355.4
-            }
-        );
+        match parse(&argv("gendb --seqs 100 --out x.fa --seed 7")).unwrap() {
+            Command::GenDb(g) => assert_eq!(
+                g,
+                GenDb {
+                    seqs: 100,
+                    output: "x.fa".into(),
+                    seed: 7,
+                    mean_len: 355.4
+                }
+            ),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
@@ -1192,24 +1404,15 @@ mod tests {
             "search --query q --db d",
             "search --query q --db d --kernel-isa auto",
         ] {
-            match parse(&argv(cmdline)).unwrap() {
-                Command::Search { opts, .. } => assert_eq!(opts.kernel_isa, None, "{cmdline}"),
-                other => panic!("{other:?}"),
-            }
+            assert_eq!(parse_search(cmdline).engine.kernel_isa, None, "{cmdline}");
         }
         for (name, isa) in [
             ("portable", KernelIsa::Portable),
             ("sse2", KernelIsa::Sse2),
             ("AVX2", KernelIsa::Avx2),
         ] {
-            match parse(&argv(&format!(
-                "search --query q --db d --kernel-isa {name}"
-            )))
-            .unwrap()
-            {
-                Command::Search { opts, .. } => assert_eq!(opts.kernel_isa, Some(isa), "{name}"),
-                other => panic!("{other:?}"),
-            }
+            let s = parse_search(&format!("search --query q --db d --kernel-isa {name}"));
+            assert_eq!(s.engine.kernel_isa, Some(isa), "{name}");
         }
         let e = parse(&argv("search --query q --db d --kernel-isa mmx")).unwrap_err();
         assert!(e.0.contains("--kernel-isa"), "{e}");
@@ -1228,6 +1431,7 @@ mod tests {
     fn unread_tokens_are_refused_by_name() {
         for (sub, line) in [
             ("search", "search --query q.fa --db d.fa"),
+            ("search --shards", "search --shards m --query q.fa"),
             ("hetero", "hetero --query q.fa --db d.fa --dynamic"),
             ("serve", "serve --db d.swdb --socket s.sock"),
             ("submit", "submit --socket s.sock --query q.fa"),
@@ -1248,7 +1452,8 @@ mod tests {
                 );
             }
         }
-        // Options that exist, but not for this subcommand.
+        // Options that exist, but that this subcommand (or this mode of
+        // it) would not act on.
         for (line, token) in [
             (
                 "search --query q --db d --resume --checkpoint x",
@@ -1256,12 +1461,32 @@ mod tests {
             ),
             ("search --query q --db d --json", "--json"),
             ("hetero --query q --db d --socket s.sock", "--socket"),
+            ("hetero --query q --db d --tabular", "--tabular"),
             ("serve --db d --socket s --query q.fa", "--query"),
+            ("serve --db d --socket s --align", "--align"),
             ("submit --socket s --health --db d.fa", "--db"),
             ("stats --db d.fa --threads 2", "--threads"),
+            ("align --query q --subject s --threads 2", "--threads"),
         ] {
             let e = parse(&argv(line)).unwrap_err();
             assert!(e.0.contains(&format!("option '{token}'")), "{line}: {e}");
+        }
+        // The coordinator scores nothing itself: the workers' scoring and
+        // engine flags are not its to take.
+        for extra in [
+            "--matrix BLOSUM45",
+            "--open 5",
+            "--lanes 8",
+            "--kernel-isa portable",
+            "--tabular",
+        ] {
+            let line = format!("search --shards m --query q {extra}");
+            let e = parse(&argv(&line)).unwrap_err();
+            let token = extra.split(' ').next().unwrap();
+            assert!(
+                e.0.contains(&format!("unknown option '{token}' for 'search --shards'")),
+                "{line}: {e}"
+            );
         }
         // A second occurrence is never read either, and says so.
         let e = parse(&argv("search --query q --db d --top 3 --top 5")).unwrap_err();
@@ -1274,14 +1499,12 @@ mod tests {
 
     #[test]
     fn negative_values_are_values_and_conditional_flags_always_read() {
-        match parse(&argv("search --query q --db d --dna --mismatch -4")).unwrap() {
-            Command::Search { opts, .. } => assert_eq!(opts.mismatch, -4),
-            other => panic!("{other:?}"),
-        }
+        let s = parse_search("search --query q --db d --dna --mismatch -4");
+        assert_eq!(s.scoring.mismatch, -4);
         match parse(&argv("simulate --device phi --no-blocking")).unwrap() {
-            Command::Simulate { variant, .. } => {
-                assert!(!variant.blocking);
-                assert_eq!(variant.vec, KernelVariant::best().vec);
+            Command::Simulate(s) => {
+                assert!(!s.variant.blocking);
+                assert_eq!(s.variant.vec, KernelVariant::best().vec);
             }
             other => panic!("{other:?}"),
         }
@@ -1289,191 +1512,121 @@ mod tests {
 
     #[test]
     fn hetero_static_defaults() {
-        let c = parse(&argv("hetero --query q.fa --db d.fa")).unwrap();
-        match c {
-            Command::Hetero {
-                frac,
-                dynamic,
-                accel_threads,
-                min_chunk,
-                opts,
-                ..
-            } => {
-                assert!((frac - 0.55).abs() < 1e-12);
-                assert!(!dynamic);
-                assert_eq!(accel_threads, opts.threads);
-                assert_eq!(min_chunk, 1);
-            }
-            other => panic!("{other:?}"),
-        }
+        let h = parse_hetero("hetero --query q.fa --db d.fa");
+        assert!((h.frac - 0.55).abs() < 1e-12);
+        assert_eq!(h.dynamic, None);
+        assert_eq!(h.top, 10);
     }
 
     #[test]
     fn hetero_dynamic_options() {
-        let c = parse(&argv(
+        let h = parse_hetero(
             "hetero --query q.fa --db d.fa --dynamic --threads 4 --accel-threads 8 \
              --min-chunk 2 --frac 0.3",
-        ))
-        .unwrap();
-        match c {
-            Command::Hetero {
-                frac,
-                dynamic,
-                accel_threads,
-                min_chunk,
-                opts,
-                ..
-            } => {
-                assert!((frac - 0.3).abs() < 1e-12);
-                assert!(dynamic);
-                assert_eq!(opts.threads, 4);
-                assert_eq!(accel_threads, 8);
-                assert_eq!(min_chunk, 2);
-            }
-            other => panic!("{other:?}"),
-        }
+        );
+        assert!((h.frac - 0.3).abs() < 1e-12);
+        assert_eq!(h.engine.threads, 4);
+        let d = h.dynamic.expect("--dynamic");
+        assert_eq!(d.accel_threads, 8);
+        assert_eq!(d.min_chunk, 2);
+        // The accelerator pool defaults to the CPU pool's thread count.
+        let d = parse_dynamic("hetero --query q --db d --dynamic --threads 3");
+        assert_eq!((d.accel_threads, d.min_chunk), (3, 1));
     }
 
     #[test]
     fn hetero_rejects_zero_min_chunk() {
-        assert!(parse(&argv("hetero --query q --db d --min-chunk 0")).is_err());
+        assert!(parse(&argv("hetero --query q --db d --dynamic --min-chunk 0")).is_err());
     }
 
     #[test]
     fn hetero_fault_defaults_off() {
-        let c = parse(&argv("hetero --query q --db d --dynamic")).unwrap();
-        match c {
-            Command::Hetero {
-                inject_fault,
-                accel_timeout_ms,
-                failure_budget,
-                ..
-            } => {
-                assert_eq!(inject_fault, None);
-                assert_eq!(accel_timeout_ms, None);
-                assert_eq!(failure_budget, 3);
-            }
-            other => panic!("{other:?}"),
-        }
+        let d = parse_dynamic("hetero --query q --db d --dynamic");
+        assert_eq!(d.inject_fault, None);
+        assert_eq!(d.accel_timeout_ms, None);
+        assert_eq!(d.failure_budget, 3);
     }
 
     #[test]
     fn hetero_parses_fault_drill_options() {
-        let c = parse(&argv(
+        let d = parse_dynamic(
             "hetero --query q --db d --dynamic --inject-fault kill-pool@2 \
              --accel-timeout-ms 50 --failure-budget 1",
-        ))
-        .unwrap();
-        match c {
-            Command::Hetero {
-                inject_fault,
-                accel_timeout_ms,
-                failure_budget,
-                ..
-            } => {
-                assert_eq!(
-                    inject_fault,
-                    Some(FaultSpec {
-                        device: DEVICE_ACCEL,
-                        chunk: 2,
-                        kind: FaultKind::KillPool,
-                    })
-                );
-                assert_eq!(accel_timeout_ms, Some(50));
-                assert_eq!(failure_budget, 1);
-            }
-            other => panic!("{other:?}"),
-        }
+        );
+        assert_eq!(
+            d.inject_fault,
+            Some(FaultSpec {
+                device: DEVICE_ACCEL,
+                chunk: 2,
+                kind: FaultKind::KillPool,
+            })
+        );
+        assert_eq!(d.accel_timeout_ms, Some(50));
+        assert_eq!(d.failure_budget, 1);
     }
 
     #[test]
     fn hetero_trace_flags() {
-        use sw_trace::TraceLevel;
         // No trace flags: tracing stays off.
-        match parse(&argv("hetero --query q --db d --dynamic")).unwrap() {
-            Command::Hetero {
-                trace_out,
-                metrics_out,
-                trace_level,
-                ..
-            } => {
-                assert_eq!(trace_out, None);
-                assert_eq!(metrics_out, None);
-                assert_eq!(trace_level, TraceLevel::Off);
-            }
-            other => panic!("{other:?}"),
-        }
+        let d = parse_dynamic("hetero --query q --db d --dynamic");
+        assert_eq!(d.trace_out, None);
+        assert_eq!(d.metrics_out, None);
+        assert_eq!(d.trace_level, TraceLevel::Off);
         // An output path implies full tracing.
-        match parse(&argv(
+        let d = parse_dynamic(
             "hetero --query q --db d --dynamic --trace-out t.json --metrics-out m.prom",
-        ))
-        .unwrap()
-        {
-            Command::Hetero {
-                trace_out,
-                metrics_out,
-                trace_level,
-                ..
-            } => {
-                assert_eq!(trace_out.as_deref(), Some("t.json"));
-                assert_eq!(metrics_out.as_deref(), Some("m.prom"));
-                assert_eq!(trace_level, TraceLevel::Full);
-            }
-            other => panic!("{other:?}"),
-        }
+        );
+        assert_eq!(d.trace_out.as_deref(), Some("t.json"));
+        assert_eq!(d.metrics_out.as_deref(), Some("m.prom"));
+        assert_eq!(d.trace_level, TraceLevel::Full);
         // Explicit level wins over the implication.
-        match parse(&argv(
+        let d = parse_dynamic(
             "hetero --query q --db d --dynamic --trace-out t.jsonl --trace-level lite",
+        );
+        assert_eq!(d.trace_level, TraceLevel::Lite);
+        assert!(parse(&argv(
+            "hetero --query q --db d --dynamic --trace-level verbose"
         ))
-        .unwrap()
-        {
-            Command::Hetero { trace_level, .. } => assert_eq!(trace_level, TraceLevel::Lite),
-            other => panic!("{other:?}"),
-        }
-        assert!(parse(&argv("hetero --query q --db d --trace-level verbose")).is_err());
+        .is_err());
+        // An output with tracing switched off would stay empty.
+        let e = parse(&argv(
+            "hetero --query q --db d --dynamic --metrics-out m.prom --trace-level off",
+        ))
+        .unwrap_err();
+        assert!(e.0.contains("need --trace-level lite or full"), "{e}");
     }
 
     #[test]
     fn hetero_durability_flags() {
         // Defaults: no checkpointing.
-        match parse(&argv("hetero --query q --db d --dynamic")).unwrap() {
-            Command::Hetero {
-                checkpoint,
-                checkpoint_interval,
-                resume,
-                kill_after_chunks,
-                ..
-            } => {
-                assert_eq!(checkpoint, None);
-                assert_eq!(checkpoint_interval, 8);
-                assert!(!resume);
-                assert_eq!(kill_after_chunks, None);
-            }
-            other => panic!("{other:?}"),
-        }
-        match parse(&argv(
+        let d = parse_dynamic("hetero --query q --db d --dynamic");
+        assert_eq!(d.durable, None);
+        let d = parse_dynamic(
             "hetero --query q --db d --dynamic --checkpoint s.ckpt \
              --checkpoint-interval-chunks 3 --resume --kill-after-chunks 5",
-        ))
-        .unwrap()
-        {
-            Command::Hetero {
-                checkpoint,
-                checkpoint_interval,
-                resume,
-                kill_after_chunks,
-                ..
-            } => {
-                assert_eq!(checkpoint.as_deref(), Some("s.ckpt"));
-                assert_eq!(checkpoint_interval, 3);
-                assert!(resume);
-                assert_eq!(kill_after_chunks, Some(5));
-            }
-            other => panic!("{other:?}"),
+        );
+        assert_eq!(
+            d.durable,
+            Some(Durable {
+                checkpoint: "s.ckpt".into(),
+                in_dir: false,
+                interval_chunks: 3,
+                resume: true,
+                kill_after_chunks: Some(5),
+            })
+        );
+        // The flags that act on a checkpoint need one.
+        for flag in [
+            "--resume",
+            "--kill-after-chunks 2",
+            "--checkpoint-interval-chunks 3",
+        ] {
+            let e = parse(&argv(&format!("hetero --query q --db d --dynamic {flag}"))).unwrap_err();
+            assert!(
+                e.0.contains("requires --checkpoint or --checkpoint-dir"),
+                "{flag}: {e}"
+            );
         }
-        // --resume without a checkpoint path has nothing to resume from.
-        let e = parse(&argv("hetero --query q --db d --dynamic --resume")).unwrap_err();
-        assert!(e.0.contains("--checkpoint"), "{e}");
         assert!(parse(&argv(
             "hetero --query q --db d --dynamic --checkpoint c --checkpoint-interval-chunks 0"
         ))
@@ -1486,23 +1639,10 @@ mod tests {
 
     #[test]
     fn hetero_checkpoint_dir_flag() {
-        match parse(&argv(
-            "hetero --query q --db d --dynamic --checkpoint-dir ckpts --resume",
-        ))
-        .unwrap()
-        {
-            Command::Hetero {
-                checkpoint,
-                checkpoint_dir,
-                resume,
-                ..
-            } => {
-                assert_eq!(checkpoint, None);
-                assert_eq!(checkpoint_dir.as_deref(), Some("ckpts"));
-                assert!(resume);
-            }
-            other => panic!("{other:?}"),
-        }
+        let d = parse_dynamic("hetero --query q --db d --dynamic --checkpoint-dir ckpts --resume");
+        let durable = d.durable.expect("--checkpoint-dir");
+        assert_eq!(durable.checkpoint, "ckpts");
+        assert!(durable.in_dir && durable.resume);
         // A path and a dir at once is ambiguous.
         let e = parse(&argv(
             "hetero --query q --db d --dynamic --checkpoint c --checkpoint-dir ckpts",
@@ -1513,75 +1653,44 @@ mod tests {
 
     #[test]
     fn serve_parses_with_defaults() {
-        match parse(&argv("serve --db d.swdb --socket /tmp/sw.sock")).unwrap() {
-            Command::Serve {
-                db,
-                socket,
-                max_concurrent,
-                tenant_quota,
-                batch_window_ms,
-                checkpoint_dir,
-                trace_dir,
-                registry_out,
-                log_level,
-                log_file,
-                slow_query_ms,
-                metrics_file,
-                metrics_interval_ms,
-                ..
-            } => {
-                assert_eq!(db, "d.swdb");
-                assert_eq!(socket, "/tmp/sw.sock");
-                assert_eq!(max_concurrent, 2);
-                assert_eq!(tenant_quota, 4);
-                assert_eq!(batch_window_ms, 3);
-                assert_eq!(checkpoint_dir, None);
-                assert_eq!(trace_dir, None);
-                assert_eq!(registry_out, None);
-                assert_eq!(log_level, sw_serve::LogLevel::Info);
-                assert_eq!(log_file, None);
-                assert_eq!(slow_query_ms, None);
-                assert_eq!(metrics_file, None);
-                assert_eq!(metrics_interval_ms, 1000);
-            }
-            other => panic!("{other:?}"),
-        }
-        match parse(&argv(
+        let s = parse_serve("serve --db d.swdb --socket /tmp/sw.sock");
+        assert_eq!(s.db, "d.swdb");
+        assert_eq!(s.socket, "/tmp/sw.sock");
+        let c = &s.config;
+        assert_eq!(c.unix_socket(), Some(std::path::Path::new("/tmp/sw.sock")));
+        assert_eq!(c.max_concurrent, 2);
+        assert_eq!(c.tenant_quota, 4);
+        assert_eq!(c.batch_window_ms, 3);
+        assert_eq!(c.default_top, 10);
+        assert_eq!(c.checkpoint_dir, None);
+        assert_eq!(c.trace_dir, None);
+        assert_eq!(c.registry_out, None);
+        assert_eq!(c.log_level, sw_serve::LogLevel::Info);
+        assert_eq!(c.log_file, None);
+        assert_eq!(c.slow_query_ms, None);
+        assert_eq!(c.metrics_file, None);
+        assert_eq!(c.metrics_interval_ms, 1000);
+        assert_eq!(s.accel_threads, s.engine.threads);
+
+        let s = parse_serve(
             "serve --db d.swdb --socket s.sock --max-concurrent 3 --tenant-quota 1 \
              --batch-window-ms 50 --checkpoint-dir ck --trace-dir tr --registry-out reg.jsonl \
              --log-level debug --log-file ops.jsonl --slow-query-ms 250 \
-             --metrics-file scrape.prom --metrics-interval-ms 200",
-        ))
-        .unwrap()
-        {
-            Command::Serve {
-                max_concurrent,
-                tenant_quota,
-                batch_window_ms,
-                checkpoint_dir,
-                trace_dir,
-                registry_out,
-                log_level,
-                log_file,
-                slow_query_ms,
-                metrics_file,
-                metrics_interval_ms,
-                ..
-            } => {
-                assert_eq!(max_concurrent, 3);
-                assert_eq!(tenant_quota, 1);
-                assert_eq!(batch_window_ms, 50);
-                assert_eq!(checkpoint_dir.as_deref(), Some("ck"));
-                assert_eq!(trace_dir.as_deref(), Some("tr"));
-                assert_eq!(registry_out.as_deref(), Some("reg.jsonl"));
-                assert_eq!(log_level, sw_serve::LogLevel::Debug);
-                assert_eq!(log_file.as_deref(), Some("ops.jsonl"));
-                assert_eq!(slow_query_ms, Some(250));
-                assert_eq!(metrics_file.as_deref(), Some("scrape.prom"));
-                assert_eq!(metrics_interval_ms, 200);
-            }
-            other => panic!("{other:?}"),
-        }
+             --metrics-file scrape.prom --metrics-interval-ms 200 --top 7",
+        );
+        let c = &s.config;
+        assert_eq!(c.max_concurrent, 3);
+        assert_eq!(c.tenant_quota, 1);
+        assert_eq!(c.batch_window_ms, 50);
+        assert_eq!(c.checkpoint_dir, Some("ck".into()));
+        assert_eq!(c.trace_dir, Some("tr".into()));
+        assert_eq!(c.registry_out, Some("reg.jsonl".into()));
+        assert_eq!(c.log_level, sw_serve::LogLevel::Debug);
+        assert_eq!(c.log_file, Some("ops.jsonl".into()));
+        assert_eq!(c.slow_query_ms, Some(250));
+        assert_eq!(c.metrics_file, Some("scrape.prom".into()));
+        assert_eq!(c.metrics_interval_ms, 200);
+        assert_eq!(c.default_top, 7);
         assert!(parse(&argv("serve --socket s.sock")).is_err(), "needs --db");
         assert!(parse(&argv("serve --db d")).is_err(), "needs --socket");
         assert!(parse(&argv("serve --db d --socket s --max-concurrent 0")).is_err());
@@ -1592,34 +1701,15 @@ mod tests {
 
     #[test]
     fn serve_parses_shard_worker_and_request_timeout() {
-        match parse(&argv(
+        let s = parse_serve(
             "serve --db shard-0.swshard --socket s.sock --shard-worker --request-timeout-ms 500",
-        ))
-        .unwrap()
-        {
-            Command::Serve {
-                db,
-                shard_worker,
-                request_timeout_ms,
-                ..
-            } => {
-                assert_eq!(db, "shard-0.swshard");
-                assert!(shard_worker);
-                assert_eq!(request_timeout_ms, 500);
-            }
-            other => panic!("{other:?}"),
-        }
-        match parse(&argv("serve --db d.swdb --socket s.sock")).unwrap() {
-            Command::Serve {
-                shard_worker,
-                request_timeout_ms,
-                ..
-            } => {
-                assert!(!shard_worker);
-                assert_eq!(request_timeout_ms, 10_000);
-            }
-            other => panic!("{other:?}"),
-        }
+        );
+        assert_eq!(s.db, "shard-0.swshard");
+        assert!(s.shard_worker);
+        assert_eq!(s.config.request_timeout_ms, 500);
+        let s = parse_serve("serve --db d.swdb --socket s.sock");
+        assert!(!s.shard_worker);
+        assert_eq!(s.config.request_timeout_ms, 10_000);
         // A shard worker gathers with no window: the option is refused by
         // name, in either order, not ignored.
         for line in [
@@ -1638,19 +1728,16 @@ mod tests {
     #[test]
     fn shard_prepare_and_sharded_search_parse() {
         match parse(&argv("shard-prepare --db d.fasta --out shards/ --shards 4")).unwrap() {
-            Command::ShardPrepare {
-                db,
-                out,
-                shards,
-                replicas,
-                endpoints,
-            } => {
-                assert_eq!(db, "d.fasta");
-                assert_eq!(out, "shards/");
-                assert_eq!(shards, 4);
-                assert_eq!(replicas, 1);
-                assert_eq!(endpoints, None);
-            }
+            Command::ShardPrepare(p) => assert_eq!(
+                p,
+                ShardPrepare {
+                    db: "d.fasta".into(),
+                    out: "shards/".into(),
+                    shards: 4,
+                    replicas: 1,
+                    endpoints: None,
+                }
+            ),
             other => panic!("{other:?}"),
         }
         match parse(&argv(
@@ -1659,13 +1746,9 @@ mod tests {
         ))
         .unwrap()
         {
-            Command::ShardPrepare {
-                replicas,
-                endpoints,
-                ..
-            } => {
-                assert_eq!(replicas, 2);
-                assert_eq!(endpoints.as_deref(), Some("tcp://a:1,tcp://b:1"));
+            Command::ShardPrepare(p) => {
+                assert_eq!(p.replicas, 2);
+                assert_eq!(p.endpoints.as_deref(), Some("tcp://a:1,tcp://b:1"));
             }
             other => panic!("{other:?}"),
         }
@@ -1684,35 +1767,24 @@ mod tests {
         ))
         .unwrap()
         {
-            Command::SearchShards {
-                query,
-                manifest,
-                shard_dir,
-                top,
-                drill,
-                net_fault,
-                net_fault_seed,
-                placement,
-                coord_journal,
-                resume_coord,
-                metrics_out,
-                json,
-                opts,
-            } => {
-                assert_eq!(query, "q.fa");
-                assert_eq!(manifest, "shards/shards.manifest");
-                assert_eq!(shard_dir, None);
-                assert_eq!(top, 7);
-                assert_eq!(drill, None);
-                assert_eq!(net_fault, None);
-                assert_eq!(net_fault_seed, None);
-                assert_eq!(placement, None);
-                assert_eq!(coord_journal, None);
-                assert!(!resume_coord);
-                assert_eq!(metrics_out, None);
-                assert!(json);
-                assert_eq!(opts.threads, 2);
-            }
+            Command::SearchShards(s) => assert_eq!(
+                s,
+                ShardedSearch {
+                    query: "q.fa".into(),
+                    manifest: "shards/shards.manifest".into(),
+                    shard_dir: None,
+                    top: 7,
+                    threads: 2,
+                    drill: None,
+                    net_fault: None,
+                    net_fault_seed: None,
+                    placement: None,
+                    coord_journal: None,
+                    resume_coord: false,
+                    metrics_out: None,
+                    json: true,
+                }
+            ),
             other => panic!("{other:?}"),
         }
         // Without --shards the search arm still demands --db.
@@ -1728,26 +1800,17 @@ mod tests {
         ))
         .unwrap()
         {
-            Command::SearchShards {
-                net_fault,
-                placement,
-                coord_journal,
-                resume_coord,
-                metrics_out,
-                ..
-            } => {
-                assert_eq!(net_fault.as_deref(), Some("refuse@0,drop@1:2"));
-                assert_eq!(placement.as_deref(), Some("p.plan"));
-                assert_eq!(coord_journal.as_deref(), Some("j.bin"));
-                assert!(resume_coord);
-                assert_eq!(metrics_out.as_deref(), Some("coord.prom"));
+            Command::SearchShards(s) => {
+                assert_eq!(s.net_fault.as_deref(), Some("refuse@0,drop@1:2"));
+                assert_eq!(s.placement.as_deref(), Some("p.plan"));
+                assert_eq!(s.coord_journal.as_deref(), Some("j.bin"));
+                assert!(s.resume_coord);
+                assert_eq!(s.metrics_out.as_deref(), Some("coord.prom"));
             }
             other => panic!("{other:?}"),
         }
         match parse(&argv("search --query q.fa --shards m --net-fault-seed 9")).unwrap() {
-            Command::SearchShards { net_fault_seed, .. } => {
-                assert_eq!(net_fault_seed, Some(9));
-            }
+            Command::SearchShards(s) => assert_eq!(s.net_fault_seed, Some(9)),
             other => panic!("{other:?}"),
         }
         // A malformed drill dies in the parser, before any worker boots.
@@ -1760,103 +1823,49 @@ mod tests {
 
     #[test]
     fn serve_listen_and_submit_retries_parse() {
-        match parse(&argv("serve --db d.swdb --listen tcp://127.0.0.1:7701")).unwrap() {
-            Command::Serve { socket, .. } => assert_eq!(socket, "tcp://127.0.0.1:7701"),
-            other => panic!("{other:?}"),
-        }
+        let s = parse_serve("serve --db d.swdb --listen tcp://127.0.0.1:7701");
+        assert_eq!(s.socket, "tcp://127.0.0.1:7701");
+        assert_eq!(s.config.unix_socket(), None);
         assert!(
             parse(&argv("serve --db d --socket s.sock --listen tcp://h:1")).is_err(),
             "--socket and --listen are mutually exclusive"
         );
-        match parse(&argv(
+        assert!(parse(&argv("serve --db d --listen tcp://nohost")).is_err());
+        let s = parse_submit(
             "submit --socket tcp://127.0.0.1:7701 --stats --connect-retries 4 \
              --connect-backoff-ms 10",
-        ))
-        .unwrap()
-        {
-            Command::Submit {
-                socket,
-                connect_retries,
-                connect_backoff_ms,
-                ..
-            } => {
-                assert_eq!(socket, "tcp://127.0.0.1:7701");
-                assert_eq!(connect_retries, 4);
-                assert_eq!(connect_backoff_ms, 10);
-            }
-            other => panic!("{other:?}"),
-        }
-        match parse(&argv("submit --socket s.sock --stats")).unwrap() {
-            Command::Submit {
-                connect_retries,
-                connect_backoff_ms,
-                ..
-            } => {
-                assert_eq!(connect_retries, 0, "fail fast by default");
-                assert_eq!(connect_backoff_ms, 25);
-            }
-            other => panic!("{other:?}"),
-        }
+        );
+        assert_eq!(s.socket, "tcp://127.0.0.1:7701");
+        assert_eq!(s.connect_retries, 4);
+        assert_eq!(s.connect_backoff_ms, 10);
+        let s = parse_submit("submit --socket s.sock --stats");
+        assert_eq!(s.connect_retries, 0, "fail fast by default");
+        assert_eq!(s.connect_backoff_ms, 25);
     }
 
     #[test]
     fn submit_needs_exactly_one_operation() {
-        match parse(&argv(
+        let s = parse_submit(
             "submit --socket s.sock --query q.fa --tenant acme --drill delay@0:500 --top 5",
-        ))
-        .unwrap()
-        {
-            Command::Submit {
-                socket,
-                query,
-                tenant,
-                drill,
-                top,
-                ..
-            } => {
-                assert_eq!(socket, "s.sock");
-                assert_eq!(query.as_deref(), Some("q.fa"));
-                assert_eq!(tenant, "acme");
-                assert_eq!(drill.as_deref(), Some("delay@0:500"));
-                assert_eq!(top, 5);
-            }
-            other => panic!("{other:?}"),
-        }
-        match parse(&argv("submit --socket s.sock --status 7")).unwrap() {
-            Command::Submit { status, tenant, .. } => {
-                assert_eq!(status, Some(7));
-                assert_eq!(tenant, "anon");
-            }
-            other => panic!("{other:?}"),
-        }
-        match parse(&argv("submit --socket s.sock --cancel 3")).unwrap() {
-            Command::Submit { cancel, .. } => assert_eq!(cancel, Some(3)),
-            other => panic!("{other:?}"),
-        }
-        assert!(matches!(
-            parse(&argv("submit --socket s.sock --stats")).unwrap(),
-            Command::Submit { stats: true, .. }
-        ));
-        assert!(matches!(
-            parse(&argv("submit --socket s.sock --shutdown")).unwrap(),
-            Command::Submit { shutdown: true, .. }
-        ));
-        assert!(matches!(
-            parse(&argv("submit --socket s.sock --metrics")).unwrap(),
-            Command::Submit { metrics: true, .. }
-        ));
-        assert!(matches!(
-            parse(&argv("submit --socket s.sock --health")).unwrap(),
-            Command::Submit { health: true, .. }
-        ));
-        assert!(matches!(
-            parse(&argv("submit --socket s.sock --stats --json")).unwrap(),
-            Command::Submit {
-                stats: true,
-                json: true,
-                ..
-            }
-        ));
+        );
+        assert_eq!(s.socket, "s.sock");
+        assert_eq!(s.query.as_deref(), Some("q.fa"));
+        assert_eq!(s.tenant, "acme");
+        assert_eq!(s.drill.as_deref(), Some("delay@0:500"));
+        assert_eq!(s.top, 5);
+        let s = parse_submit("submit --socket s.sock --status 7");
+        assert_eq!(s.status, Some(7));
+        assert_eq!(s.tenant, "anon");
+        assert_eq!(
+            parse_submit("submit --socket s.sock --cancel 3").cancel,
+            Some(3)
+        );
+        assert!(parse_submit("submit --socket s.sock --stats").stats);
+        assert!(parse_submit("submit --socket s.sock --shutdown").shutdown);
+        assert!(parse_submit("submit --socket s.sock --metrics").metrics);
+        assert!(parse_submit("submit --socket s.sock --health").health);
+        let s = parse_submit("submit --socket s.sock --stats --json");
+        assert!(s.stats && s.json);
         // Zero or two operations are both rejected.
         assert!(parse(&argv("submit --socket s.sock")).is_err());
         assert!(parse(&argv("submit --socket s.sock --query q --stats")).is_err());
@@ -1866,31 +1875,31 @@ mod tests {
 
     #[test]
     fn quarantine_flag_parses() {
-        match parse(&argv("search --query q --db d --quarantine")).unwrap() {
-            Command::Search { opts, .. } => assert!(opts.quarantine),
-            other => panic!("{other:?}"),
-        }
-        match parse(&argv("makedb --in a.fa --out b.swdb --quarantine")).unwrap() {
-            Command::MakeDb { quarantine, .. } => assert!(quarantine),
-            other => panic!("{other:?}"),
-        }
-        match parse(&argv("makedb --in a.fa --out b.swdb")).unwrap() {
-            Command::MakeDb { quarantine, .. } => assert!(!quarantine),
-            other => panic!("{other:?}"),
+        assert!(parse_search("search --query q --db d --quarantine").quarantine);
+        for (line, want) in [
+            ("makedb --in a.fa --out b.swdb --quarantine", true),
+            ("makedb --in a.fa --out b.swdb", false),
+        ] {
+            match parse(&argv(line)).unwrap() {
+                Command::MakeDb(m) => assert_eq!(m.quarantine, want, "{line}"),
+                other => panic!("{other:?}"),
+            }
         }
     }
 
     #[test]
     fn trace_check_needs_at_least_one_file() {
         assert!(parse(&argv("trace-check")).is_err());
-        let c = parse(&argv("trace-check --trace t.jsonl --metrics m.prom")).unwrap();
-        assert_eq!(
-            c,
-            Command::TraceCheck {
-                trace: Some("t.jsonl".into()),
-                metrics: Some("m.prom".into()),
-            }
-        );
+        match parse(&argv("trace-check --trace t.jsonl --metrics m.prom")).unwrap() {
+            Command::TraceCheck(t) => assert_eq!(
+                t,
+                TraceCheck {
+                    trace: Some("t.jsonl".into()),
+                    metrics: Some("m.prom".into()),
+                }
+            ),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
@@ -1926,13 +1935,16 @@ mod tests {
     #[test]
     fn selftest_lanes_validated() {
         assert!(parse(&argv("selftest --lanes 5")).is_err());
-        let c = parse(&argv("selftest --lanes 32 --scale 2")).unwrap();
-        assert_eq!(
-            c,
-            Command::SelfTest {
-                lanes: 32,
-                scale: 2
-            }
-        );
+        assert!(parse(&argv("bench --lanes 12")).is_err());
+        match parse(&argv("selftest --lanes 32 --scale 2")).unwrap() {
+            Command::SelfTest(s) => assert_eq!(
+                s,
+                SelfTest {
+                    lanes: 32,
+                    scale: 2
+                }
+            ),
+            other => panic!("{other:?}"),
+        }
     }
 }

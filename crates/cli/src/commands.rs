@@ -1,6 +1,6 @@
 //! Command execution for `swsearch`.
 
-use crate::args::{Command, SearchOpts, USAGE};
+use crate::args::{self, Command, Engine, Scoring, USAGE};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 use std::path::Path;
@@ -10,19 +10,12 @@ use sw_core::{
 use sw_device::CostModel;
 use sw_kernels::scalar::SwParams;
 use sw_kernels::traceback::sw_align;
+use sw_kernels::KernelIsa;
 use sw_seq::gen::{generate_database, generate_lengths, DbSpec};
-use sw_seq::{Alphabet, EncodedSeq, FastaWriter, GapPenalty, SubstMatrix};
+use sw_seq::{Alphabet, EncodedSeq, FastaWriter};
 
 /// Boxed error for command execution.
 pub type CmdError = Box<dyn std::error::Error>;
-
-/// Read and verify a `.swdb` snapshot: the database and its content
-/// digest (the identity every checkpoint fingerprint chains back to).
-fn load_snapshot(path: &str) -> Result<(sw_swdb::SequenceDatabase, u64), CmdError> {
-    let db = sw_swdb::snapshot::read(&std::fs::read(path)?)?;
-    let digest = sw_swdb::snapshot::content_digest(&db);
-    Ok((db, digest))
-}
 
 /// Write a CLI artifact through `replace_file`: it appears at `path`
 /// whole or not at all, so a killed command never leaves a truncated
@@ -31,329 +24,96 @@ fn write_artifact(path: impl AsRef<Path>, bytes: impl AsRef<[u8]>) -> std::io::R
     sw_swdb::integrity::replace_file(path.as_ref(), bytes.as_ref(), false)
 }
 
-fn load_sequences(path: &str, alphabet: &Alphabet) -> Result<Vec<EncodedSeq>, CmdError> {
-    if path.ends_with(".swdb") {
-        Ok(load_snapshot(path)?.0.to_sequences())
-    } else {
-        Ok(sw_seq::fasta::read_encoded(
-            BufReader::new(File::open(path)?),
-            alphabet,
-        )?)
-    }
-}
-
-/// [`load_sequences`], optionally in quarantine mode: malformed FASTA
-/// records are skipped (with a printed per-issue summary) instead of
-/// aborting the command. Snapshots have no quarantine — their integrity
-/// is checked structurally on read.
-fn load_sequences_quarantined<W: Write>(
+/// Read a FASTA file or a `.swdb` snapshot. With `quarantine`, malformed
+/// FASTA records are skipped (with a printed per-issue summary) instead
+/// of aborting the command; snapshots have no quarantine — their
+/// integrity is checked structurally on read.
+fn load_sequences<W: Write>(
     path: &str,
     alphabet: &Alphabet,
     quarantine: bool,
     out: &mut W,
 ) -> Result<Vec<EncodedSeq>, CmdError> {
-    if !quarantine || path.ends_with(".swdb") {
-        return load_sequences(path, alphabet);
+    if path.ends_with(".swdb") {
+        return Ok(sw_swdb::snapshot::read(&std::fs::read(path)?)?.to_sequences());
     }
-    let (seqs, report) =
-        sw_seq::read_encoded_quarantined(BufReader::new(File::open(path)?), alphabet)?;
+    let fasta = BufReader::new(File::open(path)?);
+    if !quarantine {
+        return Ok(sw_seq::fasta::read_encoded(fasta, alphabet)?);
+    }
+    let (seqs, report) = sw_seq::read_encoded_quarantined(fasta, alphabet)?;
     if !report.is_clean() {
         writeln!(out, "# quarantine {path}: {report}")?;
     }
     Ok(seqs)
 }
 
-fn params_from(opts: &SearchOpts) -> Result<SwParams, CmdError> {
-    let matrix = if opts.dna {
-        sw_seq::dna::dna_matrix(opts.match_score, opts.mismatch, -2)
-    } else {
-        SubstMatrix::by_name(&opts.matrix)
-            .ok_or_else(|| format!("unknown matrix '{}'", opts.matrix))?
-    };
-    Ok(SwParams::new(
-        matrix,
-        GapPenalty::new(opts.open, opts.extend),
-    ))
+/// What `search`, `hetero` and `serve` run against: the database
+/// prepared under the command line's scoring and engine parts.
+struct Target {
+    params: SwParams,
+    prepared: PreparedDb,
+    isa: KernelIsa,
+    config: SearchConfig,
 }
 
-fn alphabet_from(opts: &SearchOpts) -> Alphabet {
-    if opts.dna {
-        Alphabet::dna()
-    } else {
-        Alphabet::protein()
+impl Target {
+    fn load<W: Write>(
+        path: &str,
+        quarantine: bool,
+        scoring: &Scoring,
+        engine: &Engine,
+        out: &mut W,
+    ) -> Result<Self, CmdError> {
+        let seqs = load_sequences(path, &scoring.alphabet(), quarantine, out)?;
+        Target::prepare(seqs, scoring, engine)
     }
-}
 
-/// The kernel ISA the process starts with: `SW_KERNEL_ISA` read exactly
-/// once, here, at first use — the library layers never touch the
-/// environment, so a daemon's concurrent requests all see one frozen
-/// value (plus whatever explicit `--kernel-isa` a request carries). An
-/// unknown or unsupported override falls back to hardware detection
-/// rather than erroring: the variable is a preference, `--kernel-isa`
-/// is the contract.
-pub fn startup_kernel_isa() -> sw_kernels::KernelIsa {
-    static STARTUP_ISA: std::sync::OnceLock<sw_kernels::KernelIsa> = std::sync::OnceLock::new();
-    *STARTUP_ISA.get_or_init(|| match std::env::var("SW_KERNEL_ISA") {
-        Ok(name) => match sw_kernels::KernelIsa::from_name(&name) {
-            Some(isa) if isa.is_available() => isa,
-            _ => {
-                eprintln!(
-                    "# WARNING: SW_KERNEL_ISA={name} is unknown or unsupported here; \
-                     using detected ISA"
-                );
-                sw_kernels::KernelIsa::detect()
-            }
-        },
-        Err(_) => sw_kernels::KernelIsa::detect(),
-    })
-}
-
-/// Resolve `--kernel-isa` against the host: auto uses the startup
-/// resolution (environment override or detected best), a forced ISA
-/// must actually be supported here.
-fn isa_from(opts: &SearchOpts) -> Result<sw_kernels::KernelIsa, CmdError> {
-    match opts.kernel_isa {
-        None => Ok(startup_kernel_isa()),
-        Some(isa) if isa.is_available() => Ok(isa),
-        Some(isa) => Err(format!(
-            "--kernel-isa {isa}: this host does not support {isa} \
-             (detected: {})",
-            sw_kernels::KernelIsa::detect()
-        )
-        .into()),
+    fn prepare(
+        seqs: Vec<EncodedSeq>,
+        scoring: &Scoring,
+        engine: &Engine,
+    ) -> Result<Self, CmdError> {
+        if seqs.is_empty() {
+            return Err("database holds no sequences".into());
+        }
+        let params = scoring.params()?;
+        let prepared = PreparedDb::try_prepare(seqs, engine.lanes, &scoring.alphabet())?;
+        let isa = engine.isa()?;
+        Ok(Target {
+            params,
+            prepared,
+            isa,
+            config: engine.search_config(isa),
+        })
     }
-}
-
-/// The one shape every CLI search runs under: the library's best-host
-/// defaults (dynamic scheduling) over at least one thread, with the
-/// variant and ISA the command line resolved to.
-fn search_config(
-    variant: sw_kernels::KernelVariant,
-    threads: usize,
-    isa: sw_kernels::KernelIsa,
-) -> SearchConfig {
-    SearchConfig::best(threads.max(1))
-        .with_variant(variant)
-        .with_isa(isa)
 }
 
 /// Execute one parsed command, writing output to `out`.
 pub fn execute<W: Write>(cmd: Command, out: &mut W) -> Result<(), CmdError> {
     match cmd {
-        Command::Help => {
-            writeln!(out, "{USAGE}")?;
-            Ok(())
-        }
-        Command::Search { query, db, opts } => cmd_search(&query, &db, &opts, out),
-        Command::SearchShards {
-            query,
-            manifest,
-            shard_dir,
-            top,
-            drill,
-            net_fault,
-            net_fault_seed,
-            placement,
-            coord_journal,
-            resume_coord,
-            metrics_out,
-            json,
-            opts,
-        } => cmd_search_shards(
-            &query,
-            &manifest,
-            shard_dir.as_deref(),
-            top,
-            FabricOpts {
-                drill,
-                net_fault,
-                net_fault_seed,
-                placement,
-                coord_journal,
-                resume_coord,
-                metrics_out,
-            },
-            json,
-            &opts,
-            out,
-        ),
-        Command::ShardPrepare {
-            db,
-            out: dir,
-            shards,
-            replicas,
-            endpoints,
-        } => cmd_shard_prepare(&db, &dir, shards, replicas, endpoints.as_deref(), out),
-        Command::MakeDb {
-            input,
-            output,
-            quarantine,
-        } => cmd_makedb(&input, &output, quarantine, out),
-        Command::GenDb {
-            seqs,
-            output,
-            seed,
-            mean_len,
-        } => cmd_gendb(seqs, &output, seed, mean_len, out),
+        Command::Help => Ok(writeln!(out, "{USAGE}")?),
+        Command::Search(s) => cmd_search(&s, out),
+        Command::SearchShards(s) => cmd_search_shards(&s, out),
+        Command::ShardPrepare(p) => cmd_shard_prepare(&p, out),
+        Command::MakeDb(m) => cmd_makedb(&m, out),
+        Command::GenDb(g) => cmd_gendb(&g, out),
         Command::Stats { db } => cmd_stats(&db, out),
-        Command::SelfTest { lanes, scale } => cmd_selftest(lanes, scale, out),
-        Command::Simulate {
-            device,
-            threads,
-            query_len,
-            frac,
-            variant,
-            db_scale,
-        } => cmd_simulate(&device, threads, query_len, frac, variant, db_scale, out),
-        Command::Align {
-            query,
-            subject,
-            opts,
-        } => cmd_align(&query, &subject, &opts, out),
-        Command::TraceCheck { trace, metrics } => {
-            cmd_trace_check(trace.as_deref(), metrics.as_deref(), out)
-        }
-        Command::Bench {
-            seqs,
-            query_len,
-            threads,
-            lanes,
-        } => cmd_bench(seqs, query_len, threads, lanes, out),
-        Command::Hetero {
-            query,
-            db,
-            frac,
-            dynamic,
-            accel_threads,
-            min_chunk,
-            inject_fault,
-            accel_timeout_ms,
-            failure_budget,
-            trace_out,
-            metrics_out,
-            trace_level,
-            checkpoint,
-            checkpoint_dir,
-            checkpoint_interval,
-            resume,
-            kill_after_chunks,
-            opts,
-        } => cmd_hetero(
-            &query,
-            &db,
-            frac,
-            dynamic,
-            accel_threads,
-            min_chunk,
-            HeteroDrill {
-                inject_fault,
-                accel_timeout_ms,
-                failure_budget,
-                kill_after_chunks,
-            },
-            HeteroTraceOpts {
-                trace_out,
-                metrics_out,
-                level: trace_level,
-            },
-            HeteroDurability {
-                checkpoint,
-                checkpoint_dir,
-                interval_chunks: checkpoint_interval,
-                resume,
-            },
-            &opts,
-            out,
-        ),
-        Command::Serve {
-            db,
-            socket,
-            max_concurrent,
-            tenant_quota,
-            batch_window_ms,
-            accel_threads,
-            checkpoint_dir,
-            trace_dir,
-            registry_out,
-            log_level,
-            log_file,
-            slow_query_ms,
-            metrics_file,
-            metrics_interval_ms,
-            request_timeout_ms,
-            shard_worker,
-            opts,
-        } => cmd_serve(
-            &db,
-            &socket,
-            ServeTuning {
-                max_concurrent,
-                tenant_quota,
-                batch_window_ms,
-                accel_threads,
-                checkpoint_dir,
-                trace_dir,
-                registry_out,
-                log_level,
-                log_file,
-                slow_query_ms,
-                metrics_file,
-                metrics_interval_ms,
-                request_timeout_ms,
-                shard_worker,
-            },
-            &opts,
-            out,
-        ),
-        Command::Submit {
-            socket,
-            query,
-            tenant,
-            status,
-            cancel,
-            stats,
-            shutdown,
-            metrics,
-            health,
-            drill,
-            top,
-            json,
-            connect_retries,
-            connect_backoff_ms,
-        } => cmd_submit(
-            &socket,
-            SubmitOp {
-                query,
-                tenant,
-                status,
-                cancel,
-                stats,
-                shutdown,
-                metrics,
-                health,
-                drill,
-                top,
-                json,
-                connect_retries,
-                connect_backoff_ms,
-            },
-            out,
-        ),
+        Command::SelfTest(t) => cmd_selftest(&t, out),
+        Command::Simulate(s) => cmd_simulate(&s, out),
+        Command::Align(a) => cmd_align(&a, out),
+        Command::TraceCheck(t) => cmd_trace_check(&t, out),
+        Command::Bench(b) => cmd_bench(&b, out),
+        Command::Hetero(h) => cmd_hetero(&h, out),
+        Command::Serve(s) => cmd_serve(s, out),
+        Command::Submit(s) => cmd_submit(&s, out),
     }
 }
 
-fn cmd_search<W: Write>(
-    query_path: &str,
-    db_path: &str,
-    opts: &SearchOpts,
-    out: &mut W,
-) -> Result<(), CmdError> {
-    let alphabet = alphabet_from(opts);
-    let mut queries = load_sequences_quarantined(query_path, &alphabet, opts.quarantine, out)?;
-    if opts.both_strands {
-        if !opts.dna {
-            return Err("--both-strands requires --dna".into());
-        }
+fn cmd_search<W: Write>(search: &args::Search, out: &mut W) -> Result<(), CmdError> {
+    let alphabet = search.scoring.alphabet();
+    let mut queries = load_sequences(&search.query, &alphabet, search.quarantine, out)?;
+    if search.both_strands {
         let minus: Vec<EncodedSeq> = queries
             .iter()
             .map(|q| EncodedSeq {
@@ -363,15 +123,19 @@ fn cmd_search<W: Write>(
             .collect();
         queries.extend(minus);
     }
-    let db_seqs = load_sequences_quarantined(db_path, &alphabet, opts.quarantine, out)?;
-    if db_seqs.is_empty() {
-        return Err("database holds no sequences".into());
-    }
-    let params = params_from(opts)?;
-    let prepared = PreparedDb::try_prepare(db_seqs, opts.lanes, &alphabet)?;
+    let Target {
+        params,
+        prepared,
+        isa,
+        config,
+    } = Target::load(
+        &search.db,
+        search.quarantine,
+        &search.scoring,
+        &search.engine,
+        out,
+    )?;
     let engine = SearchEngine::new(params.clone());
-    let isa = isa_from(opts)?;
-    let config = search_config(opts.variant, opts.threads, isa);
     writeln!(
         out,
         "# swsearch: {} quer{} vs {} sequences ({} residues), {} [{}] isa {}",
@@ -380,10 +144,10 @@ fn cmd_search<W: Write>(
         prepared.stats.n_seqs,
         prepared.stats.total_residues,
         params.matrix.name,
-        opts.variant,
+        search.engine.variant,
         isa,
     )?;
-    let karlin = if opts.dna {
+    let karlin = if search.scoring.dna {
         // Uniform base composition for nucleotide statistics.
         let lambda =
             sw_core::stats::ungapped_lambda(&params.matrix, &[0.25, 0.25, 0.25, 0.25, 0.0])
@@ -411,9 +175,9 @@ fn cmd_search<W: Write>(
             &res,
             &params,
             &karlin,
-            opts.top,
+            search.top,
         );
-        if opts.tabular {
+        if search.tabular {
             for r in &reports {
                 writeln!(out, "{}", r.tabular(&q.header))?;
             }
@@ -437,7 +201,7 @@ fn cmd_search<W: Write>(
                         .unwrap_or_else(|| "-".into()),
                     r.header
                 )?;
-                if opts.align {
+                if search.align {
                     if let Some(alignment) = &r.alignment {
                         let subject = prepared.sorted.db().seq(r.id);
                         for line in alignment
@@ -454,38 +218,25 @@ fn cmd_search<W: Write>(
     Ok(())
 }
 
-fn cmd_makedb<W: Write>(
-    input: &str,
-    output: &str,
-    quarantine: bool,
-    out: &mut W,
-) -> Result<(), CmdError> {
-    let alphabet = Alphabet::protein();
-    let seqs = load_sequences_quarantined(input, &alphabet, quarantine, out)?;
+fn cmd_makedb<W: Write>(m: &args::MakeDb, out: &mut W) -> Result<(), CmdError> {
+    let seqs = load_sequences(&m.input, &Alphabet::protein(), m.quarantine, out)?;
     let db = sw_swdb::SequenceDatabase::from_sequences(seqs);
     let bytes = sw_swdb::snapshot::write(&db);
-    write_artifact(output, &bytes)?;
+    write_artifact(&m.output, &bytes)?;
     writeln!(
         out,
-        "wrote {} sequences ({} residues) to {output} ({} bytes)",
+        "wrote {} sequences ({} residues) to {} ({} bytes)",
         db.len(),
         db.total_residues(),
+        m.output,
         bytes.len()
     )?;
     Ok(())
 }
 
-fn cmd_shard_prepare<W: Write>(
-    db_path: &str,
-    out_dir: &str,
-    n_shards: usize,
-    replicas: usize,
-    endpoint_pool: Option<&str>,
-    out: &mut W,
-) -> Result<(), CmdError> {
+fn cmd_shard_prepare<W: Write>(p: &args::ShardPrepare, out: &mut W) -> Result<(), CmdError> {
     use sw_swdb::shard;
-    let alphabet = Alphabet::protein();
-    let seqs = load_sequences(db_path, &alphabet)?;
+    let seqs = load_sequences(&p.db, &Alphabet::protein(), false, out)?;
     if seqs.is_empty() {
         return Err("database holds no sequences".into());
     }
@@ -496,10 +247,10 @@ fn cmd_shard_prepare<W: Write>(
     // alongside is the byte-identical reference for an unsharded run.
     let sorted = shard::length_sorted(&db);
     let parent_digest = sw_swdb::snapshot::content_digest(&sorted);
-    let dir = std::path::Path::new(out_dir);
+    let dir = std::path::Path::new(&p.out);
     std::fs::create_dir_all(dir)?;
     write_artifact(dir.join("parent.swdb"), sw_swdb::snapshot::write(&sorted))?;
-    let ranges = shard::plan_shards(&sorted, n_shards);
+    let ranges = shard::plan_shards(&sorted, p.shards);
     let count = ranges.len() as u64;
     let mut entries = Vec::new();
     for (i, range) in ranges.iter().enumerate() {
@@ -536,18 +287,21 @@ fn cmd_shard_prepare<W: Write>(
     // placement plan the coordinator walks on failover. Endpoints may
     // mix tcp:// and unix socket names; they are validated here so a
     // typo dies at prepare time, not mid-search.
-    if replicas > 1 || endpoint_pool.is_some() {
-        let pool: Vec<String> = endpoint_pool
-            .map(|p| p.split(',').map(str::to_string).collect())
+    if p.replicas > 1 || p.endpoints.is_some() {
+        let pool: Vec<String> = p
+            .endpoints
+            .as_deref()
+            .map(|pool| pool.split(',').map(str::to_string).collect())
             .unwrap_or_default();
         for ep in &pool {
             sw_serve::Endpoint::parse(ep).map_err(|e| format!("--endpoints: {e}"))?;
         }
-        let plan = sw_swdb::PlacementPlan::assign(parent_digest, count, replicas as u64, &pool);
+        let plan = sw_swdb::PlacementPlan::assign(parent_digest, count, p.replicas as u64, &pool);
         write_artifact(dir.join("placement.plan"), plan.render())?;
         writeln!(
             out,
-            "# wrote placement.plan: {replicas} replica(s) per shard over {}",
+            "# wrote placement.plan: {} replica(s) per shard over {}",
+            p.replicas,
             if pool.is_empty() {
                 "per-replica sockets".to_string()
             } else {
@@ -558,62 +312,43 @@ fn cmd_shard_prepare<W: Write>(
     writeln!(
         out,
         "# wrote {count} shards + sorted parent ({} seqs, digest {parent_digest:016x}) \
-         + shards.manifest to {out_dir}",
-        sorted.len()
+         + shards.manifest to {}",
+        sorted.len(),
+        p.out
     )?;
     Ok(())
 }
 
-/// Fabric knobs carried from the `search --shards` arg parse: drills,
-/// placement, coordinator durability and observability.
-struct FabricOpts {
-    drill: Option<String>,
-    net_fault: Option<String>,
-    net_fault_seed: Option<u64>,
-    placement: Option<String>,
-    coord_journal: Option<String>,
-    resume_coord: bool,
-    metrics_out: Option<String>,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn cmd_search_shards<W: Write>(
-    query_path: &str,
-    manifest_path: &str,
-    shard_dir: Option<&str>,
-    top: usize,
-    fabric: FabricOpts,
-    json: bool,
-    opts: &SearchOpts,
-    out: &mut W,
-) -> Result<(), CmdError> {
+fn cmd_search_shards<W: Write>(s: &args::ShardedSearch, out: &mut W) -> Result<(), CmdError> {
     use std::process::{Command as Proc, Stdio};
     use std::time::Duration;
     use sw_sched::{NetFaultInjector, NetFaultPlan};
     use sw_serve::{coord, CoordConfig, CoordDrill, Endpoint, NetTransport, ShardSpec};
-    let manifest_text = std::fs::read_to_string(manifest_path)?;
+    let manifest_text = std::fs::read_to_string(&s.manifest)?;
     let manifest = sw_swdb::ShardManifest::parse(&manifest_text)
-        .map_err(|e| format!("{manifest_path}: {e}"))?;
-    let manifest_dir = std::path::Path::new(manifest_path)
+        .map_err(|e| format!("{}: {e}", s.manifest))?;
+    let manifest_dir = std::path::Path::new(&s.manifest)
         .parent()
         .filter(|p| !p.as_os_str().is_empty())
         .map(|p| p.to_path_buf())
         .unwrap_or_else(|| std::path::PathBuf::from("."));
-    let run_dir = shard_dir
+    let run_dir = s
+        .shard_dir
+        .as_ref()
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| manifest_dir.clone());
     std::fs::create_dir_all(&run_dir)?;
     let ckpt_dir = run_dir.join("ckpt");
     std::fs::create_dir_all(&ckpt_dir)?;
-    let query_fasta = std::fs::read_to_string(query_path)?;
+    let query_fasta = std::fs::read_to_string(&s.query)?;
 
     // Placement: an explicit --placement file, or placement.plan next
     // to the manifest when shard-prepare wrote one. Relative unix
     // socket names resolve against the run dir (where this
     // coordinator's sockets live); tcp:// endpoints pass through.
-    let placement_path = fabric
+    let placement_path = s
         .placement
-        .clone()
+        .as_ref()
         .map(std::path::PathBuf::from)
         .or_else(|| {
             let p = manifest_dir.join("placement.plan");
@@ -679,7 +414,7 @@ fn cmd_search_shards<W: Write>(
     // exit path, including typed-fatal coordinator errors that used to
     // leak the whole fleet.
     let exe = std::env::current_exe()?;
-    let threads = opts.threads.max(1);
+    let threads = s.threads.max(1);
     let fleet = crate::fleet::WorkerFleet::new();
     let spawn_at = |spec: &ShardSpec, endpoint: &Endpoint| -> Result<(), String> {
         let entry = manifest
@@ -742,7 +477,7 @@ fn cmd_search_shards<W: Write>(
             }
         }
     }
-    if !json {
+    if !s.json {
         writeln!(
             out,
             "# sharded search: {} shards ({booted} booted), parent digest {:016x}",
@@ -751,7 +486,7 @@ fn cmd_search_shards<W: Write>(
         )?;
     }
 
-    let faults = match (&fabric.net_fault, fabric.net_fault_seed) {
+    let faults = match (&s.net_fault, s.net_fault_seed) {
         (Some(spec), _) => Some(NetFaultInjector::new(NetFaultPlan::parse(spec)?)),
         (None, Some(seed)) => Some(NetFaultInjector::new(NetFaultPlan::seeded(
             seed,
@@ -760,18 +495,18 @@ fn cmd_search_shards<W: Write>(
         ))),
         (None, None) => None,
     };
-    let journal_path = fabric
+    let journal_path = s
         .coord_journal
-        .clone()
+        .as_ref()
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| run_dir.join("coord.journal"));
     let coord_drill = CoordDrill {
         faults: faults.as_ref(),
         journal: Some(journal_path),
-        resume: fabric.resume_coord,
+        resume: s.resume_coord,
     };
-    let mut cfg = CoordConfig::new(top);
-    cfg.drill = fabric.drill.clone();
+    let mut cfg = CoordConfig::new(s.top);
+    cfg.drill = s.drill.clone();
     cfg.parent_digest = manifest.parent_digest;
     let result = coord::search_sharded_durable(
         &specs,
@@ -782,7 +517,7 @@ fn cmd_search_shards<W: Write>(
         &coord_drill,
     );
     let outcome = result.map_err(|e| format!("sharded search: {e}"))?;
-    if let Some(path) = &fabric.metrics_out {
+    if let Some(path) = &s.metrics_out {
         write_artifact(
             path,
             sw_serve::coord_prometheus(
@@ -794,7 +529,7 @@ fn cmd_search_shards<W: Write>(
             ),
         )?;
     }
-    if json {
+    if s.json {
         // Re-rendered wire hit lines, byte-identical to what an
         // unsharded `submit --json` run over the sorted parent prints
         // for the same query — the CI merge check diffs exactly this.
@@ -835,33 +570,27 @@ fn cmd_search_shards<W: Write>(
             outcome.journal_skipped
         )?;
     }
-    writeln!(out, "merged top {}: {} hits", top, outcome.hits.len())?;
+    writeln!(out, "merged top {}: {} hits", s.top, outcome.hits.len())?;
     for h in &outcome.hits {
         writeln!(out, "{:>6}  {:>8}  {}", h.rank, h.score, h.header)?;
     }
     Ok(())
 }
 
-fn cmd_gendb<W: Write>(
-    seqs: u32,
-    output: &str,
-    seed: u64,
-    mean_len: f64,
-    out: &mut W,
-) -> Result<(), CmdError> {
+fn cmd_gendb<W: Write>(g: &args::GenDb, out: &mut W) -> Result<(), CmdError> {
     let spec = DbSpec {
-        n_seqs: seqs,
-        mean_len,
+        n_seqs: g.seqs,
+        mean_len: g.mean_len,
         max_len: 35_213,
-        seed,
+        seed: g.seed,
     };
     let generated = generate_database(&spec);
-    if output.ends_with(".swdb") {
+    if g.output.ends_with(".swdb") {
         let db = sw_swdb::SequenceDatabase::from_sequences(generated);
-        write_artifact(output, sw_swdb::snapshot::write(&db))?;
+        write_artifact(&g.output, sw_swdb::snapshot::write(&db))?;
     } else {
         let alphabet = Alphabet::protein();
-        let mut w = FastaWriter::new(BufWriter::new(File::create(output)?));
+        let mut w = FastaWriter::new(BufWriter::new(File::create(&g.output)?));
         for s in &generated {
             w.write(s, &alphabet)?;
         }
@@ -869,26 +598,27 @@ fn cmd_gendb<W: Write>(
     }
     writeln!(
         out,
-        "generated {seqs} synthetic sequences (seed {seed}) into {output}"
+        "generated {} synthetic sequences (seed {}) into {}",
+        g.seqs, g.seed, g.output
     )?;
     Ok(())
 }
 
 fn cmd_stats<W: Write>(db_path: &str, out: &mut W) -> Result<(), CmdError> {
-    let alphabet = Alphabet::protein();
-    let seqs = load_sequences(db_path, &alphabet)?;
+    let seqs = load_sequences(db_path, &Alphabet::protein(), false, out)?;
     let db = sw_swdb::SequenceDatabase::from_sequences(seqs);
     let stats = sw_swdb::DbStats::compute(&db);
     writeln!(out, "{stats}")?;
     Ok(())
 }
 
-fn cmd_selftest<W: Write>(lanes: usize, scale: u32, out: &mut W) -> Result<(), CmdError> {
+fn cmd_selftest<W: Write>(t: &args::SelfTest, out: &mut W) -> Result<(), CmdError> {
     writeln!(
         out,
-        "running cross-variant self-test at {lanes} lanes (scale {scale})..."
+        "running cross-variant self-test at {} lanes (scale {})...",
+        t.lanes, t.scale
     )?;
-    let report = sw_core::verify::self_test(lanes, scale);
+    let report = sw_core::verify::self_test(t.lanes, t.scale);
     writeln!(
         out,
         "{} variants, {} score comparisons",
@@ -903,19 +633,12 @@ fn cmd_selftest<W: Write>(lanes: usize, scale: u32, out: &mut W) -> Result<(), C
     }
 }
 
-fn cmd_simulate<W: Write>(
-    device: &str,
-    threads: u32,
-    query_len: usize,
-    frac: f64,
-    variant: sw_kernels::KernelVariant,
-    db_scale: f64,
-    out: &mut W,
-) -> Result<(), CmdError> {
-    let spec = if (db_scale - 1.0).abs() < 1e-12 {
+fn cmd_simulate<W: Write>(s: &args::Simulate, out: &mut W) -> Result<(), CmdError> {
+    let (variant, query_len, frac) = (s.variant, s.query_len, s.frac);
+    let spec = if (s.db_scale - 1.0).abs() < 1e-12 {
         DbSpec::swissprot_full(1)
     } else {
-        DbSpec::swissprot_scaled(db_scale, 1)
+        DbSpec::swissprot_scaled(s.db_scale, 1)
     };
     let lens = generate_lengths(&spec);
     writeln!(
@@ -948,15 +671,15 @@ fn cmd_simulate<W: Write>(
         )?;
         Ok(())
     };
-    match device {
+    match s.device.as_str() {
         "xeon" => report_one(
             &CostModel::xeon(),
-            if threads == 0 { 32 } else { threads },
+            if s.threads == 0 { 32 } else { s.threads },
             out,
         ),
         "phi" => report_one(
             &CostModel::phi(),
-            if threads == 0 { 240 } else { threads },
+            if s.threads == 0 { 240 } else { s.threads },
             out,
         ),
         "hetero" => {
@@ -988,52 +711,14 @@ fn cmd_simulate<W: Write>(
     }
 }
 
-/// Fault-drill knobs for `cmd_hetero` (all off by default).
-struct HeteroDrill {
-    inject_fault: Option<sw_sched::FaultSpec>,
-    accel_timeout_ms: Option<u64>,
-    failure_budget: u32,
-    kill_after_chunks: Option<u64>,
-}
-
-/// Trace and metrics outputs for `cmd_hetero` (all off by default).
-struct HeteroTraceOpts {
-    trace_out: Option<String>,
-    metrics_out: Option<String>,
-    level: sw_trace::TraceLevel,
-}
-
-/// Checkpoint/resume knobs for `cmd_hetero` (all off by default).
-struct HeteroDurability {
-    checkpoint: Option<String>,
-    checkpoint_dir: Option<String>,
-    interval_chunks: u64,
-    resume: bool,
-}
-
-impl HeteroDurability {
-    fn enabled(&self) -> bool {
-        self.checkpoint.is_some() || self.checkpoint_dir.is_some()
-    }
-
-    /// Where checkpoint state lives, for messages and resume hints.
-    fn location(&self) -> (&'static str, &str) {
-        match (&self.checkpoint, &self.checkpoint_dir) {
-            (Some(p), _) => ("--checkpoint", p.as_str()),
-            (None, Some(d)) => ("--checkpoint-dir", d.as_str()),
-            (None, None) => ("--checkpoint", ""),
-        }
-    }
-}
-
 /// Print the realised schedule, per-device metrics and recovery lines of
 /// a completed dynamic run, then export its trace artifacts if asked.
 fn report_dynamic_outcome<W: Write>(
     outcome: &sw_core::DynamicSearchOutcome,
     n_batches: usize,
     plan_accel_fraction: f64,
-    trace: &HeteroTraceOpts,
-    isa: sw_kernels::KernelIsa,
+    d: &args::Dynamic,
+    isa: KernelIsa,
     out: &mut W,
 ) -> Result<(), CmdError> {
     writeln!(
@@ -1079,7 +764,7 @@ fn report_dynamic_outcome<W: Write>(
         )?;
     }
     if let Some(tl) = &outcome.timeline {
-        if let Some(path) = &trace.trace_out {
+        if let Some(path) = &d.trace_out {
             // Extension picks the format: `.jsonl` is the line-oriented
             // event log, anything else is Chrome trace JSON (Perfetto).
             let rendered = if path.ends_with(".jsonl") {
@@ -1095,7 +780,7 @@ fn report_dynamic_outcome<W: Write>(
                 tl.total_dropped()
             )?;
         }
-        if let Some(path) = &trace.metrics_out {
+        if let Some(path) = &d.metrics_out {
             let prom = sw_trace::export::prometheus(
                 tl,
                 &outcome.device_counters(),
@@ -1109,60 +794,19 @@ fn report_dynamic_outcome<W: Write>(
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
-fn cmd_hetero<W: Write>(
-    query_path: &str,
-    db_path: &str,
-    frac: f64,
-    dynamic: bool,
-    accel_threads: usize,
-    min_chunk: usize,
-    drill: HeteroDrill,
-    trace: HeteroTraceOpts,
-    durable: HeteroDurability,
-    opts: &SearchOpts,
-    out: &mut W,
-) -> Result<(), CmdError> {
+fn cmd_hetero<W: Write>(h: &args::Hetero, out: &mut W) -> Result<(), CmdError> {
     use sw_core::{DurableOptions, HeteroEngine, HeteroSearchConfig, RecoveryConfig, TraceConfig};
     use sw_sched::{FaultInjector, FaultPlan};
-    if drill.inject_fault.is_some() && !dynamic {
-        return Err("--inject-fault requires --dynamic (the static split has no recovery)".into());
-    }
-    if !durable.enabled() && (durable.resume || drill.kill_after_chunks.is_some()) {
-        return Err(
-            "--resume/--kill-after-chunks need --checkpoint <path> or --checkpoint-dir <dir>"
-                .into(),
-        );
-    }
-    if durable.enabled() && !dynamic {
-        return Err(
-            "--checkpoint/--checkpoint-dir require --dynamic (the static split has no \
-             chunk progress to save)"
-                .into(),
-        );
-    }
-    let tracing_requested = trace.trace_out.is_some() || trace.metrics_out.is_some();
-    if tracing_requested && !dynamic {
-        return Err(
-            "--trace-out/--metrics-out require --dynamic (the static split emits no events)".into(),
-        );
-    }
-    if tracing_requested && trace.level == sw_trace::TraceLevel::Off {
-        return Err("--trace-out/--metrics-out need --trace-level lite or full".into());
-    }
-    let alphabet = alphabet_from(opts);
-    let queries = load_sequences_quarantined(query_path, &alphabet, opts.quarantine, out)?;
+    let queries = load_sequences(&h.query, &h.scoring.alphabet(), h.quarantine, out)?;
     let q = queries.first().ok_or("query file holds no sequences")?;
-    let db_seqs = load_sequences_quarantined(db_path, &alphabet, opts.quarantine, out)?;
-    if db_seqs.is_empty() {
-        return Err("database holds no sequences".into());
-    }
-    let params = params_from(opts)?;
-    let prepared = PreparedDb::try_prepare(db_seqs, opts.lanes, &alphabet)?;
-    let engine = SearchEngine::new(params);
-    let hetero = HeteroEngine::new(engine);
-    let plan = hetero.plan_split(&prepared, q.len(), frac);
-    let isa = isa_from(opts)?;
+    let Target {
+        params,
+        prepared,
+        isa,
+        config: cfg,
+    } = Target::load(&h.db, h.quarantine, &h.scoring, &h.engine, out)?;
+    let hetero = HeteroEngine::new(SearchEngine::new(params));
+    let plan = hetero.plan_split(&prepared, q.len(), h.frac);
     writeln!(
         out,
         "# Algorithm 2: {} batches to host, {} to accelerator ({:.1}% of cells), isa {isa}",
@@ -1170,25 +814,24 @@ fn cmd_hetero<W: Write>(
         plan.accel.len(),
         plan.accel_cell_fraction * 100.0
     )?;
-    let cfg = search_config(opts.variant, opts.threads, isa);
-    let res = if dynamic {
+    let res = if let Some(d) = &h.dynamic {
         let dyn_cfg = HeteroSearchConfig {
             cpu: cfg,
             accel: SearchConfig {
-                threads: accel_threads.max(1),
+                threads: d.accel_threads.max(1),
                 ..cfg
             },
-            min_chunk,
+            min_chunk: d.min_chunk,
             recovery: RecoveryConfig {
-                accel_timeout_ms: drill.accel_timeout_ms,
-                failure_budget: drill.failure_budget,
+                accel_timeout_ms: d.accel_timeout_ms,
+                failure_budget: d.failure_budget,
             },
             trace: TraceConfig {
-                level: trace.level,
+                level: d.trace_level,
                 ..TraceConfig::default()
             },
         };
-        let mut injector = match &drill.inject_fault {
+        let mut injector = match &d.inject_fault {
             Some(spec) => {
                 writeln!(
                     out,
@@ -1199,27 +842,33 @@ fn cmd_hetero<W: Write>(
             }
             None => FaultInjector::none(),
         };
-        if let Some(n) = drill.kill_after_chunks {
-            writeln!(
-                out,
-                "# crash drill: the process will abort after {n} committed chunk(s)"
-            )?;
-            injector = injector.with_kill_after_chunks(n);
-        }
-        let outcome = if durable.enabled() {
+        let outcome = if let Some(durable) = &d.durable {
+            if let Some(n) = durable.kill_after_chunks {
+                writeln!(
+                    out,
+                    "# crash drill: the process will abort after {n} committed chunk(s)"
+                )?;
+                injector = injector.with_kill_after_chunks(n);
+            }
             // Durable run: graceful drain on SIGINT/SIGTERM, periodic
             // checkpoints, optional resume.
-            let (ckpt_flag, ckpt_where) = durable.location();
+            let ckpt_where = &durable.checkpoint;
+            let ckpt_flag = if durable.in_dir {
+                "--checkpoint-dir"
+            } else {
+                "--checkpoint"
+            };
             crate::signals::install_drain_handlers();
+            let at = Some(Path::new(ckpt_where));
             let dopts = DurableOptions {
-                checkpoint_path: durable.checkpoint.as_deref().map(std::path::Path::new),
-                checkpoint_dir: durable.checkpoint_dir.as_deref().map(std::path::Path::new),
+                checkpoint_path: at.filter(|_| !durable.in_dir),
+                checkpoint_dir: at.filter(|_| durable.in_dir),
                 interval_chunks: durable.interval_chunks,
                 drain: Some(&crate::signals::DRAIN),
                 resume: durable.resume,
                 on_query_done: None,
             };
-            let d = hetero
+            let run = hetero
                 .search_dynamic_resumable(
                     &q.residues,
                     &prepared,
@@ -1229,22 +878,22 @@ fn cmd_hetero<W: Write>(
                     &dopts,
                 )
                 .map_err(|e| format!("durable dynamic search failed: {e}"))?;
-            if d.resumes > 0 {
+            if run.resumes > 0 {
                 writeln!(
                     out,
                     "# resume: loaded {} of {} batches from {ckpt_where} (resume #{})",
-                    d.resumed_tasks, d.n_batches, d.resumes
+                    run.resumed_tasks, run.n_batches, run.resumes
                 )?;
             }
-            if d.checkpoint_write_failures > 0 {
+            if run.checkpoint_write_failures > 0 {
                 writeln!(
                     out,
                     "# WARNING: {} periodic checkpoint write(s) failed; the search \
                      continued but a crash in that window would lose that progress",
-                    d.checkpoint_write_failures
+                    run.checkpoint_write_failures
                 )?;
             }
-            match d.outcome {
+            match run.outcome {
                 Some(outcome) => outcome,
                 None => {
                     // Drained on a signal: the final checkpoint has every
@@ -1253,12 +902,13 @@ fn cmd_hetero<W: Write>(
                         out,
                         "# drained: {} of {} batches committed ({} checkpoint write(s) \
                          this segment); state saved to {ckpt_where}",
-                        d.tasks_done, d.n_batches, d.checkpoints_written
+                        run.tasks_done, run.n_batches, run.checkpoints_written
                     )?;
                     writeln!(
                         out,
-                        "# resume with: swsearch hetero --query {query_path} --db {db_path} \
-                         --dynamic {ckpt_flag} {ckpt_where} --resume"
+                        "# resume with: swsearch hetero --query {} --db {} \
+                         --dynamic {ckpt_flag} {ckpt_where} --resume",
+                        h.query, h.db
                     )?;
                     return Ok(());
                 }
@@ -1275,7 +925,7 @@ fn cmd_hetero<W: Write>(
             &outcome,
             prepared.batches.len(),
             plan.accel_cell_fraction,
-            &trace,
+            d,
             isa,
             out,
         )?;
@@ -1287,9 +937,9 @@ fn cmd_hetero<W: Write>(
         out,
         "merged {} hits; top {}:",
         res.hits.len(),
-        opts.top.min(res.hits.len())
+        h.top.min(res.hits.len())
     )?;
-    for (rank, hit) in res.top(opts.top).iter().enumerate() {
+    for (rank, hit) in res.top(h.top).iter().enumerate() {
         writeln!(
             out,
             "{:>6}  {:>8}  {}",
@@ -1309,7 +959,7 @@ fn cmd_hetero<W: Write>(
         (&CostModel::phi(), &phi),
         &lens,
         q.len(),
-        frac,
+        h.frac,
     );
     writeln!(
         out,
@@ -1319,12 +969,8 @@ fn cmd_hetero<W: Write>(
     Ok(())
 }
 
-fn cmd_trace_check<W: Write>(
-    trace: Option<&str>,
-    metrics: Option<&str>,
-    out: &mut W,
-) -> Result<(), CmdError> {
-    if let Some(path) = trace {
+fn cmd_trace_check<W: Write>(t: &args::TraceCheck, out: &mut W) -> Result<(), CmdError> {
+    if let Some(path) = &t.trace {
         let text = std::fs::read_to_string(path)?;
         let report =
             sw_trace::validate::validate_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
@@ -1334,7 +980,7 @@ fn cmd_trace_check<W: Write>(
             report.events, report.tracks, report.spans
         )?;
     }
-    if let Some(path) = metrics {
+    if let Some(path) = &t.metrics {
         let text = std::fs::read_to_string(path)?;
         let report = sw_trace::validate::validate_prometheus_strict(&text)
             .map_err(|e| format!("{path}: {e}"))?;
@@ -1347,28 +993,22 @@ fn cmd_trace_check<W: Write>(
     Ok(())
 }
 
-fn cmd_bench<W: Write>(
-    seqs: u32,
-    query_len: u32,
-    threads: usize,
-    lanes: usize,
-    out: &mut W,
-) -> Result<(), CmdError> {
+fn cmd_bench<W: Write>(b: &args::Bench, out: &mut W) -> Result<(), CmdError> {
     use sw_kernels::{KernelVariant, ProfileMode, Vectorization};
     let alphabet = Alphabet::protein();
     let spec = DbSpec {
-        n_seqs: seqs,
+        n_seqs: b.seqs,
         mean_len: 355.4,
         max_len: 5_000,
         seed: 42,
     };
-    let prepared = PreparedDb::prepare(generate_database(&spec), lanes, &alphabet);
-    let query = sw_seq::gen::generate_query(query_len, 7);
+    let prepared = PreparedDb::prepare(generate_database(&spec), b.lanes, &alphabet);
+    let query = sw_seq::gen::generate_query(b.query_len, 7);
     let engine = SearchEngine::paper_default();
     writeln!(
         out,
         "# host benchmark: {} seqs ({} residues), query {}, {} threads, {} lanes",
-        prepared.stats.n_seqs, prepared.stats.total_residues, query_len, threads, lanes
+        prepared.stats.n_seqs, prepared.stats.total_residues, b.query_len, b.threads, b.lanes
     )?;
     for (label, vec, profile) in [
         ("no-vec-SP", Vectorization::NoVec, ProfileMode::Sequence),
@@ -1380,86 +1020,59 @@ fn cmd_bench<W: Write>(
             ProfileMode::Sequence,
         ),
     ] {
-        let cfg = search_config(
-            sw_kernels::KernelVariant {
+        let cfg = Engine {
+            threads: b.threads,
+            lanes: b.lanes,
+            variant: KernelVariant {
                 vec,
                 profile,
                 blocking: true,
             },
-            threads,
-            startup_kernel_isa(),
-        );
+            kernel_isa: None,
+        }
+        .search_config(args::startup_kernel_isa());
         let res = engine.search(&query.residues, &prepared, &cfg);
         writeln!(out, "{label:<14} {}", res.gcups())?;
-        let _ = KernelVariant::best();
     }
     Ok(())
 }
 
-/// Daemon knobs carried from the `serve` arg parse to `cmd_serve`.
-struct ServeTuning {
-    max_concurrent: usize,
-    tenant_quota: usize,
-    batch_window_ms: u64,
-    accel_threads: usize,
-    checkpoint_dir: Option<String>,
-    trace_dir: Option<String>,
-    registry_out: Option<String>,
-    log_level: sw_serve::LogLevel,
-    log_file: Option<String>,
-    slow_query_ms: Option<u64>,
-    metrics_file: Option<String>,
-    metrics_interval_ms: u64,
-    request_timeout_ms: u64,
-    shard_worker: bool,
-}
-
-fn cmd_serve<W: Write>(
-    db_path: &str,
-    socket: &str,
-    tuning: ServeTuning,
-    opts: &SearchOpts,
-    out: &mut W,
-) -> Result<(), CmdError> {
+fn cmd_serve<W: Write>(s: args::Serve, out: &mut W) -> Result<(), CmdError> {
     use sw_core::{HeteroEngine, HeteroSearchConfig, RecoveryConfig, TraceConfig};
-    let alphabet = alphabet_from(opts);
+    let mut config = s.config;
     // Load once, stay resident. Snapshots get an explicit content
     // digest in the banner — the integrity anchor every job's
     // checkpoint fingerprint chains back to.
-    let (db_seqs, digest, shard_role) = if tuning.shard_worker {
+    let target = if s.shard_worker {
         // Shard worker: the db is one SWSHRD1 shard. The digest is the
         // shard's own snapshot digest (checkpoint fingerprints stay
         // per-shard), the role carries the global offset so every hit
         // id the daemon reports is already global.
-        let (meta, db) = sw_swdb::shard::read_shard(&std::fs::read(db_path)?)?;
-        let digest = sw_swdb::snapshot::content_digest(&db);
-        let role = sw_serve::ShardRole {
+        let (meta, db) = sw_swdb::shard::read_shard(&std::fs::read(&s.db)?)?;
+        config.snapshot_digest = Some(sw_swdb::snapshot::content_digest(&db));
+        config.shard = Some(sw_serve::ShardRole {
             index: meta.index,
             count: meta.count,
             base: meta.base,
-        };
-        (db.to_sequences(), Some(digest), Some(role))
-    } else if db_path.ends_with(".swdb") {
-        let (db, digest) = load_snapshot(db_path)?;
-        (db.to_sequences(), Some(digest), None)
+        });
+        Target::prepare(db.to_sequences(), &s.scoring, &s.engine)?
+    } else if s.db.ends_with(".swdb") {
+        let db = sw_swdb::snapshot::read(&std::fs::read(&s.db)?)?;
+        config.snapshot_digest = Some(sw_swdb::snapshot::content_digest(&db));
+        Target::prepare(db.to_sequences(), &s.scoring, &s.engine)?
     } else {
-        (
-            load_sequences_quarantined(db_path, &alphabet, opts.quarantine, out)?,
-            None,
-            None,
-        )
+        Target::load(&s.db, s.quarantine, &s.scoring, &s.engine, out)?
     };
-    if db_seqs.is_empty() {
-        return Err("database holds no sequences".into());
-    }
-    let params = params_from(opts)?;
-    let prepared = PreparedDb::try_prepare(db_seqs, opts.lanes, &alphabet)?;
-    let isa = isa_from(opts)?;
-    let cfg = search_config(opts.variant, opts.threads, isa);
+    let Target {
+        params,
+        prepared,
+        isa,
+        config: cfg,
+    } = target;
     let base = HeteroSearchConfig {
         cpu: cfg,
         accel: SearchConfig {
-            threads: tuning.accel_threads.max(1),
+            threads: s.accel_threads.max(1),
             ..cfg
         },
         min_chunk: 1,
@@ -1467,41 +1080,25 @@ fn cmd_serve<W: Write>(
         trace: TraceConfig::default(),
     };
     let engine = HeteroEngine::new(SearchEngine::new(params));
-    let listen = sw_serve::Endpoint::parse(socket).map_err(|e| format!("--listen: {e}"))?;
-    let mut config = sw_serve::ServeConfig::at(listen);
-    config.max_concurrent = tuning.max_concurrent;
-    config.tenant_quota = tuning.tenant_quota;
-    config.batch_window_ms = tuning.batch_window_ms;
-    config.checkpoint_dir = tuning.checkpoint_dir.map(Into::into);
-    config.trace_dir = tuning.trace_dir.map(Into::into);
-    config.registry_out = tuning.registry_out.map(Into::into);
-    config.default_top = opts.top;
-    config.log_level = tuning.log_level;
-    config.log_file = tuning.log_file.map(Into::into);
-    config.slow_query_ms = tuning.slow_query_ms;
-    config.metrics_file = tuning.metrics_file.map(Into::into);
-    config.metrics_interval_ms = tuning.metrics_interval_ms;
-    config.snapshot_digest = digest;
-    config.request_timeout_ms = tuning.request_timeout_ms;
-    config.shard = shard_role;
     crate::signals::install_drain_handlers();
     writeln!(
         out,
         "# sw-serve: {} sequences ({} residues) resident{}{}, isa {isa}",
         prepared.stats.n_seqs,
         prepared.stats.total_residues,
-        match digest {
+        match config.snapshot_digest {
             Some(d) => format!(", snapshot digest {d:016x}"),
             None => String::new(),
         },
-        match shard_role {
+        match &config.shard {
             Some(r) => format!(", shard {}/{} (base {})", r.index, r.count, r.base),
             None => String::new(),
         }
     )?;
     writeln!(
         out,
-        "# listening on {socket} (batches of {}, tenant quota {}, window {} ms)",
+        "# listening on {} (batches of {}, tenant quota {}, window {} ms)",
+        s.socket,
         config.max_concurrent,
         config.tenant_quota,
         config.gather_window().as_millis()
@@ -1509,7 +1106,7 @@ fn cmd_serve<W: Write>(
     let stats = sw_serve::serve(
         &engine,
         &prepared,
-        &alphabet,
+        &s.scoring.alphabet(),
         &base,
         &config,
         &crate::signals::SERVE_DRAIN,
@@ -1523,45 +1120,26 @@ fn cmd_serve<W: Write>(
     Ok(())
 }
 
-/// One client operation carried from the `submit` arg parse to
-/// `cmd_submit` (exactly one of
-/// query/status/cancel/stats/shutdown/metrics/health).
-struct SubmitOp {
-    query: Option<String>,
-    tenant: String,
-    status: Option<u64>,
-    cancel: Option<u64>,
-    stats: bool,
-    shutdown: bool,
-    metrics: bool,
-    health: bool,
-    drill: Option<String>,
-    top: usize,
-    json: bool,
-    connect_retries: u32,
-    connect_backoff_ms: u64,
-}
-
-fn cmd_submit<W: Write>(socket: &str, op: SubmitOp, out: &mut W) -> Result<(), CmdError> {
+fn cmd_submit<W: Write>(s: &args::Submit, out: &mut W) -> Result<(), CmdError> {
     use sw_serve::{client, Endpoint, RetryPolicy};
-    let endpoint = Endpoint::parse(socket).map_err(|e| format!("--socket: {e}"))?;
+    let endpoint = Endpoint::parse(&s.socket).map_err(|e| format!("--socket: {e}"))?;
     let policy = RetryPolicy {
-        retries: op.connect_retries,
-        backoff_ms: op.connect_backoff_ms.max(1),
+        retries: s.connect_retries,
+        backoff_ms: s.connect_backoff_ms.max(1),
         seed: std::process::id() as u64,
     };
     let request = |line: &str| -> Result<Vec<String>, CmdError> {
         let (lines, _) = client::request_endpoint_retry(&endpoint, line, &policy)?;
         Ok(lines)
     };
-    if op.metrics {
+    if s.metrics {
         // Raw Prometheus text: many lines, pass through untouched.
         for line in request(&client::metrics_request())? {
             writeln!(out, "{line}")?;
         }
         return Ok(());
     }
-    if op.health {
+    if s.health {
         // One JSON line; exit status doubles as the readiness probe.
         let lines = request(&client::health_request())?;
         let line = lines.first().ok_or("empty response")?;
@@ -1572,12 +1150,12 @@ fn cmd_submit<W: Write>(socket: &str, op: SubmitOp, out: &mut W) -> Result<(), C
             Err("daemon not ready".into())
         };
     }
-    if let Some(query_path) = &op.query {
+    if let Some(query_path) = &s.query {
         let fasta = std::fs::read_to_string(query_path)?;
-        let req = client::submit_request(&op.tenant, &fasta, op.top, op.drill.as_deref());
+        let req = client::submit_request(&s.tenant, &fasta, s.top, s.drill.as_deref());
         let lines = request(&req)?;
         let outcome = client::parse_submit_response(&lines).map_err(|e| format!("submit: {e}"))?;
-        if op.json {
+        if s.json {
             // Raw wire lines, one JSON object per line; the outcome is
             // still parsed above so rejects and failures keep their
             // non-zero exit status.
@@ -1637,15 +1215,15 @@ fn cmd_submit<W: Write>(socket: &str, op: SubmitOp, out: &mut W) -> Result<(), C
             .into()),
         }
     } else {
-        let req = if let Some(id) = op.status {
+        let req = if let Some(id) = s.status {
             client::status_request(id)
-        } else if let Some(id) = op.cancel {
+        } else if let Some(id) = s.cancel {
             client::cancel_request(id)
-        } else if op.stats {
+        } else if s.stats {
             client::stats_request()
         } else {
             // The parser guarantees exactly one operation flag.
-            debug_assert!(op.shutdown);
+            debug_assert!(s.shutdown);
             client::shutdown_request()
         };
         let lines = request(&req)?;
@@ -1662,16 +1240,11 @@ fn cmd_submit<W: Write>(socket: &str, op: SubmitOp, out: &mut W) -> Result<(), C
     }
 }
 
-fn cmd_align<W: Write>(
-    query_path: &str,
-    subject_path: &str,
-    opts: &SearchOpts,
-    out: &mut W,
-) -> Result<(), CmdError> {
-    let alphabet = Alphabet::protein();
-    let params = params_from(opts)?;
-    let queries = load_sequences(query_path, &alphabet)?;
-    let subjects = load_sequences(subject_path, &alphabet)?;
+fn cmd_align<W: Write>(align: &args::Align, out: &mut W) -> Result<(), CmdError> {
+    let alphabet = align.scoring.alphabet();
+    let params = align.scoring.params()?;
+    let queries = load_sequences(&align.query, &alphabet, false, out)?;
+    let subjects = load_sequences(&align.subject, &alphabet, false, out)?;
     let q = queries.first().ok_or("query file holds no sequences")?;
     let s = subjects.first().ok_or("subject file holds no sequences")?;
     match sw_align(&q.residues, &s.residues, &params) {
@@ -1704,6 +1277,18 @@ mod tests {
         let dir = std::env::temp_dir().join("swsearch-tests");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name).to_string_lossy().into_owned()
+    }
+
+    /// The protein records of a FASTA file or snapshot.
+    fn read_db(path: &str) -> Vec<EncodedSeq> {
+        load_sequences(path, &Alphabet::protein(), false, &mut std::io::sink()).unwrap()
+    }
+
+    /// Write record `i` of `db` as a one-record query file at `path`.
+    fn write_query(db: &[EncodedSeq], i: usize, path: &str) {
+        let mut w = FastaWriter::new(std::fs::File::create(path).unwrap());
+        w.write(&db[i], &Alphabet::protein()).unwrap();
+        w.into_inner().unwrap();
     }
 
     #[test]
@@ -1787,13 +1372,9 @@ mod tests {
         run_str(&format!(
             "gendb --seqs 40 --out {db_path} --seed 9 --mean-len 100"
         ));
-        // Extract sequence 0 as the query.
-        let alphabet = Alphabet::protein();
-        let seqs = load_sequences(&db_path, &alphabet).unwrap();
+        let seqs = read_db(&db_path);
         let q_path = tmp("query3.fasta");
-        let mut w = FastaWriter::new(std::fs::File::create(&q_path).unwrap());
-        w.write(&seqs[7], &alphabet).unwrap();
-        w.into_inner().unwrap();
+        write_query(&seqs, 7, &q_path);
 
         let (code, text) = run_str(&format!(
             "search --query {q_path} --db {db_path} --lanes 8 --top 3"
@@ -1815,12 +1396,9 @@ mod tests {
         run_str(&format!(
             "gendb --seqs 25 --out {db_path} --seed 11 --mean-len 90"
         ));
-        let alphabet = Alphabet::protein();
-        let seqs = load_sequences(&db_path, &alphabet).unwrap();
+        let seqs = read_db(&db_path);
         let q_path = tmp("query4.fasta");
-        let mut w = FastaWriter::new(std::fs::File::create(&q_path).unwrap());
-        w.write(&seqs[3], &alphabet).unwrap();
-        w.into_inner().unwrap();
+        write_query(&seqs, 3, &q_path);
         let mut first: Option<String> = None;
         for v in ["no-vec-qp", "simd-sp", "intrinsic-qp", "intrinsic-sp"] {
             let (code, text) = run_str(&format!(
@@ -1841,16 +1419,40 @@ mod tests {
 
     #[test]
     fn align_command_renders() {
-        let alphabet = Alphabet::protein();
         let qp = tmp("q5.fasta");
         let sp = tmp("s5.fasta");
         std::fs::write(&qp, ">q\nMKVLITRAW\n").unwrap();
         std::fs::write(&sp, ">s\nPPPMKVLITRAWPPP\n").unwrap();
-        let _ = alphabet;
         let (code, text) = run_str(&format!("align --query {qp} --subject {sp}"));
         assert_eq!(code, 0, "{text}");
         assert!(text.contains("MKVLITRAW"));
         assert!(text.contains("|||||||||"));
+    }
+
+    /// `align --dna` reads and renders in the nucleotide alphabet and
+    /// scores with the DNA matrix (it used to read protein codes and
+    /// index the 5-letter DNA matrix out of bounds).
+    #[test]
+    fn align_dna_scores_with_the_nucleotide_matrix() {
+        let qp = tmp("q5dna.fasta");
+        let sp = tmp("s5dna.fasta");
+        std::fs::write(&qp, ">q\nACGTACGTTGCA\n").unwrap();
+        std::fs::write(&sp, ">s\nGGGACGTACTTTGCAGGG\n").unwrap();
+        let (code, text) = run_str(&format!("align --query {qp} --subject {sp} --dna"));
+        assert_eq!(code, 0, "{text}");
+        let dna = Alphabet::dna();
+        let read = |p: &str| load_sequences(p, &dna, false, &mut std::io::sink()).unwrap();
+        let params = SwParams::new(
+            sw_seq::dna::dna_matrix(5, -4, -2),
+            sw_seq::GapPenalty::new(10, 2),
+        );
+        let want = sw_align(&read(&qp)[0].residues, &read(&sp)[0].residues, &params)
+            .expect("the sequences share ACGTAC");
+        assert!(
+            text.starts_with(&format!("score {}  ", want.score)),
+            "{text}"
+        );
+        assert!(text.contains("ACGTAC"), "rendered in nucleotides: {text}");
     }
 
     #[test]
@@ -1859,12 +1461,8 @@ mod tests {
         run_str(&format!(
             "gendb --seqs 20 --out {db_path} --seed 2 --mean-len 80"
         ));
-        let alphabet = Alphabet::protein();
-        let seqs = load_sequences(&db_path, &alphabet).unwrap();
         let q_path = tmp("query6.fasta");
-        let mut w = FastaWriter::new(std::fs::File::create(&q_path).unwrap());
-        w.write(&seqs[0], &alphabet).unwrap();
-        w.into_inner().unwrap();
+        write_query(&read_db(&db_path), 0, &q_path);
         let (code, text) = run_str(&format!(
             "search --query {q_path} --db {db_path} --lanes 4 --top 3 --tabular"
         ));
@@ -1897,17 +1495,20 @@ mod tests {
         assert!(text.contains("minus reverse-complement"), "{text}");
     }
 
+    /// A refusal the parse makes is an exit-2 usage error: no file named
+    /// on the line is opened (none of these exists).
+    fn assert_refused_before_open(line: &str, why: &str) {
+        let (code, text) = run_str(&format!(
+            "{line} --query /nonexistent/q.fa --db /nonexistent/d.fa"
+        ));
+        assert_eq!(code, 2, "{line}: {text}");
+        assert!(text.contains(why), "{line}: {text}");
+        assert!(text.contains("USAGE"), "{line}: {text}");
+    }
+
     #[test]
     fn both_strands_requires_dna() {
-        let db_path = tmp("dna2.fasta");
-        std::fs::write(&db_path, ">a\nMKV\n").unwrap();
-        let q_path = tmp("dnaq2.fasta");
-        std::fs::write(&q_path, ">q\nMKV\n").unwrap();
-        let (code, text) = run_str(&format!(
-            "search --query {q_path} --db {db_path} --both-strands"
-        ));
-        assert_eq!(code, 1);
-        assert!(text.contains("--both-strands requires --dna"), "{text}");
+        assert_refused_before_open("search --both-strands", "--both-strands requires --dna");
     }
 
     #[test]
@@ -1923,12 +1524,9 @@ mod tests {
         run_str(&format!(
             "gendb --seqs 30 --out {db_path} --seed 4 --mean-len 90"
         ));
-        let alphabet = Alphabet::protein();
-        let seqs = load_sequences(&db_path, &alphabet).unwrap();
+        let seqs = read_db(&db_path);
         let q_path = tmp("hetq1.fasta");
-        let mut w = FastaWriter::new(std::fs::File::create(&q_path).unwrap());
-        w.write(&seqs[5], &alphabet).unwrap();
-        w.into_inner().unwrap();
+        write_query(&seqs, 5, &q_path);
         let (code, text) = run_str(&format!(
             "hetero --query {q_path} --db {db_path} --frac 0.5 --lanes 4 --top 1"
         ));
@@ -1943,18 +1541,24 @@ mod tests {
         assert!(hit_line.contains(seqs[5].header.as_ref()), "{text}");
     }
 
+    /// The `merged …` block's first `n` hit lines.
+    fn merged_hits(text: &str, n: usize) -> Vec<String> {
+        text.lines()
+            .skip_while(|l| !l.starts_with("merged"))
+            .skip(1)
+            .take(n)
+            .map(str::to_string)
+            .collect()
+    }
+
     #[test]
     fn hetero_dynamic_reports_metrics_and_same_hits() {
         let db_path = tmp("het2.fasta");
         run_str(&format!(
             "gendb --seqs 30 --out {db_path} --seed 4 --mean-len 90"
         ));
-        let alphabet = Alphabet::protein();
-        let seqs = load_sequences(&db_path, &alphabet).unwrap();
         let q_path = tmp("hetq2.fasta");
-        let mut w = FastaWriter::new(std::fs::File::create(&q_path).unwrap());
-        w.write(&seqs[5], &alphabet).unwrap();
-        w.into_inner().unwrap();
+        write_query(&read_db(&db_path), 5, &q_path);
         let common = format!("--query {q_path} --db {db_path} --frac 0.5 --lanes 4 --top 3");
         let (code, stat) = run_str(&format!("hetero {common}"));
         assert_eq!(code, 0, "{stat}");
@@ -1970,17 +1574,9 @@ mod tests {
         );
         assert!(dynamic.contains("GCUPS"), "{dynamic}");
         // The hit list is identical to the static split's.
-        let hits = |text: &str| -> Vec<String> {
-            text.lines()
-                .skip_while(|l| !l.starts_with("merged"))
-                .skip(1)
-                .take(3)
-                .map(str::to_string)
-                .collect()
-        };
         assert_eq!(
-            hits(&stat),
-            hits(&dynamic),
+            merged_hits(&stat, 3),
+            merged_hits(&dynamic, 3),
             "\nstatic:\n{stat}\ndynamic:\n{dynamic}"
         );
     }
@@ -1994,12 +1590,8 @@ mod tests {
         run_str(&format!(
             "gendb --seqs 200 --out {db_path} --seed 4 --mean-len 300"
         ));
-        let alphabet = Alphabet::protein();
-        let seqs = load_sequences(&db_path, &alphabet).unwrap();
         let q_path = tmp("hetq3.fasta");
-        let mut w = FastaWriter::new(std::fs::File::create(&q_path).unwrap());
-        w.write(&seqs[5], &alphabet).unwrap();
-        w.into_inner().unwrap();
+        write_query(&read_db(&db_path), 5, &q_path);
         let common = format!(
             "--query {q_path} --db {db_path} --frac 0.5 --lanes 4 --top 3 \
              --dynamic --threads 2 --accel-threads 1"
@@ -2012,17 +1604,9 @@ mod tests {
         assert!(drilled.contains("DEGRADED"), "{drilled}");
         assert!(drilled.contains("[pool retired]"), "{drilled}");
         // Recovery costs time, never correctness: same hit list either way.
-        let hits = |text: &str| -> Vec<String> {
-            text.lines()
-                .skip_while(|l| !l.starts_with("merged"))
-                .skip(1)
-                .take(3)
-                .map(str::to_string)
-                .collect()
-        };
         assert_eq!(
-            hits(&clean),
-            hits(&drilled),
+            merged_hits(&clean, 3),
+            merged_hits(&drilled, 3),
             "\nclean:\n{clean}\ndrilled:\n{drilled}"
         );
     }
@@ -2037,12 +1621,8 @@ mod tests {
         run_str(&format!(
             "gendb --seqs 200 --out {db_path} --seed 4 --mean-len 300"
         ));
-        let alphabet = Alphabet::protein();
-        let seqs = load_sequences(&db_path, &alphabet).unwrap();
         let q_path = tmp("hetq5.fasta");
-        let mut w = FastaWriter::new(std::fs::File::create(&q_path).unwrap());
-        w.write(&seqs[5], &alphabet).unwrap();
-        w.into_inner().unwrap();
+        write_query(&read_db(&db_path), 5, &q_path);
         let trace_jsonl = tmp("het5.trace.jsonl");
         let prom_path = tmp("het5.metrics.prom");
         let common = format!(
@@ -2129,12 +1709,14 @@ mod tests {
 
     #[test]
     fn hetero_trace_requires_dynamic() {
-        let (code, text) = run_str("hetero --query q --db d --trace-out t.json");
-        assert_eq!(code, 1, "{text}");
-        assert!(text.contains("require --dynamic"), "{text}");
-        let (code, text) = run_str("hetero --query q --db d --metrics-out m.prom");
-        assert_eq!(code, 1, "{text}");
-        assert!(text.contains("require --dynamic"), "{text}");
+        assert_refused_before_open(
+            "hetero --trace-out t.json",
+            "--trace-out requires --dynamic",
+        );
+        assert_refused_before_open(
+            "hetero --metrics-out m.prom",
+            "--metrics-out requires --dynamic",
+        );
     }
 
     #[test]
@@ -2148,9 +1730,10 @@ mod tests {
 
     #[test]
     fn hetero_fault_drill_requires_dynamic() {
-        let (code, text) = run_str("hetero --query q --db d --inject-fault kill@0");
-        assert_eq!(code, 1, "{text}");
-        assert!(text.contains("requires --dynamic"), "{text}");
+        assert_refused_before_open(
+            "hetero --inject-fault kill@0",
+            "--inject-fault requires --dynamic",
+        );
     }
 
     #[test]
@@ -2187,15 +1770,14 @@ mod tests {
 
     #[test]
     fn hetero_checkpoint_requires_dynamic() {
-        let (code, text) = run_str("hetero --query q --db d --checkpoint c.ckpt");
-        assert_eq!(code, 1, "{text}");
-        assert!(
-            text.contains("--checkpoint/--checkpoint-dir require --dynamic"),
-            "{text}"
+        assert_refused_before_open(
+            "hetero --checkpoint c.ckpt",
+            "--checkpoint requires --dynamic",
         );
-        let (code, text) = run_str("hetero --query q --db d --dynamic --kill-after-chunks 2");
-        assert_eq!(code, 1, "{text}");
-        assert!(text.contains("need --checkpoint"), "{text}");
+        assert_refused_before_open(
+            "hetero --dynamic --kill-after-chunks 2",
+            "--kill-after-chunks requires --checkpoint or --checkpoint-dir",
+        );
     }
 
     #[test]
@@ -2204,12 +1786,8 @@ mod tests {
         run_str(&format!(
             "gendb --seqs 30 --out {db_path} --seed 4 --mean-len 90"
         ));
-        let alphabet = Alphabet::protein();
-        let seqs = load_sequences(&db_path, &alphabet).unwrap();
         let q_path = tmp("durq1.fasta");
-        let mut w = FastaWriter::new(std::fs::File::create(&q_path).unwrap());
-        w.write(&seqs[5], &alphabet).unwrap();
-        w.into_inner().unwrap();
+        write_query(&read_db(&db_path), 5, &q_path);
         let ckpt = tmp("dur1.ckpt");
         let common = format!("--query {q_path} --db {db_path} --frac 0.5 --lanes 4 --top 3");
         let (code, plain) = run_str(&format!(
@@ -2226,17 +1804,9 @@ mod tests {
             "completed run deletes its checkpoint"
         );
         // Same hit list with and without checkpointing.
-        let hits = |text: &str| -> Vec<String> {
-            text.lines()
-                .skip_while(|l| !l.starts_with("merged"))
-                .skip(1)
-                .take(3)
-                .map(str::to_string)
-                .collect()
-        };
         assert_eq!(
-            hits(&plain),
-            hits(&durable),
+            merged_hits(&plain, 3),
+            merged_hits(&durable, 3),
             "\nplain:\n{plain}\ndurable:\n{durable}"
         );
     }
@@ -2276,12 +1846,8 @@ mod tests {
         ));
         let (code, text) = run_str(&format!("makedb --in {fasta} --out {snap}"));
         assert_eq!(code, 0, "{text}");
-        let alphabet = Alphabet::protein();
-        let seqs = load_sequences(&fasta, &alphabet).unwrap();
         let q_path = tmp("servejson-q.fasta");
-        let mut w = FastaWriter::new(std::fs::File::create(&q_path).unwrap());
-        w.write(&seqs[2], &alphabet).unwrap();
-        w.into_inner().unwrap();
+        write_query(&read_db(&fasta), 2, &q_path);
 
         let socket = tmp("servejson.sock");
         let _ = std::fs::remove_file(&socket);

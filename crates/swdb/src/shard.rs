@@ -196,83 +196,96 @@ impl ShardManifest {
 
     /// Parse the text form, validating index order and completeness.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let mut parent_digest = None;
-        let mut declared = None;
-        let mut shards: Vec<ShardEntry> = Vec::new();
-        for (ln, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut it = line.split_whitespace();
-            let key = it.next().expect("non-empty line has a first token");
-            let fields: Vec<&str> = it.collect();
-            let bad = |what: &str| format!("manifest line {}: {what}", ln + 1);
-            match key {
-                "version" => {
-                    if fields != ["1"] {
-                        return Err(bad(&format!("unsupported version {fields:?}")));
-                    }
-                }
-                "parent_digest" => {
-                    let d = fields
-                        .first()
-                        .and_then(|f| u64::from_str_radix(f, 16).ok())
-                        .ok_or_else(|| bad("unparseable parent_digest"))?;
-                    parent_digest = Some(d);
-                }
-                "shards" => {
-                    let n: usize = fields
-                        .first()
-                        .and_then(|f| f.parse().ok())
-                        .ok_or_else(|| bad("unparseable shard count"))?;
-                    declared = Some(n);
-                }
+        let (parent_digest, shards) = parse_text(
+            text,
+            "manifest",
+            |key, fields| match key {
                 "shard" => {
                     if fields.len() != 5 {
-                        return Err(bad("shard line needs: index file base n_seqs digest"));
+                        return Err("shard line needs: index file base n_seqs digest".into());
                     }
                     let num = |i: usize, what: &str| {
                         fields[i]
                             .parse::<u64>()
-                            .map_err(|_| bad(&format!("unparseable {what}")))
+                            .map_err(|_| format!("unparseable {what}"))
                     };
-                    shards.push(ShardEntry {
+                    Ok(Some(ShardEntry {
                         index: num(0, "index")?,
                         file: fields[1].to_string(),
                         base: num(2, "base")?,
                         n_seqs: num(3, "n_seqs")?,
                         digest: u64::from_str_radix(fields[4], 16)
-                            .map_err(|_| bad("unparseable digest"))?,
-                    });
+                            .map_err(|_| "unparseable digest")?,
+                    }))
                 }
-                other => return Err(bad(&format!("unknown key {other:?}"))),
-            }
-        }
-        let parent_digest = parent_digest.ok_or("manifest missing parent_digest")?;
-        let declared = declared.ok_or("manifest missing shard count")?;
-        if shards.len() != declared {
-            return Err(format!(
-                "manifest declares {declared} shards but lists {}",
-                shards.len()
-            ));
-        }
-        if shards.is_empty() {
-            return Err("manifest lists no shards".into());
-        }
-        for (i, s) in shards.iter().enumerate() {
-            if s.index != i as u64 {
-                return Err(format!(
-                    "shard lines out of order: position {i} has index {}",
-                    s.index
-                ));
-            }
-        }
+                other => Err(format!("unknown key {other:?}")),
+            },
+            |s| s.index,
+        )?;
         Ok(ShardManifest {
             parent_digest,
             shards,
         })
     }
+}
+
+/// Read one of the `key field…` text files a shard directory holds.
+/// Blank lines and `#` comments are skipped; `version 1`, a hex
+/// `parent_digest` and `shards N` are read here and every other line is
+/// handed to `entry` — which returns the entry it describes, or `None`
+/// for a header key of its own — with errors prefixed `<what> line N:`.
+/// Then the checks both formats share: both header keys present, as
+/// many entries as declared, at least one, and entry `i` naming shard
+/// `i` (`shard_of`).
+fn parse_text<T>(
+    text: &str,
+    what: &str,
+    mut entry: impl FnMut(&str, &[&str]) -> Result<Option<T>, String>,
+    shard_of: impl Fn(&T) -> u64,
+) -> Result<(u64, Vec<T>), String> {
+    let (mut parent_digest, mut declared) = (None, None);
+    let mut entries = Vec::new();
+    for (ln, line) in text.lines().enumerate() {
+        let mut tokens = line.split_whitespace();
+        let Some(key) = tokens.next().filter(|k| !k.starts_with('#')) else {
+            continue;
+        };
+        let fields: Vec<&str> = tokens.collect();
+        let bad = |e: &str| format!("{what} line {}: {e}", ln + 1);
+        match key {
+            "version" if fields == ["1"] => {}
+            "version" => return Err(bad(&format!("unsupported version {fields:?}"))),
+            "parent_digest" => {
+                let d = fields.first().and_then(|f| u64::from_str_radix(f, 16).ok());
+                parent_digest = Some(d.ok_or_else(|| bad("unparseable parent_digest"))?);
+            }
+            "shards" => {
+                let n = fields.first().and_then(|f| f.parse::<usize>().ok());
+                declared = Some(n.ok_or_else(|| bad("unparseable shard count"))?);
+            }
+            _ => entries.extend(entry(key, &fields).map_err(|e| bad(&e))?),
+        }
+    }
+    let parent_digest = parent_digest.ok_or_else(|| format!("{what} missing parent_digest"))?;
+    let declared = declared.ok_or_else(|| format!("{what} missing shard count"))?;
+    if entries.len() != declared {
+        return Err(format!(
+            "{what} declares {declared} shards but lists {}",
+            entries.len()
+        ));
+    }
+    if entries.is_empty() {
+        return Err(format!("{what} lists no shards"));
+    }
+    for (i, e) in entries.iter().enumerate() {
+        if shard_of(e) != i as u64 {
+            return Err(format!(
+                "{what} lines out of order: position {i} has shard {}",
+                shard_of(e)
+            ));
+        }
+    }
+    Ok((parent_digest, entries))
 }
 
 /// One placement line: the endpoints (primary first, then replicas)
@@ -351,83 +364,31 @@ impl PlacementPlan {
     /// Parse the text form, validating order, completeness and that
     /// every shard carries exactly `replicas` endpoints.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let mut parent_digest = None;
         let mut replicas = None;
-        let mut declared = None;
-        let mut entries: Vec<PlacementEntry> = Vec::new();
-        for (ln, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut it = line.split_whitespace();
-            let key = it.next().expect("non-empty line has a first token");
-            let fields: Vec<&str> = it.collect();
-            let bad = |what: &str| format!("placement line {}: {what}", ln + 1);
-            match key {
-                "version" => {
-                    if fields != ["1"] {
-                        return Err(bad(&format!("unsupported version {fields:?}")));
-                    }
-                }
-                "parent_digest" => {
-                    parent_digest = Some(
-                        fields
-                            .first()
-                            .and_then(|f| u64::from_str_radix(f, 16).ok())
-                            .ok_or_else(|| bad("unparseable parent_digest"))?,
-                    );
-                }
+        let (parent_digest, entries) = parse_text(
+            text,
+            "placement",
+            |key, fields| match key {
                 "replicas" => {
-                    replicas = Some(
-                        fields
-                            .first()
-                            .and_then(|f| f.parse::<u64>().ok())
-                            .filter(|&r| r >= 1)
-                            .ok_or_else(|| bad("unparseable replicas"))?,
-                    );
-                }
-                "shards" => {
-                    declared = Some(
-                        fields
-                            .first()
-                            .and_then(|f| f.parse::<usize>().ok())
-                            .ok_or_else(|| bad("unparseable shard count"))?,
-                    );
+                    let r = fields.first().and_then(|f| f.parse::<u64>().ok());
+                    replicas = Some(r.filter(|&r| r >= 1).ok_or("unparseable replicas")?);
+                    Ok(None)
                 }
                 "place" => {
                     if fields.len() < 2 {
-                        return Err(bad("place line needs: shard endpoint..."));
+                        return Err("place line needs: shard endpoint...".into());
                     }
-                    entries.push(PlacementEntry {
-                        shard: fields[0]
-                            .parse()
-                            .map_err(|_| bad("unparseable shard index"))?,
+                    Ok(Some(PlacementEntry {
+                        shard: fields[0].parse().map_err(|_| "unparseable shard index")?,
                         endpoints: fields[1..].iter().map(|s| s.to_string()).collect(),
-                    });
+                    }))
                 }
-                other => return Err(bad(&format!("unknown key {other:?}"))),
-            }
-        }
-        let parent_digest = parent_digest.ok_or("placement missing parent_digest")?;
+                other => Err(format!("unknown key {other:?}")),
+            },
+            |e| e.shard,
+        )?;
         let replicas = replicas.ok_or("placement missing replicas")?;
-        let declared = declared.ok_or("placement missing shard count")?;
-        if entries.len() != declared {
-            return Err(format!(
-                "placement declares {declared} shards but lists {}",
-                entries.len()
-            ));
-        }
-        if entries.is_empty() {
-            return Err("placement lists no shards".into());
-        }
-        for (i, e) in entries.iter().enumerate() {
-            if e.shard != i as u64 {
-                return Err(format!(
-                    "place lines out of order: position {i} has shard {}",
-                    e.shard
-                ));
-            }
+        for e in &entries {
             if e.endpoints.len() as u64 != replicas {
                 return Err(format!(
                     "shard {} lists {} endpoints, want {replicas}",
@@ -644,6 +605,9 @@ mod tests {
             ShardManifest::parse(&text.replace("shard 1 ", "shard 9 ")).is_err(),
             "index order"
         );
+        // A line-level error names the format and the 1-based line.
+        let e = ShardManifest::parse(&text.replace("shard 1 ", "shard x ")).unwrap_err();
+        assert_eq!(e, "manifest line 6: unparseable index");
     }
 
     #[test]
@@ -671,6 +635,8 @@ mod tests {
             PlacementPlan::parse(&text.replace("replicas 2", "replicas 3")).is_err(),
             "entries must match the replication factor"
         );
+        let e = PlacementPlan::parse(&text.replace("replicas 2", "replicas 0")).unwrap_err();
+        assert_eq!(e, "placement line 4: unparseable replicas");
     }
 
     #[test]

@@ -13,8 +13,11 @@ fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_swsearch")
 }
 
-fn work_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("swsearch-crash-{}", std::process::id()));
+/// One directory per test: the tests run concurrently, and a shared
+/// `db.fasta` rewritten by one test's fixture under another's search is
+/// read half-written.
+fn work_dir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("swsearch-crash-{}-{test}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("work dir");
     dir
 }
@@ -44,8 +47,8 @@ struct Fixture {
     dir: PathBuf,
 }
 
-fn fixture() -> Fixture {
-    let dir = work_dir();
+fn fixture(test: &str) -> Fixture {
+    let dir = work_dir(test);
     let db = dir.join("db.fasta").to_string_lossy().into_owned();
     let query = dir.join("query.fasta").to_string_lossy().into_owned();
     let o = run(&[
@@ -97,7 +100,7 @@ fn hetero_args<'a>(f: &'a Fixture, ckpt: &'a str) -> Vec<&'a str> {
 
 #[test]
 fn killed_process_resumes_to_identical_hits() {
-    let f = fixture();
+    let f = fixture("kill");
 
     // Reference: one uninterrupted durable run.
     let ckpt_ref = f.dir.join("ref.ckpt").to_string_lossy().into_owned();
@@ -157,7 +160,7 @@ fn killed_process_resumes_to_identical_hits() {
 
 #[test]
 fn resumed_run_exports_a_valid_trace() {
-    let f = fixture();
+    let f = fixture("trace");
     let ckpt = f.dir.join("traced.ckpt").to_string_lossy().into_owned();
     let trace = f.dir.join("resumed.jsonl").to_string_lossy().into_owned();
     let metrics = f.dir.join("resumed.prom").to_string_lossy().into_owned();
@@ -187,7 +190,7 @@ fn resumed_run_exports_a_valid_trace() {
 
 #[test]
 fn resume_with_swapped_database_is_refused() {
-    let f = fixture();
+    let f = fixture("swap");
     let ckpt = f.dir.join("swap.ckpt").to_string_lossy().into_owned();
     let mut args = hetero_args(&f, &ckpt);
     args.extend_from_slice(&["--kill-after-chunks", "4"]);

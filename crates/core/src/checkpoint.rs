@@ -8,8 +8,11 @@
 //! progress so a fresh process can pick up where the dead one stopped:
 //!
 //! * which lane batches are done, with their hits and cell counts —
-//!   batch results are pure functions of the batch index, so replaying
-//!   only the missing batches yields a byte-identical final hit list;
+//!   batch results are pure functions of the batch's sequence ids, so
+//!   replaying only the missing batches yields a byte-identical final hit
+//!   list. A record is only trusted for the batch whose ids it carries
+//!   ([`Checkpoint::verify_layout`]): a database batched another way has
+//!   the same fingerprint;
 //! * the split estimator's learned accelerator share, so the resumed run
 //!   starts from the observed device balance instead of the static seed;
 //! * cumulative recovery totals, so retries/requeues/lost-lease counters
@@ -63,6 +66,7 @@ use sw_seq::SeqId;
 use sw_swdb::integrity::{
     frame, put_i64, put_u32, put_u64, replace_file, unframe, ByteReader, Fnv64, FormatError,
 };
+use sw_swdb::LaneBatch;
 
 /// File magic, version 1.
 const MAGIC: &[u8; 8] = b"SWCKPT1\0";
@@ -79,13 +83,19 @@ pub enum CheckpointError {
         detail: String,
     },
     /// The checkpoint is well-formed but belongs to a different search
-    /// (database, query, or lane layout changed since it was written).
+    /// (database, query, lane count or batch layout changed since it was
+    /// written).
     Mismatch {
-        /// The fingerprint field that disagreed.
+        /// The fingerprint field that disagreed, or `"batch layout"`.
         field: &'static str,
-        /// The value of the present search.
+        /// For `"batch layout"`: the batch whose record carries other
+        /// sequence ids than the batch itself.
+        batch: Option<usize>,
+        /// The value of the present search (for `"batch layout"`, an
+        /// FNV-1a digest of the batch's ids).
         expected: u64,
-        /// The value stored in the checkpoint.
+        /// The value stored in the checkpoint (the digest of the record's
+        /// ids).
         found: u64,
     },
 }
@@ -99,13 +109,22 @@ impl fmt::Display for CheckpointError {
             }
             CheckpointError::Mismatch {
                 field,
+                batch,
                 expected,
                 found,
-            } => write!(
-                f,
-                "checkpoint does not belong to this search: {field} mismatch \
-                 (search has {expected:#018x}, checkpoint has {found:#018x})"
-            ),
+            } => {
+                write!(
+                    f,
+                    "checkpoint does not belong to this search: {field} mismatch"
+                )?;
+                if let Some(b) = batch {
+                    write!(f, " at batch {b}")?;
+                }
+                write!(
+                    f,
+                    " (search has {expected:#018x}, checkpoint has {found:#018x})"
+                )
+            }
         }
     }
 }
@@ -397,8 +416,36 @@ impl Checkpoint {
             if expected != found {
                 return Err(CheckpointError::Mismatch {
                     field,
+                    batch: None,
                     expected,
                     found,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Reject a checkpoint whose records were cut by another batching of
+    /// the same database: each record's hit ids must be exactly the ids of
+    /// the batch it names, in lane order. The fingerprint cannot catch
+    /// this — another layout of the same sequences can have the same batch
+    /// count — and resuming such records would repeat some sequences in the
+    /// hit list and drop others.
+    pub fn verify_layout(&self, batches: &[LaneBatch]) -> Result<(), CheckpointError> {
+        let digest = |ids: &[SeqId]| {
+            ids.iter()
+                .fold(Fnv64::new(), |d, id| d.update_u64(id.0 as u64))
+                .finish()
+        };
+        for record in &self.done {
+            let want = batches.get(record.batch).map_or(&[][..], LaneBatch::ids);
+            let found: Vec<SeqId> = record.hits.iter().map(|h| h.id).collect();
+            if found != want {
+                return Err(CheckpointError::Mismatch {
+                    field: "batch layout",
+                    batch: Some(record.batch),
+                    expected: digest(want),
+                    found: digest(&found),
                 });
             }
         }
@@ -631,6 +678,35 @@ mod tests {
         fp2.lanes = 16;
         let err2 = c.verify(&fp2).expect_err("lane mismatch");
         assert!(err2.to_string().contains("lane count"), "{err2}");
+    }
+
+    #[test]
+    fn records_are_verified_against_their_batch() {
+        let residues = [0u8; 3];
+        let batch = |ids: &[u32]| {
+            let seqs: Vec<(SeqId, &[u8])> =
+                ids.iter().map(|&i| (SeqId(i), &residues[..])).collect();
+            LaneBatch::pack(4, &seqs, 24)
+        };
+        let mut c = sample();
+        c.done.truncate(1); // batch 0: hits on ids 7, 2
+        c.verify_layout(&[batch(&[7, 2]), batch(&[5])])
+            .expect("the record carries its batch's ids");
+        for batches in [vec![batch(&[2, 7])], vec![batch(&[7, 2, 5])], Vec::new()] {
+            let err = c.verify_layout(&batches).expect_err("other ids accepted");
+            assert!(matches!(
+                err,
+                CheckpointError::Mismatch {
+                    field: "batch layout",
+                    batch: Some(0),
+                    ..
+                }
+            ));
+            assert!(
+                err.to_string().contains("batch layout mismatch at batch 0"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -174,13 +174,15 @@ impl HeteroEngine {
     /// a [`DurableSearchOutcome`]: `drained` ⇔ the query ended without
     /// results, `boundary` = the batches its CPU pool ran.
     ///
-    /// Resume correctness: batch results are pure functions of the batch
-    /// index, and [`SearchResults::new`] sorts deterministically, so a
-    /// search killed at any point and resumed produces a hit list
+    /// Resume correctness: batch results are pure functions of the batch's
+    /// sequence ids, and [`SearchResults::new`] sorts deterministically, so
+    /// a search killed at any point and resumed produces a hit list
     /// byte-identical to an uninterrupted run. A checkpoint is only
     /// accepted when its [`SearchFingerprint`] (database content digest,
     /// query digest, lane count, batch count) matches the present search
-    /// — anything else is a typed [`CheckpointError::Mismatch`].
+    /// and every record carries the ids of the batch it names
+    /// ([`Checkpoint::verify_layout`]) — anything else is a typed
+    /// [`CheckpointError::Mismatch`].
     ///
     /// Recovery counters are cumulative: the checkpoint carries the
     /// totals of all prior run segments, so retries/requeues/lost-lease
@@ -407,6 +409,7 @@ impl HeteroEngine {
                 if let Some(path) = &ckpt_paths[qi] {
                     if let Some(ckpt) = Checkpoint::load_if_exists(path)? {
                         ckpt.verify(&fingerprints[qi])?;
+                        ckpt.verify_layout(&db.batches)?;
                         resumes_v[qi] = ckpt.resumes + 1;
                         next_seq = ckpt.seq + 1;
                         baselines[qi] = ckpt.recovery;

@@ -129,8 +129,13 @@ impl PreparedDb {
 
 /// Build task shapes directly from sequence *lengths* — full-scale
 /// simulation without materialising residues. Lengths are sorted
-/// ascending and chunked `lanes` at a time, mirroring
-/// [`sw_swdb::LaneBatcher`] exactly.
+/// ascending and chunked `lanes` at a time from the short end, so the one
+/// partial group is the *last* (longest) one: the paper model's grouping,
+/// which the figures, the tables and `simulate_hetero_dynamic`'s pairing of
+/// accelerator groups with CPU batches are built on. It equals
+/// [`sw_swdb::LaneBatcher`]'s batches when `lanes` divides the sequence
+/// count; otherwise the engine cuts from the long end and its padded cells
+/// are never more than these.
 pub fn shapes_from_lengths(lens: &[u32], lanes: usize, query_len: usize) -> Vec<TaskShape> {
     assert!(lanes >= 1, "need at least one lane");
     let mut sorted: Vec<u32> = lens.to_vec();
@@ -254,13 +259,26 @@ mod tests {
 
     #[test]
     fn shapes_from_lengths_match_prepared_batches() {
+        // Equal where `lanes` divides the count; elsewhere the model keeps
+        // the paper's short-end grouping and never pads less than the
+        // engine.
         let a = Alphabet::protein();
         let seqs = tiny_db();
         let lens: Vec<u32> = seqs.iter().map(|s| s.len() as u32).collect();
-        let db = PreparedDb::prepare(seqs, 4, &a);
-        let direct = shapes_from_lengths(&lens, 4, 77);
-        let via_db = db.task_shapes(77);
-        assert_eq!(direct, via_db);
+        for lanes in [4usize, 8, 16, 32] {
+            for n in [lens.len() / lanes * lanes, lens.len()] {
+                let db = PreparedDb::prepare(seqs[..n].to_vec(), lanes, &a);
+                let model = shapes_from_lengths(&lens[..n], lanes, 77);
+                let engine = db.task_shapes(77);
+                let padded = |s: &[TaskShape]| s.iter().map(TaskShape::padded_cells).sum::<u64>();
+                if n % lanes == 0 {
+                    assert_eq!(model, engine, "lanes {lanes}, n {n}");
+                } else {
+                    assert_eq!(model.len(), engine.len(), "lanes {lanes}, n {n}");
+                    assert!(padded(&model) >= padded(&engine), "lanes {lanes}, n {n}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -407,6 +407,114 @@ fn resume_against_wrong_query_is_typed_mismatch() {
 }
 
 #[test]
+fn checkpoint_of_another_batch_layout_is_refused_unless_the_layouts_agree() {
+    // A checkpoint fabricated in the tail-partial layout (full batches cut
+    // from the short end, record i = sorted ranks 16i .. 16i + 16) has the
+    // same fingerprint as one of this search. Where n % 16 ≠ 0 its records
+    // carry other ids than the batches they name and must be refused;
+    // where n % 16 = 0 the layouts coincide and it resumes exactly.
+    use sw_core::{BatchQuery, BatchResult, Checkpoint, Hit, RecoveryTotals, SearchFingerprint};
+    use sw_kernels::CellCount;
+    let a = Alphabet::protein();
+    let hetero = HeteroEngine::new(SearchEngine::paper_default());
+    let cfg = HeteroSearchConfig::best(2, 2);
+    let q = generate_query(100, 21).residues;
+    let m = q.len() as u64;
+    let dir = std::env::temp_dir().join(format!("sw-ckpt-layout-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for n_seqs in [100usize, 96] {
+        let spec = DbSpec {
+            n_seqs: n_seqs as u32,
+            ..DbSpec::tiny(13)
+        };
+        let db = PreparedDb::prepare(generate_database(&spec), 16, &a);
+        let plan = hetero.plan_split(&db, q.len(), 0.5);
+        let reference = hetero.search_dynamic(&q, &db, &plan, &cfg).results;
+        let mut score = vec![0i64; n_seqs];
+        for h in &reference.hits {
+            score[h.id.0 as usize] = h.score;
+        }
+        let done: Vec<BatchResult> = (0..db.batches.len())
+            .step_by(2)
+            .map(|i| {
+                let ranks = 16 * i..(16 * i + 16).min(n_seqs);
+                let lens = ranks.clone().map(|r| db.sorted.len_at(r) as u64);
+                BatchResult {
+                    batch: i,
+                    device: 0,
+                    hits: ranks
+                        .clone()
+                        .map(|r| {
+                            let id = db.sorted.id_at(r);
+                            Hit {
+                                id,
+                                score: score[id.0 as usize],
+                            }
+                        })
+                        .collect(),
+                    cells: CellCount {
+                        real: m * lens.clone().sum::<u64>(),
+                        padded: m * 16 * lens.max().expect("non-empty"),
+                    },
+                    rescued: 0,
+                }
+            })
+            .collect();
+        let n_done = done.len() as u64;
+        let fingerprint = SearchFingerprint::compute(&db, &q);
+        Checkpoint {
+            fingerprint,
+            seq: 0,
+            resumes: 0,
+            accel_share: 0.5,
+            recovery: [RecoveryTotals::default(); 2],
+            done,
+        }
+        .write_atomic(&dir.join(fingerprint.file_name()))
+        .expect("write fabricated checkpoint");
+
+        let out = hetero.search_many_resumable(
+            &[BatchQuery {
+                residues: &q,
+                id: 0,
+                cancel: None,
+                tracer: None,
+            }],
+            &db,
+            &plan,
+            &cfg,
+            &FaultInjector::none(),
+            &DurableOptions {
+                checkpoint_dir: Some(&dir),
+                resume: true,
+                ..DurableOptions::default()
+            },
+        );
+        if n_seqs % 16 != 0 {
+            match out {
+                Err(DurableSearchError::Checkpoint(
+                    e @ CheckpointError::Mismatch {
+                        field: "batch layout",
+                        batch: Some(0),
+                        ..
+                    },
+                )) => assert!(e.to_string().contains("at batch 0"), "{e}"),
+                Err(other) => panic!("expected a batch-layout mismatch, got: {other}"),
+                Ok(_) => panic!("n = {n_seqs}: a tail-partial checkpoint was resumed"),
+            }
+        } else {
+            let out = out.expect("the layouts agree: resumed");
+            let resumed = out.queries.into_iter().next().expect("one query");
+            assert_eq!(resumed.resumed_tasks, n_done);
+            let res = resumed.results.expect("completed");
+            assert_eq!(res.hits, reference.hits, "resumed == uninterrupted");
+            assert_eq!(res.cells, reference.cells, "cells identical");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn corrupt_checkpoint_is_rejected_not_trusted() {
     let (db, q) = setup();
     let hetero = HeteroEngine::new(SearchEngine::paper_default());

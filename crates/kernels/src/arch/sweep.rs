@@ -73,7 +73,9 @@
 ///
 ///   `n` counts steps (columns + 2, rounded up to even), `$rows` yields a
 ///   key pair per row, `$subst` the vectors of both steps, and the caller
-///   folds the two halves of the result.
+///   folds the two halves of the result. The H/F columns live in `$cols`,
+///   two caller-owned `Vec`s the sweep resizes to `m` and overwrites, so a
+///   kernel can keep them across batches.
 macro_rules! sweep {
     ($V:ty, elem: $elem:ty, neg_inf: $neg_inf:expr, gap: $gap:expr, m: $m:expr, n: $n:expr,
      block_rows: $block_rows:expr, score: $score:ident,
@@ -120,14 +122,17 @@ macro_rules! sweep {
     }};
 
     ($V:ty, elem: $elem:ty, neg_inf: $neg_inf:expr, gap: $gap:expr, m: $m:expr, n: $n:expr,
-     skewed, score: $score:ident,
+     skewed, cols: $cols:expr, score: $score:ident,
      rows: $rows:expr, column: $column:expr, subst: $subst:expr) => {{
         let m: usize = $m;
         let n: usize = $n;
         assert!(n % 2 == 0, "a trip is two steps");
         sweep!(@state $V, $elem, $neg_inf, $gap, $score, first, extend, zero, neg_inf);
-        let mut h_col = vec![zero; m];
-        let mut f_col = vec![neg_inf; m];
+        let [h_col, f_col]: &mut [Vec<$V>; 2] = $cols;
+        h_col.clear();
+        h_col.resize(m, zero);
+        f_col.clear();
+        f_col.resize(m, neg_inf);
         let mut vmax = zero;
         // What the last row left at the previous trip's two steps — its H
         // and the E it hands down — and the row above the upper run one

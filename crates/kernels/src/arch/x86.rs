@@ -305,6 +305,13 @@ pub(crate) mod avx2 {
     /// The score vectors of one residue code for the two steps of a trip.
     type TripScores = Cell<[V8; 2]>;
 
+    thread_local! {
+        /// [`sw_fused_u8`]'s H/F columns, kept for the thread's next batch:
+        /// with two fresh `Vec`s per batch, the heap's high-water mark
+        /// follows the order the batches run in.
+        static HF_COLS: Cell<[Vec<V8>; 2]> = const { Cell::new([Vec::new(), Vec::new()]) };
+    }
+
     /// Byte-pass column prologue: [`column_scores`] at 256 bits, without
     /// the widening and for both steps of a trip — `col[e]` =
     /// `[row(e, j) ‖ row(e, j − 2)]`, `[row(e, j + 1) ‖ row(e, j − 1)]` of
@@ -419,9 +426,10 @@ pub(crate) mod avx2 {
         let off_end = [NO_RESIDUE; LANES_I16];
         // Steps −2 and −1 wrap far past `n`: off the end either way.
         let residues = |j: usize| if j < n { batch.row(j) } else { &off_end[..] };
+        let mut hf_cols = HF_COLS.take();
         let vmax = sweep!(
             V8, elem: i8, neg_inf: i8::MIN, gap: gap, m: h, n: (n + 2).next_multiple_of(2),
-            skewed, score: floored,
+            skewed, cols: &mut hf_cols, score: floored,
             rows: lower.iter().zip(&upper),
             column: |j: usize| column_scores_i8(
                 col, table, present,
@@ -432,6 +440,7 @@ pub(crate) mod avx2 {
                 [lo[0].blend_halves(hi[0]), lo[1].blend_halves(hi[1])]
             }
         );
+        HF_COLS.set(hf_cols);
         crate::intertask::NarrowOutput::from_skewed_vmax(&vmax.to_array(), batch.real_lanes())
     }
 }

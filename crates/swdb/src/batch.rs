@@ -8,6 +8,14 @@
 //! interleaved position-major so that the `L` residues needed at database
 //! position `j` are one contiguous, aligned vector load.
 //!
+//! [`LaneBatcher`] cuts the length-sorted order into batches from the long
+//! end: every batch is full except batch 0, which holds the `n mod L`
+//! shortest sequences. A batch costs `L ×` its longest member, and in any
+//! grouping the `k`-th most expensive batch has a longest member no shorter
+//! than sorted rank `n − 1 − kL` (the `kL` longer ranks fill at most `k`
+//! batches), so this layout sweeps the fewest padded cells that one
+//! sequence per lane allows.
+//!
 //! Shorter sequences within a batch are padded with [`pad_code`], a
 //! sentinel residue that scores no better than any real one, so a padded
 //! cell's `H` never exceeds what the real cells of its lane already
@@ -57,7 +65,7 @@ pub struct LaneBatch {
     /// Interleaved residues: `interleaved[j * lanes + lane]` is the residue
     /// of lane `lane` at position `j` (or the pad code).
     interleaved: Vec<u8>,
-    /// Original ids of the real sequences (≤ `lanes` entries; the last
+    /// Original ids of the real sequences (≤ `lanes` entries; the first
     /// batch of a database may not fill every lane).
     ids: Vec<SeqId>,
     /// Real lengths, parallel to `ids`.
@@ -179,19 +187,26 @@ impl LaneBatcher {
         }
     }
 
-    /// Batch the whole sorted database. Because the input is length-sorted,
-    /// each batch packs similar lengths and padding waste is minimal.
+    /// Batch the whole sorted database into `⌈n / L⌉` batches of
+    /// consecutive ranks, in ascending length order. Full batches are cut
+    /// from the long end, so only batch 0 may be partial and it holds the
+    /// `n mod L` shortest sequences: the minimum padded cells of any
+    /// one-sequence-per-lane grouping (see the module doc).
     pub fn batch(&self, sorted: &SortedDb) -> Vec<LaneBatch> {
         let n = sorted.len();
         let mut out = Vec::with_capacity(n.div_ceil(self.lanes));
         let mut rank = 0usize;
+        let mut end = match n % self.lanes {
+            0 => self.lanes,
+            partial => partial,
+        };
         while rank < n {
-            let end = (rank + self.lanes).min(n);
             let group: Vec<(SeqId, &[u8])> = (rank..end)
                 .map(|r| (sorted.id_at(r), sorted.seq_at(r).residues))
                 .collect();
             out.push(LaneBatch::pack(self.lanes, &group, self.pad));
             rank = end;
+            end += self.lanes;
         }
         out
     }
@@ -254,6 +269,7 @@ mod tests {
         let sorted = sorted_db(&[9, 2, 5, 7, 3, 1, 8]);
         let batches = LaneBatcher::new(4, &Alphabet::protein()).batch(&sorted);
         assert_eq!(batches.len(), 2);
+        assert_eq!(batches[0].lens(), &[1, 2, 3]);
         let mut ids: Vec<u32> = batches
             .iter()
             .flat_map(|b| b.ids().iter().map(|id| id.0))
@@ -274,17 +290,21 @@ mod tests {
     }
 
     #[test]
-    fn last_batch_may_be_partial() {
-        let sorted = sorted_db(&[5, 5, 5, 5, 5]);
+    fn first_batch_holds_the_remainder() {
+        let sorted = sorted_db(&[5, 9, 1, 5, 5]);
         let batches = LaneBatcher::new(4, &Alphabet::protein()).batch(&sorted);
         assert_eq!(batches.len(), 2);
-        assert_eq!(batches[1].real_lanes(), 1);
+        // The one partial batch is the shortest sequence alone; the full
+        // batch takes the long end. Cutting from the short end instead
+        // would pad the 9 into a batch of one: 4·5 + 4·9 = 56 cells.
+        assert_eq!(batches[0].lens(), &[1]);
+        assert_eq!(batches[1].lens(), &[5, 5, 5, 9]);
+        let padded: u64 = batches.iter().map(|b| b.padded_cells(1)).sum();
+        assert_eq!(padded, 4 + 4 * 9);
         // Pad lanes are entirely pad code.
         let pad = pad_code(&Alphabet::protein());
-        for j in 0..batches[1].padded_len() {
-            for lane in 1..4 {
-                assert_eq!(batches[1].residue(j, lane), pad);
-            }
+        for lane in 1..4 {
+            assert_eq!(batches[0].residue(0, lane), pad);
         }
     }
 

@@ -21,20 +21,23 @@ fn reference_ranking(query: &[u8], db: &PreparedDb, params: &SwParams) -> Vec<(u
 #[test]
 fn full_pipeline_matches_reference_at_all_lane_widths() {
     let alphabet = Alphabet::protein();
-    let seqs = generate_database(&DbSpec {
-        n_seqs: 120,
-        mean_len: 150.0,
-        max_len: 700,
-        seed: 77,
-    });
     let query = generate_query(222, 5);
     let engine = SearchEngine::paper_default();
-    for lanes in [4usize, 8, 16, 32] {
-        let db = PreparedDb::prepare(seqs.clone(), lanes, &alphabet);
-        let expect = reference_ranking(&query.residues, &db, &engine.params);
-        let res = engine.search(&query.residues, &db, &SearchConfig::best(2));
-        let got: Vec<(u32, i64)> = res.hits.iter().map(|h| (h.id.0, h.score)).collect();
-        assert_eq!(got, expect, "lanes = {lanes}");
+    // 113 = 7·16 + 1: batch 0 holds one sequence at 4, 8 and 16 lanes.
+    for n_seqs in [120, 113] {
+        let seqs = generate_database(&DbSpec {
+            n_seqs,
+            mean_len: 150.0,
+            max_len: 700,
+            seed: 77,
+        });
+        for lanes in [4usize, 8, 16, 32] {
+            let db = PreparedDb::prepare(seqs.clone(), lanes, &alphabet);
+            let expect = reference_ranking(&query.residues, &db, &engine.params);
+            let res = engine.search(&query.residues, &db, &SearchConfig::best(2));
+            let got: Vec<(u32, i64)> = res.hits.iter().map(|h| (h.id.0, h.score)).collect();
+            assert_eq!(got, expect, "n = {n_seqs}, lanes = {lanes}");
+        }
     }
 }
 

@@ -219,9 +219,12 @@ fn dynamic_scheduler_matches_static_split() {
 }
 
 /// Batching invariant: every sequence appears in exactly one batch,
-/// padding is never counted as real cells.
+/// padding is never counted as real cells, only batch 0 may be partial,
+/// and the padded cells are the minimum any one-sequence-per-lane
+/// grouping can reach — never more than the paper model's grouping.
 #[test]
 fn batching_conserves_sequences() {
+    use swhetero::core::prepare::shapes_from_lengths;
     let alphabet = Alphabet::protein();
     let mut rng = SmallRng::seed_from_u64(0xBA7C);
     for case in 0..32 {
@@ -240,6 +243,24 @@ fn batching_conserves_sequences() {
         assert_eq!(real, total_res, "case {case}");
         let padded: u64 = batches.iter().map(|b| b.padded_cells(1)).sum();
         assert!(padded >= real, "case {case}");
+        // The k-th most expensive batch of any grouping pads to at least
+        // sorted rank n − 1 − kL.
+        let lower_bound: u64 = (0..n)
+            .rev()
+            .step_by(lanes)
+            .map(|rank| (lanes * sorted.len_at(rank)) as u64)
+            .sum();
+        assert_eq!(padded, lower_bound, "case {case}: lanes {lanes}, n {n}");
+        let lens: Vec<u32> = (0..n).map(|r| sorted.len_at(r) as u32).collect();
+        let model: u64 = shapes_from_lengths(&lens, lanes, 1)
+            .iter()
+            .map(|s| s.padded_cells())
+            .sum();
+        assert!(padded <= model, "case {case}: lanes {lanes}, n {n}");
+        assert!(
+            batches[1..].iter().all(|b| b.real_lanes() == lanes),
+            "case {case}: only batch 0 may be partial"
+        );
     }
 }
 

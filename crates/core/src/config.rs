@@ -2,18 +2,18 @@
 
 use serde::{Deserialize, Serialize};
 use sw_kernels::{KernelIsa, KernelVariant};
-use sw_sched::Policy;
 use sw_trace::{TraceLevel, Tracer};
 
-/// Configuration of one database search (Algorithm 1).
+/// Configuration of one database search (Algorithm 1): which kernel runs
+/// and on how many threads. The loop schedule is not configurable — every
+/// search runs on `sw_sched`'s dual-pool region, a flat search as a
+/// CPU-only region of `threads` workers.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SearchConfig {
     /// Kernel variant (vectorization × profile × blocking).
     pub variant: KernelVariant,
     /// Worker threads for the parallel alignment loop.
     pub threads: usize,
-    /// Loop scheduling policy (the paper's best is dynamic).
-    pub policy: Policy,
     /// Instruction set the intrinsic kernels run on. [`KernelIsa::detect`]
     /// (the `best` default) picks the fastest ISA the host supports from
     /// hardware probes alone; forcing [`KernelIsa::Portable`] reproduces
@@ -27,12 +27,11 @@ pub struct SearchConfig {
 
 impl SearchConfig {
     /// The paper's best host configuration: intrinsic-SP, blocking,
-    /// dynamic scheduling, `threads` workers.
+    /// `threads` workers.
     pub fn best(threads: usize) -> Self {
         SearchConfig {
             variant: KernelVariant::best(),
             threads,
-            policy: Policy::dynamic(),
             isa: KernelIsa::detect(),
         }
     }
@@ -193,7 +192,6 @@ mod tests {
         assert_eq!(c.variant.profile, ProfileMode::Sequence);
         assert!(c.variant.blocking);
         assert_eq!(c.threads, 32);
-        assert_eq!(c.policy, Policy::dynamic());
         assert!(c.isa.is_available(), "best() picks a supported ISA");
         assert_eq!(
             c.with_isa(KernelIsa::Portable).isa,

@@ -7,15 +7,21 @@
 //! 11: scores = sort(G)                (SearchResults)
 //! ```
 //!
-//! There is **one** flat-pool region body, the private
+//! There is **one** flat search body, the private
 //! `SearchEngine::search_batches`: the paper's `for t ≤ |Q| · |vD|` over
-//! a slice of lane batches, run under `sw-sched`'s executor with the
-//! configured policy (dynamic by default, per the paper's observation),
-//! one task per `(query, lane batch)` pair. Saturated lanes are
-//! recomputed exactly before reporting. [`SearchEngine::search_many`]
-//! hands it every batch, [`SearchEngine::search`] is that with one query,
-//! and the static split (`HeteroEngine::search`) hands it each device's
-//! sub-slice.
+//! a slice of lane batches, one task per `(query, lane batch)` pair, run
+//! as a CPU-only region of `sw-sched`'s one executor
+//! (`run_dual_pool_durable` with `threads` CPU workers, no accelerator
+//! pool and no durability hooks). Saturated lanes are recomputed exactly
+//! before reporting. [`SearchEngine::search_many`] hands it every batch,
+//! [`SearchEngine::search`] is that with one query, and the static split
+//! (`HeteroEngine::search`) hands it each device's sub-slice.
+//!
+//! Workers claim chunks from the front of the task list, sized by the
+//! region's guided-style `adaptive_chunk` (half the remaining tasks over
+//! the worker count) rather than the paper's `dynamic(1)`. Hits do not
+//! depend on the chunking, and no pinned benchmark workload runs a flat
+//! search on more than one thread.
 //!
 //! Per search the engine builds one [`QueryProfile`] per query and one
 //! [`ScoreTable`]; per batch task, on the default `intrinsic-SP` path, it
@@ -39,8 +45,9 @@ use sw_kernels::intertask::KernelOutput;
 use sw_kernels::overflow::rescue_overflows;
 use sw_kernels::scalar::{sw_score_scalar, sw_score_scalar_qp};
 use sw_kernels::{CellCount, ProfileMode, SwParams, Vectorization};
-use sw_sched::{try_run_parallel, ExecutorConfig};
+use sw_sched::{run_dual_pool_durable, DualPoolConfig, DurableControl, FaultInjector, MetricsSink};
 use sw_swdb::{LaneBatch, QueryProfile, ScoreTable, SequenceProfile};
+use sw_trace::Tracer;
 
 /// One query's share of a pooled region's wall clock. The region has ONE
 /// wall clock; charging it to every query would inflate aggregate GCUPS
@@ -104,9 +111,9 @@ impl SearchEngine {
         self.search_batches(queries, db, &db.batches, config)
     }
 
-    /// The flat-pool region body: every query against the lane batches of
-    /// `batches` (the whole database, or one device's share of it — a
-    /// slice of `db.batches`, never a copy).
+    /// The flat search body, a CPU-only region: every query against the
+    /// lane batches of `batches` (the whole database, or one device's
+    /// share of it — a slice of `db.batches`, never a copy).
     ///
     /// # Panics
     /// Panics when a query is empty, or with the first failing
@@ -130,17 +137,23 @@ impl SearchEngine {
         let table = ScoreTable::build(&self.params.matrix, &db.alphabet);
         let start = Instant::now();
 
-        let mut per_task = try_run_parallel(
+        let mut per_task = run_dual_pool_durable(
             queries.len() * n_batches,
-            ExecutorConfig {
-                workers: config.threads,
-                policy: config.policy,
+            DualPoolConfig {
+                initial_accel_fraction: 0.0,
+                ..DualPoolConfig::new(config.threads, 0)
             },
-            |t| {
+            &FaultInjector::none(),
+            DurableControl::none(),
+            |t| batches[t % n_batches].padded_cells(queries[t / n_batches].len()),
+            |_device, t| {
                 let (qi, bi) = (t / n_batches, t % n_batches);
                 self.run_batch(queries[qi], &qps[qi], &table, db, &batches[bi], config)
             },
+            &MetricsSink::new(),
+            &Tracer::disabled(),
         )
+        .try_into_results()
         .unwrap_or_else(|e| {
             // Task ids are (query, batch) pairs; name the first culprit.
             let ctx = e
@@ -577,6 +590,16 @@ mod tests {
                 "lanes {lanes}"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "database search failed (query 0 batch")]
+    fn kernel_panic_names_the_query_and_batch() {
+        // The intrinsic kernels exist for 4/8/16/32 lanes only, so every
+        // task of a 5-lane database panics in `run_batch`.
+        let db = small_db(5);
+        let query = generate_query(40, 2).residues;
+        SearchEngine::paper_default().search(&query, &db, &SearchConfig::best(1));
     }
 
     #[test]

@@ -17,17 +17,17 @@
 //!
 //! # One dual-pool region and its adapters
 //!
-//! [`HeteroEngine::search_many_resumable`] is **the** dual-pool region —
-//! this crate's only caller of `run_dual_pool_durable`; its rustdoc holds
-//! the per-query semantics and the checkpoint-location and recovery-totals
-//! rules, which apply to every caller alike.
-//! [`HeteroEngine::search_dynamic_resumable`] is that region with one
-//! query, repackaged as a [`DurableSearchOutcome`];
+//! [`HeteroEngine::search_many_resumable`] is **the** dual-pool region
+//! with both pools and every durability hook — the only such caller of
+//! `run_dual_pool_durable`; its rustdoc holds the per-query semantics and
+//! the checkpoint-location and recovery-totals rules, which apply to
+//! every caller alike. [`HeteroEngine::search_dynamic_resumable`] is that
+//! region with one query, repackaged as a [`DurableSearchOutcome`];
 //! [`HeteroEngine::search_dynamic`] is that with no fault injector and
 //! default [`DurableOptions`], panicking on error. The static split
-//! ([`HeteroEngine::search`]) is no dual-pool run at all: it is the
-//! flat-pool body of [`crate::engine`] over each device's sub-slice of the
-//! batches, merged.
+//! ([`HeteroEngine::search`]) runs the flat search body of
+//! [`crate::engine`] — a CPU-only region — over each device's sub-slice
+//! of the batches in turn, and merges the two.
 
 use crate::checkpoint::{
     BatchResult, Checkpoint, CheckpointError, RecoveryTotals, SearchFingerprint,
@@ -121,8 +121,8 @@ impl HeteroEngine {
         cpu_res.merge(accel_res)
     }
 
-    /// Search only the batches of `range` (one device's share): the
-    /// flat-pool body over a sub-slice of the database's batches.
+    /// Search only the batches of `range` (one device's share): the flat
+    /// search body over a sub-slice of the database's batches.
     fn search_range(
         &self,
         query: &[u8],

@@ -10,7 +10,6 @@
 
 use crate::model::PcieLink;
 use serde::{Deserialize, Serialize};
-use sw_trace::WorkerJournal;
 
 /// What happened during one timeline interval.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -37,12 +36,6 @@ pub enum EventKind {
     },
     /// Host blocked in `wait(sem)`.
     HostWait,
-    /// The device died mid-kernel: the offload produced no results and
-    /// the host must re-run the share itself (graceful degradation).
-    DeviceFault {
-        /// Human-readable label of the failed kernel.
-        label: String,
-    },
 }
 
 /// One interval on the timeline.
@@ -62,53 +55,15 @@ pub struct Signal {
     /// Device-clock time at which the offload's results are visible to
     /// the host.
     completion_s: f64,
-    /// True when the offload died mid-kernel and produced no results.
-    failed: bool,
-}
-
-/// What [`OffloadSim::wait_timeout`] observed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WaitOutcome {
-    /// The offload's results are visible; the host may merge them.
-    Completed,
-    /// The offload was still silent when the timeout expired. The host
-    /// gave up waiting and must treat the share as lost.
-    TimedOut,
-    /// The offload died mid-kernel; the host saw the fault as soon as it
-    /// reached the wait.
-    Failed,
 }
 
 /// The offload runtime simulator.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct OffloadSim {
     link: PcieLink,
     host_clock: f64,
     device_clock: f64,
     timeline: Vec<Event>,
-    /// Attached trace journal; a disabled journal (the default) makes
-    /// every emission a no-op.
-    journal: WorkerJournal,
-}
-
-impl Clone for OffloadSim {
-    /// Clones the simulator state but *not* the journal — two simulators
-    /// writing the same worker track would interleave nonsense, so the
-    /// clone starts with a disabled journal.
-    fn clone(&self) -> Self {
-        OffloadSim {
-            link: self.link,
-            host_clock: self.host_clock,
-            device_clock: self.device_clock,
-            timeline: self.timeline.clone(),
-            journal: WorkerJournal::disabled(),
-        }
-    }
-}
-
-/// Simulated seconds → the journal's microsecond clock.
-fn sim_us(t: f64) -> u64 {
-    (t * 1e6).round() as u64
 }
 
 impl OffloadSim {
@@ -119,7 +74,6 @@ impl OffloadSim {
             host_clock: 0.0,
             device_clock: 0.0,
             timeline: Vec::new(),
-            journal: WorkerJournal::disabled(),
         }
     }
 
@@ -161,14 +115,7 @@ impl OffloadSim {
             kind: EventKind::TransferOut { bytes: out_bytes },
         });
         self.device_clock = t3;
-        self.journal.emit_at(
-            sim_us(self.host_clock),
-            sw_trace::EventKind::OffloadSignal { bytes: in_bytes },
-        );
-        Signal {
-            completion_s: t3,
-            failed: false,
-        }
+        Signal { completion_s: t3 }
     }
 
     /// Host-side compute for `secs` (Algorithm 2 line 12: the CPU share).
@@ -188,7 +135,6 @@ impl OffloadSim {
     /// Block the host until the offload signalled by `sig` has completed —
     /// `#pragma offload wait(sem)`.
     pub fn wait(&mut self, sig: Signal) {
-        let blocked_us = sim_us(sig.completion_s).saturating_sub(sim_us(self.host_clock));
         if sig.completion_s > self.host_clock {
             self.timeline.push(Event {
                 start_s: self.host_clock,
@@ -197,54 +143,6 @@ impl OffloadSim {
             });
             self.host_clock = sig.completion_s;
         }
-        self.journal.emit_at(
-            sim_us(self.host_clock),
-            sw_trace::EventKind::OffloadWait { us: blocked_us },
-        );
-    }
-
-    /// Fault-aware wait with a deadline: block until the offload
-    /// completes, fails, or `timeout_s` of host time elapses, whichever
-    /// comes first. A timed-out wait leaves the host clock at the
-    /// deadline — the production pattern for detecting a wedged device
-    /// (the real executor's `accel_timeout_ms` is the same guard).
-    pub fn wait_timeout(&mut self, sig: Signal, timeout_s: f64) -> WaitOutcome {
-        assert!(
-            timeout_s >= 0.0 && timeout_s.is_finite(),
-            "timeout must be finite and non-negative"
-        );
-        let deadline = self.host_clock + timeout_s;
-        // The signal (completion or fault) becomes visible at
-        // `completion_s`; past the deadline the host stops watching.
-        let until = sig.completion_s.min(deadline);
-        let blocked_us = sim_us(until).saturating_sub(sim_us(self.host_clock));
-        if until > self.host_clock {
-            self.timeline.push(Event {
-                start_s: self.host_clock,
-                end_s: until,
-                kind: EventKind::HostWait,
-            });
-            self.host_clock = until;
-        }
-        if sig.completion_s > deadline {
-            self.journal.emit_at(
-                sim_us(self.host_clock),
-                sw_trace::EventKind::OffloadTimeout {
-                    us: sim_us(timeout_s),
-                },
-            );
-            WaitOutcome::TimedOut
-        } else {
-            self.journal.emit_at(
-                sim_us(self.host_clock),
-                sw_trace::EventKind::OffloadWait { us: blocked_us },
-            );
-            if sig.failed {
-                WaitOutcome::Failed
-            } else {
-                WaitOutcome::Completed
-            }
-        }
     }
 
     /// Current host clock (wall-clock of the heterogeneous run so far).
@@ -252,22 +150,9 @@ impl OffloadSim {
         self.host_clock
     }
 
-    /// Device busy time (transfers + kernels, including the burnt time of
-    /// a kernel that died mid-run) — energy accounting input.
+    /// Device busy time (transfers + kernels) — energy accounting input.
     pub fn device_busy(&self) -> f64 {
-        self.timeline
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e.kind,
-                    EventKind::TransferIn { .. }
-                        | EventKind::Kernel { .. }
-                        | EventKind::TransferOut { .. }
-                        | EventKind::DeviceFault { .. }
-                )
-            })
-            .map(|e| e.end_s - e.start_s)
-            .sum()
+        self.device_events().map(|e| e.end_s - e.start_s).sum()
     }
 
     /// Host busy time (compute only, excluding waits).
@@ -284,9 +169,22 @@ impl OffloadSim {
         &self.timeline
     }
 
+    /// The device stream's intervals: transfers and kernels.
+    fn device_events(&self) -> impl Iterator<Item = &Event> {
+        self.timeline.iter().filter(|e| {
+            matches!(
+                e.kind,
+                EventKind::TransferIn { .. }
+                    | EventKind::Kernel { .. }
+                    | EventKind::TransferOut { .. }
+            )
+        })
+    }
+
     /// Render the timeline as a two-row ASCII Gantt chart (`host` /
     /// `device`), `width` columns wide. Legend: `#` compute, `=`
-    /// transfer, `.` wait/idle.
+    /// transfer, `.` wait/idle. The legend's `X fault` key is never drawn
+    /// by this simulator; it stays so printed timelines keep their form.
     pub fn render_timeline(&self, width: usize) -> String {
         let width = width.max(10);
         let span = self
@@ -304,7 +202,6 @@ impl OffloadSim {
                 EventKind::HostWait => (&mut host, b'.'),
                 EventKind::Kernel { .. } => (&mut device, b'#'),
                 EventKind::TransferIn { .. } | EventKind::TransferOut { .. } => (&mut device, b'='),
-                EventKind::DeviceFault { .. } => (&mut device, b'X'),
             };
             let (a, b) = (col(e.start_s), col(e.end_s));
             for c in row.iter_mut().take(b + 1).skip(a) {
@@ -325,20 +222,8 @@ impl OffloadSim {
         if self.timeline.iter().any(|e| e.end_s < e.start_s) {
             return false;
         }
-        let mut device_events: Vec<(f64, f64)> = self
-            .timeline
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e.kind,
-                    EventKind::TransferIn { .. }
-                        | EventKind::Kernel { .. }
-                        | EventKind::TransferOut { .. }
-                        | EventKind::DeviceFault { .. }
-                )
-            })
-            .map(|e| (e.start_s, e.end_s))
-            .collect();
+        let mut device_events: Vec<(f64, f64)> =
+            self.device_events().map(|e| (e.start_s, e.end_s)).collect();
         device_events.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
         device_events.windows(2).all(|w| w[0].1 <= w[1].0 + 1e-12)
     }
@@ -347,63 +232,6 @@ impl OffloadSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The journal attach point and the failing offload exist for these
-    /// tests only: no search path attaches a journal or injects a device
-    /// fault into the simulated link.
-    impl OffloadSim {
-        /// Attach a trace journal: offload signals, waits and timeouts are
-        /// emitted into it at the simulated clock (see `sw-trace`). The
-        /// journal flushes its events when the simulator is dropped or the
-        /// journal is detached.
-        fn attach_journal(&mut self, journal: WorkerJournal) {
-            self.journal = journal;
-        }
-
-        /// Detach the attached journal (a disabled journal remains).
-        fn detach_journal(&mut self) -> WorkerJournal {
-            std::mem::take(&mut self.journal)
-        }
-
-        /// An offload whose kernel dies after `fail_after_s` seconds of
-        /// device time: the input transfer happens, the kernel runs partially,
-        /// then a [`EventKind::DeviceFault`] is recorded — no output transfer,
-        /// no results. Waiting on the returned signal reports
-        /// [`WaitOutcome::Failed`] and the host must recompute the share.
-        fn offload_async_failing(
-            &mut self,
-            in_bytes: u64,
-            fail_after_s: f64,
-            label: &str,
-        ) -> Signal {
-            assert!(fail_after_s >= 0.0, "fault time must be non-negative");
-            self.host_clock += self.link.launch_s;
-            let t0 = self.host_clock.max(self.device_clock);
-            let t1 = t0 + self.link.transfer_time(in_bytes);
-            self.timeline.push(Event {
-                start_s: t0,
-                end_s: t1,
-                kind: EventKind::TransferIn { bytes: in_bytes },
-            });
-            let t2 = t1 + fail_after_s;
-            self.timeline.push(Event {
-                start_s: t1,
-                end_s: t2,
-                kind: EventKind::DeviceFault {
-                    label: label.into(),
-                },
-            });
-            self.device_clock = t2;
-            self.journal.emit_at(
-                sim_us(self.host_clock),
-                sw_trace::EventKind::OffloadSignal { bytes: in_bytes },
-            );
-            Signal {
-                completion_s: t2,
-                failed: true,
-            }
-        }
-    }
 
     fn link() -> PcieLink {
         PcieLink {
@@ -494,100 +322,6 @@ mod tests {
             host_row.find('|').map(|a| host_row.rfind('|').unwrap() - a),
             dev_row.find('|').map(|a| dev_row.rfind('|').unwrap() - a)
         );
-    }
-
-    #[test]
-    fn failing_offload_reports_failed_wait() {
-        let mut sim = OffloadSim::new(link());
-        let sig = sim.offload_async_failing(1000, 2.0, "doomed");
-        sim.host_compute(1.0, "cpu share");
-        assert_eq!(sim.wait_timeout(sig, 100.0), WaitOutcome::Failed);
-        assert!(sim
-            .timeline()
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::DeviceFault { .. })));
-        // No output transfer ever happened.
-        assert!(!sim
-            .timeline()
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::TransferOut { .. })));
-        // The burnt device time still counts toward energy accounting.
-        assert!(sim.device_busy() > 2.0);
-        assert!(sim.check_causality());
-    }
-
-    #[test]
-    fn wedged_offload_times_out_at_the_deadline() {
-        let mut sim = OffloadSim::new(link());
-        // A kernel that would take 100 s models a wedged device.
-        let sig = sim.offload_async(0, 100.0, 0, "wedged");
-        let before = sim.elapsed();
-        assert_eq!(sim.wait_timeout(sig, 5.0), WaitOutcome::TimedOut);
-        // The host stopped watching exactly at the deadline.
-        assert!((sim.elapsed() - (before + 5.0)).abs() < 1e-9);
-        assert!(sim.check_causality());
-    }
-
-    #[test]
-    fn healthy_offload_completes_within_timeout() {
-        let mut sim = OffloadSim::new(link());
-        let sig = sim.offload_async(0, 1.0, 0, "k");
-        assert_eq!(sim.wait_timeout(sig, 50.0), WaitOutcome::Completed);
-        // wait_timeout leaves the clock where plain wait would have.
-        let mut reference = OffloadSim::new(link());
-        let sig2 = reference.offload_async(0, 1.0, 0, "k");
-        reference.wait(sig2);
-        assert!((sim.elapsed() - reference.elapsed()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn failed_offload_renders_fault_marker() {
-        let mut sim = OffloadSim::new(link());
-        let sig = sim.offload_async_failing(1_000_000_000, 5.0, "dead");
-        sim.wait_timeout(sig, 100.0);
-        let text = sim.render_timeline(60);
-        assert!(text.lines().nth(1).unwrap().contains('X'));
-    }
-
-    #[test]
-    fn attached_journal_records_offload_events() {
-        let tracer = sw_trace::Tracer::full();
-        let mut sim = OffloadSim::new(link());
-        sim.attach_journal(tracer.worker(1, 0));
-        let sig = sim.offload_async(1_000_000, 5.0, 1000, "phi share");
-        sim.host_compute(1.0, "cpu share");
-        sim.wait(sig);
-        let wedged = sim.offload_async(0, 100.0, 0, "wedged");
-        assert_eq!(sim.wait_timeout(wedged, 2.0), WaitOutcome::TimedOut);
-        drop(sim.detach_journal());
-        let tl = tracer.timeline();
-        assert_eq!(tl.count("offload_signal"), 2);
-        assert_eq!(tl.count("offload_wait"), 1);
-        assert_eq!(tl.count("offload_timeout"), 1);
-        // Events carry the simulated clock, so the first wait ends at the
-        // device path's completion (~6 s), not at wall zero.
-        let wait_t = tl
-            .events_sorted()
-            .iter()
-            .find_map(|(_, _, e)| match e.kind {
-                sw_trace::EventKind::OffloadWait { .. } => Some(e.t_us),
-                _ => None,
-            })
-            .expect("wait event");
-        assert!(wait_t > 5_000_000, "wait stamped at sim clock: {wait_t}");
-    }
-
-    #[test]
-    fn cloned_sim_does_not_share_the_journal() {
-        let tracer = sw_trace::Tracer::full();
-        let mut sim = OffloadSim::new(link());
-        sim.attach_journal(tracer.worker(1, 0));
-        let mut copy = sim.clone();
-        let sig = copy.offload_async(10, 1.0, 10, "cloned");
-        copy.wait(sig);
-        drop(copy);
-        drop(sim.detach_journal());
-        assert_eq!(tracer.timeline().total_events(), 0);
     }
 
     #[test]

@@ -1,41 +1,34 @@
-//! Real multi-threaded loop executors.
+//! The real multi-threaded executor: one region body for every search.
 //!
-//! Two executors share this module:
-//!
-//! * [`run_parallel`] / [`try_run_parallel`] — run a task closure over
-//!   `0..n_tasks` with the same scheduling policies the simulator models,
-//!   on actual OS threads: `std::thread::scope` plus an atomic chunk
-//!   counter (dynamic/guided) or a pre-partition (static). This is what
-//!   the single-device search engine uses; results are collected in task
-//!   order. A panicking task no longer poisons the result slots: the
-//!   panic is captured per task and surfaced as a structured
-//!   [`ExecError`] naming the failed task indices.
-//! * [`run_dual_pool_durable`] — the heterogeneous executor, the one
-//!   dual-pool body: two device worker pools (CPU share and accelerator
-//!   share) pull lane batches from the two ends of one shared work queue,
-//!   with an adaptive feedback estimator re-balancing the remaining queue
-//!   from observed per-device throughput. Every claimed chunk is covered
-//!   by a *lease*; a chunk whose holder dies (panic, injected kill) is
-//!   requeued and re-executed by a surviving worker, a chunk whose holder
-//!   wedges is reclaimed after `accel_timeout_ms`, and a pool that
-//!   exhausts its failure budget is retired so the run *degrades* to the
-//!   other pool instead of hanging or crashing. Per-worker metrics and
-//!   recovery events are recorded through a [`MetricsSink`]; resume
-//!   prefill, drain, checkpoints and per-task cancel hang off
-//!   [`DurableControl`]. [`run_dual_pool`] is the one convenience over
-//!   it: no faults, no hooks, no trace, panic on failure.
+//! [`run_dual_pool_durable`] runs a task closure over `0..n_tasks` on two
+//! device worker pools (CPU share and accelerator share) that pull lane
+//! batches from the two ends of one shared work queue, with an adaptive
+//! feedback estimator re-balancing the remaining queue from observed
+//! per-device throughput. A pool may be empty: the single-device search
+//! engine runs a CPU-only region (`DualPoolConfig::new(threads, 0)`).
+//! Results come back in task order. Every claimed chunk is covered by a
+//! *lease*; a chunk whose holder dies (panic, injected kill) is requeued
+//! and re-executed by a surviving worker, a chunk whose holder wedges is
+//! reclaimed after `accel_timeout_ms`, and a pool that exhausts its
+//! failure budget is retired so the run *degrades* to the other pool
+//! instead of hanging or crashing. A task that keeps panicking is
+//! surfaced as a structured [`ExecError`] naming its index. Per-worker
+//! metrics and recovery events are recorded through a [`MetricsSink`];
+//! resume prefill, drain, checkpoints and per-task cancel hang off
+//! [`DurableControl`]. [`run_dual_pool`] is the one convenience over it:
+//! no faults, no hooks, no trace, panic on failure.
 //!
 //! Built on std scoped threads + atomics rather than a work-stealing pool
 //! so the *policy* is exactly the one being studied — a generic pool
 //! would silently replace the schedule under test. Workers buffer each
 //! chunk's results locally and commit them under a single lock
 //! acquisition, so the slot mutex is taken once per chunk, not per task.
-//! In both executors the calling thread is the first worker: `N` workers
-//! cost `N − 1` spawns and the caller computes instead of blocking in
-//! the join. No worker polls: one whose end of the queue has drained
-//! while another still holds a lease sleeps on the supervisor's condvar
-//! until a lease event (commit, failure, reclaim, retirement) or the
-//! earliest lease expiry, so a region ends at its last commit.
+//! The calling thread is the first worker: `N` workers cost `N − 1`
+//! spawns and the caller computes instead of blocking in the join. No
+//! worker polls: one whose end of the queue has drained while another
+//! still holds a lease sleeps on the supervisor's condvar until a lease
+//! event (commit, failure, reclaim, retirement) or the earliest lease
+//! expiry, so a region ends at its last commit.
 //!
 //! Because task results are pure functions of the task index, re-executing
 //! a requeued chunk (or double-executing one whose slow holder finished
@@ -46,13 +39,12 @@ use crate::drain::DrainSignal;
 use crate::fault::{FaultInjector, FaultKind};
 use crate::metrics::{MetricsSink, RecoveryEvent, WorkerSample};
 use crate::policy::{
-    adaptive_chunk, static_partition, DualQueue, Policy, RequeueQueue, SplitEstimator,
-    DEVICE_ACCEL, DEVICE_CPU,
+    adaptive_chunk, DualQueue, RequeueQueue, SplitEstimator, DEVICE_ACCEL, DEVICE_CPU,
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use sw_trace::{EventKind, Tracer, WorkerJournal};
@@ -67,31 +59,11 @@ thread_local! {
     static ACQUIRE_CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// Executor configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ExecutorConfig {
-    /// Worker thread count.
-    pub workers: usize,
-    /// Scheduling policy (the paper's winner is `dynamic`).
-    pub policy: Policy,
-}
-
-impl ExecutorConfig {
-    /// `workers` threads with dynamic(1) scheduling.
-    pub fn dynamic(workers: usize) -> Self {
-        ExecutorConfig {
-            workers,
-            policy: Policy::dynamic(),
-        }
-    }
-}
-
 /// One task that failed (panicked) during execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskError {
-    /// Device pool the failing worker belonged to (`None` for the
-    /// single-device executor).
-    pub device: Option<usize>,
+    /// Device pool the failing worker belonged to.
+    pub device: usize,
     /// The task index whose execution panicked.
     pub task: usize,
     /// The captured panic message.
@@ -101,10 +73,9 @@ pub struct TaskError {
 impl fmt::Display for TaskError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.device {
-            Some(DEVICE_CPU) => write!(f, "task {} (cpu pool): {}", self.task, self.message),
-            Some(DEVICE_ACCEL) => write!(f, "task {} (accel pool): {}", self.task, self.message),
-            Some(d) => write!(f, "task {} (device {d}): {}", self.task, self.message),
-            None => write!(f, "task {}: {}", self.task, self.message),
+            DEVICE_CPU => write!(f, "task {} (cpu pool): {}", self.task, self.message),
+            DEVICE_ACCEL => write!(f, "task {} (accel pool): {}", self.task, self.message),
+            d => write!(f, "task {} (device {d}): {}", self.task, self.message),
         }
     }
 }
@@ -165,48 +136,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Grab the next chunk for dynamic/guided policies from the shared
-/// counter. Returns `None` when the loop is exhausted.
-///
-/// Memory-ordering audit (satellite of the fault-tolerance PR): the
-/// `Relaxed` initial load is only an *optimistic read* — the claim itself
-/// is the CAS, which is atomic on the counter's modification order under
-/// every ordering, so two grabbers can never both succeed from the same
-/// `start` and claims can never overlap or skip indices. No cross-thread
-/// data is published through this counter (results travel through the
-/// `Slots` mutex, task inputs are read-only and published by the scoped
-/// spawn), so even fully `Relaxed` orderings would be correct; `AcqRel`
-/// on success is kept as cheap belt-and-braces. The stress test
-/// `grab_chunk_stress_every_index_exactly_once` hammers this with more
-/// threads than cores.
-fn grab_chunk(
-    next: &AtomicUsize,
-    n_tasks: usize,
-    workers: usize,
-    policy: Policy,
-) -> Option<(usize, usize)> {
-    loop {
-        let start = next.load(Ordering::Relaxed);
-        if start >= n_tasks {
-            return None;
-        }
-        let remaining = n_tasks - start;
-        let size = match policy {
-            Policy::Dynamic { chunk } => chunk.max(1),
-            Policy::Guided { min_chunk } => (remaining / (2 * workers)).max(min_chunk.max(1)),
-            Policy::Static => unreachable!("static handled by pre-partition"),
-        }
-        .min(remaining);
-        // CAS so concurrent grabbers never overlap.
-        if next
-            .compare_exchange_weak(start, start + size, Ordering::AcqRel, Ordering::Relaxed)
-            .is_ok()
-        {
-            return Some((start, start + size));
-        }
-    }
-}
-
 /// Result slot table: workers buffer one chunk locally, then commit the
 /// whole chunk under a single lock acquisition.
 struct Slots<T> {
@@ -220,19 +149,10 @@ impl<T> Slots<T> {
         }
     }
 
-    /// Commit the results of chunk `[start, start + buf.len())`.
-    fn commit(&self, start: usize, buf: Vec<T>) {
-        let mut guard = lock_unpoisoned(&self.slots);
-        for (offset, r) in buf.into_iter().enumerate() {
-            guard[start + offset] = Some(r);
-        }
-    }
-
     /// Commit an explicitly-indexed (possibly non-contiguous) batch of
-    /// results — the dual-pool path, where a resumed run skips the
-    /// indices a checkpoint already holds and a chunk's executed set can
-    /// therefore have holes.
-    fn commit_sparse(&self, buf: Vec<(usize, T)>) {
+    /// results: a resumed run skips the indices a checkpoint already
+    /// holds, so a chunk's executed set can have holes.
+    fn commit(&self, buf: Vec<(usize, T)>) {
         let mut guard = lock_unpoisoned(&self.slots);
         for (i, r) in buf {
             guard[i] = Some(r);
@@ -275,127 +195,7 @@ fn slots_into_results<T>(slots: Vec<Option<T>>) -> Result<Vec<T>, Vec<(usize, us
     }
 }
 
-/// Execute `[s, e)` with per-task panic capture: contiguous successful
-/// runs are committed, each panicking task is recorded as a [`TaskError`]
-/// and its slot left empty. Used by the single-device worker loops.
-fn run_range_captured<T, F>(
-    range: (usize, usize),
-    task: &F,
-    slots: &Slots<T>,
-    failures: &Mutex<Vec<TaskError>>,
-) where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let (s, e) = range;
-    let mut start = s;
-    let mut buf: Vec<T> = Vec::with_capacity(e - s);
-    for i in s..e {
-        match catch_unwind(AssertUnwindSafe(|| task(i))) {
-            Ok(v) => buf.push(v),
-            Err(p) => {
-                if !buf.is_empty() {
-                    slots.commit(start, std::mem::take(&mut buf));
-                }
-                start = i + 1;
-                lock_unpoisoned(failures).push(TaskError {
-                    device: None,
-                    task: i,
-                    message: panic_message(p),
-                });
-            }
-        }
-    }
-    if !buf.is_empty() {
-        slots.commit(start, buf);
-    }
-}
-
-/// Run `task(i)` for every `i in 0..n_tasks` under `config`, returning
-/// results in task order, or a structured [`ExecError`] naming every task
-/// whose execution panicked.
-///
-/// A panicking task only loses its own slot: the worker that caught it
-/// keeps pulling chunks, so all other tasks still execute.
-///
-/// # Panics
-/// Panics if `config.workers == 0`.
-pub fn try_run_parallel<T, F>(
-    n_tasks: usize,
-    config: ExecutorConfig,
-    task: F,
-) -> Result<Vec<T>, ExecError>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    assert!(config.workers >= 1, "need at least one worker");
-    if n_tasks == 0 {
-        return Ok(Vec::new());
-    }
-
-    let slots: Slots<T> = Slots::new(n_tasks);
-    let failures: Mutex<Vec<TaskError>> = Mutex::new(Vec::new());
-
-    if config.workers == 1 {
-        run_range_captured((0, n_tasks), &task, &slots, &failures);
-    } else {
-        let next = AtomicUsize::new(0);
-        let parts = if matches!(config.policy, Policy::Static) {
-            static_partition(n_tasks, config.workers)
-        } else {
-            Vec::new()
-        };
-        let worker = |w: usize| match config.policy {
-            Policy::Static => run_range_captured(parts[w], &task, &slots, &failures),
-            _ => {
-                while let Some(range) = grab_chunk(&next, n_tasks, config.workers, config.policy) {
-                    run_range_captured(range, &task, &slots, &failures);
-                }
-            }
-        };
-        // The caller is worker 0 (see `run_dual_pool_durable`).
-        std::thread::scope(|scope| {
-            let worker = &worker;
-            for w in 1..config.workers {
-                scope.spawn(move || worker(w));
-            }
-            worker(0);
-        });
-    }
-
-    let failures = failures
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
-    match slots_into_results(slots.into_slots()) {
-        Ok(results) if failures.is_empty() => Ok(results),
-        Ok(_) => Err(ExecError {
-            failures,
-            missing: Vec::new(),
-        }),
-        Err(missing) => Err(ExecError { failures, missing }),
-    }
-}
-
-/// Run `task(i)` for every `i in 0..n_tasks` under `config`, returning
-/// results in task order.
-///
-/// `task` must be `Sync` (shared read-only state) and is invoked exactly
-/// once per index. Infallible wrapper over [`try_run_parallel`].
-///
-/// # Panics
-/// Panics if `config.workers == 0`, or with the structured failure
-/// summary when any task panicked.
-pub fn run_parallel<T, F>(n_tasks: usize, config: ExecutorConfig, task: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    try_run_parallel(n_tasks, config, task)
-        .unwrap_or_else(|e| panic!("parallel execution failed: {e}"))
-}
-
-/// Configuration of the dual-pool heterogeneous executor.
+/// Configuration of the dual-pool executor.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DualPoolConfig {
     /// Worker threads in the CPU-share pool (front of the queue).
@@ -886,7 +686,7 @@ impl<'a> Supervisor<'a> {
         let end = lease.range.1;
         if lease.attempts >= self.config.max_chunk_retries {
             st.errors.push(TaskError {
-                device: Some(device),
+                device,
                 task: failed_at,
                 message,
             });
@@ -1021,7 +821,7 @@ where
         for &(i, _) in &durable.prefill {
             skip[i] = true;
         }
-        slots.commit_sparse(durable.prefill);
+        slots.commit(durable.prefill);
         if let Some(hook) = durable.on_commit {
             hook(CommitView {
                 range: (0, n_tasks),
@@ -1192,7 +992,7 @@ where
             let n_committed = buf.len() as u64;
             if !buf.is_empty() {
                 let commit_start = Instant::now();
-                slots.commit_sparse(buf);
+                slots.commit(buf);
                 sample.queue_wait += commit_start.elapsed();
                 if let Some(hook) = on_commit {
                     hook(CommitView {
@@ -1327,192 +1127,22 @@ mod tests {
     use std::sync::atomic::AtomicU64;
 
     #[test]
-    fn results_in_task_order() {
-        let cfg = ExecutorConfig::dynamic(4);
-        let out = run_parallel(100, cfg, |i| i * 2);
-        assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn every_task_runs_exactly_once() {
-        let counter = AtomicU64::new(0);
-        let cfg = ExecutorConfig {
-            workers: 8,
-            policy: Policy::Dynamic { chunk: 3 },
-        };
-        let out = run_parallel(1000, cfg, |i| {
-            counter.fetch_add(1, Ordering::Relaxed);
-            i
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 1000);
-        assert_eq!(out.len(), 1000);
-        assert!(out.iter().enumerate().all(|(i, &v)| v == i));
-    }
-
-    #[test]
-    fn static_policy_works() {
-        let cfg = ExecutorConfig {
-            workers: 3,
-            policy: Policy::Static,
-        };
-        let out = run_parallel(10, cfg, |i| i + 1);
-        assert_eq!(out, (1..=10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn guided_policy_works() {
-        let cfg = ExecutorConfig {
-            workers: 4,
-            policy: Policy::guided(),
-        };
-        let out = run_parallel(57, cfg, |i| i);
-        assert_eq!(out.len(), 57);
-        assert!(out.iter().enumerate().all(|(i, &v)| v == i));
-    }
-
-    #[test]
-    fn results_in_task_order_under_all_policies() {
-        // The chunk-buffered commit must preserve task order for every
-        // policy and several worker counts (regression for the one-lock-
-        // per-task hot loop, which masked ordering bugs by serialising).
-        let expect: Vec<usize> = (0..503).map(|i| i * 7 + 1).collect();
-        for policy in [
-            Policy::Static,
-            Policy::Dynamic { chunk: 5 },
-            Policy::guided(),
-        ] {
-            for workers in [2, 3, 8] {
-                let cfg = ExecutorConfig { workers, policy };
-                let out = run_parallel(503, cfg, |i| i * 7 + 1);
-                assert_eq!(out, expect, "{policy:?} with {workers} workers");
-            }
-        }
-    }
-
-    #[test]
-    fn single_worker_sequential_path() {
-        let cfg = ExecutorConfig::dynamic(1);
-        let out = run_parallel(5, cfg, |i| i * i);
-        assert_eq!(out, vec![0, 1, 4, 9, 16]);
-    }
-
-    #[test]
-    fn empty_loop() {
-        let cfg = ExecutorConfig::dynamic(4);
-        let out: Vec<usize> = run_parallel(0, cfg, |i| i);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn more_workers_than_tasks() {
-        let cfg = ExecutorConfig::dynamic(16);
-        let out = run_parallel(3, cfg, |i| i);
-        assert_eq!(out, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn heavy_shared_state_is_safe() {
-        // Workers summing into results; validated against the closed form.
-        let cfg = ExecutorConfig {
-            workers: 6,
-            policy: Policy::Guided { min_chunk: 2 },
-        };
-        let out = run_parallel(500, cfg, |i| i as u64);
-        let total: u64 = out.iter().sum();
-        assert_eq!(total, 499 * 500 / 2);
-    }
-
-    #[test]
-    fn grab_chunk_stress_every_index_exactly_once() {
-        // Satellite audit of the Relaxed-load + CAS claim loop: more
-        // threads than cores hammering the counter must still claim every
-        // index exactly once, for both chunked-dynamic and guided sizing.
-        for policy in [Policy::Dynamic { chunk: 3 }, Policy::guided()] {
-            let n = 10_007; // prime, so chunk edges never line up
-            let counts: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..16 {
-                    scope.spawn(|| {
-                        while let Some((a, b)) = grab_chunk(&next, n, 16, policy) {
-                            for c in &counts[a..b] {
-                                c.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    });
-                }
-            });
-            assert!(
-                counts.iter().all(|c| c.load(Ordering::Relaxed) == 1),
-                "{policy:?}: some index executed zero or multiple times"
-            );
-        }
-    }
-
-    #[test]
-    fn task_panic_returns_structured_error() {
-        let err = try_run_parallel(100, ExecutorConfig::dynamic(4), |i| {
-            if i == 37 {
-                panic!("task 37 exploded");
-            }
-            i
-        })
-        .unwrap_err();
-        assert_eq!(err.failures.len(), 1);
-        assert_eq!(err.failures[0].task, 37);
-        assert_eq!(err.failures[0].device, None);
-        assert!(err.failures[0].message.contains("task 37 exploded"));
-        assert_eq!(err.missing, vec![(37, 38)]);
-        assert_eq!(err.unexecuted_tasks(), 1);
-        let rendered = err.to_string();
-        assert!(rendered.contains("task 37"), "got: {rendered}");
-    }
-
-    #[test]
-    fn task_panic_captured_on_single_worker_and_static() {
-        for cfg in [
-            ExecutorConfig::dynamic(1),
-            ExecutorConfig {
-                workers: 3,
-                policy: Policy::Static,
-            },
-        ] {
-            let err = try_run_parallel(30, cfg, |i| {
-                if i % 10 == 4 {
-                    panic!("boom {i}");
-                }
-                i
-            })
-            .unwrap_err();
-            let mut failed: Vec<usize> = err.failures.iter().map(|f| f.task).collect();
-            failed.sort_unstable();
-            assert_eq!(failed, vec![4, 14, 24], "{cfg:?}");
-            assert_eq!(err.missing, vec![(4, 5), (14, 15), (24, 25)], "{cfg:?}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "parallel execution failed")]
-    fn run_parallel_panics_with_structured_message() {
-        run_parallel(10, ExecutorConfig::dynamic(2), |i| {
-            if i == 3 {
-                panic!("inner failure");
-            }
-            i
-        });
-    }
-
-    #[test]
     fn dual_pool_results_in_task_order() {
-        let sink = MetricsSink::new();
-        let out = run_dual_pool(
-            200,
-            DualPoolConfig::new(3, 2),
-            |_| 1,
-            |_device, i| i * 2,
-            &sink,
-        );
-        assert_eq!(out, (0..200).map(|i| i * 2).collect::<Vec<_>>());
+        // The chunk-buffered commit must preserve task order for both
+        // pools together and for CPU-only regions (the flat search) at
+        // every worker count.
+        let expect: Vec<usize> = (0..503).map(|i| i * 7 + 1).collect();
+        for (cpu, accel) in [(3, 2), (1, 0), (2, 0), (3, 0), (8, 0)] {
+            let sink = MetricsSink::new();
+            let out = run_dual_pool(
+                503,
+                DualPoolConfig::new(cpu, accel),
+                |_| 1,
+                |_device, i| i * 7 + 1,
+                &sink,
+            );
+            assert_eq!(out, expect, "{cpu} + {accel} workers");
+        }
     }
 
     #[test]
@@ -1577,16 +1207,20 @@ mod tests {
 
     #[test]
     fn dual_pool_empty_loop() {
-        let sink = MetricsSink::new();
-        let out: Vec<usize> = run_dual_pool(0, DualPoolConfig::new(2, 2), |_| 1, |_d, i| i, &sink);
-        assert!(out.is_empty());
+        for cfg in [DualPoolConfig::new(2, 2), DualPoolConfig::new(4, 0)] {
+            let sink = MetricsSink::new();
+            let out: Vec<usize> = run_dual_pool(0, cfg, |_| 1, |_d, i| i, &sink);
+            assert!(out.is_empty(), "{cfg:?}");
+        }
     }
 
     #[test]
     fn dual_pool_more_workers_than_tasks() {
-        let sink = MetricsSink::new();
-        let out = run_dual_pool(3, DualPoolConfig::new(8, 8), |_| 1, |_d, i| i, &sink);
-        assert_eq!(out, vec![0, 1, 2]);
+        for cfg in [DualPoolConfig::new(8, 8), DualPoolConfig::new(16, 0)] {
+            let sink = MetricsSink::new();
+            let out = run_dual_pool(3, cfg, |_| 1, |_d, i| i, &sink);
+            assert_eq!(out, vec![0, 1, 2], "{cfg:?}");
+        }
     }
 
     #[test]
@@ -1815,37 +1449,45 @@ mod tests {
 
     #[test]
     fn dual_pool_task_panic_exhausts_retries() {
-        // Task 13 fails deterministically: after max_chunk_retries
-        // re-executions it is reported terminally, everything else is
-        // salvaged.
-        let sink = MetricsSink::new();
-        let cfg = DualPoolConfig {
-            failure_budget: 10,
-            retry_backoff_ms: 0,
-            ..DualPoolConfig::new(1, 0)
-        };
-        let err = run_hookless(
-            40,
-            cfg,
-            &FaultInjector::none(),
-            |_| 1,
-            |_d, i| {
-                if i == 13 {
-                    panic!("task 13 always fails");
-                }
-                i
-            },
-            &sink,
-            &Tracer::disabled(),
-        )
-        .unwrap_err();
-        assert_eq!(err.missing, vec![(13, 14)], "only task 13 is missing");
-        assert_eq!(err.failures.len(), 1);
-        assert_eq!(err.failures[0].task, 13);
-        assert_eq!(err.failures[0].device, Some(DEVICE_CPU));
-        assert!(err.failures[0].message.contains("always fails"));
-        // 1 initial failure + max_chunk_retries re-execution failures.
-        assert_eq!(sink.device(DEVICE_CPU).failures, 3);
+        // Tasks 13 and 27 fail deterministically: after max_chunk_retries
+        // re-executions each is reported terminally, everything else is
+        // salvaged — on one CPU worker and on several.
+        for workers in [1, 3] {
+            let sink = MetricsSink::new();
+            let cfg = DualPoolConfig {
+                failure_budget: 10,
+                retry_backoff_ms: 0,
+                ..DualPoolConfig::new(workers, 0)
+            };
+            let mut err = run_hookless(
+                40,
+                cfg,
+                &FaultInjector::none(),
+                |_| 1,
+                |_d, i| {
+                    if i == 13 || i == 27 {
+                        panic!("task {i} always fails");
+                    }
+                    i
+                },
+                &sink,
+                &Tracer::disabled(),
+            )
+            .unwrap_err();
+            assert_eq!(err.missing, vec![(13, 14), (27, 28)], "{workers} workers");
+            assert_eq!(err.unexecuted_tasks(), 2);
+            err.failures.sort_by_key(|f| f.task);
+            assert_eq!(err.failures.len(), 2);
+            for (f, task) in err.failures.iter().zip([13, 27]) {
+                assert_eq!(f.task, task);
+                assert_eq!(f.device, DEVICE_CPU);
+                assert_eq!(f.message, format!("task {task} always fails"));
+            }
+            let rendered = err.to_string();
+            assert!(rendered.contains("(cpu pool)"), "got: {rendered}");
+            // Per task: 1 initial failure + max_chunk_retries re-executions.
+            assert_eq!(sink.device(DEVICE_CPU).failures, 6);
+        }
     }
 
     #[test]
@@ -2261,20 +1903,27 @@ mod tests {
                 "{cfg:?}: no thread spawned"
             );
         }
-        // Flat executor: the spawned worker holds its first task until the
-        // caller has run one, so the caller provably takes part.
+        // Two CPU workers: the spawned worker holds its first task until
+        // the caller has run one, so the caller provably takes part.
         let caller_ran = std::sync::atomic::AtomicBool::new(false);
         let give_up = Instant::now() + Duration::from_secs(5);
-        let ran_on = run_parallel(16, ExecutorConfig::dynamic(2), |_i| {
-            let id = std::thread::current().id();
-            if id == me {
-                caller_ran.store(true, Ordering::SeqCst);
-            }
-            while !caller_ran.load(Ordering::SeqCst) && Instant::now() < give_up {
-                std::thread::yield_now();
-            }
-            id
-        });
+        let sink = MetricsSink::new();
+        let ran_on = run_dual_pool(
+            16,
+            DualPoolConfig::new(2, 0),
+            |_| 1,
+            |_d, _i| {
+                let id = std::thread::current().id();
+                if id == me {
+                    caller_ran.store(true, Ordering::SeqCst);
+                }
+                while !caller_ran.load(Ordering::SeqCst) && Instant::now() < give_up {
+                    std::thread::yield_now();
+                }
+                id
+            },
+            &sink,
+        );
         assert!(ran_on.contains(&me), "the caller is worker 0");
     }
 

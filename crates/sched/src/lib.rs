@@ -6,9 +6,11 @@
 //! minor."* This crate owns both halves of reproducing that:
 //!
 //! * [`policy`] — the three OpenMP scheduling policies as explicit chunk
-//!   generators, plus the dual-pool primitives ([`policy::DualQueue`],
-//!   [`policy::SplitEstimator`], [`policy::adaptive_chunk`]) shared by
-//!   the simulator and the real executor.
+//!   generators (what [`desim::simulate`] replays for the paper's
+//!   scheduling ablation), plus the dual-pool primitives
+//!   ([`policy::DualQueue`], [`policy::SplitEstimator`],
+//!   [`policy::adaptive_chunk`]) shared by the simulator and the real
+//!   executor.
 //! * [`desim`] — a discrete-event simulator that replays a policy over
 //!   per-task costs (from `sw-device`'s cost model) and returns makespan
 //!   and per-worker utilisation. This is what regenerates the paper's
@@ -17,15 +19,15 @@
 //!   policy deterministically, and [`desim::simulate_dual_pool_traced`]
 //!   emits the same `sw-trace` event schema as the real executor,
 //!   stamped at the simulated clock.
-//! * [`executor`] — a real multi-threaded executor (std scoped threads +
-//!   atomics) implementing the same policies for actually running kernels
-//!   on the host, and [`executor::run_dual_pool_durable`], the
-//!   instrumented two-device scheduler with lease-based recovery
-//!   (requeue, retry with backoff, per-device failure budget, graceful
-//!   degradation to one pool) and the durability hooks — resume prefill,
-//!   periodic checkpoint callbacks, graceful drain, per-task cancel —
-//!   that back crash-safe searches. [`executor::run_dual_pool`] is its
-//!   hook-free, infallible convenience.
+//! * [`executor`] — the one real executor (std scoped threads):
+//!   [`executor::run_dual_pool_durable`], the instrumented two-device
+//!   scheduler with lease-based recovery (requeue, retry with backoff,
+//!   per-device failure budget, graceful degradation to one pool) and
+//!   the durability hooks — resume prefill, periodic checkpoint
+//!   callbacks, graceful drain, per-task cancel — that back crash-safe
+//!   searches. Every search runs on it; a single-device search is a
+//!   region with an empty accelerator pool. [`executor::run_dual_pool`]
+//!   is its hook-free, infallible convenience.
 //! * [`drain`] — the cooperative stop signal ([`DrainSignal`]) flipped
 //!   by the CLI's SIGINT/SIGTERM handler and honoured by the executor's
 //!   worker pools.
@@ -53,9 +55,8 @@ pub use desim::{
 };
 pub use drain::DrainSignal;
 pub use executor::{
-    run_dual_pool, run_dual_pool_durable, run_parallel, try_run_parallel, CheckpointView,
-    CommitView, DualPoolConfig, DurableControl, DurableOutcome, ExecError, ExecutorConfig,
-    TaskError,
+    run_dual_pool, run_dual_pool_durable, CheckpointView, CommitView, DualPoolConfig,
+    DurableControl, DurableOutcome, ExecError, TaskError,
 };
 pub use fault::{
     FaultInjector, FaultKind, FaultPlan, FaultSpec, NetFaultInjector, NetFaultKind, NetFaultPlan,

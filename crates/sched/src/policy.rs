@@ -126,8 +126,8 @@ pub const DEVICE_ACCEL: usize = 1;
 /// wherever observed throughput puts the boundary — the *dynamic*
 /// replacement for Algorithm 2's static split point.
 ///
-/// This sequential form is what the discrete-event simulator replays; the
-/// real executor packs the same two cursors into one atomic word.
+/// The discrete-event simulator replays it as is; the real executor keeps
+/// it under the same lock as its lease table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DualQueue {
     front: usize,

@@ -18,9 +18,8 @@
 //!   whose every method is a single `Option` branch: no clock read, no
 //!   allocation, no ring.
 //! * **Simulator parity.** [`WorkerJournal::emit_at`] takes an explicit
-//!   microsecond timestamp so discrete-event simulations (`sw-sched`'s
-//!   desim, `sw-device`'s offload sim) produce the same schema as real
-//!   runs.
+//!   microsecond timestamp so a discrete-event simulation (`sw-sched`'s
+//!   desim) produces the same schema as real runs.
 //!
 //! The schema is versioned as [`SCHEMA`] (`sw-trace/1`); exporters stamp
 //! it into their output and [`validate::validate_jsonl`] checks it.
@@ -180,21 +179,6 @@ pub enum EventKind {
         /// The retired device.
         device: usize,
     },
-    /// Async offload submitted to the device link.
-    OffloadSignal {
-        /// Bytes moved host→device for this offload.
-        bytes: u64,
-    },
-    /// Host completed a wait on an offload signal.
-    OffloadWait {
-        /// Microseconds the host was blocked.
-        us: u64,
-    },
-    /// A bounded wait on an offload signal timed out.
-    OffloadTimeout {
-        /// The timeout budget that expired, in microseconds.
-        us: u64,
-    },
     /// Saturated lanes were recomputed at a wider precision.
     OverflowRecompute {
         /// Element width that saturated (bits).
@@ -241,9 +225,6 @@ impl EventKind {
             EventKind::LeaseRequeued { .. } => "lease_requeued",
             EventKind::RetryBackoff { .. } => "retry_backoff",
             EventKind::PoolRetired { .. } => "pool_retired",
-            EventKind::OffloadSignal { .. } => "offload_signal",
-            EventKind::OffloadWait { .. } => "offload_wait",
-            EventKind::OffloadTimeout { .. } => "offload_timeout",
             EventKind::OverflowRecompute { .. } => "overflow_recompute",
             EventKind::SplitRebalance { .. } => "split_rebalance",
             EventKind::CheckpointWritten { .. } => "checkpoint_written",
@@ -326,12 +307,6 @@ impl EventKind {
             }
             EventKind::PoolRetired { device } => {
                 let _ = write!(out, ",\"device\":{device}");
-            }
-            EventKind::OffloadSignal { bytes } => {
-                let _ = write!(out, ",\"bytes\":{bytes}");
-            }
-            EventKind::OffloadWait { us } | EventKind::OffloadTimeout { us } => {
-                let _ = write!(out, ",\"us\":{us}");
             }
             EventKind::OverflowRecompute {
                 from_bits,
@@ -597,7 +572,7 @@ impl WorkerJournal {
     }
 
     /// Record `kind` at an explicit epoch-relative time — the simulator
-    /// entry point (desim / offload sim feed their virtual clocks here).
+    /// entry point (desim feeds its virtual clock here).
     pub fn emit_at(&mut self, t_us: u64, kind: EventKind) {
         let Some(s) = &self.shared else { return };
         if s.level == TraceLevel::Lite && kind.is_span() {

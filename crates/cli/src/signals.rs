@@ -60,7 +60,7 @@ mod imp {
         fn signal(signum: i32, handler: usize) -> usize;
     }
 
-    pub fn install() {
+    pub(super) fn install() {
         let h = on_signal as extern "C" fn(i32) as usize;
         // SAFETY: `signal` is registering an async-signal-safe handler
         // (a lone atomic store); the handler address stays valid for the
@@ -77,7 +77,7 @@ mod imp {
     /// Non-unix hosts keep the default disposition; `--checkpoint` still
     /// works through periodic writes, only the graceful-drain-on-signal
     /// path is absent.
-    pub fn install() {}
+    pub(super) fn install() {}
 }
 
 /// Route SIGINT/SIGTERM to [`DRAIN`] for the rest of the process.

@@ -7,15 +7,14 @@
 //! 11: scores = sort(G)                (SearchResults)
 //! ```
 //!
-//! There is **one** flat search body, the private
-//! `SearchEngine::search_batches`: the paper's `for t ≤ |Q| · |vD|` over
-//! a slice of lane batches, one task per `(query, lane batch)` pair, run
-//! as a CPU-only region of `sw-sched`'s one executor
-//! (`run_dual_pool_durable` with `threads` CPU workers, no accelerator
-//! pool and no durability hooks). Saturated lanes are recomputed exactly
-//! before reporting. [`SearchEngine::search_many`] hands it every batch,
-//! [`SearchEngine::search`] is that with one query, and the static split
-//! (`HeteroEngine::search`) hands it each device's sub-slice.
+//! The flat search has no loop of its own. [`SearchEngine::search_many`]
+//! — the paper's `for t ≤ |Q| · |vD|`, one task per `(query, lane
+//! batch)` pair — is the crate's one region body ([`crate::hetero`]) run
+//! as a CPU-only region over every batch: `threads` CPU workers, no
+//! accelerator pool, no fault injector and no durability hooks.
+//! [`SearchEngine::search`] is that with one query. What this module owns
+//! is the task itself, `SearchEngine::run_batch`'s kernel dispatch, and
+//! the exact recomputation of saturated lanes before reporting.
 //!
 //! Workers claim chunks from the front of the task list, sized by the
 //! region's guided-style `adaptive_chunk` (half the remaining tasks over
@@ -36,30 +35,17 @@
 //! and as the comparator the fused kernel is tested against.
 
 use crate::config::SearchConfig;
+use crate::hetero::one_pool_region;
 use crate::prepare::PreparedDb;
 use crate::results::{Hit, SearchResults};
-use std::time::{Duration, Instant};
 use sw_kernels::arch::{sw_isa_fused_sp, sw_isa_qp};
 use sw_kernels::guided::{sw_guided_qp, sw_guided_sp, GuidedWorkspace};
 use sw_kernels::intertask::KernelOutput;
 use sw_kernels::overflow::rescue_overflows;
 use sw_kernels::scalar::{sw_score_scalar, sw_score_scalar_qp};
 use sw_kernels::{CellCount, ProfileMode, SwParams, Vectorization};
-use sw_sched::{run_dual_pool_durable, DualPoolConfig, DurableControl, FaultInjector, MetricsSink};
-use sw_swdb::{LaneBatch, QueryProfile, ScoreTable, SequenceProfile};
-use sw_trace::Tracer;
-
-/// One query's share of a pooled region's wall clock. The region has ONE
-/// wall clock; charging it to every query would inflate aggregate GCUPS
-/// by ~|Q|×, so each query is attributed its padded-cell share (floor
-/// division, so the shares can never sum past the wall clock; all of it
-/// for a lone query, none when there was no work).
-pub(crate) fn padded_share(elapsed: Duration, padded: u128, total_padded: u128) -> Duration {
-    (elapsed.as_nanos() * padded)
-        .checked_div(total_padded)
-        .map(|ns| Duration::from_nanos(ns as u64))
-        .unwrap_or_default()
-}
+use sw_sched::DEVICE_CPU;
+use sw_swdb::{BatchRange, LaneBatch, QueryProfile, ScoreTable, SequenceProfile};
 
 /// The Smith-Waterman database search engine.
 #[derive(Debug, Clone)]
@@ -101,94 +87,25 @@ impl SearchEngine {
     /// other queries' work instead of serialising the run.
     ///
     /// Results come back per query, each sorted descending, identical to
-    /// running [`Self::search`] once per query.
+    /// running [`Self::search`] once per query. The region is CPU-only
+    /// with `config.threads` workers (zero is clamped to one), seeded
+    /// with no accelerator share; each query's `elapsed` is its
+    /// padded-cell share of the region's wall clock.
+    ///
+    /// # Panics
+    /// Panics when a query is empty, or with the first failing
+    /// `(query, batch)` pair when a kernel task panicked.
     pub fn search_many(
         &self,
         queries: &[&[u8]],
         db: &PreparedDb,
         config: &SearchConfig,
     ) -> Vec<SearchResults> {
-        self.search_batches(queries, db, &db.batches, config)
-    }
-
-    /// The flat search body, a CPU-only region: every query against the
-    /// lane batches of `batches` (the whole database, or one device's
-    /// share of it — a slice of `db.batches`, never a copy).
-    ///
-    /// # Panics
-    /// Panics when a query is empty, or with the first failing
-    /// `(query, batch)` pair when a kernel task panicked.
-    pub(crate) fn search_batches(
-        &self,
-        queries: &[&[u8]],
-        db: &PreparedDb,
-        batches: &[LaneBatch],
-        config: &SearchConfig,
-    ) -> Vec<SearchResults> {
-        assert!(
-            queries.iter().all(|q| !q.is_empty()),
-            "queries must not be empty"
-        );
-        let n_batches = batches.len();
-        let qps: Vec<QueryProfile> = queries
-            .iter()
-            .map(|q| QueryProfile::build(q, &self.params.matrix, &db.alphabet))
-            .collect();
-        let table = ScoreTable::build(&self.params.matrix, &db.alphabet);
-        let start = Instant::now();
-
-        let mut per_task = run_dual_pool_durable(
-            queries.len() * n_batches,
-            DualPoolConfig {
-                initial_accel_fraction: 0.0,
-                ..DualPoolConfig::new(config.threads, 0)
-            },
-            &FaultInjector::none(),
-            DurableControl::none(),
-            |t| batches[t % n_batches].padded_cells(queries[t / n_batches].len()),
-            |_device, t| {
-                let (qi, bi) = (t / n_batches, t % n_batches);
-                self.run_batch(queries[qi], &qps[qi], &table, db, &batches[bi], config)
-            },
-            &MetricsSink::new(),
-            &Tracer::disabled(),
-        )
-        .try_into_results()
-        .unwrap_or_else(|e| {
-            // Task ids are (query, batch) pairs; name the first culprit.
-            let ctx = e
-                .failures
-                .first()
-                .map(|f| format!("query {} batch {}", f.task / n_batches, f.task % n_batches))
-                .unwrap_or_else(|| "unexecuted tasks".into());
-            panic!("database search failed ({ctx}): {e}")
-        })
-        .into_iter();
-        let elapsed = start.elapsed();
-
-        let n_hits: usize = batches.iter().map(LaneBatch::real_lanes).sum();
-        let merged: Vec<(Vec<Hit>, CellCount, u64)> = queries
-            .iter()
-            .map(|_| {
-                let mut hits = Vec::with_capacity(n_hits);
-                let mut cells = CellCount::default();
-                let mut rescued = 0u64;
-                for (batch_hits, batch_cells, batch_rescued) in per_task.by_ref().take(n_batches) {
-                    hits.extend(batch_hits);
-                    cells.add(batch_cells);
-                    rescued += batch_rescued;
-                }
-                (hits, cells, rescued)
-            })
-            .collect();
-        let total_padded: u128 = merged.iter().map(|(_, c, _)| c.padded as u128).sum();
-        merged
-            .into_iter()
-            .map(|(hits, cells, rescued)| {
-                let elapsed_q = padded_share(elapsed, cells.padded as u128, total_padded);
-                SearchResults::new(hits, elapsed_q, cells, rescued)
-            })
-            .collect()
+        let all = BatchRange {
+            start: 0,
+            end: db.batches.len(),
+        };
+        one_pool_region(self, queries, db, all, DEVICE_CPU, config)
     }
 
     /// Execute one lane batch under the configured variant.
@@ -393,12 +310,16 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_results() {
+        // Zero threads is the region's clamp to one CPU worker.
         let db = small_db(8);
         let query = generate_query(70, 11);
         let engine = SearchEngine::paper_default();
-        let r1 = engine.search(&query.residues, &db, &SearchConfig::best(1));
-        let r4 = engine.search(&query.residues, &db, &SearchConfig::best(4));
-        assert_eq!(r1.hits, r4.hits);
+        let expect = reference_scores(&query.residues, &db);
+        for threads in [0, 1, 4] {
+            let res = engine.search(&query.residues, &db, &SearchConfig::best(threads));
+            let got: Vec<(u32, i64)> = res.hits.iter().map(|h| (h.id.0, h.score)).collect();
+            assert_eq!(got, expect, "threads {threads}");
+        }
     }
 
     #[test]

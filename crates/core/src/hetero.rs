@@ -15,25 +15,30 @@
 //! by [`crate::simulate::simulate_hetero`], which replays the same split
 //! through the device models and the offload-runtime simulator.
 //!
-//! # One dual-pool region and its adapters
+//! # One region body and its adapters
 //!
-//! [`HeteroEngine::search_many_resumable`] is **the** dual-pool region
-//! with both pools and every durability hook — the only such caller of
-//! `run_dual_pool_durable`; its rustdoc holds the per-query semantics and
-//! the checkpoint-location and recovery-totals rules, which apply to
-//! every caller alike. [`HeteroEngine::search_dynamic_resumable`] is that
-//! region with one query, repackaged as a [`DurableSearchOutcome`];
+//! Every search in the crate runs one region body, the private `region`
+//! here: the `(query, lane batch)` product space over a range of the
+//! batches, run through one `sw_sched::run_dual_pool_durable` region —
+//! the crate's only call of it.
+//! [`HeteroEngine::search_many_resumable`] runs it over every batch with
+//! both pools and every durability hook; its rustdoc holds the per-query
+//! semantics and the checkpoint-location and recovery-totals rules.
+//! [`HeteroEngine::search_dynamic_resumable`] is that with one query,
+//! repackaged as a [`DurableSearchOutcome`], and
 //! [`HeteroEngine::search_dynamic`] is that with no fault injector and
-//! default [`DurableOptions`], panicking on error. The static split
-//! ([`HeteroEngine::search`]) runs the flat search body of
-//! [`crate::engine`] — a CPU-only region — over each device's sub-slice
-//! of the batches in turn, and merges the two.
+//! default [`DurableOptions`], panicking on error. The flat search
+//! ([`SearchEngine::search_many`]) runs it as a CPU-only region over
+//! every batch. The static split ([`HeteroEngine::search`]) runs the
+//! plan's two ranges at once, as Algorithm 2's `signal`/`wait` does: the
+//! accelerator share as an accelerator-only region on a scoped thread,
+//! the CPU share as a CPU-only region on the caller's.
 
 use crate::checkpoint::{
     BatchResult, Checkpoint, CheckpointError, RecoveryTotals, SearchFingerprint,
 };
 use crate::config::{HeteroSearchConfig, SearchConfig};
-use crate::engine::{padded_share, SearchEngine};
+use crate::engine::SearchEngine;
 use crate::prepare::PreparedDb;
 use crate::results::{Hit, SearchResults};
 use serde::{Deserialize, Serialize};
@@ -47,7 +52,7 @@ use sw_sched::{
     DurableControl, ExecError, FaultInjector, MetricsSink, DEVICE_ACCEL, DEVICE_CPU,
 };
 use sw_swdb::chunk::{range_cells, split_by_cells};
-use sw_swdb::{BatchRange, QueryProfile, ScoreTable};
+use sw_swdb::{BatchRange, LaneBatch, QueryProfile, ScoreTable};
 use sw_trace::Timeline;
 
 /// How the database was split between the two devices.
@@ -105,9 +110,19 @@ impl HeteroEngine {
         }
     }
 
-    /// Run Algorithm 2: both shares are searched (the accelerator share
-    /// with `accel_config` — e.g. 32-lane batches would be used on a real
-    /// Phi; here the same host kernels), then merged and re-sorted.
+    /// Run Algorithm 2: the two shares are searched at once and then
+    /// merged and re-sorted. The accelerator share (`plan.accel`, with
+    /// `accel_config` — e.g. 32-lane batches would be used on a real Phi;
+    /// here the same host kernels) is an accelerator-only region of
+    /// `accel_config.threads` workers on a scoped thread (`offload
+    /// signal`); meanwhile the caller searches the CPU share as a
+    /// CPU-only region of `cpu_config.threads` workers, then joins
+    /// (`offload wait`). The merged `elapsed` is the longer share's, so
+    /// the split's wall time is max(CPU, accelerator), as in the paper.
+    ///
+    /// # Panics
+    /// Panics when the query is empty, or with the first failing
+    /// `(query, batch)` pair when a kernel task panicked.
     pub fn search(
         &self,
         query: &[u8],
@@ -116,24 +131,19 @@ impl HeteroEngine {
         cpu_config: &SearchConfig,
         accel_config: &SearchConfig,
     ) -> SearchResults {
-        let cpu_res = self.search_range(query, db, plan.cpu, cpu_config);
-        let accel_res = self.search_range(query, db, plan.accel, accel_config);
-        cpu_res.merge(accel_res)
-    }
-
-    /// Search only the batches of `range` (one device's share): the flat
-    /// search body over a sub-slice of the database's batches.
-    fn search_range(
-        &self,
-        query: &[u8],
-        db: &PreparedDb,
-        range: BatchRange,
-        config: &SearchConfig,
-    ) -> SearchResults {
-        self.engine
-            .search_batches(&[query], db, &db.batches[range.start..range.end], config)
-            .pop()
-            .expect("one result per query")
+        let share = |range, device, config| {
+            one_pool_region(&self.engine, &[query], db, range, device, config)
+                .pop()
+                .expect("one result per query")
+        };
+        std::thread::scope(|scope| {
+            let accel = scope.spawn(|| share(plan.accel, DEVICE_ACCEL, accel_config));
+            let cpu = share(plan.cpu, DEVICE_CPU, cpu_config);
+            let accel = accel
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            cpu.merge(accel)
+        })
     }
 
     /// Run the **dynamic** heterogeneous search: instead of executing the
@@ -310,13 +320,13 @@ pub struct BatchSearchOutcome {
 }
 
 impl HeteroEngine {
-    /// **The** dual-pool region: [`SearchEngine::search_many`]'s pooled
-    /// product space run through one durable `sw-sched` dual-pool run —
-    /// the body behind every dynamic search (CLI, daemon, shard workers,
-    /// benchmarks). Task `t` maps to `(query t / |batches|, batch
-    /// t % |batches|)`; both device pools pull from the one shared queue,
-    /// so short queries fill lanes the long queries' tail would leave
-    /// idle.
+    /// The dual-pool region over every batch with both pools and every
+    /// durability hook, its estimator seeded with the plan's
+    /// `accel_cell_fraction` — the region behind every dynamic search
+    /// (CLI, daemon, shard workers, benchmarks). Task `t` maps to
+    /// `(query t / |batches|, batch t % |batches|)`; both device pools
+    /// pull from the one shared queue, so short queries fill lanes the
+    /// long queries' tail would leave idle.
     ///
     /// Per-query semantics carried through the shared region:
     /// * **results** — each query's hit list is byte-identical to a solo
@@ -363,365 +373,472 @@ impl HeteroEngine {
         injector: &FaultInjector,
         opts: &DurableOptions<'_>,
     ) -> Result<BatchSearchOutcome, DurableSearchError> {
-        assert!(
-            queries.iter().all(|q| !q.residues.is_empty()),
-            "queries must not be empty"
-        );
-        type BatchOut = (usize, (Vec<Hit>, CellCount, u64));
-        let n_batches = db.batches.len();
-
-        // Per-query checkpoint identity: the explicit path for a lone
-        // query, else fingerprint-named files in the directory.
-        let explicit = opts.checkpoint_path.filter(|_| queries.len() == 1);
-        let checkpointing = explicit.is_some() || opts.checkpoint_dir.is_some();
-        let fingerprints: Vec<SearchFingerprint> = if checkpointing {
-            queries
-                .iter()
-                .map(|q| SearchFingerprint::compute(db, q.residues))
-                .collect()
-        } else {
-            Vec::new()
+        let all = BatchRange {
+            start: 0,
+            end: db.batches.len(),
         };
-        let ckpt_paths: Vec<Option<PathBuf>> = match (explicit, opts.checkpoint_dir) {
-            (Some(path), _) => vec![Some(path.to_path_buf())],
-            (None, Some(dir)) => {
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| DurableSearchError::Checkpoint(CheckpointError::Io(e)))?;
-                fingerprints
-                    .iter()
-                    .map(|fp| Some(dir.join(fp.file_name())))
-                    .collect()
-            }
-            (None, None) => vec![None; queries.len()],
-        };
-
-        // Load and verify each query's prior checkpoint, if resuming.
-        let mut prefill: Vec<(usize, BatchOut)> = Vec::new();
-        let mut resumes_v = vec![0u64; queries.len()];
-        let mut resumed_v = vec![0u64; queries.len()];
-        let mut seqs: Vec<AtomicU64> = Vec::with_capacity(queries.len());
-        let mut baselines = vec![[RecoveryTotals::default(); 2]; queries.len()];
-        let mut loaded = [RecoveryTotals::default(); 2];
-        let mut initial_share = plan.accel_cell_fraction;
-        for (qi, q) in queries.iter().enumerate() {
-            let mut next_seq = 0u64;
-            if opts.resume {
-                if let Some(path) = &ckpt_paths[qi] {
-                    if let Some(ckpt) = Checkpoint::load_if_exists(path)? {
-                        ckpt.verify(&fingerprints[qi])?;
-                        ckpt.verify_layout(&db.batches)?;
-                        resumes_v[qi] = ckpt.resumes + 1;
-                        next_seq = ckpt.seq + 1;
-                        baselines[qi] = ckpt.recovery;
-                        for (total, base) in loaded.iter_mut().zip(&ckpt.recovery) {
-                            total.add(base);
-                        }
-                        // Any segment's learned balance beats the static
-                        // seed for the whole shared region.
-                        initial_share = ckpt.accel_share;
-                        resumed_v[qi] = ckpt.done.len() as u64;
-                        if let Some(tr) = q.tracer {
-                            let mut j = tr.worker(DEVICE_CPU, n_batches);
-                            j.emit(sw_trace::EventKind::ResumeLoaded {
-                                tasks_done: resumed_v[qi],
-                            });
-                            j.flush();
-                        }
-                        prefill.extend(ckpt.done.into_iter().map(|b| {
-                            (
-                                qi * n_batches + b.batch,
-                                (b.device, (b.hits, b.cells, b.rescued)),
-                            )
-                        }));
-                    }
-                }
-            }
-            seqs.push(AtomicU64::new(next_seq));
-        }
-
-        let qps: Vec<QueryProfile> = queries
-            .iter()
-            .map(|q| QueryProfile::build(q.residues, &self.engine.params.matrix, &db.alphabet))
-            .collect();
-        let table = ScoreTable::build(&self.engine.params.matrix, &db.alphabet);
-        let device_config = [&config.cpu, &config.accel];
-        // An all-zero worker config would deadlock the queue; degrade it
-        // to a single CPU worker instead.
-        let mut cpu_workers = config.cpu.threads;
-        let accel_workers = config.accel.threads;
-        if cpu_workers + accel_workers == 0 {
-            cpu_workers = 1;
-        }
-        let sink = MetricsSink::new();
-        let tracer = config.trace.tracer();
-
-        let writes = AtomicU64::new(0);
-        let write_failures = AtomicU64::new(0);
-        // The one recovery-totals rule: a baseline plus this region's
-        // events. Mid-run, requeues / lost leases / failures are recorded
-        // as they happen but per-worker retry counts only land at worker
-        // exit, so a *periodic* checkpoint may undercount retries (the
-        // final checkpoint, written after the pools exit, is exact).
-        // Monotonicity is preserved either way.
-        let region_events = || [sink.device(DEVICE_CPU), sink.device(DEVICE_ACCEL)];
-        let cumulative = |baseline: &[RecoveryTotals; 2], events: &[DeviceMetrics; 2]| {
-            [DEVICE_CPU, DEVICE_ACCEL].map(|d| baseline[d].plus(&events[d]))
-        };
-        // Build one query's checkpoint from its slice of the product
-        // space.
-        let make_q_checkpoint =
-            |qi: usize, slots_q: &[Option<BatchOut>], share: f64, events: &[DeviceMetrics; 2]| {
-                Checkpoint {
-                    fingerprint: fingerprints[qi],
-                    seq: seqs[qi].fetch_add(1, Ordering::Relaxed),
-                    resumes: resumes_v[qi],
-                    accel_share: share,
-                    recovery: cumulative(&baselines[qi], events),
-                    done: slots_q
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, s)| {
-                            s.as_ref()
-                                .map(|(device, (hits, cells, rescued))| BatchResult {
-                                    batch: i,
-                                    device: *device,
-                                    hits: hits.clone(),
-                                    cells: *cells,
-                                    rescued: *rescued,
-                                })
-                        })
-                        .collect(),
-                }
-            };
-        // A periodic tick checkpoints every query that is still
-        // incomplete; complete queries keep their last file until the
-        // region ends (it is removed with their results). A failed
-        // periodic write must not kill the search: it is counted and
-        // surfaced on the outcome.
-        let on_checkpoint = |view: CheckpointView<'_, BatchOut>| -> u64 {
-            let mut total = 0u64;
-            let events = region_events();
-            for (qi, ckpt_path) in ckpt_paths.iter().enumerate() {
-                let Some(path) = ckpt_path else {
-                    continue;
-                };
-                let slots_q = &view.slots[qi * n_batches..(qi + 1) * n_batches];
-                if slots_q.iter().all(|s| s.is_some()) {
-                    continue;
-                }
-                match make_q_checkpoint(qi, slots_q, view.accel_share, &events).write_atomic(path) {
-                    Ok(bytes) => {
-                        writes.fetch_add(1, Ordering::Relaxed);
-                        total += bytes;
-                    }
-                    Err(_) => {
-                        write_failures.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            total
-        };
-
-        // Pooled wall clock, attributed by padded-cell share — the rule
-        // of `SearchEngine::search_many` ([`padded_share`]).
-        let per_q_padded: Vec<u128> = queries
-            .iter()
-            .map(|q| {
-                db.batches
-                    .iter()
-                    .map(|b| b.padded_cells(q.residues.len()) as u128)
-                    .sum()
-            })
-            .collect();
-        let total_padded: u128 = per_q_padded.iter().sum();
-        // One query's outcome from its slice of the slot table, `elapsed`
-        // into the region: the one results assembly, used for the reply
-        // that leaves at the query's last commit and at region end alike.
-        let outcome_of =
-            |qi: usize, slots_q: &[Option<BatchOut>], elapsed: Duration, degraded: bool| {
-                let tasks_done = slots_q.iter().filter(|s| s.is_some()).count();
-                let results = (tasks_done == n_batches).then(|| {
-                    let mut hits: Vec<Hit> = Vec::with_capacity(db.n_seqs());
-                    let mut cells = CellCount::default();
-                    let mut rescued = 0u64;
-                    for s in slots_q.iter().flatten() {
-                        let (_device, (batch_hits, batch_cells, batch_rescued)) = s;
-                        hits.extend(batch_hits.iter().copied());
-                        cells.add(*batch_cells);
-                        rescued += batch_rescued;
-                    }
-                    let elapsed_q = padded_share(elapsed, per_q_padded[qi], total_padded);
-                    SearchResults::new(hits, elapsed_q, cells, rescued).with_degraded(degraded)
-                });
-                BatchQueryOutcome {
-                    id: queries[qi].id,
-                    results,
-                    cancelled: false,
-                    resumes: resumes_v[qi],
-                    resumed_tasks: resumed_v[qi],
-                    tasks_done: tasks_done as u64,
-                    cpu_batches: slots_q
-                        .iter()
-                        .flatten()
-                        .filter(|(device, _)| *device == DEVICE_CPU)
-                        .count(),
-                }
-            };
-
-        let start = Instant::now();
-        // A completed query is finished exactly once — a lease reclaimed
-        // from a slow holder commits its chunk twice, and region end
-        // sweeps up whatever no commit reported: its checkpoint (if any)
-        // is spent, then the caller hears of it. A cancel that raced
-        // completion still yields the exact result. Cleanup is
-        // best-effort: a stale file left behind is re-verified (and its
-        // batches skipped) on the next resume, never silently wrong.
-        let finished: Vec<AtomicBool> = queries.iter().map(|_| AtomicBool::new(false)).collect();
-        let finish = |qi: usize, outcome: &BatchQueryOutcome| {
-            if finished[qi].swap(true, Ordering::AcqRel) {
-                return;
-            }
-            if let Some(path) = &ckpt_paths[qi] {
-                Checkpoint::remove(path).ok();
-            }
-            if let Some(done) = opts.on_query_done {
-                done(qi, outcome);
-            }
-        };
-        // After each commit: did it fill the last slot of a query it
-        // touches? The slots are copied out under the slot lock; sorting
-        // and the callback run outside it.
-        let on_commit = |view: CommitView<'_, BatchOut>| {
-            let (s, e) = view.range;
-            for qi in s / n_batches..=(e - 1) / n_batches {
-                if finished[qi].load(Ordering::Acquire) {
-                    continue;
-                }
-                let complete = view.with_slots(|slots| {
-                    let slots_q = &slots[qi * n_batches..(qi + 1) * n_batches];
-                    slots_q
-                        .iter()
-                        .all(Option::is_some)
-                        .then(|| slots_q.to_vec())
-                });
-                if let Some(slots_q) = complete {
-                    let degraded = region_events().iter().any(|d| d.degraded);
-                    finish(qi, &outcome_of(qi, &slots_q, start.elapsed(), degraded));
-                }
-            }
-        };
-        let out = run_dual_pool_durable(
-            queries.len() * n_batches,
-            DualPoolConfig {
-                initial_accel_fraction: initial_share,
-                min_chunk: config.min_chunk,
-                accel_timeout_ms: config.recovery.accel_timeout_ms,
-                failure_budget: config.recovery.failure_budget,
-                ..DualPoolConfig::new(cpu_workers, accel_workers)
-            },
-            injector,
-            DurableControl {
-                prefill,
-                drain: opts.drain,
-                checkpoint_every_chunks: if checkpointing {
-                    opts.interval_chunks
-                } else {
-                    0
-                },
-                on_checkpoint: Some(&on_checkpoint),
-                task_cancelled: Some(&|t: usize| {
-                    queries[t / n_batches]
-                        .cancel
-                        .is_some_and(|c| c.is_requested())
-                }),
-                on_commit: opts
-                    .on_query_done
-                    .map(|_| &on_commit as &(dyn Fn(CommitView<'_, BatchOut>) + Sync)),
-            },
-            |t| db.batches[t % n_batches].padded_cells(queries[t / n_batches].residues.len()),
-            |device, t| {
-                let (qi, bi) = (t / n_batches, t % n_batches);
-                let q = &queries[qi];
-                // The span opens on the OWNER's tracer (its epoch, its
-                // query tag); the batch index doubles as the track lane
-                // so one query's concurrent tasks never share a track.
-                let span = q.tracer.map(|tr| tr.task_span(device, bi, bi));
-                let cfg = device_config[device];
-                let out =
-                    self.engine
-                        .run_batch(q.residues, &qps[qi], &table, db, &db.batches[bi], cfg);
-                if let Some(span) = span {
-                    span.finish(t as u64, out.1.padded);
-                }
-                (device, out)
-            },
-            &sink,
-            &tracer,
-        );
-        let elapsed = start.elapsed();
-        let degraded = out.degraded;
-
-        // Region-learned share for final checkpoints.
-        let events = region_events();
-        let [cpu_m, accel_m] = events;
-        let total_exec_cells = cpu_m.cells + accel_m.cells;
-        let final_share = if total_exec_cells == 0 {
-            initial_share
-        } else {
-            accel_m.cells as f64 / total_exec_cells as f64
-        };
-
-        let mut outcomes = Vec::with_capacity(queries.len());
-        let mut incomplete_uncancelled = Vec::new();
-        for (qi, q) in queries.iter().enumerate() {
-            let slots_q = &out.slots[qi * n_batches..(qi + 1) * n_batches];
-            let mut outcome = outcome_of(
-                qi,
-                slots_q,
-                elapsed,
-                degraded[DEVICE_CPU] || degraded[DEVICE_ACCEL],
-            );
-            if outcome.results.is_some() {
-                finish(qi, &outcome);
-            } else if q.cancel.is_some_and(|c| c.is_requested()) || out.drained {
-                // Final exact checkpoint: written after the pools exited,
-                // its failure is a hard error — a cancelled query without
-                // its checkpoint cannot be resumed.
-                if let Some(path) = &ckpt_paths[qi] {
-                    make_q_checkpoint(qi, slots_q, final_share, &events).write_atomic(path)?;
-                    writes.fetch_add(1, Ordering::Relaxed);
-                }
-                outcome.cancelled = true;
-            } else {
-                // Incomplete with neither a cancel nor a drain: terminal
-                // execution failure.
-                for (bi, s) in slots_q.iter().enumerate() {
-                    if s.is_none() {
-                        let t = qi * n_batches + bi;
-                        incomplete_uncancelled.push((t, t + 1));
-                    }
-                }
-            }
-            outcomes.push(outcome);
-        }
-        if !incomplete_uncancelled.is_empty() {
-            return Err(DurableSearchError::Exec(ExecError {
-                failures: out.failures,
-                missing: incomplete_uncancelled,
-            }));
-        }
-        Ok(BatchSearchOutcome {
-            queries: outcomes,
-            drained: out.drained,
-            degraded,
-            checkpoints_written: writes.load(Ordering::Relaxed),
-            checkpoint_write_failures: write_failures.load(Ordering::Relaxed),
-            recovery: cumulative(&loaded, &events),
-            cpu: cpu_m,
-            accel: accel_m,
-            timeline: tracer.is_enabled().then(|| tracer.timeline()),
-        })
+        let seed = plan.accel_cell_fraction;
+        region(&self.engine, queries, db, all, seed, config, injector, opts)
     }
+}
+
+/// One query's share of a pooled region's wall clock. The region has ONE
+/// wall clock; charging it to every query would inflate aggregate GCUPS
+/// by ~|Q|×, so each query is attributed its padded-cell share (floor
+/// division, so the shares can never sum past the wall clock; all of it
+/// for a lone query, none when there was no work).
+fn padded_share(elapsed: Duration, padded: u128, total_padded: u128) -> Duration {
+    (elapsed.as_nanos() * padded)
+        .checked_div(total_padded)
+        .map(|ns| Duration::from_nanos(ns as u64))
+        .unwrap_or_default()
+}
+
+/// A region of one pool, `config.threads` workers of `device` (zero is
+/// clamped to one CPU worker) with the estimator seeded to give it all
+/// the work, no fault injector and default [`DurableOptions`]: the flat
+/// search and each share of the static split. One result per query, in
+/// input order.
+///
+/// # Panics
+/// Panics when a query is empty, or with the first failing
+/// `(query, batch)` pair (`batch` indexes `db.batches`) when a kernel
+/// task panicked on every retry.
+pub(crate) fn one_pool_region(
+    engine: &SearchEngine,
+    queries: &[&[u8]],
+    db: &PreparedDb,
+    range: BatchRange,
+    device: usize,
+    config: &SearchConfig,
+) -> Vec<SearchResults> {
+    let idle = SearchConfig {
+        threads: 0,
+        ..*config
+    };
+    let (config, seed) = match device {
+        DEVICE_CPU => (HeteroSearchConfig::new(*config, idle), 0.0),
+        _ => (HeteroSearchConfig::new(idle, *config), 1.0),
+    };
+    let queries: Vec<BatchQuery<'_>> = queries
+        .iter()
+        .enumerate()
+        .map(|(i, &residues)| BatchQuery {
+            residues,
+            id: i as u64,
+            cancel: None,
+            tracer: None,
+        })
+        .collect();
+    let none = FaultInjector::none();
+    let opts = DurableOptions::default();
+    let out =
+        region(engine, &queries, db, range, seed, &config, &none, &opts).unwrap_or_else(|e| {
+            // Task ids are (query, batch) pairs; name the first culprit.
+            let n = range.len();
+            let culprit = match &e {
+                DurableSearchError::Exec(x) => x.failures.first(),
+                DurableSearchError::Checkpoint(_) => None,
+            };
+            let ctx = culprit
+                .map(|f| format!("query {} batch {}", f.task / n, range.start + f.task % n))
+                .unwrap_or_else(|| "unexecuted tasks".into());
+            panic!("database search failed ({ctx}): {e}")
+        });
+    out.queries
+        .into_iter()
+        .map(|q| {
+            q.results
+                .expect("with no cancel or drain every query completes")
+        })
+        .collect()
+}
+
+/// **The** region body: every query against the lane batches of
+/// `range` (a range of `db.batches`), one task per `(query, batch)`
+/// pair, run through one durable `sw-sched` dual-pool region whose
+/// estimator starts at the accelerator share `seed`. It is the crate's
+/// only call of `run_dual_pool_durable`: every search, flat, static or
+/// dynamic, is this function (see [`HeteroEngine::search_many_resumable`]
+/// for the per-query semantics).
+///
+/// A sub-range region is never durable: checkpoints name batches by
+/// their index in the database, and the static split, the only caller
+/// that passes a sub-range, passes [`DurableOptions::default`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn region(
+    engine: &SearchEngine,
+    queries: &[BatchQuery<'_>],
+    db: &PreparedDb,
+    range: BatchRange,
+    seed: f64,
+    config: &HeteroSearchConfig,
+    injector: &FaultInjector,
+    opts: &DurableOptions<'_>,
+) -> Result<BatchSearchOutcome, DurableSearchError> {
+    assert!(
+        queries.iter().all(|q| !q.residues.is_empty()),
+        "queries must not be empty"
+    );
+    debug_assert!(
+        range.len() == db.batches.len()
+            || (opts.checkpoint_path.is_none() && opts.checkpoint_dir.is_none()),
+        "a sub-range region is never durable"
+    );
+    type BatchOut = (usize, (Vec<Hit>, CellCount, u64));
+    let batches = &db.batches[range.start..range.end];
+    let n_batches = batches.len();
+
+    // Per-query checkpoint identity: the explicit path for a lone
+    // query, else fingerprint-named files in the directory.
+    let explicit = opts.checkpoint_path.filter(|_| queries.len() == 1);
+    let checkpointing = explicit.is_some() || opts.checkpoint_dir.is_some();
+    let fingerprints: Vec<SearchFingerprint> = if checkpointing {
+        queries
+            .iter()
+            .map(|q| SearchFingerprint::compute(db, q.residues))
+            .collect()
+    } else {
+        Vec::new()
+    };
+    let ckpt_paths: Vec<Option<PathBuf>> = match (explicit, opts.checkpoint_dir) {
+        (Some(path), _) => vec![Some(path.to_path_buf())],
+        (None, Some(dir)) => {
+            std::fs::create_dir_all(dir)
+                .map_err(|e| DurableSearchError::Checkpoint(CheckpointError::Io(e)))?;
+            fingerprints
+                .iter()
+                .map(|fp| Some(dir.join(fp.file_name())))
+                .collect()
+        }
+        (None, None) => vec![None; queries.len()],
+    };
+
+    // Load and verify each query's prior checkpoint, if resuming.
+    let mut prefill: Vec<(usize, BatchOut)> = Vec::new();
+    let mut resumes_v = vec![0u64; queries.len()];
+    let mut resumed_v = vec![0u64; queries.len()];
+    let mut seqs: Vec<AtomicU64> = Vec::with_capacity(queries.len());
+    let mut baselines = vec![[RecoveryTotals::default(); 2]; queries.len()];
+    let mut loaded = [RecoveryTotals::default(); 2];
+    let mut initial_share = seed;
+    for (qi, q) in queries.iter().enumerate() {
+        let mut next_seq = 0u64;
+        if opts.resume {
+            if let Some(path) = &ckpt_paths[qi] {
+                if let Some(ckpt) = Checkpoint::load_if_exists(path)? {
+                    ckpt.verify(&fingerprints[qi])?;
+                    ckpt.verify_layout(&db.batches)?;
+                    resumes_v[qi] = ckpt.resumes + 1;
+                    next_seq = ckpt.seq + 1;
+                    baselines[qi] = ckpt.recovery;
+                    for (total, base) in loaded.iter_mut().zip(&ckpt.recovery) {
+                        total.add(base);
+                    }
+                    // Any segment's learned balance beats the static
+                    // seed for the whole shared region.
+                    initial_share = ckpt.accel_share;
+                    resumed_v[qi] = ckpt.done.len() as u64;
+                    if let Some(tr) = q.tracer {
+                        let mut j = tr.worker(DEVICE_CPU, n_batches);
+                        j.emit(sw_trace::EventKind::ResumeLoaded {
+                            tasks_done: resumed_v[qi],
+                        });
+                        j.flush();
+                    }
+                    prefill.extend(ckpt.done.into_iter().map(|b| {
+                        (
+                            qi * n_batches + b.batch,
+                            (b.device, (b.hits, b.cells, b.rescued)),
+                        )
+                    }));
+                }
+            }
+        }
+        seqs.push(AtomicU64::new(next_seq));
+    }
+
+    let qps: Vec<QueryProfile> = queries
+        .iter()
+        .map(|q| QueryProfile::build(q.residues, &engine.params.matrix, &db.alphabet))
+        .collect();
+    let table = ScoreTable::build(&engine.params.matrix, &db.alphabet);
+    let device_config = [&config.cpu, &config.accel];
+    // An all-zero worker config would deadlock the queue; degrade it
+    // to a single CPU worker instead.
+    let mut cpu_workers = config.cpu.threads;
+    let accel_workers = config.accel.threads;
+    if cpu_workers + accel_workers == 0 {
+        cpu_workers = 1;
+    }
+    let sink = MetricsSink::new();
+    let tracer = config.trace.tracer();
+
+    let writes = AtomicU64::new(0);
+    let write_failures = AtomicU64::new(0);
+    // The one recovery-totals rule: a baseline plus this region's
+    // events. Mid-run, requeues / lost leases / failures are recorded
+    // as they happen but per-worker retry counts only land at worker
+    // exit, so a *periodic* checkpoint may undercount retries (the
+    // final checkpoint, written after the pools exit, is exact).
+    // Monotonicity is preserved either way.
+    let region_events = || [sink.device(DEVICE_CPU), sink.device(DEVICE_ACCEL)];
+    let cumulative = |baseline: &[RecoveryTotals; 2], events: &[DeviceMetrics; 2]| {
+        [DEVICE_CPU, DEVICE_ACCEL].map(|d| baseline[d].plus(&events[d]))
+    };
+    // Build one query's checkpoint from its slice of the product
+    // space.
+    let make_q_checkpoint =
+        |qi: usize, slots_q: &[Option<BatchOut>], share: f64, events: &[DeviceMetrics; 2]| {
+            Checkpoint {
+                fingerprint: fingerprints[qi],
+                seq: seqs[qi].fetch_add(1, Ordering::Relaxed),
+                resumes: resumes_v[qi],
+                accel_share: share,
+                recovery: cumulative(&baselines[qi], events),
+                done: slots_q
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, s)| {
+                        s.as_ref()
+                            .map(|(device, (hits, cells, rescued))| BatchResult {
+                                batch: i,
+                                device: *device,
+                                hits: hits.clone(),
+                                cells: *cells,
+                                rescued: *rescued,
+                            })
+                    })
+                    .collect(),
+            }
+        };
+    // A periodic tick checkpoints every query that is still
+    // incomplete; complete queries keep their last file until the
+    // region ends (it is removed with their results). A failed
+    // periodic write must not kill the search: it is counted and
+    // surfaced on the outcome.
+    let on_checkpoint = |view: CheckpointView<'_, BatchOut>| -> u64 {
+        let mut total = 0u64;
+        let events = region_events();
+        for (qi, ckpt_path) in ckpt_paths.iter().enumerate() {
+            let Some(path) = ckpt_path else {
+                continue;
+            };
+            let slots_q = &view.slots[qi * n_batches..(qi + 1) * n_batches];
+            if slots_q.iter().all(|s| s.is_some()) {
+                continue;
+            }
+            match make_q_checkpoint(qi, slots_q, view.accel_share, &events).write_atomic(path) {
+                Ok(bytes) => {
+                    writes.fetch_add(1, Ordering::Relaxed);
+                    total += bytes;
+                }
+                Err(_) => {
+                    write_failures.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+        total
+    };
+
+    // Pooled wall clock, attributed by padded-cell share
+    // ([`padded_share`]).
+    let per_q_padded: Vec<u128> = queries
+        .iter()
+        .map(|q| {
+            batches
+                .iter()
+                .map(|b| b.padded_cells(q.residues.len()) as u128)
+                .sum()
+        })
+        .collect();
+    let total_padded: u128 = per_q_padded.iter().sum();
+    let n_hits: usize = batches.iter().map(LaneBatch::real_lanes).sum();
+    // One query's outcome from its slice of the slot table, `elapsed`
+    // into the region: the one results assembly, used for the reply
+    // that leaves at the query's last commit and at region end alike.
+    let outcome_of =
+        |qi: usize, slots_q: &[Option<BatchOut>], elapsed: Duration, degraded: bool| {
+            let tasks_done = slots_q.iter().filter(|s| s.is_some()).count();
+            let results = (tasks_done == n_batches).then(|| {
+                let mut hits: Vec<Hit> = Vec::with_capacity(n_hits);
+                let mut cells = CellCount::default();
+                let mut rescued = 0u64;
+                for s in slots_q.iter().flatten() {
+                    let (_device, (batch_hits, batch_cells, batch_rescued)) = s;
+                    hits.extend(batch_hits.iter().copied());
+                    cells.add(*batch_cells);
+                    rescued += batch_rescued;
+                }
+                let elapsed_q = padded_share(elapsed, per_q_padded[qi], total_padded);
+                SearchResults::new(hits, elapsed_q, cells, rescued).with_degraded(degraded)
+            });
+            BatchQueryOutcome {
+                id: queries[qi].id,
+                results,
+                cancelled: false,
+                resumes: resumes_v[qi],
+                resumed_tasks: resumed_v[qi],
+                tasks_done: tasks_done as u64,
+                cpu_batches: slots_q
+                    .iter()
+                    .flatten()
+                    .filter(|(device, _)| *device == DEVICE_CPU)
+                    .count(),
+            }
+        };
+
+    let start = Instant::now();
+    // A completed query is finished exactly once — a lease reclaimed
+    // from a slow holder commits its chunk twice, and region end
+    // sweeps up whatever no commit reported: its checkpoint (if any)
+    // is spent, then the caller hears of it. A cancel that raced
+    // completion still yields the exact result. Cleanup is
+    // best-effort: a stale file left behind is re-verified (and its
+    // batches skipped) on the next resume, never silently wrong.
+    let finished: Vec<AtomicBool> = queries.iter().map(|_| AtomicBool::new(false)).collect();
+    let finish = |qi: usize, outcome: &BatchQueryOutcome| {
+        if finished[qi].swap(true, Ordering::AcqRel) {
+            return;
+        }
+        if let Some(path) = &ckpt_paths[qi] {
+            Checkpoint::remove(path).ok();
+        }
+        if let Some(done) = opts.on_query_done {
+            done(qi, outcome);
+        }
+    };
+    // After each commit: did it fill the last slot of a query it
+    // touches? The slots are copied out under the slot lock; sorting
+    // and the callback run outside it.
+    let on_commit = |view: CommitView<'_, BatchOut>| {
+        let (s, e) = view.range;
+        for qi in s / n_batches..=(e - 1) / n_batches {
+            if finished[qi].load(Ordering::Acquire) {
+                continue;
+            }
+            let complete = view.with_slots(|slots| {
+                let slots_q = &slots[qi * n_batches..(qi + 1) * n_batches];
+                slots_q
+                    .iter()
+                    .all(Option::is_some)
+                    .then(|| slots_q.to_vec())
+            });
+            if let Some(slots_q) = complete {
+                let degraded = region_events().iter().any(|d| d.degraded);
+                finish(qi, &outcome_of(qi, &slots_q, start.elapsed(), degraded));
+            }
+        }
+    };
+    let out = run_dual_pool_durable(
+        queries.len() * n_batches,
+        DualPoolConfig {
+            initial_accel_fraction: initial_share,
+            min_chunk: config.min_chunk,
+            accel_timeout_ms: config.recovery.accel_timeout_ms,
+            failure_budget: config.recovery.failure_budget,
+            ..DualPoolConfig::new(cpu_workers, accel_workers)
+        },
+        injector,
+        DurableControl {
+            prefill,
+            drain: opts.drain,
+            checkpoint_every_chunks: if checkpointing {
+                opts.interval_chunks
+            } else {
+                0
+            },
+            on_checkpoint: Some(&on_checkpoint),
+            task_cancelled: Some(&|t: usize| {
+                queries[t / n_batches]
+                    .cancel
+                    .is_some_and(|c| c.is_requested())
+            }),
+            on_commit: opts
+                .on_query_done
+                .map(|_| &on_commit as &(dyn Fn(CommitView<'_, BatchOut>) + Sync)),
+        },
+        |t| batches[t % n_batches].padded_cells(queries[t / n_batches].residues.len()),
+        |device, t| {
+            let (qi, bi) = (t / n_batches, t % n_batches);
+            let q = &queries[qi];
+            // The span opens on the OWNER's tracer (its epoch, its
+            // query tag); the batch index doubles as the track lane
+            // so one query's concurrent tasks never share a track.
+            let span = q.tracer.map(|tr| tr.task_span(device, bi, bi));
+            let cfg = device_config[device];
+            let out = engine.run_batch(q.residues, &qps[qi], &table, db, &batches[bi], cfg);
+            if let Some(span) = span {
+                span.finish(t as u64, out.1.padded);
+            }
+            (device, out)
+        },
+        &sink,
+        &tracer,
+    );
+    let elapsed = start.elapsed();
+    let degraded = out.degraded;
+
+    // Region-learned share for final checkpoints.
+    let events = region_events();
+    let [cpu_m, accel_m] = events;
+    let total_exec_cells = cpu_m.cells + accel_m.cells;
+    let final_share = if total_exec_cells == 0 {
+        initial_share
+    } else {
+        accel_m.cells as f64 / total_exec_cells as f64
+    };
+
+    let mut outcomes = Vec::with_capacity(queries.len());
+    let mut incomplete_uncancelled = Vec::new();
+    for (qi, q) in queries.iter().enumerate() {
+        let slots_q = &out.slots[qi * n_batches..(qi + 1) * n_batches];
+        let mut outcome = outcome_of(
+            qi,
+            slots_q,
+            elapsed,
+            degraded[DEVICE_CPU] || degraded[DEVICE_ACCEL],
+        );
+        if outcome.results.is_some() {
+            finish(qi, &outcome);
+        } else if q.cancel.is_some_and(|c| c.is_requested()) || out.drained {
+            // Final exact checkpoint: written after the pools exited,
+            // its failure is a hard error — a cancelled query without
+            // its checkpoint cannot be resumed.
+            if let Some(path) = &ckpt_paths[qi] {
+                make_q_checkpoint(qi, slots_q, final_share, &events).write_atomic(path)?;
+                writes.fetch_add(1, Ordering::Relaxed);
+            }
+            outcome.cancelled = true;
+        } else {
+            // Incomplete with neither a cancel nor a drain: terminal
+            // execution failure.
+            for (bi, s) in slots_q.iter().enumerate() {
+                if s.is_none() {
+                    let t = qi * n_batches + bi;
+                    incomplete_uncancelled.push((t, t + 1));
+                }
+            }
+        }
+        outcomes.push(outcome);
+    }
+    if !incomplete_uncancelled.is_empty() {
+        return Err(DurableSearchError::Exec(ExecError {
+            failures: out.failures,
+            missing: incomplete_uncancelled,
+        }));
+    }
+    Ok(BatchSearchOutcome {
+        queries: outcomes,
+        drained: out.drained,
+        degraded,
+        checkpoints_written: writes.load(Ordering::Relaxed),
+        checkpoint_write_failures: write_failures.load(Ordering::Relaxed),
+        recovery: cumulative(&loaded, &events),
+        cpu: cpu_m,
+        accel: accel_m,
+        timeline: tracer.is_enabled().then(|| tracer.timeline()),
+    })
 }
 
 /// Durability knobs of the dual-pool region
@@ -1004,7 +1121,28 @@ mod tests {
         let (db, q) = setup();
         let hetero = HeteroEngine::new(SearchEngine::paper_default());
         let plan = hetero.plan_split(&db, q.len(), 0.0);
-        let res = hetero.search_range(&q, &db, plan.accel, &SearchConfig::best(1));
+        let solo = [BatchQuery {
+            residues: &q,
+            id: 0,
+            cancel: None,
+            tracer: None,
+        }];
+        let out = region(
+            &hetero.engine,
+            &solo,
+            &db,
+            plan.accel,
+            1.0,
+            &HeteroSearchConfig::best(0, 1),
+            &FaultInjector::none(),
+            &DurableOptions::default(),
+        )
+        .expect("a region of no tasks");
+        assert_eq!(out.cpu.tasks + out.accel.tasks, 0);
+        let res = out.queries[0]
+            .results
+            .as_ref()
+            .expect("nothing left to run");
         assert!(res.hits.is_empty());
         assert_eq!(res.elapsed, std::time::Duration::ZERO);
         assert_eq!(
@@ -1105,12 +1243,24 @@ mod tests {
         let cpu_only = hetero.search_dynamic(&q, &db, &plan, &HeteroSearchConfig::best(2, 0));
 
         // Fault run: the whole accelerator pool dies at its first chunk.
-        let inj = FaultInjector::new(FaultPlan::single(FaultSpec {
-            device: DEVICE_ACCEL,
-            chunk: 0,
-            kind: FaultKind::KillPool,
-        }));
-        let cfg = HeteroSearchConfig::best(2, 1);
+        // The one CPU worker stalls on its own first chunk, so the
+        // accelerator worker's thread is up and claims before the queue
+        // drains.
+        let inj = FaultInjector::new(FaultPlan {
+            specs: vec![
+                FaultSpec {
+                    device: DEVICE_ACCEL,
+                    chunk: 0,
+                    kind: FaultKind::KillPool,
+                },
+                FaultSpec {
+                    device: DEVICE_CPU,
+                    chunk: 0,
+                    kind: FaultKind::Delay(std::time::Duration::from_millis(200)),
+                },
+            ],
+        });
+        let cfg = HeteroSearchConfig::best(1, 1);
         let seen = Deliveries::default();
         let on_done = |qi: usize, done: &BatchQueryOutcome| seen.record(qi, done);
         let opts = DurableOptions {
@@ -1198,8 +1348,9 @@ mod tests {
     #[test]
     fn batched_queries_equal_solo_runs() {
         // The equivalence matrix: the same seeded database and queries
-        // through EVERY entry point — the two region bodies and each
-        // adapter over them. Every hit list must equal the scalar-oracle
+        // through EVERY entry point — each adapter over the one region
+        // body (flat, static split, dynamic, durable, batched). Every hit
+        // list must equal the scalar-oracle
         // list (not merely each other), and the N = 1 adapters must map
         // the region's facts onto the solo outcome faithfully. Both
         // configs are the default intrinsic-SP variant, so every row here
@@ -1617,21 +1768,27 @@ mod tests {
 
     #[test]
     fn mixed_variant_configs_still_exact() {
-        // CPU share with guided-QP, accel share with intrinsic-SP: scores
-        // must still match the single-engine reference.
+        // CPU share with guided-QP, accel share with intrinsic-SP, the two
+        // running at once: scores must still match the scalar oracle. At
+        // fractions 0 and 1 one share is empty and the other runs alone.
         use sw_kernels::{KernelVariant, ProfileMode, Vectorization};
         let (db, q) = setup();
-        let engine = SearchEngine::paper_default();
-        let reference = engine.search(&q, &db, &SearchConfig::best(1));
-        let hetero = HeteroEngine::new(engine);
-        let plan = hetero.plan_split(&db, q.len(), 0.4);
+        let hetero = HeteroEngine::new(SearchEngine::paper_default());
+        let hits = db.sorted.db().iter().map(|(id, s)| Hit {
+            id,
+            score: sw_kernels::scalar::sw_score_scalar(&q, s.residues, &hetero.engine.params),
+        });
+        let oracle = SearchResults::new(hits.collect(), Duration::ZERO, CellCount::default(), 0);
         let cpu_cfg = SearchConfig::best(2).with_variant(KernelVariant {
             vec: Vectorization::Guided,
             profile: ProfileMode::Query,
             blocking: false,
         });
         let accel_cfg = SearchConfig::best(2);
-        let res = hetero.search(&q, &db, &plan, &cpu_cfg, &accel_cfg);
-        assert_eq!(res.hits, reference.hits);
+        for frac in [0.0, 0.4, 1.0] {
+            let plan = hetero.plan_split(&db, q.len(), frac);
+            let res = hetero.search(&q, &db, &plan, &cpu_cfg, &accel_cfg);
+            assert_eq!(res.hits, oracle.hits, "fraction {frac}");
+        }
     }
 }

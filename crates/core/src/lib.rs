@@ -51,7 +51,7 @@ pub use hetero::{
 };
 pub use prepare::{PreparedDb, ResidueOutOfRange};
 pub use report::SearchSummary;
-pub use results::{merge_top_k, Hit, SearchResults};
+pub use results::{Hit, SearchResults};
 pub use simulate::{
     simulate_hetero, simulate_hetero_dynamic, simulate_search, HeteroDynReport, HeteroReport,
     SimConfig, SimReport,

@@ -83,22 +83,6 @@ impl SearchResults {
     }
 }
 
-/// Merge per-shard ranked hit lists into the global top `k` — the shard
-/// coordinator's merge contract.
-///
-/// Each input list holds hits over *global* database ids (a shard
-/// worker adds its base offset before reporting). Because shards
-/// partition the id space, the comparator [`SearchResults::new`] uses —
-/// score descending, id ascending on ties — is a total order over the
-/// union, so merging and truncating reproduces the unsharded run's top
-/// `k` byte-for-byte, equal-score ties included.
-pub fn merge_top_k(shards: Vec<Vec<Hit>>, k: usize) -> Vec<Hit> {
-    let mut all: Vec<Hit> = shards.into_iter().flatten().collect();
-    all.sort_unstable_by(|a, b| b.score.cmp(&a.score).then(a.id.cmp(&b.id)));
-    all.truncate(k);
-    all
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,23 +117,6 @@ mod tests {
         assert_eq!(r.top(1).len(), 1);
         assert_eq!(r.top(10).len(), 2);
         assert_eq!(r.top(0).len(), 0);
-    }
-
-    #[test]
-    fn merge_top_k_matches_single_process_order() {
-        // Shard-partitioned ids, equal scores straddling the boundary:
-        // the merged order must be what SearchResults::new would produce
-        // over the union.
-        let shard0 = vec![hit(1, 40), hit(0, 12), hit(2, 12)];
-        let shard1 = vec![hit(3, 40), hit(4, 12), hit(5, 7)];
-        let merged = merge_top_k(vec![shard0.clone(), shard1.clone()], 5);
-        let reference = SearchResults::new(
-            shard0.into_iter().chain(shard1).collect(),
-            Duration::from_secs(1),
-            CellCount::default(),
-            0,
-        );
-        assert_eq!(merged, reference.top(5));
     }
 
     #[test]

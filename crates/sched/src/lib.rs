@@ -9,16 +9,14 @@
 //!   generators (what [`desim::simulate`] replays for the paper's
 //!   scheduling ablation), plus the dual-pool primitives
 //!   ([`policy::DualQueue`], [`policy::SplitEstimator`],
-//!   [`policy::adaptive_chunk`]) shared by the simulator and the real
-//!   executor.
+//!   [`policy::adaptive_chunk`], [`policy::RequeueQueue`]) the real
+//!   executor schedules with.
 //! * [`desim`] — a discrete-event simulator that replays a policy over
-//!   per-task costs (from `sw-device`'s cost model) and returns makespan
-//!   and per-worker utilisation. This is what regenerates the paper's
-//!   thread-scaling figures on hardware we don't have.
-//!   [`desim::simulate_dual_pool`] replays the heterogeneous dual-pool
-//!   policy deterministically, and [`desim::simulate_dual_pool_traced`]
-//!   emits the same `sw-trace` event schema as the real executor,
-//!   stamped at the simulated clock.
+//!   per-task costs (from `sw-device`'s cost model) for one pool of
+//!   workers and returns makespan and per-worker utilisation. This is
+//!   what regenerates the paper's thread-scaling figures on hardware we
+//!   don't have. The dual-pool schedule is not replayed: the executor is
+//!   its one implementation.
 //! * [`executor`] — the one real executor (std scoped threads):
 //!   [`executor::run_dual_pool_durable`], the instrumented two-device
 //!   scheduler with lease-based recovery (requeue, retry with backoff,
@@ -49,10 +47,7 @@ pub mod fault;
 pub mod metrics;
 pub mod policy;
 
-pub use desim::{
-    simulate, simulate_dual_pool, simulate_dual_pool_traced, DualPoolSimConfig, DualPoolSimResult,
-    SimResult,
-};
+pub use desim::{simulate, SimResult};
 pub use drain::DrainSignal;
 pub use executor::{
     run_dual_pool, run_dual_pool_durable, CheckpointView, CommitView, DualPoolConfig,

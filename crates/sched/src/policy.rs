@@ -2,8 +2,10 @@
 //!
 //! A policy answers one question: *when a worker becomes free, which
 //! contiguous range of loop iterations does it take next?* Modelling this
-//! explicitly lets the simulator and the real executor share semantics
-//! exactly.
+//! explicitly lets the discrete-event simulator replay the paper's three
+//! OpenMP schedules exactly. The dual-pool primitives below it
+//! ([`DualQueue`], [`SplitEstimator`], [`adaptive_chunk`],
+//! [`RequeueQueue`]) are the real executor's.
 
 use serde::{Deserialize, Serialize};
 
@@ -126,8 +128,7 @@ pub const DEVICE_ACCEL: usize = 1;
 /// wherever observed throughput puts the boundary — the *dynamic*
 /// replacement for Algorithm 2's static split point.
 ///
-/// The discrete-event simulator replays it as is; the real executor keeps
-/// it under the same lock as its lease table.
+/// The executor keeps it under the same lock as its lease table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DualQueue {
     front: usize,
@@ -230,9 +231,8 @@ impl SplitEstimator {
 ///
 /// Requeued ranges take priority over fresh queue grabs, and each carries
 /// an attempt count so a deterministically-failing chunk cannot ping-pong
-/// forever. This is the recovery primitive shared by the real executor
-/// (wrapped in a mutex inside its lease table) and the discrete-event
-/// simulator, so both replay the same recovery algorithm.
+/// forever. The executor keeps it under the same lock as its lease
+/// table.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RequeueQueue {
     ranges: Vec<((usize, usize), u32)>,

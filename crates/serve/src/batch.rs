@@ -83,7 +83,7 @@ pub(crate) enum WindowClosed {
 
 impl WindowClosed {
     /// The label value, in scrapes and on the ops log.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             WindowClosed::Full => "full",
             WindowClosed::Deadline => "deadline",
@@ -104,7 +104,7 @@ pub(crate) struct Batcher {
 }
 
 impl Batcher {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Batcher {
             inner: Mutex::new(State {
                 queue: VecDeque::new(),
@@ -117,7 +117,7 @@ impl Batcher {
     /// Park a job for the next region. `false` means the queue already
     /// closed (daemon draining) and the caller must cancel the job
     /// itself — nobody will reply on its channel.
-    pub fn enqueue(&self, job: PendingJob) -> bool {
+    pub(crate) fn enqueue(&self, job: PendingJob) -> bool {
         let mut g = self.inner.lock().unwrap();
         if g.closed {
             return false;
@@ -130,7 +130,7 @@ impl Batcher {
 
     /// Jobs currently parked waiting for a region — the queue-depth
     /// gauge the health probe reports against the region cap.
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.inner.lock().unwrap().queue.len()
     }
 
@@ -145,7 +145,7 @@ impl Batcher {
     /// cancel replies: launching a region would race the drain, and an
     /// open queue would let a late submit park where no collector will
     /// ever look.
-    pub fn collect(
+    pub(crate) fn collect(
         &self,
         max: usize,
         window: Duration,

@@ -45,7 +45,7 @@
 //! Workers report hit ids *globally* (shard base + in-shard index), and
 //! shards partition the id space, so sorting the union by the engine's
 //! own tie-break — score descending, global id ascending
-//! ([`sw_core::merge_top_k`]) — reproduces the unsharded hit list
+//! ([`merge_hits`]) — reproduces the unsharded hit list
 //! byte-for-byte, equal-score ties included.
 
 use crate::client::{
@@ -490,9 +490,14 @@ fn persist_journal(g: &mut CoordState, path: Option<&Path>) {
 }
 
 /// Merge per-shard ranked hit streams into the global top `k` with the
-/// single-process tie-break (score descending, global id ascending) —
-/// see [`sw_core::merge_top_k`] for the contract over `Hit` values;
-/// this is the same order over wire hits, re-ranked 1-based.
+/// single-process tie-break (score descending, global id ascending), the
+/// order [`sw_core::SearchResults::new`] sorts by, re-ranked 1-based.
+///
+/// Each input list holds hits over *global* database ids (a shard worker
+/// adds its base offset before reporting). Because shards partition the
+/// id space, that order is total over the union, so merging and
+/// truncating reproduces the unsharded run's top `k` byte-for-byte,
+/// equal-score ties included.
 pub fn merge_hits(per_shard: Vec<Vec<HitLine>>, k: usize) -> Vec<HitLine> {
     let mut all: Vec<HitLine> = per_shard.into_iter().flatten().collect();
     all.sort_unstable_by(|a, b| b.score.cmp(&a.score).then(a.id.cmp(&b.id)));

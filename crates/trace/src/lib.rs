@@ -17,9 +17,9 @@
 //! * **Zero-cost when disabled.** A disabled tracer hands out journals
 //!   whose every method is a single `Option` branch: no clock read, no
 //!   allocation, no ring.
-//! * **Simulator parity.** [`WorkerJournal::emit_at`] takes an explicit
-//!   microsecond timestamp so a discrete-event simulation (`sw-sched`'s
-//!   desim) produces the same schema as real runs.
+//! * **Real clocks only.** Every event is stamped from the tracer's own
+//!   epoch ([`WorkerJournal::emit`], [`WorkerJournal::span_from`]); no
+//!   caller feeds in a time of its own.
 //!
 //! The schema is versioned as [`SCHEMA`] (`sw-trace/1`); exporters stamp
 //! it into their output and [`validate::validate_jsonl`] checks it.
@@ -340,7 +340,7 @@ impl EventKind {
 }
 
 /// One timestamped journal entry. `t_us` is microseconds since the run
-/// epoch (or simulated time for desim-produced timelines).
+/// epoch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Event {
     /// Microseconds since the run epoch.
@@ -516,12 +516,6 @@ pub struct Stamp(u64);
 
 impl Stamp {
     const DISABLED: Stamp = Stamp(u64::MAX);
-
-    /// Build a stamp from an explicit epoch-relative microsecond time
-    /// (for simulated clocks).
-    pub fn at_us(t_us: u64) -> Stamp {
-        Stamp(t_us)
-    }
 }
 
 impl WorkerJournal {
@@ -571,9 +565,10 @@ impl WorkerJournal {
         self.push(Event { t_us, kind });
     }
 
-    /// Record `kind` at an explicit epoch-relative time — the simulator
-    /// entry point (desim feeds its virtual clock here).
-    pub fn emit_at(&mut self, t_us: u64, kind: EventKind) {
+    /// Record `kind` at an explicit epoch-relative time: how
+    /// [`WorkerJournal::span_from`] back-dates a span's begin event, and
+    /// how this crate's tests build timelines with fixed clocks.
+    pub(crate) fn emit_at(&mut self, t_us: u64, kind: EventKind) {
         let Some(s) = &self.shared else { return };
         if s.level == TraceLevel::Lite && kind.is_span() {
             return;

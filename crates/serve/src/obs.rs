@@ -172,6 +172,7 @@ struct Agg {
     broken_pipes: u64,
     slow_queries: u64,
     connection_evictions: u64,
+    connection_threads: u64,
     regions: u64,
     region_queries: u64,
     /// Gather windows closed, indexed by [`WindowClosed`].
@@ -197,6 +198,7 @@ impl Default for Agg {
             broken_pipes: 0,
             slow_queries: 0,
             connection_evictions: 0,
+            connection_threads: 0,
             regions: 0,
             region_queries: 0,
             gather_closed: [0; 2],
@@ -375,6 +377,12 @@ impl Obs {
         self.agg.lock().expect("obs agg").connection_evictions += 1;
     }
 
+    /// Count a connection-handler thread started by the accept loop
+    /// (it found no parked handler to take the connection).
+    pub(crate) fn on_connection_thread(&self) {
+        self.agg.lock().expect("obs agg").connection_threads += 1;
+    }
+
     /// Record one submit-to-first-hit latency. Recorded at streaming
     /// time, not folded from the phase stamps in [`Obs::record_finish`]:
     /// the collector finishes the registry record *before* the reply
@@ -517,6 +525,11 @@ impl Obs {
                 "sw_serve_connection_evictions_total",
                 "connections evicted for stalling before a full request line",
                 agg.connection_evictions,
+            ),
+            (
+                "sw_serve_connection_threads_total",
+                "connection-handler threads started (an idle handler takes the next connection)",
+                agg.connection_threads,
             ),
             (
                 "sw_serve_regions_total",
@@ -768,6 +781,7 @@ mod tests {
         obs.on_degraded();
         obs.on_checkpoint_writes(3);
         obs.on_broken_pipe();
+        obs.on_connection_thread();
         let phases = Phases {
             submitted_us: 100,
             admitted_us: Some(150),
@@ -791,6 +805,10 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("sw_serve_broken_pipe_total 1"), "{text}");
+        assert!(
+            text.contains("sw_serve_connection_threads_total 1"),
+            "{text}"
+        );
         assert!(text.contains("sw_serve_total_us_count 1"), "{text}");
         assert!(text.contains("sw_serve_first_hit_us_count 1"), "{text}");
         // Two distinct GCUPS windows were credited.

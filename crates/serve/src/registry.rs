@@ -1,9 +1,16 @@
 //! The daemon's job registry: every submitted search, its lifecycle
 //! state, and the per-tenant quota checked at the door.
 //!
-//! One `Mutex` guards the whole table — job turnover is measured in
-//! searches per second, not millions of ops, so contention is not a
-//! concern and a single lock keeps the state machine easy to audit.
+//! One `Mutex` guards the whole table, and every operation on the
+//! request path does a fixed amount of work under it, however many jobs
+//! the daemon has served: a record is found by indexing (ids are dense),
+//! and the counts that `submit`, `stats` and `has_inflight` answer from
+//! are kept, not recounted. `submit` counts a new job as queued and in
+//! flight; every later state change goes through one transition helper
+//! (`Inner::transition`) that moves the per-state gauges and the
+//! tenant's in-flight count together, so the counts cannot drift from
+//! the records. Only `dump_jsonl` walks the table, which keeps every
+//! record for the daemon's lifetime.
 //! Nothing blocks here: the batching collector is the concurrency gate
 //! (one region at a time, `max_concurrent` queries per region) and
 //! moves jobs `Queued` → `Running` itself.
@@ -32,6 +39,11 @@ pub enum JobState {
 }
 
 impl JobState {
+    /// Whether a job in this state counts against its tenant's quota.
+    fn in_flight(self) -> bool {
+        matches!(self, JobState::Queued | JobState::Running)
+    }
+
     /// Wire name of the state.
     pub fn name(self) -> &'static str {
         match self {
@@ -124,21 +136,79 @@ struct Entry {
 }
 
 #[derive(Default)]
+struct Tenant {
+    totals: TenantTotals,
+    /// Jobs of this tenant that are `Queued` or `Running`.
+    in_flight: usize,
+}
+
+#[derive(Default)]
 struct Inner {
-    next_id: u64,
-    running: usize,
     rejected: u64,
     done_total: u64,
     failed_total: u64,
     cancelled_total: u64,
-    tenants: BTreeMap<String, TenantTotals>,
-    jobs: BTreeMap<u64, Entry>,
+    /// Jobs currently in each state, indexed by `JobState as usize`.
+    gauges: [usize; 5],
+    tenants: BTreeMap<String, Tenant>,
+    /// Job `id` lives at `jobs[id - 1]`: ids are handed out densely from 1.
+    jobs: Vec<Entry>,
+}
+
+/// Where job `id` sits in [`Inner::jobs`].
+fn slot(id: u64) -> Option<usize> {
+    usize::try_from(id.checked_sub(1)?).ok()
+}
+
+impl Inner {
+    fn entry(&self, id: u64) -> Option<&Entry> {
+        self.jobs.get(slot(id)?)
+    }
+
+    fn entry_mut(&mut self, id: u64) -> Option<&mut Entry> {
+        self.jobs.get_mut(slot(id)?)
+    }
+
+    /// `name`'s account, opened on first sight (the only time its name
+    /// is copied into the map).
+    fn tenant(&mut self, name: &str) -> &mut Tenant {
+        if !self.tenants.contains_key(name) {
+            self.tenants.insert(name.to_string(), Tenant::default());
+        }
+        self.tenants.get_mut(name).expect("tenant just opened")
+    }
+
+    /// Jobs of `tenant` counting against its quota.
+    fn in_flight(&self, tenant: &str) -> usize {
+        self.tenants.get(tenant).map_or(0, |t| t.in_flight)
+    }
+
+    /// Move job `id` to `to` — the one place a job's state changes —
+    /// keeping the state gauges and its tenant's in-flight count in step.
+    fn transition(&mut self, id: u64, to: JobState) -> Option<&mut Entry> {
+        let e = self.jobs.get_mut(slot(id)?)?;
+        let from = std::mem::replace(&mut e.record.state, to);
+        self.gauges[from as usize] -= 1;
+        self.gauges[to as usize] += 1;
+        if from.in_flight() != to.in_flight() {
+            let t = self
+                .tenants
+                .get_mut(e.record.tenant.as_str())
+                .expect("every job's tenant has an account");
+            if to.in_flight() {
+                t.in_flight += 1;
+            } else {
+                t.in_flight -= 1;
+            }
+        }
+        Some(e)
+    }
 }
 
 /// Counts over the whole registry, for `stats` and the CI smoke gate.
-/// The first block are current-state gauges derived from the live job
-/// table; the `*_total` fields and per-tenant totals are cumulative
-/// since daemon start and never decrease.
+/// The first block are current-state gauges (jobs in each state now);
+/// the `*_total` fields and per-tenant totals are cumulative since
+/// daemon start and never decrease.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Jobs ever accepted.
@@ -211,10 +281,7 @@ impl Registry {
     /// (phase stamps use its daemon-epoch clock).
     pub fn with_obs(obs: Arc<Obs>) -> Self {
         Registry {
-            inner: Mutex::new(Inner {
-                next_id: 1,
-                ..Inner::default()
-            }),
+            inner: Mutex::new(Inner::default()),
             obs,
         }
     }
@@ -229,9 +296,7 @@ impl Registry {
     /// the last in-flight job reaches a terminal state.
     pub fn has_inflight(&self) -> bool {
         let g = self.inner.lock().unwrap();
-        g.jobs
-            .values()
-            .any(|e| matches!(e.record.state, JobState::Queued | JobState::Running))
+        g.gauges[JobState::Queued as usize] + g.gauges[JobState::Running as usize] > 0
     }
 
     /// Accept a job, enforcing the per-tenant in-flight quota. Returns
@@ -244,17 +309,10 @@ impl Registry {
         drain: Arc<DrainSignal>,
     ) -> Result<(u64, Arc<DrainSignal>), String> {
         let mut g = self.inner.lock().unwrap();
-        let in_flight = g
-            .jobs
-            .values()
-            .filter(|e| {
-                e.record.tenant == tenant
-                    && matches!(e.record.state, JobState::Queued | JobState::Running)
-            })
-            .count();
+        let in_flight = g.in_flight(tenant);
         if in_flight >= quota {
             g.rejected += 1;
-            g.tenants.entry(tenant.to_string()).or_default().rejected += 1;
+            g.tenant(tenant).totals.rejected += 1;
             drop(g);
             self.obs.log(
                 LogLevel::Warn,
@@ -268,29 +326,28 @@ impl Registry {
                 "tenant '{tenant}' quota exceeded ({in_flight} jobs in flight, quota {quota})"
             ));
         }
-        let id = g.next_id;
-        g.next_id += 1;
-        g.tenants.entry(tenant.to_string()).or_default().submitted += 1;
-        g.jobs.insert(
-            id,
-            Entry {
-                record: JobRecord {
-                    id,
-                    tenant: tenant.to_string(),
-                    state: JobState::Queued,
-                    query_len,
-                    hits: 0,
-                    resumes: 0,
-                    batch: 0,
-                    phases: Phases {
-                        submitted_us: self.obs.now_us(),
-                        ..Phases::default()
-                    },
-                    error: None,
+        let id = g.jobs.len() as u64 + 1;
+        let account = g.tenant(tenant);
+        account.totals.submitted += 1;
+        account.in_flight += 1;
+        g.gauges[JobState::Queued as usize] += 1;
+        g.jobs.push(Entry {
+            record: JobRecord {
+                id,
+                tenant: tenant.to_string(),
+                state: JobState::Queued,
+                query_len,
+                hits: 0,
+                resumes: 0,
+                batch: 0,
+                phases: Phases {
+                    submitted_us: self.obs.now_us(),
+                    ..Phases::default()
                 },
-                drain: Arc::clone(&drain),
+                error: None,
             },
-        );
+            drain: Arc::clone(&drain),
+        });
         drop(g);
         self.obs.log(
             LogLevel::Info,
@@ -306,7 +363,7 @@ impl Registry {
     /// Stamp the admission phase: the ack line reached the client.
     pub fn mark_admitted(&self, id: u64) {
         let mut g = self.inner.lock().unwrap();
-        if let Some(e) = g.jobs.get_mut(&id) {
+        if let Some(e) = g.entry_mut(id) {
             e.record.phases.admitted_us = Some(self.obs.now_us());
         }
         drop(g);
@@ -318,7 +375,7 @@ impl Registry {
     /// gather window into a region of `batch` queries.
     pub fn mark_gathered(&self, id: u64, batch: usize) {
         let mut g = self.inner.lock().unwrap();
-        if let Some(e) = g.jobs.get_mut(&id) {
+        if let Some(e) = g.entry_mut(id) {
             e.record.phases.gathered_us = Some(self.obs.now_us());
             e.record.batch = batch;
         }
@@ -334,7 +391,7 @@ impl Registry {
     /// call wins; later hits don't move the stamp).
     pub fn record_first_hit(&self, id: u64) {
         let mut g = self.inner.lock().unwrap();
-        if let Some(e) = g.jobs.get_mut(&id) {
+        if let Some(e) = g.entry_mut(id) {
             if e.record.phases.first_hit_us.is_none() {
                 let now = self.obs.now_us();
                 e.record.phases.first_hit_us = Some(now);
@@ -352,18 +409,19 @@ impl Registry {
     /// region at a time, `max_concurrent` queries per region).
     pub fn mark_running(&self, id: u64) -> bool {
         let mut g = self.inner.lock().unwrap();
-        let Some(e) = g.jobs.get_mut(&id) else {
+        let Some(e) = g.entry(id) else {
             return false;
         };
         if e.drain.is_requested() {
-            e.record.state = JobState::Cancelled;
+            g.transition(id, JobState::Cancelled);
             return false;
         }
-        e.record.state = JobState::Running;
+        let e = g
+            .transition(id, JobState::Running)
+            .expect("job looked up above");
         e.record.phases.started_us = Some(self.obs.now_us());
         let tenant = json::escape(&e.record.tenant);
         let batch = e.record.batch;
-        g.running += 1;
         drop(g);
         self.obs.log(
             LogLevel::Info,
@@ -392,64 +450,52 @@ impl Registry {
         error: Option<String>,
     ) -> Option<(JobRecord, bool)> {
         let mut g = self.inner.lock().unwrap();
-        let mut was_running = false;
-        let mut finished: Option<JobRecord> = None;
-        if let Some(e) = g.jobs.get_mut(&id) {
-            was_running = e.record.state == JobState::Running;
-            e.record.state = state;
-            e.record.hits = hits;
-            e.record.resumes = resumes;
-            e.record.error = error;
-            e.record.phases.finished_us = Some(self.obs.now_us());
-            finished = Some(e.record.clone());
+        let e = g.transition(id, state)?;
+        e.record.hits = hits;
+        e.record.resumes = resumes;
+        e.record.error = error;
+        e.record.phases.finished_us = Some(self.obs.now_us());
+        let rec = e.record.clone();
+        let totals = &mut g.tenant(&rec.tenant).totals;
+        match state {
+            JobState::Done => totals.done += 1,
+            JobState::Failed => totals.failed += 1,
+            JobState::Cancelled => totals.cancelled += 1,
+            JobState::Queued | JobState::Running => {}
         }
-        if was_running {
-            g.running = g.running.saturating_sub(1);
-        }
-        if let Some(rec) = &finished {
-            let totals = g.tenants.entry(rec.tenant.clone()).or_default();
-            match state {
-                JobState::Done => totals.done += 1,
-                JobState::Failed => totals.failed += 1,
-                JobState::Cancelled => totals.cancelled += 1,
-                JobState::Queued | JobState::Running => {}
-            }
-            match state {
-                JobState::Done => g.done_total += 1,
-                JobState::Failed => g.failed_total += 1,
-                JobState::Cancelled => g.cancelled_total += 1,
-                JobState::Queued | JobState::Running => {}
-            }
+        match state {
+            JobState::Done => g.done_total += 1,
+            JobState::Failed => g.failed_total += 1,
+            JobState::Cancelled => g.cancelled_total += 1,
+            JobState::Queued | JobState::Running => {}
         }
         drop(g);
-        finished.map(|rec| {
-            let slow = self.obs.record_finish(&rec.phases, rec.resumes);
-            let level = match (state, slow) {
-                (JobState::Failed, _) => LogLevel::Error,
-                (_, true) => LogLevel::Warn,
-                _ => LogLevel::Info,
-            };
-            let mut kv = format!(
-                ",\"job\":{id},\"tenant\":\"{}\",\"state\":\"{}\",\"hits\":{hits},\"resumes\":{resumes},\"batch\":{}",
-                json::escape(&rec.tenant),
-                state.name(),
-                rec.batch
-            );
-            if let Some(f) = rec.phases.finished_us {
-                kv.push_str(&format!(
-                    ",\"total_us\":{}",
-                    f.saturating_sub(rec.phases.submitted_us)
-                ));
-            }
-            if slow {
-                kv.push_str(",\"slow\":true");
-            }
-            if let Some(e) = &rec.error {
-                kv.push_str(&format!(",\"error\":\"{}\"", json::escape(e)));
-            }
-            self.obs.log(level, "job_finished", &kv);
-            (rec, slow)
-        })
+        let slow = self.obs.record_finish(&rec.phases, rec.resumes);
+        let level = match (state, slow) {
+            (JobState::Failed, _) => LogLevel::Error,
+            (_, true) => LogLevel::Warn,
+            _ => LogLevel::Info,
+        };
+        let mut kv = format!(
+            ",\"job\":{id},\"tenant\":\"{}\",\"state\":\"{}\",\"hits\":{hits},\"resumes\":{resumes},\"batch\":{}",
+            json::escape(&rec.tenant),
+            state.name(),
+            rec.batch
+        );
+        if let Some(f) = rec.phases.finished_us {
+            kv.push_str(&format!(
+                ",\"total_us\":{}",
+                f.saturating_sub(rec.phases.submitted_us)
+            ));
+        }
+        if slow {
+            kv.push_str(",\"slow\":true");
+        }
+        if let Some(e) = &rec.error {
+            kv.push_str(&format!(",\"error\":\"{}\"", json::escape(e)));
+        }
+        self.obs.log(level, "job_finished", &kv);
+        Some((rec, slow))
     }
 
     /// Request job `id`'s drain. Running jobs stop at the next chunk
@@ -458,7 +504,7 @@ impl Registry {
     /// cancel time.
     pub fn cancel(&self, id: u64) -> Result<JobState, String> {
         let g = self.inner.lock().unwrap();
-        let e = g.jobs.get(&id).ok_or(format!("no such job {id}"))?;
+        let e = g.entry(id).ok_or(format!("no such job {id}"))?;
         let state = e.record.state;
         e.drain.request();
         Ok(state)
@@ -469,33 +515,31 @@ impl Registry {
         self.inner
             .lock()
             .unwrap()
-            .jobs
-            .get(&id)
+            .entry(id)
             .map(|e| e.record.clone())
     }
 
-    /// Counts across all jobs.
+    /// Counts across all jobs, read from the kept gauges and totals.
     pub fn stats(&self) -> StatsSnapshot {
         let g = self.inner.lock().unwrap();
-        let mut s = StatsSnapshot {
+        let gauge = |state: JobState| g.gauges[state as usize];
+        StatsSnapshot {
             total: g.jobs.len(),
+            queued: gauge(JobState::Queued),
+            running: gauge(JobState::Running),
+            done: gauge(JobState::Done),
+            failed: gauge(JobState::Failed),
+            cancelled: gauge(JobState::Cancelled),
             rejected: g.rejected,
             done_total: g.done_total,
             failed_total: g.failed_total,
             cancelled_total: g.cancelled_total,
-            tenants: g.tenants.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-            ..StatsSnapshot::default()
-        };
-        for e in g.jobs.values() {
-            match e.record.state {
-                JobState::Queued => s.queued += 1,
-                JobState::Running => s.running += 1,
-                JobState::Done => s.done += 1,
-                JobState::Failed => s.failed += 1,
-                JobState::Cancelled => s.cancelled += 1,
-            }
+            tenants: g
+                .tenants
+                .iter()
+                .map(|(k, v)| (k.clone(), v.totals))
+                .collect(),
         }
-        s
     }
 
     /// The whole table as JSONL, one record per line in id order (the
@@ -503,7 +547,7 @@ impl Registry {
     pub fn dump_jsonl(&self) -> String {
         let g = self.inner.lock().unwrap();
         let mut out = String::new();
-        for e in g.jobs.values() {
+        for e in &g.jobs {
             out.push_str(&e.record.to_json());
             out.push('\n');
         }
@@ -656,6 +700,133 @@ mod tests {
 
         // No in-flight jobs remain.
         assert!(!r.has_inflight());
+    }
+
+    /// Jobs per state and per-tenant in-flight counts, recounted from the
+    /// dump — the full walk the kept counts replace.
+    fn recount(r: &Registry) -> ([usize; 5], BTreeMap<String, usize>) {
+        let mut states = [0; 5];
+        let mut in_flight = BTreeMap::new();
+        for line in r.dump_jsonl().lines() {
+            let state = match crate::json::field_str(line, "state").as_deref() {
+                Some("queued") => JobState::Queued,
+                Some("running") => JobState::Running,
+                Some("done") => JobState::Done,
+                Some("failed") => JobState::Failed,
+                Some("cancelled") => JobState::Cancelled,
+                other => panic!("unknown state {other:?} in {line}"),
+            };
+            states[state as usize] += 1;
+            if state.in_flight() {
+                let tenant = crate::json::field_str(line, "tenant").expect("tenant");
+                *in_flight.entry(tenant).or_default() += 1;
+            }
+        }
+        (states, in_flight)
+    }
+
+    #[test]
+    fn kept_counts_equal_a_full_recount_after_every_operation() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        const TENANTS: [&str; 3] = ["acme", "beta", "gamma"];
+        const TERMINAL: [JobState; 3] = [JobState::Done, JobState::Failed, JobState::Cancelled];
+        const QUOTA: usize = 2;
+        let r = Registry::new();
+        let mut rng = SmallRng::seed_from_u64(0x5eed_c0de);
+        // Model of what the registry must report: drain per job (index
+        // `id - 1`), cumulative outcome totals, per-tenant totals.
+        let mut drains: Vec<Arc<DrainSignal>> = Vec::new();
+        let (mut done, mut failed, mut cancelled, mut rejected) = (0u64, 0u64, 0u64, 0u64);
+        let mut tenants: BTreeMap<String, TenantTotals> = BTreeMap::new();
+        for step in 0..4_000 {
+            let n = drains.len() as u64;
+            // Mostly one of the newest jobs (they are the ones still in
+            // flight), sometimes an id that was never handed out.
+            let id = match rng.gen_range(0..10) {
+                0 => 0,
+                1 => n + rng.gen_range(1..4u64),
+                _ => n.saturating_sub(rng.gen_range(0..8u64)).max(1),
+            };
+            let known = (1..=n).contains(&id);
+            match rng.gen_range(0..9) {
+                0..=2 => {
+                    let tenant: &str = TENANTS[rng.gen_range(0..3usize)];
+                    let admits = recount(&r).1.get(tenant).copied().unwrap_or(0) < QUOTA;
+                    let d = drain();
+                    let totals = tenants.entry(tenant.to_string()).or_default();
+                    match r.submit(tenant, 10, QUOTA, Arc::clone(&d)) {
+                        Ok((new, _)) => {
+                            assert!(admits, "step {step}: {tenant} admitted over quota");
+                            assert_eq!(new, n + 1, "ids are dense");
+                            drains.push(d);
+                            totals.submitted += 1;
+                        }
+                        Err(_) => {
+                            assert!(!admits, "step {step}: {tenant} rejected under quota");
+                            rejected += 1;
+                            totals.rejected += 1;
+                        }
+                    }
+                }
+                3 => r.mark_admitted(id),
+                4 => r.mark_gathered(id, rng.gen_range(1..4)),
+                5 => {
+                    let d = known.then(|| &drains[id as usize - 1]);
+                    if let Some(d) = d.filter(|_| rng.gen_bool(0.3)) {
+                        d.request();
+                    }
+                    let runs = d.is_some_and(|d| !d.is_requested());
+                    assert_eq!(r.mark_running(id), runs, "step {step}: job {id}");
+                    if known && !runs {
+                        assert_eq!(r.status(id).unwrap().state, JobState::Cancelled);
+                    }
+                }
+                6 => assert_eq!(r.cancel(id).is_ok(), known, "step {step}: job {id}"),
+                _ => {
+                    let state = TERMINAL[rng.gen_range(0..3usize)];
+                    let tenant = r.status(id).map(|rec| rec.tenant);
+                    let finished = r.finish(id, state, 1, 0, None);
+                    assert_eq!(finished.is_some(), known, "step {step}: job {id}");
+                    if let Some(tenant) = tenant {
+                        let totals = tenants.get_mut(&tenant).unwrap();
+                        let (all, per_tenant) = match state {
+                            JobState::Done => (&mut done, &mut totals.done),
+                            JobState::Failed => (&mut failed, &mut totals.failed),
+                            _ => (&mut cancelled, &mut totals.cancelled),
+                        };
+                        *all += 1;
+                        *per_tenant += 1;
+                    }
+                }
+            }
+
+            let (states, in_flight) = recount(&r);
+            let s = r.stats();
+            let gauges = [s.queued, s.running, s.done, s.failed, s.cancelled];
+            assert_eq!(gauges, states, "step {step}: gauges drifted");
+            assert_eq!(s.total as u64, drains.len() as u64);
+            assert_eq!(r.has_inflight(), s.queued + s.running > 0, "step {step}");
+            assert_eq!(
+                (s.done_total, s.failed_total, s.cancelled_total, s.rejected),
+                (done, failed, cancelled, rejected),
+                "step {step}"
+            );
+            let want: Vec<_> = tenants.iter().map(|(t, v)| (t.clone(), *v)).collect();
+            assert_eq!(s.tenants, want, "step {step}");
+            let g = r.inner.lock().unwrap();
+            for tenant in TENANTS {
+                let kept = g.in_flight(tenant);
+                let counted = in_flight.get(tenant).copied().unwrap_or(0);
+                assert_eq!(kept, counted, "step {step}: {tenant} in flight");
+            }
+        }
+        // The walk reached every corner: each state was held by some job.
+        let s = r.stats();
+        assert!(
+            s.done > 0 && s.failed > 0 && s.cancelled > 0 && s.rejected > 0,
+            "{s:?}"
+        );
     }
 
     #[test]

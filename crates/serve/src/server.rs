@@ -22,12 +22,24 @@
 //! file inside `checkpoint_dir`.
 //!
 //! No request waits on a poll tick: the accept loop blocks in `accept`
-//! and dispatches a connection the moment it arrives, the request line
+//! and hands a connection over the moment it arrives, the request line
 //! is read under one timeout (the eviction deadline), a gather window
 //! that is full closes at once (the one timed wait left on a submit's
 //! path is a window that is *not* full — see `batch.rs`), the collector
 //! thread is the region's first worker, and a query's reply leaves when
 //! its own last batch commits, not when its batch-mates finish.
+//!
+//! Nothing on a request's path costs more as the daemon ages, either. The
+//! registry keeps its counts instead of recounting its table (see
+//! `registry.rs`), and connection handlers are reused: a handler that
+//! finished its connection parks on a channel fed by the accept loop,
+//! which gives each new connection to a parked handler and starts a
+//! thread only when none is parked. The thread count therefore follows
+//! the peak of simultaneous connections, a steady closed loop starts no
+//! thread at all (`sw_serve_connection_threads_total` counts them), and a
+//! probe never waits behind a submit that holds its handler for a whole
+//! search.
+//!
 //! Shutdown is a bare atomic that a `shutdown` request, a process SIGINT
 //! (routed through the signal's parent) or an embedder flips with no
 //! wire traffic, so a watcher thread polls it — off the request path —
@@ -36,7 +48,8 @@
 //! stop the daemon the same way: readiness flips off, probes keep
 //! answering while the in-flight region drains (checkpointing incomplete
 //! queries) and queued jobs are cancel-replied; then the loop stops
-//! accepting, the registry is dumped and the socket removed.
+//! accepting, the parked handlers are released, the registry is dumped
+//! and the socket removed.
 
 use crate::batch::{Batcher, JobReply, PendingJob, WindowClosed, SHUTDOWN_POLL};
 use crate::client::HitLine;
@@ -46,7 +59,7 @@ use crate::registry::{JobState, Registry, StatsSnapshot};
 use crate::transport::{is_timeout, Endpoint, LineReader, Listener, Stream};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 use sw_core::{
@@ -243,10 +256,45 @@ impl RequestReaders {
     }
 }
 
+/// Connection handlers waiting for their next connection. The accept
+/// loop claims one ([`Parked::claim`]) and sends it the stream; a handler
+/// announces itself (`idle`) before it blocks on `next`, so every claimed
+/// send has a receiver on its way. When the accept loop stops it drops
+/// the sending half, and every parked handler's `recv` ends.
+struct Parked {
+    idle: AtomicUsize,
+    next: Mutex<mpsc::Receiver<Stream>>,
+}
+
+impl Parked {
+    /// Take one parked handler for the next connection, if any is parked.
+    fn claim(&self) -> bool {
+        self.idle
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+            .is_ok()
+    }
+
+    /// A handler thread: serve `stream`, park, and serve each connection
+    /// handed over until the accept loop hangs up.
+    fn run(&self, ctx: Ctx<'_>, mut stream: Stream) {
+        loop {
+            // Connection errors (peer hung up mid-stream) affect that
+            // connection only.
+            let _ = handle_connection(ctx, stream);
+            self.idle.fetch_add(1, Ordering::SeqCst);
+            match self.next.lock().expect("parked handlers").recv() {
+                Ok(next) => stream = next,
+                Err(_) => return,
+            }
+        }
+    }
+}
+
 /// Run the daemon until `shutdown` (or a parent of it) is requested.
-/// Blocks the calling thread; spawns one thread per connection inside a
-/// scope, so every job has drained before this returns. Returns the
-/// final registry counts.
+/// Blocks the calling thread. Connections are served by handler threads
+/// inside a scope — reused across connections, started only when none is
+/// parked (see `Parked`) — so every job has drained and every handler
+/// has exited before this returns. Returns the final registry counts.
 pub fn serve(
     engine: &HeteroEngine,
     prepared: &PreparedDb,
@@ -270,6 +318,11 @@ pub fn serve(
     let registry = Registry::with_obs(Arc::clone(&obs));
     let batcher = Batcher::new();
     let readers = RequestReaders::default();
+    let (handoff, next) = mpsc::channel();
+    let parked = Parked {
+        idle: AtomicUsize::new(0),
+        next: Mutex::new(next),
+    };
     let ctx = Ctx {
         engine,
         prepared,
@@ -318,12 +371,15 @@ pub fn serve(
                 obs.log(LogLevel::Warn, "daemon_draining", "");
             }
             match accepted {
+                // The claimed handler is parked or on its way to `recv`;
+                // the receiver outlives this loop, so the send lands.
+                Ok(stream) if parked.claim() => {
+                    let _ = handoff.send(stream);
+                }
                 Ok(stream) => {
-                    s.spawn(move || {
-                        // Connection errors (peer hung up mid-stream)
-                        // affect that connection only.
-                        let _ = handle_connection(ctx, stream);
-                    });
+                    obs.on_connection_thread();
+                    let parked = &parked;
+                    s.spawn(move || parked.run(ctx, stream));
                 }
                 // Out of descriptors, say: don't spin on the error.
                 Err(_) => std::thread::sleep(SHUTDOWN_POLL),
@@ -334,8 +390,11 @@ pub fn serve(
         }
         accepting.store(false, Ordering::SeqCst);
         waker.thread().unpark();
-        // Scope exit joins every connection thread: in-flight jobs see
-        // the shutdown through their scoped drains and checkpoint out.
+        // Release the parked handlers. Scope exit joins every handler:
+        // in-flight jobs see the shutdown through their scoped drains
+        // and checkpoint out, then their handlers find no next
+        // connection either.
+        drop(handoff);
     });
     obs.set_ready(false);
     let stats = registry.stats();

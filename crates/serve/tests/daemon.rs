@@ -40,6 +40,8 @@ static EVICT_SHUTDOWN: DrainSignal = DrainSignal::new();
 static DRAIN_HEALTH_SHUTDOWN: DrainSignal = DrainSignal::new();
 static EMPTY_CONN_SHUTDOWN: DrainSignal = DrainSignal::new();
 static WINDOW_SHUTDOWN: DrainSignal = DrainSignal::new();
+static REUSE_SHUTDOWN: DrainSignal = DrainSignal::new();
+static HELD_SHUTDOWN: DrainSignal = DrainSignal::new();
 
 /// Requests the daemon's shutdown signal when dropped. `serve` runs on
 /// a scoped thread, and a scope joins its threads even while a panic
@@ -898,5 +900,138 @@ fn bare_signal_stops_an_idle_daemon_on_every_listener_family() {
             "{listen}: idle daemon took {stopped_in:?} to notice a bare shutdown request"
         );
     }
+    std::fs::remove_dir_all(&tmp).ok();
+}
+
+/// Ask a running daemon to stop over the wire and require `serve` to
+/// return within a second: its parked handlers must not hold the scope.
+fn shutdown_promptly(
+    socket: &Path,
+    server: std::thread::ScopedJoinHandle<
+        '_,
+        Result<sw_serve::StatsSnapshot, sw_serve::ServeError>,
+    >,
+) {
+    let sh = client::request(socket, &client::shutdown_request()).unwrap();
+    assert_eq!(json::field_bool(&sh[0], "ok"), Some(true), "{sh:?}");
+    let t0 = Instant::now();
+    server.join().unwrap().expect("serve");
+    assert!(
+        t0.elapsed() < Duration::from_secs(1),
+        "serve() took {:?} to stop with handlers parked",
+        t0.elapsed()
+    );
+}
+
+/// A connection handler that finished its connection takes the next one:
+/// a client that sends one request at a time is served by the thread the
+/// first request started (a second one at most, when a request arrives
+/// before the previous handler has parked), however many requests it
+/// sends.
+#[test]
+fn sequential_requests_reuse_parked_handlers() {
+    let a = Alphabet::protein();
+    let prepared = PreparedDb::prepare(generate_database(&DbSpec::tiny(91)), 4, &a);
+    let engine = HeteroEngine::new(SearchEngine::paper_default());
+    let base = HeteroSearchConfig::best(1, 1);
+    let tmp = std::env::temp_dir().join(format!("sw-serve-reuse-{}", std::process::id()));
+    std::fs::remove_dir_all(&tmp).ok();
+    std::fs::create_dir_all(&tmp).unwrap();
+    let config = ServeConfig::new(tmp.join("daemon.sock"));
+    let fasta = fasta_of(&generate_query(60, 92), &a);
+
+    std::thread::scope(|s| {
+        let server = {
+            let (engine, prepared, a, base, config) = (&engine, &prepared, &a, &base, &config);
+            s.spawn(move || sw_serve::serve(engine, prepared, a, base, config, &REUSE_SHUTDOWN))
+        };
+        let _stop = StopOnDrop(&REUSE_SHUTDOWN);
+        let socket = config.unix_socket().expect("unix listener");
+        wait_for_socket(socket);
+
+        for _ in 0..50 {
+            let h = client::request(socket, &client::health_request()).unwrap();
+            assert_eq!(json::field_bool(&h[0], "ready"), Some(true), "{h:?}");
+        }
+        for _ in 0..20 {
+            let lines =
+                client::request(socket, &client::submit_request("seq", &fasta, 5, None)).unwrap();
+            let o = client::parse_submit_response(&lines).unwrap();
+            assert_eq!(o.state, "done", "{lines:?}");
+        }
+        let scrape = client::request(socket, &client::metrics_request())
+            .unwrap()
+            .join("\n");
+        sw_trace::validate::validate_prometheus_strict(&scrape)
+            .unwrap_or_else(|e| panic!("{e}\n{scrape}"));
+        let threads = metric(&scrape, "sw_serve_connection_threads_total");
+        assert!(
+            (1..=2).contains(&threads),
+            "{threads} handler threads for 71 sequential requests"
+        );
+        assert_eq!(metric(&scrape, "sw_serve_done_total"), 20);
+        shutdown_promptly(socket, server);
+    });
+    std::fs::remove_dir_all(&tmp).ok();
+}
+
+/// Submits hold their handler for the whole search, so a probe that
+/// arrives while every region slot is taken gets a handler of its own and
+/// answers at once; once the submits end, all those handlers park, and
+/// the daemon still stops promptly on the `shutdown` op.
+#[test]
+fn health_answers_while_submits_hold_every_slot() {
+    let a = Alphabet::protein();
+    let prepared = PreparedDb::prepare(generate_database(&DbSpec::tiny(95)), 4, &a);
+    let engine = HeteroEngine::new(SearchEngine::paper_default());
+    let base = HeteroSearchConfig::best(1, 1);
+    let tmp = std::env::temp_dir().join(format!("sw-serve-held-{}", std::process::id()));
+    std::fs::remove_dir_all(&tmp).ok();
+    std::fs::create_dir_all(&tmp).unwrap();
+    let mut config = ServeConfig::new(tmp.join("daemon.sock"));
+    config.max_concurrent = 2;
+    // Wide enough that the submits below share one region however slowly
+    // they arrive; a full window closes at once.
+    config.batch_window_ms = 2_000;
+
+    std::thread::scope(|s| {
+        let server = {
+            let (engine, prepared, a, base, config) = (&engine, &prepared, &a, &base, &config);
+            s.spawn(move || sw_serve::serve(engine, prepared, a, base, config, &HELD_SHUTDOWN))
+        };
+        let _stop = StopOnDrop(&HELD_SHUTDOWN);
+        let socket = config.unix_socket().expect("unix listener");
+        wait_for_socket(socket);
+
+        // One region of `max_concurrent` queries, held by the drill.
+        let held: Vec<_> = (0..config.max_concurrent as u64)
+            .map(|i| {
+                let q = generate_query(80, 96 + i);
+                start_submit(socket, "held", &fasta_of(&q, &a), Some("delay@0:1500"))
+            })
+            .collect();
+        for (_, id) in &held {
+            wait_for_state(socket, *id, "running");
+        }
+        // The reply itself proves the probe was served while both held.
+        let h = client::request(socket, &client::health_request()).unwrap();
+        assert_eq!(json::field_bool(&h[0], "ready"), Some(true), "{h:?}");
+        assert_eq!(
+            json::field_u64(&h[0], "running"),
+            Some(config.max_concurrent as u64),
+            "{h:?}"
+        );
+        for (r, id) in held {
+            assert_eq!(finish_submit(r, id).state, "done");
+        }
+        let scrape = client::request(socket, &client::metrics_request())
+            .unwrap()
+            .join("\n");
+        assert!(
+            metric(&scrape, "sw_serve_connection_threads_total") > config.max_concurrent as u64,
+            "the probe needed a handler beside the held submits:\n{scrape}"
+        );
+        shutdown_promptly(socket, server);
+    });
     std::fs::remove_dir_all(&tmp).ok();
 }

@@ -11,6 +11,7 @@ use sw_kernels::scalar::SwParams;
 use sw_kernels::{KernelIsa, KernelVariant, ProfileMode, Vectorization};
 use sw_sched::{FaultKind, FaultSpec, DEVICE_ACCEL};
 use sw_seq::{Alphabet, GapPenalty, SubstMatrix};
+use sw_serve::client::Request;
 use sw_trace::TraceLevel;
 
 /// Usage text shown on parse errors and `--help`.
@@ -43,9 +44,10 @@ USAGE:
                     [--slow-query-ms <ms>] [--metrics-file <path>]
                     [--metrics-interval-ms <ms>] [--request-timeout-ms <ms>]
                     [--shard-worker] [scoring and search options]
-  swsearch submit   --socket <endpoint> (--query <fasta> | --status <job> |
+  swsearch submit   --socket <endpoint> (--query <fasta> [--tenant <name>]
+                    [--top <k>] [--drill <spec>] | --status <job> |
                     --cancel <job> | --stats | --metrics | --health |
-                    --shutdown) [--tenant <name>] [--top <k>] [--json]
+                    --shutdown) [--json]
                     [--connect-retries <n>] [--connect-backoff-ms <ms>]
   swsearch trace-check [--trace <jsonl>] [--metrics <prom>]
 
@@ -66,7 +68,7 @@ SEARCH OPTIONS (search, hetero, serve):
   --kernel-isa <i>    auto | portable | sse2 | avx2 — instruction set for
                       the intrinsic kernels (default auto: best the host
                       supports; results are identical on every choice)
-  --top <k>           hits to print (default 10)
+  --top <k>           hits to print (default 10; also submit --query)
   --quarantine        skip malformed FASTA records instead of aborting;
                       a per-issue summary is printed (also on makedb)
   --align             (search) render the alignment of each reported hit
@@ -162,12 +164,12 @@ SERVE OPTIONS:
                       shard, reporting hit ids globally (shard base +
                       in-shard index) and labelling metrics with the
                       shard index
-  --drill <spec>      (submit) per-job fault drill forwarded to the
-                      daemon, e.g. delay@0:1500 (the region's first
+  --drill <spec>      (submit --query) per-job fault drill forwarded to
+                      the daemon, e.g. delay@0:1500 (the region's first
                       chunk, on either pool, sleeps 1500 ms) — test
                       hook, hits stay exact
-  --tenant <name>     (submit) tenant the job is accounted against
-                      (default 'anon')
+  --tenant <name>     (submit --query) tenant the job is accounted
+                      against (default 'anon')
   --status <job>      (submit) report one job instead of submitting
   --cancel <job>      (submit) drain a running job gracefully
   --stats             (submit) registry summary counts
@@ -744,38 +746,38 @@ pub struct Serve {
     pub config: sw_serve::ServeConfig,
 }
 
-/// `submit`: one client operation (exactly one of
-/// query/status/cancel/stats/shutdown/metrics/health).
+/// `submit`: one client operation.
 #[derive(Debug, PartialEq)]
 pub struct Submit {
     /// Endpoint of the daemon.
     pub socket: String,
-    /// Query FASTA to submit (`None` for the control operations).
-    pub query: Option<String>,
-    /// Tenant the job is accounted against.
-    pub tenant: String,
-    /// Report this job id instead of submitting.
-    pub status: Option<u64>,
-    /// Drain this job id gracefully.
-    pub cancel: Option<u64>,
-    /// Print a registry summary.
-    pub stats: bool,
-    /// Fetch the daemon-lifetime Prometheus snapshot.
-    pub metrics: bool,
-    /// Readiness/liveness probe.
-    pub health: bool,
-    /// Drain in-flight jobs and stop the daemon.
-    pub shutdown: bool,
-    /// Fault drill forwarded with the job (e.g. `delay@0:1500`).
-    pub drill: Option<String>,
-    /// Hits to return.
-    pub top: usize,
+    /// What to ask the daemon.
+    pub op: SubmitOp,
     /// Print raw wire JSON lines instead of human-formatted text.
     pub json: bool,
     /// Extra connect attempts under jittered exponential backoff.
     pub connect_retries: u32,
     /// Base backoff for connect retries in ms.
     pub connect_backoff_ms: u64,
+}
+
+/// The one operation a `submit` line names.
+#[derive(Debug, PartialEq)]
+pub enum SubmitOp {
+    /// `--query`: run a search; the FASTA is read when the command runs.
+    Query {
+        /// Query FASTA path.
+        path: String,
+        /// Tenant the job is accounted against.
+        tenant: String,
+        /// Hits to return.
+        top: usize,
+        /// Fault drill forwarded with the job (e.g. `delay@0:1500`).
+        drill: Option<String>,
+    },
+    /// A control request (`--status`, `--cancel`, `--stats`,
+    /// `--metrics`, `--health`, `--shutdown`); never a `Submit`.
+    Control(Request),
 }
 
 /// `trace-check`.
@@ -1165,38 +1167,38 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
         }
         "submit" => {
             let socket = a.value_of("--socket")?;
-            let query = a.opt_value("--query")?;
-            let status = a.opt_num::<u64>("--status")?;
-            let cancel = a.opt_num::<u64>("--cancel")?;
-            let stats = a.has_flag("--stats");
-            let shutdown = a.has_flag("--shutdown");
-            let metrics = a.has_flag("--metrics");
-            let health = a.has_flag("--health");
-            let ops = usize::from(query.is_some())
-                + usize::from(status.is_some())
-                + usize::from(cancel.is_some())
-                + usize::from(stats)
-                + usize::from(shutdown)
-                + usize::from(metrics)
-                + usize::from(health);
-            if ops != 1 {
+            let query = a.part("--query", |a| {
+                let path = a.opt_value("--query")?;
+                let tenant = a.opt_value("--tenant")?;
+                let top = a.parse_num("--top", 10)?;
+                let drill = a.opt_value("--drill")?;
+                Ok(path.map(|path| SubmitOp::Query {
+                    path,
+                    tenant: tenant.unwrap_or_else(|| "anon".into()),
+                    top,
+                    drill,
+                }))
+            })?;
+            let controls = [
+                a.opt_num("--status")?.map(Request::Status),
+                a.opt_num("--cancel")?.map(Request::Cancel),
+                a.has_flag("--stats").then_some(Request::Stats),
+                a.has_flag("--shutdown").then_some(Request::Shutdown),
+                a.has_flag("--metrics").then_some(Request::Metrics),
+                a.has_flag("--health").then_some(Request::Health),
+            ];
+            let mut ops = query
+                .into_iter()
+                .chain(controls.into_iter().flatten().map(SubmitOp::Control));
+            let (Some(op), None) = (ops.next(), ops.next()) else {
                 return Err(err(
                     "submit needs exactly one of --query, --status, --cancel, --stats, \
                      --shutdown, --metrics, --health",
                 ));
-            }
+            };
             Command::Submit(Submit {
                 socket,
-                query,
-                tenant: a.opt_value("--tenant")?.unwrap_or_else(|| "anon".into()),
-                status,
-                cancel,
-                stats,
-                shutdown,
-                metrics,
-                health,
-                drill: a.opt_value("--drill")?,
-                top: a.parse_num("--top", 10)?,
+                op,
                 json: a.has_flag("--json"),
                 connect_retries: a.parse_num("--connect-retries", 0)?,
                 connect_backoff_ms: a.parse_num("--connect-backoff-ms", 25)?,
@@ -1849,28 +1851,63 @@ mod tests {
             "submit --socket s.sock --query q.fa --tenant acme --drill delay@0:500 --top 5",
         );
         assert_eq!(s.socket, "s.sock");
-        assert_eq!(s.query.as_deref(), Some("q.fa"));
-        assert_eq!(s.tenant, "acme");
-        assert_eq!(s.drill.as_deref(), Some("delay@0:500"));
-        assert_eq!(s.top, 5);
-        let s = parse_submit("submit --socket s.sock --status 7");
-        assert_eq!(s.status, Some(7));
-        assert_eq!(s.tenant, "anon");
         assert_eq!(
-            parse_submit("submit --socket s.sock --cancel 3").cancel,
-            Some(3)
+            s.op,
+            SubmitOp::Query {
+                path: "q.fa".into(),
+                tenant: "acme".into(),
+                top: 5,
+                drill: Some("delay@0:500".into()),
+            }
         );
-        assert!(parse_submit("submit --socket s.sock --stats").stats);
-        assert!(parse_submit("submit --socket s.sock --shutdown").shutdown);
-        assert!(parse_submit("submit --socket s.sock --metrics").metrics);
-        assert!(parse_submit("submit --socket s.sock --health").health);
+        assert_eq!(
+            parse_submit("submit --socket s.sock --query q.fa").op,
+            SubmitOp::Query {
+                path: "q.fa".into(),
+                tenant: "anon".into(),
+                top: 10,
+                drill: None,
+            }
+        );
+        for (flag, req) in [
+            ("--status 7", Request::Status(7)),
+            ("--cancel 3", Request::Cancel(3)),
+            ("--stats", Request::Stats),
+            ("--shutdown", Request::Shutdown),
+            ("--metrics", Request::Metrics),
+            ("--health", Request::Health),
+        ] {
+            let s = parse_submit(&format!("submit --socket s.sock {flag}"));
+            assert_eq!(s.op, SubmitOp::Control(req), "{flag}");
+        }
         let s = parse_submit("submit --socket s.sock --stats --json");
-        assert!(s.stats && s.json);
+        assert!(s.op == SubmitOp::Control(Request::Stats) && s.json);
         // Zero or two operations are both rejected.
         assert!(parse(&argv("submit --socket s.sock")).is_err());
         assert!(parse(&argv("submit --socket s.sock --query q --stats")).is_err());
         assert!(parse(&argv("submit --socket s.sock --metrics --health")).is_err());
         assert!(parse(&argv("submit --query q")).is_err(), "needs --socket");
+    }
+
+    /// `--tenant`, `--top` and `--drill` shape a query: beside a control
+    /// operation nothing would send them, so the line is refused by name.
+    #[test]
+    fn query_only_flags_are_refused_on_a_control_op() {
+        for flag in ["--tenant x", "--top 3", "--drill delay@0:5"] {
+            for op in [
+                "--status 3",
+                "--cancel 3",
+                "--stats",
+                "--metrics",
+                "--health",
+                "--shutdown",
+            ] {
+                let line = format!("submit --socket s.sock {op} {flag}");
+                let e = parse(&argv(&line)).unwrap_err();
+                let name = flag.split(' ').next().unwrap();
+                assert_eq!(e.0, format!("{name} requires --query"), "{line}");
+            }
+        }
     }
 
     #[test]

@@ -1121,59 +1121,41 @@ fn cmd_serve<W: Write>(s: args::Serve, out: &mut W) -> Result<(), CmdError> {
 }
 
 fn cmd_submit<W: Write>(s: &args::Submit, out: &mut W) -> Result<(), CmdError> {
-    use sw_serve::{client, Endpoint, RetryPolicy};
+    use sw_serve::client::{self, Request};
+    use sw_serve::{json, Endpoint, RetryPolicy};
     let endpoint = Endpoint::parse(&s.socket).map_err(|e| format!("--socket: {e}"))?;
     let policy = RetryPolicy {
         retries: s.connect_retries,
         backoff_ms: s.connect_backoff_ms.max(1),
         seed: std::process::id() as u64,
     };
-    let request = |line: &str| -> Result<Vec<String>, CmdError> {
-        let (lines, _) = client::request_endpoint_retry(&endpoint, line, &policy)?;
+    let request = |r: &Request| -> Result<Vec<String>, CmdError> {
+        let (lines, _) = client::request_endpoint_retry(&endpoint, &r.render(), &policy)?;
         Ok(lines)
     };
-    if s.metrics {
-        // Raw Prometheus text: many lines, pass through untouched.
-        for line in request(&client::metrics_request())? {
-            writeln!(out, "{line}")?;
-        }
-        return Ok(());
-    }
-    if s.health {
-        // One JSON line; exit status doubles as the readiness probe.
-        let lines = request(&client::health_request())?;
-        let line = lines.first().ok_or("empty response")?;
-        writeln!(out, "{line}")?;
-        return if sw_serve::json::field_bool(line, "ready") == Some(true) {
-            Ok(())
-        } else {
-            Err("daemon not ready".into())
-        };
-    }
-    if let Some(query_path) = &s.query {
-        let fasta = std::fs::read_to_string(query_path)?;
-        let req = client::submit_request(&s.tenant, &fasta, s.top, s.drill.as_deref());
-        let lines = request(&req)?;
-        let outcome = client::parse_submit_response(&lines).map_err(|e| format!("submit: {e}"))?;
-        if s.json {
-            // Raw wire lines, one JSON object per line; the outcome is
-            // still parsed above so rejects and failures keep their
-            // non-zero exit status.
-            for line in &lines {
-                writeln!(out, "{line}")?;
-            }
-            return match outcome.state.as_str() {
-                "done" | "cancelled" => Ok(()),
-                other => Err(format!(
-                    "job {} {other}: {}",
-                    outcome.job,
-                    outcome.error.as_deref().unwrap_or("no detail")
-                )
-                .into()),
-            };
-        }
-        match outcome.state.as_str() {
-            "done" => {
+    match &s.op {
+        args::SubmitOp::Query {
+            path,
+            tenant,
+            top,
+            drill,
+        } => {
+            let lines = request(&Request::Submit {
+                tenant: tenant.clone(),
+                query: std::fs::read_to_string(path)?,
+                top: Some(*top),
+                drill: drill.clone(),
+            })?;
+            let outcome =
+                client::parse_submit_response(&lines).map_err(|e| format!("submit: {e}"))?;
+            if s.json {
+                // Raw wire lines, one JSON object per line; the outcome
+                // is still parsed above so rejects and failures keep
+                // their non-zero exit status.
+                for line in &lines {
+                    writeln!(out, "{line}")?;
+                }
+            } else if outcome.state == "done" {
                 writeln!(
                     out,
                     "job {} done: {} hits{}{}",
@@ -1196,47 +1178,43 @@ fn cmd_submit<W: Write>(s: &args::Submit, out: &mut W) -> Result<(), CmdError> {
                 for h in &outcome.hits {
                     writeln!(out, "{:>6}  {:>8}  {}", h.rank, h.score, h.header)?;
                 }
-                Ok(())
-            }
-            "cancelled" => {
+            } else if outcome.state == "cancelled" {
                 writeln!(
                     out,
                     "job {} cancelled; progress is checkpointed — resubmit the same \
                      query to resume",
                     outcome.job
                 )?;
-                Ok(())
             }
-            other => Err(format!(
-                "job {} {other}: {}",
-                outcome.job,
-                outcome.error.as_deref().unwrap_or("no detail")
-            )
-            .into()),
+            match outcome.state.as_str() {
+                "done" | "cancelled" => Ok(()),
+                other => Err(format!(
+                    "job {} {other}: {}",
+                    outcome.job,
+                    outcome.error.as_deref().unwrap_or("no detail")
+                )
+                .into()),
+            }
         }
-    } else {
-        let req = if let Some(id) = s.status {
-            client::status_request(id)
-        } else if let Some(id) = s.cancel {
-            client::cancel_request(id)
-        } else if s.stats {
-            client::stats_request()
-        } else {
-            // The parser guarantees exactly one operation flag.
-            debug_assert!(s.shutdown);
-            client::shutdown_request()
-        };
-        let lines = request(&req)?;
-        let line = lines.first().ok_or("empty response")?;
-        if sw_serve::json::field_bool(line, "ok") == Some(false) {
-            return Err(sw_serve::json::field_str(line, "error")
-                .unwrap_or_else(|| "request failed".to_string())
-                .into());
+        args::SubmitOp::Control(req) => {
+            let lines = request(req)?;
+            let first = lines.first().ok_or("empty response")?;
+            if json::field_bool(first, "ok") == Some(false) {
+                return Err(json::field_str(first, "error")
+                    .unwrap_or_else(|| "request failed".to_string())
+                    .into());
+            }
+            // One JSON line, except a metrics reply: raw Prometheus text,
+            // passed through untouched. --json changes neither.
+            for line in &lines {
+                writeln!(out, "{line}")?;
+            }
+            // A health probe's exit status is the readiness verdict.
+            if *req == Request::Health && json::field_bool(first, "ready") != Some(true) {
+                return Err("daemon not ready".into());
+            }
+            Ok(())
         }
-        // status/stats/shutdown answers are already one JSON line, so
-        // --json and the default rendering coincide.
-        writeln!(out, "{line}")?;
-        Ok(())
     }
 }
 

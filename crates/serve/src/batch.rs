@@ -20,6 +20,7 @@
 //! and any later `enqueue` is refused so no connection can park a job
 //! nobody will ever run.
 
+use crate::client::JobReply;
 use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -47,27 +48,6 @@ pub(crate) struct PendingJob {
     pub drain: Arc<DrainSignal>,
     /// Demux channel back to the submitting connection.
     pub reply: mpsc::Sender<JobReply>,
-}
-
-/// What the collector sends back to the connection thread. The registry
-/// record is final before this is sent, so a client that hangs up while
-/// the reply streams cannot wedge the job state.
-pub(crate) enum JobReply {
-    Done {
-        /// The ranked hits as they go on the wire. Ids are global:
-        /// shard workers add their shard base so a coordinator can
-        /// merge per-shard streams with the unsharded tie-break.
-        hits: Vec<crate::client::HitLine>,
-        resumes: u64,
-        batch: usize,
-    },
-    Cancelled {
-        resumes: u64,
-        batch: usize,
-    },
-    Failed {
-        error: String,
-    },
 }
 
 /// Why a gather window closed — the label of `sw_serve_windows_total`:

@@ -48,9 +48,7 @@
 //! ([`merge_hits`]) — reproduces the unsharded hit list
 //! byte-for-byte, equal-score ties included.
 
-use crate::client::{
-    self, health_request, parse_submit_response, shutdown_request, submit_request, HitLine,
-};
+use crate::client::{self, parse_submit_response, HitLine, Request};
 use crate::journal::{CommittedShard, CoordJournal};
 use crate::json;
 use crate::transport::{
@@ -575,7 +573,7 @@ fn run_shard_attempt(
         .connect_wait(endpoint, cfg.connect_wait_ms)
         .map_err(AttemptError::Retry)?;
     let health = wire
-        .exchange(probe, &health_request(), deadline, None, None)
+        .exchange(probe, &Request::Health.render(), deadline, None, None)
         .map_err(|e| AttemptError::Retry(format!("health probe failed: {e}")))?;
     let health = health
         .first()
@@ -605,7 +603,13 @@ fn run_shard_attempt(
         Some(NetFaultKind::SlowDrip(d)) => (None, Some(d)),
         _ => (None, None),
     };
-    let req = submit_request(TENANT, query_fasta, cfg.top, cfg.drill.as_deref());
+    let req = Request::Submit {
+        tenant: TENANT.to_string(),
+        query: query_fasta.to_string(),
+        top: Some(cfg.top),
+        drill: cfg.drill.clone(),
+    }
+    .render();
     let lines = wire
         .request(&req, deadline, drop_after, drip)
         .map_err(|e| AttemptError::Retry(format!("submit failed: {e}")))?;
@@ -731,7 +735,7 @@ impl Wire<'_> {
         let timeout = Duration::from_millis(250);
         let mut stream = self.transport.connect(self.endpoint, timeout)?;
         stream.set_read_timeout(Some(timeout))?;
-        stream.send_line(&health_request())?;
+        stream.send_line(&Request::Health.render())?;
         match LineReader::new(stream).read_line()? {
             Some(_) => Ok(()),
             None => Err(io::Error::new(
@@ -746,7 +750,7 @@ impl Wire<'_> {
 /// processes they spawned). Errors are reported, not fatal — the
 /// caller usually also holds the child handle and can wait/kill.
 pub fn shutdown_worker(endpoint: &Endpoint) -> io::Result<()> {
-    client::request_endpoint(endpoint, &shutdown_request()).map(|_| ())
+    client::request_endpoint(endpoint, &Request::Shutdown.render()).map(|_| ())
 }
 
 #[cfg(test)]

@@ -19,10 +19,13 @@
 //! codec, re-exported from `sw-trace`) builds and parses fields,
 //! [`transport`] frames lines ([`Stream::send_line`] out,
 //! `transport::LineReader` in, on the client, the coordinator and the
-//! daemon alike), and [`client`] owns the request builders and the hit
-//! line. `server` demuxes region outcomes through the `batch`
-//! collector's reply channels; the CLI's `serve`/`submit` commands and
-//! the integration tests are both thin wrappers over these modules.
+//! daemon alike), and [`client`] gives every line one writer beside its
+//! one parser: [`client::Request`] for requests, the ack, state and end
+//! lines beside [`client::parse_submit_response`], and the hit line.
+//! `server` matches on the parsed request and demuxes region outcomes
+//! through the `batch` collector's reply channels; the CLI's
+//! `serve`/`submit` commands and the integration tests are both thin
+//! wrappers over these modules.
 //!
 //! Observability: every lifecycle transition is stamped on the job's
 //! [`obs::Phases`] record and folded into the daemon-lifetime

@@ -1,11 +1,12 @@
 //! The daemon itself: an accept loop (unix socket or TCP) multiplexing
 //! searches over one resident [`HeteroEngine`] + [`PreparedDb`].
 //!
-//! Every connection carries exactly one request line. Control ops
-//! (`status`/`cancel`/`stats`/`shutdown`) answer with one line and
-//! close; `submit` keeps the connection open and streams — ack, final
-//! state, the top-K hit lines, an `end` marker — so the client needs no
-//! polling loop for the common case.
+//! Every connection carries exactly one request line, read by
+//! [`Request::parse`] and answered by a `match` on the value. Control
+//! ops answer with one line and close; `submit` keeps the connection
+//! open and streams — ack, final state, the top-K hit lines, an `end`
+//! marker, each rendered by its writer in `client` — so the client needs
+//! no polling loop for the common case.
 //!
 //! Searches are *batched across queries*: connection handlers park
 //! accepted submits in the [`Batcher`], and one collector thread groups
@@ -51,8 +52,8 @@
 //! accepting, the parked handlers are released, the registry is dumped
 //! and the socket removed.
 
-use crate::batch::{Batcher, JobReply, PendingJob, WindowClosed, SHUTDOWN_POLL};
-use crate::client::HitLine;
+use crate::batch::{Batcher, PendingJob, WindowClosed, SHUTDOWN_POLL};
+use crate::client::{ack_line, HitLine, JobReply, Request, END_LINE};
 use crate::json;
 use crate::obs::{LogLevel, Obs, ObsConfig, ShardRole};
 use crate::registry::{JobState, Registry, StatsSnapshot};
@@ -486,12 +487,12 @@ fn handle_connection(ctx: Ctx<'_>, stream: Stream) -> io::Result<()> {
     if let Some(id) = listed {
         ctx.readers.leave(id);
     }
-    let line = match read {
+    let request = match read {
         // Connect-and-close (the shutdown waker, a liveness dial, a port
         // scan, a reader the drain hung up on) is not a request: no
         // reply, no counter.
         Ok(None) => return Ok(()),
-        Ok(Some(line)) => line,
+        Ok(Some(line)) => Request::parse(line.trim_end()),
         // Daemon draining: drop the idle connection.
         Err(e) if is_timeout(&e) && ctx.shutdown.is_requested() => return Ok(()),
         Err(e) if is_timeout(&e) => {
@@ -509,16 +510,25 @@ fn handle_connection(ctx: Ctx<'_>, stream: Stream) -> io::Result<()> {
         }
         // Over the line bound, or not UTF-8: tell the client why before
         // closing — the daemon itself is fine.
-        Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-            fail(&mut w, &format!("request {e}"))?;
-            return w.flush();
-        }
+        Err(e) if e.kind() == io::ErrorKind::InvalidData => Err(format!("request {e}")),
         Err(e) => return Err(e),
     };
-    let line = line.trim_end();
-    match json::field_str(line, "op").as_deref() {
-        Some("submit") => {
-            if let Err(e) = op_submit(ctx, line, &mut w) {
+    let request = match request {
+        Ok(r) => r,
+        Err(e) => {
+            fail(&mut w, &e)?;
+            return w.flush();
+        }
+    };
+    match request {
+        Request::Submit {
+            tenant,
+            query,
+            top,
+            drill,
+        } => {
+            let top = top.unwrap_or(ctx.config.default_top);
+            if let Err(e) = op_submit(ctx, &tenant, &query, top, drill.as_deref(), &mut w) {
                 // The reply stream died mid-write: count it — job state
                 // was already finalised by the collector/ack path.
                 ctx.obs.on_broken_pipe();
@@ -530,7 +540,7 @@ fn handle_connection(ctx: Ctx<'_>, stream: Stream) -> io::Result<()> {
                 return Err(e);
             }
         }
-        Some("metrics") => {
+        Request::Metrics => {
             let stats = ctx.registry.stats();
             w.write_all(
                 ctx.obs
@@ -538,7 +548,7 @@ fn handle_connection(ctx: Ctx<'_>, stream: Stream) -> io::Result<()> {
                     .as_bytes(),
             )?;
         }
-        Some("health") => {
+        Request::Health => {
             let stats = ctx.registry.stats();
             writeln!(
                 w,
@@ -547,29 +557,23 @@ fn handle_connection(ctx: Ctx<'_>, stream: Stream) -> io::Result<()> {
                     .health_json(&stats, ctx.config.max_concurrent, ctx.batcher.depth())
             )?;
         }
-        Some("status") => {
-            match json::field_u64(line, "job").and_then(|id| ctx.registry.status(id)) {
-                Some(rec) => writeln!(w, "{}", rec.to_json())?,
-                None => fail(&mut w, "no such job")?,
-            }
-        }
-        Some("cancel") => match json::field_u64(line, "job") {
-            Some(id) => match ctx.registry.cancel(id) {
-                Ok(state) => writeln!(
-                    w,
-                    "{{\"ok\":true,\"job\":{id},\"was\":\"{}\"}}",
-                    state.name()
-                )?,
-                Err(e) => fail(&mut w, &e)?,
-            },
-            None => fail(&mut w, "cancel needs a job id")?,
+        Request::Status(id) => match ctx.registry.status(id) {
+            Some(rec) => writeln!(w, "{}", rec.to_json())?,
+            None => fail(&mut w, "no such job")?,
         },
-        Some("stats") => writeln!(w, "{}", ctx.registry.stats().to_json())?,
-        Some("shutdown") => {
+        Request::Cancel(id) => match ctx.registry.cancel(id) {
+            Ok(state) => writeln!(
+                w,
+                "{{\"ok\":true,\"job\":{id},\"was\":\"{}\"}}",
+                state.name()
+            )?,
+            Err(e) => fail(&mut w, &e)?,
+        },
+        Request::Stats => writeln!(w, "{}", ctx.registry.stats().to_json())?,
+        Request::Shutdown => {
             ctx.shutdown.request();
             writeln!(w, "{{\"ok\":true,\"state\":\"draining\"}}")?;
         }
-        _ => fail(&mut w, "unknown op")?,
     }
     w.flush()
 }
@@ -578,31 +582,29 @@ fn fail<W: Write>(w: &mut W, msg: &str) -> io::Result<()> {
     writeln!(w, "{{\"ok\":false,\"error\":\"{}\"}}", json::escape(msg))
 }
 
-fn op_submit<W: Write>(ctx: Ctx<'_>, line: &str, w: &mut W) -> io::Result<()> {
-    let Some(fasta) = json::field_str(line, "query") else {
-        return fail(w, "submit needs a query");
-    };
-    let tenant = json::field_str(line, "tenant").unwrap_or_else(|| "anon".to_string());
-    let top = json::field_u64(line, "top").unwrap_or(ctx.config.default_top as u64) as usize;
-    let query = match parse_query(&fasta, ctx.alphabet) {
+fn op_submit<W: Write>(
+    ctx: Ctx<'_>,
+    tenant: &str,
+    fasta: &str,
+    top: usize,
+    drill: Option<&str>,
+    w: &mut W,
+) -> io::Result<()> {
+    let query = match parse_query(fasta, ctx.alphabet) {
         Ok(q) => q,
         Err(e) => return fail(w, &e),
     };
-    let drill = match json::field_str(line, "drill")
-        .as_deref()
-        .map(parse_delay_drill)
-    {
+    let drill = match drill.map(parse_delay_drill) {
         None => None,
         Some(Ok(spec)) => Some(spec),
         Some(Err(e)) => return fail(w, &e),
     };
     let drain = Arc::new(DrainSignal::scoped(ctx.shutdown));
-    let (id, drain) = match ctx.registry.submit(
-        &tenant,
-        query.residues.len(),
-        ctx.config.tenant_quota,
-        drain,
-    ) {
+    let quota = ctx.config.tenant_quota;
+    let (id, drain) = match ctx
+        .registry
+        .submit(tenant, query.residues.len(), quota, drain)
+    {
         Ok(v) => v,
         Err(e) => return fail(w, &e),
     };
@@ -611,7 +613,7 @@ fn op_submit<W: Write>(ctx: Ctx<'_>, line: &str, w: &mut W) -> io::Result<()> {
     // finish the job — an early return would leave it Queued forever,
     // holding tenant quota for a client that is already gone.
     let ack = (|| -> io::Result<()> {
-        writeln!(w, "{{\"ok\":true,\"job\":{id},\"state\":\"queued\"}}")?;
+        writeln!(w, "{}", ack_line(id))?;
         w.flush()
     })();
     if let Err(e) = ack {
@@ -634,61 +636,36 @@ fn op_submit<W: Write>(ctx: Ctx<'_>, line: &str, w: &mut W) -> io::Result<()> {
         drain,
         reply: reply_tx,
     });
-    if !parked {
+    let reply = if !parked {
         // The collector already closed (daemon draining): nobody will
         // ever run or reply to this job.
         ctx.registry.finish(id, JobState::Cancelled, 0, 0, None);
-        writeln!(
-            w,
-            "{{\"job\":{id},\"state\":\"cancelled\",\"hits\":0,\"resumes\":0,\"batch\":0}}"
-        )?;
-        return writeln!(w, "{{\"end\":true}}");
-    }
-    // The collector finishes the registry record *before* replying, so
-    // a client that hangs up during streaming cannot wedge the job; and
-    // shutdown cancel-replies the whole queue, so this recv always ends.
-    let reply = match reply_rx.recv() {
-        Ok(r) => r,
-        Err(_) => {
+        JobReply::Cancelled {
+            resumes: 0,
+            batch: 0,
+        }
+    } else {
+        // The collector finishes the registry record *before* replying,
+        // so a client that hangs up during streaming cannot wedge the
+        // job; and shutdown cancel-replies the whole queue, so this recv
+        // always ends.
+        reply_rx.recv().unwrap_or_else(|_| {
             let msg = "batch collector died".to_string();
             ctx.registry
                 .finish(id, JobState::Failed, 0, 0, Some(msg.clone()));
             JobReply::Failed { error: msg }
-        }
+        })
     };
-    match reply {
-        JobReply::Done {
-            hits,
-            resumes,
-            batch,
-        } => {
-            writeln!(
-                w,
-                "{{\"job\":{id},\"state\":\"done\",\"hits\":{},\"resumes\":{resumes},\"batch\":{batch}}}",
-                hits.len()
-            )?;
-            if !hits.is_empty() {
-                ctx.registry.record_first_hit(id);
-            }
-            for hit in &hits {
-                writeln!(w, "{}", hit.to_json())?;
-            }
+    writeln!(w, "{}", reply.state_line(id))?;
+    if let JobReply::Done { hits, .. } = &reply {
+        if !hits.is_empty() {
+            ctx.registry.record_first_hit(id);
         }
-        JobReply::Cancelled { resumes, batch } => {
-            writeln!(
-                w,
-                "{{\"job\":{id},\"state\":\"cancelled\",\"hits\":0,\"resumes\":{resumes},\"batch\":{batch}}}"
-            )?;
-        }
-        JobReply::Failed { error } => {
-            writeln!(
-                w,
-                "{{\"job\":{id},\"state\":\"failed\",\"error\":\"{}\"}}",
-                json::escape(&error)
-            )?;
+        for hit in hits {
+            writeln!(w, "{}", hit.to_json())?;
         }
     }
-    writeln!(w, "{{\"end\":true}}")
+    writeln!(w, "{END_LINE}")
 }
 
 /// The region runner. Lives on one thread inside `serve`'s scope:
@@ -980,8 +957,7 @@ mod tests {
             readers: &readers,
             shutdown: &ACK_SHUTDOWN,
         };
-        let req = crate::client::submit_request("acme", ">q\nMKVLAT\n", 5, None);
-        let err = op_submit(ctx, &req, &mut BrokenPipe).unwrap_err();
+        let err = op_submit(ctx, "acme", ">q\nMKVLAT\n", 5, None, &mut BrokenPipe).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
         // The job must not be stuck Queued: it failed, released its
         // quota, and charged no run slot.

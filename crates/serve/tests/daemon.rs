@@ -152,7 +152,8 @@ fn metric(scrape: &str, sample: &str) -> u64 {
 fn wait_for_state(socket: &Path, job: u64, want: &str) {
     let t0 = Instant::now();
     loop {
-        let lines = client::request(socket, &client::status_request(job)).expect("status");
+        let lines =
+            client::request(socket, &client::Request::Status(job).render()).expect("status");
         let state = json::field_str(&lines[0], "state").unwrap_or_default();
         if state == want {
             return;
@@ -233,7 +234,7 @@ fn daemon_end_to_end() {
         // disk.
         let (r4, id4) = start_submit(socket, "beta", &f4, Some("delay@0:400"));
         wait_for_state(socket, id4, "running");
-        let c = client::request(socket, &client::cancel_request(id4)).unwrap();
+        let c = client::request(socket, &client::Request::Cancel(id4).render()).unwrap();
         assert_eq!(json::field_bool(&c[0], "ok"), Some(true), "{c:?}");
         let o4 = finish_submit(r4, id4);
         assert_eq!(o4.state, "cancelled");
@@ -248,7 +249,7 @@ fn daemon_end_to_end() {
         assert!(o5.resumes >= 1, "resubmit must resume, not restart");
         assert_eq!(served_hits(&o5), solo4, "resumed served == solo");
 
-        let st = client::request(socket, &client::stats_request()).unwrap();
+        let st = client::request(socket, &client::Request::Stats.render()).unwrap();
         assert_eq!(json::field_u64(&st[0], "jobs"), Some(4), "{st:?}");
         assert_eq!(json::field_u64(&st[0], "done"), Some(3), "{st:?}");
         assert_eq!(json::field_u64(&st[0], "cancelled"), Some(1), "{st:?}");
@@ -320,7 +321,7 @@ fn daemon_end_to_end() {
             assert_eq!(metric(&scrape, sample), want, "{sample}");
         }
 
-        let sh = client::request(socket, &client::shutdown_request()).unwrap();
+        let sh = client::request(socket, &client::Request::Shutdown.render()).unwrap();
         assert_eq!(json::field_bool(&sh[0], "ok"), Some(true), "{sh:?}");
         let stats = server.join().unwrap().expect("serve");
         (stats, [id1, id2, id5])
@@ -440,7 +441,7 @@ fn batched_queries_match_solo_runs() {
         let (rc, idc) = start_submit(socket, "fleet", &fasta_of(&qc, &a), Some("delay@0:400"));
         let (rd, idd) = start_submit(socket, "fleet", &fasta_of(&qd, &a), None);
         wait_for_state(socket, idc, "running");
-        let c = client::request(socket, &client::cancel_request(idc)).unwrap();
+        let c = client::request(socket, &client::Request::Cancel(idc).render()).unwrap();
         assert_eq!(json::field_bool(&c[0], "ok"), Some(true), "{c:?}");
         let oc = finish_submit(rc, idc);
         let od = finish_submit(rd, idd);
@@ -466,12 +467,12 @@ fn batched_queries_match_solo_runs() {
             "completion removes the checkpoint"
         );
 
-        let st = client::request(socket, &client::stats_request()).unwrap();
+        let st = client::request(socket, &client::Request::Stats.render()).unwrap();
         assert_eq!(json::field_u64(&st[0], "jobs"), Some(7), "{st:?}");
         assert_eq!(json::field_u64(&st[0], "done"), Some(6), "{st:?}");
         assert_eq!(json::field_u64(&st[0], "cancelled"), Some(1), "{st:?}");
 
-        client::request(socket, &client::shutdown_request()).unwrap();
+        client::request(socket, &client::Request::Shutdown.render()).unwrap();
         server.join().unwrap().expect("serve");
     });
     std::fs::remove_dir_all(&tmp).ok();
@@ -554,7 +555,7 @@ fn full_window_closes_at_once_a_lone_submit_waits_it_out() {
             1
         );
 
-        client::request(socket, &client::shutdown_request()).unwrap();
+        client::request(socket, &client::Request::Shutdown.render()).unwrap();
         server.join().unwrap().expect("serve");
     });
     std::fs::remove_dir_all(&tmp).ok();
@@ -605,7 +606,7 @@ fn health_flips_during_drain() {
 
         // Shutdown: the daemon keeps answering probes while the job
         // drains, but reports itself not ready.
-        let sh = client::request(socket, &client::shutdown_request()).unwrap();
+        let sh = client::request(socket, &client::Request::Shutdown.render()).unwrap();
         assert_eq!(json::field_bool(&sh[0], "ok"), Some(true), "{sh:?}");
         let h = client::request(socket, &client::health_request()).unwrap();
         assert_eq!(json::field_bool(&h[0], "ready"), Some(false), "{h:?}");
@@ -696,7 +697,7 @@ fn stalled_half_line_client_is_evicted() {
         let outcome = finish_submit(r, job);
         assert_eq!(outcome.state, "done");
 
-        let sh = client::request(socket, &client::shutdown_request()).unwrap();
+        let sh = client::request(socket, &client::Request::Shutdown.render()).unwrap();
         assert_eq!(json::field_bool(&sh[0], "ok"), Some(true), "{sh:?}");
         server.join().unwrap().expect("serve");
     });
@@ -737,7 +738,7 @@ fn silent_connection_does_not_block_shutdown() {
         // Give the accept loop a beat to hand it to a connection thread
         // (the wedge needs the thread parked in the request read).
         std::thread::sleep(Duration::from_millis(100));
-        let sh = client::request(socket, &client::shutdown_request()).unwrap();
+        let sh = client::request(socket, &client::Request::Shutdown.render()).unwrap();
         assert_eq!(json::field_bool(&sh[0], "ok"), Some(true), "{sh:?}");
         let t0 = Instant::now();
         server.join().unwrap().expect("serve");
@@ -786,17 +787,20 @@ fn empty_connection_gets_no_reply_unknown_op_a_typed_error() {
             "EOF before any byte is not a request: {reply:?}"
         );
 
-        let unknown = client::request(socket, "{\"op\":\"frobnicate\"}").unwrap();
-        assert_eq!(
-            json::field_bool(&unknown[0], "ok"),
-            Some(false),
-            "{unknown:?}"
-        );
-        assert_eq!(
-            json::field_str(&unknown[0], "error").as_deref(),
-            Some("unknown op"),
-            "{unknown:?}"
-        );
+        // A line the request reader refuses is answered with its reason.
+        for (line, error) in [
+            ("{\"op\":\"frobnicate\"}", "unknown op"),
+            ("{\"op\":\"status\"}", "status needs a job id"),
+        ] {
+            let reply = client::request(socket, line).unwrap();
+            assert_eq!(reply.len(), 1, "{reply:?}");
+            assert_eq!(json::field_bool(&reply[0], "ok"), Some(false), "{reply:?}");
+            assert_eq!(
+                json::field_str(&reply[0], "error").as_deref(),
+                Some(error),
+                "{reply:?}"
+            );
+        }
 
         // One byte over the bound, no newline: answered (not buffered
         // until the request deadline) the moment the bound is crossed.
@@ -824,7 +828,7 @@ fn empty_connection_gets_no_reply_unknown_op_a_typed_error() {
             "{health:?}"
         );
 
-        client::request(socket, &client::shutdown_request()).unwrap();
+        client::request(socket, &client::Request::Shutdown.render()).unwrap();
         server.join().unwrap().expect("serve");
     });
     std::fs::remove_dir_all(&tmp).ok();
@@ -912,7 +916,7 @@ fn shutdown_promptly(
         Result<sw_serve::StatsSnapshot, sw_serve::ServeError>,
     >,
 ) {
-    let sh = client::request(socket, &client::shutdown_request()).unwrap();
+    let sh = client::request(socket, &client::Request::Shutdown.render()).unwrap();
     assert_eq!(json::field_bool(&sh[0], "ok"), Some(true), "{sh:?}");
     let t0 = Instant::now();
     server.join().unwrap().expect("serve");

@@ -376,14 +376,15 @@ fn dead_worker_is_requeued_respawned_and_resumes_from_checkpoint() {
             // a genuinely in-flight search.
             let t0 = Instant::now();
             loop {
-                let st = client::request(&sockets[0], &client::status_request(job)).unwrap();
+                let st =
+                    client::request(&sockets[0], &client::Request::Status(job).render()).unwrap();
                 if json::field_str(&st[0], "state").as_deref() == Some("running") {
                     break;
                 }
                 assert!(t0.elapsed() < Duration::from_secs(10), "job never ran");
                 std::thread::sleep(Duration::from_millis(5));
             }
-            client::request(&sockets[0], &client::cancel_request(job)).unwrap();
+            client::request(&sockets[0], &client::Request::Cancel(job).render()).unwrap();
             for _ in r.lines() {} // drain the cancelled reply
             coord::shutdown_worker(specs[0].endpoint_for(0)).unwrap();
             t.join().unwrap();

@@ -79,7 +79,8 @@ HETERO OPTIONS (with --dynamic):
   --dynamic           dual-pool dynamic scheduler: both device pools pull
                       from one shared queue; --frac only seeds the
                       feedback estimator. Prints per-device metrics.
-  --accel-threads <n> accelerator-pool workers (default: same as --threads)
+  --accel-threads <n> accelerator-pool workers, also for serve (default:
+                      same as --threads; 0 = CPU-only)
   --min-chunk <n>     smallest batch chunk a pool grabs (default 1)
   --inject-fault <s>  fault-injection drill against the accel
                       pool: kill@N | delay@N:MS | wedge@N | kill-pool@N
@@ -601,7 +602,7 @@ pub struct Hetero {
 /// `hetero --dynamic`.
 #[derive(Debug, PartialEq)]
 pub struct Dynamic {
-    /// Accelerator-pool worker threads.
+    /// Accelerator-pool worker threads (0 = CPU-only).
     pub accel_threads: usize,
     /// Smallest batch chunk either pool grabs.
     pub min_chunk: usize,
@@ -735,7 +736,7 @@ pub struct Serve {
     pub scoring: Scoring,
     /// Engine flags shared by every job.
     pub engine: Engine,
-    /// Accelerator-pool worker threads per search.
+    /// Accelerator-pool worker threads per search (0 = CPU-only).
     pub accel_threads: usize,
     /// Treat `db` as a `.swshard` file and serve that shard.
     pub shard_worker: bool,

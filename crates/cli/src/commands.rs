@@ -818,7 +818,7 @@ fn cmd_hetero<W: Write>(h: &args::Hetero, out: &mut W) -> Result<(), CmdError> {
         let dyn_cfg = HeteroSearchConfig {
             cpu: cfg,
             accel: SearchConfig {
-                threads: d.accel_threads.max(1),
+                threads: d.accel_threads,
                 ..cfg
             },
             min_chunk: d.min_chunk,
@@ -1072,7 +1072,7 @@ fn cmd_serve<W: Write>(s: args::Serve, out: &mut W) -> Result<(), CmdError> {
     let base = HeteroSearchConfig {
         cpu: cfg,
         accel: SearchConfig {
-            threads: s.accel_threads.max(1),
+            threads: s.accel_threads,
             ..cfg
         },
         min_chunk: 1,
@@ -1540,23 +1540,27 @@ mod tests {
         let common = format!("--query {q_path} --db {db_path} --frac 0.5 --lanes 4 --top 3");
         let (code, stat) = run_str(&format!("hetero {common}"));
         assert_eq!(code, 0, "{stat}");
-        let (code, dynamic) = run_str(&format!(
-            "hetero {common} --dynamic --threads 2 --accel-threads 2"
-        ));
-        assert_eq!(code, 0, "{dynamic}");
-        // Per-device metrics lines reach the user.
-        assert!(dynamic.contains("dynamic dual-pool"), "{dynamic}");
-        assert!(
-            dynamic.contains("cpu  :") && dynamic.contains("accel:"),
-            "{dynamic}"
-        );
-        assert!(dynamic.contains("GCUPS"), "{dynamic}");
-        // The hit list is identical to the static split's.
-        assert_eq!(
-            merged_hits(&stat, 3),
-            merged_hits(&dynamic, 3),
-            "\nstatic:\n{stat}\ndynamic:\n{dynamic}"
-        );
+        // `--accel-threads 0` is a CPU-only region, not one accelerator
+        // worker.
+        for (accel, pools) in [(2, "accel: 2 workers"), (0, "accel: 0 workers, 0 tasks")] {
+            let (code, dynamic) = run_str(&format!(
+                "hetero {common} --dynamic --threads 2 --accel-threads {accel}"
+            ));
+            assert_eq!(code, 0, "{dynamic}");
+            // Per-device metrics lines reach the user.
+            assert!(dynamic.contains("dynamic dual-pool"), "{dynamic}");
+            assert!(
+                dynamic.contains("cpu  : 2 workers") && dynamic.contains(pools),
+                "{dynamic}"
+            );
+            assert!(dynamic.contains("GCUPS"), "{dynamic}");
+            // The hit list is identical to the static split's.
+            assert_eq!(
+                merged_hits(&stat, 3),
+                merged_hits(&dynamic, 3),
+                "\nstatic:\n{stat}\ndynamic:\n{dynamic}"
+            );
+        }
     }
 
     #[test]

@@ -16,11 +16,13 @@
 //! is the task itself, `SearchEngine::run_batch`'s kernel dispatch, and
 //! the exact recomputation of saturated lanes before reporting.
 //!
-//! Workers claim chunks from the front of the task list, sized by the
-//! region's guided-style `adaptive_chunk` (half the remaining tasks over
-//! the worker count) rather than the paper's `dynamic(1)`. Hits do not
-//! depend on the chunking, and no pinned benchmark workload runs a flat
-//! search on more than one thread.
+//! Workers claim chunks from the front of the region's claim order — the
+//! task list for one query, the shortest query first and each query's
+//! largest batches first for several — sized by the region's
+//! guided-style `adaptive_chunk` (half the remaining tasks over the
+//! worker count) rather than the paper's `dynamic(1)`. Hits do not
+//! depend on the order or the chunking, and no pinned benchmark workload
+//! runs a flat search on more than one thread.
 //!
 //! Per search the engine builds one [`QueryProfile`] per query and one
 //! [`ScoreTable`]; per batch task, on the default `intrinsic-SP` path, it

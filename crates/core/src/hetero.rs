@@ -48,8 +48,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use sw_kernels::CellCount;
 use sw_sched::{
-    run_dual_pool_durable, CheckpointView, CommitView, DeviceMetrics, DrainSignal, DualPoolConfig,
-    DurableControl, ExecError, FaultInjector, MetricsSink, DEVICE_ACCEL, DEVICE_CPU,
+    run_dual_pool_durable, CheckpointView, ClaimOrder, CommitView, DeviceMetrics, DrainSignal,
+    DualPoolConfig, DurableControl, ExecError, FaultInjector, MetricsSink, DEVICE_ACCEL,
+    DEVICE_CPU,
 };
 use sw_swdb::chunk::{range_cells, split_by_cells};
 use sw_swdb::{BatchRange, LaneBatch, QueryProfile, ScoreTable};
@@ -343,10 +344,10 @@ impl HeteroEngine {
     ///   no location nothing is persisted and no fingerprint is computed.
     /// * **early hand-over** — with [`DurableOptions::on_query_done`] set,
     ///   a query's finished outcome is handed to the caller at *its* last
-    ///   commit, not at region end: the CPU pool takes the first query's
-    ///   tasks from the front of the queue and the accelerator pool the
-    ///   last one's from the back, so members of a shared region finish
-    ///   at different times. The returned outcome is the same either way.
+    ///   commit, not at region end. Both pools claim the shortest member
+    ///   first, each member's largest batches first, and no chunk spans
+    ///   two members, so members finish shortest first, not in input
+    ///   order. The returned outcome is the same either way.
     /// * **recovery totals** — see [`BatchSearchOutcome::recovery`].
     /// * **trace** — each task additionally lands on its owner's
     ///   [`BatchQuery::tracer`] as a one-task span, so per-query exports
@@ -454,10 +455,60 @@ pub(crate) fn one_pool_region(
         .collect()
 }
 
+/// The claim order of a region over `batches` whose members have the
+/// residue lengths `lens`, with `pools` = `[cpu, accel]` workers and the
+/// estimator starting at the accelerator share `seed`. Task `t` is
+/// `(member t / |batches|, batch t % |batches|)`, and batches ascend in
+/// length.
+///
+/// A one-member region keeps the identity: its CPU pool claims from the
+/// short end and its accelerator pool from the long end, as Algorithm 2
+/// splits. With two or more members, members sort by (length, index),
+/// each pool claims a member's largest batches first, and every member
+/// part is a segment of its own:
+/// * **Two pools.** Every member but the longest is split the way the
+///   static split does, by `seed` of its padded cells: its short batches
+///   are its CPU part, its long ones its accelerator part. CPU parts go
+///   at the front, shortest member first; accelerator parts at the back,
+///   shortest member outermost. The longest member is one segment in the
+///   middle, its CPU part's largest batch facing the CPU pool and its
+///   largest batch the accelerator pool, its smallest where they meet.
+/// * **One pool.** Members go back to back from that pool's end,
+///   shortest first.
+///
+/// So the shortest member gets both pools at once, and no region ends on
+/// a lone largest batch.
+fn claim_order(lens: &[usize], batches: &[LaneBatch], seed: f64, pools: [usize; 2]) -> ClaimOrder {
+    let n = batches.len();
+    if lens.len() < 2 || n == 0 {
+        return ClaimOrder::identity();
+    }
+    let mut members: Vec<usize> = (0..lens.len()).collect();
+    members.sort_by_key(|&qi| (lens[qi], qi));
+    // Member `qi`'s batches `range`, largest first / smallest first.
+    let down = |qi: usize, range: std::ops::Range<usize>| range.rev().map(move |b| qi * n + b);
+    let up = |qi: usize, range: std::ops::Range<usize>| range.map(move |b| qi * n + b);
+    match pools {
+        [_, 0] => ClaimOrder::from_segments(members.iter().map(|&qi| down(qi, 0..n))),
+        [0, _] => ClaimOrder::from_segments(members.iter().rev().map(|&qi| up(qi, 0..n))),
+        _ => {
+            // A padded-cell share does not depend on the query length.
+            let k = split_by_cells(batches, 1, 1.0 - seed).0.end;
+            let (&longest, rest) = members.split_last().expect("two or more members");
+            let front = rest.iter().map(|&qi| down(qi, 0..k).collect::<Vec<_>>());
+            let middle = down(longest, 0..k).chain(up(longest, k..n)).collect();
+            let back = rest.iter().rev().map(|&qi| up(qi, k..n).collect());
+            ClaimOrder::from_segments(front.chain([middle]).chain(back))
+        }
+    }
+}
+
 /// **The** region body: every query against the lane batches of
 /// `range` (a range of `db.batches`), one task per `(query, batch)`
 /// pair, run through one durable `sw-sched` dual-pool region whose
-/// estimator starts at the accelerator share `seed`. It is the crate's
+/// estimator starts at the accelerator share `seed` and whose queue
+/// hands tasks out in the order [`claim_order`] builds once from the
+/// members' lengths and the pool sizes. It is the crate's
 /// only call of `run_dual_pool_durable`: every search, flat, static or
 /// dynamic, is this function (see [`HeteroEngine::search_many_resumable`]
 /// for the per-query semantics).
@@ -709,11 +760,13 @@ pub(crate) fn region(
         }
     };
     // After each commit: did it fill the last slot of a query it
-    // touches? The slots are copied out under the slot lock; sorting
-    // and the callback run outside it.
+    // touches? A chunk touches one member (a segment never spans two),
+    // the prefill lists members in turn. The slots are copied out under
+    // the slot lock; sorting and the callback run outside it.
     let on_commit = |view: CommitView<'_, BatchOut>| {
-        let (s, e) = view.range;
-        for qi in s / n_batches..=(e - 1) / n_batches {
+        let mut members: Vec<usize> = view.tasks.iter().map(|t| t / n_batches).collect();
+        members.dedup();
+        for qi in members {
             if finished[qi].load(Ordering::Acquire) {
                 continue;
             }
@@ -741,6 +794,12 @@ pub(crate) fn region(
         },
         injector,
         DurableControl {
+            order: claim_order(
+                &queries.iter().map(|q| q.residues.len()).collect::<Vec<_>>(),
+                batches,
+                initial_share,
+                [cpu_workers, accel_workers],
+            ),
             prefill,
             drain: opts.drain,
             checkpoint_every_chunks: if checkpointing {
@@ -879,8 +938,9 @@ pub struct DurableOptions<'a> {
     /// never for a cancelled or drained one. The outcome equals the one
     /// [`BatchSearchOutcome::queries`] later carries except for
     /// `results.elapsed` (the region's wall so far, by padded-cell
-    /// share) and `results.degraded` (pools lost so far). `None` changes
-    /// nothing.
+    /// share) and `results.degraded` (pools lost so far). Calls follow
+    /// completion, which runs shortest member first, not input order.
+    /// `None` changes nothing.
     #[allow(clippy::type_complexity)]
     pub on_query_done: Option<&'a (dyn Fn(usize, &BatchQueryOutcome) + Sync)>,
 }
@@ -1431,10 +1491,14 @@ mod tests {
             assert_eq!(one.queries[0].cpu_batches as u64, one.cpu.tasks);
         }
 
-        // N = 3: mixed-length queries through ONE shared region, and the
-        // pooled wall clock partitioned across them.
-        let plan = hetero.plan_split(&db, queries[0].len(), 0.5);
-        let batch: Vec<BatchQuery<'_>> = queries
+        // N = 4: mixed-length queries, two of them the same length,
+        // through ONE shared region on every pool shape, and the pooled
+        // wall clock partitioned across them. With one worker the members
+        // finish in (length, index) order.
+        let mut members = queries.clone();
+        members.insert(2, generate_query(150, 7).residues);
+        let plan = hetero.plan_split(&db, members[0].len(), 0.5);
+        let batch: Vec<BatchQuery<'_>> = members
             .iter()
             .enumerate()
             .map(|(i, q)| BatchQuery {
@@ -1444,44 +1508,120 @@ mod tests {
                 tracer: None,
             })
             .collect();
-        let seen = Deliveries::default();
-        let on_done = |qi: usize, done: &BatchQueryOutcome| seen.record(qi, done);
-        let opts = DurableOptions {
-            on_query_done: Some(&on_done),
-            ..DurableOptions::default()
-        };
-        let start = Instant::now();
-        let out = hetero
-            .search_many_resumable(&batch, &db, &plan, &cfg, &none, &opts)
-            .expect("batched run");
-        let wall = start.elapsed();
-        assert!(!out.drained);
-        assert_eq!(out.queries.len(), 3);
-        // Every query was handed over exactly once, with the bytes its
-        // outcome carries.
-        let mut seen = seen.take();
-        seen.sort_by_key(|d| d.0);
-        assert_eq!(seen.len(), 3);
-        for (i, ((qi, id, early), qo)) in seen.iter().zip(&out.queries).enumerate() {
-            let at_end = qo.results.as_ref().expect("completed");
-            assert_eq!((*qi, *id), (i, qo.id), "one delivery per query");
-            assert_eq!(early.hits, at_end.hits, "query {qi}");
-            assert_eq!(early.cells, at_end.cells);
-            assert_eq!(early.lanes_rescued, at_end.lanes_rescued);
-            assert!(early.elapsed <= at_end.elapsed);
+        let solo: Vec<(Vec<Hit>, CellCount)> = members
+            .iter()
+            .map(|q| (oracle(q), engine.search(q, &db, &flat).cells))
+            .collect();
+        let mut by_length: Vec<usize> = (0..members.len()).collect();
+        by_length.sort_by_key(|&i| (members[i].len(), i));
+        for (cpu, accel) in [(1, 0), (0, 1), (2, 0), (1, 1), (2, 1)] {
+            let cfg = HeteroSearchConfig::best(cpu, accel);
+            let seen = Deliveries::default();
+            let on_done = |qi: usize, done: &BatchQueryOutcome| seen.record(qi, done);
+            let opts = DurableOptions {
+                on_query_done: Some(&on_done),
+                ..DurableOptions::default()
+            };
+            let start = Instant::now();
+            let out = hetero
+                .search_many_resumable(&batch, &db, &plan, &cfg, &none, &opts)
+                .expect("batched run");
+            let wall = start.elapsed();
+            assert!(!out.drained);
+            assert_eq!(out.queries.len(), 4);
+            // Every query was handed over exactly once, with the bytes its
+            // outcome carries.
+            let mut seen = seen.take();
+            if cpu + accel == 1 {
+                let order: Vec<usize> = seen.iter().map(|d| d.0).collect();
+                assert_eq!(order, by_length, "{cpu} + {accel}: (length, index) order");
+            }
+            seen.sort_by_key(|d| d.0);
+            assert_eq!(seen.len(), 4);
+            for (i, ((qi, id, early), qo)) in seen.iter().zip(&out.queries).enumerate() {
+                let at_end = qo.results.as_ref().expect("completed");
+                assert_eq!((*qi, *id), (i, qo.id), "one delivery per query");
+                assert_eq!(early.hits, at_end.hits, "query {qi}");
+                assert_eq!(early.cells, at_end.cells);
+                assert_eq!(early.lanes_rescued, at_end.lanes_rescued);
+                assert!(early.elapsed <= at_end.elapsed);
+            }
+            assert_eq!(out.cpu.tasks + out.accel.tasks, 4 * n_batches);
+            let mut elapsed_sum = std::time::Duration::ZERO;
+            for ((hits, cells), qo) in solo.iter().zip(&out.queries) {
+                let res = qo.results.as_ref().expect("completed");
+                assert!(!qo.cancelled);
+                assert_eq!(&res.hits, hits, "{cpu} + {accel}: query {}", qo.id);
+                assert_eq!(&res.cells, cells);
+                elapsed_sum += res.elapsed;
+            }
+            assert!(
+                elapsed_sum <= wall,
+                "per-query elapsed must partition the region wall clock"
+            );
         }
-        assert_eq!(out.cpu.tasks + out.accel.tasks, 3 * n_batches);
-        let mut elapsed_sum = std::time::Duration::ZERO;
-        for ((q, qo), pooled_res) in queries.iter().zip(&out.queries).zip(&pooled) {
-            let res = qo.results.as_ref().expect("completed");
-            assert!(!qo.cancelled);
-            assert_eq!(res.hits, oracle(q), "query {} vs oracle", qo.id);
-            assert_eq!(res.cells, pooled_res.cells);
-            elapsed_sum += res.elapsed;
+    }
+
+    #[test]
+    fn claim_order_is_shortest_member_first_largest_batch_first() {
+        let (db, _) = setup();
+        let batches = &db.batches;
+        let n = batches.len();
+        // One member keeps the identity on every pool shape.
+        for pools in [[1, 0], [0, 1], [1, 1], [3, 2]] {
+            let order = claim_order(&[120], batches, 0.55, pools);
+            assert_eq!(order, ClaimOrder::identity(), "{pools:?}");
         }
-        assert!(
-            elapsed_sum <= wall,
-            "per-query elapsed must partition the region wall clock"
+        // Members 1 and 3 tie on length: index breaks the tie.
+        let lens = [120, 90, 300, 90];
+        for pools in [[1, 0], [0, 1], [1, 1], [3, 2]] {
+            for seed in [0.0, 0.55, 1.0] {
+                let order = claim_order(&lens, batches, seed, pools);
+                let mut tasks = order.tasks().to_vec();
+                tasks.sort_unstable();
+                assert_eq!(
+                    tasks,
+                    (0..lens.len() * n).collect::<Vec<_>>(),
+                    "permutation"
+                );
+                // The segments cover it, each inside one member.
+                let ends = order.cuts().iter().copied().chain([tasks.len()]);
+                let mut start = 0;
+                for end in ends {
+                    let segment = &order.tasks()[start..end];
+                    assert!(!segment.is_empty());
+                    let member = segment[0] / n;
+                    assert!(segment.iter().all(|t| t / n == member), "{pools:?} {seed}");
+                    start = end;
+                }
+            }
+        }
+        let down = |qi: usize, r: std::ops::Range<usize>| r.rev().map(move |b| qi * n + b);
+        let up = |qi: usize, r: std::ops::Range<usize>| r.map(move |b| qi * n + b);
+        // One pool: members back to back from its end, largest batch first.
+        let cpu_only = claim_order(&lens, batches, 0.55, [2, 0]);
+        let want: Vec<usize> = [1, 3, 0, 2].iter().flat_map(|&qi| down(qi, 0..n)).collect();
+        assert_eq!(cpu_only.tasks(), want);
+        assert_eq!(cpu_only.cuts(), [n, 2 * n, 3 * n]);
+        let mut accel_only = claim_order(&lens, batches, 0.55, [0, 2]).tasks().to_vec();
+        accel_only.reverse();
+        assert_eq!(accel_only, want, "the accelerator end mirrors the CPU end");
+        // Two pools: CPU parts in front, accelerator parts behind, the
+        // longest member in the middle.
+        let k = split_by_cells(batches, 1, 0.45).0.end;
+        assert!(0 < k && k < n, "the seed splits every member");
+        let two = claim_order(&lens, batches, 0.55, [1, 1]);
+        let want: Vec<usize> = [1, 3, 0]
+            .iter()
+            .flat_map(|&qi| down(qi, 0..k))
+            .chain(down(2, 0..k).chain(up(2, k..n)))
+            .chain([0, 3, 1].iter().flat_map(|&qi| up(qi, k..n)))
+            .collect();
+        assert_eq!(two.tasks(), want);
+        assert_eq!(
+            two.cuts().len(),
+            6,
+            "three CPU parts, the middle, three accelerator parts"
         );
     }
 
@@ -1496,16 +1636,17 @@ mod tests {
         let n_batches = db.batches.len();
         let none = FaultInjector::none();
 
-        // One CPU worker and an all-CPU seed: the first chunk is exactly
-        // query A's batches, so A is handed over at that commit — before
-        // any task of B has run on the (one) thread.
+        // One CPU worker: the shortest member is claimed first, and its
+        // batches are a segment of their own, so the 90-residue B is
+        // handed over at its last commit — before any task of the
+        // 120-residue A, listed first, has run on the (one) thread.
         let trace = |id| sw_trace::Tracer::for_query(sw_trace::TraceLevel::Full, 1024, id);
         let (tr_a, tr_b) = (trace(1), trace(2));
-        let b_events_at_a = std::sync::Mutex::new(None);
+        let a_events_at_b = std::sync::Mutex::new(None);
         let seen = Deliveries::default();
         let on_done = |qi: usize, done: &BatchQueryOutcome| {
-            if qi == 0 {
-                *b_events_at_a.lock().unwrap() = Some(tr_b.timeline().total_events());
+            if qi == 1 {
+                *a_events_at_b.lock().unwrap() = Some(tr_a.timeline().total_events());
             }
             seen.record(qi, done);
         };
@@ -1535,8 +1676,8 @@ mod tests {
             .search_many_resumable(&pair(None), &db, &plan, &one_cpu, &none, &opts)
             .expect("clean run");
         let order: Vec<usize> = seen.take().iter().map(|d| d.0).collect();
-        assert_eq!(order, vec![0, 1]);
-        assert_eq!(*b_events_at_a.lock().unwrap(), Some(0), "B had not started");
+        assert_eq!(order, vec![1, 0], "shortest member first");
+        assert_eq!(*a_events_at_b.lock().unwrap(), Some(0), "A had not started");
 
         // A cancelled query is never handed over; its batch-mate is.
         let cancel_b = DrainSignal::new();
@@ -1708,6 +1849,104 @@ mod tests {
             0,
             "completion spends the checkpoint"
         );
+        std::fs::remove_dir_all(&tmp).ok();
+    }
+
+    #[test]
+    fn a_cancelled_member_resumes_by_query_and_batch_in_another_region() {
+        // Checkpoints are keyed by (query, batch), never by queue
+        // position: a member cancelled out of one region resumes in a
+        // region that lists it elsewhere, beside another batch-mate, on
+        // other pools, and recomputes exactly what it had not committed.
+        use sw_sched::{FaultKind, FaultPlan, FaultSpec};
+        let (db, _) = setup();
+        let hetero = HeteroEngine::new(SearchEngine::paper_default());
+        let [qa, qb, qc, qd] = [(60, 61), (90, 62), (150, 63), (120, 64)]
+            .map(|(len, seed)| generate_query(len, seed).residues);
+        let solo = |q: &[u8]| hetero.engine.search(q, &db, &SearchConfig::best(1)).hits;
+        let n_batches = db.batches.len() as u64;
+        let tmp = std::env::temp_dir().join(format!("sw-reorder-resume-{}", std::process::id()));
+        std::fs::remove_dir_all(&tmp).ok();
+        let c_file = tmp.join(SearchFingerprint::compute(&db, &qc).file_name());
+        let member = |residues, id, cancel| BatchQuery {
+            residues,
+            id,
+            cancel,
+            tracer: None,
+        };
+        let opts = DurableOptions {
+            checkpoint_dir: Some(&tmp),
+            interval_chunks: 1,
+            resume: true,
+            ..DurableOptions::default()
+        };
+
+        // One CPU worker claims A, B, then C in halving chunks; its fourth
+        // chunk starts a second late. By then C's first chunk is in C's
+        // checkpoint, and the watcher below has cancelled C.
+        let cancel_c = DrainSignal::new();
+        let inj = FaultInjector::new(FaultPlan::single(FaultSpec {
+            device: DEVICE_CPU,
+            chunk: 3,
+            kind: FaultKind::Delay(Duration::from_secs(1)),
+        }));
+        let plan = hetero.plan_split(&db, qc.len(), 0.0);
+        let region_done = AtomicBool::new(false);
+        let out = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !region_done.load(Ordering::SeqCst) {
+                    let ckpt = Checkpoint::load_if_exists(&c_file).ok().flatten();
+                    if ckpt.is_some_and(|c| !c.done.is_empty()) {
+                        cancel_c.request();
+                        return;
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            });
+            let members = [
+                member(&qa, 1, None),
+                member(&qb, 2, None),
+                member(&qc, 3, Some(&cancel_c)),
+            ];
+            let cfg = HeteroSearchConfig::best(1, 0);
+            let out = hetero.search_many_resumable(&members, &db, &plan, &cfg, &inj, &opts);
+            region_done.store(true, Ordering::SeqCst);
+            out.expect("a cancelled member is not a failed region")
+        });
+        let c = &out.queries[2];
+        assert!(c.cancelled);
+        assert!(
+            0 < c.tasks_done && c.tasks_done < n_batches,
+            "C was cancelled part-way: {} of {n_batches}",
+            c.tasks_done
+        );
+        assert_eq!(out.queries[0].results.as_ref().unwrap().hits, solo(&qa));
+        assert_eq!(out.queries[1].results.as_ref().unwrap().hits, solo(&qb));
+        assert_eq!(
+            std::fs::read_dir(&tmp).unwrap().count(),
+            1,
+            "C's checkpoint"
+        );
+
+        // C listed first, beside D, on both pools.
+        let plan = hetero.plan_split(&db, qc.len(), 0.5);
+        let members = [member(&qc, 3, None), member(&qd, 4, None)];
+        let cfg = HeteroSearchConfig::best(1, 1);
+        let none = FaultInjector::none();
+        let out = hetero
+            .search_many_resumable(&members, &db, &plan, &cfg, &none, &opts)
+            .expect("resumed region");
+        let (c2, d) = (&out.queries[0], &out.queries[1]);
+        assert_eq!((c2.resumes, c2.resumed_tasks), (1, c.tasks_done));
+        assert_eq!(c2.tasks_done, n_batches);
+        assert_eq!(c2.results.as_ref().unwrap().hits, solo(&qc));
+        assert_eq!(d.results.as_ref().unwrap().hits, solo(&qd));
+        assert_eq!(
+            out.cpu.tasks + out.accel.tasks,
+            2 * n_batches - c.tasks_done,
+            "only C's uncommitted batches ran again"
+        );
+        assert_eq!(std::fs::read_dir(&tmp).unwrap().count(), 0);
         std::fs::remove_dir_all(&tmp).ok();
     }
 

@@ -39,7 +39,7 @@ use crate::drain::DrainSignal;
 use crate::fault::{FaultInjector, FaultKind};
 use crate::metrics::{MetricsSink, RecoveryEvent, WorkerSample};
 use crate::policy::{
-    adaptive_chunk, DualQueue, RequeueQueue, SplitEstimator, DEVICE_ACCEL, DEVICE_CPU,
+    adaptive_chunk, ClaimOrder, DualQueue, RequeueQueue, SplitEstimator, DEVICE_ACCEL, DEVICE_CPU,
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -281,12 +281,13 @@ pub struct CheckpointView<'v, T> {
     pub accel_share: f64,
 }
 
-/// What a [`DurableControl::on_commit`] hook is handed: the task range
-/// whose results were just committed, and the slot table on demand.
+/// What a [`DurableControl::on_commit`] hook is handed: the ids of the
+/// tasks whose results were just committed, and the slot table on demand.
 pub struct CommitView<'v, T> {
-    /// `[start, end)` of the committed chunk (`0..n_tasks` for the resume
-    /// prefill). Tasks in it that were skipped or cancelled stay `None`.
-    pub range: (usize, usize),
+    /// Task ids of the committed chunk, in claim order (the prefilled ids
+    /// for the resume prefill). A chunk's tasks that were skipped or
+    /// cancelled stay `None`.
+    pub tasks: &'v [usize],
     slots: &'v Slots<T>,
 }
 
@@ -298,14 +299,18 @@ impl<T> CommitView<'_, T> {
     }
 }
 
-/// Durability hooks for [`run_dual_pool_durable`]: resume prefill, a
-/// drain signal, a periodic checkpoint callback, a per-task cancel probe
-/// and a commit hook.
+/// Region control for [`run_dual_pool_durable`]: the claim order, and the
+/// durability hooks — resume prefill, a drain signal, a periodic
+/// checkpoint callback, a per-task cancel probe and a commit hook.
 ///
-/// [`DurableControl::none`] disables all of them: the run then either
-/// completes every task or fails terminally, and
+/// [`DurableControl::none`] is the identity order with every hook off:
+/// the run then either completes every task or fails terminally, and
 /// [`DurableOutcome::try_into_results`] tells which.
 pub struct DurableControl<'a, T> {
+    /// The order the queue hands tasks out in, cut into segments no
+    /// claimed chunk spans. Everything else here is keyed by task id,
+    /// not queue position.
+    pub order: ClaimOrder,
     /// Task results a checkpoint already holds: `(task index, result)`.
     /// Prefilled indices are skipped by the workers (no execution, no
     /// cost accounting) and appear verbatim in the outcome's slots.
@@ -337,15 +342,16 @@ pub struct DurableControl<'a, T> {
     /// It is how a caller learns that a *part* of the task space (one
     /// query of a shared region) is complete while the rest still runs. A
     /// lease reclaimed from a slow holder commits twice with identical
-    /// values, so the hook may see the same range twice.
+    /// values, so the hook may see the same tasks twice.
     #[allow(clippy::type_complexity)]
     pub on_commit: Option<&'a (dyn Fn(CommitView<'_, T>) + Sync)>,
 }
 
 impl<T> DurableControl<'_, T> {
-    /// No prefill, no drain, no checkpoints.
+    /// The identity order; no prefill, no drain, no checkpoints.
     pub fn none() -> Self {
         DurableControl {
+            order: ClaimOrder::identity(),
             prefill: Vec::new(),
             drain: None,
             checkpoint_every_chunks: 0,
@@ -393,8 +399,8 @@ impl<T> DurableOutcome<T> {
     }
 }
 
-/// An active chunk lease: `device`'s pool claimed `range` and has not yet
-/// committed or released it.
+/// An active chunk lease: `device`'s pool claimed the queue positions
+/// `range` and has not yet committed or released it.
 struct Lease {
     id: u64,
     device: usize,
@@ -450,13 +456,13 @@ struct Supervisor<'a> {
 }
 
 impl<'a> Supervisor<'a> {
-    fn new(n_tasks: usize, config: DualPoolConfig, sink: &'a MetricsSink) -> Self {
+    fn new(queue: DualQueue, config: DualPoolConfig, sink: &'a MetricsSink) -> Self {
         Supervisor {
             config,
             estimator: SplitEstimator::new(config.initial_accel_fraction),
             progress: [DeviceProgress::default(), DeviceProgress::default()],
             state: Mutex::new(RecoveryState {
-                queue: DualQueue::new(n_tasks),
+                queue,
                 requeue: RequeueQueue::new(),
                 leases: Vec::new(),
                 next_lease: 0,
@@ -655,16 +661,16 @@ impl<'a> Supervisor<'a> {
         }
     }
 
-    /// Release a lease whose execution panicked at task `failed_at`
-    /// (everything before it was committed). The unexecuted tail is
-    /// requeued with an incremented attempt count, or — once retries are
-    /// exhausted — the failing task is reported terminally and the rest
-    /// of the chunk salvaged.
+    /// Release a lease whose execution panicked at queue position
+    /// `failed_at`, task `task` (everything before it was committed). The
+    /// unexecuted tail is requeued with an incremented attempt count, or
+    /// — once retries are exhausted — the failing task is reported
+    /// terminally and the rest of the chunk salvaged.
     fn release_failed(
         &self,
         id: u64,
         device: usize,
-        failed_at: usize,
+        (failed_at, task): (usize, usize),
         message: String,
         jr: &mut WorkerJournal,
     ) {
@@ -687,7 +693,7 @@ impl<'a> Supervisor<'a> {
         if lease.attempts >= self.config.max_chunk_retries {
             st.errors.push(TaskError {
                 device,
-                task: failed_at,
+                task,
                 message,
             });
             if failed_at + 1 < end {
@@ -728,6 +734,17 @@ impl<'a> Supervisor<'a> {
 /// work, seeded from `config.initial_accel_fraction` (the static plan)
 /// and re-balanced from observed per-device throughput.
 ///
+/// Claim order: the pools claim queue *positions*, and `durable.order`
+/// ([`ClaimOrder`]) maps each position to a task id. A chunk never spans
+/// two of the order's segments, so a segment's last commit never waits on
+/// another segment's task. Everything the region hands out or keeps is
+/// keyed by task id — the `task` and `cost` closures, the cancel probe,
+/// the slots, the prefill, [`TaskError::task`], the checkpoint and commit
+/// views — while trace chunk and lease events carry queue positions
+/// (equal to task ids under the identity order of
+/// [`DurableControl::none`], which claims exactly as an unordered queue
+/// would).
+///
 /// Recovery semantics: every claimed chunk is leased; a worker that dies
 /// (task panic or injected kill) releases the unexecuted tail of its
 /// chunk to a shared requeue list that *either* pool re-executes (with
@@ -766,8 +783,9 @@ impl<'a> Supervisor<'a> {
 ///
 /// * **commit hook** — `on_commit` runs on the committing worker after
 ///   every chunk commit (and once after the prefill) with a
-///   [`CommitView`], so a caller can act on a completed *part* of the
-///   task space while the rest of the region still runs.
+///   [`CommitView`] naming the committed task ids, so a caller can act
+///   on a completed *part* of the task space while the rest of the
+///   region still runs.
 ///
 /// Threads: the caller runs the first worker (CPU worker 0, or
 /// accelerator worker 0 when the CPU pool is empty) and every other
@@ -783,7 +801,8 @@ impl<'a> Supervisor<'a> {
 ///
 /// # Panics
 /// Panics when both pools are empty, when `initial_accel_fraction` is
-/// NaN or outside `[0, 1]`, or when a prefill index is out of range.
+/// NaN or outside `[0, 1]`, when a non-empty order is not a permutation
+/// of `0..n_tasks`, or when a prefill index is out of range.
 #[allow(clippy::too_many_arguments)]
 pub fn run_dual_pool_durable<T, F, C>(
     n_tasks: usize,
@@ -804,7 +823,8 @@ where
         config.total_workers() >= 1,
         "need at least one worker across the two pools"
     );
-    let sup = Supervisor::new(n_tasks, config, sink);
+    let (order, queue) = durable.order.into_queue(n_tasks);
+    let sup = Supervisor::new(queue, config, sink);
     if n_tasks == 0 {
         return DurableOutcome {
             slots: Vec::new(),
@@ -818,13 +838,14 @@ where
     let mut skip = vec![false; n_tasks];
     let prefilled = durable.prefill.len() as u64;
     if prefilled > 0 {
-        for &(i, _) in &durable.prefill {
+        let prefilled_tasks: Vec<usize> = durable.prefill.iter().map(|&(i, _)| i).collect();
+        for &i in &prefilled_tasks {
             skip[i] = true;
         }
         slots.commit(durable.prefill);
         if let Some(hook) = durable.on_commit {
             hook(CommitView {
-                range: (0, n_tasks),
+                tasks: &prefilled_tasks,
                 slots: &slots,
             });
         }
@@ -932,11 +953,12 @@ where
             // search's journal mid-run.
             let traced = journal.enabled();
             let ambient = traced.then(|| sw_trace::install_scoped(std::mem::take(&mut journal)));
+            let chunk_tasks = &order[s..e];
             let mut buf: Vec<(usize, T)> = Vec::with_capacity(e - s);
             let mut chunk_cells = 0u64;
-            let mut failed: Option<(usize, String)> = None;
-            for (i, &already_done) in skip.iter().enumerate().take(e).skip(s) {
-                if already_done {
+            let mut failed: Option<((usize, usize), String)> = None;
+            for (pos, &i) in (s..e).zip(chunk_tasks) {
+                if skip[i] {
                     continue; // a checkpoint already holds this task
                 }
                 if task_cancelled.is_some_and(|c| c(i)) {
@@ -957,7 +979,7 @@ where
                         chunk_cells += cost(i);
                     }
                     Err(p) => {
-                        failed = Some((i, panic_message(p)));
+                        failed = Some(((pos, i), panic_message(p)));
                         break;
                     }
                 }
@@ -996,7 +1018,7 @@ where
                 sample.queue_wait += commit_start.elapsed();
                 if let Some(hook) = on_commit {
                     hook(CommitView {
-                        range: work.range,
+                        tasks: chunk_tasks,
                         slots: &slots,
                     });
                 }
@@ -1169,26 +1191,47 @@ mod tests {
     #[test]
     fn dual_pool_cpu_takes_prefix_accel_takes_suffix() {
         // Record which device ran each task: device 0's tasks must all be
-        // below device 1's (the pools meet at one boundary).
-        let owners: Vec<AtomicU64> = (0..300).map(|_| AtomicU64::new(u64::MAX)).collect();
-        let sink = MetricsSink::new();
-        run_dual_pool(
-            300,
-            DualPoolConfig::new(2, 2),
-            |_| 1,
-            |device, i| owners[i].store(device as u64, Ordering::Relaxed),
-            &sink,
-        );
-        let owned: Vec<u64> = owners.iter().map(|o| o.load(Ordering::Relaxed)).collect();
-        assert!(
-            owned.iter().all(|&d| d == 0 || d == 1),
-            "every task claimed"
-        );
-        let boundary = owned.iter().position(|&d| d == 1).unwrap_or(owned.len());
-        assert!(
-            owned[..boundary].iter().all(|&d| d == 0) && owned[boundary..].iter().all(|&d| d == 1),
-            "CPU owns a contiguous prefix, accel a contiguous suffix"
-        );
+        // below device 1's (the pools meet at one boundary) — under the
+        // empty order and under the same identity spelt out as a
+        // one-segment permutation.
+        let spelt_out = || ClaimOrder::from_segments([(0..300).collect::<Vec<_>>()]);
+        for order in [ClaimOrder::identity(), spelt_out()] {
+            let owners: Vec<AtomicU64> = (0..300).map(|_| AtomicU64::new(u64::MAX)).collect();
+            let sink = MetricsSink::new();
+            run_dual_pool_durable(
+                300,
+                DualPoolConfig::new(2, 2),
+                &FaultInjector::none(),
+                DurableControl {
+                    order,
+                    ..DurableControl::none()
+                },
+                |_| 1,
+                |device, i| owners[i].store(device as u64, Ordering::Relaxed),
+                &sink,
+                &Tracer::disabled(),
+            );
+            let owned: Vec<u64> = owners.iter().map(|o| o.load(Ordering::Relaxed)).collect();
+            assert!(
+                owned.iter().all(|&d| d == 0 || d == 1),
+                "every task claimed"
+            );
+            let boundary = owned.iter().position(|&d| d == 1).unwrap_or(owned.len());
+            assert!(
+                owned[..boundary].iter().all(|&d| d == 0)
+                    && owned[boundary..].iter().all(|&d| d == 1),
+                "CPU owns a contiguous prefix, accel a contiguous suffix"
+            );
+        }
+        // One worker per side claims deterministically: the identity
+        // order's chunks are the unordered queue's ranges.
+        for cfg in [DualPoolConfig::new(1, 0), DualPoolConfig::new(0, 1)] {
+            assert_eq!(
+                committed_chunks(300, cfg, ClaimOrder::identity(), &FaultInjector::none()),
+                unordered_claims(300, cfg),
+                "{cfg:?}"
+            );
+        }
     }
 
     #[test]
@@ -1930,18 +1973,16 @@ mod tests {
     #[test]
     fn commit_hook_sees_the_prefill_and_every_chunk() {
         let sink = MetricsSink::new();
-        let seen: Mutex<Vec<(usize, usize)>> = Mutex::new(Vec::new());
+        let seen: Mutex<Vec<Vec<usize>>> = Mutex::new(Vec::new());
         let hook = |view: CommitView<'_, usize>| {
-            let (s, e) = view.range;
             // Prefilled tasks 0 and 1 are present from the first call on;
             // a chunk's own tasks are present when its hook runs.
             view.with_slots(|slots| {
                 assert!(slots[0].is_some() && slots[1].is_some());
-                if (s, e) != (0, 40) {
-                    assert!(slots[s..e].iter().all(|v| v.is_some()), "{s}..{e}");
-                }
+                let tasks = view.tasks;
+                assert!(tasks.iter().all(|&t| slots[t].is_some()), "{tasks:?}");
             });
-            seen.lock().unwrap().push((s, e));
+            seen.lock().unwrap().push(view.tasks.to_vec());
         };
         let out = run_dual_pool_durable(
             40,
@@ -1959,14 +2000,161 @@ mod tests {
         );
         assert_eq!(out.tasks_done(), 40);
         let seen = seen.into_inner().unwrap();
-        assert_eq!(seen[0], (0, 40), "the prefill commit comes first");
-        let mut chunks = seen[1..].to_vec();
+        assert_eq!(seen[0], [0, 1], "the prefill commit comes first");
+        let mut chunks = seen[1..].concat();
         chunks.sort_unstable();
-        assert_eq!(chunks.first().map(|c| c.0), Some(0));
-        assert_eq!(chunks.last().map(|c| c.1), Some(40));
-        assert!(
-            chunks.windows(2).all(|w| w[0].1 == w[1].0),
-            "chunk ranges tile the task space: {chunks:?}"
+        assert_eq!(
+            chunks,
+            (0..40).collect::<Vec<_>>(),
+            "the chunks' tasks tile the task space"
+        );
+    }
+
+    /// The task ids of every chunk commit of a clean or fault-drilled run
+    /// of `n` tasks under `order`, after checking that the run delivered
+    /// every result in task order.
+    fn committed_chunks(
+        n: usize,
+        config: DualPoolConfig,
+        order: ClaimOrder,
+        injector: &FaultInjector,
+    ) -> Vec<Vec<usize>> {
+        let commits: Mutex<Vec<Vec<usize>>> = Mutex::new(Vec::new());
+        let hook = |view: CommitView<'_, usize>| commits.lock().unwrap().push(view.tasks.to_vec());
+        let sink = MetricsSink::new();
+        let out = run_dual_pool_durable(
+            n,
+            config,
+            injector,
+            DurableControl {
+                order,
+                on_commit: Some(&hook),
+                ..DurableControl::none()
+            },
+            |_| 1,
+            |_d, i| i * 5,
+            &sink,
+            &Tracer::disabled(),
+        );
+        let results = out
+            .try_into_results()
+            .unwrap_or_else(|e| panic!("{config:?}: {e}"));
+        assert_eq!(results, (0..n).map(|i| i * 5).collect::<Vec<_>>());
+        commits.into_inner().unwrap()
+    }
+
+    /// The chunks one worker of `config`'s only pool claims from an
+    /// unordered queue of `n` tasks: `adaptive_chunk` at the seed share,
+    /// from the pool's end.
+    fn unordered_claims(n: usize, config: DualPoolConfig) -> Vec<Vec<usize>> {
+        let cpu = config.cpu_workers > 0;
+        let share = if cpu {
+            1.0 - config.initial_accel_fraction
+        } else {
+            config.initial_accel_fraction
+        };
+        let (mut front, mut back) = (0, n);
+        let mut claims = Vec::new();
+        while front < back {
+            let k = adaptive_chunk(back - front, share, 1, config.min_chunk);
+            let range = if cpu {
+                front += k;
+                front - k..front
+            } else {
+                back -= k;
+                back..back + k
+            };
+            claims.push(range.collect());
+        }
+        claims
+    }
+
+    #[test]
+    fn ordered_regions_commit_every_task_once_inside_its_segment() {
+        // Seeded property: random task counts, claim orders and segment
+        // cuts, run on every pool shape under the fault plans of the
+        // matrix below (kills only where another pool survives them).
+        // Every task commits exactly once, results land in task order,
+        // and no commit spans two segments.
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..24u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let n = rng.gen_range(1..100usize);
+            let mut tasks: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                tasks.swap(i, rng.gen_range(0..=i));
+            }
+            let mut segments: Vec<Vec<usize>> = Vec::new();
+            let mut start = 0;
+            while start < n {
+                let len = rng.gen_range(1..=(n - start).min(24));
+                segments.push(tasks[start..start + len].to_vec());
+                start += len;
+            }
+            let mut segment_of = vec![0; n];
+            for (k, segment) in segments.iter().enumerate() {
+                for &t in segment {
+                    segment_of[t] = k;
+                }
+            }
+            let order = ClaimOrder::from_segments(segments.clone());
+            assert_eq!(order.tasks(), tasks);
+            assert_eq!(order.cuts().len(), segments.len() - 1);
+            for (cpu, accel) in [(1, 0), (0, 1), (1, 1), (2, 1), (3, 2)] {
+                let mut plan = FaultPlan::seeded(seed, 2, DEVICE_ACCEL, 6);
+                if cpu == 0 {
+                    plan.specs.retain(|f| !matches!(f.kind, FaultKind::Kill));
+                }
+                let config = DualPoolConfig::new(cpu, accel);
+                let commits = committed_chunks(n, config, order.clone(), &FaultInjector::new(plan));
+                let mut landed = vec![0; n];
+                for chunk in &commits {
+                    let k = segment_of[chunk[0]];
+                    assert!(
+                        chunk.iter().all(|&t| segment_of[t] == k),
+                        "seed {seed}, {cpu} + {accel}: {chunk:?} spans segments"
+                    );
+                    for &t in chunk {
+                        landed[t] += 1;
+                    }
+                }
+                assert!(
+                    landed.iter().all(|&c| c == 1),
+                    "seed {seed}, {cpu} + {accel}: every task commits once"
+                );
+            }
+            // The identity, empty or spelt out, claims the unordered
+            // queue's ranges.
+            for config in [DualPoolConfig::new(1, 0), DualPoolConfig::new(0, 1)] {
+                let none = FaultInjector::none();
+                let today = unordered_claims(n, config);
+                let spelt_out = ClaimOrder::from_segments([(0..n).collect::<Vec<_>>()]);
+                assert_eq!(
+                    committed_chunks(n, config, ClaimOrder::identity(), &none),
+                    today
+                );
+                assert_eq!(committed_chunks(n, config, spelt_out, &none), today);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "permutation of 0..3")]
+    fn an_order_that_is_not_a_permutation_is_refused() {
+        let sink = MetricsSink::new();
+        run_dual_pool_durable(
+            3,
+            DualPoolConfig::new(1, 0),
+            &FaultInjector::none(),
+            DurableControl {
+                order: ClaimOrder::from_segments([vec![0, 2], vec![2]]),
+                ..DurableControl::none()
+            },
+            |_| 1,
+            |_d, i| i,
+            &sink,
+            &Tracer::disabled(),
         );
     }
 

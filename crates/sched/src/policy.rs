@@ -4,8 +4,8 @@
 //! contiguous range of loop iterations does it take next?* Modelling this
 //! explicitly lets the discrete-event simulator replay the paper's three
 //! OpenMP schedules exactly. The dual-pool primitives below it
-//! ([`DualQueue`], [`SplitEstimator`], [`adaptive_chunk`],
-//! [`RequeueQueue`]) are the real executor's.
+//! ([`DualQueue`], [`ClaimOrder`], [`SplitEstimator`],
+//! [`adaptive_chunk`], [`RequeueQueue`]) are the real executor's.
 
 use serde::{Deserialize, Serialize};
 
@@ -123,24 +123,51 @@ pub const DEVICE_CPU: usize = 0;
 /// The accelerator-share device id. See [`DEVICE_CPU`].
 pub const DEVICE_ACCEL: usize = 1;
 
-/// A double-ended index queue over `0..n` tasks: the CPU pool consumes
-/// from the front, the accelerator pool from the back, and the pools meet
-/// wherever observed throughput puts the boundary — the *dynamic*
-/// replacement for Algorithm 2's static split point.
+/// A double-ended queue over the positions `0..n` of a region's
+/// [`ClaimOrder`]: the CPU pool consumes from the front, the accelerator
+/// pool from the back, and the pools meet wherever observed throughput
+/// puts the boundary — the *dynamic* replacement for Algorithm 2's static
+/// split point.
+///
+/// The queue may be cut into segments (ascending interior positions).
+/// The one segment rule: a claim never crosses a cut — [`take_front`]
+/// stops at the next cut after the front, [`take_back`] at the last cut
+/// before the back — so a segment's last commit never waits on a task
+/// of another segment. With no cuts a claim is bounded only by the
+/// other end.
 ///
 /// The executor keeps it under the same lock as its lease table.
+///
+/// [`take_front`]: Self::take_front
+/// [`take_back`]: Self::take_back
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DualQueue {
     front: usize,
     back: usize,
+    cuts: Vec<usize>,
 }
 
 impl DualQueue {
-    /// A queue over `0..n_tasks`.
+    /// A queue over `0..n_tasks` with no segment cuts.
     pub fn new(n_tasks: usize) -> Self {
+        DualQueue::with_cuts(n_tasks, Vec::new())
+    }
+
+    /// A queue over `0..n_tasks` cut into segments at `cuts`.
+    ///
+    /// # Panics
+    /// Panics unless `cuts` ascends strictly inside `(0, n_tasks)`.
+    pub(crate) fn with_cuts(n_tasks: usize, cuts: Vec<usize>) -> Self {
+        assert!(
+            cuts.first().is_none_or(|&c| c > 0)
+                && cuts.last().is_none_or(|&c| c < n_tasks)
+                && cuts.windows(2).all(|w| w[0] < w[1]),
+            "segment cuts must ascend strictly inside (0, {n_tasks}): {cuts:?}"
+        );
         DualQueue {
             front: 0,
             back: n_tasks,
+            cuts,
         }
     }
 
@@ -150,27 +177,111 @@ impl DualQueue {
         self.back - self.front
     }
 
-    /// Claim up to `k` tasks from the front (CPU side). Returns the
-    /// claimed `[start, end)` range, or `None` when the queue is drained.
+    /// Claim up to `k` positions from the front (CPU side), stopping at
+    /// the next segment cut. Returns the claimed `[start, end)` range, or
+    /// `None` when the queue is drained.
     pub fn take_front(&mut self, k: usize) -> Option<(usize, usize)> {
         if self.front >= self.back {
             return None;
         }
-        let k = k.max(1).min(self.remaining());
+        let next_cut = self.cuts.partition_point(|&c| c <= self.front);
+        let stop = self
+            .cuts
+            .get(next_cut)
+            .map_or(self.back, |&c| c.min(self.back));
         let start = self.front;
-        self.front += k;
-        Some((start, start + k))
+        self.front += k.max(1).min(stop - start);
+        Some((start, self.front))
     }
 
-    /// Claim up to `k` tasks from the back (accelerator side).
+    /// Claim up to `k` positions from the back (accelerator side),
+    /// stopping at the last segment cut before the back.
     pub fn take_back(&mut self, k: usize) -> Option<(usize, usize)> {
         if self.front >= self.back {
             return None;
         }
-        let k = k.max(1).min(self.remaining());
+        let prev_cut = self.cuts.partition_point(|&c| c < self.back);
+        let stop = prev_cut
+            .checked_sub(1)
+            .map_or(self.front, |i| self.cuts[i].max(self.front));
         let end = self.back;
-        self.back -= k;
-        Some((end - k, end))
+        self.back -= k.max(1).min(end - stop);
+        Some((self.back, end))
+    }
+}
+
+/// The order in which a region's queue hands its tasks out: queue
+/// position `p` claims task `tasks[p]`, and the positions are cut into
+/// segments that no claim crosses ([`DualQueue`]'s segment rule).
+///
+/// The empty order ([`ClaimOrder::identity`]) is the identity with no
+/// cuts: position `p` claims task `p`. The executor resolves every order,
+/// the identity included, into one position → task table and one
+/// segmented queue, so there is one claim path. Results, hooks and
+/// checkpoints stay keyed by task id; only the claim sequence depends on
+/// the order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ClaimOrder {
+    tasks: Vec<usize>,
+    cuts: Vec<usize>,
+}
+
+impl ClaimOrder {
+    /// The identity order: position `p` claims task `p`, one segment.
+    pub fn identity() -> Self {
+        ClaimOrder::default()
+    }
+
+    /// Concatenate `segments` — each the task ids of one segment in
+    /// position order — into one order, cut between consecutive
+    /// non-empty segments. Empty segments are skipped.
+    pub fn from_segments<S: IntoIterator<Item = usize>>(
+        segments: impl IntoIterator<Item = S>,
+    ) -> Self {
+        let mut order = ClaimOrder::default();
+        for segment in segments {
+            let start = order.tasks.len();
+            order.tasks.extend(segment);
+            if start > 0 && order.tasks.len() > start {
+                order.cuts.push(start);
+            }
+        }
+        order
+    }
+
+    /// Queue position → task id (empty for the identity).
+    pub fn tasks(&self) -> &[usize] {
+        &self.tasks
+    }
+
+    /// The positions where one segment ends and the next begins.
+    pub fn cuts(&self) -> &[usize] {
+        &self.cuts
+    }
+
+    /// The position → task table of a region of `n_tasks` tasks (the
+    /// identity table for an empty order) and the queue that hands the
+    /// positions out, cut at this order's segment boundaries.
+    ///
+    /// # Panics
+    /// Panics when a non-empty order is not a permutation of
+    /// `0..n_tasks`.
+    pub(crate) fn into_queue(self, n_tasks: usize) -> (Vec<usize>, DualQueue) {
+        if self.tasks.is_empty() {
+            return ((0..n_tasks).collect(), DualQueue::new(n_tasks));
+        }
+        let mut seen = vec![false; n_tasks];
+        let is_permutation = self.tasks.len() == n_tasks
+            && self
+                .tasks
+                .iter()
+                .all(|&t| t < n_tasks && !std::mem::replace(&mut seen[t], true));
+        assert!(
+            is_permutation,
+            "a claim order must be a permutation of 0..{n_tasks}"
+        );
+        let queue = DualQueue::with_cuts(n_tasks, self.cuts);
+        (self.tasks, queue)
     }
 }
 
@@ -414,6 +525,38 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn dual_queue_claims_stop_at_segment_cuts() {
+        let mut q = DualQueue::with_cuts(10, vec![3, 7]);
+        assert_eq!(q.take_front(100), Some((0, 3)), "stops at the first cut");
+        assert_eq!(q.take_back(100), Some((7, 10)), "stops at the last cut");
+        assert_eq!(q.take_front(2), Some((3, 5)));
+        assert_eq!(q.take_back(100), Some((5, 7)), "bounded by the front");
+        assert_eq!(q.take_front(1), None);
+        // A cut the back has passed no longer bounds the front.
+        let mut q = DualQueue::with_cuts(6, vec![4]);
+        assert_eq!(q.take_back(3), Some((4, 6)));
+        assert_eq!(q.take_front(100), Some((0, 4)));
+    }
+
+    #[test]
+    #[should_panic(expected = "ascend strictly")]
+    fn dual_queue_rejects_a_cut_at_the_end() {
+        DualQueue::with_cuts(5, vec![2, 5]);
+    }
+
+    #[test]
+    fn claim_order_from_segments_skips_empty_ones() {
+        let order = ClaimOrder::from_segments([vec![], vec![4, 3], vec![], vec![0, 1, 2]]);
+        assert_eq!(order.tasks(), [4, 3, 0, 1, 2]);
+        assert_eq!(order.cuts(), [2]);
+        let (tasks, mut queue) = order.into_queue(5);
+        assert_eq!(tasks, [4, 3, 0, 1, 2]);
+        assert_eq!(queue.take_front(5), Some((0, 2)));
+        let (identity, _) = ClaimOrder::identity().into_queue(3);
+        assert_eq!(identity, [0, 1, 2]);
     }
 
     #[test]

@@ -148,10 +148,7 @@ fn rescue_price(a: &Alphabet) {
                 let padded = batch.padded_cells(q.len());
                 batches = (batches.0 + promoted, batches.1 + 1);
                 cells = (cells.0 + promoted * padded, cells.1 + padded);
-                lanes = (
-                    lanes.0 + stats.widened_i16,
-                    lanes.1 + batch.real_lanes() as u64,
-                );
+                lanes = (lanes.0 + stats.widened_i16, lanes.1 + batch.n_seqs() as u64);
             }
         }
         let share = |(hit, all): (u64, u64)| format!("{:.4}", hit as f64 / all as f64);

@@ -26,6 +26,7 @@ USAGE:
   swsearch shard-prepare --db <fasta|swdb> --out <dir> --shards <n>
                     [--replicas <r>] [--endpoints <ep,ep,...>]
   swsearch gendb    --seqs <n> --out <fasta|swdb> [--seed <u64>] [--mean-len <f>]
+                    [--max-len <n>]
   swsearch stats    --db <fasta|swdb>
   swsearch selftest [--lanes <4|8|16|32>] [--scale <n>]
   swsearch simulate --device <xeon|phi|hetero> [--threads <n>] [--query-len <m>]
@@ -536,6 +537,9 @@ pub struct GenDb {
     pub seed: u64,
     /// Mean sequence length.
     pub mean_len: f64,
+    /// Length of the longest sequence, which is pinned to it (default:
+    /// Swiss-Prot's titin).
+    pub max_len: u32,
 }
 
 /// `selftest`.
@@ -1048,11 +1052,20 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
             if seqs == 0 {
                 return Err(err("--seqs is required and must be positive"));
             }
+            let max_len: u32 =
+                a.parse_num("--max-len", sw_seq::swissprot::SWISSPROT_2013_11_MAX_LEN)?;
+            if max_len < sw_seq::gen::MIN_LEN {
+                return Err(err(format!(
+                    "--max-len must be at least {}",
+                    sw_seq::gen::MIN_LEN
+                )));
+            }
             Command::GenDb(GenDb {
                 seqs,
                 output: a.value_of("--out")?,
                 seed: a.parse_num("--seed", 42)?,
                 mean_len: a.parse_num("--mean-len", 355.4)?,
+                max_len,
             })
         }
         "stats" => Command::Stats {
@@ -1373,11 +1386,17 @@ mod tests {
                     seqs: 100,
                     output: "x.fa".into(),
                     seed: 7,
-                    mean_len: 355.4
+                    mean_len: 355.4,
+                    max_len: 35_213,
                 }
             ),
             other => panic!("{other:?}"),
         }
+        match parse(&argv("gendb --seqs 9 --out x.fa --max-len 2000")).unwrap() {
+            Command::GenDb(g) => assert_eq!(g.max_len, 2000),
+            other => panic!("{other:?}"),
+        }
+        assert!(parse(&argv("gendb --seqs 9 --out x.fa --max-len 7")).is_err());
     }
 
     #[test]

@@ -581,7 +581,7 @@ fn cmd_gendb<W: Write>(g: &args::GenDb, out: &mut W) -> Result<(), CmdError> {
     let spec = DbSpec {
         n_seqs: g.seqs,
         mean_len: g.mean_len,
-        max_len: 35_213,
+        max_len: g.max_len,
         seed: g.seed,
     };
     let generated = generate_database(&spec);
@@ -1567,10 +1567,12 @@ mod tests {
     fn hetero_fault_drill_recovers_with_identical_hits() {
         // Enough real work per batch (~50 batches at lanes 4) that the
         // accel pool always reaches its first chunk before the CPU pool
-        // drains the queue — the kill-pool fault then reliably fires.
+        // drains the queue — the kill-pool fault then reliably fires. The
+        // longest sequence is capped below the default titin, whose batch
+        // lane refill would fill with the whole database.
         let db_path = tmp("het3.fasta");
         run_str(&format!(
-            "gendb --seqs 200 --out {db_path} --seed 4 --mean-len 300"
+            "gendb --seqs 200 --out {db_path} --seed 4 --mean-len 300 --max-len 2000"
         ));
         let q_path = tmp("hetq3.fasta");
         write_query(&read_db(&db_path), 5, &q_path);
@@ -1601,7 +1603,7 @@ mod tests {
         // CLI itself printed (they share `device_counters()` as source).
         let db_path = tmp("het5.fasta");
         run_str(&format!(
-            "gendb --seqs 200 --out {db_path} --seed 4 --mean-len 300"
+            "gendb --seqs 200 --out {db_path} --seed 4 --mean-len 300 --max-len 2000"
         ));
         let q_path = tmp("hetq5.fasta");
         write_query(&read_db(&db_path), 5, &q_path);

@@ -51,6 +51,9 @@ fn fixture(test: &str) -> Fixture {
     let dir = work_dir(test);
     let db = dir.join("db.fasta").to_string_lossy().into_owned();
     let query = dir.join("query.fasta").to_string_lossy().into_owned();
+    // Longest sequence 2 000, not the default titin: lane refill would
+    // pack this whole database into the titin's 4-lane batch, one task
+    // with no chunk boundary to die at.
     let o = run(&[
         "gendb",
         "--seqs",
@@ -61,6 +64,8 @@ fn fixture(test: &str) -> Fixture {
         "7",
         "--mean-len",
         "150",
+        "--max-len",
+        "2000",
     ]);
     assert!(o.status.success(), "{}", stdout(&o));
     // Query = the first line of the first db record. Generated lengths
@@ -211,6 +216,8 @@ fn resume_with_swapped_database_is_refused() {
         "8",
         "--mean-len",
         "150",
+        "--max-len",
+        "2000",
     ]);
     assert!(o.status.success());
     let f2 = Fixture {

@@ -24,8 +24,9 @@
 //! depend on the order or the chunking, and no pinned benchmark workload
 //! runs a flat search on more than one thread.
 //!
-//! Per search the engine builds one [`QueryProfile`] per query and one
-//! [`ScoreTable`]; per batch task, on the default `intrinsic-SP` path, it
+//! Per search the engine builds one [`ScoreTable`], and one
+//! [`QueryProfile`] per query only where a query-profile variant runs;
+//! per batch task, on the default `intrinsic-SP` path, it
 //! builds nothing — `sw_isa_fused_sp` derives the sequence profile's
 //! values column by column inside the kernel, and is itself the precision
 //! chain's first two tiers: on AVX2 at 16 lanes a batch is swept in
@@ -48,6 +49,9 @@ use sw_kernels::scalar::{sw_score_scalar, sw_score_scalar_qp};
 use sw_kernels::{CellCount, ProfileMode, SwParams, Vectorization};
 use sw_sched::DEVICE_CPU;
 use sw_swdb::{BatchRange, LaneBatch, QueryProfile, ScoreTable, SequenceProfile};
+
+/// What a query-profile variant run without its profile panics with.
+const NO_QP: &str = "a query-profile variant is given the query profile";
 
 /// The Smith-Waterman database search engine.
 #[derive(Debug, Clone)]
@@ -110,11 +114,15 @@ impl SearchEngine {
         one_pool_region(self, queries, db, all, DEVICE_CPU, config)
     }
 
-    /// Execute one lane batch under the configured variant.
+    /// Execute one lane batch under the configured variant. `qp` is the
+    /// query's profile, which only the query-profile variants read.
+    ///
+    /// # Panics
+    /// Panics if a query-profile variant gets no `qp`.
     pub(crate) fn run_batch(
         &self,
         query: &[u8],
-        qp: &QueryProfile,
+        qp: Option<&QueryProfile>,
         table: &ScoreTable<'_>,
         db: &PreparedDb,
         batch: &LaneBatch,
@@ -132,7 +140,7 @@ impl SearchEngine {
             Vectorization::Guided => {
                 let mut ws = GuidedWorkspace::new();
                 match config.variant.profile {
-                    ProfileMode::Query => sw_guided_qp(qp, batch, gap, &mut ws),
+                    ProfileMode::Query => sw_guided_qp(qp.expect(NO_QP), batch, gap, &mut ws),
                     ProfileMode::Sequence => {
                         let sp = SequenceProfile::build(batch, &self.params.matrix, &db.alphabet);
                         sw_guided_sp(query, &sp, batch, gap, &mut ws)
@@ -167,7 +175,7 @@ impl SearchEngine {
     fn run_batch_scalar(
         &self,
         query: &[u8],
-        qp: &QueryProfile,
+        qp: Option<&QueryProfile>,
         db: &PreparedDb,
         batch: &LaneBatch,
         config: &SearchConfig,
@@ -178,7 +186,9 @@ impl SearchEngine {
             .map(|&id| {
                 let subject = db.sorted.db().seq(id).residues;
                 match config.variant.profile {
-                    ProfileMode::Query => sw_score_scalar_qp(qp, subject, &self.params.gap),
+                    ProfileMode::Query => {
+                        sw_score_scalar_qp(qp.expect(NO_QP), subject, &self.params.gap)
+                    }
                     ProfileMode::Sequence => sw_score_scalar(query, subject, &self.params),
                 }
             })
@@ -196,7 +206,7 @@ impl SearchEngine {
     fn run_batch_intrinsic(
         &self,
         query: &[u8],
-        qp: &QueryProfile,
+        qp: Option<&QueryProfile>,
         table: &ScoreTable<'_>,
         batch: &LaneBatch,
         config: &SearchConfig,
@@ -210,7 +220,9 @@ impl SearchEngine {
                     .blocking
                     .then(|| config.effective_block_rows($lanes));
                 match config.variant.profile {
-                    ProfileMode::Query => sw_isa_qp::<$lanes>(isa, qp, batch, gap, block),
+                    ProfileMode::Query => {
+                        sw_isa_qp::<$lanes>(isa, qp.expect(NO_QP), batch, gap, block)
+                    }
                     ProfileMode::Sequence => {
                         sw_isa_fused_sp::<$lanes>(isa, query, table, batch, gap, block)
                     }

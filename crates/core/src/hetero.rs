@@ -46,7 +46,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-use sw_kernels::CellCount;
+use sw_kernels::{CellCount, ProfileMode};
 use sw_sched::{
     run_dual_pool_durable, CheckpointView, ClaimOrder, CommitView, DeviceMetrics, DrainSignal,
     DualPoolConfig, DurableControl, ExecError, FaultInjector, MetricsSink, DEVICE_ACCEL,
@@ -609,12 +609,19 @@ pub(crate) fn region(
         seqs.push(AtomicU64::new(next_seq));
     }
 
-    let qps: Vec<QueryProfile> = queries
+    let device_config = [&config.cpu, &config.accel];
+    // Only the query-profile variants read one; the default fused path
+    // derives its scores from `table`.
+    let reads_qp = device_config
         .iter()
-        .map(|q| QueryProfile::build(q.residues, &engine.params.matrix, &db.alphabet))
+        .any(|c| c.variant.profile == ProfileMode::Query);
+    let qps: Vec<Option<QueryProfile>> = queries
+        .iter()
+        .map(|q| {
+            reads_qp.then(|| QueryProfile::build(q.residues, &engine.params.matrix, &db.alphabet))
+        })
         .collect();
     let table = ScoreTable::build(&engine.params.matrix, &db.alphabet);
-    let device_config = [&config.cpu, &config.accel];
     // An all-zero worker config would deadlock the queue; degrade it
     // to a single CPU worker instead.
     let mut cpu_workers = config.cpu.threads;
@@ -704,7 +711,7 @@ pub(crate) fn region(
         })
         .collect();
     let total_padded: u128 = per_q_padded.iter().sum();
-    let n_hits: usize = batches.iter().map(LaneBatch::real_lanes).sum();
+    let n_hits: usize = batches.iter().map(LaneBatch::n_seqs).sum();
     // One query's outcome from its slice of the slot table, `elapsed`
     // into the region: the one results assembly, used for the reply
     // that leaves at the query's last commit and at region end alike.
@@ -826,7 +833,7 @@ pub(crate) fn region(
             // so one query's concurrent tasks never share a track.
             let span = q.tracer.map(|tr| tr.task_span(device, bi, bi));
             let cfg = device_config[device];
-            let out = engine.run_batch(q.residues, &qps[qi], &table, db, &batches[bi], cfg);
+            let out = engine.run_batch(q.residues, qps[qi].as_ref(), &table, db, &batches[bi], cfg);
             if let Some(span) = span {
                 span.finish(t as u64, out.1.padded);
             }
@@ -1268,7 +1275,7 @@ mod tests {
 
     #[test]
     fn dynamic_search_mixed_variants_still_exact() {
-        use sw_kernels::{KernelVariant, ProfileMode, Vectorization};
+        use sw_kernels::{KernelVariant, Vectorization};
         let (db, q) = setup();
         let engine = SearchEngine::paper_default();
         let reference = engine.search(&q, &db, &SearchConfig::best(1));
@@ -1403,6 +1410,132 @@ mod tests {
         let out = hetero.search_dynamic(&q, &db, &plan, &HeteroSearchConfig::best(4, 4));
         assert_eq!(out.results.hits, single.hits);
         assert_eq!(out.cpu.tasks + out.accel.tasks, 1, "one batch, once");
+    }
+
+    #[test]
+    fn stacked_lanes_equal_the_oracle_on_every_path() {
+        // A database shaped to stack: half the lengths 300 … 399, half
+        // 4 … 59, so the long batches take the short sequences into their
+        // lanes' tails.
+        // Every path over it — the flat search, a batched region on each
+        // pool shape, a drained and resumed run, a two-shard run — must
+        // give the scalar oracle's hit list.
+        use sw_swdb::shard;
+        let a = Alphabet::protein();
+        let mut g = sw_seq::gen::SwissProtGen::new(100.0, 0x57ac);
+        let seqs: Vec<_> = (0..80u32)
+            .map(|i| {
+                let len = if i % 2 == 0 {
+                    300 + (i * 37) % 100
+                } else {
+                    4 + (i * 13) % 56
+                };
+                g.sequence(&format!("s{i}"), len)
+            })
+            .collect();
+        let db = PreparedDb::prepare(seqs.clone(), 8, &a);
+        let stacked: usize = db.batches.iter().map(|b| b.starts().len()).sum();
+        assert!(stacked >= 10, "construction: {stacked} stacked sequences");
+        let engine = SearchEngine::paper_default();
+        let hetero = HeteroEngine::new(engine.clone());
+        let oracle = |q: &[u8], sdb: &sw_swdb::SequenceDatabase| -> Vec<Hit> {
+            let hits = sdb.iter().map(|(id, s)| Hit {
+                id,
+                score: sw_kernels::scalar::sw_score_scalar(q, s.residues, &engine.params),
+            });
+            SearchResults::new(hits.collect(), Default::default(), Default::default(), 0).hits
+        };
+        let queries: Vec<Vec<u8>> = [41u32, 90]
+            .iter()
+            .map(|&l| generate_query(l, l as u64).residues)
+            .collect();
+        let none = FaultInjector::none();
+        let plan = hetero.plan_split(&db, queries[0].len(), 0.5);
+        let batch: Vec<BatchQuery<'_>> = queries
+            .iter()
+            .enumerate()
+            .map(|(i, q)| BatchQuery {
+                residues: q,
+                id: i as u64,
+                cancel: None,
+                tracer: None,
+            })
+            .collect();
+        for (cpu, accel) in [(1, 0), (0, 1), (1, 1), (2, 1)] {
+            let out = hetero
+                .search_many_resumable(
+                    &batch,
+                    &db,
+                    &plan,
+                    &HeteroSearchConfig::best(cpu, accel),
+                    &none,
+                    &DurableOptions::default(),
+                )
+                .expect("batched run");
+            for (q, qo) in queries.iter().zip(&out.queries) {
+                let hits = &qo.results.as_ref().expect("completed").hits;
+                assert_eq!(*hits, oracle(q, db.sorted.db()), "{cpu} + {accel}");
+            }
+        }
+        let path = std::env::temp_dir().join(format!("sw-stacked-{}.ckpt", std::process::id()));
+        let shards = {
+            let sorted = shard::length_sorted(db.sorted.db());
+            let pieces: Vec<(u32, PreparedDb)> = shard::plan_shards(&sorted, 2)
+                .into_iter()
+                .map(|range| {
+                    let piece = shard::slice(&sorted, range).to_sequences();
+                    (range.0 as u32, PreparedDb::prepare(piece, 8, &a))
+                })
+                .collect();
+            (sorted, pieces)
+        };
+        for q in &queries {
+            let want = oracle(q, db.sorted.db());
+            assert_eq!(
+                engine.search(q, &db, &SearchConfig::best(1)).hits,
+                want,
+                "solo"
+            );
+
+            let cfg = HeteroSearchConfig::best(1, 1);
+            let plan = hetero.plan_split(&db, q.len(), 0.5);
+            let drain = DrainSignal::after_tasks(2);
+            let mut opts = DurableOptions {
+                checkpoint_path: Some(&path),
+                interval_chunks: 1,
+                drain: Some(&drain),
+                ..DurableOptions::default()
+            };
+            let first = hetero
+                .search_dynamic_resumable(q, &db, &plan, &cfg, &none, &opts)
+                .expect("drained segment");
+            assert!(first.drained && first.outcome.is_none());
+            (opts.drain, opts.resume) = (None, true);
+            let resumed = hetero
+                .search_dynamic_resumable(q, &db, &plan, &cfg, &none, &opts)
+                .expect("resumed run");
+            assert!(resumed.resumed_tasks > 0);
+            assert_eq!(
+                resumed.outcome.expect("completed").results.hits,
+                want,
+                "resumed"
+            );
+
+            let (sorted, pieces) = &shards;
+            let merged = pieces
+                .iter()
+                .map(|(base, piece)| {
+                    let mut res = engine.search(q, piece, &SearchConfig::best(1));
+                    for h in &mut res.hits {
+                        h.id.0 += base;
+                    }
+                    res
+                })
+                .reduce(SearchResults::merge)
+                .expect("two shards");
+            assert_eq!(merged.hits, oracle(q, sorted), "sharded");
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1700,10 +1833,14 @@ mod tests {
         let qp = QueryProfile::build(&qa, &hetero.engine.params.matrix, &db.alphabet);
         let table = ScoreTable::build(&hetero.engine.params.matrix, &db.alphabet);
         let done = (0..n_batches).map(|batch| {
-            let (hits, cells, rescued) =
-                hetero
-                    .engine
-                    .run_batch(&qa, &qp, &table, &db, &db.batches[batch], &one_cpu.cpu);
+            let (hits, cells, rescued) = hetero.engine.run_batch(
+                &qa,
+                Some(&qp),
+                &table,
+                &db,
+                &db.batches[batch],
+                &one_cpu.cpu,
+            );
             BatchResult {
                 batch,
                 device: DEVICE_CPU,
@@ -2010,7 +2147,7 @@ mod tests {
         // CPU share with guided-QP, accel share with intrinsic-SP, the two
         // running at once: scores must still match the scalar oracle. At
         // fractions 0 and 1 one share is empty and the other runs alone.
-        use sw_kernels::{KernelVariant, ProfileMode, Vectorization};
+        use sw_kernels::{KernelVariant, Vectorization};
         let (db, q) = setup();
         let hetero = HeteroEngine::new(SearchEngine::paper_default());
         let hits = db.sorted.db().iter().map(|(id, s)| Hit {

@@ -407,37 +407,69 @@ fn resume_against_wrong_query_is_typed_mismatch() {
 }
 
 #[test]
-fn checkpoint_of_another_batch_layout_is_refused_unless_the_layouts_agree() {
-    // A checkpoint fabricated in the tail-partial layout (full batches cut
-    // from the short end, record i = sorted ranks 16i .. 16i + 16) has the
-    // same fingerprint as one of this search. Where n % 16 ≠ 0 its records
-    // carry other ids than the batches they name and must be refused;
-    // where n % 16 = 0 the layouts coincide and it resumes exactly.
-    use sw_core::{BatchQuery, BatchResult, Checkpoint, Hit, RecoveryTotals, SearchFingerprint};
+fn checkpoint_of_the_one_sequence_per_lane_layout_is_refused() {
+    // A checkpoint fabricated in the layout before lane refill — one
+    // sequence per lane, full batches cut from the long end, record i =
+    // the i-th group of sorted ranks with only the first partial — under
+    // that layout's own fingerprint. Where refill packs fewer batches the
+    // fingerprint's batch count refuses it; where it packs as many, the
+    // records carry other ids than the batches they name and the layout
+    // check refuses it. Either way a typed mismatch, never a resume.
+    use sw_core::{BatchResult, Checkpoint, Hit, RecoveryTotals, SearchFingerprint};
     use sw_kernels::CellCount;
+    use sw_seq::gen::SwissProtGen;
     let a = Alphabet::protein();
     let hetero = HeteroEngine::new(SearchEngine::paper_default());
     let cfg = HeteroSearchConfig::best(2, 2);
     let q = generate_query(100, 21).residues;
     let m = q.len() as u64;
-    let dir = std::env::temp_dir().join(format!("sw-ckpt-layout-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    for n_seqs in [100usize, 96] {
-        let spec = DbSpec {
-            n_seqs: n_seqs as u32,
-            ..DbSpec::tiny(13)
+    let mut g = SwissProtGen::new(50.0, 7);
+    // Refill stacks one 2 after the 8 and still packs three batches at
+    // four lanes: [2], [5, 5, 5, 5], [8, 10, 10, 10, 2].
+    let ten: Vec<_> = [10u32, 10, 10, 8, 5, 5, 5, 5, 2, 2]
+        .iter()
+        .enumerate()
+        .map(|(i, &len)| g.sequence(&format!("s{i}"), len))
+        .collect();
+    let cases = [
+        (
+            PreparedDb::prepare(
+                generate_database(&DbSpec {
+                    n_seqs: 100,
+                    ..DbSpec::tiny(13)
+                }),
+                16,
+                &a,
+            ),
+            16usize,
+            "batch count",
+        ),
+        (PreparedDb::prepare(ten, 4, &a), 4, "batch layout"),
+    ];
+    for (case, (db, lanes, field)) in cases.iter().enumerate() {
+        let n_seqs = db.n_seqs();
+        let first = match n_seqs % lanes {
+            0 => *lanes,
+            partial => partial,
         };
-        let db = PreparedDb::prepare(generate_database(&spec), 16, &a);
-        let plan = hetero.plan_split(&db, q.len(), 0.5);
-        let reference = hetero.search_dynamic(&q, &db, &plan, &cfg).results;
+        let groups: Vec<std::ops::Range<usize>> = (0..n_seqs.div_ceil(*lanes))
+            .map(|i| (first + lanes * i).saturating_sub(*lanes)..first + lanes * i)
+            .collect();
+        assert!(
+            db.batches.len() < groups.len() || db.batches[0].n_seqs() != first,
+            "construction: refill changes the layout"
+        );
+        let plan = hetero.plan_split(db, q.len(), 0.5);
+        let reference = hetero.search_dynamic(&q, db, &plan, &cfg).results;
         let mut score = vec![0i64; n_seqs];
         for h in &reference.hits {
             score[h.id.0 as usize] = h.score;
         }
-        let done: Vec<BatchResult> = (0..db.batches.len())
+        let done: Vec<BatchResult> = groups
+            .iter()
+            .enumerate()
             .step_by(2)
-            .map(|i| {
-                let ranks = 16 * i..(16 * i + 16).min(n_seqs);
+            .map(|(i, ranks)| {
                 let lens = ranks.clone().map(|r| db.sorted.len_at(r) as u64);
                 BatchResult {
                     batch: i,
@@ -454,64 +486,48 @@ fn checkpoint_of_another_batch_layout_is_refused_unless_the_layouts_agree() {
                         .collect(),
                     cells: CellCount {
                         real: m * lens.clone().sum::<u64>(),
-                        padded: m * 16 * lens.max().expect("non-empty"),
+                        padded: m * *lanes as u64 * lens.max().expect("non-empty"),
                     },
                     rescued: 0,
                 }
             })
             .collect();
-        let n_done = done.len() as u64;
-        let fingerprint = SearchFingerprint::compute(&db, &q);
+        let path = ckpt_path(&format!("one-per-lane-{case}"));
         Checkpoint {
-            fingerprint,
+            fingerprint: SearchFingerprint {
+                n_batches: groups.len() as u64,
+                ..SearchFingerprint::compute(db, &q)
+            },
             seq: 0,
             resumes: 0,
             accel_share: 0.5,
             recovery: [RecoveryTotals::default(); 2],
             done,
         }
-        .write_atomic(&dir.join(fingerprint.file_name()))
+        .write_atomic(&path)
         .expect("write fabricated checkpoint");
 
-        let out = hetero.search_many_resumable(
-            &[BatchQuery {
-                residues: &q,
-                id: 0,
-                cancel: None,
-                tracer: None,
-            }],
-            &db,
+        let out = hetero.search_dynamic_resumable(
+            &q,
+            db,
             &plan,
             &cfg,
             &FaultInjector::none(),
             &DurableOptions {
-                checkpoint_dir: Some(&dir),
+                checkpoint_path: Some(&path),
                 resume: true,
                 ..DurableOptions::default()
             },
         );
-        if n_seqs % 16 != 0 {
-            match out {
-                Err(DurableSearchError::Checkpoint(
-                    e @ CheckpointError::Mismatch {
-                        field: "batch layout",
-                        batch: Some(0),
-                        ..
-                    },
-                )) => assert!(e.to_string().contains("at batch 0"), "{e}"),
-                Err(other) => panic!("expected a batch-layout mismatch, got: {other}"),
-                Ok(_) => panic!("n = {n_seqs}: a tail-partial checkpoint was resumed"),
+        match out {
+            Err(DurableSearchError::Checkpoint(e @ CheckpointError::Mismatch { .. })) => {
+                assert!(e.to_string().contains(field), "case {case}: {e}")
             }
-        } else {
-            let out = out.expect("the layouts agree: resumed");
-            let resumed = out.queries.into_iter().next().expect("one query");
-            assert_eq!(resumed.resumed_tasks, n_done);
-            let res = resumed.results.expect("completed");
-            assert_eq!(res.hits, reference.hits, "resumed == uninterrupted");
-            assert_eq!(res.cells, reference.cells, "cells identical");
+            Err(other) => panic!("case {case}: expected a {field} mismatch, got: {other}"),
+            Ok(_) => panic!("case {case}: a one-sequence-per-lane checkpoint was resumed"),
         }
+        std::fs::remove_file(&path).ok();
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

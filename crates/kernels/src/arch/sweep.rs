@@ -7,8 +7,13 @@
 //! within-column gap state (`E`) and the diagonal travel in registers, and
 //! the query is tiled into row blocks with an `N`-long `H`/`E` boundary row
 //! carried between them (Fig. 7; one block spanning the query = unblocked).
+//! A lane can hold several sequences back to back (lane refill, see
+//! [`sw_swdb::batch`]): where the next one starts, the sweep resets that
+//! lane and credits the one that ended, so every kernel returns one score
+//! per sequence in the batch's `ids()` order.
 //! It is written against a vector *type* — anything with `zero`, `splat`,
-//! `sat_add`, `sat_sub` and `max` — so the same text is the 16-bit and the
+//! `sat_add`, `sat_sub`, `max` and, for a lane refill, `min`, `to_array`
+//! and `from_array` — so the same text is the 16-bit and the
 //! 8-bit kernel, signed or floor-offset, on SSE2, AVX2 and the portable
 //! [`crate::lanes`] vectors.
 //!
@@ -30,12 +35,19 @@
 //! `super::x86` holds the SSE2 and AVX2 ones, and the one kernel that
 //! uses the sweep's `skewed` form (AVX2's byte pass).
 
-/// DP sweep over vector type `$V`; evaluates to the lane-wise maximum of
-/// `H`. A flavour supplies `$rows` — one key per query row (the row index
-/// for QP, the residue code for SP) — `$column(j)`, run once per trip
-/// through the rows, and `$subst(key, j)`, the substitution vector of one
-/// cell. The H/F columns, the boundary rows and the keys are walked in lock
-/// step, so the sweep itself indexes nothing.
+/// DP sweep over vector type `$V` and the columns of `$batch`; evaluates to
+/// the best `H` of every sequence of the batch, in its `ids()` order. A
+/// flavour supplies `$rows` — one key per query row (the row index for QP,
+/// the residue code for SP) — `$column(j)`, run once per trip through the
+/// rows, and `$subst(key, j)`, the substitution vector of one cell. The
+/// H/F columns, the boundary rows and the keys are walked in lock step, so
+/// the sweep itself indexes nothing.
+///
+/// Lane refill: before a column where a stacked sequence starts, the
+/// `@refill` arm hands the lane's running maximum to the sequence that
+/// ends there and resets the lane — `vmax`, its `H` column and its
+/// diagonal carry to score 0, its `F` column to the gap floor. A column
+/// without a start costs one compare; the row loop does not change.
 ///
 /// `score:` names the arithmetic. `signed` is the textbook recurrence over
 /// a signed element: `H = max(0, H_diag + v, E, F)`, gap states starting at
@@ -72,19 +84,23 @@
 ///   ```
 ///
 ///   `n` counts steps (columns + 2, rounded up to even), `$rows` yields a
-///   key pair per row, `$subst` the vectors of both steps, and the caller
-///   folds the two halves of the result. The H/F columns live in `$cols`,
+///   key pair per row, `$subst` the vectors of both steps. Starts are even
+///   columns, so none falls between a trip's two steps; the upper run takes
+///   each one trip after the lower, and a sequence's best is the larger of
+///   the two runs'. The H/F columns live in `$cols`,
 ///   two caller-owned `Vec`s the sweep resizes to `m` and overwrites, so a
 ///   kernel can keep them across batches.
 macro_rules! sweep {
-    ($V:ty, elem: $elem:ty, neg_inf: $neg_inf:expr, gap: $gap:expr, m: $m:expr, n: $n:expr,
+    ($V:ty, elem: $elem:ty, neg_inf: $neg_inf:expr, gap: $gap:expr, m: $m:expr, batch: $batch:expr,
      block_rows: $block_rows:expr, score: $score:ident,
      rows: $rows:expr, column: $column:expr, subst: $subst:expr) => {{
         let m: usize = $m;
-        let n: usize = $n;
+        let batch: &sw_swdb::LaneBatch = $batch;
+        let n = batch.padded_len();
         let block_rows: usize = $block_rows;
         assert!(block_rows > 0, "block_rows must be positive");
         sweep!(@state $V, $elem, $neg_inf, $gap, $score, first, extend, zero, neg_inf);
+        let mut seqs = $crate::intertask::SeqMax::new(batch, zero.to_array()[0], 1, 0);
         let mut bh = vec![zero; n]; //    H[i0-1][j]: the last row of the block above
         let mut be = vec![neg_inf; n]; // E[i0][j]: what that row hands down
         // One block of H/F column state, reset per block. Allocated once,
@@ -92,15 +108,23 @@ macro_rules! sweep {
         // allocator keep `vmax` and the gap vectors on the stack.
         let mut h_col = vec![zero; block_rows.min(m)];
         let mut f_col = vec![neg_inf; block_rows.min(m)];
-        let mut vmax = zero;
         let mut i0 = 0usize;
         while i0 < m {
             let i1 = i0.saturating_add(block_rows).min(m);
             h_col.fill(zero);
             f_col.fill(neg_inf);
+            // `vmax` restarts with every block; each sequence keeps its
+            // best across blocks in `seqs`.
+            let mut vmax = zero;
+            seqs.restart();
+            let mut next_start = seqs.next_col();
             let mut diag_carry = zero; // H[i0-1][j-1], j = -1 → 0
             for (j, (bh_j, be_j)) in bh.iter_mut().zip(be.iter_mut()).enumerate() {
                 $column(j);
+                if j == next_start {
+                    sweep!(@refill $V, $elem, $neg_inf, seqs, j, zero, vmax, h_col, f_col, diag_carry);
+                    next_start = seqs.next_col();
+                }
                 let (mut h, mut e) = (*bh_j, *be_j);
                 let mut h_diag = diag_carry;
                 diag_carry = h;
@@ -116,18 +140,28 @@ macro_rules! sweep {
                 // H[i1-1][j] and E[i1][j] for the next block.
                 (*bh_j, *be_j) = (h, e);
             }
+            seqs.finish(&vmax.to_array());
             i0 = i1;
         }
-        vmax
+        seqs.into_best()
     }};
 
-    ($V:ty, elem: $elem:ty, neg_inf: $neg_inf:expr, gap: $gap:expr, m: $m:expr, n: $n:expr,
-     skewed, cols: $cols:expr, score: $score:ident,
+    ($V:ty, elem: $elem:ty, neg_inf: $neg_inf:expr, gap: $gap:expr, m: $m:expr, batch: $batch:expr,
+     n: $n:expr, skewed, cols: $cols:expr, score: $score:ident,
      rows: $rows:expr, column: $column:expr, subst: $subst:expr) => {{
         let m: usize = $m;
         let n: usize = $n;
+        let batch: &sw_swdb::LaneBatch = $batch;
         assert!(n % 2 == 0, "a trip is two steps");
+        assert!(
+            batch.starts().iter().all(|&(col, _)| col % 2 == 0),
+            "a start splits no trip"
+        );
         sweep!(@state $V, $elem, $neg_inf, $gap, $score, first, extend, zero, neg_inf);
+        // The upper run lags two columns: it takes each start one trip
+        // after the lower run.
+        let mut seqs = $crate::intertask::SeqMax::new(batch, zero.to_array()[0], 2, 2);
+        let mut next_start = seqs.next_col();
         let [h_col, f_col]: &mut [Vec<$V>; 2] = $cols;
         h_col.clear();
         h_col.resize(m, zero);
@@ -141,6 +175,10 @@ macro_rules! sweep {
         let (mut h_last, mut e_last, mut diag_carry) = ([zero; 2], [neg_inf; 2], zero);
         for j in (0..n).step_by(2) {
             $column(j);
+            if j == next_start {
+                sweep!(@refill $V, $elem, $neg_inf, seqs, j, zero, vmax, h_col, f_col, diag_carry);
+                next_start = seqs.next_col();
+            }
             let h_top = [h_last[0].shift_halves(zero), h_last[1].shift_halves(zero)];
             let mut e = [e_last[0].shift_halves(neg_inf), e_last[1].shift_halves(neg_inf)];
             let mut h_diag = [diag_carry, h_top[0]];
@@ -160,7 +198,33 @@ macro_rules! sweep {
             }
             e_last = e;
         }
-        vmax
+        seqs.finish(&vmax.to_array());
+        seqs.into_best()
+    }};
+
+    // Lane refill before column `$j`: each element a sequence starts in
+    // hands its maximum to `$seqs` and restarts at score 0, as do its `H`
+    // column and its diagonal carry; its `F` column drops to the gap
+    // floor. The column's `E` needs nothing: it starts at every column's
+    // first row, and a block boundary row below a start is the new
+    // sequence's. Every value the sweep holds is at least score 0 (`H`)
+    // or the floor (`F`, or a value as useless to `H ≥ 0`), so one `min`
+    // per vector resets the chosen elements and leaves the rest.
+    (@refill $V:ty, $elem:ty, $neg_inf:expr, $seqs:ident, $j:expr, $zero:ident, $vmax:ident,
+     $h_col:ident, $f_col:ident, $diag:ident) => {{
+        let mut keep_h = <$V>::splat(<$elem>::MAX).to_array();
+        let mut keep_f = keep_h;
+        for s in $seqs.take($j, &$vmax.to_array()) {
+            keep_h[s.elem] = $zero.to_array()[0];
+            keep_f[s.elem] = $neg_inf;
+        }
+        let (keep_h, keep_f) = (<$V>::from_array(keep_h), <$V>::from_array(keep_f));
+        $vmax = $vmax.min(keep_h);
+        $diag = $diag.min(keep_h);
+        for (hc, fc) in $h_col.iter_mut().zip($f_col.iter_mut()) {
+            *hc = hc.min(keep_h);
+            *fc = fc.min(keep_f);
+        }
     }};
 
     // The constants of one sweep: the gap vectors, score 0 (`$zero`) and
@@ -223,15 +287,15 @@ macro_rules! profile_kernels {
             block_rows: usize,
         ) -> $Out {
             assert_eq!(batch.lanes(), $lanes, "batch lane width must match kernel width");
-            let vmax = sweep!(
+            let best = sweep!(
                 $V, elem: $elem, neg_inf: $neg_inf, gap: gap,
-                m: qp.query_len(), n: batch.padded_len(), block_rows: block_rows,
+                m: qp.query_len(), batch: batch, block_rows: block_rows,
                 score: signed,
                 rows: |i0, i1| i0..i1,
                 column: |_j| (),
                 subst: |i, j| <$V>::gather(qp.row(i), batch.row(j))
             );
-            <$Out>::from_vmax(&vmax.to_array(), batch.real_lanes())
+            <$Out>::from_best(&best)
         }
 
         /// Sequence-profile flavour: one contiguous load from the
@@ -252,15 +316,15 @@ macro_rules! profile_kernels {
             assert_eq!(batch.lanes(), $lanes, "batch lane width must match kernel width");
             assert_eq!(sp.lanes(), $lanes, "profile lane width must match kernel width");
             assert_eq!(sp.padded_len(), batch.padded_len(), "profile/batch shape mismatch");
-            let vmax = sweep!(
+            let best = sweep!(
                 $V, elem: $elem, neg_inf: $neg_inf, gap: gap,
-                m: query.len(), n: batch.padded_len(), block_rows: block_rows,
+                m: query.len(), batch: batch, block_rows: block_rows,
                 score: signed,
                 rows: |i0, i1| query[i0..i1].iter(),
                 column: |_j| (),
                 subst: |&q, j| <$V>::load(sp.row(q, j))
             );
-            <$Out>::from_vmax(&vmax.to_array(), batch.real_lanes())
+            <$Out>::from_best(&best)
         }
     };
 }
@@ -320,15 +384,15 @@ macro_rules! kernels {
             );
             let present = query.iter().fold(0u32, |set, &q| set | 1 << q);
             let mut col = [<$V16>::zero(); SCORE_TABLE_COLS];
-            let vmax = sweep!(
+            let best = sweep!(
                 $V16, elem: i16, neg_inf: $crate::intertask::NEG_INF_I16, gap: gap,
-                m: query.len(), n: batch.padded_len(), block_rows: block_rows,
+                m: query.len(), batch: batch, block_rows: block_rows,
                 score: signed,
                 rows: |i0, i1| query[i0..i1].iter(),
                 column: |j| $column_scores(&mut col, table, present, batch.row(j)),
                 subst: |&q, _j| col[q as usize % SCORE_TABLE_COLS]
             );
-            $crate::intertask::KernelOutput::from_vmax(&vmax.to_array(), batch.real_lanes())
+            $crate::intertask::KernelOutput::from_best(&best)
         }
     };
 }

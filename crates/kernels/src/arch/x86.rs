@@ -47,6 +47,7 @@ macro_rules! vector {
         adds: $adds:path,
         subs: $subs:path,
         max: $max:path,
+        min: $min:path,
         $(load: $load:path,
         loadu: $loadu:path,)?
         storeu: $storeu:path,
@@ -126,6 +127,12 @@ macro_rules! vector {
 
             #[inline]
             #[target_feature(enable = $feat)]
+            fn min(self, o: Self) -> Self {
+                Self($min(self.0, o.0))
+            }
+
+            #[inline]
+            #[target_feature(enable = $feat)]
             fn to_array(self) -> [$elem; $lanes] {
                 let mut out = [0; $lanes];
                 // SAFETY: `out` is exactly one vector of writable memory.
@@ -154,6 +161,14 @@ pub(crate) mod sse2 {
         _mm_or_si128(_mm_and_si128(gt, a), _mm_andnot_si128(gt, b))
     }
 
+    /// The signed-byte min (`pminsb`, SSE4.1) the same way.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn min_epi8_sse2(a: __m128i, b: __m128i) -> __m128i {
+        let gt = _mm_cmpgt_epi8(a, b);
+        _mm_or_si128(_mm_and_si128(gt, b), _mm_andnot_si128(gt, a))
+    }
+
     vector! {
         V16: [i16; LANES_I16] in __m128i,
         feature: "sse2",
@@ -162,6 +177,7 @@ pub(crate) mod sse2 {
         adds: _mm_adds_epi16,
         subs: _mm_subs_epi16,
         max: _mm_max_epi16,
+        min: _mm_min_epi16,
         load: _mm_load_si128,
         loadu: _mm_loadu_si128,
         storeu: _mm_storeu_si128,
@@ -175,6 +191,7 @@ pub(crate) mod sse2 {
         adds: _mm_adds_epi8,
         subs: _mm_subs_epi8,
         max: max_epi8_sse2,
+        min: min_epi8_sse2,
         load: _mm_load_si128,
         loadu: _mm_loadu_si128,
         storeu: _mm_storeu_si128,
@@ -211,6 +228,7 @@ pub(crate) mod avx2 {
         adds: _mm256_adds_epi16,
         subs: _mm256_subs_epi16,
         max: _mm256_max_epi16,
+        min: _mm256_min_epi16,
         load: _mm256_load_si256,
         loadu: _mm256_loadu_si256,
         storeu: _mm256_storeu_si256,
@@ -224,6 +242,7 @@ pub(crate) mod avx2 {
         adds: _mm256_adds_epi8,
         subs: _mm256_subs_epi8,
         max: _mm256_max_epi8,
+        min: _mm256_min_epi8,
         load: _mm256_load_si256,
         loadu: _mm256_loadu_si256,
         storeu: _mm256_storeu_si256,
@@ -427,9 +446,9 @@ pub(crate) mod avx2 {
         // Steps −2 and −1 wrap far past `n`: off the end either way.
         let residues = |j: usize| if j < n { batch.row(j) } else { &off_end[..] };
         let mut hf_cols = HF_COLS.take();
-        let vmax = sweep!(
-            V8, elem: i8, neg_inf: i8::MIN, gap: gap, m: h, n: (n + 2).next_multiple_of(2),
-            skewed, cols: &mut hf_cols, score: floored,
+        let best = sweep!(
+            V8, elem: i8, neg_inf: i8::MIN, gap: gap, m: h, batch: batch,
+            n: (n + 2).next_multiple_of(2), skewed, cols: &mut hf_cols, score: floored,
             rows: lower.iter().zip(&upper),
             column: |j: usize| column_scores_i8(
                 col, table, present,
@@ -441,6 +460,6 @@ pub(crate) mod avx2 {
             }
         );
         HF_COLS.set(hf_cols);
-        crate::intertask::NarrowOutput::from_skewed_vmax(&vmax.to_array(), batch.real_lanes())
+        crate::intertask::NarrowOutput::from_floored_best(&best)
     }
 }

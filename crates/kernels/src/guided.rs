@@ -12,7 +12,7 @@
 //! compiler-vectorization efficiency the paper measured (≈½ of intrinsic
 //! on the Xeon, ≈0.4× on the Phi).
 
-use crate::intertask::{KernelOutput, NEG_INF_I16};
+use crate::intertask::{KernelOutput, SeqMax, NEG_INF_I16};
 use sw_seq::GapPenalty;
 use sw_swdb::{LaneBatch, QueryProfile, SequenceProfile};
 
@@ -51,14 +51,23 @@ impl GuidedWorkspace {
         self.vmax.resize(lanes, 0);
     }
 
-    fn output(&self, real_lanes: usize) -> KernelOutput {
-        KernelOutput {
-            scores: self.vmax[..real_lanes].iter().map(|&v| v as i64).collect(),
-            overflowed: self.vmax[..real_lanes]
-                .iter()
-                .map(|&v| v == i16::MAX)
-                .collect(),
+    /// Lane refill before column `j`: every lane a sequence starts in
+    /// hands its maximum to `seqs` and starts over as at column 0 —
+    /// `vmax` and `H` at 0, `F` at minus infinity.
+    fn refill(&mut self, seqs: &mut SeqMax<i16>, j: usize) {
+        let lanes = self.vmax.len();
+        for s in seqs.take(j, &self.vmax) {
+            self.vmax[s.elem] = 0;
+            for i in (s.elem..self.h_col.len()).step_by(lanes) {
+                self.h_col[i] = 0;
+                self.f_col[i] = NEG_INF_I16;
+            }
         }
+    }
+
+    fn output(&self, mut seqs: SeqMax<i16>) -> KernelOutput {
+        seqs.finish(&self.vmax);
+        KernelOutput::from_best(&seqs.into_best())
     }
 }
 
@@ -108,7 +117,11 @@ pub fn sw_guided_qp(
     let first = gap.first() as i16;
     let extend = gap.extend as i16;
     ws.reset(m, lanes);
+    let mut seqs = SeqMax::new(batch, 0, 1, 0);
     for j in 0..n {
+        if j == seqs.next_col() {
+            ws.refill(&mut seqs, j);
+        }
         let residues = batch.row(j);
         ws.h_diag.iter_mut().for_each(|v| *v = 0);
         ws.h_up.iter_mut().for_each(|v| *v = 0);
@@ -134,7 +147,7 @@ pub fn sw_guided_qp(
             );
         }
     }
-    ws.output(batch.real_lanes())
+    ws.output(seqs)
 }
 
 /// Guided kernel, sequence-profile flavour (`simd-SP`).
@@ -157,7 +170,11 @@ pub fn sw_guided_sp(
     let first = gap.first() as i16;
     let extend = gap.extend as i16;
     ws.reset(m, lanes);
+    let mut seqs = SeqMax::new(batch, 0, 1, 0);
     for j in 0..n {
+        if j == seqs.next_col() {
+            ws.refill(&mut seqs, j);
+        }
         ws.h_diag.iter_mut().for_each(|v| *v = 0);
         ws.h_up.iter_mut().for_each(|v| *v = 0);
         ws.e_run.iter_mut().for_each(|v| *v = NEG_INF_I16);
@@ -176,7 +193,7 @@ pub fn sw_guided_sp(
             );
         }
     }
-    ws.output(batch.real_lanes())
+    ws.output(seqs)
 }
 
 #[cfg(test)]

@@ -1,18 +1,19 @@
 //! Inter-task kernel data — what the paper's `intrinsic-QP` /
 //! `intrinsic-SP` variants return, and the constants they share.
 //!
-//! One lane batch = `L` database sequences aligned against the query
-//! simultaneously, one per vector lane (the SWIPE scheme [Rognes 2011] the
-//! paper adopts in §IV). The sweep itself lives in [`crate::arch`]: one
-//! body, instantiated per vector type. This module is the home of its
-//! outputs ([`KernelOutput`], [`NarrowOutput`]), the 8-bit → i16 cascade
-//! that combines them, the "minus infinity" sentinels and the
-//! cache-blocking tuning rule of Fig. 7.
+//! One lane batch = `L` vector lanes of database sequences aligned against
+//! the query simultaneously (the SWIPE scheme [Rognes 2011] the paper
+//! adopts in §IV), a lane taking the next sequence where its last one ends.
+//! The sweep itself lives in [`crate::arch`]: one body, instantiated per
+//! vector type. This module is the home of its per-sequence bookkeeping
+//! (`SeqMax`) and outputs ([`KernelOutput`], [`NarrowOutput`]), the 8-bit
+//! → i16 cascade that combines them, the "minus infinity" sentinels and
+//! the cache-blocking tuning rule of Fig. 7.
 //!
-//! Arithmetic is saturating; a lane whose running maximum reaches the
+//! Arithmetic is saturating; a sequence whose maximum reaches the
 //! ceiling of its element type (`MAX`; score 255 in the fused kernel's
 //! floor-offset byte pass) is flagged and later recomputed at
-//! the next precision — an 8-bit lane in i16 (here), an i16 lane in i64
+//! the next precision — an 8-bit score in i16 (here), an i16 one in i64
 //! (see [`crate::overflow`]). The cascade is exact because saturation is
 //! *detected*, never silent.
 
@@ -25,70 +26,175 @@ pub const NEG_INF_I16: i16 = i16::MIN / 2;
 /// from `i8::MIN` to keep saturating subtraction semantics clean.
 pub const NEG_INF_I8: i8 = i8::MIN / 2;
 
-/// Per-lane scores of a column maximum, and which lanes sit at the
-/// element type's `max` — exact there or capped, only a recompute tells.
-fn scores_and_flags<T: Copy + PartialEq + Into<i64>>(vmax: &[T], max: T) -> (Vec<i64>, Vec<bool>) {
+/// Per-sequence scores of a sweep, and which sit at the element type's
+/// `max` — exact there or capped, only a recompute tells.
+fn scores_and_flags<T: Copy + PartialEq + Into<i64>>(best: &[T], max: T) -> (Vec<i64>, Vec<bool>) {
     (
-        vmax.iter().map(|&v| v.into()).collect(),
-        vmax.iter().map(|&v| v == max).collect(),
+        best.iter().map(|&v| v.into()).collect(),
+        best.iter().map(|&v| v == max).collect(),
     )
+}
+
+/// One sequence start as a sweep sees it: before column `col`, vector
+/// element `elem` stops holding its sequence and starts sequence `seq`
+/// (an index into the batch's `ids()`).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Start {
+    pub(crate) col: usize,
+    pub(crate) elem: usize,
+    seq: usize,
+}
+
+/// The lane-refill bookkeeping of one sweep: which sequence each vector
+/// element holds, where that changes, and the best `H` each sequence
+/// reached.
+///
+/// Element `c·L + l` serves lane `l` of an `L`-lane batch, `c·lag`
+/// columns behind element `l` (one copy per lane but in the skewed byte
+/// pass, whose upper half runs two columns behind its lower). At a start
+/// the sweep hands the element's running maximum to [`Self::take`], which
+/// credits the sequence that ends there, and resets the element.
+#[derive(Debug)]
+pub(crate) struct SeqMax<T> {
+    /// Every start of every copy, ascending by column.
+    starts: Vec<Start>,
+    /// The sequence each element holds at column 0 (`None`: an empty lane).
+    first: Vec<Option<usize>>,
+    holder: Vec<Option<usize>>,
+    next: usize,
+    best: Vec<T>,
+}
+
+impl<T: Copy + Ord> SeqMax<T> {
+    /// `copies` elements per lane of `batch`, copy `c` running `c·lag`
+    /// columns behind; every sequence's best starts at `zero`.
+    pub(crate) fn new(batch: &sw_swdb::LaneBatch, zero: T, copies: usize, lag: usize) -> Self {
+        let (lanes, occupied) = (batch.lanes(), batch.occupied_lanes());
+        let first: Vec<Option<usize>> = (0..copies * lanes)
+            .map(|e| Some(e % lanes).filter(|&l| l < occupied))
+            .collect();
+        let mut starts: Vec<Start> = (0..copies)
+            .flat_map(|c| {
+                batch
+                    .starts()
+                    .iter()
+                    .enumerate()
+                    .map(move |(k, &(col, lane))| Start {
+                        col: col as usize + c * lag,
+                        elem: c * lanes + lane as usize,
+                        seq: occupied + k,
+                    })
+            })
+            .collect();
+        starts.sort_by_key(|s| s.col);
+        SeqMax {
+            starts,
+            holder: first.clone(),
+            first,
+            next: 0,
+            best: vec![zero; batch.n_seqs()],
+        }
+    }
+
+    /// Back to column 0: a blocked sweep's next row block.
+    pub(crate) fn restart(&mut self) {
+        self.holder.clone_from(&self.first);
+        self.next = 0;
+    }
+
+    /// The column of the next start not yet taken (`usize::MAX`: none).
+    #[inline]
+    pub(crate) fn next_col(&self) -> usize {
+        self.starts.get(self.next).map_or(usize::MAX, |s| s.col)
+    }
+
+    /// The starts before column `j`: each element's maximum in `vmax`
+    /// goes to the sequence it held, and it holds the next one. Returns
+    /// them — the elements the sweep must now reset.
+    pub(crate) fn take(&mut self, j: usize, vmax: &[T]) -> &[Start] {
+        let from = self.next;
+        while let Some(&s) = self.starts.get(self.next).filter(|s| s.col == j) {
+            self.fold(s.elem, vmax[s.elem]);
+            self.holder[s.elem] = Some(s.seq);
+            self.next += 1;
+        }
+        &self.starts[from..self.next]
+    }
+
+    /// The end of a pass over the columns: every element's maximum goes to
+    /// the sequence it holds.
+    pub(crate) fn finish(&mut self, vmax: &[T]) {
+        for (e, &v) in vmax.iter().enumerate() {
+            self.fold(e, v);
+        }
+    }
+
+    fn fold(&mut self, elem: usize, v: T) {
+        if let Some(s) = self.holder[elem] {
+            self.best[s] = self.best[s].max(v);
+        }
+    }
+
+    /// The best `H` of every sequence, in the batch's `ids()` order.
+    pub(crate) fn into_best(self) -> Vec<T> {
+        self.best
+    }
 }
 
 /// Result of running a kernel over one lane batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelOutput {
-    /// Best score per **real** lane, in batch lane order.
+    /// Best score per sequence, in the batch's `ids()` order.
     pub scores: Vec<i64>,
-    /// Lanes whose `i16` score saturated and must be recomputed exactly.
+    /// Sequences whose `i16` score saturated and must be recomputed
+    /// exactly.
     pub overflowed: Vec<bool>,
 }
 
 impl KernelOutput {
-    /// Scores and flags of the first `real_lanes` lanes of a column
-    /// maximum.
-    pub(crate) fn from_vmax(vmax: &[i16], real_lanes: usize) -> Self {
-        let (scores, overflowed) = scores_and_flags(&vmax[..real_lanes], i16::MAX);
+    /// Scores and flags of every sequence's best `H`.
+    pub(crate) fn from_best(best: &[i16]) -> Self {
+        let (scores, overflowed) = scores_and_flags(best, i16::MAX);
         KernelOutput { scores, overflowed }
     }
 
-    /// True if any real lane saturated.
+    /// True if any sequence saturated.
     pub fn any_overflow(&self) -> bool {
         self.overflowed.iter().any(|&o| o)
     }
 }
 
-/// Output of a narrow (8-bit) pass: per-lane scores plus saturation flags.
+/// Output of a narrow (8-bit) pass: per-sequence scores plus saturation
+/// flags.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NarrowOutput {
-    /// Best score per real lane (exact only where `!saturated`).
+    /// Best score per sequence (exact only where `!saturated`), in the
+    /// batch's `ids()` order.
     pub scores: Vec<i64>,
-    /// Lanes that touched the pass's ceiling and need the wide kernel.
+    /// Sequences that touched the pass's ceiling and need the wide kernel.
     pub saturated: Vec<bool>,
 }
 
 impl NarrowOutput {
-    /// As [`KernelOutput::from_vmax`], for the i8 sweep.
-    pub(crate) fn from_vmax(vmax: &[i8], real_lanes: usize) -> Self {
-        let (scores, saturated) = scores_and_flags(&vmax[..real_lanes], i8::MAX);
+    /// As [`KernelOutput::from_best`], for the i8 sweep.
+    pub(crate) fn from_best(best: &[i8]) -> Self {
+        let (scores, saturated) = scores_and_flags(best, i8::MAX);
         NarrowOutput { scores, saturated }
     }
 
-    /// Scores and flags from the column maximum of a skewed floor-offset
-    /// byte sweep: lane `l`'s score is the larger of elements `l` and
-    /// `half + l` (the two runs of query rows) above the floor `i8::MIN`,
-    /// and it is saturated at `i8::MAX` — score 255.
+    /// Scores and flags of a floor-offset byte sweep: a sequence's score
+    /// is its best element above the floor `i8::MIN`, and it is saturated
+    /// at `i8::MAX` — score 255.
     #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-    pub(crate) fn from_skewed_vmax(vmax: &[i8], real_lanes: usize) -> Self {
-        let (lower, upper) = vmax.split_at(vmax.len() / 2);
-        let best = lower.iter().zip(upper).map(|(&a, &b)| a.max(b));
+    pub(crate) fn from_floored_best(best: &[i8]) -> Self {
         let (scores, saturated) = best
-            .take(real_lanes)
-            .map(|s| (s as i64 - i8::MIN as i64, s == i8::MAX))
+            .iter()
+            .map(|&s| (s as i64 - i8::MIN as i64, s == i8::MAX))
             .unzip();
         NarrowOutput { scores, saturated }
     }
 
-    /// True if any real lane saturated.
+    /// True if any sequence saturated.
     pub fn any_saturated(&self) -> bool {
         self.saturated.iter().any(|&s| s)
     }
@@ -97,15 +203,15 @@ impl NarrowOutput {
 /// Statistics of one cascade run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CascadeStats {
-    /// Lanes settled by the 8-bit pass.
+    /// Sequences settled by the 8-bit pass.
     pub settled_i8: u64,
-    /// Lanes that needed the i16 pass.
+    /// Sequences that needed the i16 pass.
     pub widened_i16: u64,
 }
 
 /// Dual-precision cascade (SWIPE): keep the 8-bit pass's scores, and run
-/// `wide` (the i16 kernel over the same batch) only if some lane
-/// saturated. Lanes that also saturate i16 are flagged in the returned
+/// `wide` (the i16 kernel over the same batch) only if some sequence
+/// saturated. Sequences that also saturate i16 are flagged in the returned
 /// [`KernelOutput`] for the caller's i64 rescue.
 pub(crate) fn cascade(
     narrow: NarrowOutput,
@@ -125,22 +231,22 @@ pub(crate) fn cascade(
             },
         );
     }
-    // At least one lane needs i16; rerun the batch wide (lanes are
+    // At least one sequence needs i16; rerun the batch wide (lanes are
     // computed together anyway) and keep the wide scores for saturated
-    // lanes only — the narrow scores are already exact elsewhere and the
-    // two must agree, which debug builds assert.
+    // sequences only — the narrow scores are already exact elsewhere and
+    // the two must agree, which debug builds assert.
     let wide_out = wide();
     let mut scores = narrow.scores;
     let mut overflowed = vec![false; scores.len()];
     let mut widened = 0u64;
-    for lane in 0..scores.len() {
-        if narrow.saturated[lane] {
-            scores[lane] = wide_out.scores[lane];
-            overflowed[lane] = wide_out.overflowed[lane];
+    for s in 0..scores.len() {
+        if narrow.saturated[s] {
+            scores[s] = wide_out.scores[s];
+            overflowed[s] = wide_out.overflowed[s];
             widened += 1;
         } else {
             debug_assert_eq!(
-                scores[lane], wide_out.scores[lane],
+                scores[s], wide_out.scores[s],
                 "unsaturated narrow score must already be exact"
             );
         }

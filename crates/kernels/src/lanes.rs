@@ -97,9 +97,24 @@ macro_rules! lane_vector {
                 Self(out)
             }
 
+            /// Lane-wise minimum (the sweep's lane reset).
+            #[inline(always)]
+            pub fn min(self, rhs: Self) -> Self {
+                let mut out = [0; L];
+                for ((o, a), b) in out.iter_mut().zip(self.0).zip(rhs.0) {
+                    *o = a.min(b);
+                }
+                Self(out)
+            }
+
             #[inline(always)]
             pub(crate) fn to_array(self) -> [$elem; L] {
                 self.0
+            }
+
+            #[inline(always)]
+            pub(crate) fn from_array(a: [$elem; L]) -> Self {
+                Self(a)
             }
         }
     };
@@ -117,14 +132,6 @@ lane_vector! {
     /// is whatever the batch was packed for, and the perf model accounts
     /// the doubling separately.
     I8s, i8
-}
-
-/// The constructor of the fused sweep's column prologue.
-impl<const L: usize> I16s<L> {
-    #[inline(always)]
-    pub(crate) fn from_array(a: [i16; L]) -> Self {
-        I16s(a)
-    }
 }
 
 #[cfg(test)]
@@ -184,6 +191,7 @@ mod tests {
         let a = I16s::<4>([1, -5, 3, 0]);
         let b = I16s::<4>([0, 2, -7, 0]);
         assert_eq!(a.max(b).0, [1, 2, 3, 0]);
+        assert_eq!(a.min(b).0, [0, -5, -7, 0]);
     }
 
     #[test]
@@ -191,6 +199,7 @@ mod tests {
         let a = I8s::<4>([1, -5, 120, 0]);
         let b = I8s::<4>([0, 2, 20, 0]);
         assert_eq!(a.max(b).0, [1, 2, 120, 0]);
+        assert_eq!(a.min(b).0, [0, -5, 20, 0]);
         assert_eq!(a.sat_add(b).0, [1, -3, i8::MAX, 0]);
         assert_eq!(
             I8s::<4>::splat(i8::MIN).sat_sub(I8s::splat(10)).0,

@@ -22,10 +22,10 @@ pub struct RescueStats {
     pub rescue_cells: u64,
 }
 
-/// Replace saturated lane scores with exact `i64` recomputations.
+/// Replace saturated scores with exact `i64` recomputations.
 ///
-/// `lane_seqs` must yield the residues of each *real* lane in batch order
-/// (typically via the original database and `batch.ids()`).
+/// `lane_seqs` must yield the residues of each sequence of the batch in
+/// `batch.ids()` order (typically via the original database).
 pub fn rescue_overflows(
     out: &mut KernelOutput,
     query: &[u8],
@@ -35,14 +35,14 @@ pub fn rescue_overflows(
 ) -> RescueStats {
     assert_eq!(
         lane_seqs.len(),
-        batch.real_lanes(),
-        "need one sequence per real lane"
+        batch.n_seqs(),
+        "need the residues of every sequence in the batch"
     );
     let mut stats = RescueStats::default();
-    for (lane, &seq) in lane_seqs.iter().enumerate() {
-        if out.overflowed[lane] {
-            out.scores[lane] = sw_score_scalar(query, seq, params);
-            out.overflowed[lane] = false;
+    for (k, &seq) in lane_seqs.iter().enumerate() {
+        if out.overflowed[k] {
+            out.scores[k] = sw_score_scalar(query, seq, params);
+            out.overflowed[k] = false;
             stats.lanes_rescued += 1;
             stats.rescue_cells += query.len() as u64 * seq.len() as u64;
         }

@@ -118,6 +118,16 @@ fn expect_fused_stats<const L: usize>(
     }
 }
 
+/// `subjects` (indexed by `SeqId`) in the order `batch.ids()` lists them:
+/// the order of every kernel output over `batch`.
+fn in_id_order(batch: &LaneBatch, subjects: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    batch
+        .ids()
+        .iter()
+        .map(|id| subjects[id.0 as usize].clone())
+        .collect()
+}
+
 /// The fused kernel under each of `isas` × `blocks`: output pinned to the
 /// scalar reference, byte-pass statistics to [`expect_fused_stats`].
 /// Returns the statistics of the last ISA.
@@ -131,13 +141,28 @@ fn check_fused<const L: usize>(
     label: &str,
 ) -> CascadeStats {
     let batch = make_batch(L, a, subjects);
+    check_fused_of::<L>(isas, blocks, a, p, query, &batch, subjects, label)
+}
+
+/// [`check_fused`] over a given batch of `subjects`.
+#[allow(clippy::too_many_arguments)]
+fn check_fused_of<const L: usize>(
+    isas: &[KernelIsa],
+    blocks: &[Option<usize>],
+    a: &Alphabet,
+    p: &SwParams,
+    query: &[u8],
+    batch: &LaneBatch,
+    subjects: &[Vec<u8>],
+    label: &str,
+) -> CascadeStats {
     let table = ScoreTable::build(&p.matrix, a);
-    let want = expect_i16(p, query, subjects);
+    let want = expect_i16(p, query, &in_id_order(batch, subjects));
     let mut stats = CascadeStats::default();
     for &isa in isas {
         stats = expect_fused_stats::<L>(isa, p, &want);
         for &block in blocks {
-            let o = arch::sw_isa_fused_sp_stats::<L>(isa, query, &table, &batch, &p.gap, block);
+            let o = arch::sw_isa_fused_sp_stats::<L>(isa, query, &table, batch, &p.gap, block);
             assert_eq!(
                 o,
                 (want.clone(), stats),
@@ -158,22 +183,40 @@ fn check_width<const L: usize>(
     subjects: &[Vec<u8>],
     label: &str,
 ) {
-    let batch = make_batch(L, a, subjects);
+    check_width_of::<L>(a, p, query, &make_batch(L, a, subjects), subjects, label);
+}
+
+/// [`check_width`] over a given batch of `subjects`.
+fn check_width_of<const L: usize>(
+    a: &Alphabet,
+    p: &SwParams,
+    query: &[u8],
+    batch: &LaneBatch,
+    subjects: &[Vec<u8>],
+    label: &str,
+) {
     let qp = QueryProfile::build(query, &p.matrix, a);
-    let sp = SequenceProfile::build(&batch, &p.matrix, a);
-    let want = expect_i16(p, query, subjects);
+    let sp = SequenceProfile::build(batch, &p.matrix, a);
+    let want = expect_i16(p, query, &in_id_order(batch, subjects));
     let m = query.len();
-    let blocks = [None, Some(1), Some(7), Some(m), Some(m + 3)];
+    let blocks = [
+        None,
+        Some(1),
+        Some(7),
+        Some(m.div_ceil(2)),
+        Some(m),
+        Some(m + 3),
+    ];
     for isa in isas() {
         for block in blocks {
-            let o = arch::sw_isa_qp::<L>(isa, &qp, &batch, &p.gap, block);
+            let o = arch::sw_isa_qp::<L>(isa, &qp, batch, &p.gap, block);
             assert_eq!(o, want, "{label}: qp i16 {isa} block {block:?}");
-            let o = arch::sw_isa_sp::<L>(isa, query, &sp, &batch, &p.gap, block);
+            let o = arch::sw_isa_sp::<L>(isa, query, &sp, batch, &p.gap, block);
             assert_eq!(o, want, "{label}: sp i16 {isa} block {block:?}");
         }
     }
-    check_fused::<L>(&isas(), &blocks, a, p, query, subjects, label);
-    check_cascade::<L>(a, p, query, subjects, label);
+    check_fused_of::<L>(&isas(), &blocks, a, p, query, batch, subjects, label);
+    check_cascade_of::<L>(a, p, query, batch, subjects, label);
 }
 
 /// The narrow half of [`check_width`]: both i8 kernels and both i8 → i16
@@ -185,29 +228,40 @@ fn check_cascade<const L: usize>(
     subjects: &[Vec<u8>],
     label: &str,
 ) {
-    let batch = make_batch(L, a, subjects);
+    check_cascade_of::<L>(a, p, query, &make_batch(L, a, subjects), subjects, label);
+}
+
+/// [`check_cascade`] over a given batch of `subjects`.
+fn check_cascade_of<const L: usize>(
+    a: &Alphabet,
+    p: &SwParams,
+    query: &[u8],
+    batch: &LaneBatch,
+    subjects: &[Vec<u8>],
+    label: &str,
+) {
     let qp = QueryProfile::build(query, &p.matrix, a);
-    let sp = SequenceProfile::build(&batch, &p.matrix, a);
+    let sp = SequenceProfile::build(batch, &p.matrix, a);
     let qp8 = QueryProfileI8::from_wide(&qp);
     let sp8 = SequenceProfileI8::from_wide(&sp);
-    let want = expect_i16(p, query, subjects);
+    let want = expect_i16(p, query, &in_id_order(batch, subjects));
     let want8 = expect_i8(&want);
     let widened = want8.saturated.iter().filter(|&&s| s).count() as u64;
     let want_ad = (
         want,
         CascadeStats {
-            settled_i8: subjects.len() as u64 - widened,
+            settled_i8: batch.n_seqs() as u64 - widened,
             widened_i16: widened,
         },
     );
     for isa in isas() {
-        let o = arch::sw_isa_narrow_qp::<L>(isa, &qp8, &batch, &p.gap);
+        let o = arch::sw_isa_narrow_qp::<L>(isa, &qp8, batch, &p.gap);
         assert_eq!(o, want8, "{label}: qp i8 {isa}");
-        let o = arch::sw_isa_narrow_sp::<L>(isa, query, &sp8, &batch, &p.gap);
+        let o = arch::sw_isa_narrow_sp::<L>(isa, query, &sp8, batch, &p.gap);
         assert_eq!(o, want8, "{label}: sp i8 {isa}");
-        let o = arch::sw_isa_adaptive_qp::<L>(isa, &qp, &qp8, &batch, &p.gap);
+        let o = arch::sw_isa_adaptive_qp::<L>(isa, &qp, &qp8, batch, &p.gap);
         assert_eq!(o, want_ad, "{label}: adaptive qp {isa}");
-        let o = arch::sw_isa_adaptive_sp::<L>(isa, query, &sp, &sp8, &batch, &p.gap);
+        let o = arch::sw_isa_adaptive_sp::<L>(isa, query, &sp, &sp8, batch, &p.gap);
         assert_eq!(o, want_ad, "{label}: adaptive sp {isa}");
     }
 }
@@ -828,6 +882,204 @@ fn fuzz_planted_homolog_batches() {
             settled >= 100 && promoted >= 100,
             "{settled} settled, {promoted} promoted"
         );
+    }
+}
+
+/// A batch of `lanes` lanes, lane `l` holding the `subjects` named by
+/// `stacks[l]` back to back (each `SeqId` is its index into `subjects`).
+fn make_stacked(
+    lanes: usize,
+    a: &Alphabet,
+    subjects: &[Vec<u8>],
+    stacks: &[Vec<usize>],
+) -> LaneBatch {
+    let lane_seqs: Vec<Vec<(SeqId, &[u8])>> = stacks
+        .iter()
+        .map(|lane| {
+            lane.iter()
+                .map(|&i| (SeqId(i as u32), subjects[i].as_slice()))
+                .collect()
+        })
+        .collect();
+    LaneBatch::stack(lanes, &lane_seqs, pad_code(a))
+}
+
+/// [`check_width_of`] over `stacks` at all four lane widths.
+fn check_stacked_all_widths(
+    a: &Alphabet,
+    p: &SwParams,
+    query: &[u8],
+    subjects: &[Vec<u8>],
+    stacks: &[Vec<usize>],
+    label: &str,
+) {
+    let batch = |lanes| make_stacked(lanes, a, subjects, stacks);
+    check_width_of::<4>(a, p, query, &batch(4), subjects, &format!("{label} L4"));
+    check_width_of::<8>(a, p, query, &batch(8), subjects, &format!("{label} L8"));
+    check_width_of::<16>(a, p, query, &batch(16), subjects, &format!("{label} L16"));
+    check_width_of::<32>(a, p, query, &batch(32), subjects, &format!("{label} L32"));
+}
+
+/// Lane refill resets a lane where its next sequence starts, and nothing
+/// of the sequence before may leak across: not its `H` column (the next
+/// sequence's diagonal), not its `F` column (a cheap gap would carry a
+/// high score over), not the diagonal carried down a row-block boundary or
+/// across the byte pass's two halves. The query is motif A then motif B
+/// (plus one row for the odd query), so with `m = 18` the row blocks of
+/// `⌈m/2⌉` and the byte pass's halves split it exactly between A and B: a
+/// sequence ending in A beside the next one starting with B scores A + B
+/// if anything leaks, and each alone if nothing does. Old sequences of odd
+/// and even length put starts right after them and one pad column later;
+/// a start falls in each half's trips of the skewed pass.
+#[test]
+fn stacked_lanes_reset_at_every_start() {
+    let a = Alphabet::protein();
+    let enc = |t: &[u8]| a.encode_strict(t).unwrap();
+    let (motif_a, motif_b) = (b"MKVLITRAW", b"WHYCFPEDQ");
+    let subjects: Vec<Vec<u8>> = vec![
+        enc(motif_a),               // 0: 9, odd
+        enc(motif_b),               // 1
+        enc(b"GGMKVLITRAW"),        // 2: 11, A at its end
+        enc(b"WHYCFPEDQGG"),        // 3: B first
+        enc(b"PMKVLITRAW"),         // 4: 10, even
+        enc(b"G"),                  // 5
+        enc(b"WHYC"),               // 6
+        enc(b"MKVLITRAWWHYCFPEDQ"), // 7: A then B in one sequence
+    ];
+    let stacks = vec![vec![0, 1, 5], vec![2, 3], vec![4, 1, 6], vec![7, 0]];
+    for extra in [&b""[..], b"K"] {
+        let mut query = enc(motif_a);
+        query.extend(enc(motif_b));
+        query.extend(enc(extra));
+        // 300/300 can leave the i16 `F` below the floor a reset writes
+        // (and starts at i16: no byte pass).
+        for gap in [
+            GapPenalty::paper_default(),
+            GapPenalty::new(1, 1),
+            GapPenalty::new(300, 300),
+        ] {
+            let label = format!("m {} gap {}/{}", query.len(), gap.open, gap.extend);
+            let p = SwParams::new(SubstMatrix::blosum62(), gap);
+            let want = expect_i16(&p, &query, &subjects);
+            assert!(
+                want.scores[7] > want.scores[0] + 20,
+                "construction: A+B pays"
+            );
+            check_stacked_all_widths(&a, &p, &query, &subjects, &stacks, &label);
+        }
+    }
+}
+
+/// A stacked sequence past the byte ceiling is promoted alone — its lane
+/// neighbours before and after it keep the scores the byte pass settled —
+/// and one past `i16::MAX` is flagged alone and rescued exactly, by its
+/// place in `ids()`.
+#[test]
+fn stacked_sequences_saturating_bytes_and_i16() {
+    let a = Alphabet::protein();
+    let p = SwParams::paper_default();
+    let w = a.encode_byte(b'W').unwrap();
+    let subjects = vec![vec![w; 5], vec![w; 30], vec![w; 4], vec![w; 24], vec![w; 2]];
+    let stacks = vec![vec![0, 1, 2], vec![3, 4]];
+    let query = vec![w; 30];
+    let want = expect_i16(&p, &query, &subjects);
+    assert_eq!(want.scores, [55, 330, 44, 264, 22], "construction");
+    check_stacked_all_widths(&a, &p, &query, &subjects, &stacks, "bytes");
+    if let Some(stats) = KernelIsa::Avx2.is_available().then(|| {
+        let batch = make_stacked(16, &a, &subjects, &stacks);
+        check_fused_of::<16>(
+            &[KernelIsa::Avx2],
+            &[None],
+            &a,
+            &p,
+            &query,
+            &batch,
+            &subjects,
+            "bytes",
+        )
+    }) {
+        assert_eq!((stats.settled_i8, stats.widened_i16), (3, 2));
+    }
+
+    let giant = vec![w; 3000];
+    let subjects = vec![vec![w; 20], giant.clone(), vec![w; 7]];
+    let batch = make_stacked(16, &a, &subjects, &[vec![0, 1], vec![2]]);
+    assert_eq!(batch.starts(), &[(20, 0)]);
+    let ordered = in_id_order(&batch, &subjects);
+    let table = ScoreTable::build(&p.matrix, &a);
+    // The detected ISA only: the sweep is large, and the small batches
+    // above pin every ISA to the same resets.
+    let isa = KernelIsa::detect();
+    let want = expect_i16(&p, &giant, &ordered);
+    for block in [None, Some(1024)] {
+        let (mut out, _) =
+            arch::sw_isa_fused_sp_stats::<16>(isa, &giant, &table, &batch, &p.gap, block);
+        assert_eq!(out, want, "{isa} block {block:?}");
+        assert_eq!(out.overflowed, [false, false, true]);
+        let lane_seqs: Vec<&[u8]> = ordered.iter().map(|s| s.as_slice()).collect();
+        let rescue =
+            sw_kernels::overflow::rescue_overflows(&mut out, &giant, &batch, &lane_seqs, &p);
+        assert_eq!(rescue.lanes_rescued, 1);
+        assert_eq!(out.scores, [20 * 11, 7 * 11, 3000 * 11]);
+    }
+}
+
+/// Seeded databases with a wide length spread, packed by the engine's own
+/// `LaneBatcher` at every lane width: every batch, stacked lanes and all,
+/// through every flavour, ISA and block size against the oracle.
+#[test]
+fn fuzz_refilled_batches_all_widths() {
+    use sw_swdb::{LaneBatcher, SequenceDatabase, SortedDb};
+    let a = Alphabet::protein();
+    let p = SwParams::paper_default();
+    let mut rng = Rng(0x4ef1_11ed);
+    fn check<const L: usize>(
+        a: &Alphabet,
+        p: &SwParams,
+        query: &[u8],
+        sorted: &SortedDb,
+        subjects: &[Vec<u8>],
+        label: &str,
+    ) {
+        let batches = LaneBatcher::new(L, a).batch(sorted);
+        assert!(
+            batches.iter().any(|b| !b.starts().is_empty()),
+            "{label}: nothing stacked"
+        );
+        for (bi, batch) in batches.iter().enumerate() {
+            check_width_of::<L>(
+                a,
+                p,
+                query,
+                batch,
+                subjects,
+                &format!("{label} L{L} batch {bi}"),
+            );
+        }
+    }
+    for round in 0..3 {
+        let m = 7 + (rng.next() as usize) % 30;
+        let query = rng.seq(&a, m);
+        let subjects: Vec<Vec<u8>> = (0..40)
+            .map(|_| {
+                let len = 1 + (rng.next() as usize) % 70;
+                rng.seq_all_codes(&a, len)
+            })
+            .collect();
+        let sorted = SortedDb::new(SequenceDatabase::from_sequences(
+            subjects
+                .iter()
+                .map(|s| sw_seq::EncodedSeq {
+                    header: "s".into(),
+                    residues: s.clone(),
+                })
+                .collect(),
+        ));
+        let label = format!("r{round}");
+        check::<4>(&a, &p, &query, &sorted, &subjects, &label);
+        check::<8>(&a, &p, &query, &sorted, &subjects, &label);
+        check::<16>(&a, &p, &query, &sorted, &subjects, &label);
+        check::<32>(&a, &p, &query, &sorted, &subjects, &label);
     }
 }
 

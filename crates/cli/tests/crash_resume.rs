@@ -6,51 +6,19 @@
 //! SIGKILL would, destructors and all — and then asserts the resumed
 //! search completes with a hit list identical to an uninterrupted run.
 
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+mod common;
 
-fn bin() -> &'static str {
-    env!("CARGO_BIN_EXE_swsearch")
-}
-
-/// One directory per test: the tests run concurrently, and a shared
-/// `db.fasta` rewritten by one test's fixture under another's search is
-/// read half-written.
-fn work_dir(test: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("swsearch-crash-{}-{test}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("work dir");
-    dir
-}
-
-fn run(args: &[&str]) -> Output {
-    Command::new(bin())
-        .args(args)
-        .output()
-        .expect("spawn swsearch")
-}
-
-fn stdout(o: &Output) -> String {
-    String::from_utf8_lossy(&o.stdout).into_owned()
-}
-
-/// The `merged N hits; top K:` block — the user-visible hit list.
-fn hit_lines(text: &str) -> Vec<String> {
-    text.lines()
-        .skip_while(|l| !l.starts_with("merged"))
-        .map(str::to_string)
-        .collect()
-}
+use common::{head, hit_lines, ok, run, stdout, trace_check, WorkDir};
+use std::path::Path;
 
 struct Fixture {
     db: String,
     query: String,
-    dir: PathBuf,
 }
 
-fn fixture(test: &str) -> Fixture {
-    let dir = work_dir(test);
-    let db = dir.join("db.fasta").to_string_lossy().into_owned();
-    let query = dir.join("query.fasta").to_string_lossy().into_owned();
+fn fixture(test: &str) -> (WorkDir, Fixture) {
+    let dir = WorkDir::new(&format!("crash-{test}"));
+    let db = dir.path("db.fasta");
     // Longest sequence 2 000, not the default titin: lane refill would
     // pack this whole database into the titin's 4-lane batch, one task
     // with no chunk boundary to die at.
@@ -72,10 +40,8 @@ fn fixture(test: &str) -> Fixture {
     // are log-normal with a heavy tail, so a fresh `gendb --seqs 1` can
     // draw a pathologically long query; a fixed 60-residue slice keeps
     // the unoptimized test binary fast and deterministic.
-    let db_text = std::fs::read_to_string(&db).expect("read db");
-    let head: Vec<&str> = db_text.lines().take(2).collect();
-    std::fs::write(&query, format!("{}\n{}\n", head[0], head[1])).expect("write query");
-    Fixture { db, query, dir }
+    let query = dir.write("query.fasta", &head(&dir.read("db.fasta"), 2));
+    (dir, Fixture { db, query })
 }
 
 fn hetero_args<'a>(f: &'a Fixture, ckpt: &'a str) -> Vec<&'a str> {
@@ -105,10 +71,10 @@ fn hetero_args<'a>(f: &'a Fixture, ckpt: &'a str) -> Vec<&'a str> {
 
 #[test]
 fn killed_process_resumes_to_identical_hits() {
-    let f = fixture("kill");
+    let (dir, f) = fixture("kill");
 
     // Reference: one uninterrupted durable run.
-    let ckpt_ref = f.dir.join("ref.ckpt").to_string_lossy().into_owned();
+    let ckpt_ref = dir.path("ref.ckpt");
     let o = run(&hetero_args(&f, &ckpt_ref));
     assert!(o.status.success(), "{}", stdout(&o));
     let reference = hit_lines(&stdout(&o));
@@ -124,11 +90,7 @@ fn killed_process_resumes_to_identical_hits() {
     // PID so repeated CI runs sample different crash sites.
     let varied = (std::process::id() % 7 + 2).to_string();
     for kill_at in ["1", "3", "6", "10", varied.as_str()] {
-        let ckpt = f
-            .dir
-            .join(format!("kill{kill_at}.ckpt"))
-            .to_string_lossy()
-            .into_owned();
+        let ckpt = dir.path(&format!("kill{kill_at}.ckpt"));
         let mut args = hetero_args(&f, &ckpt);
         args.extend_from_slice(&["--kill-after-chunks", kill_at]);
         let o = run(&args);
@@ -165,11 +127,12 @@ fn killed_process_resumes_to_identical_hits() {
 
 #[test]
 fn resumed_run_exports_a_valid_trace() {
-    let f = fixture("trace");
-    let ckpt = f.dir.join("traced.ckpt").to_string_lossy().into_owned();
-    let trace = f.dir.join("resumed.jsonl").to_string_lossy().into_owned();
-    let metrics = f.dir.join("resumed.prom").to_string_lossy().into_owned();
+    let (dir, f) = fixture("trace");
+    let ckpt = dir.path("traced.ckpt");
+    let trace = dir.path("resumed.jsonl");
+    let metrics = dir.path("resumed.prom");
 
+    let reference = hit_lines(&ok(&hetero_args(&f, &ckpt)));
     let mut args = hetero_args(&f, &ckpt);
     args.extend_from_slice(&["--kill-after-chunks", "6"]);
     let o = run(&args);
@@ -182,21 +145,21 @@ fn resumed_run_exports_a_valid_trace() {
     let text = stdout(&o);
     assert!(o.status.success(), "{text}");
     assert!(text.contains("# resume: loaded"), "{text}");
+    assert_eq!(hit_lines(&text), reference, "{text}");
 
-    // The resumed run's own trace must carry the resume marker and pass
-    // the same validation CI applies to every exported artifact.
-    let jtext = std::fs::read_to_string(&trace).expect("trace file");
+    // The resumed run's own artifacts must carry the resume and pass the
+    // same validation as every exported artifact.
+    let jtext = dir.read("resumed.jsonl");
     assert!(jtext.contains("\"resume_loaded\""), "{jtext}");
-    let o = run(&["trace-check", "--trace", &trace, "--metrics", &metrics]);
-    let checked = stdout(&o);
-    assert!(o.status.success(), "{checked}");
-    assert_eq!(checked.matches(": OK (").count(), 2, "{checked}");
+    let ptext = dir.read("resumed.prom");
+    assert!(ptext.contains("sw_resumes_total"), "{ptext}");
+    trace_check(&["--trace", &trace, "--metrics", &metrics]);
 }
 
 #[test]
 fn resume_with_swapped_database_is_refused() {
-    let f = fixture("swap");
-    let ckpt = f.dir.join("swap.ckpt").to_string_lossy().into_owned();
+    let (dir, f) = fixture("swap");
+    let ckpt = dir.path("swap.ckpt");
     let mut args = hetero_args(&f, &ckpt);
     args.extend_from_slice(&["--kill-after-chunks", "4"]);
     let o = run(&args);
@@ -205,7 +168,7 @@ fn resume_with_swapped_database_is_refused() {
 
     // A different database under the same path → typed refusal, not a
     // silently wrong merge.
-    let other_db = f.dir.join("other.fasta").to_string_lossy().into_owned();
+    let other_db = dir.path("other.fasta");
     let o = run(&[
         "gendb",
         "--seqs",
@@ -223,7 +186,6 @@ fn resume_with_swapped_database_is_refused() {
     let f2 = Fixture {
         db: other_db,
         query: f.query.clone(),
-        dir: f.dir.clone(),
     };
     let mut args = hetero_args(&f2, &ckpt);
     args.push("--resume");

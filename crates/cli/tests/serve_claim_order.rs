@@ -1,46 +1,26 @@
 //! The daemon's claim order against the real binary. `serve --threads 1
 //! --accel-threads 0` runs one CPU worker and no accelerator pool, so
 //! four submits gathered into one shared region finish in query-length
-//! order — the region claims its shortest member first — and every task
-//! runs on the CPU. The daemon runs as a child process: its shutdown
+//! order — the region claims its shortest member first — every task
+//! runs on the CPU, and each batched hit list is the one its query gets
+//! when served alone. The daemon runs as a child process: its shutdown
 //! signal is process-wide, so it must not share a process with another
 //! test's daemon.
 
-use std::path::PathBuf;
-use std::process::{Child, Command, Output, Stdio};
+mod common;
 
-fn bin() -> &'static str {
-    env!("CARGO_BIN_EXE_swsearch")
-}
-
-fn run(args: &[&str]) -> Output {
-    Command::new(bin())
-        .args(args)
-        .output()
-        .expect("spawn swsearch")
-}
-
-/// A daemon child that is killed if the test fails before shutting it
-/// down.
-struct Daemon(Child);
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
+use common::{after_ack, finish, ok, spawn, stdout, wait_ready, Daemon, WorkDir};
 
 #[test]
 fn accel_threads_zero_serves_one_worker_shortest_member_first() {
-    let dir: PathBuf =
-        std::env::temp_dir().join(format!("swsearch-serve-order-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("work dir");
-    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
-    let (fasta, snap, socket) = (path("db.fasta"), path("db.swdb"), path("daemon.sock"));
-    let (registry, traces) = (path("registry.jsonl"), path("trace"));
-    let gendb = run(&[
+    let dir = WorkDir::new("serve-order");
+    let (fasta, snap, socket) = (
+        dir.path("db.fasta"),
+        dir.path("db.swdb"),
+        dir.path("daemon.sock"),
+    );
+    let (registry, traces) = (dir.path("registry.jsonl"), dir.path("trace"));
+    ok(&[
         "gendb",
         "--seqs",
         "60",
@@ -51,85 +31,79 @@ fn accel_threads_zero_serves_one_worker_shortest_member_first() {
         "--mean-len",
         "80",
     ]);
-    assert!(gendb.status.success());
-    assert!(run(&["makedb", "--in", &fasta, "--out", &snap])
-        .status
-        .success());
+    ok(&["makedb", "--in", &fasta, "--out", &snap]);
 
     // Four records of pairwise distinct lengths; generated lengths have a
     // heavy tail, and the unoptimized test binary must stay fast.
-    let text = std::fs::read_to_string(&fasta).expect("read db");
+    let text = dir.read("db.fasta");
     let mut lens: Vec<usize> = Vec::new();
     let mut queries: Vec<String> = Vec::new();
     for record in text.split('>').skip(1) {
         let len: usize = record.lines().skip(1).map(str::len).sum();
         if queries.len() < 4 && len <= 200 && !lens.contains(&len) {
-            let q = path(&format!("q{}.fasta", queries.len()));
-            std::fs::write(&q, format!(">{record}")).expect("write query");
+            let q = dir.write(&format!("q{}.fasta", queries.len()), &format!(">{record}"));
             lens.push(len);
             queries.push(q);
         }
     }
     assert_eq!(queries.len(), 4);
 
-    let daemon = Daemon(
-        Command::new(bin())
-            .args([
-                "serve",
-                "--db",
-                &snap,
-                "--socket",
-                &socket,
-                "--log-level",
-                "off",
-            ])
-            .args(["--threads", "1", "--accel-threads", "0"])
-            .args(["--max-concurrent", "4", "--batch-window-ms", "1000"])
-            .args(["--registry-out", &registry, "--trace-dir", &traces])
-            .stdout(Stdio::null())
-            .spawn()
-            .expect("spawn daemon"),
+    let mut daemon = Daemon::spawn(
+        &[
+            "serve",
+            "--db",
+            &snap,
+            "--socket",
+            &socket,
+            "--log-level",
+            "off",
+            "--threads",
+            "1",
+            "--accel-threads",
+            "0",
+            "--max-concurrent",
+            "4",
+            "--batch-window-ms",
+            "1000",
+            "--registry-out",
+            &registry,
+            "--trace-dir",
+            &traces,
+        ],
+        &dir.path("daemon.log"),
     );
-    let ready = (0..400).any(|_| {
-        let up = run(&["submit", "--socket", &socket, "--health"])
-            .status
-            .success();
-        if !up {
-            std::thread::sleep(std::time::Duration::from_millis(25));
-        }
-        up
-    });
-    assert!(ready, "daemon never became ready");
-    // All four inside one gather window: the window closes when full.
-    let submits: Vec<Child> = queries
+    wait_ready(&socket);
+    // Solo baselines: each submit alone waits its window out.
+    let solo: Vec<String> = queries
         .iter()
-        .map(|q| {
-            Command::new(bin())
-                .args(["submit", "--socket", &socket, "--query", q])
-                .stdout(Stdio::null())
-                .spawn()
-                .expect("spawn submit")
-        })
+        .map(|q| ok(&["submit", "--socket", &socket, "--query", q]))
         .collect();
-    for mut submit in submits {
-        assert!(submit.wait().expect("wait submit").success());
+    // All four inside one gather window: the window closes when full.
+    let submits: Vec<_> = queries
+        .iter()
+        .map(|q| spawn(&["submit", "--socket", &socket, "--query", q]))
+        .collect();
+    for (submit, solo) in submits.into_iter().zip(&solo) {
+        let o = finish(submit);
+        let batched = stdout(&o);
+        assert!(o.status.success(), "{batched}");
+        // Every query gets its own hit list, the one it gets alone.
+        assert_eq!(after_ack(&batched), after_ack(solo), "{batched}");
     }
-    assert!(run(&["submit", "--socket", &socket, "--shutdown"])
-        .status
-        .success());
-    let mut daemon = daemon;
-    assert!(daemon.0.wait().expect("wait daemon").success());
+    ok(&["submit", "--socket", &socket, "--shutdown"]);
+    assert!(daemon.wait(), "the daemon exits 0 after shutdown");
 
-    let dump = std::fs::read_to_string(&registry).expect("registry dump");
+    let dump = dir.read("registry.jsonl");
     let field = |line: &str, key| sw_serve::json::field_u64(line, key).expect(key);
-    let mut jobs: Vec<(u64, u64)> = dump
-        .lines()
-        .map(|l| {
-            assert_eq!(field(l, "batch"), 4, "one shared region: {l}");
-            (field(l, "query_len"), field(l, "finished_us"))
-        })
-        .collect();
-    assert_eq!(jobs.len(), 4);
+    let mut jobs: Vec<(u64, u64)> = Vec::new();
+    for line in dump.lines() {
+        match field(line, "batch") {
+            1 => continue,
+            batch => assert_eq!(batch, 4, "one shared region: {line}"),
+        }
+        jobs.push((field(line, "query_len"), field(line, "finished_us")));
+    }
+    assert_eq!(jobs.len(), 4, "{dump}");
     jobs.sort_unstable();
     assert!(
         jobs.windows(2).all(|w| w[0].1 < w[1].1),
@@ -140,5 +114,4 @@ fn accel_threads_zero_serves_one_worker_shortest_member_first() {
         assert!(trace.contains("\"device\":0"), "{trace}");
         assert!(!trace.contains("\"device\":1"), "no accelerator task");
     }
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -6,9 +6,9 @@
 //!
 //! Workers here are in-process `serve` daemons (one scoped thread per
 //! shard, each with its own leaked `'static` drain signal minted by a
-//! [`Signals`] guard that stops them all if the test body unwinds); the
-//! CI shard-smoke job runs the same drill against real processes with
-//! a real SIGKILL.
+//! [`Signals`] guard that stops them all if the test body unwinds);
+//! `sw-cli`'s `shard_session` test runs the same drill against real
+//! processes with a real SIGKILL.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;

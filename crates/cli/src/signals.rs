@@ -26,16 +26,9 @@
 
 use sw_sched::DrainSignal;
 
-/// The process-wide drain switch watched by durable searches; parent of
-/// every per-job scoped signal handed out by [`job_drain`].
+/// The process-wide drain switch watched by durable searches and the
+/// parent of [`SERVE_DRAIN`].
 pub static DRAIN: DrainSignal = DrainSignal::new();
-
-/// A fresh per-job drain signal scoped under the process-wide [`DRAIN`]:
-/// requesting it drains that one job; a SIGINT/SIGTERM on the process
-/// drains it too.
-pub fn job_drain() -> DrainSignal {
-    DrainSignal::scoped(&DRAIN)
-}
 
 /// The `serve` daemon's shutdown signal, scoped under [`DRAIN`]: a
 /// `submit --shutdown` requests it without touching process signal
@@ -98,18 +91,5 @@ mod tests {
         install_drain_handlers();
         install_drain_handlers();
         assert!(!DRAIN.is_requested(), "install must not trip the drain");
-    }
-
-    #[test]
-    fn job_drain_is_scoped_under_the_process_signal() {
-        let a = job_drain();
-        let b = job_drain();
-        a.request();
-        assert!(a.is_requested());
-        assert!(!b.is_requested(), "cancelling one job leaves the rest");
-        assert!(
-            !DRAIN.is_requested(),
-            "job cancel never signals the process"
-        );
     }
 }

@@ -50,7 +50,6 @@ pub use hetero::{
     DurableSearchOutcome, DynamicSearchOutcome, HeteroEngine, SplitPlan,
 };
 pub use prepare::{PreparedDb, ResidueOutOfRange};
-pub use report::SearchSummary;
 pub use results::{Hit, SearchResults};
 pub use simulate::{
     simulate_hetero, simulate_hetero_dynamic, simulate_search, HeteroDynReport, HeteroReport,

@@ -58,102 +58,6 @@ impl HitReport {
     }
 }
 
-/// One-look summary of a whole search run — what a service health page
-/// or the CLI footer prints, including whether the run degraded to a
-/// single device pool.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct SearchSummary {
-    /// Number of database sequences scored.
-    pub hits: usize,
-    /// Best raw score (0 for an empty result list).
-    pub best_score: i64,
-    /// Measured throughput over real cells.
-    pub gcups: f64,
-    /// Saturated vector lanes recomputed exactly.
-    pub lanes_rescued: u64,
-    /// Instruction set the intrinsic kernels ran on (`KernelIsa::name`,
-    /// e.g. `"avx2"`); empty when the caller did not attach one, and the
-    /// rendered line then omits the segment.
-    pub isa: String,
-    /// Chunks re-executed after a failure, across both pools.
-    pub retries: u64,
-    /// Chunk leases released back to the queue, across both pools.
-    pub requeues: u64,
-    /// Leases reclaimed from silent workers by the lease timeout.
-    pub lost_leases: u64,
-    /// True when a device pool died mid-run and the search completed on
-    /// the surviving pool.
-    pub degraded: bool,
-}
-
-impl SearchSummary {
-    /// Summarise a result set. Recovery counters are zero — a plain
-    /// [`SearchResults`] does not carry them; use
-    /// [`SearchSummary::of_dynamic`] for a dual-pool run.
-    pub fn of(results: &SearchResults) -> Self {
-        SearchSummary {
-            hits: results.hits.len(),
-            best_score: results.hits.first().map_or(0, |h| h.score),
-            gcups: results.gcups().value(),
-            lanes_rescued: results.lanes_rescued,
-            isa: String::new(),
-            retries: 0,
-            requeues: 0,
-            lost_leases: 0,
-            degraded: results.degraded,
-        }
-    }
-
-    /// Summarise a dynamic dual-pool run, folding in the per-device
-    /// recovery counters the supervised scheduler collected.
-    pub fn of_dynamic(outcome: &crate::hetero::DynamicSearchOutcome) -> Self {
-        SearchSummary {
-            retries: outcome.cpu.retries + outcome.accel.retries,
-            requeues: outcome.cpu.requeues + outcome.accel.requeues,
-            lost_leases: outcome.cpu.lost_leases + outcome.accel.lost_leases,
-            ..SearchSummary::of(&outcome.results)
-        }
-    }
-
-    /// Same summary tagged with the kernel ISA the run executed on.
-    pub fn with_isa(mut self, isa: &str) -> Self {
-        self.isa = isa.to_string();
-        self
-    }
-
-    /// Render the single status line. The ISA tag and recovery counters
-    /// appear only when set/non-zero, so a plain run's line is unchanged.
-    pub fn render(&self) -> String {
-        let isa = if self.isa.is_empty() {
-            String::new()
-        } else {
-            format!(", isa {}", self.isa)
-        };
-        let recovery = if self.retries + self.requeues + self.lost_leases > 0 {
-            format!(
-                ", {} retries, {} requeues, {} lost leases",
-                self.retries, self.requeues, self.lost_leases
-            )
-        } else {
-            String::new()
-        };
-        format!(
-            "{} hits, best {}, {:.3} GCUPS, {} lanes rescued{}{}{}",
-            self.hits,
-            self.best_score,
-            self.gcups,
-            self.lanes_rescued,
-            isa,
-            recovery,
-            if self.degraded {
-                " [DEGRADED: completed on one device pool]"
-            } else {
-                ""
-            }
-        )
-    }
-}
-
 /// Build full reports for the top `k` hits of `results`.
 pub fn report_top_hits(
     query: &[u8],
@@ -237,88 +141,6 @@ mod tests {
         assert_eq!(fields.len(), 12, "outfmt-6 has 12 columns: {line}");
         assert_eq!(fields[0], "query1");
         assert_eq!(fields[2], "100.0");
-    }
-
-    #[test]
-    fn summary_reports_degradation() {
-        let (db, query, engine) = setup();
-        let res = engine.search(&query, &db, &SearchConfig::best(1));
-        let clean = SearchSummary::of(&res);
-        assert_eq!(clean.hits, db.n_seqs());
-        assert!(clean.best_score > 0);
-        assert!(!clean.degraded);
-        assert!(!clean.render().contains("DEGRADED"));
-        let degraded = SearchSummary::of(&res.with_degraded(true));
-        assert!(degraded.degraded);
-        assert!(degraded.render().contains("DEGRADED"));
-    }
-
-    #[test]
-    fn render_golden_lines() {
-        // Hand-built summaries pin the exact status-line format: a clean
-        // run, a recovered run, and a degraded run.
-        let clean = SearchSummary {
-            hits: 42,
-            best_score: 517,
-            gcups: 1.2345,
-            lanes_rescued: 2,
-            isa: String::new(),
-            retries: 0,
-            requeues: 0,
-            lost_leases: 0,
-            degraded: false,
-        };
-        assert_eq!(
-            clean.render(),
-            "42 hits, best 517, 1.234 GCUPS, 2 lanes rescued"
-        );
-
-        let tagged = clean.clone().with_isa("avx2");
-        assert_eq!(
-            tagged.render(),
-            "42 hits, best 517, 1.234 GCUPS, 2 lanes rescued, isa avx2"
-        );
-
-        let recovered = SearchSummary {
-            retries: 3,
-            requeues: 4,
-            lost_leases: 1,
-            ..clean.clone()
-        };
-        assert_eq!(
-            recovered.render(),
-            "42 hits, best 517, 1.234 GCUPS, 2 lanes rescued, \
-             3 retries, 4 requeues, 1 lost leases"
-        );
-
-        let degraded = SearchSummary {
-            degraded: true,
-            ..recovered
-        };
-        assert_eq!(
-            degraded.render(),
-            "42 hits, best 517, 1.234 GCUPS, 2 lanes rescued, \
-             3 retries, 4 requeues, 1 lost leases \
-             [DEGRADED: completed on one device pool]"
-        );
-    }
-
-    #[test]
-    fn dynamic_summary_carries_recovery_counters() {
-        use crate::config::HeteroSearchConfig;
-        use crate::hetero::HeteroEngine;
-        let (db, query, engine) = setup();
-        let hetero = HeteroEngine::new(engine);
-        let plan = hetero.plan_split(&db, query.len(), 0.5);
-        let out = hetero.search_dynamic(&query, &db, &plan, &HeteroSearchConfig::best(2, 1));
-        let summary = SearchSummary::of_dynamic(&out);
-        assert_eq!(summary.hits, out.results.hits.len());
-        assert_eq!(summary.retries, out.cpu.retries + out.accel.retries);
-        assert_eq!(summary.requeues, out.cpu.requeues + out.accel.requeues);
-        assert!(
-            !summary.render().contains("retries"),
-            "clean run renders without the recovery segment"
-        );
     }
 
     #[test]

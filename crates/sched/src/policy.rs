@@ -377,19 +377,6 @@ impl RequeueQueue {
     pub fn len(&self) -> usize {
         self.ranges.len()
     }
-
-    /// Push a single-task unit. Callers that lease whole *units* rather
-    /// than chunk ranges — the shard coordinator requeues one shard at
-    /// a time — use this instead of spelling `(task, task + 1)`.
-    pub fn push_task(&mut self, task: usize, attempts: u32) {
-        self.push((task, task + 1), attempts);
-    }
-
-    /// Pop a single-task unit pushed by [`push_task`](Self::push_task).
-    /// Same LIFO order as [`pop`](Self::pop).
-    pub fn pop_task(&mut self) -> Option<(usize, u32)> {
-        self.pop().map(|((start, _), attempts)| (start, attempts))
-    }
 }
 
 /// Chunk size for a dual-pool worker: the device's estimated share of the
@@ -612,16 +599,6 @@ mod tests {
         assert_eq!(q.pop(), Some(((10, 12), 2)));
         assert_eq!(q.pop(), Some(((0, 4), 1)));
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn requeue_queue_task_units() {
-        let mut q = RequeueQueue::new();
-        q.push_task(3, 0);
-        q.push_task(7, 2);
-        assert_eq!(q.pop_task(), Some((7, 2)));
-        assert_eq!(q.pop(), Some(((3, 4), 0)), "unit is the range [t, t+1)");
-        assert_eq!(q.pop_task(), None);
     }
 
     #[test]

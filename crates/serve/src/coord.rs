@@ -4,19 +4,18 @@
 //!
 //! ## Lease at shard granularity
 //!
-//! The unit of work here is one *shard*, not one chunk — but the
-//! recovery algorithm is the same one the dual-pool executor runs over
-//! chunk ranges, reusing [`sw_sched::RequeueQueue`] directly: a shard
-//! whose worker cannot be reached, stalls past the lease deadline, or
-//! returns a broken stream is pushed back with an incremented attempt
-//! count and picked up (LIFO) by any coordinator thread. Before a
-//! retry the caller-supplied `respawn` launcher is invoked so a
-//! SIGKILL'd worker comes back as a fresh process; the worker then
-//! resumes from its own SWCKPT1 checkpoint, whose fingerprint embeds
-//! the per-shard db digest — shard checkpoints cannot collide even in
-//! a shared checkpoint directory. A per-shard attempt cap and a global
-//! failure budget bound the retry storm, mirroring `RecoveryConfig`
-//! semantics.
+//! The unit of work here is one *shard*, not one chunk, and each
+//! uncommitted shard gets one coordinator thread that is its retry
+//! loop: a shard never has two attempts in flight. A shard whose worker
+//! cannot be reached, stalls past the lease deadline, or returns a
+//! broken stream is retried by that thread with an incremented attempt
+//! count. Before a retry the thread backs off, then invokes the
+//! caller-supplied `respawn` launcher so a SIGKILL'd worker comes back
+//! as a fresh process; the worker then resumes from its own SWCKPT1
+//! checkpoint, whose fingerprint embeds the per-shard db digest — shard
+//! checkpoints cannot collide even in a shared checkpoint directory. A
+//! per-shard attempt cap and a global failure budget bound the retry
+//! storm, mirroring `RecoveryConfig` semantics.
 //!
 //! ## Replica failover
 //!
@@ -57,9 +56,9 @@ use crate::transport::{
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use sw_sched::{NetFaultInjector, NetFaultKind, RequeueQueue};
+use sw_sched::{NetFaultInjector, NetFaultKind};
 use sw_swdb::integrity::{fnv1a64, tmp_path};
 
 /// Consecutive missed heartbeats before a silent stream is declared
@@ -85,7 +84,7 @@ const CONNECT_BACKOFF_MS: u64 = 25;
 /// One shard worker the coordinator talks to.
 #[derive(Debug, Clone)]
 pub struct ShardSpec {
-    /// Shard index (also the task id in the requeue queue).
+    /// Shard index: `shards[i].index == i` in every search.
     pub index: u64,
     /// Candidate endpoints: primary first, replicas after. Attempt `a`
     /// targets `endpoints[a % len]`, so retries walk the replica ring.
@@ -97,15 +96,6 @@ pub struct ShardSpec {
 }
 
 impl ShardSpec {
-    /// A single-endpoint unix-socket spec (the pre-replication shape).
-    pub fn unix(index: u64, socket: impl Into<PathBuf>, expect_digest: Option<u64>) -> Self {
-        ShardSpec {
-            index,
-            endpoints: vec![Endpoint::Unix(socket.into())],
-            expect_digest,
-        }
-    }
-
     /// The endpoint attempt `attempt` runs against.
     pub fn endpoint_for(&self, attempt: u32) -> &Endpoint {
         &self.endpoints[attempt as usize % self.endpoints.len()]
@@ -265,16 +255,13 @@ enum AttemptError {
     Fatal(CoordError),
 }
 
+/// What the shard threads share, under one mutex.
 struct CoordState {
-    queue: RequeueQueue,
-    inflight: usize,
-    done: usize,
+    journal: CoordJournal,
     failures: u32,
     requeues: u64,
     failovers: u64,
     fatal: Option<CoordError>,
-    results: Vec<Option<(Vec<HitLine>, ShardReport)>>,
-    journal: CoordJournal,
 }
 
 /// Run one query over every shard and merge, with the default
@@ -312,6 +299,10 @@ pub fn search_sharded_durable(
     drill: &CoordDrill<'_>,
 ) -> Result<CoordOutcome, CoordError> {
     assert!(!shards.is_empty(), "no shards to search");
+    assert!(
+        shards.iter().enumerate().all(|(i, s)| s.index == i as u64),
+        "shards must be listed in index order"
+    );
     let n = shards.len();
     let query_digest = fnv1a64(query_fasta.as_bytes());
 
@@ -329,69 +320,35 @@ pub fn search_sharded_durable(
         CoordJournal::new(query_digest, cfg.parent_digest, cfg.top as u64, n as u64)
     };
 
-    // Seed the queue with uncommitted shards (carrying their surviving
-    // attempt counts) and prefill results for committed ones.
-    let mut queue = RequeueQueue::new();
-    let mut results: Vec<Option<(Vec<HitLine>, ShardReport)>> = vec![None; n];
-    let mut done = 0;
-    let mut journal_skipped = 0u64;
-    // Seed in reverse so LIFO pops shard 0 first — cosmetic, but makes
-    // single-threaded traces read naturally.
-    for spec in shards.iter().rev() {
-        let slot = &journal.shards[spec.index as usize];
-        match &slot.committed {
-            Some(c) => {
-                results[spec.index as usize] = Some((
-                    c.hits.clone(),
-                    ShardReport {
-                        attempts: slot.attempts,
-                        resumes: c.resumes,
-                        hits: c.hits.len(),
-                    },
-                ));
-                done += 1;
-                journal_skipped += 1;
-            }
-            None => queue.push_task(spec.index as usize, slot.attempts),
-        }
-    }
-
+    // Uncommitted shards run, each from its surviving attempt count;
+    // committed ones are served from the journal.
+    let pending: Vec<(&ShardSpec, u32)> = shards
+        .iter()
+        .zip(&journal.shards)
+        .filter(|(_, slot)| slot.committed.is_none())
+        .map(|(spec, slot)| (spec, slot.attempts))
+        .collect();
+    let journal_skipped = (n - pending.len()) as u64;
     let state = Mutex::new(CoordState {
-        queue,
-        inflight: 0,
-        done,
+        journal,
         failures: 0,
         requeues: 0,
         failovers: 0,
         fatal: None,
-        results,
-        journal,
     });
-    let wake = Condvar::new();
     let net_retries = AtomicU64::new(0);
     let journal_path = drill.journal.as_deref();
 
+    const POISONED: &str = "a shard thread panicked holding the coordinator state";
+    // One thread per pending shard, looping over that shard's attempts:
+    // a shard never has two attempts in flight.
     std::thread::scope(|s| {
-        for _ in 0..n {
-            s.spawn(|| loop {
-                let (task, attempts) = {
-                    let mut g = state.lock().unwrap();
-                    loop {
-                        if g.fatal.is_some() || g.done == n {
-                            return;
-                        }
-                        if let Some(popped) = g.queue.pop_task() {
-                            g.inflight += 1;
-                            break popped;
-                        }
-                        if g.inflight == 0 {
-                            return; // nothing queued, nothing running
-                        }
-                        let (guard, _) = wake.wait_timeout(g, Duration::from_millis(20)).unwrap();
-                        g = guard;
-                    }
-                };
-                let spec = &shards[task];
+        for (spec, mut attempts) in pending {
+            let (state, net_retries) = (&state, &net_retries);
+            s.spawn(move || loop {
+                if state.lock().expect(POISONED).fatal.is_some() {
+                    return;
+                }
                 let outcome = run_shard_attempt(
                     spec,
                     query_fasta,
@@ -400,24 +357,20 @@ pub fn search_sharded_durable(
                     respawn,
                     transport,
                     drill.faults,
-                    &net_retries,
+                    net_retries,
                 );
-                let mut g = state.lock().unwrap();
-                g.inflight -= 1;
+                let mut g = state.lock().expect(POISONED);
+                let slot = spec.index as usize;
                 match outcome {
-                    Ok((hits, mut report)) => {
-                        report.attempts = attempts + 1;
-                        g.journal.shards[task].attempts = attempts + 1;
-                        g.journal.shards[task].committed = Some(CommittedShard {
-                            resumes: report.resumes,
-                            hits: hits.clone(),
-                        });
-                        g.results[task] = Some((hits, report));
-                        g.done += 1;
+                    Ok(committed) => {
+                        g.journal.shards[slot].attempts = attempts + 1;
+                        g.journal.shards[slot].committed = Some(committed);
                         persist_journal(&mut g, journal_path);
+                        return;
                     }
                     Err(AttemptError::Fatal(e)) => {
                         g.fatal.get_or_insert(e);
+                        return;
                     }
                     Err(AttemptError::Retry(e)) => {
                         g.failures += 1;
@@ -425,31 +378,31 @@ pub fn search_sharded_durable(
                         if failures > cfg.failure_budget {
                             g.fatal
                                 .get_or_insert(CoordError::BudgetExhausted { failures });
-                        } else if attempts + 1 >= cfg.max_attempts {
+                            return;
+                        }
+                        if attempts + 1 >= cfg.max_attempts {
                             g.fatal.get_or_insert(CoordError::ShardFailed {
                                 index: spec.index,
                                 attempts: attempts + 1,
                                 last: e,
                             });
-                        } else {
-                            if spec.endpoint_for(attempts + 1) != spec.endpoint_for(attempts) {
-                                g.failovers += 1;
-                            }
-                            g.queue.push_task(task, attempts + 1);
-                            g.requeues += 1;
-                            g.journal.shards[task].attempts = attempts + 1;
-                            persist_journal(&mut g, journal_path);
+                            return;
                         }
+                        if spec.endpoint_for(attempts + 1) != spec.endpoint_for(attempts) {
+                            g.failovers += 1;
+                        }
+                        g.requeues += 1;
+                        attempts += 1;
+                        g.journal.shards[slot].attempts = attempts;
+                        persist_journal(&mut g, journal_path);
                     }
                 }
-                drop(g);
-                wake.notify_all();
             });
         }
     });
 
-    let mut g = state.into_inner().unwrap();
-    if let Some(e) = g.fatal.take() {
+    let g = state.into_inner().expect(POISONED);
+    if let Some(e) = g.fatal {
         return Err(e);
     }
     // Clean finish: the journal has served its purpose.
@@ -457,12 +410,21 @@ pub fn search_sharded_durable(
         let _ = std::fs::remove_file(path);
         let _ = std::fs::remove_file(tmp_path(path));
     }
+    // Every slot is committed now, whether this run or a resumed one
+    // committed it: the journal is the one record of what each shard
+    // returned.
     let mut reports = Vec::with_capacity(n);
     let mut per_shard = Vec::with_capacity(n);
-    for slot in g.results.drain(..) {
-        let (hits, report) = slot.expect("no fatal error means every shard reported");
-        per_shard.push(hits);
-        reports.push(report);
+    for slot in g.journal.shards {
+        let c = slot
+            .committed
+            .expect("no fatal error means every shard committed");
+        reports.push(ShardReport {
+            attempts: slot.attempts,
+            resumes: c.resumes,
+            hits: c.hits.len(),
+        });
+        per_shard.push(c.hits);
     }
     Ok(CoordOutcome {
         hits: merge_hits(per_shard, cfg.top),
@@ -516,11 +478,11 @@ fn run_shard_attempt(
     transport: &dyn ShardTransport,
     faults: Option<&NetFaultInjector>,
     net_retries: &AtomicU64,
-) -> Result<(Vec<HitLine>, ShardReport), AttemptError> {
+) -> Result<CommittedShard, AttemptError> {
     let endpoint = spec.endpoint_for(attempts);
     if attempts > 0 {
-        // The worker may be dead (that is usually why we are here):
-        // bring it back before the backoff, resume does the rest.
+        // The worker may be dead (that is usually why we are here): back
+        // off, then bring it back; resume does the rest.
         std::thread::sleep(Duration::from_millis(cfg.backoff_ms * attempts as u64));
         respawn(spec, attempts).map_err(AttemptError::Retry)?;
     }
@@ -622,12 +584,10 @@ fn run_shard_attempt(
             outcome.error.unwrap_or_default()
         )));
     }
-    let report = ShardReport {
-        attempts: 0, // stamped by the caller
+    Ok(CommittedShard {
         resumes: outcome.resumes,
-        hits: outcome.hits.len(),
-    };
-    Ok((outcome.hits, report))
+        hits: outcome.hits,
+    })
 }
 
 /// One coordinator→worker exchange context: transport, target, connect
@@ -826,7 +786,11 @@ mod tests {
         assert_eq!(spec.endpoint_for(0).to_string(), "/run/p.sock");
         assert_eq!(spec.endpoint_for(1).to_string(), "tcp://127.0.0.1:9001");
         assert_eq!(spec.endpoint_for(2).to_string(), "/run/p.sock");
-        let single = ShardSpec::unix(1, "/run/only.sock", Some(7));
+        let single = ShardSpec {
+            index: 1,
+            endpoints: vec![Endpoint::parse("/run/only.sock").unwrap()],
+            expect_digest: Some(7),
+        };
         assert_eq!(single.endpoint_for(5).to_string(), "/run/only.sock");
     }
 
@@ -835,7 +799,11 @@ mod tests {
         // No worker listening anywhere: every attempt fails to connect.
         let dir = std::env::temp_dir().join(format!("sw-coord-dead-{}", std::process::id()));
         let _ = std::fs::create_dir_all(&dir);
-        let shards = vec![ShardSpec::unix(0, dir.join("nobody.sock"), None)];
+        let shards = vec![ShardSpec {
+            index: 0,
+            endpoints: vec![Endpoint::Unix(dir.join("nobody.sock"))],
+            expect_digest: None,
+        }];
         let mut cfg = CoordConfig::new(5);
         cfg.connect_wait_ms = 30;
         cfg.backoff_ms = 1;
@@ -863,8 +831,44 @@ mod tests {
     }
 
     #[test]
+    fn failure_budget_stops_two_dead_shards() {
+        // Two dead shards, a budget of one failure: the first failure
+        // requeues its shard, the second exhausts the budget.
+        let dir = std::env::temp_dir().join(format!("sw-coord-budget-{}", std::process::id()));
+        let _ = std::fs::create_dir_all(&dir);
+        let shards: Vec<ShardSpec> = (0..2u64)
+            .map(|i| ShardSpec {
+                index: i,
+                endpoints: vec![Endpoint::Unix(dir.join(format!("nobody-{i}.sock")))],
+                expect_digest: None,
+            })
+            .collect();
+        let mut cfg = CoordConfig::new(5);
+        cfg.connect_wait_ms = 30;
+        cfg.failure_budget = 1;
+        cfg.max_attempts = 3;
+        let respawns = std::sync::atomic::AtomicU32::new(0);
+        let err = search_sharded(&shards, ">q\nARN\n", &cfg, &|_, _| {
+            respawns.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            Ok(())
+        })
+        .expect_err("nothing to talk to");
+        assert!(
+            matches!(err, CoordError::BudgetExhausted { failures: 2 }),
+            "{err}"
+        );
+        // The requeued shard respawns only if its retry starts before
+        // the other shard's failure ends the search.
+        assert!(respawns.load(std::sync::atomic::Ordering::SeqCst) <= 1);
+    }
+
+    #[test]
     fn resume_requires_a_journal_path() {
-        let shards = vec![ShardSpec::unix(0, "/nonexistent.sock", None)];
+        let shards = vec![ShardSpec {
+            index: 0,
+            endpoints: vec![Endpoint::parse("/nonexistent.sock").unwrap()],
+            expect_digest: None,
+        }];
         let drill = CoordDrill {
             faults: None,
             journal: None,

@@ -209,6 +209,16 @@ fn seed_socket(seed: &WorkerSeed) -> PathBuf {
         .to_path_buf()
 }
 
+/// A one-endpoint spec for shard `index` served by `seed`, checked
+/// against the seed's snapshot digest.
+fn unix_spec(index: u64, seed: &WorkerSeed) -> ShardSpec {
+    ShardSpec {
+        index,
+        endpoints: vec![Endpoint::Unix(seed_socket(seed))],
+        expect_digest: seed.config.snapshot_digest,
+    }
+}
+
 /// The workers are configured with a 2 s gather window, which a shard
 /// worker must not hold open: its one client is the coordinator, which
 /// sends one request per query, so nobody would join. Each lone sharded
@@ -253,7 +263,7 @@ fn sharded_merge_is_byte_identical_at_1_2_4_shards() {
         let specs: Vec<ShardSpec> = seeds
             .iter()
             .enumerate()
-            .map(|(i, s)| ShardSpec::unix(i as u64, seed_socket(s), s.config.snapshot_digest))
+            .map(|(i, s)| unix_spec(i as u64, s))
             .collect();
         let outcome = std::thread::scope(|s| {
             let signals = Signals::default();
@@ -346,7 +356,7 @@ fn dead_worker_is_requeued_respawned_and_resumes_from_checkpoint() {
     let specs: Vec<ShardSpec> = seeds
         .iter()
         .enumerate()
-        .map(|(i, s)| ShardSpec::unix(i as u64, seed_socket(s), s.config.snapshot_digest))
+        .map(|(i, s)| unix_spec(i as u64, s))
         .collect();
     let sockets: Vec<PathBuf> = seeds.iter().map(seed_socket).collect();
 
@@ -444,6 +454,61 @@ fn dead_worker_is_requeued_respawned_and_resumes_from_checkpoint() {
 }
 
 #[test]
+fn wrong_digest_is_fatal_and_never_respawns() {
+    // Shard 0's worker is alive and answers its identity probe, but
+    // with a snapshot digest the coordinator was not told to expect:
+    // a wiring error, reported at once, never retried.
+    let a = Alphabet::protein();
+    let seqs = tie_heavy_db();
+    let fasta = fasta_of(&generate_query(90, 2323), &a);
+    let engine = HeteroEngine::new(SearchEngine::paper_default());
+    let base = HeteroSearchConfig::best(1, 1);
+    let tmp = std::env::temp_dir().join(format!("sw-shard-identity-{}", std::process::id()));
+    std::fs::remove_dir_all(&tmp).ok();
+    std::fs::create_dir_all(tmp.join("ckpt")).unwrap();
+
+    let seed0 = worker_seed(
+        &seqs,
+        (0, seqs.len()),
+        0,
+        1,
+        &a,
+        tmp.join("shard-0.sock"),
+        &tmp.join("ckpt"),
+    );
+    let want = seed0.config.snapshot_digest.expect("digest") ^ 1;
+    let specs = vec![ShardSpec {
+        index: 0,
+        endpoints: vec![Endpoint::Unix(seed_socket(&seed0))],
+        expect_digest: Some(want),
+    }];
+
+    let (err, respawns) = std::thread::scope(|s| {
+        let signals = Signals::default();
+        let (engine, a, base, seed) = (&engine, &a, &base, &seed0);
+        let sig = signals.mint();
+        s.spawn(move || serve_seed(seed, engine, a, base, sig));
+        wait_for_socket(&seed_socket(&seed0));
+        let respawns = AtomicUsize::new(0);
+        let respawn = |_: &ShardSpec, _: u32| -> Result<(), String> {
+            respawns.fetch_add(1, Ordering::SeqCst);
+            Ok(())
+        };
+        let err = coord::search_sharded(&specs, &fasta, &CoordConfig::new(TOP), &respawn)
+            .expect_err("a worker with the wrong digest must not be searched");
+        coord::shutdown_worker(specs[0].endpoint_for(0)).expect("shutdown");
+        (err, respawns.into_inner())
+    });
+
+    assert!(
+        matches!(err, coord::CoordError::WrongShard { index: 0, .. }),
+        "{err}"
+    );
+    assert_eq!(respawns, 0, "an identity error is never retried");
+    std::fs::remove_dir_all(&tmp).ok();
+}
+
+#[test]
 fn replica_failover_preserves_merged_bytes() {
     // Shard 0's primary endpoint is a corpse that never comes back; its
     // replica (same SWSHRD1 shard, different socket) is alive. The
@@ -488,7 +553,7 @@ fn replica_failover_preserves_merged_bytes() {
             ],
             expect_digest: replica0.config.snapshot_digest,
         },
-        ShardSpec::unix(1, seed_socket(&worker1), worker1.config.snapshot_digest),
+        unix_spec(1, &worker1),
     ];
 
     let outcome = std::thread::scope(|s| {
@@ -598,7 +663,7 @@ fn resumed_coordinator_skips_committed_shards_and_merges_identically() {
         let specs: Vec<ShardSpec> = seeds
             .iter()
             .enumerate()
-            .map(|(i, sd)| ShardSpec::unix(i as u64, seed_socket(sd), sd.config.snapshot_digest))
+            .map(|(i, sd)| unix_spec(i as u64, sd))
             .collect();
         let mut cfg = CoordConfig::new(TOP);
         cfg.connect_wait_ms = 200;

@@ -38,27 +38,6 @@ impl BatchRange {
     }
 }
 
-/// Evenly split `n_batches` into `n_chunks` contiguous ranges (static
-/// scheduling). The first `n_batches % n_chunks` ranges get one extra
-/// batch; empty ranges are produced when `n_chunks > n_batches`.
-pub fn split_batches(n_batches: usize, n_chunks: usize) -> Vec<BatchRange> {
-    assert!(n_chunks >= 1, "need at least one chunk");
-    let base = n_batches / n_chunks;
-    let extra = n_batches % n_chunks;
-    let mut out = Vec::with_capacity(n_chunks);
-    let mut start = 0usize;
-    for c in 0..n_chunks {
-        let len = base + usize::from(c < extra);
-        out.push(BatchRange {
-            start,
-            end: start + len,
-        });
-        start += len;
-    }
-    debug_assert_eq!(start, n_batches);
-    out
-}
-
 /// Split the batch list at the point where the *prefix* holds as close as
 /// possible to `fraction` of the total padded DP cells for a query of
 /// length `query_len`.
@@ -130,37 +109,6 @@ mod tests {
                 LaneBatch::pack(1, &[(SeqId(i as u32), &residues[..])], pad)
             })
             .collect()
-    }
-
-    #[test]
-    fn split_batches_even() {
-        let r = split_batches(10, 2);
-        assert_eq!(
-            r,
-            vec![
-                BatchRange { start: 0, end: 5 },
-                BatchRange { start: 5, end: 10 }
-            ]
-        );
-    }
-
-    #[test]
-    fn split_batches_uneven() {
-        let r = split_batches(10, 3);
-        assert_eq!(r[0].len(), 4);
-        assert_eq!(r[1].len(), 3);
-        assert_eq!(r[2].len(), 3);
-        assert_eq!(r[0].start, 0);
-        assert_eq!(r[2].end, 10);
-    }
-
-    #[test]
-    fn split_batches_more_chunks_than_batches() {
-        let r = split_batches(2, 4);
-        let total: usize = r.iter().map(BatchRange::len).sum();
-        assert_eq!(total, 2);
-        assert_eq!(r.len(), 4);
-        assert!(r[2].is_empty() && r[3].is_empty());
     }
 
     #[test]

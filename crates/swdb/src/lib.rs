@@ -41,7 +41,7 @@ pub mod snapshot;
 pub mod stats;
 
 pub use batch::{LaneBatch, LaneBatcher};
-pub use chunk::{split_batches, split_by_cells, BatchRange};
+pub use chunk::{split_by_cells, BatchRange};
 pub use db::SequenceDatabase;
 pub use preprocess::SortedDb;
 pub use profile::{

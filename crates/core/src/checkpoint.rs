@@ -427,26 +427,41 @@ impl Checkpoint {
 
     /// Reject a checkpoint whose records were cut by another batching of
     /// the same database: each record's hit ids must be exactly the ids of
-    /// the batch it names, in lane order. The fingerprint cannot catch
+    /// the batch it names, in lane order, and its cells that batch's cells
+    /// for a query of `query_len` residues. The fingerprint cannot catch
     /// this — another layout of the same sequences can have the same batch
     /// count — and resuming such records would repeat some sequences in the
-    /// hit list and drop others.
-    pub fn verify_layout(&self, batches: &[LaneBatch]) -> Result<(), CheckpointError> {
+    /// hit list and drop others, or misreport the cells searched.
+    pub fn verify_layout(
+        &self,
+        batches: &[LaneBatch],
+        query_len: usize,
+    ) -> Result<(), CheckpointError> {
         let digest = |ids: &[SeqId]| {
             ids.iter()
                 .fold(Fnv64::new(), |d, id| d.update_u64(id.0 as u64))
                 .finish()
         };
         for record in &self.done {
-            let want = batches.get(record.batch).map_or(&[][..], LaneBatch::ids);
+            let batch = batches.get(record.batch);
+            let want = batch.map_or(&[][..], LaneBatch::ids);
             let found: Vec<SeqId> = record.hits.iter().map(|h| h.id).collect();
-            if found != want {
-                return Err(CheckpointError::Mismatch {
-                    field: "batch layout",
-                    batch: Some(record.batch),
-                    expected: digest(want),
-                    found: digest(&found),
-                });
+            let cells = batch.map_or((0, 0), |b| {
+                (b.real_cells(query_len), b.padded_cells(query_len))
+            });
+            for (field, expected, found) in [
+                ("batch layout", digest(want), digest(&found)),
+                ("real cells", cells.0, record.cells.real),
+                ("padded cells", cells.1, record.cells.padded),
+            ] {
+                if expected != found {
+                    return Err(CheckpointError::Mismatch {
+                        field,
+                        batch: Some(record.batch),
+                        expected,
+                        found,
+                    });
+                }
             }
         }
         Ok(())
@@ -690,10 +705,23 @@ mod tests {
         };
         let mut c = sample();
         c.done.truncate(1); // batch 0: hits on ids 7, 2
-        c.verify_layout(&[batch(&[7, 2]), batch(&[5])])
-            .expect("the record carries its batch's ids");
+        let batches = [batch(&[7, 2]), batch(&[5])];
+        let (b, m) = (&batches[0], 10);
+        c.done[0].cells = CellCount {
+            real: b.real_cells(m),
+            padded: b.padded_cells(m),
+        };
+        c.verify_layout(&batches, m)
+            .expect("the record carries its batch's ids and cells");
+        let err = c.verify_layout(&batches, m + 1).expect_err("other cells");
+        assert!(
+            err.to_string().contains("real cells mismatch at batch 0"),
+            "{err}"
+        );
         for batches in [vec![batch(&[2, 7])], vec![batch(&[7, 2, 5])], Vec::new()] {
-            let err = c.verify_layout(&batches).expect_err("other ids accepted");
+            let err = c
+                .verify_layout(&batches, m)
+                .expect_err("other ids accepted");
             assert!(matches!(
                 err,
                 CheckpointError::Mismatch {

@@ -45,12 +45,12 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use sw_kernels::{CellCount, ProfileMode};
 use sw_sched::{
-    run_dual_pool_durable, CheckpointView, ClaimOrder, CommitView, DeviceMetrics, DrainSignal,
-    DualPoolConfig, DurableControl, ExecError, FaultInjector, MetricsSink, DEVICE_ACCEL,
-    DEVICE_CPU,
+    run_dual_pool_durable, ClaimOrder, CommitView, DeviceMetrics, DrainSignal, DualPoolConfig,
+    DurableControl, ExecError, FaultInjector, MetricsSink, DEVICE_ACCEL, DEVICE_CPU,
 };
 use sw_swdb::chunk::{range_cells, split_by_cells};
 use sw_swdb::{BatchRange, LaneBatch, QueryProfile, ScoreTable};
@@ -503,6 +503,55 @@ fn claim_order(lens: &[usize], batches: &[LaneBatch], seed: f64, pools: [usize; 
     }
 }
 
+/// One member (query) of a region and everything the region keeps
+/// about it: its durability state is read from here alone.
+struct Member<'r> {
+    query: &'r BatchQuery<'r>,
+    /// Its checkpoint file and fingerprint; `None` persists nothing.
+    ckpt: Option<(PathBuf, SearchFingerprint)>,
+    /// Times resumed before, and batches loaded from its checkpoint.
+    resumes: u64,
+    resumed: u64,
+    /// Its next checkpoint's sequence number and carried-in recovery.
+    seq: AtomicU64,
+    baseline: [RecoveryTotals; 2],
+    qp: Option<QueryProfile>,
+    /// Its padded cells over the region's batches.
+    padded: u128,
+    /// Set once its completion has been handled.
+    finished: AtomicBool,
+}
+
+impl Member<'_> {
+    /// Its next checkpoint of `slots` (its part of the slot table) and
+    /// where that goes; `None` when it persists nothing.
+    fn checkpoint(
+        &self,
+        slots: &[Option<BatchResult>],
+        accel_share: f64,
+        events: &[DeviceMetrics; 2],
+    ) -> Option<(&Path, Checkpoint)> {
+        let (path, fingerprint) = self.ckpt.as_ref()?;
+        let ckpt = Checkpoint {
+            fingerprint: *fingerprint,
+            seq: self.seq.fetch_add(1, Ordering::Relaxed),
+            resumes: self.resumes,
+            accel_share,
+            recovery: cumulative(&self.baseline, events),
+            done: slots.iter().flatten().cloned().collect(),
+        };
+        Some((path, ckpt))
+    }
+}
+
+/// The one recovery-totals rule: a baseline plus a region's events.
+/// Per-worker retry counts land only at worker exit, so a *periodic*
+/// checkpoint may undercount retries (the final one, written after the
+/// pools exit, is exact); the totals stay monotone either way.
+fn cumulative(baseline: &[RecoveryTotals; 2], events: &[DeviceMetrics; 2]) -> [RecoveryTotals; 2] {
+    [DEVICE_CPU, DEVICE_ACCEL].map(|d| baseline[d].plus(&events[d]))
+}
+
 /// **The** region body: every query against the lane batches of
 /// `range` (a range of `db.batches`), one task per `(query, batch)`
 /// pair, run through one durable `sw-sched` dual-pool region whose
@@ -512,6 +561,9 @@ fn claim_order(lens: &[usize], batches: &[LaneBatch], seed: f64, pools: [usize; 
 /// only call of `run_dual_pool_durable`: every search, flat, static or
 /// dynamic, is this function (see [`HeteroEngine::search_many_resumable`]
 /// for the per-query semantics).
+///
+/// Checkpoints are the region's own commit hook, installed only for a
+/// periodic checkpoint or `opts.on_query_done`.
 ///
 /// A sub-range region is never durable: checkpoints name batches by
 /// their index in the database, and the static split, the only caller
@@ -536,91 +588,79 @@ pub(crate) fn region(
             || (opts.checkpoint_path.is_none() && opts.checkpoint_dir.is_none()),
         "a sub-range region is never durable"
     );
-    type BatchOut = (usize, (Vec<Hit>, CellCount, u64));
     let batches = &db.batches[range.start..range.end];
     let n_batches = batches.len();
-
-    // Per-query checkpoint identity: the explicit path for a lone
-    // query, else fingerprint-named files in the directory.
-    let explicit = opts.checkpoint_path.filter(|_| queries.len() == 1);
-    let checkpointing = explicit.is_some() || opts.checkpoint_dir.is_some();
-    let fingerprints: Vec<SearchFingerprint> = if checkpointing {
-        queries
-            .iter()
-            .map(|q| SearchFingerprint::compute(db, q.residues))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let ckpt_paths: Vec<Option<PathBuf>> = match (explicit, opts.checkpoint_dir) {
-        (Some(path), _) => vec![Some(path.to_path_buf())],
-        (None, Some(dir)) => {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| DurableSearchError::Checkpoint(CheckpointError::Io(e)))?;
-            fingerprints
-                .iter()
-                .map(|fp| Some(dir.join(fp.file_name())))
-                .collect()
-        }
-        (None, None) => vec![None; queries.len()],
-    };
-
-    // Load and verify each query's prior checkpoint, if resuming.
-    let mut prefill: Vec<(usize, BatchOut)> = Vec::new();
-    let mut resumes_v = vec![0u64; queries.len()];
-    let mut resumed_v = vec![0u64; queries.len()];
-    let mut seqs: Vec<AtomicU64> = Vec::with_capacity(queries.len());
-    let mut baselines = vec![[RecoveryTotals::default(); 2]; queries.len()];
-    let mut loaded = [RecoveryTotals::default(); 2];
-    let mut initial_share = seed;
-    for (qi, q) in queries.iter().enumerate() {
-        let mut next_seq = 0u64;
-        if opts.resume {
-            if let Some(path) = &ckpt_paths[qi] {
-                if let Some(ckpt) = Checkpoint::load_if_exists(path)? {
-                    ckpt.verify(&fingerprints[qi])?;
-                    ckpt.verify_layout(&db.batches)?;
-                    resumes_v[qi] = ckpt.resumes + 1;
-                    next_seq = ckpt.seq + 1;
-                    baselines[qi] = ckpt.recovery;
-                    for (total, base) in loaded.iter_mut().zip(&ckpt.recovery) {
-                        total.add(base);
-                    }
-                    // Any segment's learned balance beats the static
-                    // seed for the whole shared region.
-                    initial_share = ckpt.accel_share;
-                    resumed_v[qi] = ckpt.done.len() as u64;
-                    if let Some(tr) = q.tracer {
-                        let mut j = tr.worker(DEVICE_CPU, n_batches);
-                        j.emit(sw_trace::EventKind::ResumeLoaded {
-                            tasks_done: resumed_v[qi],
-                        });
-                        j.flush();
-                    }
-                    prefill.extend(ckpt.done.into_iter().map(|b| {
-                        (
-                            qi * n_batches + b.batch,
-                            (b.device, (b.hits, b.cells, b.rescued)),
-                        )
-                    }));
-                }
-            }
-        }
-        seqs.push(AtomicU64::new(next_seq));
-    }
-
     let device_config = [&config.cpu, &config.accel];
     // Only the query-profile variants read one; the default fused path
     // derives its scores from `table`.
     let reads_qp = device_config
         .iter()
         .any(|c| c.variant.profile == ProfileMode::Query);
-    let qps: Vec<Option<QueryProfile>> = queries
-        .iter()
-        .map(|q| {
-            reads_qp.then(|| QueryProfile::build(q.residues, &engine.params.matrix, &db.alphabet))
-        })
-        .collect();
+
+    // Per-member checkpoint location: the explicit path for a lone
+    // member, else fingerprint-named files in the directory.
+    let explicit = opts.checkpoint_path.filter(|_| queries.len() == 1);
+    let checkpointing = explicit.is_some() || opts.checkpoint_dir.is_some();
+    if let (None, Some(dir)) = (explicit, opts.checkpoint_dir) {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| DurableSearchError::Checkpoint(CheckpointError::Io(e)))?;
+    }
+    // Each member, its prior checkpoint loaded and verified if resuming.
+    let mut members = Vec::with_capacity(queries.len());
+    let mut prefill: Vec<(usize, BatchResult)> = Vec::new();
+    let mut loaded = [RecoveryTotals::default(); 2];
+    let mut initial_share = seed;
+    for (qi, query) in queries.iter().enumerate() {
+        let ckpt = checkpointing.then(|| {
+            let fp = SearchFingerprint::compute(db, query.residues);
+            let path = match (explicit, opts.checkpoint_dir) {
+                (Some(path), _) => path.to_path_buf(),
+                (None, dir) => dir.expect("checkpointing").join(fp.file_name()),
+            };
+            (path, fp)
+        });
+        let prior = match &ckpt {
+            Some((path, _)) if opts.resume => Checkpoint::load_if_exists(path)?,
+            _ => None,
+        };
+        let resumed = prior.as_ref().map_or(0, |p| p.done.len() as u64);
+        if let (Some(p), Some((_, fp))) = (&prior, &ckpt) {
+            p.verify(fp)?;
+            p.verify_layout(&db.batches, query.residues.len())?;
+            for (total, base) in loaded.iter_mut().zip(&p.recovery) {
+                total.add(base);
+            }
+            // Any segment's learned balance beats the static seed for
+            // the whole shared region.
+            initial_share = p.accel_share;
+            if let Some(tr) = query.tracer {
+                let event = sw_trace::EventKind::ResumeLoaded {
+                    tasks_done: resumed,
+                };
+                tr.worker(DEVICE_CPU, n_batches).emit(event); // flushed on drop
+            }
+        }
+        members.push(Member {
+            query,
+            ckpt,
+            resumes: prior.as_ref().map_or(0, |p| p.resumes + 1),
+            resumed,
+            seq: AtomicU64::new(prior.as_ref().map_or(0, |p| p.seq + 1)),
+            baseline: prior.as_ref().map_or_else(Default::default, |p| p.recovery),
+            qp: reads_qp
+                .then(|| QueryProfile::build(query.residues, &engine.params.matrix, &db.alphabet)),
+            padded: batches
+                .iter()
+                .map(|b| b.padded_cells(query.residues.len()) as u128)
+                .sum(),
+            finished: AtomicBool::new(false),
+        });
+        let done = prior.into_iter().flat_map(|p| p.done);
+        prefill.extend(done.map(|b| (qi * n_batches + b.batch, b)));
+    }
+    // Member `qi`'s part of the slot table.
+    let part = |qi: usize| qi * n_batches..(qi + 1) * n_batches;
+
     let table = ScoreTable::build(&engine.params.matrix, &db.alphabet);
     // An all-zero worker config would deadlock the queue; degrade it
     // to a single CPU worker instead.
@@ -631,165 +671,135 @@ pub(crate) fn region(
     }
     let sink = MetricsSink::new();
     let tracer = config.trace.tracer();
-
+    let region_events = || [sink.device(DEVICE_CPU), sink.device(DEVICE_ACCEL)];
     let writes = AtomicU64::new(0);
     let write_failures = AtomicU64::new(0);
-    // The one recovery-totals rule: a baseline plus this region's
-    // events. Mid-run, requeues / lost leases / failures are recorded
-    // as they happen but per-worker retry counts only land at worker
-    // exit, so a *periodic* checkpoint may undercount retries (the
-    // final checkpoint, written after the pools exit, is exact).
-    // Monotonicity is preserved either way.
-    let region_events = || [sink.device(DEVICE_CPU), sink.device(DEVICE_ACCEL)];
-    let cumulative = |baseline: &[RecoveryTotals; 2], events: &[DeviceMetrics; 2]| {
-        [DEVICE_CPU, DEVICE_ACCEL].map(|d| baseline[d].plus(&events[d]))
-    };
-    // Build one query's checkpoint from its slice of the product
-    // space.
-    let make_q_checkpoint =
-        |qi: usize, slots_q: &[Option<BatchOut>], share: f64, events: &[DeviceMetrics; 2]| {
-            Checkpoint {
-                fingerprint: fingerprints[qi],
-                seq: seqs[qi].fetch_add(1, Ordering::Relaxed),
-                resumes: resumes_v[qi],
-                accel_share: share,
-                recovery: cumulative(&baselines[qi], events),
-                done: slots_q
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, s)| {
-                        s.as_ref()
-                            .map(|(device, (hits, cells, rescued))| BatchResult {
-                                batch: i,
-                                device: *device,
-                                hits: hits.clone(),
-                                cells: *cells,
-                                rescued: *rescued,
-                            })
-                    })
-                    .collect(),
-            }
-        };
-    // A periodic tick checkpoints every query that is still
-    // incomplete; complete queries keep their last file until the
-    // region ends (it is removed with their results). A failed
-    // periodic write must not kill the search: it is counted and
-    // surfaced on the outcome.
-    let on_checkpoint = |view: CheckpointView<'_, BatchOut>| -> u64 {
-        let mut total = 0u64;
-        let events = region_events();
-        for (qi, ckpt_path) in ckpt_paths.iter().enumerate() {
-            let Some(path) = ckpt_path else {
-                continue;
-            };
-            let slots_q = &view.slots[qi * n_batches..(qi + 1) * n_batches];
-            if slots_q.iter().all(|s| s.is_some()) {
-                continue;
-            }
-            match make_q_checkpoint(qi, slots_q, view.accel_share, &events).write_atomic(path) {
-                Ok(bytes) => {
-                    writes.fetch_add(1, Ordering::Relaxed);
-                    total += bytes;
-                }
-                Err(_) => {
-                    write_failures.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        total
-    };
 
     // Pooled wall clock, attributed by padded-cell share
     // ([`padded_share`]).
-    let per_q_padded: Vec<u128> = queries
-        .iter()
-        .map(|q| {
-            batches
-                .iter()
-                .map(|b| b.padded_cells(q.residues.len()) as u128)
-                .sum()
-        })
-        .collect();
-    let total_padded: u128 = per_q_padded.iter().sum();
+    let total_padded: u128 = members.iter().map(|m| m.padded).sum();
     let n_hits: usize = batches.iter().map(LaneBatch::n_seqs).sum();
-    // One query's outcome from its slice of the slot table, `elapsed`
+    // One member's outcome from its slice of the slot table, `elapsed`
     // into the region: the one results assembly, used for the reply
-    // that leaves at the query's last commit and at region end alike.
+    // that leaves at the member's last commit and at region end alike.
     let outcome_of =
-        |qi: usize, slots_q: &[Option<BatchOut>], elapsed: Duration, degraded: bool| {
+        |qi: usize, slots_q: &[Option<BatchResult>], elapsed: Duration, degraded: bool| {
+            let m = &members[qi];
             let tasks_done = slots_q.iter().filter(|s| s.is_some()).count();
             let results = (tasks_done == n_batches).then(|| {
                 let mut hits: Vec<Hit> = Vec::with_capacity(n_hits);
                 let mut cells = CellCount::default();
                 let mut rescued = 0u64;
-                for s in slots_q.iter().flatten() {
-                    let (_device, (batch_hits, batch_cells, batch_rescued)) = s;
-                    hits.extend(batch_hits.iter().copied());
-                    cells.add(*batch_cells);
-                    rescued += batch_rescued;
+                for b in slots_q.iter().flatten() {
+                    hits.extend(b.hits.iter().copied());
+                    cells.add(b.cells);
+                    rescued += b.rescued;
                 }
-                let elapsed_q = padded_share(elapsed, per_q_padded[qi], total_padded);
+                let elapsed_q = padded_share(elapsed, m.padded, total_padded);
                 SearchResults::new(hits, elapsed_q, cells, rescued).with_degraded(degraded)
             });
             BatchQueryOutcome {
-                id: queries[qi].id,
+                id: m.query.id,
                 results,
                 cancelled: false,
-                resumes: resumes_v[qi],
-                resumed_tasks: resumed_v[qi],
+                resumes: m.resumes,
+                resumed_tasks: m.resumed,
                 tasks_done: tasks_done as u64,
                 cpu_batches: slots_q
                     .iter()
                     .flatten()
-                    .filter(|(device, _)| *device == DEVICE_CPU)
+                    .filter(|b| b.device == DEVICE_CPU)
                     .count(),
             }
         };
 
     let start = Instant::now();
-    // A completed query is finished exactly once — a lease reclaimed
-    // from a slow holder commits its chunk twice, and region end
-    // sweeps up whatever no commit reported: its checkpoint (if any)
-    // is spent, then the caller hears of it. A cancel that raced
-    // completion still yields the exact result. Cleanup is
-    // best-effort: a stale file left behind is re-verified (and its
-    // batches skipped) on the next resume, never silently wrong.
-    let finished: Vec<AtomicBool> = queries.iter().map(|_| AtomicBool::new(false)).collect();
-    let finish = |qi: usize, outcome: &BatchQueryOutcome| {
-        if finished[qi].swap(true, Ordering::AcqRel) {
-            return;
+    // The one-writer gate: a periodic checkpoint holds it while it
+    // writes, and a member's completion takes it to remove the member's
+    // file, so no checkpoint file outlives its query.
+    let gate = Mutex::new(());
+    // A completed member is finished exactly once (a reclaimed lease
+    // commits its chunk twice; region end sweeps up whatever no commit
+    // reported): its checkpoint is spent, best-effort — a stale file is
+    // re-verified on the next resume, never silently wrong — and `true`
+    // says the caller may hear of it.
+    let finish = |qi: usize| {
+        let m = &members[qi];
+        if m.finished.swap(true, Ordering::AcqRel) {
+            return false;
         }
-        if let Some(path) = &ckpt_paths[qi] {
+        if let Some((path, _)) = &m.ckpt {
+            let _gate = gate.lock().unwrap_or_else(PoisonError::into_inner);
             Checkpoint::remove(path).ok();
         }
-        if let Some(done) = opts.on_query_done {
-            done(qi, outcome);
+        true
+    };
+    // A periodic tick checkpoints every incomplete member: slots are
+    // copied under the slot lock, encoded and written after it. A tick
+    // that finds a write in flight is skipped, not queued, once that
+    // write is on disk (the crash-harness switch after its chunk must
+    // not abort it half done). A failed write is counted, never fatal.
+    let checkpoint_incomplete = |view: &mut CommitView<'_, BatchResult>| {
+        let Ok(_gate) = gate.try_lock() else {
+            drop(gate.lock().unwrap_or_else(PoisonError::into_inner));
+            return;
+        };
+        let events = region_events();
+        let due: Vec<_> = view.with_slots(|slots| {
+            // A hook runs only in a region with tasks: `n_batches > 0`.
+            let parts = members.iter().zip(slots.chunks(n_batches));
+            let incomplete = parts.filter(|(_, slots_q)| slots_q.contains(&None));
+            let share = view.accel_share;
+            incomplete
+                .filter_map(|(m, slots_q)| m.checkpoint(slots_q, share, &events))
+                .collect()
+        });
+        for (path, ckpt) in due {
+            let Ok(bytes) = ckpt.write_atomic(path) else {
+                write_failures.fetch_add(1, Ordering::Relaxed);
+                continue;
+            };
+            writes.fetch_add(1, Ordering::Relaxed);
+            view.emit(sw_trace::EventKind::CheckpointWritten {
+                seq: ckpt.seq,
+                tasks_done: ckpt.done.len() as u64,
+                bytes,
+            });
         }
     };
-    // After each commit: did it fill the last slot of a query it
-    // touches? A chunk touches one member (a segment never spans two),
-    // the prefill lists members in turn. The slots are copied out under
-    // the slot lock; sorting and the callback run outside it.
-    let on_commit = |view: CommitView<'_, BatchOut>| {
-        let mut members: Vec<usize> = view.tasks.iter().map(|t| t / n_batches).collect();
-        members.dedup();
-        for qi in members {
-            if finished[qi].load(Ordering::Acquire) {
+    let every = Some(opts.interval_chunks).filter(|&n| checkpointing && n > 0);
+    let clean_chunks = AtomicU64::new(0);
+    // After each commit: did it fill the last slot of a member it
+    // touches (a chunk touches one, the prefill each in turn)? Slots are
+    // copied under the slot lock only for a caller that takes the
+    // outcome. Then, every `every` clean chunks, a periodic checkpoint.
+    let on_commit = |mut view: CommitView<'_, BatchResult>| {
+        let mut touched: Vec<usize> = view.tasks.iter().map(|t| t / n_batches).collect();
+        touched.dedup();
+        for qi in touched {
+            if members[qi].finished.load(Ordering::Acquire) {
                 continue;
             }
             let complete = view.with_slots(|slots| {
-                let slots_q = &slots[qi * n_batches..(qi + 1) * n_batches];
-                slots_q
-                    .iter()
-                    .all(Option::is_some)
-                    .then(|| slots_q.to_vec())
+                let slots_q = &slots[part(qi)];
+                let copy = || opts.on_query_done.map(|_| slots_q.to_vec());
+                slots_q.iter().all(Option::is_some).then(copy)
             });
-            if let Some(slots_q) = complete {
-                let degraded = region_events().iter().any(|d| d.degraded);
-                finish(qi, &outcome_of(qi, &slots_q, start.elapsed(), degraded));
+            if let Some(copy) = complete.filter(|_| finish(qi)) {
+                if let (Some(done), Some(slots_q)) = (opts.on_query_done, copy) {
+                    let degraded = region_events().iter().any(|d| d.degraded);
+                    done(qi, &outcome_of(qi, &slots_q, start.elapsed(), degraded));
+                }
+            }
+        }
+        if let Some(every) = every.filter(|_| view.clean) {
+            if (clean_chunks.fetch_add(1, Ordering::AcqRel) + 1).is_multiple_of(every) {
+                checkpoint_incomplete(&mut view);
             }
         }
     };
+    let hooked = opts.on_query_done.is_some() || every.is_some();
+    let lens: Vec<usize> = queries.iter().map(|q| q.residues.len()).collect();
     let out = run_dual_pool_durable(
         queries.len() * n_batches,
         DualPoolConfig {
@@ -801,43 +811,44 @@ pub(crate) fn region(
         },
         injector,
         DurableControl {
-            order: claim_order(
-                &queries.iter().map(|q| q.residues.len()).collect::<Vec<_>>(),
-                batches,
-                initial_share,
-                [cpu_workers, accel_workers],
-            ),
+            order: claim_order(&lens, batches, initial_share, [cpu_workers, accel_workers]),
             prefill,
             drain: opts.drain,
-            checkpoint_every_chunks: if checkpointing {
-                opts.interval_chunks
-            } else {
-                0
-            },
-            on_checkpoint: Some(&on_checkpoint),
             task_cancelled: Some(&|t: usize| {
                 queries[t / n_batches]
                     .cancel
                     .is_some_and(|c| c.is_requested())
             }),
-            on_commit: opts
-                .on_query_done
-                .map(|_| &on_commit as &(dyn Fn(CommitView<'_, BatchOut>) + Sync)),
+            on_commit: hooked
+                .then_some(&on_commit as &(dyn Fn(CommitView<'_, BatchResult>) + Sync)),
         },
-        |t| batches[t % n_batches].padded_cells(queries[t / n_batches].residues.len()),
+        |t| batches[t % n_batches].padded_cells(lens[t / n_batches]),
         |device, t| {
             let (qi, bi) = (t / n_batches, t % n_batches);
-            let q = &queries[qi];
+            let m = &members[qi];
             // The span opens on the OWNER's tracer (its epoch, its
             // query tag); the batch index doubles as the track lane
             // so one query's concurrent tasks never share a track.
-            let span = q.tracer.map(|tr| tr.task_span(device, bi, bi));
+            let span = m.query.tracer.map(|tr| tr.task_span(device, bi, bi));
             let cfg = device_config[device];
-            let out = engine.run_batch(q.residues, qps[qi].as_ref(), &table, db, &batches[bi], cfg);
+            let (hits, cells, rescued) = engine.run_batch(
+                m.query.residues,
+                m.qp.as_ref(),
+                &table,
+                db,
+                &batches[bi],
+                cfg,
+            );
             if let Some(span) = span {
-                span.finish(t as u64, out.1.padded);
+                span.finish(t as u64, cells.padded);
             }
-            (device, out)
+            BatchResult {
+                batch: bi,
+                device,
+                hits,
+                cells,
+                rescued,
+            }
         },
         &sink,
         &tracer,
@@ -857,8 +868,8 @@ pub(crate) fn region(
 
     let mut outcomes = Vec::with_capacity(queries.len());
     let mut incomplete_uncancelled = Vec::new();
-    for (qi, q) in queries.iter().enumerate() {
-        let slots_q = &out.slots[qi * n_batches..(qi + 1) * n_batches];
+    for (qi, m) in members.iter().enumerate() {
+        let slots_q = &out.slots[part(qi)];
         let mut outcome = outcome_of(
             qi,
             slots_q,
@@ -866,13 +877,16 @@ pub(crate) fn region(
             degraded[DEVICE_CPU] || degraded[DEVICE_ACCEL],
         );
         if outcome.results.is_some() {
-            finish(qi, &outcome);
-        } else if q.cancel.is_some_and(|c| c.is_requested()) || out.drained {
+            let first = finish(qi);
+            if let Some(done) = opts.on_query_done.filter(|_| first) {
+                done(qi, &outcome);
+            }
+        } else if m.query.cancel.is_some_and(|c| c.is_requested()) || out.drained {
             // Final exact checkpoint: written after the pools exited,
-            // its failure is a hard error — a cancelled query without
+            // its failure is a hard error — a cancelled member without
             // its checkpoint cannot be resumed.
-            if let Some(path) = &ckpt_paths[qi] {
-                make_q_checkpoint(qi, slots_q, final_share, &events).write_atomic(path)?;
+            if let Some((path, ckpt)) = m.checkpoint(slots_q, final_share, &events) {
+                ckpt.write_atomic(path)?;
                 writes.fetch_add(1, Ordering::Relaxed);
             }
             outcome.cancelled = true;
@@ -929,8 +943,8 @@ pub struct DurableOptions<'a> {
     /// Created if missing. A resume with the same fingerprint finds the
     /// same file.
     pub checkpoint_dir: Option<&'a Path>,
-    /// Write a checkpoint every this many committed chunks (0 = only the
-    /// final drain checkpoint).
+    /// Write a checkpoint of every incomplete member every this many
+    /// cleanly completed chunks (0 = only the final drain checkpoint).
     pub interval_chunks: u64,
     /// Cooperative stop signal (SIGINT/SIGTERM in the CLI).
     pub drain: Option<&'a DrainSignal>,

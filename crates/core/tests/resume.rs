@@ -12,8 +12,8 @@
 
 use std::path::PathBuf;
 use sw_core::{
-    CheckpointError, DurableOptions, DurableSearchError, HeteroEngine, HeteroSearchConfig,
-    PreparedDb, SearchConfig, SearchEngine,
+    BatchQuery, CheckpointError, DurableOptions, DurableSearchError, HeteroEngine,
+    HeteroSearchConfig, PreparedDb, SearchConfig, SearchEngine, TraceConfig,
 };
 use sw_sched::{DrainSignal, FaultInjector};
 use sw_seq::gen::{generate_database, generate_query, DbSpec};
@@ -671,5 +671,141 @@ fn shared_checkpoint_dir_keeps_concurrent_searches_apart() {
         0,
         "completed searches clean up their own checkpoints only"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn periodic_checkpoints_of_a_two_member_region_are_counted_and_spent() {
+    // The periodic checkpoint is the region's own commit hook: with an
+    // interval of one clean chunk, a two-member region on one CPU and
+    // one accelerator worker writes checkpoints while it runs, traces
+    // exactly one `checkpoint_written` per file it wrote, and leaves no
+    // file behind once every member has completed.
+    let (db, q1) = setup();
+    let q2 = generate_query(140, 77).residues;
+    let hetero = HeteroEngine::new(SearchEngine::paper_default());
+    let plan = hetero.plan_split(&db, q1.len(), 0.5);
+    let cfg = HeteroSearchConfig {
+        trace: TraceConfig::full(),
+        ..HeteroSearchConfig::best(1, 1)
+    };
+    let members = || {
+        [&q1, &q2].map(|q| BatchQuery {
+            residues: q,
+            id: 0,
+            cancel: None,
+            tracer: None,
+        })
+    };
+    let dir = std::env::temp_dir().join(format!("sw-ckpt-interval-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let opts = |drain, resume| DurableOptions {
+        checkpoint_path: None,
+        checkpoint_dir: Some(&dir),
+        interval_chunks: 1,
+        drain,
+        resume,
+        on_query_done: None,
+    };
+    let checkpoint_files = || {
+        std::fs::read_dir(&dir)
+            .expect("checkpoint dir")
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|name| name.starts_with("swckpt-"))
+            .collect::<Vec<_>>()
+    };
+    let hits = |out: &sw_core::BatchSearchOutcome| {
+        let results = out.queries.iter().map(|q| q.results.as_ref());
+        results
+            .map(|r| r.expect("completed").hits.clone())
+            .collect::<Vec<_>>()
+    };
+
+    let mut clean = None;
+    for run in 0..20 {
+        let out = hetero
+            .search_many_resumable(
+                &members(),
+                &db,
+                &plan,
+                &cfg,
+                &FaultInjector::none(),
+                &opts(None, false),
+            )
+            .expect("clean region");
+        assert!(
+            out.checkpoints_written >= 1,
+            "run {run}: interval 1 must checkpoint at least once"
+        );
+        let tl = out.timeline.as_ref().expect("traced region");
+        assert_eq!(
+            tl.total_dropped(),
+            0,
+            "run {run}: the trace kept every event"
+        );
+        assert_eq!(
+            tl.count("checkpoint_written") as u64,
+            out.checkpoints_written,
+            "run {run}: one trace event per checkpoint file written"
+        );
+        assert_eq!(out.checkpoint_write_failures, 0, "run {run}");
+        assert!(
+            checkpoint_files().is_empty(),
+            "run {run}: completion spends every checkpoint: {:?}",
+            checkpoint_files()
+        );
+        let hits = hits(&out);
+        assert_eq!(
+            clean.get_or_insert_with(|| hits.clone()),
+            &hits,
+            "run {run}"
+        );
+    }
+    let clean = clean.expect("twenty runs");
+
+    // Drained by a task-count threshold, then resumed: byte-identical.
+    // Members complete shortest first, so a threshold a quarter into
+    // the second member cuts it mid-way.
+    let drain = DrainSignal::after_tasks(db.batches.len() as u64 * 5 / 4);
+    let first = hetero
+        .search_many_resumable(
+            &members(),
+            &db,
+            &plan,
+            &cfg,
+            &FaultInjector::none(),
+            &opts(Some(&drain), false),
+        )
+        .expect("drained region");
+    assert!(first.drained, "the threshold must interrupt the region");
+    assert!(
+        !checkpoint_files().is_empty(),
+        "a drained region leaves checkpoints"
+    );
+    let resumed = hetero
+        .search_many_resumable(
+            &members(),
+            &db,
+            &plan,
+            &cfg,
+            &FaultInjector::none(),
+            &opts(None, true),
+        )
+        .expect("resumed region");
+    let cut: Vec<_> = first.queries.iter().filter(|q| q.cancelled).collect();
+    assert!(
+        cut.iter().any(|q| q.tasks_done > 0),
+        "a member must be cut mid-way"
+    );
+    for (before, after) in first.queries.iter().zip(&resumed.queries) {
+        if before.cancelled {
+            assert_eq!(
+                after.resumed_tasks, before.tasks_done,
+                "no batch recomputed"
+            );
+        }
+    }
+    assert_eq!(hits(&resumed), clean, "resumed == clean, member by member");
+    assert!(checkpoint_files().is_empty(), "{:?}", checkpoint_files());
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -14,7 +14,7 @@
 //! instead of hanging or crashing. A task that keeps panicking is
 //! surfaced as a structured [`ExecError`] naming its index. Per-worker
 //! metrics and recovery events are recorded through a [`MetricsSink`];
-//! resume prefill, drain, checkpoints and per-task cancel hang off
+//! resume prefill, drain, per-task cancel and a commit hook hang off
 //! [`DurableControl`]. [`run_dual_pool`] is the one convenience over it:
 //! no faults, no hooks, no trace, panic on failure.
 //!
@@ -137,40 +137,17 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Result slot table: workers buffer one chunk locally, then commit the
-/// whole chunk under a single lock acquisition.
-struct Slots<T> {
-    slots: Mutex<Vec<Option<T>>>,
-}
+/// whole chunk under a single lock acquisition, so whoever reads it under
+/// the lock sees whole chunks or none.
+type Slots<T> = Mutex<Vec<Option<T>>>;
 
-impl<T> Slots<T> {
-    fn new(n: usize) -> Self {
-        Slots {
-            slots: Mutex::new((0..n).map(|_| None).collect()),
-        }
-    }
-
-    /// Commit an explicitly-indexed (possibly non-contiguous) batch of
-    /// results: a resumed run skips the indices a checkpoint already
-    /// holds, so a chunk's executed set can have holes.
-    fn commit(&self, buf: Vec<(usize, T)>) {
-        let mut guard = lock_unpoisoned(&self.slots);
-        for (i, r) in buf {
-            guard[i] = Some(r);
-        }
-    }
-
-    /// Run `f` over the current slot table (held under the lock). Used by
-    /// the checkpoint callback so a checkpoint observes a consistent
-    /// whole-chunk view — commits are whole-chunk under the same lock.
-    fn with_slots<R>(&self, f: impl FnOnce(&[Option<T>]) -> R) -> R {
-        f(&lock_unpoisoned(&self.slots))
-    }
-
-    /// The raw slot table (filled and unfilled).
-    fn into_slots(self) -> Vec<Option<T>> {
-        self.slots
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
+/// Commit an explicitly-indexed (possibly non-contiguous) batch of
+/// results: a resumed run skips the indices a checkpoint already holds,
+/// so a chunk's executed set can have holes.
+fn commit<T>(slots: &Slots<T>, buf: Vec<(usize, T)>) {
+    let mut guard = lock_unpoisoned(slots);
+    for (i, r) in buf {
+        guard[i] = Some(r);
     }
 }
 
@@ -266,42 +243,40 @@ struct DeviceProgress {
     busy_nanos: AtomicU64,
 }
 
-/// Consistent view of a run's progress handed to the checkpoint
-/// callback. The slot table is observed under its lock, so every chunk
-/// is either fully present or fully absent — a checkpoint can never see
-/// half a chunk.
-pub struct CheckpointView<'v, T> {
-    /// Result slots in task order; `None` = not yet executed.
-    pub slots: &'v [Option<T>],
-    /// Tasks committed so far (including any resume prefill).
-    pub tasks_done: u64,
-    /// The split estimator's current accelerator share — persisted so a
-    /// resumed run starts from the learned split instead of the static
-    /// seed.
-    pub accel_share: f64,
-}
-
 /// What a [`DurableControl::on_commit`] hook is handed: the ids of the
-/// tasks whose results were just committed, and the slot table on demand.
+/// tasks whose results were just committed, how the chunk ended, the
+/// estimator's share, and the slot table on demand.
 pub struct CommitView<'v, T> {
     /// Task ids of the committed chunk, in claim order (the prefilled ids
     /// for the resume prefill). A chunk's tasks that were skipped or
     /// cancelled stay `None`.
     pub tasks: &'v [usize],
+    /// True when the chunk completed cleanly; false for the resume
+    /// prefill and for the partial commit of a chunk that failed.
+    pub clean: bool,
+    /// The split estimator's current accelerator share.
+    pub accel_share: f64,
     slots: &'v Slots<T>,
+    journal: &'v mut WorkerJournal,
 }
 
 impl<T> CommitView<'_, T> {
     /// Run `f` over the slot table, under its lock: whole chunks are
-    /// present or absent, as in a [`CheckpointView`].
+    /// present or absent.
     pub fn with_slots<R>(&self, f: impl FnOnce(&[Option<T>]) -> R) -> R {
-        self.slots.with_slots(f)
+        f(&lock_unpoisoned(self.slots))
+    }
+
+    /// Emit `kind` on the committing worker's trace track (what the hook
+    /// did, e.g. `checkpoint_written`); a no-op when tracing is off.
+    pub fn emit(&mut self, kind: EventKind) {
+        self.journal.emit(kind);
     }
 }
 
 /// Region control for [`run_dual_pool_durable`]: the claim order, and the
-/// durability hooks — resume prefill, a drain signal, a periodic
-/// checkpoint callback, a per-task cancel probe and a commit hook.
+/// durability hooks — resume prefill, a drain signal, a per-task cancel
+/// probe and a commit hook.
 ///
 /// [`DurableControl::none`] is the identity order with every hook off:
 /// the run then either completes every task or fails terminally, and
@@ -319,15 +294,6 @@ pub struct DurableControl<'a, T> {
     /// hold, commit them, and exit; the outcome is marked drained and
     /// carries whatever completed.
     pub drain: Option<&'a DrainSignal>,
-    /// Invoke `on_checkpoint` every this many committed chunks
-    /// (0 = never).
-    pub checkpoint_every_chunks: u64,
-    /// Checkpoint writer: receives a consistent [`CheckpointView`] and
-    /// returns the number of bytes persisted (for the trace event). At
-    /// most one invocation runs at a time; an interval that fires while a
-    /// checkpoint is still being written is skipped, not queued.
-    #[allow(clippy::type_complexity)]
-    pub on_checkpoint: Option<&'a (dyn Fn(CheckpointView<'_, T>) -> u64 + Sync)>,
     /// Per-task cancellation probe, checked immediately before each task
     /// executes. A `true` answer drops the task — no execution, no commit,
     /// no cost accounting — leaving its slot `None` while the rest of the
@@ -337,25 +303,24 @@ pub struct DurableControl<'a, T> {
     /// probe removes *one query's* tasks.
     #[allow(clippy::type_complexity)]
     pub task_cancelled: Option<&'a (dyn Fn(usize) -> bool + Sync)>,
-    /// Commit hook: called on the committing worker after every chunk
-    /// commit, and once after the resume prefill, outside the slot lock.
-    /// It is how a caller learns that a *part* of the task space (one
-    /// query of a shared region) is complete while the rest still runs. A
-    /// lease reclaimed from a slow holder commits twice with identical
-    /// values, so the hook may see the same tasks twice.
+    /// Commit hook: called on the committing worker, outside the slot
+    /// lock, after every clean chunk, after a failed chunk's partial
+    /// commit and once after the resume prefill — how a caller learns a
+    /// *part* of the task space (one query of a shared region) is
+    /// complete, and where it persists progress. A lease reclaimed from a
+    /// slow holder commits twice with identical values, so the hook may
+    /// see the same tasks twice.
     #[allow(clippy::type_complexity)]
     pub on_commit: Option<&'a (dyn Fn(CommitView<'_, T>) + Sync)>,
 }
 
 impl<T> DurableControl<'_, T> {
-    /// The identity order; no prefill, no drain, no checkpoints.
+    /// The identity order; no prefill, no drain, no hooks.
     pub fn none() -> Self {
         DurableControl {
             order: ClaimOrder::identity(),
             prefill: Vec::new(),
             drain: None,
-            checkpoint_every_chunks: 0,
-            on_checkpoint: None,
             task_cancelled: None,
             on_commit: None,
         }
@@ -739,11 +704,10 @@ impl<'a> Supervisor<'a> {
 /// two of the order's segments, so a segment's last commit never waits on
 /// another segment's task. Everything the region hands out or keeps is
 /// keyed by task id — the `task` and `cost` closures, the cancel probe,
-/// the slots, the prefill, [`TaskError::task`], the checkpoint and commit
-/// views — while trace chunk and lease events carry queue positions
-/// (equal to task ids under the identity order of
-/// [`DurableControl::none`], which claims exactly as an unordered queue
-/// would).
+/// the slots, the prefill, [`TaskError::task`], the commit view — while
+/// trace chunk and lease events carry queue positions (equal to task ids
+/// under the identity order of [`DurableControl::none`], which claims
+/// exactly as an unordered queue would).
 ///
 /// Recovery semantics: every claimed chunk is leased; a worker that dies
 /// (task panic or injected kill) releases the unexecuted tail of its
@@ -776,16 +740,11 @@ impl<'a> Supervisor<'a> {
 ///   commit the chunks they hold, then exit; the first to observe the
 ///   request emits `drain_started`. The outcome is a successful partial
 ///   run (`drained = true`).
-/// * **checkpoint** — every `checkpoint_every_chunks` committed chunks,
-///   one worker invokes `on_checkpoint` with a consistent
-///   [`CheckpointView`] (slot lock held, so checkpoints are whole-chunk
-///   atomic) and emits `checkpoint_written`.
-///
-/// * **commit hook** — `on_commit` runs on the committing worker after
-///   every chunk commit (and once after the prefill) with a
-///   [`CommitView`] naming the committed task ids, so a caller can act
-///   on a completed *part* of the task space while the rest of the
-///   region still runs.
+/// * **commit hook** — [`DurableControl::on_commit`]; a clean chunk's
+///   hook runs after its lease completes and before the injector's
+///   crash-harness switch, so what the hook persisted is on disk when the
+///   process aborts. The executor knows no checkpoint: a periodic one is
+///   a hook that counts clean chunks.
 ///
 /// Threads: the caller runs the first worker (CPU worker 0, or
 /// accelerator worker 0 when the CPU pool is empty) and every other
@@ -834,7 +793,7 @@ where
         };
     }
 
-    let slots: Slots<T> = Slots::new(n_tasks);
+    let slots: Slots<T> = Mutex::new((0..n_tasks).map(|_| None).collect());
     let mut skip = vec![false; n_tasks];
     let prefilled = durable.prefill.len() as u64;
     if prefilled > 0 {
@@ -842,31 +801,28 @@ where
         for &i in &prefilled_tasks {
             skip[i] = true;
         }
-        slots.commit(durable.prefill);
-        if let Some(hook) = durable.on_commit {
-            hook(CommitView {
-                tasks: &prefilled_tasks,
-                slots: &slots,
-            });
-        }
+        commit(&slots, durable.prefill);
         // The resume event lands on a supervisor track (worker id past
         // the real pools) so it never interleaves a worker's spans.
         let mut journal = tracer.worker(DEVICE_CPU, config.total_workers());
+        if let Some(hook) = durable.on_commit {
+            hook(CommitView {
+                tasks: &prefilled_tasks,
+                clean: false,
+                accel_share: sup.current_accel_share(),
+                slots: &slots,
+                journal: &mut journal,
+            });
+        }
         journal.emit(EventKind::ResumeLoaded {
             tasks_done: prefilled,
         });
         journal.flush();
     }
     let drain = durable.drain;
-    let every = durable.checkpoint_every_chunks;
-    let on_checkpoint = durable.on_checkpoint;
     let task_cancelled = durable.task_cancelled;
     let on_commit = durable.on_commit;
     let tasks_done = AtomicU64::new(prefilled);
-    let chunks_done = AtomicU64::new(0);
-    // Next checkpoint sequence number; doubles as the "one checkpoint at
-    // a time" gate (try_lock).
-    let ckpt_seq: Mutex<u64> = Mutex::new(0);
 
     // The one worker loop, run by every worker of both pools.
     let worker = |device: usize, w: usize| {
@@ -1014,57 +970,34 @@ where
             let n_committed = buf.len() as u64;
             if !buf.is_empty() {
                 let commit_start = Instant::now();
-                slots.commit(buf);
+                commit(&slots, buf);
                 sample.queue_wait += commit_start.elapsed();
-                if let Some(hook) = on_commit {
-                    hook(CommitView {
-                        tasks: chunk_tasks,
-                        slots: &slots,
-                    });
+            }
+            let clean = failed.is_none();
+            if clean {
+                sample.chunks += 1;
+                if work.retried {
+                    sample.retries += 1;
+                }
+                sup.complete(work.lease);
+                let total_tasks = tasks_done.fetch_add(n_committed, Ordering::AcqRel) + n_committed;
+                if let Some(d) = drain {
+                    d.note_tasks_done(total_tasks);
                 }
             }
+            if let Some(hook) = on_commit.filter(|_| clean || n_committed > 0) {
+                hook(CommitView {
+                    tasks: chunk_tasks,
+                    clean,
+                    accel_share: sup.current_accel_share(),
+                    slots: &slots,
+                    journal: &mut journal,
+                });
+            }
             match failed {
-                None => {
-                    sample.chunks += 1;
-                    if work.retried {
-                        sample.retries += 1;
-                    }
-                    sup.complete(work.lease);
-                    let total_tasks =
-                        tasks_done.fetch_add(n_committed, Ordering::AcqRel) + n_committed;
-                    if let Some(d) = drain {
-                        d.note_tasks_done(total_tasks);
-                    }
-                    let total_chunks = chunks_done.fetch_add(1, Ordering::AcqRel) + 1;
-                    if every > 0 && total_chunks.is_multiple_of(every) {
-                        if let Some(write) = on_checkpoint {
-                            // try_lock: a tick that collides
-                            // with an in-flight checkpoint is
-                            // dropped, not queued.
-                            if let Ok(mut seq) = ckpt_seq.try_lock() {
-                                let share = sup.current_accel_share();
-                                let now = tasks_done.load(Ordering::Acquire);
-                                let bytes = slots.with_slots(|view| {
-                                    write(CheckpointView {
-                                        slots: view,
-                                        tasks_done: now,
-                                        accel_share: share,
-                                    })
-                                });
-                                journal.emit(EventKind::CheckpointWritten {
-                                    seq: *seq,
-                                    tasks_done: now,
-                                    bytes,
-                                });
-                                *seq += 1;
-                            }
-                        }
-                    }
-                    // Crash-harness switch: abort the process
-                    // only after this chunk (and any due
-                    // checkpoint) is durable.
-                    injector.on_chunk_committed();
-                }
+                // Crash-harness switch: abort the process only after this
+                // chunk (and whatever its hook persisted) is durable.
+                None => injector.on_chunk_committed(),
                 Some((at, message)) => {
                     sup.release_failed(work.lease, device, at, message, &mut journal);
                     if kill {
@@ -1099,7 +1032,7 @@ where
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner);
     DurableOutcome {
-        slots: slots.into_slots(),
+        slots: slots.into_inner().unwrap_or_else(PoisonError::into_inner),
         degraded: state.retired,
         drained: drain.is_some_and(|d| d.is_requested()),
         failures: state.errors,
@@ -1762,60 +1695,6 @@ mod tests {
     }
 
     #[test]
-    fn durable_checkpoint_callback_fires_at_interval() {
-        let sink = MetricsSink::new();
-        let tracer = Tracer::full();
-        let calls = AtomicU64::new(0);
-        let max_seen = AtomicU64::new(0);
-        let on_ckpt = |view: CheckpointView<'_, usize>| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            // Invocations are serialised by the gate and read the task
-            // count under it, so successive views never go backwards.
-            let before = max_seen.fetch_max(view.tasks_done, Ordering::Relaxed);
-            assert!(before <= view.tasks_done, "views are non-decreasing");
-            assert!(view.tasks_done <= 200);
-            // The view is whole-chunk consistent: every present slot
-            // holds its deterministic value.
-            for (i, slot) in view.slots.iter().enumerate() {
-                if let Some(v) = slot {
-                    assert_eq!(*v, i + 1);
-                }
-            }
-            assert!((0.0..=1.0).contains(&view.accel_share));
-            view.tasks_done // "bytes written"
-        };
-        let out = run_dual_pool_durable(
-            200,
-            DualPoolConfig {
-                min_chunk: 2,
-                ..DualPoolConfig::new(2, 1)
-            },
-            &FaultInjector::none(),
-            DurableControl {
-                checkpoint_every_chunks: 1,
-                on_checkpoint: Some(&on_ckpt),
-                ..DurableControl::none()
-            },
-            |_| 1,
-            |_d, i| i + 1,
-            &sink,
-            &tracer,
-        );
-        assert_eq!(out.tasks_done(), 200);
-        let n = calls.load(Ordering::Relaxed);
-        // The gate is a try_lock: a tick that collides with a checkpoint
-        // in flight is dropped, so the LAST chunk's tick may be the one
-        // dropped and no view is promised to see all 200 tasks.
-        assert!(n >= 1, "interval 1 must checkpoint at least once");
-        let tl = tracer.timeline();
-        assert_eq!(
-            tl.count("checkpoint_written") as u64,
-            n,
-            "one trace event per invocation"
-        );
-    }
-
-    #[test]
     fn durable_drain_with_faults_keeps_committed_slots_sound() {
         // Recovery and drain compose: a kill fault fires, its chunk is
         // requeued, and a drain lands while the run is in flight. All
@@ -1982,6 +1861,9 @@ mod tests {
                 let tasks = view.tasks;
                 assert!(tasks.iter().all(|&t| slots[t].is_some()), "{tasks:?}");
             });
+            // Only the prefill is not a clean chunk.
+            assert_eq!(view.clean, view.tasks != [0, 1], "{:?}", view.tasks);
+            assert!((0.0..=1.0).contains(&view.accel_share));
             seen.lock().unwrap().push(view.tasks.to_vec());
         };
         let out = run_dual_pool_durable(

@@ -181,10 +181,11 @@ impl FaultInjector {
         None
     }
 
-    /// Called by a worker right after it commits a chunk. Aborts the
-    /// whole process when an armed [`Self::with_kill_after_chunks`]
-    /// threshold is reached — the committed results up to and including
-    /// this chunk are on disk (if checkpointing is on), everything else
+    /// Called by a worker right after it commits a chunk and runs the
+    /// commit hook. Aborts the whole process when an armed
+    /// [`Self::with_kill_after_chunks`] threshold is reached — whatever
+    /// the hook persisted up to and including this chunk is on disk,
+    /// everything else
     /// is lost, exactly like a real crash.
     pub fn on_chunk_committed(&self) {
         if self.kill_after_chunks == 0 {

@@ -21,8 +21,8 @@
 //!   [`executor::run_dual_pool_durable`], the instrumented two-device
 //!   scheduler with lease-based recovery (requeue, retry with backoff,
 //!   per-device failure budget, graceful degradation to one pool) and
-//!   the durability hooks — resume prefill, periodic checkpoint
-//!   callbacks, graceful drain, per-task cancel — that back crash-safe
+//!   the durability hooks — resume prefill, a commit hook, graceful
+//!   drain, per-task cancel — on which a caller builds crash-safe
 //!   searches. Every search runs on it; a single-device search is a
 //!   region with an empty accelerator pool. [`executor::run_dual_pool`]
 //!   is its hook-free, infallible convenience.
@@ -50,8 +50,8 @@ pub mod policy;
 pub use desim::{simulate, SimResult};
 pub use drain::DrainSignal;
 pub use executor::{
-    run_dual_pool, run_dual_pool_durable, CheckpointView, CommitView, DualPoolConfig,
-    DurableControl, DurableOutcome, ExecError, TaskError,
+    run_dual_pool, run_dual_pool_durable, CommitView, DualPoolConfig, DurableControl,
+    DurableOutcome, ExecError, TaskError,
 };
 pub use fault::{
     FaultInjector, FaultKind, FaultPlan, FaultSpec, NetFaultInjector, NetFaultKind, NetFaultPlan,

@@ -345,8 +345,11 @@ pub fn search_sharded_durable(
     std::thread::scope(|s| {
         for (spec, mut attempts) in pending {
             let (state, net_retries) = (&state, &net_retries);
+            // Another shard's fatal error ends the search: an attempt in
+            // flight abandons its exchange at the next read timeout.
+            let abandon = move || state.lock().expect(POISONED).fatal.is_some();
             s.spawn(move || loop {
-                if state.lock().expect(POISONED).fatal.is_some() {
+                if abandon() {
                     return;
                 }
                 let outcome = run_shard_attempt(
@@ -358,6 +361,7 @@ pub fn search_sharded_durable(
                     transport,
                     drill.faults,
                     net_retries,
+                    &abandon,
                 );
                 let mut g = state.lock().expect(POISONED);
                 let slot = spec.index as usize;
@@ -372,6 +376,9 @@ pub fn search_sharded_durable(
                         g.fatal.get_or_insert(e);
                         return;
                     }
+                    // Failed, or abandoned, after the search had already
+                    // failed: neither charged nor journaled.
+                    Err(AttemptError::Retry(_)) if g.fatal.is_some() => return,
                     Err(AttemptError::Retry(e)) => {
                         g.failures += 1;
                         let failures = g.failures;
@@ -478,6 +485,7 @@ fn run_shard_attempt(
     transport: &dyn ShardTransport,
     faults: Option<&NetFaultInjector>,
     net_retries: &AtomicU64,
+    abandon: &dyn Fn() -> bool,
 ) -> Result<CommittedShard, AttemptError> {
     let endpoint = spec.endpoint_for(attempts);
     if attempts > 0 {
@@ -530,6 +538,7 @@ fn run_shard_attempt(
         retry: &retry,
         heartbeat_ms: cfg.heartbeat_ms,
         net_retries,
+        abandon,
     };
     let probe = transport
         .connect_wait(endpoint, cfg.connect_wait_ms)
@@ -591,13 +600,14 @@ fn run_shard_attempt(
 }
 
 /// One coordinator→worker exchange context: transport, target, connect
-/// retry policy and heartbeat cadence.
+/// retry policy, heartbeat cadence, and whether the search has failed.
 struct Wire<'a> {
     transport: &'a dyn ShardTransport,
     endpoint: &'a Endpoint,
     retry: &'a RetryPolicy,
     heartbeat_ms: u64,
     net_retries: &'a AtomicU64,
+    abandon: &'a dyn Fn() -> bool,
 }
 
 impl Wire<'_> {
@@ -622,8 +632,10 @@ impl Wire<'_> {
     /// heartbeat interval, a side-channel health probe checks the
     /// worker is still alive; [`HEARTBEAT_MISSES`] consecutive failed
     /// probes end the lease early instead of waiting out the full
-    /// deadline. `drop_after` / `drip` are the injected-fault shaping
-    /// hooks (cut the stream after N lines; delay every line).
+    /// deadline. Each silent read timeout also checks `abandon`: once
+    /// another shard has failed the search, the exchange ends at once.
+    /// `drop_after` / `drip` are the injected-fault shaping hooks (cut
+    /// the stream after N lines; delay every line).
     fn exchange(
         &self,
         mut stream: Stream,
@@ -660,6 +672,12 @@ impl Wire<'_> {
                     misses = 0;
                 }
                 Err(e) if is_timeout(&e) => {
+                    if (self.abandon)() {
+                        return Err(io::Error::new(
+                            io::ErrorKind::Interrupted,
+                            "abandoned: the search already failed",
+                        ));
+                    }
                     if Instant::now() >= deadline {
                         return Err(io::Error::new(
                             io::ErrorKind::TimedOut,

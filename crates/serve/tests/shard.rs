@@ -509,6 +509,71 @@ fn wrong_digest_is_fatal_and_never_respawns() {
 }
 
 #[test]
+fn a_fatal_shard_ends_the_search_without_waiting_for_the_others() {
+    // Shard 0's worker answers its identity probe with a digest the
+    // coordinator was not told to expect (fatal) while shard 1's worker
+    // sits in a 3 s injected delay: the search reports `WrongShard` as
+    // soon as shard 1's exchange next times out, not after shard 1 ends.
+    let a = Alphabet::protein();
+    let seqs = tie_heavy_db();
+    let fasta = fasta_of(&generate_query(90, 2323), &a);
+    let engine = HeteroEngine::new(SearchEngine::paper_default());
+    // No CPU worker: the calling thread is the one accelerator worker,
+    // so `delay@0` fires on every region's first chunk.
+    let base = HeteroSearchConfig::best(0, 1);
+    let tmp = std::env::temp_dir().join(format!("sw-shard-abandon-{}", std::process::id()));
+    std::fs::remove_dir_all(&tmp).ok();
+    std::fs::create_dir_all(tmp.join("ckpt")).unwrap();
+    let seeds: Vec<WorkerSeed> = ranges(&seqs, 2)
+        .iter()
+        .enumerate()
+        .map(|(i, r)| {
+            let socket = tmp.join(format!("shard-{i}.sock"));
+            worker_seed(&seqs, *r, i as u64, 2, &a, socket, &tmp.join("ckpt"))
+        })
+        .collect();
+    let mut specs: Vec<ShardSpec> = (seeds.iter().enumerate())
+        .map(|(i, s)| unix_spec(i as u64, s))
+        .collect();
+    specs[0].expect_digest = specs[0].expect_digest.map(|d| d ^ 1);
+
+    let (err, took) = std::thread::scope(|s| {
+        let signals = Signals::default();
+        for seed in &seeds {
+            let (engine, a, base) = (&engine, &a, &base);
+            let sig = signals.mint();
+            s.spawn(move || serve_seed(seed, engine, a, base, sig));
+        }
+        for seed in &seeds {
+            wait_for_socket(&seed_socket(seed));
+        }
+        let mut cfg = CoordConfig::new(TOP);
+        cfg.drill = Some("delay@0:3000".into());
+        let no_respawn = |spec: &ShardSpec, _: u32| -> Result<(), String> {
+            Err(format!("unexpected respawn of shard {}", spec.index))
+        };
+        let t0 = Instant::now();
+        let err = coord::search_sharded(&specs, &fasta, &cfg, &no_respawn)
+            .expect_err("a worker with the wrong digest fails the search");
+        let took = t0.elapsed();
+        for spec in &specs {
+            coord::shutdown_worker(spec.endpoint_for(0)).expect("shutdown");
+        }
+        (err, took)
+    });
+
+    assert!(
+        matches!(err, coord::CoordError::WrongShard { index: 0, .. }),
+        "{err}"
+    );
+    assert!(
+        took < Duration::from_secs(1),
+        "the coordinator waited out shard 1's delay: {took:?}"
+    );
+    std::fs::remove_dir_all(&tmp).ok();
+}
+
+#[test]
 fn replica_failover_preserves_merged_bytes() {
     // Shard 0's primary endpoint is a corpse that never comes back; its
     // replica (same SWSHRD1 shard, different socket) is alive. The

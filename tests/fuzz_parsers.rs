@@ -192,3 +192,151 @@ fn fasta_error_line_numbers() {
         other => panic!("expected FASTA error, got {other:?}"),
     }
 }
+
+/// `SWCKPT1` magic: the fuzz below re-seals mutated payloads under it.
+const SWCKPT1: &[u8; 8] = b"SWCKPT1\0";
+
+/// A value of `width` bytes other than `old`: near `near`, small, at the
+/// top of the range, or anything.
+fn other(rng: &mut SmallRng, old: u64, near: u64, width: usize) -> u64 {
+    loop {
+        let v = match rng.gen_range(0..4) {
+            0 => near.wrapping_add(rng.gen_range(0..3u64)).wrapping_sub(1),
+            1 => rng.gen_range(0..2 * near.max(1)),
+            2 => u64::MAX - rng.gen_range(0..2u64),
+            _ => rng.gen(),
+        } & (u64::MAX >> (64 - 8 * width));
+        if v != old {
+            return v;
+        }
+    }
+}
+
+/// Structure-aware SWCKPT1 fuzzing: a checkpoint of a real search has
+/// one field at a time rewritten — the batch count, a record's batch
+/// index, device, cell counts or hit count — and its CRC re-sealed, or is
+/// verified against another lane layout. Every case must be refused:
+/// `decode` fails with a typed error, or `verify` / `verify_layout`
+/// reject it. None may panic.
+#[test]
+fn checkpoint_field_mutations_are_refused() {
+    use swhetero::core::{BatchResult, Checkpoint, CheckpointError, Hit, SearchFingerprint};
+    use swhetero::kernels::CellCount;
+    use swhetero::swdb::integrity::{frame, unframe};
+    use swhetero::swdb::LaneBatch;
+
+    let a = Alphabet::protein();
+    let spec = DbSpec {
+        n_seqs: 40,
+        ..DbSpec::tiny(5)
+    };
+    let db = PreparedDb::prepare(generate_database(&spec), 4, &a);
+    let q = generate_query(60, 3).residues;
+    let m = q.len();
+    let fp = SearchFingerprint::compute(&db, &q);
+    // Every other batch done, as a search that ran on both pools wrote it.
+    let done: Vec<BatchResult> = (db.batches.iter().enumerate().step_by(2))
+        .map(|(i, b)| BatchResult {
+            batch: i,
+            device: i / 2 % 2,
+            hits: (b.ids().iter())
+                .map(|&id| Hit {
+                    id,
+                    score: 20 + i64::from(id.0 % 7),
+                })
+                .collect(),
+            cells: CellCount {
+                real: b.real_cells(m),
+                padded: b.padded_cells(m),
+            },
+            rescued: (i % 3) as u64,
+        })
+        .collect();
+    let ckpt = Checkpoint {
+        fingerprint: fp,
+        seq: 3,
+        resumes: 1,
+        accel_share: 0.4,
+        recovery: Default::default(),
+        done,
+    };
+    let accept = |bytes: &[u8], fp: &SearchFingerprint, batches: &[LaneBatch]| {
+        let c = Checkpoint::decode(bytes)?;
+        c.verify(fp)?;
+        c.verify_layout(batches, m)?;
+        Ok::<_, CheckpointError>(c)
+    };
+    let bytes = ckpt.encode();
+    assert_eq!(accept(&bytes, &fp, &db.batches).expect("pristine"), ckpt);
+
+    // Field offsets in the payload (see the format table in
+    // `sw_core::checkpoint`): the batch count at 24, records from 128,
+    // each `batch u64, device u8, real u64, padded u64, rescued u64,
+    // n_hits u32` and 12 bytes per hit.
+    let payload = unframe(SWCKPT1, &bytes).expect("pristine frame").to_vec();
+    let mut records = Vec::new();
+    let mut at = 128;
+    for b in &ckpt.done {
+        records.push(at);
+        at += 37 + 12 * b.hits.len();
+    }
+    assert_eq!(at, payload.len(), "offsets match the encoder");
+    // Other lane layouts of the same sequences: two neighbouring batches
+    // swapped (same fingerprint), and an 8-lane packing (its own).
+    let mut layouts: Vec<(SearchFingerprint, Vec<LaneBatch>)> = (0..db.batches.len() - 1)
+        .map(|i| {
+            let mut batches = db.batches.clone();
+            batches.swap(i, i + 1);
+            (fp, batches)
+        })
+        .collect();
+    let db8 = PreparedDb::prepare(generate_database(&spec), 8, &a);
+    layouts.push((SearchFingerprint::compute(&db8, &q), db8.batches));
+
+    let mut rng = SmallRng::seed_from_u64(0xC4EC);
+    let mut ran = [0usize; 6];
+    for case in 0..3000 {
+        let mut p = payload.clone();
+        let rec = records[rng.gen_range(0..records.len())];
+        let get = |p: &[u8], at: usize, n: usize| {
+            let mut b = [0u8; 8];
+            b[..n].copy_from_slice(&p[at..at + n]);
+            u64::from_le_bytes(b)
+        };
+        let kind = rng.gen_range(0..6);
+        let (at, width, value) = match kind {
+            0 => (24, 8, other(&mut rng, get(&p, 24, 8), fp.n_batches, 8)),
+            1 => (rec, 8, other(&mut rng, get(&p, rec, 8), fp.n_batches, 8)),
+            // 0 ↔ 1 re-attributes a batch, which is no corruption.
+            2 => (rec + 8, 1, rng.gen_range(2..256)),
+            3 => {
+                let at = rec + 9 + 8 * rng.gen_range(0..2usize);
+                (at, 8, other(&mut rng, get(&p, at, 8), get(&p, at, 8), 8))
+            }
+            4 => {
+                let hits = get(&p, rec + 33, 4);
+                (rec + 33, 4, other(&mut rng, hits, hits, 4))
+            }
+            _ => (0, 0, 0),
+        };
+        p[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+        let (fp_case, batches) = match kind {
+            5 => {
+                let (f, b) = &layouts[rng.gen_range(0..layouts.len())];
+                (f, &b[..])
+            }
+            _ => (&fp, &db.batches[..]),
+        };
+        let sealed = frame(SWCKPT1, &p);
+        let verdict = accept(&sealed, fp_case, batches);
+        assert!(
+            verdict.is_err(),
+            "case {case}: mutation {kind} of {width} bytes at {at} to {value:#x} was accepted"
+        );
+        ran[kind] += 1;
+    }
+    assert!(
+        ran.iter().all(|&n| n > 0),
+        "every mutation kind ran: {ran:?}"
+    );
+}

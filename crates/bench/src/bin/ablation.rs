@@ -27,7 +27,7 @@ use std::time::Instant;
 use sw_bench::striped::{sw_striped, StripedProfile};
 use sw_bench::Table;
 use sw_core::{PreparedDb, SearchConfig, SearchEngine};
-use sw_kernels::arch::{sw_isa_fused_sp, sw_isa_fused_sp_stats};
+use sw_kernels::arch::sw_isa_fused_sp;
 use sw_kernels::{KernelIsa, SwParams};
 use sw_seq::gen::{generate_database, generate_query, plant_homologs, DbSpec, SwissProtGen};
 use sw_seq::{Alphabet, SeqId};
@@ -57,7 +57,7 @@ fn inter_task(
             .map(|(i, s)| (SeqId(i as u32), s.as_slice()))
             .collect();
         let batch = LaneBatch::pack(LANES, &refs, pad_code(a));
-        let out = sw_isa_fused_sp::<LANES>(isa, query, &table, &batch, &params.gap, None);
+        let (out, _) = sw_isa_fused_sp::<LANES>(isa, query, &table, &batch, &params.gap, None);
         checksum += out.scores.iter().sum::<i64>();
     }
     (t0.elapsed().as_secs_f64(), checksum)
@@ -136,7 +136,7 @@ fn rescue_price(a: &Alphabet) {
         let block = Some(config.effective_block_rows(LANES));
         for q in &queries {
             for batch in &db.batches {
-                let (_, stats) = sw_isa_fused_sp_stats::<LANES>(
+                let (_, stats) = sw_isa_fused_sp::<LANES>(
                     config.isa,
                     &q.residues,
                     &table,

@@ -783,7 +783,7 @@ fn report_dynamic_outcome<W: Write>(
         if let Some(path) = &d.metrics_out {
             let prom = sw_trace::export::prometheus(
                 tl,
-                &outcome.device_counters(),
+                &[outcome.cpu, outcome.accel],
                 sw_trace::export::DEFAULT_GCUPS_WINDOW_US,
                 isa.name(),
             );
@@ -1600,7 +1600,7 @@ mod tests {
         // One fault-injected dynamic run exporting both artifacts: the
         // JSONL log must validate and show the recovery sequence in
         // order, and the Prometheus counters must equal the numbers the
-        // CLI itself printed (they share `device_counters()` as source).
+        // CLI itself printed (both read `outcome.cpu` and `outcome.accel`).
         let db_path = tmp("het5.fasta");
         run_str(&format!(
             "gendb --seqs 200 --out {db_path} --seed 4 --mean-len 300 --max-len 2000"

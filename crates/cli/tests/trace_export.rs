@@ -127,7 +127,7 @@ fn killed_accel_chunk_is_requeued_in_a_valid_trace() {
     assert!(jsonl.contains("\"lease_requeued\""), "{jsonl}");
     let prom = sw_trace::export::prometheus(
         timeline,
-        &outcome.device_counters(),
+        &[outcome.cpu, outcome.accel],
         sw_trace::export::DEFAULT_GCUPS_WINDOW_US,
         cfg.cpu.isa.name(),
     );

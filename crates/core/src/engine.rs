@@ -43,7 +43,7 @@ use crate::prepare::PreparedDb;
 use crate::results::{Hit, SearchResults};
 use sw_kernels::arch::{sw_isa_fused_sp, sw_isa_qp};
 use sw_kernels::guided::{sw_guided_qp, sw_guided_sp, GuidedWorkspace};
-use sw_kernels::intertask::KernelOutput;
+use sw_kernels::intertask::{CascadeStats, KernelOutput};
 use sw_kernels::overflow::rescue_overflows;
 use sw_kernels::scalar::{sw_score_scalar, sw_score_scalar_qp};
 use sw_kernels::{CellCount, ProfileMode, SwParams, Vectorization};
@@ -114,8 +114,10 @@ impl SearchEngine {
         one_pool_region(self, queries, db, all, DEVICE_CPU, config)
     }
 
-    /// Execute one lane batch under the configured variant. `qp` is the
-    /// query's profile, which only the query-profile variants read.
+    /// Execute one lane batch under the configured variant: its hits,
+    /// its cells, the lanes rescued from i16 to exact `i64` and the lanes
+    /// the byte pass handed to i16. `qp` is the query's profile, which
+    /// only the query-profile variants read.
     ///
     /// # Panics
     /// Panics if a query-profile variant gets no `qp`.
@@ -127,7 +129,7 @@ impl SearchEngine {
         db: &PreparedDb,
         batch: &LaneBatch,
         config: &SearchConfig,
-    ) -> (Vec<Hit>, CellCount, u64) {
+    ) -> (Vec<Hit>, CellCount, u64, u64) {
         let gap = &self.params.gap;
         let m = query.len();
         let cells = CellCount {
@@ -135,17 +137,21 @@ impl SearchEngine {
             padded: batch.padded_cells(m),
         };
 
-        let mut out = match config.variant.vec {
-            Vectorization::NoVec => self.run_batch_scalar(query, qp, db, batch, config),
+        let (mut out, stats) = match config.variant.vec {
+            Vectorization::NoVec => (
+                self.run_batch_scalar(query, qp, db, batch, config),
+                CascadeStats::default(),
+            ),
             Vectorization::Guided => {
                 let mut ws = GuidedWorkspace::new();
-                match config.variant.profile {
+                let out = match config.variant.profile {
                     ProfileMode::Query => sw_guided_qp(qp.expect(NO_QP), batch, gap, &mut ws),
                     ProfileMode::Sequence => {
                         let sp = SequenceProfile::build(batch, &self.params.matrix, &db.alphabet);
                         sw_guided_sp(query, &sp, batch, gap, &mut ws)
                     }
-                }
+                };
+                (out, CascadeStats::default())
             }
             Vectorization::Intrinsic => self.run_batch_intrinsic(query, qp, table, batch, config),
         };
@@ -168,7 +174,7 @@ impl SearchEngine {
             .zip(out.scores.iter())
             .map(|(&id, &score)| Hit { id, score })
             .collect();
-        (hits, cells, rescued)
+        (hits, cells, rescued, stats.widened_i16)
     }
 
     /// The `no-vec` path: one pair at a time.
@@ -210,7 +216,7 @@ impl SearchEngine {
         table: &ScoreTable<'_>,
         batch: &LaneBatch,
         config: &SearchConfig,
-    ) -> KernelOutput {
+    ) -> (KernelOutput, CascadeStats) {
         macro_rules! dispatch {
             ($lanes:literal) => {{
                 let gap = &self.params.gap;
@@ -220,9 +226,10 @@ impl SearchEngine {
                     .blocking
                     .then(|| config.effective_block_rows($lanes));
                 match config.variant.profile {
-                    ProfileMode::Query => {
-                        sw_isa_qp::<$lanes>(isa, qp.expect(NO_QP), batch, gap, block)
-                    }
+                    ProfileMode::Query => (
+                        sw_isa_qp::<$lanes>(isa, qp.expect(NO_QP), batch, gap, block),
+                        CascadeStats::default(),
+                    ),
                     ProfileMode::Sequence => {
                         sw_isa_fused_sp::<$lanes>(isa, query, table, batch, gap, block)
                     }

@@ -54,7 +54,7 @@ use sw_sched::{
 };
 use sw_swdb::chunk::{range_cells, split_by_cells};
 use sw_swdb::{BatchRange, LaneBatch, QueryProfile, ScoreTable};
-use sw_trace::Timeline;
+use sw_trace::{EventKind, Timeline, WorkerJournal};
 
 /// How the database was split between the two devices.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -514,6 +514,9 @@ struct Member<'r> {
     resumed: u64,
     /// Its next checkpoint's sequence number and carried-in recovery.
     seq: AtomicU64,
+    /// Its batches done at its last periodic write in this region; read
+    /// and set only under the one-writer gate, so `Relaxed` suffices.
+    written: AtomicU64,
     baseline: [RecoveryTotals; 2],
     qp: Option<QueryProfile>,
     /// Its padded cells over the region's batches.
@@ -634,7 +637,7 @@ pub(crate) fn region(
             // the whole shared region.
             initial_share = p.accel_share;
             if let Some(tr) = query.tracer {
-                let event = sw_trace::EventKind::ResumeLoaded {
+                let event = EventKind::ResumeLoaded {
                     tasks_done: resumed,
                 };
                 tr.worker(DEVICE_CPU, n_batches).emit(event); // flushed on drop
@@ -646,6 +649,7 @@ pub(crate) fn region(
             resumes: prior.as_ref().map_or(0, |p| p.resumes + 1),
             resumed,
             seq: AtomicU64::new(prior.as_ref().map_or(0, |p| p.seq + 1)),
+            written: AtomicU64::new(0),
             baseline: prior.as_ref().map_or_else(Default::default, |p| p.recovery),
             qp: reads_qp
                 .then(|| QueryProfile::build(query.residues, &engine.params.matrix, &db.alphabet)),
@@ -734,11 +738,12 @@ pub(crate) fn region(
         }
         true
     };
-    // A periodic tick checkpoints every incomplete member: slots are
-    // copied under the slot lock, encoded and written after it. A tick
-    // that finds a write in flight is skipped, not queued, once that
-    // write is on disk (the crash-harness switch after its chunk must
-    // not abort it half done). A failed write is counted, never fatal.
+    // A periodic tick checkpoints every incomplete member with a commit
+    // since its last write: slots are copied under the slot lock,
+    // encoded and written after it. A tick that finds a write in flight
+    // is skipped, not queued, once that write is on disk (the
+    // crash-harness switch after its chunk must not abort it half done).
+    // A failed write is counted, never fatal.
     let checkpoint_incomplete = |view: &mut CommitView<'_, BatchResult>| {
         let Ok(_gate) = gate.try_lock() else {
             drop(gate.lock().unwrap_or_else(PoisonError::into_inner));
@@ -748,21 +753,25 @@ pub(crate) fn region(
         let due: Vec<_> = view.with_slots(|slots| {
             // A hook runs only in a region with tasks: `n_batches > 0`.
             let parts = members.iter().zip(slots.chunks(n_batches));
-            let incomplete = parts.filter(|(_, slots_q)| slots_q.contains(&None));
+            let due = parts.filter(|(m, slots_q)| {
+                let done = slots_q.iter().flatten().count() as u64;
+                done < n_batches as u64 && done > m.written.load(Ordering::Relaxed)
+            });
             let share = view.accel_share;
-            incomplete
-                .filter_map(|(m, slots_q)| m.checkpoint(slots_q, share, &events))
+            due.filter_map(|(m, slots_q)| Some((m, m.checkpoint(slots_q, share, &events)?)))
                 .collect()
         });
-        for (path, ckpt) in due {
+        for (m, (path, ckpt)) in due {
+            let tasks_done = ckpt.done.len() as u64;
             let Ok(bytes) = ckpt.write_atomic(path) else {
                 write_failures.fetch_add(1, Ordering::Relaxed);
                 continue;
             };
+            m.written.store(tasks_done, Ordering::Relaxed);
             writes.fetch_add(1, Ordering::Relaxed);
-            view.emit(sw_trace::EventKind::CheckpointWritten {
+            view.emit(EventKind::CheckpointWritten {
                 seq: ckpt.seq,
-                tasks_done: ckpt.done.len() as u64,
+                tasks_done,
                 bytes,
             });
         }
@@ -823,7 +832,7 @@ pub(crate) fn region(
                 .then_some(&on_commit as &(dyn Fn(CommitView<'_, BatchResult>) + Sync)),
         },
         |t| batches[t % n_batches].padded_cells(lens[t / n_batches]),
-        |device, t| {
+        |device, t, journal: &mut WorkerJournal| {
             let (qi, bi) = (t / n_batches, t % n_batches);
             let m = &members[qi];
             // The span opens on the OWNER's tracer (its epoch, its
@@ -831,7 +840,7 @@ pub(crate) fn region(
             // so one query's concurrent tasks never share a track.
             let span = m.query.tracer.map(|tr| tr.task_span(device, bi, bi));
             let cfg = device_config[device];
-            let (hits, cells, rescued) = engine.run_batch(
+            let (hits, cells, rescued, widened) = engine.run_batch(
                 m.query.residues,
                 m.qp.as_ref(),
                 &table,
@@ -839,6 +848,16 @@ pub(crate) fn region(
                 &batches[bi],
                 cfg,
             );
+            // The precision chain's hand-overs, on the worker's track.
+            for (from_bits, to_bits, lanes) in [(8, 16, widened), (16, 64, rescued)] {
+                if lanes > 0 {
+                    journal.emit(EventKind::OverflowRecompute {
+                        from_bits,
+                        to_bits,
+                        lanes,
+                    });
+                }
+            }
             if let Some(span) = span {
                 span.finish(t as u64, cells.padded);
             }
@@ -1058,29 +1077,6 @@ pub struct DynamicSearchOutcome {
     pub timeline: Option<Timeline>,
 }
 
-impl DynamicSearchOutcome {
-    /// Per-device counters in the shape the Prometheus exporter takes —
-    /// **the same aggregates** the CLI prints, so an exported
-    /// `metrics.prom` and the printed recovery summary always agree.
-    /// `overflow_recomputes` come from the results' rescued-lane count,
-    /// attributed per device by each pool's cell share (the kernel layer
-    /// reports rescues per run, not per device).
-    pub fn device_counters(&self) -> [sw_trace::DeviceCounters; 2] {
-        // All rescued lanes are charged to the device that computed more
-        // cells; splitting one u64 across pools would fabricate fractions
-        // the CLI never prints.
-        let (cpu_rescues, accel_rescues) = if self.cpu.cells >= self.accel.cells {
-            (self.results.lanes_rescued, 0)
-        } else {
-            (0, self.results.lanes_rescued)
-        };
-        [
-            self.cpu.counters(cpu_rescues),
-            self.accel.counters(accel_rescues),
-        ]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1268,6 +1264,70 @@ mod tests {
         // The emergent split is a fraction, and GCUPS are finite.
         assert!((0.0..=1.0).contains(&out.accel_cell_fraction));
         assert!(out.cpu.gcups().is_finite() && out.accel.gcups().is_finite());
+    }
+
+    #[test]
+    fn precision_hand_overs_land_on_worker_tracks() {
+        // The region's task emits the kernel's hand-overs on its worker's
+        // track: 8 → 16 for a batch the byte pass promotes (AVX2 at 16
+        // lanes is the one byte pass), 16 → 64 for the lanes the scalar
+        // rescue recomputes.
+        use crate::config::TraceConfig;
+        let a = Alphabet::protein();
+        let hetero = HeteroEngine::new(SearchEngine::paper_default());
+        let cfg = HeteroSearchConfig::best(1, 1).with_trace(TraceConfig::full());
+        let traced = |q: &[u8], db: &PreparedDb| {
+            let plan = hetero.plan_split(db, q.len(), 0.5);
+            hetero.search_dynamic(q, db, &plan, &cfg)
+        };
+        // The lanes of every `from → to` hand-over; each must sit on a
+        // worker's track (one worker per pool here).
+        let hand_overs = |out: &DynamicSearchOutcome, from: u8, to: u8| -> Vec<u64> {
+            let tl = out.timeline.as_ref().expect("traced run");
+            let mut lanes = Vec::new();
+            for t in &tl.tracks {
+                for ev in &t.events {
+                    if let EventKind::OverflowRecompute {
+                        from_bits,
+                        to_bits,
+                        lanes: n,
+                    } = ev.kind
+                    {
+                        assert_eq!((t.worker, t.query), (0, 0), "a worker track");
+                        if (from_bits, to_bits) == (from, to) {
+                            lanes.push(n);
+                        }
+                    }
+                }
+            }
+            lanes
+        };
+
+        let seqs = generate_database(&DbSpec::tiny(13));
+        let db = PreparedDb::prepare(seqs.clone(), 16, &a);
+        let record = seqs
+            .iter()
+            .max_by_key(|s| s.residues.len())
+            .expect("records");
+        let out = traced(&record.residues, &db);
+        if sw_kernels::KernelIsa::detect() == sw_kernels::KernelIsa::Avx2 {
+            assert!(!hand_overs(&out, 8, 16).is_empty(), "the self-hit promotes");
+        }
+        let absent = traced(&generate_query(100, 21).residues, &db);
+        assert!(hand_overs(&absent, 8, 16).is_empty());
+        assert!(hand_overs(&absent, 16, 64).is_empty());
+
+        // The giant-score database: the rescued lanes on the tracks are
+        // the results' count.
+        let giant = sw_seq::EncodedSeq {
+            header: "giant".into(),
+            residues: vec![a.encode_byte(b'W').unwrap(); 3200],
+        };
+        let db = PreparedDb::prepare(vec![giant.clone()], 16, &a);
+        let out = traced(&giant.residues, &db);
+        assert_eq!(out.results.lanes_rescued, 1);
+        let rescued: u64 = hand_overs(&out, 16, 64).iter().sum();
+        assert_eq!(rescued, out.results.lanes_rescued);
     }
 
     #[test]
@@ -1847,7 +1907,7 @@ mod tests {
         let qp = QueryProfile::build(&qa, &hetero.engine.params.matrix, &db.alphabet);
         let table = ScoreTable::build(&hetero.engine.params.matrix, &db.alphabet);
         let done = (0..n_batches).map(|batch| {
-            let (hits, cells, rescued) = hetero.engine.run_batch(
+            let (hits, cells, rescued, _) = hetero.engine.run_batch(
                 &qa,
                 Some(&qp),
                 &table,

@@ -749,6 +749,15 @@ fn periodic_checkpoints_of_a_two_member_region_are_counted_and_spent() {
             "run {run}: one trace event per checkpoint file written"
         );
         assert_eq!(out.checkpoint_write_failures, 0, "run {run}");
+        // A tick writes only members with a commit since their last
+        // write, so no file is written before its member has a batch.
+        for t in &tl.tracks {
+            for ev in &t.events {
+                if let sw_trace::EventKind::CheckpointWritten { tasks_done, .. } = ev.kind {
+                    assert!(tasks_done > 0, "run {run}: an empty checkpoint was written");
+                }
+            }
+        }
         assert!(
             checkpoint_files().is_empty(),
             "run {run}: completion spends every checkpoint: {:?}",

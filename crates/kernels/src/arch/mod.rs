@@ -49,7 +49,7 @@
 //!
 //! Safety: the intrinsic bodies live in `#[target_feature]` functions and
 //! are reached only through the `unsafe` calls in `dispatch!` and the
-//! byte-pass branch of [`sw_isa_fused_sp_stats`], each guarded by the
+//! byte-pass branch of [`sw_isa_fused_sp`], each guarded by the
 //! matching runtime/ABI feature check on the same arm.
 
 #![allow(unsafe_code)]
@@ -212,7 +212,8 @@ pub fn sw_isa_sp<const L: usize>(
 /// Inter-task kernel, fused SP flavour, dispatched on `isa`: the result of
 /// [`sw_isa_sp`] over `SequenceProfile::build(batch, ..)` without building
 /// that profile — each column's SP rows are derived from `table` when the
-/// sweep reaches the column.
+/// sweep reaches the column — and how many lanes its byte pass settled and
+/// how many went on to i16 (both 0 where no byte pass ran).
 ///
 /// AVX2 at `L = 16` runs a byte pass first (32 floor-offset 8-bit lanes
 /// over the same 16 sequences, `block_rows` unused) and the i16 sweep only
@@ -222,19 +223,6 @@ pub fn sw_isa_sp<const L: usize>(
 /// than 31 residue codes) has the profile materialised and handed to
 /// [`sw_isa_sp`]. Scores and overflow flags are identical on every route.
 pub fn sw_isa_fused_sp<const L: usize>(
-    isa: KernelIsa,
-    query: &[u8],
-    table: &ScoreTable<'_>,
-    batch: &LaneBatch,
-    gap: &GapPenalty,
-    block_rows: Option<usize>,
-) -> KernelOutput {
-    sw_isa_fused_sp_stats::<L>(isa, query, table, batch, gap, block_rows).0
-}
-
-/// [`sw_isa_fused_sp`], and how many lanes its byte pass settled and how
-/// many went on to i16 (both 0 where no byte pass ran).
-pub fn sw_isa_fused_sp_stats<const L: usize>(
     isa: KernelIsa,
     query: &[u8],
     table: &ScoreTable<'_>,

@@ -251,13 +251,6 @@ pub(crate) fn cascade(
             );
         }
     }
-    // As `rescue_overflows` reports 16 → 64: into whichever worker journal
-    // the executor installed on this thread (no-op outside a traced run).
-    sw_trace::emit_current(sw_trace::EventKind::OverflowRecompute {
-        from_bits: 8,
-        to_bits: 16,
-        lanes: widened,
-    });
     (
         KernelOutput { scores, overflowed },
         CascadeStats {
@@ -288,7 +281,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn promotion_reports_into_ambient_journal() {
+    fn promotion_counts_the_widened_lanes() {
         let settled = NarrowOutput {
             scores: vec![3, 250],
             saturated: vec![false, false],
@@ -301,25 +294,11 @@ mod tests {
             scores: vec![3, 251, 900],
             overflowed: vec![false; 3],
         };
-        let tracer = sw_trace::Tracer::full();
-        sw_trace::install(tracer.worker(0, 0));
         let (_, quiet) = cascade(settled, || unreachable!("no lane saturated"));
         let (out, stats) = cascade(promoted, wide);
-        drop(sw_trace::uninstall());
         assert_eq!((quiet.settled_i8, quiet.widened_i16), (2, 0));
         assert_eq!((stats.settled_i8, stats.widened_i16), (1, 2));
         assert_eq!(out.scores, [3, 251, 900]);
-        let tl = tracer.timeline();
-        assert_eq!(tl.count("overflow_recompute"), 1, "only the promoted batch");
-        let (_, _, ev) = tl.events_sorted()[0];
-        assert!(matches!(
-            ev.kind,
-            sw_trace::EventKind::OverflowRecompute {
-                from_bits: 8,
-                to_bits: 16,
-                lanes: 2
-            }
-        ));
     }
 
     #[test]

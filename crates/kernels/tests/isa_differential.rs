@@ -162,7 +162,7 @@ fn check_fused_of<const L: usize>(
     for &isa in isas {
         stats = expect_fused_stats::<L>(isa, p, &want);
         for &block in blocks {
-            let o = arch::sw_isa_fused_sp_stats::<L>(isa, query, &table, batch, &p.gap, block);
+            let o = arch::sw_isa_fused_sp::<L>(isa, query, &table, batch, &p.gap, block);
             assert_eq!(
                 o,
                 (want.clone(), stats),
@@ -482,10 +482,10 @@ fn fused_dispatcher_falls_back_when_scores_do_not_fit_i8() {
     assert!(want.overflowed[5], "the long pair saturates");
     for isa in isas() {
         let b8 = make_batch(8, &a, &subjects);
-        let o = arch::sw_isa_fused_sp::<8>(isa, &query, &table, &b8, &p.gap, Some(7));
+        let (o, _) = arch::sw_isa_fused_sp::<8>(isa, &query, &table, &b8, &p.gap, Some(7));
         assert_eq!(o, want, "{isa} L8");
         let b16 = make_batch(16, &a, &subjects);
-        let o = arch::sw_isa_fused_sp::<16>(isa, &query, &table, &b16, &p.gap, None);
+        let (o, _) = arch::sw_isa_fused_sp::<16>(isa, &query, &table, &b16, &p.gap, None);
         assert_eq!(o, want, "{isa} L16");
     }
 }
@@ -549,9 +549,9 @@ fn i16_max_boundary_flags_identical_across_isas() {
     for isa in isas() {
         let o = arch::sw_isa_qp::<8>(isa, &qp, &b8, &p.gap, None);
         assert_eq!(o, want, "{isa} qp at L=8");
-        let o = arch::sw_isa_fused_sp::<8>(isa, &seq, &table, &b8, &p.gap, Some(100));
+        let (o, _) = arch::sw_isa_fused_sp::<8>(isa, &seq, &table, &b8, &p.gap, Some(100));
         assert_eq!(o, want, "{isa} fused at L=8");
-        let o = arch::sw_isa_fused_sp::<16>(isa, &seq, &table, &b16, &p.gap, None);
+        let (o, _) = arch::sw_isa_fused_sp::<16>(isa, &seq, &table, &b16, &p.gap, None);
         assert_eq!(o, want, "{isa} fused at L=16");
         let (mut o, stats) = arch::sw_isa_adaptive_sp::<16>(isa, &seq, &sp, &sp8, &b16, &p.gap);
         assert_eq!(o, want, "{isa} cascade at L=16");
@@ -822,7 +822,7 @@ fn self_hit_walks_every_precision_tier() {
     let batch = make_batch(16, &a, &subjects);
     let table = ScoreTable::build(&p.matrix, &a);
     let (mut out, stats) =
-        arch::sw_isa_fused_sp_stats::<16>(isa, &giant, &table, &batch, &p.gap, Some(2048));
+        arch::sw_isa_fused_sp::<16>(isa, &giant, &table, &batch, &p.gap, Some(2048));
     assert_eq!(out, expect_i16(&p, &giant, &subjects));
     assert_eq!(out.overflowed, [true, false]);
     if isa == KernelIsa::Avx2 {
@@ -1012,8 +1012,7 @@ fn stacked_sequences_saturating_bytes_and_i16() {
     let isa = KernelIsa::detect();
     let want = expect_i16(&p, &giant, &ordered);
     for block in [None, Some(1024)] {
-        let (mut out, _) =
-            arch::sw_isa_fused_sp_stats::<16>(isa, &giant, &table, &batch, &p.gap, block);
+        let (mut out, _) = arch::sw_isa_fused_sp::<16>(isa, &giant, &table, &batch, &p.gap, block);
         assert_eq!(out, want, "{isa} block {block:?}");
         assert_eq!(out.overflowed, [false, false, true]);
         let lane_seqs: Vec<&[u8]> = ordered.iter().map(|s| s.as_slice()).collect();

@@ -12,8 +12,8 @@
 //! reclaimed after `accel_timeout_ms`, and a pool that exhausts its
 //! failure budget is retired so the run *degrades* to the other pool
 //! instead of hanging or crashing. A task that keeps panicking is
-//! surfaced as a structured [`ExecError`] naming its index. Per-worker
-//! metrics and recovery events are recorded through a [`MetricsSink`];
+//! surfaced as a structured [`ExecError`] naming its index. Each pool's
+//! counts and recovery events land in its record in a [`MetricsSink`];
 //! resume prefill, drain, per-task cancel and a commit hook hang off
 //! [`DurableControl`]. [`run_dual_pool`] is the one convenience over it:
 //! no faults, no hooks, no trace, panic on failure.
@@ -37,7 +37,7 @@
 
 use crate::drain::DrainSignal;
 use crate::fault::{FaultInjector, FaultKind};
-use crate::metrics::{MetricsSink, RecoveryEvent, WorkerSample};
+use crate::metrics::{DeviceMetrics, MetricsSink};
 use crate::policy::{
     adaptive_chunk, ClaimOrder, DualQueue, RequeueQueue, SplitEstimator, DEVICE_ACCEL, DEVICE_CPU,
 };
@@ -479,10 +479,10 @@ impl<'a> Supervisor<'a> {
     /// of the worker that observed the failure.
     fn charge_failure(&self, st: &mut RecoveryState, device: usize, jr: &mut WorkerJournal) {
         st.failures[device] += 1;
-        self.sink.record_recovery(device, RecoveryEvent::Failure);
+        self.sink.update(device, |m| m.failures += 1);
         if st.failures[device] > self.config.failure_budget && !st.retired[device] {
             st.retired[device] = true;
-            self.sink.record_recovery(device, RecoveryEvent::Degraded);
+            self.sink.update(device, |m| m.degraded = true);
             jr.emit(EventKind::PoolRetired { device });
         }
     }
@@ -492,7 +492,7 @@ impl<'a> Supervisor<'a> {
         let mut st = self.lock();
         if !st.retired[device] {
             st.retired[device] = true;
-            self.sink.record_recovery(device, RecoveryEvent::Degraded);
+            self.sink.update(device, |m| m.degraded = true);
             jr.emit(EventKind::PoolRetired { device });
             self.changed.notify_all();
         }
@@ -581,8 +581,7 @@ impl<'a> Supervisor<'a> {
             if let Some(pos) = expired {
                 let lease = st.leases.swap_remove(pos);
                 st.requeue.push(lease.range, lease.attempts + 1);
-                self.sink
-                    .record_recovery(lease.device, RecoveryEvent::LostLease);
+                self.sink.update(lease.device, |m| m.lost_leases += 1);
                 jr.emit(EventKind::LeaseLost {
                     lease: lease.id,
                     victim: lease.device,
@@ -663,7 +662,7 @@ impl<'a> Supervisor<'a> {
             });
             if failed_at + 1 < end {
                 st.requeue.push((failed_at + 1, end), 0);
-                self.sink.record_recovery(device, RecoveryEvent::Requeue);
+                self.sink.update(device, |m| m.requeues += 1);
                 jr.emit(EventKind::LeaseRequeued {
                     lease: id,
                     lo: failed_at + 1,
@@ -673,7 +672,7 @@ impl<'a> Supervisor<'a> {
             }
         } else {
             st.requeue.push((failed_at, end), lease.attempts + 1);
-            self.sink.record_recovery(device, RecoveryEvent::Requeue);
+            self.sink.update(device, |m| m.requeues += 1);
             jr.emit(EventKind::LeaseRequeued {
                 lease: id,
                 lo: failed_at,
@@ -720,14 +719,13 @@ impl<'a> Supervisor<'a> {
 /// degraded).
 ///
 /// `cost(i)` is the workload of task `i` in DP cells — used for the
-/// estimator and the per-worker metrics recorded into `sink`.
+/// estimator and the pool records in `sink`.
 ///
 /// `tracer` collects a per-worker event journal (chunk spans, queue
 /// waits, lease lifecycle, retire/rebalance) when enabled; pass
-/// [`Tracer::disabled`] for the zero-cost path. During each task the
-/// worker's journal is installed as the thread's ambient journal
-/// (`sw_trace::install`), so lower layers (kernels) can emit overflow
-/// recompute events without any signature threading.
+/// [`Tracer::disabled`] for the zero-cost path. `task(device, i,
+/// journal)` is handed its worker's journal, so what the task itself
+/// observes (overflow recomputes) lands on the same track.
 ///
 /// Durability hooks ([`DurableControl`]):
 ///
@@ -775,7 +773,7 @@ pub fn run_dual_pool_durable<T, F, C>(
 ) -> DurableOutcome<T>
 where
     T: Send,
-    F: Fn(usize, usize) -> T + Sync,
+    F: Fn(usize, usize, &mut WorkerJournal) -> T + Sync,
     C: Fn(usize) -> u64 + Sync,
 {
     assert!(
@@ -827,7 +825,7 @@ where
     // The one worker loop, run by every worker of both pools.
     let worker = |device: usize, w: usize| {
         let workers = [config.cpu_workers, config.accel_workers][device];
-        let mut sample = WorkerSample::new(device, w);
+        let mut mine = DeviceMetrics::default();
         let mut journal = tracer.worker(device, w);
         'work: loop {
             if let Some(d) = drain {
@@ -847,7 +845,7 @@ where
                 Acquire::Work(wk) => wk,
                 Acquire::Done | Acquire::Retired => break 'work,
             };
-            sample.queue_wait += wait_start.elapsed();
+            mine.queue_wait += wait_start.elapsed();
             let wait_us = journal.since_us(wait_stamp);
             journal.span_from(
                 wait_stamp,
@@ -898,17 +896,6 @@ where
 
             let exec_start = Instant::now();
             let chunk_stamp = journal.stamp();
-            // Hand the journal to the thread-local slot so the
-            // task's lower layers (kernel overflow rescue) can
-            // emit into the same track; recovered below even if
-            // the task panics. The scoped guard keeps whatever
-            // journal a caller higher on this thread had
-            // installed and puts it back afterwards — without
-            // it, an engine nested inside another search (a
-            // daemon worker) would silently flush the outer
-            // search's journal mid-run.
-            let traced = journal.enabled();
-            let ambient = traced.then(|| sw_trace::install_scoped(std::mem::take(&mut journal)));
             let chunk_tasks = &order[s..e];
             let mut buf: Vec<(usize, T)> = Vec::with_capacity(e - s);
             let mut chunk_cells = 0u64;
@@ -927,7 +914,7 @@ where
                     if injector.pool_dead(device) {
                         panic!("injected fault: device pool killed");
                     }
-                    task(device, i)
+                    task(device, i, &mut journal)
                 }));
                 match run {
                     Ok(v) => {
@@ -939,9 +926,6 @@ where
                         break;
                     }
                 }
-            }
-            if let Some(scope) = ambient {
-                journal = scope.take();
             }
             journal.span_from(
                 chunk_stamp,
@@ -958,9 +942,9 @@ where
                 },
             );
             let busy = exec_start.elapsed();
-            sample.busy += busy;
-            sample.tasks += buf.len() as u64;
-            sample.cells += chunk_cells;
+            mine.busy += busy;
+            mine.tasks += buf.len() as u64;
+            mine.cells += chunk_cells;
             sup.progress[device]
                 .cells
                 .fetch_add(chunk_cells, Ordering::Relaxed);
@@ -971,14 +955,12 @@ where
             if !buf.is_empty() {
                 let commit_start = Instant::now();
                 commit(&slots, buf);
-                sample.queue_wait += commit_start.elapsed();
+                mine.queue_wait += commit_start.elapsed();
             }
             let clean = failed.is_none();
             if clean {
-                sample.chunks += 1;
-                if work.retried {
-                    sample.retries += 1;
-                }
+                mine.chunks += 1;
+                mine.retries += u64::from(work.retried);
                 sup.complete(work.lease);
                 let total_tasks = tasks_done.fetch_add(n_committed, Ordering::AcqRel) + n_committed;
                 if let Some(d) = drain {
@@ -1006,7 +988,15 @@ where
                 }
             }
         }
-        sink.record(sample);
+        sink.update(device, |m| {
+            m.workers += 1;
+            m.tasks += mine.tasks;
+            m.chunks += mine.chunks;
+            m.busy += mine.busy;
+            m.queue_wait += mine.queue_wait;
+            m.cells += mine.cells;
+            m.retries += mine.retries;
+        });
         journal.flush();
     };
     // The calling thread is the first worker: an N-worker region spawns
@@ -1067,7 +1057,7 @@ where
         &FaultInjector::none(),
         DurableControl::none(),
         cost,
-        task,
+        |device, i, _: &mut WorkerJournal| task(device, i),
         sink,
         &Tracer::disabled(),
     )
@@ -1080,6 +1070,11 @@ mod tests {
     use super::*;
     use crate::fault::{FaultPlan, FaultSpec};
     use std::sync::atomic::AtomicU64;
+
+    /// Both pools' records.
+    fn both(sink: &MetricsSink) -> [DeviceMetrics; 2] {
+        [DEVICE_CPU, DEVICE_ACCEL].map(|d| sink.device(d))
+    }
 
     #[test]
     fn dual_pool_results_in_task_order() {
@@ -1117,7 +1112,7 @@ mod tests {
         assert_eq!(counter.load(Ordering::Relaxed), 977);
         assert!(out.iter().enumerate().all(|(i, &v)| v == i));
         // Metrics conservation: the pools together did all the work.
-        let total: u64 = sink.devices().iter().map(|d| d.tasks).sum();
+        let total: u64 = both(&sink).iter().map(|d| d.tasks).sum();
         assert_eq!(total, 977);
     }
 
@@ -1140,7 +1135,9 @@ mod tests {
                     ..DurableControl::none()
                 },
                 |_| 1,
-                |device, i| owners[i].store(device as u64, Ordering::Relaxed),
+                |device, i, _: &mut WorkerJournal| {
+                    owners[i].store(device as u64, Ordering::Relaxed)
+                },
                 &sink,
                 &Tracer::disabled(),
             );
@@ -1209,12 +1206,11 @@ mod tests {
             |_d, i| i,
             &sink,
         );
-        let cells: u64 = sink.devices().iter().map(|d| d.cells).sum();
+        let cells: u64 = both(&sink).iter().map(|d| d.cells).sum();
         assert_eq!(cells, (0..100u64).sum::<u64>());
-        // Chunks were grabbed and each pool reports one sample per worker.
-        let samples = sink.samples();
-        assert_eq!(samples.len(), 4);
-        assert!(sink.devices().iter().map(|d| d.chunks).sum::<u64>() >= 2);
+        // Chunks were grabbed and every worker reported once.
+        assert_eq!(both(&sink).iter().map(|d| d.workers).sum::<usize>(), 4);
+        assert!(both(&sink).iter().map(|d| d.chunks).sum::<u64>() >= 2);
     }
 
     #[test]
@@ -1264,7 +1260,7 @@ mod tests {
             injector,
             DurableControl::none(),
             cost,
-            task,
+            |d, i, _: &mut WorkerJournal| task(d, i),
             sink,
             tracer,
         );
@@ -1315,7 +1311,7 @@ mod tests {
         let accel = sink.device(DEVICE_ACCEL);
         assert_eq!(accel.failures, 1);
         assert_eq!(accel.requeues, 1);
-        let retries: u64 = sink.devices().iter().map(|d| d.retries).sum();
+        let retries: u64 = both(&sink).iter().map(|d| d.retries).sum();
         assert!(retries >= 1, "the requeued chunk was re-executed");
     }
 
@@ -1565,7 +1561,7 @@ mod tests {
                 ..DurableControl::none()
             },
             |_| 1,
-            |_d, i| {
+            |_d, i, _: &mut WorkerJournal| {
                 executed.fetch_add(1, Ordering::Relaxed);
                 i * 10
             },
@@ -1582,7 +1578,7 @@ mod tests {
             "only the odd (non-checkpointed) half was executed"
         );
         // Skipped tasks contribute no throughput accounting.
-        assert_eq!(sink.devices().iter().map(|d| d.tasks).sum::<u64>(), 50);
+        assert_eq!(both(&sink).iter().map(|d| d.tasks).sum::<u64>(), 50);
     }
 
     #[test]
@@ -1598,7 +1594,7 @@ mod tests {
                 ..DurableControl::none()
             },
             |_| 1,
-            |_d, i| i,
+            |_d, i, _: &mut WorkerJournal| i,
             &sink,
             &tracer,
         );
@@ -1629,7 +1625,7 @@ mod tests {
                 ..DurableControl::none()
             },
             |_| 1,
-            |_d, i| {
+            |_d, i, _: &mut WorkerJournal| {
                 // Slow tasks so the drain lands mid-run, not after it.
                 std::thread::sleep(Duration::from_micros(300));
                 i * 2
@@ -1672,7 +1668,7 @@ mod tests {
                 ..DurableControl::none()
             },
             |_| 1,
-            |_d, i| {
+            |_d, i, _: &mut WorkerJournal| {
                 executed.fetch_add(1, Ordering::Relaxed);
                 i * 7
             },
@@ -1691,7 +1687,7 @@ mod tests {
         }
         assert_eq!(executed.load(Ordering::Relaxed), 50);
         // Dropped tasks contribute nothing to throughput accounting.
-        assert_eq!(sink.devices().iter().map(|d| d.tasks).sum::<u64>(), 50);
+        assert_eq!(both(&sink).iter().map(|d| d.tasks).sum::<u64>(), 50);
     }
 
     #[test]
@@ -1714,7 +1710,7 @@ mod tests {
                 ..DurableControl::none()
             },
             |_| 1,
-            |d, i| {
+            |d, i, _: &mut WorkerJournal| {
                 gate_cpu_on(&inj, d);
                 std::thread::sleep(Duration::from_micros(200));
                 i + 11
@@ -1876,7 +1872,7 @@ mod tests {
                 ..DurableControl::none()
             },
             |_| 1,
-            |_d, i| i,
+            |_d, i, _: &mut WorkerJournal| i,
             &sink,
             &Tracer::disabled(),
         );
@@ -1914,7 +1910,7 @@ mod tests {
                 ..DurableControl::none()
             },
             |_| 1,
-            |_d, i| i * 5,
+            |_d, i, _: &mut WorkerJournal| i * 5,
             &sink,
             &Tracer::disabled(),
         );
@@ -2034,7 +2030,7 @@ mod tests {
                 ..DurableControl::none()
             },
             |_| 1,
-            |_d, i| i,
+            |_d, i, _: &mut WorkerJournal| i,
             &sink,
             &Tracer::disabled(),
         );

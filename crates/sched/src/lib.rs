@@ -32,10 +32,10 @@
 //! * [`fault`] — deterministic, seeded fault injection (kill / delay /
 //!   wedge / pool-kill) for exercising the recovery paths, plus the
 //!   whole-process kill switch the crash-resume harness uses.
-//! * [`metrics`] — load-imbalance statistics and the per-device /
-//!   per-worker [`MetricsSink`] the dual-pool executor reports through,
-//!   including recovery counters (retries, requeues, lost leases,
-//!   degraded).
+//! * [`metrics`] — the [`MetricsSink`] of one [`DeviceMetrics`] per
+//!   device pool the dual-pool executor reports through, recovery
+//!   counters (retries, requeues, lost leases, failures, degraded)
+//!   included.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -57,7 +57,7 @@ pub use fault::{
     FaultInjector, FaultKind, FaultPlan, FaultSpec, NetFaultInjector, NetFaultKind, NetFaultPlan,
     NetFaultSpec, DEVICE_ANY,
 };
-pub use metrics::{imbalance, DeviceMetrics, Imbalance, MetricsSink, RecoveryEvent, WorkerSample};
+pub use metrics::{DeviceMetrics, MetricsSink};
 pub use policy::{
     adaptive_chunk, ClaimOrder, DualQueue, Policy, RequeueQueue, SplitEstimator, DEVICE_ACCEL,
     DEVICE_CPU,

@@ -6,7 +6,7 @@
 //! offline and its `serde` is a no-op shim, so nothing here derives
 //! serialization.
 
-use crate::{device_label, DeviceCounters, EventKind, Phase, Timeline, SCHEMA};
+use crate::{device_label, DeviceMetrics, EventKind, Phase, Timeline, SCHEMA};
 use std::fmt::Write as _;
 
 /// Fixed histogram bucket upper bounds (µs) for chunk latency and
@@ -351,18 +351,21 @@ impl HistogramFamily<'_> {
 
 /// Export a Prometheus text-exposition snapshot.
 ///
-/// Counters (cells, chunks, tasks, retries, requeues, lost leases,
-/// failures, overflow recomputes) come from `counters` — the same
-/// aggregates the caller prints — so the snapshot matches printed
-/// metrics exactly. Histograms (chunk latency, queue wait) and the
-/// windowed per-device GCUPS time-series are derived from the timeline;
-/// `gcups_window_us` sets the window width (0 picks
-/// [`DEFAULT_GCUPS_WINDOW_US`]). The closing `sw_kernel_isa_info{isa=…}`
-/// gauge names the instruction set the run's intrinsic kernels executed
-/// on, so a scrape can tell an AVX2 run from a forced-portable one.
+/// Per-pool counters and gauges (cells, chunks, tasks, retries,
+/// requeues, lost leases, failures, busy and queue-wait time, degraded)
+/// come from `devices` — the same records the caller prints — so the
+/// snapshot matches printed metrics exactly. Everything else is derived
+/// from the timeline: the overflow recomputes (the lanes of each
+/// device's 16 → 64 `overflow_recompute` events), the durability
+/// counters, the histograms (chunk latency, queue wait) and the windowed
+/// per-device GCUPS time-series; `gcups_window_us` sets the window width
+/// (0 picks [`DEFAULT_GCUPS_WINDOW_US`]). The closing
+/// `sw_kernel_isa_info{isa=…}` gauge names the instruction set the run's
+/// intrinsic kernels executed on, so a scrape can tell an AVX2 run from a
+/// forced-portable one.
 pub fn prometheus(
     tl: &Timeline,
-    counters: &[DeviceCounters],
+    counters: &[DeviceMetrics],
     gcups_window_us: u64,
     isa: &str,
 ) -> String {
@@ -416,7 +419,18 @@ pub fn prometheus(
             "saturated lanes recomputed at wider precision",
         ),
         counters,
-        |c| c.overflow_recomputes,
+        |c| {
+            let tracks = tl.tracks.iter().filter(|t| t.device == c.device);
+            let rescues = tracks.flat_map(|t| &t.events).map(|ev| match ev.kind {
+                EventKind::OverflowRecompute {
+                    from_bits: 16,
+                    to_bits: 64,
+                    lanes,
+                } => lanes,
+                _ => 0,
+            });
+            rescues.sum::<u64>()
+        },
     );
 
     // Durability counters, derived from the timeline (checkpointing is a
@@ -448,12 +462,12 @@ pub fn prometheus(
     device_samples(
         w.gauge("sw_busy_seconds", "summed worker busy time"),
         counters,
-        |c| format!("{:.6}", c.busy_secs),
+        |c| format!("{:.6}", c.busy.as_secs_f64()),
     );
     device_samples(
         w.gauge("sw_queue_wait_seconds", "summed worker queue-wait time"),
         counters,
-        |c| format!("{:.6}", c.queue_wait_secs),
+        |c| format!("{:.6}", c.queue_wait.as_secs_f64()),
     );
     device_samples(
         w.gauge("sw_degraded", "pool retired after failure budget"),
@@ -471,7 +485,7 @@ pub fn prometheus(
             "whole-run billions of DP cell updates per second",
         ),
         counters,
-        |c| format!("{:.6}", ratio(c.cells as f64, c.busy_secs) / 1e9),
+        |c| format!("{:.6}", c.gcups()),
     );
 
     // Histograms from the timeline.
@@ -543,8 +557,8 @@ pub fn prometheus(
 /// One `device="…"` sample per pool under `family`.
 fn device_samples<V: std::fmt::Display>(
     mut family: Family<'_>,
-    counters: &[DeviceCounters],
-    value: impl Fn(&DeviceCounters) -> V,
+    counters: &[DeviceMetrics],
+    value: impl Fn(&DeviceMetrics) -> V,
 ) {
     for c in counters {
         family.sample(&[("device", &device_label(c.device))], value(c));
@@ -563,6 +577,7 @@ fn hist_for(v: &mut Vec<(usize, Histogram)>, device: usize) -> &mut Histogram {
 mod tests {
     use super::*;
     use crate::{Tracer, WorkerTrack};
+    use std::time::Duration;
 
     fn sample_timeline() -> Timeline {
         let tr = Tracer::full();
@@ -651,48 +666,182 @@ mod tests {
         assert!(text.contains("\"pid\":2"));
     }
 
+    /// The full snapshot of a fixed two-device run: every family, label
+    /// set and formatted value. `sw_overflow_recomputes_total` is each
+    /// device's 16 → 64 lanes on its own tracks; the 8 → 16 promotion is
+    /// not a rescue and counts nowhere.
     #[test]
-    fn prometheus_counters_match_input_and_histograms_fill() {
-        let tl = sample_timeline();
-        let counters = [
-            DeviceCounters {
+    fn prometheus_golden_text() {
+        let tr = Tracer::full();
+        let mut cpu = tr.worker(0, 0);
+        let mut acc = tr.worker(1, 0);
+        cpu.emit_at(0, EventKind::QueueWaitBegin);
+        cpu.emit_at(10, EventKind::QueueWaitEnd { us: 10 });
+        let chunk = |lease, lo, hi| EventKind::ChunkStart { lease, lo, hi };
+        cpu.emit_at(10, chunk(0, 0, 4));
+        let recompute = |from_bits, to_bits, lanes| EventKind::OverflowRecompute {
+            from_bits,
+            to_bits,
+            lanes,
+        };
+        cpu.emit_at(50, recompute(8, 16, 3));
+        cpu.emit_at(60, recompute(16, 64, 2));
+        let finish = |lease, lo, hi, cells| EventKind::ChunkFinish {
+            lease,
+            lo,
+            hi,
+            cells,
+        };
+        cpu.emit_at(200, finish(0, 0, 4, 4_000));
+        acc.emit_at(1_100, chunk(1, 4, 6));
+        acc.emit_at(1_150, recompute(16, 64, 1));
+        acc.emit_at(1_400, finish(1, 4, 6, 2_000));
+        acc.emit_at(1_500, EventKind::SplitRebalance { share: 0.5 });
+        acc.emit_at(1_600, EventKind::DrainStarted);
+        drop(cpu);
+        drop(acc);
+        let devices = [
+            DeviceMetrics {
                 device: 0,
                 workers: 1,
                 tasks: 4,
                 chunks: 1,
                 cells: 4_000,
-                busy_secs: 0.000_19,
-                retries: 0,
-                requeues: 0,
-                lost_leases: 0,
-                failures: 0,
-                degraded: false,
-                overflow_recomputes: 2,
-                queue_wait_secs: 0.000_01,
+                busy: Duration::from_micros(190),
+                queue_wait: Duration::from_micros(10),
+                ..DeviceMetrics::default()
             },
-            DeviceCounters {
+            DeviceMetrics {
                 device: 1,
                 workers: 1,
-                lost_leases: 1,
+                tasks: 2,
+                chunks: 1,
+                cells: 2_000,
+                busy: Duration::from_micros(300),
+                retries: 1,
                 requeues: 1,
-                failures: 1,
-                ..DeviceCounters::default()
+                lost_leases: 1,
+                failures: 2,
+                degraded: true,
+                ..DeviceMetrics::default()
             },
         ];
-        let text = prometheus(&tl, &counters, 1_000, "avx2");
-        assert!(text.contains("sw_cells_total{device=\"cpu\"} 4000"));
-        assert!(text.contains("sw_lost_leases_total{device=\"accel\"} 1"));
-        assert!(text.contains("sw_requeues_total{device=\"accel\"} 1"));
-        assert!(text.contains("sw_overflow_recomputes_total{device=\"cpu\"} 2"));
-        assert!(text.contains("sw_split_fraction{device=\"cpu\"} 1.000000"));
-        assert!(text.contains("sw_chunk_latency_us_count{device=\"cpu\"} 1"));
-        assert!(text.contains("sw_queue_wait_us_count{device=\"cpu\"} 1"));
-        // The 190 µs chunk lands in the le=500 bucket cumulatively.
-        assert!(text.contains("sw_chunk_latency_us_bucket{device=\"cpu\",le=\"500\"} 1"));
-        // GCUPS window: 4000 cells finishing in window starting at 0.
-        assert!(text.contains("sw_gcups_window{device=\"cpu\",start_us=\"0\"}"));
-        assert!(text.contains("sw_trace_info{schema=\"sw-trace/1\"} 1"));
+        let text = prometheus(&tr.timeline(), &devices, 1_000, "avx2");
+        assert_eq!(text, GOLDEN_PROMETHEUS);
     }
+
+    const GOLDEN_PROMETHEUS: &str = r##"# HELP sw_trace_info trace schema version marker
+# TYPE sw_trace_info gauge
+sw_trace_info{schema="sw-trace/1"} 1
+# HELP sw_cells_total DP cells computed
+# TYPE sw_cells_total counter
+sw_cells_total{device="cpu"} 4000
+sw_cells_total{device="accel"} 2000
+# HELP sw_chunks_total chunks completed
+# TYPE sw_chunks_total counter
+sw_chunks_total{device="cpu"} 1
+sw_chunks_total{device="accel"} 1
+# HELP sw_tasks_total tasks completed
+# TYPE sw_tasks_total counter
+sw_tasks_total{device="cpu"} 4
+sw_tasks_total{device="accel"} 2
+# HELP sw_retries_total chunks that succeeded on a retry
+# TYPE sw_retries_total counter
+sw_retries_total{device="cpu"} 0
+sw_retries_total{device="accel"} 1
+# HELP sw_requeues_total ranges pushed back onto the requeue
+# TYPE sw_requeues_total counter
+sw_requeues_total{device="cpu"} 0
+sw_requeues_total{device="accel"} 1
+# HELP sw_lost_leases_total leases reclaimed after expiry
+# TYPE sw_lost_leases_total counter
+sw_lost_leases_total{device="cpu"} 0
+sw_lost_leases_total{device="accel"} 1
+# HELP sw_failures_total failures charged against the pool
+# TYPE sw_failures_total counter
+sw_failures_total{device="cpu"} 0
+sw_failures_total{device="accel"} 2
+# HELP sw_overflow_recomputes_total saturated lanes recomputed at wider precision
+# TYPE sw_overflow_recomputes_total counter
+sw_overflow_recomputes_total{device="cpu"} 2
+sw_overflow_recomputes_total{device="accel"} 1
+# HELP sw_checkpoints_written_total checkpoint files written by the durable executor
+# TYPE sw_checkpoints_written_total counter
+sw_checkpoints_written_total 0
+# HELP sw_resumes_total runs resumed from a checkpoint
+# TYPE sw_resumes_total counter
+sw_resumes_total 0
+# HELP sw_drains_total graceful drains requested (signal or threshold)
+# TYPE sw_drains_total counter
+sw_drains_total 1
+# HELP sw_busy_seconds summed worker busy time
+# TYPE sw_busy_seconds gauge
+sw_busy_seconds{device="cpu"} 0.000190
+sw_busy_seconds{device="accel"} 0.000300
+# HELP sw_queue_wait_seconds summed worker queue-wait time
+# TYPE sw_queue_wait_seconds gauge
+sw_queue_wait_seconds{device="cpu"} 0.000010
+sw_queue_wait_seconds{device="accel"} 0.000000
+# HELP sw_degraded pool retired after failure budget
+# TYPE sw_degraded gauge
+sw_degraded{device="cpu"} 0
+sw_degraded{device="accel"} 1
+# HELP sw_split_fraction realised fraction of DP cells
+# TYPE sw_split_fraction gauge
+sw_split_fraction{device="cpu"} 0.666667
+sw_split_fraction{device="accel"} 0.333333
+# HELP sw_gcups whole-run billions of DP cell updates per second
+# TYPE sw_gcups gauge
+sw_gcups{device="cpu"} 0.021053
+sw_gcups{device="accel"} 0.006667
+# HELP sw_chunk_latency_us chunk execution latency
+# TYPE sw_chunk_latency_us histogram
+sw_chunk_latency_us_bucket{device="cpu",le="50"} 0
+sw_chunk_latency_us_bucket{device="cpu",le="100"} 0
+sw_chunk_latency_us_bucket{device="cpu",le="500"} 1
+sw_chunk_latency_us_bucket{device="cpu",le="1000"} 1
+sw_chunk_latency_us_bucket{device="cpu",le="5000"} 1
+sw_chunk_latency_us_bucket{device="cpu",le="10000"} 1
+sw_chunk_latency_us_bucket{device="cpu",le="50000"} 1
+sw_chunk_latency_us_bucket{device="cpu",le="100000"} 1
+sw_chunk_latency_us_bucket{device="cpu",le="1000000"} 1
+sw_chunk_latency_us_bucket{device="cpu",le="+Inf"} 1
+sw_chunk_latency_us_sum{device="cpu"} 190
+sw_chunk_latency_us_count{device="cpu"} 1
+sw_chunk_latency_us_bucket{device="accel",le="50"} 0
+sw_chunk_latency_us_bucket{device="accel",le="100"} 0
+sw_chunk_latency_us_bucket{device="accel",le="500"} 1
+sw_chunk_latency_us_bucket{device="accel",le="1000"} 1
+sw_chunk_latency_us_bucket{device="accel",le="5000"} 1
+sw_chunk_latency_us_bucket{device="accel",le="10000"} 1
+sw_chunk_latency_us_bucket{device="accel",le="50000"} 1
+sw_chunk_latency_us_bucket{device="accel",le="100000"} 1
+sw_chunk_latency_us_bucket{device="accel",le="1000000"} 1
+sw_chunk_latency_us_bucket{device="accel",le="+Inf"} 1
+sw_chunk_latency_us_sum{device="accel"} 300
+sw_chunk_latency_us_count{device="accel"} 1
+# HELP sw_queue_wait_us worker queue-wait latency
+# TYPE sw_queue_wait_us histogram
+sw_queue_wait_us_bucket{device="cpu",le="50"} 1
+sw_queue_wait_us_bucket{device="cpu",le="100"} 1
+sw_queue_wait_us_bucket{device="cpu",le="500"} 1
+sw_queue_wait_us_bucket{device="cpu",le="1000"} 1
+sw_queue_wait_us_bucket{device="cpu",le="5000"} 1
+sw_queue_wait_us_bucket{device="cpu",le="10000"} 1
+sw_queue_wait_us_bucket{device="cpu",le="50000"} 1
+sw_queue_wait_us_bucket{device="cpu",le="100000"} 1
+sw_queue_wait_us_bucket{device="cpu",le="1000000"} 1
+sw_queue_wait_us_bucket{device="cpu",le="+Inf"} 1
+sw_queue_wait_us_sum{device="cpu"} 10
+sw_queue_wait_us_count{device="cpu"} 1
+# HELP sw_gcups_window GCUPS over fixed windows (1000 us wide)
+# TYPE sw_gcups_window gauge
+sw_gcups_window{device="cpu",start_us="0"} 0.004000
+sw_gcups_window{device="accel",start_us="1000"} 0.002000
+# HELP sw_kernel_isa_info instruction set of the run's intrinsic kernels
+# TYPE sw_kernel_isa_info gauge
+sw_kernel_isa_info{isa="avx2"} 1
+"##;
 
     #[test]
     fn prometheus_empty_run_is_well_formed_and_names_the_isa() {

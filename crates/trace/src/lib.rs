@@ -31,11 +31,10 @@ pub mod export;
 pub mod json;
 pub mod validate;
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Trace schema version stamped into every export.
 pub const SCHEMA: &str = "sw-trace/1";
@@ -659,112 +658,48 @@ impl TaskSpan {
     }
 }
 
-thread_local! {
-    static CURRENT: RefCell<Option<WorkerJournal>> = const { RefCell::new(None) };
-}
-
-/// Install `journal` as this thread's ambient journal (used by layers —
-/// e.g. kernels — that have no journal parameter). Returns the previous
-/// occupant, if any.
-pub fn install(journal: WorkerJournal) -> Option<WorkerJournal> {
-    CURRENT.with(|c| c.borrow_mut().replace(journal))
-}
-
-/// Remove and return this thread's ambient journal.
-pub fn uninstall() -> Option<WorkerJournal> {
-    CURRENT.with(|c| c.borrow_mut().take())
-}
-
-/// Install `journal` for a scope, keeping whatever was already installed
-/// and restoring it when the guard is consumed or dropped. This is how a
-/// nested search (one engine calling into another on the same thread,
-/// e.g. a daemon worker) avoids silently flushing the outer search's
-/// journal: [`install`] alone would hand the previous occupant back to a
-/// caller that usually discards it.
-pub fn install_scoped(journal: WorkerJournal) -> AmbientScope {
-    AmbientScope {
-        previous: install(journal),
-        active: true,
-    }
-}
-
-/// RAII guard returned by [`install_scoped`]: restores the previously
-/// installed ambient journal on [`AmbientScope::take`] or drop.
-#[derive(Debug)]
-pub struct AmbientScope {
-    previous: Option<WorkerJournal>,
-    active: bool,
-}
-
-impl AmbientScope {
-    /// Uninstall and return the scoped journal, restoring the previous
-    /// occupant. Returns a disabled journal if something else already
-    /// took the slot.
-    pub fn take(mut self) -> WorkerJournal {
-        let current = uninstall().unwrap_or_default();
-        if let Some(prev) = self.previous.take() {
-            install(prev);
-        }
-        self.active = false;
-        current
-    }
-}
-
-impl Drop for AmbientScope {
-    fn drop(&mut self) {
-        if self.active {
-            // Unwind path: flush the scoped journal, put the outer one back.
-            drop(uninstall());
-            if let Some(prev) = self.previous.take() {
-                install(prev);
-            }
-        }
-    }
-}
-
-/// Emit `kind` on the ambient journal, if one is installed. A single
-/// thread-local read when none is — safe to call from hot paths that are
-/// themselves rare (overflow rescue, device faults).
-pub fn emit_current(kind: EventKind) {
-    CURRENT.with(|c| {
-        if let Some(j) = c.borrow_mut().as_mut() {
-            j.emit(kind);
-        }
-    });
-}
-
-/// End-of-run aggregate counters for one device pool, fed to the
-/// Prometheus exporter. Callers build these from whatever metrics sink
-/// they already report through, so exported counters match printed ones
-/// exactly.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct DeviceCounters {
-    /// Device pool index.
+/// What one device pool did over one region: the record the dual-pool
+/// executor keeps per pool, the CLI prints and [`export::prometheus`]
+/// exports, so printed and exported counters are one set of numbers.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DeviceMetrics {
+    /// Device id.
     pub device: usize,
-    /// Workers the pool ran.
+    /// Workers that reported.
     pub workers: usize,
-    /// Tasks completed.
+    /// Total tasks executed by the pool.
     pub tasks: u64,
-    /// Chunks completed.
+    /// Total chunks grabbed by the pool.
     pub chunks: u64,
-    /// DP cells computed.
+    /// Summed busy time across the pool's workers.
+    pub busy: Duration,
+    /// Summed queue-contention time.
+    pub queue_wait: Duration,
+    /// Total DP cells processed.
     pub cells: u64,
-    /// Summed busy time, seconds.
-    pub busy_secs: f64,
-    /// Summed queue-wait time, seconds.
-    pub queue_wait_secs: f64,
-    /// Chunks that succeeded on a retry.
+    /// Chunks the pool re-executed from the requeue list.
     pub retries: u64,
-    /// Ranges pushed back onto the requeue.
+    /// Chunks the pool released un-executed for others to re-run.
     pub requeues: u64,
-    /// Leases reclaimed after expiry.
+    /// Leases reclaimed from the pool by timeout.
     pub lost_leases: u64,
-    /// Failures charged against the pool.
+    /// Failures charged against the pool's failure budget.
     pub failures: u64,
-    /// Pool retired (failure budget exhausted).
+    /// True when the pool was retired before the queue drained.
     pub degraded: bool,
-    /// Saturated lanes recomputed at wider precision.
-    pub overflow_recomputes: u64,
+}
+
+impl DeviceMetrics {
+    /// Running throughput over the pool's busy time, in GCUPS. Zero when
+    /// nothing was recorded (an idle pool has no throughput).
+    pub fn gcups(&self) -> f64 {
+        let secs = self.busy.as_secs_f64();
+        if secs <= 0.0 {
+            0.0
+        } else {
+            self.cells as f64 / secs / 1e9
+        }
+    }
 }
 
 /// Conventional label for a device pool index (`cpu` / `accel` /
@@ -1117,24 +1052,6 @@ mod tests {
     }
 
     #[test]
-    fn ambient_journal_roundtrip() {
-        let tr = Tracer::full();
-        assert!(install(tr.worker(1, 0)).is_none());
-        emit_current(EventKind::OverflowRecompute {
-            from_bits: 16,
-            to_bits: 64,
-            lanes: 2,
-        });
-        let j = uninstall().expect("journal back");
-        assert!(uninstall().is_none());
-        drop(j);
-        let tl = tr.timeline();
-        assert_eq!(tl.count("overflow_recompute"), 1);
-        // With nothing installed, emit_current is a no-op.
-        emit_current(EventKind::QueueWaitBegin);
-    }
-
-    #[test]
     fn rebalance_series_is_time_ordered() {
         let tr = Tracer::full();
         let mut j = tr.worker(0, 0);
@@ -1169,40 +1086,6 @@ mod tests {
         let q = merged.events_sorted_q();
         assert_eq!(q.len(), 3);
         assert_eq!(q[0].0, 2, "earliest event is query 2's t=5");
-    }
-
-    #[test]
-    fn scoped_install_restores_the_outer_journal() {
-        let outer_tr = Tracer::for_query(TraceLevel::Full, 64, 1);
-        let inner_tr = Tracer::for_query(TraceLevel::Full, 64, 2);
-        assert!(install(outer_tr.worker(0, 0)).is_none());
-        {
-            let scope = install_scoped(inner_tr.worker(0, 0));
-            emit_current(EventKind::DrainStarted);
-            let inner = scope.take();
-            drop(inner);
-        }
-        // The outer journal is back and still collects.
-        emit_current(EventKind::QueueWaitBegin);
-        drop(uninstall().expect("outer journal restored"));
-        assert_eq!(inner_tr.timeline().count("drain_started"), 1);
-        let outer_tl = outer_tr.timeline();
-        assert_eq!(outer_tl.count("queue_wait"), 1);
-        assert_eq!(outer_tl.count("drain_started"), 0, "no cross-query bleed");
-    }
-
-    #[test]
-    fn scoped_install_drop_path_restores_on_unwind() {
-        let outer_tr = Tracer::full();
-        let inner_tr = Tracer::full();
-        assert!(install(outer_tr.worker(0, 0)).is_none());
-        {
-            let _scope = install_scoped(inner_tr.worker(1, 0));
-            emit_current(EventKind::DrainStarted);
-            // Guard dropped without take(): unwind path.
-        }
-        drop(uninstall().expect("outer journal restored after drop"));
-        assert_eq!(inner_tr.timeline().count("drain_started"), 1);
     }
 
     #[test]

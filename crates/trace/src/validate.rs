@@ -584,11 +584,11 @@ mod tests {
         drop(j);
         export::prometheus(
             &tr.timeline(),
-            &[crate::DeviceCounters {
+            &[crate::DeviceMetrics {
                 device: 0,
                 cells: 64,
                 chunks: 1,
-                busy_secs: 0.001,
+                busy: std::time::Duration::from_millis(1),
                 ..Default::default()
             }],
             0,

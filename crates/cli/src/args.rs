@@ -99,22 +99,19 @@ HETERO OPTIONS (with --dynamic):
                       or --metrics-out is given, else off)
 
 DURABILITY OPTIONS (with --dynamic):
-  --checkpoint <path> persist search progress to this file: versioned,
-                      CRC32-checksummed, written atomically. SIGINT or
-                      SIGTERM drains the run gracefully (workers finish
-                      their in-flight chunks, a final checkpoint is
-                      written) and prints how to resume. Deleted when the
-                      search completes.
+  --checkpoint <path> persist search progress to this file: an
+                      append-only log of CRC32-framed commits, one per
+                      committed chunk (a crash mid-append loses only that
+                      chunk). SIGINT or SIGTERM drains the run gracefully
+                      (workers finish their in-flight chunks, a final
+                      checkpoint is written) and prints how to resume.
+                      Deleted when the search completes.
   --checkpoint-dir <dir>
                       like --checkpoint, but the file name is derived
                       from the search fingerprint (database digest, query
                       digest, lane packing), so any number of concurrent
                       searches can share the directory without clobbering
                       each other. Mutually exclusive with --checkpoint.
-  --checkpoint-interval-chunks <n>
-                      (with a checkpoint) write a checkpoint every n
-                      committed chunks (default 8; the graceful-drain
-                      checkpoint is written regardless)
   --resume            (with a checkpoint) load the checkpoint if it exists
                       and skip its completed batches. The checkpoint is
                       verified against the database content digest, query
@@ -639,8 +636,6 @@ pub struct Durable {
     pub checkpoint: String,
     /// `checkpoint` came from `--checkpoint-dir`.
     pub in_dir: bool,
-    /// Chunks between periodic checkpoint writes.
-    pub interval_chunks: u64,
     /// Load the checkpoint (if present) and skip its batches.
     pub resume: bool,
     /// Crash drill: abort the process after this many committed
@@ -703,10 +698,6 @@ impl Durable {
             (Some(file), None) => (Some(file), false),
             (None, dir) => (dir, true),
         };
-        let interval_chunks: u64 = a.parse_num("--checkpoint-interval-chunks", 8)?;
-        if interval_chunks == 0 {
-            return Err(err("--checkpoint-interval-chunks must be at least 1"));
-        }
         let resume = a.has_flag("--resume");
         let kill_after_chunks = a
             .opt_value("--kill-after-chunks")?
@@ -720,7 +711,6 @@ impl Durable {
         Ok(checkpoint.map(|checkpoint| Durable {
             checkpoint,
             in_dir,
-            interval_chunks,
             resume,
             kill_after_chunks,
         }))
@@ -1625,34 +1615,31 @@ mod tests {
         assert_eq!(d.durable, None);
         let d = parse_dynamic(
             "hetero --query q --db d --dynamic --checkpoint s.ckpt \
-             --checkpoint-interval-chunks 3 --resume --kill-after-chunks 5",
+             --resume --kill-after-chunks 5",
         );
         assert_eq!(
             d.durable,
             Some(Durable {
                 checkpoint: "s.ckpt".into(),
                 in_dir: false,
-                interval_chunks: 3,
                 resume: true,
                 kill_after_chunks: Some(5),
             })
         );
         // The flags that act on a checkpoint need one.
-        for flag in [
-            "--resume",
-            "--kill-after-chunks 2",
-            "--checkpoint-interval-chunks 3",
-        ] {
+        for flag in ["--resume", "--kill-after-chunks 2"] {
             let e = parse(&argv(&format!("hetero --query q --db d --dynamic {flag}"))).unwrap_err();
             assert!(
                 e.0.contains("requires --checkpoint or --checkpoint-dir"),
                 "{flag}: {e}"
             );
         }
-        assert!(parse(&argv(
-            "hetero --query q --db d --dynamic --checkpoint c --checkpoint-interval-chunks 0"
+        // Every clean chunk is appended: there is no interval to set.
+        let e = parse(&argv(
+            "hetero --query q --db d --dynamic --checkpoint c --checkpoint-interval-chunks 1",
         ))
-        .is_err());
+        .unwrap_err();
+        assert!(e.0.contains("--checkpoint-interval-chunks"), "{e}");
         assert!(parse(&argv(
             "hetero --query q --db d --dynamic --checkpoint c --kill-after-chunks 0"
         ))

@@ -850,8 +850,8 @@ fn cmd_hetero<W: Write>(h: &args::Hetero, out: &mut W) -> Result<(), CmdError> {
                 )?;
                 injector = injector.with_kill_after_chunks(n);
             }
-            // Durable run: graceful drain on SIGINT/SIGTERM, periodic
-            // checkpoints, optional resume.
+            // Durable run: graceful drain on SIGINT/SIGTERM, every clean
+            // chunk appended to the checkpoint log, optional resume.
             let ckpt_where = &durable.checkpoint;
             let ckpt_flag = if durable.in_dir {
                 "--checkpoint-dir"
@@ -863,10 +863,9 @@ fn cmd_hetero<W: Write>(h: &args::Hetero, out: &mut W) -> Result<(), CmdError> {
             let dopts = DurableOptions {
                 checkpoint_path: at.filter(|_| !durable.in_dir),
                 checkpoint_dir: at.filter(|_| durable.in_dir),
-                interval_chunks: durable.interval_chunks,
                 drain: Some(&crate::signals::DRAIN),
                 resume: durable.resume,
-                on_query_done: None,
+                ..DurableOptions::default()
             };
             let run = hetero
                 .search_dynamic_resumable(
@@ -888,8 +887,8 @@ fn cmd_hetero<W: Write>(h: &args::Hetero, out: &mut W) -> Result<(), CmdError> {
             if run.checkpoint_write_failures > 0 {
                 writeln!(
                     out,
-                    "# WARNING: {} periodic checkpoint write(s) failed; the search \
-                     continued but a crash in that window would lose that progress",
+                    "# WARNING: {} checkpoint append(s) failed; the search continued \
+                     without appending, so a crash would lose what committed since",
                     run.checkpoint_write_failures
                 )?;
             }
@@ -1780,7 +1779,7 @@ mod tests {
         assert_eq!(code, 0, "{plain}");
         let (code, durable) = run_str(&format!(
             "hetero {common} --dynamic --threads 2 --accel-threads 2 \
-             --checkpoint {ckpt} --checkpoint-interval-chunks 1"
+             --checkpoint {ckpt}"
         ));
         assert_eq!(code, 0, "{durable}");
         assert!(

@@ -6,8 +6,8 @@
 //! their in-flight chunks, a final checkpoint is written, and the CLI
 //! prints how to resume. The handler body is a single atomic store —
 //! async-signal-safe by construction. `SIGKILL` (which cannot be caught)
-//! is covered by the same checkpoint files via the periodic write
-//! interval; the crash-resume harness exercises that path with
+//! is covered by the same checkpoint log, appended at every committed
+//! chunk; the crash-resume harness exercises that path with
 //! `--kill-after-chunks`.
 //!
 //! Registration is guarded by a [`std::sync::Once`]: the raw
@@ -68,7 +68,7 @@ mod imp {
 #[cfg(not(unix))]
 mod imp {
     /// Non-unix hosts keep the default disposition; `--checkpoint` still
-    /// works through periodic writes, only the graceful-drain-on-signal
+    /// appends every committed chunk, only the graceful-drain-on-signal
     /// path is absent.
     pub(super) fn install() {}
 }

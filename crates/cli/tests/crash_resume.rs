@@ -64,8 +64,6 @@ fn hetero_args<'a>(f: &'a Fixture, ckpt: &'a str) -> Vec<&'a str> {
         "5",
         "--checkpoint",
         ckpt,
-        "--checkpoint-interval-chunks",
-        "1",
     ]
 }
 

@@ -21,39 +21,42 @@
 //!   (database, query, lane count) triple — resuming against the wrong
 //!   database is rejected, not silently merged.
 //!
-//! # File format (`SWCKPT1`)
+//! # File format (`SWCKPT2`): an append-only commit log
 //!
 //! ```text
-//! magic   [u8; 8]  b"SWCKPT1\0"
-//! crc32   u32      CRC32 (IEEE) over the payload
-//! payload …        everything below, little-endian
-//!   db_digest     u64   sw_swdb::snapshot::content_digest of the sorted db
-//!   query_digest  u64   FNV-1a 64 of the encoded query residues
-//!   lanes         u64
-//!   n_batches     u64
-//!   seq           u64   checkpoint sequence number (monotone per search)
-//!   resumes       u64   completed resume count when this was written
-//!   accel_share   u64   f64 bits of the estimator's accelerator share
-//!   recovery      2 × (retries, requeues, lost_leases, failures) u64
-//!   n_done        u64
-//!   batch record  × n_done:
-//!     batch    u64      batch index
-//!     device   u8       pool that computed it (0 cpu / 1 accel)
-//!     real     u64      real DP cells
-//!     padded   u64      padded DP cells
-//!     rescued  u64      saturated lanes recomputed exactly
-//!     n_hits   u32
-//!     hit      × n_hits: id u32, score i64
+//! magic   [u8; 8]  b"SWCKPT2\0"
+//! frames  …        sw_swdb::integrity log frames (len, CRC32s, payload)
+//!   header frame, first:
+//!     db_digest     u64   sw_swdb::snapshot::content_digest of the sorted db
+//!     query_digest  u64   FNV-1a 64 of the encoded query residues
+//!     lanes         u64
+//!     n_batches     u64
+//!     resumes       u64   completed resume count of the writing segment
+//!   commit frame, one per clean chunk (or one holding every record):
+//!     seq           u64   commit sequence number (monotone per search)
+//!     accel_share   u64   f64 bits of the estimator's accelerator share
+//!     recovery      2 × (retries, requeues, lost_leases, failures) u64
+//!     n_records     u32
+//!     batch record  × n_records:
+//!       batch    u64      batch index
+//!       device   u8       pool that computed it (0 cpu / 1 accel)
+//!       real     u64      real DP cells
+//!       padded   u64      padded DP cells
+//!       rescued  u64      saturated lanes recomputed exactly
+//!       n_hits   u32
+//!       hit      × n_hits: id u32, score i64
 //! ```
 //!
-//! Writes go through [`sw_swdb::integrity::replace_file`] (tmp + rename,
-//! DESIGN "Formats and their one home"), so a crash mid-write leaves the
-//! previous checkpoint intact. There is deliberately no fsync: the threat
-//! model is *process* death — the OS survives and flushes the page cache.
-//! The CRC rejects the torn file a real power cut could leave behind:
-//! loading it is a typed [`CheckpointError::Corrupt`] naming the file —
-//! never a silent rerun from scratch — so the operator decides whether
-//! that progress is deleted.
+//! The region appends one commit frame per clean chunk to each member it
+//! touched, so a query's checkpoint bytes are linear in its batches. A
+//! drained, cancelled or resumed member and [`Checkpoint::write_atomic`]
+//! write the same frames compacted (the header and one commit frame)
+//! through `replace_file`. [`Checkpoint::decode`] folds the frames: the
+//! records of every frame, the share, totals and sequence number of the
+//! last. No fsync: the threat model is *process* death. A torn last frame
+//! is dropped; anything else wrong — the whole-file `SWCKPT1` of earlier
+//! builds included — is a typed [`CheckpointError::Corrupt`] naming the
+//! file, never a silent rerun from scratch (DESIGN §5f).
 
 use crate::results::Hit;
 use std::fmt;
@@ -64,20 +67,21 @@ use sw_kernels::CellCount;
 use sw_sched::DeviceMetrics;
 use sw_seq::SeqId;
 use sw_swdb::integrity::{
-    frame, put_i64, put_u32, put_u64, replace_file, unframe, ByteReader, Fnv64, FormatError,
+    put_frame, put_i64, put_u32, put_u64, read_log, replace_file, ByteReader, Fnv64, FormatError,
 };
 use sw_swdb::LaneBatch;
 
-/// File magic, version 1.
-const MAGIC: &[u8; 8] = b"SWCKPT1\0";
+/// File magic of the commit log, version 2 (version 1 was a whole-file
+/// image rewritten on every save).
+const MAGIC: &[u8; 8] = b"SWCKPT2\0";
 
 /// Why a checkpoint could not be loaded or used.
 #[derive(Debug)]
 pub enum CheckpointError {
     /// The file could not be read or written.
     Io(io::Error),
-    /// The file is not a well-formed checkpoint (bad magic, failed CRC,
-    /// truncated or trailing bytes).
+    /// The file is not a well-formed checkpoint log (another magic, a bad
+    /// frame with bytes after it, a field out of range).
     Corrupt {
         /// What was wrong.
         detail: String,
@@ -152,23 +156,6 @@ impl From<FormatError> for CheckpointError {
     }
 }
 
-impl CheckpointError {
-    /// Name the file in an `Io`/`Corrupt` error: in a shared checkpoint
-    /// directory of fingerprint-named files, the message is how the
-    /// operator learns which one to inspect or delete.
-    fn at(self, path: &Path) -> Self {
-        match self {
-            CheckpointError::Io(e) => {
-                CheckpointError::Io(io::Error::new(e.kind(), format!("{}: {e}", path.display())))
-            }
-            CheckpointError::Corrupt { detail } => CheckpointError::Corrupt {
-                detail: format!("{}: {detail}", path.display()),
-            },
-            mismatch => mismatch,
-        }
-    }
-}
-
 /// Identity of one search: a checkpoint is only valid against the exact
 /// database content, query, and lane layout it was written for. Batch
 /// indices are meaningless across any of these changing.
@@ -201,9 +188,8 @@ impl SearchFingerprint {
 
     /// Canonical checkpoint file name for this search, unique per
     /// (database, query, lane packing): two searches can share one
-    /// checkpoint *directory* without their SWCKPT1 tmp+rename writes
-    /// clobbering each other, and a resume finds its own file by
-    /// recomputing the fingerprint.
+    /// checkpoint *directory* without their logs clobbering each other,
+    /// and a resume finds its own file by recomputing the fingerprint.
     pub fn file_name(&self) -> String {
         format!(
             "swckpt-{:016x}-{:016x}-{}x{}.ckpt",
@@ -269,11 +255,11 @@ pub struct BatchResult {
 pub struct Checkpoint {
     /// Which search this belongs to.
     pub fingerprint: SearchFingerprint,
-    /// Monotone sequence number of this checkpoint within the search.
+    /// Sequence number of its last commit, monotone within the search.
     pub seq: u64,
     /// How many times the search had been resumed when this was written.
     pub resumes: u64,
-    /// The split estimator's accelerator share at write time.
+    /// The split estimator's accelerator share at its last commit.
     pub accel_share: f64,
     /// Cumulative recovery totals per device (`[cpu, accel]`), including
     /// all prior run segments.
@@ -282,121 +268,148 @@ pub struct Checkpoint {
     pub done: Vec<BatchResult>,
 }
 
-impl Checkpoint {
-    /// Serialise to the `SWCKPT1` byte format.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut p: Vec<u8> = Vec::with_capacity(128 + self.done.len() * 64);
-        let fp = &self.fingerprint;
-        for v in [
-            fp.db_digest,
-            fp.query_digest,
-            fp.lanes,
-            fp.n_batches,
-            self.seq,
-            self.resumes,
-            self.accel_share.to_bits(),
-        ] {
-            put_u64(&mut p, v);
-        }
-        for r in &self.recovery {
+/// Start `fingerprint`'s log in `out`: the magic and the header frame.
+pub(crate) fn put_header(out: &mut Vec<u8>, fingerprint: &SearchFingerprint, resumes: u64) {
+    out.extend_from_slice(MAGIC);
+    let fp = fingerprint;
+    let words = [
+        fp.db_digest,
+        fp.query_digest,
+        fp.lanes,
+        fp.n_batches,
+        resumes,
+    ];
+    put_frame(out, |p| words.iter().for_each(|&v| put_u64(p, v)));
+}
+
+/// Append one commit frame: commit `seq`, the share and cumulative
+/// totals at that commit, and `records`.
+pub(crate) fn put_commit<'b>(
+    out: &mut Vec<u8>,
+    seq: u64,
+    accel_share: f64,
+    recovery: &[RecoveryTotals; 2],
+    records: impl ExactSizeIterator<Item = &'b BatchResult>,
+) {
+    put_frame(out, |p| {
+        put_u64(p, seq);
+        put_u64(p, accel_share.to_bits());
+        for r in recovery {
             for v in [r.retries, r.requeues, r.lost_leases, r.failures] {
-                put_u64(&mut p, v);
+                put_u64(p, v);
             }
         }
-        put_u64(&mut p, self.done.len() as u64);
-        for b in &self.done {
-            put_u64(&mut p, b.batch as u64);
+        put_u32(p, records.len() as u32);
+        for b in records {
+            put_u64(p, b.batch as u64);
             p.push(b.device as u8);
-            put_u64(&mut p, b.cells.real);
-            put_u64(&mut p, b.cells.padded);
-            put_u64(&mut p, b.rescued);
-            put_u32(&mut p, b.hits.len() as u32);
+            put_u64(p, b.cells.real);
+            put_u64(p, b.cells.padded);
+            put_u64(p, b.rescued);
+            put_u32(p, b.hits.len() as u32);
             for h in &b.hits {
-                put_u32(&mut p, h.id.0);
-                put_i64(&mut p, h.score);
+                put_u32(p, h.id.0);
+                put_i64(p, h.score);
             }
         }
-        frame(MAGIC, &p)
+    });
+}
+
+impl Checkpoint {
+    /// The compacted log image: the header frame and one commit frame
+    /// holding every record.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_header(&mut out, &self.fingerprint, self.resumes);
+        let (share, recovery) = (self.accel_share, &self.recovery);
+        put_commit(&mut out, self.seq, share, recovery, self.done.iter());
+        out
     }
 
-    /// Parse the `SWCKPT1` byte format, rejecting bad magic, CRC
-    /// mismatches, truncation, and trailing bytes.
-    pub fn decode(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
+    /// Fold a log image back into a checkpoint: `None` when it holds no
+    /// commit yet (a crash before its first whole commit frame). A torn
+    /// last frame is dropped; anything else wrong is
+    /// [`CheckpointError::Corrupt`].
+    pub fn decode(bytes: &[u8]) -> Result<Option<Checkpoint>, CheckpointError> {
         let corrupt = |detail: String| CheckpointError::Corrupt { detail };
-        let mut r = ByteReader::new(unframe(MAGIC, bytes)?);
+        let (frames, _) = read_log(MAGIC, bytes)?;
+        let Some((header, commits)) = frames.split_first().filter(|(_, c)| !c.is_empty()) else {
+            return Ok(None);
+        };
+        let mut r = ByteReader::new(header);
         let fingerprint = SearchFingerprint {
             db_digest: r.u64("db digest")?,
             query_digest: r.u64("query digest")?,
             lanes: r.u64("lane count")?,
             n_batches: r.u64("batch count")?,
         };
-        let seq = r.u64("sequence number")?;
         let resumes = r.u64("resume count")?;
-        let accel_share = f64::from_bits(r.u64("accel share")?);
-        if !(accel_share.is_finite() && (0.0..=1.0).contains(&accel_share)) {
-            return Err(corrupt(format!("accel share {accel_share} outside [0, 1]")));
-        }
-        let mut recovery = [RecoveryTotals::default(); 2];
-        for rec in &mut recovery {
-            rec.retries = r.u64("recovery retries")?;
-            rec.requeues = r.u64("recovery requeues")?;
-            rec.lost_leases = r.u64("recovery lost leases")?;
-            rec.failures = r.u64("recovery failures")?;
-        }
-        let n_done = r.u64("done-batch count")?;
-        if n_done > fingerprint.n_batches {
-            return Err(corrupt(format!(
-                "{n_done} done batches exceed the search's {} batches",
-                fingerprint.n_batches
-            )));
-        }
-        // Capacity from what the payload can hold, not from the stored
-        // count: a record is at least 37 bytes, a hit 12.
-        let mut done = Vec::with_capacity((n_done as usize).min(r.rest().len() / 37));
-        for _ in 0..n_done {
-            let batch = r.u64("batch index")?;
-            if batch >= fingerprint.n_batches {
-                return Err(corrupt(format!(
-                    "batch index {batch} out of range (search has {} batches)",
-                    fingerprint.n_batches
-                )));
+        r.finish()?;
+        let n_batches = fingerprint.n_batches;
+        let mut ckpt = Checkpoint {
+            fingerprint,
+            seq: 0,
+            resumes,
+            accel_share: 0.0,
+            recovery: Default::default(),
+            done: Vec::new(),
+        };
+        for frame in commits {
+            let mut r = ByteReader::new(frame);
+            ckpt.seq = r.u64("sequence number")?;
+            let accel_share = f64::from_bits(r.u64("accel share")?);
+            if !(accel_share.is_finite() && (0.0..=1.0).contains(&accel_share)) {
+                return Err(corrupt(format!("accel share {accel_share} outside [0, 1]")));
             }
-            let device = r.u8("device")?;
-            if device > 1 {
-                return Err(corrupt(format!(
-                    "device {device} is neither cpu (0) nor accel (1)"
-                )));
+            ckpt.accel_share = accel_share;
+            for rec in &mut ckpt.recovery {
+                rec.retries = r.u64("recovery retries")?;
+                rec.requeues = r.u64("recovery requeues")?;
+                rec.lost_leases = r.u64("recovery lost leases")?;
+                rec.failures = r.u64("recovery failures")?;
             }
-            let real = r.u64("real cells")?;
-            let padded = r.u64("padded cells")?;
-            let rescued = r.u64("rescued lanes")?;
-            let n_hits = r.u32("hit count")?;
-            let mut hits = Vec::with_capacity((n_hits as usize).min(r.rest().len() / 12));
-            for _ in 0..n_hits {
-                let id = r.u32("hit id")?;
-                let score = r.i64("hit score")?;
-                hits.push(Hit {
-                    id: SeqId(id),
-                    score,
+            for _ in 0..r.u32("record count")? {
+                let batch = r.u64("batch index")?;
+                if batch >= n_batches {
+                    return Err(corrupt(format!(
+                        "batch index {batch} out of range (search has {n_batches} batches)"
+                    )));
+                }
+                let device = r.u8("device")?;
+                if device > 1 {
+                    return Err(corrupt(format!(
+                        "device {device} is neither cpu (0) nor accel (1)"
+                    )));
+                }
+                let real = r.u64("real cells")?;
+                let padded = r.u64("padded cells")?;
+                let rescued = r.u64("rescued lanes")?;
+                let n_hits = r.u32("hit count")?;
+                let mut hits = Vec::with_capacity((n_hits as usize).min(r.rest().len() / 12));
+                for _ in 0..n_hits {
+                    let id = r.u32("hit id")?;
+                    let score = r.i64("hit score")?;
+                    hits.push(Hit {
+                        id: SeqId(id),
+                        score,
+                    });
+                }
+                ckpt.done.push(BatchResult {
+                    batch: batch as usize,
+                    device: device as usize,
+                    hits,
+                    cells: CellCount { real, padded },
+                    rescued,
                 });
             }
-            done.push(BatchResult {
-                batch: batch as usize,
-                device: device as usize,
-                hits,
-                cells: CellCount { real, padded },
-                rescued,
-            });
+            r.finish()?;
         }
-        r.finish()?;
-        Ok(Checkpoint {
-            fingerprint,
-            seq,
-            resumes,
-            accel_share,
-            recovery,
-            done,
-        })
+        let mut batches: Vec<usize> = ckpt.done.iter().map(|b| b.batch).collect();
+        batches.sort_unstable();
+        if let Some(w) = batches.windows(2).find(|w| w[0] == w[1]) {
+            return Err(corrupt(format!("batch {} recorded twice", w[0])));
+        }
+        Ok(Some(ckpt))
     }
 
     /// Reject a checkpoint that does not belong to the search identified
@@ -467,38 +480,34 @@ impl Checkpoint {
         Ok(())
     }
 
-    /// Write atomically (tmp + rename, no fsync — see the module doc): a
-    /// crash mid-write leaves the previous checkpoint intact. Returns the
-    /// number of bytes written.
+    /// Write the compacted log atomically (tmp + rename, no fsync — see
+    /// the module doc): a crash mid-write leaves the previous file
+    /// intact. Returns the number of bytes written.
     pub fn write_atomic(&self, path: &Path) -> Result<u64, CheckpointError> {
         let bytes = self.encode();
         replace_file(path, &bytes, false)?;
         Ok(bytes.len() as u64)
     }
 
-    /// Load and parse a checkpoint file. `Io` and `Corrupt` errors name
-    /// `path`.
-    pub fn load(path: &Path) -> Result<Checkpoint, CheckpointError> {
-        let bytes = fs::read(path).map_err(|e| CheckpointError::Io(e).at(path))?;
-        Checkpoint::decode(&bytes).map_err(|e| e.at(path))
-    }
-
-    /// Load a checkpoint if the file exists (`Ok(None)` when it does
-    /// not) — the resume path's "fresh start or continue?" probe.
+    /// Load and fold a checkpoint log if it holds a commit: `Ok(None)`
+    /// when the file is missing or holds none — the resume path's "fresh
+    /// start or continue?" probe. `Io` and `Corrupt` errors name `path`:
+    /// in a shared checkpoint directory that is how the operator learns
+    /// which file to inspect or delete.
     pub fn load_if_exists(path: &Path) -> Result<Option<Checkpoint>, CheckpointError> {
-        match Checkpoint::load(path) {
-            Err(CheckpointError::Io(e)) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-            loaded => loaded.map(Some),
-        }
-    }
-
-    /// Delete a checkpoint file, tolerating it already being gone (a
-    /// completed search cleans up after itself).
-    pub fn remove(path: &Path) -> Result<(), CheckpointError> {
-        match fs::remove_file(path) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e.into()),
+        let named = |detail: String| format!("{}: {detail}", path.display());
+        match fs::read(path) {
+            Ok(bytes) => Checkpoint::decode(&bytes).map_err(|e| match e {
+                CheckpointError::Corrupt { detail } => CheckpointError::Corrupt {
+                    detail: named(detail),
+                },
+                other => other,
+            }),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(CheckpointError::Io(io::Error::new(
+                e.kind(),
+                named(e.to_string()),
+            ))),
         }
     }
 }
@@ -566,9 +575,9 @@ mod tests {
         }
     }
 
-    /// `sample().encode()` as the parent commit's encoder (private
-    /// `Reader`, hand framing) emitted it.
-    const GOLDEN: &[u8] =
+    /// `sample()` as the whole-file `SWCKPT1` encoder of earlier builds
+    /// wrote it: a file of that format is refused, never folded.
+    const SWCKPT1_IMAGE: &[u8] =
         b"SWCKPT1\0\xed\xa6\xa1!\x88wfUD3\"\x11\0\xff\xee\xdd\xcc\xbb\xaa\x99\x08\0\0\0\0\0\0\0(\0\
         \0\0\0\0\0\0\x03\0\0\0\0\0\0\0\x01\0\0\0\0\0\0\0\0\0\0\0\0\0\xd8?\x01\0\0\0\0\0\0\0\x02\
         \0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\x02\0\0\0\0\0\0\0\x04\0\0\0\0\0\0\0\x05\0\0\0\0\0\0\0\x01\
@@ -577,10 +586,43 @@ mod tests {
         \xff\xff\xff\xff\xff\xff\xff'\0\0\0\0\0\0\0\x01\x0a\0\0\0\0\0\0\0\x10\0\0\0\0\0\0\0\0\0\
         \0\0\0\0\0\0\0\0\0\0";
 
+    /// `sample().encode()`: the compacted `SWCKPT2` log.
+    const GOLDEN: &[u8] =
+        b"SWCKPT2\0(\0\0\0\xcdX\xc2DYrGp\x88wfUD3\"\x11\0\xff\xee\xdd\xcc\xbb\xaa\x99\x08\0\0\0\
+        \0\0\0\0(\0\0\0\0\0\0\0\x01\0\0\0\0\0\0\0\xb6\0\0\0Z\xce]\x19\x1c2\x1b\xde\x03\0\0\0\0\
+        \0\0\0\0\0\0\0\0\0\xd8?\x01\0\0\0\0\0\0\0\x02\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\x02\0\0\0\
+        \0\0\0\0\x04\0\0\0\0\0\0\0\x05\0\0\0\0\0\0\0\x01\0\0\0\0\0\0\0\x06\0\0\0\0\0\0\0\x02\0\
+        \0\0\0\0\0\0\0\0\0\0\0\xe8\x03\0\0\0\0\0\0\xb0\x04\0\0\0\0\0\0\x01\0\0\0\0\0\0\0\x02\0\
+        \0\0\x07\0\0\x007\0\0\0\0\0\0\0\x02\0\0\0\xfd\xff\xff\xff\xff\xff\xff\xff\'\0\0\0\0\0\
+        \0\0\x01\n\0\0\0\0\0\0\0\x10\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0";
+
     #[test]
     fn golden_bytes_decode_and_reencode() {
-        assert_eq!(Checkpoint::decode(GOLDEN).expect("decode"), sample());
+        assert_eq!(Checkpoint::decode(GOLDEN).expect("decode"), Some(sample()));
         assert_eq!(sample().encode(), GOLDEN);
+    }
+
+    #[test]
+    fn the_whole_file_format_of_earlier_builds_is_refused() {
+        let err = Checkpoint::decode(SWCKPT1_IMAGE).expect_err("folded");
+        assert!(matches!(err, CheckpointError::Corrupt { .. }), "{err}");
+        assert!(err.to_string().contains("not a SWCKPT2 file"), "{err}");
+    }
+
+    /// A log image of `sample()`'s header and `commits` as raw payloads.
+    fn log_of(commits: &[&[u8]]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_header(&mut out, &sample().fingerprint, 1);
+        for c in commits {
+            put_frame(&mut out, |p| p.extend_from_slice(c));
+        }
+        out
+    }
+
+    /// The payload of `sample()`'s compacted commit frame.
+    fn commit_payload(c: &Checkpoint) -> Vec<u8> {
+        let image = c.encode();
+        read_log(MAGIC, &image).expect("log").0[1].to_vec()
     }
 
     #[test]
@@ -590,21 +632,38 @@ mod tests {
         // reserving memory for the promise.
         let mut c = sample();
         c.done.clear();
-        let payload = c.encode()[12..].to_vec();
+        let mut payload = commit_payload(&c);
         let n = payload.len();
-        // n_batches (4th word) and n_done (last word) both u64::MAX.
-        let mut huge_done = payload.clone();
-        huge_done[24..32].copy_from_slice(&u64::MAX.to_le_bytes());
-        huge_done[n - 8..].copy_from_slice(&u64::MAX.to_le_bytes());
-        let err = Checkpoint::decode(&frame(MAGIC, &huge_done)).expect_err("accepted");
+        payload[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = Checkpoint::decode(&log_of(&[&payload])).expect_err("accepted");
         assert!(err.to_string().contains("truncated"), "{err}");
         // One record whose hit count is u32::MAX.
-        let mut huge_hits = payload;
-        huge_hits[n - 8..].copy_from_slice(&1u64.to_le_bytes());
-        huge_hits.extend_from_slice(&[0; 33]); // batch 0, cpu, three cell words
-        huge_hits.extend_from_slice(&u32::MAX.to_le_bytes());
-        let err = Checkpoint::decode(&frame(MAGIC, &huge_hits)).expect_err("accepted");
+        payload[n - 4..].copy_from_slice(&1u32.to_le_bytes());
+        payload.extend_from_slice(&[0; 33]); // batch 0, cpu, three cell words
+        payload.extend_from_slice(&u32::MAX.to_le_bytes());
+        let err = Checkpoint::decode(&log_of(&[&payload])).expect_err("accepted");
         assert!(err.to_string().contains("truncated"), "{err}");
+    }
+
+    #[test]
+    fn frames_fold_into_one_checkpoint() {
+        // The region's log: one commit frame per chunk. Records accumulate;
+        // the sequence number, share and totals are the last frame's.
+        let c = sample();
+        let mut first = c.clone();
+        first.done.truncate(1);
+        (first.seq, first.accel_share) = (1, 0.5);
+        first.recovery = Default::default();
+        let mut last = c.clone();
+        last.done.remove(0);
+        let image = log_of(&[&commit_payload(&first), &commit_payload(&last)]);
+        assert_eq!(Checkpoint::decode(&image).unwrap(), Some(c.clone()));
+        // The same record in two frames is refused.
+        let twice = log_of(&[&commit_payload(&c), &commit_payload(&last)]);
+        let err = Checkpoint::decode(&twice).expect_err("accepted");
+        assert!(err.to_string().contains("batch 39 recorded twice"), "{err}");
+        // A log with a header and no commit holds nothing yet.
+        assert_eq!(Checkpoint::decode(&log_of(&[])).unwrap(), None);
     }
 
     #[test]
@@ -612,7 +671,7 @@ mod tests {
         let c = sample();
         let bytes = c.encode();
         let back = Checkpoint::decode(&bytes).expect("round trip");
-        assert_eq!(back, c);
+        assert_eq!(back, Some(c));
     }
 
     #[test]
@@ -621,21 +680,25 @@ mod tests {
             done: Vec::new(),
             ..sample()
         };
-        assert_eq!(Checkpoint::decode(&c.encode()).expect("round trip"), c);
+        assert_eq!(
+            Checkpoint::decode(&c.encode()).expect("round trip"),
+            Some(c)
+        );
     }
 
     #[test]
-    fn every_single_bit_flip_rejected() {
-        // The format must detect any single-bit corruption anywhere in
-        // the file: magic flips fail the magic check, CRC flips fail the
-        // CRC compare, payload flips fail the recomputed CRC.
+    fn no_single_bit_flip_yields_a_checkpoint() {
+        // A flip in the magic or the header frame is an error; one in the
+        // last (commit) frame's length is an error, and one in its CRC or
+        // payload makes it a torn tail, leaving no commit. None of them
+        // decodes to a checkpoint.
         let bytes = sample().encode();
         let mut copy = bytes.clone();
         for i in 0..copy.len() {
             for bit in 0..8 {
                 copy[i] ^= 1 << bit;
                 assert!(
-                    Checkpoint::decode(&copy).is_err(),
+                    !matches!(Checkpoint::decode(&copy), Ok(Some(_))),
                     "flip at byte {i} bit {bit} accepted"
                 );
                 copy[i] ^= 1 << bit;
@@ -645,34 +708,42 @@ mod tests {
     }
 
     #[test]
-    fn truncation_at_every_length_rejected() {
+    fn every_truncation_holds_no_commit() {
         let bytes = sample().encode();
         for len in 0..bytes.len() {
             assert!(
-                Checkpoint::decode(&bytes[..len]).is_err(),
-                "truncation to {len} bytes accepted"
+                matches!(Checkpoint::decode(&bytes[..len]), Ok(None)),
+                "truncation to {len} bytes"
             );
         }
     }
 
     #[test]
-    fn trailing_garbage_rejected_and_named() {
-        // Trailing bytes change the CRC, so they surface as a CRC error;
-        // a *recomputed-CRC-matching* trailer is caught by the position
-        // check. Exercise the latter by re-CRCing the padded payload.
-        let mut payload = sample().encode()[12..].to_vec();
+    fn a_torn_tail_is_dropped_and_trailing_fields_are_named() {
+        let c = sample();
+        let mut bytes = c.encode();
+        bytes.extend_from_slice(&[7, 0, 0]); // half a frame head
+        assert_eq!(Checkpoint::decode(&bytes).unwrap(), Some(c.clone()));
+        // Bytes past a frame's last field, under a valid CRC.
+        let mut payload = commit_payload(&c);
         payload.push(0xAB);
-        let err = Checkpoint::decode(&frame(MAGIC, &payload)).expect_err("trailing byte accepted");
-        let msg = err.to_string();
-        assert!(msg.contains("trailing"), "unexpected error: {msg}");
+        let err = Checkpoint::decode(&log_of(&[&payload])).expect_err("trailing byte accepted");
+        assert!(
+            err.to_string().contains("trailing"),
+            "unexpected error: {err}"
+        );
     }
 
     #[test]
-    fn out_of_range_batch_index_rejected() {
+    fn out_of_range_batch_index_or_device_rejected() {
         let mut c = sample();
         c.done[1].batch = 40; // == n_batches
         let err = Checkpoint::decode(&c.encode()).expect_err("oob accepted");
         assert!(err.to_string().contains("out of range"), "{err}");
+        let mut c = sample();
+        c.done[1].device = 2;
+        let err = Checkpoint::decode(&c.encode()).expect_err("device 2 accepted");
+        assert!(err.to_string().contains("device 2"), "{err}");
     }
 
     #[test]
@@ -749,22 +820,16 @@ mod tests {
             !dir.join("search.ckpt.tmp").exists(),
             "tmp file renamed away"
         );
-        assert_eq!(Checkpoint::load(&path).expect("load"), c);
-        assert_eq!(
-            Checkpoint::load_if_exists(&path).expect("probe").as_ref(),
-            Some(&c)
-        );
-        // A corrupt file and a missing one both name the path.
+        assert_eq!(Checkpoint::load_if_exists(&path).expect("load"), Some(c));
+        // A corrupt file names the path; a missing one is no checkpoint.
         fs::write(&path, b"SWCKPT1\0garbage").unwrap();
-        for err in [
-            Checkpoint::load(&path).unwrap_err(),
-            Checkpoint::load_if_exists(&path).unwrap_err(),
-            Checkpoint::load(&dir.join("absent.ckpt")).unwrap_err(),
-        ] {
-            assert!(err.to_string().contains(dir.to_str().unwrap()), "{err}");
-        }
-        Checkpoint::remove(&path).expect("remove");
-        Checkpoint::remove(&path).expect("second remove is a no-op");
+        let err = Checkpoint::load_if_exists(&path).unwrap_err();
+        assert!(err.to_string().contains(dir.to_str().unwrap()), "{err}");
+        assert_eq!(
+            Checkpoint::load_if_exists(&dir.join("absent")).unwrap(),
+            None
+        );
+        fs::remove_file(&path).expect("remove");
         assert_eq!(Checkpoint::load_if_exists(&path).expect("probe"), None);
         fs::remove_dir_all(&dir).ok();
     }

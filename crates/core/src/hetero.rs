@@ -35,7 +35,8 @@
 //! the CPU share as a CPU-only region on the caller's.
 
 use crate::checkpoint::{
-    BatchResult, Checkpoint, CheckpointError, RecoveryTotals, SearchFingerprint,
+    put_commit, put_header, BatchResult, Checkpoint, CheckpointError, RecoveryTotals,
+    SearchFingerprint,
 };
 use crate::config::{HeteroSearchConfig, SearchConfig};
 use crate::engine::SearchEngine;
@@ -43,9 +44,10 @@ use crate::prepare::PreparedDb;
 use crate::results::{Hit, SearchResults};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use sw_kernels::{CellCount, ProfileMode};
 use sw_sched::{
@@ -53,6 +55,7 @@ use sw_sched::{
     DurableControl, ExecError, FaultInjector, MetricsSink, DEVICE_ACCEL, DEVICE_CPU,
 };
 use sw_swdb::chunk::{range_cells, split_by_cells};
+use sw_swdb::integrity::open_log;
 use sw_swdb::{BatchRange, LaneBatch, QueryProfile, ScoreTable};
 use sw_trace::{EventKind, Timeline, WorkerJournal};
 
@@ -295,9 +298,9 @@ pub struct BatchSearchOutcome {
     pub drained: bool,
     /// Per-device degraded flags for the shared region.
     pub degraded: [bool; 2],
-    /// Checkpoints written across all queries (periodic + final).
+    /// Commit frames appended plus compacted drain/cancel checkpoints.
     pub checkpoints_written: u64,
-    /// Periodic checkpoint writes that failed (counted, never fatal).
+    /// Appends that failed (counted, never fatal).
     pub checkpoint_write_failures: u64,
     /// Aggregated CPU-pool metrics of this region (tasks, chunks, busy,
     /// queue-wait, cells, running GCUPS via [`DeviceMetrics::gcups`]).
@@ -338,9 +341,9 @@ impl HeteroEngine {
     /// * **checkpoints** — one file per query: `opts.checkpoint_path`
     ///   when the region has exactly one query (ignored otherwise — it
     ///   cannot name more than one), else a fingerprint-keyed file in
-    ///   `opts.checkpoint_dir`. Written periodically while a query is
-    ///   incomplete, finalised exactly on cancel/drain, and removed on
-    ///   completion; resume prefills that query's committed batches. With
+    ///   `opts.checkpoint_dir`: a commit log each clean chunk of an
+    ///   incomplete query appends to, compacted on cancel/drain and on
+    ///   resume (which prefills its batches), removed on completion. With
     ///   no location nothing is persisted and no fingerprint is computed.
     /// * **early hand-over** — with [`DurableOptions::on_query_done`] set,
     ///   a query's finished outcome is handed to the caller at *its* last
@@ -507,16 +510,12 @@ fn claim_order(lens: &[usize], batches: &[LaneBatch], seed: f64, pools: [usize; 
 /// about it: its durability state is read from here alone.
 struct Member<'r> {
     query: &'r BatchQuery<'r>,
-    /// Its checkpoint file and fingerprint; `None` persists nothing.
-    ckpt: Option<(PathBuf, SearchFingerprint)>,
+    /// Its checkpoint log; `None` persists nothing.
+    log: Option<Mutex<MemberLog>>,
     /// Times resumed before, and batches loaded from its checkpoint.
     resumes: u64,
     resumed: u64,
-    /// Its next checkpoint's sequence number and carried-in recovery.
-    seq: AtomicU64,
-    /// Its batches done at its last periodic write in this region; read
-    /// and set only under the one-writer gate, so `Relaxed` suffices.
-    written: AtomicU64,
+    /// The recovery totals its checkpoint carried in.
     baseline: [RecoveryTotals; 2],
     qp: Option<QueryProfile>,
     /// Its padded cells over the region's batches.
@@ -525,32 +524,32 @@ struct Member<'r> {
     finished: AtomicBool,
 }
 
+/// A member's checkpoint log: where it lives, whose it is, and which of
+/// the member's batches it holds.
+struct MemberLog {
+    path: PathBuf,
+    fingerprint: SearchFingerprint,
+    /// The open file; `None` before its first append.
+    file: Option<std::fs::File>,
+    /// Set by a failed append or the member's completion: nothing more is
+    /// appended in this region, so a torn frame can only be the tail.
+    stopped: bool,
+    /// Per batch of the member: the log holds its record.
+    held: Vec<bool>,
+    seq: u64,
+}
+
 impl Member<'_> {
-    /// Its next checkpoint of `slots` (its part of the slot table) and
-    /// where that goes; `None` when it persists nothing.
-    fn checkpoint(
-        &self,
-        slots: &[Option<BatchResult>],
-        accel_share: f64,
-        events: &[DeviceMetrics; 2],
-    ) -> Option<(&Path, Checkpoint)> {
-        let (path, fingerprint) = self.ckpt.as_ref()?;
-        let ckpt = Checkpoint {
-            fingerprint: *fingerprint,
-            seq: self.seq.fetch_add(1, Ordering::Relaxed),
-            resumes: self.resumes,
-            accel_share,
-            recovery: cumulative(&self.baseline, events),
-            done: slots.iter().flatten().cloned().collect(),
-        };
-        Some((path, ckpt))
+    fn log(&self) -> Option<MutexGuard<'_, MemberLog>> {
+        let log = self.log.as_ref()?;
+        Some(log.lock().unwrap_or_else(PoisonError::into_inner))
     }
 }
 
 /// The one recovery-totals rule: a baseline plus a region's events.
-/// Per-worker retry counts land only at worker exit, so a *periodic*
-/// checkpoint may undercount retries (the final one, written after the
-/// pools exit, is exact); the totals stay monotone either way.
+/// Per-worker retry counts land only at worker exit, so an appended
+/// commit frame may undercount retries (the final checkpoint, written
+/// after the pools exit, is exact); the totals stay monotone either way.
 fn cumulative(baseline: &[RecoveryTotals; 2], events: &[DeviceMetrics; 2]) -> [RecoveryTotals; 2] {
     [DEVICE_CPU, DEVICE_ACCEL].map(|d| baseline[d].plus(&events[d]))
 }
@@ -566,7 +565,7 @@ fn cumulative(baseline: &[RecoveryTotals; 2], events: &[DeviceMetrics; 2]) -> [R
 /// for the per-query semantics).
 ///
 /// Checkpoints are the region's own commit hook, installed only for a
-/// periodic checkpoint or `opts.on_query_done`.
+/// checkpoint location or `opts.on_query_done`.
 ///
 /// A sub-range region is never durable: checkpoints name batches by
 /// their index in the database, and the static split, the only caller
@@ -614,7 +613,7 @@ pub(crate) fn region(
     let mut loaded = [RecoveryTotals::default(); 2];
     let mut initial_share = seed;
     for (qi, query) in queries.iter().enumerate() {
-        let ckpt = checkpointing.then(|| {
+        let located = checkpointing.then(|| {
             let fp = SearchFingerprint::compute(db, query.residues);
             let path = match (explicit, opts.checkpoint_dir) {
                 (Some(path), _) => path.to_path_buf(),
@@ -622,12 +621,14 @@ pub(crate) fn region(
             };
             (path, fp)
         });
-        let prior = match &ckpt {
+        let mut prior = match &located {
             Some((path, _)) if opts.resume => Checkpoint::load_if_exists(path)?,
             _ => None,
         };
         let resumed = prior.as_ref().map_or(0, |p| p.done.len() as u64);
-        if let (Some(p), Some((_, fp))) = (&prior, &ckpt) {
+        let resumes = prior.as_ref().map_or(0, |p| p.resumes + 1);
+        let mut file = None;
+        if let (Some(p), Some((path, fp))) = (&mut prior, &located) {
             p.verify(fp)?;
             p.verify_layout(&db.batches, query.residues.len())?;
             for (total, base) in loaded.iter_mut().zip(&p.recovery) {
@@ -642,14 +643,32 @@ pub(crate) fn region(
                 };
                 tr.worker(DEVICE_CPU, n_batches).emit(event); // flushed on drop
             }
+            // This segment's log: the loaded records compacted under its
+            // resume count (a torn tail goes with the rewrite), then
+            // appended to.
+            p.resumes = resumes;
+            let bytes = p.write_atomic(path)?;
+            file = Some(open_log(path, Some(bytes)).map_err(CheckpointError::Io)?);
         }
+        let log = located.map(|(path, fingerprint)| {
+            let mut held = vec![false; n_batches];
+            for b in prior.iter().flat_map(|p| &p.done) {
+                held[b.batch] = true;
+            }
+            Mutex::new(MemberLog {
+                path,
+                fingerprint,
+                file,
+                stopped: false,
+                held,
+                seq: prior.as_ref().map_or(0, |p| p.seq + 1),
+            })
+        });
         members.push(Member {
             query,
-            ckpt,
-            resumes: prior.as_ref().map_or(0, |p| p.resumes + 1),
+            log,
+            resumes,
             resumed,
-            seq: AtomicU64::new(prior.as_ref().map_or(0, |p| p.seq + 1)),
-            written: AtomicU64::new(0),
             baseline: prior.as_ref().map_or_else(Default::default, |p| p.recovery),
             qp: reads_qp
                 .then(|| QueryProfile::build(query.residues, &engine.params.matrix, &db.alphabet)),
@@ -718,70 +737,75 @@ pub(crate) fn region(
         };
 
     let start = Instant::now();
-    // The one-writer gate: a periodic checkpoint holds it while it
-    // writes, and a member's completion takes it to remove the member's
-    // file, so no checkpoint file outlives its query.
-    let gate = Mutex::new(());
     // A completed member is finished exactly once (a reclaimed lease
     // commits its chunk twice; region end sweeps up whatever no commit
-    // reported): its checkpoint is spent, best-effort — a stale file is
-    // re-verified on the next resume, never silently wrong — and `true`
-    // says the caller may hear of it.
+    // reported): its log is closed and removed under the log's lock, so
+    // no append outlives it (best-effort: a stale file is re-verified on
+    // the next resume), and `true` says the caller may hear of it.
     let finish = |qi: usize| {
         let m = &members[qi];
         if m.finished.swap(true, Ordering::AcqRel) {
             return false;
         }
-        if let Some((path, _)) = &m.ckpt {
-            let _gate = gate.lock().unwrap_or_else(PoisonError::into_inner);
-            Checkpoint::remove(path).ok();
+        if let Some(mut log) = m.log() {
+            log.stopped = true;
+            log.file = None;
+            std::fs::remove_file(&log.path).ok();
         }
         true
     };
-    // A periodic tick checkpoints every incomplete member with a commit
-    // since its last write: slots are copied under the slot lock,
-    // encoded and written after it. A tick that finds a write in flight
-    // is skipped, not queued, once that write is on disk (the
-    // crash-harness switch after its chunk must not abort it half done).
-    // A failed write is counted, never fatal.
-    let checkpoint_incomplete = |view: &mut CommitView<'_, BatchResult>| {
-        let Ok(_gate) = gate.try_lock() else {
-            drop(gate.lock().unwrap_or_else(PoisonError::into_inner));
+    // A clean chunk's new records of member `qi`, one commit frame in one
+    // write (the first opens the log with its header). A failed append is
+    // counted, never fatal, and stops the member's log for the region.
+    let append = |view: &mut CommitView<'_, BatchResult>, qi: usize| {
+        let m = &members[qi];
+        let Some(mut guard) = m.log().filter(|log| !log.stopped) else {
             return;
         };
-        let events = region_events();
-        let due: Vec<_> = view.with_slots(|slots| {
-            // A hook runs only in a region with tasks: `n_batches > 0`.
-            let parts = members.iter().zip(slots.chunks(n_batches));
-            let due = parts.filter(|(m, slots_q)| {
-                let done = slots_q.iter().flatten().count() as u64;
-                done < n_batches as u64 && done > m.written.load(Ordering::Relaxed)
-            });
-            let share = view.accel_share;
-            due.filter_map(|(m, slots_q)| Some((m, m.checkpoint(slots_q, share, &events)?)))
-                .collect()
+        let log = &mut *guard;
+        let recovery = cumulative(&m.baseline, &region_events());
+        let share = view.accel_share;
+        let mut frames = Vec::new();
+        view.with_slots(|slots| {
+            let mine = view.tasks.iter().filter(|&&t| t / n_batches == qi);
+            let fresh: Vec<&BatchResult> = (mine.filter_map(|&t| slots[t].as_ref()))
+                .filter(|b| !std::mem::replace(&mut log.held[b.batch], true))
+                .collect();
+            if fresh.is_empty() {
+                return;
+            }
+            if log.file.is_none() {
+                put_header(&mut frames, &log.fingerprint, m.resumes);
+            }
+            put_commit(&mut frames, log.seq, share, &recovery, fresh.into_iter());
         });
-        for (m, (path, ckpt)) in due {
-            let tasks_done = ckpt.done.len() as u64;
-            let Ok(bytes) = ckpt.write_atomic(path) else {
-                write_failures.fetch_add(1, Ordering::Relaxed);
-                continue;
-            };
-            m.written.store(tasks_done, Ordering::Relaxed);
-            writes.fetch_add(1, Ordering::Relaxed);
-            view.emit(EventKind::CheckpointWritten {
-                seq: ckpt.seq,
-                tasks_done,
-                bytes,
-            });
+        if frames.is_empty() {
+            return;
         }
+        let wrote = match &mut log.file {
+            Some(file) => file.write_all(&frames),
+            None => {
+                open_log(&log.path, Some(0)).and_then(|f| log.file.insert(f).write_all(&frames))
+            }
+        };
+        if wrote.is_err() {
+            log.stopped = true;
+            write_failures.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        writes.fetch_add(1, Ordering::Relaxed);
+        view.emit(EventKind::CheckpointWritten {
+            seq: log.seq,
+            tasks_done: log.held.iter().filter(|&&h| h).count() as u64,
+            bytes: frames.len() as u64,
+        });
+        log.seq += 1;
     };
-    let every = Some(opts.interval_chunks).filter(|&n| checkpointing && n > 0);
-    let clean_chunks = AtomicU64::new(0);
     // After each commit: did it fill the last slot of a member it
     // touches (a chunk touches one, the prefill each in turn)? Slots are
     // copied under the slot lock only for a caller that takes the
-    // outcome. Then, every `every` clean chunks, a periodic checkpoint.
+    // outcome. A clean chunk of a member it did not complete goes to
+    // that member's log.
     let on_commit = |mut view: CommitView<'_, BatchResult>| {
         let mut touched: Vec<usize> = view.tasks.iter().map(|t| t / n_batches).collect();
         touched.dedup();
@@ -794,20 +818,21 @@ pub(crate) fn region(
                 let copy = || opts.on_query_done.map(|_| slots_q.to_vec());
                 slots_q.iter().all(Option::is_some).then(copy)
             });
-            if let Some(copy) = complete.filter(|_| finish(qi)) {
-                if let (Some(done), Some(slots_q)) = (opts.on_query_done, copy) {
-                    let degraded = region_events().iter().any(|d| d.degraded);
-                    done(qi, &outcome_of(qi, &slots_q, start.elapsed(), degraded));
+            match complete {
+                Some(copy) => {
+                    if let (true, Some(done), Some(slots_q)) =
+                        (finish(qi), opts.on_query_done, copy)
+                    {
+                        let degraded = region_events().iter().any(|d| d.degraded);
+                        done(qi, &outcome_of(qi, &slots_q, start.elapsed(), degraded));
+                    }
                 }
-            }
-        }
-        if let Some(every) = every.filter(|_| view.clean) {
-            if (clean_chunks.fetch_add(1, Ordering::AcqRel) + 1).is_multiple_of(every) {
-                checkpoint_incomplete(&mut view);
+                None if view.clean => append(&mut view, qi),
+                None => {}
             }
         }
     };
-    let hooked = opts.on_query_done.is_some() || every.is_some();
+    let hooked = opts.on_query_done.is_some() || checkpointing;
     let lens: Vec<usize> = queries.iter().map(|q| q.residues.len()).collect();
     let out = run_dual_pool_durable(
         queries.len() * n_batches,
@@ -904,8 +929,16 @@ pub(crate) fn region(
             // Final exact checkpoint: written after the pools exited,
             // its failure is a hard error — a cancelled member without
             // its checkpoint cannot be resumed.
-            if let Some((path, ckpt)) = m.checkpoint(slots_q, final_share, &events) {
-                ckpt.write_atomic(path)?;
+            if let Some(log) = m.log() {
+                let ckpt = Checkpoint {
+                    fingerprint: log.fingerprint,
+                    seq: log.seq,
+                    resumes: m.resumes,
+                    accel_share: final_share,
+                    recovery: cumulative(&m.baseline, &events),
+                    done: slots_q.iter().flatten().cloned().collect(),
+                };
+                ckpt.write_atomic(&log.path)?;
                 writes.fetch_add(1, Ordering::Relaxed);
             }
             outcome.cancelled = true;
@@ -962,8 +995,8 @@ pub struct DurableOptions<'a> {
     /// Created if missing. A resume with the same fingerprint finds the
     /// same file.
     pub checkpoint_dir: Option<&'a Path>,
-    /// Write a checkpoint of every incomplete member every this many
-    /// cleanly completed chunks (0 = only the final drain checkpoint).
+    /// Ignored: every clean chunk is appended to its member's log. Kept
+    /// only because the pinned benchmark still names the field.
     pub interval_chunks: u64,
     /// Cooperative stop signal (SIGINT/SIGTERM in the CLI).
     pub drain: Option<&'a DrainSignal>,
@@ -1039,9 +1072,9 @@ pub struct DurableSearchOutcome {
     pub resumed_tasks: u64,
     /// How many times this search has been resumed (0 = fresh run).
     pub resumes: u64,
-    /// Checkpoints written during this segment (periodic + final).
+    /// Commit frames appended plus the compacted drain checkpoint.
     pub checkpoints_written: u64,
-    /// Periodic checkpoint writes that failed (counted, never fatal).
+    /// Appends that failed (counted, never fatal).
     pub checkpoint_write_failures: u64,
     /// Cumulative recovery totals per device (`[cpu, accel]`) across all
     /// run segments — monotone under resume
@@ -1576,7 +1609,6 @@ mod tests {
             let drain = DrainSignal::after_tasks(2);
             let mut opts = DurableOptions {
                 checkpoint_path: Some(&path),
-                interval_chunks: 1,
                 drain: Some(&drain),
                 ..DurableOptions::default()
             };
@@ -1660,7 +1692,6 @@ mod tests {
             for dir in [None, Some(tmp.as_path())] {
                 let opts = DurableOptions {
                     checkpoint_dir: dir,
-                    interval_chunks: 1,
                     ..DurableOptions::default()
                 };
                 let out = hetero
@@ -1994,7 +2025,6 @@ mod tests {
         cancel_b.request(); // deterministic: B never runs a task
         let opts = DurableOptions {
             checkpoint_dir: Some(&tmp),
-            interval_chunks: 1,
             resume: true,
             ..DurableOptions::default()
         };
@@ -2087,7 +2117,6 @@ mod tests {
         };
         let opts = DurableOptions {
             checkpoint_dir: Some(&tmp),
-            interval_chunks: 1,
             resume: true,
             ..DurableOptions::default()
         };
@@ -2178,7 +2207,6 @@ mod tests {
         let plan = hetero.plan_split(&db, q1.len(), 0.5);
         let opts = DurableOptions {
             checkpoint_dir: Some(&tmp),
-            interval_chunks: 1,
             drain: Some(&drain),
             resume: true,
             ..DurableOptions::default()

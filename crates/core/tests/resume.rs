@@ -10,12 +10,13 @@
 //! the CLI's subprocess crash harness (`crates/cli/tests`), which this
 //! suite cannot do in-process.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::time::Duration;
 use sw_core::{
-    BatchQuery, CheckpointError, DurableOptions, DurableSearchError, HeteroEngine,
+    BatchQuery, Checkpoint, CheckpointError, DurableOptions, DurableSearchError, HeteroEngine,
     HeteroSearchConfig, PreparedDb, SearchConfig, SearchEngine, TraceConfig,
 };
-use sw_sched::{DrainSignal, FaultInjector};
+use sw_sched::{DrainSignal, FaultInjector, FaultKind, FaultPlan, FaultSpec, DEVICE_CPU};
 use sw_seq::gen::{generate_database, generate_query, DbSpec};
 use sw_seq::Alphabet;
 
@@ -63,10 +64,9 @@ fn clean_durable_run_matches_static_and_dynamic() {
             &DurableOptions {
                 checkpoint_path: Some(&path),
                 checkpoint_dir: None,
-                interval_chunks: 2,
                 drain: None,
                 resume: false,
-                on_query_done: None,
+                ..DurableOptions::default()
             },
         )
         .expect("clean durable run");
@@ -119,10 +119,9 @@ fn drain_resume_equivalence_matrix() {
                 &DurableOptions {
                     checkpoint_path: Some(&path),
                     checkpoint_dir: None,
-                    interval_chunks: 1,
                     drain: Some(&drain),
                     resume: false,
-                    on_query_done: None,
+                    ..DurableOptions::default()
                 },
             )
             .expect("drained segment");
@@ -151,10 +150,9 @@ fn drain_resume_equivalence_matrix() {
                 &DurableOptions {
                     checkpoint_path: Some(&path),
                     checkpoint_dir: None,
-                    interval_chunks: 1,
                     drain: None,
                     resume: true,
-                    on_query_done: None,
+                    ..DurableOptions::default()
                 },
             )
             .expect("resumed segment");
@@ -214,10 +212,9 @@ fn drain_during_drained_resume_still_converges() {
             &DurableOptions {
                 checkpoint_path: Some(&path),
                 checkpoint_dir: None,
-                interval_chunks: 1,
                 drain: Some(&drain1),
                 resume: false,
-                on_query_done: None,
+                ..DurableOptions::default()
             },
         )
         .expect("segment 1");
@@ -237,10 +234,9 @@ fn drain_during_drained_resume_still_converges() {
             &DurableOptions {
                 checkpoint_path: Some(&path),
                 checkpoint_dir: None,
-                interval_chunks: 1,
                 drain: Some(&drain2),
                 resume: true,
-                on_query_done: None,
+                ..DurableOptions::default()
             },
         )
         .expect("segment 2");
@@ -258,10 +254,9 @@ fn drain_during_drained_resume_still_converges() {
             &DurableOptions {
                 checkpoint_path: Some(&path),
                 checkpoint_dir: None,
-                interval_chunks: 1,
                 drain: None,
                 resume: true,
-                on_query_done: None,
+                ..DurableOptions::default()
             },
         )
         .expect("segment 3");
@@ -293,12 +288,22 @@ fn faulty_segment_keeps_counters_monotone_after_resume() {
     let reference = hetero.search_dynamic(&q, &db, &plan, &cfg);
 
     let path = ckpt_path("faulty");
-    // An accel worker dies on its first chunk, then the run drains.
-    let inj = FaultInjector::new(FaultPlan::single(FaultSpec {
+    // An accel worker dies on its first chunk, then the run drains. Each
+    // CPU worker's first chunk starts 200 ms late, so the accelerator
+    // claims a chunk before the CPU pool reaches the drain threshold.
+    let hold = |chunk| FaultSpec {
+        device: DEVICE_CPU,
+        chunk,
+        kind: FaultKind::Delay(Duration::from_millis(200)),
+    };
+    let kill = FaultSpec {
         device: DEVICE_ACCEL,
         chunk: 0,
         kind: FaultKind::Kill,
-    }));
+    };
+    let inj = FaultInjector::new(FaultPlan {
+        specs: vec![kill, hold(0), hold(1)],
+    });
     let drain = DrainSignal::after_tasks((n * 3 / 4).max(1));
     let s1 = hetero
         .search_dynamic_resumable(
@@ -310,10 +315,9 @@ fn faulty_segment_keeps_counters_monotone_after_resume() {
             &DurableOptions {
                 checkpoint_path: Some(&path),
                 checkpoint_dir: None,
-                interval_chunks: 1,
                 drain: Some(&drain),
                 resume: false,
-                on_query_done: None,
+                ..DurableOptions::default()
             },
         )
         .expect("faulty drained segment");
@@ -333,10 +337,9 @@ fn faulty_segment_keeps_counters_monotone_after_resume() {
             &DurableOptions {
                 checkpoint_path: Some(&path),
                 checkpoint_dir: None,
-                interval_chunks: 1,
                 drain: None,
                 resume: true,
-                on_query_done: None,
+                ..DurableOptions::default()
             },
         )
         .expect("clean resumed segment");
@@ -369,10 +372,9 @@ fn resume_against_wrong_query_is_typed_mismatch() {
             &DurableOptions {
                 checkpoint_path: Some(&path),
                 checkpoint_dir: None,
-                interval_chunks: 1,
                 drain: Some(&drain),
                 resume: false,
-                on_query_done: None,
+                ..DurableOptions::default()
             },
         )
         .expect("drained segment");
@@ -390,10 +392,9 @@ fn resume_against_wrong_query_is_typed_mismatch() {
             &DurableOptions {
                 checkpoint_path: Some(&path),
                 checkpoint_dir: None,
-                interval_chunks: 1,
                 drain: None,
                 resume: true,
-                on_query_done: None,
+                ..DurableOptions::default()
             },
         )
         .expect_err("a different query must be rejected");
@@ -548,17 +549,17 @@ fn corrupt_checkpoint_is_rejected_not_trusted() {
             &DurableOptions {
                 checkpoint_path: Some(&path),
                 checkpoint_dir: None,
-                interval_chunks: 1,
                 drain: Some(&drain),
                 resume: false,
-                on_query_done: None,
+                ..DurableOptions::default()
             },
         )
         .expect("drained segment");
-    // Flip one payload byte on disk.
+    // Flip one byte of the header frame's payload on disk: a bad frame
+    // with bytes after it (a flip in the last frame would be a torn tail,
+    // dropped by the log's recovery rule).
     let mut bytes = std::fs::read(&path).expect("checkpoint bytes");
-    let last = bytes.len() - 1;
-    bytes[last] ^= 0x40;
+    bytes[8 + 12 + 3] ^= 0x40;
     std::fs::write(&path, &bytes).expect("rewrite");
 
     let err = hetero
@@ -571,16 +572,18 @@ fn corrupt_checkpoint_is_rejected_not_trusted() {
             &DurableOptions {
                 checkpoint_path: Some(&path),
                 checkpoint_dir: None,
-                interval_chunks: 1,
                 drain: None,
                 resume: true,
-                on_query_done: None,
+                ..DurableOptions::default()
             },
         )
         .expect_err("bit-flipped checkpoint must be rejected");
     match err {
         DurableSearchError::Checkpoint(CheckpointError::Corrupt { detail }) => {
-            assert!(detail.contains("CRC32"), "unexpected detail: {detail}");
+            assert!(
+                detail.contains("CRC32") && detail.contains("at byte 8"),
+                "unexpected detail: {detail}"
+            );
             // The operator must learn *which* file to inspect or delete.
             assert!(
                 detail.contains(path.to_str().expect("utf-8 path")),
@@ -621,10 +624,9 @@ fn shared_checkpoint_dir_keeps_concurrent_searches_apart() {
         let dopts = DurableOptions {
             checkpoint_path: None,
             checkpoint_dir: Some(&dir),
-            interval_chunks: 1,
             drain: Some(&DrainSignal::after_tasks((n / 2).max(1))),
             resume: false,
-            on_query_done: None,
+            ..DurableOptions::default()
         };
         let first = hetero
             .search_dynamic_resumable(q, &db, &plan, &cfg, &FaultInjector::none(), &dopts)
@@ -653,10 +655,9 @@ fn shared_checkpoint_dir_keeps_concurrent_searches_apart() {
         let dopts = DurableOptions {
             checkpoint_path: None,
             checkpoint_dir: Some(&dir),
-            interval_chunks: 1,
             drain: None,
             resume: true,
-            on_query_done: None,
+            ..DurableOptions::default()
         };
         let out = hetero
             .search_dynamic_resumable(q, &db, plan, &cfg, &FaultInjector::none(), &dopts)
@@ -676,11 +677,12 @@ fn shared_checkpoint_dir_keeps_concurrent_searches_apart() {
 
 #[test]
 fn periodic_checkpoints_of_a_two_member_region_are_counted_and_spent() {
-    // The periodic checkpoint is the region's own commit hook: with an
-    // interval of one clean chunk, a two-member region on one CPU and
-    // one accelerator worker writes checkpoints while it runs, traces
-    // exactly one `checkpoint_written` per file it wrote, and leaves no
-    // file behind once every member has completed.
+    // The checkpoint log is the region's own commit hook: every clean
+    // chunk of a member it does not complete appends one commit frame,
+    // so a two-member region on one CPU and one accelerator worker
+    // writes frames while it runs, traces exactly one
+    // `checkpoint_written` per frame appended, and leaves no file behind
+    // once every member has completed.
     let (db, q1) = setup();
     let q2 = generate_query(140, 77).residues;
     let hetero = HeteroEngine::new(SearchEngine::paper_default());
@@ -702,10 +704,9 @@ fn periodic_checkpoints_of_a_two_member_region_are_counted_and_spent() {
     let opts = |drain, resume| DurableOptions {
         checkpoint_path: None,
         checkpoint_dir: Some(&dir),
-        interval_chunks: 1,
         drain,
         resume,
-        on_query_done: None,
+        ..DurableOptions::default()
     };
     let checkpoint_files = || {
         std::fs::read_dir(&dir)
@@ -735,7 +736,7 @@ fn periodic_checkpoints_of_a_two_member_region_are_counted_and_spent() {
             .expect("clean region");
         assert!(
             out.checkpoints_written >= 1,
-            "run {run}: interval 1 must checkpoint at least once"
+            "run {run}: a chunk that completes no member is appended"
         );
         let tl = out.timeline.as_ref().expect("traced region");
         assert_eq!(
@@ -746,11 +747,11 @@ fn periodic_checkpoints_of_a_two_member_region_are_counted_and_spent() {
         assert_eq!(
             tl.count("checkpoint_written") as u64,
             out.checkpoints_written,
-            "run {run}: one trace event per checkpoint file written"
+            "run {run}: one trace event per commit frame appended"
         );
         assert_eq!(out.checkpoint_write_failures, 0, "run {run}");
-        // A tick writes only members with a commit since their last
-        // write, so no file is written before its member has a batch.
+        // A frame holds the new records of a clean chunk, so no frame is
+        // appended before its member has a batch.
         for t in &tl.tracks {
             for ev in &t.events {
                 if let sw_trace::EventKind::CheckpointWritten { tasks_done, .. } = ev.kind {
@@ -817,4 +818,130 @@ fn periodic_checkpoints_of_a_two_member_region_are_counted_and_spent() {
     assert_eq!(hits(&resumed), clean, "resumed == clean, member by member");
     assert!(checkpoint_files().is_empty(), "{:?}", checkpoint_files());
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One CPU worker searches `q` with its log at `path`; its third chunk
+/// starts a second late. Returns the outcome and the log's bytes while
+/// that chunk waits: two commit frames, the log a crash after two chunks
+/// leaves behind.
+fn log_of_two_chunks(
+    db: &PreparedDb,
+    q: &[u8],
+    path: &Path,
+    trace: TraceConfig,
+) -> (sw_core::DurableSearchOutcome, Vec<u8>) {
+    let hetero = HeteroEngine::new(SearchEngine::paper_default());
+    let plan = hetero.plan_split(db, q.len(), 0.0);
+    let cfg = HeteroSearchConfig {
+        trace,
+        ..HeteroSearchConfig::best(1, 0)
+    };
+    let late = FaultInjector::new(FaultPlan::single(FaultSpec {
+        device: DEVICE_CPU,
+        chunk: 2,
+        kind: FaultKind::Delay(Duration::from_secs(1)),
+    }));
+    let opts = DurableOptions {
+        checkpoint_path: Some(path),
+        ..DurableOptions::default()
+    };
+    std::fs::remove_file(path).ok();
+    std::thread::scope(|scope| {
+        let watcher = scope.spawn(|| loop {
+            // The second frame is on disk once the log folds to seq 1,
+            // and nothing more is appended for a second.
+            if let Ok(bytes) = std::fs::read(path) {
+                if let Ok(Some(c)) = Checkpoint::decode(&bytes) {
+                    if c.seq == 1 {
+                        return bytes;
+                    }
+                }
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        });
+        let out = hetero
+            .search_dynamic_resumable(q, db, &plan, &cfg, &late, &opts)
+            .expect("clean run");
+        (out, watcher.join().expect("watcher"))
+    })
+}
+
+#[test]
+fn the_bytes_appended_for_a_member_are_its_log() {
+    // Each clean chunk appends one frame of its own records: the log is
+    // exactly the bytes appended to it, linear in the batches committed,
+    // with no whole-file rewrite in between.
+    let (db, q) = setup();
+    let path = ckpt_path("appended");
+    let (out, log) = log_of_two_chunks(&db, &q, &path, TraceConfig::full());
+    let tl = out.outcome.expect("completed").timeline.expect("traced");
+    let mut appended = 0;
+    let mut records = Vec::new();
+    for ev in tl.tracks.iter().flat_map(|t| &t.events) {
+        if let sw_trace::EventKind::CheckpointWritten {
+            seq,
+            tasks_done,
+            bytes,
+        } = ev.kind
+        {
+            if seq < 2 {
+                appended += bytes;
+                records.push(tasks_done);
+            }
+        }
+    }
+    assert_eq!(appended, log.len() as u64, "appended bytes = log size");
+    let c = Checkpoint::decode(&log).unwrap().expect("two commits");
+    assert_eq!(records.len(), 2, "one event per frame");
+    assert_eq!(records[1], c.done.len() as u64, "every record once");
+    assert!(!path.exists(), "completion spends the log");
+}
+
+#[test]
+fn every_prefix_of_a_crashed_log_resumes_to_the_oracle_hits() {
+    // The crash-point sweep: the log is only ever appended to, so every
+    // state a crash can leave is a prefix of it. Each one, from no byte
+    // to the whole log, resumes to the scalar-oracle hit list, loading
+    // exactly the records of its whole frames.
+    let a = Alphabet::protein();
+    let spec = DbSpec {
+        n_seqs: 24,
+        ..DbSpec::tiny(5)
+    };
+    let db = PreparedDb::prepare(generate_database(&spec), 4, &a);
+    let q = generate_query(30, 9).residues;
+    let path = ckpt_path("sweep");
+    let (_, log) = log_of_two_chunks(&db, &q, &path, TraceConfig::default());
+    let engine = SearchEngine::paper_default();
+    let oracle = engine.search(&q, &db, &SearchConfig::best(1)).hits;
+    let hetero = HeteroEngine::new(engine);
+    let plan = hetero.plan_split(&db, q.len(), 0.0);
+    let cfg = HeteroSearchConfig::best(1, 0);
+    let opts = DurableOptions {
+        checkpoint_path: Some(&path),
+        resume: true,
+        ..DurableOptions::default()
+    };
+    let mut loaded = 0;
+    for k in 0..=log.len() {
+        std::fs::write(&path, &log[..k]).expect("prefix");
+        let held = Checkpoint::decode(&log[..k])
+            .unwrap_or_else(|e| panic!("prefix {k}: {e}"))
+            .map_or(0, |c| c.done.len() as u64);
+        let out = hetero
+            .search_dynamic_resumable(&q, &db, &plan, &cfg, &FaultInjector::none(), &opts)
+            .unwrap_or_else(|e| panic!("prefix {k}: {e}"));
+        assert_eq!(out.resumed_tasks, held, "prefix {k}");
+        assert!(held >= loaded, "prefix {k}: a longer prefix holds more");
+        loaded = held;
+        let hits = out.outcome.expect("completed").results.hits;
+        assert_eq!(hits, oracle, "prefix {k}");
+        assert!(!path.exists(), "prefix {k}: completion spends the log");
+    }
+    let whole = Checkpoint::decode(&log).unwrap().expect("two commits");
+    assert_eq!(loaded, whole.done.len() as u64);
+    assert!(
+        loaded < db.batches.len() as u64,
+        "the crash left work to do"
+    );
 }

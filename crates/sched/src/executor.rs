@@ -741,8 +741,8 @@ impl<'a> Supervisor<'a> {
 /// * **commit hook** — [`DurableControl::on_commit`]; a clean chunk's
 ///   hook runs after its lease completes and before the injector's
 ///   crash-harness switch, so what the hook persisted is on disk when the
-///   process aborts. The executor knows no checkpoint: a periodic one is
-///   a hook that counts clean chunks.
+///   process aborts. The executor knows no checkpoint: a commit log is a
+///   hook that appends each clean chunk.
 ///
 /// Threads: the caller runs the first worker (CPU worker 0, or
 /// accelerator worker 0 when the CPU pool is empty) and every other

@@ -11,8 +11,8 @@
 //! broken stream is retried by that thread with an incremented attempt
 //! count. Before a retry the thread backs off, then invokes the
 //! caller-supplied `respawn` launcher so a SIGKILL'd worker comes back
-//! as a fresh process; the worker then resumes from its own SWCKPT1
-//! checkpoint, whose fingerprint embeds the per-shard db digest — shard
+//! as a fresh process; the worker then resumes from its own SWCKPT2
+//! checkpoint log, whose fingerprint embeds the per-shard db digest — shard
 //! checkpoints cannot collide even in a shared checkpoint directory. A
 //! per-shard attempt cap and a global failure budget bound the retry
 //! storm, mirroring `RecoveryConfig` semantics.
@@ -33,8 +33,8 @@
 //! ## Crash-survivable coordination
 //!
 //! With a journal path configured ([`CoordDrill`]), every accepted
-//! per-shard result and every requeue is recorded in an SWCRDJ1 file
-//! (CRC-guarded, tmp + fsync + rename — see [`crate::journal`]). A coordinator
+//! per-shard result and every requeue is appended to an SWCRDJ2 log
+//! (CRC-framed, fsync'd per record — see [`crate::journal`]). A coordinator
 //! that is SIGKILLed mid-search restarts with `resume`, skips committed
 //! shards entirely, re-runs only the rest, and merges to bytes
 //! identical to an uninterrupted run.
@@ -53,13 +53,13 @@ use crate::json;
 use crate::transport::{
     is_timeout, Endpoint, LineReader, NetTransport, RetryPolicy, ShardTransport, Stream,
 };
-use std::io;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use sw_sched::{NetFaultInjector, NetFaultKind};
-use sw_swdb::integrity::{fnv1a64, tmp_path};
+use sw_swdb::integrity::{fnv1a64, open_log};
 
 /// Consecutive missed heartbeats before a silent stream is declared
 /// black-holed and its shard lease is requeued.
@@ -147,7 +147,7 @@ impl CoordConfig {
 }
 
 /// Durability and drill hooks for one sharded search: an optional
-/// armed network-fault injector, and an optional SWCRDJ1 journal path
+/// armed network-fault injector, and an optional SWCRDJ2 journal path
 /// plus the resume flag.
 #[derive(Default)]
 pub struct CoordDrill<'a> {
@@ -258,6 +258,8 @@ enum AttemptError {
 /// What the shard threads share, under one mutex.
 struct CoordState {
     journal: CoordJournal,
+    /// The journal's open log; `None` before its first append.
+    log: Option<std::fs::File>,
     failures: u32,
     requeues: u64,
     failovers: u64,
@@ -289,7 +291,7 @@ pub fn search_sharded(
 
 /// [`search_sharded`] with an explicit transport and the durability /
 /// fault-drill hooks: replica failover, seeded network faults, and the
-/// SWCRDJ1 journal with crash-resume.
+/// SWCRDJ2 journal with crash-resume.
 pub fn search_sharded_durable(
     shards: &[ShardSpec],
     query_fasta: &str,
@@ -307,17 +309,28 @@ pub fn search_sharded_durable(
     let query_digest = fnv1a64(query_fasta.as_bytes());
 
     // Load-or-create the journal. A resumed journal must describe this
-    // exact search; a mismatch is an operator error, never silent.
-    let journal = if drill.resume {
-        let path = drill.journal.as_deref().ok_or(CoordError::Journal {
-            detail: "resume requested but no journal path configured".into(),
-        })?;
-        let j = CoordJournal::load(path).map_err(|detail| CoordError::Journal { detail })?;
-        j.validate(query_digest, cfg.parent_digest, cfg.top as u64, n as u64)
-            .map_err(|detail| CoordError::Journal { detail })?;
-        j
-    } else {
-        CoordJournal::new(query_digest, cfg.parent_digest, cfg.top as u64, n as u64)
+    // exact search; a mismatch is an operator error, never silent. Its
+    // log is reopened past its last whole frame; one without a whole
+    // header holds nothing, and a fresh log starts at the first append.
+    let fresh = || CoordJournal::new(query_digest, cfg.parent_digest, cfg.top as u64, n as u64);
+    let journal_error = |detail| CoordError::Journal { detail };
+    let (journal, log) = match (drill.resume, drill.journal.as_deref()) {
+        (false, _) => (fresh(), None),
+        (true, None) => {
+            return Err(journal_error(
+                "resume requested but no journal path configured".into(),
+            ))
+        }
+        (true, Some(path)) => match CoordJournal::load(path).map_err(journal_error)? {
+            None => (fresh(), None),
+            Some((j, whole)) => {
+                j.validate(query_digest, cfg.parent_digest, cfg.top as u64, n as u64)
+                    .map_err(journal_error)?;
+                let log = open_log(path, Some(whole))
+                    .map_err(|e| journal_error(format!("coord journal {}: {e}", path.display())))?;
+                (j, Some(log))
+            }
+        },
     };
 
     // Uncommitted shards run, each from its surviving attempt count;
@@ -331,6 +344,7 @@ pub fn search_sharded_durable(
     let journal_skipped = (n - pending.len()) as u64;
     let state = Mutex::new(CoordState {
         journal,
+        log,
         failures: 0,
         requeues: 0,
         failovers: 0,
@@ -369,7 +383,7 @@ pub fn search_sharded_durable(
                     Ok(committed) => {
                         g.journal.shards[slot].attempts = attempts + 1;
                         g.journal.shards[slot].committed = Some(committed);
-                        persist_journal(&mut g, journal_path);
+                        persist_journal(&mut g, journal_path, slot);
                         return;
                     }
                     Err(AttemptError::Fatal(e)) => {
@@ -401,7 +415,7 @@ pub fn search_sharded_durable(
                         g.requeues += 1;
                         attempts += 1;
                         g.journal.shards[slot].attempts = attempts;
-                        persist_journal(&mut g, journal_path);
+                        persist_journal(&mut g, journal_path, slot);
                     }
                 }
             });
@@ -415,7 +429,6 @@ pub fn search_sharded_durable(
     // Clean finish: the journal has served its purpose.
     if let Some(path) = journal_path {
         let _ = std::fs::remove_file(path);
-        let _ = std::fs::remove_file(tmp_path(path));
     }
     // Every slot is committed now, whether this run or a resumed one
     // committed it: the journal is the one record of what each shard
@@ -443,12 +456,31 @@ pub fn search_sharded_durable(
     })
 }
 
-/// Rewrite the journal under the state lock. A failed write poisons the
-/// search with a fatal error — durability was requested, so a journal
-/// the operator cannot trust is worse than no result.
-fn persist_journal(g: &mut CoordState, path: Option<&Path>) {
-    if let Some(path) = path {
-        if let Err(e) = g.journal.save(path) {
+/// Append shard `slot`'s new state to the journal under the state lock
+/// (the first append opens the log with its header). A failed write
+/// poisons the search with a fatal error — durability was requested, so
+/// a journal the operator cannot trust is worse than no result — and
+/// nothing is appended after it, so a torn record stays the tail.
+fn persist_journal(g: &mut CoordState, path: Option<&Path>, slot: usize) {
+    let Some(path) = path.filter(|_| !matches!(g.fatal, Some(CoordError::Journal { .. }))) else {
+        return;
+    };
+    let mut frames = Vec::new();
+    if g.log.is_none() {
+        g.journal.put_header(&mut frames);
+    }
+    g.journal.put_slot(&mut frames, slot);
+    // Each record is synced: the journal is the only trace of committed
+    // shards once the coordinator is gone.
+    let log = g.log.take().map_or_else(|| open_log(path, Some(0)), Ok);
+    let wrote = log.and_then(|mut log| {
+        log.write_all(&frames)?;
+        log.sync_data()?;
+        Ok(log)
+    });
+    match wrote {
+        Ok(log) => g.log = Some(log),
+        Err(e) => {
             g.fatal.get_or_insert(CoordError::Journal {
                 detail: format!("coord journal write {}: {e}", path.display()),
             });

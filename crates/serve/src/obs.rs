@@ -23,13 +23,13 @@
 //! short mutex per transition (a handful of integer adds), and the
 //! scrape renders from a clone of the aggregate under the same lock.
 
-use std::fs::OpenOptions;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use sw_swdb::integrity::open_log;
 use sw_trace::export::{Histogram, PromWriter};
 
 use crate::batch::WindowClosed;
@@ -232,12 +232,7 @@ impl Obs {
     /// loaded and the worker scope is up ([`Obs::set_ready`]).
     pub fn new(config: ObsConfig) -> Obs {
         let sink = match &config.log_file {
-            Some(path) => OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-                .map(Sink::File)
-                .unwrap_or(Sink::Stderr),
+            Some(path) => open_log(path, None).map(Sink::File).unwrap_or(Sink::Stderr),
             None => Sink::Stderr,
         };
         Obs {
@@ -359,7 +354,8 @@ impl Obs {
         self.agg.lock().expect("obs agg").degraded_runs += 1;
     }
 
-    /// Count checkpoint files written by a region.
+    /// Count a region's checkpoint writes: commit frames appended plus
+    /// compacted cancel/drain checkpoints.
     pub fn on_checkpoint_writes(&self, n: u64) {
         if n > 0 {
             self.agg.lock().expect("obs agg").checkpoint_writes += n;
@@ -508,7 +504,7 @@ impl Obs {
             ),
             (
                 "sw_serve_checkpoint_writes_total",
-                "checkpoint files written by regions",
+                "checkpoint writes by regions (commit frames appended, compacted cancel/drain checkpoints)",
                 agg.checkpoint_writes,
             ),
             (

@@ -92,7 +92,8 @@ pub struct ServeConfig {
     /// Max queued+running jobs per tenant; a submit over the quota is
     /// rejected at the door.
     pub tenant_quota: usize,
-    /// Periodic checkpoint interval in committed chunks.
+    /// Ignored: every clean chunk of a job is appended to its checkpoint
+    /// log. Kept only because the pinned benchmark still names the field.
     pub interval_chunks: u64,
     /// Fingerprint-named per-job checkpoints live here; `None` disables
     /// checkpointing (cancelled jobs then restart from scratch).
@@ -818,10 +819,10 @@ fn run_batch_jobs(ctx: Ctx<'_>, jobs: Vec<PendingJob>, closed: Option<WindowClos
     let dopts = DurableOptions {
         checkpoint_path: None,
         checkpoint_dir: ctx.config.checkpoint_dir.as_deref(),
-        interval_chunks: ctx.config.interval_chunks,
         drain: Some(ctx.shutdown),
         resume: true,
         on_query_done: Some(&reply_done),
+        ..DurableOptions::default()
     };
     let out =
         ctx.engine

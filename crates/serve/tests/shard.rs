@@ -2,7 +2,7 @@
 //! byte-identical to the unsharded engine's, at 1, 2 and 4 shards, with
 //! equal-score ties deliberately straddling every shard boundary — and
 //! a dead shard worker must be requeued, respawned and resumed from its
-//! SWCKPT1 checkpoint without perturbing a single output byte.
+//! SWCKPT2 checkpoint without perturbing a single output byte.
 //!
 //! Workers here are in-process `serve` daemons (one scoped thread per
 //! shard, each with its own leaked `'static` drain signal minted by a
@@ -24,7 +24,7 @@ use sw_serve::{
     client, coord, json, CommittedShard, CoordConfig, CoordDrill, CoordJournal, Endpoint,
     NetTransport, ServeConfig, ShardRole, ShardSpec, ShardTransport, Stream,
 };
-use sw_swdb::integrity::fnv1a64;
+use sw_swdb::integrity::{fnv1a64, read_log, FRAME_HEAD};
 
 const LANES: usize = 4;
 const TOP: usize = 12;
@@ -365,8 +365,8 @@ fn dead_worker_is_requeued_respawned_and_resumes_from_checkpoint() {
         // Phase A: worker 0 lives briefly — long enough to accept the
         // query, get cancelled mid-delay-drill, and checkpoint — then
         // shuts down. This is the in-process stand-in for "SIGKILLed
-        // after its interval checkpoint": a dead socket with a valid
-        // SWCKPT1 file behind it.
+        // after its last appended commit": a dead socket with a valid
+        // SWCKPT2 file behind it.
         {
             let (engine, a, base) = (&engine, &a, &base);
             let seed0 = &seeds[0];
@@ -656,7 +656,7 @@ fn replica_failover_preserves_merged_bytes() {
 
 #[test]
 fn resumed_coordinator_skips_committed_shards_and_merges_identically() {
-    // A coordinator "crashes" after committing shard 0 to its SWCRDJ1
+    // A coordinator "crashes" after committing shard 0 to its SWCRDJ2
     // journal. The restarted coordinator must not touch shard 0's
     // (now dead) worker at all: it replays the committed hits from the
     // journal, runs only shard 1, and merges to the same bytes.
@@ -714,7 +714,7 @@ fn resumed_coordinator_skips_committed_shards_and_merges_identically() {
         resumes: 0,
         hits: shard0_hits,
     });
-    journal.save(&journal_path).expect("journal save");
+    std::fs::write(&journal_path, journal.encode()).expect("journal write");
 
     // Phase B: only shard 1's worker exists. Shard 0's socket is a
     // corpse — any attempt to contact it would fail the search.
@@ -762,6 +762,116 @@ fn resumed_coordinator_skips_committed_shards_and_merges_identically() {
         !journal_path.exists(),
         "journal is removed after a clean finish"
     );
+    std::fs::remove_dir_all(&tmp).ok();
+}
+
+#[test]
+fn every_crash_point_of_a_coordinator_journal_resumes_to_the_same_bytes() {
+    // The crash-point sweep of the coordinator journal: a two-shard log
+    // holding shard 0's commit and one retry of shard 1, cut at every
+    // frame boundary ±1 and at a stride — every state a crash mid-append
+    // can leave. Each resumed coordinator merges to the uninterrupted
+    // run's bytes, skipping shard 0 exactly when its commit is whole and
+    // carrying shard 1's retry exactly when that record is whole.
+    let a = Alphabet::protein();
+    let seqs = tie_heavy_db();
+    let query = generate_query(90, 4141);
+    let fasta = fasta_of(&query, &a);
+    let expect = reference_hits(&seqs, &query, &a);
+    let engine = HeteroEngine::new(SearchEngine::paper_default());
+    let base = HeteroSearchConfig::best(1, 1);
+    let tmp = std::env::temp_dir().join(format!("sw-shard-sweep-{}", std::process::id()));
+    std::fs::remove_dir_all(&tmp).ok();
+    std::fs::create_dir_all(tmp.join("ckpt")).unwrap();
+    let seeds: Vec<WorkerSeed> = (ranges(&seqs, 2).iter().enumerate())
+        .map(|(i, r)| {
+            let socket = tmp.join(format!("shard-{i}.sock"));
+            worker_seed(&seqs, *r, i as u64, 2, &a, socket, &tmp.join("ckpt"))
+        })
+        .collect();
+    let specs: Vec<ShardSpec> = (seeds.iter().enumerate())
+        .map(|(i, sd)| unix_spec(i as u64, sd))
+        .collect();
+    let journal_path = tmp.join("coord.journal");
+
+    std::thread::scope(|s| {
+        let signals = Signals::default();
+        let (engine_r, a_r, base_r) = (&engine, &a, &base);
+        for seed in &seeds {
+            let sig = signals.mint();
+            s.spawn(move || serve_seed(seed, engine_r, a_r, base_r, sig));
+            wait_for_socket(&seed_socket(seed));
+        }
+        let socket0 = seed_socket(&seeds[0]);
+        let lines = client::request(
+            &socket0,
+            &client::submit_request("coord", &fasta, TOP, None),
+        )
+        .expect("submit");
+        let shard0_hits = client::parse_submit_response(&lines).expect("parse").hits;
+
+        let mut journal = CoordJournal::new(fnv1a64(fasta.as_bytes()), 0, TOP as u64, 2);
+        journal.shards[0].attempts = 1;
+        journal.shards[0].committed = Some(CommittedShard {
+            resumes: 0,
+            hits: shard0_hits,
+        });
+        journal.shards[1].attempts = 1;
+        let log = journal.encode();
+        // Frame ends: the magic, the header, shard 0's commit, shard 1's
+        // retry.
+        let (frames, _) = read_log(sw_serve::journal::JOURNAL_MAGIC, &log).expect("log");
+        let mut ends = vec![8];
+        for f in &frames {
+            ends.push(ends.last().unwrap() + FRAME_HEAD + f.len());
+        }
+        assert_eq!(*ends.last().unwrap(), log.len());
+        let mut cuts: Vec<usize> = (ends.iter())
+            .flat_map(|&e| [e.saturating_sub(1), e, e + 1])
+            .chain((0..log.len()).step_by(23))
+            .filter(|&k| k <= log.len())
+            .collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+
+        let mut cfg = CoordConfig::new(TOP);
+        cfg.connect_wait_ms = 200;
+        let drill = CoordDrill {
+            faults: None,
+            journal: Some(journal_path.clone()),
+            resume: true,
+        };
+        // Both workers stay up: a retry's "respawn" has nothing to do
+        // but is counted per shard.
+        let respawns = [AtomicUsize::new(0), AtomicUsize::new(0)];
+        let respawn = |spec: &ShardSpec, _attempt: u32| -> Result<(), String> {
+            respawns[spec.index as usize].fetch_add(1, Ordering::SeqCst);
+            Ok(())
+        };
+        for &k in &cuts {
+            std::fs::write(&journal_path, &log[..k]).expect("prefix");
+            let outcome = coord::search_sharded_durable(
+                &specs,
+                &fasta,
+                &cfg,
+                &respawn,
+                &NetTransport,
+                &drill,
+            )
+            .unwrap_or_else(|e| panic!("cut {k}: {e}"));
+            let calls = respawns.each_ref().map(|r| r.swap(0, Ordering::SeqCst));
+            assert_eq!(wire_hits(&outcome.hits), expect, "cut {k}");
+            let committed = k >= ends[2];
+            assert_eq!(outcome.journal_skipped, u64::from(committed), "cut {k}");
+            let retried = u32::from(k >= ends[3]);
+            assert_eq!(outcome.reports[1].attempts, 1 + retried, "cut {k}");
+            assert_eq!(calls, [0, retried as usize], "cut {k}: respawns");
+            assert!(!journal_path.exists(), "cut {k}: a clean finish removes it");
+        }
+        for spec in &specs {
+            coord::shutdown_worker(spec.endpoint_for(0)).expect("shutdown");
+        }
+    });
     std::fs::remove_dir_all(&tmp).ok();
 }
 

@@ -1,15 +1,17 @@
 //! The one home of the workspace's byte-format primitives, shared by the
-//! four on-disk containers (SWDBSNP2 snapshots, SWSHRD1 shards, SWCKPT1
-//! checkpoints, SWCRDJ1 coordinator journals):
+//! four on-disk containers (SWDBSNP2 snapshots, SWSHRD1 shards, SWCKPT2
+//! checkpoint logs, SWCRDJ2 coordinator journals):
 //!
 //! * CRC32 (IEEE 802.3, the zlib/PNG polynomial) for corruption
 //!   detection and FNV-1a 64 for cheap content identity digests;
 //! * the little-endian field codec — [`put_u32`]/[`put_u64`]/[`put_i64`]
 //!   to write, the bounds-checked [`ByteReader`] to read;
-//! * [`frame`]/[`unframe`], the `magic ‖ crc32(payload) ‖ payload`
-//!   container of the checkpoint and the journal, and [`check_crc`], the
+//! * the append-only log of the checkpoint and the journal: `magic`, then
+//!   frames from [`put_frame`], appended through [`open_log`] and read by
+//!   [`read_log`], which holds the one recovery rule; [`check_crc`] is the
 //!   comparison every stored checksum goes through;
-//! * [`replace_file`], the tmp + rename write every artifact uses.
+//! * [`replace_file`], the tmp + rename write of every whole file (and of
+//!   a log's compacted image).
 //!
 //! All hand-rolled on purpose — the workspace builds offline with a
 //! zero-dependency budget, and the checkpoint/resume contract only needs
@@ -18,7 +20,7 @@
 //! buys nothing.
 
 use std::fmt;
-use std::fs;
+use std::fs::{self, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
@@ -255,23 +257,73 @@ pub fn check_crc(what: &'static str, stored: u32, bytes: &[u8]) -> Result<(), Fo
     Ok(())
 }
 
-/// Wrap `payload` in the framed container: `magic ‖ crc32(payload) ‖
-/// payload`.
-pub fn frame(magic: &'static [u8; 8], payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(12 + payload.len());
-    out.extend_from_slice(magic);
-    put_u32(&mut out, crc32(payload));
-    out.extend_from_slice(payload);
-    out
+/// Bytes of a log frame's head: `len u32 ‖ crc32(len) u32 ‖
+/// crc32(payload) u32`. The length has its own CRC, so a flipped length
+/// is caught before it is trusted to find the next frame.
+pub const FRAME_HEAD: usize = 12;
+
+/// Append one log frame to `out`: `write` puts the payload, then the head
+/// before it is filled in.
+pub fn put_frame(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let head = out.len();
+    out.extend_from_slice(&[0; FRAME_HEAD]);
+    write(out);
+    let len = ((out.len() - head - FRAME_HEAD) as u32).to_le_bytes();
+    let crc = crc32(&out[head + FRAME_HEAD..]);
+    out[head..head + 4].copy_from_slice(&len);
+    out[head + 4..head + 8].copy_from_slice(&crc32(&len).to_le_bytes());
+    out[head + 8..head + FRAME_HEAD].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Undo [`frame`]: check the magic and the CRC, hand back the payload.
-pub fn unframe<'a>(magic: &'static [u8; 8], image: &'a [u8]) -> Result<&'a [u8], FormatError> {
-    let mut r = ByteReader::new(image);
-    r.magic(&[magic])?;
-    let stored = r.u32("payload CRC32")?;
-    check_crc("payload", stored, r.rest())?;
-    Ok(r.rest())
+/// Read a log image — `magic`, then frames — into the payloads of its
+/// whole frames and the length they end at. The one recovery rule: a
+/// magic or frame head cut short, a frame whose declared end lies past
+/// EOF, or one failing its payload CRC whose end *is* EOF is a torn tail
+/// (what a crash mid-append leaves) and is dropped; any other bad frame
+/// is an error naming its byte offset.
+pub fn read_log<'a>(
+    magic: &'static [u8; 8],
+    image: &'a [u8],
+) -> Result<(Vec<&'a [u8]>, u64), FormatError> {
+    if image.len() < magic.len() && magic.starts_with(image) {
+        return Ok((Vec::new(), 0));
+    }
+    ByteReader::new(image).magic(&[magic])?;
+    let (mut frames, mut at) = (Vec::new(), magic.len());
+    while let Some(head) = image.get(at..at + FRAME_HEAD) {
+        let word = |i: usize| u32::from_le_bytes(head[i..i + 4].try_into().expect("4 bytes"));
+        let corrupt = |e: FormatError| FormatError {
+            what: "log frame",
+            detail: format!("at byte {at}: {e}"),
+        };
+        check_crc("frame length", word(4), &head[..4]).map_err(corrupt)?;
+        let end = at + FRAME_HEAD + word(0) as usize;
+        let Some(payload) = image.get(at + FRAME_HEAD..end) else {
+            break;
+        };
+        match check_crc("frame payload", word(8), payload) {
+            Err(_) if end == image.len() => break,
+            checked => checked.map_err(corrupt)?,
+        }
+        frames.push(payload);
+        at = end;
+    }
+    Ok((frames, at as u64))
+}
+
+/// Open `path` for appending, creating it if missing — the one place a
+/// file is opened in append mode (the daemon's ops log opens here too) —
+/// and cut it to its first `keep` bytes if given: 0 starts a commit log
+/// afresh, a resumed one keeps its whole frames ([`read_log`]) and loses
+/// its torn tail. Append each commit as one `write_all` of whole frames
+/// (a fresh log's magic first), so a crash leaves whole frames and at
+/// most one torn one at the end.
+pub fn open_log(path: &Path, keep: Option<u64>) -> io::Result<fs::File> {
+    let file = OpenOptions::new().create(true).append(true).open(path)?;
+    if let Some(keep) = keep {
+        file.set_len(keep)?;
+    }
+    Ok(file)
 }
 
 /// Where [`replace_file`] stages the bytes for `path`: `<path>.tmp`,
@@ -360,25 +412,112 @@ mod tests {
         r.finish().unwrap();
     }
 
-    #[test]
-    fn frame_roundtrips_and_names_what_broke() {
-        const MAGIC: &[u8; 8] = b"SWTEST1\0";
-        let image = frame(MAGIC, b"payload");
-        assert_eq!(&image[..8], MAGIC);
-        assert_eq!(image[8..12], crc32(b"payload").to_le_bytes());
-        assert_eq!(unframe(MAGIC, &image).unwrap(), b"payload");
-        assert_eq!(unframe(MAGIC, &frame(MAGIC, b"")).unwrap(), b"");
+    const MAGIC: &[u8; 8] = b"SWTEST1\0";
 
-        let mut bad = image.clone();
-        bad[0] ^= 1;
-        let err = unframe(MAGIC, &bad).unwrap_err().to_string();
-        assert!(err.contains("magic") && err.contains("SWTEST1"), "{err}");
-        let mut bad = image.clone();
-        *bad.last_mut().unwrap() ^= 1;
-        let err = unframe(MAGIC, &bad).unwrap_err().to_string();
-        assert!(err.contains("payload: CRC32 mismatch"), "{err}");
-        let err = unframe(MAGIC, &image[..10]).unwrap_err().to_string();
-        assert!(err.contains("truncated"), "{err}");
+    /// A three-frame log image and the end offset of each frame.
+    fn sample_log() -> (Vec<u8>, Vec<usize>) {
+        let mut image = MAGIC.to_vec();
+        let mut ends = Vec::new();
+        for payload in [&b"header"[..], b"", b"third frame"] {
+            put_frame(&mut image, |p| p.extend_from_slice(payload));
+            ends.push(image.len());
+        }
+        (image, ends)
+    }
+
+    #[test]
+    fn log_frames_roundtrip_with_their_head() {
+        let (image, ends) = sample_log();
+        assert_eq!(image[8..12], 6u32.to_le_bytes());
+        assert_eq!(image[12..16], crc32(&6u32.to_le_bytes()).to_le_bytes());
+        assert_eq!(image[16..20], crc32(b"header").to_le_bytes());
+        let (frames, whole) = read_log(MAGIC, &image).unwrap();
+        assert_eq!(frames, [&b"header"[..], b"", b"third frame"]);
+        assert_eq!(whole, *ends.last().unwrap() as u64);
+        let err = read_log(b"SWOTHER\0", &image).unwrap_err().to_string();
+        assert!(err.contains("magic") && err.contains("SWOTHER"), "{err}");
+    }
+
+    #[test]
+    fn every_prefix_is_its_whole_frames() {
+        // What a crash mid-append leaves: the torn tail is dropped, never
+        // an error, and `whole` is the last frame boundary inside it.
+        let (image, ends) = sample_log();
+        for k in 0..=image.len() {
+            let (frames, whole) =
+                read_log(MAGIC, &image[..k]).unwrap_or_else(|e| panic!("{k}: {e}"));
+            let n = ends.iter().filter(|&&e| e <= k).count();
+            assert_eq!(frames.len(), n, "prefix {k}");
+            let want = if k < 8 {
+                0
+            } else {
+                ends[..n].last().map_or(8, |&e| e)
+            };
+            assert_eq!(whole, want as u64, "prefix {k}");
+        }
+    }
+
+    #[test]
+    fn a_bad_frame_with_bytes_after_it_is_an_error_naming_its_offset() {
+        let (image, ends) = sample_log();
+        let last = ends[1]; // the third frame starts here
+        let mut copy = image.clone();
+        for i in 0..copy.len() {
+            for bit in 0..8 {
+                copy[i] ^= 1 << bit;
+                let read = read_log(MAGIC, &copy);
+                if i >= last + 8 {
+                    // The last frame's payload CRC or payload: a torn
+                    // tail, dropped.
+                    let (frames, whole) =
+                        read.unwrap_or_else(|e| panic!("byte {i} bit {bit}: {e}"));
+                    assert_eq!(frames.len(), 2, "byte {i} bit {bit}");
+                    assert_eq!(whole, last as u64);
+                } else {
+                    let err = read.expect_err("flip accepted").to_string();
+                    let frame = [8, ends[0], ends[1]].into_iter().rfind(|&s| s <= i);
+                    if let Some(at) = frame.filter(|_| i >= 8) {
+                        assert!(err.contains(&format!("at byte {at}")), "{i}: {err}");
+                    }
+                }
+                copy[i] ^= 1 << bit;
+            }
+        }
+    }
+
+    #[test]
+    fn a_log_starts_afresh_appends_and_cuts_a_torn_tail() {
+        let dir = std::env::temp_dir().join(format!("sw-append-log-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("x.log");
+        fs::write(&path, b"stale bytes of an older run").unwrap();
+        let frame = |payload: &[u8]| {
+            let mut out = Vec::new();
+            put_frame(&mut out, |p| p.extend_from_slice(payload));
+            out
+        };
+        for _ in 0..2 {
+            let mut log = open_log(&path, Some(0)).unwrap();
+            log.write_all(&[&MAGIC[..], &frame(b"head")].concat())
+                .unwrap();
+            log.write_all(&frame(b"one")).unwrap();
+            drop(log);
+            // A crash mid-append: half a frame at the end.
+            let two = frame(b"two");
+            open_log(&path, None).unwrap().write_all(&two[..7]).unwrap();
+            let image = fs::read(&path).unwrap();
+            let (frames, whole) = read_log(MAGIC, &image).unwrap();
+            assert_eq!(frames, [&b"head"[..], b"one"]);
+            open_log(&path, Some(whole))
+                .unwrap()
+                .write_all(&two)
+                .unwrap();
+            let image = fs::read(&path).unwrap();
+            let (frames, whole) = read_log(MAGIC, &image).unwrap();
+            assert_eq!(frames, [&b"head"[..], b"one", b"two"]);
+            assert_eq!(whole, image.len() as u64);
+        }
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

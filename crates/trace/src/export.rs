@@ -439,7 +439,7 @@ pub fn prometheus(
         (
             "sw_checkpoints_written_total",
             "checkpoint_written",
-            "checkpoint files written by the durable executor",
+            "checkpoint commit frames appended by durable regions",
         ),
         (
             "sw_resumes_total",
@@ -765,7 +765,7 @@ sw_failures_total{device="accel"} 2
 # TYPE sw_overflow_recomputes_total counter
 sw_overflow_recomputes_total{device="cpu"} 2
 sw_overflow_recomputes_total{device="accel"} 1
-# HELP sw_checkpoints_written_total checkpoint files written by the durable executor
+# HELP sw_checkpoints_written_total checkpoint commit frames appended by durable regions
 # TYPE sw_checkpoints_written_total counter
 sw_checkpoints_written_total 0
 # HELP sw_resumes_total runs resumed from a checkpoint

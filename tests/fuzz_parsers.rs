@@ -193,8 +193,8 @@ fn fasta_error_line_numbers() {
     }
 }
 
-/// `SWCKPT1` magic: the fuzz below re-seals mutated payloads under it.
-const SWCKPT1: &[u8; 8] = b"SWCKPT1\0";
+/// `SWCKPT2` magic: the fuzz below re-seals mutated frames under it.
+const SWCKPT2: &[u8; 8] = b"SWCKPT2\0";
 
 /// A value of `width` bytes other than `old`: near `near`, small, at the
 /// top of the range, or anything.
@@ -212,29 +212,19 @@ fn other(rng: &mut SmallRng, old: u64, near: u64, width: usize) -> u64 {
     }
 }
 
-/// Structure-aware SWCKPT1 fuzzing: a checkpoint of a real search has
-/// one field at a time rewritten — the batch count, a record's batch
-/// index, device, cell counts or hit count — and its CRC re-sealed, or is
-/// verified against another lane layout. Every case must be refused:
-/// `decode` fails with a typed error, or `verify` / `verify_layout`
-/// reject it. None may panic.
-#[test]
-fn checkpoint_field_mutations_are_refused() {
-    use swhetero::core::{BatchResult, Checkpoint, CheckpointError, Hit, SearchFingerprint};
+/// A checkpoint of a real search of 40 sequences at 4 lanes, every other
+/// batch done as a search on both pools would record them, and the
+/// database it belongs to.
+fn sample_checkpoint(lanes: usize) -> (swhetero::core::Checkpoint, PreparedDb, Vec<u8>, DbSpec) {
+    use swhetero::core::{BatchResult, Checkpoint, Hit, SearchFingerprint};
     use swhetero::kernels::CellCount;
-    use swhetero::swdb::integrity::{frame, unframe};
-    use swhetero::swdb::LaneBatch;
-
-    let a = Alphabet::protein();
     let spec = DbSpec {
         n_seqs: 40,
         ..DbSpec::tiny(5)
     };
-    let db = PreparedDb::prepare(generate_database(&spec), 4, &a);
+    let db = PreparedDb::prepare(generate_database(&spec), lanes, &Alphabet::protein());
     let q = generate_query(60, 3).residues;
     let m = q.len();
-    let fp = SearchFingerprint::compute(&db, &q);
-    // Every other batch done, as a search that ran on both pools wrote it.
     let done: Vec<BatchResult> = (db.batches.iter().enumerate().step_by(2))
         .map(|(i, b)| BatchResult {
             batch: i,
@@ -253,34 +243,94 @@ fn checkpoint_field_mutations_are_refused() {
         })
         .collect();
     let ckpt = Checkpoint {
-        fingerprint: fp,
+        fingerprint: SearchFingerprint::compute(&db, &q),
         seq: 3,
         resumes: 1,
         accel_share: 0.4,
         recovery: Default::default(),
         done,
     };
+    (ckpt, db, q, spec)
+}
+
+/// The log the region appends for `ckpt`: its header frame, then one
+/// commit frame per chunk of two records (payloads, unsealed).
+fn commit_frames(ckpt: &swhetero::core::Checkpoint) -> (Vec<u8>, Vec<Vec<u8>>) {
+    use swhetero::core::Checkpoint;
+    use swhetero::swdb::integrity::read_log;
+    let payloads = |c: &Checkpoint| {
+        let image = c.encode();
+        let (frames, _) = read_log(SWCKPT2, &image).expect("log");
+        frames.iter().map(|f| f.to_vec()).collect::<Vec<_>>()
+    };
+    let header = payloads(ckpt).swap_remove(0);
+    let n = ckpt.done.len().div_ceil(2);
+    let commits = (ckpt.done.chunks(2).enumerate())
+        .map(|(i, part)| {
+            let chunk = Checkpoint {
+                seq: ckpt.seq + 1 + i as u64 - n as u64,
+                done: part.to_vec(),
+                ..ckpt.clone()
+            };
+            payloads(&chunk).swap_remove(1)
+        })
+        .collect();
+    (header, commits)
+}
+
+/// Seal a header and commit payloads into a log image.
+fn seal(header: &[u8], commits: &[Vec<u8>]) -> Vec<u8> {
+    use swhetero::swdb::integrity::put_frame;
+    let mut out = SWCKPT2.to_vec();
+    for payload in std::iter::once(header).chain(commits.iter().map(Vec::as_slice)) {
+        put_frame(&mut out, |p| p.extend_from_slice(payload));
+    }
+    out
+}
+
+/// Structure-aware fuzzing of the checkpoint log's commit frames: a log
+/// of a real search, as the region appends it, has one field at a time
+/// rewritten — the batch count, a record's batch index, device, cell
+/// counts or hit count, a frame's accelerator share — and that frame's
+/// CRC re-sealed, or is verified against another lane layout. Every case
+/// must be refused: `decode` fails with a typed error, or `verify` /
+/// `verify_layout` reject it. None may panic.
+#[test]
+fn checkpoint_field_mutations_are_refused() {
+    use swhetero::core::{Checkpoint, CheckpointError, SearchFingerprint};
+    use swhetero::swdb::LaneBatch;
+
+    let (ckpt, db, q, spec) = sample_checkpoint(4);
+    let m = q.len();
+    let fp = ckpt.fingerprint;
     let accept = |bytes: &[u8], fp: &SearchFingerprint, batches: &[LaneBatch]| {
-        let c = Checkpoint::decode(bytes)?;
+        let c = Checkpoint::decode(bytes)?.expect("whole frames hold a commit");
         c.verify(fp)?;
         c.verify_layout(batches, m)?;
         Ok::<_, CheckpointError>(c)
     };
-    let bytes = ckpt.encode();
-    assert_eq!(accept(&bytes, &fp, &db.batches).expect("pristine"), ckpt);
+    let (header, commits) = commit_frames(&ckpt);
+    assert!(commits.len() >= 3, "{} frames", commits.len());
+    assert_eq!(
+        accept(&seal(&header, &commits), &fp, &db.batches).expect("pristine"),
+        ckpt
+    );
 
-    // Field offsets in the payload (see the format table in
-    // `sw_core::checkpoint`): the batch count at 24, records from 128,
-    // each `batch u64, device u8, real u64, padded u64, rescued u64,
-    // n_hits u32` and 12 bytes per hit.
-    let payload = unframe(SWCKPT1, &bytes).expect("pristine frame").to_vec();
+    // Field offsets (see the format table in `sw_core::checkpoint`): the
+    // batch count at 24 of the header; in a commit frame the share at 8
+    // and records from 84, each `batch u64, device u8, real u64, padded
+    // u64, rescued u64, n_hits u32` and 12 bytes per hit.
     let mut records = Vec::new();
-    let mut at = 128;
-    for b in &ckpt.done {
-        records.push(at);
-        at += 37 + 12 * b.hits.len();
+    for (f, part) in commits.iter().zip(ckpt.done.chunks(2)) {
+        let mut at = 84;
+        let mut starts = Vec::new();
+        for b in part {
+            starts.push(at);
+            at += 37 + 12 * b.hits.len();
+        }
+        assert_eq!(at, f.len(), "offsets match the encoder");
+        records.push(starts);
     }
-    assert_eq!(at, payload.len(), "offsets match the encoder");
     // Other lane layouts of the same sequences: two neighbouring batches
     // swapped (same fingerprint), and an 8-lane packing (its own).
     let mut layouts: Vec<(SearchFingerprint, Vec<LaneBatch>)> = (0..db.batches.len() - 1)
@@ -290,48 +340,55 @@ fn checkpoint_field_mutations_are_refused() {
             (fp, batches)
         })
         .collect();
-    let db8 = PreparedDb::prepare(generate_database(&spec), 8, &a);
+    let db8 = PreparedDb::prepare(generate_database(&spec), 8, &Alphabet::protein());
     layouts.push((SearchFingerprint::compute(&db8, &q), db8.batches));
 
     let mut rng = SmallRng::seed_from_u64(0xC4EC);
-    let mut ran = [0usize; 6];
+    let mut ran = [0usize; 7];
     for case in 0..3000 {
-        let mut p = payload.clone();
-        let rec = records[rng.gen_range(0..records.len())];
+        let (mut h, mut c) = (header.clone(), commits.clone());
+        let f = rng.gen_range(0..c.len());
+        let rec = records[f][rng.gen_range(0..records[f].len())];
         let get = |p: &[u8], at: usize, n: usize| {
             let mut b = [0u8; 8];
             b[..n].copy_from_slice(&p[at..at + n]);
             u64::from_le_bytes(b)
         };
-        let kind = rng.gen_range(0..6);
+        let kind = rng.gen_range(0..7);
         let (at, width, value) = match kind {
-            0 => (24, 8, other(&mut rng, get(&p, 24, 8), fp.n_batches, 8)),
-            1 => (rec, 8, other(&mut rng, get(&p, rec, 8), fp.n_batches, 8)),
+            0 => (24, 8, other(&mut rng, get(&h, 24, 8), fp.n_batches, 8)),
+            1 => (rec, 8, other(&mut rng, get(&c[f], rec, 8), fp.n_batches, 8)),
             // 0 ↔ 1 re-attributes a batch, which is no corruption.
             2 => (rec + 8, 1, rng.gen_range(2..256)),
             3 => {
                 let at = rec + 9 + 8 * rng.gen_range(0..2usize);
-                (at, 8, other(&mut rng, get(&p, at, 8), get(&p, at, 8), 8))
+                let old = get(&c[f], at, 8);
+                (at, 8, other(&mut rng, old, old, 8))
             }
             4 => {
-                let hits = get(&p, rec + 33, 4);
+                let hits = get(&c[f], rec + 33, 4);
                 (rec + 33, 4, other(&mut rng, hits, hits, 4))
+            }
+            5 => {
+                let share = [f64::NAN, f64::INFINITY, -0.25, 1.0 + rng.gen::<f64>()];
+                (8, 8, share[rng.gen_range(0..4usize)].to_bits())
             }
             _ => (0, 0, 0),
         };
-        p[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+        let field = if kind == 0 { &mut h } else { &mut c[f] };
+        field[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
         let (fp_case, batches) = match kind {
-            5 => {
+            6 => {
                 let (f, b) = &layouts[rng.gen_range(0..layouts.len())];
                 (f, &b[..])
             }
             _ => (&fp, &db.batches[..]),
         };
-        let sealed = frame(SWCKPT1, &p);
-        let verdict = accept(&sealed, fp_case, batches);
+        let verdict = accept(&seal(&h, &c), fp_case, batches);
         assert!(
             verdict.is_err(),
-            "case {case}: mutation {kind} of {width} bytes at {at} to {value:#x} was accepted"
+            "case {case}: mutation {kind} of {width} bytes at {at} of frame {f} to {value:#x} \
+             was accepted"
         );
         ran[kind] += 1;
     }
@@ -339,4 +396,49 @@ fn checkpoint_field_mutations_are_refused() {
         ran.iter().all(|&n| n > 0),
         "every mutation kind ran: {ran:?}"
     );
+}
+
+/// The whole-file `SWCKPT1` image an earlier build wrote for a 40-batch
+/// search with two records: refused by name, never folded.
+const SWCKPT1_IMAGE: &[u8] =
+    b"SWCKPT1\0\xed\xa6\xa1!\x88wfUD3\"\x11\0\xff\xee\xdd\xcc\xbb\xaa\x99\x08\0\0\0\0\0\0\0(\0\
+    \0\0\0\0\0\0\x03\0\0\0\0\0\0\0\x01\0\0\0\0\0\0\0\0\0\0\0\0\0\xd8?\x01\0\0\0\0\0\0\0\x02\
+    \0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\x02\0\0\0\0\0\0\0\x04\0\0\0\0\0\0\0\x05\0\0\0\0\0\0\0\x01\
+    \0\0\0\0\0\0\0\x06\0\0\0\0\0\0\0\x02\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\xe8\x03\0\0\0\0\0\0\
+    \xb0\x04\0\0\0\0\0\0\x01\0\0\0\0\0\0\0\x02\0\0\0\x07\0\0\x007\0\0\0\0\0\0\0\x02\0\0\0\xfd\
+    \xff\xff\xff\xff\xff\xff\xff'\0\0\0\0\0\0\0\x01\x0a\0\0\0\0\0\0\0\x10\0\0\0\0\0\0\0\0\0\
+    \0\0\0\0\0\0\0\0\0\0";
+
+/// The checkpoint log's recovery rule on a real search's log: a bit
+/// flip in a frame with bytes after it is `Corrupt` at that frame's
+/// offset; a short tail — a crash mid-append — is dropped with every
+/// record's hits unchanged; the whole-file format of earlier builds is
+/// refused.
+#[test]
+fn checkpoint_log_recovery_rule() {
+    use swhetero::core::{Checkpoint, CheckpointError};
+    let (ckpt, ..) = sample_checkpoint(4);
+    let (header, commits) = commit_frames(&ckpt);
+    let log = seal(&header, &commits);
+    let second = seal(&header, &commits[..1]).len();
+    let mut flipped = log.clone();
+    flipped[second + 40] ^= 0x10;
+    match Checkpoint::decode(&flipped) {
+        Err(CheckpointError::Corrupt { detail }) => {
+            assert!(detail.contains(&format!("at byte {second}")), "{detail}");
+        }
+        other => panic!("a mid-file flip was not corrupt: {other:?}"),
+    }
+    for cut in 1..30 {
+        let mut torn = log.clone();
+        torn.extend_from_slice(&seal(&header, &commits[..1])[8 + 12 + header.len()..][..cut]);
+        assert_eq!(
+            Checkpoint::decode(&torn).unwrap(),
+            Some(ckpt.clone()),
+            "cut {cut}"
+        );
+    }
+    let err = Checkpoint::decode(SWCKPT1_IMAGE).expect_err("an SWCKPT1 image was folded");
+    assert!(matches!(err, CheckpointError::Corrupt { .. }), "{err}");
+    assert!(err.to_string().contains("not a SWCKPT2 file"), "{err}");
 }

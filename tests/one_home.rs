@@ -12,7 +12,7 @@ struct Rule {
     planted: &'static str,
 }
 
-const RULES: [Rule; 6] = [
+const RULES: [Rule; 7] = [
     Rule {
         what: "the CRC32 polynomial or the FNV-1a 64 offset basis",
         homes: &["crates/swdb/src/integrity.rs"],
@@ -56,6 +56,14 @@ const RULES: [Rule; 6] = [
         homes: &["crates/serve/src/client.rs"],
         fires: |line| wire_key(line, "end"),
         planted: r#"    out.write_all(b"{\"end\":true}\n")?;"#,
+    },
+    // The commit logs are only ever appended to and cut back to their
+    // last whole frame: both moves belong to the log's one recovery rule.
+    Rule {
+        what: "an append-mode open or a `set_len` truncation",
+        homes: &["crates/swdb/src/integrity.rs"],
+        fires: |line| line.contains(".append(true)") || line.contains(".set_len("),
+        planted: "    let log = OpenOptions::new().create(true).append(true).open(path)?;",
     },
 ];
 
@@ -153,10 +161,12 @@ fn every_rule_fires_on_its_planted_line() {
     assert!((RULES[2].fires)("# HELP sw_x help"));
     assert!((RULES[4].fires)(r#"let line = "{\"op\":\"stats\"}";"#));
     assert!((RULES[5].fires)(r#"field(line,"end")"#));
+    assert!((RULES[6].fires)("    file.set_len(whole)?;"));
     // Prose and look-alikes stay quiet.
     assert!(!(RULES[0].fires)("0xEDB9_8320"));
     assert!(!(RULES[0].fires)("0xEDB8__8320"));
     assert!(!(RULES[2].fires)("#HELP"));
     assert!(!(RULES[4].fires)(r#"/// the "op" key names the request"#));
     assert!(!(RULES[5].fires)(r#"field_str(line, "end", x)"#));
+    assert!(!(RULES[6].fires)("    opts.append(false);"));
 }

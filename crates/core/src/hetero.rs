@@ -524,8 +524,8 @@ struct Member<'r> {
     finished: AtomicBool,
 }
 
-/// A member's checkpoint log: where it lives, whose it is, and which of
-/// the member's batches it holds.
+/// A member's checkpoint log: where it lives, whose it is, and how many
+/// of the member's batches it holds.
 struct MemberLog {
     path: PathBuf,
     fingerprint: SearchFingerprint,
@@ -534,8 +534,10 @@ struct MemberLog {
     /// Set by a failed append or the member's completion: nothing more is
     /// appended in this region, so a torn frame can only be the tail.
     stopped: bool,
-    /// Per batch of the member: the log holds its record.
-    held: Vec<bool>,
+    /// Batch records the log holds, loaded and appended: the executor
+    /// hands each committed task to the hook once, so every record
+    /// appended is a new one.
+    records: u64,
     seq: u64,
 }
 
@@ -651,16 +653,12 @@ pub(crate) fn region(
             file = Some(open_log(path, Some(bytes)).map_err(CheckpointError::Io)?);
         }
         let log = located.map(|(path, fingerprint)| {
-            let mut held = vec![false; n_batches];
-            for b in prior.iter().flat_map(|p| &p.done) {
-                held[b.batch] = true;
-            }
             Mutex::new(MemberLog {
                 path,
                 fingerprint,
                 file,
                 stopped: false,
-                held,
+                records: resumed,
                 seq: prior.as_ref().map_or(0, |p| p.seq + 1),
             })
         });
@@ -766,17 +764,17 @@ pub(crate) fn region(
         let recovery = cumulative(&m.baseline, &region_events());
         let share = view.accel_share;
         let mut frames = Vec::new();
+        let mut appended = 0;
         view.with_slots(|slots| {
             let mine = view.tasks.iter().filter(|&&t| t / n_batches == qi);
-            let fresh: Vec<&BatchResult> = (mine.filter_map(|&t| slots[t].as_ref()))
-                .filter(|b| !std::mem::replace(&mut log.held[b.batch], true))
-                .collect();
+            let fresh: Vec<&BatchResult> = mine.filter_map(|&t| slots[t].as_ref()).collect();
             if fresh.is_empty() {
                 return;
             }
             if log.file.is_none() {
                 put_header(&mut frames, &log.fingerprint, m.resumes);
             }
+            appended = fresh.len() as u64;
             put_commit(&mut frames, log.seq, share, &recovery, fresh.into_iter());
         });
         if frames.is_empty() {
@@ -794,9 +792,10 @@ pub(crate) fn region(
             return;
         }
         writes.fetch_add(1, Ordering::Relaxed);
+        log.records += appended;
         view.emit(EventKind::CheckpointWritten {
             seq: log.seq,
-            tasks_done: log.held.iter().filter(|&&h| h).count() as u64,
+            tasks_done: log.records,
             bytes: frames.len() as u64,
         });
         log.seq += 1;

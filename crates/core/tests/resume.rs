@@ -945,3 +945,101 @@ fn every_prefix_of_a_crashed_log_resumes_to_the_oracle_hits() {
         "the crash left work to do"
     );
 }
+
+#[test]
+fn a_reclaimed_lease_appends_each_batch_to_the_log_once() {
+    // The accelerator's first chunk sleeps a second, past its 20 ms
+    // lease: a CPU worker drains the queue, reclaims and re-runs it, then
+    // the slow holder commits the same batches a second time. A CPU chunk
+    // held for 2.5 s keeps the query open past both commits, so the last
+    // log read before completion spends it holds every frame appended: it
+    // loads (a batch recorded twice is refused) with each batch once.
+    let (db, _) = setup();
+    let q = generate_query(30, 21).residues;
+    let engine = SearchEngine::paper_default();
+    let solo = engine.search(&q, &db, &SearchConfig::best(1)).hits;
+    let hetero = HeteroEngine::new(engine);
+    let plan = hetero.plan_split(&db, q.len(), 0.5);
+    let mut cfg = HeteroSearchConfig {
+        trace: TraceConfig::full(),
+        ..HeteroSearchConfig::best(2, 1)
+    };
+    cfg.recovery.accel_timeout_ms = Some(20);
+    let delay = |device, chunk, ms| FaultSpec {
+        device,
+        chunk,
+        kind: FaultKind::Delay(Duration::from_millis(ms)),
+    };
+    let path = ckpt_path("reclaimed");
+    let opts = DurableOptions {
+        checkpoint_path: Some(&path),
+        ..DurableOptions::default()
+    };
+    let run = || {
+        let inj = FaultInjector::new(FaultPlan {
+            specs: vec![
+                // Both CPU workers start late: the accelerator claims first.
+                delay(DEVICE_CPU, 0, 100),
+                delay(DEVICE_CPU, 1, 100),
+                delay(sw_sched::DEVICE_ACCEL, 0, 1_000),
+                delay(DEVICE_CPU, 2, 2_500),
+            ],
+        });
+        std::fs::remove_file(&path).ok();
+        let ended = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let watcher = scope.spawn(|| {
+                let mut last = Vec::new();
+                while !ended.load(std::sync::atomic::Ordering::Acquire) {
+                    match std::fs::read(&path) {
+                        Ok(bytes) if !bytes.is_empty() => last = bytes,
+                        _ => {}
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                last
+            });
+            let out = hetero
+                .search_dynamic_resumable(&q, &db, &plan, &cfg, &inj, &opts)
+                .expect("clean run");
+            ended.store(true, std::sync::atomic::Ordering::Release);
+            let done = out.outcome.expect("completed");
+            (done, watcher.join().expect("watcher"))
+        })
+    };
+    // Ranges finished more than once: the reclaimed chunk, when the CPU
+    // pool drained the queue inside the accelerator's second. A host too
+    // busy for that gets another attempt.
+    let finished_twice = |tl: &sw_trace::Timeline| {
+        let mut finished: Vec<(usize, usize)> = (tl.tracks.iter())
+            .flat_map(|t| &t.events)
+            .filter_map(|ev| match ev.kind {
+                sw_trace::EventKind::ChunkFinish { lo, hi, .. } => Some((lo, hi)),
+                _ => None,
+            })
+            .collect();
+        let chunks = finished.len();
+        finished.sort_unstable();
+        finished.dedup();
+        chunks - finished.len()
+    };
+    let (done, log) = (0..3)
+        .map(|_| run())
+        .find(|(done, _)| finished_twice(done.timeline.as_ref().expect("traced")) > 0)
+        .expect("a chunk committed twice in one of three runs");
+    assert_eq!(done.results.hits, solo, "the reclaimed run's hits");
+    assert!(!path.exists(), "completion spends the log");
+    let c = Checkpoint::decode(&log)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .expect("commit frames");
+    assert!(c.done.len() < db.batches.len(), "the held chunk was open");
+    // The frame the log ended with counted each batch once.
+    let tl = done.timeline.expect("traced");
+    let counted = (tl.tracks.iter().flat_map(|t| &t.events)).find_map(|ev| match ev.kind {
+        sw_trace::EventKind::CheckpointWritten {
+            seq, tasks_done, ..
+        } if seq == c.seq => Some(tasks_done),
+        _ => None,
+    });
+    assert_eq!(counted, Some(c.done.len() as u64));
+}

@@ -142,13 +142,20 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 type Slots<T> = Mutex<Vec<Option<T>>>;
 
 /// Commit an explicitly-indexed (possibly non-contiguous) batch of
-/// results: a resumed run skips the indices a checkpoint already holds,
-/// so a chunk's executed set can have holes.
-fn commit<T>(slots: &Slots<T>, buf: Vec<(usize, T)>) {
+/// results into the slots still empty, and return the ids it filled: a
+/// resumed run skips the indices a checkpoint already holds, so a
+/// chunk's executed set can have holes, and a lease reclaimed from a slow
+/// holder is committed twice, the second time filling nothing.
+fn commit<T>(slots: &Slots<T>, buf: Vec<(usize, T)>) -> Vec<usize> {
     let mut guard = lock_unpoisoned(slots);
+    let mut filled = Vec::with_capacity(buf.len());
     for (i, r) in buf {
-        guard[i] = Some(r);
+        if guard[i].is_none() {
+            guard[i] = Some(r);
+            filled.push(i);
+        }
     }
+    filled
 }
 
 /// Split a slot table into results in task order, or the `[start, end)`
@@ -244,12 +251,13 @@ struct DeviceProgress {
 }
 
 /// What a [`DurableControl::on_commit`] hook is handed: the ids of the
-/// tasks whose results were just committed, how the chunk ended, the
-/// estimator's share, and the slot table on demand.
+/// slots a commit just filled, how the chunk ended, the estimator's
+/// share, and the slot table on demand.
 pub struct CommitView<'v, T> {
-    /// Task ids of the committed chunk, in claim order (the prefilled ids
-    /// for the resume prefill). A chunk's tasks that were skipped or
-    /// cancelled stay `None`.
+    /// Task ids whose slots this commit filled, in claim order (the
+    /// prefilled ids for the resume prefill). A chunk's prefilled
+    /// (skipped) and cancelled tasks are not among them, and neither is
+    /// a task another holder of the same lease committed first.
     pub tasks: &'v [usize],
     /// True when the chunk completed cleanly; false for the resume
     /// prefill and for the partial commit of a chunk that failed.
@@ -304,12 +312,12 @@ pub struct DurableControl<'a, T> {
     #[allow(clippy::type_complexity)]
     pub task_cancelled: Option<&'a (dyn Fn(usize) -> bool + Sync)>,
     /// Commit hook: called on the committing worker, outside the slot
-    /// lock, after every clean chunk, after a failed chunk's partial
-    /// commit and once after the resume prefill — how a caller learns a
-    /// *part* of the task space (one query of a shared region) is
-    /// complete, and where it persists progress. A lease reclaimed from a
-    /// slow holder commits twice with identical values, so the hook may
-    /// see the same tasks twice.
+    /// lock, after every commit that filled a slot — a clean chunk's, a
+    /// failed chunk's partial one — and once after the resume prefill:
+    /// how a caller learns a *part* of the task space (one query of a
+    /// shared region) is complete, and where it persists progress. Each
+    /// task is handed to the hook once: a lease reclaimed from a slow
+    /// holder commits twice, and the later commit fills nothing.
     #[allow(clippy::type_complexity)]
     pub on_commit: Option<&'a (dyn Fn(CommitView<'_, T>) + Sync)>,
 }
@@ -793,13 +801,12 @@ where
 
     let slots: Slots<T> = Mutex::new((0..n_tasks).map(|_| None).collect());
     let mut skip = vec![false; n_tasks];
-    let prefilled = durable.prefill.len() as u64;
+    let prefilled_tasks = commit(&slots, durable.prefill);
+    let prefilled = prefilled_tasks.len() as u64;
     if prefilled > 0 {
-        let prefilled_tasks: Vec<usize> = durable.prefill.iter().map(|&(i, _)| i).collect();
         for &i in &prefilled_tasks {
             skip[i] = true;
         }
-        commit(&slots, durable.prefill);
         // The resume event lands on a supervisor track (worker id past
         // the real pools) so it never interleaves a worker's spans.
         let mut journal = tracer.worker(DEVICE_CPU, config.total_workers());
@@ -896,11 +903,10 @@ where
 
             let exec_start = Instant::now();
             let chunk_stamp = journal.stamp();
-            let chunk_tasks = &order[s..e];
             let mut buf: Vec<(usize, T)> = Vec::with_capacity(e - s);
             let mut chunk_cells = 0u64;
             let mut failed: Option<((usize, usize), String)> = None;
-            for (pos, &i) in (s..e).zip(chunk_tasks) {
+            for (pos, &i) in (s..e).zip(&order[s..e]) {
                 if skip[i] {
                     continue; // a checkpoint already holds this task
                 }
@@ -951,10 +957,10 @@ where
             sup.progress[device]
                 .busy_nanos
                 .fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
-            let n_committed = buf.len() as u64;
+            let mut filled = Vec::new();
             if !buf.is_empty() {
                 let commit_start = Instant::now();
-                commit(&slots, buf);
+                filled = commit(&slots, buf);
                 mine.queue_wait += commit_start.elapsed();
             }
             let clean = failed.is_none();
@@ -962,14 +968,15 @@ where
                 mine.chunks += 1;
                 mine.retries += u64::from(work.retried);
                 sup.complete(work.lease);
-                let total_tasks = tasks_done.fetch_add(n_committed, Ordering::AcqRel) + n_committed;
+                let n_filled = filled.len() as u64;
+                let total_tasks = tasks_done.fetch_add(n_filled, Ordering::AcqRel) + n_filled;
                 if let Some(d) = drain {
                     d.note_tasks_done(total_tasks);
                 }
             }
-            if let Some(hook) = on_commit.filter(|_| clean || n_committed > 0) {
+            if let Some(hook) = on_commit.filter(|_| !filled.is_empty()) {
                 hook(CommitView {
-                    tasks: chunk_tasks,
+                    tasks: &filled,
                     clean,
                     accel_share: sup.current_accel_share(),
                     slots: &slots,
@@ -1879,13 +1886,55 @@ mod tests {
         assert_eq!(out.tasks_done(), 40);
         let seen = seen.into_inner().unwrap();
         assert_eq!(seen[0], [0, 1], "the prefill commit comes first");
-        let mut chunks = seen[1..].concat();
-        chunks.sort_unstable();
+        let mut tasks = seen.concat();
+        tasks.sort_unstable();
         assert_eq!(
-            chunks,
+            tasks,
             (0..40).collect::<Vec<_>>(),
-            "the chunks' tasks tile the task space"
+            "the prefill's and the chunks' tasks tile the task space"
         );
+    }
+
+    #[test]
+    fn a_reclaimed_lease_hands_each_task_to_the_hook_once() {
+        // The accelerator's first chunk sleeps past its lease: the CPU
+        // worker reclaims and re-runs it, then the slow holder commits
+        // the same tasks again — and fills nothing.
+        let sink = MetricsSink::new();
+        let inj = injected(FaultKind::Delay(Duration::from_millis(150)), 0);
+        let runs = AtomicU64::new(0);
+        let seen: Mutex<Vec<usize>> = Mutex::new(Vec::new());
+        let hook = |view: CommitView<'_, usize>| seen.lock().unwrap().extend(view.tasks);
+        // Trips only if the second commit were counted as done tasks.
+        let drain = DrainSignal::after_tasks(41);
+        let out = run_dual_pool_durable(
+            40,
+            DualPoolConfig {
+                accel_timeout_ms: Some(20),
+                ..DualPoolConfig::new(1, 1)
+            },
+            &inj,
+            DurableControl {
+                drain: Some(&drain),
+                on_commit: Some(&hook),
+                ..DurableControl::none()
+            },
+            |_| 1,
+            |d, i, _: &mut WorkerJournal| {
+                gate_cpu_on(&inj, d);
+                runs.fetch_add(1, Ordering::Relaxed);
+                i
+            },
+            &sink,
+            &Tracer::disabled(),
+        );
+        assert!(runs.into_inner() > 40, "the reclaimed chunk ran twice");
+        assert_eq!(sink.device(DEVICE_ACCEL).lost_leases, 1);
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..40).collect::<Vec<_>>(), "each task once");
+        assert!(!out.drained && !drain.is_requested(), "40 tasks done");
+        assert_eq!(out.try_into_results().unwrap(), (0..40).collect::<Vec<_>>());
     }
 
     /// The task ids of every chunk commit of a clean or fault-drilled run

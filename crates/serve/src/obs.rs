@@ -32,13 +32,12 @@ use std::time::Instant;
 use sw_swdb::integrity::open_log;
 use sw_trace::export::{Histogram, PromWriter};
 
-use crate::batch::WindowClosed;
-use crate::registry::StatsSnapshot;
+use crate::registry::{StatsSnapshot, WindowClosed};
 
 /// Phase-latency bucket bounds (µs). Wider than the kernel-level
 /// `HIST_BUCKETS_US` table because daemon phases span from
 /// sub-millisecond admission to multi-second drilled runs.
-pub static PHASE_BUCKETS_US: [u64; 12] = [
+pub(crate) static PHASE_BUCKETS_US: [u64; 12] = [
     100,
     500,
     1_000,
@@ -54,10 +53,10 @@ pub static PHASE_BUCKETS_US: [u64; 12] = [
 ];
 
 /// Region-size bucket bounds (queries coalesced per dual-pool region).
-pub static REGION_SIZE_BUCKETS: [u64; 6] = [1, 2, 4, 8, 16, 32];
+pub(crate) static REGION_SIZE_BUCKETS: [u64; 6] = [1, 2, 4, 8, 16, 32];
 
 /// Width of one aggregate-GCUPS window (µs).
-pub const GCUPS_WINDOW_US: u64 = 1_000_000;
+pub(crate) const GCUPS_WINDOW_US: u64 = 1_000_000;
 
 /// Windows retained for the `sw_serve_gcups_window` series.
 const GCUPS_WINDOWS_KEPT: usize = 64;
@@ -107,23 +106,23 @@ impl LogLevel {
 
 /// Observability configuration carried by `ServeConfig`.
 #[derive(Debug, Clone, Default)]
-pub struct ObsConfig {
+pub(crate) struct ObsConfig {
     /// Ops-log threshold.
-    pub log_level: LogLevel,
+    pub(crate) log_level: LogLevel,
     /// Ops-log destination (stderr when `None`).
-    pub log_file: Option<PathBuf>,
+    pub(crate) log_file: Option<PathBuf>,
     /// Slow-query threshold in milliseconds; `None` disables the
     /// slow-query log.
-    pub slow_query_ms: Option<u64>,
+    pub(crate) slow_query_ms: Option<u64>,
     /// Content digest of the resident snapshot, when it was
     /// digest-verified at load (surfaces in health as
     /// `snapshot_verified` / `snapshot_digest`).
-    pub snapshot_digest: Option<u64>,
+    pub(crate) snapshot_digest: Option<u64>,
     /// Set when this daemon is a shard worker: every Prometheus series
     /// gains a `shard="<index>"` label and health reports the shard
     /// placement, so a coordinator (or an aggregating scrape) can tell
     /// workers apart.
-    pub shard: Option<ShardRole>,
+    pub(crate) shard: Option<ShardRole>,
 }
 
 /// The shard a worker daemon serves, as the obs plane reports it.
@@ -143,19 +142,19 @@ pub struct ShardRole {
 /// cancelled while parked never starts; a cancelled run streams no
 /// first hit).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Phases {
+pub(crate) struct Phases {
     /// Registry accepted the submit.
-    pub submitted_us: u64,
+    pub(crate) submitted_us: u64,
     /// Ack streamed back to the client.
-    pub admitted_us: Option<u64>,
+    pub(crate) admitted_us: Option<u64>,
     /// Collector pulled the job out of the gather window.
-    pub gathered_us: Option<u64>,
+    pub(crate) gathered_us: Option<u64>,
     /// Dual-pool region started executing the job.
-    pub started_us: Option<u64>,
+    pub(crate) started_us: Option<u64>,
     /// First hit line streamed to the client.
-    pub first_hit_us: Option<u64>,
+    pub(crate) first_hit_us: Option<u64>,
     /// Terminal state reached.
-    pub finished_us: Option<u64>,
+    pub(crate) finished_us: Option<u64>,
 }
 
 #[derive(Debug, Clone)]
@@ -216,7 +215,7 @@ enum Sink {
 /// The daemon-lifetime aggregator + ops log + health state. One
 /// instance per daemon, shared by the registry, the collector and
 /// every connection thread through an `Arc`.
-pub struct Obs {
+pub(crate) struct Obs {
     epoch: Instant,
     config: ObsConfig,
     ready: AtomicBool,
@@ -230,7 +229,7 @@ impl Obs {
     /// Build the plane from config. The daemon starts *not ready*:
     /// readiness is granted by `serve()` only after the snapshot is
     /// loaded and the worker scope is up ([`Obs::set_ready`]).
-    pub fn new(config: ObsConfig) -> Obs {
+    pub(crate) fn new(config: ObsConfig) -> Obs {
         let sink = match &config.log_file {
             Some(path) => open_log(path, None).map(Sink::File).unwrap_or(Sink::Stderr),
             None => Sink::Stderr,
@@ -246,47 +245,48 @@ impl Obs {
         }
     }
 
-    /// A silent plane (log off, no thresholds) — what `Registry::new`
-    /// wires up for embedders and tests that don't care about obs.
-    pub fn disabled() -> Obs {
+    /// A silent plane (log off, no thresholds), for tests that don't
+    /// care about obs.
+    #[cfg(test)]
+    pub(crate) fn disabled() -> Obs {
         Obs::new(ObsConfig::default())
     }
 
     /// µs since the daemon epoch — the clock every lifecycle stamp and
     /// log line shares.
-    pub fn now_us(&self) -> u64 {
+    pub(crate) fn now_us(&self) -> u64 {
         u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
     }
 
     /// Grant/revoke readiness (snapshot resident + digest verified).
-    pub fn set_ready(&self, ready: bool) {
+    pub(crate) fn set_ready(&self, ready: bool) {
         self.ready.store(ready, Ordering::SeqCst);
     }
 
     /// Mark the daemon as draining (shutdown requested, in-flight jobs
     /// finishing). A draining daemon reports `ready:false`.
-    pub fn set_draining(&self, draining: bool) {
+    pub(crate) fn set_draining(&self, draining: bool) {
         self.draining.store(draining, Ordering::SeqCst);
     }
 
     /// Track whether the collector thread is running; health reports
     /// `collector_alive` and readiness requires it.
-    pub fn set_collector_alive(&self, alive: bool) {
+    pub(crate) fn set_collector_alive(&self, alive: bool) {
         self.collector_alive.store(alive, Ordering::SeqCst);
     }
 
     /// Whether a drain is in progress.
-    pub fn is_draining(&self) -> bool {
+    pub(crate) fn is_draining(&self) -> bool {
         self.draining.load(Ordering::SeqCst)
     }
 
     /// Whether the collector thread is running.
-    pub fn is_collector_alive(&self) -> bool {
+    pub(crate) fn is_collector_alive(&self) -> bool {
         self.collector_alive.load(Ordering::SeqCst)
     }
 
     /// The slow-query threshold in µs, when configured.
-    pub fn slow_query_us(&self) -> Option<u64> {
+    pub(crate) fn slow_query_us(&self) -> Option<u64> {
         self.config.slow_query_ms.map(|ms| ms.saturating_mul(1_000))
     }
 
@@ -296,7 +296,7 @@ impl Obs {
     /// their own strings with [`crate::json::escape`]. Sink errors are
     /// deliberately ignored — observability must never take the
     /// daemon down.
-    pub fn log(&self, level: LogLevel, event: &str, kv: &str) {
+    pub(crate) fn log(&self, level: LogLevel, event: &str, kv: &str) {
         if level == LogLevel::Off || level > self.config.log_level {
             return;
         }
@@ -321,7 +321,7 @@ impl Obs {
     }
 
     /// Record one coalesced region of `queries` jobs.
-    pub fn on_region(&self, queries: usize) {
+    pub(crate) fn on_region(&self, queries: usize) {
         let mut agg = self.agg.lock().expect("obs agg");
         agg.regions += 1;
         agg.region_queries += queries as u64;
@@ -329,7 +329,7 @@ impl Obs {
     }
 
     /// Credit `cells` DP cells to the GCUPS window containing `at_us`.
-    pub fn on_cells(&self, cells: u64, at_us: u64) {
+    pub(crate) fn on_cells(&self, cells: u64, at_us: u64) {
         if cells == 0 {
             return;
         }
@@ -350,26 +350,26 @@ impl Obs {
     }
 
     /// Count a degraded run (a device pool was retired mid-region).
-    pub fn on_degraded(&self) {
+    pub(crate) fn on_degraded(&self) {
         self.agg.lock().expect("obs agg").degraded_runs += 1;
     }
 
     /// Count a region's checkpoint writes: commit frames appended plus
     /// compacted cancel/drain checkpoints.
-    pub fn on_checkpoint_writes(&self, n: u64) {
+    pub(crate) fn on_checkpoint_writes(&self, n: u64) {
         if n > 0 {
             self.agg.lock().expect("obs agg").checkpoint_writes += n;
         }
     }
 
     /// Count a reply stream that died mid-write (client gone).
-    pub fn on_broken_pipe(&self) {
+    pub(crate) fn on_broken_pipe(&self) {
         self.agg.lock().expect("obs agg").broken_pipes += 1;
     }
 
     /// Count a connection evicted for not completing its request line
     /// within the per-connection deadline (half-line stalled client).
-    pub fn on_connection_evicted(&self) {
+    pub(crate) fn on_connection_evicted(&self) {
         self.agg.lock().expect("obs agg").connection_evictions += 1;
     }
 
@@ -383,7 +383,7 @@ impl Obs {
     /// time, not folded from the phase stamps in [`Obs::record_finish`]:
     /// the collector finishes the registry record *before* the reply
     /// streams, so the first-hit stamp lands after the finish fold.
-    pub fn on_first_hit(&self, delta_us: u64) {
+    pub(crate) fn on_first_hit(&self, delta_us: u64) {
         self.agg.lock().expect("obs agg").first_hit.record(delta_us);
     }
 
@@ -392,7 +392,7 @@ impl Obs {
     /// [`Obs::on_first_hit`] — it is stamped after the finish).
     /// Returns `true` when the job's total latency crossed the
     /// slow-query threshold (the caller then dumps its timeline).
-    pub fn record_finish(&self, phases: &Phases, resumes: u64) -> bool {
+    pub(crate) fn record_finish(&self, phases: &Phases, resumes: u64) -> bool {
         let sub = phases.submitted_us;
         let gap = |a: Option<u64>, b: u64| a.map(|v| v.saturating_sub(b));
         let mut agg = self.agg.lock().expect("obs agg");
@@ -422,9 +422,9 @@ impl Obs {
 
     /// Render the `{"op":"health"}` reply: liveness is answering at
     /// all; readiness is snapshot-resident + collector alive + not
-    /// draining. `parked` is the batcher's queue depth, reported
+    /// draining. `parked` is the registry's queue length, reported
     /// against `queue_cap` (the region size cap).
-    pub fn health_json(&self, stats: &StatsSnapshot, queue_cap: usize, parked: usize) -> String {
+    pub(crate) fn health_json(&self, stats: &StatsSnapshot, queue_cap: usize) -> String {
         let ready = self.ready.load(Ordering::SeqCst)
             && self.collector_alive.load(Ordering::SeqCst)
             && !self.draining.load(Ordering::SeqCst);
@@ -437,7 +437,7 @@ impl Obs {
             self.config.snapshot_digest.is_some(),
             stats.queued,
             stats.running,
-            parked,
+            stats.parked,
             queue_cap,
             self.now_us(),
         );
@@ -458,7 +458,7 @@ impl Obs {
     /// `{"op":"metrics"}` and `--metrics-file`: tables over the one
     /// [`PromWriter`], so the scrape is clean under
     /// `sw_trace::validate::validate_prometheus_strict` by construction.
-    pub fn prometheus(&self, stats: &StatsSnapshot, queue_cap: usize) -> String {
+    pub(crate) fn prometheus(&self, stats: &StatsSnapshot, queue_cap: usize) -> String {
         let agg = self.agg.lock().expect("obs agg").clone();
         // Shard workers label every series so an aggregating scrape
         // (or the coordinator's debugging eye) can tell workers apart;
@@ -727,6 +727,7 @@ mod tests {
                     rejected: 1,
                 },
             )],
+            parked: 0,
         }
     }
 
@@ -735,19 +736,19 @@ mod tests {
         let obs = Obs::disabled();
         let stats = StatsSnapshot::default();
         // Before the snapshot is loaded: live but not ready.
-        let h = obs.health_json(&stats, 4, 0);
+        let h = obs.health_json(&stats, 4);
         assert!(h.contains("\"ready\":false"), "{h}");
         assert!(h.contains("\"live\":true"), "{h}");
         assert!(h.contains("\"snapshot_verified\":false"), "{h}");
 
         obs.set_ready(true);
         obs.set_collector_alive(true);
-        let h = obs.health_json(&stats, 4, 0);
+        let h = obs.health_json(&stats, 4);
         assert!(h.contains("\"ready\":true"), "{h}");
 
         // Draining flips readiness off while liveness stays up.
         obs.set_draining(true);
-        let h = obs.health_json(&stats, 4, 0);
+        let h = obs.health_json(&stats, 4);
         assert!(h.contains("\"ready\":false"), "{h}");
         assert!(h.contains("\"draining\":true"), "{h}");
         assert!(h.contains("\"live\":true"), "{h}");
@@ -757,7 +758,7 @@ mod tests {
             snapshot_digest: Some(0xabcd),
             ..Default::default()
         });
-        let h = obs.health_json(&stats, 4, 0);
+        let h = obs.health_json(&stats, 4);
         assert!(h.contains("\"snapshot_verified\":true"), "{h}");
         assert!(
             h.contains("\"snapshot_digest\":\"000000000000abcd\""),
@@ -853,7 +854,7 @@ mod tests {
             "{text}"
         );
 
-        let h = obs.health_json(&StatsSnapshot::default(), 4, 0);
+        let h = obs.health_json(&StatsSnapshot::default(), 4);
         assert!(h.contains("\"shard\":1"), "{h}");
         assert!(h.contains("\"shard_count\":2"), "{h}");
         assert!(h.contains("\"shard_base\":12"), "{h}");

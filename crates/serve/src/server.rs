@@ -9,7 +9,7 @@
 //! no polling loop for the common case.
 //!
 //! Searches are *batched across queries*: connection handlers park
-//! accepted submits in the [`Batcher`], and one collector thread groups
+//! accepted submits in the [`Registry`], and one collector thread groups
 //! everything that arrives within a gather window into a single shared
 //! dual-pool region over the resident database
 //! ([`HeteroEngine::search_many_resumable`]) — up to `max_concurrent`
@@ -26,9 +26,10 @@
 //! and hands a connection over the moment it arrives, the request line
 //! is read under one timeout (the eviction deadline), a gather window
 //! that is full closes at once (the one timed wait left on a submit's
-//! path is a window that is *not* full — see `batch.rs`), the collector
-//! thread is the region's first worker, and a query's reply leaves when
-//! its own last batch commits, not when its batch-mates finish.
+//! path is a window that is *not* full — see [`Registry::collect`]),
+//! the collector thread is the region's first worker, and a query's
+//! reply leaves when its own last batch commits, not when its
+//! batch-mates finish.
 //!
 //! Nothing on a request's path costs more as the daemon ages, either. The
 //! registry keeps its counts instead of recounting its table (see
@@ -52,11 +53,12 @@
 //! accepting, the parked handlers are released, the registry is dumped
 //! and the socket removed.
 
-use crate::batch::{Batcher, PendingJob, WindowClosed, SHUTDOWN_POLL};
 use crate::client::{ack_line, HitLine, JobReply, Request, END_LINE};
 use crate::json;
 use crate::obs::{LogLevel, Obs, ObsConfig, ShardRole};
-use crate::registry::{JobState, Registry, StatsSnapshot};
+use crate::registry::{
+    JobRecord, JobState, LiveJob, Registry, RunPayload, StatsSnapshot, WindowClosed, SHUTDOWN_POLL,
+};
 use crate::transport::{is_timeout, Endpoint, LineReader, Listener, Stream};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -138,9 +140,10 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults: 2 queries per batch, tenant quota 4, 55 % plan seed,
-    /// checkpoint every 4 chunks, top-10, 3 ms gather window, no
-    /// artifact outputs.
+    /// Defaults: 2 queries per batch, tenant quota 4, top-10, 3 ms
+    /// gather window, no checkpoints, traces or other artifact outputs.
+    /// (Every region seeds its split plan at the fixed 55 % accelerator
+    /// share, and a checkpointing daemon appends every clean chunk.)
     pub fn new(socket: impl Into<PathBuf>) -> Self {
         ServeConfig::at(Endpoint::Unix(socket.into()))
     }
@@ -199,7 +202,6 @@ struct Ctx<'a> {
     base: &'a HeteroSearchConfig,
     config: &'a ServeConfig,
     registry: &'a Registry,
-    batcher: &'a Batcher,
     obs: &'a Obs,
     readers: &'a RequestReaders,
     shutdown: &'static DrainSignal,
@@ -317,8 +319,7 @@ pub fn serve(
         snapshot_digest: config.snapshot_digest,
         shard: config.shard,
     }));
-    let registry = Registry::with_obs(Arc::clone(&obs));
-    let batcher = Batcher::new();
+    let registry = Registry::new(Arc::clone(&obs));
     let readers = RequestReaders::default();
     let (handoff, next) = mpsc::channel();
     let parked = Parked {
@@ -332,7 +333,6 @@ pub fn serve(
         base,
         config,
         registry: &registry,
-        batcher: &batcher,
         obs: obs.as_ref(),
         readers: &readers,
         shutdown,
@@ -554,8 +554,7 @@ fn handle_connection(ctx: Ctx<'_>, stream: Stream) -> io::Result<()> {
             writeln!(
                 w,
                 "{}",
-                ctx.obs
-                    .health_json(&stats, ctx.config.max_concurrent, ctx.batcher.depth())
+                ctx.obs.health_json(&stats, ctx.config.max_concurrent)
             )?;
         }
         Request::Status(id) => match ctx.registry.status(id) {
@@ -602,11 +601,11 @@ fn op_submit<W: Write>(
     };
     let drain = Arc::new(DrainSignal::scoped(ctx.shutdown));
     let quota = ctx.config.tenant_quota;
-    let (id, drain) = match ctx
+    let id = match ctx
         .registry
         .submit(tenant, query.residues.len(), quota, drain)
     {
-        Ok(v) => v,
+        Ok(id) => id,
         Err(e) => return fail(w, &e),
     };
     // Ack immediately so the submitter learns its job id (and can
@@ -627,29 +626,29 @@ fn op_submit<W: Write>(
         );
         return Err(e);
     }
-    ctx.registry.mark_admitted(id);
     let (reply_tx, reply_rx) = mpsc::channel();
-    let parked = ctx.batcher.enqueue(PendingJob {
+    let parked = ctx.registry.admit(
         id,
-        residues: query.residues,
-        top,
-        drill,
-        drain,
-        reply: reply_tx,
-    });
+        RunPayload {
+            residues: query.residues,
+            top,
+            drill,
+            reply: reply_tx,
+        },
+    );
     let reply = if !parked {
-        // The collector already closed (daemon draining): nobody will
-        // ever run or reply to this job.
+        // Shutdown already closed the queue (daemon draining): nobody
+        // will ever run or reply to this job.
         ctx.registry.finish(id, JobState::Cancelled, 0, 0, None);
         JobReply::Cancelled {
             resumes: 0,
             batch: 0,
         }
     } else {
-        // The collector finishes the registry record *before* replying,
+        // The registry record is final *before* the collector replies,
         // so a client that hangs up during streaming cannot wedge the
-        // job; and shutdown cancel-replies the whole queue, so this recv
-        // always ends.
+        // job; and shutdown cancels the whole queue, so this recv always
+        // ends.
         reply_rx.recv().unwrap_or_else(|_| {
             let msg = "batch collector died".to_string();
             ctx.registry
@@ -670,52 +669,39 @@ fn op_submit<W: Write>(
 }
 
 /// The region runner. Lives on one thread inside `serve`'s scope:
-/// repeatedly collects a batch of parked submits and runs them as one
-/// shared dual-pool region, until shutdown drains the queue.
+/// repeatedly collects a batch of parked submits, answers the ones
+/// cancelled while parked and runs the rest as one shared dual-pool
+/// region, until shutdown empties the queue.
 fn collector_loop(ctx: Ctx<'_>) {
     let window = ctx.config.gather_window();
-    while let Some((jobs, closed)) =
-        ctx.batcher
-            .collect(ctx.config.max_concurrent, window, ctx.shutdown)
+    while let Some(gathered) = ctx
+        .registry
+        .collect(ctx.config.max_concurrent, window, ctx.shutdown)
     {
-        if let Some(closed) = closed {
+        if let Some(closed) = gathered.closed {
             ctx.obs.on_window_closed(closed);
         }
-        run_batch_jobs(ctx, jobs, closed);
-    }
-}
-
-/// Run one shared region and demux per-query outcomes back to their
-/// connections. Registry transitions happen here (mark_running before
-/// the region, finish before each reply) so connection threads never
-/// own job state after the ack. This thread is the region's first
-/// worker, and a finished query's reply leaves from whichever worker
-/// committed its last batch — it does not wait for its batch-mates.
-fn run_batch_jobs(ctx: Ctx<'_>, jobs: Vec<PendingJob>, closed: Option<WindowClosed>) {
-    // Every collected job left the gather window together — stamp the
-    // phase (and the region size) before the cancel filter so even a
-    // cancelled-while-parked job's record shows how long it waited.
-    let gathered = jobs.len();
-    for job in &jobs {
-        ctx.registry.mark_gathered(job.id, gathered);
-    }
-    // Jobs whose drain fired while parked (client cancel, shutdown)
-    // never enter the region.
-    let mut live: Vec<PendingJob> = Vec::new();
-    for job in jobs {
-        if ctx.registry.mark_running(job.id) {
-            live.push(job);
-        } else {
-            ctx.registry.finish(job.id, JobState::Cancelled, 0, 0, None);
-            let _ = job.reply.send(JobReply::Cancelled {
+        // `collect` already made these jobs `Cancelled`.
+        for reply in gathered.cancelled {
+            let _ = reply.send(JobReply::Cancelled {
                 resumes: 0,
                 batch: 0,
             });
         }
+        if !gathered.live.is_empty() {
+            run_region(ctx, gathered.live, gathered.closed);
+        }
     }
-    if live.is_empty() {
-        return;
-    }
+}
+
+/// Run one shared region over jobs `collect` made `Running`, and demux
+/// per-query outcomes back to their connections. Each job's terminal
+/// transition is a registry `finish`, and a job is replied to only by
+/// the `finish` that made it, so connection threads never own job state
+/// after the ack. This thread is the region's first worker, and a
+/// finished query's reply leaves from whichever worker committed its
+/// last batch — it does not wait for its batch-mates.
+fn run_region(ctx: Ctx<'_>, live: Vec<LiveJob>, closed: Option<WindowClosed>) {
     let batch = live.len();
     ctx.obs.on_region(batch);
     ctx.obs.log(
@@ -747,12 +733,12 @@ fn run_batch_jobs(ctx: Ctx<'_>, jobs: Vec<PendingJob>, closed: Option<WindowClos
         .collect();
     // The plan seeds from the longest member: lane batching means every
     // query shares the same device split, rebalanced dynamically.
-    let plan_len = live.iter().map(|j| j.residues.len()).max().unwrap_or(1);
+    let plan_len = live.iter().map(|j| j.run.residues.len()).max().unwrap_or(1);
     let plan = ctx.engine.plan_split(ctx.prepared, plan_len, ACCEL_FRAC);
     let cfg = *ctx.base;
     // One injector per region: the first parked drill arms it (the
     // daemon only accepts the benign delay drill).
-    let injector = match live.iter().find_map(|j| j.drill) {
+    let injector = match live.iter().find_map(|j| j.run.drill) {
         Some(spec) => FaultInjector::new(FaultPlan::single(spec)),
         None => FaultInjector::none(),
     };
@@ -760,14 +746,12 @@ fn run_batch_jobs(ctx: Ctx<'_>, jobs: Vec<PendingJob>, closed: Option<WindowClos
         .iter()
         .zip(&tracers)
         .map(|(j, tr)| BatchQuery {
-            residues: &j.residues,
+            residues: &j.run.residues,
             id: j.id,
             cancel: Some(j.drain.as_ref()),
             tracer: Some(tr),
         })
         .collect();
-    // Which jobs the region has already answered (from `reply_done`).
-    let answered: Vec<AtomicBool> = live.iter().map(|_| AtomicBool::new(false)).collect();
     let reply_done = |qi: usize, q: &BatchQueryOutcome| {
         let j = &live[qi];
         let results = q.results.as_ref().expect("a finished query has results");
@@ -783,7 +767,7 @@ fn run_batch_jobs(ctx: Ctx<'_>, jobs: Vec<PendingJob>, closed: Option<WindowClos
         }
         // Cells = query residues × db residues, the same product the
         // GCUPS bench reports.
-        let cells = j.residues.len() as u64 * ctx.prepared.stats.total_residues;
+        let cells = j.run.residues.len() as u64 * ctx.prepared.stats.total_residues;
         ctx.obs.on_cells(cells, ctx.obs.now_us());
         if results.degraded {
             ctx.obs.on_degraded();
@@ -793,7 +777,7 @@ fn run_batch_jobs(ctx: Ctx<'_>, jobs: Vec<PendingJob>, closed: Option<WindowClos
         // tie-break matches the unsharded run.
         let base = ctx.config.shard.map_or(0, |s| s.base);
         let hits: Vec<HitLine> = results
-            .top(j.top)
+            .top(j.run.top)
             .iter()
             .zip(1..)
             .map(|(h, rank)| HitLine {
@@ -806,15 +790,16 @@ fn run_batch_jobs(ctx: Ctx<'_>, jobs: Vec<PendingJob>, closed: Option<WindowClos
         let finished = ctx
             .registry
             .finish(j.id, JobState::Done, hits.len(), q.resumes, None);
-        if let Some((rec, true)) = finished {
-            slow_query_dump(ctx, &rec, timeline);
+        if let Some((rec, slow)) = finished {
+            if slow {
+                slow_query_dump(ctx, &rec, timeline);
+            }
+            let _ = j.run.reply.send(JobReply::Done {
+                hits,
+                resumes: q.resumes,
+                batch,
+            });
         }
-        answered[qi].store(true, Ordering::SeqCst);
-        let _ = j.reply.send(JobReply::Done {
-            hits,
-            resumes: q.resumes,
-            batch,
-        });
     };
     let dopts = DurableOptions {
         checkpoint_path: None,
@@ -827,36 +812,34 @@ fn run_batch_jobs(ctx: Ctx<'_>, jobs: Vec<PendingJob>, closed: Option<WindowClos
     let out =
         ctx.engine
             .search_many_resumable(&queries, ctx.prepared, &plan, &cfg, &injector, &dopts);
-    // Every finished query was answered from inside the region; what is
-    // left was cancelled or drained out of it, or — when the region
-    // itself failed — failed with it.
-    let unanswered = live
-        .iter()
-        .enumerate()
-        .filter(|(qi, _)| !answered[*qi].load(Ordering::SeqCst));
-    match out {
-        Err(e) => {
-            let msg = e.to_string();
-            for (_, j) in unanswered {
-                ctx.registry
-                    .finish(j.id, JobState::Failed, 0, 0, Some(msg.clone()));
-                let _ = j.reply.send(JobReply::Failed { error: msg.clone() });
-            }
+    if let Ok(out) = &out {
+        ctx.obs.on_checkpoint_writes(out.checkpoints_written);
+    }
+    // Every finished query was answered from inside the region; the rest
+    // were cancelled or drained out of it, or — when the region itself
+    // failed — failed with it. `finish` refuses the answered ones.
+    let (state, error) = match &out {
+        Ok(_) => (JobState::Cancelled, None),
+        Err(e) => (JobState::Failed, Some(e.to_string())),
+    };
+    for (qi, j) in live.iter().enumerate() {
+        let resumes = out.as_ref().map_or(0, |out| out.queries[qi].resumes);
+        let finished = ctx.registry.finish(j.id, state, 0, resumes, error.clone());
+        if finished.is_some() {
+            let _ = j.run.reply.send(match &error {
+                Some(error) => JobReply::Failed {
+                    error: error.clone(),
+                },
+                None => JobReply::Cancelled { resumes, batch },
+            });
         }
-        Ok(out) => {
-            ctx.obs.on_checkpoint_writes(out.checkpoints_written);
-            for (qi, j) in unanswered {
-                let resumes = out.queries[qi].resumes;
-                ctx.registry
-                    .finish(j.id, JobState::Cancelled, 0, resumes, None);
-                let _ = j.reply.send(JobReply::Cancelled { resumes, batch });
-            }
-            ctx.obs.log(
-                LogLevel::Debug,
-                "region_finished",
-                &format!(",\"batch\":{batch}"),
-            );
-        }
+    }
+    if out.is_ok() {
+        ctx.obs.log(
+            LogLevel::Debug,
+            "region_finished",
+            &format!(",\"batch\":{batch}"),
+        );
     }
 }
 
@@ -866,7 +849,7 @@ fn run_batch_jobs(ctx: Ctx<'_>, jobs: Vec<PendingJob>, closed: Option<WindowClos
 /// `slow-job-<id>.jsonl`, next to the regular per-job traces. Without a
 /// `--trace-dir` the event is still counted and warn-logged — there is
 /// just nowhere to put the timeline.
-fn slow_query_dump(ctx: Ctx<'_>, rec: &crate::registry::JobRecord, timeline: sw_trace::Timeline) {
+fn slow_query_dump(ctx: Ctx<'_>, rec: &JobRecord, timeline: sw_trace::Timeline) {
     let Some(dir) = &ctx.config.trace_dir else {
         return;
     };
@@ -943,8 +926,8 @@ mod tests {
         let base = HeteroSearchConfig::best(1, 1);
         let mut config = ServeConfig::new("/tmp/unused-ack-test.sock");
         config.tenant_quota = 1;
-        let registry = Registry::new();
-        let batcher = Batcher::new();
+        let obs = Arc::new(Obs::disabled());
+        let registry = Registry::new(Arc::clone(&obs));
         let readers = RequestReaders::default();
         let ctx = Ctx {
             engine: &engine,
@@ -953,8 +936,7 @@ mod tests {
             base: &base,
             config: &config,
             registry: &registry,
-            batcher: &batcher,
-            obs: registry.obs().as_ref(),
+            obs: &obs,
             readers: &readers,
             shutdown: &ACK_SHUTDOWN,
         };

@@ -42,6 +42,7 @@ static EMPTY_CONN_SHUTDOWN: DrainSignal = DrainSignal::new();
 static WINDOW_SHUTDOWN: DrainSignal = DrainSignal::new();
 static REUSE_SHUTDOWN: DrainSignal = DrainSignal::new();
 static HELD_SHUTDOWN: DrainSignal = DrainSignal::new();
+static STACKED_SHUTDOWN: DrainSignal = DrainSignal::new();
 
 /// Requests the daemon's shutdown signal when dropped. `serve` runs on
 /// a scoped thread, and a scope joins its threads even while a panic
@@ -474,6 +475,116 @@ fn batched_queries_match_solo_runs() {
 
         client::request(socket, &client::Request::Shutdown.render()).unwrap();
         server.join().unwrap().expect("serve");
+    });
+    std::fs::remove_dir_all(&tmp).ok();
+
+    batched_queries_match_solo_runs_on_stacked_lanes();
+}
+
+/// The second input of `batched_queries_match_solo_runs`: a database
+/// whose lanes stack sequences (lane refill). Four submits share one
+/// region and each streams exactly the hit lines of its solo
+/// `SearchEngine::search`; a fifth, cancelled while parked, is answered
+/// `cancelled` and hands its tenant's quota slot back.
+fn batched_queries_match_solo_runs_on_stacked_lanes() {
+    let a = Alphabet::protein();
+    let prepared = PreparedDb::prepare(
+        generate_database(&DbSpec {
+            n_seqs: 400,
+            mean_len: 300.0,
+            max_len: 5000,
+            seed: 11,
+        }),
+        4,
+        &a,
+    );
+    let stacked = prepared.batches.iter().any(|b| b.n_seqs() > 4);
+    assert!(stacked, "some lane holds two sequences");
+    let engine = HeteroEngine::new(SearchEngine::paper_default());
+    let base = HeteroSearchConfig::best(1, 1);
+    let tmp = std::env::temp_dir().join(format!("sw-serve-stacked-{}", std::process::id()));
+    std::fs::remove_dir_all(&tmp).ok();
+    std::fs::create_dir_all(&tmp).unwrap();
+    let mut config = ServeConfig::new(tmp.join("daemon.sock"));
+    config.max_concurrent = 4;
+    config.tenant_quota = 4;
+    // Four submits fill the window at once; a lone fifth waits it out,
+    // which is when its cancel is answered.
+    config.batch_window_ms = 500;
+
+    let qs: Vec<EncodedSeq> = [(10, 51), (14, 52), (18, 53), (22, 54)]
+        .iter()
+        .map(|&(len, seed)| generate_query(len, seed))
+        .collect();
+    // The hit lines a solo search streams, byte for byte.
+    let solo_lines = |q: &EncodedSeq| -> Vec<String> {
+        let res = engine
+            .engine
+            .search(&q.residues, &prepared, &SearchConfig::best(1));
+        (res.top(10).iter().zip(1..))
+            .map(|(h, rank)| {
+                let header = prepared.sorted.db().header(h.id).to_string();
+                (client::HitLine {
+                    rank,
+                    score: h.score,
+                    id: h.id.0 as u64,
+                    header,
+                })
+                .to_json()
+            })
+            .collect()
+    };
+    let solos: Vec<Vec<String>> = qs.iter().map(solo_lines).collect();
+    let in_flight = |socket: &Path| {
+        let scrape = client::request(socket, &client::metrics_request())
+            .unwrap()
+            .join("\n");
+        let count = |outcome: &str| {
+            let sample =
+                format!("sw_serve_tenant_jobs_total{{tenant=\"stack\",outcome=\"{outcome}\"}}");
+            metric(&scrape, &sample)
+        };
+        count("submitted") - count("done") - count("failed") - count("cancelled")
+    };
+
+    std::thread::scope(|s| {
+        let server = {
+            let (engine, prepared, a, base, config) = (&engine, &prepared, &a, &base, &config);
+            s.spawn(move || sw_serve::serve(engine, prepared, a, base, config, &STACKED_SHUTDOWN))
+        };
+        let _stop = StopOnDrop(&STACKED_SHUTDOWN);
+        let socket = config.unix_socket().expect("unix listener");
+        wait_for_socket(socket);
+
+        let streams: Vec<_> = qs
+            .iter()
+            .map(|q| start_submit(socket, "stack", &fasta_of(q, &a), None))
+            .collect();
+        for ((r, id), solo) in streams.into_iter().zip(&solos) {
+            let o = finish_submit(r, id);
+            assert_eq!(o.state, "done", "job {id}");
+            assert_eq!(o.batch, 4, "job {id} must share a 4-query region");
+            let lines: Vec<String> = o.hits.iter().map(client::HitLine::to_json).collect();
+            assert_eq!(&lines, solo, "batched == solo bytes for job {id}");
+        }
+        assert_eq!(in_flight(socket), 0);
+
+        let (r5, id5) = start_submit(socket, "stack", &fasta_of(&qs[0], &a), None);
+        let c = client::request(socket, &client::Request::Cancel(id5).render()).unwrap();
+        assert_eq!(
+            json::field_str(&c[0], "was").as_deref(),
+            Some("queued"),
+            "{c:?}"
+        );
+        let o5 = finish_submit(r5, id5);
+        assert_eq!((o5.state.as_str(), o5.batch), ("cancelled", 0));
+        let rec = client::request(socket, &client::Request::Status(id5).render()).unwrap();
+        assert!(!rec[0].contains("started_us"), "never ran: {rec:?}");
+        assert_eq!(in_flight(socket), 0, "the cancel returned its quota slot");
+
+        client::request(socket, &client::Request::Shutdown.render()).unwrap();
+        let stats = server.join().unwrap().expect("serve");
+        assert_eq!((stats.done_total, stats.cancelled_total), (4, 1));
     });
     std::fs::remove_dir_all(&tmp).ok();
 }

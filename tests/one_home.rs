@@ -1,6 +1,6 @@
 //! One home per byte format (DESIGN §5k): each format primitive appears
 //! in non-test source — the lines of a file under `crates/*/src` before
-//! its first `#[cfg(test)]` — only in the files that own it.
+//! the `#[cfg(test)]` that opens a `mod` — only in the files that own it.
 
 use std::path::{Path, PathBuf};
 
@@ -96,6 +96,26 @@ fn wire_key(line: &str, key: &str) -> bool {
             .any(|(at, _)| line[at + 1..].trim_start_matches(' ').starts_with(&quoted))
 }
 
+/// The non-test lines of a source file: those before the `#[cfg(test)]`
+/// that opens a module (`mod tests`, inline or in its own file). A
+/// `#[cfg(test)]` on any other item — a test-only `thread_local!`, say —
+/// does not end the non-test part.
+fn non_test_lines(text: &str) -> Vec<&str> {
+    let lines: Vec<&str> = text.lines().collect();
+    let opens_mod = |at: usize| {
+        let next = lines[at + 1..].iter().map(|l| l.trim());
+        let mut items = next.filter(|l| !l.is_empty() && !l.starts_with("#["));
+        let item = items.next().unwrap_or("");
+        ["mod ", "pub mod ", "pub(crate) mod "]
+            .iter()
+            .any(|m| item.starts_with(m))
+    };
+    let end = (0..lines.len())
+        .find(|&at| lines[at].trim() == "#[cfg(test)]" && opens_mod(at))
+        .unwrap_or(lines.len());
+    lines[..end].to_vec()
+}
+
 /// Every `.rs` file under `dir`, recursively.
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
@@ -127,8 +147,7 @@ fn every_format_primitive_stays_in_its_home() {
             .to_string_lossy()
             .replace('\\', "/");
         let text = std::fs::read_to_string(file).expect("read source");
-        let non_test = text.lines().take_while(|l| !l.contains("#[cfg(test)]"));
-        for (n, line) in non_test.enumerate() {
+        for (n, line) in non_test_lines(&text).into_iter().enumerate() {
             for rule in RULES.iter().filter(|r| !r.homes.contains(&name.as_str())) {
                 if (rule.fires)(line) {
                     strays.push(format!(
@@ -169,4 +188,23 @@ fn every_rule_fires_on_its_planted_line() {
     assert!(!(RULES[4].fires)(r#"/// the "op" key names the request"#));
     assert!(!(RULES[5].fires)(r#"field_str(line, "end", x)"#));
     assert!(!(RULES[6].fires)("    opts.append(false);"));
+}
+
+#[test]
+fn a_test_only_item_does_not_end_the_non_test_part() {
+    // An early `#[cfg(test)]` item leaves the lines after it under every
+    // rule; the `#[cfg(test)]` that opens `mod tests` ends them.
+    let planted = RULES[1].planted;
+    let text = format!(
+        "use std::fs;\n\n#[cfg(test)]\nthread_local! {{\n    static N: u8 = 0;\n}}\n\nfn save() {{\n{planted}\n}}\n\n#[cfg(test)]\nmod tests {{\n{planted}\n}}\n"
+    );
+    let non_test = non_test_lines(&text);
+    let fired: Vec<&str> = (non_test.iter().copied())
+        .filter(|l| (RULES[1].fires)(l))
+        .collect();
+    assert_eq!(fired, [planted], "{non_test:#?}");
+    assert_eq!(non_test.last(), Some(&""), "ends before `mod tests`");
+    // A module declared test-only in its own file ends it too.
+    let text = "fn a() {}\n#[cfg(test)]\n#[path = \"t.rs\"]\nmod tests;\nfn b() {}\n";
+    assert_eq!(non_test_lines(text), ["fn a() {}"]);
 }

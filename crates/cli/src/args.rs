@@ -12,7 +12,6 @@ use sw_kernels::{KernelIsa, KernelVariant, ProfileMode, Vectorization};
 use sw_sched::{FaultKind, FaultSpec, DEVICE_ACCEL};
 use sw_seq::{Alphabet, GapPenalty, SubstMatrix};
 use sw_serve::client::Request;
-use sw_trace::TraceLevel;
 
 /// Usage text shown on parse errors and `--help`.
 pub const USAGE: &str = "\
@@ -95,23 +94,21 @@ HETERO OPTIONS (with --dynamic):
                       gets Chrome trace-event JSON (open in Perfetto)
   --metrics-out <path> write a Prometheus text snapshot of the
                       run's counters, histograms and GCUPS time series
-  --trace-level <l>   off | lite | full (default: full when --trace-out
-                      or --metrics-out is given, else off)
+                      (either output turns full tracing on; without one
+                      nothing is traced)
 
 DURABILITY OPTIONS (with --dynamic):
-  --checkpoint <path> persist search progress to this file: an
-                      append-only log of CRC32-framed commits, one per
-                      committed chunk (a crash mid-append loses only that
-                      chunk). SIGINT or SIGTERM drains the run gracefully
-                      (workers finish their in-flight chunks, a final
-                      checkpoint is written) and prints how to resume.
-                      Deleted when the search completes.
   --checkpoint-dir <dir>
-                      like --checkpoint, but the file name is derived
-                      from the search fingerprint (database digest, query
-                      digest, lane packing), so any number of concurrent
-                      searches can share the directory without clobbering
-                      each other. Mutually exclusive with --checkpoint.
+                      persist search progress in this directory, in a
+                      file named from the search fingerprint (database
+                      digest, query digest, lane packing), so any number
+                      of concurrent searches can share it: an append-only
+                      log of CRC32-framed commits, one per committed chunk
+                      (a crash mid-append loses only that chunk). SIGINT
+                      or SIGTERM drains the run gracefully (workers finish
+                      their in-flight chunks, a final checkpoint is
+                      written) and prints how to resume. Deleted when the
+                      search completes.
   --resume            (with a checkpoint) load the checkpoint if it exists
                       and skip its completed batches. The checkpoint is
                       verified against the database content digest, query
@@ -620,22 +617,16 @@ pub struct Dynamic {
     pub trace_out: Option<String>,
     /// Write a Prometheus text snapshot of the run's metrics here.
     pub metrics_out: Option<String>,
-    /// Journal detail level: `Full` by default when an output is asked
-    /// for, `Off` otherwise.
-    pub trace_level: TraceLevel,
     /// Checkpointing; `None` runs without.
     pub durable: Option<Durable>,
 }
 
-/// `hetero --dynamic` with `--checkpoint` or `--checkpoint-dir`:
-/// SIGINT/SIGTERM then drain gracefully instead of killing the run.
+/// `hetero --dynamic` with `--checkpoint-dir`: SIGINT/SIGTERM then drain
+/// gracefully instead of killing the run.
 #[derive(Debug, PartialEq)]
 pub struct Durable {
-    /// The checkpoint file, or with `in_dir` the directory it gets a
-    /// fingerprint-derived name in.
-    pub checkpoint: String,
-    /// `checkpoint` came from `--checkpoint-dir`.
-    pub in_dir: bool,
+    /// The directory the checkpoint gets a fingerprint-derived name in.
+    pub checkpoint_dir: String,
     /// Load the checkpoint (if present) and skip its batches.
     pub resume: bool,
     /// Crash drill: abort the process after this many committed
@@ -649,23 +640,6 @@ impl Dynamic {
         if min_chunk == 0 {
             return Err(err("--min-chunk must be at least 1"));
         }
-        let trace_out = a.opt_value("--trace-out")?;
-        let metrics_out = a.opt_value("--metrics-out")?;
-        let exporting = trace_out.is_some() || metrics_out.is_some();
-        let trace_level = match a.opt_value("--trace-level")? {
-            Some(v) => TraceLevel::parse(&v).ok_or_else(|| {
-                err(format!(
-                    "--trace-level must be off, lite or full (got '{v}')"
-                ))
-            })?,
-            None if exporting => TraceLevel::Full,
-            None => TraceLevel::Off,
-        };
-        if exporting && trace_level == TraceLevel::Off {
-            return Err(err(
-                "--trace-out/--metrics-out need --trace-level lite or full",
-            ));
-        }
         Ok(Dynamic {
             accel_threads: a.parse_num("--accel-threads", threads)?,
             min_chunk,
@@ -675,10 +649,9 @@ impl Dynamic {
                 .transpose()?,
             accel_timeout_ms: a.opt_num("--accel-timeout-ms")?,
             failure_budget: a.parse_num("--failure-budget", 3)?,
-            trace_out,
-            metrics_out,
-            trace_level,
-            durable: a.part("--checkpoint or --checkpoint-dir", Durable::parse)?,
+            trace_out: a.opt_value("--trace-out")?,
+            metrics_out: a.opt_value("--metrics-out")?,
+            durable: a.part("--checkpoint-dir", Durable::parse)?,
         })
     }
 }
@@ -686,18 +659,7 @@ impl Dynamic {
 impl Durable {
     /// `None` without a checkpoint location.
     fn parse(a: &mut Args<'_>) -> Result<Option<Self>, ParseError> {
-        let (checkpoint, in_dir) = match (
-            a.opt_value("--checkpoint")?,
-            a.opt_value("--checkpoint-dir")?,
-        ) {
-            (Some(_), Some(_)) => {
-                return Err(err(
-                    "--checkpoint and --checkpoint-dir are mutually exclusive",
-                ))
-            }
-            (Some(file), None) => (Some(file), false),
-            (None, dir) => (dir, true),
-        };
+        let checkpoint_dir = a.opt_value("--checkpoint-dir")?;
         let resume = a.has_flag("--resume");
         let kill_after_chunks = a
             .opt_value("--kill-after-chunks")?
@@ -708,9 +670,8 @@ impl Durable {
                     .ok_or_else(|| err(format!("bad value for --kill-after-chunks: '{v}'")))
             })
             .transpose()?;
-        Ok(checkpoint.map(|checkpoint| Durable {
-            checkpoint,
-            in_dir,
+        Ok(checkpoint_dir.map(|checkpoint_dir| Durable {
+            checkpoint_dir,
             resume,
             kill_after_chunks,
         }))
@@ -1468,7 +1429,7 @@ mod tests {
         // it) would not act on.
         for (line, token) in [
             (
-                "search --query q --db d --resume --checkpoint x",
+                "search --query q --db d --resume --checkpoint-dir x",
                 "--resume",
             ),
             ("search --query q --db d --json", "--json"),
@@ -1583,29 +1544,18 @@ mod tests {
         let d = parse_dynamic("hetero --query q --db d --dynamic");
         assert_eq!(d.trace_out, None);
         assert_eq!(d.metrics_out, None);
-        assert_eq!(d.trace_level, TraceLevel::Off);
-        // An output path implies full tracing.
+        // An output path is what turns full tracing on.
         let d = parse_dynamic(
             "hetero --query q --db d --dynamic --trace-out t.json --metrics-out m.prom",
         );
         assert_eq!(d.trace_out.as_deref(), Some("t.json"));
         assert_eq!(d.metrics_out.as_deref(), Some("m.prom"));
-        assert_eq!(d.trace_level, TraceLevel::Full);
-        // Explicit level wins over the implication.
-        let d = parse_dynamic(
-            "hetero --query q --db d --dynamic --trace-out t.jsonl --trace-level lite",
-        );
-        assert_eq!(d.trace_level, TraceLevel::Lite);
-        assert!(parse(&argv(
-            "hetero --query q --db d --dynamic --trace-level verbose"
-        ))
-        .is_err());
-        // An output with tracing switched off would stay empty.
+        // There is no level to pick.
         let e = parse(&argv(
-            "hetero --query q --db d --dynamic --metrics-out m.prom --trace-level off",
+            "hetero --query q --db d --dynamic --trace-out t.jsonl --trace-level full",
         ))
         .unwrap_err();
-        assert!(e.0.contains("need --trace-level lite or full"), "{e}");
+        assert!(e.0.contains("unknown option '--trace-level'"), "{e}");
     }
 
     #[test]
@@ -1614,14 +1564,13 @@ mod tests {
         let d = parse_dynamic("hetero --query q --db d --dynamic");
         assert_eq!(d.durable, None);
         let d = parse_dynamic(
-            "hetero --query q --db d --dynamic --checkpoint s.ckpt \
+            "hetero --query q --db d --dynamic --checkpoint-dir ckpts \
              --resume --kill-after-chunks 5",
         );
         assert_eq!(
             d.durable,
             Some(Durable {
-                checkpoint: "s.ckpt".into(),
-                in_dir: false,
+                checkpoint_dir: "ckpts".into(),
                 resume: true,
                 kill_after_chunks: Some(5),
             })
@@ -1629,35 +1578,21 @@ mod tests {
         // The flags that act on a checkpoint need one.
         for flag in ["--resume", "--kill-after-chunks 2"] {
             let e = parse(&argv(&format!("hetero --query q --db d --dynamic {flag}"))).unwrap_err();
-            assert!(
-                e.0.contains("requires --checkpoint or --checkpoint-dir"),
-                "{flag}: {e}"
-            );
+            assert!(e.0.contains("requires --checkpoint-dir"), "{flag}: {e}");
         }
         // Every clean chunk is appended: there is no interval to set.
         let e = parse(&argv(
-            "hetero --query q --db d --dynamic --checkpoint c --checkpoint-interval-chunks 1",
+            "hetero --query q --db d --dynamic --checkpoint-dir c --checkpoint-interval-chunks 1",
         ))
         .unwrap_err();
         assert!(e.0.contains("--checkpoint-interval-chunks"), "{e}");
         assert!(parse(&argv(
-            "hetero --query q --db d --dynamic --checkpoint c --kill-after-chunks 0"
+            "hetero --query q --db d --dynamic --checkpoint-dir c --kill-after-chunks 0"
         ))
         .is_err());
-    }
-
-    #[test]
-    fn hetero_checkpoint_dir_flag() {
-        let d = parse_dynamic("hetero --query q --db d --dynamic --checkpoint-dir ckpts --resume");
-        let durable = d.durable.expect("--checkpoint-dir");
-        assert_eq!(durable.checkpoint, "ckpts");
-        assert!(durable.in_dir && durable.resume);
-        // A path and a dir at once is ambiguous.
-        let e = parse(&argv(
-            "hetero --query q --db d --dynamic --checkpoint c --checkpoint-dir ckpts",
-        ))
-        .unwrap_err();
-        assert!(e.0.contains("mutually exclusive"), "{e}");
+        // A checkpoint lives in a directory only: a file is no option.
+        let e = parse(&argv("hetero --query q --db d --dynamic --checkpoint x")).unwrap_err();
+        assert!(e.0.contains("unknown option '--checkpoint'"), "{e}");
     }
 
     #[test]

@@ -826,9 +826,10 @@ fn cmd_hetero<W: Write>(h: &args::Hetero, out: &mut W) -> Result<(), CmdError> {
                 accel_timeout_ms: d.accel_timeout_ms,
                 failure_budget: d.failure_budget,
             },
-            trace: TraceConfig {
-                level: d.trace_level,
-                ..TraceConfig::default()
+            trace: if d.trace_out.is_some() || d.metrics_out.is_some() {
+                TraceConfig::full()
+            } else {
+                TraceConfig::default()
             },
         };
         let mut injector = match &d.inject_fault {
@@ -852,17 +853,10 @@ fn cmd_hetero<W: Write>(h: &args::Hetero, out: &mut W) -> Result<(), CmdError> {
             }
             // Durable run: graceful drain on SIGINT/SIGTERM, every clean
             // chunk appended to the checkpoint log, optional resume.
-            let ckpt_where = &durable.checkpoint;
-            let ckpt_flag = if durable.in_dir {
-                "--checkpoint-dir"
-            } else {
-                "--checkpoint"
-            };
+            let ckpt_where = &durable.checkpoint_dir;
             crate::signals::install_drain_handlers();
-            let at = Some(Path::new(ckpt_where));
             let dopts = DurableOptions {
-                checkpoint_path: at.filter(|_| !durable.in_dir),
-                checkpoint_dir: at.filter(|_| durable.in_dir),
+                checkpoint_dir: Some(Path::new(ckpt_where)),
                 drain: Some(&crate::signals::DRAIN),
                 resume: durable.resume,
                 ..DurableOptions::default()
@@ -906,7 +900,7 @@ fn cmd_hetero<W: Write>(h: &args::Hetero, out: &mut W) -> Result<(), CmdError> {
                     writeln!(
                         out,
                         "# resume with: swsearch hetero --query {} --db {} \
-                         --dynamic {ckpt_flag} {ckpt_where} --resume",
+                         --dynamic --checkpoint-dir {ckpt_where} --resume",
                         h.query, h.db
                     )?;
                     return Ok(());
@@ -1754,12 +1748,12 @@ mod tests {
     #[test]
     fn hetero_checkpoint_requires_dynamic() {
         assert_refused_before_open(
-            "hetero --checkpoint c.ckpt",
-            "--checkpoint requires --dynamic",
+            "hetero --checkpoint-dir ckpts",
+            "--checkpoint-dir requires --dynamic",
         );
         assert_refused_before_open(
             "hetero --dynamic --kill-after-chunks 2",
-            "--kill-after-chunks requires --checkpoint or --checkpoint-dir",
+            "--kill-after-chunks requires --checkpoint-dir",
         );
     }
 
@@ -1771,7 +1765,7 @@ mod tests {
         ));
         let q_path = tmp("durq1.fasta");
         write_query(&read_db(&db_path), 5, &q_path);
-        let ckpt = tmp("dur1.ckpt");
+        let ckpt = tmp("dur1-ckpts");
         let common = format!("--query {q_path} --db {db_path} --frac 0.5 --lanes 4 --top 3");
         let (code, plain) = run_str(&format!(
             "hetero {common} --dynamic --threads 2 --accel-threads 2"
@@ -1779,11 +1773,12 @@ mod tests {
         assert_eq!(code, 0, "{plain}");
         let (code, durable) = run_str(&format!(
             "hetero {common} --dynamic --threads 2 --accel-threads 2 \
-             --checkpoint {ckpt}"
+             --checkpoint-dir {ckpt}"
         ));
         assert_eq!(code, 0, "{durable}");
-        assert!(
-            !std::path::Path::new(&ckpt).exists(),
+        assert_eq!(
+            std::fs::read_dir(&ckpt).expect("checkpoint dir").count(),
+            0,
             "completed run deletes its checkpoint"
         );
         // Same hit list with and without checkpointing.

@@ -1,6 +1,6 @@
 //! SIGINT/SIGTERM → graceful drain.
 //!
-//! Durable runs (`hetero --dynamic --checkpoint`) and the `serve` daemon
+//! Durable runs (`hetero --dynamic --checkpoint-dir`) and the `serve` daemon
 //! install a handler that flips a process-wide [`DrainSignal`] instead
 //! of letting the default disposition kill the process: workers finish
 //! their in-flight chunks, a final checkpoint is written, and the CLI
@@ -67,7 +67,7 @@ mod imp {
 
 #[cfg(not(unix))]
 mod imp {
-    /// Non-unix hosts keep the default disposition; `--checkpoint` still
+    /// Non-unix hosts keep the default disposition; `--checkpoint-dir` still
     /// appends every committed chunk, only the graceful-drain-on-signal
     /// path is absent.
     pub(super) fn install() {}

@@ -9,7 +9,7 @@
 mod common;
 
 use common::{head, hit_lines, ok, run, stdout, trace_check, WorkDir};
-use std::path::Path;
+use std::path::PathBuf;
 
 struct Fixture {
     db: String,
@@ -44,6 +44,16 @@ fn fixture(test: &str) -> (WorkDir, Fixture) {
     (dir, Fixture { db, query })
 }
 
+/// The checkpoint log a search left in the directory `ckpt`, if any.
+fn log_in(ckpt: &str) -> Option<PathBuf> {
+    let entries = std::fs::read_dir(ckpt).ok()?;
+    let mut logs = entries.map(|e| e.expect("dir entry").path());
+    logs.find(|p| {
+        p.file_name()
+            .is_some_and(|n| n.to_string_lossy().starts_with("swckpt-"))
+    })
+}
+
 fn hetero_args<'a>(f: &'a Fixture, ckpt: &'a str) -> Vec<&'a str> {
     vec![
         "hetero",
@@ -62,7 +72,7 @@ fn hetero_args<'a>(f: &'a Fixture, ckpt: &'a str) -> Vec<&'a str> {
         "0.5",
         "--top",
         "5",
-        "--checkpoint",
+        "--checkpoint-dir",
         ckpt,
     ]
 }
@@ -72,13 +82,13 @@ fn killed_process_resumes_to_identical_hits() {
     let (dir, f) = fixture("kill");
 
     // Reference: one uninterrupted durable run.
-    let ckpt_ref = dir.path("ref.ckpt");
+    let ckpt_ref = dir.path("ref-ckpt");
     let o = run(&hetero_args(&f, &ckpt_ref));
     assert!(o.status.success(), "{}", stdout(&o));
     let reference = hit_lines(&stdout(&o));
     assert!(!reference.is_empty(), "{}", stdout(&o));
     assert!(
-        !Path::new(&ckpt_ref).exists(),
+        log_in(&ckpt_ref).is_none(),
         "clean run must delete its checkpoint"
     );
 
@@ -88,7 +98,7 @@ fn killed_process_resumes_to_identical_hits() {
     // PID so repeated CI runs sample different crash sites.
     let varied = (std::process::id() % 7 + 2).to_string();
     for kill_at in ["1", "3", "6", "10", varied.as_str()] {
-        let ckpt = dir.path(&format!("kill{kill_at}.ckpt"));
+        let ckpt = dir.path(&format!("kill{kill_at}-ckpt"));
         let mut args = hetero_args(&f, &ckpt);
         args.extend_from_slice(&["--kill-after-chunks", kill_at]);
         let o = run(&args);
@@ -98,7 +108,7 @@ fn killed_process_resumes_to_identical_hits() {
             stdout(&o)
         );
         assert!(
-            Path::new(&ckpt).exists(),
+            log_in(&ckpt).is_some(),
             "kill@{kill_at}: a checkpoint survives the crash"
         );
 
@@ -117,7 +127,7 @@ fn killed_process_resumes_to_identical_hits() {
             "kill@{kill_at}: resumed hits differ from the uninterrupted run:\n{text}"
         );
         assert!(
-            !Path::new(&ckpt).exists(),
+            log_in(&ckpt).is_none(),
             "kill@{kill_at}: completion deletes the checkpoint"
         );
     }
@@ -126,7 +136,7 @@ fn killed_process_resumes_to_identical_hits() {
 #[test]
 fn resumed_run_exports_a_valid_trace() {
     let (dir, f) = fixture("trace");
-    let ckpt = dir.path("traced.ckpt");
+    let ckpt = dir.path("traced-ckpt");
     let trace = dir.path("resumed.jsonl");
     let metrics = dir.path("resumed.prom");
 
@@ -135,7 +145,7 @@ fn resumed_run_exports_a_valid_trace() {
     args.extend_from_slice(&["--kill-after-chunks", "6"]);
     let o = run(&args);
     assert!(!o.status.success(), "{}", stdout(&o));
-    assert!(Path::new(&ckpt).exists());
+    assert!(log_in(&ckpt).is_some());
 
     let mut args = hetero_args(&f, &ckpt);
     args.extend_from_slice(&["--resume", "--trace-out", &trace, "--metrics-out", &metrics]);
@@ -157,15 +167,17 @@ fn resumed_run_exports_a_valid_trace() {
 #[test]
 fn resume_with_swapped_database_is_refused() {
     let (dir, f) = fixture("swap");
-    let ckpt = dir.path("swap.ckpt");
+    let ckpt = dir.path("swap-ckpt");
     let mut args = hetero_args(&f, &ckpt);
     args.extend_from_slice(&["--kill-after-chunks", "4"]);
     let o = run(&args);
     assert!(!o.status.success(), "{}", stdout(&o));
-    assert!(Path::new(&ckpt).exists());
+    assert!(log_in(&ckpt).is_some());
 
     // A different database under the same path → typed refusal, not a
-    // silently wrong merge.
+    // silently wrong merge. Its log has another fingerprint name, so the
+    // stale log is put where the swapped search looks: the name a crashed
+    // run of that search leaves.
     let other_db = dir.path("other.fasta");
     let o = run(&[
         "gendb",
@@ -185,7 +197,13 @@ fn resume_with_swapped_database_is_refused() {
         db: other_db,
         query: f.query.clone(),
     };
-    let mut args = hetero_args(&f2, &ckpt);
+    let ckpt2 = dir.path("swap2-ckpt");
+    let mut args = hetero_args(&f2, &ckpt2);
+    args.extend_from_slice(&["--kill-after-chunks", "1"]);
+    assert!(!run(&args).status.success());
+    let stale = log_in(&ckpt).expect("the first search's log");
+    std::fs::copy(stale, log_in(&ckpt2).expect("the swapped search's log")).expect("copy");
+    let mut args = hetero_args(&f2, &ckpt2);
     args.push("--resume");
     let o = run(&args);
     let text = stdout(&o);

@@ -62,14 +62,16 @@ use crate::results::Hit;
 use std::fmt;
 use std::fs;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use sw_kernels::CellCount;
 use sw_sched::DeviceMetrics;
 use sw_seq::SeqId;
 use sw_swdb::integrity::{
-    put_frame, put_i64, put_u32, put_u64, read_log, replace_file, ByteReader, Fnv64, FormatError,
+    put_frame, put_i64, put_u32, put_u64, read_log, replace_file, AppendLog, ByteReader, Fnv64,
+    FormatError,
 };
 use sw_swdb::LaneBatch;
+use sw_trace::EventKind;
 
 /// File magic of the commit log, version 2 (version 1 was a whole-file
 /// image rewritten on every save).
@@ -268,8 +270,104 @@ pub struct Checkpoint {
     pub done: Vec<BatchResult>,
 }
 
+/// One search's log as a region appends to it: the [`AppendLog`], whose
+/// search it records, and the sequence number and record count of the
+/// commits it holds.
+#[derive(Debug)]
+pub(crate) struct CommitLog {
+    log: AppendLog,
+    fingerprint: SearchFingerprint,
+    /// Completed resume count, written into the header.
+    resumes: u64,
+    /// Sequence number of the next commit.
+    seq: u64,
+    /// Batch records the log holds, loaded and appended.
+    records: u64,
+}
+
+impl CommitLog {
+    /// The log of `fingerprint`'s search at `path`: nothing is written
+    /// before the first append, unless the search resumes `prior`, which
+    /// is compacted under its new resume count (a torn tail goes with the
+    /// rewrite) and reopened for appending.
+    pub(crate) fn open(
+        path: PathBuf,
+        fingerprint: SearchFingerprint,
+        prior: Option<&Checkpoint>,
+    ) -> Result<Self, CheckpointError> {
+        let log = match prior {
+            Some(p) => AppendLog::resume(path.clone(), p.write_atomic(&path)?, false)?,
+            None => AppendLog::new(path, false),
+        };
+        Ok(CommitLog {
+            log,
+            fingerprint,
+            resumes: prior.map_or(0, |p| p.resumes),
+            seq: prior.map_or(0, |p| p.seq + 1),
+            records: prior.map_or(0, |p| p.done.len() as u64),
+        })
+    }
+
+    /// True once an append failed or the log was removed.
+    pub(crate) fn is_stopped(&self) -> bool {
+        self.log.is_stopped()
+    }
+
+    /// The next commit frame, holding `records` (the share and cumulative
+    /// totals at that commit with them), for [`CommitLog::append`].
+    pub(crate) fn put_commit<'b>(
+        &self,
+        out: &mut Vec<u8>,
+        accel_share: f64,
+        recovery: &[RecoveryTotals; 2],
+        records: impl ExactSizeIterator<Item = &'b BatchResult>,
+    ) {
+        put_commit(out, self.seq, accel_share, recovery, records);
+    }
+
+    /// Append `frame` from [`CommitLog::put_commit`], which holds
+    /// `records` records: the `checkpoint_written` event that reports it,
+    /// or the error that stopped the log.
+    pub(crate) fn append(&mut self, frame: &[u8], records: u64) -> io::Result<EventKind> {
+        let (fp, resumes) = (&self.fingerprint, self.resumes);
+        let bytes = self.log.append(|out| put_header(out, fp, resumes), frame)?;
+        self.records += records;
+        self.seq += 1;
+        Ok(EventKind::CheckpointWritten {
+            seq: self.seq - 1,
+            tasks_done: self.records,
+            bytes,
+        })
+    }
+
+    /// Replace the log with its compacted image holding `done`, the share
+    /// and totals: the exact final checkpoint of a drained or cancelled
+    /// search.
+    pub(crate) fn compact(
+        &self,
+        accel_share: f64,
+        recovery: [RecoveryTotals; 2],
+        done: Vec<BatchResult>,
+    ) -> Result<u64, CheckpointError> {
+        let ckpt = Checkpoint {
+            fingerprint: self.fingerprint,
+            seq: self.seq,
+            resumes: self.resumes,
+            accel_share,
+            recovery,
+            done,
+        };
+        ckpt.write_atomic(self.log.path())
+    }
+
+    /// The search completed: stop the log and remove its file.
+    pub(crate) fn remove(&mut self) {
+        self.log.remove();
+    }
+}
+
 /// Start `fingerprint`'s log in `out`: the magic and the header frame.
-pub(crate) fn put_header(out: &mut Vec<u8>, fingerprint: &SearchFingerprint, resumes: u64) {
+fn put_header(out: &mut Vec<u8>, fingerprint: &SearchFingerprint, resumes: u64) {
     out.extend_from_slice(MAGIC);
     let fp = fingerprint;
     let words = [
@@ -284,7 +382,7 @@ pub(crate) fn put_header(out: &mut Vec<u8>, fingerprint: &SearchFingerprint, res
 
 /// Append one commit frame: commit `seq`, the share and cumulative
 /// totals at that commit, and `records`.
-pub(crate) fn put_commit<'b>(
+fn put_commit<'b>(
     out: &mut Vec<u8>,
     seq: u64,
     accel_share: f64,

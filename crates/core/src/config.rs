@@ -95,9 +95,9 @@ impl Default for RecoveryConfig {
 /// (JSONL / Chrome trace / Prometheus — see `sw_trace::export`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct TraceConfig {
-    /// How much detail to record. `Off` (the default) disables the
-    /// journal entirely; `Lite` records instants and counters only;
-    /// `Full` adds the chunk-execution and queue-wait spans.
+    /// `Off` (the default) disables the journal entirely; `Full`
+    /// records every event, the chunk-execution and queue-wait spans
+    /// included.
     pub level: TraceLevel,
     /// Query id stamped on every event this search emits, so timelines
     /// of concurrent searches stay separable after export. `0` (the

@@ -35,8 +35,7 @@
 //! the CPU share as a CPU-only region on the caller's.
 
 use crate::checkpoint::{
-    put_commit, put_header, BatchResult, Checkpoint, CheckpointError, RecoveryTotals,
-    SearchFingerprint,
+    BatchResult, Checkpoint, CheckpointError, CommitLog, RecoveryTotals, SearchFingerprint,
 };
 use crate::config::{HeteroSearchConfig, SearchConfig};
 use crate::engine::SearchEngine;
@@ -44,8 +43,7 @@ use crate::prepare::PreparedDb;
 use crate::results::{Hit, SearchResults};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -55,7 +53,6 @@ use sw_sched::{
     DurableControl, ExecError, FaultInjector, MetricsSink, DEVICE_ACCEL, DEVICE_CPU,
 };
 use sw_swdb::chunk::{range_cells, split_by_cells};
-use sw_swdb::integrity::open_log;
 use sw_swdb::{BatchRange, LaneBatch, QueryProfile, ScoreTable};
 use sw_trace::{EventKind, Timeline, WorkerJournal};
 
@@ -338,9 +335,7 @@ impl HeteroEngine {
     /// * **cancel** — a [`BatchQuery::cancel`] removes that query's
     ///   remaining tasks without perturbing batch-mates; the region-level
     ///   `opts.drain` still stops everything (daemon shutdown).
-    /// * **checkpoints** — one file per query: `opts.checkpoint_path`
-    ///   when the region has exactly one query (ignored otherwise — it
-    ///   cannot name more than one), else a fingerprint-keyed file in
+    /// * **checkpoints** — one file per query, fingerprint-keyed in
     ///   `opts.checkpoint_dir`: a commit log each clean chunk of an
     ///   incomplete query appends to, compacted on cancel/drain and on
     ///   resume (which prefills its batches), removed on completion. With
@@ -511,7 +506,7 @@ fn claim_order(lens: &[usize], batches: &[LaneBatch], seed: f64, pools: [usize; 
 struct Member<'r> {
     query: &'r BatchQuery<'r>,
     /// Its checkpoint log; `None` persists nothing.
-    log: Option<Mutex<MemberLog>>,
+    log: Option<Mutex<CommitLog>>,
     /// Times resumed before, and batches loaded from its checkpoint.
     resumes: u64,
     resumed: u64,
@@ -524,25 +519,8 @@ struct Member<'r> {
     finished: AtomicBool,
 }
 
-/// A member's checkpoint log: where it lives, whose it is, and how many
-/// of the member's batches it holds.
-struct MemberLog {
-    path: PathBuf,
-    fingerprint: SearchFingerprint,
-    /// The open file; `None` before its first append.
-    file: Option<std::fs::File>,
-    /// Set by a failed append or the member's completion: nothing more is
-    /// appended in this region, so a torn frame can only be the tail.
-    stopped: bool,
-    /// Batch records the log holds, loaded and appended: the executor
-    /// hands each committed task to the hook once, so every record
-    /// appended is a new one.
-    records: u64,
-    seq: u64,
-}
-
 impl Member<'_> {
-    fn log(&self) -> Option<MutexGuard<'_, MemberLog>> {
+    fn log(&self) -> Option<MutexGuard<'_, CommitLog>> {
         let log = self.log.as_ref()?;
         Some(log.lock().unwrap_or_else(PoisonError::into_inner))
     }
@@ -588,8 +566,7 @@ pub(crate) fn region(
         "queries must not be empty"
     );
     debug_assert!(
-        range.len() == db.batches.len()
-            || (opts.checkpoint_path.is_none() && opts.checkpoint_dir.is_none()),
+        range.len() == db.batches.len() || opts.checkpoint_dir.is_none(),
         "a sub-range region is never durable"
     );
     let batches = &db.batches[range.start..range.end];
@@ -601,13 +578,9 @@ pub(crate) fn region(
         .iter()
         .any(|c| c.variant.profile == ProfileMode::Query);
 
-    // Per-member checkpoint location: the explicit path for a lone
-    // member, else fingerprint-named files in the directory.
-    let explicit = opts.checkpoint_path.filter(|_| queries.len() == 1);
-    let checkpointing = explicit.is_some() || opts.checkpoint_dir.is_some();
-    if let (None, Some(dir)) = (explicit, opts.checkpoint_dir) {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| DurableSearchError::Checkpoint(CheckpointError::Io(e)))?;
+    // Each member's log is a fingerprint-named file in the directory.
+    if let Some(dir) = opts.checkpoint_dir {
+        std::fs::create_dir_all(dir).map_err(CheckpointError::Io)?;
     }
     // Each member, its prior checkpoint loaded and verified if resuming.
     let mut members = Vec::with_capacity(queries.len());
@@ -615,13 +588,9 @@ pub(crate) fn region(
     let mut loaded = [RecoveryTotals::default(); 2];
     let mut initial_share = seed;
     for (qi, query) in queries.iter().enumerate() {
-        let located = checkpointing.then(|| {
+        let located = opts.checkpoint_dir.map(|dir| {
             let fp = SearchFingerprint::compute(db, query.residues);
-            let path = match (explicit, opts.checkpoint_dir) {
-                (Some(path), _) => path.to_path_buf(),
-                (None, dir) => dir.expect("checkpointing").join(fp.file_name()),
-            };
-            (path, fp)
+            (dir.join(fp.file_name()), fp)
         });
         let mut prior = match &located {
             Some((path, _)) if opts.resume => Checkpoint::load_if_exists(path)?,
@@ -629,8 +598,7 @@ pub(crate) fn region(
         };
         let resumed = prior.as_ref().map_or(0, |p| p.done.len() as u64);
         let resumes = prior.as_ref().map_or(0, |p| p.resumes + 1);
-        let mut file = None;
-        if let (Some(p), Some((path, fp))) = (&mut prior, &located) {
+        if let (Some(p), Some((_, fp))) = (&mut prior, &located) {
             p.verify(fp)?;
             p.verify_layout(&db.batches, query.residues.len())?;
             for (total, base) in loaded.iter_mut().zip(&p.recovery) {
@@ -645,26 +613,14 @@ pub(crate) fn region(
                 };
                 tr.worker(DEVICE_CPU, n_batches).emit(event); // flushed on drop
             }
-            // This segment's log: the loaded records compacted under its
-            // resume count (a torn tail goes with the rewrite), then
-            // appended to.
+            // This segment's log: the loaded records under its resume
+            // count, then appended to.
             p.resumes = resumes;
-            let bytes = p.write_atomic(path)?;
-            file = Some(open_log(path, Some(bytes)).map_err(CheckpointError::Io)?);
         }
-        let log = located.map(|(path, fingerprint)| {
-            Mutex::new(MemberLog {
-                path,
-                fingerprint,
-                file,
-                stopped: false,
-                records: resumed,
-                seq: prior.as_ref().map_or(0, |p| p.seq + 1),
-            })
-        });
+        let log = located.map(|(path, fp)| CommitLog::open(path, fp, prior.as_ref()));
         members.push(Member {
             query,
-            log,
+            log: log.transpose()?.map(Mutex::new),
             resumes,
             resumed,
             baseline: prior.as_ref().map_or_else(Default::default, |p| p.recovery),
@@ -737,68 +693,51 @@ pub(crate) fn region(
     let start = Instant::now();
     // A completed member is finished exactly once (a reclaimed lease
     // commits its chunk twice; region end sweeps up whatever no commit
-    // reported): its log is closed and removed under the log's lock, so
-    // no append outlives it (best-effort: a stale file is re-verified on
-    // the next resume), and `true` says the caller may hear of it.
+    // reported): its log is removed under the log's lock, so no append
+    // outlives it (best-effort: a stale file is re-verified on the next
+    // resume), and `true` says the caller may hear of it.
     let finish = |qi: usize| {
         let m = &members[qi];
         if m.finished.swap(true, Ordering::AcqRel) {
             return false;
         }
         if let Some(mut log) = m.log() {
-            log.stopped = true;
-            log.file = None;
-            std::fs::remove_file(&log.path).ok();
+            log.remove();
         }
         true
     };
     // A clean chunk's new records of member `qi`, one commit frame in one
-    // write (the first opens the log with its header). A failed append is
-    // counted, never fatal, and stops the member's log for the region.
+    // append, encoded under the slot lock and written after it. A failed
+    // append is counted, never fatal, and stops the member's log.
     let append = |view: &mut CommitView<'_, BatchResult>, qi: usize| {
         let m = &members[qi];
-        let Some(mut guard) = m.log().filter(|log| !log.stopped) else {
+        let Some(mut log) = m.log().filter(|log| !log.is_stopped()) else {
             return;
         };
-        let log = &mut *guard;
         let recovery = cumulative(&m.baseline, &region_events());
         let share = view.accel_share;
-        let mut frames = Vec::new();
-        let mut appended = 0;
+        let mut frame = Vec::new();
+        let mut records = 0;
         view.with_slots(|slots| {
             let mine = view.tasks.iter().filter(|&&t| t / n_batches == qi);
             let fresh: Vec<&BatchResult> = mine.filter_map(|&t| slots[t].as_ref()).collect();
-            if fresh.is_empty() {
-                return;
+            if !fresh.is_empty() {
+                records = fresh.len() as u64;
+                log.put_commit(&mut frame, share, &recovery, fresh.into_iter());
             }
-            if log.file.is_none() {
-                put_header(&mut frames, &log.fingerprint, m.resumes);
-            }
-            appended = fresh.len() as u64;
-            put_commit(&mut frames, log.seq, share, &recovery, fresh.into_iter());
         });
-        if frames.is_empty() {
+        if records == 0 {
             return;
         }
-        let wrote = match &mut log.file {
-            Some(file) => file.write_all(&frames),
-            None => {
-                open_log(&log.path, Some(0)).and_then(|f| log.file.insert(f).write_all(&frames))
+        match log.append(&frame, records) {
+            Ok(written) => {
+                writes.fetch_add(1, Ordering::Relaxed);
+                view.emit(written);
             }
-        };
-        if wrote.is_err() {
-            log.stopped = true;
-            write_failures.fetch_add(1, Ordering::Relaxed);
-            return;
+            Err(_) => {
+                write_failures.fetch_add(1, Ordering::Relaxed);
+            }
         }
-        writes.fetch_add(1, Ordering::Relaxed);
-        log.records += appended;
-        view.emit(EventKind::CheckpointWritten {
-            seq: log.seq,
-            tasks_done: log.records,
-            bytes: frames.len() as u64,
-        });
-        log.seq += 1;
     };
     // After each commit: did it fill the last slot of a member it
     // touches (a chunk touches one, the prefill each in turn)? Slots are
@@ -831,7 +770,7 @@ pub(crate) fn region(
             }
         }
     };
-    let hooked = opts.on_query_done.is_some() || checkpointing;
+    let hooked = opts.on_query_done.is_some() || opts.checkpoint_dir.is_some();
     let lens: Vec<usize> = queries.iter().map(|q| q.residues.len()).collect();
     let out = run_dual_pool_durable(
         queries.len() * n_batches,
@@ -929,15 +868,8 @@ pub(crate) fn region(
             // its failure is a hard error — a cancelled member without
             // its checkpoint cannot be resumed.
             if let Some(log) = m.log() {
-                let ckpt = Checkpoint {
-                    fingerprint: log.fingerprint,
-                    seq: log.seq,
-                    resumes: m.resumes,
-                    accel_share: final_share,
-                    recovery: cumulative(&m.baseline, &events),
-                    done: slots_q.iter().flatten().cloned().collect(),
-                };
-                ckpt.write_atomic(&log.path)?;
+                let done = slots_q.iter().flatten().cloned().collect();
+                log.compact(final_share, cumulative(&m.baseline, &events), done)?;
                 writes.fetch_add(1, Ordering::Relaxed);
             }
             outcome.cancelled = true;
@@ -978,21 +910,13 @@ pub(crate) fn region(
 /// nothing and never drains.
 #[derive(Clone, Copy, Default)]
 pub struct DurableOptions<'a> {
-    /// Where the checkpoint lives — honoured exactly when the region has
-    /// one query (one file cannot name more than one; a multi-query
-    /// region ignores it). `None` with no `checkpoint_dir` disables
-    /// checkpointing (the run is then durable in name only — drain still
-    /// stops it gracefully, but nothing is persisted). An explicit path
-    /// takes precedence over `checkpoint_dir`, but note it is shared
-    /// mutable state: two concurrent searches given the same path will
-    /// clobber each other — concurrent callers must use `checkpoint_dir`.
-    pub checkpoint_path: Option<&'a Path>,
-    /// Directory to keep the checkpoint in, under a file name derived
-    /// from the [`SearchFingerprint`]
+    /// Directory to keep each query's checkpoint in, under a file name
+    /// derived from its [`SearchFingerprint`]
     /// ([`SearchFingerprint::file_name`]) — safe for any number of
     /// concurrent searches (distinct database/query/packing) to share.
     /// Created if missing. A resume with the same fingerprint finds the
-    /// same file.
+    /// same file. `None` persists nothing (the run is then durable in
+    /// name only — drain still stops it gracefully).
     pub checkpoint_dir: Option<&'a Path>,
     /// Ignored: every clean chunk is appended to its member's log. Kept
     /// only because the pinned benchmark still names the field.
@@ -1583,7 +1507,7 @@ mod tests {
                 assert_eq!(*hits, oracle(q, db.sorted.db()), "{cpu} + {accel}");
             }
         }
-        let path = std::env::temp_dir().join(format!("sw-stacked-{}.ckpt", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("sw-stacked-{}", std::process::id()));
         let shards = {
             let sorted = shard::length_sorted(db.sorted.db());
             let pieces: Vec<(u32, PreparedDb)> = shard::plan_shards(&sorted, 2)
@@ -1607,7 +1531,7 @@ mod tests {
             let plan = hetero.plan_split(&db, q.len(), 0.5);
             let drain = DrainSignal::after_tasks(2);
             let mut opts = DurableOptions {
-                checkpoint_path: Some(&path),
+                checkpoint_dir: Some(&dir),
                 drain: Some(&drain),
                 ..DurableOptions::default()
             };
@@ -1640,7 +1564,7 @@ mod tests {
                 .expect("two shards");
             assert_eq!(merged.hits, oracle(q, sorted), "sharded");
         }
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

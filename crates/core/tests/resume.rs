@@ -14,7 +14,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 use sw_core::{
     BatchQuery, Checkpoint, CheckpointError, DurableOptions, DurableSearchError, HeteroEngine,
-    HeteroSearchConfig, PreparedDb, SearchConfig, SearchEngine, TraceConfig,
+    HeteroSearchConfig, PreparedDb, SearchConfig, SearchEngine, SearchFingerprint, TraceConfig,
 };
 use sw_sched::{DrainSignal, FaultInjector, FaultKind, FaultPlan, FaultSpec, DEVICE_CPU};
 use sw_seq::gen::{generate_database, generate_query, DbSpec};
@@ -30,10 +30,17 @@ fn setup() -> (PreparedDb, Vec<u8>) {
     (db, q)
 }
 
-fn ckpt_path(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sw-resume-{}", std::process::id()));
+/// A fresh checkpoint directory for the test `tag`.
+fn ckpt_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("sw-resume-{}-{tag}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("temp dir");
-    dir.join(format!("{tag}.ckpt"))
+    dir
+}
+
+/// Where a search of `q` over `db` keeps its log in `dir`.
+fn ckpt_file(dir: &Path, db: &PreparedDb, q: &[u8]) -> PathBuf {
+    dir.join(SearchFingerprint::compute(db, q).file_name())
 }
 
 #[test]
@@ -53,7 +60,8 @@ fn clean_durable_run_matches_static_and_dynamic() {
     );
     let dynamic_ref = hetero.search_dynamic(&q, &db, &plan, &cfg);
 
-    let path = ckpt_path("clean");
+    let dir = ckpt_dir("clean");
+    let path = ckpt_file(&dir, &db, &q);
     let out = hetero
         .search_dynamic_resumable(
             &q,
@@ -62,8 +70,7 @@ fn clean_durable_run_matches_static_and_dynamic() {
             &cfg,
             &FaultInjector::none(),
             &DurableOptions {
-                checkpoint_path: Some(&path),
-                checkpoint_dir: None,
+                checkpoint_dir: Some(&dir),
                 drain: None,
                 resume: false,
                 ..DurableOptions::default()
@@ -106,7 +113,8 @@ fn drain_resume_equivalence_matrix() {
     let dynamic_ref = hetero.search_dynamic(&q, &db, &plan, &cfg);
 
     for (tag, fraction) in [("q1", 0.25f64), ("q2", 0.5), ("q3", 0.75)] {
-        let path = ckpt_path(tag);
+        let dir = ckpt_dir(tag);
+        let path = ckpt_file(&dir, &db, &q);
         let threshold = ((n as f64 * fraction) as u64).max(1);
         let drain = DrainSignal::after_tasks(threshold);
         let first = hetero
@@ -117,8 +125,7 @@ fn drain_resume_equivalence_matrix() {
                 &cfg,
                 &FaultInjector::none(),
                 &DurableOptions {
-                    checkpoint_path: Some(&path),
-                    checkpoint_dir: None,
+                    checkpoint_dir: Some(&dir),
                     drain: Some(&drain),
                     resume: false,
                     ..DurableOptions::default()
@@ -148,8 +155,7 @@ fn drain_resume_equivalence_matrix() {
                 &cfg,
                 &FaultInjector::none(),
                 &DurableOptions {
-                    checkpoint_path: Some(&path),
-                    checkpoint_dir: None,
+                    checkpoint_dir: Some(&dir),
                     drain: None,
                     resume: true,
                     ..DurableOptions::default()
@@ -200,7 +206,7 @@ fn drain_during_drained_resume_still_converges() {
     let n = db.batches.len() as u64;
     let reference = hetero.search_dynamic(&q, &db, &plan, &cfg);
 
-    let path = ckpt_path("mid-drain");
+    let dir = ckpt_dir("mid-drain");
     let drain1 = DrainSignal::after_tasks(n / 2);
     let s1 = hetero
         .search_dynamic_resumable(
@@ -210,8 +216,7 @@ fn drain_during_drained_resume_still_converges() {
             &cfg,
             &FaultInjector::none(),
             &DurableOptions {
-                checkpoint_path: Some(&path),
-                checkpoint_dir: None,
+                checkpoint_dir: Some(&dir),
                 drain: Some(&drain1),
                 resume: false,
                 ..DurableOptions::default()
@@ -232,8 +237,7 @@ fn drain_during_drained_resume_still_converges() {
             &cfg,
             &FaultInjector::none(),
             &DurableOptions {
-                checkpoint_path: Some(&path),
-                checkpoint_dir: None,
+                checkpoint_dir: Some(&dir),
                 drain: Some(&drain2),
                 resume: true,
                 ..DurableOptions::default()
@@ -252,8 +256,7 @@ fn drain_during_drained_resume_still_converges() {
             &cfg,
             &FaultInjector::none(),
             &DurableOptions {
-                checkpoint_path: Some(&path),
-                checkpoint_dir: None,
+                checkpoint_dir: Some(&dir),
                 drain: None,
                 resume: true,
                 ..DurableOptions::default()
@@ -287,7 +290,7 @@ fn faulty_segment_keeps_counters_monotone_after_resume() {
     let n = db.batches.len() as u64;
     let reference = hetero.search_dynamic(&q, &db, &plan, &cfg);
 
-    let path = ckpt_path("faulty");
+    let dir = ckpt_dir("faulty");
     // An accel worker dies on its first chunk, then the run drains. Each
     // CPU worker's first chunk starts 200 ms late, so the accelerator
     // claims a chunk before the CPU pool reaches the drain threshold.
@@ -313,8 +316,7 @@ fn faulty_segment_keeps_counters_monotone_after_resume() {
             &cfg,
             &inj,
             &DurableOptions {
-                checkpoint_path: Some(&path),
-                checkpoint_dir: None,
+                checkpoint_dir: Some(&dir),
                 drain: Some(&drain),
                 resume: false,
                 ..DurableOptions::default()
@@ -335,8 +337,7 @@ fn faulty_segment_keeps_counters_monotone_after_resume() {
             &cfg,
             &FaultInjector::none(),
             &DurableOptions {
-                checkpoint_path: Some(&path),
-                checkpoint_dir: None,
+                checkpoint_dir: Some(&dir),
                 drain: None,
                 resume: true,
                 ..DurableOptions::default()
@@ -360,7 +361,8 @@ fn resume_against_wrong_query_is_typed_mismatch() {
     let hetero = HeteroEngine::new(SearchEngine::paper_default());
     let plan = hetero.plan_split(&db, q.len(), 0.5);
     let cfg = HeteroSearchConfig::best(2, 2);
-    let path = ckpt_path("wrong-query");
+    let dir = ckpt_dir("wrong-query");
+    let path = ckpt_file(&dir, &db, &q);
     let drain = DrainSignal::after_tasks(1);
     hetero
         .search_dynamic_resumable(
@@ -370,8 +372,7 @@ fn resume_against_wrong_query_is_typed_mismatch() {
             &cfg,
             &FaultInjector::none(),
             &DurableOptions {
-                checkpoint_path: Some(&path),
-                checkpoint_dir: None,
+                checkpoint_dir: Some(&dir),
                 drain: Some(&drain),
                 resume: false,
                 ..DurableOptions::default()
@@ -381,6 +382,9 @@ fn resume_against_wrong_query_is_typed_mismatch() {
     assert!(path.exists());
 
     let other_q = generate_query(100, 22).residues;
+    // The other query's name on the first query's log: a mislabelled file.
+    let other_path = ckpt_file(&dir, &db, &other_q);
+    std::fs::rename(&path, &other_path).expect("relabel");
     let plan2 = hetero.plan_split(&db, other_q.len(), 0.5);
     let err = hetero
         .search_dynamic_resumable(
@@ -390,8 +394,7 @@ fn resume_against_wrong_query_is_typed_mismatch() {
             &cfg,
             &FaultInjector::none(),
             &DurableOptions {
-                checkpoint_path: Some(&path),
-                checkpoint_dir: None,
+                checkpoint_dir: Some(&dir),
                 drain: None,
                 resume: true,
                 ..DurableOptions::default()
@@ -404,7 +407,7 @@ fn resume_against_wrong_query_is_typed_mismatch() {
         }
         other => panic!("expected a fingerprint mismatch, got: {other}"),
     }
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -416,7 +419,7 @@ fn checkpoint_of_the_one_sequence_per_lane_layout_is_refused() {
     // fingerprint's batch count refuses it; where it packs as many, the
     // records carry other ids than the batches they name and the layout
     // check refuses it. Either way a typed mismatch, never a resume.
-    use sw_core::{BatchResult, Checkpoint, Hit, RecoveryTotals, SearchFingerprint};
+    use sw_core::{BatchResult, Hit, RecoveryTotals};
     use sw_kernels::CellCount;
     use sw_seq::gen::SwissProtGen;
     let a = Alphabet::protein();
@@ -493,7 +496,10 @@ fn checkpoint_of_the_one_sequence_per_lane_layout_is_refused() {
                 }
             })
             .collect();
-        let path = ckpt_path(&format!("one-per-lane-{case}"));
+        // Written where this search's log lives, under the name of the
+        // present layout.
+        let dir = ckpt_dir(&format!("one-per-lane-{case}"));
+        let path = ckpt_file(&dir, db, &q);
         Checkpoint {
             fingerprint: SearchFingerprint {
                 n_batches: groups.len() as u64,
@@ -515,7 +521,7 @@ fn checkpoint_of_the_one_sequence_per_lane_layout_is_refused() {
             &cfg,
             &FaultInjector::none(),
             &DurableOptions {
-                checkpoint_path: Some(&path),
+                checkpoint_dir: Some(&dir),
                 resume: true,
                 ..DurableOptions::default()
             },
@@ -527,7 +533,7 @@ fn checkpoint_of_the_one_sequence_per_lane_layout_is_refused() {
             Err(other) => panic!("case {case}: expected a {field} mismatch, got: {other}"),
             Ok(_) => panic!("case {case}: a one-sequence-per-lane checkpoint was resumed"),
         }
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -537,7 +543,8 @@ fn corrupt_checkpoint_is_rejected_not_trusted() {
     let hetero = HeteroEngine::new(SearchEngine::paper_default());
     let plan = hetero.plan_split(&db, q.len(), 0.5);
     let cfg = HeteroSearchConfig::best(2, 2);
-    let path = ckpt_path("corrupt");
+    let dir = ckpt_dir("corrupt");
+    let path = ckpt_file(&dir, &db, &q);
     let drain = DrainSignal::after_tasks(2);
     hetero
         .search_dynamic_resumable(
@@ -547,8 +554,7 @@ fn corrupt_checkpoint_is_rejected_not_trusted() {
             &cfg,
             &FaultInjector::none(),
             &DurableOptions {
-                checkpoint_path: Some(&path),
-                checkpoint_dir: None,
+                checkpoint_dir: Some(&dir),
                 drain: Some(&drain),
                 resume: false,
                 ..DurableOptions::default()
@@ -570,8 +576,7 @@ fn corrupt_checkpoint_is_rejected_not_trusted() {
             &cfg,
             &FaultInjector::none(),
             &DurableOptions {
-                checkpoint_path: Some(&path),
-                checkpoint_dir: None,
+                checkpoint_dir: Some(&dir),
                 drain: None,
                 resume: true,
                 ..DurableOptions::default()
@@ -593,7 +598,7 @@ fn corrupt_checkpoint_is_rejected_not_trusted() {
         }
         other => panic!("expected a corruption error, got: {other}"),
     }
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -622,7 +627,6 @@ fn shared_checkpoint_dir_keeps_concurrent_searches_apart() {
         );
         let n = db.batches.len() as u64;
         let dopts = DurableOptions {
-            checkpoint_path: None,
             checkpoint_dir: Some(&dir),
             drain: Some(&DrainSignal::after_tasks((n / 2).max(1))),
             resume: false,
@@ -653,7 +657,6 @@ fn shared_checkpoint_dir_keeps_concurrent_searches_apart() {
     // Each search resumes from its own file to its own exact hit list.
     for (q, plan, reference) in &finals {
         let dopts = DurableOptions {
-            checkpoint_path: None,
             checkpoint_dir: Some(&dir),
             drain: None,
             resume: true,
@@ -702,7 +705,6 @@ fn periodic_checkpoints_of_a_two_member_region_are_counted_and_spent() {
     let dir = std::env::temp_dir().join(format!("sw-ckpt-interval-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let opts = |drain, resume| DurableOptions {
-        checkpoint_path: None,
         checkpoint_dir: Some(&dir),
         drain,
         resume,
@@ -820,16 +822,17 @@ fn periodic_checkpoints_of_a_two_member_region_are_counted_and_spent() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// One CPU worker searches `q` with its log at `path`; its third chunk
+/// One CPU worker searches `q` with its log in `dir`; its third chunk
 /// starts a second late. Returns the outcome and the log's bytes while
 /// that chunk waits: two commit frames, the log a crash after two chunks
 /// leaves behind.
 fn log_of_two_chunks(
     db: &PreparedDb,
     q: &[u8],
-    path: &Path,
+    dir: &Path,
     trace: TraceConfig,
 ) -> (sw_core::DurableSearchOutcome, Vec<u8>) {
+    let path = &ckpt_file(dir, db, q);
     let hetero = HeteroEngine::new(SearchEngine::paper_default());
     let plan = hetero.plan_split(db, q.len(), 0.0);
     let cfg = HeteroSearchConfig {
@@ -842,7 +845,7 @@ fn log_of_two_chunks(
         kind: FaultKind::Delay(Duration::from_secs(1)),
     }));
     let opts = DurableOptions {
-        checkpoint_path: Some(path),
+        checkpoint_dir: Some(dir),
         ..DurableOptions::default()
     };
     std::fs::remove_file(path).ok();
@@ -872,8 +875,9 @@ fn the_bytes_appended_for_a_member_are_its_log() {
     // exactly the bytes appended to it, linear in the batches committed,
     // with no whole-file rewrite in between.
     let (db, q) = setup();
-    let path = ckpt_path("appended");
-    let (out, log) = log_of_two_chunks(&db, &q, &path, TraceConfig::full());
+    let dir = ckpt_dir("appended");
+    let path = ckpt_file(&dir, &db, &q);
+    let (out, log) = log_of_two_chunks(&db, &q, &dir, TraceConfig::full());
     let tl = out.outcome.expect("completed").timeline.expect("traced");
     let mut appended = 0;
     let mut records = Vec::new();
@@ -910,15 +914,16 @@ fn every_prefix_of_a_crashed_log_resumes_to_the_oracle_hits() {
     };
     let db = PreparedDb::prepare(generate_database(&spec), 4, &a);
     let q = generate_query(30, 9).residues;
-    let path = ckpt_path("sweep");
-    let (_, log) = log_of_two_chunks(&db, &q, &path, TraceConfig::default());
+    let dir = ckpt_dir("sweep");
+    let path = ckpt_file(&dir, &db, &q);
+    let (_, log) = log_of_two_chunks(&db, &q, &dir, TraceConfig::default());
     let engine = SearchEngine::paper_default();
     let oracle = engine.search(&q, &db, &SearchConfig::best(1)).hits;
     let hetero = HeteroEngine::new(engine);
     let plan = hetero.plan_split(&db, q.len(), 0.0);
     let cfg = HeteroSearchConfig::best(1, 0);
     let opts = DurableOptions {
-        checkpoint_path: Some(&path),
+        checkpoint_dir: Some(&dir),
         resume: true,
         ..DurableOptions::default()
     };
@@ -949,11 +954,11 @@ fn every_prefix_of_a_crashed_log_resumes_to_the_oracle_hits() {
 #[test]
 fn a_reclaimed_lease_appends_each_batch_to_the_log_once() {
     // The accelerator's first chunk sleeps a second, past its 20 ms
-    // lease: a CPU worker drains the queue, reclaims and re-runs it, then
-    // the slow holder commits the same batches a second time. A CPU chunk
-    // held for 2.5 s keeps the query open past both commits, so the last
-    // log read before completion spends it holds every frame appended: it
-    // loads (a batch recorded twice is refused) with each batch once.
+    // lease: a CPU worker drains the queue, reclaims and runs it, and the
+    // slow holder drops the chunk when it wakes. A CPU chunk held for
+    // 2.5 s keeps the query open past both, so the last log read before
+    // completion spends it holds every frame appended: it loads (a batch
+    // recorded twice is refused) with each batch once.
     let (db, _) = setup();
     let q = generate_query(30, 21).residues;
     let engine = SearchEngine::paper_default();
@@ -970,9 +975,10 @@ fn a_reclaimed_lease_appends_each_batch_to_the_log_once() {
         chunk,
         kind: FaultKind::Delay(Duration::from_millis(ms)),
     };
-    let path = ckpt_path("reclaimed");
+    let dir = ckpt_dir("reclaimed");
+    let path = ckpt_file(&dir, &db, &q);
     let opts = DurableOptions {
-        checkpoint_path: Some(&path),
+        checkpoint_dir: Some(&dir),
         ..DurableOptions::default()
     };
     let run = || {
@@ -1007,9 +1013,7 @@ fn a_reclaimed_lease_appends_each_batch_to_the_log_once() {
             (done, watcher.join().expect("watcher"))
         })
     };
-    // Ranges finished more than once: the reclaimed chunk, when the CPU
-    // pool drained the queue inside the accelerator's second. A host too
-    // busy for that gets another attempt.
+    // Ranges finished more than once.
     let finished_twice = |tl: &sw_trace::Timeline| {
         let mut finished: Vec<(usize, usize)> = (tl.tracks.iter())
             .flat_map(|t| &t.events)
@@ -1023,11 +1027,16 @@ fn a_reclaimed_lease_appends_each_batch_to_the_log_once() {
         finished.dedup();
         chunks - finished.len()
     };
+    // The lease is reclaimed when the CPU pool drained the queue inside
+    // the accelerator's second. A host too busy for that gets another
+    // attempt.
     let (done, log) = (0..3)
         .map(|_| run())
-        .find(|(done, _)| finished_twice(done.timeline.as_ref().expect("traced")) > 0)
-        .expect("a chunk committed twice in one of three runs");
+        .find(|(done, _)| done.timeline.as_ref().expect("traced").count("lease_lost") > 0)
+        .expect("a lease reclaimed in one of three runs");
     assert_eq!(done.results.hits, solo, "the reclaimed run's hits");
+    let tl = done.timeline.as_ref().expect("traced");
+    assert_eq!(finished_twice(tl), 0, "the slow holder dropped its chunk");
     assert!(!path.exists(), "completion spends the log");
     let c = Checkpoint::decode(&log)
         .unwrap_or_else(|e| panic!("{e}"))
@@ -1042,4 +1051,49 @@ fn a_reclaimed_lease_appends_each_batch_to_the_log_once() {
         _ => None,
     });
     assert_eq!(counted, Some(c.done.len() as u64));
+}
+
+#[test]
+fn a_failed_append_stops_the_log_and_the_search_completes() {
+    // A directory where the member's log would go: its first append
+    // fails. The search still completes with the oracle's hits, counts
+    // that one failure, and appends nothing after it although later
+    // chunks commit.
+    let (db, q) = setup();
+    let engine = SearchEngine::paper_default();
+    let oracle = engine.search(&q, &db, &SearchConfig::best(1)).hits;
+    let hetero = HeteroEngine::new(engine);
+    let plan = hetero.plan_split(&db, q.len(), 0.5);
+    let cfg = HeteroSearchConfig {
+        trace: TraceConfig::full(),
+        ..HeteroSearchConfig::best(1, 1)
+    };
+    let dir = ckpt_dir("failed-append");
+    let path = ckpt_file(&dir, &db, &q);
+    std::fs::create_dir(&path).expect("a directory in the log's place");
+    let opts = DurableOptions {
+        checkpoint_dir: Some(&dir),
+        ..DurableOptions::default()
+    };
+    let out = hetero
+        .search_dynamic_resumable(&q, &db, &plan, &cfg, &FaultInjector::none(), &opts)
+        .expect("a failed append is not fatal");
+    assert_eq!(out.checkpoints_written, 0);
+    assert_eq!(
+        out.checkpoint_write_failures, 1,
+        "the failure stops the log"
+    );
+    let done = out.outcome.expect("completed");
+    assert_eq!(done.results.hits, oracle);
+    assert!(
+        done.cpu.chunks + done.accel.chunks >= 3,
+        "later chunks committed"
+    );
+    let tl = done.timeline.expect("traced");
+    assert_eq!(tl.count("checkpoint_written"), 0);
+    let left = std::fs::read_dir(&path)
+        .expect("the obstacle stays")
+        .count();
+    assert_eq!(left, 0, "nothing appended");
+    std::fs::remove_dir_all(&dir).ok();
 }

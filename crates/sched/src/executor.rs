@@ -39,7 +39,7 @@ use crate::drain::DrainSignal;
 use crate::fault::{FaultInjector, FaultKind};
 use crate::metrics::{DeviceMetrics, MetricsSink};
 use crate::policy::{
-    adaptive_chunk, ClaimOrder, DualQueue, RequeueQueue, SplitEstimator, DEVICE_ACCEL, DEVICE_CPU,
+    adaptive_chunk, ClaimOrder, DualQueue, SplitEstimator, DEVICE_ACCEL, DEVICE_CPU,
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -389,7 +389,10 @@ struct Lease {
 /// that has not been leased yet.
 struct RecoveryState {
     queue: DualQueue,
-    requeue: RequeueQueue,
+    /// Ranges released by failed, timed-out or killed workers, each with
+    /// the times its execution already failed: taken before fresh queue
+    /// grabs, most recent first (LIFO keeps the working set warm).
+    requeue: Vec<((usize, usize), u32)>,
     leases: Vec<Lease>,
     next_lease: u64,
     failures: [u32; 2],
@@ -436,7 +439,7 @@ impl<'a> Supervisor<'a> {
             progress: [DeviceProgress::default(), DeviceProgress::default()],
             state: Mutex::new(RecoveryState {
                 queue,
-                requeue: RequeueQueue::new(),
+                requeue: Vec::new(),
                 leases: Vec::new(),
                 next_lease: 0,
                 failures: [0, 0],
@@ -588,7 +591,7 @@ impl<'a> Supervisor<'a> {
                 .position(|l| time_left(l).is_some_and(|left| left.is_zero()));
             if let Some(pos) = expired {
                 let lease = st.leases.swap_remove(pos);
-                st.requeue.push(lease.range, lease.attempts + 1);
+                st.requeue.push((lease.range, lease.attempts + 1));
                 self.sink.update(lease.device, |m| m.lost_leases += 1);
                 jr.emit(EventKind::LeaseLost {
                     lease: lease.id,
@@ -669,7 +672,7 @@ impl<'a> Supervisor<'a> {
                 message,
             });
             if failed_at + 1 < end {
-                st.requeue.push((failed_at + 1, end), 0);
+                st.requeue.push(((failed_at + 1, end), 0));
                 self.sink.update(device, |m| m.requeues += 1);
                 jr.emit(EventKind::LeaseRequeued {
                     lease: id,
@@ -679,7 +682,7 @@ impl<'a> Supervisor<'a> {
                 });
             }
         } else {
-            st.requeue.push((failed_at, end), lease.attempts + 1);
+            st.requeue.push(((failed_at, end), lease.attempts + 1));
             self.sink.update(device, |m| m.requeues += 1);
             jr.emit(EventKind::LeaseRequeued {
                 lease: id,
@@ -877,7 +880,15 @@ where
                 sup.retire(device, &mut journal);
             }
             match fault {
-                Some(FaultKind::Delay(d)) => std::thread::sleep(d),
+                Some(FaultKind::Delay(d)) => {
+                    std::thread::sleep(d);
+                    // Slept past its lease: the reclaimer re-runs the
+                    // chunk, so this worker drops it. Only a pool with a
+                    // lease timeout can lose one.
+                    if config.lease_timeout(device).is_some() && !sup.holds(work.lease) {
+                        continue 'work;
+                    }
+                }
                 Some(FaultKind::Wedge) => {
                     // Hold the lease without progress until it
                     // is reclaimed, then die (the reclaimer
@@ -1898,8 +1909,8 @@ mod tests {
     #[test]
     fn a_reclaimed_lease_hands_each_task_to_the_hook_once() {
         // The accelerator's first chunk sleeps past its lease: the CPU
-        // worker reclaims and re-runs it, then the slow holder commits
-        // the same tasks again — and fills nothing.
+        // worker reclaims and runs it, and the slow holder, no longer
+        // holding its lease when it wakes, drops the chunk.
         let sink = MetricsSink::new();
         let inj = injected(FaultKind::Delay(Duration::from_millis(150)), 0);
         let runs = AtomicU64::new(0);
@@ -1928,13 +1939,41 @@ mod tests {
             &sink,
             &Tracer::disabled(),
         );
-        assert!(runs.into_inner() > 40, "the reclaimed chunk ran twice");
+        assert_eq!(runs.into_inner(), 40, "the reclaimed chunk ran once");
         assert_eq!(sink.device(DEVICE_ACCEL).lost_leases, 1);
         let mut seen = seen.into_inner().unwrap();
         seen.sort_unstable();
         assert_eq!(seen, (0..40).collect::<Vec<_>>(), "each task once");
         assert!(!out.drained && !drain.is_requested(), "40 tasks done");
         assert_eq!(out.try_into_results().unwrap(), (0..40).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_holder_that_slept_past_its_lease_drops_its_chunk() {
+        // A 1 s accelerator delay past a 20 ms lease: the CPU pool runs
+        // the reclaimed range, and the holder does not run it again.
+        let sink = MetricsSink::new();
+        let inj = injected(FaultKind::Delay(Duration::from_secs(1)), 0);
+        let n = 40;
+        let out = run_hookless(
+            n,
+            DualPoolConfig {
+                accel_timeout_ms: Some(20),
+                ..DualPoolConfig::new(1, 1)
+            },
+            &inj,
+            |_| 1,
+            |d, i| {
+                gate_cpu_on(&inj, d);
+                i
+            },
+            &sink,
+            &Tracer::disabled(),
+        );
+        assert_eq!(out.unwrap().results, (0..n).collect::<Vec<_>>());
+        let (cpu, accel) = (sink.device(DEVICE_CPU), sink.device(DEVICE_ACCEL));
+        assert_eq!(accel.lost_leases, 1);
+        assert_eq!(cpu.tasks + accel.tasks, n as u64, "every task ran once");
     }
 
     /// The task ids of every chunk commit of a clean or fault-drilled run

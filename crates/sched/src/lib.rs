@@ -9,8 +9,8 @@
 //!   generators (what [`desim::simulate`] replays for the paper's
 //!   scheduling ablation), plus the dual-pool primitives
 //!   ([`policy::DualQueue`], [`policy::ClaimOrder`],
-//!   [`policy::SplitEstimator`], [`policy::adaptive_chunk`],
-//!   [`policy::RequeueQueue`]) the real executor schedules with.
+//!   [`policy::SplitEstimator`], [`policy::adaptive_chunk`]) the real
+//!   executor schedules with.
 //! * [`desim`] — a discrete-event simulator that replays a policy over
 //!   per-task costs (from `sw-device`'s cost model) for one pool of
 //!   workers and returns makespan and per-worker utilisation. This is
@@ -59,6 +59,5 @@ pub use fault::{
 };
 pub use metrics::{DeviceMetrics, MetricsSink};
 pub use policy::{
-    adaptive_chunk, ClaimOrder, DualQueue, Policy, RequeueQueue, SplitEstimator, DEVICE_ACCEL,
-    DEVICE_CPU,
+    adaptive_chunk, ClaimOrder, DualQueue, Policy, SplitEstimator, DEVICE_ACCEL, DEVICE_CPU,
 };

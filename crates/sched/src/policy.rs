@@ -5,7 +5,7 @@
 //! explicitly lets the discrete-event simulator replay the paper's three
 //! OpenMP schedules exactly. The dual-pool primitives below it
 //! ([`DualQueue`], [`ClaimOrder`], [`SplitEstimator`],
-//! [`adaptive_chunk`], [`RequeueQueue`]) are the real executor's.
+//! [`adaptive_chunk`]) are the real executor's.
 
 use serde::{Deserialize, Serialize};
 
@@ -337,48 +337,6 @@ impl SplitEstimator {
     }
 }
 
-/// Chunk ranges released by failed, timed-out, or killed workers, waiting
-/// to be re-executed by a surviving worker.
-///
-/// Requeued ranges take priority over fresh queue grabs, and each carries
-/// an attempt count so a deterministically-failing chunk cannot ping-pong
-/// forever. The executor keeps it under the same lock as its lease
-/// table.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RequeueQueue {
-    ranges: Vec<((usize, usize), u32)>,
-}
-
-impl RequeueQueue {
-    /// An empty requeue list.
-    pub fn new() -> Self {
-        RequeueQueue::default()
-    }
-
-    /// Push a released `[start, end)` range with its attempt count (the
-    /// number of times execution of this range has already failed).
-    pub fn push(&mut self, range: (usize, usize), attempts: u32) {
-        debug_assert!(range.0 < range.1, "empty range requeued");
-        self.ranges.push((range, attempts));
-    }
-
-    /// Pop the most recently released range (LIFO keeps the working set
-    /// warm), or `None` when nothing awaits re-execution.
-    pub fn pop(&mut self) -> Option<((usize, usize), u32)> {
-        self.ranges.pop()
-    }
-
-    /// True when nothing awaits re-execution.
-    pub fn is_empty(&self) -> bool {
-        self.ranges.is_empty()
-    }
-
-    /// Ranges currently awaiting re-execution.
-    pub fn len(&self) -> usize {
-        self.ranges.len()
-    }
-}
-
 /// Chunk size for a dual-pool worker: the device's estimated share of the
 /// remaining queue, spread over twice its worker count (the same decay
 /// shape as guided scheduling, so chunks shrink as the pools converge on
@@ -586,19 +544,6 @@ mod tests {
     #[should_panic(expected = "finite fraction")]
     fn estimator_rejects_out_of_range() {
         SplitEstimator::new(1.5);
-    }
-
-    #[test]
-    fn requeue_queue_is_lifo_and_tracks_attempts() {
-        let mut q = RequeueQueue::new();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
-        q.push((0, 4), 1);
-        q.push((10, 12), 2);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some(((10, 12), 2)));
-        assert_eq!(q.pop(), Some(((0, 4), 1)));
-        assert!(q.is_empty());
     }
 
     #[test]

@@ -53,13 +53,13 @@ use crate::json;
 use crate::transport::{
     is_timeout, Endpoint, LineReader, NetTransport, RetryPolicy, ShardTransport, Stream,
 };
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use sw_sched::{NetFaultInjector, NetFaultKind};
-use sw_swdb::integrity::{fnv1a64, open_log};
+use sw_swdb::integrity::{fnv1a64, AppendLog};
 
 /// Consecutive missed heartbeats before a silent stream is declared
 /// black-holed and its shard lease is requeued.
@@ -258,8 +258,8 @@ enum AttemptError {
 /// What the shard threads share, under one mutex.
 struct CoordState {
     journal: CoordJournal,
-    /// The journal's open log; `None` before its first append.
-    log: Option<std::fs::File>,
+    /// The journal's log; `None` without a journal path.
+    log: Option<AppendLog>,
     failures: u32,
     requeues: u64,
     failovers: u64,
@@ -314,19 +314,22 @@ pub fn search_sharded_durable(
     // header holds nothing, and a fresh log starts at the first append.
     let fresh = || CoordJournal::new(query_digest, cfg.parent_digest, cfg.top as u64, n as u64);
     let journal_error = |detail| CoordError::Journal { detail };
+    // Each record is synced: the journal is the only trace of committed
+    // shards once the coordinator is gone.
+    let new_log = |path: &Path| AppendLog::new(path.to_path_buf(), true);
     let (journal, log) = match (drill.resume, drill.journal.as_deref()) {
-        (false, _) => (fresh(), None),
+        (false, path) => (fresh(), path.map(new_log)),
         (true, None) => {
             return Err(journal_error(
                 "resume requested but no journal path configured".into(),
             ))
         }
         (true, Some(path)) => match CoordJournal::load(path).map_err(journal_error)? {
-            None => (fresh(), None),
+            None => (fresh(), Some(new_log(path))),
             Some((j, whole)) => {
                 j.validate(query_digest, cfg.parent_digest, cfg.top as u64, n as u64)
                     .map_err(journal_error)?;
-                let log = open_log(path, Some(whole))
+                let log = AppendLog::resume(path.to_path_buf(), whole, true)
                     .map_err(|e| journal_error(format!("coord journal {}: {e}", path.display())))?;
                 (j, Some(log))
             }
@@ -351,7 +354,6 @@ pub fn search_sharded_durable(
         fatal: None,
     });
     let net_retries = AtomicU64::new(0);
-    let journal_path = drill.journal.as_deref();
 
     const POISONED: &str = "a shard thread panicked holding the coordinator state";
     // One thread per pending shard, looping over that shard's attempts:
@@ -383,7 +385,7 @@ pub fn search_sharded_durable(
                     Ok(committed) => {
                         g.journal.shards[slot].attempts = attempts + 1;
                         g.journal.shards[slot].committed = Some(committed);
-                        persist_journal(&mut g, journal_path, slot);
+                        persist_journal(&mut g, slot);
                         return;
                     }
                     Err(AttemptError::Fatal(e)) => {
@@ -415,20 +417,20 @@ pub fn search_sharded_durable(
                         g.requeues += 1;
                         attempts += 1;
                         g.journal.shards[slot].attempts = attempts;
-                        persist_journal(&mut g, journal_path, slot);
+                        persist_journal(&mut g, slot);
                     }
                 }
             });
         }
     });
 
-    let g = state.into_inner().expect(POISONED);
+    let mut g = state.into_inner().expect(POISONED);
     if let Some(e) = g.fatal {
         return Err(e);
     }
     // Clean finish: the journal has served its purpose.
-    if let Some(path) = journal_path {
-        let _ = std::fs::remove_file(path);
+    if let Some(log) = &mut g.log {
+        log.remove();
     }
     // Every slot is committed now, whether this run or a resumed one
     // committed it: the journal is the one record of what each shard
@@ -457,34 +459,19 @@ pub fn search_sharded_durable(
 }
 
 /// Append shard `slot`'s new state to the journal under the state lock
-/// (the first append opens the log with its header). A failed write
-/// poisons the search with a fatal error — durability was requested, so
-/// a journal the operator cannot trust is worse than no result — and
-/// nothing is appended after it, so a torn record stays the tail.
-fn persist_journal(g: &mut CoordState, path: Option<&Path>, slot: usize) {
-    let Some(path) = path.filter(|_| !matches!(g.fatal, Some(CoordError::Journal { .. }))) else {
+/// (the first append puts the header before it). A failed write poisons
+/// the search with a fatal error — durability was requested, so a
+/// journal the operator cannot trust is worse than no result — and stops
+/// the log, so a torn record stays the tail.
+fn persist_journal(g: &mut CoordState, slot: usize) {
+    let Some(log) = g.log.as_mut().filter(|log| !log.is_stopped()) else {
         return;
     };
-    let mut frames = Vec::new();
-    if g.log.is_none() {
-        g.journal.put_header(&mut frames);
-    }
-    g.journal.put_slot(&mut frames, slot);
-    // Each record is synced: the journal is the only trace of committed
-    // shards once the coordinator is gone.
-    let log = g.log.take().map_or_else(|| open_log(path, Some(0)), Ok);
-    let wrote = log.and_then(|mut log| {
-        log.write_all(&frames)?;
-        log.sync_data()?;
-        Ok(log)
-    });
-    match wrote {
-        Ok(log) => g.log = Some(log),
-        Err(e) => {
-            g.fatal.get_or_insert(CoordError::Journal {
-                detail: format!("coord journal write {}: {e}", path.display()),
-            });
-        }
+    let mut frame = Vec::new();
+    g.journal.put_slot(&mut frame, slot);
+    if let Err(e) = log.append(|out| g.journal.put_header(out), &frame) {
+        let detail = format!("coord journal write {}: {e}", log.path().display());
+        g.fatal.get_or_insert(CoordError::Journal { detail });
     }
 }
 

@@ -284,8 +284,11 @@ impl Parked {
         loop {
             // Connection errors (peer hung up mid-stream) affect that
             // connection only.
-            let _ = handle_connection(ctx, stream);
+            let _ = handle_connection(ctx, &mut stream);
+            // Idle before the connection closes: a client that reads to
+            // EOF and reconnects at once finds this handler parked.
             self.idle.fetch_add(1, Ordering::SeqCst);
+            drop(stream);
             match self.next.lock().expect("parked handlers").recv() {
                 Ok(next) => stream = next,
                 Err(_) => return,
@@ -467,7 +470,7 @@ fn metrics_file_loop(ctx: Ctx<'_>) {
     }
 }
 
-fn handle_connection(ctx: Ctx<'_>, stream: Stream) -> io::Result<()> {
+fn handle_connection(ctx: Ctx<'_>, stream: &mut Stream) -> io::Result<()> {
     // The request line is read under one timeout, set once: the request
     // deadline — a client that sends half a line and stalls would
     // otherwise pin this thread and its fd until daemon shutdown, so
@@ -476,7 +479,7 @@ fn handle_connection(ctx: Ctx<'_>, stream: Stream) -> io::Result<()> {
     // wedge shutdown either (`serve`'s scoped join waits on this
     // thread): the drain hangs up on listed readers, and a connection
     // accepted during the drain gets only a short grace.
-    let listed = ctx.readers.enter(&stream, ctx.shutdown)?;
+    let listed = ctx.readers.enter(stream, ctx.shutdown)?;
     let limit = match listed {
         Some(_) => Duration::from_millis(ctx.config.request_timeout_ms.max(1)),
         None => DRAIN_READ_GRACE,
@@ -802,7 +805,6 @@ fn run_region(ctx: Ctx<'_>, live: Vec<LiveJob>, closed: Option<WindowClosed>) {
         }
     };
     let dopts = DurableOptions {
-        checkpoint_path: None,
         checkpoint_dir: ctx.config.checkpoint_dir.as_deref(),
         drain: Some(ctx.shutdown),
         resume: true,

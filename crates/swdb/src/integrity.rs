@@ -7,9 +7,10 @@
 //! * the little-endian field codec — [`put_u32`]/[`put_u64`]/[`put_i64`]
 //!   to write, the bounds-checked [`ByteReader`] to read;
 //! * the append-only log of the checkpoint and the journal: `magic`, then
-//!   frames from [`put_frame`], appended through [`open_log`] and read by
-//!   [`read_log`], which holds the one recovery rule; [`check_crc`] is the
-//!   comparison every stored checksum goes through;
+//!   frames from [`put_frame`], written by [`AppendLog`] (the one owner of
+//!   the header-once, cut-to-whole-frames and stop-after-failure rules)
+//!   and read by [`read_log`], which holds the one recovery rule;
+//!   [`check_crc`] is the comparison every stored checksum goes through;
 //! * [`replace_file`], the tmp + rename write of every whole file (and of
 //!   a log's compacted image).
 //!
@@ -312,18 +313,101 @@ pub fn read_log<'a>(
 }
 
 /// Open `path` for appending, creating it if missing — the one place a
-/// file is opened in append mode (the daemon's ops log opens here too) —
-/// and cut it to its first `keep` bytes if given: 0 starts a commit log
-/// afresh, a resumed one keeps its whole frames ([`read_log`]) and loses
-/// its torn tail. Append each commit as one `write_all` of whole frames
-/// (a fresh log's magic first), so a crash leaves whole frames and at
-/// most one torn one at the end.
+/// file is opened in append mode ([`AppendLog`] and the daemon's ops log)
+/// — and cut it to its first `keep` bytes if given.
 pub fn open_log(path: &Path, keep: Option<u64>) -> io::Result<fs::File> {
     let file = OpenOptions::new().create(true).append(true).open(path)?;
     if let Some(keep) = keep {
         file.set_len(keep)?;
     }
     Ok(file)
+}
+
+/// The writer of an append-only log (the checkpoint's and the
+/// journal's): the file is opened at the first append, which puts the
+/// caller's header (magic and header frame) before its commit and cuts
+/// whatever an older run left there; a resumed log is reopened cut to the
+/// whole-frame length [`read_log`] found, losing its torn tail. Each
+/// commit is one `write_all` of whole frames, so a crash leaves whole
+/// frames and at most one torn one at the end; after a failed append the
+/// log is stopped and nothing more is appended, so a torn frame can only
+/// be the tail.
+#[derive(Debug)]
+pub struct AppendLog {
+    path: PathBuf,
+    /// `None` before the first append.
+    file: Option<fs::File>,
+    /// `sync_data` after each commit: survives the machine going down,
+    /// not only the process.
+    sync: bool,
+    stopped: bool,
+}
+
+impl AppendLog {
+    /// A log at `path` with nothing appended yet.
+    pub fn new(path: PathBuf, sync: bool) -> Self {
+        AppendLog {
+            path,
+            file: None,
+            sync,
+            stopped: false,
+        }
+    }
+
+    /// The log at `path` reopened past its whole frames, the first
+    /// `whole` bytes; its header is already there.
+    pub fn resume(path: PathBuf, whole: u64, sync: bool) -> io::Result<Self> {
+        let file = open_log(&path, Some(whole))?;
+        Ok(AppendLog {
+            file: Some(file),
+            ..AppendLog::new(path, sync)
+        })
+    }
+
+    /// Where the log lives.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// True after a failed append or [`AppendLog::remove`]: appends are
+    /// refused.
+    pub fn is_stopped(&self) -> bool {
+        self.stopped
+    }
+
+    /// Append `commit` (whole frames) in one write, `header` first if
+    /// this is the log's first append. The bytes written, or the error
+    /// that stopped the log.
+    pub fn append(&mut self, header: impl FnOnce(&mut Vec<u8>), commit: &[u8]) -> io::Result<u64> {
+        if self.stopped {
+            return Err(io::Error::other("the log is stopped"));
+        }
+        let wrote = match &mut self.file {
+            Some(file) => file.write_all(commit).map(|()| commit.len()),
+            None => {
+                let mut bytes = Vec::new();
+                header(&mut bytes);
+                bytes.extend_from_slice(commit);
+                open_log(&self.path, Some(0))
+                    .and_then(|f| self.file.insert(f).write_all(&bytes))
+                    .map(|()| bytes.len())
+            }
+        };
+        let synced = wrote.and_then(|n| match &self.file {
+            Some(file) if self.sync => file.sync_data().map(|()| n),
+            _ => Ok(n),
+        });
+        self.stopped = synced.is_err();
+        synced.map(|n| n as u64)
+    }
+
+    /// Stop the log and remove its file (best-effort): the search it
+    /// recorded is complete.
+    pub fn remove(&mut self) {
+        self.stopped = true;
+        self.file = None;
+        fs::remove_file(&self.path).ok();
+    }
 }
 
 /// Where [`replace_file`] stages the bytes for `path`: `<path>.tmp`,
@@ -485,38 +569,87 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_log_starts_afresh_appends_and_cuts_a_torn_tail() {
-        let dir = std::env::temp_dir().join(format!("sw-append-log-{}", std::process::id()));
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_frame(&mut out, |p| p.extend_from_slice(payload));
+        out
+    }
+
+    fn header(out: &mut Vec<u8>) {
+        out.extend_from_slice(MAGIC);
+        put_frame(out, |p| p.extend_from_slice(b"head"));
+    }
+
+    /// A fresh directory for one test's logs.
+    fn log_dir(test: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("sw-{test}-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn an_append_log_writes_its_header_exactly_once() {
+        let dir = log_dir("append-log-header");
         let path = dir.join("x.log");
         fs::write(&path, b"stale bytes of an older run").unwrap();
-        let frame = |payload: &[u8]| {
-            let mut out = Vec::new();
-            put_frame(&mut out, |p| p.extend_from_slice(payload));
-            out
-        };
-        for _ in 0..2 {
-            let mut log = open_log(&path, Some(0)).unwrap();
-            log.write_all(&[&MAGIC[..], &frame(b"head")].concat())
-                .unwrap();
-            log.write_all(&frame(b"one")).unwrap();
-            drop(log);
-            // A crash mid-append: half a frame at the end.
-            let two = frame(b"two");
-            open_log(&path, None).unwrap().write_all(&two[..7]).unwrap();
+        for sync in [false, true] {
+            let mut log = AppendLog::new(path.clone(), sync);
+            let mut headers = 0;
+            let mut count = |out: &mut Vec<u8>| {
+                headers += 1;
+                header(out);
+            };
+            let first = log.append(&mut count, &frame(b"one")).unwrap();
+            let second = log.append(&mut count, &frame(b"two")).unwrap();
+            assert_eq!(headers, 1, "the header goes before the first commit only");
+            assert_eq!(second, frame(b"two").len() as u64);
             let image = fs::read(&path).unwrap();
-            let (frames, whole) = read_log(MAGIC, &image).unwrap();
-            assert_eq!(frames, [&b"head"[..], b"one"]);
-            open_log(&path, Some(whole))
-                .unwrap()
-                .write_all(&two)
-                .unwrap();
-            let image = fs::read(&path).unwrap();
-            let (frames, whole) = read_log(MAGIC, &image).unwrap();
+            assert_eq!(first + second, image.len() as u64, "stale bytes cut");
+            let (frames, _) = read_log(MAGIC, &image).unwrap();
             assert_eq!(frames, [&b"head"[..], b"one", b"two"]);
-            assert_eq!(whole, image.len() as u64);
+            log.remove();
+            assert!(log.is_stopped() && !path.exists());
         }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_resumed_append_log_is_cut_to_its_whole_frames() {
+        let dir = log_dir("append-log-resume");
+        let path = dir.join("x.log");
+        let mut log = AppendLog::new(path.clone(), false);
+        log.append(header, &frame(b"one")).unwrap();
+        drop(log);
+        // A crash mid-append: half a frame at the end.
+        let two = frame(b"two");
+        open_log(&path, None).unwrap().write_all(&two[..7]).unwrap();
+        let image = fs::read(&path).unwrap();
+        let (frames, whole) = read_log(MAGIC, &image).unwrap();
+        assert_eq!(frames, [&b"head"[..], b"one"]);
+        let mut log = AppendLog::resume(path.clone(), whole, false).unwrap();
+        let wrote = log.append(|_| panic!("a resumed log has its header"), &two);
+        assert_eq!(wrote.unwrap(), two.len() as u64);
+        let image = fs::read(&path).unwrap();
+        let (frames, whole) = read_log(MAGIC, &image).unwrap();
+        assert_eq!(frames, [&b"head"[..], b"one", b"two"]);
+        assert_eq!(whole, image.len() as u64);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_append_log_stops_after_a_failed_append() {
+        let dir = log_dir("append-log-stop");
+        // A directory where the log's file would go: the open fails.
+        let path = dir.join("x.log");
+        fs::create_dir_all(&path).unwrap();
+        let mut log = AppendLog::new(path.clone(), false);
+        assert!(log.append(header, &frame(b"one")).is_err());
+        assert!(log.is_stopped());
+        // With the obstacle gone, the stopped log still appends nothing.
+        fs::remove_dir(&path).unwrap();
+        let err = log.append(header, &frame(b"two")).unwrap_err();
+        assert!(err.to_string().contains("stopped"), "{err}");
+        assert!(!path.exists(), "nothing appended after the failure");
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -44,29 +44,14 @@ pub const SCHEMA: &str = "sw-trace/1";
 /// still bounded.
 pub const DEFAULT_RING_CAPACITY: usize = 65_536;
 
-/// How much detail a tracer records.
+/// Whether a tracer records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceLevel {
     /// Record nothing; journals are no-ops.
     #[default]
     Off,
-    /// Record instant and counter events only (lease lifecycle, retire,
-    /// rebalance, recompute) — skips begin/end spans.
-    Lite,
     /// Record everything, including chunk / queue-wait spans.
     Full,
-}
-
-impl TraceLevel {
-    /// Parse a CLI-style level name (`off` / `lite` / `full`).
-    pub fn parse(s: &str) -> Option<TraceLevel> {
-        match s {
-            "off" => Some(TraceLevel::Off),
-            "lite" => Some(TraceLevel::Lite),
-            "full" => Some(TraceLevel::Full),
-            _ => None,
-        }
-    }
 }
 
 /// Chrome-trace phase of an event kind.
@@ -242,12 +227,6 @@ impl EventKind {
         }
     }
 
-    /// True for span (begin/end) phases — the events a `Lite` tracer
-    /// drops.
-    pub fn is_span(&self) -> bool {
-        matches!(self.phase(), Phase::Begin | Phase::End)
-    }
-
     /// Append the payload as JSON object members (leading comma
     /// included; empty for payload-free kinds).
     pub fn write_args_json(&self, out: &mut String) {
@@ -374,7 +353,6 @@ struct Shared {
     epoch: Instant,
     /// Query id stamped on every track this tracer drains.
     query: u64,
-    level: TraceLevel,
     capacity: usize,
     drained: Mutex<Vec<WorkerTrack>>,
 }
@@ -417,7 +395,6 @@ impl Tracer {
             inner: Some(Arc::new(Shared {
                 epoch: Instant::now(),
                 query,
-                level,
                 capacity: ring_capacity.max(16),
                 drained: Mutex::new(Vec::new()),
             })),
@@ -553,13 +530,9 @@ impl WorkerJournal {
         self.ring.push_back(ev);
     }
 
-    /// Record `kind` at the current clock. No-op when disabled, or when
-    /// a `Lite` tracer is given a span event.
+    /// Record `kind` at the current clock. No-op when disabled.
     pub fn emit(&mut self, kind: EventKind) {
         let Some(s) = &self.shared else { return };
-        if s.level == TraceLevel::Lite && kind.is_span() {
-            return;
-        }
         let t_us = s.epoch.elapsed().as_micros() as u64;
         self.push(Event { t_us, kind });
     }
@@ -568,11 +541,9 @@ impl WorkerJournal {
     /// [`WorkerJournal::span_from`] back-dates a span's begin event, and
     /// how this crate's tests build timelines with fixed clocks.
     pub(crate) fn emit_at(&mut self, t_us: u64, kind: EventKind) {
-        let Some(s) = &self.shared else { return };
-        if s.level == TraceLevel::Lite && kind.is_span() {
-            return;
+        if self.shared.is_some() {
+            self.push(Event { t_us, kind });
         }
-        self.push(Event { t_us, kind });
     }
 
     /// Take a begin timestamp for a later [`WorkerJournal::span_from`].
@@ -1004,27 +975,6 @@ mod tests {
     }
 
     #[test]
-    fn lite_level_skips_spans_keeps_instants() {
-        let tr = Tracer::new(TraceLevel::Lite, 64);
-        let mut j = tr.worker(0, 0);
-        j.emit(EventKind::ChunkStart {
-            lease: 0,
-            lo: 0,
-            hi: 1,
-        });
-        j.emit(EventKind::LeaseLost {
-            lease: 0,
-            victim: 1,
-        });
-        j.emit(EventKind::SplitRebalance { share: 0.5 });
-        drop(j);
-        let tl = tr.timeline();
-        assert_eq!(tl.total_events(), 2);
-        assert_eq!(tl.count("lease_lost"), 1);
-        assert_eq!(tl.count("chunk"), 0);
-    }
-
-    #[test]
     fn span_helper_emits_balanced_pair() {
         let tr = Tracer::full();
         let mut j = tr.worker(0, 3);
@@ -1086,13 +1036,5 @@ mod tests {
         let q = merged.events_sorted_q();
         assert_eq!(q.len(), 3);
         assert_eq!(q[0].0, 2, "earliest event is query 2's t=5");
-    }
-
-    #[test]
-    fn trace_level_parses() {
-        assert_eq!(TraceLevel::parse("off"), Some(TraceLevel::Off));
-        assert_eq!(TraceLevel::parse("lite"), Some(TraceLevel::Lite));
-        assert_eq!(TraceLevel::parse("full"), Some(TraceLevel::Full));
-        assert_eq!(TraceLevel::parse("verbose"), None);
     }
 }

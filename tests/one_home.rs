@@ -12,7 +12,7 @@ struct Rule {
     planted: &'static str,
 }
 
-const RULES: [Rule; 7] = [
+const RULES: [Rule; 8] = [
     Rule {
         what: "the CRC32 polynomial or the FNV-1a 64 offset basis",
         homes: &["crates/swdb/src/integrity.rs"],
@@ -64,6 +64,15 @@ const RULES: [Rule; 7] = [
         homes: &["crates/swdb/src/integrity.rs"],
         fires: |line| line.contains(".append(true)") || line.contains(".set_len("),
         planted: "    let log = OpenOptions::new().create(true).append(true).open(path)?;",
+    },
+    // A log's lifecycle (header on the first append, cut to whole frames
+    // on resume, stop after a failure) is `AppendLog`'s alone; the ops
+    // log, a plain append of lines, is the one other open.
+    Rule {
+        what: "the log writer's open",
+        homes: &["crates/swdb/src/integrity.rs", "crates/serve/src/obs.rs"],
+        fires: |line| line.contains("open_log("),
+        planted: "    let file = open_log(&path, Some(whole))?;",
     },
 ];
 
@@ -181,6 +190,7 @@ fn every_rule_fires_on_its_planted_line() {
     assert!((RULES[4].fires)(r#"let line = "{\"op\":\"stats\"}";"#));
     assert!((RULES[5].fires)(r#"field(line,"end")"#));
     assert!((RULES[6].fires)("    file.set_len(whole)?;"));
+    assert!((RULES[7].fires)("open_log(path, None).map(Sink::File)"));
     // Prose and look-alikes stay quiet.
     assert!(!(RULES[0].fires)("0xEDB9_8320"));
     assert!(!(RULES[0].fires)("0xEDB8__8320"));
@@ -188,6 +198,9 @@ fn every_rule_fires_on_its_planted_line() {
     assert!(!(RULES[4].fires)(r#"/// the "op" key names the request"#));
     assert!(!(RULES[5].fires)(r#"field_str(line, "end", x)"#));
     assert!(!(RULES[6].fires)("    opts.append(false);"));
+    assert!(!(RULES[7].fires)(
+        "    let log = AppendLog::new(path, true);"
+    ));
 }
 
 #[test]

@@ -5,11 +5,10 @@
 //! refuses every token it did not read.
 
 use std::fmt;
-use std::time::Duration;
 use sw_core::SearchConfig;
 use sw_kernels::scalar::SwParams;
 use sw_kernels::{KernelIsa, KernelVariant, ProfileMode, Vectorization};
-use sw_sched::{FaultKind, FaultSpec, DEVICE_ACCEL};
+use sw_sched::{FaultSpec, DEVICE_ACCEL};
 use sw_seq::{Alphabet, GapPenalty, SubstMatrix};
 use sw_serve::client::Request;
 
@@ -37,8 +36,7 @@ USAGE:
                     [--dynamic [hetero options] [durability options]]
   swsearch serve    --db <swdb|fasta> (--socket <path> | --listen <endpoint>)
                     [--accel-threads <n>] [--max-concurrent <n>]
-                    [--tenant-quota <n>] [--batch-window-ms <ms>]
-                    [--checkpoint-dir <dir>]
+                    [--tenant-quota <n>] [--checkpoint-dir <dir>]
                     [--trace-dir <dir>] [--registry-out <path>]
                     [--log-level <l>] [--log-file <path>]
                     [--slow-query-ms <ms>] [--metrics-file <path>]
@@ -81,7 +79,6 @@ HETERO OPTIONS (with --dynamic):
                       feedback estimator. Prints per-device metrics.
   --accel-threads <n> accelerator-pool workers, also for serve (default:
                       same as --threads; 0 = CPU-only)
-  --min-chunk <n>     smallest batch chunk a pool grabs (default 1)
   --inject-fault <s>  fault-injection drill against the accel
                       pool: kill@N | delay@N:MS | wedge@N | kill-pool@N
                       (N = 0-based chunk index). Hits stay exact; the run
@@ -128,13 +125,12 @@ SERVE OPTIONS:
                       tcp://host:port binds a TCP listener (multi-node
                       shard workers), unix://<path> or a bare path a
                       Unix socket. Mutually exclusive with --socket
-  --max-concurrent <n> queries batched into one shared dual-pool region;
-                      further submits wait for the next region (default 2)
+  --max-concurrent <n> queries batched into one shared dual-pool region:
+                      an idle daemon runs a submit at once, and the
+                      submits that arrive while a region runs share the
+                      next one, up to n (default 2)
   --tenant-quota <n>  max queued+running jobs per tenant; a submit over
                       the quota is rejected immediately (default 4)
-  --batch-window-ms <ms> gather window: concurrent submits arriving
-                      within it share one region (default 3; refused with
-                      --shard-worker, which gathers with no window)
   --checkpoint-dir <dir> (serve) per-job fingerprint-named checkpoints:
                       cancelled jobs stay resumable
   --trace-dir <dir>   (serve) write each job's query-tagged JSONL trace
@@ -602,8 +598,6 @@ pub struct Hetero {
 pub struct Dynamic {
     /// Accelerator-pool worker threads (0 = CPU-only).
     pub accel_threads: usize,
-    /// Smallest batch chunk either pool grabs.
-    pub min_chunk: usize,
     /// Fault to inject into the accelerator pool: exercises the
     /// lease/requeue recovery path end to end.
     pub inject_fault: Option<FaultSpec>,
@@ -634,19 +628,93 @@ pub struct Durable {
     pub kill_after_chunks: Option<u64>,
 }
 
+impl Hetero {
+    /// The `swsearch hetero` line that resumes this run from its
+    /// checkpoint: every option the run was given — so the resumed search
+    /// has the same fingerprint and prints the same report — but the
+    /// `--inject-fault` and `--kill-after-chunks` drills, then
+    /// `--resume`. `None` for a run without a checkpoint directory.
+    pub fn resume_line(&self) -> Option<String> {
+        let d = self.dynamic.as_ref()?;
+        let durable = d.durable.as_ref()?;
+        let mut words: Vec<String> = Vec::new();
+        let mut opt = |flag: &str, value: Option<String>| {
+            words.push(flag.to_string());
+            words.extend(value.map(|v| shell_word(&v)));
+        };
+        opt("--query", Some(self.query.clone()));
+        opt("--db", Some(self.db.clone()));
+        if self.quarantine {
+            opt("--quarantine", None);
+        }
+        let sc = &self.scoring;
+        if sc.dna {
+            opt("--dna", None);
+            opt("--match", Some(sc.match_score.to_string()));
+            opt("--mismatch", Some(sc.mismatch.to_string()));
+        } else {
+            opt("--matrix", Some(sc.matrix.clone()));
+        }
+        opt("--open", Some(sc.open.to_string()));
+        opt("--extend", Some(sc.extend.to_string()));
+        let e = &self.engine;
+        opt("--threads", Some(e.threads.to_string()));
+        opt("--lanes", Some(e.lanes.to_string()));
+        let variant = KernelVariant {
+            blocking: true,
+            ..e.variant
+        };
+        opt("--variant", Some(variant.label().to_ascii_lowercase()));
+        if !e.variant.blocking {
+            opt("--no-blocking", None);
+        }
+        if let Some(isa) = e.kernel_isa {
+            opt("--kernel-isa", Some(isa.to_string()));
+        }
+        opt("--top", Some(self.top.to_string()));
+        opt("--frac", Some(self.frac.to_string()));
+        opt("--dynamic", None);
+        opt("--accel-threads", Some(d.accel_threads.to_string()));
+        if let Some(ms) = d.accel_timeout_ms {
+            opt("--accel-timeout-ms", Some(ms.to_string()));
+        }
+        opt("--failure-budget", Some(d.failure_budget.to_string()));
+        for (flag, path) in [
+            ("--trace-out", &d.trace_out),
+            ("--metrics-out", &d.metrics_out),
+        ] {
+            if let Some(path) = path {
+                opt(flag, Some(path.clone()));
+            }
+        }
+        opt("--checkpoint-dir", Some(durable.checkpoint_dir.clone()));
+        opt("--resume", None);
+        Some(format!("swsearch hetero {}", words.join(" ")))
+    }
+}
+
+/// `s` as one POSIX shell word: as it stands when it holds nothing a
+/// shell would split or expand, else single-quoted.
+fn shell_word(s: &str) -> String {
+    let plain = |c: char| c.is_ascii_alphanumeric() || "_./:@%+=,-".contains(c);
+    if !s.is_empty() && s.chars().all(plain) {
+        s.to_string()
+    } else {
+        format!("'{}'", s.replace('\'', "'\\''"))
+    }
+}
+
 impl Dynamic {
     fn parse(a: &mut Args<'_>, threads: usize) -> Result<Self, ParseError> {
-        let min_chunk: usize = a.parse_num("--min-chunk", 1)?;
-        if min_chunk == 0 {
-            return Err(err("--min-chunk must be at least 1"));
-        }
         Ok(Dynamic {
             accel_threads: a.parse_num("--accel-threads", threads)?,
-            min_chunk,
+            // Drills always target the accelerator pool: the CPU pool is
+            // the recovery path.
             inject_fault: a
                 .opt_value("--inject-fault")?
-                .map(|s| parse_fault_spec(&s))
-                .transpose()?,
+                .map(|s| FaultSpec::parse(&s, DEVICE_ACCEL))
+                .transpose()
+                .map_err(|e| err(format!("bad --inject-fault {e}")))?,
             accel_timeout_ms: a.opt_num("--accel-timeout-ms")?,
             failure_budget: a.parse_num("--failure-budget", 3)?,
             trace_out: a.opt_value("--trace-out")?,
@@ -772,36 +840,6 @@ impl std::error::Error for ParseError {}
 
 fn err(msg: impl Into<String>) -> ParseError {
     ParseError(msg.into())
-}
-
-/// Parse an `--inject-fault` value: `kill@N`, `delay@N:MS`, `wedge@N` or
-/// `kill-pool@N`, where `N` is the 0-based chunk index (in the accel
-/// pool's grab order) at which the fault fires. Drills always target the
-/// accelerator pool — the CPU pool is the recovery path.
-pub fn parse_fault_spec(s: &str) -> Result<FaultSpec, ParseError> {
-    let bad = || {
-        err(format!(
-            "bad --inject-fault '{s}': expected kill@N, delay@N:MS, wedge@N or kill-pool@N"
-        ))
-    };
-    let (kind_s, at) = s.split_once('@').ok_or_else(bad)?;
-    let parse_chunk = |t: &str| t.parse::<u64>().map_err(|_| bad());
-    let (kind, chunk) = match kind_s.to_ascii_lowercase().as_str() {
-        "kill" => (FaultKind::Kill, parse_chunk(at)?),
-        "wedge" => (FaultKind::Wedge, parse_chunk(at)?),
-        "kill-pool" | "killpool" => (FaultKind::KillPool, parse_chunk(at)?),
-        "delay" => {
-            let (n, ms) = at.split_once(':').ok_or_else(bad)?;
-            let ms: u64 = ms.parse().map_err(|_| bad())?;
-            (FaultKind::Delay(Duration::from_millis(ms)), parse_chunk(n)?)
-        }
-        _ => return Err(bad()),
-    };
-    Ok(FaultSpec {
-        device: DEVICE_ACCEL,
-        chunk,
-        kind,
-    })
 }
 
 /// Parse a `--variant` value.
@@ -1082,18 +1120,7 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
             let listen =
                 sw_serve::Endpoint::parse(&socket).map_err(|e| err(format!("--listen: {e}")))?;
             let mut config = sw_serve::ServeConfig::at(listen);
-            // A shard worker gathers with no window (its one client sends
-            // one request per query); an option it would not read is
-            // refused, not ignored.
             let shard_worker = a.has_flag("--shard-worker");
-            if let Some(ms) = a.opt_num("--batch-window-ms")? {
-                if shard_worker {
-                    return Err(err(
-                        "--batch-window-ms does not apply to --shard-worker (a shard worker gathers with no window)",
-                    ));
-                }
-                config.batch_window_ms = ms;
-            }
             config.max_concurrent = a.parse_num("--max-concurrent", config.max_concurrent)?;
             if config.max_concurrent == 0 {
                 return Err(err("--max-concurrent must be at least 1"));
@@ -1199,6 +1226,7 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sw_sched::FaultKind;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -1494,22 +1522,52 @@ mod tests {
     #[test]
     fn hetero_dynamic_options() {
         let h = parse_hetero(
-            "hetero --query q.fa --db d.fa --dynamic --threads 4 --accel-threads 8 \
-             --min-chunk 2 --frac 0.3",
+            "hetero --query q.fa --db d.fa --dynamic --threads 4 --accel-threads 8 --frac 0.3",
         );
         assert!((h.frac - 0.3).abs() < 1e-12);
         assert_eq!(h.engine.threads, 4);
         let d = h.dynamic.expect("--dynamic");
         assert_eq!(d.accel_threads, 8);
-        assert_eq!(d.min_chunk, 2);
         // The accelerator pool defaults to the CPU pool's thread count.
         let d = parse_dynamic("hetero --query q --db d --dynamic --threads 3");
-        assert_eq!((d.accel_threads, d.min_chunk), (3, 1));
+        assert_eq!(d.accel_threads, 3);
+        // A pool's smallest chunk is one task: there is no knob for it.
+        let e = parse(&argv("hetero --query q --db d --dynamic --min-chunk 2")).unwrap_err();
+        assert!(e.0.contains("unknown option '--min-chunk'"), "{e}");
     }
 
     #[test]
-    fn hetero_rejects_zero_min_chunk() {
-        assert!(parse(&argv("hetero --query q --db d --dynamic --min-chunk 0")).is_err());
+    fn the_resume_line_repeats_the_run_but_its_drills() {
+        let h = parse_hetero(
+            "hetero --query q.fa --db d.fa --quarantine --matrix BLOSUM50 --open 11 --extend 1 \
+             --threads 2 --lanes 8 --variant simd-qp --no-blocking --kernel-isa sse2 --top 50 \
+             --frac 0.3 --dynamic --accel-threads 1 --inject-fault delay@0:500 \
+             --accel-timeout-ms 40 --failure-budget 2 --metrics-out m.prom \
+             --checkpoint-dir ck --kill-after-chunks 3",
+        );
+        let line = h.resume_line().expect("a durable run");
+        assert!(line.ends_with("--checkpoint-dir ck --resume"), "{line}");
+        // Parsed back, the line is the run itself, resumed and undrilled.
+        let mut want = h;
+        let d = want.dynamic.as_mut().unwrap();
+        d.inject_fault = None;
+        let durable = d.durable.as_mut().unwrap();
+        (durable.resume, durable.kill_after_chunks) = (true, None);
+        match parse(&argv(line.strip_prefix("swsearch ").unwrap())).unwrap() {
+            Command::Hetero(back) => assert_eq!(back, want, "{line}"),
+            other => panic!("{other:?}"),
+        }
+        let h = parse_hetero("hetero --query q --db d --dna --match 2 --mismatch -3 --dynamic");
+        assert_eq!(h.resume_line(), None, "no checkpoint, nothing to resume");
+    }
+
+    #[test]
+    fn shell_words_are_quoted_only_when_a_shell_would_split_them() {
+        assert_eq!(shell_word("/tmp/run-1/db.fasta"), "/tmp/run-1/db.fasta");
+        assert_eq!(shell_word("-4"), "-4");
+        assert_eq!(shell_word("my db.fasta"), "'my db.fasta'");
+        assert_eq!(shell_word("it's"), r"'it'\''s'");
+        assert_eq!(shell_word(""), "''");
     }
 
     #[test]
@@ -1536,6 +1594,15 @@ mod tests {
         );
         assert_eq!(d.accel_timeout_ms, Some(50));
         assert_eq!(d.failure_budget, 1);
+        // A malformed drill is refused naming its flag.
+        let e = parse(&argv(
+            "hetero --query q --db d --dynamic --inject-fault delay@3",
+        ))
+        .unwrap_err();
+        assert!(
+            e.0.starts_with("bad --inject-fault 'delay@3': expected"),
+            "{e}"
+        );
     }
 
     #[test]
@@ -1604,7 +1671,6 @@ mod tests {
         assert_eq!(c.unix_socket(), Some(std::path::Path::new("/tmp/sw.sock")));
         assert_eq!(c.max_concurrent, 2);
         assert_eq!(c.tenant_quota, 4);
-        assert_eq!(c.batch_window_ms, 3);
         assert_eq!(c.default_top, 10);
         assert_eq!(c.checkpoint_dir, None);
         assert_eq!(c.trace_dir, None);
@@ -1618,14 +1684,13 @@ mod tests {
 
         let s = parse_serve(
             "serve --db d.swdb --socket s.sock --max-concurrent 3 --tenant-quota 1 \
-             --batch-window-ms 50 --checkpoint-dir ck --trace-dir tr --registry-out reg.jsonl \
+             --checkpoint-dir ck --trace-dir tr --registry-out reg.jsonl \
              --log-level debug --log-file ops.jsonl --slow-query-ms 250 \
              --metrics-file scrape.prom --metrics-interval-ms 200 --top 7",
         );
         let c = &s.config;
         assert_eq!(c.max_concurrent, 3);
         assert_eq!(c.tenant_quota, 1);
-        assert_eq!(c.batch_window_ms, 50);
         assert_eq!(c.checkpoint_dir, Some("ck".into()));
         assert_eq!(c.trace_dir, Some("tr".into()));
         assert_eq!(c.registry_out, Some("reg.jsonl".into()));
@@ -1654,17 +1719,16 @@ mod tests {
         let s = parse_serve("serve --db d.swdb --socket s.sock");
         assert!(!s.shard_worker);
         assert_eq!(s.config.request_timeout_ms, 10_000);
-        // A shard worker gathers with no window: the option is refused by
-        // name, in either order, not ignored.
+        // No daemon holds a gather window: the option is gone, with or
+        // without --shard-worker.
         for line in [
+            "serve --db d.swdb --socket s.sock --batch-window-ms 3",
             "serve --db s.swshard --socket s.sock --shard-worker --batch-window-ms 5",
-            "serve --batch-window-ms 0 --db s.swshard --shard-worker --socket s.sock",
         ] {
             let e = parse(&argv(line)).unwrap_err();
             assert!(
-                e.0.contains("--batch-window-ms") && e.0.contains("--shard-worker"),
-                "{line}: {}",
-                e.0
+                e.0.contains("unknown option '--batch-window-ms'"),
+                "{line}: {e}"
             );
         }
     }
@@ -1878,36 +1942,6 @@ mod tests {
                 }
             ),
             other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn fault_spec_forms_parse() {
-        assert_eq!(parse_fault_spec("kill@0").unwrap().kind, FaultKind::Kill);
-        assert_eq!(
-            parse_fault_spec("wedge@7").unwrap(),
-            FaultSpec {
-                device: DEVICE_ACCEL,
-                chunk: 7,
-                kind: FaultKind::Wedge,
-            }
-        );
-        assert_eq!(
-            parse_fault_spec("delay@3:250").unwrap().kind,
-            FaultKind::Delay(Duration::from_millis(250))
-        );
-        assert_eq!(
-            parse_fault_spec("KILL-POOL@1").unwrap().kind,
-            FaultKind::KillPool
-        );
-    }
-
-    #[test]
-    fn fault_spec_rejects_malformed() {
-        for bad in [
-            "kill", "kill@", "kill@x", "delay@3", "delay@3:", "pause@1", "@2",
-        ] {
-            assert!(parse_fault_spec(bad).is_err(), "accepted '{bad}'");
         }
     }
 

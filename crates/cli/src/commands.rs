@@ -821,7 +821,6 @@ fn cmd_hetero<W: Write>(h: &args::Hetero, out: &mut W) -> Result<(), CmdError> {
                 threads: d.accel_threads,
                 ..cfg
             },
-            min_chunk: d.min_chunk,
             recovery: RecoveryConfig {
                 accel_timeout_ms: d.accel_timeout_ms,
                 failure_budget: d.failure_budget,
@@ -897,12 +896,8 @@ fn cmd_hetero<W: Write>(h: &args::Hetero, out: &mut W) -> Result<(), CmdError> {
                          this segment); state saved to {ckpt_where}",
                         run.tasks_done, run.n_batches, run.checkpoints_written
                     )?;
-                    writeln!(
-                        out,
-                        "# resume with: swsearch hetero --query {} --db {} \
-                         --dynamic --checkpoint-dir {ckpt_where} --resume",
-                        h.query, h.db
-                    )?;
+                    let line = h.resume_line().expect("a durable run has a resume line");
+                    writeln!(out, "# resume with: {line}")?;
                     return Ok(());
                 }
             }
@@ -1068,7 +1063,6 @@ fn cmd_serve<W: Write>(s: args::Serve, out: &mut W) -> Result<(), CmdError> {
             threads: s.accel_threads,
             ..cfg
         },
-        min_chunk: 1,
         recovery: RecoveryConfig::default(),
         trace: TraceConfig::default(),
     };
@@ -1090,11 +1084,8 @@ fn cmd_serve<W: Write>(s: args::Serve, out: &mut W) -> Result<(), CmdError> {
     )?;
     writeln!(
         out,
-        "# listening on {} (batches of {}, tenant quota {}, window {} ms)",
-        s.socket,
-        config.max_concurrent,
-        config.tenant_quota,
-        config.gather_window().as_millis()
+        "# listening on {} (batches of {}, tenant quota {})",
+        s.socket, config.max_concurrent, config.tenant_quota
     )?;
     let stats = sw_serve::serve(
         &engine,

@@ -167,6 +167,30 @@ pub(crate) fn wait_status(endpoint: &str, job: u64, want: &str) {
     panic!("job {job} at {endpoint} never reported {want}");
 }
 
+/// Poll `submit --health` at `endpoint` until its reply contains `want`
+/// (say `"parked":4,`); panics after 10 s.
+pub(crate) fn wait_health(endpoint: &str, want: &str) {
+    for _ in 0..400 {
+        if stdout(&run(&submit(endpoint, &["--health"]))).contains(want) {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    panic!("{endpoint}'s health never reported {want}");
+}
+
+/// Hold an idle daemon's collector: a submit of `query` whose region's
+/// first chunk sleeps `ms`, returned once it runs. The submits that
+/// park until it ends form the next region. Its tenant is `hold`, so it
+/// takes no other tenant's quota.
+pub(crate) fn hold_collector(endpoint: &str, query: &str, ms: u64) -> Child {
+    let drill = format!("delay@0:{ms}");
+    let args = ["--query", query, "--tenant", "hold", "--drill", &drill];
+    let hold = spawn(&submit(endpoint, &args));
+    wait_health(endpoint, "\"running\":1,");
+    hold
+}
+
 /// A TCP port on 127.0.0.1 that was free a moment ago, so tests that
 /// run at once do not collide on fixed ports.
 pub(crate) fn free_port() -> u16 {

@@ -8,8 +8,12 @@
 
 mod common;
 
-use common::{head, hit_lines, ok, run, stdout, trace_check, WorkDir};
+use common::{
+    finish, head, hit_lines, ok, rank_rows, records, run, spawn, stdout, trace_check, WorkDir,
+};
 use std::path::PathBuf;
+use std::process::Command;
+use std::time::{Duration, Instant};
 
 struct Fixture {
     db: String,
@@ -213,4 +217,81 @@ fn resume_with_swapped_database_is_refused() {
             && text.contains("database digest"),
         "{text}"
     );
+}
+
+/// The `# resume with:` line a drained run prints is the run itself. A
+/// `--lanes 8 --top 50` run, held by a delay drill on the accelerator's
+/// first chunk and drained by SIGINT once its log holds a commit, is
+/// resumed by running that line verbatim: the resumed search finds the
+/// log under the same fingerprint name, loads it and prints the
+/// uninterrupted run's 50 hits.
+#[cfg_attr(debug_assertions, ignore = "drill sized for --release")]
+#[test]
+fn the_printed_resume_line_resumes_a_drained_run() {
+    let dir = WorkDir::new("crash-hint");
+    let db = dir.path("db.fasta");
+    ok(&[
+        "gendb",
+        "--seqs",
+        "2000",
+        "--out",
+        &db,
+        "--seed",
+        "7",
+        "--mean-len",
+        "300",
+        "--max-len",
+        "3000",
+    ]);
+    // One long query, the residues of the first 20 records: a run of
+    // about a second per pool, so the SIGINT lands while the CPU pool is
+    // still working through the middle of the queue.
+    let first = records(&dir.read("db.fasta"), 20);
+    let body: Vec<&str> = first.lines().filter(|l| !l.starts_with('>')).collect();
+    let query = dir.write("long.fasta", &format!(">long\n{}\n", body.join("\n")));
+    let ckpt = dir.path("ckpt");
+    let args = [
+        "hetero",
+        "--query",
+        &query,
+        "--db",
+        &db,
+        "--threads",
+        "1",
+        "--lanes",
+        "8",
+        "--top",
+        "50",
+        "--dynamic",
+        "--accel-threads",
+        "1",
+        "--checkpoint-dir",
+        &ckpt,
+    ];
+    let reference = hit_lines(&ok(&args));
+    assert_eq!(rank_rows(&reference.join("\n")).len(), 50, "{reference:?}");
+
+    let held = spawn(&[&args[..], &["--inject-fault", "delay@0:2000"]].concat());
+    let t0 = Instant::now();
+    while log_in(&ckpt).is_none() {
+        assert!(t0.elapsed() < Duration::from_secs(60), "no commit appended");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let pid = held.id().to_string();
+    let kill = Command::new("kill").args(["-INT", &pid]).status();
+    assert!(kill.expect("run kill").success(), "SIGINT {pid}");
+    let o = finish(held);
+    let drained = stdout(&o);
+    assert!(o.status.success(), "{drained}");
+    assert!(drained.contains("# drained:"), "{drained}");
+    let line = drained
+        .lines()
+        .find_map(|l| l.strip_prefix("# resume with: swsearch "))
+        .unwrap_or_else(|| panic!("no resume line: {drained}"));
+
+    let words: Vec<&str> = line.split(' ').collect();
+    let resumed = ok(&words);
+    assert!(resumed.contains("# resume: loaded"), "{line}\n{resumed}");
+    assert_eq!(hit_lines(&resumed), reference, "{line}\n{resumed}");
+    assert!(log_in(&ckpt).is_none(), "completion deletes the log");
 }

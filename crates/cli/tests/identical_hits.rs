@@ -179,4 +179,32 @@ fn misspelt_or_unread_options_are_usage_errors() {
         ],
         "unknown option '--matrix' for 'search --shards'",
     );
+    // Retired options are refused by name: a pool's smallest chunk is
+    // one task, and no daemon holds a gather window.
+    usage_error(
+        &[
+            "hetero",
+            "--query",
+            &query,
+            "--db",
+            &db,
+            "--dynamic",
+            "--min-chunk",
+            "2",
+        ],
+        "unknown option '--min-chunk' for 'hetero'",
+    );
+    let sock = dir.path("none.sock");
+    usage_error(
+        &[
+            "serve",
+            "--db",
+            &db,
+            "--socket",
+            &sock,
+            "--batch-window-ms",
+            "3",
+        ],
+        "unknown option '--batch-window-ms' for 'serve'",
+    );
 }

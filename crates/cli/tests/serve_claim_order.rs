@@ -1,7 +1,7 @@
 //! The daemon's claim order against the real binary. `serve --threads 1
 //! --accel-threads 0` runs one CPU worker and no accelerator pool, so
-//! four submits gathered into one shared region finish in query-length
-//! order — the region claims its shortest member first — every task
+//! four submits parked behind a drill-held region run as the next
+//! shared region and finish in query-length order — the region claims its shortest member first — every task
 //! runs on the CPU, and each batched hit list is the one its query gets
 //! when served alone. The daemon runs as a child process: its shutdown
 //! signal is process-wide, so it must not share a process with another
@@ -9,7 +9,9 @@
 
 mod common;
 
-use common::{after_ack, finish, ok, spawn, stdout, wait_ready, Daemon, WorkDir};
+use common::{
+    after_ack, finish, hold_collector, ok, spawn, stdout, wait_health, wait_ready, Daemon, WorkDir,
+};
 
 #[test]
 fn accel_threads_zero_serves_one_worker_shortest_member_first() {
@@ -63,8 +65,6 @@ fn accel_threads_zero_serves_one_worker_shortest_member_first() {
             "0",
             "--max-concurrent",
             "4",
-            "--batch-window-ms",
-            "1000",
             "--registry-out",
             &registry,
             "--trace-dir",
@@ -73,16 +73,19 @@ fn accel_threads_zero_serves_one_worker_shortest_member_first() {
         &dir.path("daemon.log"),
     );
     wait_ready(&socket);
-    // Solo baselines: each submit alone waits its window out.
+    // Solo baselines: each submit alone is a region of one.
     let solo: Vec<String> = queries
         .iter()
         .map(|q| ok(&["submit", "--socket", &socket, "--query", q]))
         .collect();
-    // All four inside one gather window: the window closes when full.
+    // All four parked behind a held region: they form the next one.
+    let hold = hold_collector(&socket, &queries[0], 1_000);
     let submits: Vec<_> = queries
         .iter()
         .map(|q| spawn(&["submit", "--socket", &socket, "--query", q]))
         .collect();
+    wait_health(&socket, "\"parked\":4,");
+    assert!(finish(hold).status.success(), "the holder ran");
     for (submit, solo) in submits.into_iter().zip(&solo) {
         let o = finish(submit);
         let batched = stdout(&o);

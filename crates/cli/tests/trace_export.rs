@@ -11,7 +11,7 @@ use std::time::Duration;
 use sw_core::{
     DurableOptions, HeteroEngine, HeteroSearchConfig, PreparedDb, SearchEngine, TraceConfig,
 };
-use sw_sched::{FaultInjector, FaultKind, FaultPlan, FaultSpec, DEVICE_CPU};
+use sw_sched::{FaultInjector, FaultKind, FaultPlan, FaultSpec, DEVICE_ACCEL, DEVICE_CPU};
 use sw_seq::gen::{generate_database, DbSpec};
 use sw_seq::Alphabet;
 
@@ -94,7 +94,7 @@ fn killed_accel_chunk_is_requeued_in_a_valid_trace() {
     let plan = hetero.plan_split(&db, query.len(), 0.55);
     let mut cfg = HeteroSearchConfig::best(2, 1).with_trace(TraceConfig::full());
     cfg.recovery.accel_timeout_ms = Some(100);
-    let kill = sw_cli::args::parse_fault_spec("kill@0").expect("the CLI drill's spec");
+    let kill = FaultSpec::parse("kill@0", DEVICE_ACCEL).expect("the CLI drill's spec");
     let hold = |chunk| FaultSpec {
         device: DEVICE_CPU,
         chunk,

@@ -134,7 +134,7 @@ impl TraceConfig {
 
 /// Configuration of a dynamic dual-pool heterogeneous search
 /// ([`crate::hetero::HeteroEngine::search_dynamic`]): one kernel
-/// configuration per device pool plus the shared-queue granularity.
+/// configuration per device pool.
 ///
 /// Each device's `threads` field sizes its worker pool; the static
 /// [`crate::hetero::SplitPlan`] only seeds the feedback estimator.
@@ -144,9 +144,6 @@ pub struct HeteroSearchConfig {
     pub cpu: SearchConfig,
     /// Kernel configuration and pool size for the accelerator share.
     pub accel: SearchConfig,
-    /// Smallest number of lane batches either pool grabs from the shared
-    /// queue in one chunk.
-    pub min_chunk: usize,
     /// Fault-tolerance knobs (lease timeout, failure budget, backoff).
     pub recovery: RecoveryConfig,
     /// Event-journal tracing (off by default, zero-cost when off).
@@ -159,7 +156,6 @@ impl HeteroSearchConfig {
         HeteroSearchConfig {
             cpu,
             accel,
-            min_chunk: 1,
             recovery: RecoveryConfig::default(),
             trace: TraceConfig::default(),
         }

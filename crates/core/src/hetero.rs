@@ -776,7 +776,6 @@ pub(crate) fn region(
         queries.len() * n_batches,
         DualPoolConfig {
             initial_accel_fraction: initial_share,
-            min_chunk: config.min_chunk,
             accel_timeout_ms: config.recovery.accel_timeout_ms,
             failure_budget: config.recovery.failure_budget,
             ..DualPoolConfig::new(cpu_workers, accel_workers)

@@ -189,8 +189,6 @@ pub struct DualPoolConfig {
     /// The static plan's accelerator share — the estimator's seed until
     /// both pools have observed throughput.
     pub initial_accel_fraction: f64,
-    /// Smallest chunk either pool grabs.
-    pub min_chunk: usize,
     /// Lease timeout for chunks held by the accelerator pool: a chunk
     /// whose holder makes no progress for this long is reclaimed and
     /// requeued. `None` disables reclamation (a wedge fault then
@@ -216,7 +214,6 @@ impl DualPoolConfig {
             cpu_workers,
             accel_workers,
             initial_accel_fraction: 0.5,
-            min_chunk: 1,
             accel_timeout_ms: None,
             failure_budget: 3,
             retry_backoff_ms: 1,
@@ -551,12 +548,7 @@ impl<'a> Supervisor<'a> {
                 } else {
                     accel_share
                 };
-                let k = adaptive_chunk(
-                    st.queue.remaining(),
-                    my_share,
-                    pool_workers.max(1),
-                    self.config.min_chunk,
-                );
+                let k = adaptive_chunk(st.queue.remaining(), my_share, pool_workers.max(1));
                 let range = if device == DEVICE_CPU {
                     st.queue.take_front(k)
                 } else {
@@ -1633,10 +1625,7 @@ mod tests {
         let tracer = Tracer::full();
         let out = run_dual_pool_durable(
             1000,
-            DualPoolConfig {
-                min_chunk: 4,
-                ..DualPoolConfig::new(2, 2)
-            },
+            DualPoolConfig::new(2, 2),
             &FaultInjector::none(),
             DurableControl {
                 drain: Some(&drain),
@@ -1676,10 +1665,7 @@ mod tests {
         let cancelled = |i: usize| i % 2 == 1;
         let out = run_dual_pool_durable(
             100,
-            DualPoolConfig {
-                min_chunk: 4,
-                ..DualPoolConfig::new(2, 1)
-            },
+            DualPoolConfig::new(2, 1),
             &FaultInjector::none(),
             DurableControl {
                 task_cancelled: Some(&cancelled),
@@ -1718,10 +1704,7 @@ mod tests {
         let inj = injected(FaultKind::Kill, 0);
         let out = run_dual_pool_durable(
             500,
-            DualPoolConfig {
-                min_chunk: 4,
-                ..DualPoolConfig::new(2, 2)
-            },
+            DualPoolConfig::new(2, 2),
             &inj,
             DurableControl {
                 drain: Some(&drain),
@@ -2022,7 +2005,7 @@ mod tests {
         let (mut front, mut back) = (0, n);
         let mut claims = Vec::new();
         while front < back {
-            let k = adaptive_chunk(back - front, share, 1, config.min_chunk);
+            let k = adaptive_chunk(back - front, share, 1);
             let range = if cpu {
                 front += k;
                 front - k..front

@@ -59,6 +59,35 @@ pub struct FaultSpec {
     pub kind: FaultKind,
 }
 
+impl FaultSpec {
+    /// Parse a drill aimed at `device`'s pool: `kill@N`, `delay@N:MS`,
+    /// `wedge@N` or `kill-pool@N`, where `N` is the 0-based chunk index
+    /// at which it fires. The error quotes the spec; the caller adds the
+    /// flag it came from.
+    pub fn parse(s: &str, device: usize) -> Result<Self, String> {
+        let bad = || format!("'{s}': expected kill@N, delay@N:MS, wedge@N or kill-pool@N");
+        let (kind_s, at) = s.split_once('@').ok_or_else(bad)?;
+        let (chunk, ms) = match at.split_once(':') {
+            Some((chunk, ms)) => (chunk, Some(ms)),
+            None => (at, None),
+        };
+        let kind = match (kind_s.to_ascii_lowercase().as_str(), ms) {
+            ("kill", None) => FaultKind::Kill,
+            ("wedge", None) => FaultKind::Wedge,
+            ("kill-pool" | "killpool", None) => FaultKind::KillPool,
+            ("delay", Some(ms)) => {
+                FaultKind::Delay(Duration::from_millis(ms.parse().map_err(|_| bad())?))
+            }
+            _ => return Err(bad()),
+        };
+        Ok(FaultSpec {
+            device,
+            chunk: chunk.parse().map_err(|_| bad())?,
+            kind,
+        })
+    }
+}
+
 /// A deterministic set of faults to inject into one parallel region.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
@@ -397,6 +426,48 @@ impl NetFaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::DEVICE_ACCEL;
+
+    #[test]
+    fn fault_spec_forms_parse() {
+        let parse = |s| FaultSpec::parse(s, DEVICE_ACCEL).unwrap();
+        assert_eq!(parse("kill@0").kind, FaultKind::Kill);
+        assert_eq!(
+            parse("wedge@7"),
+            FaultSpec {
+                device: DEVICE_ACCEL,
+                chunk: 7,
+                kind: FaultKind::Wedge,
+            }
+        );
+        assert_eq!(
+            parse("delay@3:250").kind,
+            FaultKind::Delay(Duration::from_millis(250))
+        );
+        assert_eq!(parse("KILL-POOL@1").kind, FaultKind::KillPool);
+        assert_eq!(
+            FaultSpec::parse("delay@3:250", DEVICE_ANY).unwrap().device,
+            DEVICE_ANY
+        );
+    }
+
+    #[test]
+    fn fault_spec_rejects_malformed() {
+        for bad in [
+            "kill",
+            "kill@",
+            "kill@x",
+            "kill@3:5",
+            "delay@3",
+            "delay@3:",
+            "delay@x:9",
+            "pause@1",
+            "@2",
+        ] {
+            let e = FaultSpec::parse(bad, DEVICE_ANY).unwrap_err();
+            assert!(e.contains(&format!("'{bad}'")), "{e}");
+        }
+    }
 
     #[test]
     fn seeded_plans_are_deterministic() {

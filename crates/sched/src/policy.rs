@@ -340,16 +340,11 @@ impl SplitEstimator {
 /// Chunk size for a dual-pool worker: the device's estimated share of the
 /// remaining queue, spread over twice its worker count (the same decay
 /// shape as guided scheduling, so chunks shrink as the pools converge on
-/// the boundary), never below `min_chunk` or one task.
-pub fn adaptive_chunk(
-    remaining: usize,
-    device_share: f64,
-    workers: usize,
-    min_chunk: usize,
-) -> usize {
+/// the boundary), never below one task.
+pub fn adaptive_chunk(remaining: usize, device_share: f64, workers: usize) -> usize {
     assert!(workers >= 1, "need at least one worker");
     let target = (remaining as f64 * device_share / (2.0 * workers as f64)).floor() as usize;
-    target.max(min_chunk.max(1)).min(remaining.max(1))
+    target.max(1)
 }
 
 #[cfg(test)]
@@ -548,19 +543,16 @@ mod tests {
 
     #[test]
     fn adaptive_chunk_decays_with_remaining() {
-        let big = adaptive_chunk(1000, 0.5, 4, 1);
+        let big = adaptive_chunk(1000, 0.5, 4);
         assert_eq!(big, 62); // 1000 · 0.5 / 8
-        let small = adaptive_chunk(10, 0.5, 4, 1);
-        assert_eq!(small, 1, "floors at min_chunk");
+        let small = adaptive_chunk(10, 0.5, 4);
+        assert_eq!(small, 1, "floors at one task");
         assert_eq!(
-            adaptive_chunk(0, 0.5, 4, 1),
+            adaptive_chunk(0, 0.5, 4),
             1,
             "degenerate remaining still asks for one"
         );
-        assert_eq!(adaptive_chunk(100, 1.0, 1, 3), 50);
-        assert!(
-            adaptive_chunk(5, 1.0, 1, 100) <= 5,
-            "never exceeds remaining"
-        );
+        assert_eq!(adaptive_chunk(100, 1.0, 1), 50);
+        assert_eq!(adaptive_chunk(5, 1.0, 1), 2);
     }
 }

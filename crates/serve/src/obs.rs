@@ -32,7 +32,7 @@ use std::time::Instant;
 use sw_swdb::integrity::open_log;
 use sw_trace::export::{Histogram, PromWriter};
 
-use crate::registry::{StatsSnapshot, WindowClosed};
+use crate::registry::StatsSnapshot;
 
 /// Phase-latency bucket bounds (µs). Wider than the kernel-level
 /// `HIST_BUCKETS_US` table because daemon phases span from
@@ -147,7 +147,7 @@ pub(crate) struct Phases {
     pub(crate) submitted_us: u64,
     /// Ack streamed back to the client.
     pub(crate) admitted_us: Option<u64>,
-    /// Collector pulled the job out of the gather window.
+    /// Collector took the job off the queue into a region.
     pub(crate) gathered_us: Option<u64>,
     /// Dual-pool region started executing the job.
     pub(crate) started_us: Option<u64>,
@@ -174,8 +174,6 @@ struct Agg {
     connection_threads: u64,
     regions: u64,
     region_queries: u64,
-    /// Gather windows closed, indexed by [`WindowClosed`].
-    gather_closed: [u64; 2],
     cells_total: u64,
     /// `(window index, cells finishing in window)`, ascending, capped
     /// at [`GCUPS_WINDOWS_KEPT`].
@@ -200,7 +198,6 @@ impl Default for Agg {
             connection_threads: 0,
             regions: 0,
             region_queries: 0,
-            gather_closed: [0; 2],
             cells_total: 0,
             windows: Vec::new(),
         }
@@ -313,11 +310,6 @@ impl Obs {
                 Sink::File(f) => writeln!(f, "{line}"),
             };
         }
-    }
-
-    /// Record why a gather window closed.
-    pub(crate) fn on_window_closed(&self, closed: WindowClosed) {
-        self.agg.lock().expect("obs agg").gather_closed[closed as usize] += 1;
     }
 
     /// Record one coalesced region of `queries` jobs.
@@ -562,14 +554,6 @@ impl Obs {
             }
         }
 
-        let mut closed = w.counter(
-            "sw_serve_windows_total",
-            "gather windows closed, by what closed them (full = --max-concurrent jobs parked)",
-        );
-        for why in [WindowClosed::Full, WindowClosed::Deadline] {
-            closed.sample(&[("closed", why.label())], agg.gather_closed[why as usize]);
-        }
-
         let draining = self.draining.load(Ordering::SeqCst);
         let ready = self.ready.load(Ordering::SeqCst)
             && self.collector_alive.load(Ordering::SeqCst)
@@ -617,7 +601,7 @@ impl Obs {
             ),
             (
                 "sw_serve_gather_us",
-                "ack to gather-window exit (batch coalescing wait)",
+                "ack to collection (wait for the collector)",
                 &agg.gather,
             ),
             (

@@ -19,18 +19,19 @@
 //! collector thread that runs shared regions. [`Registry::admit`] keeps
 //! a job's run payload in its entry and queues its id;
 //! [`Registry::collect`] — the one call that blocks, on a condvar beside
-//! the mutex — holds the gather window open and, in the same lock trip,
-//! moves every job it takes to `Running`, or to `Cancelled` when its
-//! drain fired while it was parked. Every transition of a job is made
-//! here, and each job reaches exactly one terminal state: a reply goes
-//! out only when `finish` (or `collect`) made the transition it reports.
+//! the mutex, and only while the queue is empty — takes what is parked
+//! and, in the same lock trip, moves every job it takes to `Running`, or
+//! to `Cancelled` when its drain fired while it was parked. Every
+//! transition of a job is made here, and each job reaches exactly one
+//! terminal state: a reply goes out only when `finish` (or `collect`)
+//! made the transition it reports.
 
 use crate::client::JobReply;
 use crate::json;
 use crate::obs::{LogLevel, Obs, Phases};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use sw_sched::{DrainSignal, FaultSpec};
 
 /// How often the daemon's waiting threads re-read the shutdown signal:
@@ -183,30 +184,6 @@ pub(crate) struct Gathered {
     /// The reply channels of jobs whose drain fired while they were
     /// parked: each is `Cancelled` now and owed its `cancelled` reply.
     pub(crate) cancelled: Vec<mpsc::Sender<JobReply>>,
-    /// Why the gather window closed; `None` when shutdown closed the
-    /// queue instead.
-    pub(crate) closed: Option<WindowClosed>,
-}
-
-/// Why a gather window closed — the label of `sw_serve_windows_total`:
-/// mostly `full` means the window is buying coalescing, mostly `deadline`
-/// with regions of one means it is only buying latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WindowClosed {
-    /// `max_concurrent` jobs were parked.
-    Full,
-    /// The window's deadline passed.
-    Deadline,
-}
-
-impl WindowClosed {
-    /// The label value, in scrapes and on the ops log.
-    pub(crate) fn label(self) -> &'static str {
-        match self {
-            WindowClosed::Full => "full",
-            WindowClosed::Deadline => "deadline",
-        }
-    }
 }
 
 struct Entry {
@@ -512,51 +489,33 @@ impl Registry {
     }
 
     /// Collector side: block until at least one job is parked (or
-    /// shutdown fires), hold the gather window open until `max` jobs are
-    /// parked or its deadline — fixed at the first arrival, not moved by
-    /// later ones — passes, so concurrent submits join the same region;
-    /// then take up to `max` jobs in arrival order, with why the window
-    /// closed. In the same lock trip every job taken is stamped gathered
-    /// (with the number taken as its `batch`) and moved to `Running`, or
-    /// to `Cancelled` when its drain fired while it was parked.
+    /// shutdown fires), then take up to `max` parked jobs in arrival
+    /// order. Nothing holds a parked job back to wait for company: the
+    /// jobs that park while a region runs form the next one. In the same
+    /// lock trip every job taken is stamped gathered (with the number
+    /// taken as its `batch`) and moved to `Running`, or to `Cancelled`
+    /// when its drain fired while it was parked.
     ///
     /// Returns `None` once shutdown has fired and the queue is empty —
-    /// the collector's exit condition. Shutdown with jobs still parked,
-    /// before or inside the window, closes the queue and takes them all
-    /// (no window closed: the reason is `None`); their drains are scoped
+    /// the collector's exit condition. Shutdown with jobs still parked
+    /// closes the queue and takes them all; their drains are scoped
     /// under the shutdown, so they come back cancelled. Launching a
     /// region would race the drain, and an open queue would let a late
     /// submit park where no collector will ever look.
-    pub(crate) fn collect(
-        &self,
-        max: usize,
-        window: Duration,
-        shutdown: &DrainSignal,
-    ) -> Option<Gathered> {
-        let max = max.max(1);
+    pub(crate) fn collect(&self, max: usize, shutdown: &DrainSignal) -> Option<Gathered> {
         let mut g = self.lock();
-        let mut deadline: Option<Instant> = None;
-        let (n, closed) = loop {
+        let n = loop {
             if shutdown.is_requested() {
                 g.closed = true;
                 if g.queue.is_empty() {
                     return None;
                 }
-                break (g.queue.len(), None);
+                break g.queue.len();
             }
-            let mut wait = SHUTDOWN_POLL;
             if !g.queue.is_empty() {
-                let now = Instant::now();
-                let deadline = *deadline.get_or_insert(now + window);
-                if g.queue.len() >= max {
-                    break (max, Some(WindowClosed::Full));
-                }
-                if now >= deadline {
-                    break (g.queue.len(), Some(WindowClosed::Deadline));
-                }
-                wait = wait.min(deadline - now);
+                break g.queue.len().min(max.max(1));
             }
-            g = (self.parked.wait_timeout(g, wait))
+            g = (self.parked.wait_timeout(g, SHUTDOWN_POLL))
                 .expect("no thread panics holding the registry")
                 .0;
         };
@@ -564,7 +523,6 @@ impl Registry {
         let mut gathered = Gathered {
             live: Vec::with_capacity(n),
             cancelled: Vec::new(),
-            closed,
         };
         // Per job taken, in arrival order: its tenant when it runs, its
         // final record when it was cancelled while parked.
@@ -735,8 +693,9 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
-    /// Never requested: a collect under it only ends at a window's close.
+    /// Never requested.
     static OFF: DrainSignal = DrainSignal::new();
 
     fn registry() -> Registry {
@@ -760,7 +719,7 @@ mod tests {
     /// Park job `id` and collect it alone; whether it now runs.
     fn start(r: &Registry, id: u64) -> bool {
         assert!(r.admit(id, run()), "job {id} parks");
-        let g = r.collect(1, Duration::ZERO, &OFF).expect("a parked job");
+        let g = r.collect(1, &OFF).expect("a parked job");
         g.live.iter().any(|j| j.id == id)
     }
 
@@ -1029,13 +988,8 @@ mod tests {
                         }
                     }
                     let max = rng.gen_range(1..4usize);
-                    let got = r.collect(max, Duration::ZERO, &OFF).expect("a parked job");
+                    let got = r.collect(max, &OFF).expect("a parked job");
                     let taken: Vec<u64> = parked.drain(..max.min(parked.len())).collect();
-                    let closed = match taken.len() == max {
-                        true => WindowClosed::Full,
-                        false => WindowClosed::Deadline,
-                    };
-                    assert_eq!(got.closed, Some(closed), "step {step}");
                     let (live, gone): (Vec<u64>, Vec<u64>) =
                         (taken.iter()).partition(|&&p| !drains[p as usize - 1].is_requested());
                     assert_eq!(live_ids(&got), live, "step {step}");
@@ -1122,74 +1076,50 @@ mod tests {
     }
 
     #[test]
-    fn gather_window_coalesces_and_cap_splits() {
+    fn a_lone_parked_job_is_taken_at_once() {
+        let r = registry();
+        park(&r, 1, &OFF);
+        // Nothing is waited for once a job is parked: the collect returns
+        // without a timed wait, with a region of one.
+        let t0 = Instant::now();
+        let lone = r.collect(4, &OFF).unwrap();
+        assert!(t0.elapsed() < SHUTDOWN_POLL, "{:?}", t0.elapsed());
+        assert_eq!(live_ids(&lone), vec![1]);
+        assert_eq!(r.status(1).unwrap().batch, 1);
+    }
+
+    #[test]
+    fn max_plus_one_parked_jobs_are_two_takes_in_arrival_order() {
         let r = registry();
         park(&r, 5, &OFF);
-        let first = r.collect(4, Duration::ZERO, &OFF).unwrap();
+        let first = r.collect(4, &OFF).unwrap();
         assert_eq!(
             live_ids(&first),
             vec![1, 2, 3, 4],
             "arrival order, capped at max_concurrent"
         );
-        assert_eq!(first.closed, Some(WindowClosed::Full));
-        // A window that is not full is a deadline that is waited out, not
-        // a poll.
-        let (window, t0) = (Duration::from_millis(60), Instant::now());
-        let second = r.collect(4, window, &OFF).unwrap();
-        assert_eq!(second.live.len(), 1, "overflow lands in the next region");
-        assert!(t0.elapsed() >= window, "{:?}", t0.elapsed());
-        assert_eq!(second.closed, Some(WindowClosed::Deadline));
+        let second = r.collect(4, &OFF).unwrap();
+        assert_eq!(live_ids(&second), vec![5], "the overflow is the next take");
+        let batches: Vec<usize> = (1..=5).map(|id| r.status(id).unwrap().batch).collect();
+        assert_eq!(batches, [4, 4, 4, 4, 1]);
     }
 
     #[test]
-    fn full_window_closes_at_once_and_a_lone_job_waits() {
-        static LONE: DrainSignal = DrainSignal::new();
+    fn shutdown_while_the_queue_is_empty_closes_it() {
+        // The collector waits only on an empty queue; shutdown landing
+        // in that wait must still close the queue, or a submit arriving
+        // after it parks forever in a queue nobody reads again.
+        static IDLE: DrainSignal = DrainSignal::new();
         let r = registry();
-        let window = Duration::from_secs(60);
-        // Two parked jobs fill a region of two: nothing to wait for.
-        park(&r, 2, &LONE);
-        let t0 = Instant::now();
-        let pair = r.collect(2, window, &LONE).unwrap();
-        assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
-        assert_eq!(
-            (pair.live.len(), pair.closed),
-            (2, Some(WindowClosed::Full))
-        );
-        // One job does not: it stays parked for its window, and shutdown
-        // hands it back, cancelled, with no window closed.
-        park(&r, 1, &LONE);
         std::thread::scope(|s| {
-            let t = s.spawn(|| r.collect(2, window, &LONE));
+            let t = s.spawn(|| r.collect(4, &IDLE));
             std::thread::sleep(Duration::from_millis(50));
-            assert!(!t.is_finished(), "a lone job is not a full window");
-            LONE.request();
-            let rest = t.join().unwrap().expect("parked job hands back");
-            assert_eq!((rest.cancelled.len(), rest.closed), (1, None));
-        });
-    }
-
-    #[test]
-    fn shutdown_mid_window_closes_queue() {
-        // Shutdown landing INSIDE the gather window (after the pre-sleep
-        // check) must still close the queue: otherwise the drained jobs
-        // launch a region racing the drain, and a submit arriving after
-        // this collect parks forever in a queue nobody reads again.
-        static MID: DrainSignal = DrainSignal::new();
-        let r = registry();
-        park(&r, 1, &MID);
-        std::thread::scope(|s| {
-            let t = s.spawn(|| r.collect(4, Duration::from_millis(200), &MID));
-            std::thread::sleep(Duration::from_millis(50));
-            MID.request();
-            let drained = t.join().unwrap().expect("parked job hands back");
-            assert_eq!((drained.cancelled.len(), drained.closed), (1, None));
+            assert!(!t.is_finished(), "an empty queue is waited on");
+            IDLE.request();
+            assert!(t.join().unwrap().is_none(), "nothing to hand back");
         });
         let late = r.submit("t", 3, 4, drain()).unwrap();
-        assert!(
-            !r.admit(late, run()),
-            "queue must close when shutdown lands inside the gather window"
-        );
-        assert!(r.collect(4, Duration::ZERO, &MID).is_none(), "then closed");
+        assert!(!r.admit(late, run()), "no parking after close");
     }
 
     #[test]
@@ -1198,13 +1128,13 @@ mod tests {
         let r = registry();
         park(&r, 1, &DOWN);
         DOWN.request();
-        let last = r.collect(4, Duration::ZERO, &DOWN).unwrap();
+        let last = r.collect(4, &DOWN).unwrap();
         assert_eq!(
             last.cancelled.len(),
             1,
             "queued jobs hand back for cancel replies"
         );
-        assert!(r.collect(4, Duration::ZERO, &DOWN).is_none(), "then closed");
+        assert!(r.collect(4, &DOWN).is_none(), "then closed");
         let late = r.submit("t", 3, 4, drain()).unwrap();
         assert!(!r.admit(late, run()), "no parking after close");
     }
@@ -1238,7 +1168,7 @@ mod tests {
             // The collector, running nothing: every live job is done at
             // once, and replied to only by the transition that ended it.
             s.spawn(|| {
-                while let Some(g) = r.collect(3, Duration::from_millis(1), &RACE) {
+                while let Some(g) = r.collect(3, &RACE) {
                     for reply in g.cancelled {
                         let _ = reply.send(JobReply::Cancelled {
                             resumes: 0,

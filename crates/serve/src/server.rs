@@ -9,12 +9,14 @@
 //! no polling loop for the common case.
 //!
 //! Searches are *batched across queries*: connection handlers park
-//! accepted submits in the [`Registry`], and one collector thread groups
-//! everything that arrives within a gather window into a single shared
-//! dual-pool region over the resident database
-//! ([`HeteroEngine::search_many_resumable`]) — up to `max_concurrent`
-//! queries per region, so concurrent short queries share scheduling
-//! overhead and fill lanes a solo run would leave idle. Per-query
+//! accepted submits in the [`Registry`], and one collector thread takes
+//! everything parked into a single shared dual-pool region over the
+//! resident database ([`HeteroEngine::search_many_resumable`]) — up to
+//! `max_concurrent` queries per region. Nothing is held back to wait for
+//! company: a submit that finds the collector idle runs at once, and the
+//! submits that park while a region runs form the next one, so
+//! concurrent short queries share scheduling overhead and fill lanes a
+//! solo run would leave idle. Per-query
 //! isolation survives the sharing: each job keeps its own
 //! [`DrainSignal`] scoped under the daemon's shutdown signal (cancel
 //! removes that query's tasks from the region without touching
@@ -22,14 +24,13 @@
 //! [`TraceConfig::for_query`], and its own fingerprint-keyed checkpoint
 //! file inside `checkpoint_dir`.
 //!
-//! No request waits on a poll tick: the accept loop blocks in `accept`
-//! and hands a connection over the moment it arrives, the request line
-//! is read under one timeout (the eviction deadline), a gather window
-//! that is full closes at once (the one timed wait left on a submit's
-//! path is a window that is *not* full — see [`Registry::collect`]),
-//! the collector thread is the region's first worker, and a query's
-//! reply leaves when its own last batch commits, not when its
-//! batch-mates finish.
+//! No request waits on a timer: the accept loop blocks in `accept` and
+//! hands a connection over the moment it arrives, the request line is
+//! read under one timeout (the eviction deadline), the collector takes a
+//! parked job as soon as it is idle (see [`Registry::collect`]), the
+//! collector thread is the region's first worker, and a query's reply
+//! leaves when its own last batch commits, not when its batch-mates
+//! finish.
 //!
 //! Nothing on a request's path costs more as the daemon ages, either. The
 //! registry keeps its counts instead of recounting its table (see
@@ -57,7 +58,7 @@ use crate::client::{ack_line, HitLine, JobReply, Request, END_LINE};
 use crate::json;
 use crate::obs::{LogLevel, Obs, ObsConfig, ShardRole};
 use crate::registry::{
-    JobRecord, JobState, LiveJob, Registry, RunPayload, StatsSnapshot, WindowClosed, SHUTDOWN_POLL,
+    JobRecord, JobState, LiveJob, Registry, RunPayload, StatsSnapshot, SHUTDOWN_POLL,
 };
 use crate::transport::{is_timeout, Endpoint, LineReader, Listener, Stream};
 use std::io::{self, BufWriter, Write};
@@ -107,10 +108,9 @@ pub struct ServeConfig {
     pub registry_out: Option<PathBuf>,
     /// Hits streamed per job when the submit carries no `top`.
     pub default_top: usize,
-    /// Gather window: after the first submit arrives, the collector
-    /// waits this long so concurrent submits coalesce into the same
-    /// shared region before it takes a batch. Unused by a shard worker
-    /// (see [`ServeConfig::gather_window`]).
+    /// Ignored: the collector takes whatever is parked, with no gather
+    /// window. Kept only because the pinned benchmark still names the
+    /// field.
     pub batch_window_ms: u64,
     /// Ops-log threshold (structured JSON lines, one per lifecycle
     /// transition).
@@ -140,8 +140,8 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults: 2 queries per batch, tenant quota 4, top-10, 3 ms
-    /// gather window, no checkpoints, traces or other artifact outputs.
+    /// Defaults: 2 queries per batch, tenant quota 4, top-10, no
+    /// checkpoints, traces or other artifact outputs.
     /// (Every region seeds its split plan at the fixed 55 % accelerator
     /// share, and a checkpointing daemon appends every clean chunk.)
     pub fn new(socket: impl Into<PathBuf>) -> Self {
@@ -168,16 +168,6 @@ impl ServeConfig {
             snapshot_digest: None,
             request_timeout_ms: 10_000,
             shard: None,
-        }
-    }
-
-    /// The gather window the collector holds open: `batch_window_ms`, and
-    /// none at all for a shard worker — its one client is a coordinator
-    /// that sends one request per query, so nobody would join.
-    pub fn gather_window(&self) -> Duration {
-        match self.shard {
-            Some(_) => Duration::ZERO,
-            None => Duration::from_millis(self.batch_window_ms),
         }
     }
 
@@ -597,10 +587,18 @@ fn op_submit<W: Write>(
         Ok(q) => q,
         Err(e) => return fail(w, &e),
     };
-    let drill = match drill.map(parse_delay_drill) {
+    // The daemon takes only the benign drill, aimed at whichever pool
+    // starts the chunk: a job held in flight for a test cannot depend on
+    // the accelerator pool winning a chunk before the CPU pool drains a
+    // small queue. Kill and wedge drills stay CLI-only — a shared daemon
+    // is no place for them.
+    let drill = match drill.map(|s| (s, FaultSpec::parse(s, DEVICE_ANY))) {
         None => None,
-        Some(Ok(spec)) => Some(spec),
-        Some(Err(e)) => return fail(w, &e),
+        Some((_, Ok(spec))) if matches!(spec.kind, FaultKind::Delay(_)) => Some(spec),
+        Some((s, _)) => {
+            let e = format!("bad drill '{s}': the daemon accepts delay@CHUNK:MS only");
+            return fail(w, &e);
+        }
     };
     let drain = Arc::new(DrainSignal::scoped(ctx.shutdown));
     let quota = ctx.config.tenant_quota;
@@ -676,14 +674,10 @@ fn op_submit<W: Write>(
 /// cancelled while parked and runs the rest as one shared dual-pool
 /// region, until shutdown empties the queue.
 fn collector_loop(ctx: Ctx<'_>) {
-    let window = ctx.config.gather_window();
     while let Some(gathered) = ctx
         .registry
-        .collect(ctx.config.max_concurrent, window, ctx.shutdown)
+        .collect(ctx.config.max_concurrent, ctx.shutdown)
     {
-        if let Some(closed) = gathered.closed {
-            ctx.obs.on_window_closed(closed);
-        }
         // `collect` already made these jobs `Cancelled`.
         for reply in gathered.cancelled {
             let _ = reply.send(JobReply::Cancelled {
@@ -692,7 +686,7 @@ fn collector_loop(ctx: Ctx<'_>) {
             });
         }
         if !gathered.live.is_empty() {
-            run_region(ctx, gathered.live, gathered.closed);
+            run_region(ctx, gathered.live);
         }
     }
 }
@@ -704,16 +698,13 @@ fn collector_loop(ctx: Ctx<'_>) {
 /// after the ack. This thread is the region's first worker, and a
 /// finished query's reply leaves from whichever worker committed its
 /// last batch — it does not wait for its batch-mates.
-fn run_region(ctx: Ctx<'_>, live: Vec<LiveJob>, closed: Option<WindowClosed>) {
+fn run_region(ctx: Ctx<'_>, live: Vec<LiveJob>) {
     let batch = live.len();
     ctx.obs.on_region(batch);
     ctx.obs.log(
         LogLevel::Debug,
         "region_started",
-        &format!(
-            ",\"batch\":{batch},\"closed\":\"{}\"",
-            closed.map_or("shutdown", WindowClosed::label)
-        ),
+        &format!(",\"batch\":{batch}"),
     );
     // Per-query tracers: fresh epoch at region start, job id as the
     // query tag — exports stay separable even though the region is
@@ -879,23 +870,6 @@ fn parse_query(fasta: &str, alphabet: &Alphabet) -> Result<sw_seq::EncodedSeq, S
         .ok_or_else(|| "query FASTA holds no sequences".to_string())
 }
 
-/// The daemon accepts only the benign drill: `delay@CHUNK:MS` stalls
-/// the region's CHUNK-th chunk, whichever pool starts it — a job that
-/// must be held in flight (deterministic timing for tests) cannot
-/// depend on the accelerator pool winning a chunk before the CPU pool
-/// drains a small queue. Kill/wedge drills stay CLI-only — a shared
-/// daemon is no place for them.
-fn parse_delay_drill(s: &str) -> Result<FaultSpec, String> {
-    let bad = || format!("bad drill '{s}': the daemon accepts delay@CHUNK:MS only");
-    let rest = s.strip_prefix("delay@").ok_or_else(bad)?;
-    let (chunk, ms) = rest.split_once(':').ok_or_else(bad)?;
-    Ok(FaultSpec {
-        device: DEVICE_ANY,
-        chunk: chunk.parse().map_err(|_| bad())?,
-        kind: FaultKind::Delay(Duration::from_millis(ms.parse().map_err(|_| bad())?)),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -913,9 +887,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn failed_ack_write_finishes_job_and_releases_quota() {
-        static ACK_SHUTDOWN: DrainSignal = DrainSignal::new();
+    /// Run `f` against a daemon context over a four-sequence database
+    /// with tenant quota 1 and no collector.
+    fn with_ctx(shutdown: &'static DrainSignal, f: impl FnOnce(Ctx<'_>)) {
         let alphabet = Alphabet::protein();
         let db = generate_database(&DbSpec {
             n_seqs: 4,
@@ -931,7 +905,7 @@ mod tests {
         let obs = Arc::new(Obs::disabled());
         let registry = Registry::new(Arc::clone(&obs));
         let readers = RequestReaders::default();
-        let ctx = Ctx {
+        f(Ctx {
             engine: &engine,
             prepared: &prepared,
             alphabet: &alphabet,
@@ -940,29 +914,40 @@ mod tests {
             registry: &registry,
             obs: &obs,
             readers: &readers,
-            shutdown: &ACK_SHUTDOWN,
-        };
-        let err = op_submit(ctx, "acme", ">q\nMKVLAT\n", 5, None, &mut BrokenPipe).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
-        // The job must not be stuck Queued: it failed, released its
-        // quota, and charged no run slot.
-        let rec = registry.status(1).expect("job was submitted");
-        assert_eq!(rec.state, JobState::Failed, "finished on the error path");
-        assert_eq!(registry.stats().running, 0);
-        registry
-            .submit("acme", 6, 1, Arc::new(DrainSignal::scoped(&ACK_SHUTDOWN)))
-            .expect("quota released after the failed ack");
+            shutdown,
+        });
     }
 
     #[test]
-    fn drill_parser_accepts_delay_only() {
-        let spec = parse_delay_drill("delay@3:250").unwrap();
-        assert_eq!(spec.device, DEVICE_ANY);
-        assert_eq!(spec.chunk, 3);
-        assert_eq!(spec.kind, FaultKind::Delay(Duration::from_millis(250)));
-        assert!(parse_delay_drill("kill@3").is_err());
-        assert!(parse_delay_drill("delay@3").is_err());
-        assert!(parse_delay_drill("delay@x:9").is_err());
+    fn failed_ack_write_finishes_job_and_releases_quota() {
+        static ACK_SHUTDOWN: DrainSignal = DrainSignal::new();
+        with_ctx(&ACK_SHUTDOWN, |ctx| {
+            let err = op_submit(ctx, "acme", ">q\nMKVLAT\n", 5, None, &mut BrokenPipe).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+            // The job must not be stuck Queued: it failed, released its
+            // quota, and charged no run slot.
+            let rec = ctx.registry.status(1).expect("job was submitted");
+            assert_eq!(rec.state, JobState::Failed, "finished on the error path");
+            assert_eq!(ctx.registry.stats().running, 0);
+            ctx.registry
+                .submit("acme", 6, 1, Arc::new(DrainSignal::scoped(&ACK_SHUTDOWN)))
+                .expect("quota released after the failed ack");
+        });
+    }
+
+    #[test]
+    fn the_daemon_refuses_every_drill_but_delay() {
+        static DRILL_SHUTDOWN: DrainSignal = DrainSignal::new();
+        with_ctx(&DRILL_SHUTDOWN, |ctx| {
+            for drill in ["kill@3", "wedge@0", "delay@3", "delay@x:9"] {
+                let mut reply = Vec::new();
+                op_submit(ctx, "t", ">q\nMKVLAT\n", 5, Some(drill), &mut reply).unwrap();
+                let reply = String::from_utf8(reply).unwrap();
+                let want = format!("bad drill '{drill}': the daemon accepts delay@CHUNK:MS only");
+                assert!(reply.contains(&want), "{reply}");
+            }
+            assert_eq!(ctx.registry.stats().total, 0, "no refused drill is a job");
+        });
     }
 
     #[test]

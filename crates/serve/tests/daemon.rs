@@ -8,12 +8,13 @@
 //! multiplexing through one engine must not perturb results.
 //!
 //! Sequencing is event-driven, not sleep-driven: the over-quota submit
-//! fires only after both in-flight acks are read, and the cancel fires
-//! only after `status` reports the job running. The only timing
-//! assumption left is that a cancel issued milliseconds into a search
-//! lands before its queue empties, which the delay drill guarantees:
-//! it stalls the region's first chunk whichever pool starts it, so the
-//! job is in flight for at least the delay.
+//! fires only after both in-flight acks are read, the cancel fires only
+//! after `status` reports the job running, and submits meant to share a
+//! region park behind a held one, each awaited until health counts it
+//! parked. The only timing assumption left is that a drill-held region
+//! outlasts the requests issued while it runs, which the delay drill
+//! guarantees: it stalls the region's first chunk whichever pool starts
+//! it, so the job is in flight for at least the delay.
 //!
 //! Every test body holds a [`StopOnDrop`] inside its thread scope, so a
 //! failed assertion stops the daemon and fails the test instead of
@@ -39,7 +40,7 @@ static SILENT_SHUTDOWN: DrainSignal = DrainSignal::new();
 static EVICT_SHUTDOWN: DrainSignal = DrainSignal::new();
 static DRAIN_HEALTH_SHUTDOWN: DrainSignal = DrainSignal::new();
 static EMPTY_CONN_SHUTDOWN: DrainSignal = DrainSignal::new();
-static WINDOW_SHUTDOWN: DrainSignal = DrainSignal::new();
+static PARKED_SHUTDOWN: DrainSignal = DrainSignal::new();
 static REUSE_SHUTDOWN: DrainSignal = DrainSignal::new();
 static HELD_SHUTDOWN: DrainSignal = DrainSignal::new();
 static STACKED_SHUTDOWN: DrainSignal = DrainSignal::new();
@@ -165,6 +166,57 @@ fn wait_for_state(socket: &Path, job: u64, want: &str) {
         );
         std::thread::sleep(Duration::from_millis(5));
     }
+}
+
+/// Wait until health counts `n` jobs parked for the collector.
+fn wait_parked(socket: &Path, n: u64) {
+    let t0 = Instant::now();
+    loop {
+        let h = client::request(socket, &client::health_request()).expect("health");
+        if json::field_u64(&h[0], "parked") == Some(n) {
+            return;
+        }
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "never {n} parked: {h:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// Hold the collector: a lone submit whose region's first chunk sleeps
+/// `ms`, returned once it runs. The submits that park until it ends
+/// form the next region.
+fn hold_collector(socket: &Path, a: &Alphabet, ms: u64) -> (BufReader<UnixStream>, u64) {
+    let fasta = fasta_of(&generate_query(40, 7), a);
+    let drill = format!("delay@0:{ms}");
+    let (r, id) = start_submit(socket, "hold", &fasta, Some(&drill));
+    wait_for_state(socket, id, "running");
+    (r, id)
+}
+
+/// `start_submit` behind a held collector, returned once the job is
+/// the `n`-th parked one: arrival order is then submit order.
+fn park_submit(
+    socket: &Path,
+    tenant: &str,
+    fasta: &str,
+    drill: Option<&str>,
+    n: u64,
+) -> (BufReader<UnixStream>, u64) {
+    let submitted = start_submit(socket, tenant, fasta, drill);
+    wait_parked(socket, n);
+    submitted
+}
+
+/// Let a held region end alone.
+fn release(hold: (BufReader<UnixStream>, u64)) {
+    let o = finish_submit(hold.0, hold.1);
+    assert_eq!(
+        (o.state.as_str(), o.batch),
+        ("done", 1),
+        "the holder ran alone"
+    );
 }
 
 #[test]
@@ -369,11 +421,11 @@ fn daemon_end_to_end() {
     std::fs::remove_dir_all(&tmp).ok();
 }
 
-/// Cross-query batching equivalence: four mixed-length queries that
-/// coalesce into ONE shared dual-pool region must each stream a hit
-/// list byte-identical to its solo run; a cancel mid-batch must spare
-/// its batch-mates; and the cancelled query must resume from its
-/// checkpoint on resubmit.
+/// Cross-query batching equivalence: four mixed-length queries parked
+/// behind a held region run as ONE shared dual-pool region and must each
+/// stream a hit list byte-identical to its solo run; a cancel mid-batch
+/// must spare its batch-mate; and the cancelled query must resume from
+/// its checkpoint on resubmit.
 #[test]
 fn batched_queries_match_solo_runs() {
     let a = Alphabet::protein();
@@ -396,9 +448,6 @@ fn batched_queries_match_solo_runs() {
     let mut config = ServeConfig::new(tmp.join("daemon.sock"));
     config.max_concurrent = 4;
     config.tenant_quota = 8;
-    // Wide gather window: the four submits below must land in the same
-    // shared region so the `batch` field can be asserted.
-    config.batch_window_ms = 250;
     config.checkpoint_dir = Some(tmp.join("ckpt"));
 
     let qs: Vec<EncodedSeq> = [(60, 41), (90, 42), (140, 43), (500, 44)]
@@ -425,11 +474,14 @@ fn batched_queries_match_solo_runs() {
         let socket = config.unix_socket().expect("unix listener");
         wait_for_socket(socket);
 
-        // Phase 1: four concurrent mixed-length submits → one region.
-        let streams: Vec<_> = qs
-            .iter()
-            .map(|q| start_submit(socket, "fleet", &fasta_of(q, &a), None))
+        // Phase 1: four mixed-length submits parked behind a held
+        // region → one region.
+        let hold = hold_collector(socket, &a, 1_000);
+        let streams: Vec<_> = (1..)
+            .zip(&qs)
+            .map(|(n, q)| park_submit(socket, "fleet", &fasta_of(q, &a), None, n))
             .collect();
+        release(hold);
         for ((r, id), solo) in streams.into_iter().zip(&solos) {
             let o = finish_submit(r, id);
             assert_eq!(o.state, "done", "job {id}");
@@ -439,8 +491,11 @@ fn batched_queries_match_solo_runs() {
 
         // Phase 2: cancel one query mid-batch; its batch-mate finishes
         // with byte-identical hits.
-        let (rc, idc) = start_submit(socket, "fleet", &fasta_of(&qc, &a), Some("delay@0:400"));
-        let (rd, idd) = start_submit(socket, "fleet", &fasta_of(&qd, &a), None);
+        let hold = hold_collector(socket, &a, 1_000);
+        let fc = fasta_of(&qc, &a);
+        let (rc, idc) = park_submit(socket, "fleet", &fc, Some("delay@0:400"), 1);
+        let (rd, idd) = park_submit(socket, "fleet", &fasta_of(&qd, &a), None, 2);
+        release(hold);
         wait_for_state(socket, idc, "running");
         let c = client::request(socket, &client::Request::Cancel(idc).render()).unwrap();
         assert_eq!(json::field_bool(&c[0], "ok"), Some(true), "{c:?}");
@@ -448,6 +503,7 @@ fn batched_queries_match_solo_runs() {
         let od = finish_submit(rd, idd);
         assert_eq!(oc.state, "cancelled", "victim drained out of the region");
         assert_eq!(od.state, "done", "batch-mate survives the cancel");
+        assert_eq!(od.batch, 2, "the victim was its batch-mate");
         assert_eq!(served_hits(&od), solo_d, "batch-mate hits untouched");
         assert_eq!(
             std::fs::read_dir(tmp.join("ckpt")).unwrap().count(),
@@ -469,8 +525,9 @@ fn batched_queries_match_solo_runs() {
         );
 
         let st = client::request(socket, &client::Request::Stats.render()).unwrap();
-        assert_eq!(json::field_u64(&st[0], "jobs"), Some(7), "{st:?}");
-        assert_eq!(json::field_u64(&st[0], "done"), Some(6), "{st:?}");
+        // Seven jobs and the two holders.
+        assert_eq!(json::field_u64(&st[0], "jobs"), Some(9), "{st:?}");
+        assert_eq!(json::field_u64(&st[0], "done"), Some(8), "{st:?}");
         assert_eq!(json::field_u64(&st[0], "cancelled"), Some(1), "{st:?}");
 
         client::request(socket, &client::Request::Shutdown.render()).unwrap();
@@ -484,8 +541,9 @@ fn batched_queries_match_solo_runs() {
 /// The second input of `batched_queries_match_solo_runs`: a database
 /// whose lanes stack sequences (lane refill). Four submits share one
 /// region and each streams exactly the hit lines of its solo
-/// `SearchEngine::search`; a fifth, cancelled while parked, is answered
-/// `cancelled` and hands its tenant's quota slot back.
+/// `SearchEngine::search`; a fifth, cancelled while parked behind a held
+/// region, is answered `cancelled` and hands its tenant's quota slot
+/// back.
 fn batched_queries_match_solo_runs_on_stacked_lanes() {
     let a = Alphabet::protein();
     let prepared = PreparedDb::prepare(
@@ -508,9 +566,6 @@ fn batched_queries_match_solo_runs_on_stacked_lanes() {
     let mut config = ServeConfig::new(tmp.join("daemon.sock"));
     config.max_concurrent = 4;
     config.tenant_quota = 4;
-    // Four submits fill the window at once; a lone fifth waits it out,
-    // which is when its cancel is answered.
-    config.batch_window_ms = 500;
 
     let qs: Vec<EncodedSeq> = [(10, 51), (14, 52), (18, 53), (22, 54)]
         .iter()
@@ -556,10 +611,12 @@ fn batched_queries_match_solo_runs_on_stacked_lanes() {
         let socket = config.unix_socket().expect("unix listener");
         wait_for_socket(socket);
 
-        let streams: Vec<_> = qs
-            .iter()
-            .map(|q| start_submit(socket, "stack", &fasta_of(q, &a), None))
+        let hold = hold_collector(socket, &a, 1_000);
+        let streams: Vec<_> = (1..)
+            .zip(&qs)
+            .map(|(n, q)| park_submit(socket, "stack", &fasta_of(q, &a), None, n))
             .collect();
+        release(hold);
         for ((r, id), solo) in streams.into_iter().zip(&solos) {
             let o = finish_submit(r, id);
             assert_eq!(o.state, "done", "job {id}");
@@ -569,13 +626,15 @@ fn batched_queries_match_solo_runs_on_stacked_lanes() {
         }
         assert_eq!(in_flight(socket), 0);
 
-        let (r5, id5) = start_submit(socket, "stack", &fasta_of(&qs[0], &a), None);
+        let hold = hold_collector(socket, &a, 1_000);
+        let (r5, id5) = park_submit(socket, "stack", &fasta_of(&qs[0], &a), None, 1);
         let c = client::request(socket, &client::Request::Cancel(id5).render()).unwrap();
         assert_eq!(
             json::field_str(&c[0], "was").as_deref(),
             Some("queued"),
             "{c:?}"
         );
+        release(hold);
         let o5 = finish_submit(r5, id5);
         assert_eq!((o5.state.as_str(), o5.batch), ("cancelled", 0));
         let rec = client::request(socket, &client::Request::Status(id5).render()).unwrap();
@@ -584,20 +643,22 @@ fn batched_queries_match_solo_runs_on_stacked_lanes() {
 
         client::request(socket, &client::Request::Shutdown.render()).unwrap();
         let stats = server.join().unwrap().expect("serve");
-        assert_eq!((stats.done_total, stats.cancelled_total), (4, 1));
+        // The four, and the two holders.
+        assert_eq!((stats.done_total, stats.cancelled_total), (6, 1));
     });
     std::fs::remove_dir_all(&tmp).ok();
 }
 
-/// A gather window that is full closes at once — a region of
-/// `max_concurrent` cannot gain a member by waiting — while a window that
-/// is not full is waited out to its deadline; the scrape says which
-/// happened.
+/// Nothing holds a submit back to wait for company: a lone submit runs
+/// at once, in a region of one. Submits that park while a region runs
+/// form the next region, up to `max_concurrent` in arrival order, and
+/// the one past the cap is the region after; the scrape counts each
+/// region and its size.
 #[test]
-fn full_window_closes_at_once_a_lone_submit_waits_it_out() {
+fn a_lone_submit_runs_at_once_and_parked_submits_share_the_next_region() {
     let a = Alphabet::protein();
     // Small enough that the searches themselves take milliseconds even
-    // in the dev profile: the times below are the window's.
+    // in the dev profile.
     let spec = DbSpec {
         n_seqs: 12,
         mean_len: 80.0,
@@ -607,64 +668,63 @@ fn full_window_closes_at_once_a_lone_submit_waits_it_out() {
     let prepared = PreparedDb::prepare(generate_database(&spec), 4, &a);
     let engine = HeteroEngine::new(SearchEngine::paper_default());
     let base = HeteroSearchConfig::best(1, 1);
-    let tmp = std::env::temp_dir().join(format!("sw-serve-window-{}", std::process::id()));
+    let tmp = std::env::temp_dir().join(format!("sw-serve-parked-{}", std::process::id()));
     std::fs::remove_dir_all(&tmp).ok();
     std::fs::create_dir_all(&tmp).unwrap();
     let mut config = ServeConfig::new(tmp.join("daemon.sock"));
     config.max_concurrent = 2;
-    config.batch_window_ms = 2_000;
-    let window = Duration::from_millis(config.batch_window_ms);
-    let (q1, q2) = (generate_query(80, 82), generate_query(150, 83));
+    let qs = [
+        generate_query(80, 82),
+        generate_query(150, 83),
+        generate_query(60, 84),
+    ];
 
     std::thread::scope(|s| {
         let server = {
             let (engine, prepared, a, base, config) = (&engine, &prepared, &a, &base, &config);
-            s.spawn(move || sw_serve::serve(engine, prepared, a, base, config, &WINDOW_SHUTDOWN))
+            s.spawn(move || sw_serve::serve(engine, prepared, a, base, config, &PARKED_SHUTDOWN))
         };
-        let _stop = StopOnDrop(&WINDOW_SHUTDOWN);
+        let _stop = StopOnDrop(&PARKED_SHUTDOWN);
         let socket = config.unix_socket().expect("unix listener");
         wait_for_socket(socket);
 
         let t0 = Instant::now();
-        let (r1, id1) = start_submit(socket, "pair", &fasta_of(&q1, &a), None);
-        let (r2, id2) = start_submit(socket, "pair", &fasta_of(&q2, &a), None);
-        let (o1, o2) = (finish_submit(r1, id1), finish_submit(r2, id2));
-        let took = t0.elapsed();
-        assert!(took < window / 2, "a full window was waited out: {took:?}");
-        assert_eq!((o1.state.as_str(), o1.batch), ("done", 2));
-        assert_eq!((o2.state.as_str(), o2.batch), ("done", 2));
-        assert_eq!(
-            served_hits(&o1),
-            solo_hits(&engine, &prepared, &q1.residues, 10)
-        );
-        assert_eq!(
-            served_hits(&o2),
-            solo_hits(&engine, &prepared, &q2.residues, 10)
-        );
-
-        let t0 = Instant::now();
-        let (r3, id3) = start_submit(socket, "lone", &fasta_of(&q1, &a), None);
-        let o3 = finish_submit(r3, id3);
+        let (r, id) = start_submit(socket, "lone", &fasta_of(&qs[0], &a), None);
+        let lone = finish_submit(r, id);
         let took = t0.elapsed();
         assert!(
-            took >= window,
-            "a lone submit left its window early: {took:?}"
+            took < Duration::from_secs(1),
+            "a lone submit waited: {took:?}"
         );
-        assert_eq!((o3.state.as_str(), o3.batch), ("done", 1));
+        assert_eq!((lone.state.as_str(), lone.batch), ("done", 1));
+
+        let hold = hold_collector(socket, &a, 500);
+        let parked: Vec<_> = (1..)
+            .zip(&qs)
+            .map(|(n, q)| park_submit(socket, "pair", &fasta_of(q, &a), None, n))
+            .collect();
+        release(hold);
+        for (((r, id), q), batch) in parked.into_iter().zip(&qs).zip([2, 2, 1]) {
+            let o = finish_submit(r, id);
+            assert_eq!((o.state.as_str(), o.batch), ("done", batch), "job {id}");
+            assert_eq!(
+                served_hits(&o),
+                solo_hits(&engine, &prepared, &q.residues, 10),
+                "job {id}"
+            );
+        }
 
         let scrape = client::request(socket, &client::metrics_request())
             .unwrap()
             .join("\n");
         sw_trace::validate::validate_prometheus_strict(&scrape)
             .unwrap_or_else(|e| panic!("{e}\n{scrape}"));
-        assert_eq!(
-            metric(&scrape, "sw_serve_windows_total{closed=\"full\"}"),
-            1
-        );
-        assert_eq!(
-            metric(&scrape, "sw_serve_windows_total{closed=\"deadline\"}"),
-            1
-        );
+        // The lone submit, the holder, the pair and the one past the cap.
+        assert_eq!(metric(&scrape, "sw_serve_regions_total"), 4);
+        assert_eq!(metric(&scrape, "sw_serve_region_size_count"), 4);
+        assert_eq!(metric(&scrape, "sw_serve_region_size_bucket{le=\"1\"}"), 3);
+        assert_eq!(metric(&scrape, "sw_serve_region_size_sum"), 5);
+        assert!(!scrape.contains("sw_serve_windows_total"), "{scrape}");
 
         client::request(socket, &client::Request::Shutdown.render()).unwrap();
         server.join().unwrap().expect("serve");
@@ -1105,9 +1165,6 @@ fn health_answers_while_submits_hold_every_slot() {
     std::fs::create_dir_all(&tmp).unwrap();
     let mut config = ServeConfig::new(tmp.join("daemon.sock"));
     config.max_concurrent = 2;
-    // Wide enough that the submits below share one region however slowly
-    // they arrive; a full window closes at once.
-    config.batch_window_ms = 2_000;
 
     std::thread::scope(|s| {
         let server = {
@@ -1118,13 +1175,16 @@ fn health_answers_while_submits_hold_every_slot() {
         let socket = config.unix_socket().expect("unix listener");
         wait_for_socket(socket);
 
-        // One region of `max_concurrent` queries, held by the drill.
-        let held: Vec<_> = (0..config.max_concurrent as u64)
-            .map(|i| {
-                let q = generate_query(80, 96 + i);
-                start_submit(socket, "held", &fasta_of(&q, &a), Some("delay@0:1500"))
+        // One region of `max_concurrent` queries, parked behind a held
+        // region and then held by the first one's drill.
+        let hold = hold_collector(socket, &a, 500);
+        let held: Vec<_> = (1..=config.max_concurrent as u64)
+            .map(|n| {
+                let q = generate_query(80, 95 + n);
+                park_submit(socket, "held", &fasta_of(&q, &a), Some("delay@0:1500"), n)
             })
             .collect();
+        release(hold);
         for (_, id) in &held {
             wait_for_state(socket, *id, "running");
         }

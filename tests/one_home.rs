@@ -1,5 +1,6 @@
-//! One home per byte format (DESIGN §5k): each format primitive appears
-//! in non-test source — the lines of a file under `crates/*/src` before
+//! One home per byte format (DESIGN §5k), and one drill grammar: each
+//! format primitive, and the split of a drill spec, appears in non-test
+//! source — the lines of a file under `crates/*/src` before
 //! the `#[cfg(test)]` that opens a `mod` — only in the files that own it.
 
 use std::path::{Path, PathBuf};
@@ -12,7 +13,7 @@ struct Rule {
     planted: &'static str,
 }
 
-const RULES: [Rule; 8] = [
+const RULES: [Rule; 9] = [
     Rule {
         what: "the CRC32 polynomial or the FNV-1a 64 offset basis",
         homes: &["crates/swdb/src/integrity.rs"],
@@ -73,6 +74,15 @@ const RULES: [Rule; 8] = [
         homes: &["crates/swdb/src/integrity.rs", "crates/serve/src/obs.rs"],
         fires: |line| line.contains("open_log("),
         planted: "    let file = open_log(&path, Some(whole))?;",
+    },
+    // A drill spec (`kill@3`, `delay@0:500`, `refuse@1#1`) is read by
+    // `FaultSpec::parse` or `NetFaultPlan::parse`; a flag that takes one
+    // calls them rather than splitting the spec itself.
+    Rule {
+        what: "a drill spec's `kind@chunk` split",
+        homes: &["crates/sched/src/fault.rs"],
+        fires: |line| line.contains("('@')") || line.contains("(\"@\")"),
+        planted: "    let (kind, at) = s.split_once('@').ok_or_else(bad)?;",
     },
 ];
 
@@ -191,6 +201,10 @@ fn every_rule_fires_on_its_planted_line() {
     assert!((RULES[5].fires)(r#"field(line,"end")"#));
     assert!((RULES[6].fires)("    file.set_len(whole)?;"));
     assert!((RULES[7].fires)("open_log(path, None).map(Sink::File)"));
+    assert!((RULES[8].fires)(
+        r#"let (kind, rest) = s.split_once("@")?;"#
+    ));
+    assert!((RULES[8].fires)("let mut parts = spec.split('@');"));
     // Prose and look-alikes stay quiet.
     assert!(!(RULES[0].fires)("0xEDB9_8320"));
     assert!(!(RULES[0].fires)("0xEDB8__8320"));
@@ -200,6 +214,9 @@ fn every_rule_fires_on_its_planted_line() {
     assert!(!(RULES[6].fires)("    opts.append(false);"));
     assert!(!(RULES[7].fires)(
         "    let log = AppendLog::new(path, true);"
+    ));
+    assert!(!(RULES[8].fires)(
+        r#"    /// `delay@CHUNK:MS` stalls one chunk"#
     ));
 }
 
